@@ -73,6 +73,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEnvelopeDecode -fuzztime 10s ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzOutputsDecode -fuzztime 10s ./internal/outputs/
 	$(GO) test -run '^$$' -fuzz FuzzTileDelta -fuzztime 10s ./internal/detect/
+	$(GO) test -run '^$$' -fuzz FuzzFloatComponents -fuzztime 10s ./internal/detect/
 	$(GO) test -run '^$$' -fuzz FuzzReceive -fuzztime 10s ./internal/transport/
 	$(GO) test -run '^$$' -fuzz FuzzSuppressParse -fuzztime 10s ./internal/analysis/
 
@@ -86,9 +87,16 @@ bench:
 
 # Raster/detect kernel micro-benchmarks: fast kernels vs their retained
 # naive oracles, with ns/op and B/op so both the asymptotic win and the
-# pooling win are visible.
+# pooling win are visible. The last two lines are the float patch kernel
+# against the historical pipeline retained in _test.go: whole patches on
+# the three resample shapes the cold workloads hit, then the fused back
+# half, the tabled resample and the noise kernel alone. kernel/oracle
+# sub-benches run back to back, five times each, because only a ratio taken
+# within one run survives this host's speed drift.
 bench-kernels:
 	$(GO) test -run xxx -bench 'Kernel' -benchmem ./internal/raster/ ./internal/detect/
+	$(GO) test -run xxx -bench 'PatchComponentsFloat|BenchmarkFloatComponents' -benchmem -count 5 ./internal/detect/
+	$(GO) test -run xxx -bench 'BenchmarkBilinearInto|BenchmarkAddNoise' -benchmem -count 5 ./internal/raster/
 
 # Machine-readable benchmark regression artifact: one full -benchtime=1x
 # sweep rendered to JSON (ns/op, B/op, allocs/op, invocations/op, and the

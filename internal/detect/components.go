@@ -1,6 +1,8 @@
 package detect
 
 import (
+	"math"
+	"slices"
 	"sync"
 
 	"smokescreen/internal/raster"
@@ -23,40 +25,63 @@ func (c *component) MeanContrast() float64 {
 	return c.SumContrast / float64(c.Area)
 }
 
-// connectedComponents labels the 4-connected regions of mask (length w*h,
-// row-major) and returns one component per region, with contrast sums taken
-// from the parallel contrast slice. Two-pass union-find with path halving.
-// ccScratch pools the label buffer of connectedComponents: one w*h int32
-// slab per frame evaluation, dead as soon as the components are extracted.
-type ccScratch struct {
-	labels []int32
-	parent []int32
-	// compOf maps a union-find root to its index in comps (-1 = unseen);
-	// both are resized per call and replace the per-frame map the second
-	// pass used to allocate (the hottest allocation in the profile).
-	compOf []int32
-	comps  []component
+// floatRun is one horizontal run of above-threshold pixels, [x0, x1) on row
+// y, carrying a provisional union-find label. Runs are kept in raster order,
+// and the contrasts of their pixels sit back to back in the same order.
+type floatRun struct {
+	x0, x1, y int32
+	label     int32
 }
 
-var ccPool = sync.Pool{New: func() any { return &ccScratch{} }}
+// floatCCScratch pools floatComponents' working set. Everything but the two
+// row buffers scales with the number of above-threshold runs and pixels, not
+// with the patch area.
+type floatCCScratch struct {
+	vrow, srow []float32 // vertical 3-tap sums and |smoothed| of one row
+	contrast   []float32 // |smoothed| of every masked pixel, raster order
+	runs       []floatRun
+	parent     []int32
+	compOf     []int32 // union-find root -> index in comps, -1 = unseen
+	comps      []component
+}
 
-func connectedComponents(mask []bool, contrast []float32, w, h int) []component {
-	if len(mask) != w*h || len(contrast) != w*h {
-		panic("detect: connectedComponents size mismatch")
+var floatCCPool = sync.Pool{New: func() any { return &floatCCScratch{} }}
+
+// floatComponents is the float detector's back half — 3x3 box denoise,
+// |v| > tau threshold and 4-connected component labelling — fused into one
+// pass over the signed difference plane. It replaced three whole-plane
+// stages (blur3, absMask and a per-pixel union-find labeller, retained in
+// oracle_test.go) and is bit-identical to them:
+//
+//   - Each row's smoothed samples are computed exactly as the separable blur
+//     did: the vertical 3-tap sum (row + previous + next, in that order),
+//     then the horizontal 3-tap sum times the reciprocal of the in-bounds
+//     window size (a division on 1-pixel-wide planes, as before).
+//   - Above-threshold pixels are gathered into horizontal runs as the row is
+//     produced, and runs are united with the overlapping runs of the previous
+//     row, so labelling costs O(runs) instead of three passes over w*h
+//     labels. No mask, contrast or label plane exists; only the masked
+//     pixels' contrasts are kept.
+//   - A final pass walks the runs in raster order and adds each pixel's
+//     float64(contrast) to its root's SumContrast one at a time. That is the
+//     order the pixel labeller added them in, so the float64 sums round
+//     identically — summing per run and merging on union (as the integer
+//     quantComponents may) would not. Components are numbered by first
+//     appearance in the same walk and then stably sorted, which reproduces
+//     the old order even between components that tie on the sort key.
+//
+// When wantMax is set the second result is the largest |smoothed| sample
+// anywhere in the plane (the delta layer's blank-patch gate); otherwise 0.
+func floatComponents(diff *plane, tau float64, wantMax bool) ([]component, float64) {
+	w, h := diff.w, diff.h
+	if w == 0 || h == 0 {
+		return nil, 0
 	}
-	cc := ccPool.Get().(*ccScratch)
-	defer ccPool.Put(cc)
-	if cap(cc.labels) < w*h {
-		cc.labels = make([]int32, w*h)
-	} else {
-		cc.labels = cc.labels[:w*h]
-	}
-	labels := cc.labels
-	for i := range labels {
-		labels[i] = -1
-	}
-	parent := cc.parent[:0]
-	defer func() { cc.parent = parent[:0] }()
+	sc := floatCCPool.Get().(*floatCCScratch)
+	defer floatCCPool.Put(sc)
+	sc.vrow, sc.srow = slices.Grow(sc.vrow[:0], w)[:w], slices.Grow(sc.srow[:0], w)[:w]
+	vrow, srow := sc.vrow, sc.srow[:len(sc.vrow)]
+	contrast, runs, parent := sc.contrast[:0], sc.runs[:0], sc.parent[:0]
 
 	find := func(x int32) int32 {
 		for parent[x] != x {
@@ -65,98 +90,144 @@ func connectedComponents(mask []bool, contrast []float32, w, h int) []component 
 		}
 		return x
 	}
-	union := func(a, b int32) int32 {
-		ra, rb := find(a), find(b)
-		if ra == rb {
-			return ra
-		}
-		if ra < rb {
-			parent[rb] = ra
-			return ra
-		}
-		parent[ra] = rb
-		return rb
-	}
 
-	// First pass: provisional labels.
+	t := float32(tau)
+	maxAbs := float32(0)
+	prevLo, prevHi := 0, 0 // runs[prevLo:prevHi] is the previous row
 	for y := 0; y < h; y++ {
-		row := y * w
+		// The row slices are cut to one length so the loops below carry no
+		// bounds checks.
+		cur := diff.v[y*w : (y+1)*w]
+		cy := 1
+		switch {
+		case y > 0 && y+1 < h:
+			cy = 3
+			prev, next := diff.v[(y-1)*w : y*w][:len(cur)], diff.v[(y+1)*w : (y+2)*w][:len(cur)]
+			for x, v := range cur {
+				vrow[x] = v + prev[x] + next[x]
+			}
+		case y > 0:
+			cy = 2
+			prev := diff.v[(y-1)*w : y*w][:len(cur)]
+			for x, v := range cur {
+				vrow[x] = v + prev[x]
+			}
+		case y+1 < h:
+			cy = 2
+			next := diff.v[(y+1)*w : (y+2)*w][:len(cur)]
+			for x, v := range cur {
+				vrow[x] = v + next[x]
+			}
+		default:
+			copy(vrow, cur)
+		}
+		if w == 1 {
+			srow[0] = abs32(vrow[0] / float32(cy))
+		} else {
+			inv2 := 1 / float32(2*cy)
+			inv3 := 1 / float32(3*cy)
+			a, b := vrow[0], vrow[1]
+			srow[0] = abs32((a + b) * inv2)
+			for x, c := range vrow[2:] {
+				srow[x+1] = abs32((a + b + c) * inv3)
+				a, b = b, c
+			}
+			srow[w-1] = abs32((a + b) * inv2)
+		}
+		if wantMax {
+			for _, c := range srow {
+				if c > maxAbs {
+					maxAbs = c
+				}
+			}
+		}
+
+		rowLo := len(runs)
+		pi := prevLo
 		for x := 0; x < w; x++ {
-			i := row + x
-			if !mask[i] {
+			if !(srow[x] > t) {
 				continue
 			}
-			var left, up int32 = -1, -1
-			if x > 0 && mask[i-1] {
-				left = labels[i-1]
+			x0 := x
+			for x++; x < w && srow[x] > t; x++ {
 			}
-			if y > 0 && mask[i-w] {
-				up = labels[i-w]
+			contrast = append(contrast, srow[x0:x]...)
+			// Unite with every 4-connected run of the previous row, or
+			// open a fresh label.
+			for pi < prevHi && int(runs[pi].x1) <= x0 {
+				pi++
 			}
-			switch {
-			case left < 0 && up < 0:
-				l := int32(len(parent))
-				parent = append(parent, l)
-				labels[i] = l
-			case left >= 0 && up >= 0:
-				labels[i] = union(left, up)
-			case left >= 0:
-				labels[i] = left
-			default:
-				labels[i] = up
+			label := int32(-1)
+			for k := pi; k < prevHi && int(runs[k].x0) < x; k++ {
+				root := find(runs[k].label)
+				switch {
+				case label < 0:
+					label = root
+				case root < label:
+					parent[label] = root
+					label = root
+				default:
+					parent[root] = label
+				}
 			}
+			if label < 0 {
+				label = int32(len(parent))
+				parent = append(parent, label)
+			}
+			runs = append(runs, floatRun{x0: int32(x0), x1: int32(x), y: int32(y), label: label})
 		}
+		prevLo, prevHi = rowLo, len(runs)
 	}
 
-	// Second pass: accumulate per-root statistics into pooled slabs instead
-	// of a per-call map — root indices are dense (< len(parent)), so a
-	// slice lookup replaces the map's hash-and-probe on every masked pixel.
-	if cap(cc.compOf) < len(parent) {
-		cc.compOf = make([]int32, len(parent))
-	}
-	compOf := cc.compOf[:len(parent)]
+	sc.compOf = slices.Grow(sc.compOf[:0], len(parent))[:len(parent)]
+	compOf := sc.compOf
 	for i := range compOf {
 		compOf[i] = -1
 	}
-	comps := cc.comps[:0]
-	defer func() { cc.comps = comps[:0] }()
-	for y := 0; y < h; y++ {
-		row := y * w
-		for x := 0; x < w; x++ {
-			i := row + x
-			if !mask[i] {
-				continue
-			}
-			root := find(labels[i])
-			ci := compOf[root]
-			if ci < 0 {
-				ci = int32(len(comps))
-				compOf[root] = ci
-				comps = append(comps, component{BBox: raster.Rect{MinX: x, MinY: y, MaxX: x + 1, MaxY: y + 1}})
-			}
-			c := &comps[ci]
-			c.Area++
-			c.SumContrast += float64(contrast[i])
-			if x < c.BBox.MinX {
-				c.BBox.MinX = x
-			}
-			if x+1 > c.BBox.MaxX {
-				c.BBox.MaxX = x + 1
-			}
-			if y < c.BBox.MinY {
-				c.BBox.MinY = y
-			}
-			if y+1 > c.BBox.MaxY {
-				c.BBox.MaxY = y + 1
-			}
+	comps := sc.comps[:0]
+	off := 0
+	for _, r := range runs {
+		root := find(r.label)
+		ci := compOf[root]
+		if ci < 0 {
+			ci = int32(len(comps))
+			compOf[root] = ci
+			comps = append(comps, component{BBox: raster.Rect{MinX: int(r.x0), MinY: int(r.y), MaxX: int(r.x1), MaxY: int(r.y) + 1}})
 		}
+		c := &comps[ci]
+		n := int(r.x1 - r.x0)
+		c.Area += n
+		if int(r.x0) < c.BBox.MinX {
+			c.BBox.MinX = int(r.x0)
+		}
+		if int(r.x1) > c.BBox.MaxX {
+			c.BBox.MaxX = int(r.x1)
+		}
+		c.BBox.MaxY = int(r.y) + 1
+		sum := c.SumContrast
+		for _, v := range contrast[off : off+n] {
+			sum += float64(v)
+		}
+		c.SumContrast = sum
+		off += n
 	}
 
 	out := make([]component, len(comps))
 	copy(out, comps)
 	// Deterministic order: top-left first.
 	sortComponents(out)
-	return out
+	sc.contrast, sc.runs, sc.parent, sc.comps = contrast[:0], runs[:0], parent[:0], comps[:0]
+	return out, float64(maxAbs)
+}
+
+// abs32 is the threshold stage's |v| with the sign bit masked off instead
+// of tested: difference planes are mostly zero-mean noise, so a sign branch
+// mispredicts on every other pixel. It differs from absMask's
+// `if v < 0 { v = -v }` only on -0 (here +0), and no consumer can tell
+// those apart: neither exceeds a threshold the other does not, and a
+// float64 sum that starts at +0 is the same after adding either.
+func abs32(v float32) float32 {
+	return math.Float32frombits(math.Float32bits(v) &^ (1 << 31))
 }
 
 func sortComponents(cs []component) {

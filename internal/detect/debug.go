@@ -23,35 +23,20 @@ func DebugEval(m *Model, v *scene.Video, i, p int) []string {
 		c := m.evalPatch(v, i, p, obj, sx, sy, sigmaEff, tau)
 		out = append(out, fmt.Sprintf("obj %v bbox=%v int=%.2f -> detected=%v class=%v conf=%.3f blob=%v tau=%.4f",
 			obj.Class, obj.BBox, obj.Intensity, c.detected, c.class, c.conf, c.blob, tau))
-		out = append(out, debugComponents(v, i, p, obj, sx, sy, sigmaEff, tau)...)
+		out = append(out, debugComponents(m, v, i, p, obj, sx, sy, sigmaEff, tau)...)
 	}
 	return out
 }
 
-// debugComponents re-runs the patch pipeline and dumps every component.
-func debugComponents(v *scene.Video, frameIdx, p int, obj *scene.Object, sx, sy, sigmaEff, tau float64) []string {
-	cfg := &v.Config
-	marginX := int(math.Ceil(2/sx)) + 3
-	marginY := int(math.Ceil(2/sy)) + 3
-	region := raster.Rect{
-		MinX: obj.BBox.MinX - marginX,
-		MinY: obj.BBox.MinY - marginY,
-		MaxX: obj.BBox.MaxX + marginX,
-		MaxY: obj.BBox.MaxY + marginY,
-	}.Intersect(raster.RectWH(0, 0, cfg.Width, cfg.Height))
-	nativePatch := v.RenderRegion(frameIdx, region)
-	tw := maxInt(3, int(math.Round(float64(region.W())*sx)))
-	th := maxInt(3, int(math.Round(float64(region.H())*sy)))
-	patch := raster.Downsample(nativePatch, tw, th)
-	patch.AddNoise(noiseSeed(cfg.Seed, frameIdx, p, obj.ID), float32(sigmaEff))
-	bgPatch := raster.Downsample(v.BackgroundRegion(region), tw, th)
-	diff := diffPlane(patch, bgPatch)
-	smooth := diff.blur3()
-	putPlane(diff)
-	scr := smooth.absMask(tau)
-	comps := connectedComponents(scr.mask, scr.contrast, tw, th)
-	putPlane(smooth)
-	putMaskScratch(scr)
+// debugComponents re-runs the float patch pipeline and dumps every
+// component.
+func debugComponents(m *Model, v *scene.Video, frameIdx, p int, obj *scene.Object, sx, sy, sigmaEff, tau float64) []string {
+	region := patchRegion(&v.Config, obj, sx, sy)
+	if region.Empty() {
+		return nil
+	}
+	tw, th := patchDims(region, sx, sy)
+	comps, _ := m.patchComponentsFloat(v, frameIdx, p, obj, region, tw, th, sigmaEff, tau, false, nil)
 	expected := raster.Rect{
 		MinX: int(math.Floor((float64(obj.BBox.MinX) - float64(region.MinX)) * sx)),
 		MinY: int(math.Floor((float64(obj.BBox.MinY) - float64(region.MinY)) * sy)),

@@ -280,9 +280,9 @@ func (m *Model) NewDeltaRun(v *scene.Video, p int) *DeltaRun {
 		spill:      vw.Spill(),
 		viewPixels: vw.PixelTransforms(),
 		tilesW:     tilesW,
-		prevFrame: -1,
-		curSigs:   make([]uint64, tilesW*tilesH),
-		entries:   map[int]*deltaEntry{},
+		prevFrame:  -1,
+		curSigs:    make([]uint64, tilesW*tilesH),
+		entries:    map[int]*deltaEntry{},
 	}
 }
 
@@ -551,11 +551,11 @@ func (r *DeltaRun) exactReuse(i int, frame *scene.Frame, obj *scene.Object, e *d
 			maxY: float64(obj.BBox.MaxY) * r.sy,
 		},
 	}
-	tw, th := patchDims(region, r.sx, r.sy)
 	seed := noiseSeed(r.v.Config.Seed, i, r.p, obj.ID)
 	var comps []component
 	var maxAbs float64
 	if e.quant {
+		tw, th := patchDims(region, r.sx, r.sy)
 		patch := raster.GetScratch8(tw, th)
 		copy(patch.Pix, e.kept.patch8.Pix)
 		patch.AddNoise8(seed, float32(r.sigmaEff))
@@ -569,29 +569,13 @@ func (r *DeltaRun) exactReuse(i int, frame *scene.Frame, obj *scene.Object, e *d
 		comps, maxAbs = quantComponents(diff, r.tau, true)
 		putPlane16(diff)
 	} else {
-		patch := raster.GetScratch(tw, th)
-		copy(patch.Pix, e.kept.patchF.Pix)
-		patch.AddNoise(seed, float32(r.sigmaEff))
-		var diff *plane
-		if obj.Class == scene.Face {
-			diff = diffScalar(patch, borderMean(patch))
-		} else {
-			diff = diffPlane(patch, e.kept.bgF)
+		var bg *raster.Image
+		if obj.Class != scene.Face {
+			bg = e.kept.bgF
 		}
-		raster.PutScratch(patch)
-		smooth := diff.blur3()
-		putPlane(diff)
-		scr := smooth.absMask(r.tau)
-		mx := float32(0)
-		for _, c := range scr.contrast {
-			if c > mx {
-				mx = c
-			}
-		}
-		comps = connectedComponents(scr.mask, scr.contrast, tw, th)
-		putPlane(smooth)
-		putMaskScratch(scr)
-		maxAbs = float64(mx)
+		sc := getPatchScratch()
+		comps, maxAbs = sc.noisedComponents(e.kept.patchF, bg, seed, float32(r.sigmaEff), r.tau, true)
+		putPatchScratch(sc)
 	}
 	var info patchInfo
 	info.region = region

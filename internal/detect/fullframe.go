@@ -116,12 +116,8 @@ func (m *Model) DetectPixels(img, bg *raster.Image, nativeNoiseSigma float64, ca
 	} else {
 		diff = diffPlane(img, bg)
 	}
-	smooth := diff.blur3()
+	comps, _ := floatComponents(diff, tau, false)
 	putPlane(diff)
-	scr := smooth.absMask(tau)
-	comps := connectedComponents(scr.mask, scr.contrast, img.W, img.H)
-	putPlane(smooth)
-	putMaskScratch(scr)
 
 	var out []Detection
 	for ci := range comps {

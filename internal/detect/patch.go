@@ -3,6 +3,7 @@ package detect
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"smokescreen/internal/raster"
 	"smokescreen/internal/scene"
@@ -206,63 +207,82 @@ func (m *Model) evalPatchInfo(v *scene.Video, frameIdx, p int, obj *scene.Object
 	return cand
 }
 
+// patchScratch is every buffer one float patch evaluation touches: the
+// native-resolution render, the model-scale patch, a second model-scale
+// image (the static background patch; for faces, the noised copy of the
+// patch) and the signed difference plane. One pool round trip per patch
+// replaces one per buffer; the fused back half keeps its own run-sized
+// scratch (floatCCScratch) because the full-frame path shares it.
+type patchScratch struct {
+	native, patch, second raster.Image
+	diff                  plane
+}
+
+var patchScratchPool = sync.Pool{New: func() any { return &patchScratch{} }}
+
+func getPatchScratch() *patchScratch { return patchScratchPool.Get().(*patchScratch) }
+
+func putPatchScratch(sc *patchScratch) { patchScratchPool.Put(sc) }
+
 // patchComponentsFloat runs the float pixel stages of evalPatch — render,
 // downsample, sensor noise, background/border difference, 3x3 denoise,
 // threshold, connected components — and returns the components plus (when
-// wantMax) the largest post-blur contrast in the patch.
+// wantMax) the largest post-blur contrast in the patch. When keep is
+// non-nil it receives clones of the pre-noise patch (and background patch)
+// for the delta-exact replay.
 func (m *Model) patchComponentsFloat(v *scene.Video, frameIdx, p int, obj *scene.Object, region raster.Rect, tw, th int, sigmaEff, tau float64, wantMax bool, keep *keptPatches) ([]component, float64) {
-	cfg := &v.Config
-	nativePatch := raster.GetScratch(region.W(), region.H())
-	v.RenderRegionInto(nativePatch, frameIdx, region)
-	patch := raster.GetScratch(tw, th)
-	defer raster.PutScratch(patch)
-	raster.DownsampleInto(patch, nativePatch)
-	if keep != nil {
-		keep.patchF = raster.GetScratch(tw, th)
-		copy(keep.patchF.Pix, patch.Pix)
+	sc := getPatchScratch()
+	defer putPatchScratch(sc)
+	native := sc.native.Resize(region.W(), region.H())
+	v.RenderRegionInto(native, frameIdx, region)
+	patch := sc.patch.Resize(tw, th)
+	raster.DownsampleInto(patch, native)
+	var bg *raster.Image
+	if obj.Class != scene.Face {
+		// Reuse the native buffer for the background render: the patch
+		// downsample above has already consumed it.
+		v.BackgroundRegionInto(native, region)
+		bg = sc.second.Resize(tw, th)
+		raster.DownsampleInto(bg, native)
 	}
-	patch.AddNoise(noiseSeed(cfg.Seed, frameIdx, p, obj.ID), float32(sigmaEff))
+	if keep != nil {
+		keep.patchF = cloneScratch(patch)
+		if bg != nil {
+			keep.bgF = cloneScratch(bg)
+		}
+	}
+	return sc.noisedComponents(patch, bg, noiseSeed(v.Config.Seed, frameIdx, p, obj.ID), float32(sigmaEff), tau, wantMax)
+}
 
-	var diff *plane
-	if obj.Class == scene.Face {
+// noisedComponents runs the noise-dependent stages over a pre-noise
+// model-scale patch, which it does not modify: evaluation hands it the
+// patch it just rendered, the delta-exact replay a patch kept from an
+// earlier frame. bg is the static background patch, or nil for a face.
+func (sc *patchScratch) noisedComponents(pre, bg *raster.Image, seed uint64, sigma float32, tau float64, wantMax bool) ([]component, float64) {
+	if bg == nil {
 		// Faces sit inside person blobs, so static-background subtraction
 		// cannot isolate them: a same-sign face (bright face on a body that
 		// is itself brighter than the street) fuses with the body blob. A
 		// face detector instead responds to the face's contrast against its
-		// immediate surroundings — the border ring of the patch, which is
-		// head/torso pixels.
-		diff = diffScalar(patch, borderMean(patch))
+		// immediate surroundings — the border ring of the noised patch,
+		// which is head/torso pixels.
+		noised := sc.second.Resize(pre.W, pre.H)
+		copy(noised.Pix, pre.Pix)
+		noised.AddNoise(seed, sigma)
+		sc.diff.setDiffScalar(noised, borderMean(noised))
 	} else {
-		// Reuse the native patch buffer for the background render: the
-		// downsample reads it before anything overwrites it.
-		v.BackgroundRegionInto(nativePatch, region)
-		bgPatch := raster.GetScratch(tw, th)
-		raster.DownsampleInto(bgPatch, nativePatch)
-		diff = diffPlane(patch, bgPatch)
-		if keep != nil {
-			keep.bgF = bgPatch
-		} else {
-			raster.PutScratch(bgPatch)
-		}
+		sc.diff.resize(pre.W, pre.H)
+		pre.NoisyDiffInto(sc.diff.v, bg, seed, sigma)
 	}
-	raster.PutScratch(nativePatch)
-	smooth := diff.blur3()
-	putPlane(diff)
-	scr := smooth.absMask(tau)
-	maxAbs := float64(0)
-	if wantMax {
-		mx := float32(0)
-		for _, c := range scr.contrast {
-			if c > mx {
-				mx = c
-			}
-		}
-		maxAbs = float64(mx)
-	}
-	comps := connectedComponents(scr.mask, scr.contrast, tw, th)
-	putPlane(smooth)
-	putMaskScratch(scr)
-	return comps, maxAbs
+	return floatComponents(&sc.diff, tau, wantMax)
+}
+
+// cloneScratch copies img into a raster scratch image the caller releases
+// with raster.PutScratch.
+func cloneScratch(img *raster.Image) *raster.Image {
+	c := raster.GetScratch(img.W, img.H)
+	copy(c.Pix, img.Pix)
+	return c
 }
 
 // selectCandidate picks the component that best explains the object and

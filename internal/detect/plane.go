@@ -15,54 +15,32 @@ type plane struct {
 	v    []float32
 }
 
-// Planes and threshold buffers live for one frame evaluation each —
-// millions of them over a profile run — so the hot paths draw them from
-// pools. Pooled buffers are resliced, never zeroed: every producer below
-// (diffPlane, diffScalar, blur3, absMask) overwrites all samples.
+// Planes live for one frame evaluation each — millions of them over a
+// profile run — so the hot paths draw them from a pool. Pooled buffers are
+// resliced, never zeroed: every producer (diffPlane, diffScalar, the patch
+// scratch's noisy difference) overwrites all samples.
 var planePool = sync.Pool{New: func() any { return &plane{} }}
 
 func getPlane(w, h int) *plane {
 	p := planePool.Get().(*plane)
+	p.resize(w, h)
+	return p
+}
+
+// resize reshapes the plane in place, reusing its slab when large enough;
+// contents are undefined afterwards.
+func (p *plane) resize(w, h int) {
 	p.w, p.h = w, h
 	if cap(p.v) < w*h {
 		p.v = make([]float32, w*h)
 	} else {
 		p.v = p.v[:w*h]
 	}
-	return p
 }
 
 func putPlane(p *plane) {
 	if p != nil {
 		planePool.Put(p)
-	}
-}
-
-// maskScratch carries the threshold mask and contrast buffers consumed by
-// connectedComponents and the confidence model; contrast values are copied
-// into component sums before release.
-type maskScratch struct {
-	mask     []bool
-	contrast []float32
-}
-
-var maskPool = sync.Pool{New: func() any { return &maskScratch{} }}
-
-func getMaskScratch(n int) *maskScratch {
-	s := maskPool.Get().(*maskScratch)
-	if cap(s.mask) < n {
-		s.mask = make([]bool, n)
-		s.contrast = make([]float32, n)
-	} else {
-		s.mask = s.mask[:n]
-		s.contrast = s.contrast[:n]
-	}
-	return s
-}
-
-func putMaskScratch(s *maskScratch) {
-	if s != nil {
-		maskPool.Put(s)
 	}
 }
 
@@ -79,117 +57,10 @@ func diffPlane(a, b *raster.Image) *plane {
 	return p
 }
 
-// diffScalar returns img - c elementwise in a pooled plane.
-func diffScalar(img *raster.Image, c float32) *plane {
-	p := getPlane(img.W, img.H)
-	for i := range img.Pix {
-		p.v[i] = img.Pix[i] - c
+// setDiffScalar resizes p to img's dimensions and fills it with img - c.
+func (p *plane) setDiffScalar(img *raster.Image, c float32) {
+	p.resize(img.W, img.H)
+	for i, v := range img.Pix {
+		p.v[i] = v - c
 	}
-	return p
-}
-
-// blur3 returns the plane smoothed by a 3x3 box filter (edge pixels
-// average over their in-bounds neighbourhood). A 3x3 average divides
-// uncorrelated noise sigma by 3 while leaving the interior of objects
-// larger than ~3 pixels intact — the detector's denoising stage.
-//
-// Separable form: a vertical 3-tap pass into a pooled scratch plane, then a
-// horizontal 3-tap pass — 6 adds per pixel instead of the naive window
-// scan's 9 (kept below as blur3Naive, the property-test oracle).
-func (p *plane) blur3() *plane {
-	w, h := p.w, p.h
-	out := getPlane(w, h)
-	if w == 0 || h == 0 {
-		return out
-	}
-	vs := getPlane(w, h)
-	for y := 0; y < h; y++ {
-		row := vs.v[y*w : (y+1)*w]
-		copy(row, p.v[y*w:(y+1)*w])
-		if y > 0 {
-			prev := p.v[(y-1)*w : y*w]
-			for x := range row {
-				row[x] += prev[x]
-			}
-		}
-		if y+1 < h {
-			next := p.v[(y+1)*w : (y+2)*w]
-			for x := range row {
-				row[x] += next[x]
-			}
-		}
-	}
-	for y := 0; y < h; y++ {
-		cy := 3
-		if y == 0 {
-			cy--
-		}
-		if y == h-1 {
-			cy--
-		}
-		inv2 := 1 / float32(2*cy)
-		inv3 := 1 / float32(3*cy)
-		vrow := vs.v[y*w : (y+1)*w]
-		orow := out.v[y*w : (y+1)*w]
-		if w == 1 {
-			orow[0] = vrow[0] / float32(cy)
-			continue
-		}
-		orow[0] = (vrow[0] + vrow[1]) * inv2
-		for x := 1; x < w-1; x++ {
-			orow[x] = (vrow[x-1] + vrow[x] + vrow[x+1]) * inv3
-		}
-		orow[w-1] = (vrow[w-2] + vrow[w-1]) * inv2
-	}
-	putPlane(vs)
-	return out
-}
-
-// blur3Naive is the direct 3x3 window scan retained as the oracle blur3 is
-// property-tested against (1e-5 per sample). Test-only.
-func (p *plane) blur3Naive() *plane {
-	out := getPlane(p.w, p.h)
-	for y := 0; y < p.h; y++ {
-		y0, y1 := y-1, y+2
-		if y0 < 0 {
-			y0 = 0
-		}
-		if y1 > p.h {
-			y1 = p.h
-		}
-		for x := 0; x < p.w; x++ {
-			x0, x1 := x-1, x+2
-			if x0 < 0 {
-				x0 = 0
-			}
-			if x1 > p.w {
-				x1 = p.w
-			}
-			var sum float32
-			for yy := y0; yy < y1; yy++ {
-				row := yy * p.w
-				for xx := x0; xx < x1; xx++ {
-					sum += p.v[row+xx]
-				}
-			}
-			out.v[y*p.w+x] = sum / float32((y1-y0)*(x1-x0))
-		}
-	}
-	return out
-}
-
-// absMask thresholds |p| > tau, returning a pooled scratch holding the
-// mask and the absolute contrast plane the confidence model consumes.
-// Release with putMaskScratch once components are extracted.
-func (p *plane) absMask(tau float64) *maskScratch {
-	s := getMaskScratch(len(p.v))
-	t := float32(tau)
-	for i, v := range p.v {
-		if v < 0 {
-			v = -v
-		}
-		s.contrast[i] = v
-		s.mask[i] = v > t
-	}
-	return s
 }

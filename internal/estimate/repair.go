@@ -1,6 +1,7 @@
 package estimate
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -18,12 +19,24 @@ import (
 // with probability at least 1-delta with NO distributional assumption on
 // the non-randomly degraded outputs.
 
+// ErrDegenerateCorrection reports a correction set whose own answer Y_v is
+// zero while the degraded answer is not: Algorithm 3 divides by |Y_v|, so
+// no finite repaired bound exists. Repair itself returns +Inf for such a
+// point — an in-memory hypercube may carry unbounded cells, which no
+// tradeoff ever selects — but an artifact cannot: profile.SaveProfile
+// refuses to seal one and returns this error, which the profile service
+// answers with 422 {"code":"degenerate_correction"} instead of storing
+// anything.
+var ErrDegenerateCorrection = errors.New("estimate: the correction set's answer is zero, so the degraded answer's relative error cannot be bounded")
+
 // Correction is a correction set prepared for bound repair: the sampled
 // outputs (random interventions only) plus their Smokescreen estimate.
+// Build one with NewCorrection; it is immutable afterwards, so the parallel
+// estimate stage may repair many points against one Correction at once.
 type Correction struct {
 	Sample   []float64 // v_1..v_m, outputs on the correction frames
 	Estimate Estimate  // Smokescreen estimate computed from the sample
-	sorted   []float64 // lazily built for rank queries
+	sorted   []float64 // Sample in ascending order, for rank queries
 }
 
 // NewCorrection builds a correction set for the aggregate from m outputs
@@ -33,7 +46,12 @@ func NewCorrection(agg Agg, sample []float64, N int, p Params) (*Correction, err
 	if err != nil {
 		return nil, fmt.Errorf("estimate: building correction set: %w", err)
 	}
-	return &Correction{Sample: sample, Estimate: est}, nil
+	// Sorted here, once, not on the first rank query: m <= 0.2*N floats is
+	// cheap, and a lazy unlocked sort let two concurrent MAX/MIN repairs
+	// rank against a half-sorted copy.
+	sorted := append([]float64(nil), sample...)
+	sort.Float64s(sorted)
+	return &Correction{Sample: sample, Estimate: est, sorted: sorted}, nil
 }
 
 // Size returns m, the number of frames in the correction set.
@@ -42,10 +60,6 @@ func (c *Correction) Size() int { return len(c.Sample) }
 // rank returns the sampled cumulative frequency of value v in the
 // correction set: rank(v)/m.
 func (c *Correction) rank(v float64) float64 {
-	if c.sorted == nil {
-		c.sorted = append([]float64(nil), c.Sample...)
-		sort.Float64s(c.sorted)
-	}
 	return float64(stats.RankSorted(c.sorted, v)) / float64(len(c.sorted))
 }
 
@@ -72,7 +86,8 @@ func (c *Correction) Repair(agg Agg, degraded Estimate, p Params) (float64, erro
 	yV := c.Estimate.Value
 	if yV == 0 {
 		// The correction answer carries no scale information; the relative
-		// error of the degraded answer cannot be bounded.
+		// error of the degraded answer cannot be bounded (see
+		// ErrDegenerateCorrection for what sealing paths do with this).
 		if degraded.Value == 0 {
 			return errV, nil
 		}

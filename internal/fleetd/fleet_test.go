@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"sync"
 	"testing"
 	"time"
 
+	"smokescreen/internal/estimate"
 	"smokescreen/internal/server"
 	"smokescreen/internal/store"
 )
@@ -454,5 +457,90 @@ func TestFleetVersionSkewUnknownField(t *testing.T) {
 	status, _, err := h.Post(ctx, h.Alive()[0].URL, server.GenRequest{Query: "skew-query"})
 	if err != nil || status != http.StatusOK {
 		t.Fatalf("clean request rejected: %d %v", status, err)
+	}
+}
+
+// degenerateGenerator keys like a real generator but fails every
+// generation the way profile.SaveProfile does for an unbounded point.
+type degenerateGenerator struct{ SyntheticGenerator }
+
+func (g *degenerateGenerator) Generate(context.Context, server.GenRequest) ([]byte, error) {
+	return nil, fmt.Errorf("profile: sealing the point: %w", estimate.ErrDegenerateCorrection)
+}
+
+// TestFleetRelaysDegenerateCorrection: a request with no finite answer is
+// the same typed 422 through every node of a fleet — the replica that ran
+// the job and the non-replica edges that forwarded to it — and no node
+// stores or replicates anything under its key.
+func TestFleetRelaysDegenerateCorrection(t *testing.T) {
+	const fleetSize = 3
+	var listeners []net.Listener
+	var names []string
+	for i := 0; i < fleetSize; i++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		listeners = append(listeners, ln)
+		names = append(names, ln.Addr().String())
+	}
+	var stores []*store.Store
+	for i, name := range names {
+		st, err := store.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		node, err := NewNode(Config{
+			Self: name, Nodes: names, Replicas: 2, Store: st, Generator: &degenerateGenerator{},
+			LeaseTTL: 250 * time.Millisecond, ClaimPoll: 10 * time.Millisecond,
+			Server: server.Config{RequestTimeout: 30 * time.Second},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := &http.Server{Handler: node.Handler()}
+		done := make(chan struct{})
+		go func(ln net.Listener) {
+			defer close(done)
+			_ = srv.Serve(ln)
+		}(listeners[i])
+		t.Cleanup(func() {
+			_ = srv.Close()
+			<-done
+			node.Close()
+		})
+		stores = append(stores, st)
+	}
+
+	ctx := testCtx(t)
+	body := []byte(`{"query":"degenerate-query"}`)
+	for _, name := range names {
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+name+"/v1/profiles", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("POST via %s: %v", name, err)
+		}
+		var got struct {
+			Error string `json:"error"`
+			Code  string `json:"code"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&got)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("POST via %s: undecodable error body: %v", name, err)
+		}
+		if resp.StatusCode != http.StatusUnprocessableEntity || got.Code != "degenerate_correction" {
+			t.Fatalf("POST via %s: status %d code %q (%s), want 422 degenerate_correction", name, resp.StatusCode, got.Code, got.Error)
+		}
+	}
+	key := SyntheticKey("degenerate-query")
+	for i, st := range stores {
+		if _, err := st.Get(key); !errors.Is(err, store.ErrNotFound) {
+			t.Fatalf("node %s holds an artifact for the degenerate key: %v", names[i], err)
+		}
 	}
 }

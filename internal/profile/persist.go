@@ -243,7 +243,10 @@ type persistedPoint struct {
 	Tier       string   `json:"tier,omitempty"`
 }
 
-// SaveProfile writes a profile as indented JSON.
+// SaveProfile writes a profile as indented JSON. A point whose bound is
+// +Inf — a repair against a correction set that answered zero — cannot be
+// sealed: nothing is written and the error wraps
+// estimate.ErrDegenerateCorrection.
 //
 //smokevet:ignore axisreg: persistedPoint is the versioned JSON wire format — its named fields ARE the format, not an axis dispatch
 func SaveProfile(w io.Writer, p *Profile) error {
@@ -255,6 +258,9 @@ func SaveProfile(w io.Writer, p *Profile) error {
 		Agg:       p.Agg.String(),
 	}
 	for _, pt := range p.Points {
+		if math.IsInf(pt.Estimate.ErrBound, 1) {
+			return fmt.Errorf("profile: sealing the point at %v: %w", pt.Setting, estimate.ErrDegenerateCorrection)
+		}
 		pp := persistedPoint{
 			Fraction:   pt.Setting.SampleFraction,
 			Resolution: pt.Setting.Resolution,

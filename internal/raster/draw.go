@@ -101,27 +101,69 @@ func (m *Image) AddNoise(seed uint64, sigma float32) {
 	if sigma <= 0 {
 		return
 	}
-	// Irwin-Hall with k=3 uniforms in [-0.5,0.5] has sd = 0.5; rescale.
-	// Dividing by 2^21 equals multiplying by its exact reciprocal, so the
-	// multiply form below is bit-identical to the historical division.
-	const invU = float32(1) / float32(1<<21)
 	scale := sigma / 0.5
 	for y := 0; y < m.H; y++ {
 		row := m.Pix[y*m.W : (y+1)*m.W]
+		rowTerm := pixelHashRow(seed, y)
 		for x := range row {
-			h := pixelHash(seed, x, y)
-			u1 := float32(h&0x1fffff)*invU - 0.5
-			u2 := float32((h>>21)&0x1fffff)*invU - 0.5
-			u3 := float32((h>>42)&0x1fffff)*invU - 0.5
-			row[x] = clamp01(row[x] + (u1+u2+u3)*scale)
+			row[x] = clamp01(row[x] + noiseUnit(pixelHashAt(rowTerm, x))*scale)
 		}
 	}
+}
+
+// NoisyDiffInto writes clamp01(m + noise) - bg into dst (length W*H) without
+// modifying m: Image.AddNoise followed by an elementwise background
+// subtraction, in one pass with the same per-pixel arithmetic. The detector's
+// patch path consumes only the signed difference, so the noised image itself
+// is never materialised. As with AddNoise, sigma <= 0 adds (and clamps)
+// nothing.
+func (m *Image) NoisyDiffInto(dst []float32, bg *Image, seed uint64, sigma float32) {
+	if m.W != bg.W || m.H != bg.H || len(dst) != len(m.Pix) {
+		panic("raster: NoisyDiffInto size mismatch")
+	}
+	if sigma <= 0 {
+		for i, v := range m.Pix {
+			dst[i] = v - bg.Pix[i]
+		}
+		return
+	}
+	scale := sigma / 0.5
+	for y := 0; y < m.H; y++ {
+		row := m.Pix[y*m.W : (y+1)*m.W]
+		bgRow := bg.Pix[y*m.W : (y+1)*m.W]
+		out := dst[y*m.W : (y+1)*m.W]
+		rowTerm := pixelHashRow(seed, y)
+		for x, v := range row {
+			out[x] = clamp01(v+noiseUnit(pixelHashAt(rowTerm, x))*scale) - bgRow[x]
+		}
+	}
+}
+
+// noiseUnit maps a pixel hash to an Irwin–Hall(3) sample with sd 0.5: the
+// sum of three uniforms in [-0.5, 0.5) drawn from the hash's 21-bit fields.
+// Each uniform is k·2^-21 - 0.5 and every partial sum is a multiple of 2^-21
+// below 2^2, so all of it is exact in float32; summing the fields as
+// integers and converting once is therefore bit-identical to converting
+// each field and adding in float (noiseUnitNaive, the test oracle) at a
+// third of the int-to-float conversions.
+func noiseUnit(h uint64) float32 {
+	const invU = float32(1) / float32(1<<21)
+	k := int32(h&0x1fffff) + int32((h>>21)&0x1fffff) + int32((h>>42)&0x1fffff)
+	return float32(k-3*(1<<20)) * invU
 }
 
 // pixelHash mixes a seed with pixel coordinates into 64 well-distributed
 // bits. It is the raster-side analogue of stats.Stream.Child.
 func pixelHash(seed uint64, x, y int) uint64 {
-	z := seed ^ (uint64(uint32(x)) << 32) ^ uint64(uint32(y))
+	return pixelHashAt(pixelHashRow(seed, y), x)
+}
+
+// pixelHashRow is the part of pixelHash that is constant along a row, so row
+// loops fold it once; pixelHashAt finishes the hash for one column.
+func pixelHashRow(seed uint64, y int) uint64 { return seed ^ uint64(uint32(y)) }
+
+func pixelHashAt(rowTerm uint64, x int) uint64 {
+	z := rowTerm ^ (uint64(uint32(x)) << 32)
 	z += 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb

@@ -1,0 +1,240 @@
+package raster
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// Test-only per-pixel references for the tabled/hoisted float kernels. The
+// fast kernels promise the same bits, so every comparison below is ==.
+
+// bilinearNaiveInto is the historical per-pixel bilinear resize: the float64
+// column coordinate, its truncation and its clamps are re-derived for every
+// pixel of every row.
+func bilinearNaiveInto(dst, src *Image) {
+	w, h := dst.W, dst.H
+	sw, sh := src.W, src.H
+	for dy := 0; dy < h; dy++ {
+		sy := (float64(dy)+0.5)*float64(sh)/float64(h) - 0.5
+		y0 := int(sy)
+		fy := float32(sy - float64(y0))
+		if sy <= 0 {
+			y0, fy = 0, 0
+		} else if y0 >= sh-1 {
+			y0, fy = sh-1, 0
+		}
+		y1 := y0 + 1
+		if y1 > sh-1 {
+			y1 = sh - 1
+		}
+		row0 := src.Pix[y0*sw : (y0+1)*sw]
+		row1 := src.Pix[y1*sw : (y1+1)*sw]
+		out := dst.Pix[dy*w : (dy+1)*w]
+		for dx := range out {
+			sx := (float64(dx)+0.5)*float64(sw)/float64(w) - 0.5
+			x0 := int(sx)
+			fx := float32(sx - float64(x0))
+			if sx <= 0 {
+				x0, fx = 0, 0
+			} else if x0 >= sw-1 {
+				x0, fx = sw-1, 0
+			}
+			x1 := x0 + 1
+			if x1 > sw-1 {
+				x1 = sw - 1
+			}
+			v00 := row0[x0]
+			v10 := row0[x1]
+			v01 := row1[x0]
+			v11 := row1[x1]
+			top := v00 + (v10-v00)*fx
+			bot := v01 + (v11-v01)*fx
+			out[dx] = top + (bot-top)*fy
+		}
+	}
+}
+
+// noiseUnitNaive is the historical Irwin–Hall evaluation: each 21-bit field
+// converted and centred on its own, then added in float32.
+func noiseUnitNaive(h uint64) float32 {
+	const invU = float32(1) / float32(1<<21)
+	u1 := float32(h&0x1fffff)*invU - 0.5
+	u2 := float32((h>>21)&0x1fffff)*invU - 0.5
+	u3 := float32((h>>42)&0x1fffff)*invU - 0.5
+	return u1 + u2 + u3
+}
+
+// addNoiseNaive is the historical AddNoise: the full pixelHash and three
+// conversions per pixel.
+func (m *Image) addNoiseNaive(seed uint64, sigma float32) {
+	if sigma <= 0 {
+		return
+	}
+	scale := sigma / 0.5
+	for y := 0; y < m.H; y++ {
+		row := m.Pix[y*m.W : (y+1)*m.W]
+		for x := range row {
+			row[x] = clamp01(row[x] + noiseUnitNaive(pixelHashNaive(seed, x, y))*scale)
+		}
+	}
+}
+
+func pixelHashNaive(seed uint64, x, y int) uint64 {
+	z := seed ^ (uint64(uint32(x)) << 32) ^ uint64(uint32(y))
+	z += 0x9e3779b97f4a7c15
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+func requireSameBits(t *testing.T, ctx string, got, want []float32) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d samples, want %d", ctx, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("%s: sample %d = %x (%v), reference %x (%v)", ctx, i,
+				math.Float32bits(got[i]), got[i], math.Float32bits(want[i]), want[i])
+		}
+	}
+}
+
+// TestBilinearMatchesPerPixelReference compares the tabled kernel with the
+// per-pixel reference bit for bit over degenerate (1xN, Nx1), non-square and
+// mixed up/down ratios — DownsampleInto routes here whenever either axis
+// grows — at every raster parallelism, including one image large enough to
+// actually fan out.
+func TestBilinearMatchesPerPixelReference(t *testing.T) {
+	prev := int(kernelParallelism.Load())
+	t.Cleanup(func() { SetParallelism(prev) })
+
+	rng := rand.New(rand.NewSource(5))
+	type dims struct{ sw, sh, dw, dh int }
+	cases := []dims{
+		{1, 1, 1, 1}, {1, 1, 9, 7}, {1, 13, 5, 40}, {13, 1, 40, 5}, {1, 13, 1, 27}, {13, 1, 27, 1},
+		{2, 2, 3, 3}, {7, 5, 8, 5}, {7, 5, 7, 6}, {40, 9, 13, 33}, {9, 40, 33, 13},
+		{33, 47, 63, 89}, {70, 45, 133, 86}, {320, 320, 608, 608},
+	}
+	for i := 0; i < 10; i++ {
+		cases = append(cases, dims{1 + rng.Intn(90), 1 + rng.Intn(90), 1 + rng.Intn(200), 1 + rng.Intn(200)})
+	}
+	for _, c := range cases {
+		src := randomImage(rng, c.sw, c.sh)
+		want := New(c.dw, c.dh)
+		bilinearNaiveInto(want, src)
+		for _, workers := range []int{1, 2, 4, 8} {
+			SetParallelism(workers)
+			got := GetScratch(c.dw, c.dh)
+			bilinearInto(got, src)
+			requireSameBits(t, "bilinear", got.Pix, want.Pix)
+			PutScratch(got)
+		}
+	}
+}
+
+// TestNoiseUnitMatchesNaive checks the single-conversion Irwin–Hall sample
+// against the three-conversion form on the field extremes (where a rounding
+// step would first show) and a million random hashes.
+func TestNoiseUnitMatchesNaive(t *testing.T) {
+	const f = 0x1fffff
+	edges := []uint64{0, 1, f - 1, f, 1 << 20, 1<<20 - 1, 1<<20 + 1}
+	check := func(h uint64) {
+		if got, want := noiseUnit(h), noiseUnitNaive(h); math.Float32bits(got) != math.Float32bits(want) {
+			t.Fatalf("hash %#x: noiseUnit %x (%v), reference %x (%v)", h,
+				math.Float32bits(got), got, math.Float32bits(want), want)
+		}
+	}
+	for _, a := range edges {
+		for _, b := range edges {
+			for _, c := range edges {
+				check(a | b<<21 | c<<42 | 1<<63)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(21))
+	for i := 0; i < 1_000_000; i++ {
+		check(rng.Uint64())
+	}
+}
+
+// TestAddNoiseMatchesReference pins AddNoise (row-hoisted hash, one
+// conversion) and NoisyDiffInto (the same fused with a background
+// subtraction) to the historical per-pixel kernel, including the sigma <= 0
+// no-op that must not clamp.
+func TestAddNoiseMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	type dims struct{ w, h int }
+	for _, c := range []dims{{1, 1}, {1, 17}, {17, 1}, {3, 3}, {64, 48}, {113, 37}} {
+		for _, sigma := range []float32{0, -1, 0.004, 0.05, 0.6} {
+			src := randomImage(rng, c.w, c.h)
+			bg := randomImage(rng, c.w, c.h)
+			// Out-of-range pixels survive a sigma <= 0 call unclamped.
+			src.Pix[0], src.Pix[len(src.Pix)-1] = 1.5, -0.25
+			seed := rng.Uint64()
+
+			want := src.Clone()
+			want.addNoiseNaive(seed, sigma)
+			got := src.Clone()
+			got.AddNoise(seed, sigma)
+			requireSameBits(t, "AddNoise", got.Pix, want.Pix)
+
+			diff := make([]float32, len(src.Pix))
+			before := src.Clone()
+			src.NoisyDiffInto(diff, bg, seed, sigma)
+			requireSameBits(t, "NoisyDiffInto source", src.Pix, before.Pix)
+			for i := range want.Pix {
+				want.Pix[i] -= bg.Pix[i]
+			}
+			requireSameBits(t, "NoisyDiffInto", diff, want.Pix)
+		}
+	}
+}
+
+func TestNoisyDiffIntoSizeMismatchPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on mismatched background size")
+		}
+	}()
+	New(4, 4).NoisyDiffInto(make([]float32, 16), New(4, 3), 1, 0.1)
+}
+
+// BenchmarkBilinearInto is the patch-shaped upsample (a 60x40 native region
+// to YOLOv4's 608 from a 320-pixel corpus), kernel against the per-pixel
+// reference.
+func BenchmarkBilinearInto(b *testing.B) {
+	src := benchImage(60, 40)
+	dst := New(114, 76)
+	for _, k := range []struct {
+		name string
+		fn   func(dst, src *Image)
+	}{{"kernel", bilinearInto}, {"oracle", bilinearNaiveInto}} {
+		b.Run(k.name, func(b *testing.B) {
+			b.SetBytes(int64(len(dst.Pix)) * 4)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				k.fn(dst, src)
+			}
+		})
+	}
+}
+
+// BenchmarkAddNoise is the same patch noised by the kernel and by the
+// historical per-pixel form.
+func BenchmarkAddNoise(b *testing.B) {
+	img := benchImage(114, 76)
+	for _, k := range []struct {
+		name string
+		fn   func(seed uint64, sigma float32)
+	}{{"kernel", img.AddNoise}, {"oracle", img.addNoiseNaive}} {
+		b.Run(k.name, func(b *testing.B) {
+			b.SetBytes(int64(len(img.Pix)) * 4)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				k.fn(uint64(i), 0.02)
+			}
+		})
+	}
+}

@@ -240,55 +240,101 @@ func boxAverage(src *Image, x0, y0, x1, y1 float64) float32 {
 	return float32(sum / weight)
 }
 
+// bilinearTap is one destination index's clamped source pair along an axis:
+// samples i0 and i1 blended by f.
+type bilinearTap struct {
+	i0, i1 int32
+	f      float32
+}
+
+// makeBilinearTap maps destination index d (of dstN) to its source pair on an
+// axis of srcN samples. Coordinates are clamped to the source bounds, so edge
+// pixels replicate the nearest source sample.
+func makeBilinearTap(d, srcN, dstN int) bilinearTap {
+	s := (float64(d)+0.5)*float64(srcN)/float64(dstN) - 0.5
+	i0 := int(s)
+	f := float32(s - float64(i0))
+	if s <= 0 {
+		i0, f = 0, 0
+	} else if i0 >= srcN-1 {
+		i0, f = srcN-1, 0
+	}
+	i1 := i0 + 1
+	if i1 > srcN-1 {
+		i1 = srcN - 1
+	}
+	return bilinearTap{i0: int32(i0), i1: int32(i1), f: f}
+}
+
+// bilinearTable is the pooled per-call column-tap table of bilinearInto.
+type bilinearTable struct{ cols []bilinearTap }
+
+var bilinearTablePool = sync.Pool{New: func() any { return &bilinearTable{} }}
+
 // bilinearInto resizes with bilinear interpolation; used for the upsampling
 // path (rendering previews, and model input sizes above the capture
-// resolution along either axis). Sampling coordinates are clamped to the
-// source bounds, so edge pixels replicate the nearest source sample — a
-// 1-pixel-wide or -high source tiles its row/column instead of fading to
-// black as the old out-of-bounds reads (which returned 0) did.
+// resolution along either axis — every patch of a 320-pixel corpus at
+// YOLOv4's native 608). A 1-pixel-wide or -high source tiles its row/column
+// (see makeBilinearTap's clamp).
+//
+// The per-pixel form (bilinearNaiveInto, the test oracle) re-derives the
+// float64 column coordinate and blends both source rows horizontally for
+// every destination pixel. Here the column taps are tabled once per call —
+// the axisWindow pattern of downsampleFastInto — and each source row's
+// horizontal blend is computed once and reused by every destination row
+// that reads it (an upsample revisits a source row about scale times, and
+// the lower row of one pair is the upper row of the next). Every blend is
+// the same expression on the same float32 operands as the per-pixel form,
+// so every sample is bit-identical to it, at any parallelism: a row block
+// starts with an empty cache.
 func bilinearInto(dst, src *Image) {
 	w, h := dst.W, dst.H
 	sw, sh := src.W, src.H
+	tab := bilinearTablePool.Get().(*bilinearTable)
+	defer bilinearTablePool.Put(tab)
+	if cap(tab.cols) < w {
+		tab.cols = make([]bilinearTap, w)
+	}
+	cols := tab.cols[:w]
+	for dx := range cols {
+		cols[dx] = makeBilinearTap(dx, sw, w)
+	}
 	forRowBlocks(h, h*w*4, func(lo, hi int) {
+		blends := GetScratch(w, 2)
+		defer PutScratch(blends)
+		tops, bots := blends.Pix[:w], blends.Pix[w:]
+		topY, botY := -1, -1 // the source rows tops and bots hold
 		for dy := lo; dy < hi; dy++ {
-			sy := (float64(dy)+0.5)*float64(sh)/float64(h) - 0.5
-			y0 := int(sy)
-			fy := float32(sy - float64(y0))
-			if sy <= 0 {
-				y0, fy = 0, 0
-			} else if y0 >= sh-1 {
-				y0, fy = sh-1, 0
+			ty := makeBilinearTap(dy, sh, h)
+			y0, y1, fy := int(ty.i0), int(ty.i1), ty.f
+			if y0 == botY {
+				tops, bots, topY, botY = bots, tops, botY, topY
 			}
-			y1 := y0 + 1
-			if y1 > sh-1 {
-				y1 = sh - 1
+			if y0 != topY {
+				blendRow(tops, src.Pix[y0*sw:(y0+1)*sw], cols)
+				topY = y0
 			}
-			row0 := src.Pix[y0*sw : (y0+1)*sw]
-			row1 := src.Pix[y1*sw : (y1+1)*sw]
+			if y1 != botY {
+				blendRow(bots, src.Pix[y1*sw:(y1+1)*sw], cols)
+				botY = y1
+			}
 			out := dst.Pix[dy*w : (dy+1)*w]
 			for dx := range out {
-				sx := (float64(dx)+0.5)*float64(sw)/float64(w) - 0.5
-				x0 := int(sx)
-				fx := float32(sx - float64(x0))
-				if sx <= 0 {
-					x0, fx = 0, 0
-				} else if x0 >= sw-1 {
-					x0, fx = sw-1, 0
-				}
-				x1 := x0 + 1
-				if x1 > sw-1 {
-					x1 = sw - 1
-				}
-				v00 := row0[x0]
-				v10 := row0[x1]
-				v01 := row1[x0]
-				v11 := row1[x1]
-				top := v00 + (v10-v00)*fx
-				bot := v01 + (v11-v01)*fx
+				top, bot := tops[dx], bots[dx]
 				out[dx] = top + (bot-top)*fy
 			}
 		}
 	})
+}
+
+// blendRow writes one source row blended at every destination column.
+func blendRow(out, row []float32, cols []bilinearTap) {
+	cols = cols[:len(out)]
+	for dx := range out {
+		c := &cols[dx]
+		v0, v1 := row[c.i0], row[c.i1]
+		out[dx] = v0 + (v1-v0)*c.f
+	}
 }
 
 // BoxBlur applies a (2r+1)x(2r+1) box blur, the detector's

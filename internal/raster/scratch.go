@@ -21,14 +21,22 @@ func GetScratch(w, h int) *Image {
 	if w <= 0 || h <= 0 {
 		panic("raster: GetScratch with non-positive size")
 	}
-	img := scratchPool.Get().(*Image)
-	img.W, img.H = w, h
-	if cap(img.Pix) < w*h {
-		img.Pix = make([]float32, w*h)
+	return scratchPool.Get().(*Image).Resize(w, h)
+}
+
+// Resize reshapes m to w x h in place, reusing its pixel slab when it is
+// large enough, and returns m. Like a fresh GetScratch image the contents
+// are UNDEFINED afterwards. It is how a caller that owns a long-lived
+// scratch Image (the detector's per-patch scratch) re-dimensions it without
+// a pool round trip per buffer.
+func (m *Image) Resize(w, h int) *Image {
+	m.W, m.H = w, h
+	if cap(m.Pix) < w*h {
+		m.Pix = make([]float32, w*h)
 	} else {
-		img.Pix = img.Pix[:w*h]
+		m.Pix = m.Pix[:w*h]
 	}
-	return img
+	return m
 }
 
 // PutScratch returns an image obtained from GetScratch to the pool. It is

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"sync"
 	"time"
+
+	"smokescreen/internal/estimate"
 )
 
 // JobState is a generation job's lifecycle position. The state machine is
@@ -29,6 +31,13 @@ func terminal(s JobState) bool {
 	return s == JobDone || s == JobFailed || s == JobCanceled
 }
 
+// codeDegenerateCorrection marks a generation that failed because the
+// request has no finite answer, not because the service broke: the
+// correction set's own estimate is zero, so Algorithm 3 cannot bound the
+// degraded answer (estimate.ErrDegenerateCorrection). The POST answers 422
+// with this code; retrying the same request cannot succeed.
+const codeDegenerateCorrection = "degenerate_correction"
+
 // Job is one asynchronous profile generation. All mutable fields are
 // guarded by the owning jobSet's mutex; done is closed exactly once on
 // entering a terminal state, so waiters can select on it.
@@ -43,6 +52,7 @@ type Job struct {
 
 	state     JobState
 	err       string
+	errCode   string // machine-readable class of err ("" when unclassified)
 	created   time.Time
 	started   time.Time
 	finished  time.Time
@@ -57,11 +67,14 @@ type Job struct {
 
 // JobStatus is the wire form of a job, snapshotted under the set lock.
 type JobStatus struct {
-	ID        string    `json:"id"`
-	Key       string    `json:"key"`
-	Query     string    `json:"query"`
-	State     JobState  `json:"state"`
-	Error     string    `json:"error,omitempty"`
+	ID    string   `json:"id"`
+	Key   string   `json:"key"`
+	Query string   `json:"query"`
+	State JobState `json:"state"`
+	Error string   `json:"error,omitempty"`
+	// Code classifies Error for clients that branch on it; see
+	// codeDegenerateCorrection.
+	Code      string    `json:"code,omitempty"`
 	Coalesced int       `json:"coalesced"`
 	Created   time.Time `json:"created"`
 	Started   time.Time `json:"started,omitempty"`
@@ -232,6 +245,9 @@ func (js *jobSet) finish(job *Job, genErr error, now time.Time) {
 	default:
 		job.state = JobFailed
 		job.err = genErr.Error()
+		if errors.Is(genErr, estimate.ErrDegenerateCorrection) {
+			job.errCode = codeDegenerateCorrection
+		}
 	}
 	job.finished = now
 	delete(js.active, job.Key)
@@ -257,6 +273,7 @@ func (js *jobSet) status(job *Job) JobStatus {
 		Query:     job.Query,
 		State:     job.state,
 		Error:     job.err,
+		Code:      job.errCode,
 		Coalesced: job.coalesced,
 		Created:   job.created,
 		Started:   job.started,

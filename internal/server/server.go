@@ -411,7 +411,12 @@ func (s *Server) handlePostProfile(w http.ResponseWriter, r *http.Request) {
 	status := s.jobs.status(job)
 	switch status.State {
 	case JobFailed:
-		writeError(w, http.StatusBadGateway, fmt.Errorf("server: generation failed: %s", status.Error))
+		err := fmt.Errorf("server: generation failed: %s", status.Error)
+		if status.Code == codeDegenerateCorrection {
+			writeErrorCode(w, http.StatusUnprocessableEntity, status.Code, err)
+			return
+		}
+		writeError(w, http.StatusBadGateway, err)
 		return
 	case JobCanceled:
 		writeError(w, http.StatusBadGateway, fmt.Errorf("server: generation canceled: %s", status.Error))

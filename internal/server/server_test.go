@@ -20,6 +20,7 @@ import (
 
 	"smokescreen/internal/dataset"
 	"smokescreen/internal/detect"
+	"smokescreen/internal/estimate"
 	"smokescreen/internal/store"
 )
 
@@ -674,3 +675,75 @@ func TestSystemGeneratorKeyCanonicalization(t *testing.T) {
 
 var _ Generator = (*fakeGenerator)(nil)
 var _ Generator = (*SystemGenerator)(nil)
+
+// TestDegenerateCorrectionIs422 pins the reproducer of the defect PR 11's
+// traces found: this request's correction set answers zero cars, so
+// Algorithm 3 cannot bound the degraded answer (err_b = +Inf). That used to
+// fail inside SaveProfile's JSON encoder and surface as a 502, as if the
+// service had broken. It is a property of the request: 422 with a code
+// clients can branch on, a failed job carrying the same code, and no
+// artifact under the key.
+func TestDegenerateCorrectionIs422(t *testing.T) {
+	gen := &SystemGenerator{CorrectionLimit: 0.2}
+	req := GenRequest{Query: "SELECT AVG(count(car)) FROM small RESOLUTION 160", Seed: 26002}
+
+	if _, err := gen.Generate(context.Background(), req); !errors.Is(err, estimate.ErrDegenerateCorrection) {
+		t.Fatalf("Generate error = %v, want estimate.ErrDegenerateCorrection", err)
+	}
+
+	_, ts, st := newTestServer(t, gen, func(c *Config) { c.RequestTimeout = time.Minute })
+	resp := postProfile(t, ts.URL, req)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("status %d, want 422", resp.StatusCode)
+	}
+	var got struct {
+		Error string `json:"error"`
+		Code  string `json:"code"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Code != "degenerate_correction" {
+		t.Fatalf("code %q, want degenerate_correction (error %q)", got.Code, got.Error)
+	}
+
+	key, _, err := gen.Key(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Get(key); !errors.Is(err, store.ErrNotFound) {
+		t.Fatalf("store.Get after a degenerate generation: %v, want ErrNotFound", err)
+	}
+	get, err := http.Get(ts.URL + "/v1/profiles/" + key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	get.Body.Close()
+	if get.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET of the key = %d, want 404", get.StatusCode)
+	}
+
+	// The async protocol reports the same classification on the job.
+	req.Async = true
+	accepted := postProfile(t, ts.URL, req)
+	defer accepted.Body.Close()
+	var job JobStatus
+	if err := json.NewDecoder(accepted.Body).Decode(&job); err != nil {
+		t.Fatal(err)
+	}
+	client := &Client{BaseURL: ts.URL, PollInterval: 10 * time.Millisecond}
+	if err := client.awaitJob(context.Background(), job.ID); err == nil {
+		t.Fatal("degenerate job finished without an error")
+	}
+	final, err := client.Job(context.Background(), job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if job = *final; job.State != JobFailed {
+		t.Fatalf("job ended %s, want failed", job.State)
+	}
+	if job.Code != "degenerate_correction" {
+		t.Fatalf("job code %q, want degenerate_correction", job.Code)
+	}
+}

@@ -31,6 +31,13 @@ run_stage lint-ratchet make lint-ratchet
 run_stage test       make test
 run_stage test-race  make test-race
 run_stage fuzz-smoke make fuzz-smoke
+# The repository benchmark is its own module, so `go test ./...` above
+# never builds it. Its self-test runs every workload at tiny scale, and its
+# staged driver replays each generation through the layers' public
+# functions asserting bytes and detector invocations equal the untouched
+# call's — a product change that breaks either fails here, not in the
+# driver after the PR is up.
+run_stage benchmark-selftest sh -c 'cd benchmark && go test ./...'
 # One short-mode pass over the Figure 4 and ladder benchmarks: the
 # pattern matches both accelerated variants (quantized + delta detection
 # on) and their Baseline twins (both off), so each CI run exercises the
