@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build lint lint-ratchet test test-race fuzz-smoke ci bench bench-kernels bench-json bench-diff figures figures-quick examples serve-smoke stream-smoke fleet-smoke clean
+.PHONY: build lint lint-ratchet test test-race fuzz-smoke ci bench bench-kernels figures figures-quick examples serve-smoke stream-smoke fleet-smoke clean
 
 # Pinned staticcheck version: `make lint` refuses other versions rather
 # than drift between hosts. staticcheck is optional — hermetic builders
@@ -57,22 +57,21 @@ test-race:
 		./internal/profile/ ./internal/core/ ./internal/scene/ \
 		./internal/transport/ ./internal/camera/ ./internal/degrade/ \
 		./internal/store/ ./internal/server/ ./internal/outputs/ ./internal/plan/ \
-		./internal/estimate/ ./internal/fleet/ ./internal/query/ ./internal/stats/ \
+		./internal/estimate/ ./internal/multicam/ ./internal/query/ ./internal/stats/ \
 		./internal/stream/ ./internal/fleetd/ ./internal/analysis/ \
 		./internal/codec/ ./internal/dataset/ ./internal/evaluate/
 	$(GO) test -race -run 'Parallel' ./internal/experiments/
 
 # Short fuzz pass over the decoders whose inputs can be torn or
 # tampered: the store's JSON envelope, the SOUT v2 column tables, the
-# tile-delta codec, the transport framing the streaming ingest trusts
-# from the network, and the smokevet suppression-comment grammar (the
-# lint gate's own input surface). ~10s per target keeps it cheap enough
-# to ride in CI; longer local runs:
+# transport framing the streaming ingest trusts from the network, and
+# the smokevet suppression-comment grammar (the lint gate's own input
+# surface). ~10s per target keeps it cheap enough to ride in CI; longer
+# local runs:
 #   go test -run '^$$' -fuzz FuzzEnvelopeDecode ./internal/store/
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEnvelopeDecode -fuzztime 10s ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzOutputsDecode -fuzztime 10s ./internal/outputs/
-	$(GO) test -run '^$$' -fuzz FuzzTileDelta -fuzztime 10s ./internal/detect/
 	$(GO) test -run '^$$' -fuzz FuzzFloatComponents -fuzztime 10s ./internal/detect/
 	$(GO) test -run '^$$' -fuzz FuzzReceive -fuzztime 10s ./internal/transport/
 	$(GO) test -run '^$$' -fuzz FuzzSuppressParse -fuzztime 10s ./internal/analysis/
@@ -97,29 +96,6 @@ bench-kernels:
 	$(GO) test -run xxx -bench 'Kernel' -benchmem ./internal/raster/ ./internal/detect/
 	$(GO) test -run xxx -bench 'PatchComponentsFloat|BenchmarkFloatComponents' -benchmem -count 5 ./internal/detect/
 	$(GO) test -run xxx -bench 'BenchmarkBilinearInto|BenchmarkAddNoise' -benchmem -count 5 ./internal/raster/
-
-# Machine-readable benchmark regression artifact: one full -benchtime=1x
-# sweep rendered to JSON (ns/op, B/op, allocs/op, invocations/op, and the
-# plan/detect/estimate stage split) by cmd/benchjson. Committed per PR as
-# BENCH_<pr>.json.
-bench-json:
-	$(GO) test -bench=. -benchmem -benchtime=1x > bench.tmp
-	$(GO) run ./cmd/benchjson -out BENCH_PR9.json < bench.tmp
-	rm -f bench.tmp
-
-# Benchmark regression gate: compare the previous PR's committed artifact
-# against this PR's. Fails (non-zero exit) when any benchmark's ns/op
-# regresses by more than -max-regress (default 25%); benchmarks present
-# in only one artifact are listed but never fail the gate — which is how
-# the new BenchmarkLadder* family rides one-sided in PR9 (no PR8
-# baseline exists for it). The noise floor is 2ms from PR9 on: the 1x
-# sweep runs every bench once in source order, so a single-iteration
-# micro bench in the 1-2ms range (DetectFrameFull) measures whichever
-# cache state the preceding benches left, and adding a bench earlier in
-# the roster shifts it by ±40% with zero code change (steady-state A/B
-# against the PR8 tree shows identical ~0.2ms warm timings).
-bench-diff:
-	$(GO) run ./cmd/benchjson -diff -min-ns 2e6 BENCH_PR8.json BENCH_PR9.json
 
 # Full-scale evaluation reports (the EXPERIMENTS.md numbers). Detector
 # outputs are cached under .cache so reruns are fast.

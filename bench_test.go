@@ -23,7 +23,6 @@ import (
 	"smokescreen/internal/detect"
 	"smokescreen/internal/estimate"
 	"smokescreen/internal/experiments"
-	"smokescreen/internal/outputs"
 	"smokescreen/internal/plan"
 	"smokescreen/internal/profile"
 	"smokescreen/internal/raster"
@@ -33,27 +32,11 @@ import (
 	"smokescreen/internal/transport"
 )
 
-// ensureDetectConfig flips the detection-path toggles to the requested
-// configuration, resetting the detect-side caches only on an actual
-// transition: outputs produced under one (quantized, delta) config must
-// never be served under another, but within one config the caches are
-// allowed to accumulate across benchmarks exactly as they did in the
-// historical float sweeps — the committed BENCH artifacts are measured
-// under that accumulation, so a fair A/B must reproduce it per config.
-func ensureDetectConfig(quant bool, mode detect.DeltaMode) {
-	if detect.Quantized() == quant && detect.DeltaDetectMode() == mode {
-		return
-	}
-	detect.SetQuantized(quant)
-	detect.SetDeltaMode(mode)
-	detect.ResetCaches()
-}
-
-// benchExperiment runs one registered experiment at quick scale under the
-// historical configuration (float rasters, no delta detection).
+// benchExperiment runs one registered experiment at quick scale. Detector
+// caches accumulate across benchmarks in source order, as they do within
+// one smokebench run.
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
-	ensureDetectConfig(false, detect.DeltaOff)
 	cfg := experiments.QuickConfig()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -61,68 +44,21 @@ func benchExperiment(b *testing.B, id string) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// benchExperimentAccel runs one registered experiment with the detection
-// hot path accelerated: quantized uint8 rasters plus bounded temporal
-// delta detection. The detection-heavy figure families (4 and 6) bench in
-// this configuration — the production setting for large corpora — and
-// report the invocation and tile-reuse counters proving the delta path
-// engaged; their *Baseline twins keep both toggles off for the A/B. The
-// two accel benchmarks run back to back (source order) so the second
-// reuses the first's accelerated output tables, mirroring how the float
-// figure benches have always shared float tables within a sweep.
-func benchExperimentAccel(b *testing.B, id string) {
-	b.Helper()
-	ensureDetectConfig(true, detect.DeltaBounded)
-	cfg := experiments.QuickConfig()
-	var invocations, tilesReused, candsReused int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		before := detect.Invocations()
-		dcBefore := detect.DeltaCounters()
-		if _, err := experiments.Run(id, cfg); err != nil {
-			b.Fatal(err)
-		}
-		invocations += detect.Invocations() - before
-		dc := detect.DeltaCounters()
-		tilesReused += dc.TilesReused - dcBefore.TilesReused
-		candsReused += dc.CandidatesReused - dcBefore.CandidatesReused
-	}
-	n := float64(b.N)
-	b.ReportMetric(float64(invocations)/n, "invocations/op")
-	b.ReportMetric(float64(tilesReused)/n, "tiles-reused/op")
-	b.ReportMetric(float64(candsReused)/n, "candidates-reused/op")
 }
 
 // One benchmark per paper artifact (see the per-experiment index in
 // DESIGN.md).
 
-func BenchmarkFigure3(b *testing.B) { benchExperiment(b, "figure3") }
-
-// The two accelerated benches are adjacent in source (= execution) order
-// on purpose: one config transition in, one out, and Figure6 reuses the
-// accel tables Figure4 built — the same within-config sharing the float
-// benches get (Figure5 reuses Figure4Baseline's float tables below).
-func BenchmarkFigure4(b *testing.B) { benchExperimentAccel(b, "figure4") }
-func BenchmarkFigure6(b *testing.B) { benchExperimentAccel(b, "figure6") }
-
-// The ladder bench stays inside the accel block: its detect stage runs
-// blur/quantize/occlusion views through the same accelerated substrate,
-// and it reuses the tables Figure4/Figure6 built for the shared rungs.
-func BenchmarkLadderGenerate(b *testing.B) { benchExperimentAccel(b, "ladder") }
-
-// Baseline twins: the historical float + per-frame configuration, kept so
-// BENCH artifacts carry the A/B and regressions in either path stand out.
-func BenchmarkFigure4Baseline(b *testing.B) { benchExperiment(b, "figure4") }
-func BenchmarkFigure5(b *testing.B)         { benchExperiment(b, "figure5") }
-func BenchmarkFigure6Baseline(b *testing.B) { benchExperiment(b, "figure6") }
-func BenchmarkLadderBaseline(b *testing.B)  { benchExperiment(b, "ladder") }
-func BenchmarkAdversarial(b *testing.B)     { benchExperiment(b, "adversarial") }
-func BenchmarkFigure7(b *testing.B)         { benchExperiment(b, "figure7") }
-func BenchmarkFigure8(b *testing.B)         { benchExperiment(b, "figure8") }
-func BenchmarkFigure9(b *testing.B)         { benchExperiment(b, "figure9") }
-func BenchmarkFigure10(b *testing.B)        { benchExperiment(b, "figure10") }
+func BenchmarkFigure3(b *testing.B)        { benchExperiment(b, "figure3") }
+func BenchmarkFigure4(b *testing.B)        { benchExperiment(b, "figure4") }
+func BenchmarkFigure5(b *testing.B)        { benchExperiment(b, "figure5") }
+func BenchmarkFigure6(b *testing.B)        { benchExperiment(b, "figure6") }
+func BenchmarkLadderGenerate(b *testing.B) { benchExperiment(b, "ladder") }
+func BenchmarkAdversarial(b *testing.B)    { benchExperiment(b, "adversarial") }
+func BenchmarkFigure7(b *testing.B)        { benchExperiment(b, "figure7") }
+func BenchmarkFigure8(b *testing.B)        { benchExperiment(b, "figure8") }
+func BenchmarkFigure9(b *testing.B)        { benchExperiment(b, "figure9") }
+func BenchmarkFigure10(b *testing.B)       { benchExperiment(b, "figure10") }
 
 func BenchmarkProfileGenerationTime(b *testing.B) { benchExperiment(b, "timing") }
 func BenchmarkHeadlineClaims(b *testing.B)        { benchExperiment(b, "claims") }
@@ -204,7 +140,6 @@ func BenchmarkBaselineEBGS(b *testing.B) {
 // Substrate micro-benchmarks.
 
 func BenchmarkDetectFramePatch(b *testing.B) {
-	ensureDetectConfig(false, detect.DeltaOff)
 	v := dataset.MustLoad("small")
 	m := detect.YOLOv4Sim()
 	b.ResetTimer()
@@ -214,7 +149,6 @@ func BenchmarkDetectFramePatch(b *testing.B) {
 }
 
 func BenchmarkDetectFrameFull(b *testing.B) {
-	ensureDetectConfig(false, detect.DeltaOff)
 	v := dataset.MustLoad("small")
 	m := detect.YOLOv4Sim()
 	b.ResetTimer()
@@ -249,7 +183,6 @@ func BenchmarkSampleWithoutReplacement(b *testing.B) {
 }
 
 func BenchmarkDegradeApply(b *testing.B) {
-	ensureDetectConfig(false, detect.DeltaOff)
 	v := dataset.MustLoad("small")
 	m := detect.YOLOv4Sim()
 	setting := degrade.Setting{SampleFraction: 0.1, Resolution: 160}
@@ -263,7 +196,6 @@ func BenchmarkDegradeApply(b *testing.B) {
 }
 
 func BenchmarkSweepFractions(b *testing.B) {
-	ensureDetectConfig(false, detect.DeltaOff)
 	spec := &profile.Spec{
 		Video:  dataset.MustLoad("small"),
 		Model:  detect.YOLOv4Sim(),
@@ -290,7 +222,6 @@ func BenchmarkSweepFractions(b *testing.B) {
 // that cost must stay visible.
 
 func benchHypercube(b *testing.B, parallelism int) {
-	ensureDetectConfig(false, detect.DeltaOff)
 	spec := &profile.Spec{
 		Video:  dataset.MustLoad("small"),
 		Model:  detect.YOLOv4Sim(),
@@ -326,24 +257,16 @@ func benchHypercube(b *testing.B, parallelism int) {
 func BenchmarkHypercubeSequential(b *testing.B) { benchHypercube(b, 1) }
 func BenchmarkHypercubeParallel(b *testing.B)   { benchHypercube(b, 0) }
 
-// Figure6-shaped dedup benches: one op generates the hypercube for every
+// Figure6-shaped dedup bench: one op generates the hypercube for every
 // class the model knows over one corpus — the administrator's Figure 6
 // workload, where person, face and car curves all come from the same
 // degraded views. The simulated detectors (like the real YOLOv4/Mask
-// R-CNN) emit every class in one pass, so with cross-class sharing (the
-// default) the column store serves all three hypercubes from one
-// detection per (frame, resolution); legacy per-class keying
-// (outputs.SetSharing(false)) re-detects per class. Comparing the two
-// pins the PR's headline invocation drop, and the per-stage wall time
-// (plan/detect/estimate, from the pipeline's stage accounting) shows
-// where the savings land.
+// R-CNN) emit every class in one pass, so the column store serves all
+// three hypercubes from one detection per (frame, resolution); the
+// invocation count and the per-stage wall time (plan/detect/estimate, from
+// the pipeline's stage accounting) are reported alongside.
 
-func benchHypercubeFigure6(b *testing.B, sharing bool) {
-	ensureDetectConfig(false, detect.DeltaOff)
-	prevSharing := outputs.Sharing()
-	outputs.SetSharing(sharing)
-	b.Cleanup(func() { outputs.SetSharing(prevSharing) })
-
+func BenchmarkHypercubeFigure6Dedup(b *testing.B) {
 	classes := []scene.Class{scene.Car, scene.Person, scene.Face}
 	root := stats.NewStream(7)
 	specs := make([]*profile.Spec, len(classes))
@@ -398,9 +321,6 @@ func benchHypercubeFigure6(b *testing.B, sharing bool) {
 	b.ReportMetric(float64(stages.DedupSavedFrames)/n, "dedup-saved-frames/op")
 }
 
-func BenchmarkHypercubeFigure6Dedup(b *testing.B)  { benchHypercubeFigure6(b, true) }
-func BenchmarkHypercubeFigure6Legacy(b *testing.B) { benchHypercubeFigure6(b, false) }
-
 // Ablation benches for the DESIGN.md call-outs: the single-n confidence
 // construction vs EBGS's any-time schedule, and Hoeffding-Serfling vs the
 // empirical Bernstein inequality inside Algorithm 1.
@@ -420,7 +340,6 @@ func BenchmarkAblationBoundTightness(b *testing.B) {
 }
 
 func BenchmarkEndToEndQuery(b *testing.B) {
-	ensureDetectConfig(false, detect.DeltaOff)
 	sys := smokescreen.New(smokescreen.WithSeed(11))
 	q, err := smokescreen.ParseQuery("SELECT AVG(count(car)) FROM small SAMPLE 0.1")
 	if err != nil {
@@ -436,14 +355,11 @@ func BenchmarkEndToEndQuery(b *testing.B) {
 
 // Streaming-ingest throughput: a camera session over an in-process pipe
 // into the stream.Receiver, windowed profiles maintained as frames
-// arrive. The A/B pair is the PR's headline claim — incremental window
-// refresh (evict departed frames, fold in new) against full
-// per-window regeneration — and the wire-pixels variant prices the
-// received-raster detection backend against the replay backend.
+// arrive. The wire-pixels variant prices the received-raster detection
+// backend against the replay backend.
 
-func benchStreamIngest(b *testing.B, fullRefresh, wirePixels bool) {
+func benchStreamIngest(b *testing.B, wirePixels bool) {
 	b.Helper()
-	ensureDetectConfig(false, detect.DeltaOff)
 	v := dataset.MustLoad("small")
 	model := detect.YOLOv4Sim()
 	node := &camera.Node{
@@ -463,7 +379,6 @@ func benchStreamIngest(b *testing.B, fullRefresh, wirePixels bool) {
 			WindowStride: 100,
 			Sources:      []*scene.Video{v},
 			WirePixels:   wirePixels,
-			FullRefresh:  fullRefresh,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -495,6 +410,5 @@ func benchStreamIngest(b *testing.B, fullRefresh, wirePixels bool) {
 	}
 }
 
-func BenchmarkStreamIngestIncremental(b *testing.B) { benchStreamIngest(b, false, false) }
-func BenchmarkStreamIngestFullRefresh(b *testing.B) { benchStreamIngest(b, true, false) }
-func BenchmarkStreamIngestWirePixels(b *testing.B)  { benchStreamIngest(b, false, true) }
+func BenchmarkStreamIngestIncremental(b *testing.B) { benchStreamIngest(b, false) }
+func BenchmarkStreamIngestWirePixels(b *testing.B)  { benchStreamIngest(b, true) }

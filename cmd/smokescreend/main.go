@@ -7,9 +7,7 @@
 //
 //	smokescreend [-addr :8040] [-store DIR] [-workers N] [-parallelism N]
 //	             [-queue N] [-cache-mb N] [-render-cache-mb N]
-//	             [-kernel-parallelism N] [-detect-dedup=true|false]
-//	             [-quantized-rasters=true|false]
-//	             [-delta-detect off|exact|bounded] [-delta-tolerance T]
+//	             [-kernel-parallelism N]
 //	             [-request-timeout D] [-job-timeout D] [-addr-file PATH]
 //	             [-fleet-nodes H1:P1,H2:P2,...] [-fleet-self H:P]
 //	             [-fleet-replicas R] [-fleet-vnodes V] [-fleet-lease-ttl D]
@@ -42,7 +40,6 @@ import (
 
 	"smokescreen/internal/detect"
 	"smokescreen/internal/fleetd"
-	"smokescreen/internal/outputs"
 	"smokescreen/internal/raster"
 	"smokescreen/internal/server"
 	"smokescreen/internal/store"
@@ -61,10 +58,6 @@ func main() {
 	correctionLimit := flag.Float64("correction-limit", 0.2, "correction-set fraction cap")
 	renderCacheMB := flag.Int64("render-cache-mb", 64, "degraded-frame render cache budget in MiB (0 disables, -1 unbounded)")
 	kernelParallelism := flag.Int("kernel-parallelism", 1, "worker goroutines per raster kernel (1 sequential, 0 = one per CPU)")
-	detectDedup := flag.Bool("detect-dedup", true, "share detector outputs across classes in the column store (false = legacy per-class detection)")
-	quantizedRasters := flag.Bool("quantized-rasters", false, "run patch detection on the quantized uint8 pixel pipeline")
-	deltaDetect := flag.String("delta-detect", "off", "temporal delta detection: off, exact (byte-identical reuse) or bounded (tolerance-gated splicing)")
-	deltaTolerance := flag.Float64("delta-tolerance", 0.1, "bounded delta detection: worst-case mean-contrast perturbation admitted when splicing prior-frame detections")
 	addrFile := flag.String("addr-file", "", "write the bound address to this file once listening (for scripts)")
 	fleetNodes := flag.String("fleet-nodes", os.Getenv("SMOKESCREEND_FLEET_NODES"), "comma-separated fleet member host:ports; empty runs single-node (env SMOKESCREEND_FLEET_NODES)")
 	fleetSelf := flag.String("fleet-self", "", "this node's identity within -fleet-nodes (default: the bound address)")
@@ -79,15 +72,6 @@ func main() {
 		detect.SetRenderCacheBudget(*renderCacheMB << 20)
 	}
 	raster.SetParallelism(*kernelParallelism)
-	outputs.SetSharing(*detectDedup)
-	detect.SetQuantized(*quantizedRasters)
-	mode, err := detect.ParseDeltaMode(*deltaDetect)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	detect.SetDeltaMode(mode)
-	detect.SetDeltaTolerance(*deltaTolerance)
 
 	logger := log.New(os.Stderr, "smokescreend: ", log.LstdFlags|log.Lmsgprefix)
 	if err := run(runConfig{

@@ -17,7 +17,7 @@ import (
 	"smokescreen/internal/dataset"
 	"smokescreen/internal/degrade"
 	"smokescreen/internal/estimate"
-	"smokescreen/internal/fleet"
+	"smokescreen/internal/multicam"
 	"smokescreen/internal/profile"
 	"smokescreen/internal/scene"
 	"smokescreen/internal/stats"
@@ -37,15 +37,15 @@ func main() {
 		log.Fatal(err)
 	}
 
-	city, err := fleet.New(
-		fleet.Camera{
+	city, err := multicam.New(
+		multicam.Camera{
 			Name:       "5th-and-main",
 			Video:      camA,
 			Model:      model,
 			Setting:    degrade.Setting{SampleFraction: 0.4, Resolution: 320},
 			Correction: corrA,
 		},
-		fleet.Camera{
+		multicam.Camera{
 			Name:    "riverside",
 			Video:   camB,
 			Model:   model,

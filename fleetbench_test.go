@@ -7,8 +7,7 @@ package smokescreen_test
 // local split. The synthetic generator's invocation counters prove the
 // dedup invariant inside the measurement itself: a hot-key herd op that
 // costs more than one generation fleet-wide FAILS the bench rather than
-// publishing a number that hides duplicated work. cmd/benchjson renders
-// these into BENCH_PR8.json next to the figure benches.
+// publishing a number that hides duplicated work.
 
 import (
 	"context"

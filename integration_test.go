@@ -16,7 +16,7 @@ import (
 	"smokescreen/internal/degrade"
 	"smokescreen/internal/detect"
 	"smokescreen/internal/estimate"
-	"smokescreen/internal/fleet"
+	"smokescreen/internal/multicam"
 	"smokescreen/internal/profile"
 	"smokescreen/internal/scene"
 	"smokescreen/internal/stats"
@@ -145,10 +145,10 @@ func TestIntegrationFleetOverArchivedCorrections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	city, err := fleet.New(
-		fleet.Camera{Name: "downtown", Video: vA, Model: m,
+	city, err := multicam.New(
+		multicam.Camera{Name: "downtown", Video: vA, Model: m,
 			Setting: degrade.Setting{SampleFraction: 0.3, Resolution: 160}, Correction: construction.Correction},
-		fleet.Camera{Name: "bypass", Video: vB, Model: m,
+		multicam.Camera{Name: "bypass", Video: vB, Model: m,
 			Setting: degrade.Setting{SampleFraction: 0.1}},
 	)
 	if err != nil {

@@ -94,33 +94,6 @@ func WithRenderCacheBudget(bytes int64) Option {
 	return func(s *System) { detect.SetRenderCacheBudget(bytes) }
 }
 
-// WithQuantizedRasters selects the uint8 quantized pixel pipeline for
-// patch detection (see detect.SetQuantized): every per-pixel stage runs on
-// integer planes with widened accumulators instead of float32. The toggle
-// is process-wide and must not be flipped while cached detector outputs
-// are live — pair a change with detect.ResetCaches.
-func WithQuantizedRasters(on bool) Option {
-	return func(s *System) { detect.SetQuantized(on) }
-}
-
-// WithDeltaDetect selects the temporal delta-detection mode ("off",
-// "exact" or "bounded"; see detect.DeltaMode) and, for bounded mode, the
-// worst-case contrast-perturbation tolerance under which prior-frame
-// detections may be spliced. A non-positive tolerance keeps the current
-// value. Process-wide, like WithQuantizedRasters.
-func WithDeltaDetect(mode string, tolerance float64) (Option, error) {
-	m, err := detect.ParseDeltaMode(mode)
-	if err != nil {
-		return nil, err
-	}
-	return func(s *System) {
-		detect.SetDeltaMode(m)
-		if tolerance > 0 {
-			detect.SetDeltaTolerance(tolerance)
-		}
-	}, nil
-}
-
 // New constructs a System with the paper's defaults.
 func New(opts ...Option) *System {
 	s := &System{

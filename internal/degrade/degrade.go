@@ -228,9 +228,8 @@ func SampleOutputsCtx(ctx context.Context, v *scene.Video, m *detect.Model, clas
 }
 
 // EvictVideo drops every detect-side cached artifact derived from the
-// corpus — detector-output tables, render-cache frames, bounded
-// delta-detection accounts, and every cached view EffectiveVideo created
-// for its pixel-axis settings (see viewcache.go; detect.EvictVideo reaches
+// corpus — detector-output tables, render-cache frames, and every cached
+// view EffectiveVideo created for its pixel-axis settings (see viewcache.go; detect.EvictVideo reaches
 // them through the registered view-cache hook). Returns the accounted
 // bytes freed. This is the per-corpus memory-bounding hook fleet
 // deployments should call when a camera rotates out.

@@ -92,14 +92,11 @@ func TestEvictOtherVideoKeepsViews(t *testing.T) {
 
 // TestDetectionDeterministicUnderViews pins the end-to-end determinism
 // contract on the detection hot path through a pixel-transformed view:
-// per-frame detections are identical across raster parallelism levels,
-// both on the float path and under the quantized uint8 raster path.
+// per-frame detections are identical across raster parallelism levels.
 func TestDetectionDeterministicUnderViews(t *testing.T) {
 	prevPar := raster.Parallelism()
-	prevQuant := detect.Quantized()
 	t.Cleanup(func() {
 		raster.SetParallelism(prevPar)
-		detect.SetQuantized(prevQuant)
 		detect.ResetCaches()
 	})
 
@@ -107,9 +104,8 @@ func TestDetectionDeterministicUnderViews(t *testing.T) {
 	m := detect.YOLOv4Sim()
 	setting := Setting{SampleFraction: 0.1, MotionBlur: 9, Quantize: 32, Occlusion: 0.1}
 
-	counts := func(workers int, quantized bool) []float64 {
+	counts := func(workers int) []float64 {
 		raster.SetParallelism(workers)
-		detect.SetQuantized(quantized)
 		detect.ResetCaches()
 		ev := EffectiveVideo(v, setting)
 		out := make([]float64, 0, 30)
@@ -119,15 +115,12 @@ func TestDetectionDeterministicUnderViews(t *testing.T) {
 		return out
 	}
 
-	for _, quantized := range []bool{false, true} {
-		base := counts(1, quantized)
-		for _, workers := range []int{2, 4, 8} {
-			got := counts(workers, quantized)
-			for i := range base {
-				if math.Float64bits(base[i]) != math.Float64bits(got[i]) {
-					t.Fatalf("quantized=%v: frame %d count differs between 1 and %d workers: %v vs %v",
-						quantized, i, workers, base[i], got[i])
-				}
+	base := counts(1)
+	for _, workers := range []int{2, 4, 8} {
+		got := counts(workers)
+		for i := range base {
+			if math.Float64bits(base[i]) != math.Float64bits(got[i]) {
+				t.Fatalf("frame %d count differs between 1 and %d workers: %v vs %v", i, workers, base[i], got[i])
 			}
 		}
 	}

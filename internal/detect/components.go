@@ -65,17 +65,14 @@ var floatCCPool = sync.Pool{New: func() any { return &floatCCScratch{} }}
 //   - A final pass walks the runs in raster order and adds each pixel's
 //     float64(contrast) to its root's SumContrast one at a time. That is the
 //     order the pixel labeller added them in, so the float64 sums round
-//     identically — summing per run and merging on union (as the integer
-//     quantComponents may) would not. Components are numbered by first
-//     appearance in the same walk and then stably sorted, which reproduces
-//     the old order even between components that tie on the sort key.
-//
-// When wantMax is set the second result is the largest |smoothed| sample
-// anywhere in the plane (the delta layer's blank-patch gate); otherwise 0.
-func floatComponents(diff *plane, tau float64, wantMax bool) ([]component, float64) {
+//     identically — summing per run and merging on union would not.
+//     Components are numbered by first appearance in the same walk and then
+//     stably sorted, which reproduces the old order even between components
+//     that tie on the sort key.
+func floatComponents(diff *plane, tau float64) []component {
 	w, h := diff.w, diff.h
 	if w == 0 || h == 0 {
-		return nil, 0
+		return nil
 	}
 	sc := floatCCPool.Get().(*floatCCScratch)
 	defer floatCCPool.Put(sc)
@@ -92,7 +89,6 @@ func floatComponents(diff *plane, tau float64, wantMax bool) ([]component, float
 	}
 
 	t := float32(tau)
-	maxAbs := float32(0)
 	prevLo, prevHi := 0, 0 // runs[prevLo:prevHi] is the previous row
 	for y := 0; y < h; y++ {
 		// The row slices are cut to one length so the loops below carry no
@@ -133,13 +129,6 @@ func floatComponents(diff *plane, tau float64, wantMax bool) ([]component, float
 				a, b = b, c
 			}
 			srow[w-1] = abs32((a + b) * inv2)
-		}
-		if wantMax {
-			for _, c := range srow {
-				if c > maxAbs {
-					maxAbs = c
-				}
-			}
 		}
 
 		rowLo := len(runs)
@@ -217,7 +206,7 @@ func floatComponents(diff *plane, tau float64, wantMax bool) ([]component, float
 	// Deterministic order: top-left first.
 	sortComponents(out)
 	sc.contrast, sc.runs, sc.parent, sc.comps = contrast[:0], runs[:0], parent[:0], comps[:0]
-	return out, float64(maxAbs)
+	return out
 }
 
 // abs32 is the threshold stage's |v| with the sign bit masked off instead

@@ -85,7 +85,6 @@ func ResetCaches() {
 	}
 	evictBackgrounds(nil)
 	resetRenderCache()
-	resetDelta()
 	invocationCount.Store(0)
 }
 
@@ -105,7 +104,6 @@ func EvictVideo(v *scene.Video) int64 {
 	}
 	freed += evictBackgrounds(v)
 	freed += evictRenders(v)
-	freed += evictDeltaAccounts(v)
 	return freed
 }
 
@@ -132,18 +130,10 @@ type CacheStats struct {
 	RenderBytes  int64
 	RenderHits   int64
 	RenderMisses int64
-	// DeltaTables / DeltaBytes cover the bounded-mode fragility accounts
-	// kept per (video, model, resolution); the counters are the cumulative
-	// delta-detection effectiveness totals (see DeltaCounters).
-	DeltaTables           int
-	DeltaBytes            int64
-	DeltaTilesReused      int64
-	DeltaTilesRedetected  int64
-	DeltaCandidatesReused int64
 	// ViewVideos / ViewBytes cover the degraded-view cache: derived
 	// per-(corpus, view spec) videos and their lazily materialized rasters
-	// (transformed backgrounds, integral tables, occlusion masks). Filled
-	// by the registered view cache.
+	// (transformed backgrounds, occlusion masks). Filled by the registered
+	// view cache.
 	ViewVideos int
 	ViewBytes  int64
 }
@@ -160,7 +150,7 @@ const PerEntryOverhead = perEntryOverhead
 
 // TotalBytes returns the total accounted size of all detector caches.
 func (s CacheStats) TotalBytes() int64 {
-	return s.FullBytes + s.SparseBytes + s.BackgroundBytes + s.RenderBytes + s.DeltaBytes + s.ViewBytes
+	return s.FullBytes + s.SparseBytes + s.BackgroundBytes + s.RenderBytes + s.ViewBytes
 }
 
 // Stats reports the current size of the detector caches. Fleet deployments
@@ -179,10 +169,5 @@ func Stats() CacheStats {
 	s.BackgroundImages = n
 	s.BackgroundBytes = bytes
 	s.RenderFrames, s.RenderBytes, s.RenderHits, s.RenderMisses = renderStats()
-	s.DeltaTables, s.DeltaBytes = deltaAccountStats()
-	dc := DeltaCounters()
-	s.DeltaTilesReused = dc.TilesReused
-	s.DeltaTilesRedetected = dc.TilesRedetected
-	s.DeltaCandidatesReused = dc.CandidatesReused
 	return s
 }

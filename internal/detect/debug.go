@@ -28,7 +28,7 @@ func DebugEval(m *Model, v *scene.Video, i, p int) []string {
 	return out
 }
 
-// debugComponents re-runs the float patch pipeline and dumps every
+// debugComponents re-runs the patch pipeline and dumps every
 // component.
 func debugComponents(m *Model, v *scene.Video, frameIdx, p int, obj *scene.Object, sx, sy, sigmaEff, tau float64) []string {
 	region := patchRegion(&v.Config, obj, sx, sy)
@@ -36,7 +36,7 @@ func debugComponents(m *Model, v *scene.Video, frameIdx, p int, obj *scene.Objec
 		return nil
 	}
 	tw, th := patchDims(region, sx, sy)
-	comps, _ := m.patchComponentsFloat(v, frameIdx, p, obj, region, tw, th, sigmaEff, tau, false, nil)
+	comps := m.patchComponentsFloat(v, frameIdx, p, obj, region, tw, th, sigmaEff, tau)
 	expected := raster.Rect{
 		MinX: int(math.Floor((float64(obj.BBox.MinX) - float64(region.MinX)) * sx)),
 		MinY: int(math.Floor((float64(obj.BBox.MinY) - float64(region.MinY)) * sy)),

@@ -116,7 +116,7 @@ func (m *Model) DetectPixels(img, bg *raster.Image, nativeNoiseSigma float64, ca
 	} else {
 		diff = diffPlane(img, bg)
 	}
-	comps, _ := floatComponents(diff, tau, false)
+	comps := floatComponents(diff, tau)
 	putPlane(diff)
 
 	var out []Detection

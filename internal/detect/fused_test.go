@@ -2,7 +2,6 @@ package detect
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -13,42 +12,25 @@ import (
 )
 
 // oracleComponents is the historical float back half: blur3 → absMask →
-// (max scan) → connectedComponents, each a whole-plane stage.
-func oracleComponents(diff *plane, tau float64, wantMax bool) ([]component, float64) {
+// connectedComponents, each a whole-plane stage.
+func oracleComponents(diff *plane, tau float64) []component {
 	smooth := diff.blur3()
 	scr := smooth.absMask(tau)
-	maxAbs := float64(0)
-	if wantMax {
-		mx := float32(0)
-		for _, c := range scr.contrast {
-			if c > mx {
-				mx = c
-			}
-		}
-		maxAbs = float64(mx)
-	}
 	comps := connectedComponents(scr.mask, scr.contrast, diff.w, diff.h)
 	putPlane(smooth)
 	putMaskScratch(scr)
-	return comps, maxAbs
+	return comps
 }
 
-// requireSameComponents runs both back halves over diff with and without
-// wantMax and requires identical components (DeepEqual: Area, BBox and the
-// SumContrast float64 bits, in the same order) and an identical maxAbs.
+// requireSameComponents runs both back halves over diff and requires
+// identical components (DeepEqual: Area, BBox and the SumContrast float64
+// bits, in the same order).
 func requireSameComponents(t *testing.T, ctx string, diff *plane, tau float64) []component {
 	t.Helper()
-	var want []component
-	for _, wantMax := range []bool{false, true} {
-		var wantAbs float64
-		want, wantAbs = oracleComponents(diff, tau, wantMax)
-		got, gotAbs := floatComponents(diff, tau, wantMax)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s (%dx%d, tau %v, wantMax %v): components differ\n got  %+v\n want %+v", ctx, diff.w, diff.h, tau, wantMax, got, want)
-		}
-		if math.Float64bits(gotAbs) != math.Float64bits(wantAbs) {
-			t.Fatalf("%s (%dx%d, tau %v, wantMax %v): maxAbs %v, oracle %v", ctx, diff.w, diff.h, tau, wantMax, gotAbs, wantAbs)
-		}
+	want := oracleComponents(diff, tau)
+	got := floatComponents(diff, tau)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s (%dx%d, tau %v): components differ\n got  %+v\n want %+v", ctx, diff.w, diff.h, tau, got, want)
 	}
 	return want
 }
@@ -222,7 +204,7 @@ func realObjects(v *scene.Video, m *Model, frames, limit int) []frameObject {
 // patchComponentsFloatOracle is the historical float patch pipeline, buffer
 // for buffer: one pooled image or plane per stage, an in-place AddNoise, a
 // separate difference plane, and the three whole-plane back-half stages.
-func patchComponentsFloatOracle(v *scene.Video, frameIdx, p int, obj *scene.Object, region raster.Rect, tw, th int, sigmaEff, tau float64, wantMax bool) ([]component, float64) {
+func patchComponentsFloatOracle(v *scene.Video, frameIdx, p int, obj *scene.Object, region raster.Rect, tw, th int, sigmaEff, tau float64) []component {
 	nativePatch := raster.GetScratch(region.W(), region.H())
 	v.RenderRegionInto(nativePatch, frameIdx, region)
 	patch := raster.GetScratch(tw, th)
@@ -242,7 +224,7 @@ func patchComponentsFloatOracle(v *scene.Video, frameIdx, p int, obj *scene.Obje
 	}
 	raster.PutScratch(nativePatch)
 	defer putPlane(diff)
-	return oracleComponents(diff, tau, wantMax)
+	return oracleComponents(diff, tau)
 }
 
 // patchCases are the float pipeline's patch shapes: upsampled (608 from a
@@ -282,10 +264,10 @@ func TestPatchComponentsFloatMatchesOracle(t *testing.T) {
 				continue
 			}
 			tw, th := patchDims(region, sx, sy)
-			want, wantAbs := patchComponentsFloatOracle(v, fo.frame, c.p, fo.obj, region, tw, th, sigmaEff, tau, true)
-			got, gotAbs := m.patchComponentsFloat(v, fo.frame, c.p, fo.obj, region, tw, th, sigmaEff, tau, true, nil)
-			if !reflect.DeepEqual(got, want) || math.Float64bits(gotAbs) != math.Float64bits(wantAbs) {
-				t.Fatalf("%s frame %d obj %d: got %+v / %v, oracle %+v / %v", c.name, fo.frame, fo.obj.ID, got, gotAbs, want, wantAbs)
+			want := patchComponentsFloatOracle(v, fo.frame, c.p, fo.obj, region, tw, th, sigmaEff, tau)
+			got := m.patchComponentsFloat(v, fo.frame, c.p, fo.obj, region, tw, th, sigmaEff, tau)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s frame %d obj %d: got %+v, oracle %+v", c.name, fo.frame, fo.obj.ID, got, want)
 			}
 		}
 	}
@@ -365,10 +347,10 @@ func BenchmarkPatchComponentsFloat(b *testing.B) {
 			})
 		}
 		run("kernel", func(fo frameObject, region raster.Rect, tw, th int) {
-			m.patchComponentsFloat(v, fo.frame, c.p, fo.obj, region, tw, th, sigmaEff, tau, false, nil)
+			m.patchComponentsFloat(v, fo.frame, c.p, fo.obj, region, tw, th, sigmaEff, tau)
 		})
 		run("oracle", func(fo frameObject, region raster.Rect, tw, th int) {
-			patchComponentsFloatOracle(v, fo.frame, c.p, fo.obj, region, tw, th, sigmaEff, tau, false)
+			patchComponentsFloatOracle(v, fo.frame, c.p, fo.obj, region, tw, th, sigmaEff, tau)
 		})
 	}
 }
@@ -386,12 +368,12 @@ func BenchmarkFloatComponents(b *testing.B) {
 	})
 	for _, k := range []struct {
 		name string
-		fn   func(*plane, float64, bool) ([]component, float64)
+		fn   func(*plane, float64) []component
 	}{{"kernel", floatComponents}, {"oracle", oracleComponents}} {
 		b.Run(k.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				k.fn(p, 0.04, false)
+				k.fn(p, 0.04)
 			}
 		})
 	}

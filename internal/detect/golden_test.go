@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -21,9 +22,6 @@ import (
 // a performance change: a kernel that reorders one float addition inside a
 // component moves a confidence bit here long before it moves a profile.
 func TestGoldenDetections(t *testing.T) {
-	if Quantized() {
-		t.Skip("digests pin the float pipeline")
-	}
 	cases := []struct {
 		name, corpus string
 		m            *Model
@@ -39,6 +37,7 @@ func TestGoldenDetections(t *testing.T) {
 		{"small/yolo/160/full", "small", YOLOv4Sim(), 160, 40, true, "8e7a9de8d134e027655ae1a0d7b390bdb66eec97fa3989147b925ea99bb516ab"},
 		{"small/mtcnn/320/full", "small", MTCNNSim(), 320, 10, true, "b7a15743ca3d3b88406947f5a6451c8a176b76fd768154908fd52766563a2b80"},
 	}
+	tieFrames := 0
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
@@ -49,16 +48,18 @@ func TestGoldenDetections(t *testing.T) {
 				binary.LittleEndian.PutUint64(buf[:], x)
 				h.Write(buf[:])
 			}
+			detectCase := func(i int) []Detection {
+				if c.full {
+					return c.m.DetectFrameFull(v, i, c.p)
+				}
+				return c.m.DetectFrame(v, i, c.p)
+			}
 			n := 0
 			for i := 0; i < c.frames; i++ {
-				var ds []Detection
-				if c.full {
-					ds = c.m.DetectFrameFull(v, i, c.p)
-				} else {
-					ds = c.m.DetectFrame(v, i, c.p)
-				}
-				// postProcess orders detections that tie on (MinY, MinX,
-				// Class) by map iteration; hash a total order instead.
+				ds := detectCase(i)
+				// The digests were captured when postProcess still emitted
+				// (MinY, MinX, Class) ties in map order, so they hash a
+				// total order; the emitted order is pinned below.
 				recs := make([][6]uint64, len(ds))
 				for k, d := range ds {
 					recs[k] = [6]uint64{uint64(int64(d.BBox.MinY)), uint64(int64(d.BBox.MinX)), uint64(int64(d.BBox.MaxY)),
@@ -79,6 +80,18 @@ func TestGoldenDetections(t *testing.T) {
 					}
 				}
 				n += len(ds)
+				// The emitted sequence itself is a pure function of the
+				// inputs. sortDetections fixes it except between detections
+				// that tie on its key, so those frames are the ones repeated.
+				if !hasSortTie(ds) {
+					continue
+				}
+				tieFrames++
+				for rep := 0; rep < 50; rep++ {
+					if again := detectCase(i); !reflect.DeepEqual(again, ds) {
+						t.Fatalf("frame %d, repetition %d: emitted %+v, first run %+v", i, rep, again, ds)
+					}
+				}
 			}
 			if n == 0 {
 				t.Fatal("no detections hashed: the case pins nothing")
@@ -88,4 +101,18 @@ func TestGoldenDetections(t *testing.T) {
 			}
 		})
 	}
+	if tieFrames == 0 {
+		t.Error("no frame ties on the sort key: the emitted-order repetitions pin nothing")
+	}
+}
+
+// hasSortTie reports whether two adjacent detections tie on
+// sortDetections' key.
+func hasSortTie(ds []Detection) bool {
+	for k := 1; k < len(ds); k++ {
+		if !lessDetection(&ds[k-1], &ds[k]) {
+			return true
+		}
+	}
+	return false
 }

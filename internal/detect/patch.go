@@ -106,19 +106,14 @@ func (m *Model) threshold(sigmaEff float64) float64 {
 // side (so components can close around the object and the face path sees
 // local context), clipped to the frame.
 func patchRegion(cfg *scene.Config, obj *scene.Object, sx, sy float64) raster.Rect {
-	marginX, marginY := patchMargins(sx, sy)
+	marginX := int(math.Ceil(2/sx)) + 3
+	marginY := int(math.Ceil(2/sy)) + 3
 	return raster.Rect{
 		MinX: obj.BBox.MinX - marginX,
 		MinY: obj.BBox.MinY - marginY,
 		MaxX: obj.BBox.MaxX + marginX,
 		MaxY: obj.BBox.MaxY + marginY,
 	}.Intersect(raster.RectWH(0, 0, cfg.Width, cfg.Height))
-}
-
-// patchMargins returns the native-pixel margin a patch region adds around
-// the object bbox on each side.
-func patchMargins(sx, sy float64) (marginX, marginY int) {
-	return int(math.Ceil(2/sx)) + 3, int(math.Ceil(2/sy)) + 3
 }
 
 // patchDims returns the model-scale dimensions of a patch region.
@@ -128,54 +123,11 @@ func patchDims(region raster.Rect, sx, sy float64) (tw, th int) {
 	return tw, th
 }
 
-// patchInfo carries the side-band facts of one patch evaluation the
-// temporal delta layer needs to gate prior-frame reuse: the evaluated
-// region, the selected component's geometry and contrast, and the largest
-// post-blur contrast anywhere in the patch.
-type patchInfo struct {
-	region       raster.Rect
-	hasComp      bool
-	compBBox     raster.Rect // patch (region-relative) coordinates
-	compArea     int
-	meanContrast float64
-	confValid    bool
-	conf         float64
-	maxAbs       float64
-}
-
-// keptPatches receives pre-noise pixel clones from a patch evaluation so
-// the delta-exact path can replay the noise/difference/threshold stages of
-// later frames without re-rendering. Exactly one representation is filled,
-// matching the pipeline (float or quantized) that ran.
-type keptPatches struct {
-	patchF *raster.Image // model-scale patch before sensor noise
-	bgF    *raster.Image // model-scale static background patch
-	patch8 *raster.Plane8
-	bg8    *raster.Plane8
-}
-
-// release returns every held clone to its pool.
-func (k *keptPatches) release() {
-	raster.PutScratch(k.patchF)
-	raster.PutScratch(k.bgF)
-	raster.PutScratch8(k.patch8)
-	raster.PutScratch8(k.bg8)
-	*k = keptPatches{}
-}
-
 // evalPatch rasterises the object's local neighbourhood at native
 // resolution, downsamples frame and static background to the model scale,
 // adds effective sensor noise, and runs denoise + background-difference
 // threshold + connected-components detection on the pixels.
 func (m *Model) evalPatch(v *scene.Video, frameIdx, p int, obj *scene.Object, sx, sy, sigmaEff, tau float64) candidate {
-	return m.evalPatchInfo(v, frameIdx, p, obj, sx, sy, sigmaEff, tau, nil, nil)
-}
-
-// evalPatchInfo is evalPatch with optional side-band outputs for the delta
-// layer: info (nil on the plain path) receives reuse-gating facts, keep
-// (nil outside delta-exact) receives pre-noise pixel clones. With both
-// nil the float path is byte-identical to the historical evalPatch.
-func (m *Model) evalPatchInfo(v *scene.Video, frameIdx, p int, obj *scene.Object, sx, sy, sigmaEff, tau float64, info *patchInfo, keep *keptPatches) candidate {
 	cfg := &v.Config
 	cand := candidate{
 		objID: obj.ID,
@@ -191,31 +143,19 @@ func (m *Model) evalPatchInfo(v *scene.Video, frameIdx, p int, obj *scene.Object
 		return cand
 	}
 	tw, th := patchDims(region, sx, sy)
-	wantMax := info != nil
-	var comps []component
-	var maxAbs float64
-	if Quantized() {
-		comps, maxAbs = m.patchComponentsQuant(v, frameIdx, p, obj, region, tw, th, sigmaEff, tau, wantMax, keep)
-	} else {
-		comps, maxAbs = m.patchComponentsFloat(v, frameIdx, p, obj, region, tw, th, sigmaEff, tau, wantMax, keep)
-	}
-	if info != nil {
-		info.region = region
-		info.maxAbs = maxAbs
-	}
-	m.selectCandidate(&cand, comps, obj, region, sx, sy, tau, info)
+	comps := m.patchComponentsFloat(v, frameIdx, p, obj, region, tw, th, sigmaEff, tau)
+	m.selectCandidate(&cand, comps, obj, region, sx, sy, tau)
 	return cand
 }
 
 // patchScratch is every buffer one float patch evaluation touches: the
-// native-resolution render, the model-scale patch, a second model-scale
-// image (the static background patch; for faces, the noised copy of the
-// patch) and the signed difference plane. One pool round trip per patch
-// replaces one per buffer; the fused back half keeps its own run-sized
+// native-resolution render, the model-scale patch, the model-scale static
+// background patch and the signed difference plane. One pool round trip per
+// patch replaces one per buffer; the fused back half keeps its own run-sized
 // scratch (floatCCScratch) because the full-frame path shares it.
 type patchScratch struct {
-	native, patch, second raster.Image
-	diff                  plane
+	native, patch, bg raster.Image
+	diff              plane
 }
 
 var patchScratchPool = sync.Pool{New: func() any { return &patchScratch{} }}
@@ -224,72 +164,41 @@ func getPatchScratch() *patchScratch { return patchScratchPool.Get().(*patchScra
 
 func putPatchScratch(sc *patchScratch) { patchScratchPool.Put(sc) }
 
-// patchComponentsFloat runs the float pixel stages of evalPatch — render,
+// patchComponentsFloat runs the pixel stages of evalPatch — render,
 // downsample, sensor noise, background/border difference, 3x3 denoise,
-// threshold, connected components — and returns the components plus (when
-// wantMax) the largest post-blur contrast in the patch. When keep is
-// non-nil it receives clones of the pre-noise patch (and background patch)
-// for the delta-exact replay.
-func (m *Model) patchComponentsFloat(v *scene.Video, frameIdx, p int, obj *scene.Object, region raster.Rect, tw, th int, sigmaEff, tau float64, wantMax bool, keep *keptPatches) ([]component, float64) {
+// threshold, connected components — and returns the components.
+func (m *Model) patchComponentsFloat(v *scene.Video, frameIdx, p int, obj *scene.Object, region raster.Rect, tw, th int, sigmaEff, tau float64) []component {
 	sc := getPatchScratch()
 	defer putPatchScratch(sc)
 	native := sc.native.Resize(region.W(), region.H())
 	v.RenderRegionInto(native, frameIdx, region)
 	patch := sc.patch.Resize(tw, th)
 	raster.DownsampleInto(patch, native)
-	var bg *raster.Image
-	if obj.Class != scene.Face {
-		// Reuse the native buffer for the background render: the patch
-		// downsample above has already consumed it.
-		v.BackgroundRegionInto(native, region)
-		bg = sc.second.Resize(tw, th)
-		raster.DownsampleInto(bg, native)
-	}
-	if keep != nil {
-		keep.patchF = cloneScratch(patch)
-		if bg != nil {
-			keep.bgF = cloneScratch(bg)
-		}
-	}
-	return sc.noisedComponents(patch, bg, noiseSeed(v.Config.Seed, frameIdx, p, obj.ID), float32(sigmaEff), tau, wantMax)
-}
-
-// noisedComponents runs the noise-dependent stages over a pre-noise
-// model-scale patch, which it does not modify: evaluation hands it the
-// patch it just rendered, the delta-exact replay a patch kept from an
-// earlier frame. bg is the static background patch, or nil for a face.
-func (sc *patchScratch) noisedComponents(pre, bg *raster.Image, seed uint64, sigma float32, tau float64, wantMax bool) ([]component, float64) {
-	if bg == nil {
+	seed, sigma := noiseSeed(v.Config.Seed, frameIdx, p, obj.ID), float32(sigmaEff)
+	if obj.Class == scene.Face {
 		// Faces sit inside person blobs, so static-background subtraction
 		// cannot isolate them: a same-sign face (bright face on a body that
 		// is itself brighter than the street) fuses with the body blob. A
 		// face detector instead responds to the face's contrast against its
 		// immediate surroundings — the border ring of the noised patch,
 		// which is head/torso pixels.
-		noised := sc.second.Resize(pre.W, pre.H)
-		copy(noised.Pix, pre.Pix)
-		noised.AddNoise(seed, sigma)
-		sc.diff.setDiffScalar(noised, borderMean(noised))
+		patch.AddNoise(seed, sigma)
+		sc.diff.setDiffScalar(patch, borderMean(patch))
 	} else {
-		sc.diff.resize(pre.W, pre.H)
-		pre.NoisyDiffInto(sc.diff.v, bg, seed, sigma)
+		// Reuse the native buffer for the background render: the patch
+		// downsample above has already consumed it.
+		v.BackgroundRegionInto(native, region)
+		bg := sc.bg.Resize(tw, th)
+		raster.DownsampleInto(bg, native)
+		sc.diff.resize(tw, th)
+		patch.NoisyDiffInto(sc.diff.v, bg, seed, sigma)
 	}
-	return floatComponents(&sc.diff, tau, wantMax)
-}
-
-// cloneScratch copies img into a raster scratch image the caller releases
-// with raster.PutScratch.
-func cloneScratch(img *raster.Image) *raster.Image {
-	c := raster.GetScratch(img.W, img.H)
-	copy(c.Pix, img.Pix)
-	return c
+	return floatComponents(&sc.diff, tau)
 }
 
 // selectCandidate picks the component that best explains the object and
-// applies the area and confidence gates, filling cand (and info, when the
-// delta layer is listening). It is shared verbatim by the float, quantized
-// and delta-exact replay paths, so their selection semantics cannot drift.
-func (m *Model) selectCandidate(cand *candidate, comps []component, obj *scene.Object, region raster.Rect, sx, sy, tau float64, info *patchInfo) {
+// applies the area and confidence gates, filling cand.
+func (m *Model) selectCandidate(cand *candidate, comps []component, obj *scene.Object, region raster.Rect, sx, sy, tau float64) {
 	// Expected object bbox in patch coordinates.
 	expected := raster.Rect{
 		MinX: int(math.Floor((float64(obj.BBox.MinX) - float64(region.MinX)) * sx)),
@@ -320,20 +229,10 @@ func (m *Model) selectCandidate(cand *candidate, comps []component, obj *scene.O
 		return
 	}
 	comp := &comps[best]
-	if info != nil {
-		info.hasComp = true
-		info.compBBox = comp.BBox
-		info.compArea = comp.Area
-		info.meanContrast = comp.MeanContrast()
-	}
 	if comp.Area < m.MinBlobArea {
 		return
 	}
 	conf := m.confidence(comp.Area, comp.MeanContrast(), tau)
-	if info != nil {
-		info.confValid = true
-		info.conf = conf
-	}
 	if conf < m.Threshold {
 		return
 	}
@@ -413,14 +312,20 @@ func (m *Model) postProcess(v *scene.Video, frameIdx, p int, cands []candidate) 
 			}
 		}
 	}
-	groups := make(map[int][]int)
+	groups := make([][]int, len(detected)) // indexed by root
 	for i := range detected {
 		root := find(i)
 		groups[root] = append(groups[root], detected[i])
 	}
 
+	// Groups are emitted in the order of their first member, so ties on
+	// sortDetections' key keep a fixed order from run to run.
 	var out []Detection
-	for _, members := range groups {
+	for i := range detected {
+		members := groups[find(i)]
+		if members[0] != detected[i] {
+			continue
+		}
 		box := cands[members[0]].blob
 		conf := cands[members[0]].conf
 		for _, mi := range members[1:] {

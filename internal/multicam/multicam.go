@@ -1,4 +1,4 @@
-// Package fleet extends Smokescreen from one camera to a fleet. The
+// Package multicam extends Smokescreen from one camera to a fleet. The
 // paper's system model (Section 1) has "a set of configurable networked
 // cameras" feeding one query processor; this package answers aggregate
 // queries over the union of several corpora, each degraded under its own
@@ -14,7 +14,7 @@
 //
 // AVG, SUM and COUNT combine this way; MAX/MIN rank errors do not compose
 // across corpora and are rejected.
-package fleet
+package multicam
 
 import (
 	"context"
@@ -48,26 +48,26 @@ type Fleet struct {
 // New validates and assembles a fleet.
 func New(cameras ...Camera) (*Fleet, error) {
 	if len(cameras) == 0 {
-		return nil, fmt.Errorf("fleet: at least one camera required")
+		return nil, fmt.Errorf("multicam: at least one camera required")
 	}
 	seen := map[string]bool{}
 	for i := range cameras {
 		c := &cameras[i]
 		if c.Name == "" {
-			return nil, fmt.Errorf("fleet: camera %d has no name", i)
+			return nil, fmt.Errorf("multicam: camera %d has no name", i)
 		}
 		if seen[c.Name] {
-			return nil, fmt.Errorf("fleet: duplicate camera name %q", c.Name)
+			return nil, fmt.Errorf("multicam: duplicate camera name %q", c.Name)
 		}
 		seen[c.Name] = true
 		if c.Video == nil || c.Model == nil {
-			return nil, fmt.Errorf("fleet: camera %q missing video or model", c.Name)
+			return nil, fmt.Errorf("multicam: camera %q missing video or model", c.Name)
 		}
 		if err := c.Setting.Validate(c.Model); err != nil {
-			return nil, fmt.Errorf("fleet: camera %q: %w", c.Name, err)
+			return nil, fmt.Errorf("multicam: camera %q: %w", c.Name, err)
 		}
 		if !c.Setting.IsRandomOnly(c.Model) && c.Correction == nil {
-			return nil, fmt.Errorf("fleet: camera %q applies non-random interventions but has no correction set", c.Name)
+			return nil, fmt.Errorf("multicam: camera %q applies non-random interventions but has no correction set", c.Name)
 		}
 	}
 	return &Fleet{cameras: cameras}, nil
@@ -112,7 +112,7 @@ func (f *Fleet) Query(agg estimate.Agg, class scene.Class, predicate func(float6
 // error with no partial result.
 func (f *Fleet) QueryCtx(ctx context.Context, agg estimate.Agg, class scene.Class, predicate func(float64) float64, p estimate.Params, stream *stats.Stream) (*Result, error) {
 	if agg.IsExtremum() || agg == estimate.VAR {
-		return nil, fmt.Errorf("fleet: %v does not compose across cameras (rank and variance errors are corpus-local)", agg)
+		return nil, fmt.Errorf("multicam: %v does not compose across cameras (rank and variance errors are corpus-local)", agg)
 	}
 	k := len(f.cameras)
 	// Union bound: each camera runs at delta/K so the joint guarantee
@@ -145,11 +145,11 @@ func (f *Fleet) QueryCtx(ctx context.Context, agg estimate.Agg, class scene.Clas
 			Predicate: predicateFor(agg, predicate),
 		}
 		if !c.Model.CanDetect(class) {
-			return nil, fmt.Errorf("fleet: camera %q model %s cannot detect %v", c.Name, c.Model.Name, class)
+			return nil, fmt.Errorf("multicam: camera %q model %s cannot detect %v", c.Name, c.Model.Name, class)
 		}
 		est, err := spec.EstimateSettingCtx(ctx, c.Setting, c.Correction, stream.Child(uint64(i)))
 		if err != nil {
-			return nil, fmt.Errorf("fleet: camera %q: %w", c.Name, err)
+			return nil, fmt.Errorf("multicam: camera %q: %w", c.Name, err)
 		}
 		weight := float64(c.Video.NumFrames()) / float64(totalFrames)
 		results = append(results, CameraResult{Name: c.Name, Estimate: est, Weight: weight})
@@ -210,7 +210,7 @@ func predicateFor(agg estimate.Agg, predicate func(float64) float64) func(float6
 // TrueAnswer computes the exact fleet aggregate for tests and demos.
 func (f *Fleet) TrueAnswer(agg estimate.Agg, class scene.Class, predicate func(float64) float64, p estimate.Params) (float64, error) {
 	if agg.IsExtremum() || agg == estimate.VAR {
-		return 0, fmt.Errorf("fleet: %v does not compose across cameras", agg)
+		return 0, fmt.Errorf("multicam: %v does not compose across cameras", agg)
 	}
 	var population []float64
 	for i := range f.cameras {

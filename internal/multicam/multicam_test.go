@@ -1,4 +1,4 @@
-package fleet
+package multicam
 
 import (
 	"math"

@@ -18,7 +18,7 @@ func FuzzOutputsDecode(f *testing.F) {
 	v := dataset.MustLoad("small")
 	n := v.NumFrames()
 	dir := f.TempDir()
-	key := colKey{video: v, model: "yolov4-sim", p: 160, class: classShared}
+	key := colKey{video: v, model: "yolov4-sim", p: 160}
 
 	// Seed with real artifacts from the writer: one full table, one
 	// sparse table, so the corpus starts from both on-disk kinds.
@@ -65,7 +65,7 @@ func FuzzOutputsDecode(f *testing.F) {
 		}
 		// A successful decode must be internally consistent: exactly one
 		// representation, sized and indexed within the corpus.
-		if k.video != v || k.class != classShared {
+		if k.video != v {
 			t.Fatalf("decoded key %+v does not bind to the corpus", k)
 		}
 		if (gotFull == nil) == (gotRows == nil) {

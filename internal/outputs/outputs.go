@@ -22,7 +22,6 @@ package outputs
 
 import (
 	"context"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -35,18 +34,13 @@ import (
 // frame. scene.NumClasses is tiny, so rows are flat arrays, not maps.
 type vec [scene.NumClasses]float64
 
-// colKey identifies one column table. class is classShared (-1) when
-// cross-class sharing is on — the physical unit — and the concrete class
-// in legacy per-class mode (see SetSharing), which reproduces the
-// pre-column-store cache behaviour for A/B benchmarking.
+// colKey identifies one column table: the physical (view, model,
+// resolution) unit, shared by every class.
 type colKey struct {
 	video *scene.Video
 	model string
 	p     int
-	class int
 }
-
-const classShared = -1
 
 // table holds the rows of one column key. full is materialised once every
 // frame of the corpus has a row; proj caches per-class []float64
@@ -63,7 +57,6 @@ type table struct {
 var (
 	storeMu sync.Mutex
 	tables  = map[colKey]*table{}
-	sharing atomic.Bool
 
 	// frameHits counts frame-values served without detector work;
 	// framesDetected counts frames this store computed (and kept).
@@ -72,34 +65,16 @@ var (
 )
 
 func init() {
-	sharing.Store(true)
 	detect.RegisterOutputCache(Reset, EvictVideo, fillCacheStats)
 }
 
-// SetSharing toggles cross-class column sharing. On (the default), tables
-// key on the physical (view, model, resolution) unit and one detection
-// pass serves every class. Off, tables key per class — the legacy cache
-// layout, kept so benchmarks can measure the dedup win (-detect-dedup on
-// the daemon). Call it only around a Reset: flipping modes mid-flight
-// leaves both keyspaces populated and wastes memory (results stay correct;
-// rows in either layout come from the same deterministic detector).
-func SetSharing(on bool) {
-	sharing.Store(on)
-}
+// Sharing reports true: one detection pass serves every class. Its sole
+// caller is benchmark/provenance.go (see detect.Quantized), and it goes
+// with that report field in the next benchmark-archetype PR.
+func Sharing() bool { return true }
 
-// Sharing reports whether cross-class column sharing is enabled.
-func Sharing() bool { return sharing.Load() }
-
-func keyFor(v *scene.Video, model string, class scene.Class, p int) colKey {
-	k := colKey{video: v, model: model, p: p, class: classShared}
-	if !sharing.Load() {
-		k.class = int(class)
-	}
-	return k
-}
-
-func getTable(v *scene.Video, model string, class scene.Class, p int) *table {
-	key := keyFor(v, model, class, p)
+func getTable(v *scene.Video, model string, p int) *table {
+	key := colKey{video: v, model: model, p: p}
 	storeMu.Lock()
 	defer storeMu.Unlock()
 	t, ok := tables[key]
@@ -185,26 +160,15 @@ func (t *table) compute(ctx context.Context, v *scene.Video, m *detect.Model, p 
 	// Background is rendered lazily behind a sync.Once; touch it before
 	// fanning out so workers share one render.
 	v.Background()
-	results := make(map[int]vec, len(frames))
-	var err error
-	if detect.DeltaDetectMode() != detect.DeltaOff && len(frames) > 1 {
-		err = computeDelta(ctx, v, m, p, frames, results)
-	} else {
-		rs := make([]vec, len(frames))
-		err = parallel.ForCtx(ctx, len(frames), 0, func(i int) error {
-			rs[i] = countRow(m.DetectFrame(v, frames[i], p))
-			return nil
-		})
-		if err == nil {
-			for i, f := range frames {
-				results[f] = rs[i]
-			}
-		}
-	}
+	rs := make([]vec, len(frames))
+	err := parallel.ForCtx(ctx, len(frames), 0, func(i int) error {
+		rs[i] = countRow(m.DetectFrame(v, frames[i], p))
+		return nil
+	})
 	t.mu.Lock()
 	if err == nil {
-		for f, r := range results {
-			t.rows[f] = r
+		for i, f := range frames {
+			t.rows[f] = rs[i]
 		}
 	}
 	for _, f := range frames {
@@ -229,75 +193,22 @@ func countRow(dets []detect.Detection) vec {
 	return r
 }
 
-// deltaBlockFrames is the number of consecutive frames one DeltaRun walks
-// sequentially when temporal delta detection is on: large enough that
-// almost every frame inside a block has a same-run predecessor to reuse
-// from (47/48 at full sampling), small enough that typical requests still
-// fan out across the worker pool.
-const deltaBlockFrames = 48
-
-// computeDelta evaluates the claimed frames through per-block DeltaRuns:
-// frames are sorted, split into fixed blocks, and each block is walked in
-// order by one run so consecutive frames can reuse each other's work.
-// Blocks run in parallel; block boundaries simply start a keyframe.
-// Results land in rows keyed by frame number, so the reordering relative
-// to the caller's frame slice is free.
-func computeDelta(ctx context.Context, v *scene.Video, m *detect.Model, p int, frames []int, rows map[int]vec) error {
-	sorted := append([]int(nil), frames...)
-	sort.Ints(sorted)
-	blocks := (len(sorted) + deltaBlockFrames - 1) / deltaBlockFrames
-	results := make([]vec, len(sorted))
-	err := parallel.ForCtx(ctx, blocks, 0, func(bi int) error {
-		lo := bi * deltaBlockFrames
-		hi := lo + deltaBlockFrames
-		if hi > len(sorted) {
-			hi = len(sorted)
-		}
-		run := m.NewDeltaRun(v, p)
-		if run == nil {
-			// Mode flipped off mid-request; fall back per frame.
-			for j := lo; j < hi; j++ {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				results[j] = countRow(m.DetectFrame(v, sorted[j], p))
-			}
-			return nil
-		}
-		defer run.Close()
-		for j := lo; j < hi; j++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			results[j] = countRow(run.DetectFrame(sorted[j]))
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	for j, f := range sorted {
-		rows[f] = results[j]
-	}
-	return nil
-}
-
 // Ensure materialises rows for the given frames of (v, m, p) without
 // reading them — the executor's detect stage, run once over deduplicated
-// plan units before estimation fans out. class matters only in legacy
-// per-class mode, where it selects the table to fill.
+// plan units before estimation fans out. The table serves every class;
+// the class parameter is kept for the benchmark harness, which passes it.
 func Ensure(ctx context.Context, v *scene.Video, m *detect.Model, class scene.Class, p int, frames []int) error {
 	if len(frames) == 0 {
 		return ctx.Err()
 	}
-	return getTable(v, m.Name, class, p).ensure(ctx, v, m, p, frames)
+	return getTable(v, m.Name, p).ensure(ctx, v, m, p, frames)
 }
 
 // At returns the per-frame counts of class objects for just the requested
 // frames, detecting only frames with no stored row. The result is ordered
 // like frames. Callers own the returned slice.
 func At(ctx context.Context, v *scene.Video, m *detect.Model, class scene.Class, p int, frames []int) ([]float64, error) {
-	t := getTable(v, m.Name, class, p)
+	t := getTable(v, m.Name, p)
 	if err := t.ensure(ctx, v, m, p, frames); err != nil {
 		return nil, err
 	}
@@ -329,7 +240,7 @@ func At(ctx context.Context, v *scene.Video, m *detect.Model, class scene.Class,
 // consume — computing whatever is missing. The returned slice is the
 // cached projection; callers must not mutate it.
 func Full(ctx context.Context, v *scene.Video, m *detect.Model, class scene.Class, p int) ([]float64, error) {
-	t := getTable(v, m.Name, class, p)
+	t := getTable(v, m.Name, p)
 	t.mu.Lock()
 	if s, ok := t.proj[class]; ok {
 		t.mu.Unlock()

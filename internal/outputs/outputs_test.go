@@ -86,9 +86,8 @@ func TestOutputsDifferAcrossClassAndResolution(t *testing.T) {
 	detect.ResetCaches()
 }
 
-// TestCrossClassSharing is the column store's reason to exist: with
-// sharing on, one detection pass serves every class at the same (view,
-// model, resolution), while legacy per-class mode re-detects.
+// TestCrossClassSharing is the column store's reason to exist: one
+// detection pass serves every class at the same (view, model, resolution).
 func TestCrossClassSharing(t *testing.T) {
 	ctx := context.Background()
 	v := dataset.MustLoad("small")
@@ -97,38 +96,14 @@ func TestCrossClassSharing(t *testing.T) {
 
 	detect.ResetCaches()
 	before := detect.Invocations()
-	shCars, err := Full(ctx, v, m, scene.Car, 128)
-	if err != nil {
+	if _, err := Full(ctx, v, m, scene.Car, 128); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Full(ctx, v, m, scene.Person, 128); err != nil {
 		t.Fatal(err)
 	}
-	shared := detect.Invocations() - before
-	if shared != n {
-		t.Fatalf("sharing on: %d invocations for two classes, want %d", shared, n)
-	}
-
-	SetSharing(false)
-	defer SetSharing(true)
-	detect.ResetCaches()
-	before = detect.Invocations()
-	legCars, err := Full(ctx, v, m, scene.Car, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Full(ctx, v, m, scene.Person, 128); err != nil {
-		t.Fatal(err)
-	}
-	legacy := detect.Invocations() - before
-	if legacy != 2*n {
-		t.Fatalf("sharing off: %d invocations for two classes, want %d", legacy, 2*n)
-	}
-	// Both layouts read the same deterministic detector.
-	for i := range shCars {
-		if shCars[i] != legCars[i] {
-			t.Fatalf("series differ at %d: shared %v legacy %v", i, shCars[i], legCars[i])
-		}
+	if shared := detect.Invocations() - before; shared != n {
+		t.Fatalf("%d invocations for two classes, want %d", shared, n)
 	}
 	detect.ResetCaches()
 }
@@ -260,39 +235,4 @@ func TestStatsAndEvictAccounting(t *testing.T) {
 		t.Fatalf("%d tables survived eviction", after.Tables)
 	}
 	detect.ResetCaches()
-}
-
-// TestDeltaExactSeriesMatchesOff pins the end-to-end determinism contract
-// of exact temporal delta detection: the full output series of a corpus is
-// bit-identical whether frames are evaluated independently or through the
-// block-sequential DeltaRun path, and the delta counters prove reuse
-// actually engaged.
-func TestDeltaExactSeriesMatchesOff(t *testing.T) {
-	detect.ResetCaches()
-	t.Cleanup(detect.ResetCaches)
-	ctx := context.Background()
-	v := dataset.MustLoad("small")
-	m := detect.YOLOv4Sim()
-
-	off, err := Full(ctx, v, m, scene.Car, 160)
-	if err != nil {
-		t.Fatal(err)
-	}
-	offCopy := append([]float64(nil), off...)
-
-	detect.ResetCaches()
-	detect.SetDeltaMode(detect.DeltaExact)
-	t.Cleanup(func() { detect.SetDeltaMode(detect.DeltaOff) })
-	exact, err := Full(ctx, v, m, scene.Car, 160)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range offCopy {
-		if offCopy[i] != exact[i] {
-			t.Fatalf("frame %d: off=%v exact=%v", i, offCopy[i], exact[i])
-		}
-	}
-	if dc := detect.DeltaCounters(); dc.CandidatesReused == 0 && dc.TilesRedetected == 0 {
-		t.Fatalf("delta path did not engage: %+v", dc)
-	}
 }

@@ -39,10 +39,8 @@ func storeFileName(v *scene.Video, model string, p int) string {
 	return fmt.Sprintf("%s-%x-%s-p%d.sout", v.Config.Name, v.Config.Seed, model, p)
 }
 
-// SaveOutputs persists every shared column table of the corpus into dir
-// (created if needed) and returns the number of tables written. Legacy
-// per-class tables (SetSharing(false)) are not persisted — the legacy mode
-// exists only for A/B benchmarking.
+// SaveOutputs persists every column table of the corpus into dir (created
+// if needed) and returns the number of tables written.
 func SaveOutputs(v *scene.Video, dir string) (int, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return 0, err
@@ -54,7 +52,7 @@ func SaveOutputs(v *scene.Video, dir string) (int, error) {
 	storeMu.Lock()
 	var entries []entry
 	for key, t := range tables {
-		if key.video == v && key.class == classShared {
+		if key.video == v {
 			entries = append(entries, entry{key, t})
 		}
 	}
@@ -277,7 +275,7 @@ func decodeTable(r *bufio.Reader, v *scene.Video) (colKey, []vec, map[int]vec, e
 	if err != nil {
 		return key, nil, nil, err
 	}
-	key = colKey{video: v, model: model, p: int(p64), class: classShared}
+	key = colKey{video: v, model: model, p: int(p64)}
 	readRow := func() (vec, error) {
 		var row vec
 		for c := range row {

@@ -3,8 +3,6 @@ package plan
 import (
 	"sync/atomic"
 	"time"
-
-	"smokescreen/internal/detect"
 )
 
 // Cumulative per-stage accounting for the plan/execute pipeline. The
@@ -27,12 +25,12 @@ var (
 // stageTimer starts a wall-clock span and returns the stop function that
 // credits the elapsed nanoseconds to c. These two reads are the
 // generation pipeline's only sanctioned wall-clock access: stage
-// accounting feeds /metrics and the BENCH_*.json artifacts, never
+// accounting feeds /metrics and the benchmark's reports, never
 // profile bytes, which is what makes the determinism suppressions below
 // sound. Everything else in the generation paths is flagged by the
 // smokevet determinism analyzer.
 func stageTimer(c *atomic.Int64) func() {
-	t0 := time.Now() //smokevet:ignore determinism: stage accounting only; durations feed /metrics and BENCH artifacts, never profile bytes
+	t0 := time.Now() //smokevet:ignore determinism: stage accounting only; durations feed /metrics and benchmark reports, never profile bytes
 	return func() {
 		c.Add(int64(time.Since(t0))) //smokevet:ignore determinism: duration accounting only, never profile bytes
 	}
@@ -62,27 +60,17 @@ type StageStats struct {
 	Tasks            int64
 	Units            int64
 	DedupSavedFrames int64
-	// DeltaTilesReused / DeltaCandidatesReused mirror the temporal
-	// delta-detection effectiveness counters (detect.DeltaCounters) at
-	// snapshot time, so one Stages read gives the bench harness and
-	// /metrics the full work-avoidance picture: plan-level dedup plus
-	// frame-level temporal reuse.
-	DeltaTilesReused      int64
-	DeltaCandidatesReused int64
 }
 
 // Stages snapshots the cumulative stage counters.
 func Stages() StageStats {
-	dc := detect.DeltaCounters()
 	return StageStats{
-		PlanNS:                planNS.Load(),
-		DetectNS:              detectNS.Load(),
-		EstimateNS:            estimateNS.Load(),
-		Tasks:                 tasksPlanned.Load(),
-		Units:                 unitsPlanned.Load(),
-		DedupSavedFrames:      dedupSavedFrames.Load(),
-		DeltaTilesReused:      dc.TilesReused,
-		DeltaCandidatesReused: dc.CandidatesReused,
+		PlanNS:           planNS.Load(),
+		DetectNS:         detectNS.Load(),
+		EstimateNS:       estimateNS.Load(),
+		Tasks:            tasksPlanned.Load(),
+		Units:            unitsPlanned.Load(),
+		DedupSavedFrames: dedupSavedFrames.Load(),
 	}
 }
 

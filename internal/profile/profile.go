@@ -157,32 +157,9 @@ func (s *Spec) estimatePlan(ctx context.Context, plan *degrade.Plan, corr *estim
 			return estimate.Estimate{}, fmt.Errorf(
 				"profile: setting %v applies non-random interventions; a correction set is required for a sound bound", plan.Setting)
 		}
-		return s.deltaSurcharged(est, plan), nil
+		return est, nil
 	}
-	est, err = corr.Repaired(s.Agg, est, s.Params, randomOnly)
-	if err != nil {
-		return est, err
-	}
-	return s.deltaSurcharged(est, plan), nil
-}
-
-// deltaSurcharged folds the bounded temporal-delta fragility surcharge
-// into err_b. Bounded delta detection (detect.DeltaBounded) may splice a
-// prior-frame detection whose worst-case perturbation was within
-// tolerance but whose confidence margin ran thin; the fraction of frames
-// that leaned on such a margin is an additional relative-error exposure
-// the bound must carry. Exact mode and the off mode reproduce the full
-// evaluation bit-for-bit, so they add nothing.
-func (s *Spec) deltaSurcharged(est estimate.Estimate, plan *degrade.Plan) estimate.Estimate {
-	if detect.DeltaDetectMode() != detect.DeltaBounded {
-		return est
-	}
-	v := degrade.EffectiveVideo(s.Video, plan.Setting)
-	sur := detect.DeltaSurcharge(v, s.Model.Name, plan.Resolution)
-	if sur > 0 {
-		est.ErrBound += sur
-	}
-	return est
+	return corr.Repaired(s.Agg, est, s.Params, randomOnly)
 }
 
 // UncorrectedEstimate computes the estimate WITHOUT profile repair even
@@ -201,11 +178,7 @@ func (s *Spec) UncorrectedEstimate(setting degrade.Setting, stream *stats.Stream
 	if err != nil {
 		return estimate.Estimate{}, err
 	}
-	est, err := estimate.Smokescreen(s.Agg, values, plan.Total, s.Params)
-	if err != nil {
-		return est, err
-	}
-	return s.deltaSurcharged(est, plan), nil
+	return estimate.Smokescreen(s.Agg, values, plan.Total, s.Params)
 }
 
 // Point is one (degradation, error-bound) pair of a profile.

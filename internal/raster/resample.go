@@ -524,92 +524,3 @@ func (t *IntegralImage) SumRect(x0, y0, x1, y1 int) float64 {
 	w1 := t.W + 1
 	return t.sums[y1*w1+x1] - t.sums[y0*w1+x1] - t.sums[y1*w1+x0] + t.sums[y0*w1+x0]
 }
-
-// ContinuousAt returns the integral of the source over [0,x)x[0,y) at
-// fractional coordinates, treating each pixel as a unit square of constant
-// value. Between lattice points the integral is bilinear in the fractional
-// parts plus a corner term, all recoverable from the summed-area table in
-// O(1). Coordinates are clamped to [0, W]x[0, H].
-func (t *IntegralImage) ContinuousAt(x, y float64) float64 {
-	if x > float64(t.W) {
-		x = float64(t.W)
-	}
-	if y > float64(t.H) {
-		y = float64(t.H)
-	}
-	w1 := t.W + 1
-	ix, iy := int(x), int(y)
-	fx, fy := x-float64(ix), y-float64(iy)
-	s := t.sums
-	base := s[iy*w1+ix]
-	v := base
-	if fx > 0 {
-		v += fx * (s[iy*w1+ix+1] - base)
-	}
-	if fy > 0 {
-		v += fy * (s[(iy+1)*w1+ix] - base)
-	}
-	if fx > 0 && fy > 0 {
-		v += fx * fy * (s[(iy+1)*w1+ix+1] - s[iy*w1+ix+1] - s[(iy+1)*w1+ix] + base)
-	}
-	return v
-}
-
-// DownsampleIntegralInto computes the box-filter downsample of a region of
-// the summed-area table's source directly from the table: every
-// destination pixel reads its continuous window integral in O(1), so the
-// cost is O(dst) regardless of the region's native size — where
-// DownsampleInto pays O(region) to integrate the cropped pixels first.
-// The box windows are exactly those DownsampleInto would use over the
-// cropped region, so values agree up to floating-point association (the
-// table accumulates sums over the full source, not the crop). The table
-// must cover region, and dst must not exceed the region on either axis.
-func DownsampleIntegralInto(dst *Image, t *IntegralImage, region Rect) {
-	w, h := dst.W, dst.H
-	rw, rh := region.W(), region.H()
-	if w <= 0 || h <= 0 || w > rw || h > rh {
-		panic("raster: DownsampleIntegralInto size mismatch")
-	}
-
-	// Continuous window boundaries along each axis, in source coordinates.
-	xs := getF64(w + 1)
-	defer putF64(xs)
-	ratioX := float64(rw) / float64(w)
-	for d := 0; d <= w; d++ {
-		xs[d] = float64(region.MinX) + float64(d)*ratioX
-	}
-	invX := getF64(w)
-	defer putF64(invX)
-	for d := 0; d < w; d++ {
-		invX[d] = 1 / (xs[d+1] - xs[d])
-	}
-	ys := getF64(h + 1)
-	defer putF64(ys)
-	ratioY := float64(rh) / float64(h)
-	for d := 0; d <= h; d++ {
-		ys[d] = float64(region.MinY) + float64(d)*ratioY
-	}
-
-	// March boundary rows of the continuous integral; adjacent destination
-	// rows share one, so each is evaluated once.
-	f0 := getF64(w + 1)
-	defer putF64(f0)
-	f1 := getF64(w + 1)
-	defer putF64(f1)
-	for d := 0; d <= w; d++ {
-		f0[d] = t.ContinuousAt(xs[d], ys[0])
-	}
-	for dy := 0; dy < h; dy++ {
-		y1 := ys[dy+1]
-		for d := 0; d <= w; d++ {
-			f1[d] = t.ContinuousAt(xs[d], y1)
-		}
-		invY := 1 / (y1 - ys[dy])
-		out := dst.Pix[dy*w : (dy+1)*w]
-		for dx := range out {
-			integral := (f1[dx+1] - f1[dx]) - (f0[dx+1] - f0[dx])
-			out[dx] = float32(integral * invX[dx] * invY)
-		}
-		f0, f1 = f1, f0
-	}
-}

@@ -49,18 +49,6 @@ func (v *Video) rawBackground() *raster.Image {
 	return v.bg
 }
 
-// BackgroundIntegral returns the summed-area table of the static
-// background, built once per Video. Detectors use it to produce
-// downsampled background patches in O(patch) table lookups instead of
-// rendering and integrating the native-resolution region per evaluation.
-func (v *Video) BackgroundIntegral() *raster.IntegralImage {
-	v.bgIntOnce.Do(func() {
-		v.bgInt = raster.Integral(v.Background())
-		v.cachedBytes.Add(int64((v.Config.Width + 1) * (v.Config.Height + 1) * 8))
-	})
-	return v.bgInt
-}
-
 // RenderRegion renders the given native-coordinate region of frame i
 // (background plus every intersecting object) into a fresh image whose
 // origin is region.Min. Sensor noise is NOT applied here: noise is added

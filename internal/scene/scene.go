@@ -185,9 +185,6 @@ type Video struct {
 	bgViewOnce sync.Once
 	bgView     *raster.Image
 
-	bgIntOnce sync.Once
-	bgInt     *raster.IntegralImage
-
 	occOnce sync.Once
 	occ     []bool
 

@@ -90,14 +90,6 @@ func (vw View) blurReach() (left, right int) {
 	return (vw.BlurLen - 1) / 2, vw.BlurLen / 2
 }
 
-// Spill returns the maximum distance, in native pixels, that a pixel's
-// transformed value can depend on source pixels away from it. The temporal
-// delta detector dilates object influence footprints by this much.
-func (vw View) Spill() int {
-	left, right := vw.blurReach()
-	return max(left, right)
-}
-
 // WithView returns a view of the corpus observed through the given pixel
 // transforms, generalizing WithNoise to the full intervention space. The
 // derived Video shares the frame annotations; detectors treat it as a
@@ -133,9 +125,9 @@ func (v *Video) WithView(view View) *Video {
 func (v *Video) View() View { return v.view }
 
 // CachedRasterBytes reports the bytes of lazily materialized per-Video
-// rasters (backgrounds, integral table, occlusion mask) currently held by
-// this Video value. The degrade view cache sums it over live views so
-// detect.Stats can account for view-derived memory.
+// rasters (backgrounds, occlusion mask) currently held by this Video
+// value. The degrade view cache sums it over live views so detect.Stats can
+// account for view-derived memory.
 func (v *Video) CachedRasterBytes() int64 { return v.cachedBytes.Load() }
 
 // applyViewInto writes the view-transformed pixels of dstRegion into dst,

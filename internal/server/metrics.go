@@ -45,14 +45,6 @@ func (m *metrics) render(w io.Writer, queueDepth, queueCap int, jobs *jobSet, st
 	sc := stream.Totals()
 	streamsActive, streamLag := streams.activeAndMaxLag()
 
-	var dedup int64
-	if outputs.Sharing() {
-		dedup = 1
-	}
-	var quantized int64
-	if detect.Quantized() {
-		quantized = 1
-	}
 	samples := map[string]int64{
 		"smokescreend_http_requests_total":               m.httpRequests.Load(),
 		"smokescreend_profiles_served_total":             m.profilesServed.Load(),
@@ -70,7 +62,6 @@ func (m *metrics) render(w io.Writer, queueDepth, queueCap int, jobs *jobSet, st
 		"smokescreend_jobs_done":                         int64(done),
 		"smokescreend_jobs_failed":                       int64(failed),
 		"smokescreend_jobs_canceled":                     int64(canceled),
-		"smokescreend_detect_dedup_enabled":              dedup,
 		"smokescreend_outputs_tables":                    int64(oc.Tables),
 		"smokescreend_outputs_frames_detected_total":     oc.FramesDetected,
 		"smokescreend_outputs_frame_hits_total":          oc.FrameHits,
@@ -98,13 +89,6 @@ func (m *metrics) render(w io.Writer, queueDepth, queueCap int, jobs *jobSet, st
 		"smokescreend_detect_render_bytes":               dc.RenderBytes,
 		"smokescreend_detect_render_hits_total":          dc.RenderHits,
 		"smokescreend_detect_render_misses_total":        dc.RenderMisses,
-		"smokescreend_quantized_rasters_enabled":         quantized,
-		"smokescreend_delta_detect_mode":                 int64(detect.DeltaDetectMode()),
-		"smokescreend_delta_tiles_reused_total":          dc.DeltaTilesReused,
-		"smokescreend_delta_tiles_redetected_total":      dc.DeltaTilesRedetected,
-		"smokescreend_delta_candidates_reused_total":     dc.DeltaCandidatesReused,
-		"smokescreend_delta_tables":                      int64(dc.DeltaTables),
-		"smokescreend_delta_cache_bytes":                 dc.DeltaBytes,
 		"smokescreend_streams_total":                     m.streamsStarted.Load(),
 		"smokescreend_streams_canceled_total":            m.streamsCanceled.Load(),
 		"smokescreend_stream_failures_total":             m.streamFailures.Load(),

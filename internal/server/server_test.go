@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -485,15 +486,6 @@ func TestHealthzAndMetrics(t *testing.T) {
 	t.Cleanup(detect.ResetCaches)
 	detect.YOLOv4Sim().DetectFrameFull(dataset.MustLoad("small"), 0, 160)
 
-	// Exercise the temporal delta detector so its effectiveness gauges are
-	// live in the scrape: two consecutive frames through one exact-mode run.
-	detect.SetDeltaMode(detect.DeltaExact)
-	t.Cleanup(func() { detect.SetDeltaMode(detect.DeltaOff) })
-	deltaRun := detect.YOLOv4Sim().NewDeltaRun(dataset.MustLoad("small"), 160)
-	deltaRun.DetectFrame(0)
-	deltaRun.DetectFrame(1)
-	deltaRun.Close()
-
 	resp, err = http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -515,12 +507,6 @@ func TestHealthzAndMetrics(t *testing.T) {
 		"smokescreend_detect_render_frames 1",
 		"smokescreend_detect_render_misses_total 1",
 		"smokescreend_detect_render_hits_total 0",
-		"smokescreend_quantized_rasters_enabled 0",
-		"smokescreend_delta_detect_mode 1",
-		"smokescreend_delta_tiles_reused_total",
-		"smokescreend_delta_candidates_reused_total",
-		"smokescreend_delta_tables 0",
-		"smokescreend_delta_cache_bytes 0",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q:\n%s", want, text)
@@ -531,10 +517,76 @@ func TestHealthzAndMetrics(t *testing.T) {
 	if !strings.Contains(text, "smokescreend_detect_render_bytes 102496") {
 		t.Errorf("metrics missing exact render bytes:\n%s", text)
 	}
-	// The delta run above fully evaluated objects on its keyframe, so the
-	// redetected-tiles counter must have moved.
-	if strings.Contains(text, "smokescreend_delta_tiles_redetected_total 0\n") {
-		t.Errorf("delta redetected counter stayed zero:\n%s", text)
+	// The sample name set is pinned: the samples of the deleted pipeline
+	// forks (smokescreend_quantized_rasters_enabled,
+	// smokescreend_detect_dedup_enabled, smokescreend_delta_*) are gone and
+	// nothing else came or went.
+	var names []string
+	for _, line := range strings.Split(strings.TrimSpace(text), "\n") {
+		name, _, _ := strings.Cut(line, " ")
+		if !strings.HasPrefix(name, "smokescreend_fleet_") {
+			names = append(names, name)
+		}
+	}
+	if want := []string{
+		"smokescreend_detect_background_bytes",
+		"smokescreend_detect_background_images",
+		"smokescreend_detect_cache_bytes",
+		"smokescreend_detect_full_bytes",
+		"smokescreend_detect_full_series",
+		"smokescreend_detect_render_bytes",
+		"smokescreend_detect_render_frames",
+		"smokescreend_detect_render_hits_total",
+		"smokescreend_detect_render_misses_total",
+		"smokescreend_detect_sparse_bytes",
+		"smokescreend_detect_sparse_series",
+		"smokescreend_detector_invocations_total",
+		"smokescreend_generation_failures_total",
+		"smokescreend_generations_canceled_total",
+		"smokescreend_generations_total",
+		"smokescreend_http_requests_total",
+		"smokescreend_job_cancellations_total",
+		"smokescreend_jobs_canceled",
+		"smokescreend_jobs_done",
+		"smokescreend_jobs_failed",
+		"smokescreend_jobs_queued",
+		"smokescreend_jobs_running",
+		"smokescreend_outputs_frame_hits_total",
+		"smokescreend_outputs_frames_detected_total",
+		"smokescreend_outputs_tables",
+		"smokescreend_profiles_served_total",
+		"smokescreend_queue_capacity",
+		"smokescreend_queue_depth",
+		"smokescreend_rejected_draining_total",
+		"smokescreend_rejected_queue_full_total",
+		"smokescreend_requests_coalesced_total",
+		"smokescreend_stage_dedup_saved_frames_total",
+		"smokescreend_stage_detect_ns_total",
+		"smokescreend_stage_estimate_ns_total",
+		"smokescreend_stage_plan_ns_total",
+		"smokescreend_stage_tasks_planned_total",
+		"smokescreend_stage_units_planned_total",
+		"smokescreend_store_cache_bytes",
+		"smokescreend_store_cache_entries",
+		"smokescreend_store_cache_hits_total",
+		"smokescreend_store_disk_hits_total",
+		"smokescreend_store_misses_total",
+		"smokescreend_store_puts_total",
+		"smokescreend_stream_drift_events_total",
+		"smokescreend_stream_failures_total",
+		"smokescreend_stream_frames_total",
+		"smokescreend_stream_late_frames_total",
+		"smokescreend_stream_window_lag",
+		"smokescreend_stream_windows_total",
+		"smokescreend_streams_active",
+		"smokescreend_streams_canceled_total",
+		"smokescreend_streams_total",
+		"smokescreend_transport_bytes_received_total",
+		"smokescreend_transport_bytes_sent_total",
+		"smokescreend_transport_messages_received_total",
+		"smokescreend_transport_messages_sent_total",
+	}; !slices.Equal(names, want) {
+		t.Errorf("metric names = %q, want %q", names, want)
 	}
 
 	// Draining flips healthz.

@@ -11,10 +11,8 @@
 // carrying the any-time Hoeffding-Serfling bound of
 // estimate.StreamingEstimator. Window refresh is incremental — on
 // advance, departed frames' contributions are evicted
-// (estimate.Window.Advance) and arriving frames folded in, with
-// detector outputs produced by the PR 6 temporal delta path
-// (detect.DeltaRun) so steady-state frames cost far less than full
-// detection. A drift detector compares each completed window's
+// (estimate.Window.Advance) and arriving frames folded in, each detected
+// once on arrival. A drift detector compares each completed window's
 // detector-output distribution against a profiled corpus baseline
 // (stats.DistinctFrequencies over internal/outputs columns) and emits a
 // typed DriftEvent when the divergence crosses a threshold — the
@@ -77,16 +75,15 @@ type Config struct {
 	// Sources are the corpora the camera sessions replay, in session
 	// order (the last entry repeats for later sessions). The replay
 	// detection backend — the default — runs the detector against the
-	// source corpus at the transmitted resolution through a session-long
-	// detect.DeltaRun, mirroring what central detection of the
-	// transmitted pixels produces (the camera's noise seeding is pinned
-	// to the local pipeline's). Required unless WirePixels is set.
+	// source corpus at the transmitted resolution, mirroring what central
+	// detection of the transmitted pixels produces (the camera's noise
+	// seeding is pinned to the local pipeline's). Required unless
+	// WirePixels is set.
 	Sources []*scene.Video
 	// WirePixels detects on the received rasters themselves
 	// (camera.Session.Detect) instead of replaying the source corpus.
-	// Costlier and incompatible with FullRefresh/Verify (re-detection
-	// would require retaining every window's pixels), but exercises the
-	// full wire path.
+	// Costlier and incompatible with Verify (re-detection would require
+	// retaining every window's pixels), but exercises the full wire path.
 	WirePixels bool
 
 	// Baseline, when set, enables drift detection against it.
@@ -95,15 +92,10 @@ type Config struct {
 	// DriftEvent; zero means DefaultDriftThreshold.
 	DriftThreshold float64
 
-	// FullRefresh recomputes every completed window from scratch (fresh
-	// detection per frame, fresh estimator) instead of reading the
-	// incrementally maintained state — the A/B baseline for the
-	// incremental-refresh benchmarks. Replay backend only.
-	FullRefresh bool
 	// Verify cross-checks each completed window's incremental state
-	// against a from-scratch recomputation and fails the run on
-	// mismatch: bit-identical in delta modes off/exact, within the
-	// bounded-mode fragility surcharge otherwise. Replay backend only.
+	// against a from-scratch recomputation (fresh detection per frame,
+	// fresh estimator) and fails the run unless the two are bitwise
+	// equal. Replay backend only.
 	Verify bool
 
 	// OnWindow, when set, observes every completed window (called from
@@ -206,8 +198,8 @@ func New(cfg Config) (*Receiver, error) {
 		cfg.Params = estimate.DefaultParams()
 	}
 	if cfg.WirePixels {
-		if cfg.FullRefresh || cfg.Verify {
-			return nil, errors.New("stream: FullRefresh/Verify need the replay backend (they re-detect window frames)")
+		if cfg.Verify {
+			return nil, errors.New("stream: Verify needs the replay backend (it re-detects window frames)")
 		}
 	} else if len(cfg.Sources) == 0 {
 		return nil, errors.New("stream: replay backend needs at least one source video")
@@ -238,7 +230,7 @@ func (r *Receiver) Status() Status {
 }
 
 // heldFrame remembers where a window position came from, so completed
-// windows can be recomputed from scratch (FullRefresh / Verify).
+// windows can be recomputed from scratch (Verify).
 type heldFrame struct {
 	video *scene.Video
 	idx   int
@@ -256,7 +248,6 @@ type ingest struct {
 	session  *camera.Session
 	source   *scene.Video // replay source for the current session
 	res      int          // transmitted resolution
-	run      *detect.DeltaRun
 	held     map[int]heldFrame
 	prunedLo int
 }
@@ -271,7 +262,6 @@ func (r *Receiver) Run(ctx context.Context, conn *transport.Conn) error {
 		return err
 	}
 	ing := &ingest{r: r, cfg: &r.cfg, conn: conn, w: w, held: map[int]heldFrame{}}
-	defer func() { ing.run.Close() }()
 	defer func() {
 		r.mu.Lock()
 		r.st.Done = true
@@ -368,13 +358,7 @@ func (ing *ingest) startSession(cfg camera.Config) error {
 		if !ing.cfg.Model.ValidResolution(cfg.Resolution) {
 			return fmt.Errorf("stream: session resolution %d invalid for %s", cfg.Resolution, ing.cfg.Model.Name)
 		}
-		if src != ing.source || cfg.Resolution != ing.res {
-			// The delta run's reuse entries are keyed to one (video,
-			// resolution); a source or resolution change starts fresh.
-			ing.run.Close()
-			ing.source, ing.res = src, cfg.Resolution
-			ing.run = ing.cfg.Model.NewDeltaRun(src, cfg.Resolution)
-		}
+		ing.source, ing.res = src, cfg.Resolution
 	}
 	ing.r.mu.Lock()
 	ing.r.st.Sessions++
@@ -415,12 +399,13 @@ func (ing *ingest) frame(ctx context.Context, fr camera.ReceivedFrame) error {
 		// dropped by Run's unwind.
 		return err
 	}
-	var count float64
+	var dets []detect.Detection
 	if ing.cfg.WirePixels {
-		count = float64(detect.CountClass(ing.session.Detect(ing.cfg.Model, fr), ing.cfg.Class))
+		dets = ing.session.Detect(ing.cfg.Model, fr)
 	} else {
-		count = float64(detect.CountClass(ing.detectReplay(fr.Index), ing.cfg.Class))
+		dets = ing.cfg.Model.DetectFrame(ing.source, fr.Index, ing.res)
 	}
+	count := float64(detect.CountClass(dets, ing.cfg.Class))
 	if !ing.w.ObserveFrame(pos, count) {
 		totalLate.Add(1)
 		ing.r.mu.Lock()
@@ -440,15 +425,6 @@ func (ing *ingest) frame(ctx context.Context, fr camera.ReceivedFrame) error {
 	ing.r.st.Live = ing.w.Current()
 	ing.r.mu.Unlock()
 	return nil
-}
-
-// detectReplay produces frame idx's detections through the session-long
-// delta run (or plain detection when delta mode is off).
-func (ing *ingest) detectReplay(idx int) []detect.Detection {
-	if ing.run != nil {
-		return ing.run.DetectFrame(idx)
-	}
-	return ing.cfg.Model.DetectFrame(ing.source, idx, ing.res)
 }
 
 // prune forgets held-frame bookkeeping for positions the window has
@@ -474,15 +450,11 @@ func (ing *ingest) completeThrough(limit int) error {
 			Estimate: ing.w.Current(),
 			Frames:   ing.w.Count(),
 		}
-		if ing.cfg.FullRefresh || ing.cfg.Verify {
-			full := ing.recomputeWindow()
-			if ing.cfg.Verify {
-				if err := ing.verify(res.Estimate, full); err != nil {
-					return err
-				}
-			}
-			if ing.cfg.FullRefresh {
-				res.Estimate = full
+		if ing.cfg.Verify {
+			// Detector outputs are deterministic and integer counts make
+			// the estimator arithmetic exact, so equality is bitwise.
+			if full := ing.recomputeWindow(); full != res.Estimate {
+				return fmt.Errorf("stream: window %d incremental state %+v != full regeneration %+v", ing.seq, res.Estimate, full)
 			}
 		}
 		if ing.cfg.Baseline != nil {
@@ -497,9 +469,8 @@ func (ing *ingest) completeThrough(limit int) error {
 }
 
 // recomputeWindow rebuilds the current window from scratch: fresh
-// detection of every held frame (no temporal reuse) into a fresh
-// estimator — the full-regeneration baseline incremental refresh is
-// measured against.
+// detection of every held frame into a fresh estimator — the oracle
+// Verify holds incremental refresh to.
 func (ing *ingest) recomputeWindow() estimate.Estimate {
 	fresh, err := estimate.NewWindow(ing.cfg.Agg, ing.cfg.WindowSpan, ing.cfg.Params, !ing.cfg.Pointwise)
 	if err != nil {
@@ -513,39 +484,6 @@ func (ing *ingest) recomputeWindow() estimate.Estimate {
 		fresh.ObserveFrame(pos, float64(detect.CountClass(dets, ing.cfg.Class)))
 	}
 	return fresh.Current()
-}
-
-// verify checks the incremental window state against the from-scratch
-// recomputation. With delta off or exact the detector outputs are
-// byte-identical and integer counts make the estimator arithmetic
-// exact, so equality is bitwise; bounded mode may have spliced
-// detections on fragile frames, admitting a deviation up to the
-// accounted fragility surcharge.
-func (ing *ingest) verify(inc, full estimate.Estimate) error {
-	if inc == full {
-		return nil
-	}
-	if detect.DeltaDetectMode() == detect.DeltaBounded && ing.source != nil {
-		surcharge := detect.DeltaSurcharge(ing.source, ing.cfg.Model.Name, ing.res)
-		relVal := relDiff(inc.Value, full.Value)
-		relErr := math.Abs(inc.ErrBound - full.ErrBound)
-		if inc.Sample == full.Sample && inc.N == full.N &&
-			relVal <= surcharge+1e-9 && relErr <= surcharge+1e-9 {
-			return nil
-		}
-		return fmt.Errorf("stream: window %d incremental state %+v deviates from full regeneration %+v beyond bounded-mode surcharge %v",
-			ing.seq, inc, full, surcharge)
-	}
-	return fmt.Errorf("stream: window %d incremental state %+v != full regeneration %+v", ing.seq, inc, full)
-}
-
-func relDiff(a, b float64) float64 {
-	d := math.Abs(a - b)
-	if d == 0 {
-		return 0
-	}
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	return d / scale
 }
 
 // emit publishes a completed window (and its drift event, if any).

@@ -172,36 +172,6 @@ func TestMultiSessionLoopExtendsTimeline(t *testing.T) {
 	}
 }
 
-func TestDeltaExactIncrementalMatchesFullRegeneration(t *testing.T) {
-	// With temporal delta detection on (exact mode), the replay backend
-	// produces outputs through DeltaRun reuse; Verify pins them
-	// bit-identical to independent per-frame detection plus a fresh
-	// estimator — the incremental==full acceptance equivalence.
-	detect.SetDeltaMode(detect.DeltaExact)
-	detect.ResetCaches()
-	defer func() {
-		detect.SetDeltaMode(detect.DeltaOff)
-		detect.ResetCaches()
-	}()
-	v := dataset.MustLoad("small")
-	recv, err := New(Config{
-		Model:      detect.YOLOv4Sim(),
-		Class:      scene.Car,
-		WindowSpan: 150,
-		Sources:    []*scene.Video{v},
-		Verify:     true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := streamRun(t, recv, []*camera.Node{smallNode(t, v, 0.15, 160)}, context.Background(), nil); err != nil {
-		t.Fatal(err)
-	}
-	if st := recv.Status(); st.Windows != 8 {
-		t.Fatalf("windows = %d, want 8", st.Windows)
-	}
-}
-
 func TestDriftEventOnInjectedShift(t *testing.T) {
 	// Loop 1 streams the profiled corpus; loop 2 streams a same-length
 	// corpus whose traffic regime shifted (tripled car rate) — the
