@@ -64,16 +64,20 @@ test-race:
 
 # Short fuzz pass over the decoders whose inputs can be torn or
 # tampered: the store's JSON envelope, the SOUT v2 column tables, the
-# transport framing the streaming ingest trusts from the network, and
-# the smokevet suppression-comment grammar (the lint gate's own input
+# transport framing the streaming ingest trusts from the network, the
+# frame records inside it (decoded with pooled inflate state), and the
+# smokevet suppression-comment grammar (the lint gate's own input
 # surface). ~10s per target keeps it cheap enough to ride in CI; longer
 # local runs:
 #   go test -run '^$$' -fuzz FuzzEnvelopeDecode ./internal/store/
+# FuzzDecodeFrame caps minimisation at 1s: its inputs are kilobytes, and
+# the default 60s per interesting input would eat the whole 10s pass.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEnvelopeDecode -fuzztime 10s ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzOutputsDecode -fuzztime 10s ./internal/outputs/
 	$(GO) test -run '^$$' -fuzz FuzzFloatComponents -fuzztime 10s ./internal/detect/
 	$(GO) test -run '^$$' -fuzz FuzzReceive -fuzztime 10s ./internal/transport/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s -fuzzminimizetime 1s ./internal/codec/
 	$(GO) test -run '^$$' -fuzz FuzzSuppressParse -fuzztime 10s ./internal/analysis/
 
 # The full CI gate with per-stage timing (scripts/ci.sh).
@@ -91,11 +95,15 @@ bench:
 # the three resample shapes the cold workloads hit, then the fused back
 # half, the tabled resample and the noise kernel alone. kernel/oracle
 # sub-benches run back to back, five times each, because only a ratio taken
-# within one run survives this host's speed drift.
+# within one run survives this host's speed drift. The last line is the
+# frame path: one frame through the codec each way and one camera session
+# into a discarding peer, where B/op and allocs/op are the point (a fresh
+# DEFLATE writer per frame was ~900 KB/op).
 bench-kernels:
 	$(GO) test -run xxx -bench 'Kernel' -benchmem ./internal/raster/ ./internal/detect/
 	$(GO) test -run xxx -bench 'PatchComponentsFloat|BenchmarkFloatComponents' -benchmem -count 5 ./internal/detect/
 	$(GO) test -run xxx -bench 'BenchmarkBilinearInto|BenchmarkAddNoise' -benchmem -count 5 ./internal/raster/
+	$(GO) test -run xxx -bench 'BenchmarkEncodeFrame|BenchmarkDecodeFrame|BenchmarkCameraStream' -benchmem ./internal/codec/ ./internal/camera/
 
 # Full-scale evaluation reports (the EXPERIMENTS.md numbers). Detector
 # outputs are cached under .cache so reruns are fast.

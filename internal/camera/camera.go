@@ -12,10 +12,12 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 
 	"smokescreen/internal/codec"
 	"smokescreen/internal/degrade"
 	"smokescreen/internal/detect"
+	"smokescreen/internal/parallel"
 	"smokescreen/internal/raster"
 	"smokescreen/internal/scene"
 	"smokescreen/internal/stats"
@@ -87,6 +89,18 @@ func DecodeConfig(payload []byte) (Config, error) {
 	return decodeConfig(payload)
 }
 
+// CheckRaster rejects a received raster that is not the Resolution x
+// Resolution square the config announced. The wire lets a peer put any
+// dimensions in a frame record; the detector, handed a frame and a
+// background of different sizes, panics — so receivers check both the
+// background and every frame here first.
+func (c Config) CheckRaster(kind string, img *raster.Image) error {
+	if img.W != c.Resolution || img.H != c.Resolution {
+		return fmt.Errorf("camera: %s raster is %dx%d, session announced %dx%d", kind, img.W, img.H, c.Resolution, c.Resolution)
+	}
+	return nil
+}
+
 func decodeConfig(payload []byte) (Config, error) {
 	var c Config
 	r := newSliceReader(payload)
@@ -134,19 +148,25 @@ func (n *Node) Stream(conn *transport.Conn, stream *stats.Stream) (Report, error
 	return n.StreamCtx(context.Background(), conn, stream)
 }
 
-// StreamCtx is Stream with cancellation: the context is checked before
-// every frame capture, so tearing down a live ingest session stops the
-// camera's render/encode work promptly instead of at end-of-corpus.
+// StreamCtx is Stream with cancellation. Frames are captured, degraded and
+// encoded ahead of the wire by a bounded pool of workers (runAhead) while
+// this goroutine transmits the finished blocks in plan order, so the byte
+// stream and the report are those of a one-frame-at-a-time camera. A
+// cancelled context stops the workers before their next capture; every
+// worker has exited when StreamCtx returns, whatever the outcome. A Send
+// parked on a peer that stopped reading is released by closing the
+// connection, as for any transport write.
 func (n *Node) StreamCtx(ctx context.Context, conn *transport.Conn, stream *stats.Stream) (Report, error) {
 	var report Report
 	plan, err := degrade.ApplyCtx(ctx, n.Video, n.Model, n.Setting, stream)
 	if err != nil {
 		return report, fmt.Errorf("camera: applying interventions: %w", err)
 	}
+	vcfg := &n.Video.Config
 	cfg := Config{
-		Name:         n.Video.Config.Name,
-		CaptureWidth: n.Video.Config.Width,
-		NoiseSigma:   float64(n.Video.Config.Lighting.NoiseSigma),
+		Name:         vcfg.Name,
+		CaptureWidth: vcfg.Width,
+		NoiseSigma:   float64(vcfg.Lighting.NoiseSigma),
 		Resolution:   plan.Resolution,
 		TotalFrames:  plan.Total,
 	}
@@ -164,28 +184,23 @@ func (n *Node) StreamCtx(ctx context.Context, conn *transport.Conn, stream *stat
 		return report, err
 	}
 
-	scale := float64(p) / float64(n.Video.Config.Width)
-	sigmaEff := float32(math.Max(0.004, float64(n.Video.Config.Lighting.NoiseSigma)*scale))
-	for _, idx := range plan.Sampled {
-		if err := ctx.Err(); err != nil {
-			return report, err
-		}
-		report.FramesCaptured++
-		report.CaptureJoules += n.Energy.JoulesPerCapture
-
-		native := n.Video.RenderNative(idx)
-		img := raster.Downsample(native, p, p)
-		img.AddNoise(frameSeed(n.Video.Config.Seed, idx, p), sigmaEff)
-		report.ComputeJoules += n.Energy.JoulesPerPixel * float64(native.W*native.H+p*p)
-
-		block, err := codec.EncodeFrame(&codec.FrameRecord{Index: idx, Raster: img})
-		if err != nil {
-			return report, err
-		}
-		if err := conn.Send(transport.MsgFrame, block); err != nil {
-			return report, err
-		}
-		report.FramesTransmitted++
+	scale := float64(p) / float64(vcfg.Width)
+	sigmaEff := float32(math.Max(0.004, float64(vcfg.Lighting.NoiseSigma)*scale))
+	pixelsPerFrame := float64(vcfg.Width*vcfg.Height + p*p)
+	err = runAhead(ctx, len(plan.Sampled),
+		func(i int) ([]byte, error) { return n.captureFrame(plan.Sampled[i], p, sigmaEff) },
+		func(block []byte) error {
+			report.FramesCaptured++
+			report.CaptureJoules += n.Energy.JoulesPerCapture
+			report.ComputeJoules += n.Energy.JoulesPerPixel * pixelsPerFrame
+			if err := conn.Send(transport.MsgFrame, block); err != nil {
+				return err
+			}
+			report.FramesTransmitted++
+			return nil
+		})
+	if err != nil {
+		return report, err
 	}
 	if err := conn.Send(transport.MsgEnd, nil); err != nil {
 		return report, err
@@ -193,6 +208,98 @@ func (n *Node) StreamCtx(ctx context.Context, conn *transport.Conn, stream *stat
 	report.BytesTransmitted = conn.BytesSent()
 	report.TransmitJoules = n.Energy.JoulesPerByte * float64(report.BytesTransmitted)
 	return report, nil
+}
+
+// captureFrame renders frame idx at native resolution (capture), resamples
+// it to p x p on-device, adds the effective sensor noise and encodes the
+// frame block. Both rasters are pooled scratch, back in the pool before the
+// block is handed over.
+func (n *Node) captureFrame(idx, p int, sigmaEff float32) ([]byte, error) {
+	cfg := &n.Video.Config
+	native := raster.GetScratch(cfg.Width, cfg.Height)
+	defer raster.PutScratch(native)
+	n.Video.RenderRegionInto(native, idx, raster.RectWH(0, 0, cfg.Width, cfg.Height))
+	img := raster.GetScratch(p, p)
+	defer raster.PutScratch(img)
+	raster.DownsampleInto(img, native)
+	img.AddNoise(frameSeed(cfg.Seed, idx, p), sigmaEff)
+	return codec.EncodeFrame(&codec.FrameRecord{Index: idx, Raster: img})
+}
+
+// captureDepth bounds how many frames may be finished or in flight ahead
+// of the one being transmitted: enough that no worker idles while the
+// sender is parked in a Write, small enough that the encoded blocks held
+// stay within a few MiB at the largest resolution.
+const captureDepth = 16
+
+// captured is one ring slot of runAhead: index i occupies slot
+// i%captureDepth from its dispatch until the consumer is done with it.
+type captured struct {
+	block []byte
+	err   error
+	ready chan struct{} // buffered 1: the worker's hand-off to the consumer
+}
+
+// runAhead calls produce(i) for every i in [0, n) on up to
+// parallel.Workers(0) goroutines and hands each result to consume on the
+// calling goroutine, strictly in index order, with at most captureDepth
+// indices dispatched and not yet consumed. The caller is the only
+// coordinator: it dispatches index i+captureDepth only after consuming i,
+// so a slot is never written while its previous occupant is still in use.
+//
+// The first failure in index order ends the run: produce's error for the
+// index the consumer has reached, consume's own error, or ctx.Err() once
+// ctx is cancelled (workers also stop claiming work then). Every worker
+// has exited when runAhead returns.
+func runAhead(ctx context.Context, n int, produce func(i int) ([]byte, error), consume func(block []byte) error) error {
+	ctx, cancel := context.WithCancel(ctx)
+	var (
+		ring [captureDepth]captured
+		jobs = make(chan int, captureDepth) // never more than the captureDepth indices in flight
+		wg   sync.WaitGroup
+	)
+	defer wg.Wait()
+	defer close(jobs)
+	defer cancel()
+	for i := range ring {
+		ring[i].ready = make(chan struct{}, 1)
+	}
+	for w := min(parallel.Workers(0), captureDepth, n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range jobs {
+				if ctx.Err() != nil {
+					return
+				}
+				slot := &ring[i%captureDepth]
+				slot.block, slot.err = produce(i)
+				slot.ready <- struct{}{}
+			}
+		}()
+	}
+	dispatched := 0
+	for i := 0; i < n; i++ {
+		for ; dispatched < n && dispatched < i+captureDepth; dispatched++ {
+			jobs <- dispatched
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		slot := &ring[i%captureDepth]
+		select {
+		case <-slot.ready:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+		if slot.err != nil {
+			return slot.err
+		}
+		if err := consume(slot.block); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // frameSeed mirrors the detect package's full-frame noise seeding so
@@ -252,6 +359,9 @@ func Receive(conn *transport.Conn, handle func(*Session, ReceivedFrame) error) (
 			if fr.Raster == nil {
 				return nil, fmt.Errorf("camera: background message without pixels")
 			}
+			if err := session.Config.CheckRaster("background", fr.Raster); err != nil {
+				return nil, err
+			}
 			session.Background = fr.Raster
 		case transport.MsgFrame:
 			if session == nil || session.Background == nil {
@@ -263,6 +373,9 @@ func Receive(conn *transport.Conn, handle func(*Session, ReceivedFrame) error) (
 			}
 			if fr.Raster == nil {
 				return nil, fmt.Errorf("camera: frame message without pixels")
+			}
+			if err := session.Config.CheckRaster("frame", fr.Raster); err != nil {
+				return nil, err
 			}
 			if handle != nil {
 				if err := handle(session, ReceivedFrame{Index: fr.Index, Raster: fr.Raster}); err != nil {

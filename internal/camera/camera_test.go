@@ -1,15 +1,19 @@
 package camera
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"net"
+	"strings"
 	"testing"
 
+	"smokescreen/internal/codec"
 	"smokescreen/internal/dataset"
 	"smokescreen/internal/degrade"
 	"smokescreen/internal/detect"
 	"smokescreen/internal/outputs"
+	"smokescreen/internal/raster"
 	"smokescreen/internal/scene"
 	"smokescreen/internal/stats"
 	"smokescreen/internal/transport"
@@ -225,5 +229,56 @@ func TestDefaultEnergyModelPositive(t *testing.T) {
 	e := DefaultEnergyModel()
 	if e.JoulesPerByte <= 0 || e.JoulesPerCapture <= 0 || e.JoulesPerPixel <= 0 {
 		t.Fatalf("energy model has non-positive rates: %+v", e)
+	}
+}
+
+func TestReceiveRejectsMismatchedRasters(t *testing.T) {
+	// A peer announcing 160x160 and then shipping a raster of another size
+	// used to get as far as Session.Detect, where the detector panics on a
+	// frame/background size mismatch. Receive refuses it on the wire.
+	cfg := Config{Name: "hostile", CaptureWidth: 320, NoiseSigma: 0.01, Resolution: 160, TotalFrames: 100}
+	type msg struct {
+		typ  byte
+		w, h int
+	}
+	cases := []struct {
+		name string
+		msgs []msg
+		want string
+	}{
+		{"frame", []msg{{transport.MsgBackground, 160, 160}, {transport.MsgFrame, 96, 96}}, "frame raster is 96x96"},
+		{"background", []msg{{transport.MsgBackground, 96, 96}, {transport.MsgFrame, 160, 160}}, "background raster is 96x96"},
+		{"background re-sent", []msg{
+			{transport.MsgBackground, 160, 160}, {transport.MsgFrame, 160, 160},
+			{transport.MsgBackground, 160, 96}, {transport.MsgFrame, 160, 96},
+		}, "background raster is 160x96"},
+	}
+	m := detect.YOLOv4Sim()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var wire bytes.Buffer
+			sender := transport.New(&wire)
+			if err := sender.Send(transport.MsgConfig, cfg.encode()); err != nil {
+				t.Fatal(err)
+			}
+			for i, mm := range tc.msgs {
+				img := raster.New(mm.w, mm.h)
+				img.Fill(0.5)
+				block, err := codec.EncodeFrame(&codec.FrameRecord{Index: i, Raster: img})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sender.Send(mm.typ, block); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, err := Receive(transport.New(&wire), func(s *Session, fr ReceivedFrame) error {
+				s.Detect(m, fr)
+				return nil
+			})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Receive = %v, want an error mentioning %q", err, tc.want)
+			}
+		})
 	}
 }

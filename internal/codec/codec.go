@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 
 	"smokescreen/internal/raster"
 	"smokescreen/internal/scene"
@@ -37,6 +38,10 @@ const (
 	maxSaneDimension = 1 << 14
 	// maxSaneObjects bounds per-frame object counts while decoding.
 	maxSaneObjects = 1 << 16
+	// maxDeflateRatio is DEFLATE's expansion limit: the longest match is
+	// 258 bytes and costs at least two bits, so no stream inflates to more
+	// than 1032 times its length.
+	maxDeflateRatio = 1032
 )
 
 // Metadata describes a serialised corpus.
@@ -176,12 +181,33 @@ func (r *Reader) ReadFrame() (*FrameRecord, error) {
 }
 
 // EncodeFrame serialises a single frame record to a self-contained block
-// (used directly by the camera transport).
+// (used directly by the camera transport). The block is the call's only
+// allocation that scales with the frame: the quantised samples and the
+// DEFLATE state come from a pool (see deflater).
 func EncodeFrame(fr *FrameRecord) ([]byte, error) {
 	if len(fr.Objects) > maxSaneObjects {
 		return nil, fmt.Errorf("codec: %d objects exceeds limit", len(fr.Objects))
 	}
-	buf := make([]byte, 0, 64+len(fr.Objects)*16)
+	if fr.Raster == nil {
+		return append(appendFrameHeader(make([]byte, 0, 16+len(fr.Objects)*16), fr), 0), nil
+	}
+	d := deflaters.Get().(*deflater)
+	defer deflaters.Put(d)
+	compressed, err := d.compressPixels(fr.Raster.Pix)
+	if err != nil {
+		return nil, err
+	}
+	buf := make([]byte, 0, 16+len(fr.Objects)*16+3*binary.MaxVarintLen32+len(compressed))
+	buf = append(appendFrameHeader(buf, fr), 1)
+	buf = binary.AppendUvarint(buf, uint64(fr.Raster.W))
+	buf = binary.AppendUvarint(buf, uint64(fr.Raster.H))
+	buf = binary.AppendUvarint(buf, uint64(len(compressed)))
+	return append(buf, compressed...), nil
+}
+
+// appendFrameHeader appends the record's index and annotations: everything
+// before the has-raster byte.
+func appendFrameHeader(buf []byte, fr *FrameRecord) []byte {
 	buf = binary.AppendUvarint(buf, uint64(fr.Index))
 	buf = binary.AppendUvarint(buf, uint64(len(fr.Objects)))
 	for i := range fr.Objects {
@@ -199,20 +225,7 @@ func EncodeFrame(fr *FrameRecord) ([]byte, error) {
 			buf = append(buf, 0)
 		}
 	}
-	if fr.Raster == nil {
-		buf = append(buf, 0)
-		return buf, nil
-	}
-	buf = append(buf, 1)
-	buf = binary.AppendUvarint(buf, uint64(fr.Raster.W))
-	buf = binary.AppendUvarint(buf, uint64(fr.Raster.H))
-	compressed, err := compressPixels(fr.Raster.Pix)
-	if err != nil {
-		return nil, err
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(compressed)))
-	buf = append(buf, compressed...)
-	return buf, nil
+	return buf
 }
 
 // DecodeFrame parses a block produced by EncodeFrame.
@@ -292,6 +305,11 @@ func DecodeFrame(block []byte) (*FrameRecord, error) {
 	if clen > uint64(buf.Len()) {
 		return nil, fmt.Errorf("codec: raster payload truncated")
 	}
+	if w64*h64 > clen*maxDeflateRatio {
+		// Checked before the samples are allocated: a few hostile bytes
+		// must not buy a gigabyte of zeroed raster.
+		return nil, fmt.Errorf("codec: %d-byte payload cannot hold a %dx%d raster", clen, w64, h64)
+	}
 	img := raster.New(int(w64), int(h64))
 	if err := decompressPixels(buf.Next(int(clen)), img.Pix); err != nil {
 		return nil, err
@@ -303,42 +321,92 @@ func DecodeFrame(block []byte) (*FrameRecord, error) {
 	return fr, nil
 }
 
-// compressPixels quantises samples to 8 bits and DEFLATE-compresses them.
-func compressPixels(pix []float32) ([]byte, error) {
-	raw := make([]byte, len(pix))
-	for i, v := range pix {
-		raw[i] = uint8(math.Round(float64(v) * 255))
-	}
-	var out bytes.Buffer
-	fw, err := flate.NewWriter(&out, flate.DefaultCompression)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := fw.Write(raw); err != nil {
-		return nil, err
-	}
-	if err := fw.Close(); err != nil {
-		return nil, err
-	}
-	return out.Bytes(), nil
+// deflater is the reusable state of one pixel-plane compression: the
+// DEFLATE writer (~650 KB of tables a fresh flate.NewWriter would allocate
+// and clear per frame), the quantised samples and the compressed bytes.
+// flate.Writer.Reset makes the writer equivalent to a new one, so the
+// output is byte-identical to compressing with fresh state.
+type deflater struct {
+	fw  *flate.Writer
+	raw []byte
+	out bytes.Buffer
 }
 
+var deflaters = sync.Pool{New: func() any {
+	d := &deflater{}
+	// The level is a valid constant; NewWriter fails only on a bad level.
+	d.fw, _ = flate.NewWriter(&d.out, flate.DefaultCompression)
+	return d
+}}
+
+// compressPixels quantises samples to 8 bits and DEFLATE-compresses them.
+// The result aliases d and is valid until d goes back to the pool.
+func (d *deflater) compressPixels(pix []float32) ([]byte, error) {
+	d.raw = growBytes(d.raw, len(pix))
+	for i, v := range pix {
+		d.raw[i] = uint8(math.Round(float64(v) * 255))
+	}
+	d.out.Reset()
+	d.fw.Reset(&d.out)
+	if _, err := d.fw.Write(d.raw); err != nil {
+		return nil, err
+	}
+	if err := d.fw.Close(); err != nil {
+		return nil, err
+	}
+	return d.out.Bytes(), nil
+}
+
+// inflater is the decoding counterpart of deflater. Reset re-initialises
+// the decompressor completely, so a stream that failed mid-way leaves
+// nothing behind for the next frame decoded with the same state.
+type inflater struct {
+	fr   resettableReader
+	src  bytes.Reader
+	raw  []byte
+	tail [1]byte
+}
+
+// resettableReader is what flate.NewReader returns, as used here.
+type resettableReader interface {
+	io.Reader
+	flate.Resetter
+}
+
+var inflaters = sync.Pool{New: func() any {
+	in := &inflater{}
+	in.fr = flate.NewReader(&in.src).(resettableReader)
+	return in
+}}
+
 func decompressPixels(compressed []byte, dst []float32) error {
-	fr := flate.NewReader(bytes.NewReader(compressed))
-	defer fr.Close()
-	raw := make([]byte, len(dst))
-	if _, err := io.ReadFull(fr, raw); err != nil {
+	in := inflaters.Get().(*inflater)
+	defer inflaters.Put(in)
+	in.src.Reset(compressed)
+	if err := in.fr.Reset(&in.src, nil); err != nil {
+		return fmt.Errorf("codec: decompressing pixels: %w", err)
+	}
+	in.raw = growBytes(in.raw, len(dst))
+	if _, err := io.ReadFull(in.fr, in.raw); err != nil {
 		return fmt.Errorf("codec: decompressing pixels: %w", err)
 	}
 	// A well-formed payload ends exactly at the expected length.
-	var tail [1]byte
-	if n, _ := fr.Read(tail[:]); n != 0 {
+	if n, _ := in.fr.Read(in.tail[:]); n != 0 {
 		return errors.New("codec: raster payload has trailing data")
 	}
-	for i, b := range raw {
+	for i, b := range in.raw {
 		dst[i] = float32(b) / 255
 	}
 	return nil
+}
+
+// growBytes returns a slice of length n, reusing buf's storage when it is
+// large enough. The contents are undefined.
+func growBytes(buf []byte, n int) []byte {
+	if cap(buf) < n {
+		return make([]byte, n)
+	}
+	return buf[:n]
 }
 
 func quantize16(v float32) uint16 {

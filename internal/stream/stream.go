@@ -317,6 +317,9 @@ func (ing *ingest) handle(ctx context.Context, msgType byte, payload []byte) err
 		if fr.Raster == nil {
 			return errors.New("stream: background message without pixels")
 		}
+		if err := ing.session.Config.CheckRaster("background", fr.Raster); err != nil {
+			return err
+		}
 		ing.session.Background = fr.Raster
 		return nil
 	case transport.MsgFrame:
@@ -329,6 +332,9 @@ func (ing *ingest) handle(ctx context.Context, msgType byte, payload []byte) err
 		}
 		if fr.Raster == nil {
 			return errors.New("stream: frame message without pixels")
+		}
+		if err := ing.session.Config.CheckRaster("frame", fr.Raster); err != nil {
+			return err
 		}
 		return ing.frame(ctx, camera.ReceivedFrame{Index: fr.Index, Raster: fr.Raster})
 	case transport.MsgEnd:

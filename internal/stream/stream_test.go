@@ -1,17 +1,22 @@
 package stream
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"math"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 
 	"smokescreen/internal/camera"
+	"smokescreen/internal/codec"
 	"smokescreen/internal/dataset"
 	"smokescreen/internal/degrade"
 	"smokescreen/internal/detect"
+	"smokescreen/internal/raster"
 	"smokescreen/internal/scene"
 	"smokescreen/internal/stats"
 	"smokescreen/internal/transport"
@@ -363,5 +368,72 @@ func TestBaselineDivergence(t *testing.T) {
 	}
 	if _, err := NewBaseline(nil); err == nil {
 		t.Fatal("empty baseline accepted")
+	}
+}
+
+// wireConfig renders a MsgConfig payload by hand (the camera package keeps
+// its encoder private): name, capture width, noise sigma bits, resolution,
+// total frames.
+func wireConfig(name string, captureWidth, resolution, totalFrames int) []byte {
+	buf := binary.AppendUvarint(nil, uint64(len(name)))
+	buf = append(buf, name...)
+	buf = binary.AppendUvarint(buf, uint64(captureWidth))
+	buf = binary.AppendUvarint(buf, math.Float64bits(0.01))
+	buf = binary.AppendUvarint(buf, uint64(resolution))
+	return binary.AppendUvarint(buf, uint64(totalFrames))
+}
+
+// wireRaster renders a frame record carrying a flat w x h raster.
+func wireRaster(t *testing.T, index, w, h int) []byte {
+	t.Helper()
+	img := raster.New(w, h)
+	img.Fill(0.5)
+	block, err := codec.EncodeFrame(&codec.FrameRecord{Index: index, Raster: img})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return block
+}
+
+func TestWirePixelsRejectsMismatchedRasters(t *testing.T) {
+	// Any peer of the ingest listener chooses the dimensions in its frame
+	// records. A frame and a background of different sizes used to reach
+	// detect.DetectPixels' size-mismatch panic in WirePixels mode and kill
+	// the receiver; they are wire errors now, raised before detection.
+	type msg struct {
+		typ     byte
+		payload []byte
+	}
+	cfg := msg{transport.MsgConfig, wireConfig("hostile", 320, 160, 100)}
+	bg := func(w, h int) msg { return msg{transport.MsgBackground, wireRaster(t, 0, w, h)} }
+	frame := func(i, w, h int) msg { return msg{transport.MsgFrame, wireRaster(t, i, w, h)} }
+	cases := []struct {
+		name string
+		msgs []msg
+		want string
+	}{
+		{"frame", []msg{cfg, bg(160, 160), frame(0, 96, 96)}, "frame raster is 96x96"},
+		{"non-square frame", []msg{cfg, bg(160, 160), frame(0, 160, 100)}, "frame raster is 160x100"},
+		{"background", []msg{cfg, bg(96, 96), frame(0, 160, 160)}, "background raster is 96x96"},
+		{"background re-sent", []msg{cfg, bg(160, 160), frame(0, 160, 160), bg(96, 96), frame(1, 96, 96)}, "background raster is 96x96"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var wire bytes.Buffer
+			sender := transport.New(&wire)
+			for _, m := range tc.msgs {
+				if err := sender.Send(m.typ, m.payload); err != nil {
+					t.Fatal(err)
+				}
+			}
+			recv, err := New(Config{Model: detect.YOLOv4Sim(), Class: scene.Car, WindowSpan: 10, WirePixels: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = recv.Run(context.Background(), transport.New(&wire))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Run = %v, want an error mentioning %q", err, tc.want)
+			}
+		})
 	}
 }

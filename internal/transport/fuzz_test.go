@@ -23,9 +23,11 @@ func frameBytes(msgType byte, payload []byte) []byte {
 //
 //   - Receive never panics: it returns a valid (type, payload) or an
 //     error, and io.EOF only at a clean frame boundary.
-//   - A successful Receive consumed exactly one well-formed frame:
-//     re-framing the returned message reproduces the consumed bytes.
-//   - The loop always makes progress (consumes input or stops), so a
+//   - A successful Receive accounted exactly one well-formed frame:
+//     re-framing the returned message reproduces the bytes between the
+//     previous and the new Conn.BytesReceived(). (The Conn reads ahead,
+//     so how much has left the underlying reader says nothing.)
+//   - The loop always makes progress (accounts input or stops), so a
 //     malicious peer cannot wedge the receiver.
 func FuzzReceive(f *testing.F) {
 	f.Add(frameBytes(MsgConfig, []byte("camera=small;w=320")))
@@ -38,25 +40,26 @@ func FuzzReceive(f *testing.F) {
 	f.Add([]byte{0x80})                                                       // truncated varint
 	f.Add([]byte{0x05, MsgFrame, 0x01})                                       // truncated body
 	f.Fuzz(func(t *testing.T, data []byte) {
-		buf := bytes.NewBuffer(append([]byte(nil), data...))
-		c := New(readWriter{buf})
+		c := New(readWriter{bytes.NewBuffer(append([]byte(nil), data...))})
 		for {
-			remaining := buf.Len()
+			start := int(c.BytesReceived())
 			msgType, payload, err := c.Receive()
-			consumed := remaining - buf.Len()
+			end := int(c.BytesReceived())
 			if err != nil {
-				if errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) && consumed != 0 {
-					t.Fatalf("clean EOF after consuming %d bytes", consumed)
+				if end != start {
+					t.Fatalf("failed Receive accounted %d bytes", end-start)
+				}
+				if errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) && start != len(data) {
+					t.Fatalf("clean EOF at byte %d of %d", start, len(data))
 				}
 				return
 			}
-			if consumed <= 0 {
-				t.Fatalf("successful Receive consumed %d bytes", consumed)
+			if end <= start || end > len(data) {
+				t.Fatalf("successful Receive accounted bytes [%d, %d) of %d", start, end, len(data))
 			}
-			start := len(data) - remaining
-			if want := frameBytes(msgType, payload); !bytes.Equal(want, data[start:start+consumed]) {
-				t.Fatalf("consumed bytes %x do not re-frame message type %d payload %x",
-					data[start:start+consumed], msgType, payload)
+			if want := frameBytes(msgType, payload); !bytes.Equal(want, data[start:end]) {
+				t.Fatalf("accounted bytes %x do not re-frame message type %d payload %x",
+					data[start:end], msgType, payload)
 			}
 		}
 	})

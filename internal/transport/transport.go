@@ -8,6 +8,7 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -41,10 +42,19 @@ const maxMessageSize = 64 << 20
 // goroutine), matching the camera/processor topology. All counters are
 // atomics, so Snapshot and the accessor methods are safe to call from any
 // goroutine while Send/Receive are in flight.
+//
+// A Conn owns the read side of its stream: Receive reads ahead through a
+// buffer, so bytes past the message it returns may already have left the
+// underlying reader. Wrap a stream in one Conn for its whole life; the
+// byte counters count messages returned, not bytes buffered.
 type Conn struct {
-	sendMu sync.Mutex
+	sendMu  sync.Mutex
+	w       io.Writer
+	sendBuf []byte // header + payload of the message being written, reused across Sends
+
 	recvMu sync.Mutex
-	rw     io.ReadWriter
+	br     *bufio.Reader
+	prefix byteReader // the length prefix being read; a field so it is not allocated per message
 
 	bytesSent     atomic.Int64
 	bytesReceived atomic.Int64
@@ -71,44 +81,43 @@ var (
 
 // New wraps a bidirectional stream in a framed connection.
 func New(rw io.ReadWriter) *Conn {
-	return &Conn{rw: rw}
+	c := &Conn{w: rw, br: bufio.NewReaderSize(rw, receiveChunk)}
+	c.prefix.r = c.br
+	return c
 }
 
-// Send writes one framed message: varint length, type byte, payload.
+// Send writes one framed message — varint length, type byte, payload — in
+// a single Write: on a synchronous pipe every Write is a rendezvous with
+// the reader, and a zero-byte Write of an empty payload would block
+// forever once the peer has read the message and gone.
 func (c *Conn) Send(msgType byte, payload []byte) error {
 	if len(payload) > maxMessageSize {
 		return fmt.Errorf("transport: message of %d bytes exceeds limit", len(payload))
 	}
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
-	var hdr [binary.MaxVarintLen64 + 1]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(payload)+1))
-	hdr[n] = msgType
-	n++
-	if _, err := c.rw.Write(hdr[:n]); err != nil {
-		return fmt.Errorf("transport: send header: %w", err)
+	buf := binary.AppendUvarint(c.sendBuf[:0], uint64(len(payload)+1))
+	buf = append(append(buf, msgType), payload...)
+	c.sendBuf = buf
+	if _, err := c.w.Write(buf); err != nil {
+		return fmt.Errorf("transport: send: %w", err)
 	}
-	// Skip empty writes: net.Pipe blocks even on zero-byte writes, which
-	// would deadlock the final MsgEnd once the receiver has returned.
-	if len(payload) > 0 {
-		if _, err := c.rw.Write(payload); err != nil {
-			return fmt.Errorf("transport: send payload: %w", err)
-		}
-	}
-	c.bytesSent.Add(int64(n + len(payload)))
+	c.bytesSent.Add(int64(len(buf)))
 	c.messagesSent.Add(1)
-	globalBytesSent.Add(int64(n + len(payload)))
+	globalBytesSent.Add(int64(len(buf)))
 	globalMessagesSent.Add(1)
 	return nil
 }
 
 // Receive reads the next framed message. It returns io.EOF when the peer
-// closed the stream cleanly before a header.
+// closed the stream cleanly before a header. The payload is the caller's:
+// a fresh slice per message, never the Conn's read-ahead buffer.
 func (c *Conn) Receive() (byte, []byte, error) {
 	c.recvMu.Lock()
 	defer c.recvMu.Unlock()
-	br := byteReader{r: c.rw}
-	length, err := binary.ReadUvarint(&br)
+	br := &c.prefix
+	br.n = 0
+	length, err := binary.ReadUvarint(br)
 	if err != nil {
 		if errors.Is(err, io.EOF) && br.n == 0 {
 			return 0, nil, io.EOF
@@ -124,7 +133,7 @@ func (c *Conn) Receive() (byte, []byte, error) {
 		// a frame any peer of ours produced.
 		return 0, nil, fmt.Errorf("transport: non-canonical length prefix (%d bytes for %d)", br.n, length)
 	}
-	body, err := readBody(c.rw, int64(length))
+	body, err := readBody(c.br, int64(length))
 	if err != nil {
 		return 0, nil, fmt.Errorf("transport: receive payload: %w", err)
 	}
@@ -177,35 +186,43 @@ func Totals() Counters {
 // maxMessageSize.
 const receiveChunk = 64 << 10
 
-// readBody reads exactly length bytes. Allocation tracks the data
-// actually delivered (bytes.Buffer growth under a LimitReader), never
-// the declared length, except for the trusted small-message fast path.
+// readBody reads exactly length bytes. A trusted small body is read into
+// one exact allocation; a larger one tracks the data actually delivered
+// (bytes.Buffer growth under a LimitReader), never the declared length.
 func readBody(r io.Reader, length int64) ([]byte, error) {
-	var buf bytes.Buffer
 	if length <= receiveChunk {
-		buf.Grow(int(length))
-	}
-	if _, err := io.CopyN(&buf, r, length); err != nil {
-		if errors.Is(err, io.EOF) {
-			// Match io.ReadFull's contract for a truncated body.
-			return nil, io.ErrUnexpectedEOF
+		body := make([]byte, length)
+		if _, err := io.ReadFull(r, body); err != nil {
+			return nil, truncated(err)
 		}
-		return nil, err
+		return body, nil
+	}
+	var buf bytes.Buffer
+	if _, err := io.CopyN(&buf, r, length); err != nil {
+		return nil, truncated(err)
 	}
 	return buf.Bytes(), nil
 }
 
-// byteReader adapts an io.Reader to io.ByteReader while counting bytes.
+// truncated reports a body that ended early the way io.ReadFull does after
+// a partial read, whether or not any of it arrived.
+func truncated(err error) error {
+	if errors.Is(err, io.EOF) {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// byteReader counts the bytes of a length prefix as they are read.
 type byteReader struct {
-	r io.Reader
+	r io.ByteReader
 	n int
 }
 
 func (b *byteReader) ReadByte() (byte, error) {
-	var buf [1]byte
-	if _, err := io.ReadFull(b.r, buf[:]); err != nil {
-		return 0, err
+	v, err := b.r.ReadByte()
+	if err == nil {
+		b.n++
 	}
-	b.n++
-	return buf[0], nil
+	return v, err
 }

@@ -2,10 +2,12 @@ package transport
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"net"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 )
 
@@ -127,6 +129,96 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(property, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// countingWriter records the size of every Write it is handed.
+type countingWriter struct{ writes []int }
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes = append(w.writes, len(p))
+	return len(p), nil
+}
+func (w *countingWriter) Read([]byte) (int, error) { return 0, io.EOF }
+
+func TestSendIsOneWrite(t *testing.T) {
+	// One Write per message, empty payload or not: on a synchronous pipe
+	// each Write is a rendezvous with the reader.
+	w := &countingWriter{}
+	c := New(w)
+	payload := bytes.Repeat([]byte{0x5a}, 17000)
+	if err := c.Send(MsgFrame, payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Send(MsgEnd, nil); err != nil {
+		t.Fatal(err)
+	}
+	want := []int{len(frameBytes(MsgFrame, payload)), len(frameBytes(MsgEnd, nil))}
+	if len(w.writes) != 2 || w.writes[0] != want[0] || w.writes[1] != want[1] {
+		t.Fatalf("writes %v, want one per message: %v", w.writes, want)
+	}
+	if c.BytesSent() != int64(want[0]+want[1]) {
+		t.Fatalf("BytesSent = %d, want %d", c.BytesSent(), want[0]+want[1])
+	}
+}
+
+func TestSendEndDoesNotBlockOnDepartedPeer(t *testing.T) {
+	// The receiver returns as soon as it has read MsgEnd and never reads
+	// again; Send must still return. (net.Pipe blocks even a zero-byte
+	// Write until someone reads, so an empty payload written on its own
+	// would hang here.)
+	client, server := net.Pipe()
+	defer client.Close()
+	defer server.Close()
+	a, b := New(client), New(server)
+	got := make(chan byte, 1)
+	go func() {
+		msgType, _, _ := b.Receive()
+		got <- msgType
+	}()
+	if err := a.Send(MsgEnd, nil); err != nil {
+		t.Fatal(err)
+	}
+	if msgType := <-got; msgType != MsgEnd {
+		t.Fatalf("peer received type %d", msgType)
+	}
+	// Once the peer has closed, a further MsgEnd fails instead of blocking.
+	server.Close()
+	if err := a.Send(MsgEnd, nil); !errors.Is(err, io.ErrClosedPipe) {
+		t.Fatalf("send to a closed peer: %v", err)
+	}
+}
+
+func TestReceiveOverOneByteReader(t *testing.T) {
+	// The Conn's read-ahead must cope with a stream that trickles in one
+	// byte per Read, across the small-body and the chunked-body path.
+	var wire bytes.Buffer
+	c := New(readWriter{&wire})
+	msgs := [][]byte{[]byte("cfg"), nil, bytes.Repeat([]byte{0xC3}, 2*receiveChunk+5), {0x01}}
+	for _, m := range msgs {
+		if err := c.Send(MsgFrame, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	total := int64(wire.Len())
+	r := New(struct {
+		io.Reader
+		io.Writer
+	}{iotest.OneByteReader(&wire), io.Discard})
+	for i, m := range msgs {
+		msgType, payload, err := r.Receive()
+		if err != nil {
+			t.Fatalf("message %d: %v", i, err)
+		}
+		if msgType != MsgFrame || !bytes.Equal(payload, m) {
+			t.Fatalf("message %d corrupted: type %d, %d bytes", i, msgType, len(payload))
+		}
+	}
+	if _, _, err := r.Receive(); err != io.EOF {
+		t.Fatalf("after the last message: %v, want io.EOF", err)
+	}
+	if r.BytesReceived() != total {
+		t.Fatalf("BytesReceived = %d, want %d", r.BytesReceived(), total)
 	}
 }
 
