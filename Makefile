@@ -65,9 +65,10 @@ test-race:
 # Short fuzz pass over the decoders whose inputs can be torn or
 # tampered: the store's JSON envelope, the SOUT v2 column tables, the
 # transport framing the streaming ingest trusts from the network, the
-# frame records inside it (decoded with pooled inflate state), and the
+# frame records inside it (decoded with pooled inflate state), the
 # smokevet suppression-comment grammar (the lint gate's own input
-# surface). ~10s per target keeps it cheap enough to ride in CI; longer
+# surface), the fused float kernel against its retained oracle, and the
+# presence probe against the full detection it abbreviates. ~10s per target keeps it cheap enough to ride in CI; longer
 # local runs:
 #   go test -run '^$$' -fuzz FuzzEnvelopeDecode ./internal/store/
 # FuzzDecodeFrame caps minimisation at 1s: its inputs are kilobytes, and
@@ -76,6 +77,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEnvelopeDecode -fuzztime 10s ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzOutputsDecode -fuzztime 10s ./internal/outputs/
 	$(GO) test -run '^$$' -fuzz FuzzFloatComponents -fuzztime 10s ./internal/detect/
+	$(GO) test -run '^$$' -fuzz FuzzProbeFrame -fuzztime 10s ./internal/detect/
 	$(GO) test -run '^$$' -fuzz FuzzReceive -fuzztime 10s ./internal/transport/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s -fuzzminimizetime 1s ./internal/codec/
 	$(GO) test -run '^$$' -fuzz FuzzSuppressParse -fuzztime 10s ./internal/analysis/
@@ -98,12 +100,16 @@ bench:
 # within one run survives this host's speed drift. The last line is the
 # frame path: one frame through the codec each way and one camera session
 # into a discarding peer, where B/op and allocs/op are the point (a fresh
-# DEFLATE writer per frame was ~900 KB/op).
+# DEFLATE writer per frame was ~900 KB/op). PresenceScan is one cold
+# presence scan of small as probes against the full native count column it
+# used to materialise (early-exits is the number of probes that stopped at
+# the first deciding object).
 bench-kernels:
 	$(GO) test -run xxx -bench 'Kernel' -benchmem ./internal/raster/ ./internal/detect/
 	$(GO) test -run xxx -bench 'PatchComponentsFloat|BenchmarkFloatComponents' -benchmem -count 5 ./internal/detect/
 	$(GO) test -run xxx -bench 'BenchmarkBilinearInto|BenchmarkAddNoise' -benchmem -count 5 ./internal/raster/
 	$(GO) test -run xxx -bench 'BenchmarkEncodeFrame|BenchmarkDecodeFrame|BenchmarkCameraStream' -benchmem ./internal/codec/ ./internal/camera/
+	$(GO) test -run xxx -bench 'BenchmarkPresenceScan' -benchmem -count 5 ./internal/outputs/
 
 # Full-scale evaluation reports (the EXPERIMENTS.md numbers). Detector
 # outputs are cached under .cache so reruns are fast.

@@ -135,8 +135,8 @@ func Apply(v *scene.Video, m *detect.Model, s Setting, stream *stats.Stream) (*P
 }
 
 // ApplyCtx is Apply with cancellation: computing the admissible pool runs
-// the paper's presence protocol (a full-corpus detector scan per
-// restricted class the first time), which a cancelled context aborts.
+// the paper's presence protocol (one probe per frame and restricted class
+// the first time, see outputs.Presence), which a cancelled context aborts.
 func ApplyCtx(ctx context.Context, v *scene.Video, m *detect.Model, s Setting, stream *stats.Stream) (*Plan, error) {
 	if err := s.Validate(m); err != nil {
 		return nil, err

@@ -22,9 +22,12 @@
 //   - the full-frame path (reference) renders and scans the entire frame;
 //   - the patch path (production) evaluates each ground-truth object's
 //     local neighbourhood plus a clutter false-positive process, costing
-//     O(objects) instead of O(pixels) per frame. Results are cached per
-//     (corpus, model, class, resolution), mirroring how the paper reuses
-//     model outputs across sample fractions (Section 3.3.2).
+//     O(objects) instead of O(pixels) per frame. Results are cached by
+//     internal/outputs per (corpus view, model, resolution) — one row per
+//     frame serves every class — mirroring how the paper reuses model
+//     outputs across sample fractions (Section 3.3.2). The same body
+//     answers presence probes (ProbeFrame), stopping at the first object
+//     that decides the question.
 package detect
 
 import (

@@ -50,6 +50,37 @@ func chebyshevGap(a, b fRect) float64 {
 // if p is not a valid input resolution for the model (callers validate
 // knobs up front; an invalid resolution is a programming error).
 func (m *Model) DetectFrame(v *scene.Video, i, p int) []Detection {
+	dets, _ := m.detectFrame(v, i, p, noStop)
+	return dets
+}
+
+// ProbeFrame answers "does DetectFrame(v, i, p) report an object of class
+// c?" — the boolean the paper's prior-information protocol needs — and
+// stops at the first evidence that it does. complete reports whether the
+// frame was evaluated to the end; dets is then exactly DetectFrame's
+// result. A class the model cannot report is absent with no pixel work.
+func (m *Model) ProbeFrame(v *scene.Video, i, p int, c scene.Class) (present bool, dets []Detection, complete bool) {
+	if !m.CanDetect(c) {
+		return false, nil, false
+	}
+	dets, complete = m.detectFrame(v, i, p, c)
+	return !complete || CountClass(dets, c) > 0, dets, complete
+}
+
+// noStop is the stop class of a plain detection: no object, candidate or
+// false positive carries it, so detectFrame never stops early.
+const noStop = scene.Class(scene.NumClasses)
+
+// detectFrame is the one detection body. It returns (nil, false) as soon
+// as a detection of class stop is certain: a clutter false positive of that
+// class (drawn first, it costs no pixels), or a candidate that passes the
+// gates classified as stop — postProcess only merges within a class, so
+// such a candidate always surfaces as at least one stop detection. Objects
+// whose ground-truth class is stop are evaluated first because they are the
+// likeliest to decide; every evaluation is a pure function of (frame,
+// object, p), so when nothing decides, the candidates — kept in object
+// order — are DetectFrame's, and so is everything after them.
+func (m *Model) detectFrame(v *scene.Video, i, p int, stop scene.Class) ([]Detection, bool) {
 	if !m.ValidResolution(p) {
 		panic(fmt.Sprintf("detect: %s cannot run at resolution %d", m.Name, p))
 	}
@@ -60,23 +91,32 @@ func (m *Model) DetectFrame(v *scene.Video, i, p int) []Detection {
 	sigmaEff := effectiveNoise(float64(cfg.Lighting.NoiseSigma), sx)
 	tau := m.threshold(sigmaEff)
 
-	frame := v.Frame(i)
-	cands := make([]candidate, 0, len(frame.Objects))
-	for idx := range frame.Objects {
-		obj := &frame.Objects[idx]
-		// A class-restricted detector (MTCNN) does not respond to other
-		// object kinds; its clutter behaviour is covered by the
-		// false-positive process.
-		if !m.CanDetect(obj.Class) {
-			continue
-		}
-		c := m.evalPatch(v, i, p, obj, sx, sy, sigmaEff, tau)
-		cands = append(cands, c)
+	clutter := m.falsePositives(v, i, p, sigmaEff, tau)
+	if CountClass(clutter, stop) > 0 {
+		return nil, false
 	}
-
-	detections := m.postProcess(v, i, p, cands)
-	detections = append(detections, m.falsePositives(v, i, p, sigmaEff, tau)...)
-	return detections
+	// One slot per object keeps the candidates in object order whatever
+	// order they are evaluated in; a skipped object's zero slot is an
+	// undetected candidate, which postProcess ignores.
+	frame := v.Frame(i)
+	cands := make([]candidate, len(frame.Objects))
+	for _, first := range []bool{true, false} {
+		for idx := range frame.Objects {
+			obj := &frame.Objects[idx]
+			// A class-restricted detector (MTCNN) does not respond to other
+			// object kinds; its clutter behaviour is covered by the
+			// false-positive process.
+			if (obj.Class == stop) != first || !m.CanDetect(obj.Class) {
+				continue
+			}
+			c := m.evalPatch(v, i, p, obj, sx, sy, sigmaEff, tau)
+			if c.detected && c.class == stop {
+				return nil, false
+			}
+			cands[idx] = c
+		}
+	}
+	return append(m.postProcess(v, i, p, cands), clutter...), true
 }
 
 // effectiveNoise returns the sensor-noise sigma after box-filter

@@ -4,10 +4,11 @@
 // reports detections for every class the model can see, so the store keeps
 // a per-frame vector of per-class counts ("columns") and serves any class
 // projection from the same row. Estimators — fraction sweeps, hypercube
-// cells, Algorithm 3 correction sets, presence scans — read columns
-// instead of re-invoking the detector, which is what makes a multi-class
-// profile batch cost one detection pass per (frame, resolution) rather
-// than one per (frame, resolution, class).
+// cells, Algorithm 3 correction sets — read columns instead of re-invoking
+// the detector, which is what makes a multi-class profile batch cost one
+// detection pass per (frame, resolution) rather than one per (frame,
+// resolution, class). Presence scans read the same rows and probe — not
+// detect — the frames that have none (see Presence).
 //
 // Degraded corpus views (noise addition) are distinct *scene.Video values
 // (see degrade.EffectiveVideo), so the (video, model, p) key covers the
@@ -45,13 +46,25 @@ type colKey struct {
 // table holds the rows of one column key. full is materialised once every
 // frame of the corpus has a row; proj caches per-class []float64
 // projections of a full table (the series shape estimators consume).
+// present caches the bitmaps Presence computed on this table, so they are
+// evicted, reset and byte-accounted with it; scan marks a scan in flight.
 type table struct {
-	mu    sync.Mutex
-	n     int // corpus frame count
-	rows  map[int]vec
-	claim map[int]chan struct{} // frames being detected right now
-	full  []vec
-	proj  map[scene.Class][]float64
+	mu      sync.Mutex
+	n       int // corpus frame count
+	rows    map[int]vec
+	claim   map[int]chan struct{} // frames being detected right now
+	full    []vec
+	proj    map[scene.Class][]float64
+	present [scene.NumClasses][]bool
+	scan    [scene.NumClasses]chan struct{}
+}
+
+// probe is one presence scan riding on ensure: the class asked about and
+// the answers so far. A true bit is final — an early exit leaves no row to
+// re-derive it from — and a false bit is always backed by a stored row.
+type probe struct {
+	class scene.Class
+	bits  []bool
 }
 
 var (
@@ -59,9 +72,13 @@ var (
 	tables  = map[colKey]*table{}
 
 	// frameHits counts frame-values served without detector work;
-	// framesDetected counts frames this store computed (and kept).
-	frameHits      atomic.Int64
-	framesDetected atomic.Int64
+	// framesDetected counts frames count reads computed (and kept);
+	// presenceProbes counts frames Presence probed instead, of which
+	// presenceEarlyExits stopped at the first deciding object (no row kept).
+	frameHits          atomic.Int64
+	framesDetected     atomic.Int64
+	presenceProbes     atomic.Int64
+	presenceEarlyExits atomic.Int64
 )
 
 func init() {
@@ -95,8 +112,10 @@ func getTable(v *scene.Video, model string, p int) *table {
 // on rather than recomputed, so racing sweeps never duplicate detector
 // work — each physical frame is detected at most once per table (absent
 // cancellation). On ctx cancellation claimed-but-uncomputed frames are
-// released and nothing partial is stored.
-func (t *table) ensure(ctx context.Context, v *scene.Video, m *detect.Model, p int, frames []int) error {
+// released and nothing partial is stored. With a probe, frames are probed
+// for pr.class instead: pr.bits is filled for every frame, and only probes
+// that ran to completion leave a row.
+func (t *table) ensure(ctx context.Context, v *scene.Video, m *detect.Model, p int, frames []int, pr *probe) error {
 	for first := true; ; first = false {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -106,6 +125,11 @@ func (t *table) ensure(ctx context.Context, v *scene.Video, m *detect.Model, p i
 		hits := 0
 		t.mu.Lock()
 		if t.full != nil {
+			if pr != nil {
+				for _, f := range frames {
+					pr.bits[f] = t.full[f][pr.class] > 0
+				}
+			}
 			t.mu.Unlock()
 			if first {
 				frameHits.Add(int64(len(frames)))
@@ -113,8 +137,14 @@ func (t *table) ensure(ctx context.Context, v *scene.Video, m *detect.Model, p i
 			return nil
 		}
 		for _, f := range frames {
-			if _, ok := t.rows[f]; ok {
+			if pr != nil && pr.bits[f] {
+				continue // decided by an early exit on a previous pass
+			}
+			if r, ok := t.rows[f]; ok {
 				hits++
+				if pr != nil {
+					pr.bits[f] = r[pr.class] > 0
+				}
 				continue
 			}
 			if ch, ok := t.claim[f]; ok {
@@ -133,7 +163,7 @@ func (t *table) ensure(ctx context.Context, v *scene.Video, m *detect.Model, p i
 		}
 
 		if len(mine) > 0 {
-			if err := t.compute(ctx, v, m, p, mine); err != nil {
+			if err := t.compute(ctx, v, m, p, mine, pr); err != nil {
 				return err
 			}
 		}
@@ -153,21 +183,36 @@ func (t *table) ensure(ctx context.Context, v *scene.Video, m *detect.Model, p i
 	}
 }
 
-// compute detects the claimed frames in parallel and stores their rows.
-// Claims are always released — on failure without storing, so waiters
-// re-check and recover the work.
-func (t *table) compute(ctx context.Context, v *scene.Video, m *detect.Model, p int, frames []int) error {
+// compute detects (or, with a probe, probes) the claimed frames in parallel
+// and stores the rows of every frame that was evaluated to the end. Claims
+// are always released — on failure without storing, so waiters re-check and
+// recover the work, as they do for a frame whose probe exited early.
+func (t *table) compute(ctx context.Context, v *scene.Video, m *detect.Model, p int, frames []int, pr *probe) error {
 	// Background is rendered lazily behind a sync.Once; touch it before
 	// fanning out so workers share one render.
 	v.Background()
 	rs := make([]vec, len(frames))
+	present, early := make([]bool, len(frames)), make([]bool, len(frames))
 	err := parallel.ForCtx(ctx, len(frames), 0, func(i int) error {
-		rs[i] = countRow(m.DetectFrame(v, frames[i], p))
+		if pr == nil {
+			rs[i] = countRow(m.DetectFrame(v, frames[i], p))
+			return nil
+		}
+		hit, dets, complete := m.ProbeFrame(v, frames[i], p, pr.class)
+		rs[i], present[i], early[i] = countRow(dets), hit, !complete
 		return nil
 	})
+	exits := 0
 	t.mu.Lock()
 	if err == nil {
 		for i, f := range frames {
+			if pr != nil {
+				pr.bits[f] = present[i]
+			}
+			if early[i] {
+				exits++
+				continue
+			}
 			t.rows[f] = rs[i]
 		}
 	}
@@ -178,10 +223,16 @@ func (t *table) compute(ctx context.Context, v *scene.Video, m *detect.Model, p 
 		}
 	}
 	t.mu.Unlock()
-	if err == nil {
-		framesDetected.Add(int64(len(frames)))
+	if err != nil {
+		return err
 	}
-	return err
+	if pr == nil {
+		framesDetected.Add(int64(len(frames)))
+	} else {
+		presenceProbes.Add(int64(len(frames)))
+		presenceEarlyExits.Add(int64(exits))
+	}
+	return nil
 }
 
 // countRow folds a frame's detections into a per-class count vector.
@@ -201,7 +252,7 @@ func Ensure(ctx context.Context, v *scene.Video, m *detect.Model, class scene.Cl
 	if len(frames) == 0 {
 		return ctx.Err()
 	}
-	return getTable(v, m.Name, p).ensure(ctx, v, m, p, frames)
+	return getTable(v, m.Name, p).ensure(ctx, v, m, p, frames, nil)
 }
 
 // At returns the per-frame counts of class objects for just the requested
@@ -209,7 +260,7 @@ func Ensure(ctx context.Context, v *scene.Video, m *detect.Model, class scene.Cl
 // like frames. Callers own the returned slice.
 func At(ctx context.Context, v *scene.Video, m *detect.Model, class scene.Class, p int, frames []int) ([]float64, error) {
 	t := getTable(v, m.Name, p)
-	if err := t.ensure(ctx, v, m, p, frames); err != nil {
+	if err := t.ensure(ctx, v, m, p, frames, nil); err != nil {
 		return nil, err
 	}
 	out := make([]float64, len(frames))
@@ -250,11 +301,7 @@ func Full(ctx context.Context, v *scene.Video, m *detect.Model, class scene.Clas
 	n := t.n
 	t.mu.Unlock()
 
-	frames := make([]int, n)
-	for i := range frames {
-		frames[i] = i
-	}
-	if err := t.ensure(ctx, v, m, p, frames); err != nil {
+	if err := t.ensure(ctx, v, m, p, allFrames(n), nil); err != nil {
 		return nil, err
 	}
 	t.mu.Lock()
@@ -279,28 +326,73 @@ func Full(ctx context.Context, v *scene.Video, m *detect.Model, class scene.Clas
 	return s, nil
 }
 
+// allFrames returns the frame indices 0..n-1.
+func allFrames(n int) []int {
+	frames := make([]int, n)
+	for i := range frames {
+		frames[i] = i
+	}
+	return frames
+}
+
 // Presence returns, for every frame, whether the restricted class c is
 // present according to the paper's prior-information protocol: persons are
 // detected by YOLOv4 at threshold 0.7 and faces by MTCNN at threshold 0.8,
-// both at the detector's native resolution (Section 5.1). The scan shares
-// columns with ordinary queries against the same (model, resolution).
+// both at the detector's native resolution (Section 5.1) — bit for bit
+// CountClass(DetectFrame(v, f, native), c) > 0.
+//
+// The answer is a boolean, so a frame is probed (detect.ProbeFrame), not
+// detected: frames the native table already holds answer from their row,
+// the rest stop at the first object that decides them. A probe that runs
+// to the end — every absent frame, i.e. the admissible frames a REMOVE
+// sweep samples — leaves its complete row like an ordinary read; an early
+// exit leaves nothing, so a later count query detects that frame in full.
+// The bitmap is cached on the table and shared: callers must not mutate
+// it, and a second call makes no detector invocation. Persisted SOUT
+// tables carry rows only, so a warmed process re-probes the present
+// frames, at early-exit cost.
 func Presence(ctx context.Context, v *scene.Video, c scene.Class) ([]bool, error) {
-	var model *detect.Model
-	switch c {
-	case scene.Face:
+	model := detect.YOLOv4Sim()
+	if c == scene.Face {
 		model = detect.MTCNNSim()
-	default:
-		model = detect.YOLOv4Sim()
 	}
-	series, err := Full(ctx, v, model, c, model.NativeInput)
+	t := getTable(v, model.Name, model.NativeInput)
+	// One scan per (table, class) at a time: a second caller waits for the
+	// first's bitmap instead of re-probing the frames that exited early,
+	// and takes the scan over if the first was cancelled.
+	t.mu.Lock()
+	for t.present[c] == nil && t.scan[c] != nil {
+		busy := t.scan[c]
+		t.mu.Unlock()
+		select {
+		case <-busy:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		t.mu.Lock()
+	}
+	if bits := t.present[c]; bits != nil {
+		t.mu.Unlock()
+		frameHits.Add(int64(len(bits)))
+		return bits, nil
+	}
+	done := make(chan struct{})
+	t.scan[c] = done
+	t.mu.Unlock()
+
+	pr := &probe{class: c, bits: make([]bool, t.n)}
+	err := t.ensure(ctx, v, model, model.NativeInput, allFrames(t.n), pr)
+	t.mu.Lock()
+	if err == nil {
+		t.present[c] = pr.bits
+	}
+	t.scan[c] = nil
+	close(done)
+	t.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	present := make([]bool, len(series))
-	for i, count := range series {
-		present[i] = count > 0
-	}
-	return present, nil
+	return pr.bits, nil
 }
 
 // Stats is a byte-accounted and hit-accounted report of the column store.
@@ -315,20 +407,41 @@ type Stats struct {
 	SparseEntries int
 	SparseBytes   int64
 	// FrameHits counts frame-values served without detector work;
-	// FramesDetected counts frames detected (and stored) by this store.
+	// FramesDetected counts frames detected (and stored) for count reads.
 	// Their ratio is the dedup win the plan/execute pipeline banks on.
 	FrameHits      int64
 	FramesDetected int64
+	// PresenceProbes counts frames Presence probed instead — one detector
+	// invocation each, so FramesDetected + PresenceProbes is the store's
+	// detector work. PresenceEarlyExits of them stopped at the first
+	// deciding object and left no row; the others stored theirs.
+	PresenceProbes     int64
+	PresenceEarlyExits int64
 }
 
 // rowBytes is the accounted payload of one stored row.
 const rowBytes = int64(scene.NumClasses) * 8
 
+// bytes is the table's accounted size: its rows plus its presence bitmaps.
+// The caller holds t.mu.
+func (t *table) bytes() int64 {
+	b := int64(len(t.rows))*(rowBytes+8) + detect.PerEntryOverhead
+	if t.full != nil {
+		b = int64(t.n)*rowBytes + detect.PerEntryOverhead
+	}
+	for _, bits := range t.present {
+		b += int64(len(bits))
+	}
+	return b
+}
+
 // ReadStats snapshots the store's counters and sizes.
 func ReadStats() Stats {
 	s := Stats{
-		FrameHits:      frameHits.Load(),
-		FramesDetected: framesDetected.Load(),
+		FrameHits:          frameHits.Load(),
+		FramesDetected:     framesDetected.Load(),
+		PresenceProbes:     presenceProbes.Load(),
+		PresenceEarlyExits: presenceEarlyExits.Load(),
 	}
 	storeMu.Lock()
 	snapshot := make([]*table, 0, len(tables))
@@ -342,11 +455,11 @@ func ReadStats() Stats {
 		s.Tables++
 		if t.full != nil {
 			s.FullSeries++
-			s.FullBytes += int64(t.n)*rowBytes + detect.PerEntryOverhead
+			s.FullBytes += t.bytes()
 		} else {
 			s.SparseSeries++
 			s.SparseEntries += len(t.rows)
-			s.SparseBytes += int64(len(t.rows))*(rowBytes+8) + detect.PerEntryOverhead
+			s.SparseBytes += t.bytes()
 		}
 		t.mu.Unlock()
 	}
@@ -372,6 +485,8 @@ func Reset() {
 	storeMu.Unlock()
 	frameHits.Store(0)
 	framesDetected.Store(0)
+	presenceProbes.Store(0)
+	presenceEarlyExits.Store(0)
 }
 
 // EvictVideo drops every column derived from the given corpus view and
@@ -384,11 +499,7 @@ func EvictVideo(v *scene.Video) int64 {
 			continue
 		}
 		t.mu.Lock()
-		if t.full != nil {
-			freed += int64(t.n)*rowBytes + detect.PerEntryOverhead
-		} else {
-			freed += int64(len(t.rows))*(rowBytes+8) + detect.PerEntryOverhead
-		}
+		freed += t.bytes()
 		t.mu.Unlock()
 		delete(tables, key)
 	}

@@ -77,6 +77,12 @@ func BuildSweep(ctx context.Context, v *scene.Video, m *detect.Model, spec Sweep
 	if err != nil {
 		return nil, err
 	}
+	return buildSweep(v, m, spec, admissible, stream), nil
+}
+
+// buildSweep is BuildSweep over an already resolved admissible pool, which
+// the sweep's plans share read-only.
+func buildSweep(v *scene.Video, m *detect.Model, spec SweepSpec, admissible []int, stream *stats.Stream) *Sweep {
 	perm := stream.Perm(len(admissible))
 	base := spec.Base
 	base.SampleFraction = spec.Fractions[0]
@@ -111,7 +117,7 @@ func BuildSweep(ctx context.Context, v *scene.Video, m *detect.Model, spec Sweep
 		sw.Tasks = append(sw.Tasks, Task{Index: fi, Plan: p})
 	}
 	tasksPlanned.Add(int64(len(sw.Tasks)))
-	return sw, nil
+	return sw
 }
 
 // Cell is one (class-combo, resolution) cell of a hypercube plan. Sweep
@@ -135,25 +141,29 @@ type Hypercube struct {
 // a stream child keyed by its grid coordinates — the same derivation the
 // executor has always used — so planning does not perturb results.
 // Presence scans for the restricted-class combos run here, under ctx: the
-// prior-information protocol is part of planning, not execution.
+// prior-information protocol is part of planning, not execution. A combo's
+// admissible pool does not depend on resolution, so it is resolved once
+// per combo and shared by the combo's cells.
 func BuildHypercube(ctx context.Context, v *scene.Video, m *detect.Model, fractions []float64, stream *stats.Stream) (*Hypercube, error) {
+	defer PlanTimer()()
 	h := &Hypercube{
 		Fractions:   fractions,
 		Resolutions: CandidateResolutions(m),
 		Combos:      ClassCombos(),
 	}
 	for ci := range h.Combos {
+		admissible, err := degrade.AdmissibleFramesCtx(ctx, v, h.Combos[ci])
+		if err != nil {
+			return nil, err
+		}
 		for ri := range h.Resolutions {
-			sw, err := BuildSweep(ctx, v, m, SweepSpec{
+			sw := buildSweep(v, m, SweepSpec{
 				Fractions: fractions,
 				Base: degrade.Setting{
 					Resolution: h.Resolutions[ri],
 					Restricted: h.Combos[ci],
 				},
-			}, stream.ChildN(uint64(ci), uint64(ri)))
-			if err != nil {
-				return nil, err
-			}
+			}, admissible, stream.ChildN(uint64(ci), uint64(ri)))
 			if len(sw.Tasks) == 0 {
 				sw = nil
 			}

@@ -65,6 +65,8 @@ func (m *metrics) render(w io.Writer, queueDepth, queueCap int, jobs *jobSet, st
 		"smokescreend_outputs_tables":                    int64(oc.Tables),
 		"smokescreend_outputs_frames_detected_total":     oc.FramesDetected,
 		"smokescreend_outputs_frame_hits_total":          oc.FrameHits,
+		"smokescreend_presence_probes_total":             oc.PresenceProbes,
+		"smokescreend_presence_early_exits_total":        oc.PresenceEarlyExits,
 		"smokescreend_stage_plan_ns_total":               sg.PlanNS,
 		"smokescreend_stage_detect_ns_total":             sg.DetectNS,
 		"smokescreend_stage_estimate_ns_total":           sg.EstimateNS,

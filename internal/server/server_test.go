@@ -519,8 +519,8 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 	// The sample name set is pinned: the samples of the deleted pipeline
 	// forks (smokescreend_quantized_rasters_enabled,
-	// smokescreend_detect_dedup_enabled, smokescreend_delta_*) are gone and
-	// nothing else came or went.
+	// smokescreend_detect_dedup_enabled, smokescreend_delta_*) are gone, the
+	// two presence-probe counters came, and nothing else came or went.
 	var names []string
 	for _, line := range strings.Split(strings.TrimSpace(text), "\n") {
 		name, _, _ := strings.Cut(line, " ")
@@ -554,6 +554,8 @@ func TestHealthzAndMetrics(t *testing.T) {
 		"smokescreend_outputs_frame_hits_total",
 		"smokescreend_outputs_frames_detected_total",
 		"smokescreend_outputs_tables",
+		"smokescreend_presence_early_exits_total",
+		"smokescreend_presence_probes_total",
 		"smokescreend_profiles_served_total",
 		"smokescreend_queue_capacity",
 		"smokescreend_queue_depth",

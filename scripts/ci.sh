@@ -38,11 +38,12 @@ run_stage fuzz-smoke make fuzz-smoke
 # call's — a product change that breaks either fails here, not in the
 # driver after the PR is up.
 run_stage benchmark-selftest sh -c 'cd benchmark && go test ./...'
-# One short-mode pass over the Figure 4, ladder and streaming-ingest
-# benchmarks, so each CI run exercises figure generation — including
-# ladder-tier view generation — and the camera→receiver frame path end to
-# end without paying full benchmark time.
-run_stage bench-smoke go test -run '^$' -bench 'Figure4|LadderGenerate|StreamIngest' -benchtime=1x -short .
+# One short-mode pass over the Figure 4, ladder, streaming-ingest and
+# presence-scan benchmarks, so each CI run exercises figure generation —
+# including ladder-tier view generation — the camera→receiver frame path
+# and the probe-vs-full-column presence scan end to end without paying
+# full benchmark time.
+run_stage bench-smoke go test -run '^$' -bench 'Figure4|LadderGenerate|StreamIngest|PresenceScan' -benchtime=1x -short . ./internal/outputs/
 # Live streaming ingest end to end: camera -> daemon, windowed profiles,
 # mid-flight cancel, clean drain (scripts/stream_smoke.sh).
 run_stage stream-smoke make stream-smoke
