@@ -12,9 +12,12 @@ STATICCHECK_VERSION ?= 2025.1
 build:
 	$(GO) build ./...
 
-# lint layers three gates: go vet, the repo's own smokevet analyzer suite
+# lint layers four gates: go vet, the repo's own smokevet analyzer suite
 # (determinism, poolhygiene, ctxflow, atomiccounter, goroleak, lockorder,
-# axisreg, errcontract — see DESIGN.md §10 and §15), and optionally a
+# axisreg, errcontract — see DESIGN.md §10 and §15), a grep that keeps
+# process-global setters at zero (no package-level `func Set…(` in non-test
+# internal/ or cmd/ code: a setting travels with the run, not the process —
+# the stand-in for ROADMAP item 1's noglobals analyzer), and optionally a
 # version-pinned staticcheck. smokevet is built from this repo, so it
 # always runs; a finding fails the build with
 # `file:line: [analyzer] message`, and a stale //smokevet:ignore is
@@ -22,6 +25,9 @@ build:
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/smokevet ./...
+	@if grep -rnE '^func Set[A-Z]' --include='*.go' --exclude='*_test.go' --exclude-dir=testdata internal cmd; then \
+		echo "lint: package-level Set* function (process-global setter); pass the value with the run instead"; exit 1; \
+	fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		got=$$(staticcheck -version 2>/dev/null | head -n1); \
 		case "$$got" in \

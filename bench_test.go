@@ -246,7 +246,7 @@ func benchHypercube(b *testing.B, parallelism int) {
 		detect.ResetCaches()
 		b.StartTimer()
 		before := detect.Invocations()
-		if _, err := profile.GenerateHypercubeOpts(spec, opts, root.Child(2)); err != nil {
+		if _, err := profile.GenerateHypercubeCtx(context.Background(), spec, opts, root.Child(2)); err != nil {
 			b.Fatal(err)
 		}
 		invocations += detect.Invocations() - before
@@ -294,24 +294,23 @@ func BenchmarkHypercubeFigure6Dedup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		detect.ResetCaches()
-		plan.ResetStages()
 		b.StartTimer()
-		before := detect.Invocations()
+		before, s0 := detect.Invocations(), plan.Stages()
 		for ci := range specs {
 			// One sampling plan for the whole family (same stream child):
 			// every class's hypercube sweeps the same degraded views, which
 			// is both what an administrator comparing classes wants and what
 			// lets the column store detect each view exactly once.
-			if _, err := profile.GenerateHypercubeOpts(specs[ci], cubeOpts[ci], root.Child(2)); err != nil {
+			if _, err := profile.GenerateHypercubeCtx(context.Background(), specs[ci], cubeOpts[ci], root.Child(2)); err != nil {
 				b.Fatal(err)
 			}
 		}
 		invocations += detect.Invocations() - before
 		s := plan.Stages()
-		stages.PlanNS += s.PlanNS
-		stages.DetectNS += s.DetectNS
-		stages.EstimateNS += s.EstimateNS
-		stages.DedupSavedFrames += s.DedupSavedFrames
+		stages.PlanNS += s.PlanNS - s0.PlanNS
+		stages.DetectNS += s.DetectNS - s0.DetectNS
+		stages.EstimateNS += s.EstimateNS - s0.EstimateNS
+		stages.DedupSavedFrames += s.DedupSavedFrames - s0.DedupSavedFrames
 	}
 	n := float64(b.N)
 	b.ReportMetric(float64(invocations)/n, "invocations/op")

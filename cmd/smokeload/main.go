@@ -28,16 +28,11 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
-	"sort"
-	"sync"
 	"time"
 
 	"smokescreen/internal/fleetd"
@@ -78,7 +73,7 @@ func main() {
 	case "urls":
 		results, err = runURLs(ctx, urlsOpts{
 			scenario: *scenario, urls: fleetd.ParseNodes(*urls),
-			clients: *clients, keys: *keys, requests: *requests,
+			clients: *clients, requests: *requests,
 			query: *query, step: *step, maxFraction: *maxFraction,
 		})
 	default:
@@ -180,39 +175,37 @@ func runInprocess(ctx context.Context, o inprocessOpts) ([]fleetd.LoadResult, er
 }
 
 type urlsOpts struct {
-	scenario                string
-	urls                    []string
-	clients, keys, requests int
-	query                   string
-	step, maxFraction       float64
+	scenario          string
+	urls              []string
+	clients, requests int
+	query             string
+	step, maxFraction float64
 }
 
-// runURLs drives real daemons. No ground-truth generation counters here —
-// the daemons are separate processes — so the report carries client-side
-// results plus /metrics deltas; scripts assert on those.
+// runURLs drives real daemons with the harness's own load driver. No
+// ground-truth generation counters here — the daemons are separate
+// processes — so the report carries client-side results plus /metrics
+// deltas; scripts assert on those.
 func runURLs(ctx context.Context, o urlsOpts) ([]fleetd.LoadResult, error) {
 	if len(o.urls) == 0 {
 		return nil, fmt.Errorf("urls mode requires -urls")
 	}
-	client := &http.Client{Transport: &http.Transport{
-		MaxIdleConns:        256,
-		MaxIdleConnsPerHost: 64,
-		IdleConnTimeout:     90 * time.Second,
-	}}
-	defer client.CloseIdleConnections()
-	d := &urlDriver{client: client, urls: o.urls}
+	d := fleetd.NewDriver(nil, nil)
+	defer d.Close()
+	genReq := server.GenRequest{Query: o.query, Step: o.step, MaxFraction: o.maxFraction}
 
 	want := func(name string) bool { return o.scenario == "all" || o.scenario == name }
 	var results []fleetd.LoadResult
 	if want("herd") {
-		res, err := d.herd(ctx, o.clients, server.GenRequest{Query: o.query, Step: o.step, MaxFraction: o.maxFraction})
+		res, err := d.Herd(ctx, o.urls, o.clients, genReq)
 		results = append(results, res)
 		if err != nil {
 			return results, err
 		}
 	}
 	if want("steady") {
-		res, err := d.steady(ctx, o)
+		// One warm key, then GETs with periodic re-POSTs.
+		res, err := d.Steady(ctx, o.urls, o.clients, o.requests, []server.GenRequest{genReq})
 		results = append(results, res)
 		if err != nil {
 			return results, err
@@ -222,187 +215,4 @@ func runURLs(ctx context.Context, o urlsOpts) ([]fleetd.LoadResult, error) {
 		return nil, fmt.Errorf("urls mode supports -scenario herd, steady, or all (got %q)", o.scenario)
 	}
 	return results, nil
-}
-
-type urlDriver struct {
-	client *http.Client
-	urls   []string
-}
-
-func (d *urlDriver) post(ctx context.Context, base string, genReq server.GenRequest) (int, string, error) {
-	body, err := json.Marshal(genReq)
-	if err != nil {
-		return 0, "", err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/profiles", bytes.NewReader(body))
-	if err != nil {
-		return 0, "", err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := d.client.Do(req)
-	if err != nil {
-		return 0, "", err
-	}
-	defer resp.Body.Close()
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<26))
-	return resp.StatusCode, resp.Header.Get("X-Smokescreen-Key"), nil
-}
-
-func (d *urlDriver) get(ctx context.Context, base, key string) (int, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/profiles/"+key, nil)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := d.client.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<26))
-	return resp.StatusCode, nil
-}
-
-func (d *urlDriver) scrape(ctx context.Context) map[string]int64 {
-	totals := make(map[string]int64)
-	for _, base := range d.urls {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/metrics", nil)
-		if err != nil {
-			continue
-		}
-		resp, err := d.client.Do(req)
-		if err != nil {
-			continue
-		}
-		m, err := fleetd.ParseMetrics(io.LimitReader(resp.Body, 1<<20))
-		resp.Body.Close()
-		if err != nil {
-			continue
-		}
-		for name, v := range m {
-			totals[name] += v
-		}
-	}
-	return totals
-}
-
-type urlRun struct {
-	mu        sync.Mutex
-	latencies []time.Duration
-	errors    int64
-}
-
-func (r *urlRun) record(d time.Duration, ok bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.latencies = append(r.latencies, d)
-	if !ok {
-		r.errors++
-	}
-}
-
-func (r *urlRun) percentile(p float64) time.Duration {
-	if len(r.latencies) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), r.latencies...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	return sorted[int(p*float64(len(sorted)-1))]
-}
-
-func (d *urlDriver) finish(ctx context.Context, res *fleetd.LoadResult, run *urlRun, start time.Time, before map[string]int64) {
-	elapsed := time.Since(start)
-	res.DurationMillis = float64(elapsed) / float64(time.Millisecond)
-	res.Errors = run.errors
-	res.P50Millis = float64(run.percentile(0.50)) / float64(time.Millisecond)
-	res.P99Millis = float64(run.percentile(0.99)) / float64(time.Millisecond)
-	if elapsed > 0 {
-		res.RequestsPerSec = float64(res.Requests) / elapsed.Seconds()
-	}
-	after := d.scrape(ctx)
-	delta := func(name string) int64 { return after[name] - before[name] }
-	res.Forwards = delta("smokescreend_fleet_forwards_total")
-	res.Coalesced = delta("smokescreend_fleet_forwards_coalesced_total")
-	res.LocalRequests = delta("smokescreend_fleet_local_requests_total")
-	res.Repairs = delta("smokescreend_fleet_repairs_total")
-	res.LeaseExpiries = delta("smokescreend_fleet_lease_expiries_total")
-	res.LeaseWaits = delta("smokescreend_fleet_lease_waits_total")
-	// Generation count from the inner server's own counter: for the herd
-	// invariant against real daemons, the generations delta is visible in
-	// smokescreend_jobs_done_total growth — reported via metrics only.
-	res.Generations = int(delta("smokescreend_generations_total"))
-}
-
-func (d *urlDriver) herd(ctx context.Context, clients int, genReq server.GenRequest) (fleetd.LoadResult, error) {
-	if clients <= 0 {
-		clients = 8
-	}
-	before := d.scrape(ctx)
-	res := fleetd.LoadResult{Scenario: "herd", Requests: int64(clients)}
-	run := &urlRun{}
-	start := time.Now()
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			t0 := time.Now()
-			status, _, err := d.post(ctx, d.urls[c%len(d.urls)], genReq)
-			run.record(time.Since(t0), err == nil && status == http.StatusOK)
-		}(c)
-	}
-	wg.Wait()
-	d.finish(ctx, &res, run, start, before)
-	if run.errors > 0 {
-		return res, fmt.Errorf("herd: %d/%d requests failed", run.errors, clients)
-	}
-	return res, nil
-}
-
-func (d *urlDriver) steady(ctx context.Context, o urlsOpts) (fleetd.LoadResult, error) {
-	clients, requests := o.clients, o.requests
-	if clients <= 0 {
-		clients = 4
-	}
-	if requests <= 0 {
-		requests = 20
-	}
-	before := d.scrape(ctx)
-	res := fleetd.LoadResult{Scenario: "steady"}
-	run := &urlRun{}
-	start := time.Now()
-
-	// Warm one key, learn its id, then hammer GETs with periodic re-POSTs.
-	genReq := server.GenRequest{Query: o.query, Step: o.step, MaxFraction: o.maxFraction}
-	status, key, err := d.post(ctx, d.urls[0], genReq)
-	res.Requests++
-	if err != nil || status != http.StatusOK || key == "" {
-		d.finish(ctx, &res, run, start, before)
-		return res, fmt.Errorf("steady: warm POST returned %d key %q (%v)", status, key, err)
-	}
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for j := 0; j < requests; j++ {
-				base := d.urls[(c+j)%len(d.urls)]
-				t0 := time.Now()
-				var status int
-				var err error
-				if j%8 == 7 {
-					status, _, err = d.post(ctx, base, genReq)
-				} else {
-					status, err = d.get(ctx, base, key)
-				}
-				run.record(time.Since(t0), err == nil && status == http.StatusOK)
-			}
-		}(c)
-	}
-	wg.Wait()
-	res.Requests += int64(clients * requests)
-	d.finish(ctx, &res, run, start, before)
-	if run.errors > 0 {
-		return res, fmt.Errorf("steady: %d requests failed", run.errors)
-	}
-	return res, nil
 }

@@ -6,9 +6,9 @@
 // Usage:
 //
 //	smokescreend [-addr :8040] [-store DIR] [-workers N] [-parallelism N]
-//	             [-queue N] [-cache-mb N] [-render-cache-mb N]
-//	             [-kernel-parallelism N]
-//	             [-request-timeout D] [-job-timeout D] [-addr-file PATH]
+//	             [-queue N] [-cache-mb N] [-correction-limit F]
+//	             [-request-timeout D] [-job-timeout D] [-drain-timeout D]
+//	             [-addr-file PATH]
 //	             [-fleet-nodes H1:P1,H2:P2,...] [-fleet-self H:P]
 //	             [-fleet-replicas R] [-fleet-vnodes V] [-fleet-lease-ttl D]
 //
@@ -38,54 +38,42 @@ import (
 	"syscall"
 	"time"
 
-	"smokescreen/internal/detect"
 	"smokescreen/internal/fleetd"
-	"smokescreen/internal/raster"
 	"smokescreen/internal/server"
 	"smokescreen/internal/store"
 )
 
 func main() {
-	addr := flag.String("addr", ":8040", "listen address (host:port; port 0 picks an ephemeral port)")
-	storeDir := flag.String("store", ".smokescreen-store", "profile store root directory")
-	workers := flag.Int("workers", 2, "concurrent generation jobs")
-	parallelism := flag.Int("parallelism", 0, "worker goroutines per generation (0 = one per CPU)")
-	queueDepth := flag.Int("queue", 16, "queued generation jobs before POST returns 429")
-	cacheMB := flag.Int64("cache-mb", 64, "in-memory profile cache budget in MiB (0 disables)")
-	requestTimeout := flag.Duration("request-timeout", 2*time.Minute, "synchronous POST wait before degrading to 202")
-	jobTimeout := flag.Duration("job-timeout", 10*time.Minute, "cap on one generation job")
-	drainTimeout := flag.Duration("drain-timeout", 5*time.Minute, "cap on graceful shutdown")
-	correctionLimit := flag.Float64("correction-limit", 0.2, "correction-set fraction cap")
-	renderCacheMB := flag.Int64("render-cache-mb", 64, "degraded-frame render cache budget in MiB (0 disables, -1 unbounded)")
-	kernelParallelism := flag.Int("kernel-parallelism", 1, "worker goroutines per raster kernel (1 sequential, 0 = one per CPU)")
-	addrFile := flag.String("addr-file", "", "write the bound address to this file once listening (for scripts)")
-	fleetNodes := flag.String("fleet-nodes", os.Getenv("SMOKESCREEND_FLEET_NODES"), "comma-separated fleet member host:ports; empty runs single-node (env SMOKESCREEND_FLEET_NODES)")
-	fleetSelf := flag.String("fleet-self", "", "this node's identity within -fleet-nodes (default: the bound address)")
-	fleetVNodes := flag.Int("fleet-vnodes", 0, "virtual nodes per fleet member on the placement ring (0 = default)")
-	fleetReplicas := flag.Int("fleet-replicas", 0, "replicas per profile key (0 = default 2)")
-	fleetLeaseTTL := flag.Duration("fleet-lease-ttl", 3*time.Second, "generation lease TTL (a dead node's work is re-claimable after this)")
+	cfg := registerFlags(flag.CommandLine)
 	flag.Parse()
 
-	if *renderCacheMB < 0 {
-		detect.SetRenderCacheBudget(-1)
-	} else {
-		detect.SetRenderCacheBudget(*renderCacheMB << 20)
-	}
-	raster.SetParallelism(*kernelParallelism)
-
 	logger := log.New(os.Stderr, "smokescreend: ", log.LstdFlags|log.Lmsgprefix)
-	if err := run(runConfig{
-		addr: *addr, storeDir: *storeDir, workers: *workers,
-		parallelism: *parallelism, queueDepth: *queueDepth, cacheMB: *cacheMB,
-		requestTimeout: *requestTimeout, jobTimeout: *jobTimeout,
-		drainTimeout: *drainTimeout, correctionLimit: *correctionLimit,
-		addrFile:   *addrFile,
-		fleetNodes: *fleetNodes, fleetSelf: *fleetSelf,
-		fleetVNodes: *fleetVNodes, fleetReplicas: *fleetReplicas,
-		fleetLeaseTTL: *fleetLeaseTTL,
-	}, logger); err != nil {
+	if err := run(*cfg, logger); err != nil {
 		logger.Fatal(err)
 	}
+}
+
+// registerFlags declares the daemon's whole flag set on fs, bound to the
+// returned config. TestFlagSet pins the names: a new knob is a reviewed diff.
+func registerFlags(fs *flag.FlagSet) *runConfig {
+	cfg := &runConfig{}
+	fs.StringVar(&cfg.addr, "addr", ":8040", "listen address (host:port; port 0 picks an ephemeral port)")
+	fs.StringVar(&cfg.storeDir, "store", ".smokescreen-store", "profile store root directory")
+	fs.IntVar(&cfg.workers, "workers", 2, "concurrent generation jobs")
+	fs.IntVar(&cfg.parallelism, "parallelism", 0, "worker goroutines per generation (0 = one per CPU)")
+	fs.IntVar(&cfg.queueDepth, "queue", 16, "queued generation jobs before POST returns 429")
+	fs.Int64Var(&cfg.cacheMB, "cache-mb", 64, "in-memory profile cache budget in MiB (0 disables)")
+	fs.DurationVar(&cfg.requestTimeout, "request-timeout", 2*time.Minute, "synchronous POST wait before degrading to 202")
+	fs.DurationVar(&cfg.jobTimeout, "job-timeout", 10*time.Minute, "cap on one generation job")
+	fs.DurationVar(&cfg.drainTimeout, "drain-timeout", 5*time.Minute, "cap on graceful shutdown")
+	fs.Float64Var(&cfg.correctionLimit, "correction-limit", 0.2, "correction-set fraction cap")
+	fs.StringVar(&cfg.addrFile, "addr-file", "", "write the bound address to this file once listening (for scripts)")
+	fs.StringVar(&cfg.fleetNodes, "fleet-nodes", os.Getenv("SMOKESCREEND_FLEET_NODES"), "comma-separated fleet member host:ports; empty runs single-node (env SMOKESCREEND_FLEET_NODES)")
+	fs.StringVar(&cfg.fleetSelf, "fleet-self", "", "this node's identity within -fleet-nodes (default: the bound address)")
+	fs.IntVar(&cfg.fleetVNodes, "fleet-vnodes", 0, "virtual nodes per fleet member on the placement ring (0 = default)")
+	fs.IntVar(&cfg.fleetReplicas, "fleet-replicas", 0, "replicas per profile key (0 = default 2)")
+	fs.DurationVar(&cfg.fleetLeaseTTL, "fleet-lease-ttl", 3*time.Second, "generation lease TTL (a dead node's work is re-claimable after this)")
+	return cfg
 }
 
 type runConfig struct {

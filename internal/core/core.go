@@ -23,7 +23,6 @@ import (
 	"smokescreen/internal/plan"
 	"smokescreen/internal/profile"
 	"smokescreen/internal/query"
-	"smokescreen/internal/scene"
 	"smokescreen/internal/stats"
 )
 
@@ -83,15 +82,6 @@ func WithEarlyStop(delta float64) Option {
 // bit-for-bit identical at any setting.
 func WithParallelism(n int) Option {
 	return func(s *System) { s.parallelism = n }
-}
-
-// WithRenderCacheBudget bounds the degraded-frame render cache shared by
-// full-frame detection (see detect.SetRenderCacheBudget): positive budgets
-// evict least-recently-used frames, zero disables the cache, negative
-// removes the bound. The budget is process-wide — the cache is shared
-// across Systems, like the detector output caches.
-func WithRenderCacheBudget(bytes int64) Option {
-	return func(s *System) { detect.SetRenderCacheBudget(bytes) }
 }
 
 // New constructs a System with the paper's defaults.
@@ -369,9 +359,4 @@ func (s *System) TransferProfile(q *query.Query, similarDataset string, opts pro
 	}
 	prof.VideoName = q.Dataset + " (transferred from " + similarDataset + ")"
 	return prof, nil
-}
-
-// DatasetClasses lists the classes a query can count; exported for CLIs.
-func DatasetClasses() []scene.Class {
-	return []scene.Class{scene.Car, scene.Person, scene.Face}
 }

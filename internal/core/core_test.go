@@ -315,12 +315,6 @@ func TestExecuteInfeasibleRemoval(t *testing.T) {
 	}
 }
 
-func TestDatasetClasses(t *testing.T) {
-	if got := DatasetClasses(); len(got) != 3 {
-		t.Fatalf("DatasetClasses = %v", got)
-	}
-}
-
 // TestMaxCubeRepeatableAcrossParallelism is the extremum-repair race
 // regression: every cell of a MAX cube is repaired against one shared
 // correction set, and estimate.Correction used to sort its sample on the

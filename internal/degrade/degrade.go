@@ -121,9 +121,6 @@ type Plan struct {
 	Total      int   // N: corpus size before any intervention
 }
 
-// SampleSize returns n, the number of frames the plan processes.
-func (p *Plan) SampleSize() int { return len(p.Sampled) }
-
 // Apply materialises the setting: computes the admissible pool via the
 // stored class-presence priors, then samples n = round(f*N) frames from it
 // without replacement using the provided random stream. It returns an
@@ -210,27 +207,20 @@ func AdmissibleFramesCtx(ctx context.Context, v *scene.Video, restricted []scene
 	return out, nil
 }
 
-// SampleOutputs gathers the model outputs for the plan's sampled frames at
-// the plan's resolution: the x_1..x_n series the estimators consume. Only
-// the sampled frames are evaluated (lazily, through the column store), so
-// the model cost of a degraded query is proportional to n, not N. When the
-// plan's setting adds capture noise, detection runs on the noised view of
-// the corpus.
-func SampleOutputs(v *scene.Video, m *detect.Model, class scene.Class, p *Plan) []float64 {
-	out, _ := SampleOutputsCtx(context.Background(), v, m, class, p)
-	return out
-}
-
-// SampleOutputsCtx is SampleOutputs with cancellation; the only error it
-// returns is the context's.
+// SampleOutputsCtx gathers the model outputs for the plan's sampled frames
+// at the plan's resolution: the x_1..x_n series the estimators consume.
+// Only the sampled frames are evaluated (lazily, through the column store),
+// so the model cost of a degraded query is proportional to n, not N. When
+// the plan's setting adds capture noise, detection runs on the noised view
+// of the corpus. The only error it returns is the context's.
 func SampleOutputsCtx(ctx context.Context, v *scene.Video, m *detect.Model, class scene.Class, p *Plan) ([]float64, error) {
 	return outputs.At(ctx, EffectiveVideo(v, p.Setting), m, class, p.Resolution, p.Sampled)
 }
 
 // EvictVideo drops every detect-side cached artifact derived from the
-// corpus — detector-output tables, render-cache frames, and every cached
-// view EffectiveVideo created for its pixel-axis settings (see viewcache.go; detect.EvictVideo reaches
-// them through the registered view-cache hook). Returns the accounted
+// corpus — detector-output tables and every cached view EffectiveVideo
+// created for its pixel-axis settings (see viewcache.go; detect.EvictVideo
+// reaches them through the registered view-cache hook). Returns the accounted
 // bytes freed. This is the per-corpus memory-bounding hook fleet
 // deployments should call when a camera rotates out.
 func EvictVideo(v *scene.Video) int64 {

@@ -76,8 +76,8 @@ func TestApplySampling(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := int(float64(v.NumFrames())*0.1 + 0.5)
-	if plan.SampleSize() != want {
-		t.Fatalf("sample size %d, want %d", plan.SampleSize(), want)
+	if len(plan.Sampled) != want {
+		t.Fatalf("sample size %d, want %d", len(plan.Sampled), want)
 	}
 	if plan.Total != v.NumFrames() {
 		t.Fatalf("plan.Total = %d", plan.Total)
@@ -202,9 +202,12 @@ func TestSampleOutputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs := SampleOutputs(v, m, scene.Car, plan)
-	if len(outs) != plan.SampleSize() {
-		t.Fatalf("outputs length %d, want %d", len(outs), plan.SampleSize())
+	outs, err := SampleOutputsCtx(context.Background(), v, m, scene.Car, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(outs) != len(plan.Sampled) {
+		t.Fatalf("outputs length %d, want %d", len(outs), len(plan.Sampled))
 	}
 	series, err := outputs.Full(context.Background(), v, m, scene.Car, 160)
 	if err != nil {
@@ -272,10 +275,16 @@ func TestSampleOutputsUsesNoisedView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	noisy := SampleOutputs(v, m, scene.Car, plan)
+	noisy, err := SampleOutputsCtx(context.Background(), v, m, scene.Car, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cleanPlan := *plan
 	cleanPlan.Setting.NoiseSigma = 0
-	clean := SampleOutputs(v, m, scene.Car, &cleanPlan)
+	clean, err := SampleOutputsCtx(context.Background(), v, m, scene.Car, &cleanPlan)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var sumNoisy, sumClean float64
 	for i := range noisy {
 		sumNoisy += noisy[i]

@@ -9,11 +9,11 @@ import (
 // This file holds the package's cumulative invocation counter and the
 // registry through which the detector-output column store
 // (internal/outputs) participates in the detect package's cache lifecycle
-// without an import cycle: detect owns the physical caches (rendered
-// degraded frames, downsampled backgrounds) and the counter; outputs owns
-// the per-frame detection columns and registers reset/evict/stats hooks
-// here so the existing ResetCaches/EvictVideo/Stats entry points keep
-// covering every detector-derived artifact.
+// without an import cycle: detect owns the downsampled-background cache
+// and the counter; outputs owns the per-frame detection columns and
+// registers reset/evict/stats hooks here so the existing
+// ResetCaches/EvictVideo/Stats entry points keep covering every
+// detector-derived artifact.
 
 // invocationCount counts physical model invocations — frame evaluations
 // through DetectFrame (patch path) or DetectPixels (full-frame path) —
@@ -64,15 +64,15 @@ func RegisterOutputCache(reset func(), evict func(v *scene.Video) int64, fill fu
 // and Stats, mirroring RegisterOutputCache. Its evict hook runs before the
 // base caches are dropped and is expected to call EvictVideo recursively
 // on each derived view it releases, so that the view's own detector
-// outputs, backgrounds and rendered frames are freed in the same sweep
+// outputs and backgrounds are freed in the same sweep
 // (views carry no sub-views, so the recursion is one level deep).
 func RegisterViewCache(reset func(), evict func(v *scene.Video) int64, fill func(s *CacheStats)) {
 	viewHooks.Store(&cacheHook{reset: reset, evict: evict, fill: fill})
 }
 
 // ResetCaches clears every detector-derived cache — the output column
-// store (via its registered hook), downsampled backgrounds, the render
-// cache — and the invocation counter. Tests and the
+// store (via its registered hook), downsampled backgrounds — and the
+// invocation counter. Tests and the
 // profile-generation-time experiment use it to measure cold-cache
 // behaviour; long-running deployments that want to bound memory should
 // prefer the per-corpus EvictVideo hook.
@@ -84,13 +84,12 @@ func ResetCaches() {
 		h.reset()
 	}
 	evictBackgrounds(nil)
-	resetRenderCache()
 	invocationCount.Store(0)
 }
 
 // EvictVideo drops every cached artifact derived from the given corpus —
-// output columns, downsampled backgrounds, rendered degraded frames — and
-// returns the number of accounted bytes freed. It is the memory-bounding
+// output columns, degraded views, downsampled backgrounds — and returns
+// the number of accounted bytes freed. It is the memory-bounding
 // hook for long-running fleet workloads: when a camera's corpus rotates
 // out of the query window, evict it instead of resetting every cache.
 // Concurrent output reads for the same corpus simply recompute.
@@ -103,13 +102,12 @@ func EvictVideo(v *scene.Video) int64 {
 		freed += h.evict(v)
 	}
 	freed += evictBackgrounds(v)
-	freed += evictRenders(v)
 	return freed
 }
 
 // CacheStats is a byte-accounted size report of the detector-derived
 // in-process caches: the output column store's series plus the detect
-// package's own background and render caches.
+// package's own background cache.
 type CacheStats struct {
 	// FullSeries / FullBytes cover fully materialised per-corpus output
 	// columns; SparseSeries / SparseEntries / SparseBytes cover partially
@@ -123,39 +121,30 @@ type CacheStats struct {
 	// backgrounds cached by the full-frame path: 4 bytes per pixel.
 	BackgroundImages int
 	BackgroundBytes  int64
-	// RenderFrames / RenderBytes cover the degraded-frame render cache
-	// (4 bytes per pixel plus per-entry overhead); RenderHits/RenderMisses
-	// are its cumulative lookup counters.
-	RenderFrames int
-	RenderBytes  int64
-	RenderHits   int64
-	RenderMisses int64
 	// ViewVideos / ViewBytes cover the degraded-view cache: derived
 	// per-(corpus, view spec) videos and their lazily materialized rasters
 	// (transformed backgrounds, occlusion masks). Filled by the registered
 	// view cache.
 	ViewVideos int
 	ViewBytes  int64
+
+	renderCompat // benchcompat.go
 }
 
-// perEntryOverhead approximates the fixed cost of one cache entry: the
-// key (pointer + string header + ints) plus map bucket overhead. Shared
-// with the render cache and the outputs column store so byte accounting
+// PerEntryOverhead approximates the fixed cost of one cache entry: the
+// key (pointer + string header + ints) plus map bucket overhead. Shared by
+// the outputs column store and the degraded-view cache so byte accounting
 // is uniform across the detector caches.
-const perEntryOverhead = 96
-
-// PerEntryOverhead exposes the accounting constant to the outputs column
-// store (and its tests) so every detector cache reports comparable bytes.
-const PerEntryOverhead = perEntryOverhead
+const PerEntryOverhead = 96
 
 // TotalBytes returns the total accounted size of all detector caches.
 func (s CacheStats) TotalBytes() int64 {
-	return s.FullBytes + s.SparseBytes + s.BackgroundBytes + s.RenderBytes + s.ViewBytes
+	return s.FullBytes + s.SparseBytes + s.BackgroundBytes + s.ViewBytes
 }
 
 // Stats reports the current size of the detector caches. Fleet deployments
 // poll it to decide when to evict retired corpora (see EvictVideo); the
-// caches are otherwise unbounded (render cache aside), which is the right
+// caches are otherwise unbounded, which is the right
 // default for experiment reruns but not for a long-running service.
 func Stats() CacheStats {
 	var s CacheStats
@@ -168,6 +157,5 @@ func Stats() CacheStats {
 	n, bytes := backgroundStats()
 	s.BackgroundImages = n
 	s.BackgroundBytes = bytes
-	s.RenderFrames, s.RenderBytes, s.RenderHits, s.RenderMisses = renderStats()
 	return s
 }

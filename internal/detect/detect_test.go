@@ -229,11 +229,3 @@ func TestCountClass(t *testing.T) {
 		t.Fatal("CountClass miscounted")
 	}
 }
-
-func TestDebugEvalRuns(t *testing.T) {
-	v := dataset.MustLoad("small")
-	lines := DebugEval(YOLOv4Sim(), v, 3, 160)
-	if v.Frame(3).Count(scene.Car)+v.Frame(3).Count(scene.Person) > 0 && len(lines) == 0 {
-		t.Fatal("DebugEval returned nothing for a populated frame")
-	}
-}

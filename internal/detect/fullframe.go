@@ -81,9 +81,22 @@ func (m *Model) DetectFrameFull(v *scene.Video, i, p int) []Detection {
 	sx := float64(p) / float64(cfg.Width)
 	sigmaEff := effectiveNoise(float64(cfg.Lighting.NoiseSigma), sx)
 
-	img, release := degradedFrame(v, i, p, float32(sigmaEff))
-	defer release()
+	img := raster.GetScratch(p, p)
+	defer raster.PutScratch(img)
+	renderDegradedInto(img, v, i, p, float32(sigmaEff))
 	return m.DetectPixels(img, downsampledBackground(v, p), float64(cfg.Lighting.NoiseSigma), cfg.Width, dupSeed(cfg.Seed, i, p, 0))
+}
+
+// renderDegradedInto renders the degraded frame into dst (p x p): native
+// render from pooled scratch, box-filter downsample, deterministic sensor
+// noise at the effective post-resample sigma.
+func renderDegradedInto(dst *raster.Image, v *scene.Video, i, p int, sigma float32) {
+	cfg := &v.Config
+	native := raster.GetScratch(cfg.Width, cfg.Height)
+	v.RenderRegionInto(native, i, raster.RectWH(0, 0, cfg.Width, cfg.Height))
+	raster.DownsampleInto(dst, native)
+	raster.PutScratch(native)
+	dst.AddNoise(frameNoiseSeed(cfg.Seed, i, p), sigma)
 }
 
 // DetectPixels runs the full-frame pipeline on an already-captured (and

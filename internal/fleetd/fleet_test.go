@@ -298,7 +298,7 @@ func TestFleetRingEndpoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		status, body, err := h.do(req)
+		status, _, body, err := h.do(req)
 		if err != nil || status != http.StatusOK {
 			t.Fatalf("GET /v1/ring via %s: %d %v", hn.Name, status, err)
 		}
@@ -331,11 +331,13 @@ func TestFleetMetricsExposition(t *testing.T) {
 		t.Fatalf("seed POST: %d %v", status, err)
 	}
 
+	var replicaWrites int64
 	for _, hn := range h.Alive() {
 		m, err := h.ScrapeNode(ctx, hn.URL)
 		if err != nil {
 			t.Fatal(err)
 		}
+		replicaWrites += m["smokescreend_fleet_replica_writes_total"]
 		for _, name := range []string{
 			"smokescreend_fleet_forwards_total",
 			"smokescreend_fleet_forwards_coalesced_total",
@@ -359,11 +361,7 @@ func TestFleetMetricsExposition(t *testing.T) {
 			t.Errorf("ring_nodes = %d, want 3", m["smokescreend_fleet_ring_nodes"])
 		}
 	}
-	totals, err := h.ScrapeFleet(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if totals["smokescreend_fleet_replica_writes_total"] < 1 {
+	if replicaWrites < 1 {
 		t.Errorf("no replica writes recorded after a generation")
 	}
 }
@@ -430,7 +428,7 @@ func TestFleetVersionSkewUnknownField(t *testing.T) {
 			t.Fatal(err)
 		}
 		req.Header.Set("Content-Type", "application/json")
-		status, body, err := h.do(req)
+		status, _, body, err := h.do(req)
 		if err != nil {
 			t.Fatalf("POST via %s: %v", hn.Name, err)
 		}

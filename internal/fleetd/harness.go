@@ -200,11 +200,12 @@ type HarnessNode struct {
 	alive     bool
 }
 
-// Harness is a running in-process fleet.
+// Harness is a running in-process fleet. The embedded Driver is its load
+// client (Get, Post, ScrapeNode, Herd, Steady), with Counter as the
+// ground truth for generations.
 type Harness struct {
+	*Driver
 	Counter *GenCounter
-	clock   Clock
-	client  *http.Client
 
 	mu    sync.Mutex
 	nodes []*HarnessNode
@@ -225,15 +226,8 @@ func StartHarness(cfg HarnessConfig) (*Harness, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	h := &Harness{
-		Counter: NewGenCounter(),
-		clock:   cfg.Clock,
-		client: &http.Client{Transport: &http.Transport{
-			MaxIdleConns:        512,
-			MaxIdleConnsPerHost: 128,
-			IdleConnTimeout:     90 * time.Second,
-		}},
-	}
+	counter := NewGenCounter()
+	h := &Harness{Driver: NewDriver(cfg.Clock, counter.Total), Counter: counter}
 	listeners := make([]net.Listener, 0, cfg.Nodes)
 	names := make([]string, 0, cfg.Nodes)
 	fail := func(err error) (*Harness, error) {
@@ -324,6 +318,16 @@ func (h *Harness) Alive() []*HarnessNode {
 	return out
 }
 
+// aliveURLs is what the harness hands its Driver: the live members' base
+// URLs, in listener order.
+func (h *Harness) aliveURLs() []string {
+	var urls []string
+	for _, hn := range h.Alive() {
+		urls = append(urls, hn.URL)
+	}
+	return urls
+}
+
 // Ring returns the (shared) placement ring.
 func (h *Harness) Ring() *Ring { return h.nodes[0].Node.Ring() }
 
@@ -372,73 +376,7 @@ func (h *Harness) Close() {
 		_ = hn.srv.Close()
 		<-hn.serveDone
 	}
-	if h.client != nil {
-		h.client.CloseIdleConnections()
-	}
-}
-
-// Get fetches a profile by key through the given base URL.
-func (h *Harness) Get(ctx context.Context, baseURL, key string) (int, []byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/v1/profiles/"+key, nil)
-	if err != nil {
-		return 0, nil, err
-	}
-	return h.do(req)
-}
-
-// Post submits a generation request through the given base URL.
-func (h *Harness) Post(ctx context.Context, baseURL string, genReq server.GenRequest) (int, []byte, error) {
-	body := mustJSON(genReq)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+"/v1/profiles", bytes.NewReader(body))
-	if err != nil {
-		return 0, nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	return h.do(req)
-}
-
-func (h *Harness) do(req *http.Request) (int, []byte, error) {
-	resp, err := h.client.Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxTransferBytes))
-	if err != nil {
-		return resp.StatusCode, nil, err
-	}
-	return resp.StatusCode, body, nil
-}
-
-// ScrapeNode fetches and parses one live node's /metrics.
-func (h *Harness) ScrapeNode(ctx context.Context, baseURL string) (map[string]int64, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/metrics", nil)
-	if err != nil {
-		return nil, err
-	}
-	status, body, err := h.do(req)
-	if err != nil {
-		return nil, err
-	}
-	if status != http.StatusOK {
-		return nil, fmt.Errorf("fleetd: metrics scrape returned %d", status)
-	}
-	return ParseMetrics(bytes.NewReader(body))
-}
-
-// ScrapeFleet sums every live node's metrics by name.
-func (h *Harness) ScrapeFleet(ctx context.Context) (map[string]int64, error) {
-	totals := make(map[string]int64)
-	for _, hn := range h.Alive() {
-		m, err := h.ScrapeNode(ctx, hn.URL)
-		if err != nil {
-			return nil, err
-		}
-		for name, v := range m {
-			totals[name] += v
-		}
-	}
-	return totals, nil
+	h.Driver.Close()
 }
 
 // ParseMetrics reads the daemon's text exposition format ("name value"

@@ -1,9 +1,11 @@
 package fleetd
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -12,12 +14,12 @@ import (
 	"smokescreen/internal/server"
 )
 
-// Load scenarios for the in-process fleet. Each drives the harness the
-// way production traffic would — through the nodes' HTTP listeners — and
-// returns a LoadResult whose counters come from the generator's ground
-// truth and the fleet's own /metrics, so the same runs serve as tests
-// (assert the invariants), benchmarks (publish the rates), and the smoke
-// script (eyeball the JSON).
+// Load scenarios for a fleet. Each drives it the way production traffic
+// would — through the nodes' HTTP listeners — and returns a LoadResult
+// whose counters come from the fleet's own /metrics (and, in the harness,
+// the generator's ground truth), so the same runs serve as tests (assert
+// the invariants), benchmarks (publish the rates), and the smoke script
+// (eyeball the JSON).
 
 // LoadResult is one scenario's outcome.
 type LoadResult struct {
@@ -46,17 +48,126 @@ type LoadResult struct {
 	LeaseWaits    int64 `json:"lease_waits"`
 }
 
-// loadRun accumulates per-request latencies thread-safely.
+// Driver is the load client. It knows a fleet only as a list of base
+// URLs, so the in-process harness (its own nodes, plus the GenCounter as
+// ground truth for generations) and cmd/smokeload -mode urls (real
+// daemons started elsewhere) run the same scenarios through it.
+type Driver struct {
+	client *http.Client
+	clock  Clock
+	// generations reports generator invocations fleet-wide from ground
+	// truth; nil reads the smokescreend_generations_total delta instead.
+	generations func() int
+}
+
+// NewDriver builds a load client. clock times the requests (nil means
+// SystemClock); generations is the optional ground-truth generation count.
+func NewDriver(clock Clock, generations func() int) *Driver {
+	if clock == nil {
+		clock = SystemClock
+	}
+	return &Driver{
+		client: &http.Client{Transport: &http.Transport{
+			MaxIdleConns:        512,
+			MaxIdleConnsPerHost: 128,
+			IdleConnTimeout:     90 * time.Second,
+		}},
+		clock:       clock,
+		generations: generations,
+	}
+}
+
+// Close releases the driver's pooled connections.
+func (d *Driver) Close() { d.client.CloseIdleConnections() }
+
+// Get fetches a profile by key through the given base URL.
+func (d *Driver) Get(ctx context.Context, baseURL, key string) (int, []byte, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/v1/profiles/"+key, nil)
+	if err != nil {
+		return 0, nil, err
+	}
+	status, _, body, err := d.do(req)
+	return status, body, err
+}
+
+// Post submits a generation request through the given base URL.
+func (d *Driver) Post(ctx context.Context, baseURL string, genReq server.GenRequest) (int, []byte, error) {
+	status, _, body, err := d.post(ctx, baseURL, genReq)
+	return status, body, err
+}
+
+// post is Post that also returns the store key the fleet answered with.
+func (d *Driver) post(ctx context.Context, baseURL string, genReq server.GenRequest) (int, string, []byte, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+"/v1/profiles", bytes.NewReader(mustJSON(genReq)))
+	if err != nil {
+		return 0, "", nil, err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	status, header, body, err := d.do(req)
+	return status, header.Get("X-Smokescreen-Key"), body, err
+}
+
+func (d *Driver) do(req *http.Request) (int, http.Header, []byte, error) {
+	resp, err := d.client.Do(req)
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxTransferBytes))
+	return resp.StatusCode, resp.Header, body, err
+}
+
+// ScrapeNode fetches and parses one live node's /metrics.
+func (d *Driver) ScrapeNode(ctx context.Context, baseURL string) (map[string]int64, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/metrics", nil)
+	if err != nil {
+		return nil, err
+	}
+	status, _, body, err := d.do(req)
+	if err != nil {
+		return nil, err
+	}
+	if status != http.StatusOK {
+		return nil, fmt.Errorf("fleetd: metrics scrape returned %d", status)
+	}
+	return ParseMetrics(bytes.NewReader(body))
+}
+
+// loadRun is one scenario in flight: the counters snapshotted when it
+// began, and the per-request latencies (recorded thread-safely) since.
 type loadRun struct {
+	d          *Driver
+	urls       []string
+	res        LoadResult
+	start      time.Time
+	before     map[string]map[string]int64
+	gensBefore int
+
 	mu        sync.Mutex
 	latencies []time.Duration
 	errors    int64
 }
 
-func (lr *loadRun) record(d time.Duration, ok bool) {
+// begin snapshots the fleet's counters and starts the scenario's clock.
+func (d *Driver) begin(ctx context.Context, scenario string, urls []string) *loadRun {
+	lr := &loadRun{d: d, urls: urls, res: LoadResult{Scenario: scenario}, before: d.snapshot(ctx, urls)}
+	if d.generations != nil {
+		lr.gensBefore = d.generations()
+	}
+	lr.start = d.clock.Now()
+	return lr
+}
+
+// timed runs one request, counts it and records its latency and whether it
+// succeeded.
+func (lr *loadRun) timed(request func() bool) {
+	t0 := lr.d.clock.Now()
+	ok := request()
+	elapsed := lr.d.clock.Now().Sub(t0)
 	lr.mu.Lock()
 	defer lr.mu.Unlock()
-	lr.latencies = append(lr.latencies, d)
+	lr.res.Requests++
+	lr.latencies = append(lr.latencies, elapsed)
 	if !ok {
 		lr.errors++
 	}
@@ -72,23 +183,25 @@ func (lr *loadRun) percentile(p float64) time.Duration {
 	return sorted[idx]
 }
 
-// snapshot captures per-node counters a scenario reports deltas of.
-// Per-node (not summed) so that a node killed mid-scenario drops out of
-// BOTH sides of the delta instead of making fleet totals go backwards.
-func (h *Harness) snapshot(ctx context.Context) (map[string]map[string]int64, int) {
+// snapshot captures the per-node counters a scenario reports deltas of.
+// Per-node (not summed), and skipping nodes that do not answer, so that a
+// node killed mid-scenario drops out of BOTH sides of the delta instead of
+// making fleet totals go backwards.
+func (d *Driver) snapshot(ctx context.Context, urls []string) map[string]map[string]int64 {
 	per := make(map[string]map[string]int64)
-	for _, hn := range h.Alive() {
-		m, err := h.ScrapeNode(ctx, hn.URL)
-		if err != nil {
-			continue
+	for _, url := range urls {
+		if m, err := d.ScrapeNode(ctx, url); err == nil {
+			per[url] = m
 		}
-		per[hn.Name] = m
 	}
-	return per, h.Counter.Total()
+	return per
 }
 
-func (h *Harness) finish(ctx context.Context, res *LoadResult, lr *loadRun, start time.Time, before map[string]map[string]int64, gensBefore int) {
-	elapsed := h.clock.Now().Sub(start)
+// finish stops the clock and fills the result's rates, percentiles and
+// counter deltas.
+func (lr *loadRun) finish(ctx context.Context) LoadResult {
+	d, res := lr.d, &lr.res
+	elapsed := d.clock.Now().Sub(lr.start)
 	res.DurationMillis = float64(elapsed) / float64(time.Millisecond)
 	res.Errors = lr.errors
 	res.P50Millis = float64(lr.percentile(0.50)) / float64(time.Millisecond)
@@ -96,14 +209,20 @@ func (h *Harness) finish(ctx context.Context, res *LoadResult, lr *loadRun, star
 	if elapsed > 0 {
 		res.RequestsPerSec = float64(res.Requests) / elapsed.Seconds()
 	}
-	res.Generations = h.Counter.Total() - gensBefore
-	after, _ := h.snapshot(ctx)
+	// Ground truth is read as the clock stops, before the scrapes below.
+	if d.generations != nil {
+		res.Generations = d.generations() - lr.gensBefore
+	}
+	after := d.snapshot(ctx, lr.urls)
 	delta := func(name string) int64 {
-		var d int64
+		var sum int64
 		for node, m := range after {
-			d += m[name] - before[node][name]
+			sum += m[name] - lr.before[node][name]
 		}
-		return d
+		return sum
+	}
+	if d.generations == nil {
+		res.Generations = int(delta("smokescreend_generations_total"))
 	}
 	res.Forwards = delta("smokescreend_fleet_forwards_total")
 	res.Coalesced = delta("smokescreend_fleet_forwards_coalesced_total")
@@ -111,81 +230,76 @@ func (h *Harness) finish(ctx context.Context, res *LoadResult, lr *loadRun, star
 	res.Repairs = delta("smokescreend_fleet_repairs_total")
 	res.LeaseExpiries = delta("smokescreend_fleet_lease_expiries_total")
 	res.LeaseWaits = delta("smokescreend_fleet_lease_waits_total")
+	return *res
 }
 
-// RunHotKeyHerd slams every node with concurrent sync POSTs for ONE key.
-// The fleet must collapse the herd to a single generation: routing-layer
+// Herd slams every URL with concurrent sync POSTs of ONE request. The
+// fleet must collapse the herd to a single generation: routing-layer
 // singleflight on the forwarding nodes, the lease on the replicas, and
 // the jobSet on the generating node each absorb a layer of duplication.
-func (h *Harness) RunHotKeyHerd(ctx context.Context, clients int, queryText string) (LoadResult, error) {
+func (d *Driver) Herd(ctx context.Context, urls []string, clients int, genReq server.GenRequest) (LoadResult, error) {
 	if clients <= 0 {
 		clients = 32
 	}
-	nodes := h.Alive()
-	if len(nodes) == 0 {
+	if len(urls) == 0 {
 		return LoadResult{}, fmt.Errorf("fleetd: no live nodes")
 	}
-	before, gensBefore := h.snapshot(ctx)
-	res := LoadResult{Scenario: "herd", Requests: int64(clients)}
-	lr := &loadRun{}
-	start := h.clock.Now()
+	lr := d.begin(ctx, "herd", urls)
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			t0 := h.clock.Now()
-			status, _, err := h.Post(ctx, nodes[c%len(nodes)].URL, server.GenRequest{Query: queryText})
-			lr.record(h.clock.Now().Sub(t0), err == nil && status == http.StatusOK)
+			lr.timed(func() bool {
+				status, _, err := d.Post(ctx, urls[c%len(urls)], genReq)
+				return err == nil && status == http.StatusOK
+			})
 		}(c)
 	}
 	wg.Wait()
-	h.finish(ctx, &res, lr, start, before, gensBefore)
+	res := lr.finish(ctx)
+	if res.Errors > 0 {
+		return res, fmt.Errorf("fleetd: herd: %d/%d requests failed", res.Errors, res.Requests)
+	}
 	return res, nil
 }
 
-// RunSteady drives a mixed steady-state workload: a population of keys
-// is generated once, then clients issue mostly GETs with periodic
-// re-POSTs (all store hits after the first). This is the service's
-// throughput shape: forwarded vs local hits in ring proportion.
-func (h *Harness) RunSteady(ctx context.Context, clients, keys, requestsPerClient int, queryPrefix string) (LoadResult, error) {
+// Steady drives a mixed steady-state workload over a key population: each
+// request of the population is generated once (the fleet answers with its
+// store key), then clients issue mostly GETs with periodic re-POSTs (all
+// store hits after the first). This is the service's throughput shape:
+// forwarded vs local hits in ring proportion.
+func (d *Driver) Steady(ctx context.Context, urls []string, clients, requestsPerClient int, population []server.GenRequest) (LoadResult, error) {
 	if clients <= 0 {
 		clients = 8
-	}
-	if keys <= 0 {
-		keys = 16
 	}
 	if requestsPerClient <= 0 {
 		requestsPerClient = 50
 	}
-	nodes := h.Alive()
-	if len(nodes) == 0 {
-		return LoadResult{}, fmt.Errorf("fleetd: no live nodes")
+	if len(urls) == 0 || len(population) == 0 {
+		return LoadResult{}, fmt.Errorf("fleetd: steady needs live nodes and a key population")
 	}
-	queries := make([]string, keys)
-	keyIDs := make([]string, keys)
-	for i := range queries {
-		queries[i] = fmt.Sprintf("%s-%d", queryPrefix, i)
-		keyIDs[i] = SyntheticKey(queries[i])
-	}
-	before, gensBefore := h.snapshot(ctx)
-	res := LoadResult{Scenario: "steady"}
-	lr := &loadRun{}
-	start := h.clock.Now()
+	lr := d.begin(ctx, "steady", urls)
 
 	// Warm phase: generate the population (counted as requests too).
+	keys := make([]string, len(population))
 	var wg sync.WaitGroup
-	for i := range queries {
+	for i := range population {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			t0 := h.clock.Now()
-			status, _, err := h.Post(ctx, nodes[i%len(nodes)].URL, server.GenRequest{Query: queries[i]})
-			lr.record(h.clock.Now().Sub(t0), err == nil && status == http.StatusOK)
+			lr.timed(func() bool {
+				status, key, _, err := d.post(ctx, urls[i%len(urls)], population[i])
+				keys[i] = key
+				return err == nil && status == http.StatusOK && key != ""
+			})
 		}(i)
 	}
 	wg.Wait()
-	res.Requests += int64(keys)
+	if lr.errors > 0 {
+		res := lr.finish(ctx)
+		return res, fmt.Errorf("fleetd: steady: %d/%d warm POSTs failed", res.Errors, res.Requests)
+	}
 
 	// Steady phase: 1 POST per 8 GETs, deterministic key walk per client.
 	for c := 0; c < clients; c++ {
@@ -193,24 +307,45 @@ func (h *Harness) RunSteady(ctx context.Context, clients, keys, requestsPerClien
 		go func(c int) {
 			defer wg.Done()
 			for j := 0; j < requestsPerClient; j++ {
-				i := (c*requestsPerClient + j) % keys
-				url := nodes[(c+j)%len(nodes)].URL
-				t0 := h.clock.Now()
-				var status int
-				var err error
-				if j%8 == 7 {
-					status, _, err = h.Post(ctx, url, server.GenRequest{Query: queries[i]})
-				} else {
-					status, _, err = h.Get(ctx, url, keyIDs[i])
-				}
-				lr.record(h.clock.Now().Sub(t0), err == nil && status == http.StatusOK)
+				i := (c*requestsPerClient + j) % len(keys)
+				url := urls[(c+j)%len(urls)]
+				lr.timed(func() bool {
+					var status int
+					var err error
+					if j%8 == 7 {
+						status, _, err = d.Post(ctx, url, population[i])
+					} else {
+						status, _, err = d.Get(ctx, url, keys[i])
+					}
+					return err == nil && status == http.StatusOK
+				})
 			}
 		}(c)
 	}
 	wg.Wait()
-	res.Requests += int64(clients * requestsPerClient)
-	h.finish(ctx, &res, lr, start, before, gensBefore)
+	res := lr.finish(ctx)
+	if res.Errors > 0 {
+		return res, fmt.Errorf("fleetd: steady: %d/%d requests failed", res.Errors, res.Requests)
+	}
 	return res, nil
+}
+
+// RunHotKeyHerd is Herd for queryText across the harness's live nodes.
+func (h *Harness) RunHotKeyHerd(ctx context.Context, clients int, queryText string) (LoadResult, error) {
+	return h.Herd(ctx, h.aliveURLs(), clients, server.GenRequest{Query: queryText})
+}
+
+// RunSteady is Steady across the harness's live nodes over the population
+// queryPrefix-0 .. queryPrefix-(keys-1).
+func (h *Harness) RunSteady(ctx context.Context, clients, keys, requestsPerClient int, queryPrefix string) (LoadResult, error) {
+	if keys <= 0 {
+		keys = 16
+	}
+	population := make([]server.GenRequest, keys)
+	for i := range population {
+		population[i].Query = fmt.Sprintf("%s-%d", queryPrefix, i)
+	}
+	return h.Steady(ctx, h.aliveURLs(), clients, requestsPerClient, population)
 }
 
 // pickKillTarget finds a query whose primary replica is NOT the lease
@@ -248,49 +383,47 @@ func (h *Harness) RunKillDuringGeneration(ctx context.Context) (LoadResult, erro
 		return LoadResult{}, fmt.Errorf("fleetd: kill target nodes not live")
 	}
 	key := SyntheticKey(queryText)
-	before, gensBefore := h.snapshot(ctx)
-	res := LoadResult{Scenario: "kill", Requests: 2}
-	lr := &loadRun{}
-	start := h.clock.Now()
+	lr := h.begin(ctx, "kill", h.aliveURLs())
 
 	// First POST: blocks in the victim's (slow) generation.
 	firstDone := make(chan struct{})
+	lr.res.Requests++
 	go func() {
 		defer close(firstDone)
 		_, _, _ = h.Post(ctx, victimURL, server.GenRequest{Query: queryText})
-		// Outcome deliberately ignored: this request is supposed to die
-		// with its node.
+		// Outcome deliberately ignored (and untimed): this request is
+		// supposed to die with its node.
 	}()
 
 	// Wait for the victim to start generating, then kill it.
 	for h.Counter.Key(key) == 0 {
 		select {
 		case <-ctx.Done():
-			return res, ctx.Err()
+			return lr.res, ctx.Err()
 		case <-h.clock.After(2 * time.Millisecond):
 		}
 	}
 	if got := h.Counter.NodeFor(key); got != victim {
 		// Placement said the primary generates; if routing ever changes
 		// this scenario must be rethought, so fail loudly.
-		return res, fmt.Errorf("fleetd: expected %s to generate %s, got %s", victim, key, got)
+		return lr.res, fmt.Errorf("fleetd: expected %s to generate %s, got %s", victim, key, got)
 	}
 	h.Kill(victim)
 	<-firstDone
 
 	// Recovery POST: must complete on the survivor after lease expiry.
-	t0 := h.clock.Now()
-	status, _, err := h.Post(ctx, survivorURL, server.GenRequest{Query: queryText})
-	lr.record(h.clock.Now().Sub(t0), err == nil && status == http.StatusOK)
+	var status int
+	lr.timed(func() bool {
+		status, _, err = h.Post(ctx, survivorURL, server.GenRequest{Query: queryText})
+		return err == nil && status == http.StatusOK
+	})
+	res := lr.finish(ctx)
 	if err != nil {
-		h.finish(ctx, &res, lr, start, before, gensBefore)
 		return res, fmt.Errorf("fleetd: recovery POST failed: %w", err)
 	}
 	if status != http.StatusOK {
-		h.finish(ctx, &res, lr, start, before, gensBefore)
 		return res, fmt.Errorf("fleetd: recovery POST returned %d", status)
 	}
-	h.finish(ctx, &res, lr, start, before, gensBefore)
 	return res, nil
 }
 
@@ -304,25 +437,23 @@ func (h *Harness) RunCancelPropagation(ctx context.Context) (LoadResult, error) 
 		return LoadResult{}, fmt.Errorf("fleetd: cancel scenario needs >= 2 live nodes")
 	}
 	queryText := "cancel-target"
-	before, gensBefore := h.snapshot(ctx)
-	res := LoadResult{Scenario: "cancel"}
-	lr := &loadRun{}
-	start := h.clock.Now()
+	lr := h.begin(ctx, "cancel", h.aliveURLs())
 
-	t0 := h.clock.Now()
-	status, body, err := h.Post(ctx, nodes[0].URL, server.GenRequest{Query: queryText, Async: true})
-	lr.record(h.clock.Now().Sub(t0), err == nil && status == http.StatusAccepted)
-	res.Requests++
+	var status int
+	var body []byte
+	var err error
+	lr.timed(func() bool {
+		status, body, err = h.Post(ctx, nodes[0].URL, server.GenRequest{Query: queryText, Async: true})
+		return err == nil && status == http.StatusAccepted
+	})
 	if err != nil || status != http.StatusAccepted {
-		h.finish(ctx, &res, lr, start, before, gensBefore)
-		return res, fmt.Errorf("fleetd: async POST returned %d (%v)", status, err)
+		return lr.finish(ctx), fmt.Errorf("fleetd: async POST returned %d (%v)", status, err)
 	}
 	var job struct {
 		ID string `json:"id"`
 	}
 	if err := json.Unmarshal(body, &job); err != nil || job.ID == "" {
-		h.finish(ctx, &res, lr, start, before, gensBefore)
-		return res, fmt.Errorf("fleetd: async POST returned no job id: %v", err)
+		return lr.finish(ctx), fmt.Errorf("fleetd: async POST returned no job id: %v", err)
 	}
 
 	// Cancel through the LAST node — for a >= 2-node fleet at least one
@@ -331,47 +462,44 @@ func (h *Harness) RunCancelPropagation(ctx context.Context) (LoadResult, error) 
 	cancelURL := nodes[len(nodes)-1].URL
 	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, cancelURL+"/v1/jobs/"+job.ID, nil)
 	if err != nil {
-		return res, err
+		return lr.res, err
 	}
-	t0 = h.clock.Now()
-	status, _, err = h.do(req)
-	lr.record(h.clock.Now().Sub(t0), err == nil && status == http.StatusOK)
-	res.Requests++
+	lr.timed(func() bool {
+		status, _, _, err = h.do(req)
+		return err == nil && status == http.StatusOK
+	})
 	if err != nil || status != http.StatusOK {
-		h.finish(ctx, &res, lr, start, before, gensBefore)
-		return res, fmt.Errorf("fleetd: cross-node DELETE returned %d (%v)", status, err)
+		return lr.finish(ctx), fmt.Errorf("fleetd: cross-node DELETE returned %d (%v)", status, err)
 	}
 
-	// Poll (through yet another entry point) until the job is terminal.
+	// Poll (through yet another entry point, untimed) until the job is
+	// terminal.
 	pollURL := nodes[len(nodes)/2].URL
 	for {
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, pollURL+"/v1/jobs/"+job.ID, nil)
 		if err != nil {
-			return res, err
+			return lr.res, err
 		}
-		status, body, err := h.do(req)
-		res.Requests++
+		status, _, body, err := h.do(req)
+		lr.res.Requests++
 		if err != nil || status != http.StatusOK {
-			h.finish(ctx, &res, lr, start, before, gensBefore)
-			return res, fmt.Errorf("fleetd: cross-node job poll returned %d (%v)", status, err)
+			return lr.finish(ctx), fmt.Errorf("fleetd: cross-node job poll returned %d (%v)", status, err)
 		}
 		var st struct {
 			State string `json:"state"`
 		}
 		if err := json.Unmarshal(body, &st); err != nil {
-			return res, err
+			return lr.res, err
 		}
 		switch st.State {
 		case "canceled":
-			h.finish(ctx, &res, lr, start, before, gensBefore)
-			return res, nil
+			return lr.finish(ctx), nil
 		case "done", "failed":
-			h.finish(ctx, &res, lr, start, before, gensBefore)
-			return res, fmt.Errorf("fleetd: job ended %q, want canceled", st.State)
+			return lr.finish(ctx), fmt.Errorf("fleetd: job ended %q, want canceled", st.State)
 		}
 		select {
 		case <-ctx.Done():
-			return res, ctx.Err()
+			return lr.res, ctx.Err()
 		case <-h.clock.After(5 * time.Millisecond):
 		}
 	}

@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"smokescreen/internal/degrade"
 	"smokescreen/internal/detect"
 	"smokescreen/internal/scene"
 )
@@ -46,19 +45,4 @@ func ClassCombos() [][]scene.Class {
 		{scene.Person},
 		{scene.Person, scene.Face},
 	}
-}
-
-// CandidateSettings enumerates the full intervention-candidate hypercube
-// for a model: fractions x resolutions x class combinations. The order is
-// row-major with the loosest values first along every axis.
-func CandidateSettings(m *detect.Model, fractions []float64) []degrade.Setting {
-	var out []degrade.Setting
-	for _, combo := range ClassCombos() {
-		for _, p := range CandidateResolutions(m) {
-			for _, f := range fractions {
-				out = append(out, degrade.Setting{SampleFraction: f, Resolution: p, Restricted: combo})
-			}
-		}
-	}
-	return out
 }

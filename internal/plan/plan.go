@@ -173,11 +173,6 @@ func BuildHypercube(ctx context.Context, v *scene.Video, m *detect.Model, fracti
 	return h, nil
 }
 
-// Cell returns the planned cell at grid coordinates (ci, ri).
-func (h *Hypercube) CellAt(ci, ri int) *Cell {
-	return &h.Cells[ci*len(h.Resolutions)+ri]
-}
-
 // Unit is one deduplicated physical work unit: the frames to detect at
 // one input resolution (over one corpus view and model, implicit from the
 // generation the plan belongs to).

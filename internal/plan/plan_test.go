@@ -57,21 +57,6 @@ func TestClassCombos(t *testing.T) {
 	}
 }
 
-func TestCandidateSettings(t *testing.T) {
-	m := detect.YOLOv4Sim()
-	fractions := []float64{0.05, 0.1}
-	settings := CandidateSettings(m, fractions)
-	want := 4 * 10 * 2
-	if len(settings) != want {
-		t.Fatalf("got %d settings, want %d", len(settings), want)
-	}
-	for _, s := range settings {
-		if err := s.Validate(m); err != nil {
-			t.Fatalf("generated invalid setting %v: %v", s, err)
-		}
-	}
-}
-
 // TestBuildSweepMatchesApply verifies the planner reproduces the exact
 // frame sets degrade.Apply draws: a sweep task's sample is the prefix of
 // the same stream permutation, so plan-first execution is bit-identical to
@@ -149,7 +134,7 @@ func TestBuildHypercubeCellStreams(t *testing.T) {
 	// grid-coordinate child stream — the legacy per-cell derivation.
 	for ci := range h.Combos {
 		for ri := range h.Resolutions {
-			cell := h.CellAt(ci, ri)
+			cell := &h.Cells[ci*len(h.Resolutions)+ri]
 			want, err := BuildSweep(context.Background(), v, m, SweepSpec{
 				Fractions: fractions,
 				Base: degrade.Setting{
@@ -189,7 +174,7 @@ func TestBuildHypercubeCellStreams(t *testing.T) {
 // is the sorted union — strictly smaller than the sum of the cells' frame
 // sets whenever cells overlap.
 func TestHypercubeUnitsDedup(t *testing.T) {
-	ResetStages()
+	before := Stages()
 	v := dataset.MustLoad("small")
 	m := detect.YOLOv4Sim()
 	h, err := BuildHypercube(context.Background(), v, m, []float64{0.01, 0.03}, stats.NewStream(3))
@@ -223,11 +208,11 @@ func TestHypercubeUnitsDedup(t *testing.T) {
 		t.Fatalf("dedup saved nothing: %d unique of %d requested", unique, requested)
 	}
 	st := Stages()
-	if st.DedupSavedFrames != int64(requested-unique) {
-		t.Fatalf("stage counter recorded %d saved frames, want %d", st.DedupSavedFrames, requested-unique)
+	if saved := st.DedupSavedFrames - before.DedupSavedFrames; saved != int64(requested-unique) {
+		t.Fatalf("stage counter recorded %d saved frames, want %d", saved, requested-unique)
 	}
-	if st.Units != int64(len(units)) || st.Tasks == 0 {
-		t.Fatalf("stage counters inconsistent: %+v", st)
+	if st.Units-before.Units != int64(len(units)) || st.Tasks == before.Tasks {
+		t.Fatalf("stage counters inconsistent: %+v after %+v", st, before)
 	}
 }
 

@@ -73,13 +73,3 @@ func Stages() StageStats {
 		DedupSavedFrames: dedupSavedFrames.Load(),
 	}
 }
-
-// ResetStages zeroes the stage counters (benchmarks isolate runs with it).
-func ResetStages() {
-	planNS.Store(0)
-	detectNS.Store(0)
-	estimateNS.Store(0)
-	tasksPlanned.Store(0)
-	unitsPlanned.Store(0)
-	dedupSavedFrames.Store(0)
-}

@@ -26,19 +26,14 @@ type AdaptiveResult struct {
 	FramesUsed int
 }
 
-// RunUntil samples admissible frames without replacement, observing each
+// RunUntilCtx samples admissible frames without replacement, observing each
 // through the spec's model at the setting's resolution, until the
 // any-time error bound drops to targetErr or the frame budget
 // (maxFraction of the corpus) is exhausted. Only mean-type aggregates are
 // supported (the streaming estimator's constraint); non-random settings
 // are rejected because an adaptively-stopped biased sample cannot be
-// repaired soundly mid-stream.
-func RunUntil(spec *Spec, setting degrade.Setting, targetErr, maxFraction float64, stream *stats.Stream) (*AdaptiveResult, error) {
-	return RunUntilCtx(context.Background(), spec, setting, targetErr, maxFraction, stream)
-}
-
-// RunUntilCtx is RunUntil with cancellation: the per-batch detector work
-// aborts when ctx is done, and no partial result is returned.
+// repaired soundly mid-stream. The per-batch detector work aborts when ctx
+// is done, and no partial result is returned.
 func RunUntilCtx(ctx context.Context, spec *Spec, setting degrade.Setting, targetErr, maxFraction float64, stream *stats.Stream) (*AdaptiveResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err

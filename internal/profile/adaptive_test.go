@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"context"
 	"testing"
 
 	"smokescreen/internal/degrade"
@@ -12,24 +13,24 @@ import (
 func TestRunUntilValidation(t *testing.T) {
 	s := testSpec(estimate.AVG)
 	stream := stats.NewStream(1)
-	if _, err := RunUntil(s, degrade.Setting{SampleFraction: 1}, 0, 0.5, stream); err == nil {
+	if _, err := RunUntilCtx(context.Background(), s, degrade.Setting{SampleFraction: 1}, 0, 0.5, stream); err == nil {
 		t.Fatal("zero target accepted")
 	}
-	if _, err := RunUntil(s, degrade.Setting{SampleFraction: 1}, 0.2, 0, stream); err == nil {
+	if _, err := RunUntilCtx(context.Background(), s, degrade.Setting{SampleFraction: 1}, 0.2, 0, stream); err == nil {
 		t.Fatal("zero budget accepted")
 	}
-	if _, err := RunUntil(s, degrade.Setting{SampleFraction: 1, Resolution: 160}, 0.2, 0.5, stream); err == nil {
+	if _, err := RunUntilCtx(context.Background(), s, degrade.Setting{SampleFraction: 1, Resolution: 160}, 0.2, 0.5, stream); err == nil {
 		t.Fatal("non-random setting accepted")
 	}
 	maxSpec := testSpec(estimate.MAX)
-	if _, err := RunUntil(maxSpec, degrade.Setting{SampleFraction: 1}, 0.2, 0.5, stream); err == nil {
+	if _, err := RunUntilCtx(context.Background(), maxSpec, degrade.Setting{SampleFraction: 1}, 0.2, 0.5, stream); err == nil {
 		t.Fatal("MAX adaptive accepted")
 	}
 }
 
 func TestRunUntilMeetsTarget(t *testing.T) {
 	s := testSpec(estimate.AVG)
-	res, err := RunUntil(s, degrade.Setting{SampleFraction: 1}, 0.35, 1, stats.NewStream(501))
+	res, err := RunUntilCtx(context.Background(), s, degrade.Setting{SampleFraction: 1}, 0.35, 1, stats.NewStream(501))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +56,11 @@ func TestRunUntilMeetsTarget(t *testing.T) {
 
 func TestRunUntilEasierTargetsStopEarlier(t *testing.T) {
 	s := testSpec(estimate.AVG)
-	loose, err := RunUntil(s, degrade.Setting{SampleFraction: 1}, 0.6, 1, stats.NewStream(503))
+	loose, err := RunUntilCtx(context.Background(), s, degrade.Setting{SampleFraction: 1}, 0.6, 1, stats.NewStream(503))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tight, err := RunUntil(s, degrade.Setting{SampleFraction: 1}, 0.3, 1, stats.NewStream(503))
+	tight, err := RunUntilCtx(context.Background(), s, degrade.Setting{SampleFraction: 1}, 0.3, 1, stats.NewStream(503))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestRunUntilEasierTargetsStopEarlier(t *testing.T) {
 
 func TestRunUntilBudgetExhaustion(t *testing.T) {
 	s := testSpec(estimate.AVG)
-	res, err := RunUntil(s, degrade.Setting{SampleFraction: 1}, 0.01, 0.02, stats.NewStream(507))
+	res, err := RunUntilCtx(context.Background(), s, degrade.Setting{SampleFraction: 1}, 0.01, 0.02, stats.NewStream(507))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,14 +92,14 @@ func TestRunUntilRespectsImageRemovalPool(t *testing.T) {
 	// removal is a non-random intervention, so it must be rejected.
 	s := testSpec(estimate.AVG)
 	setting := degrade.Setting{SampleFraction: 1, Restricted: []scene.Class{scene.Face}}
-	if _, err := RunUntil(s, setting, 0.3, 0.5, stats.NewStream(509)); err == nil {
+	if _, err := RunUntilCtx(context.Background(), s, setting, 0.3, 0.5, stats.NewStream(509)); err == nil {
 		t.Fatal("image-removal adaptive run accepted")
 	}
 }
 
 func TestRunUntilCount(t *testing.T) {
 	s := testSpec(estimate.COUNT)
-	res, err := RunUntil(s, degrade.Setting{SampleFraction: 1}, 0.2, 1, stats.NewStream(511))
+	res, err := RunUntilCtx(context.Background(), s, degrade.Setting{SampleFraction: 1}, 0.2, 1, stats.NewStream(511))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,8 +5,6 @@ import (
 	"fmt"
 
 	"smokescreen/internal/estimate"
-	"smokescreen/internal/outputs"
-	"smokescreen/internal/parallel"
 	"smokescreen/internal/plan"
 	"smokescreen/internal/stats"
 )
@@ -53,7 +51,6 @@ const (
 // Construction is deliberately sequential and lazy: the elbow rule decides
 // whether to grow the set from the previous step's bound, so each step is
 // gated on its predecessor and there is no independent work to fan out.
-// (The unstopped sweep, CorrectionCurve, does parallelise.)
 func ConstructCorrection(spec *Spec, sizeLimit float64, stream *stats.Stream) (*ConstructionResult, error) {
 	return ConstructCorrectionCtx(context.Background(), spec, sizeLimit, stream)
 }
@@ -113,79 +110,6 @@ func ConstructCorrectionCtx(ctx context.Context, spec *Spec, sizeLimit float64, 
 		return nil, fmt.Errorf("profile: size limit %v below the minimum growth step %v", sizeLimit, growthStep)
 	}
 	return &result, nil
-}
-
-// CorrectionCurve evaluates err_b(v) across explicit correction-set
-// fractions without the stopping rule — the full Figure 9 sweep. The same
-// nested sampling is used so the curve is monotone in information.
-func CorrectionCurve(spec *Spec, fractions []float64, stream *stats.Stream) ([]CorrectionStep, error) {
-	return CorrectionCurveOpts(spec, fractions, 1, stream)
-}
-
-// CorrectionCurveOpts is CorrectionCurve with the fraction evaluations
-// fanned out across parallelism workers (1 is sequential, 0 or negative
-// means one worker per CPU). The permutation is drawn once up front, so
-// every fraction's nested sample — and therefore the curve — is identical
-// at any worker count.
-func CorrectionCurveOpts(spec *Spec, fractions []float64, parallelism int, stream *stats.Stream) ([]CorrectionStep, error) {
-	return CorrectionCurveCtx(context.Background(), spec, fractions, parallelism, stream)
-}
-
-// CorrectionCurveCtx runs the curve as a pipelined plan: nested sampling
-// makes the largest fraction's frame set the curve's one deduplicated work
-// unit, which the detect stage materialises in the column store before the
-// fraction evaluations fan out reading columns.
-func CorrectionCurveCtx(ctx context.Context, spec *Spec, fractions []float64, parallelism int, stream *stats.Stream) ([]CorrectionStep, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	n := spec.Video.NumFrames()
-	perm := stream.Perm(n)
-
-	maxM := 0
-	for _, fraction := range fractions {
-		if fraction <= 0 || fraction > 1 {
-			continue // the per-fraction task reports the error
-		}
-		m := int(float64(n)*fraction + 0.5)
-		if m < 1 {
-			m = 1
-		}
-		if m > maxM {
-			maxM = m
-		}
-	}
-	if maxM > 0 {
-		stopDetect := plan.DetectTimer()
-		err := outputs.Ensure(ctx, spec.Video, spec.Model, spec.Class, spec.Model.NativeInput, perm[:maxM])
-		stopDetect()
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	stopEstimate := plan.EstimateTimer()
-	steps, err := parallel.MapCtx(ctx, len(fractions), parallelism, func(i int) (CorrectionStep, error) {
-		fraction := fractions[i]
-		if fraction <= 0 || fraction > 1 {
-			return CorrectionStep{}, fmt.Errorf("profile: correction fraction %v out of (0,1]", fraction)
-		}
-		m := int(float64(n)*fraction + 0.5)
-		if m < 1 {
-			m = 1
-		}
-		sample, err := spec.outputsAtCtx(ctx, perm[:m])
-		if err != nil {
-			return CorrectionStep{}, err
-		}
-		corr, err := estimate.NewCorrection(spec.Agg, sample, n, spec.Params)
-		if err != nil {
-			return CorrectionStep{}, err
-		}
-		return CorrectionStep{Fraction: fraction, Size: m, ErrBound: corr.Estimate.ErrBound}, nil
-	})
-	stopEstimate()
-	return steps, err
 }
 
 // BuildCorrectionAt builds a correction set of an explicit size (used by

@@ -2,13 +2,12 @@ package profile
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"runtime"
 	"testing"
 
-	"smokescreen/internal/detect"
 	"smokescreen/internal/estimate"
-	"smokescreen/internal/raster"
 	"smokescreen/internal/stats"
 )
 
@@ -43,7 +42,7 @@ func TestParallelHypercubeBitIdentical(t *testing.T) {
 	}
 
 	opts.Parallelism = 1
-	seq, err := GenerateHypercubeOpts(s, opts, root.Child(2))
+	seq, err := GenerateHypercubeCtx(context.Background(), s, opts, root.Child(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +51,7 @@ func TestParallelHypercubeBitIdentical(t *testing.T) {
 	for _, workers := range []int{2, 4, 8} {
 		for rep := 0; rep < 2; rep++ {
 			opts.Parallelism = workers
-			cube, err := GenerateHypercubeOpts(s, opts, root.Child(2))
+			cube, err := GenerateHypercubeCtx(context.Background(), s, opts, root.Child(2))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,27 +93,6 @@ func TestParallelSweepBitIdentical(t *testing.T) {
 	}
 }
 
-func TestParallelCorrectionCurveBitIdentical(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-
-	s := testSpec(estimate.AVG)
-	root := stats.NewStream(23)
-	fractions := []float64{0.01, 0.03, 0.08}
-	seq, err := CorrectionCurveOpts(s, fractions, 1, root.Child(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 8} {
-		par, err := CorrectionCurveOpts(s, fractions, workers, root.Child(3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(seq, par) {
-			t.Fatalf("workers=%d: parallel correction curve differs:\n%+v\nvs\n%+v", workers, par, seq)
-		}
-	}
-}
-
 // Early-stopping sweeps are inherently sequential; a Parallelism request
 // must not change their output (the fan-out is bypassed).
 func TestParallelSweepRespectsEarlyStop(t *testing.T) {
@@ -136,42 +114,5 @@ func TestParallelSweepRespectsEarlyStop(t *testing.T) {
 	}
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatalf("early-stopping sweep changed under Parallelism=8:\n%+v\nvs\n%+v", par, seq)
-	}
-}
-
-// TestSweepBitIdenticalAcrossKernelParallelism pins the cross-layer
-// contract: the raster kernels' row fan-out (raster.SetParallelism) must
-// not perturb a single bit of a generated profile, because kernel row
-// blocks are fixed-size and every output row is a pure function of its
-// inputs. Combined with the worker-count tests above, this makes profile
-// output independent of the entire parallelism configuration.
-func TestSweepBitIdenticalAcrossKernelParallelism(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	prev := raster.Parallelism()
-	t.Cleanup(func() { raster.SetParallelism(prev) })
-
-	s := testSpec(estimate.AVG)
-	root := stats.NewStream(63)
-	opts := SweepOptions{
-		Fractions:   []float64{0.02, 0.1},
-		Parallelism: 2,
-	}
-
-	raster.SetParallelism(1)
-	detect.ResetCaches()
-	seq, err := SweepFractions(s, opts, root.Child(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, kernelWorkers := range []int{4, 8} {
-		raster.SetParallelism(kernelWorkers)
-		detect.ResetCaches() // force re-detection through the parallel kernels
-		par, err := SweepFractions(s, opts, root.Child(9))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(seq, par) {
-			t.Fatalf("kernel parallelism %d changed the profile:\n%+v\nvs\n%+v", kernelWorkers, par, seq)
-		}
 	}
 }

@@ -2,6 +2,7 @@ package profile
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -19,7 +20,7 @@ func TestHypercubeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cube, err := GenerateHypercube(s, []float64{0.02, 0.1}, res.Correction, root.Child(2), 0)
+	cube, err := GenerateHypercubeCtx(context.Background(), s, HypercubeOptions{Fractions: []float64{0.02, 0.1}, Correction: res.Correction, Parallelism: 1}, root.Child(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -241,24 +241,6 @@ func TestConstructCorrectionRespectsLimit(t *testing.T) {
 	}
 }
 
-func TestCorrectionCurveDecreases(t *testing.T) {
-	s := testSpec(estimate.AVG)
-	fractions := []float64{0.01, 0.05, 0.1, 0.2, 0.4}
-	steps, err := CorrectionCurve(s, fractions, stats.NewStream(127))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(steps) != len(fractions) {
-		t.Fatalf("got %d steps", len(steps))
-	}
-	if steps[len(steps)-1].ErrBound >= steps[0].ErrBound {
-		t.Fatalf("bound did not shrink: %v -> %v", steps[0].ErrBound, steps[len(steps)-1].ErrBound)
-	}
-	if _, err := CorrectionCurve(s, []float64{0}, stats.NewStream(1)); err == nil {
-		t.Fatal("zero fraction accepted")
-	}
-}
-
 func TestBuildCorrectionAt(t *testing.T) {
 	s := testSpec(estimate.MAX)
 	corr, err := BuildCorrectionAt(s, 500, stats.NewStream(131))
@@ -489,7 +471,7 @@ func TestGenerateHypercube(t *testing.T) {
 		t.Fatal(err)
 	}
 	fractions := []float64{0.02, 0.1}
-	cube, err := GenerateHypercube(s, fractions, res.Correction, root.Child(2), 0)
+	cube, err := GenerateHypercubeCtx(context.Background(), s, HypercubeOptions{Fractions: fractions, Correction: res.Correction, Parallelism: 1}, root.Child(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -527,7 +509,7 @@ func TestGenerateHypercube(t *testing.T) {
 	if len(rSlice) != len(cube.Resolutions) {
 		t.Fatal("resolution slice length")
 	}
-	if _, err := GenerateHypercube(s, fractions, nil, root, 0); err == nil {
+	if _, err := GenerateHypercubeCtx(context.Background(), s, HypercubeOptions{Fractions: fractions, Parallelism: 1}, root); err == nil {
 		t.Fatal("hypercube without correction accepted")
 	}
 }

@@ -193,27 +193,11 @@ type HypercubeOptions struct {
 	Parallelism int
 }
 
-// GenerateHypercube evaluates the full candidate grid (Problem 2)
-// sequentially. Each (combo, resolution) pair reuses one nested sample.
-// It is the reference path; GenerateHypercubeOpts fans the grid out across
-// a bounded worker pool and produces identical bytes.
-func GenerateHypercube(spec *Spec, fractions []float64, corr *estimate.Correction, stream *stats.Stream, earlyStopDelta float64) (*Hypercube, error) {
-	return GenerateHypercubeOpts(spec, HypercubeOptions{
-		Fractions:      fractions,
-		Correction:     corr,
-		EarlyStopDelta: earlyStopDelta,
-		Parallelism:    1,
-	}, stream)
-}
-
-// GenerateHypercubeOpts evaluates the full candidate grid (Problem 2). A
-// correction set is required because the grid includes non-random
-// interventions.
-func GenerateHypercubeOpts(spec *Spec, opts HypercubeOptions, stream *stats.Stream) (*Hypercube, error) {
-	return GenerateHypercubeCtx(context.Background(), spec, opts, stream)
-}
-
-// GenerateHypercubeCtx runs the full plan/execute pipeline over the grid.
+// GenerateHypercubeCtx evaluates the full candidate grid (Problem 2)
+// through the plan/execute pipeline; each (combo, resolution) pair reuses
+// one nested sample. A correction set is required because the grid
+// includes non-random interventions.
+//
 // Planning enumerates every cell's sweep up front (one presence protocol
 // per restricted class, one nested sample per cell); the detect stage
 // dedups the cells' detector work into per-resolution units — the frames

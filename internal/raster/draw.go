@@ -19,19 +19,6 @@ func (m *Image) FillRect(r Rect, v float32) {
 	}
 }
 
-// BlendRect alpha-blends a rectangle of intensity v over the existing
-// pixels with opacity alpha in [0, 1].
-func (m *Image) BlendRect(r Rect, v, alpha float32) {
-	r = r.Intersect(RectWH(0, 0, m.W, m.H))
-	v = clamp01(v)
-	for y := r.MinY; y < r.MaxY; y++ {
-		row := m.Pix[y*m.W+r.MinX : y*m.W+r.MaxX]
-		for i, old := range row {
-			row[i] = clamp01(old + (v-old)*alpha)
-		}
-	}
-}
-
 // FillEllipse paints a filled ellipse inscribed in r with intensity v and a
 // one-pixel soft edge.
 func (m *Image) FillEllipse(r Rect, v float32) {

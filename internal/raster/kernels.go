@@ -1,88 +1,20 @@
 package raster
 
-import (
-	"sync"
-	"sync/atomic"
+import "sync"
 
-	"smokescreen/internal/parallel"
-)
-
-// Kernel parallelism. The separable kernels below (DownsampleInto,
-// BoxBlurInto, bilinearInto) fan rows out across the bounded worker pool in
-// internal/parallel when the image is large enough to pay for goroutines.
-// Work is partitioned into FIXED row blocks whose boundaries depend only on
-// the image size — never on the worker count — and every output row is
-// computed from its inputs alone, so results are bit-for-bit identical at
-// any parallelism setting (pinned by TestKernelsDeterministicAcrossWorkers).
-//
-// The default is 1 (sequential): the detection hot paths already run one
-// frame per worker via internal/parallel, and nesting pools oversubscribes
-// the CPU. Interactive full-frame workloads (cmd/smokescreend) raise it.
-
-var kernelParallelism atomic.Int32
-
-// SetParallelism bounds the worker goroutines the raster kernels may use
-// for row fan-out: 1 (the default) is sequential, 0 or negative means one
-// worker per CPU. Output pixels are identical at any setting.
-func SetParallelism(n int) {
-	if n < 0 {
-		n = 0
-	}
-	kernelParallelism.Store(int32(n))
-}
-
-func init() { kernelParallelism.Store(1) }
-
-// Parallelism returns the resolved kernel worker bound.
-func Parallelism() int {
-	n := int(kernelParallelism.Load())
-	if n == 1 {
-		return 1
-	}
-	return parallel.Workers(n)
-}
-
-const (
-	// kernelRowBlock is the fixed row-block granule of kernel fan-out. The
-	// vertical blur pass re-seeds its running window sum at every block
-	// boundary, so the block size is part of the numeric contract: it must
-	// not depend on the worker count.
-	kernelRowBlock = 32
-	// kernelParallelMinWork is the approximate pixel-op count under which
-	// fan-out never pays for goroutine handoff; small patch kernels in the
-	// detection hot path stay on the calling goroutine.
-	kernelParallelMinWork = 1 << 16
-)
+// kernelRowBlock is the fixed row-block granule of the separable kernels.
+// The vertical blur pass re-seeds its running window sum at every block
+// boundary, so the block size is part of the numeric contract (pinned by
+// TestGoldenKernelBytes): block boundaries are a pure function of the
+// image height.
+const kernelRowBlock = 32
 
 // forRowBlocks partitions [0, n) into kernelRowBlock-sized blocks and runs
-// fn(lo, hi) for each. Blocks run on the calling goroutine unless the
-// kernel parallelism setting allows workers and the total work (an op-count
-// estimate) justifies them. Block boundaries are a pure function of n.
-func forRowBlocks(n, work int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
+// fn(lo, hi) for each, in order, on the calling goroutine.
+func forRowBlocks(n int, fn func(lo, hi int)) {
+	for lo := 0; lo < n; lo += kernelRowBlock {
+		fn(lo, min(lo+kernelRowBlock, n))
 	}
-	blocks := (n + kernelRowBlock - 1) / kernelRowBlock
-	workers := Parallelism()
-	if workers <= 1 || blocks <= 1 || work < kernelParallelMinWork {
-		for b := 0; b < blocks; b++ {
-			lo := b * kernelRowBlock
-			hi := lo + kernelRowBlock
-			if hi > n {
-				hi = n
-			}
-			fn(lo, hi)
-		}
-		return
-	}
-	parallel.For(blocks, workers, func(b int) {
-		lo := b * kernelRowBlock
-		hi := lo + kernelRowBlock
-		if hi > n {
-			hi = n
-		}
-		fn(lo, hi)
-	})
 }
 
 // f64Pool recycles the float64 accumulator slabs (prefix sums, row sums,

@@ -87,43 +87,6 @@ func TestBoxBlurMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestKernelsDeterministicAcrossWorkers pins the bit-identical contract:
-// the same inputs produce the same output bits at Parallelism 1, 4, and 8.
-func TestKernelsDeterministicAcrossWorkers(t *testing.T) {
-	prev := int(kernelParallelism.Load())
-	t.Cleanup(func() { SetParallelism(prev) })
-
-	rng := rand.New(rand.NewSource(99))
-	src := randomImage(rng, 320, 180)
-
-	run := func(workers int) (*Image, *Image, *Image) {
-		SetParallelism(workers)
-		down := New(57, 33)
-		DownsampleInto(down, src)
-		blur := New(320, 180)
-		BoxBlurInto(blur, src, 5)
-		up := New(417, 243)
-		bilinearInto(up, src)
-		return down, blur, up
-	}
-
-	d1, b1, u1 := run(1)
-	for _, workers := range []int{4, 8} {
-		dn, bn, un := run(workers)
-		for name, pair := range map[string][2]*Image{
-			"downsample": {d1, dn}, "blur": {b1, bn}, "bilinear": {u1, un},
-		} {
-			a, b := pair[0], pair[1]
-			for i := range a.Pix {
-				if math.Float32bits(a.Pix[i]) != math.Float32bits(b.Pix[i]) {
-					t.Fatalf("%s: pixel %d differs between 1 and %d workers: %x vs %x",
-						name, i, workers, math.Float32bits(a.Pix[i]), math.Float32bits(b.Pix[i]))
-				}
-			}
-		}
-	}
-}
-
 // TestBilinearEdgeClamp is the boundary-clamp regression: 1-pixel-wide/high
 // sources must replicate their row/column (the old implementation read
 // out-of-bounds zeros and faded the edges to black), and constant images

@@ -1,7 +1,6 @@
 package raster
 
 import (
-	"fmt"
 	"image"
 	"image/color"
 	"image/png"
@@ -21,24 +20,6 @@ func EncodePNG(w io.Writer, m *Image) error {
 		}
 	}
 	return png.Encode(w, img)
-}
-
-// DecodePNG reads an 8-bit grayscale PNG back into an Image (color inputs
-// are converted via the standard luma weights).
-func DecodePNG(r io.Reader) (*Image, error) {
-	img, err := png.Decode(r)
-	if err != nil {
-		return nil, fmt.Errorf("raster: decoding png: %w", err)
-	}
-	bounds := img.Bounds()
-	out := New(bounds.Dx(), bounds.Dy())
-	for y := 0; y < out.H; y++ {
-		for x := 0; x < out.W; x++ {
-			g := color.GrayModel.Convert(img.At(bounds.Min.X+x, bounds.Min.Y+y)).(color.Gray)
-			out.Pix[y*out.W+x] = float32(g.Y) / 255
-		}
-	}
-	return out, nil
 }
 
 // DrawBox strokes a one-pixel rectangle outline with intensity v — used to

@@ -2,6 +2,8 @@ package raster
 
 import (
 	"bytes"
+	"image"
+	"image/png"
 	"math"
 	"testing"
 	"testing/quick"
@@ -138,15 +140,6 @@ func TestFillRectRespectsBounds(t *testing.T) {
 		if v != 0.7 {
 			t.Fatalf("pixel %d = %v after clipped fill", i, v)
 		}
-	}
-}
-
-func TestBlendRect(t *testing.T) {
-	m := New(2, 2)
-	m.Fill(0.2)
-	m.BlendRect(RectWH(0, 0, 2, 2), 1.0, 0.5)
-	if got := m.At(0, 0); math.Abs(float64(got)-0.6) > 1e-6 {
-		t.Fatalf("blend = %v, want 0.6", got)
 	}
 }
 
@@ -319,30 +312,6 @@ func TestUpsampleBilinear(t *testing.T) {
 	}
 }
 
-func TestIntegralSumRect(t *testing.T) {
-	m := New(5, 4)
-	for y := 0; y < 4; y++ {
-		for x := 0; x < 5; x++ {
-			m.Set(x, y, float32(x+y)/10)
-		}
-	}
-	integral := Integral(m)
-	// Compare against direct summation for a few rectangles.
-	rects := []Rect{RectWH(0, 0, 5, 4), RectWH(1, 1, 3, 2), RectWH(4, 3, 1, 1), RectWH(2, 0, 1, 4)}
-	for _, r := range rects {
-		var want float64
-		for y := r.MinY; y < r.MaxY; y++ {
-			for x := r.MinX; x < r.MaxX; x++ {
-				want += float64(m.At(x, y))
-			}
-		}
-		got := integral.SumRect(r.MinX, r.MinY, r.MaxX, r.MaxY)
-		if math.Abs(got-want) > 1e-6 {
-			t.Fatalf("SumRect(%+v) = %v, want %v", r, got, want)
-		}
-	}
-}
-
 func TestBoxBlurFlatInvariant(t *testing.T) {
 	m := New(16, 16)
 	m.Fill(0.6)
@@ -392,23 +361,19 @@ func TestPNGRoundTrip(t *testing.T) {
 	if err := EncodePNG(&buf, m); err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodePNG(&buf)
+	decoded, err := png.Decode(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.W != 32 || back.H != 24 {
-		t.Fatalf("decoded size %dx%d", back.W, back.H)
+	back, ok := decoded.(*image.Gray)
+	if !ok || back.Rect.Dx() != 32 || back.Rect.Dy() != 24 {
+		t.Fatalf("decoded %T %v, want 32x24 gray", decoded, decoded.Bounds())
 	}
 	for i := range m.Pix {
-		if math.Abs(float64(m.Pix[i]-back.Pix[i])) > 1.0/255+1e-6 {
-			t.Fatalf("pixel %d drifted beyond quantisation: %v vs %v", i, m.Pix[i], back.Pix[i])
+		got := float32(back.GrayAt(i%32, i/32).Y) / 255
+		if math.Abs(float64(m.Pix[i]-got)) > 1.0/255+1e-6 {
+			t.Fatalf("pixel %d drifted beyond quantisation: %v vs %v", i, m.Pix[i], got)
 		}
-	}
-}
-
-func TestDecodePNGRejectsGarbage(t *testing.T) {
-	if _, err := DecodePNG(bytes.NewReader([]byte("not a png"))); err == nil {
-		t.Fatal("garbage accepted")
 	}
 }
 

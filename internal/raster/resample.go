@@ -31,9 +31,7 @@ func Downsample(src *Image, w, h int) *Image {
 // their continuous-box integral from it in O(1), and destination rows
 // reduce the per-row integrals with boundary weights — O(src + dst) total
 // instead of the O(window) scan per destination pixel of the naive form
-// (retained below as downsampleNaiveInto, the test oracle). Rows fan out
-// across internal/parallel; every output row is a pure function of its
-// inputs, so pixels are bit-identical at any Parallelism.
+// (retained below as downsampleNaiveInto, the test oracle).
 func DownsampleInto(dst, src *Image) {
 	w, h := dst.W, dst.H
 	if w <= 0 || h <= 0 {
@@ -111,7 +109,7 @@ func downsampleFastInto(dst, src *Image) {
 	// row sy over destination column dx's window.
 	rowInt := getF64(sh * w)
 	defer putF64(rowInt)
-	forRowBlocks(sh, sh*(sw+w), func(lo, hi int) {
+	forRowBlocks(sh, func(lo, hi int) {
 		prefix := getF64(sw + 1)
 		defer putF64(prefix)
 		for sy := lo; sy < hi; sy++ {
@@ -134,9 +132,8 @@ func downsampleFastInto(dst, src *Image) {
 
 	// Vertical pass: each destination row reduces its source-row window of
 	// rowInt with the naive kernel's boundary weights, then normalises by
-	// the continuous box area. Destination rows are independent, so this
-	// pass fans out without any cross-row accumulator.
-	forRowBlocks(h, h*(sh/h+2)*w, func(lo, hi int) {
+	// the continuous box area.
+	forRowBlocks(h, func(lo, hi int) {
 		acc := getF64(w)
 		defer putF64(acc)
 		yRatio := float64(sh) / float64(h)
@@ -285,8 +282,7 @@ var bilinearTablePool = sync.Pool{New: func() any { return &bilinearTable{} }}
 // that reads it (an upsample revisits a source row about scale times, and
 // the lower row of one pair is the upper row of the next). Every blend is
 // the same expression on the same float32 operands as the per-pixel form,
-// so every sample is bit-identical to it, at any parallelism: a row block
-// starts with an empty cache.
+// so every sample is bit-identical to it.
 func bilinearInto(dst, src *Image) {
 	w, h := dst.W, dst.H
 	sw, sh := src.W, src.H
@@ -299,7 +295,7 @@ func bilinearInto(dst, src *Image) {
 	for dx := range cols {
 		cols[dx] = makeBilinearTap(dx, sw, w)
 	}
-	forRowBlocks(h, h*w*4, func(lo, hi int) {
+	forRowBlocks(h, func(lo, hi int) {
 		blends := GetScratch(w, 2)
 		defer PutScratch(blends)
 		tops, bots := blends.Pix[:w], blends.Pix[w:]
@@ -355,10 +351,10 @@ func BoxBlur(src *Image, r int) *Image {
 // pixel, and a vertical pass slides a row-sum accumulator down fixed
 // 32-row blocks — re-seeded at every block boundary, so the accumulation
 // pattern (and hence every output bit) is a function of the image size
-// alone, not of the worker count. This replaces the summed-area-table
-// formulation, which allocated a (W+1)x(H+1) float64 table per call; the
-// O(r^2)-per-pixel direct scan survives as boxBlurNaiveInto, the oracle
-// the fast kernel is property-tested against.
+// alone. This replaces the summed-area-table formulation, which allocated
+// a (W+1)x(H+1) float64 table per call; the O(r^2)-per-pixel direct scan
+// survives as boxBlurNaiveInto, the oracle the fast kernel is
+// property-tested against.
 func BoxBlurInto(dst, src *Image, r int) {
 	if dst.W != src.W || dst.H != src.H {
 		panic("raster: BoxBlurInto size mismatch")
@@ -372,7 +368,7 @@ func BoxBlurInto(dst, src *Image, r int) {
 	// Horizontal pass: hs[y*w+x] = sum of src row y over [x-r, x+r]&bounds.
 	hs := getF64(w * h)
 	defer putF64(hs)
-	forRowBlocks(h, h*w*2, func(lo, hi int) {
+	forRowBlocks(h, func(lo, hi int) {
 		for y := lo; y < hi; y++ {
 			row := src.Pix[y*w : (y+1)*w]
 			out := hs[y*w : (y+1)*w]
@@ -407,7 +403,7 @@ func BoxBlurInto(dst, src *Image, r int) {
 	}
 
 	// Vertical pass: slide the row-sum window down each fixed block.
-	forRowBlocks(h, h*w*2+(h/kernelRowBlock+1)*(2*r+1)*w, func(lo, hi int) {
+	forRowBlocks(h, func(lo, hi int) {
 		vacc := getF64(w)
 		defer putF64(vacc)
 		for i := range vacc {
@@ -494,33 +490,4 @@ func boxBlurNaiveInto(dst, src *Image, r int) {
 			dst.Pix[y*w+x] = float32(sum / float64((x1-x0)*(y1-y0)))
 		}
 	}
-}
-
-// IntegralImage is a summed-area table supporting O(1) rectangle sums.
-type IntegralImage struct {
-	W, H int
-	// sums has (W+1)*(H+1) entries; sums[(y)*(W+1)+x] is the sum of all
-	// pixels strictly above and to the left of (x, y).
-	sums []float64
-}
-
-// Integral builds the summed-area table of src.
-func Integral(src *Image) *IntegralImage {
-	w1 := src.W + 1
-	t := &IntegralImage{W: src.W, H: src.H, sums: make([]float64, w1*(src.H+1))}
-	for y := 0; y < src.H; y++ {
-		var rowSum float64
-		for x := 0; x < src.W; x++ {
-			rowSum += float64(src.Pix[y*src.W+x])
-			t.sums[(y+1)*w1+x+1] = t.sums[y*w1+x+1] + rowSum
-		}
-	}
-	return t
-}
-
-// SumRect returns the sum of pixels in [x0,x1)x[y0,y1). Bounds must be
-// within the image; callers clamp first.
-func (t *IntegralImage) SumRect(x0, y0, x1, y1 int) float64 {
-	w1 := t.W + 1
-	return t.sums[y1*w1+x1] - t.sums[y0*w1+x1] - t.sums[y1*w1+x0] + t.sums[y0*w1+x0]
 }

@@ -18,9 +18,7 @@ import "math"
 //
 // The kernel is a sliding window per row — O(w + left + right) per row
 // instead of the naive O(w·(left+right)) scan (retained as
-// motionBlurHNaiveInto, the property-test oracle). Rows fan out across
-// internal/parallel; each output row is a pure function of its source row,
-// so pixels are bit-identical at any Parallelism.
+// motionBlurHNaiveInto, the property-test oracle).
 func MotionBlurHInto(dst, src *Image, left, right, offX int) {
 	if left < 0 || right < 0 {
 		panic("raster: MotionBlurHInto with negative reach")
@@ -32,7 +30,7 @@ func MotionBlurHInto(dst, src *Image, left, right, offX int) {
 	if w == 0 || h == 0 {
 		return
 	}
-	forRowBlocks(h, (w+left+right)*4, func(rowLo, rowHi int) {
+	forRowBlocks(h, func(rowLo, rowHi int) {
 		for y := rowLo; y < rowHi; y++ {
 			srow := src.Pix[y*sw : y*sw+sw]
 			drow := dst.Pix[y*w : y*w+w]
@@ -102,14 +100,14 @@ func motionBlurHNaiveInto(dst, src *Image, left, right, offX int) {
 // 256 is visually lossless for this pipeline's float32 intensities.
 //
 // The transform is pointwise and deterministic, so it composes freely
-// with any region decomposition and any Parallelism.
+// with any region decomposition.
 func QuantizeLevels(img *Image, levels int) {
 	if levels < 2 {
 		panic("raster: QuantizeLevels needs at least 2 levels")
 	}
 	scale := float64(levels - 1)
 	inv := 1 / scale
-	forRowBlocks(img.H, img.W*2, func(rowLo, rowHi int) {
+	forRowBlocks(img.H, func(rowLo, rowHi int) {
 		for i := rowLo * img.W; i < rowHi*img.W; i++ {
 			v := float64(clamp01(img.Pix[i]))
 			img.Pix[i] = float32(math.Round(v*scale) * inv)

@@ -85,38 +85,6 @@ func TestQuantizeLevelsMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestViewKernelsDeterministicAcrossWorkers pins the bit-identical
-// contract for the new view kernels at Parallelism 1, 2, 4 and 8.
-func TestViewKernelsDeterministicAcrossWorkers(t *testing.T) {
-	prev := Parallelism()
-	t.Cleanup(func() { SetParallelism(prev) })
-
-	rng := rand.New(rand.NewSource(31))
-	src := randomImage(rng, 320, 180)
-
-	run := func(workers int) (*Image, *Image) {
-		SetParallelism(workers)
-		blur := New(300, 180)
-		MotionBlurHInto(blur, src, 5, 6, 10)
-		quant := src.Clone()
-		QuantizeLevels(quant, 32)
-		return blur, quant
-	}
-
-	b1, q1 := run(1)
-	for _, workers := range []int{2, 4, 8} {
-		bn, qn := run(workers)
-		for name, pair := range map[string][2]*Image{"motionblur": {b1, bn}, "quantize": {q1, qn}} {
-			a, b := pair[0], pair[1]
-			for i := range a.Pix {
-				if math.Float32bits(a.Pix[i]) != math.Float32bits(b.Pix[i]) {
-					t.Fatalf("%s: pixel %d differs between 1 and %d workers", name, i, workers)
-				}
-			}
-		}
-	}
-}
-
 // TestMotionBlurPanics: malformed geometry is a programming error, not a
 // rendering mode.
 func TestMotionBlurPanics(t *testing.T) {

@@ -204,15 +204,6 @@ func (v *Video) WithNoise(extraSigma float32) *Video {
 	return v.WithView(View{ExtraNoise: extraSigma})
 }
 
-// NewVideo wraps hand-built frame annotations in a Video. Generate is the
-// production constructor; NewVideo exists for tests and fuzz targets that
-// need precise control over object placement (e.g. exercising the temporal
-// delta detector with crafted motion). The Config is trusted: callers
-// wanting validation should run cfg.Validate first.
-func NewVideo(cfg Config, frames []Frame) *Video {
-	return &Video{Config: cfg, frames: frames}
-}
-
 // NumFrames returns the corpus length N, the paper's population size.
 func (v *Video) NumFrames() int { return len(v.frames) }
 

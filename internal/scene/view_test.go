@@ -56,28 +56,6 @@ func TestViewRegionIndependence(t *testing.T) {
 	}
 }
 
-// TestViewDeterministicAcrossParallelism pins the bit-identical contract
-// for full viewed renders at raster parallelism 1, 2, 4 and 8.
-func TestViewDeterministicAcrossParallelism(t *testing.T) {
-	prev := raster.Parallelism()
-	t.Cleanup(func() { raster.SetParallelism(prev) })
-
-	render := func(workers int) *raster.Image {
-		raster.SetParallelism(workers)
-		v := viewedVideo(t, View{BlurLen: 9, Levels: 32, Occlusion: 0.2})
-		return v.RenderNative(5)
-	}
-	base := render(1)
-	for _, workers := range []int{2, 4, 8} {
-		img := render(workers)
-		for i := range base.Pix {
-			if math.Float32bits(base.Pix[i]) != math.Float32bits(img.Pix[i]) {
-				t.Fatalf("viewed render differs between 1 and %d workers at pixel %d", workers, i)
-			}
-		}
-	}
-}
-
 // TestViewTransformsChangePixels: each axis actually degrades the image
 // (the property tests above would pass vacuously for a no-op).
 func TestViewTransformsChangePixels(t *testing.T) {

@@ -85,12 +85,6 @@ func (m *metrics) render(w io.Writer, queueDepth, queueCap int, jobs *jobSet, st
 		"smokescreend_detect_full_bytes":                 dc.FullBytes,
 		"smokescreend_detect_sparse_series":              int64(dc.SparseSeries),
 		"smokescreend_detect_sparse_bytes":               dc.SparseBytes,
-		"smokescreend_detect_background_images":          int64(dc.BackgroundImages),
-		"smokescreend_detect_background_bytes":           dc.BackgroundBytes,
-		"smokescreend_detect_render_frames":              int64(dc.RenderFrames),
-		"smokescreend_detect_render_bytes":               dc.RenderBytes,
-		"smokescreend_detect_render_hits_total":          dc.RenderHits,
-		"smokescreend_detect_render_misses_total":        dc.RenderMisses,
 		"smokescreend_streams_total":                     m.streamsStarted.Load(),
 		"smokescreend_streams_canceled_total":            m.streamsCanceled.Load(),
 		"smokescreend_stream_failures_total":             m.streamFailures.Load(),

@@ -29,11 +29,6 @@ func ZScore(delta float64) float64 {
 	return NormalQuantile(1 - delta/2)
 }
 
-// NormalCDF returns P(Z <= z) for a standard normal Z.
-func NormalCDF(z float64) float64 {
-	return 0.5 * math.Erfc(-z/math.Sqrt2)
-}
-
 // SerflingRho returns the rho_n factor from the Hoeffding–Serfling
 // inequality for a sample of size n drawn without replacement from a
 // population of size N:
@@ -119,39 +114,6 @@ func EBGSHalfWidth(sd, R float64, n int, delta float64) float64 {
 	}
 	l := math.Log(3 / dn)
 	return sd*math.Sqrt(2*l/float64(n)) + 3*R*l/float64(n)
-}
-
-// Hypergeometric describes sampling n items without replacement from a
-// population of N items of which K are "successes".
-type Hypergeometric struct {
-	N int // population size
-	K int // successes in the population
-	n int // sample size
-}
-
-// NewHypergeometric validates and constructs a hypergeometric description.
-// It panics on invalid parameters.
-func NewHypergeometric(N, K, n int) Hypergeometric {
-	if N <= 0 || K < 0 || K > N || n < 0 || n > N {
-		panic("stats: invalid hypergeometric parameters")
-	}
-	return Hypergeometric{N: N, K: K, n: n}
-}
-
-// Mean returns the expected number of successes in the sample, n*K/N.
-func (h Hypergeometric) Mean() float64 {
-	return float64(h.n) * float64(h.K) / float64(h.N)
-}
-
-// Variance returns the variance of the number of successes:
-// n * K/N * (1-K/N) * (N-n)/(N-1).
-func (h Hypergeometric) Variance() float64 {
-	if h.N == 1 {
-		return 0
-	}
-	p := float64(h.K) / float64(h.N)
-	fpc := float64(h.N-h.n) / float64(h.N-1)
-	return float64(h.n) * p * (1 - p) * fpc
 }
 
 // FPCFactor returns sqrt((N-n)/(n*(N-1))), the finite-population scaling

@@ -191,13 +191,3 @@ func (s *Stream) SampleWithoutReplacement(n, k int) []int {
 func (s *Stream) Bernoulli(p float64) bool {
 	return s.Float64() < p
 }
-
-// ExpFloat64 returns an exponential variate with rate 1.
-func (s *Stream) ExpFloat64() float64 {
-	for {
-		u := s.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
-}

@@ -239,18 +239,6 @@ func TestBernoulliProbability(t *testing.T) {
 	}
 }
 
-func TestExpFloat64Mean(t *testing.T) {
-	s := NewStream(37)
-	const n = 100000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += s.ExpFloat64()
-	}
-	if got := sum / n; math.Abs(got-1) > 0.02 {
-		t.Fatalf("ExpFloat64 mean = %v, want ~1", got)
-	}
-}
-
 func TestMul64(t *testing.T) {
 	cases := []struct {
 		a, b, hi, lo uint64

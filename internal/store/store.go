@@ -329,12 +329,6 @@ func (s *Store) Get(key string) ([]byte, error) {
 	return append([]byte(nil), payload...), nil
 }
 
-// Has reports whether key resolves to a loadable artifact.
-func (s *Store) Has(key string) bool {
-	_, err := s.Get(key)
-	return err == nil
-}
-
 // readDisk loads and validates one envelope from disk.
 func (s *Store) readDisk(key string) ([]byte, error) {
 	path := s.path(key)

@@ -58,9 +58,6 @@ func TestGetMissingReturnsNotFound(t *testing.T) {
 	if _, err := s.Get(testKey("missing")); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("want ErrNotFound, got %v", err)
 	}
-	if s.Has(testKey("missing")) {
-		t.Fatal("Has reported a missing key")
-	}
 }
 
 func TestInvalidKeysRejected(t *testing.T) {
