@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build lint lint-ratchet test test-race fuzz-smoke ci bench bench-kernels figures figures-quick examples serve-smoke stream-smoke fleet-smoke clean
+.PHONY: build lint lint-ratchet test test-race fuzz-smoke ci bench bench-kernels figures figures-quick examples serve-smoke stream-smoke fleet-smoke fleet-sim clean
 
 # Pinned staticcheck version: `make lint` refuses other versions rather
 # than drift between hosts. staticcheck is optional — hermetic builders
@@ -69,7 +69,8 @@ test-race:
 	$(GO) test -race -run 'Parallel' ./internal/experiments/
 
 # Short fuzz pass over the decoders whose inputs can be torn or
-# tampered: the store's JSON envelope, the SOUT v2 column tables, the
+# tampered: the store's JSON envelope (and the memory-only admission gate
+# fleet entry nodes put it behind), the SOUT v2 column tables, the
 # transport framing the streaming ingest trusts from the network, the
 # frame records inside it (decoded with pooled inflate state), the
 # smokevet suppression-comment grammar (the lint gate's own input
@@ -81,6 +82,7 @@ test-race:
 # the default 60s per interesting input would eat the whole 10s pass.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEnvelopeDecode -fuzztime 10s ./internal/store/
+	$(GO) test -run '^$$' -fuzz FuzzAdmitEnvelope -fuzztime 10s ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzOutputsDecode -fuzztime 10s ./internal/outputs/
 	$(GO) test -run '^$$' -fuzz FuzzFloatComponents -fuzztime 10s ./internal/detect/
 	$(GO) test -run '^$$' -fuzz FuzzProbeFrame -fuzztime 10s ./internal/detect/
@@ -141,6 +143,14 @@ stream-smoke:
 # with a survivor re-POST (lease expiry), then SIGTERM drain of the rest.
 fleet-smoke:
 	sh ./scripts/fleet_smoke.sh
+
+# Deterministic fleet simulation: real nodes over an in-memory transport
+# with seeded drop / flipped-envelope-byte / dead-node faults, every read
+# checked against a model (internal/fleetd/sim_test.go). `go test ./...`
+# and test-race run the 50-seed quick tier; this is the 2 000-seed tier.
+# A failing seed prints its own replay command.
+fleet-sim:
+	$(GO) test -count=1 -run 'TestFleetSim' ./internal/fleetd/ -fleetsim.seeds=2000
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -95,10 +95,16 @@ func emit(results []fleetd.LoadResult, asJSON bool) {
 		return
 	}
 	for _, r := range results {
-		fmt.Printf("%-7s %6d req %3d err %8.1f req/s  p50 %7.2fms  p99 %7.2fms  gen %d  fwd %d coalesced %d local %d repairs %d expiries %d\n",
+		// entry-hit is the share of requests a non-replica entry node
+		// answered from a verified copy instead of a second HTTP hop.
+		entryHit := 0.0
+		if r.Requests > 0 {
+			entryHit = float64(r.EntryHits) / float64(r.Requests)
+		}
+		fmt.Printf("%-7s %6d req %3d err %8.1f req/s  p50 %7.2fms  p99 %7.2fms  gen %d  fwd %d coalesced %d local %d entry-hit %.3f (admits %d) repairs %d expiries %d\n",
 			r.Scenario, r.Requests, r.Errors, r.RequestsPerSec,
 			r.P50Millis, r.P99Millis, r.Generations,
-			r.Forwards, r.Coalesced, r.LocalRequests, r.Repairs, r.LeaseExpiries)
+			r.Forwards, r.Coalesced, r.LocalRequests, entryHit, r.EntryAdmits, r.Repairs, r.LeaseExpiries)
 	}
 }
 

@@ -341,6 +341,8 @@ func TestFleetMetricsExposition(t *testing.T) {
 		for _, name := range []string{
 			"smokescreend_fleet_forwards_total",
 			"smokescreend_fleet_forwards_coalesced_total",
+			"smokescreend_fleet_entry_hits_total",
+			"smokescreend_fleet_entry_admits_total",
 			"smokescreend_fleet_repairs_total",
 			"smokescreend_fleet_replica_writes_total",
 			"smokescreend_fleet_lease_claims_total",
@@ -386,6 +388,14 @@ func TestFleetSteadyMixed(t *testing.T) {
 	}
 	if res.LocalRequests == 0 {
 		t.Fatal("no local requests in a mixed run")
+	}
+	// Reads through a non-replica cost one envelope pull per (node, key)
+	// and are answered in place after that.
+	if res.EntryAdmits == 0 || res.EntryHits == 0 {
+		t.Fatalf("entry nodes served no verified copies: %d admits, %d hits", res.EntryAdmits, res.EntryHits)
+	}
+	if res.EntryAdmits > 8 {
+		t.Fatalf("%d envelope pulls for 8 keys with one non-replica each", res.EntryAdmits)
 	}
 }
 

@@ -43,6 +43,10 @@ type LoadResult struct {
 	Forwards      int64 `json:"forwards"`
 	Coalesced     int64 `json:"coalesced"`
 	LocalRequests int64 `json:"local_requests"`
+	// EntryHits are requests a non-replica entry node answered from a
+	// verified copy it already held; EntryAdmits are the copies it pulled.
+	EntryHits     int64 `json:"entry_hits"`
+	EntryAdmits   int64 `json:"entry_admits"`
 	Repairs       int64 `json:"repairs"`
 	LeaseExpiries int64 `json:"lease_expiries"`
 	LeaseWaits    int64 `json:"lease_waits"`
@@ -227,6 +231,8 @@ func (lr *loadRun) finish(ctx context.Context) LoadResult {
 	res.Forwards = delta("smokescreend_fleet_forwards_total")
 	res.Coalesced = delta("smokescreend_fleet_forwards_coalesced_total")
 	res.LocalRequests = delta("smokescreend_fleet_local_requests_total")
+	res.EntryHits = delta("smokescreend_fleet_entry_hits_total")
+	res.EntryAdmits = delta("smokescreend_fleet_entry_admits_total")
 	res.Repairs = delta("smokescreend_fleet_repairs_total")
 	res.LeaseExpiries = delta("smokescreend_fleet_lease_expiries_total")
 	res.LeaseWaits = delta("smokescreend_fleet_lease_waits_total")
@@ -268,7 +274,8 @@ func (d *Driver) Herd(ctx context.Context, urls []string, clients int, genReq se
 // request of the population is generated once (the fleet answers with its
 // store key), then clients issue mostly GETs with periodic re-POSTs (all
 // store hits after the first). This is the service's throughput shape:
-// forwarded vs local hits in ring proportion.
+// replica-local vs entry-node hits in ring proportion, one forward or
+// envelope pull per (entry node, key) before that.
 func (d *Driver) Steady(ctx context.Context, urls []string, clients, requestsPerClient int, population []server.GenRequest) (LoadResult, error) {
 	if clients <= 0 {
 		clients = 8

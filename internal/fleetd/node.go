@@ -78,6 +78,8 @@ type fleetMetrics struct {
 	forwardsCoalesced    atomic.Int64 // requests that rode an in-flight forward
 	forwardErrors        atomic.Int64 // forwards with no reachable replica
 	localRequests        atomic.Int64 // profile requests served by this replica
+	entryHits            atomic.Int64 // non-replica requests answered from a copy already held
+	entryAdmits          atomic.Int64 // verified copies of non-replicated keys pulled from a replica
 	repairs              atomic.Int64 // read-repairs completed
 	repairFailures       atomic.Int64 // peer envelopes that failed validation
 	replicaWrites        atomic.Int64 // successful write fan-out pushes
@@ -432,6 +434,10 @@ func (n *Node) handleGetProfile(w http.ResponseWriter, r *http.Request) {
 		n.innerH.ServeHTTP(w, r)
 		return
 	}
+	if payload, ok := n.entryCopy(key); ok {
+		n.writeProfileBytes(w, key, payload)
+		return
+	}
 	res, err := n.forwardFlight(r.Context(), "GET|"+key, http.MethodGet, "/v1/profiles/"+key, nil, n.ring.Replicas(key))
 	if err != nil {
 		n.metrics.forwardErrors.Add(1)
@@ -439,6 +445,22 @@ func (n *Node) handleGetProfile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeFwd(w, res)
+}
+
+// entryCopy answers for a key this node does not replicate from a verified
+// copy: the one its store already holds, else one pulled from a replica and
+// admitted memory-only. A sealed key's bytes are immutable and every copy is
+// checksum-validated before it is kept, so the copy is as authoritative as
+// a replica's and saves the second HTTP exchange of a forward. ok is false
+// when no replica supplied a valid envelope; the caller then relays the
+// request, which keeps every miss-path status exactly as a replica gives it.
+func (n *Node) entryCopy(key string) (payload []byte, ok bool) {
+	if payload, err := n.localStore.Get(key); err == nil {
+		n.metrics.entryHits.Add(1)
+		return payload, true
+	}
+	payload, err := n.backend.fetchVerified(key)
+	return payload, err == nil
 }
 
 func (n *Node) handlePostProfile(w http.ResponseWriter, r *http.Request) {
@@ -481,9 +503,14 @@ func (n *Node) handlePostProfile(w http.ResponseWriter, r *http.Request) {
 
 	forwarded := r.Header.Get(fleetFromHeader) != ""
 	if !n.ring.IsReplica(key, n.self) && !forwarded {
-		mode := "|sync"
-		if req.Async {
-			mode = "|async"
+		mode := "|async"
+		if !req.Async {
+			// A sync re-POST of a sealed key is a read.
+			if payload, ok := n.entryCopy(key); ok {
+				n.writeProfileBytes(w, key, payload)
+				return
+			}
+			mode = "|sync"
 		}
 		res, err := n.forwardFlight(r.Context(), "POST|"+key+mode, http.MethodPost, "/v1/profiles", body, n.ring.Replicas(key))
 		if err != nil {
@@ -858,6 +885,8 @@ func (n *Node) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"smokescreend_fleet_forwards_coalesced_total":     n.metrics.forwardsCoalesced.Load(),
 		"smokescreend_fleet_forward_errors_total":         n.metrics.forwardErrors.Load(),
 		"smokescreend_fleet_local_requests_total":         n.metrics.localRequests.Load(),
+		"smokescreend_fleet_entry_hits_total":             n.metrics.entryHits.Load(),
+		"smokescreend_fleet_entry_admits_total":           n.metrics.entryAdmits.Load(),
 		"smokescreend_fleet_repairs_total":                n.metrics.repairs.Load(),
 		"smokescreend_fleet_repair_failures_total":        n.metrics.repairFailures.Load(),
 		"smokescreend_fleet_replica_writes_total":         n.metrics.replicaWrites.Load(),

@@ -22,9 +22,12 @@ import (
 //     serve the verified payload. Concurrent readers of one broken key
 //     coalesce onto a single repair flight.
 //
-// Keys this node does not replicate never reach this store — the routing
-// layer forwards those requests to a replica before the local server (and
-// therefore this Backend) sees them.
+// Keys this node does not replicate reach the local store too, memory
+// only: the routing layer answers a GET or sync re-POST of such a key from
+// a verified copy (fetchVerified admits it with store.AdmitEnvelope) and
+// forwards to a replica only when no replica could supply one. A sealed
+// key's bytes never change, so the copy needs no invalidation; the store's
+// LRU budget bounds it and a restart forgets it.
 type replicatedStore struct {
 	local   *store.Store
 	node    *Node
@@ -51,7 +54,7 @@ func (rs *replicatedStore) Get(key string) ([]byte, error) {
 	if !errors.Is(err, store.ErrNotFound) && !errors.As(err, &corrupt) {
 		return nil, err
 	}
-	repaired, rerr := rs.repair(key)
+	repaired, rerr := rs.fetchVerified(key)
 	if rerr != nil {
 		// No replica could supply a good copy; surface the local error —
 		// ErrNotFound drives generation, CorruptError tells the caller to
@@ -64,10 +67,21 @@ func (rs *replicatedStore) Get(key string) ([]byte, error) {
 	return repaired, nil
 }
 
-// repair fetches key's envelope from a peer replica and installs it
-// locally. Concurrent callers share one flight.
-func (rs *replicatedStore) repair(key string) ([]byte, error) {
+// fetchVerified pulls key's envelope from a replica, in ring order, and
+// installs the first copy that passes the store's envelope validation:
+// persisted when this node replicates key (read-repair), admitted to memory
+// only when it does not (an entry-node copy). Concurrent callers share one
+// flight, and a flight that starts after another installed the key finds it
+// in the store, so a herd of first reads costs one transfer.
+func (rs *replicatedStore) fetchVerified(key string) ([]byte, error) {
+	install, installed := rs.local.AdmitEnvelope, &rs.node.metrics.entryAdmits
+	if rs.node.ring.IsReplica(key, rs.node.self) {
+		install, installed = rs.local.PutEnvelope, &rs.node.metrics.repairs
+	}
 	val, err, followed := rs.repairs.do(key, func() (any, error) {
+		if payload, err := rs.local.Get(key); err == nil {
+			return payload, nil
+		}
 		for _, peer := range rs.node.ring.Replicas(key) {
 			if peer == rs.node.self {
 				continue
@@ -76,7 +90,7 @@ func (rs *replicatedStore) repair(key string) ([]byte, error) {
 			if err != nil {
 				continue
 			}
-			payload, err := rs.local.PutEnvelope(key, env)
+			payload, err := install(key, env)
 			if err != nil {
 				// The transfer failed validation: a torn or tampered copy
 				// must not land, and this peer cannot help.
@@ -84,7 +98,7 @@ func (rs *replicatedStore) repair(key string) ([]byte, error) {
 				rs.node.logf("store: peer %s served an invalid envelope for %s: %v", peer, key, err)
 				continue
 			}
-			rs.node.metrics.repairs.Add(1)
+			installed.Add(1)
 			return payload, nil
 		}
 		return nil, fmt.Errorf("fleetd: no replica could supply %s", key)

@@ -283,10 +283,7 @@ func (s *Store) GetEnvelope(key string) ([]byte, error) {
 // reaches disk: repair is a verified byte copy. The validated payload is
 // returned so repairing readers can serve it without a second read.
 func (s *Store) PutEnvelope(key string, data []byte) ([]byte, error) {
-	if err := validKey(key); err != nil {
-		return nil, err
-	}
-	payload, err := decodeEnvelope(key, s.path(key), data)
+	payload, err := s.verifyEnvelope(key, data)
 	if err != nil {
 		return nil, err
 	}
@@ -294,10 +291,39 @@ func (s *Store) PutEnvelope(key string, data []byte) ([]byte, error) {
 		return nil, err
 	}
 	s.puts.Add(1)
+	return s.admit(key, payload), nil
+}
+
+// AdmitEnvelope validates envelope bytes exactly as PutEnvelope does and
+// admits the payload to the in-memory cache ONLY: nothing is written under
+// the root, so Keys, GetEnvelope and a restarted process never see the
+// entry, and the LRU evicts it like any other. A fleet node holds verified
+// copies of keys it does not replicate this way. With a zero budget, or a
+// payload over the budget, nothing is cached; the validated payload is
+// returned either way.
+func (s *Store) AdmitEnvelope(key string, data []byte) ([]byte, error) {
+	payload, err := s.verifyEnvelope(key, data)
+	if err != nil {
+		return nil, err
+	}
+	return s.admit(key, payload), nil
+}
+
+// verifyEnvelope is the validation every envelope entering the store from
+// outside passes: a well-formed key, then decodeEnvelope's checks.
+func (s *Store) verifyEnvelope(key string, data []byte) ([]byte, error) {
+	if err := validKey(key); err != nil {
+		return nil, err
+	}
+	return decodeEnvelope(key, s.path(key), data)
+}
+
+// admit caches a verified payload and returns the caller's own copy.
+func (s *Store) admit(key string, payload []byte) []byte {
 	s.mu.Lock()
-	s.cache.put(key, append([]byte(nil), payload...))
+	s.cache.put(key, payload)
 	s.mu.Unlock()
-	return append([]byte(nil), payload...), nil
+	return append([]byte(nil), payload...)
 }
 
 // Get returns a copy of the artifact payload stored under key. It returns
@@ -323,10 +349,7 @@ func (s *Store) Get(key string) ([]byte, error) {
 		return nil, err
 	}
 	s.diskHits.Add(1)
-	s.mu.Lock()
-	s.cache.put(key, payload)
-	s.mu.Unlock()
-	return append([]byte(nil), payload...), nil
+	return s.admit(key, payload), nil
 }
 
 // readDisk loads and validates one envelope from disk.

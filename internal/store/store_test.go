@@ -512,3 +512,172 @@ func TestPutPrettyPayloadSurvivesReload(t *testing.T) {
 		t.Fatalf("scan keys = %v", keys)
 	}
 }
+
+// sealedEnvelope returns the envelope a fresh store writes for (key, payload).
+func sealedEnvelope(t testing.TB, key string, payload []byte) []byte {
+	t.Helper()
+	src, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Put(key, payload); err != nil {
+		t.Fatal(err)
+	}
+	env, err := src.GetEnvelope(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return env
+}
+
+// rootFiles lists every regular file under a store's root.
+func rootFiles(t testing.TB, s *Store) []string {
+	t.Helper()
+	var files []string
+	err := filepath.WalkDir(s.Root(), func(path string, d os.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			files = append(files, path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestAdmitEnvelopeIsMemoryOnly: a valid envelope is served by Get from
+// memory, and the disk, Keys and GetEnvelope never learn of it.
+func TestAdmitEnvelopeIsMemoryOnly(t *testing.T) {
+	key, payload := testKey("admit"), payloadFor(11)
+	env := sealedEnvelope(t, key, payload)
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.AdmitEnvelope(key, env)
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("AdmitEnvelope = %s, %v", got, err)
+	}
+	got[0] = 'X' // the returned slice is the caller's own
+	if served, err := s.Get(key); err != nil || !bytes.Equal(served, payload) {
+		t.Fatalf("Get after admission = %s, %v", served, err)
+	}
+	if st := s.Stats(); st.Hits != 1 || st.DiskHits != 0 || st.Puts != 0 || st.CacheCount != 1 {
+		t.Fatalf("admission was not a pure cache fill: %+v", st)
+	}
+	if files := rootFiles(t, s); len(files) != 0 {
+		t.Fatalf("admission wrote under the root: %v", files)
+	}
+	if keys, corrupt := s.Keys(); len(keys) != 0 || len(corrupt) != 0 {
+		t.Fatalf("Keys after admission = %v, %v", keys, corrupt)
+	}
+	if _, err := s.GetEnvelope(key); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("GetEnvelope of an admitted key = %v, want ErrNotFound", err)
+	}
+	// A restart (or an Invalidate) simply forgets the copy.
+	s.Invalidate(key)
+	if _, err := s.Get(key); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get after Invalidate = %v, want ErrNotFound", err)
+	}
+}
+
+// TestAdmitEnvelopeRejectsInvalid: what PutEnvelope refuses, AdmitEnvelope
+// refuses, and nothing is cached.
+func TestAdmitEnvelopeRejectsInvalid(t *testing.T) {
+	key := testKey("admit-invalid")
+	env := sealedEnvelope(t, key, payloadFor(3))
+	cases := []struct {
+		name string
+		key  string
+		data []byte
+	}{
+		{"key mismatch", testKey("some-other-artifact"), env},
+		{"bad checksum", key, bytes.Replace(env, []byte(`"value":3`), []byte(`"value":4`), 1)},
+		{"bad version", key, bytes.Replace(env, []byte(`"version":1,"key"`), []byte(`"version":99,"key"`), 1)},
+		{"torn", key, env[:len(env)/2]},
+	}
+	for _, c := range cases {
+		s, err := Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var corrupt *CorruptError
+		if _, err := s.AdmitEnvelope(c.key, c.data); !errors.As(err, &corrupt) {
+			t.Errorf("%s: AdmitEnvelope error = %v, want *CorruptError", c.name, err)
+		}
+		if _, err := s.Get(c.key); !errors.Is(err, ErrNotFound) {
+			t.Errorf("%s: rejected envelope is readable: %v", c.name, err)
+		}
+		if st := s.Stats(); st.CacheCount != 0 {
+			t.Errorf("%s: rejected envelope was cached: %+v", c.name, st)
+		}
+	}
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.AdmitEnvelope("../escape", env); err == nil {
+		t.Error("AdmitEnvelope accepted a malformed key")
+	}
+}
+
+// TestAdmitEnvelopeBudget: a zero budget and an over-budget payload admit
+// nothing (the verified payload still comes back), and an admitted entry is
+// evicted least-recently-used first like a stored one.
+func TestAdmitEnvelopeBudget(t *testing.T) {
+	size := int64(len(payloadFor(0)))
+	for name, budget := range map[string]int64{"zero budget": 0, "over budget": size - 1} {
+		s, err := Open(t.TempDir(), WithCacheBudget(budget))
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := testKey(name)
+		got, err := s.AdmitEnvelope(key, sealedEnvelope(t, key, payloadFor(0)))
+		if err != nil || !bytes.Equal(got, payloadFor(0)) {
+			t.Fatalf("%s: AdmitEnvelope = %s, %v", name, got, err)
+		}
+		if _, err := s.Get(key); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("%s: Get = %v, want ErrNotFound", name, err)
+		}
+		if st := s.Stats(); st.CacheCount != 0 || st.CacheBytes != 0 {
+			t.Fatalf("%s: something was cached: %+v", name, st)
+		}
+	}
+
+	// Budget for two: admitted a, stored b, touched a, stored c -> b is the
+	// victim, not a; two more admissions then push a out, and it has no
+	// disk copy to come back from.
+	s, err := Open(t.TempDir(), WithCacheBudget(2*size))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b, c, d := testKey("a"), testKey("b"), testKey("c"), testKey("d")
+	if _, err := s.AdmitEnvelope(a, sealedEnvelope(t, a, payloadFor(1))); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(b, payloadFor(2)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Get(a); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(c, payloadFor(3)); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.CacheCount != 2 || st.CacheBytes > 2*size {
+		t.Fatalf("cache out of budget: %+v", st)
+	}
+	if _, err := s.Get(a); err != nil {
+		t.Fatalf("the touched admitted entry was evicted before the older stored one: %v", err)
+	}
+	if _, err := s.AdmitEnvelope(d, sealedEnvelope(t, d, payloadFor(4))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.AdmitEnvelope(b, sealedEnvelope(t, b, payloadFor(2))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Get(a); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("evicted admitted entry: Get = %v, want ErrNotFound", err)
+	}
+}

@@ -51,6 +51,10 @@ run_stage stream-smoke make stream-smoke
 # with exactly one generation fleet-wide, kill -9 of the generating node
 # with replica serving after, clean drain (scripts/fleet_smoke.sh).
 run_stage fleet-smoke make fleet-smoke
+# The fleet's read path under 2 000 seeded fault schedules, in memory:
+# every 200 is the sealed bytes, no tampered envelope is admitted, a copy
+# outlives its replicas (internal/fleetd/sim_test.go).
+run_stage fleet-sim make fleet-sim
 
 total_end=$(date +%s)
 echo "ci: all stages passed in $((total_end - total_start))s"
