@@ -189,7 +189,7 @@ func BenchmarkDegradeApply(b *testing.B) {
 	root := stats.NewStream(2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := degrade.Apply(v, m, setting, root.Child(uint64(i))); err != nil {
+		if _, err := degrade.ApplyCtx(context.Background(), v, m, setting, root.Child(uint64(i))); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -207,7 +207,7 @@ func BenchmarkSweepFractions(b *testing.B) {
 	root := stats.NewStream(3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := profile.SweepFractions(spec, opts, root.Child(uint64(i))); err != nil {
+		if _, err := profile.SweepFractionsCtx(context.Background(), spec, opts, root.Child(uint64(i))); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -230,7 +230,7 @@ func benchHypercube(b *testing.B, parallelism int) {
 		Params: estimate.DefaultParams(),
 	}
 	root := stats.NewStream(7)
-	res, err := profile.ConstructCorrection(spec, 1, root.Child(1))
+	res, err := profile.ConstructCorrectionCtx(context.Background(), spec, 1, root.Child(1))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func BenchmarkHypercubeFigure6Dedup(b *testing.B) {
 			Agg:    estimate.AVG,
 			Params: estimate.DefaultParams(),
 		}
-		res, err := profile.ConstructCorrection(specs[ci], 1, root.Child(uint64(1+ci)))
+		res, err := profile.ConstructCorrectionCtx(context.Background(), specs[ci], 1, root.Child(uint64(1+ci)))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -426,7 +426,12 @@ func cmdExplain(args []string) {
 		kind = "non-random (bounds will be repaired with a correction set)"
 	}
 	fmt.Printf("interventions: %s — %s\n", setting, kind)
-	admissible := degrade.AdmissibleFrames(spec.Video, setting.Restricted)
+	ctx, cancel := interruptCtx()
+	defer cancel()
+	admissible, err := degrade.AdmissibleFramesCtx(ctx, spec.Video, setting.Restricted)
+	if err != nil {
+		fatal(err)
+	}
 	want := int(float64(n)*setting.SampleFraction + 0.5)
 	fmt.Printf("plan:          sample %d of %d admissible frames (corpus %d) at %dx%d\n",
 		want, len(admissible), n, setting.ResolveResolution(spec.Model), setting.ResolveResolution(spec.Model))

@@ -12,8 +12,6 @@
 //	go run ./cmd/smokevet ./internal/raster/   # one package
 //	go run ./cmd/smokevet -a determinism ./internal/profile/
 //	go run ./cmd/smokevet -json ./...          # machine-readable findings
-//	go run ./cmd/smokevet -baseline lint-baseline.json ./...   # ratchet mode
-//	go run ./cmd/smokevet -write-baseline lint-baseline.json ./...
 //	go run ./cmd/smokevet -list
 //
 // smokevet is a standalone loader rather than a `go vet -vettool`
@@ -47,16 +45,14 @@ type jsonFinding struct {
 
 func main() {
 	var (
-		list          = flag.Bool("list", false, "list analyzers and exit")
-		only          = flag.String("a", "", "comma-separated analyzer names to run (default all)")
-		verbose       = flag.Bool("v", false, "print per-analyzer timing to stderr")
-		jsonOut       = flag.Bool("json", false, "emit findings as a JSON array on stdout")
-		baselinePath  = flag.String("baseline", "", "ratchet mode: fail only on findings not in this baseline file")
-		writeBaseline = flag.String("write-baseline", "", "write the run's findings to this baseline file and exit clean")
-		audit         = flag.Bool("audit", true, "report stale smokevet:ignore suppressions (forced off with -a)")
+		list    = flag.Bool("list", false, "list analyzers and exit")
+		only    = flag.String("a", "", "comma-separated analyzer names to run (default all)")
+		verbose = flag.Bool("v", false, "print per-analyzer timing to stderr")
+		jsonOut = flag.Bool("json", false, "emit findings as a JSON array on stdout")
+		audit   = flag.Bool("audit", true, "report stale smokevet:ignore suppressions (forced off with -a)")
 	)
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: smokevet [-list] [-a name,name] [-v] [-json] [-baseline file | -write-baseline file] [packages]\n")
+		fmt.Fprintf(os.Stderr, "usage: smokevet [-list] [-a name,name] [-v] [-json] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -110,55 +106,6 @@ func main() {
 		}
 	}
 
-	// Baseline paths are keyed relative to the working directory, which
-	// is the module root under `make lint-ratchet`.
-	root, err := os.Getwd()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "smokevet:", err)
-		os.Exit(2)
-	}
-
-	if *writeBaseline != "" {
-		f, err := os.Create(*writeBaseline)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "smokevet:", err)
-			os.Exit(2)
-		}
-		b := analysis.NewBaseline(root, diags)
-		if err := analysis.WriteBaseline(f, b); err == nil {
-			err = f.Close()
-		} else {
-			f.Close()
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "smokevet:", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "smokevet: wrote %d baseline entr%s (%d finding(s)) to %s\n",
-			len(b.Entries), plural(len(b.Entries), "y", "ies"), len(diags), *writeBaseline)
-		return
-	}
-
-	if *baselinePath != "" {
-		f, err := os.Open(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "smokevet:", err)
-			os.Exit(2)
-		}
-		b, err := analysis.LoadBaseline(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "smokevet:", err)
-			os.Exit(2)
-		}
-		fresh, stale := b.Apply(root, diags)
-		for _, e := range stale {
-			fmt.Fprintf(os.Stderr, "smokevet: stale baseline entry (%d unused): %s [%s] %s — regenerate with -write-baseline to ratchet down\n",
-				e.Count, e.File, e.Analyzer, e.Message)
-		}
-		diags = fresh
-	}
-
 	if *jsonOut {
 		out := make([]jsonFinding, 0, len(diags))
 		for _, d := range diags {
@@ -182,18 +129,7 @@ func main() {
 		}
 	}
 	if len(diags) > 0 {
-		if *baselinePath != "" {
-			fmt.Fprintf(os.Stderr, "smokevet: %d finding(s) not in baseline %s\n", len(diags), *baselinePath)
-		} else {
-			fmt.Fprintf(os.Stderr, "smokevet: %d finding(s)\n", len(diags))
-		}
+		fmt.Fprintf(os.Stderr, "smokevet: %d finding(s)\n", len(diags))
 		os.Exit(1)
 	}
-}
-
-func plural(n int, one, many string) string {
-	if n == 1 {
-		return one
-	}
-	return many
 }

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -44,7 +45,7 @@ func main() {
 	// Resolution is a non-random intervention, so profile repair needs a
 	// correction set; the elbow heuristic sizes it automatically.
 	fmt.Println("constructing correction set (elbow heuristic)...")
-	corr, err := profile.ConstructCorrection(spec, 0.2, stats.NewStream(7))
+	corr, err := profile.ConstructCorrectionCtx(context.Background(), spec, 0.2, stats.NewStream(7))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func main() {
 	var curve []point
 	root := stats.NewStream(11)
 	for _, p := range spec.Model.Resolutions(10) {
-		est, err := spec.EstimateSetting(smokescreen.Setting{
+		est, err := spec.EstimateSettingCtx(context.Background(), smokescreen.Setting{
 			SampleFraction: 0.5,
 			Resolution:     p,
 		}, corr.Correction, root.Child(uint64(p)))

@@ -1,12 +1,16 @@
 package smokescreen_test
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"testing"
 
+	"smokescreen/internal/core"
 	"smokescreen/internal/detect"
+	"smokescreen/internal/profile"
+	"smokescreen/internal/query"
 	"smokescreen/internal/server"
 )
 
@@ -27,27 +31,79 @@ var goldenProfileDigests = []struct {
 	{"BLUR 5", server.GenRequest{Query: "SELECT AVG(count(car)) FROM small BLUR 5"}, "fdd8518736ccfa0df6085b94e3e2e3089e28268c7ef4a1dd3563d543f1179b7e"},
 	{"REMOVE face", server.GenRequest{Query: "SELECT AVG(count(car)) FROM small REMOVE face"}, "701c08786736ff76c91491cb38220202a02610a1f25da9d713d3f20b68566720"},
 	{"ladder:default", server.GenRequest{Query: "SELECT AVG(count(car)) FROM small", Ladder: "default"}, "77be9a9974927f62e46965fd2a481f84faf3eeba46cf965de8b84d508fe1b8b5"},
+	// Captured on 2b37c40, before the executors were merged: the lazy
+	// early-stop loop, which none of the rows above reaches (it stops after
+	// four of the five fractions).
+	{"early-stop/BLUR 5", server.GenRequest{Query: "SELECT AVG(count(car)) FROM small BLUR 5", EarlyStop: 0.01}, "94f9774f4d39452c1de4ce49facb238bef9f761c4d61e18eb89247cf6c119c0d"},
 }
 
+// goldenCubeDigests pins the SaveHypercube bytes of core.GenerateProfilesCtx
+// over `small` (seed 1, step 0.02, max 0.1), eager and early-stopping. Also
+// captured on 2b37c40; the same never-update rule applies.
+var goldenCubeDigests = []struct {
+	name   string
+	opts   []core.Option
+	sha256 string
+}{
+	{"eager", nil, "2bf752d60d829a0de408e51b38edc89bae0223bfddd1b6a7d085f02b4e74eb9f"},
+	{"early-stop", []core.Option{core.WithEarlyStop(0.01)}, "0a237ba1420f1b66d10e8c3b0b95f9ffa9e06b47bbb855d2fb47168244f69d24"},
+}
+
+// goldenParallelism is the worker settings every pinned artifact must be
+// identical at: sequential and one worker per CPU.
+var goldenParallelism = []int{1, 0}
+
 // TestGoldenProfileBytes generates each pinned request the way
-// cmd/smokescreend does at its flag defaults (float rasters, delta off,
-// one worker per CPU) from cold detector caches and compares the payload
-// digest with the committed one.
+// cmd/smokescreend does at its flag defaults (float rasters, delta off)
+// from cold detector caches, sequentially and with one worker per CPU, and
+// compares the payload digest with the committed one.
 func TestGoldenProfileBytes(t *testing.T) {
-	gen := &server.SystemGenerator{CorrectionLimit: 0.2}
 	for _, g := range goldenProfileDigests {
 		g := g
 		t.Run(g.name, func(t *testing.T) {
-			detect.ResetCaches()
-			req := g.req
-			req.Seed, req.Step, req.MaxFraction = 1, 0.02, 0.1
-			payload, err := gen.Generate(context.Background(), req)
-			if err != nil {
-				t.Fatal(err)
+			for _, workers := range goldenParallelism {
+				detect.ResetCaches()
+				gen := &server.SystemGenerator{CorrectionLimit: 0.2, Parallelism: workers}
+				req := g.req
+				req.Seed, req.Step, req.MaxFraction = 1, 0.02, 0.1
+				payload, err := gen.Generate(context.Background(), req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum := sha256.Sum256(payload)
+				if got := hex.EncodeToString(sum[:]); got != g.sha256 {
+					t.Errorf("parallelism %d: SaveProfile bytes changed: sha256 %s, pinned %s (%d bytes)", workers, got, g.sha256, len(payload))
+				}
 			}
-			sum := sha256.Sum256(payload)
-			if got := hex.EncodeToString(sum[:]); got != g.sha256 {
-				t.Errorf("SaveProfile bytes changed: sha256 %s, pinned %s (%d bytes)", got, g.sha256, len(payload))
+		})
+	}
+}
+
+// TestGoldenHypercubeBytes is the same gate for the (f, p, c) hypercube,
+// which the benchmark only ever compares with its own first run.
+func TestGoldenHypercubeBytes(t *testing.T) {
+	q, err := query.Parse("SELECT AVG(count(car)) FROM small")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range goldenCubeDigests {
+		g := g
+		t.Run(g.name, func(t *testing.T) {
+			for _, workers := range goldenParallelism {
+				detect.ResetCaches()
+				opts := append([]core.Option{core.WithSeed(1), core.WithFractionCandidates(0.02, 0.1), core.WithParallelism(workers)}, g.opts...)
+				p, err := core.New(opts...).GenerateProfilesCtx(context.Background(), q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var buf bytes.Buffer
+				if err := profile.SaveHypercube(&buf, p.Cube); err != nil {
+					t.Fatal(err)
+				}
+				sum := sha256.Sum256(buf.Bytes())
+				if got := hex.EncodeToString(sum[:]); got != g.sha256 {
+					t.Errorf("parallelism %d: SaveHypercube bytes changed: sha256 %s, pinned %s (%d bytes)", workers, got, g.sha256, buf.Len())
+				}
 			}
 		})
 	}

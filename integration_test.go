@@ -6,6 +6,7 @@ package smokescreen_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"net"
 	"testing"
@@ -141,7 +142,7 @@ func TestIntegrationFleetOverArchivedCorrections(t *testing.T) {
 	params := estimate.DefaultParams()
 
 	specA := &profile.Spec{Video: vA, Model: m, Class: scene.Car, Agg: estimate.AVG, Params: params}
-	construction, err := profile.ConstructCorrection(specA, 0.1, stats.NewStream(23))
+	construction, err := profile.ConstructCorrectionCtx(context.Background(), specA, 0.1, stats.NewStream(23))
 	if err != nil {
 		t.Fatal(err)
 	}

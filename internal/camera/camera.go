@@ -81,26 +81,6 @@ func (c Config) encode() []byte {
 	return buf
 }
 
-// DecodeConfig parses a MsgConfig payload. Exported for receivers that
-// run their own message loop (the streaming-ingest subsystem handles
-// back-to-back sessions and per-message cancellation, which the simple
-// Receive loop below does not).
-func DecodeConfig(payload []byte) (Config, error) {
-	return decodeConfig(payload)
-}
-
-// CheckRaster rejects a received raster that is not the Resolution x
-// Resolution square the config announced. The wire lets a peer put any
-// dimensions in a frame record; the detector, handed a frame and a
-// background of different sizes, panics — so receivers check both the
-// background and every frame here first.
-func (c Config) CheckRaster(kind string, img *raster.Image) error {
-	if img.W != c.Resolution || img.H != c.Resolution {
-		return fmt.Errorf("camera: %s raster is %dx%d, session announced %dx%d", kind, img.W, img.H, c.Resolution, c.Resolution)
-	}
-	return nil
-}
-
 func decodeConfig(payload []byte) (Config, error) {
 	var c Config
 	r := newSliceReader(payload)
@@ -329,37 +309,58 @@ type Session struct {
 	Background *raster.Image
 }
 
-// Receive consumes a camera stream from conn, invoking handle for every
-// frame. It returns the session after MsgEnd (or an error).
+// Receive consumes a single camera session from conn, invoking handle for
+// every frame. It returns the session after MsgEnd (or an error).
 func Receive(conn *transport.Conn, handle func(*Session, ReceivedFrame) error) (*Session, error) {
+	session, err := ReceiveSession(conn, nil, handle)
+	if err == io.EOF {
+		return nil, fmt.Errorf("camera: stream ended before MsgEnd")
+	}
+	return session, err
+}
+
+// ReceiveSession decodes one camera session from conn — MsgConfig,
+// MsgBackground, MsgFrame…, MsgEnd — and returns it after MsgEnd. It is the
+// wire protocol's one state machine: message order, the presence of pixels
+// and the announced raster size are all enforced here. start, when non-nil,
+// is called once the config is decoded (before any pixels arrive); frame,
+// when non-nil, for every frame. A callback's error aborts the session and
+// is returned as is.
+//
+// A connection that ends cleanly before the session's config returns io.EOF
+// itself, so a receiver looping over back-to-back sessions can tell "no
+// more sessions" from a stream cut mid-session, which is an error.
+func ReceiveSession(conn *transport.Conn, start func(*Session) error, frame func(*Session, ReceivedFrame) error) (*Session, error) {
 	var session *Session
 	for {
 		msgType, payload, err := conn.Receive()
 		if err != nil {
-			if err == io.EOF {
+			if err == io.EOF && session != nil {
 				return nil, fmt.Errorf("camera: stream ended before MsgEnd")
 			}
 			return nil, err
 		}
 		switch msgType {
 		case transport.MsgConfig:
+			if session != nil {
+				return nil, fmt.Errorf("camera: config message mid-session")
+			}
 			cfg, err := decodeConfig(payload)
 			if err != nil {
 				return nil, err
 			}
 			session = &Session{Config: cfg}
+			if start != nil {
+				if err := start(session); err != nil {
+					return nil, err
+				}
+			}
 		case transport.MsgBackground:
 			if session == nil {
 				return nil, fmt.Errorf("camera: background before config")
 			}
-			fr, err := codec.DecodeFrame(payload)
+			fr, err := session.decodePixels("background", payload)
 			if err != nil {
-				return nil, err
-			}
-			if fr.Raster == nil {
-				return nil, fmt.Errorf("camera: background message without pixels")
-			}
-			if err := session.Config.CheckRaster("background", fr.Raster); err != nil {
 				return nil, err
 			}
 			session.Background = fr.Raster
@@ -367,18 +368,12 @@ func Receive(conn *transport.Conn, handle func(*Session, ReceivedFrame) error) (
 			if session == nil || session.Background == nil {
 				return nil, fmt.Errorf("camera: frame before config/background")
 			}
-			fr, err := codec.DecodeFrame(payload)
+			fr, err := session.decodePixels("frame", payload)
 			if err != nil {
 				return nil, err
 			}
-			if fr.Raster == nil {
-				return nil, fmt.Errorf("camera: frame message without pixels")
-			}
-			if err := session.Config.CheckRaster("frame", fr.Raster); err != nil {
-				return nil, err
-			}
-			if handle != nil {
-				if err := handle(session, ReceivedFrame{Index: fr.Index, Raster: fr.Raster}); err != nil {
+			if frame != nil {
+				if err := frame(session, ReceivedFrame{Index: fr.Index, Raster: fr.Raster}); err != nil {
 					return nil, err
 				}
 			}
@@ -391,6 +386,24 @@ func Receive(conn *transport.Conn, handle func(*Session, ReceivedFrame) error) (
 			return nil, fmt.Errorf("camera: unknown message type %d", msgType)
 		}
 	}
+}
+
+// decodePixels decodes a background or frame payload and rejects a raster
+// that is not the Resolution x Resolution square the session's config
+// announced. The wire lets a peer put any dimensions in a frame record; the
+// detector, handed a frame and a background of different sizes, panics.
+func (s *Session) decodePixels(kind string, payload []byte) (*codec.FrameRecord, error) {
+	fr, err := codec.DecodeFrame(payload)
+	if err != nil {
+		return nil, err
+	}
+	if fr.Raster == nil {
+		return nil, fmt.Errorf("camera: %s message without pixels", kind)
+	}
+	if p := s.Config.Resolution; fr.Raster.W != p || fr.Raster.H != p {
+		return nil, fmt.Errorf("camera: %s raster is %dx%d, session announced %dx%d", kind, fr.Raster.W, fr.Raster.H, p, p)
+	}
+	return fr, nil
 }
 
 // Detect runs the model on a received frame against the session's

@@ -3,6 +3,7 @@ package camera
 import (
 	"bytes"
 	"context"
+	"io"
 	"math"
 	"net"
 	"strings"
@@ -215,6 +216,74 @@ func TestReceiveRejectsUnknownMessageType(t *testing.T) {
 	}()
 	if _, err := Receive(transport.New(server), nil); err == nil {
 		t.Fatal("unknown message type accepted")
+	}
+}
+
+func TestReceiveSessionBoundaries(t *testing.T) {
+	// ReceiveSession is the decoder stream.Receiver loops over: back-to-back
+	// sessions decode one call each, a clean end between sessions is io.EOF
+	// itself, and the same end (or a second config) mid-session is an error.
+	cfg := Config{Name: "loop", CaptureWidth: 320, NoiseSigma: 0.01, Resolution: 8, TotalFrames: 4}
+	img := raster.New(8, 8)
+	pixels, err := codec.EncodeFrame(&codec.FrameRecord{Index: 1, Raster: img})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type msg struct {
+		typ     byte
+		payload []byte
+	}
+	config, bg, frame, end := msg{transport.MsgConfig, cfg.encode()}, msg{transport.MsgBackground, pixels}, msg{transport.MsgFrame, pixels}, msg{transport.MsgEnd, nil}
+	cases := []struct {
+		name     string
+		msgs     []msg
+		sessions int    // sessions decoded before the terminal error
+		want     string // "" means the terminal error is io.EOF itself
+	}{
+		{"two sessions, clean end", []msg{config, bg, frame, end, config, bg, end}, 2, ""},
+		{"empty stream", nil, 0, ""},
+		{"cut mid-session", []msg{config, bg, frame}, 0, "stream ended before MsgEnd"},
+		{"cut after a session", []msg{config, bg, end, config}, 1, "stream ended before MsgEnd"},
+		{"config mid-session", []msg{config, bg, config}, 0, "config message mid-session"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var wire bytes.Buffer
+			sender := transport.New(&wire)
+			for _, m := range tc.msgs {
+				if err := sender.Send(m.typ, m.payload); err != nil {
+					t.Fatal(err)
+				}
+			}
+			conn := transport.New(&wire)
+			sessions, starts, frames := 0, 0, 0
+			for {
+				_, err := ReceiveSession(conn, func(s *Session) error {
+					if s.Config != cfg || s.Background != nil {
+						t.Errorf("start saw %+v, want the bare config", s)
+					}
+					starts++
+					return nil
+				}, func(*Session, ReceivedFrame) error { frames++; return nil })
+				if err == nil {
+					sessions++
+					continue
+				}
+				if sessions != tc.sessions {
+					t.Fatalf("%d sessions decoded before %v, want %d", sessions, err, tc.sessions)
+				}
+				if tc.want == "" && err != io.EOF || tc.want != "" && !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("terminal error %v, want %q (empty = io.EOF)", err, tc.want)
+				}
+				break
+			}
+			if tc.name == "two sessions, clean end" && (starts != 2 || frames != 1) {
+				t.Fatalf("%d starts, %d frames, want 2 and 1", starts, frames)
+			}
+		})
+	}
+	if _, err := Receive(transport.New(&bytes.Buffer{}), nil); err == nil || err == io.EOF {
+		t.Fatalf("Receive on an empty stream = %v, want its own before-MsgEnd error", err)
 	}
 }
 

@@ -121,19 +121,15 @@ type Plan struct {
 	Total      int   // N: corpus size before any intervention
 }
 
-// Apply materialises the setting: computes the admissible pool via the
+// ApplyCtx materialises the setting: computes the admissible pool via the
 // stored class-presence priors, then samples n = round(f*N) frames from it
 // without replacement using the provided random stream. It returns an
 // error when the requested sample exceeds the admissible pool — the
 // situation the paper handles by lowering f (Section 5.2.2 uses f = 0.1
-// for UA-DETRAC with restricted class "person").
-func Apply(v *scene.Video, m *detect.Model, s Setting, stream *stats.Stream) (*Plan, error) {
-	return ApplyCtx(context.Background(), v, m, s, stream)
-}
-
-// ApplyCtx is Apply with cancellation: computing the admissible pool runs
-// the paper's presence protocol (one probe per frame and restricted class
-// the first time, see outputs.Presence), which a cancelled context aborts.
+// for UA-DETRAC with restricted class "person"). Computing the admissible
+// pool runs the paper's presence protocol (one probe per frame and
+// restricted class the first time, see outputs.Presence), which a
+// cancelled context aborts.
 func ApplyCtx(ctx context.Context, v *scene.Video, m *detect.Model, s Setting, stream *stats.Stream) (*Plan, error) {
 	if err := s.Validate(m); err != nil {
 		return nil, err
@@ -166,17 +162,9 @@ func ApplyCtx(ctx context.Context, v *scene.Video, m *detect.Model, s Setting, s
 	}, nil
 }
 
-// AdmissibleFrames returns the indices of frames that contain none of the
-// restricted classes, per the stored prior presence information.
-func AdmissibleFrames(v *scene.Video, restricted []scene.Class) []int {
-	// Presence over a background context cannot fail (the only error an
-	// output read produces is context cancellation).
-	admissible, _ := AdmissibleFramesCtx(context.Background(), v, restricted)
-	return admissible
-}
-
-// AdmissibleFramesCtx is AdmissibleFrames with cancellation; the only
-// error it returns is the context's.
+// AdmissibleFramesCtx returns the indices of frames that contain none of
+// the restricted classes, per the stored prior presence information. The
+// only error it returns is the context's.
 func AdmissibleFramesCtx(ctx context.Context, v *scene.Video, restricted []scene.Class) ([]int, error) {
 	n := v.NumFrames()
 	if len(restricted) == 0 {

@@ -71,7 +71,7 @@ func TestApplySampling(t *testing.T) {
 	v := dataset.MustLoad("small")
 	m := detect.YOLOv4Sim()
 	stream := stats.NewStream(1)
-	plan, err := Apply(v, m, Setting{SampleFraction: 0.1}, stream)
+	plan, err := ApplyCtx(context.Background(), v, m, Setting{SampleFraction: 0.1}, stream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestApplySamplingUniform(t *testing.T) {
 	const trials = 400
 	root := stats.NewStream(7)
 	for trial := 0; trial < trials; trial++ {
-		plan, err := Apply(v, m, Setting{SampleFraction: 0.2}, root.Child(uint64(trial)))
+		plan, err := ApplyCtx(context.Background(), v, m, Setting{SampleFraction: 0.2}, root.Child(uint64(trial)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func TestApplyImageRemoval(t *testing.T) {
 	// The small corpus is dense daytime traffic where most frames contain a
 	// person, so restrict the rarer "face" class for the positive case.
 	s := Setting{SampleFraction: 0.05, Restricted: []scene.Class{scene.Face}}
-	plan, err := Apply(v, m, s, stats.NewStream(3))
+	plan, err := ApplyCtx(context.Background(), v, m, s, stats.NewStream(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,21 +161,21 @@ func TestApplyRejectsOversizedSample(t *testing.T) {
 	// The small corpus is dense daytime traffic: most frames contain a
 	// person, so sampling everything after removal must fail.
 	s := Setting{SampleFraction: 1, Restricted: []scene.Class{scene.Person}}
-	if _, err := Apply(v, m, s, stats.NewStream(3)); err == nil {
+	if _, err := ApplyCtx(context.Background(), v, m, s, stats.NewStream(3)); err == nil {
 		t.Fatal("oversized sample accepted")
 	}
 }
 
 func TestApplyInvalidSetting(t *testing.T) {
 	v := dataset.MustLoad("small")
-	if _, err := Apply(v, detect.YOLOv4Sim(), Setting{SampleFraction: 2}, stats.NewStream(1)); err == nil {
+	if _, err := ApplyCtx(context.Background(), v, detect.YOLOv4Sim(), Setting{SampleFraction: 2}, stats.NewStream(1)); err == nil {
 		t.Fatal("invalid setting accepted")
 	}
 }
 
 func TestAdmissibleFramesNoRestriction(t *testing.T) {
 	v := dataset.MustLoad("small")
-	frames := AdmissibleFrames(v, nil)
+	frames, _ := AdmissibleFramesCtx(context.Background(), v, nil)
 	if len(frames) != v.NumFrames() {
 		t.Fatalf("unrestricted admissible pool = %d", len(frames))
 	}
@@ -188,8 +188,8 @@ func TestAdmissibleFramesNoRestriction(t *testing.T) {
 
 func TestAdmissibleFramesMultiClass(t *testing.T) {
 	v := dataset.MustLoad("small")
-	both := AdmissibleFrames(v, []scene.Class{scene.Person, scene.Face})
-	personOnly := AdmissibleFrames(v, []scene.Class{scene.Person})
+	both, _ := AdmissibleFramesCtx(context.Background(), v, []scene.Class{scene.Person, scene.Face})
+	personOnly, _ := AdmissibleFramesCtx(context.Background(), v, []scene.Class{scene.Person})
 	if len(both) > len(personOnly) {
 		t.Fatal("restricting more classes admitted more frames")
 	}
@@ -198,7 +198,7 @@ func TestAdmissibleFramesMultiClass(t *testing.T) {
 func TestSampleOutputs(t *testing.T) {
 	v := dataset.MustLoad("small")
 	m := detect.YOLOv4Sim()
-	plan, err := Apply(v, m, Setting{SampleFraction: 0.1, Resolution: 160}, stats.NewStream(5))
+	plan, err := ApplyCtx(context.Background(), v, m, Setting{SampleFraction: 0.1, Resolution: 160}, stats.NewStream(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestSampleOutputsUsesNoisedView(t *testing.T) {
 	v := dataset.MustLoad("small")
 	m := detect.YOLOv4Sim()
 	stream := stats.NewStream(21)
-	plan, err := Apply(v, m, Setting{SampleFraction: 0.1, NoiseSigma: 0.25}, stream)
+	plan, err := ApplyCtx(context.Background(), v, m, Setting{SampleFraction: 0.1, NoiseSigma: 0.25}, stream)
 	if err != nil {
 		t.Fatal(err)
 	}

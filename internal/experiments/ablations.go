@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -132,7 +133,7 @@ func ablationReuse(cfg Config, report *Report) error {
 	// Reused (nested) sweep.
 	detect.ResetCaches()
 	before := detect.Invocations()
-	if _, err := profile.SweepFractions(spec, profile.SweepOptions{Fractions: fractions}, root.Child(1)); err != nil {
+	if _, err := profile.SweepFractionsCtx(context.Background(), spec, profile.SweepOptions{Fractions: fractions}, root.Child(1)); err != nil {
 		return err
 	}
 	reused := detect.Invocations() - before
@@ -141,7 +142,7 @@ func ablationReuse(cfg Config, report *Report) error {
 	detect.ResetCaches()
 	before = detect.Invocations()
 	for fi, f := range fractions {
-		if _, err := spec.EstimateSetting(degrade.Setting{SampleFraction: f}, nil, root.ChildN(2, uint64(fi))); err != nil {
+		if _, err := spec.EstimateSettingCtx(context.Background(), degrade.Setting{SampleFraction: f}, nil, root.ChildN(2, uint64(fi))); err != nil {
 			return err
 		}
 	}
@@ -171,7 +172,7 @@ func ablationElbow(cfg Config, report *Report) error {
 		return err
 	}
 	root := stats.NewStream(cfg.Seed).Child(0xab3)
-	construction, err := profile.ConstructCorrection(spec, 0.2, root.Child(1))
+	construction, err := profile.ConstructCorrectionCtx(context.Background(), spec, 0.2, root.Child(1))
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"net"
 
@@ -44,7 +45,7 @@ func Bandwidth(cfg Config) (*Report, error) {
 		settings = settings[:3]
 	}
 
-	corr, err := profile.ConstructCorrection(spec, 0.1, stats.NewStream(cfg.Seed).Child(0xbd0))
+	corr, err := profile.ConstructCorrectionCtx(context.Background(), spec, 0.1, stats.NewStream(cfg.Seed).Child(0xbd0))
 	if err != nil {
 		return nil, err
 	}
@@ -59,7 +60,7 @@ func Bandwidth(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		est, err := spec.EstimateSetting(setting, corr.Correction, stats.NewStream(cfg.Seed).ChildN(0xbd1, uint64(si)))
+		est, err := spec.EstimateSettingCtx(context.Background(), setting, corr.Correction, stats.NewStream(cfg.Seed).ChildN(0xbd1, uint64(si)))
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"smokescreen/internal/degrade"
@@ -43,7 +44,7 @@ func Figure9(cfg Config) (*Report, error) {
 		}
 		// The elbow heuristic's determined fraction (from err_b(v) alone,
 		// independent of the intervention sets — the point of Section 5.2.3).
-		construction, err := profile.ConstructCorrection(spec, 0.2, stats.NewStream(cfg.Seed).Child(0x900))
+		construction, err := profile.ConstructCorrectionCtx(context.Background(), spec, 0.2, stats.NewStream(cfg.Seed).Child(0x900))
 		if err != nil {
 			return nil, err
 		}

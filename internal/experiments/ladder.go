@@ -42,12 +42,12 @@ func LadderTradeoff(cfg Config) (*Report, error) {
 			return nil, err
 		}
 		ladder := plan.DefaultLadder(spec.Model)
-		construction, err := profile.ConstructCorrection(spec, 0.2,
+		construction, err := profile.ConstructCorrectionCtx(context.Background(), spec, 0.2,
 			stats.NewStream(cfg.Seed).ChildN(0x1ad, uint64(wi)))
 		if err != nil {
 			return nil, err
 		}
-		prof, err := profile.GenerateLadder(spec, ladder,
+		prof, err := profile.GenerateLadderCtx(context.Background(), spec, ladder,
 			profile.LadderOptions{Correction: construction.Correction, Parallelism: cfg.Parallelism},
 			stats.NewStream(cfg.Seed).ChildN(0x1ad+1, uint64(wi)))
 		if err != nil {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -47,7 +48,7 @@ func Timing(cfg Config) (*Report, error) {
 		return nil, err
 	}
 	for ri, p := range resolutions {
-		_, err := profile.SweepFractions(spec, profile.SweepOptions{
+		_, err := profile.SweepFractionsCtx(context.Background(), spec, profile.SweepOptions{
 			Fractions:  fractions,
 			Setting:    degrade.Setting{Resolution: p},
 			Correction: corr,
@@ -64,7 +65,7 @@ func Timing(cfg Config) (*Report, error) {
 	// inference.
 	estStart := time.Now()
 	for ri, p := range resolutions {
-		if _, err := profile.SweepFractions(spec, profile.SweepOptions{
+		if _, err := profile.SweepFractionsCtx(context.Background(), spec, profile.SweepOptions{
 			Fractions:  fractions,
 			Setting:    degrade.Setting{Resolution: p},
 			Correction: corr,

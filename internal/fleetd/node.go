@@ -276,32 +276,6 @@ func (n *Node) nodeURL(node string) string {
 	return "http://" + node
 }
 
-func fleetWriteJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func fleetWriteError(w http.ResponseWriter, status int, err error) {
-	fleetWriteJSON(w, status, map[string]string{"error": err.Error()})
-}
-
-// fleetWriteErrorCode mirrors the inner server's coded error shape, so
-// clients see one contract whether they hit a node or the daemon.
-func fleetWriteErrorCode(w http.ResponseWriter, status int, code string, err error) {
-	fleetWriteJSON(w, status, map[string]string{"error": err.Error(), "code": code})
-}
-
-// writeProfileBytes mirrors the inner server's profile response shape.
-func (n *Node) writeProfileBytes(w http.ResponseWriter, key string, payload []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Smokescreen-Key", key)
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(payload)
-}
-
 // ---------------------------------------------------------------------------
 // Forwarding
 
@@ -325,15 +299,16 @@ func pickHeaders(h http.Header) http.Header {
 	return out
 }
 
-// fetch performs one fleet-internal request against a peer.
-func (n *Node) fetch(ctx context.Context, method, target, path string, body []byte) (*fwdResult, error) {
+// fetch performs one fleet-internal request against a peer; contentType
+// labels a non-empty body.
+func (n *Node) fetch(ctx context.Context, method, target, path, contentType string, body []byte) (*fwdResult, error) {
 	req, err := http.NewRequestWithContext(ctx, method, n.nodeURL(target)+path, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
 	req.Header.Set(fleetFromHeader, n.self)
 	if len(body) > 0 {
-		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", contentType)
 	}
 	resp, err := n.client.Do(req)
 	if err != nil {
@@ -362,7 +337,7 @@ func (n *Node) forwardFlight(ctx context.Context, flightKey, method, path string
 			if lastErr != nil {
 				n.metrics.forwardFailovers.Add(1)
 			}
-			res, err := n.fetch(ctx, method, target, path, body)
+			res, err := n.fetch(ctx, method, target, path, "application/json", body)
 			if err != nil {
 				lastErr = err
 				continue
@@ -435,13 +410,13 @@ func (n *Node) handleGetProfile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if payload, ok := n.entryCopy(key); ok {
-		n.writeProfileBytes(w, key, payload)
+		server.WriteProfile(w, key, payload)
 		return
 	}
 	res, err := n.forwardFlight(r.Context(), "GET|"+key, http.MethodGet, "/v1/profiles/"+key, nil, n.ring.Replicas(key))
 	if err != nil {
 		n.metrics.forwardErrors.Add(1)
-		fleetWriteError(w, http.StatusBadGateway, fmt.Errorf("fleetd: forwarding to replicas: %w", err))
+		server.WriteError(w, http.StatusBadGateway, fmt.Errorf("fleetd: forwarding to replicas: %w", err))
 		return
 	}
 	writeFwd(w, res)
@@ -466,7 +441,7 @@ func (n *Node) entryCopy(key string) (payload []byte, ok bool) {
 func (n *Node) handlePostProfile(w http.ResponseWriter, r *http.Request) {
 	raw, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBytes))
 	if err != nil {
-		fleetWriteError(w, http.StatusBadRequest, fmt.Errorf("fleetd: reading request: %w", err))
+		server.WriteError(w, http.StatusBadRequest, fmt.Errorf("fleetd: reading request: %w", err))
 		return
 	}
 	req, err := server.DecodeGenRequest(bytes.NewReader(raw))
@@ -477,27 +452,27 @@ func (n *Node) handlePostProfile(w http.ResponseWriter, r *http.Request) {
 		// dropped and a different (wrong) artifact generated and cached.
 		var unknown *server.UnknownFieldError
 		if errors.As(err, &unknown) {
-			fleetWriteErrorCode(w, http.StatusBadRequest, "unknown_field", err)
+			server.WriteErrorCode(w, http.StatusBadRequest, "unknown_field", err)
 			return
 		}
-		fleetWriteError(w, http.StatusBadRequest, fmt.Errorf("fleetd: %w", err))
+		server.WriteError(w, http.StatusBadRequest, fmt.Errorf("fleetd: %w", err))
 		return
 	}
 	if req.Query == "" {
-		fleetWriteError(w, http.StatusBadRequest, errors.New("fleetd: request requires a query"))
+		server.WriteError(w, http.StatusBadRequest, errors.New("fleetd: request requires a query"))
 		return
 	}
 	req.Normalize()
 	key, _, err := n.gen.Key(req)
 	if err != nil {
-		fleetWriteError(w, http.StatusBadRequest, err)
+		server.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	// Canonical wire form: every hop and every flight of this request
 	// coalesces on identical bytes.
 	body, err := json.Marshal(req)
 	if err != nil {
-		fleetWriteError(w, http.StatusInternalServerError, err)
+		server.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 
@@ -507,7 +482,7 @@ func (n *Node) handlePostProfile(w http.ResponseWriter, r *http.Request) {
 		if !req.Async {
 			// A sync re-POST of a sealed key is a read.
 			if payload, ok := n.entryCopy(key); ok {
-				n.writeProfileBytes(w, key, payload)
+				server.WriteProfile(w, key, payload)
 				return
 			}
 			mode = "|sync"
@@ -515,7 +490,7 @@ func (n *Node) handlePostProfile(w http.ResponseWriter, r *http.Request) {
 		res, err := n.forwardFlight(r.Context(), "POST|"+key+mode, http.MethodPost, "/v1/profiles", body, n.ring.Replicas(key))
 		if err != nil {
 			n.metrics.forwardErrors.Add(1)
-			fleetWriteError(w, http.StatusBadGateway, fmt.Errorf("fleetd: forwarding to replicas: %w", err))
+			server.WriteError(w, http.StatusBadGateway, fmt.Errorf("fleetd: forwarding to replicas: %w", err))
 			return
 		}
 		writeFwd(w, res)
@@ -537,7 +512,7 @@ func (n *Node) servePost(w http.ResponseWriter, r *http.Request, key string, req
 		// Fast path — including read-repair: a denied claimant usually
 		// exits the wait loop here once the holder's fan-out lands.
 		if payload, err := n.backend.Get(key); err == nil {
-			n.writeProfileBytes(w, key, payload)
+			server.WriteProfile(w, key, payload)
 			return
 		}
 		st, err := n.leaseCall(r.Context(), authority, leaseRequest{Op: "claim", Unit: unit, Owner: n.self, TTLMillis: int64(n.leaseTTL / time.Millisecond)})
@@ -583,7 +558,7 @@ func (n *Node) servePost(w http.ResponseWriter, r *http.Request, key string, req
 		case <-r.Context().Done():
 			return // client gave up; the holder finishes for future requesters
 		case <-n.baseCtx.Done():
-			fleetWriteError(w, http.StatusServiceUnavailable, errors.New("fleetd: node shutting down"))
+			server.WriteError(w, http.StatusServiceUnavailable, errors.New("fleetd: node shutting down"))
 			return
 		}
 	}
@@ -642,7 +617,7 @@ func (n *Node) leaseCall(ctx context.Context, authority string, req leaseRequest
 	if err != nil {
 		return LeaseStatus{}, err
 	}
-	res, err := n.fetch(ctx, http.MethodPost, authority, "/v1/leases", body)
+	res, err := n.fetch(ctx, http.MethodPost, authority, "/v1/leases", "application/json", body)
 	if err != nil {
 		return LeaseStatus{}, err
 	}
@@ -659,11 +634,11 @@ func (n *Node) leaseCall(ctx context.Context, authority string, req leaseRequest
 func (n *Node) handleLeases(w http.ResponseWriter, r *http.Request) {
 	var req leaseRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, maxRequestBytes)).Decode(&req); err != nil {
-		fleetWriteError(w, http.StatusBadRequest, fmt.Errorf("fleetd: decoding lease request: %w", err))
+		server.WriteError(w, http.StatusBadRequest, fmt.Errorf("fleetd: decoding lease request: %w", err))
 		return
 	}
 	if req.Unit == "" {
-		fleetWriteError(w, http.StatusBadRequest, errors.New("fleetd: lease request requires a unit"))
+		server.WriteError(w, http.StatusBadRequest, errors.New("fleetd: lease request requires a unit"))
 		return
 	}
 	authority := n.ring.Owner(req.Unit)
@@ -671,16 +646,16 @@ func (n *Node) handleLeases(w http.ResponseWriter, r *http.Request) {
 		// Any node answers lease calls by forwarding to the authority, so
 		// clients (and the smoke script) need not compute ring placement.
 		if err := n.proxy(w, r, authority, mustJSON(req)); err != nil {
-			fleetWriteError(w, http.StatusBadGateway, fmt.Errorf("fleetd: lease authority %s unreachable: %w", authority, err))
+			server.WriteError(w, http.StatusBadGateway, fmt.Errorf("fleetd: lease authority %s unreachable: %w", authority, err))
 		}
 		return
 	}
 	st, err := n.applyLease(req)
 	if err != nil {
-		fleetWriteError(w, http.StatusBadRequest, err)
+		server.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	fleetWriteJSON(w, http.StatusOK, st)
+	server.WriteJSON(w, http.StatusOK, st)
 }
 
 func mustJSON(v any) []byte {
@@ -753,7 +728,7 @@ type ringStatus struct {
 }
 
 func (n *Node) handleRing(w http.ResponseWriter, r *http.Request) {
-	fleetWriteJSON(w, http.StatusOK, ringStatus{
+	server.WriteJSON(w, http.StatusOK, ringStatus{
 		Self:     n.self,
 		Nodes:    n.ring.Nodes(),
 		VNodes:   n.ring.VNodes(),
@@ -771,14 +746,14 @@ func (n *Node) handleEnvelopeGet(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/octet-stream")
 		_, _ = w.Write(env)
 	case errors.Is(err, store.ErrNotFound):
-		fleetWriteError(w, http.StatusNotFound, err)
+		server.WriteError(w, http.StatusNotFound, err)
 	default:
 		var corrupt *store.CorruptError
 		if errors.As(err, &corrupt) {
-			fleetWriteError(w, http.StatusGone, err)
+			server.WriteError(w, http.StatusGone, err)
 			return
 		}
-		fleetWriteError(w, http.StatusInternalServerError, err)
+		server.WriteError(w, http.StatusInternalServerError, err)
 	}
 }
 
@@ -788,16 +763,16 @@ func (n *Node) handleEnvelopeGet(w http.ResponseWriter, r *http.Request) {
 func (n *Node) handleEnvelopePut(w http.ResponseWriter, r *http.Request) {
 	env, err := io.ReadAll(io.LimitReader(r.Body, maxTransferBytes))
 	if err != nil {
-		fleetWriteError(w, http.StatusBadRequest, fmt.Errorf("fleetd: reading envelope: %w", err))
+		server.WriteError(w, http.StatusBadRequest, fmt.Errorf("fleetd: reading envelope: %w", err))
 		return
 	}
 	if _, err := n.localStore.PutEnvelope(r.PathValue("key"), env); err != nil {
 		var corrupt *store.CorruptError
 		if errors.As(err, &corrupt) {
-			fleetWriteError(w, http.StatusBadRequest, err)
+			server.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
-		fleetWriteError(w, http.StatusInternalServerError, err)
+		server.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -807,7 +782,7 @@ func (n *Node) handleEnvelopePut(w http.ResponseWriter, r *http.Request) {
 func (n *Node) fetchEnvelope(peer, key string) ([]byte, error) {
 	ctx, cancel := context.WithTimeout(n.baseCtx, peerTimeout)
 	defer cancel()
-	res, err := n.fetch(ctx, http.MethodGet, peer, "/v1/internal/profiles/"+key, nil)
+	res, err := n.fetch(ctx, http.MethodGet, peer, "/v1/internal/profiles/"+key, "", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -821,7 +796,7 @@ func (n *Node) fetchEnvelope(peer, key string) ([]byte, error) {
 func (n *Node) pushEnvelope(peer, key string, env []byte) error {
 	ctx, cancel := context.WithTimeout(n.baseCtx, peerTimeout)
 	defer cancel()
-	res, err := n.fetchWithBody(ctx, http.MethodPut, peer, "/v1/internal/profiles/"+key, env)
+	res, err := n.fetch(ctx, http.MethodPut, peer, "/v1/internal/profiles/"+key, "application/octet-stream", env)
 	if err != nil {
 		return err
 	}
@@ -829,26 +804,6 @@ func (n *Node) pushEnvelope(peer, key string, env []byte) error {
 		return fmt.Errorf("fleetd: peer %s rejected envelope for %s (%d): %s", peer, key, res.status, bytes.TrimSpace(res.body))
 	}
 	return nil
-}
-
-// fetchWithBody is fetch with an octet-stream body (envelope pushes).
-func (n *Node) fetchWithBody(ctx context.Context, method, target, path string, body []byte) (*fwdResult, error) {
-	req, err := http.NewRequestWithContext(ctx, method, n.nodeURL(target)+path, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set(fleetFromHeader, n.self)
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := n.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, maxTransferBytes))
-	if err != nil {
-		return nil, err
-	}
-	return &fwdResult{status: resp.StatusCode, header: pickHeaders(resp.Header), body: b}, nil
 }
 
 // nodeForJobID maps a job id back to the node whose prefix minted it
@@ -871,7 +826,7 @@ func (n *Node) handleJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := n.proxy(w, r, owner, nil); err != nil {
-		fleetWriteError(w, http.StatusBadGateway, fmt.Errorf("fleetd: job owner %s unreachable: %w", owner, err))
+		server.WriteError(w, http.StatusBadGateway, fmt.Errorf("fleetd: job owner %s unreachable: %w", owner, err))
 	}
 }
 

@@ -3,7 +3,6 @@ package plan
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"smokescreen/internal/degrade"
 	"smokescreen/internal/detect"
@@ -139,69 +138,14 @@ func BuildLadder(ctx context.Context, v *scene.Video, m *detect.Model, l Ladder,
 	return lp, nil
 }
 
-// ViewUnit is one deduplicated physical detector work unit of a ladder:
-// the frames to evaluate at one resolution over one corpus view. Setting
-// carries only the view (pixel) axes of the tiers that share the unit.
-type ViewUnit struct {
-	Setting    degrade.Setting
-	Resolution int
-	Frames     []int
-}
-
-// Units dedups the ladder's detector work across tiers by (view spec,
-// resolution): tiers observing the same corpus view at the same input
-// resolution contribute their sampled frames to one unit, counted once.
-// Unit order is first-appearance, so it is deterministic.
-func (lp *LadderPlan) Units() []ViewUnit {
-	type unitKey struct {
-		spec       string
-		resolution int
-	}
-	sets := map[unitKey]map[int]struct{}{}
-	var order []unitKey
-	settings := map[unitKey]degrade.Setting{}
-	var requested int64
+// Units dedups the ladder's detector work across its feasible tiers by
+// (view spec, resolution); see dedup.
+func (lp *LadderPlan) Units() []Unit {
+	var plans []*degrade.Plan
 	for _, task := range lp.Tasks {
-		if task.Plan == nil {
-			continue
-		}
-		s := task.Tier.Setting
-		key := unitKey{spec: s.ViewSpec(), resolution: task.Plan.Resolution}
-		requested += int64(len(task.Plan.Sampled))
-		set, ok := sets[key]
-		if !ok {
-			set = map[int]struct{}{}
-			sets[key] = set
-			order = append(order, key)
-			// Keep only the pixel (view) axes: frame choice is the union of
-			// the sharing tiers' samples, resolution is the unit key.
-			view := s
-			view.SampleFraction = 0
-			view.Resolution = 0
-			view.Restricted = nil
-			settings[key] = view
-		}
-		for _, f := range task.Plan.Sampled {
-			set[f] = struct{}{}
+		if task.Plan != nil {
+			plans = append(plans, task.Plan)
 		}
 	}
-	units := make([]ViewUnit, 0, len(order))
-	var unique int64
-	for _, key := range order {
-		set := sets[key]
-		frames := make([]int, 0, len(set))
-		for f := range set {
-			frames = append(frames, f)
-		}
-		sort.Ints(frames)
-		unique += int64(len(frames))
-		units = append(units, ViewUnit{
-			Setting:    settings[key],
-			Resolution: key.resolution,
-			Frames:     frames,
-		})
-	}
-	unitsPlanned.Add(int64(len(units)))
-	dedupSavedFrames.Add(requested - unique)
-	return units
+	return dedup(plans)
 }

@@ -50,7 +50,6 @@ type Task struct {
 // work unit is exactly the last task's frame set.
 type Sweep struct {
 	Resolution int // resolved model input resolution
-	RandomOnly bool
 	Admissible []int
 	Tasks      []Task
 }
@@ -84,14 +83,11 @@ func BuildSweep(ctx context.Context, v *scene.Video, m *detect.Model, spec Sweep
 // the sweep's plans share read-only.
 func buildSweep(v *scene.Video, m *detect.Model, spec SweepSpec, admissible []int, stream *stats.Stream) *Sweep {
 	perm := stream.Perm(len(admissible))
-	base := spec.Base
-	base.SampleFraction = spec.Fractions[0]
-	resolution := base.ResolveResolution(m)
+	resolution := spec.Base.ResolveResolution(m)
 	n := v.NumFrames()
 
 	sw := &Sweep{
 		Resolution: resolution,
-		RandomOnly: base.IsRandomOnly(m),
 		Admissible: admissible,
 	}
 	for fi, f := range spec.Fractions {
@@ -173,52 +169,74 @@ func BuildHypercube(ctx context.Context, v *scene.Video, m *detect.Model, fracti
 	return h, nil
 }
 
-// Unit is one deduplicated physical work unit: the frames to detect at
-// one input resolution (over one corpus view and model, implicit from the
-// generation the plan belongs to).
+// Unit is one deduplicated physical detector work unit: the frames to
+// evaluate at one input resolution over one corpus view (the model is
+// implicit from the generation the plan belongs to). Setting carries only
+// the view (pixel) axes of the plans that share the unit.
 type Unit struct {
+	Setting    degrade.Setting
 	Resolution int
 	Frames     []int
 }
 
 // Units dedups the hypercube's detector work across cells: every cell at
-// the same resolution contributes its frame set to one unit, and shared
-// frames — the same physical (frame, resolution) touched by several class
-// combos' sweeps — are counted once. The per-generation saving this
-// produces is tracked in the package stage counters and is the pipeline's
-// first dedup win (the column store's cross-class sharing is the second).
+// the same resolution contributes its sweep's frame set to one unit, so
+// the same physical (frame, resolution) touched by several class combos'
+// sweeps is evaluated once.
 func (h *Hypercube) Units() []Unit {
-	perRes := make(map[int]map[int]struct{})
-	order := []int{}
-	var requested int64
+	var plans []*degrade.Plan
 	for i := range h.Cells {
-		sw := h.Cells[i].Sweep
-		if sw == nil {
-			continue
-		}
-		frames := sw.Frames()
-		requested += int64(len(frames))
-		set, ok := perRes[sw.Resolution]
-		if !ok {
-			set = make(map[int]struct{})
-			perRes[sw.Resolution] = set
-			order = append(order, sw.Resolution)
-		}
-		for _, f := range frames {
-			set[f] = struct{}{}
+		if sw := h.Cells[i].Sweep; sw != nil {
+			plans = append(plans, sw.Tasks[len(sw.Tasks)-1].Plan)
 		}
 	}
-	units := make([]Unit, 0, len(order))
-	var unique int64
-	for _, res := range order {
-		set := perRes[res]
+	return dedup(plans)
+}
+
+// dedup merges the plans' sampled frames into units keyed by (view spec,
+// resolution): plans observing the same corpus view at the same input
+// resolution share one unit, and a frame several of them sample is counted
+// once. Unit order is first-appearance and frames are ascending, so the
+// result is deterministic. The saving is tracked in the package stage
+// counters and is the pipeline's first dedup win (the column store's
+// cross-class sharing is the second).
+func dedup(plans []*degrade.Plan) []Unit {
+	type unitKey struct {
+		spec       string
+		resolution int
+	}
+	index := map[unitKey]int{}
+	var units []Unit
+	var sets []map[int]struct{}
+	var requested, unique int64
+	for _, p := range plans {
+		key := unitKey{spec: p.Setting.ViewSpec(), resolution: p.Resolution}
+		i, ok := index[key]
+		if !ok {
+			i = len(units)
+			index[key] = i
+			// Keep only the pixel (view) axes: frame choice is the union of
+			// the sharing plans' samples, resolution is the unit key.
+			view := p.Setting
+			view.SampleFraction = 0
+			view.Resolution = 0
+			view.Restricted = nil
+			units = append(units, Unit{Setting: view, Resolution: p.Resolution})
+			sets = append(sets, map[int]struct{}{})
+		}
+		requested += int64(len(p.Sampled))
+		for _, f := range p.Sampled {
+			sets[i][f] = struct{}{}
+		}
+	}
+	for i, set := range sets {
 		frames := make([]int, 0, len(set))
 		for f := range set {
 			frames = append(frames, f)
 		}
 		sort.Ints(frames)
 		unique += int64(len(frames))
-		units = append(units, Unit{Resolution: res, Frames: frames})
+		units[i].Frames = frames
 	}
 	unitsPlanned.Add(int64(len(units)))
 	dedupSavedFrames.Add(requested - unique)

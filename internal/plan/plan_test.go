@@ -73,9 +73,6 @@ func TestBuildSweepMatchesApply(t *testing.T) {
 	if len(sw.Tasks) != len(fractions) {
 		t.Fatalf("planned %d tasks, want %d", len(sw.Tasks), len(fractions))
 	}
-	if !sw.RandomOnly {
-		t.Fatal("pure sampling sweep should be random-only")
-	}
 
 	// Nesting: every task's sample is a prefix of the next task's.
 	for i := 1; i < len(sw.Tasks); i++ {

@@ -40,8 +40,8 @@ const (
 	elbowDelta = 0.02
 )
 
-// ConstructCorrection builds a correction set for the spec by the paper's
-// elbow heuristic. sizeLimit caps the correction fraction (the
+// ConstructCorrectionCtx builds a correction set for the spec by the
+// paper's elbow heuristic. sizeLimit caps the correction fraction (the
 // administrator's limit); pass 1 for no practical cap. The correction
 // frames are sampled without replacement at the model's native resolution
 // with no image removal — random interventions only. Growth reuses the
@@ -51,13 +51,8 @@ const (
 // Construction is deliberately sequential and lazy: the elbow rule decides
 // whether to grow the set from the previous step's bound, so each step is
 // gated on its predecessor and there is no independent work to fan out.
-func ConstructCorrection(spec *Spec, sizeLimit float64, stream *stats.Stream) (*ConstructionResult, error) {
-	return ConstructCorrectionCtx(context.Background(), spec, sizeLimit, stream)
-}
-
-// ConstructCorrectionCtx is ConstructCorrection with cancellation: each
-// growth step checks ctx before triggering detector work, so cancelling a
-// daemon job aborts construction mid-elbow.
+// Each growth step checks ctx before triggering detector work, so
+// cancelling a daemon job aborts construction mid-elbow.
 func ConstructCorrectionCtx(ctx context.Context, spec *Spec, sizeLimit float64, stream *stats.Stream) (*ConstructionResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err

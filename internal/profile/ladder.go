@@ -6,8 +6,6 @@ import (
 
 	"smokescreen/internal/degrade"
 	"smokescreen/internal/estimate"
-	"smokescreen/internal/outputs"
-	"smokescreen/internal/parallel"
 	"smokescreen/internal/plan"
 	"smokescreen/internal/stats"
 )
@@ -28,21 +26,16 @@ type LadderOptions struct {
 	Parallelism int
 }
 
-// GenerateLadder produces a fidelity-ladder profile: one tradeoff point
-// per tier, loosest first.
-func GenerateLadder(spec *Spec, l plan.Ladder, opts LadderOptions, stream *stats.Stream) (*Profile, error) {
-	return GenerateLadderCtx(context.Background(), spec, l, opts, stream)
-}
-
-// GenerateLadderCtx runs the plan/execute pipeline over a fidelity
-// ladder. Planning validates the ladder (monotonicity included) and
-// materialises a degradation plan per feasible tier; the detect stage
-// dedups the tiers' detector work by (corpus view, resolution) — tiers
-// observing the same pixel view at the same input size are evaluated once
-// — and fills the column store; the estimate stage then computes each
-// tier's bound from stored columns, repairing non-random tiers with the
-// correction set. Infeasible tiers (sample exceeding the admissible pool)
-// are absent from the profile rather than failing it.
+// GenerateLadderCtx produces a fidelity-ladder profile — one tradeoff
+// point per tier, loosest first — through the plan/execute pipeline.
+// Planning validates the ladder (monotonicity included) and materialises a
+// degradation plan per feasible tier; the detect stage dedups the tiers'
+// detector work by (corpus view, resolution) — tiers observing the same
+// pixel view at the same input size are evaluated once — and fills the
+// column store; the estimate stage then computes each tier's bound from
+// stored columns, repairing non-random tiers with the correction set.
+// Infeasible tiers (sample exceeding the admissible pool) are absent from
+// the profile rather than failing it.
 func GenerateLadderCtx(ctx context.Context, spec *Spec, l plan.Ladder, opts LadderOptions, stream *stats.Stream) (*Profile, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -51,13 +44,15 @@ func GenerateLadderCtx(ctx context.Context, spec *Spec, l plan.Ladder, opts Ladd
 	if err != nil {
 		return nil, err
 	}
-	var tasks []plan.LadderTask
+	var tiers []plan.Tier
+	var tasks []*degrade.Plan
 	needsRepair := false
 	for _, task := range lp.Tasks {
 		if task.Plan == nil {
 			continue
 		}
-		tasks = append(tasks, task)
+		tiers = append(tiers, task.Tier)
+		tasks = append(tasks, task.Plan)
 		if !task.Tier.Setting.IsRandomOnly(spec.Model) {
 			needsRepair = true
 		}
@@ -69,44 +64,17 @@ func GenerateLadderCtx(ctx context.Context, spec *Spec, l plan.Ladder, opts Ladd
 		return nil, fmt.Errorf("profile: ladder %q has non-random tiers; a correction set is required for sound bounds", l.Name)
 	}
 
-	// Detect stage: materialise the deduplicated (view, resolution) work
-	// units. Each unit targets the corpus as its tiers observe it, so the
-	// estimate stage's column reads hit the columns built here.
-	units := lp.Units()
-	stopDetect := plan.DetectTimer()
-	err = parallel.ForCtx(ctx, len(units), opts.Parallelism, func(i int) error {
-		effective := degrade.EffectiveVideo(spec.Video, units[i].Setting)
-		return outputs.Ensure(ctx, effective, spec.Model, spec.Class, units[i].Resolution, units[i].Frames)
+	if err := spec.materialise(ctx, lp.Units(), opts.Parallelism); err != nil {
+		return nil, err
+	}
+	points, err := spec.estimateTasks(ctx, tasks, opts.Correction, 0, opts.Parallelism, func(task int, err error) error {
+		return fmt.Errorf("profile: ladder %q tier %q: %w", l.Name, tiers[task].Name, err)
 	})
-	stopDetect()
 	if err != nil {
 		return nil, err
 	}
-
-	prof := &Profile{
-		VideoName: spec.Video.Config.Name,
-		ModelName: spec.Model.Name,
-		Class:     spec.Class,
-		Agg:       spec.Agg,
+	for i := range points {
+		points[i].Tier = tiers[i].Name
 	}
-	stopEstimate := plan.EstimateTimer()
-	points, err := parallel.MapCtx(ctx, len(tasks), parallel.Workers(opts.Parallelism), func(i int) (Point, error) {
-		task := tasks[i]
-		est, err := spec.estimatePlan(ctx, task.Plan, opts.Correction)
-		if err != nil {
-			return Point{}, fmt.Errorf("profile: ladder %q tier %q: %w", l.Name, task.Tier.Name, err)
-		}
-		return Point{
-			Setting:  task.Plan.Setting,
-			Estimate: est,
-			Repaired: opts.Correction != nil && !task.Tier.Setting.IsRandomOnly(spec.Model),
-			Tier:     task.Tier.Name,
-		}, nil
-	})
-	stopEstimate()
-	if err != nil {
-		return nil, err
-	}
-	prof.Points = points
-	return prof, nil
+	return spec.newProfile(points), nil
 }

@@ -14,7 +14,7 @@ import (
 
 func ladderCorrection(t *testing.T, spec *Spec) *estimate.Correction {
 	t.Helper()
-	res, err := ConstructCorrection(spec, 0.2, stats.NewStream(9).Child(1))
+	res, err := ConstructCorrectionCtx(context.Background(), spec, 0.2, stats.NewStream(9).Child(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestGenerateLadderProfile(t *testing.T) {
 	t.Cleanup(detect.ResetCaches)
 	spec := testSpec(estimate.AVG)
 	l := plan.DefaultLadder(spec.Model)
-	prof, err := GenerateLadder(spec, l, LadderOptions{Correction: ladderCorrection(t, spec)}, stats.NewStream(9).Child(3))
+	prof, err := GenerateLadderCtx(context.Background(), spec, l, LadderOptions{Correction: ladderCorrection(t, spec)}, stats.NewStream(9).Child(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestGenerateLadderProfile(t *testing.T) {
 // correction set are an error, not silently unsound bounds.
 func TestGenerateLadderRequiresCorrection(t *testing.T) {
 	spec := testSpec(estimate.AVG)
-	_, err := GenerateLadder(spec, plan.DefaultLadder(spec.Model), LadderOptions{}, stats.NewStream(9).Child(3))
+	_, err := GenerateLadderCtx(context.Background(), spec, plan.DefaultLadder(spec.Model), LadderOptions{}, stats.NewStream(9).Child(3))
 	if err == nil || !strings.Contains(err.Error(), "correction") {
 		t.Fatalf("err = %v, want correction-required error", err)
 	}

@@ -32,7 +32,7 @@ func TestParallelHypercubeBitIdentical(t *testing.T) {
 
 	s := testSpec(estimate.AVG)
 	root := stats.NewStream(157)
-	res, err := ConstructCorrection(s, 1, root.Child(1))
+	res, err := ConstructCorrectionCtx(context.Background(), s, 1, root.Child(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestParallelSweepBitIdentical(t *testing.T) {
 		Fractions:   []float64{0.02, 0.05, 0.1, 0.2},
 		Parallelism: 1,
 	}
-	seq, err := SweepFractions(s, opts, root.Child(7))
+	seq, err := SweepFractionsCtx(context.Background(), s, opts, root.Child(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestParallelSweepBitIdentical(t *testing.T) {
 	for _, workers := range []int{2, 4, 8} {
 		for rep := 0; rep < 2; rep++ {
 			opts.Parallelism = workers
-			par, err := SweepFractions(s, opts, root.Child(7))
+			par, err := SweepFractionsCtx(context.Background(), s, opts, root.Child(7))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -103,12 +103,12 @@ func TestParallelSweepRespectsEarlyStop(t *testing.T) {
 		EarlyStopDelta: 0.05,
 		Parallelism:    1,
 	}
-	seq, err := SweepFractions(s, opts, root.Child(5))
+	seq, err := SweepFractionsCtx(context.Background(), s, opts, root.Child(5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Parallelism = 8
-	par, err := SweepFractions(s, opts, root.Child(5))
+	par, err := SweepFractionsCtx(context.Background(), s, opts, root.Child(5))
 	if err != nil {
 		t.Fatal(err)
 	}

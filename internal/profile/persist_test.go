@@ -16,7 +16,7 @@ import (
 func TestHypercubeRoundTrip(t *testing.T) {
 	s := testSpec(estimate.AVG)
 	root := stats.NewStream(301)
-	res, err := ConstructCorrection(s, 0.05, root.Child(1))
+	res, err := ConstructCorrectionCtx(context.Background(), s, 0.05, root.Child(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,8 @@
 // Package profile implements the paper's profile-generation machinery
 // (Sections 2.3 and 3.3): degradation-accuracy profiles (tradeoff curves),
 // the degradation hypercube over (f, p, c) with 2D slices, correction-set
-// construction with the 1%-growth / 2%-elbow heuristic, fraction sweeps
-// with early stopping and model-output reuse, and profile similarity for
-// the transfer-from-similar-video fallback.
+// construction with the 1%-growth / 2%-elbow heuristic, and fraction
+// sweeps with early stopping and model-output reuse.
 package profile
 
 import (
@@ -120,17 +119,12 @@ func (s *Spec) outputsAtCtx(ctx context.Context, frames []int) ([]float64, error
 	return out, nil
 }
 
-// EstimateSetting computes the approximate answer and error bound under
+// EstimateSettingCtx computes the approximate answer and error bound under
 // one intervention setting (Problem 1 of the paper). Non-random settings
 // require a correction set; passing nil for one returns an error because
 // the uncorrected bound would be unsound. For random-only settings with a
 // correction set, the tighter of the two bounds is used (Section 5.2.2).
-func (s *Spec) EstimateSetting(setting degrade.Setting, corr *estimate.Correction, stream *stats.Stream) (estimate.Estimate, error) {
-	return s.EstimateSettingCtx(context.Background(), setting, corr, stream)
-}
-
-// EstimateSettingCtx is EstimateSetting with cancellation: detector work
-// the estimate triggers aborts when ctx is done.
+// Detector work the estimate triggers aborts when ctx is done.
 func (s *Spec) EstimateSettingCtx(ctx context.Context, setting degrade.Setting, corr *estimate.Correction, stream *stats.Stream) (estimate.Estimate, error) {
 	if err := s.Validate(); err != nil {
 		return estimate.Estimate{}, err
@@ -170,7 +164,7 @@ func (s *Spec) UncorrectedEstimate(setting degrade.Setting, stream *stats.Stream
 	if err := s.Validate(); err != nil {
 		return estimate.Estimate{}, err
 	}
-	plan, err := degrade.Apply(s.Video, s.Model, setting, stream)
+	plan, err := degrade.ApplyCtx(context.Background(), s.Video, s.Model, setting, stream)
 	if err != nil {
 		return estimate.Estimate{}, err
 	}
@@ -257,31 +251,4 @@ func (p *Profile) ChooseFraction(maxErr float64) (degrade.Setting, bool) {
 		}
 	}
 	return best, found
-}
-
-// Distance returns the mean absolute error-bound difference between two
-// profiles over their shared settings (matched by sample fraction and
-// resolution) — the metric of the paper's Figure 10. An error is returned
-// when the profiles share no settings.
-func Distance(a, b *Profile) (float64, error) {
-	type key struct {
-		f float64
-		p int
-	}
-	bounds := make(map[key]float64, len(a.Points))
-	for _, pt := range a.Points {
-		bounds[key{pt.Setting.SampleFraction, pt.Setting.Resolution}] = pt.Estimate.ErrBound
-	}
-	var sum float64
-	var n int
-	for _, pt := range b.Points {
-		if bound, ok := bounds[key{pt.Setting.SampleFraction, pt.Setting.Resolution}]; ok {
-			sum += math.Abs(bound - pt.Estimate.ErrBound)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0, fmt.Errorf("profile: profiles share no settings")
-	}
-	return sum / float64(n), nil
 }

@@ -87,7 +87,7 @@ func TestEstimateSettingRandomCoversTruth(t *testing.T) {
 	covered := 0
 	const trials = 60
 	for trial := 0; trial < trials; trial++ {
-		est, err := s.EstimateSetting(degrade.Setting{SampleFraction: 0.2}, nil, root.Child(uint64(trial)))
+		est, err := s.EstimateSettingCtx(context.Background(), degrade.Setting{SampleFraction: 0.2}, nil, root.Child(uint64(trial)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +106,7 @@ func TestEstimateSettingRandomCoversTruth(t *testing.T) {
 
 func TestEstimateSettingNonRandomNeedsCorrection(t *testing.T) {
 	s := testSpec(estimate.AVG)
-	_, err := s.EstimateSetting(degrade.Setting{SampleFraction: 0.2, Resolution: 160}, nil, stats.NewStream(1))
+	_, err := s.EstimateSettingCtx(context.Background(), degrade.Setting{SampleFraction: 0.2, Resolution: 160}, nil, stats.NewStream(1))
 	if err == nil {
 		t.Fatal("non-random setting without correction accepted")
 	}
@@ -115,14 +115,14 @@ func TestEstimateSettingNonRandomNeedsCorrection(t *testing.T) {
 func TestEstimateSettingRepairedCoversUnderResolution(t *testing.T) {
 	s := testSpec(estimate.AVG)
 	root := stats.NewStream(103)
-	res, err := ConstructCorrection(s, 1, root.Child(999))
+	res, err := ConstructCorrectionCtx(context.Background(), s, 1, root.Child(999))
 	if err != nil {
 		t.Fatal(err)
 	}
 	covered := 0
 	const trials = 40
 	for trial := 0; trial < trials; trial++ {
-		est, err := s.EstimateSetting(degrade.Setting{SampleFraction: 0.3, Resolution: 96}, res.Correction, root.Child(uint64(trial)))
+		est, err := s.EstimateSettingCtx(context.Background(), degrade.Setting{SampleFraction: 0.3, Resolution: 96}, res.Correction, root.Child(uint64(trial)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,17 +166,17 @@ func TestUncorrectedEstimateCanUndershoot(t *testing.T) {
 func TestEstimateSettingNoiseInterventionRepaired(t *testing.T) {
 	s := testSpec(estimate.AVG)
 	root := stats.NewStream(211)
-	if _, err := s.EstimateSetting(degrade.Setting{SampleFraction: 0.3, NoiseSigma: 0.2}, nil, root); err == nil {
+	if _, err := s.EstimateSettingCtx(context.Background(), degrade.Setting{SampleFraction: 0.3, NoiseSigma: 0.2}, nil, root); err == nil {
 		t.Fatal("noise intervention without correction accepted")
 	}
-	res, err := ConstructCorrection(s, 1, root.Child(1))
+	res, err := ConstructCorrectionCtx(context.Background(), s, 1, root.Child(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	covered := 0
 	const trials = 30
 	for trial := 0; trial < trials; trial++ {
-		est, err := s.EstimateSetting(degrade.Setting{SampleFraction: 0.3, NoiseSigma: 0.2}, res.Correction, root.Child(uint64(2+trial)))
+		est, err := s.EstimateSettingCtx(context.Background(), degrade.Setting{SampleFraction: 0.3, NoiseSigma: 0.2}, res.Correction, root.Child(uint64(2+trial)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +195,7 @@ func TestEstimateSettingNoiseInterventionRepaired(t *testing.T) {
 
 func TestConstructCorrectionElbow(t *testing.T) {
 	s := testSpec(estimate.AVG)
-	res, err := ConstructCorrection(s, 1, stats.NewStream(109))
+	res, err := ConstructCorrectionCtx(context.Background(), s, 1, stats.NewStream(109))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,17 +226,17 @@ func TestConstructCorrectionElbow(t *testing.T) {
 
 func TestConstructCorrectionRespectsLimit(t *testing.T) {
 	s := testSpec(estimate.AVG)
-	res, err := ConstructCorrection(s, 0.02, stats.NewStream(113))
+	res, err := ConstructCorrectionCtx(context.Background(), s, 0.02, stats.NewStream(113))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Fraction > 0.02+1e-9 {
 		t.Fatalf("fraction %v exceeds limit", res.Fraction)
 	}
-	if _, err := ConstructCorrection(s, 0.001, stats.NewStream(1)); err == nil {
+	if _, err := ConstructCorrectionCtx(context.Background(), s, 0.001, stats.NewStream(1)); err == nil {
 		t.Fatal("limit below the growth step accepted")
 	}
-	if _, err := ConstructCorrection(s, 1.5, stats.NewStream(1)); err == nil {
+	if _, err := ConstructCorrectionCtx(context.Background(), s, 1.5, stats.NewStream(1)); err == nil {
 		t.Fatal("limit above 1 accepted")
 	}
 }
@@ -261,7 +261,7 @@ func TestBuildCorrectionAt(t *testing.T) {
 func TestSweepFractionsProfile(t *testing.T) {
 	s := testSpec(estimate.AVG)
 	fractions := []float64{0.01, 0.05, 0.1, 0.2, 0.4}
-	prof, err := SweepFractions(s, SweepOptions{Fractions: fractions}, stats.NewStream(137))
+	prof, err := SweepFractionsCtx(context.Background(), s, SweepOptions{Fractions: fractions}, stats.NewStream(137))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,13 +281,13 @@ func TestSweepFractionsProfile(t *testing.T) {
 
 func TestSweepFractionsValidation(t *testing.T) {
 	s := testSpec(estimate.AVG)
-	if _, err := SweepFractions(s, SweepOptions{}, stats.NewStream(1)); err == nil {
+	if _, err := SweepFractionsCtx(context.Background(), s, SweepOptions{}, stats.NewStream(1)); err == nil {
 		t.Fatal("empty fractions accepted")
 	}
-	if _, err := SweepFractions(s, SweepOptions{Fractions: []float64{0.2, 0.1}}, stats.NewStream(1)); err == nil {
+	if _, err := SweepFractionsCtx(context.Background(), s, SweepOptions{Fractions: []float64{0.2, 0.1}}, stats.NewStream(1)); err == nil {
 		t.Fatal("descending fractions accepted")
 	}
-	if _, err := SweepFractions(s, SweepOptions{Fractions: []float64{0.1}, Setting: degrade.Setting{Resolution: 96}}, stats.NewStream(1)); err == nil {
+	if _, err := SweepFractionsCtx(context.Background(), s, SweepOptions{Fractions: []float64{0.1}, Setting: degrade.Setting{Resolution: 96}}, stats.NewStream(1)); err == nil {
 		t.Fatal("non-random sweep without correction accepted")
 	}
 }
@@ -298,11 +298,11 @@ func TestSweepEarlyStops(t *testing.T) {
 	for i := range fractions {
 		fractions[i] = 0.01 * float64(i+1)
 	}
-	full, err := SweepFractions(s, SweepOptions{Fractions: fractions}, stats.NewStream(139))
+	full, err := SweepFractionsCtx(context.Background(), s, SweepOptions{Fractions: fractions}, stats.NewStream(139))
 	if err != nil {
 		t.Fatal(err)
 	}
-	stopped, err := SweepFractions(s, SweepOptions{Fractions: fractions, EarlyStopDelta: 0.02}, stats.NewStream(139))
+	stopped, err := SweepFractionsCtx(context.Background(), s, SweepOptions{Fractions: fractions, EarlyStopDelta: 0.02}, stats.NewStream(139))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,9 +322,9 @@ func TestSweepNestedReuse(t *testing.T) {
 	// sampling), and a different stream a different sample.
 	s := testSpec(estimate.AVG)
 	opts := SweepOptions{Fractions: []float64{0.05, 0.1}}
-	a, _ := SweepFractions(s, opts, stats.NewStream(149))
-	b, _ := SweepFractions(s, opts, stats.NewStream(149))
-	c, _ := SweepFractions(s, opts, stats.NewStream(151))
+	a, _ := SweepFractionsCtx(context.Background(), s, opts, stats.NewStream(149))
+	b, _ := SweepFractionsCtx(context.Background(), s, opts, stats.NewStream(149))
+	c, _ := SweepFractionsCtx(context.Background(), s, opts, stats.NewStream(151))
 	for i := range a.Points {
 		if a.Points[i].Estimate != b.Points[i].Estimate {
 			t.Fatal("sweep not deterministic")
@@ -441,32 +441,10 @@ func TestChooseFraction(t *testing.T) {
 	}
 }
 
-func TestProfileDistance(t *testing.T) {
-	a := &Profile{Points: []Point{
-		{Setting: degrade.Setting{SampleFraction: 0.1}, Estimate: estimate.Estimate{ErrBound: 0.5}},
-		{Setting: degrade.Setting{SampleFraction: 0.2}, Estimate: estimate.Estimate{ErrBound: 0.3}},
-	}}
-	b := &Profile{Points: []Point{
-		{Setting: degrade.Setting{SampleFraction: 0.1}, Estimate: estimate.Estimate{ErrBound: 0.4}},
-		{Setting: degrade.Setting{SampleFraction: 0.2}, Estimate: estimate.Estimate{ErrBound: 0.35}},
-	}}
-	d, err := Distance(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(d-0.075) > 1e-12 {
-		t.Fatalf("Distance = %v, want 0.075", d)
-	}
-	empty := &Profile{Points: []Point{{Setting: degrade.Setting{SampleFraction: 0.9}}}}
-	if _, err := Distance(a, empty); err == nil {
-		t.Fatal("disjoint profiles accepted")
-	}
-}
-
 func TestGenerateHypercube(t *testing.T) {
 	s := testSpec(estimate.AVG)
 	root := stats.NewStream(157)
-	res, err := ConstructCorrection(s, 1, root.Child(1))
+	res, err := ConstructCorrectionCtx(context.Background(), s, 1, root.Child(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 
 	"smokescreen/internal/degrade"
 	"smokescreen/internal/estimate"
-	"smokescreen/internal/outputs"
 	"smokescreen/internal/parallel"
 	"smokescreen/internal/plan"
 	"smokescreen/internal/scene"
@@ -39,21 +38,17 @@ type SweepOptions struct {
 	Parallelism int
 }
 
-// SweepFractions produces a fraction-axis profile. Sampling is nested: one
-// permutation of the admissible pool is drawn and each fraction takes a
+// SweepFractionsCtx produces a fraction-axis profile. Sampling is nested:
+// one permutation of the admissible pool is drawn and each fraction takes a
 // prefix, so model outputs computed for a low rate are reused at every
 // higher rate — the paper's reuse strategy. A prefix of a uniform random
 // permutation is itself a uniform without-replacement sample, so the
 // estimator assumptions hold at every step.
-func SweepFractions(spec *Spec, opts SweepOptions, stream *stats.Stream) (*Profile, error) {
-	return SweepFractionsCtx(context.Background(), spec, opts, stream)
-}
-
-// SweepFractionsCtx is SweepFractions with cancellation, running the
-// three-stage pipeline: plan the sweep's tasks (internal/plan), materialise
-// the deduplicated detector work unit in the column store, then estimate
-// every task from stored columns. A done ctx aborts between (and inside)
-// stages; no partial profile is returned.
+//
+// It runs the three-stage pipeline: plan the sweep's tasks (internal/plan),
+// materialise the sweep's one detector work unit in the column store, then
+// estimate every task from stored columns. A done ctx aborts between (and
+// inside) stages; no partial profile is returned.
 func SweepFractionsCtx(ctx context.Context, spec *Spec, opts SweepOptions, stream *stats.Stream) (*Profile, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -86,76 +81,30 @@ func SweepFractionsCtx(ctx context.Context, spec *Spec, opts SweepOptions, strea
 		return nil, fmt.Errorf("profile: no feasible fraction under %v (admissible pool %d of %d)",
 			base, len(sw.Admissible), spec.Video.NumFrames())
 	}
-	return spec.execSweep(ctx, sw, opts)
+	tasks := sweepTasks(sw)
+	if opts.EarlyStopDelta <= 0 {
+		// Nesting makes every smaller task a prefix of the largest, so the
+		// sweep is its own single work unit.
+		last := tasks[len(tasks)-1]
+		unit := plan.Unit{Setting: last.Setting, Resolution: sw.Resolution, Frames: sw.Frames()}
+		if err := spec.materialise(ctx, []plan.Unit{unit}, opts.Parallelism); err != nil {
+			return nil, err
+		}
+	}
+	points, err := spec.estimateTasks(ctx, tasks, opts.Correction, opts.EarlyStopDelta, opts.Parallelism, nil)
+	if err != nil {
+		return nil, err
+	}
+	return spec.newProfile(points), nil
 }
 
-// execSweep is the executor for one planned sweep: the detect and estimate
-// stages of the pipeline. Without early stopping the stages are distinct —
-// one Ensure call materialises the sweep's single deduplicated work unit
-// (the largest task's frame set; nesting makes every smaller task a
-// prefix), then tasks fan out over the worker pool reading stored columns.
-// Early stopping is inherently sequential and lazy: each point's detector
-// work happens on demand so stopping actually saves invocations, and the
-// interleaved detection is attributed to the estimate stage.
-func (s *Spec) execSweep(ctx context.Context, sw *plan.Sweep, opts SweepOptions) (*Profile, error) {
-	prof := &Profile{
-		VideoName: s.Video.Config.Name,
-		ModelName: s.Model.Name,
-		Class:     s.Class,
-		Agg:       s.Agg,
+// sweepTasks lists a planned sweep's degradation plans in task order.
+func sweepTasks(sw *plan.Sweep) []*degrade.Plan {
+	tasks := make([]*degrade.Plan, len(sw.Tasks))
+	for i := range sw.Tasks {
+		tasks[i] = sw.Tasks[i].Plan
 	}
-	repaired := opts.Correction != nil && !sw.RandomOnly
-
-	if opts.EarlyStopDelta <= 0 {
-		// The detect stage targets the corpus as the sweep's setting
-		// observes it: for pixel-axis settings that is the cached view, so
-		// the estimate stage's column reads hit the columns built here.
-		effective := degrade.EffectiveVideo(s.Video, sw.Tasks[len(sw.Tasks)-1].Plan.Setting)
-		stopDetect := plan.DetectTimer()
-		err := outputs.Ensure(ctx, effective, s.Model, s.Class, sw.Resolution, sw.Frames())
-		stopDetect()
-		if err != nil {
-			return nil, err
-		}
-
-		stopEstimate := plan.EstimateTimer()
-		points, err := parallel.MapCtx(ctx, len(sw.Tasks), parallel.Workers(opts.Parallelism), func(i int) (Point, error) {
-			est, err := s.estimatePlan(ctx, sw.Tasks[i].Plan, opts.Correction)
-			if err != nil {
-				return Point{}, err
-			}
-			return Point{Setting: sw.Tasks[i].Plan.Setting, Estimate: est, Repaired: repaired}, nil
-		})
-		stopEstimate()
-		if err != nil {
-			return nil, err
-		}
-		prof.Points = points
-		return prof, nil
-	}
-
-	prevBound := math.Inf(1)
-	for _, task := range sw.Tasks {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		stopEstimate := plan.EstimateTimer()
-		est, err := s.estimatePlan(ctx, task.Plan, opts.Correction)
-		stopEstimate()
-		if err != nil {
-			return nil, err
-		}
-		prof.Points = append(prof.Points, Point{
-			Setting:  task.Plan.Setting,
-			Estimate: est,
-			Repaired: repaired,
-		})
-		if prevBound-est.ErrBound < opts.EarlyStopDelta && est.ErrBound < 1 {
-			break
-		}
-		prevBound = est.ErrBound
-	}
-	return prof, nil
+	return tasks
 }
 
 // Hypercube is the paper's degradation hypercube: error bounds over the
@@ -203,10 +152,10 @@ type HypercubeOptions struct {
 // dedups the cells' detector work into per-resolution units — the frames
 // several class combos share are evaluated once — and materialises them in
 // the column store; the estimate stage then computes every cell's row from
-// stored columns. Cells whose estimates fail render as NaN rows (matching
-// the legacy behaviour for infeasible cells), but a cancelled ctx aborts
-// the whole generation: detector work stops and an error is returned so
-// callers never persist a partial hypercube.
+// stored columns. Cells whose estimates fail render as NaN rows, like
+// infeasible cells, but a cancelled ctx aborts the whole generation:
+// detector work stops and an error is returned so callers never persist a
+// partial hypercube.
 func GenerateHypercubeCtx(ctx context.Context, spec *Spec, opts HypercubeOptions, stream *stats.Stream) (*Hypercube, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -232,21 +181,17 @@ func GenerateHypercubeCtx(ctx context.Context, spec *Spec, opts HypercubeOptions
 	}
 
 	if opts.EarlyStopDelta <= 0 {
-		// Detect stage: materialise the deduplicated per-resolution work
-		// units. Early-stopping sweeps skip this — they must detect lazily,
-		// point by point, or stopping would save nothing.
-		units := hp.Units()
-		stopDetect := plan.DetectTimer()
-		err := parallel.ForCtx(ctx, len(units), opts.Parallelism, func(i int) error {
-			return outputs.Ensure(ctx, spec.Video, spec.Model, spec.Class, units[i].Resolution, units[i].Frames)
-		})
-		stopDetect()
-		if err != nil {
+		// Detect stage over the deduplicated per-resolution units.
+		// Early-stopping sweeps skip it — they must detect lazily, point by
+		// point, or stopping would save nothing.
+		if err := spec.materialise(ctx, hp.Units(), opts.Parallelism); err != nil {
 			return nil, err
 		}
 	}
 
-	// Estimate stage: one task per planned cell, each owning its row.
+	// Estimate stage: one task per planned cell, each owning its row. The
+	// grid is the fan-out, so each cell's sweep stays sequential and
+	// concurrency stays bounded by opts.Parallelism.
 	err = parallel.ForCtx(ctx, len(hp.Cells), opts.Parallelism, func(k int) error {
 		cell := &hp.Cells[k]
 		row := make([]float64, len(opts.Fractions))
@@ -254,31 +199,14 @@ func GenerateHypercubeCtx(ctx context.Context, spec *Spec, opts HypercubeOptions
 			row[fi] = math.NaN()
 		}
 		if cell.Sweep != nil {
-			prof, err := spec.execSweep(ctx, cell.Sweep, SweepOptions{
-				Fractions: opts.Fractions,
-				Setting: degrade.Setting{
-					Resolution: hp.Resolutions[cell.RI],
-					Restricted: hp.Combos[cell.CI],
-				},
-				Correction:     opts.Correction,
-				EarlyStopDelta: opts.EarlyStopDelta,
-				// The grid is the outer fan-out; keep each sweep sequential
-				// so concurrency stays bounded by opts.Parallelism.
-				Parallelism: 1,
-			})
-			if err != nil {
-				if ctx.Err() != nil {
-					return ctx.Err()
-				}
-				// Estimator failures render as a NaN row, like the legacy
-				// per-cell sweep failures.
-			} else {
-				for _, pt := range prof.Points {
-					for fi, f := range opts.Fractions {
-						if f == pt.Setting.SampleFraction {
-							row[fi] = pt.Estimate.ErrBound
-						}
-					}
+			points, err := spec.estimateTasks(ctx, sweepTasks(cell.Sweep), opts.Correction, opts.EarlyStopDelta, 1, nil)
+			if ctx.Err() != nil {
+				return ctx.Err()
+			}
+			// An estimator failure leaves the cell's row NaN.
+			if err == nil {
+				for i, pt := range points {
+					row[cell.Sweep.Tasks[i].Index] = pt.Estimate.ErrBound
 				}
 			}
 		}

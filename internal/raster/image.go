@@ -8,10 +8,7 @@
 // error instead of hand-tuned error curves.
 package raster
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Image is a dense grayscale image with float32 samples in [0, 1].
 // Pixels are stored row-major; (0,0) is the top-left corner.
@@ -162,17 +159,6 @@ func (r Rect) IoU(o Rect) float64 {
 	}
 	union := r.Area() + o.Area() - inter
 	return float64(inter) / float64(union)
-}
-
-// Scale returns the rectangle scaled by s around the origin, rounding
-// outward so that a scaled object never loses its covered pixels entirely.
-func (r Rect) Scale(s float64) Rect {
-	return Rect{
-		MinX: int(math.Floor(float64(r.MinX) * s)),
-		MinY: int(math.Floor(float64(r.MinY) * s)),
-		MaxX: int(math.Ceil(float64(r.MaxX) * s)),
-		MaxY: int(math.Ceil(float64(r.MaxY) * s)),
-	}
 }
 
 // Center returns the rectangle's center point in continuous coordinates.

@@ -6,7 +6,6 @@ import (
 	"image/png"
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestNewPanicsOnBadSize(t *testing.T) {
@@ -109,20 +108,6 @@ func TestRectEmptyBehaviour(t *testing.T) {
 	disjoint := a.Intersect(RectWH(10, 10, 2, 2))
 	if !disjoint.Empty() {
 		t.Fatalf("disjoint intersect not empty: %+v", disjoint)
-	}
-}
-
-func TestRectScaleNeverVanishes(t *testing.T) {
-	property := func(x, y int8, wRaw, hRaw uint8, sRaw uint8) bool {
-		w := int(wRaw)%50 + 1
-		h := int(hRaw)%50 + 1
-		s := (float64(sRaw) + 1) / 256 // scale in (0, 1]
-		r := RectWH(int(x), int(y), w, h)
-		scaled := r.Scale(s)
-		return !scaled.Empty()
-	}
-	if err := quick.Check(property, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"smokescreen/internal/core"
+	"smokescreen/internal/estimate"
 	"smokescreen/internal/plan"
 	"smokescreen/internal/profile"
 	"smokescreen/internal/query"
@@ -112,10 +113,11 @@ type Generator interface {
 	Generate(ctx context.Context, req GenRequest) ([]byte, error)
 }
 
-// SystemGenerator generates fraction-axis tradeoff curves with the core
-// Smokescreen system: construct a correction set when the query carries
-// non-random interventions, then sweep the candidate fractions on the
-// parallel engine and serialize the profile.
+// SystemGenerator generates fraction-axis tradeoff curves and fidelity-ladder
+// profiles with the core Smokescreen system: construct a correction set
+// when the request covers non-random interventions, then sweep the
+// candidate fractions (or evaluate the ladder's tiers) on the parallel
+// engine and serialize the profile.
 type SystemGenerator struct {
 	// CorrectionLimit caps the correction-set fraction (default 0.2).
 	CorrectionLimit float64
@@ -181,7 +183,9 @@ func (g *SystemGenerator) Key(req GenRequest) (string, string, error) {
 	return ks.CanonicalKey(), q.String(), nil
 }
 
-// Generate implements Generator.
+// Generate implements Generator: resolve the request, construct a
+// correction set when anything the artifact covers is non-random, generate
+// the sweep or the ladder, and serialize the profile.
 func (g *SystemGenerator) Generate(ctx context.Context, req GenRequest) ([]byte, error) {
 	req.normalize()
 	q, spec, fractions, err := g.resolve(req)
@@ -191,23 +195,25 @@ func (g *SystemGenerator) Generate(ctx context.Context, req GenRequest) ([]byte,
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	limit := g.CorrectionLimit
-	if limit == 0 {
-		limit = 0.2
-	}
-	sys := core.New(core.WithSeed(req.Seed), core.WithParallelism(g.Parallelism))
+	// A ladder request's query carries no intervention axes (resolve checks);
+	// its tiers do.
+	nonRandom := !q.Setting.IsRandomOnly(spec.Model)
+	var ladder plan.Ladder
 	if req.Ladder != "" {
-		return g.generateLadder(ctx, sys, q, spec, req, limit)
+		if ladder, err = plan.LadderByName(req.Ladder, spec.Model); err != nil {
+			return nil, err
+		}
+		for _, tier := range ladder.Tiers {
+			nonRandom = nonRandom || !tier.Setting.IsRandomOnly(spec.Model)
+		}
 	}
-	opts := profile.SweepOptions{
-		Fractions:      fractions,
-		Setting:        q.Setting,
-		EarlyStopDelta: req.EarlyStop,
-	}
-	base := q.Setting
-	base.SampleFraction = fractions[0]
-	if !base.IsRandomOnly(spec.Model) {
+	var correction *estimate.Correction
+	if nonRandom {
 		// Non-random axes need a correction set for sound bounds.
+		limit := g.CorrectionLimit
+		if limit == 0 {
+			limit = 0.2
+		}
 		corr, err := profile.ConstructCorrectionCtx(ctx, spec, limit, stats.NewStream(req.Seed).Child(1))
 		if err != nil {
 			if ctx.Err() != nil {
@@ -215,56 +221,30 @@ func (g *SystemGenerator) Generate(ctx context.Context, req GenRequest) ([]byte,
 			}
 			return nil, fmt.Errorf("server: constructing correction set: %w", err)
 		}
-		opts.Correction = corr.Correction
+		correction = corr.Correction
 	}
 	// ctx is threaded through the whole plan/execute pipeline: a canceled
-	// job stops detector work mid-sweep and returns the context error, so
-	// no partial profile is ever serialized or stored.
-	prof, err := sys.SweepProfileCtx(ctx, q, opts)
+	// job stops detector work mid-generation and returns the context error,
+	// so no partial profile is ever serialized or stored.
+	sys := core.New(core.WithSeed(req.Seed), core.WithParallelism(g.Parallelism))
+	var prof *profile.Profile
+	switch {
+	case req.Ladder != "":
+		prof, err = sys.LadderProfileCtx(ctx, q, ladder, profile.LadderOptions{Correction: correction})
+	default:
+		prof, err = sys.SweepProfileCtx(ctx, q, profile.SweepOptions{
+			Fractions:      fractions,
+			Setting:        q.Setting,
+			Correction:     correction,
+			EarlyStopDelta: req.EarlyStop,
+		})
+	}
 	if err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
-		// Cancel raced the sweep's completion; drop the result rather than
-		// publish after the caller's deadline.
-		return nil, err
-	}
-	var buf bytes.Buffer
-	if err := profile.SaveProfile(&buf, prof); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// generateLadder produces a ladder-profile payload: one point per tier of
-// the request's named ladder. A correction set is constructed when any
-// tier carries non-random axes (every built-in ladder does past its first
-// rung).
-func (g *SystemGenerator) generateLadder(ctx context.Context, sys *core.System, q *query.Query, spec *profile.Spec, req GenRequest, limit float64) ([]byte, error) {
-	ladder, err := plan.LadderByName(req.Ladder, spec.Model)
-	if err != nil {
-		return nil, err
-	}
-	opts := profile.LadderOptions{Parallelism: g.Parallelism}
-	for _, tier := range ladder.Tiers {
-		if tier.Setting.IsRandomOnly(spec.Model) {
-			continue
-		}
-		corr, err := profile.ConstructCorrectionCtx(ctx, spec, limit, stats.NewStream(req.Seed).Child(1))
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			return nil, fmt.Errorf("server: constructing correction set: %w", err)
-		}
-		opts.Correction = corr.Correction
-		break
-	}
-	prof, err := sys.LadderProfileCtx(ctx, q, ladder, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
+		// Cancel raced the generation's completion; drop the result rather
+		// than publish after the caller's deadline.
 		return nil, err
 	}
 	var buf bytes.Buffer

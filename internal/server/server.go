@@ -293,8 +293,11 @@ func (s *Server) Handler() http.Handler {
 	})
 }
 
-// writeJSON writes a JSON response body.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes a JSON response body. It and the three writers below
+// are exported so fleet nodes (internal/fleetd) answer through the same
+// code: a client sees one response contract whether it hits a node or the
+// daemon.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -302,25 +305,30 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-// writeError writes a JSON error body.
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+// WriteError writes a JSON error body.
+func WriteError(w http.ResponseWriter, status int, err error) {
+	WriteJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-// writeErrorCode writes a JSON error body carrying a stable machine-
+// WriteErrorCode writes a JSON error body carrying a stable machine-
 // readable code alongside the human-readable message, for errors clients
 // are expected to branch on (e.g. version skew).
-func writeErrorCode(w http.ResponseWriter, status int, code string, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error(), "code": code})
+func WriteErrorCode(w http.ResponseWriter, status int, code string, err error) {
+	WriteJSON(w, status, map[string]string{"error": err.Error(), "code": code})
 }
 
-// writeProfile serves stored profile JSON verbatim — every caller of the
+// WriteProfile serves stored profile JSON verbatim — every caller of the
 // same key receives byte-identical bytes.
-func (s *Server) writeProfile(w http.ResponseWriter, key string, payload []byte) {
+func WriteProfile(w http.ResponseWriter, key string, payload []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Smokescreen-Key", key)
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(payload)
+}
+
+// writeProfile is WriteProfile counted in this daemon's /metrics.
+func (s *Server) writeProfile(w http.ResponseWriter, key string, payload []byte) {
+	WriteProfile(w, key, payload)
 	s.metrics.profilesServed.Add(1)
 }
 
@@ -331,16 +339,16 @@ func (s *Server) handleGetProfile(w http.ResponseWriter, r *http.Request) {
 	case err == nil:
 		s.writeProfile(w, key, payload)
 	case errors.Is(err, store.ErrNotFound):
-		writeError(w, http.StatusNotFound, err)
+		WriteError(w, http.StatusNotFound, err)
 	default:
 		var corrupt *store.CorruptError
 		if errors.As(err, &corrupt) {
 			// The artifact is unusable until re-generated; tell the caller
 			// to re-POST rather than retry the GET.
-			writeError(w, http.StatusGone, err)
+			WriteError(w, http.StatusGone, err)
 			return
 		}
-		writeError(w, http.StatusInternalServerError, err)
+		WriteError(w, http.StatusInternalServerError, err)
 	}
 }
 
@@ -349,20 +357,20 @@ func (s *Server) handlePostProfile(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		var unknown *UnknownFieldError
 		if errors.As(err, &unknown) {
-			writeErrorCode(w, http.StatusBadRequest, "unknown_field", err)
+			WriteErrorCode(w, http.StatusBadRequest, "unknown_field", err)
 			return
 		}
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if req.Query == "" {
-		writeError(w, http.StatusBadRequest, errors.New("server: request requires a query"))
+		WriteError(w, http.StatusBadRequest, errors.New("server: request requires a query"))
 		return
 	}
 	req.normalize()
 	key, canonical, err := s.gen.Key(req)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 
@@ -378,19 +386,19 @@ func (s *Server) handlePostProfile(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, errQueueFull):
 		s.metrics.rejectedQueueFull.Add(1)
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, err)
+		WriteError(w, http.StatusTooManyRequests, err)
 		return
 	case errors.Is(err, errDraining):
 		s.metrics.rejectedDraining.Add(1)
-		writeError(w, http.StatusServiceUnavailable, err)
+		WriteError(w, http.StatusServiceUnavailable, err)
 		return
 	case err != nil:
-		writeError(w, http.StatusInternalServerError, err)
+		WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 
 	if req.Async {
-		writeJSON(w, http.StatusAccepted, s.jobs.status(job))
+		WriteJSON(w, http.StatusAccepted, s.jobs.status(job))
 		return
 	}
 
@@ -402,7 +410,7 @@ func (s *Server) handlePostProfile(w http.ResponseWriter, r *http.Request) {
 	select {
 	case <-job.done:
 	case <-timer.C:
-		writeJSON(w, http.StatusAccepted, s.jobs.status(job))
+		WriteJSON(w, http.StatusAccepted, s.jobs.status(job))
 		return
 	case <-r.Context().Done():
 		// Client gave up; the job continues for future requesters.
@@ -413,18 +421,18 @@ func (s *Server) handlePostProfile(w http.ResponseWriter, r *http.Request) {
 	case JobFailed:
 		err := fmt.Errorf("server: generation failed: %s", status.Error)
 		if status.Code == codeDegenerateCorrection {
-			writeErrorCode(w, http.StatusUnprocessableEntity, status.Code, err)
+			WriteErrorCode(w, http.StatusUnprocessableEntity, status.Code, err)
 			return
 		}
-		writeError(w, http.StatusBadGateway, err)
+		WriteError(w, http.StatusBadGateway, err)
 		return
 	case JobCanceled:
-		writeError(w, http.StatusBadGateway, fmt.Errorf("server: generation canceled: %s", status.Error))
+		WriteError(w, http.StatusBadGateway, fmt.Errorf("server: generation canceled: %s", status.Error))
 		return
 	}
 	payload, err := s.store.Get(key)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	s.writeProfile(w, key, payload)
@@ -433,10 +441,10 @@ func (s *Server) handlePostProfile(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.jobs.get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, errors.New("server: unknown job"))
+		WriteError(w, http.StatusNotFound, errors.New("server: unknown job"))
 		return
 	}
-	writeJSON(w, http.StatusOK, s.jobs.status(job))
+	WriteJSON(w, http.StatusOK, s.jobs.status(job))
 }
 
 // handleDeleteJob cancels a job. Queued jobs finish immediately as
@@ -448,14 +456,14 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleDeleteJob(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.jobs.get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, errors.New("server: unknown job"))
+		WriteError(w, http.StatusNotFound, errors.New("server: unknown job"))
 		return
 	}
 	if s.jobs.cancel(job, time.Now()) {
 		s.metrics.cancellations.Add(1)
 		s.cfg.Logf("job %s: cancel requested", job.ID)
 	}
-	writeJSON(w, http.StatusOK, s.jobs.status(job))
+	WriteJSON(w, http.StatusOK, s.jobs.status(job))
 }
 
 // handlePostStream starts a streaming ingest job and returns 202 with
@@ -464,33 +472,33 @@ func (s *Server) handleDeleteJob(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handlePostStream(w http.ResponseWriter, r *http.Request) {
 	var req StreamRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("server: decoding stream request: %w", err))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("server: decoding stream request: %w", err))
 		return
 	}
 	if req.Dataset == "" {
-		writeError(w, http.StatusBadRequest, errors.New("server: stream request requires a dataset"))
+		WriteError(w, http.StatusBadRequest, errors.New("server: stream request requires a dataset"))
 		return
 	}
 	job, err := s.startStream(req)
 	switch {
 	case errors.Is(err, errDraining):
 		s.metrics.rejectedDraining.Add(1)
-		writeError(w, http.StatusServiceUnavailable, err)
+		WriteError(w, http.StatusServiceUnavailable, err)
 		return
 	case err != nil:
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, job.status())
+	WriteJSON(w, http.StatusAccepted, job.status())
 }
 
 func (s *Server) handleGetStream(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.streams.get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, errors.New("server: unknown stream"))
+		WriteError(w, http.StatusNotFound, errors.New("server: unknown stream"))
 		return
 	}
-	writeJSON(w, http.StatusOK, job.status())
+	WriteJSON(w, http.StatusOK, job.status())
 }
 
 // handleDeleteStream cancels a stream. Like job cancellation, the
@@ -500,12 +508,12 @@ func (s *Server) handleGetStream(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleDeleteStream(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.streams.get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, errors.New("server: unknown stream"))
+		WriteError(w, http.StatusNotFound, errors.New("server: unknown stream"))
 		return
 	}
 	job.cancel()
 	s.cfg.Logf("stream %s: cancel requested", job.id)
-	writeJSON(w, http.StatusOK, job.status())
+	WriteJSON(w, http.StatusOK, job.status())
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -513,7 +521,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.draining() {
 		status = "draining"
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": status})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": status})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -19,8 +19,11 @@
 // live-vs-profile diagnosis question posed by causal physical error
 // discovery.
 //
-// Cancellation contract: Run checks its context at every message and
-// never emits a partial window — cancelling tears down in-flight
+// The wire protocol's state machine is camera.ReceiveSession; Run loops over
+// sessions with it, mapping each onto one growing timeline.
+//
+// Cancellation contract: Run checks its context at every session and every
+// frame and never emits a partial window — cancelling tears down in-flight
 // detection work and discards the window being filled. Callers
 // cancelling a Run that is blocked in a transport read must also close
 // the underlying connection (the server does; see the package tests).
@@ -36,7 +39,6 @@ import (
 	"sync/atomic"
 
 	"smokescreen/internal/camera"
-	"smokescreen/internal/codec"
 	"smokescreen/internal/detect"
 	"smokescreen/internal/estimate"
 	"smokescreen/internal/scene"
@@ -238,14 +240,12 @@ type heldFrame struct {
 
 // ingest is Run's single-goroutine working state.
 type ingest struct {
-	r    *Receiver
-	cfg  *Config
-	conn *transport.Conn
+	r   *Receiver
+	cfg *Config
 
 	w        *estimate.Window
-	seq      int // next window to complete
-	base     int // stream position of the current session's frame 0
-	session  *camera.Session
+	seq      int          // next window to complete
+	base     int          // stream position of the current session's frame 0
 	source   *scene.Video // replay source for the current session
 	res      int          // transmitted resolution
 	held     map[int]heldFrame
@@ -261,7 +261,7 @@ func (r *Receiver) Run(ctx context.Context, conn *transport.Conn) error {
 	if err != nil {
 		return err
 	}
-	ing := &ingest{r: r, cfg: &r.cfg, conn: conn, w: w, held: map[int]heldFrame{}}
+	ing := &ingest{r: r, cfg: &r.cfg, w: w, held: map[int]heldFrame{}}
 	defer func() {
 		r.mu.Lock()
 		r.st.Done = true
@@ -271,89 +271,32 @@ func (r *Receiver) Run(ctx context.Context, conn *transport.Conn) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		msgType, payload, err := conn.Receive()
+		session, err := camera.ReceiveSession(conn, ing.startSession, func(s *camera.Session, fr camera.ReceivedFrame) error {
+			return ing.frame(ctx, s, fr)
+		})
 		if err != nil {
 			// A teardown that closed the connection under us is a
 			// cancellation, not a wire error.
 			if cerr := ctx.Err(); cerr != nil {
 				return cerr
 			}
-			if errors.Is(err, io.EOF) {
-				if ing.session != nil {
-					return errors.New("stream: connection ended mid-session")
-				}
-				// Clean end: the stream's total length is known, so
-				// every window that fits completes; a trailing partial
-				// window is discarded, never persisted.
+			if err == io.EOF {
+				// Clean end between sessions: the stream's total length is
+				// known, so every window that fits completes; a trailing
+				// partial window is discarded, never persisted.
 				return ing.completeThrough(ing.base)
 			}
 			return err
 		}
-		if err := ing.handle(ctx, msgType, payload); err != nil {
-			return err
-		}
-	}
-}
-
-func (ing *ingest) handle(ctx context.Context, msgType byte, payload []byte) error {
-	switch msgType {
-	case transport.MsgConfig:
-		if ing.session != nil {
-			return errors.New("stream: config message mid-session")
-		}
-		cfg, err := camera.DecodeConfig(payload)
-		if err != nil {
-			return err
-		}
-		return ing.startSession(cfg)
-	case transport.MsgBackground:
-		if ing.session == nil {
-			return errors.New("stream: background before config")
-		}
-		fr, err := codec.DecodeFrame(payload)
-		if err != nil {
-			return err
-		}
-		if fr.Raster == nil {
-			return errors.New("stream: background message without pixels")
-		}
-		if err := ing.session.Config.CheckRaster("background", fr.Raster); err != nil {
-			return err
-		}
-		ing.session.Background = fr.Raster
-		return nil
-	case transport.MsgFrame:
-		if ing.session == nil || ing.session.Background == nil {
-			return errors.New("stream: frame before config/background")
-		}
-		fr, err := codec.DecodeFrame(payload)
-		if err != nil {
-			return err
-		}
-		if fr.Raster == nil {
-			return errors.New("stream: frame message without pixels")
-		}
-		if err := ing.session.Config.CheckRaster("frame", fr.Raster); err != nil {
-			return err
-		}
-		return ing.frame(ctx, camera.ReceivedFrame{Index: fr.Index, Raster: fr.Raster})
-	case transport.MsgEnd:
-		if ing.session == nil {
-			return errors.New("stream: end before config")
-		}
-		ing.base += ing.session.Config.TotalFrames
-		ing.session = nil
-		return nil
-	default:
-		return fmt.Errorf("stream: unknown message type %d", msgType)
+		ing.base += session.Config.TotalFrames
 	}
 }
 
 // startSession begins a camera session: position fr.Index maps to stream
 // position base+fr.Index, so looped sessions extend the timeline instead
 // of rewinding it.
-func (ing *ingest) startSession(cfg camera.Config) error {
-	ing.session = &camera.Session{Config: cfg}
+func (ing *ingest) startSession(session *camera.Session) error {
+	cfg := session.Config
 	if !ing.cfg.WirePixels {
 		sources := ing.cfg.Sources
 		src := sources[minInt(ing.seqSessions(), len(sources)-1)]
@@ -382,9 +325,13 @@ func (ing *ingest) seqSessions() int {
 // frame folds one received frame into the current window, completing
 // any windows its arrival proves full (frames arrive in position order:
 // the camera transmits its sampled plan sorted).
-func (ing *ingest) frame(ctx context.Context, fr camera.ReceivedFrame) error {
-	if fr.Index < 0 || fr.Index >= ing.session.Config.TotalFrames {
-		return fmt.Errorf("stream: frame index %d outside session of %d frames", fr.Index, ing.session.Config.TotalFrames)
+func (ing *ingest) frame(ctx context.Context, session *camera.Session, fr camera.ReceivedFrame) error {
+	if err := ctx.Err(); err != nil {
+		// Cancelled: the arrival must not complete (and emit) a window.
+		return err
+	}
+	if fr.Index < 0 || fr.Index >= session.Config.TotalFrames {
+		return fmt.Errorf("stream: frame index %d outside session of %d frames", fr.Index, session.Config.TotalFrames)
 	}
 	pos := ing.base + fr.Index
 	// Arriving at pos means every position below it has been delivered
@@ -407,7 +354,7 @@ func (ing *ingest) frame(ctx context.Context, fr camera.ReceivedFrame) error {
 	}
 	var dets []detect.Detection
 	if ing.cfg.WirePixels {
-		dets = ing.session.Detect(ing.cfg.Model, fr)
+		dets = session.Detect(ing.cfg.Model, fr)
 	} else {
 		dets = ing.cfg.Model.DetectFrame(ing.source, fr.Index, ing.res)
 	}
