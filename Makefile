@@ -14,7 +14,7 @@ build:
 
 # lint layers four gates: go vet, the repo's own smokevet analyzer suite
 # (determinism, poolhygiene, ctxflow, atomiccounter, goroleak, lockorder,
-# axisreg, errcontract — see DESIGN.md §10 and §15), a grep that keeps
+# axisreg, errcontract — see DESIGN.md §10), a grep that keeps
 # process-global setters at zero (no package-level `func Set…(` in non-test
 # internal/ or cmd/ code: a setting travels with the run, not the process —
 # the stand-in for ROADMAP item 1's noglobals analyzer), and optionally a
@@ -84,9 +84,12 @@ fuzz-smoke:
 ci:
 	sh ./scripts/ci.sh
 
-# One testing.B benchmark per paper figure/claim plus micro-benchmarks.
+# The root package's estimator/detector micro-benchmarks. End-to-end
+# numbers come from benchmark/ (bash benchmark/run.sh, BENCHMARK.json),
+# within-run kernel/oracle ratios from bench-kernels; the per-figure
+# experiments run with assertions under `go test ./internal/experiments`.
 bench:
-	$(GO) test -bench=. -benchmem -benchtime=1x
+	$(GO) test -run xxx -bench=. -benchmem .
 
 # Raster/detect kernel micro-benchmarks: fast kernels vs their retained
 # naive oracles, with ns/op and B/op so both the asymptotic win and the
@@ -118,7 +121,8 @@ figures-quick:
 	$(GO) run ./cmd/smokebench -quick -out results-quick/ -cache .cache/
 
 # End-to-end profile-service smoke: ephemeral-port daemon, one tiny
-# profile through the CLI's -remote path, store-hit reuse, SIGTERM drain.
+# profile through the CLI's `curve -remote` path, store-hit reuse, the same
+# key and points from the in-process `curve`, SIGTERM drain.
 serve-smoke:
 	sh ./scripts/serve_smoke.sh
 

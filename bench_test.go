@@ -1,71 +1,30 @@
 package smokescreen_test
 
-// This file is the benchmark harness required by DESIGN.md: one testing.B
-// benchmark per paper figure/claim (regenerating the experiment at bench
-// scale) plus micro-benchmarks of the core estimators and the detection
-// substrate. Run everything with:
+// Micro-benchmarks of the core estimators and the detection substrate:
 //
-//	go test -bench=. -benchmem
+//	go test -run xxx -bench=. -benchmem
 //
-// Figure benches use the experiments package's quick configuration so a
-// full -bench=. sweep finishes in minutes; cmd/smokebench produces the
-// full-scale numbers recorded in EXPERIMENTS.md.
+// End-to-end numbers (cold profiles, cubes, the fleet serve path, stream
+// ingest) come from benchmark/ (BENCHMARK.json's four workloads); the
+// per-figure experiments run, with assertions, as internal/experiments'
+// tests, and cmd/smokebench produces the full-scale numbers recorded in
+// EXPERIMENTS.md.
 
 import (
 	"context"
-	"net"
 	"testing"
 
 	"smokescreen"
-	"smokescreen/internal/camera"
 	"smokescreen/internal/dataset"
 	"smokescreen/internal/degrade"
 	"smokescreen/internal/detect"
 	"smokescreen/internal/estimate"
-	"smokescreen/internal/experiments"
 	"smokescreen/internal/plan"
 	"smokescreen/internal/profile"
 	"smokescreen/internal/raster"
 	"smokescreen/internal/scene"
 	"smokescreen/internal/stats"
-	"smokescreen/internal/stream"
-	"smokescreen/internal/transport"
 )
-
-// benchExperiment runs one registered experiment at quick scale. Detector
-// caches accumulate across benchmarks in source order, as they do within
-// one smokebench run.
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	cfg := experiments.QuickConfig()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Run(id, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// One benchmark per paper artifact (see the per-experiment index in
-// DESIGN.md).
-
-func BenchmarkFigure3(b *testing.B)        { benchExperiment(b, "figure3") }
-func BenchmarkFigure4(b *testing.B)        { benchExperiment(b, "figure4") }
-func BenchmarkFigure5(b *testing.B)        { benchExperiment(b, "figure5") }
-func BenchmarkFigure6(b *testing.B)        { benchExperiment(b, "figure6") }
-func BenchmarkLadderGenerate(b *testing.B) { benchExperiment(b, "ladder") }
-func BenchmarkAdversarial(b *testing.B)    { benchExperiment(b, "adversarial") }
-func BenchmarkFigure7(b *testing.B)        { benchExperiment(b, "figure7") }
-func BenchmarkFigure8(b *testing.B)        { benchExperiment(b, "figure8") }
-func BenchmarkFigure9(b *testing.B)        { benchExperiment(b, "figure9") }
-func BenchmarkFigure10(b *testing.B)       { benchExperiment(b, "figure10") }
-
-func BenchmarkProfileGenerationTime(b *testing.B) { benchExperiment(b, "timing") }
-func BenchmarkHeadlineClaims(b *testing.B)        { benchExperiment(b, "claims") }
-func BenchmarkAblations(b *testing.B)             { benchExperiment(b, "ablations") }
-func BenchmarkCalibration(b *testing.B)           { benchExperiment(b, "calibration") }
-func BenchmarkModelAccuracy(b *testing.B)         { benchExperiment(b, "modelaccuracy") }
-func BenchmarkBandwidth(b *testing.B)             { benchExperiment(b, "bandwidth") }
 
 // Estimator micro-benchmarks: the per-call cost of Algorithm 1/2/3 and the
 // baselines, on a representative 1000-sample input.
@@ -213,50 +172,6 @@ func BenchmarkSweepFractions(b *testing.B) {
 	}
 }
 
-// Hypercube generation is the system's dominant cost (every cell drives
-// the detectors); these two benches pin the sequential reference against
-// the worker-pool fan-out (one worker per CPU). Caches are dropped each
-// iteration so every op pays the full detector cost, and the detector
-// invocation count is reported alongside time: the parallel path may
-// duplicate a few frame evaluations when workers race on a cache key, and
-// that cost must stay visible.
-
-func benchHypercube(b *testing.B, parallelism int) {
-	spec := &profile.Spec{
-		Video:  dataset.MustLoad("small"),
-		Model:  detect.YOLOv4Sim(),
-		Class:  scene.Car,
-		Agg:    estimate.AVG,
-		Params: estimate.DefaultParams(),
-	}
-	root := stats.NewStream(7)
-	res, err := profile.ConstructCorrectionCtx(context.Background(), spec, 1, root.Child(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	opts := profile.HypercubeOptions{
-		Fractions:   []float64{0.02, 0.1},
-		Correction:  res.Correction,
-		Parallelism: parallelism,
-	}
-	var invocations int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		detect.ResetCaches()
-		b.StartTimer()
-		before := detect.Invocations()
-		if _, err := profile.GenerateHypercubeCtx(context.Background(), spec, opts, root.Child(2)); err != nil {
-			b.Fatal(err)
-		}
-		invocations += detect.Invocations() - before
-	}
-	b.ReportMetric(float64(invocations)/float64(b.N), "invocations/op")
-}
-
-func BenchmarkHypercubeSequential(b *testing.B) { benchHypercube(b, 1) }
-func BenchmarkHypercubeParallel(b *testing.B)   { benchHypercube(b, 0) }
-
 // Figure6-shaped dedup bench: one op generates the hypercube for every
 // class the model knows over one corpus — the administrator's Figure 6
 // workload, where person, face and car curves all come from the same
@@ -351,63 +266,3 @@ func BenchmarkEndToEndQuery(b *testing.B) {
 		}
 	}
 }
-
-// Streaming-ingest throughput: a camera session over an in-process pipe
-// into the stream.Receiver, windowed profiles maintained as frames
-// arrive. The wire-pixels variant prices the received-raster detection
-// backend against the replay backend.
-
-func benchStreamIngest(b *testing.B, wirePixels bool) {
-	b.Helper()
-	v := dataset.MustLoad("small")
-	model := detect.YOLOv4Sim()
-	node := &camera.Node{
-		Video:   v,
-		Model:   model,
-		Setting: degrade.Setting{SampleFraction: 0.2, Resolution: 160},
-		Energy:  camera.DefaultEnergyModel(),
-	}
-	var frames, windows int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		recv, err := stream.New(stream.Config{
-			Model:        model,
-			Class:        scene.Car,
-			Agg:          estimate.AVG,
-			WindowSpan:   200,
-			WindowStride: 100,
-			Sources:      []*scene.Video{v},
-			WirePixels:   wirePixels,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		client, server := net.Pipe()
-		camErr := make(chan error, 1)
-		go func() {
-			defer client.Close()
-			_, err := node.Stream(transport.New(client), stats.NewStream(uint64(1000+i)))
-			camErr <- err
-		}()
-		if err := recv.Run(context.Background(), transport.New(server)); err != nil {
-			b.Fatal(err)
-		}
-		server.Close()
-		if err := <-camErr; err != nil {
-			b.Fatal(err)
-		}
-		st := recv.Status()
-		frames += int64(st.Frames)
-		windows += int64(st.Windows)
-	}
-	elapsed := b.Elapsed()
-	if elapsed > 0 {
-		b.ReportMetric(float64(frames)/elapsed.Seconds(), "frames/s")
-	}
-	if windows > 0 {
-		b.ReportMetric(float64(elapsed.Nanoseconds())/float64(windows), "refresh-ns/window")
-	}
-}
-
-func BenchmarkStreamIngestIncremental(b *testing.B) { benchStreamIngest(b, false) }
-func BenchmarkStreamIngestWirePixels(b *testing.B)  { benchStreamIngest(b, true) }

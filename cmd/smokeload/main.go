@@ -6,7 +6,7 @@
 //
 //	-mode inprocess (default) stands up an N-node in-process fleet on
 //	loopback listeners with the synthetic generator — the same harness
-//	the BenchmarkFleetServe* family uses — and runs the requested
+//	TestFleetHotKeyHerd and TestFleetSteadyMixed use — and runs the requested
 //	scenarios against it. The generator's invocation counters give
 //	ground truth for the dedup invariants (a hot-key herd must cost
 //	exactly one generation fleet-wide), and violations exit non-zero.

@@ -6,19 +6,24 @@
 //
 //	smokescreen query   [-seed S] "SELECT AVG(count(car)) FROM night-street SAMPLE 0.1"
 //	smokescreen profile [-seed S] [-max-err E] [-step F] [-max-fraction F] "SELECT ..."
-//	smokescreen curve   [-seed S] [-resolution P] [-remove c1,c2] [-noise S] [-blur L] [-quantize Q] [-occlude D] "SELECT ..."
-//	smokescreen ladder  [-seed S] [-name default] "SELECT ..."
+//	smokescreen curve   [-seed S] [-step F] [-max-fraction F] [-early-stop D] [-remote URL] "SELECT ... RESOLUTION 160 BLUR 5"
+//	smokescreen ladder  [-seed S] [-name default] [-remote URL] "SELECT ..."
 //	smokescreen datasets
 //
 // The query subcommand executes the query under its own interventions and
 // prints the approximate answer with its error bound. The profile
 // subcommand runs the full profile-generation stage, prints the three
 // loosest hypercube slices (the administrator's starting view, Section
-// 3.1) and, when -max-err is given, the chosen tradeoff. The curve
-// subcommand prints a single fraction-axis tradeoff curve.
+// 3.1) and, when -max-err is given, the chosen tradeoff. The curve and
+// ladder subcommands are the daemon's POST /v1/profiles from a terminal:
+// the query text (its RESOLUTION/REMOVE/NOISE/BLUR/QUANTIZE/OCCLUDE clauses
+// fix a curve's non-sampling axes) becomes a server.GenRequest, which runs
+// through server.SystemGenerator in process or, with -remote, through a
+// running smokescreend — same artifact key, same bytes, same output.
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -30,13 +35,11 @@ import (
 	"time"
 
 	"smokescreen"
+	"smokescreen/internal/core"
 	"smokescreen/internal/dataset"
 	"smokescreen/internal/degrade"
-	"smokescreen/internal/plan"
 	"smokescreen/internal/profile"
-	"smokescreen/internal/scene"
 	"smokescreen/internal/server"
-	"smokescreen/internal/stats"
 )
 
 func main() {
@@ -74,9 +77,9 @@ func usage() {
 	fmt.Fprint(os.Stderr, `usage:
   smokescreen query    "SELECT AVG(count(car)) FROM night-street SAMPLE 0.1"
   smokescreen profile  -max-err 0.1 "SELECT AVG(count(car)) FROM ua-detrac"
-  smokescreen profile  -remote http://127.0.0.1:8040 "SELECT AVG(count(car)) FROM small"
-  smokescreen curve    [-resolution P] [-remove c] [-noise S] [-blur L] [-quantize Q] [-occlude D] "SELECT AVG(count(car)) FROM small"
-  smokescreen ladder   [-name default] "SELECT AVG(count(car)) FROM small"
+  smokescreen curve    "SELECT AVG(count(car)) FROM small RESOLUTION 160 BLUR 5"
+  smokescreen curve    -remote http://127.0.0.1:8040 "SELECT AVG(count(car)) FROM small"
+  smokescreen ladder   [-name default] [-remote URL] "SELECT AVG(count(car)) FROM small"
   smokescreen choose   -load cube.json -max-err 0.1
   smokescreen explain  "SELECT AVG(count(car)) FROM small RESOLUTION 160"
   smokescreen accuracy -dataset small -model yolov4 -class car
@@ -112,7 +115,7 @@ func parseQueryArg(fs *flag.FlagSet, args []string) *smokescreen.Query {
 
 func cmdQuery(args []string) {
 	fs := flag.NewFlagSet("query", flag.ExitOnError)
-	seed := fs.Uint64("seed", 1, "randomness seed")
+	seed := fs.Uint64("seed", core.DefaultSeed, "randomness seed")
 	truth := fs.Bool("truth", false, "also compute the exact answer (touches the whole corpus!)")
 	until := fs.Float64("until", 0, "adaptive mode: sample until the error bound reaches this target")
 	budget := fs.Float64("budget", 0.5, "adaptive mode: largest corpus fraction that may be touched")
@@ -155,29 +158,16 @@ func cmdQuery(args []string) {
 
 func cmdProfile(args []string) {
 	fs := flag.NewFlagSet("profile", flag.ExitOnError)
-	seed := fs.Uint64("seed", 1, "randomness seed")
+	seed := fs.Uint64("seed", core.DefaultSeed, "randomness seed")
 	maxErr := fs.Float64("max-err", 0, "public preference: maximum analytical error (0 = only print profiles)")
-	step := fs.Float64("step", 0.01, "sample-fraction candidate interval")
-	maxFraction := fs.Float64("max-fraction", 0.2, "largest sample-fraction candidate")
+	step := fs.Float64("step", core.DefaultFractionStep, "sample-fraction candidate interval")
+	maxFraction := fs.Float64("max-fraction", core.DefaultMaxFraction, "largest sample-fraction candidate")
 	save := fs.String("save", "", "archive the generated hypercube as JSON at this path")
 	earlyStop := fs.Float64("early-stop", 0, "stop each sweep when the bound improves by less than this (0 = off)")
-	remote := fs.String("remote", "", "smokescreend base URL (e.g. http://127.0.0.1:8040): fetch the tradeoff curve from the profile service instead of generating locally")
-	timeout := fs.Duration("timeout", 5*time.Minute, "remote mode: total request timeout")
 	q := parseQueryArg(fs, args)
 
 	ctx, cancel := interruptCtx()
 	defer cancel()
-
-	if *remote != "" {
-		remoteProfile(ctx, *remote, *timeout, server.GenRequest{
-			Query:       q.String(),
-			Seed:        *seed,
-			Step:        *step,
-			MaxFraction: *maxFraction,
-			EarlyStop:   *earlyStop,
-		})
-		return
-	}
 
 	sys := smokescreen.New(
 		smokescreen.WithSeed(*seed),
@@ -230,27 +220,6 @@ func cmdProfile(args []string) {
 	}
 }
 
-// remoteProfile fetches a fraction-axis tradeoff curve from a running
-// smokescreend and renders it like cmdCurve. The daemon serves the
-// artifact from its content-addressed store, generating it (once, however
-// many clients ask) on a miss.
-func remoteProfile(parent context.Context, baseURL string, timeout time.Duration, req server.GenRequest) {
-	ctx, cancel := context.WithTimeout(parent, timeout)
-	defer cancel()
-	client := &server.Client{BaseURL: strings.TrimRight(baseURL, "/")}
-	prof, key, err := client.Generate(ctx, req)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("profile service %s\n", baseURL)
-	fmt.Printf("artifact key:   %s\n", key)
-	fmt.Printf("tradeoff curve for %s (video %s, model %s)\n", req.Query, prof.VideoName, prof.ModelName)
-	for _, pt := range prof.Points {
-		bar := strings.Repeat("#", int(math.Min(pt.Estimate.ErrBound, 1)*50))
-		fmt.Printf("  f=%-6.3g err<=%-7.4f %s\n", pt.Setting.SampleFraction, pt.Estimate.ErrBound, bar)
-	}
-}
-
 func printFractionSlice(cube *smokescreen.Hypercube, ci, ri int) {
 	bounds := cube.SliceByFraction(ci, ri)
 	for fi, f := range cube.Fractions {
@@ -286,107 +255,31 @@ func fmtBound(v float64) string {
 	return fmt.Sprintf("%.4f", v)
 }
 
+// cmdCurve prints one fraction-axis tradeoff curve: the candidate
+// fractions swept under the query's own intervention clauses.
 func cmdCurve(args []string) {
 	fs := flag.NewFlagSet("curve", flag.ExitOnError)
-	seed := fs.Uint64("seed", 1, "randomness seed")
-	resolution := fs.Int("resolution", 0, "fix the resolution axis (0 = native)")
-	remove := fs.String("remove", "", "comma-separated restricted classes")
-	noise := fs.Float64("noise", 0, "fix the sensor-noise axis (sigma in [0,0.5])")
-	blur := fs.Int("blur", 0, "fix the motion-blur axis (kernel length, 0 = off)")
-	quantize := fs.Int("quantize", 0, "fix the quantization axis (intensity levels, 0 = off)")
-	occlude := fs.Float64("occlude", 0, "fix the occlusion axis (scratch/dirt density in [0,0.5])")
-	q := parseQueryArg(fs, args)
-
-	var restricted []scene.Class
-	if *remove != "" {
-		for _, name := range strings.Split(*remove, ",") {
-			c, err := scene.ParseClass(strings.TrimSpace(name))
-			if err != nil {
-				fatal(err)
-			}
-			restricted = append(restricted, c)
-		}
-	}
-	setting := degrade.Setting{
-		Resolution: *resolution,
-		Restricted: restricted,
-		NoiseSigma: *noise,
-		MotionBlur: *blur,
-		Quantize:   *quantize,
-		Occlusion:  *occlude,
-	}
-	ctx, cancel := interruptCtx()
-	defer cancel()
-	sys := smokescreen.New(smokescreen.WithSeed(*seed))
-	fractions := make([]float64, 20)
-	for i := range fractions {
-		fractions[i] = 0.01 * float64(i+1)
-	}
-	opts := profile.SweepOptions{Fractions: fractions, Setting: setting}
-	spec, err := sys.Resolve(q)
-	if err != nil {
-		fatal(err)
-	}
-	probe := setting
-	probe.SampleFraction = fractions[0]
-	if err := probe.Validate(spec.Model); err != nil {
-		fatal(err)
-	}
-	if !probe.IsRandomOnly(spec.Model) {
-		// Non-random axes need a correction set; generate one first.
-		corr, err := profile.ConstructCorrectionCtx(ctx, spec, 0.2, stats.NewStream(*seed))
-		if err != nil {
-			fatal(err)
-		}
-		opts.Correction = corr.Correction
-	}
-	prof, err := sys.SweepProfileCtx(ctx, q, opts)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("tradeoff curve for %s\n", q)
+	var req server.GenRequest
+	fs.Float64Var(&req.Step, "step", core.DefaultFractionStep, "sample-fraction candidate interval")
+	fs.Float64Var(&req.MaxFraction, "max-fraction", core.DefaultMaxFraction, "largest sample-fraction candidate")
+	fs.Float64Var(&req.EarlyStop, "early-stop", 0, "stop the sweep when the bound improves by less than this (0 = off)")
+	prof := generate(fs, args, &req)
+	fmt.Printf("tradeoff curve for %s (video %s, model %s)\n", req.Query, prof.VideoName, prof.ModelName)
 	for _, pt := range prof.Points {
 		bar := strings.Repeat("#", int(math.Min(pt.Estimate.ErrBound, 1)*50))
 		fmt.Printf("  f=%-6.3g err<=%-7.4f %s\n", pt.Setting.SampleFraction, pt.Estimate.ErrBound, bar)
 	}
 }
 
-// cmdLadder generates the fidelity-ladder profile of a query: one
-// tradeoff point per tier of the named ladder, loosest first, with every
-// non-random tier's bound repaired through the correction set.
+// cmdLadder prints the fidelity-ladder profile of a query: one tradeoff
+// point per tier of the named ladder, loosest first, with every non-random
+// tier's bound repaired through the correction set.
 func cmdLadder(args []string) {
 	fs := flag.NewFlagSet("ladder", flag.ExitOnError)
-	seed := fs.Uint64("seed", 1, "randomness seed")
-	name := fs.String("name", "default", "ladder to evaluate")
-	q := parseQueryArg(fs, args)
-
-	ctx, cancel := interruptCtx()
-	defer cancel()
-	sys := smokescreen.New(smokescreen.WithSeed(*seed))
-	spec, err := sys.Resolve(q)
-	if err != nil {
-		fatal(err)
-	}
-	ladder, err := plan.LadderByName(*name, spec.Model)
-	if err != nil {
-		fatal(err)
-	}
-	opts := profile.LadderOptions{}
-	for _, tier := range ladder.Tiers {
-		if !tier.Setting.IsRandomOnly(spec.Model) {
-			corr, err := profile.ConstructCorrectionCtx(ctx, spec, 0.2, stats.NewStream(*seed))
-			if err != nil {
-				fatal(err)
-			}
-			opts.Correction = corr.Correction
-			break
-		}
-	}
-	prof, err := sys.LadderProfileCtx(ctx, q, ladder, opts)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("fidelity ladder %q for %s\n", ladder.Name, q)
+	var req server.GenRequest
+	fs.StringVar(&req.Ladder, "name", "default", "ladder to evaluate")
+	prof := generate(fs, args, &req)
+	fmt.Printf("fidelity ladder %q for %s\n", req.Ladder, req.Query)
 	for _, pt := range prof.Points {
 		repaired := ""
 		if pt.Repaired {
@@ -396,16 +289,54 @@ func cmdLadder(args []string) {
 	}
 }
 
+// generate is the one way curve and ladder obtain a profile. It registers
+// the flags every generation request shares, parses the command line into
+// req, and runs the request: in process through the daemon's own generator,
+// or — with -remote — through a running smokescreend, which serves the
+// artifact from its store and generates it once on a miss. Both print the
+// artifact key first.
+func generate(fs *flag.FlagSet, args []string, req *server.GenRequest) *profile.Profile {
+	fs.Uint64Var(&req.Seed, "seed", core.DefaultSeed, "randomness seed")
+	remote := fs.String("remote", "", "smokescreend base URL (e.g. http://127.0.0.1:8040): ask the profile service instead of generating locally")
+	timeout := fs.Duration("timeout", 5*time.Minute, "remote mode: total request timeout")
+	req.Query = parseQueryArg(fs, args).String()
+
+	ctx, cancel := interruptCtx()
+	defer cancel()
+	var (
+		payload []byte
+		key     string
+		err     error
+	)
+	if *remote != "" {
+		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		defer cancel()
+		fmt.Printf("profile service %s\n", *remote)
+		client := &server.Client{BaseURL: strings.TrimRight(*remote, "/")}
+		payload, key, err = client.GenerateRaw(ctx, *req)
+	} else {
+		gen := &server.SystemGenerator{}
+		if key, _, err = gen.Key(*req); err == nil {
+			payload, err = gen.Generate(ctx, *req)
+		}
+	}
+	if err != nil {
+		fatal(err)
+	}
+	prof, err := profile.LoadProfile(bytes.NewReader(payload))
+	if err != nil {
+		fatal(err)
+	}
+	fmt.Printf("artifact key:   %s\n", key)
+	return prof
+}
+
 // cmdExplain resolves a query without executing it: which corpus and
 // model will run, how the interventions classify (random vs non-random),
 // how many frames the plan touches, and whether profile repair applies.
 func cmdExplain(args []string) {
-	fs := flag.NewFlagSet("explain", flag.ExitOnError)
-	seed := fs.Uint64("seed", 1, "randomness seed")
-	q := parseQueryArg(fs, args)
-
-	sys := smokescreen.New(smokescreen.WithSeed(*seed))
-	spec, err := sys.Resolve(q)
+	q := parseQueryArg(flag.NewFlagSet("explain", flag.ExitOnError), args)
+	spec, err := smokescreen.New().Resolve(q)
 	if err != nil {
 		fatal(err)
 	}

@@ -21,12 +21,13 @@ import (
 	"smokescreen/internal/transport"
 )
 
-// cmdStream runs camera-to-processor streaming over a real TCP loopback
-// connection: the camera degrades on-device and transmits, the central
-// processor detects on what arrives. Two modes:
+// cmdStream runs camera-to-processor streaming in one process: the camera
+// degrades on-device and transmits, the central processor detects on what
+// arrives. Two modes:
 //
-//   - One-shot (default): a single session with a running any-time
-//     estimate and the camera's byte/energy accounting.
+//   - One-shot (default): a single session over a real TCP loopback
+//     connection (-addr), with a running any-time estimate and the
+//     camera's byte/energy accounting.
 //
 //     smokescreen stream -dataset small -sample 0.05 -resolution 160 -remove face
 //
@@ -49,7 +50,7 @@ func cmdStream(args []string) {
 		remove      = fs.String("remove", "", "comma-separated restricted classes")
 		noise       = fs.Float64("noise", 0, "added capture noise sigma")
 		seed        = fs.Uint64("seed", 1, "randomness seed")
-		addr        = fs.String("addr", "127.0.0.1:0", "TCP address to rendezvous on")
+		addr        = fs.String("addr", "127.0.0.1:0", "one-shot mode: TCP address to rendezvous on")
 		window      = fs.Int("window", 0, "windowed mode: window span in stream positions (0 = one-shot session)")
 		stride      = fs.Int("stride", 0, "windowed mode: distance between window starts (0 = tumbling)")
 		loops       = fs.Int("loops", 1, "windowed mode: camera sessions replaying the corpus back to back")
@@ -64,21 +65,23 @@ func cmdStream(args []string) {
 		fatal(err)
 	}
 
+	// The windowed mode's request, as the daemon's POST /v1/streams takes it.
+	req := server.StreamRequest{
+		Dataset:        *datasetName,
+		Class:          *class,
+		Agg:            *agg,
+		Window:         *window,
+		Stride:         *stride,
+		Sample:         *sample,
+		Resolution:     *resolution,
+		Loops:          *loops,
+		Seed:           *seed,
+		DriftThreshold: *driftThresh,
+		DisableDrift:   *noDrift,
+		WirePixels:     *wirePixels,
+	}
 	if *remote != "" {
-		remoteStream(strings.TrimRight(*remote, "/"), server.StreamRequest{
-			Dataset:        *datasetName,
-			Class:          *class,
-			Agg:            *agg,
-			Window:         *window,
-			Stride:         *stride,
-			Sample:         *sample,
-			Resolution:     *resolution,
-			Loops:          *loops,
-			Seed:           *seed,
-			DriftThreshold: *driftThresh,
-			DisableDrift:   *noDrift,
-			WirePixels:     *wirePixels,
-		})
+		remoteStream(strings.TrimRight(*remote, "/"), req)
 		return
 	}
 
@@ -101,34 +104,21 @@ func cmdStream(args []string) {
 	node := &camera.Node{Video: v, Model: model, Setting: setting, Energy: camera.DefaultEnergyModel()}
 
 	if *window > 0 {
-		windowedStream(node, windowedOpts{
-			window: *window, stride: *stride, loops: *loops,
-			class: *class, agg: *agg, seed: *seed, addr: *addr,
-			driftThresh: *driftThresh, noDrift: *noDrift, wirePixels: *wirePixels,
-		})
+		windowedStream(node, req)
 		return
 	}
 	oneShotStream(node, *seed, *addr)
 }
 
-type windowedOpts struct {
-	window, stride, loops int
-	class, agg            string
-	seed                  uint64
-	addr                  string
-	driftThresh           float64
-	noDrift               bool
-	wirePixels            bool
-}
-
 // windowedStream runs the live-ingest subsystem locally: camera and
-// receiver in one process, joined by TCP loopback.
-func windowedStream(node *camera.Node, opts windowedOpts) {
-	class, err := scene.ParseClass(opts.class)
+// receiver in one process, joined by stream.Loopback's in-process pipe —
+// the assembly the daemon's POST /v1/streams runs.
+func windowedStream(node *camera.Node, req server.StreamRequest) {
+	class, err := scene.ParseClass(req.Class)
 	if err != nil {
 		fatal(err)
 	}
-	agg, err := estimate.ParseAgg(opts.agg)
+	agg, err := estimate.ParseAgg(req.Agg)
 	if err != nil {
 		fatal(err)
 	}
@@ -136,18 +126,18 @@ func windowedStream(node *camera.Node, opts windowedOpts) {
 		Model:          node.Model,
 		Class:          class,
 		Agg:            agg,
-		WindowSpan:     opts.window,
-		WindowStride:   opts.stride,
+		WindowSpan:     req.Window,
+		WindowStride:   req.Stride,
 		Sources:        []*scene.Video{node.Video},
-		WirePixels:     opts.wirePixels,
-		DriftThreshold: opts.driftThresh,
+		WirePixels:     req.WirePixels,
+		DriftThreshold: req.DriftThreshold,
 		OnWindow: func(res stream.WindowResult) {
 			drift := ""
 			if res.Drifted {
 				drift = "  << DRIFT"
 			}
 			fmt.Printf("window %3d [%6d,%6d): %s = %.3f (err <= %.3f, %d/%d frames, divergence %.3f)%s\n",
-				res.Seq, res.Lo, res.Hi, opts.agg, res.Estimate.Value, res.Estimate.ErrBound,
+				res.Seq, res.Lo, res.Hi, req.Agg, res.Estimate.Value, res.Estimate.ErrBound,
 				res.Frames, res.Estimate.N, res.Divergence, drift)
 		},
 		OnDrift: func(ev stream.DriftEvent) {
@@ -162,7 +152,7 @@ func windowedStream(node *camera.Node, opts windowedOpts) {
 	ctx, cancel := interruptCtx()
 	defer cancel()
 
-	if !opts.noDrift && !opts.wirePixels {
+	if !req.DisableDrift && !req.WirePixels {
 		p := node.Setting.ResolveResolution(node.Model)
 		fmt.Printf("building corpus drift baseline (%s at %dx%d)...\n", node.Video.Config.Name, p, p)
 		base, err := stream.CorpusBaseline(ctx, node.Video, node.Model, class, p)
@@ -173,53 +163,11 @@ func windowedStream(node *camera.Node, opts windowedOpts) {
 		fmt.Printf("baseline mean %.3f over %d distinct values\n", base.Mean, len(base.Values))
 	}
 
-	listener, err := net.Listen("tcp", opts.addr)
-	if err != nil {
-		fatal(err)
-	}
-	defer listener.Close()
-	fmt.Printf("processor listening on %s (window %d, stride %d, %d sessions)\n",
-		listener.Addr(), opts.window, max(opts.stride, 0), opts.loops)
-
-	cameraErr := make(chan error, 1)
-	go func() {
-		conn, err := net.Dial("tcp", listener.Addr().String())
-		if err != nil {
-			cameraErr <- err
-			return
-		}
-		defer conn.Close()
-		tconn := transport.New(conn)
-		var report camera.Report
-		for i := 0; i < opts.loops; i++ {
-			r, err := node.StreamCtx(ctx, tconn, stats.NewStream(opts.seed+uint64(i)))
-			if err != nil {
-				cameraErr <- err
-				return
-			}
-			report.FramesCaptured += r.FramesCaptured
-			report.FramesTransmitted += r.FramesTransmitted
-		}
-		fmt.Printf("camera done: %d frames captured, %d transmitted, %d bytes\n",
-			report.FramesCaptured, report.FramesTransmitted, tconn.BytesSent())
-		cameraErr <- nil
-	}()
-
-	serverConn, err := listener.Accept()
-	if err != nil {
-		fatal(err)
-	}
-	// The receiver's cancellation contract: a ^C must also close the
-	// connection so a blocked transport read unwinds.
-	go func() {
-		<-ctx.Done()
-		serverConn.Close()
-	}()
-	runErr := recv.Run(ctx, transport.New(serverConn))
-	serverConn.Close()
-	if err := <-cameraErr; err != nil && !errors.Is(err, context.Canceled) && runErr == nil {
-		fatal(err)
-	}
+	fmt.Printf("streaming over an in-process pipe (window %d, stride %d, %d sessions)\n",
+		req.Window, max(req.Stride, 0), req.Loops)
+	sent, runErr := stream.Loopback(ctx, recv, []*camera.Node{node}, req.Loops, req.Seed)
+	fmt.Printf("camera done: %d frames captured, %d transmitted, %d bytes\n",
+		sent.FramesCaptured, sent.FramesTransmitted, sent.BytesTransmitted)
 
 	st := recv.Status()
 	switch {

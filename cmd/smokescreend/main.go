@@ -6,7 +6,7 @@
 // Usage:
 //
 //	smokescreend [-addr :8040] [-store DIR] [-workers N] [-parallelism N]
-//	             [-queue N] [-cache-mb N] [-correction-limit F]
+//	             [-queue N] [-cache-mb N]
 //	             [-request-timeout D] [-job-timeout D] [-drain-timeout D]
 //	             [-addr-file PATH]
 //	             [-fleet-nodes H1:P1,H2:P2,...] [-fleet-self H:P]
@@ -66,7 +66,6 @@ func registerFlags(fs *flag.FlagSet) *runConfig {
 	fs.DurationVar(&cfg.requestTimeout, "request-timeout", 2*time.Minute, "synchronous POST wait before degrading to 202")
 	fs.DurationVar(&cfg.jobTimeout, "job-timeout", 10*time.Minute, "cap on one generation job")
 	fs.DurationVar(&cfg.drainTimeout, "drain-timeout", 5*time.Minute, "cap on graceful shutdown")
-	fs.Float64Var(&cfg.correctionLimit, "correction-limit", 0.2, "correction-set fraction cap")
 	fs.StringVar(&cfg.addrFile, "addr-file", "", "write the bound address to this file once listening (for scripts)")
 	fs.StringVar(&cfg.fleetNodes, "fleet-nodes", os.Getenv("SMOKESCREEND_FLEET_NODES"), "comma-separated fleet member host:ports; empty runs single-node (env SMOKESCREEND_FLEET_NODES)")
 	fs.StringVar(&cfg.fleetSelf, "fleet-self", "", "this node's identity within -fleet-nodes (default: the bound address)")
@@ -83,7 +82,6 @@ type runConfig struct {
 	cacheMB                    int64
 	requestTimeout, jobTimeout time.Duration
 	drainTimeout               time.Duration
-	correctionLimit            float64
 
 	fleetNodes, fleetSelf      string
 	fleetVNodes, fleetReplicas int
@@ -111,10 +109,10 @@ func run(cfg runConfig, logger *log.Logger) error {
 	bound := ln.Addr().String()
 	logger.Printf("listening on %s", bound)
 
-	generator := &server.SystemGenerator{
-		CorrectionLimit: cfg.correctionLimit,
-		Parallelism:     cfg.parallelism,
-	}
+	// Every generation constant (seed, fractions, correction limit) is
+	// core's default or part of the request, so fleet members cannot seal
+	// different bytes under one key.
+	generator := &server.SystemGenerator{Parallelism: cfg.parallelism}
 	serverCfg := server.Config{
 		Store:          st,
 		Generator:      generator,

@@ -10,7 +10,7 @@ import (
 // change to this list rather than a line lost in main.go.
 func TestFlagSet(t *testing.T) {
 	want := []string{
-		"addr", "addr-file", "cache-mb", "correction-limit", "drain-timeout",
+		"addr", "addr-file", "cache-mb", "drain-timeout",
 		"fleet-lease-ttl", "fleet-nodes", "fleet-replicas", "fleet-self",
 		"fleet-vnodes", "job-timeout", "parallelism", "queue",
 		"request-timeout", "store", "workers",

@@ -9,6 +9,7 @@ import (
 
 	"smokescreen/internal/core"
 	"smokescreen/internal/detect"
+	"smokescreen/internal/plan"
 	"smokescreen/internal/profile"
 	"smokescreen/internal/query"
 	"smokescreen/internal/server"
@@ -77,6 +78,82 @@ func TestGoldenProfileBytes(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestGoldenProfileParity is the front-door row: for every pinned request,
+// core's own path — parse, SweepProfileCtx or LadderProfileCtx with no
+// correction set supplied, SaveProfile — yields the bytes the daemon's
+// generator seals. On c6e588d it fails for every non-random row: core
+// refused to sweep without a caller-built correction set and ignored the
+// query's own intervention clauses. The last row is unpinned: a two-class
+// REMOVE is the generator's artifact whichever way round it is spelled.
+func TestGoldenProfileParity(t *testing.T) {
+	for _, g := range goldenProfileDigests {
+		g := g
+		t.Run(g.name, func(t *testing.T) {
+			for _, workers := range goldenParallelism {
+				req := g.req
+				req.Step, req.MaxFraction = 0.02, 0.1
+				sum := sha256.Sum256(corePathBytes(t, req, workers))
+				if got := hex.EncodeToString(sum[:]); got != g.sha256 {
+					t.Errorf("parallelism %d: core path bytes differ from the generator's: sha256 %s, pinned %s", workers, got, g.sha256)
+				}
+			}
+		})
+	}
+	t.Run("REMOVE face,car", func(t *testing.T) {
+		// 108 of small's 1200 frames hold neither class, so f stops at 0.08.
+		req := server.GenRequest{Query: "SELECT AVG(count(person)) FROM small REMOVE face,car", Seed: 1, Step: 0.02, MaxFraction: 0.08}
+		got := corePathBytes(t, req, 1)
+		detect.ResetCaches()
+		req.Query = "SELECT AVG(count(person)) FROM small REMOVE car,face"
+		want, err := (&server.SystemGenerator{Parallelism: 1}).Generate(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("core path bytes for REMOVE face,car differ from the generator's for REMOVE car,face")
+		}
+	})
+}
+
+// corePathBytes generates req at seed 1 from cold caches without the
+// server package: query.Parse, core.System, SaveProfile.
+func corePathBytes(t *testing.T, req server.GenRequest, workers int) []byte {
+	t.Helper()
+	detect.ResetCaches()
+	q, err := query.Parse(req.Query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := core.New(core.WithSeed(1), core.WithParallelism(workers))
+	var prof *profile.Profile
+	if req.Ladder != "" {
+		// Resolve + LadderByName rather than ResolveLadder, so the test
+		// compiles — and fails — on the parent commit.
+		spec, rerr := sys.Resolve(q)
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+		ladder, lerr := plan.LadderByName(req.Ladder, spec.Model)
+		if lerr != nil {
+			t.Fatal(lerr)
+		}
+		prof, err = sys.LadderProfileCtx(context.Background(), q, ladder, profile.LadderOptions{})
+	} else {
+		prof, err = sys.SweepProfileCtx(context.Background(), q, profile.SweepOptions{
+			Fractions:      plan.CandidateFractions(req.Step, req.MaxFraction),
+			EarlyStopDelta: req.EarlyStop,
+		})
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := profile.SaveProfile(&buf, prof); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // TestGoldenHypercubeBytes is the same gate for the (f, p, c) hypercube,

@@ -5,109 +5,37 @@ import (
 	"go/types"
 )
 
-// Atomiccounter enforces the atomic-only access discipline for shared
-// counters (the plan.Stages and detect.Stats accounting): once any code
-// reaches a variable or struct field through the sync/atomic function
-// API (atomic.AddInt64(&x, ...) and friends), every other access to it
-// must also be atomic — a plain `x++` or `x = 0` alongside races and can
-// tear on 32-bit platforms. The typed counters (atomic.Int64 and
-// friends) are immune by construction because their value is
-// unexported; this analyzer closes the gap for the function-style API,
-// which is the form a hasty "just bump the counter" edit reaches for.
-//
-// Per package, pass 1 collects every object whose address is taken in a
-// sync/atomic call; pass 2 flags every other read or write of those
-// objects outside the atomic API.
+// Atomiccounter keeps shared counters (the plan.Stages and detect.Stats
+// accounting) on the typed atomics: any call to the function-style
+// sync/atomic API (atomic.AddInt64(&x, ...) and friends) is a finding. A
+// variable reached that way can also be read or written plainly — a race,
+// and a tear on 32-bit platforms — while atomic.Int64, atomic.Pointer and
+// their siblings keep the value unexported, so every access is atomic by
+// construction. The module uses only the typed form; this keeps a hasty
+// "just bump the counter" edit from reintroducing the other.
 var Atomiccounter = &Analyzer{
 	Name: "atomiccounter",
-	Doc: "flag plain reads/writes of variables or fields that are accessed " +
-		"via sync/atomic elsewhere in the package (mixed access races)",
-	Run: runAtomiccounter,
+	Doc:  "flag calls to the function-style sync/atomic API (use the typed atomics: atomic.Int64, atomic.Pointer, ...)",
+	Run:  runAtomiccounter,
 }
 
 func runAtomiccounter(pass *Pass) error {
-	// atomicObjs maps each object used as &obj in a sync/atomic call to
-	// one representative position (for the report).
-	atomicObjs := map[types.Object]bool{}
-	// sanctioned marks the identifiers that appear inside those atomic
-	// call arguments, so pass 2 can skip them.
-	sanctioned := map[*ast.Ident]bool{}
-
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
-			if !ok || !isSyncAtomicCall(pass, call) {
+			if !ok {
 				return true
 			}
-			for _, arg := range call.Args {
-				un, ok := ast.Unparen(arg).(*ast.UnaryExpr)
-				if !ok || un.Op.String() != "&" {
-					continue
-				}
-				obj := objectOf(pass.Info, un.X)
-				if obj == nil {
-					continue
-				}
-				atomicObjs[obj] = true
-				markIdents(un.X, sanctioned)
-			}
-			return true
-		})
-	}
-	if len(atomicObjs) == 0 {
-		return nil
-	}
-
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			var id *ast.Ident
-			var expr ast.Expr
-			switch n := n.(type) {
-			case *ast.Ident:
-				id, expr = n, n
-			case *ast.SelectorExpr:
-				// Handled through the Sel ident when visited; skip the
-				// composite node itself to avoid double reports.
-				return true
-			default:
+			fn := calleeFunc(pass.Info, call)
+			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
 				return true
 			}
-			if sanctioned[id] {
-				return true
+			if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() == nil {
+				pass.Report(call.Pos(),
+					"atomic.%s is the function-style sync/atomic API, which leaves the variable open to plain access: use the typed atomics (atomic.Int64, atomic.Pointer, ...)", fn.Name())
 			}
-			obj := pass.Info.ObjectOf(id)
-			if obj == nil || !atomicObjs[obj] {
-				return true
-			}
-			// Declaration sites and field definitions are not accesses.
-			if pass.Info.Defs[id] != nil {
-				return true
-			}
-			pass.Report(expr.Pos(),
-				"plain access to %s, which is accessed via sync/atomic elsewhere in this package: mixed atomic/non-atomic access races (use the atomic API everywhere, or an atomic.Int64)", obj.Name())
 			return true
 		})
 	}
 	return nil
-}
-
-// isSyncAtomicCall reports whether the call invokes a sync/atomic
-// package-level function.
-func isSyncAtomicCall(pass *Pass, call *ast.CallExpr) bool {
-	fn := calleeFunc(pass.Info, call)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	return ok && sig.Recv() == nil
-}
-
-// markIdents records every identifier in the expression tree.
-func markIdents(e ast.Expr, set map[*ast.Ident]bool) {
-	ast.Inspect(e, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok {
-			set[id] = true
-		}
-		return true
-	})
 }

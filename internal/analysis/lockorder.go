@@ -8,27 +8,17 @@ import (
 	"strings"
 )
 
-// Lockorder guards the fleet/store/outputs locking discipline with two
-// checks built on one per-function lock model:
-//
-//  1. Acquisition cycles. Every mutex acquisition that happens while
-//     another mutex is held contributes a directed edge held->acquired
-//     to a lock-order graph. Edges also come from calls: a callee's lock
-//     set — computed transitively within the package and imported as a
-//     LocksFact for exported functions of other packages — is acquired
-//     "under" whatever the caller holds. Each package merges the graphs
-//     of its dependencies (LockGraphFact) with its own edges and reports
-//     any cycle a local edge completes: two packages that acquire the
-//     same two mutexes in opposite orders deadlock the first time a
-//     fleet forward and a store eviction interleave, and no per-package
-//     analysis can see it.
-//
-//  2. Atomic-under-lock mixing. An object reached through the
-//     sync/atomic function API somewhere in the package, and accessed
-//     plainly inside a critical section elsewhere, is protected by two
-//     incompatible disciplines at once: the plain access trusts the
-//     mutex, the atomic access bypasses it. Reported at the atomic call
-//     site, naming the lock the plain access relied on.
+// Lockorder guards the fleet/store/outputs locking discipline against
+// acquisition cycles. Every mutex acquisition that happens while another
+// mutex is held contributes a directed edge held->acquired to a lock-order
+// graph. Edges also come from calls: a callee's lock set — computed
+// transitively within the package and imported as a LocksFact for exported
+// functions of other packages — is acquired "under" whatever the caller
+// holds. Each package merges the graphs of its dependencies
+// (LockGraphFact) with its own edges and reports any cycle a local edge
+// completes: two packages that acquire the same two mutexes in opposite
+// orders deadlock the first time a fleet forward and a store eviction
+// interleave, and no per-package analysis can see it.
 //
 // The held-lock model is linear and syntactic: statements are visited in
 // source order, defer x.Unlock() holds to function end, function
@@ -68,11 +58,11 @@ var lockorderPackages = map[string]bool{
 	"smokescreen/internal/stream":  true,
 }
 
-// Lockorder is the lock-order / atomic-mixing analyzer.
+// Lockorder is the lock-order analyzer.
 var Lockorder = &Analyzer{
 	Name: "lockorder",
 	Doc: "build the cross-package mutex-acquisition graph (via propagated lock-set facts), " +
-		"report acquisition cycles and atomic-under-lock mixing",
+		"report acquisition cycles",
 	Match: func(path string) bool {
 		return lockorderPackages[path] || strings.HasPrefix(path, "fixture/")
 	},
@@ -93,24 +83,10 @@ type lockorderState struct {
 	funcLocks map[*types.Func]map[string]bool
 	// edges are this package's local acquisitions-under-lock.
 	edges []localEdge
-	// atomicObjs are objects reached via the sync/atomic function API,
-	// with one representative call position each.
-	atomicObjs map[types.Object]ast.Node
-	// lockedPlain maps objects accessed plainly inside a critical section
-	// to the name of a lock that was held.
-	lockedPlain map[types.Object]string
-	// sanctioned marks identifiers inside atomic call arguments.
-	sanctioned map[*ast.Ident]bool
 }
 
 func runLockorder(pass *Pass) error {
-	st := &lockorderState{
-		pass:        pass,
-		funcLocks:   map[*types.Func]map[string]bool{},
-		atomicObjs:  map[types.Object]ast.Node{},
-		lockedPlain: map[types.Object]string{},
-		sanctioned:  map[*ast.Ident]bool{},
-	}
+	st := &lockorderState{pass: pass, funcLocks: map[*types.Func]map[string]bool{}}
 	st.collectDirectLocks()
 	st.closeOverCalls()
 	for _, f := range pass.Files {
@@ -121,7 +97,6 @@ func runLockorder(pass *Pass) error {
 		}
 	}
 	st.reportCycles()
-	st.reportAtomicMixing()
 	st.exportFacts()
 	return nil
 }
@@ -281,7 +256,7 @@ func (st *lockorderState) closeOverCalls() {
 }
 
 // walkHeld runs the linear held-lock model over one function, recording
-// graph edges and atomic/plain accesses with lock context.
+// graph edges.
 func (st *lockorderState) walkHeld(fd *ast.FuncDecl) {
 	var held []string // acquisition order, innermost last
 	heldHas := func(id string) bool {
@@ -344,11 +319,6 @@ func (st *lockorderState) walkHeld(fd *ast.FuncDecl) {
 					}
 				}
 			}
-			st.recordAtomic(n, held)
-			return true
-		case *ast.Ident:
-			st.recordPlain(n, held)
-			return true
 		}
 		return true
 	}
@@ -372,42 +342,6 @@ func (st *lockorderState) calleeLocks(call *ast.CallExpr) []string {
 		return out
 	}
 	return st.calleeFactLocks(call)
-}
-
-// recordAtomic notes sync/atomic function-API accesses and their lock
-// context.
-func (st *lockorderState) recordAtomic(call *ast.CallExpr, held []string) {
-	if !isSyncAtomicCall(st.pass, call) {
-		return
-	}
-	for _, arg := range call.Args {
-		un, ok := ast.Unparen(arg).(*ast.UnaryExpr)
-		if !ok || un.Op.String() != "&" {
-			continue
-		}
-		obj := objectOf(st.pass.Info, un.X)
-		if obj == nil {
-			continue
-		}
-		if _, seen := st.atomicObjs[obj]; !seen {
-			st.atomicObjs[obj] = call
-		}
-		markIdents(un.X, st.sanctioned)
-	}
-}
-
-// recordPlain notes plain identifier accesses made while a lock is held.
-func (st *lockorderState) recordPlain(id *ast.Ident, held []string) {
-	if len(held) == 0 || st.sanctioned[id] {
-		return
-	}
-	obj := st.pass.Info.ObjectOf(id)
-	if obj == nil || st.pass.Info.Defs[id] != nil {
-		return
-	}
-	if _, ok := st.lockedPlain[obj]; !ok {
-		st.lockedPlain[obj] = held[len(held)-1]
-	}
 }
 
 // reportCycles merges dependency graphs with the local edges and reports
@@ -481,25 +415,6 @@ func findPath(adj map[string]map[string]bool, from, to string) []string {
 		return nil
 	}
 	return dfs(from, nil)
-}
-
-// reportAtomicMixing flags atomic-API access to objects that are also
-// accessed plainly inside critical sections.
-func (st *lockorderState) reportAtomicMixing() {
-	objs := make([]types.Object, 0, len(st.atomicObjs))
-	for obj := range st.atomicObjs {
-		objs = append(objs, obj)
-	}
-	sort.Slice(objs, func(i, j int) bool { return objs[i].Pos() < objs[j].Pos() })
-	for _, obj := range objs {
-		lock, mixed := st.lockedPlain[obj]
-		if !mixed {
-			continue
-		}
-		st.pass.Report(st.atomicObjs[obj].Pos(),
-			"atomic access to %s mixes with plain access under %s elsewhere in this package: the plain access trusts the lock, the atomic bypasses it — pick one discipline",
-			obj.Name(), shortLock(lock))
-	}
 }
 
 // exportFacts publishes exported functions' lock sets and the merged

@@ -1,47 +1,40 @@
-// Package fixture exercises the atomiccounter analyzer: once a variable
-// or field is reached through the sync/atomic function API, every other
-// access to it must be atomic too.
+// Package fixture exercises the atomiccounter analyzer: the function-style
+// sync/atomic API is a finding wherever it is called; the typed atomics
+// are the sanctioned form.
 package fixture
 
 import "sync/atomic"
 
 var hits int64
 
-// bump and read use the sanctioned function API.
-func bump()       { atomic.AddInt64(&hits, 1) }
-func read() int64 { return atomic.LoadInt64(&hits) }
+func bump()       { atomic.AddInt64(&hits, 1) }      // want `atomic.AddInt64 is the function-style sync/atomic API`
+func read() int64 { return atomic.LoadInt64(&hits) } // want `atomic.LoadInt64 is the function-style`
 
-// plainRead races with bump.
-func plainRead() int64 {
-	return hits // want `plain access to hits`
-}
-
-// plainWrite can tear on 32-bit platforms and races with read.
-func plainWrite() {
-	hits = 0 // want `plain access to hits`
-}
-
-// suppressedRead shows a reasoned suppression.
-func suppressedRead() int64 {
-	return hits //smokevet:ignore atomiccounter: fixture exercises suppression of an intentionally racy read
-}
+// plainRead is the race the function-style API leaves open; the finding is
+// at the atomic calls above, not here.
+func plainRead() int64 { return hits }
 
 type stats struct{ frames int64 }
 
-// add reaches the field atomically...
-func (s *stats) add(n int64) { atomic.AddInt64(&s.frames, n) }
+func (s *stats) add(n int64) { atomic.AddInt64(&s.frames, n) } // want `use the typed atomics`
 
-// ...so a plain field read elsewhere is mixed access.
-func (s *stats) snapshot() int64 {
-	return s.frames // want `plain access to frames`
+func swapOnce(flag *uint32) bool {
+	return atomic.CompareAndSwapUint32(flag, 0, 1) // want `atomic.CompareAndSwapUint32`
 }
 
-// clean is only ever accessed atomically: no findings.
-var clean int64
+// suppressed shows a reasoned suppression.
+func suppressed() {
+	atomic.StoreInt64(&hits, 0) //smokevet:ignore atomiccounter: fixture exercises suppression of a function-style store
+}
 
-func bumpClean() { atomic.AddInt64(&clean, 1) }
+// The typed atomics are immune by construction: no findings.
+var (
+	typed    atomic.Int64
+	typedPtr atomic.Pointer[stats]
+)
 
-// local is never accessed atomically: plain accesses are fine.
-var local int64
-
-func inc() { local++ }
+func typedOK() int64 {
+	typed.Add(1)
+	typedPtr.Store(&stats{})
+	return typed.Load()
+}

@@ -1,11 +1,9 @@
 // Package fixture exercises the lockorder analyzer: cross-package
-// acquisition cycles assembled from fact-propagated lock sets, and
-// atomic-under-lock mixing.
+// acquisition cycles assembled from fact-propagated lock sets.
 package fixture
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"fixture/lockorder/dep"
 )
@@ -38,37 +36,4 @@ func NestedOKAgain() {
 	defer muC.Unlock()
 	muD.Lock()
 	muD.Unlock()
-}
-
-// counter is plain-accessed under muE below, so the atomic access in
-// Bypass mixes disciplines.
-var (
-	muE     sync.Mutex
-	counter int64
-)
-
-// UnderLock trusts muE to protect counter.
-func UnderLock() {
-	muE.Lock()
-	counter++
-	muE.Unlock()
-}
-
-// Bypass goes around muE with the atomic API.
-func Bypass() {
-	atomic.AddInt64(&counter, 1) // want `mixes with plain access under`
-}
-
-// clean is atomic everywhere — even under a lock — so there is no plain
-// access to race with.
-var clean int64
-
-func CleanAtomic() {
-	muC.Lock()
-	atomic.AddInt64(&clean, 1)
-	muC.Unlock()
-}
-
-func CleanAtomicElsewhere() {
-	atomic.AddInt64(&clean, 1)
 }

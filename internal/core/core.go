@@ -9,11 +9,20 @@
 //     2D slices the administrator examines.
 //  2. Choosing a tradeoff: pick the most degraded setting whose bound
 //     satisfies the public preferences, then execute the query under it.
+//
+// System is the front door for every generation: resolve the query, decide
+// whether anything the artifact covers is non-random, construct the
+// correction set under the administrator limit if so, then run the cube,
+// sweep, ladder or execution. The daemon's generator and the CLI are
+// adapters over it. The seed's stream children are the contract that keeps
+// every surface's answer the same: 1 correction set, 2 hypercube, 3 sweep
+// or ladder, 4 execution, 5 adaptive execution.
 package core
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"smokescreen/internal/dataset"
@@ -24,6 +33,16 @@ import (
 	"smokescreen/internal/profile"
 	"smokescreen/internal/query"
 	"smokescreen/internal/stats"
+)
+
+// The paper's generation defaults, spelled here once: New starts from them,
+// server.GenRequest normalizes zero fields to them, and the CLI's flag
+// defaults read them.
+const (
+	DefaultSeed            uint64 = 1
+	DefaultFractionStep           = 0.01 // candidate design, Section 3.3.2
+	DefaultMaxFraction            = 0.2
+	DefaultCorrectionLimit        = 0.2 // administrator limit, Section 3.3.1
 )
 
 // System is the Smokescreen prototype instance.
@@ -50,19 +69,19 @@ type System struct {
 // Option configures a System.
 type Option func(*System)
 
-// WithSeed fixes the root randomness seed; the default is 1.
+// WithSeed fixes the root randomness seed (default DefaultSeed).
 func WithSeed(seed uint64) Option {
 	return func(s *System) { s.seed = seed }
 }
 
 // WithCorrectionLimit caps the correction-set size as a fraction of the
-// corpus (default 0.2).
+// corpus (default DefaultCorrectionLimit).
 func WithCorrectionLimit(limit float64) Option {
 	return func(s *System) { s.correctionLimit = limit }
 }
 
 // WithFractionCandidates sets the candidate sample-fraction step and
-// maximum (defaults 0.01 and 0.2).
+// maximum (defaults DefaultFractionStep and DefaultMaxFraction).
 func WithFractionCandidates(step, max float64) Option {
 	return func(s *System) { s.fractionStep, s.maxFraction = step, max }
 }
@@ -87,10 +106,10 @@ func WithParallelism(n int) Option {
 // New constructs a System with the paper's defaults.
 func New(opts ...Option) *System {
 	s := &System{
-		seed:            1,
-		correctionLimit: 0.2,
-		fractionStep:    0.01,
-		maxFraction:     0.2,
+		seed:            DefaultSeed,
+		correctionLimit: DefaultCorrectionLimit,
+		fractionStep:    DefaultFractionStep,
+		maxFraction:     DefaultMaxFraction,
 		parallelism:     1,
 	}
 	for _, opt := range opts {
@@ -181,11 +200,11 @@ func (s *System) GenerateProfilesCtx(ctx context.Context, q *query.Query) (*Prof
 	}
 	start := time.Now()
 	invBefore := detect.Invocations()
-	root := stats.NewStream(s.seed)
 
-	corr, err := profile.ConstructCorrectionCtx(ctx, spec, s.correctionLimit, root.Child(1))
+	// The candidate grid always holds non-random cells.
+	corr, err := s.constructCorrection(ctx, spec)
 	if err != nil {
-		return nil, fmt.Errorf("core: constructing correction set: %w", err)
+		return nil, err
 	}
 	fractions := plan.CandidateFractions(s.fractionStep, s.maxFraction)
 	cube, err := profile.GenerateHypercubeCtx(ctx, spec, profile.HypercubeOptions{
@@ -193,7 +212,7 @@ func (s *System) GenerateProfilesCtx(ctx context.Context, q *query.Query) (*Prof
 		Correction:     corr.Correction,
 		EarlyStopDelta: s.earlyStopDelta,
 		Parallelism:    s.parallelism,
-	}, root.Child(2))
+	}, stats.NewStream(s.seed).Child(2))
 	if err != nil {
 		return nil, fmt.Errorf("core: generating hypercube: %w", err)
 	}
@@ -206,18 +225,61 @@ func (s *System) GenerateProfilesCtx(ctx context.Context, q *query.Query) (*Prof
 	}, nil
 }
 
-// SweepProfile generates a single-axis profile (fractions at the given
-// resolution and removal combo) for a query — the 2D plot an administrator
-// starts from. When opts.Parallelism is zero the system's configured
-// parallelism (WithParallelism) applies.
+// constructCorrection builds the correction set by the elbow heuristic
+// under the administrator limit: the system's one call of
+// profile.ConstructCorrectionCtx.
+func (s *System) constructCorrection(ctx context.Context, spec *profile.Spec) (*profile.ConstructionResult, error) {
+	res, err := profile.ConstructCorrectionCtx(ctx, spec, s.correctionLimit, stats.NewStream(s.seed).Child(1))
+	if err != nil {
+		return nil, fmt.Errorf("core: constructing correction set: %w", err)
+	}
+	return res, nil
+}
+
+// repairFor is the correction-set policy every generation shares: a
+// caller-supplied set is used as given; otherwise one is constructed iff
+// any setting the artifact covers is non-random (Algorithm 3 repair).
+func (s *System) repairFor(ctx context.Context, spec *profile.Spec, given *estimate.Correction, covered ...degrade.Setting) (*estimate.Correction, error) {
+	if given != nil {
+		return given, nil
+	}
+	for _, setting := range covered {
+		if !setting.IsRandomOnly(spec.Model) {
+			res, err := s.constructCorrection(ctx, spec)
+			if err != nil {
+				return nil, err
+			}
+			return res.Correction, nil
+		}
+	}
+	return nil, nil
+}
+
+// sameAxes reports whether two settings agree on every non-sampling axis.
+func sameAxes(a, b degrade.Setting) bool {
+	return slices.Equal(a.KeyFields(), b.KeyFields())
+}
+
+// SweepProfile generates a single-axis profile for a query — the 2D plot
+// an administrator starts from. See SweepProfileCtx.
 func (s *System) SweepProfile(q *query.Query, opts profile.SweepOptions) (*profile.Profile, error) {
 	return s.SweepProfileCtx(context.Background(), q, opts)
 }
 
-// SweepProfileCtx is SweepProfile with cancellation.
+// SweepProfileCtx sweeps opts.Fractions under the query's own intervention
+// clauses: opts.Setting may be left zero or repeat them, and anything else
+// is an error. A nil opts.Correction means the system's own (repairFor); a
+// zero opts.Parallelism means the system's (WithParallelism).
 func (s *System) SweepProfileCtx(ctx context.Context, q *query.Query, opts profile.SweepOptions) (*profile.Profile, error) {
 	spec, err := s.Resolve(q)
 	if err != nil {
+		return nil, err
+	}
+	if !sameAxes(opts.Setting, degrade.Setting{}) && !sameAxes(opts.Setting, q.Setting) {
+		return nil, fmt.Errorf("core: sweep setting (%v) conflicts with the query's intervention clauses (%v)", opts.Setting, q.Setting)
+	}
+	opts.Setting = q.Setting
+	if opts.Correction, err = s.repairFor(ctx, spec, opts.Correction, opts.Setting); err != nil {
 		return nil, err
 	}
 	if opts.Parallelism == 0 {
@@ -226,14 +288,42 @@ func (s *System) SweepProfileCtx(ctx context.Context, q *query.Query, opts profi
 	return profile.SweepFractionsCtx(ctx, spec, opts, stats.NewStream(s.seed).Child(3))
 }
 
-// LadderProfileCtx generates a fidelity-ladder profile for a query: one
-// tradeoff point per tier of the named ladder (plan.LadderByName). The
-// ladder's non-random tiers are repaired with the supplied correction
-// set; pass nil only for all-random ladders. When opts.Parallelism is
-// zero the system's configured parallelism applies.
-func (s *System) LadderProfileCtx(ctx context.Context, q *query.Query, ladder plan.Ladder, opts profile.LadderOptions) (*profile.Profile, error) {
+// ResolveLadder resolves a ladder request without generating anything: the
+// query bound to its corpus and model, and the named ladder. A ladder's
+// tiers carry the intervention axes, so a query with clauses is rejected.
+func (s *System) ResolveLadder(q *query.Query, name string) (*profile.Spec, plan.Ladder, error) {
+	spec, err := s.resolveLadderQuery(q)
+	if err != nil {
+		return nil, plan.Ladder{}, err
+	}
+	ladder, err := plan.LadderByName(name, spec.Model)
+	return spec, ladder, err
+}
+
+func (s *System) resolveLadderQuery(q *query.Query) (*profile.Spec, error) {
 	spec, err := s.Resolve(q)
 	if err != nil {
+		return nil, err
+	}
+	if !sameAxes(q.Setting, degrade.Setting{}) {
+		return nil, fmt.Errorf("core: ladder requests take their intervention axes from the ladder's tiers; drop the query's RESOLUTION/REMOVE/NOISE/BLUR/QUANTIZE/OCCLUDE clauses")
+	}
+	return spec, nil
+}
+
+// LadderProfileCtx generates a fidelity-ladder profile for a query: one
+// tradeoff point per tier. The query must carry no intervention clause
+// (see ResolveLadder); opts defaults as in SweepProfileCtx.
+func (s *System) LadderProfileCtx(ctx context.Context, q *query.Query, ladder plan.Ladder, opts profile.LadderOptions) (*profile.Profile, error) {
+	spec, err := s.resolveLadderQuery(q)
+	if err != nil {
+		return nil, err
+	}
+	covered := make([]degrade.Setting, len(ladder.Tiers))
+	for i, tier := range ladder.Tiers {
+		covered[i] = tier.Setting
+	}
+	if opts.Correction, err = s.repairFor(ctx, spec, opts.Correction, covered...); err != nil {
 		return nil, err
 	}
 	if opts.Parallelism == 0 {
@@ -293,22 +383,15 @@ func (s *System) ExecuteSettingCtx(ctx context.Context, q *query.Query, setting 
 	if err := setting.Validate(spec.Model); err != nil {
 		return nil, err
 	}
-	root := stats.NewStream(s.seed)
-	var corr *estimate.Correction
-	repaired := false
-	if !setting.IsRandomOnly(spec.Model) {
-		res, err := profile.ConstructCorrectionCtx(ctx, spec, s.correctionLimit, root.Child(1))
-		if err != nil {
-			return nil, fmt.Errorf("core: constructing correction set: %w", err)
-		}
-		corr = res.Correction
-		repaired = true
-	}
-	est, err := spec.EstimateSettingCtx(ctx, setting, corr, root.Child(4))
+	corr, err := s.repairFor(ctx, spec, nil, setting)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Query: q, Setting: setting, Estimate: est, Repaired: repaired}, nil
+	est, err := spec.EstimateSettingCtx(ctx, setting, corr, stats.NewStream(s.seed).Child(4))
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Query: q, Setting: setting, Estimate: est, Repaired: corr != nil}, nil
 }
 
 // AdaptiveResult is the outcome of ExecuteUntil.

@@ -12,6 +12,7 @@ import (
 	"smokescreen/internal/profile"
 	"smokescreen/internal/query"
 	"smokescreen/internal/scene"
+	"smokescreen/internal/stats"
 )
 
 func mustQuery(t *testing.T, input string) *query.Query {
@@ -215,6 +216,125 @@ func TestTransferProfile(t *testing.T) {
 	}
 	if !strings.Contains(prof.VideoName, "transferred from mvi-40775") {
 		t.Fatalf("transfer label %q", prof.VideoName)
+	}
+}
+
+// TestSweepProfileFollowsQueryClauses: the query is the sole statement of
+// the sweep's non-sampling axes, and the system repairs a non-random sweep
+// without being handed a correction set.
+func TestSweepProfileFollowsQueryClauses(t *testing.T) {
+	s := New()
+	q := mustQuery(t, "SELECT AVG(count(car)) FROM small RESOLUTION 160")
+	fractions := []float64{0.05, 0.1}
+	prof, err := s.SweepProfile(q, profile.SweepOptions{Fractions: fractions})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(prof.Points) != len(fractions) {
+		t.Fatalf("profile points %d, want %d", len(prof.Points), len(fractions))
+	}
+	for _, pt := range prof.Points {
+		if pt.Setting.Resolution != 160 || !pt.Repaired {
+			t.Fatalf("point %+v: want resolution 160, repaired", pt)
+		}
+	}
+	// Repeating the query's clauses is not a conflict; anything else is.
+	same, err := s.SweepProfile(q, profile.SweepOptions{Fractions: fractions, Setting: degrade.Setting{Resolution: 160}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if same.Points[1].Estimate != prof.Points[1].Estimate {
+		t.Fatal("restating the query's clauses changed the profile")
+	}
+	for _, conflicting := range []degrade.Setting{{Resolution: 320}, {Resolution: 160, MotionBlur: 5}, {Restricted: []scene.Class{scene.Face}}} {
+		if _, err := s.SweepProfile(q, profile.SweepOptions{Fractions: fractions, Setting: conflicting}); err == nil {
+			t.Fatalf("conflicting sweep setting %v accepted", conflicting)
+		}
+	}
+}
+
+// TestSweepProfileUsesSuppliedCorrection: a caller-built correction set
+// (the explicit-size and TransferProfile paths) is used as given, not
+// replaced by the system's own.
+func TestSweepProfileUsesSuppliedCorrection(t *testing.T) {
+	s := New(WithSeed(5))
+	q := mustQuery(t, "SELECT AVG(count(car)) FROM small BLUR 5")
+	spec, err := s.Resolve(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corr, err := profile.BuildCorrectionAt(spec, 60, stats.NewStream(77))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := profile.SweepOptions{Fractions: []float64{0.05, 0.1}, Correction: corr}
+	got, err := s.SweepProfile(q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Setting = q.Setting
+	want, err := profile.SweepFractionsCtx(context.Background(), spec, opts, stats.NewStream(5).Child(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	own, err := s.SweepProfile(q, profile.SweepOptions{Fractions: opts.Fractions})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want.Points {
+		if got.Points[i].Estimate != want.Points[i].Estimate {
+			t.Fatalf("point %d: %+v, want the supplied correction's %+v", i, got.Points[i].Estimate, want.Points[i].Estimate)
+		}
+	}
+	if got.Points[0].Estimate.ErrBound == own.Points[0].Estimate.ErrBound {
+		t.Fatal("supplied and system-built correction sets gave the same bound; the test cannot tell them apart")
+	}
+	transferred, err := s.TransferProfile(mustQuery(t, "SELECT AVG(count(car)) FROM mvi-40771 USING yolov4 BLUR 5"), "small", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if transferred.Points[0].Estimate != want.Points[0].Estimate {
+		t.Fatal("TransferProfile did not pass the supplied correction through")
+	}
+}
+
+// TestLadderProfileOwnsItsAxes: a ladder's tiers carry the intervention
+// axes, so a query with clauses of its own is rejected on every path, and a
+// clean query gets its non-random tiers repaired by the system.
+func TestLadderProfileOwnsItsAxes(t *testing.T) {
+	s := New()
+	ctx := context.Background()
+	spec, ladder, err := s.ResolveLadder(mustQuery(t, "SELECT AVG(count(car)) FROM small"), "default")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec.Video.Config.Name != "small" || len(ladder.Tiers) == 0 {
+		t.Fatalf("resolved %s with %d tiers", spec.Video.Config.Name, len(ladder.Tiers))
+	}
+	if _, _, err := s.ResolveLadder(mustQuery(t, "SELECT AVG(count(car)) FROM small"), "nope"); err == nil {
+		t.Fatal("unknown ladder accepted")
+	}
+	for _, clause := range []string{"RESOLUTION 160", "RESOLUTION 608", "REMOVE face", "BLUR 5"} {
+		q := mustQuery(t, "SELECT AVG(count(car)) FROM small "+clause)
+		if _, _, err := s.ResolveLadder(q, "default"); err == nil {
+			t.Fatalf("ResolveLadder accepted a query with %s", clause)
+		}
+		if _, err := s.LadderProfileCtx(ctx, q, ladder, profile.LadderOptions{}); err == nil {
+			t.Fatalf("LadderProfileCtx accepted a query with %s", clause)
+		}
+	}
+	prof, err := s.LadderProfileCtx(ctx, mustQuery(t, "SELECT AVG(count(car)) FROM small"), ladder, profile.LadderOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	repaired := 0
+	for _, pt := range prof.Points {
+		if pt.Repaired {
+			repaired++
+		}
+	}
+	if len(prof.Points) < 2 || repaired == 0 || prof.Points[0].Repaired {
+		t.Fatalf("ladder profile %d points, %d repaired, first repaired %v", len(prof.Points), repaired, prof.Points[0].Repaired)
 	}
 }
 

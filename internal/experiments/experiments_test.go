@@ -197,6 +197,27 @@ func TestFigure9CurvesDecrease(t *testing.T) {
 	}
 }
 
+// TestLadderAndAdversarialBoundsHold runs the two extension experiments the
+// root package's per-figure benchmarks used to be the only `go test` path
+// to: every rung of the default ladder and every structured perturbation
+// must keep its repaired bound above the true error.
+func TestLadderAndAdversarialBoundsHold(t *testing.T) {
+	ladder := runQuick(t, "ladder")
+	if rows := ladder.Tables[0].Rows; len(rows) < 3 {
+		t.Fatalf("ladder profiled %d rungs", len(rows))
+	}
+	for _, row := range ladder.Tables[0].Rows {
+		if bound, trueErr := cellFloat(t, row[2]), cellFloat(t, row[3]); bound < trueErr {
+			t.Fatalf("ladder rung %s: bound %v below true error %v", row[0], bound, trueErr)
+		}
+	}
+	for _, row := range runQuick(t, "adversarial").Tables[0].Rows {
+		if row[len(row)-1] != "true" {
+			t.Fatalf("repaired bound violated under %s: %v", row[0], row)
+		}
+	}
+}
+
 func TestFigure10Similarity(t *testing.T) {
 	report := runQuick(t, "figure10")
 	left := report.Tables[0]

@@ -25,8 +25,8 @@ import (
 // forwarding, keep-alive pooling, and connection-refused failover behave
 // exactly as across machines — plus a synthetic generator whose per-node
 // invocation counters prove the dedup invariants (the hot-key herd must
-// cost exactly one generation fleet-wide). cmd/smokeload and the
-// BenchmarkFleetServe* family drive load scenarios through it.
+// cost exactly one generation fleet-wide). cmd/smokeload and the fleet
+// tests (TestFleetHotKeyHerd, …SteadyMixed) drive load scenarios through it.
 
 // GenCounter records which node started generating which key. It is the
 // harness's ground truth for the dedup invariants.

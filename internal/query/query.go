@@ -16,6 +16,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -246,6 +247,9 @@ func (p *parser) parseWhere(q *Query) error {
 }
 
 // parseRemove handles "person , face" (commas already split by the lexer).
+// The classes are kept in name order: removal is a set operation, so
+// "REMOVE person,face" and "REMOVE face,person" are one query — same
+// String, same artifact key, same profile bytes on every surface.
 func (p *parser) parseRemove(q *Query) error {
 	for {
 		name, err := p.next("restricted class")
@@ -258,6 +262,9 @@ func (p *parser) parseRemove(q *Query) error {
 		}
 		q.Setting.Restricted = append(q.Setting.Restricted, cls)
 		if p.done() || p.tokens[p.pos] != "," {
+			slices.SortFunc(q.Setting.Restricted, func(a, b scene.Class) int {
+				return strings.Compare(a.String(), b.String())
+			})
 			return nil
 		}
 		p.pos++

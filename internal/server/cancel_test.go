@@ -154,58 +154,78 @@ func TestJobDeadlineFinishesCanceled(t *testing.T) {
 // TestCancelStopsDetectorWork drives the real generator and checks the
 // ISSUE's acceptance criterion end to end: canceling a daemon job
 // mid-generation stops detector work (the invocation counter stops
-// advancing) and leaves no partial profile in the store.
+// advancing), finishes the job canceled — not failed — and leaves no
+// partial profile in the store. The second row cancels while core is still
+// constructing the correction set: night-street's first growth step alone
+// is 195 native Mask R-CNN frames, so a cancel at the first invocation
+// lands inside it and construction never starts a second step.
 func TestCancelStopsDetectorWork(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real generation in -short mode")
 	}
-	detect.ResetCaches()
-	t.Cleanup(detect.ResetCaches)
+	for _, row := range []struct {
+		name string
+		req  GenRequest
+		// maxInvocations, when non-zero, bounds the detector work a cancel
+		// at the first invocation may leave behind.
+		maxInvocations int64
+	}{
+		// A wide sweep (250 fractions, half the corpus at max) keeps the
+		// detect stage busy long enough to cancel mid-flight.
+		{"sweep", GenRequest{Query: "SELECT AVG(count(car)) FROM small", Step: 0.002, MaxFraction: 0.5}, 0},
+		{"correction set", GenRequest{Query: "SELECT AVG(count(car)) FROM night-street BLUR 5"}, 195},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			detect.ResetCaches()
+			t.Cleanup(detect.ResetCaches)
 
-	gen := &SystemGenerator{Parallelism: 1}
-	_, ts, st := newTestServer(t, gen, func(cfg *Config) { cfg.Workers = 1 })
-	client := &Client{BaseURL: ts.URL, PollInterval: 5 * time.Millisecond}
+			gen := &SystemGenerator{Parallelism: 1}
+			_, ts, st := newTestServer(t, gen, func(cfg *Config) { cfg.Workers = 1 })
+			client := &Client{BaseURL: ts.URL, PollInterval: 5 * time.Millisecond}
 
-	// A wide sweep (250 fractions, half the corpus at max) keeps the
-	// detect stage busy long enough to cancel mid-flight.
-	resp := postProfile(t, ts.URL, GenRequest{
-		Query: "SELECT AVG(count(car)) FROM small",
-		Step:  0.002, MaxFraction: 0.5, Async: true,
-	})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatal(apiError(resp))
-	}
-	var job JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&job); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+			before := detect.Invocations()
+			req := row.req
+			req.Async = true
+			resp := postProfile(t, ts.URL, req)
+			if resp.StatusCode != http.StatusAccepted {
+				t.Fatal(apiError(resp))
+			}
+			var job JobStatus
+			if err := json.NewDecoder(resp.Body).Decode(&job); err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
 
-	// Wait until the detector is demonstrably working, then cancel.
-	deadline := time.Now().Add(10 * time.Second)
-	for detect.Invocations() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("generation never started detecting")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if _, err := client.CancelJob(context.Background(), job.ID); err != nil {
-		t.Fatal(err)
-	}
-	final := awaitState(t, client, job.ID, JobCanceled)
-	if final.Error == "" {
-		t.Fatal("canceled job carries no error detail")
-	}
+			// Wait until the detector is demonstrably working, then cancel.
+			deadline := time.Now().Add(10 * time.Second)
+			for detect.Invocations() == before {
+				if time.Now().After(deadline) {
+					t.Fatal("generation never started detecting")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if _, err := client.CancelJob(context.Background(), job.ID); err != nil {
+				t.Fatal(err)
+			}
+			final := awaitState(t, client, job.ID, JobCanceled)
+			if final.Error == "" {
+				t.Fatal("canceled job carries no error detail")
+			}
 
-	// The invocation counter must stop advancing once the job is terminal.
-	after := detect.Invocations()
-	time.Sleep(50 * time.Millisecond)
-	if now := detect.Invocations(); now != after {
-		t.Fatalf("detector work continued after cancel: %d -> %d", after, now)
-	}
+			// The invocation counter must stop advancing once the job is terminal.
+			after := detect.Invocations()
+			time.Sleep(50 * time.Millisecond)
+			if now := detect.Invocations(); now != after {
+				t.Fatalf("detector work continued after cancel: %d -> %d", after, now)
+			}
+			if n := after - before; row.maxInvocations > 0 && n > row.maxInvocations {
+				t.Fatalf("cancel landed after %d invocations, past the correction set's first growth step (%d)", n, row.maxInvocations)
+			}
 
-	// No partial profile was persisted.
-	if _, err := st.Get(job.Key); !errors.Is(err, store.ErrNotFound) {
-		t.Fatalf("canceled job left a stored profile: %v", err)
+			// No partial profile was persisted.
+			if _, err := st.Get(job.Key); !errors.Is(err, store.ErrNotFound) {
+				t.Fatalf("canceled job left a stored profile: %v", err)
+			}
+		})
 	}
 }

@@ -10,8 +10,6 @@ import (
 	"net/http"
 	"strconv"
 	"time"
-
-	"smokescreen/internal/profile"
 )
 
 // Client talks to a smokescreend daemon. The zero HTTPClient uses
@@ -240,19 +238,6 @@ func (c *Client) GenerateRaw(ctx context.Context, req GenRequest) ([]byte, strin
 	default:
 		return nil, "", apiError(resp)
 	}
-}
-
-// Generate is GenerateRaw decoded into a profile.Profile.
-func (c *Client) Generate(ctx context.Context, req GenRequest) (*profile.Profile, string, error) {
-	payload, key, err := c.GenerateRaw(ctx, req)
-	if err != nil {
-		return nil, "", err
-	}
-	prof, err := profile.LoadProfile(bytes.NewReader(payload))
-	if err != nil {
-		return nil, "", err
-	}
-	return prof, key, nil
 }
 
 // GetProfile fetches a stored profile verbatim by key.

@@ -6,15 +6,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"smokescreen/internal/core"
-	"smokescreen/internal/estimate"
 	"smokescreen/internal/plan"
 	"smokescreen/internal/profile"
 	"smokescreen/internal/query"
-	"smokescreen/internal/stats"
 )
 
 // UnknownFieldError reports a request body carrying a field this server
@@ -81,22 +78,19 @@ type GenRequest struct {
 	Async bool `json:"async,omitempty"`
 }
 
-// Normalize fills defaulted fields in place, exactly as the POST handler
-// does before keying. Routing layers (internal/fleetd) call it so that a
-// request forwarded between nodes canonicalizes to the same key and the
-// same wire bytes on every hop.
-func (r *GenRequest) Normalize() { r.normalize() }
-
-// normalize fills defaulted fields in place.
-func (r *GenRequest) normalize() {
+// Normalize fills defaulted fields in place with core's defaults, exactly
+// as the POST handler does before keying. Routing layers (internal/fleetd)
+// call it so that a request forwarded between nodes canonicalizes to the
+// same key and the same wire bytes on every hop.
+func (r *GenRequest) Normalize() {
 	if r.Seed == 0 {
-		r.Seed = 1
+		r.Seed = core.DefaultSeed
 	}
 	if r.Step == 0 {
-		r.Step = 0.01
+		r.Step = core.DefaultFractionStep
 	}
 	if r.MaxFraction == 0 {
-		r.MaxFraction = 0.2
+		r.MaxFraction = core.DefaultMaxFraction
 	}
 }
 
@@ -113,130 +107,100 @@ type Generator interface {
 	Generate(ctx context.Context, req GenRequest) ([]byte, error)
 }
 
-// SystemGenerator generates fraction-axis tradeoff curves and fidelity-ladder
-// profiles with the core Smokescreen system: construct a correction set
-// when the request covers non-random interventions, then sweep the
-// candidate fractions (or evaluate the ladder's tiers) on the parallel
-// engine and serialize the profile.
+// SystemGenerator adapts the wire request to the core system: resolve the
+// request, let core.System generate the sweep or the ladder (core owns the
+// correction-set policy and every random stream), serialize the profile.
+// cmd/smokescreen's curve and ladder commands run the same adapter in
+// process, so a request yields the same key and bytes on every surface.
 type SystemGenerator struct {
-	// CorrectionLimit caps the correction-set fraction (default 0.2).
+	// CorrectionLimit is ignored: every generation runs at
+	// core.DefaultCorrectionLimit, because the artifact key does not hash
+	// the limit and two values would seal different bytes under one key.
+	// The field survives only because the frozen benchmark/ module sets it
+	// (to the default); ROADMAP item 5a drops it.
 	CorrectionLimit float64
 	// Parallelism bounds worker goroutines per generation; 0 or negative
 	// means one per CPU (internal/parallel semantics applied by core).
 	Parallelism int
 }
 
-// resolve parses and resolves the request, returning the parsed query,
-// the bound spec, and the swept fractions.
-func (g *SystemGenerator) resolve(req GenRequest) (*query.Query, *profile.Spec, []float64, error) {
-	req.normalize()
+// resolved is a request bound to the system that generates it.
+type resolved struct {
+	req       GenRequest // normalized
+	sys       *core.System
+	query     *query.Query
+	spec      *profile.Spec
+	fractions []float64
+	ladder    plan.Ladder // zero unless req.Ladder is set
+}
+
+// resolve normalizes, parses and resolves the request. It is cheap: no
+// detector work.
+func (g *SystemGenerator) resolve(req GenRequest) (*resolved, error) {
+	req.Normalize()
 	q, err := query.Parse(req.Query)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	// Canonicalize the restricted-class order so "REMOVE person,face" and
-	// "REMOVE face,person" address (and generate) the same artifact;
-	// removal is a set operation, so sorting cannot change results.
-	sort.Slice(q.Setting.Restricted, func(i, j int) bool {
-		return q.Setting.Restricted[i].String() < q.Setting.Restricted[j].String()
-	})
 	if req.Step <= 0 || req.MaxFraction <= 0 || req.MaxFraction > 1 || req.Step > req.MaxFraction {
-		return nil, nil, nil, fmt.Errorf("server: invalid sweep [step %v, max %v]", req.Step, req.MaxFraction)
+		return nil, fmt.Errorf("server: invalid sweep [step %v, max %v]", req.Step, req.MaxFraction)
 	}
-	sys := core.New(core.WithSeed(req.Seed))
-	spec, err := sys.Resolve(q)
-	if err != nil {
-		return nil, nil, nil, err
+	r := &resolved{
+		req:       req,
+		sys:       core.New(core.WithSeed(req.Seed), core.WithParallelism(g.Parallelism)),
+		query:     q,
+		fractions: plan.CandidateFractions(req.Step, req.MaxFraction),
 	}
 	if req.Ladder != "" {
-		if _, err := plan.LadderByName(req.Ladder, spec.Model); err != nil {
-			return nil, nil, nil, err
-		}
-		if q.Setting.Resolution != 0 || len(q.Setting.Restricted) > 0 || q.Setting.ViewSpec() != "" {
-			return nil, nil, nil, fmt.Errorf("server: ladder requests take their intervention axes from the ladder's tiers; drop the query's RESOLUTION/REMOVE/NOISE/BLUR/QUANTIZE/OCCLUDE clauses")
-		}
+		r.spec, r.ladder, err = r.sys.ResolveLadder(q, req.Ladder)
+	} else {
+		r.spec, err = r.sys.Resolve(q)
 	}
-	return q, spec, plan.CandidateFractions(req.Step, req.MaxFraction), nil
+	if err != nil {
+		return nil, err
+	}
+	return r, nil
 }
 
 // Key implements Generator.
 func (g *SystemGenerator) Key(req GenRequest) (string, string, error) {
-	req.normalize()
-	q, spec, fractions, err := g.resolve(req)
+	r, err := g.resolve(req)
 	if err != nil {
 		return "", "", err
 	}
 	ks := profile.KeySpec{
-		VideoName:  spec.Video.Config.Name,
-		FrameCount: spec.Video.NumFrames(),
-		ModelName:  spec.Model.Name,
-		Query:      q.String(),
+		VideoName:  r.spec.Video.Config.Name,
+		FrameCount: r.spec.Video.NumFrames(),
+		ModelName:  r.spec.Model.Name,
+		Query:      r.query.String(),
 		Family: profile.Family{
-			Fractions:      fractions,
-			Setting:        q.Setting,
-			EarlyStopDelta: req.EarlyStop,
+			Fractions:      r.fractions,
+			Setting:        r.query.Setting,
+			EarlyStopDelta: r.req.EarlyStop,
 		},
-		Ladder: req.Ladder,
-		Params: q.Params(),
-		Seed:   req.Seed,
+		Ladder: r.req.Ladder,
+		Params: r.query.Params(),
+		Seed:   r.req.Seed,
 	}
-	return ks.CanonicalKey(), q.String(), nil
+	return ks.CanonicalKey(), r.query.String(), nil
 }
 
-// Generate implements Generator: resolve the request, construct a
-// correction set when anything the artifact covers is non-random, generate
-// the sweep or the ladder, and serialize the profile.
+// Generate implements Generator: resolve, generate through core, serialize.
+// ctx is threaded through the whole pipeline: a canceled job stops detector
+// work mid-generation and returns the context error, so no partial profile
+// is ever serialized or stored.
 func (g *SystemGenerator) Generate(ctx context.Context, req GenRequest) ([]byte, error) {
-	req.normalize()
-	q, spec, fractions, err := g.resolve(req)
+	r, err := g.resolve(req)
 	if err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	// A ladder request's query carries no intervention axes (resolve checks);
-	// its tiers do.
-	nonRandom := !q.Setting.IsRandomOnly(spec.Model)
-	var ladder plan.Ladder
-	if req.Ladder != "" {
-		if ladder, err = plan.LadderByName(req.Ladder, spec.Model); err != nil {
-			return nil, err
-		}
-		for _, tier := range ladder.Tiers {
-			nonRandom = nonRandom || !tier.Setting.IsRandomOnly(spec.Model)
-		}
-	}
-	var correction *estimate.Correction
-	if nonRandom {
-		// Non-random axes need a correction set for sound bounds.
-		limit := g.CorrectionLimit
-		if limit == 0 {
-			limit = 0.2
-		}
-		corr, err := profile.ConstructCorrectionCtx(ctx, spec, limit, stats.NewStream(req.Seed).Child(1))
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			return nil, fmt.Errorf("server: constructing correction set: %w", err)
-		}
-		correction = corr.Correction
-	}
-	// ctx is threaded through the whole plan/execute pipeline: a canceled
-	// job stops detector work mid-generation and returns the context error,
-	// so no partial profile is ever serialized or stored.
-	sys := core.New(core.WithSeed(req.Seed), core.WithParallelism(g.Parallelism))
 	var prof *profile.Profile
-	switch {
-	case req.Ladder != "":
-		prof, err = sys.LadderProfileCtx(ctx, q, ladder, profile.LadderOptions{Correction: correction})
-	default:
-		prof, err = sys.SweepProfileCtx(ctx, q, profile.SweepOptions{
-			Fractions:      fractions,
-			Setting:        q.Setting,
-			Correction:     correction,
-			EarlyStopDelta: req.EarlyStop,
+	if r.req.Ladder != "" {
+		prof, err = r.sys.LadderProfileCtx(ctx, r.query, r.ladder, profile.LadderOptions{})
+	} else {
+		prof, err = r.sys.SweepProfileCtx(ctx, r.query, profile.SweepOptions{
+			Fractions:      r.fractions,
+			EarlyStopDelta: r.req.EarlyStop,
 		})
 	}
 	if err != nil {

@@ -367,7 +367,7 @@ func (s *Server) handlePostProfile(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, errors.New("server: request requires a query"))
 		return
 	}
-	req.normalize()
+	req.Normalize()
 	key, canonical, err := s.gen.Key(req)
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, err)

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"smokescreen/internal/estimate"
+	"smokescreen/internal/profile"
 	"smokescreen/internal/store"
 )
 
@@ -39,7 +40,7 @@ func (g *fakeGenerator) Key(req GenRequest) (string, string, error) {
 	if g.keyErr != nil {
 		return "", "", g.keyErr
 	}
-	req.normalize()
+	req.Normalize()
 	sum := sha256.Sum256([]byte(fmt.Sprintf("%s|%d|%g|%g", req.Query, req.Seed, req.Step, req.MaxFraction)))
 	return hex.EncodeToString(sum[:]), req.Query, nil
 }
@@ -604,7 +605,11 @@ func TestClientGenerateEndToEnd(t *testing.T) {
 	defer cancel()
 
 	req := GenRequest{Query: "SELECT AVG(count(car)) FROM small", Step: 0.05, MaxFraction: 0.1}
-	prof, key, err := client.Generate(ctx, req)
+	payload, key, err := client.GenerateRaw(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := profile.LoadProfile(bytes.NewReader(payload))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -721,7 +726,7 @@ var _ Generator = (*SystemGenerator)(nil)
 // clients can branch on, a failed job carrying the same code, and no
 // artifact under the key.
 func TestDegenerateCorrectionIs422(t *testing.T) {
-	gen := &SystemGenerator{CorrectionLimit: 0.2}
+	gen := &SystemGenerator{}
 	req := GenRequest{Query: "SELECT AVG(count(car)) FROM small RESOLUTION 160", Seed: 26002}
 
 	if _, err := gen.Generate(context.Background(), req); !errors.Is(err, estimate.ErrDegenerateCorrection) {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"sort"
 	"sync"
 	"time"
@@ -15,9 +14,7 @@ import (
 	"smokescreen/internal/detect"
 	"smokescreen/internal/estimate"
 	"smokescreen/internal/scene"
-	"smokescreen/internal/stats"
 	"smokescreen/internal/stream"
-	"smokescreen/internal/transport"
 )
 
 // Streaming ingest as daemon jobs: POST /v1/streams starts a simulated
@@ -110,8 +107,8 @@ type StreamStatus struct {
 	Stream   stream.Status `json:"stream"`
 }
 
-// streamJob is one live ingest pipeline: a camera goroutine and a
-// receiver goroutine joined by an in-process pipe.
+// streamJob is one live ingest pipeline: a camera and a receiver joined by
+// an in-process pipe (stream.Loopback).
 type streamJob struct {
 	id      string
 	req     StreamRequest
@@ -312,8 +309,7 @@ func resolveStream(req *StreamRequest) (*stream.Config, []*camera.Node, error) {
 }
 
 // startStream validates the request, builds the pipeline, and launches
-// the camera and receiver goroutines. The returned job is already
-// running.
+// the job's goroutine. The returned job is already running.
 func (s *Server) startStream(req StreamRequest) (*streamJob, error) {
 	if s.draining() {
 		return nil, errDraining
@@ -333,42 +329,11 @@ func (s *Server) startStream(req StreamRequest) (*streamJob, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	job := s.streams.create(req, recv, cancel, time.Now())
 
-	clientEnd, serverEnd := net.Pipe()
-	// Cancellation must also unblock pipe reads/writes: the receiver may
-	// be parked in a transport read (the stream package's documented
-	// contract), and the camera in a write.
-	go func() {
-		<-ctx.Done()
-		clientEnd.Close()
-		serverEnd.Close()
-	}()
-
-	s.streamWG.Add(2)
-	go func() { // camera side
-		defer s.streamWG.Done()
-		conn := transport.New(clientEnd)
-		for i := 0; i < req.Loops; i++ {
-			node := nodes[len(nodes)-1]
-			if i < len(nodes) {
-				node = nodes[i]
-			}
-			if _, err := node.StreamCtx(ctx, conn, stats.NewStream(req.Seed+uint64(i))); err != nil {
-				s.cfg.Logf("stream %s: camera stopped: %v", job.id, err)
-				return
-			}
-		}
-		clientEnd.Close() // clean end-of-stream for the receiver
-	}()
-	go func() { // receiver side: owns the job's terminal state
+	s.streamWG.Add(1)
+	go func() { // owns the job's terminal state
 		defer s.streamWG.Done()
 		defer cancel()
-		runErr := s.runStream(ctx, cfg, recv, req, serverEnd)
-		if runErr == nil && ctx.Err() != nil {
-			// A DELETE that lands exactly at a session boundary closes the
-			// pipe where the receiver reads a clean end-of-stream; a
-			// canceled job must still report canceled.
-			runErr = ctx.Err()
-		}
+		runErr := s.runStream(ctx, cfg, recv, req, nodes)
 		job.finish(runErr, time.Now())
 		switch {
 		case runErr == nil:
@@ -387,9 +352,9 @@ func (s *Server) startStream(req StreamRequest) (*streamJob, error) {
 }
 
 // runStream builds the drift baseline (unless disabled) and runs the
-// receiver. The baseline is detector-heavy — it runs here, under the
-// job context, so DELETE cancels a stream still warming up.
-func (s *Server) runStream(ctx context.Context, cfg *stream.Config, recv *stream.Receiver, req StreamRequest, conn net.Conn) error {
+// camera-to-receiver loopback. The baseline is detector-heavy — it runs
+// here, under the job context, so DELETE cancels a stream still warming up.
+func (s *Server) runStream(ctx context.Context, cfg *stream.Config, recv *stream.Receiver, req StreamRequest, nodes []*camera.Node) error {
 	if !req.DisableDrift {
 		p := req.Resolution
 		if p == 0 {
@@ -401,5 +366,6 @@ func (s *Server) runStream(ctx context.Context, cfg *stream.Config, recv *stream
 		}
 		recv.SetBaseline(base)
 	}
-	return recv.Run(ctx, transport.New(conn))
+	_, err := stream.Loopback(ctx, recv, nodes, req.Loops, req.Seed)
+	return err
 }

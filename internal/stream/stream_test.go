@@ -6,9 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
-	"net"
 	"strings"
-	"sync"
 	"testing"
 
 	"smokescreen/internal/camera"
@@ -18,38 +16,14 @@ import (
 	"smokescreen/internal/detect"
 	"smokescreen/internal/raster"
 	"smokescreen/internal/scene"
-	"smokescreen/internal/stats"
 	"smokescreen/internal/transport"
 )
 
-// streamRun drives loops camera sessions through a receiver over an
-// in-process pipe and returns the receiver's error. cancel, when
-// non-nil, is invoked with (status-so-far, cancelFunc, serverConn) via
-// the OnWindow hook wiring done by the caller.
-func streamRun(t *testing.T, recv *Receiver, nodes []*camera.Node, ctx context.Context, cancelPipe func(err error)) error {
+// streamRun drives one camera session per node through a receiver over
+// Loopback's in-process pipe and returns the stream's outcome.
+func streamRun(t *testing.T, recv *Receiver, nodes []*camera.Node, ctx context.Context) error {
 	t.Helper()
-	client, server := net.Pipe()
-	defer client.Close()
-	defer server.Close()
-
-	var camWG sync.WaitGroup
-	camWG.Add(1)
-	go func() {
-		defer camWG.Done()
-		conn := transport.New(client)
-		for i, node := range nodes {
-			if _, err := node.StreamCtx(ctx, conn, stats.NewStream(uint64(100+i))); err != nil {
-				if cancelPipe != nil {
-					cancelPipe(err)
-				}
-				return
-			}
-		}
-		client.Close() // clean end-of-stream
-	}()
-	err := recv.Run(ctx, transport.New(server))
-	server.Close() // unblock the camera if the receiver bailed first
-	camWG.Wait()
+	_, err := Loopback(ctx, recv, nodes, len(nodes), 100)
 	return err
 }
 
@@ -81,7 +55,7 @@ func TestWindowedProfilesSoakTumbling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := streamRun(t, recv, []*camera.Node{smallNode(t, v, 0.2, 160)}, context.Background(), nil); err != nil {
+	if err := streamRun(t, recv, []*camera.Node{smallNode(t, v, 0.2, 160)}, context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if len(windows) != 12 {
@@ -133,7 +107,7 @@ func TestSlidingWindowsVerifyAgainstFullRegeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := streamRun(t, recv, []*camera.Node{smallNode(t, v, 0.1, 160)}, context.Background(), nil); err != nil {
+	if err := streamRun(t, recv, []*camera.Node{smallNode(t, v, 0.1, 160)}, context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// Windows [0,200), [100,300), ... [1000,1200): 11 of them.
@@ -161,7 +135,7 @@ func TestMultiSessionLoopExtendsTimeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	nodes := []*camera.Node{smallNode(t, v, 0.05, 160), smallNode(t, v, 0.05, 160)}
-	if err := streamRun(t, recv, nodes, context.Background(), nil); err != nil {
+	if err := streamRun(t, recv, nodes, context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	st := recv.Status()
@@ -174,6 +148,40 @@ func TestMultiSessionLoopExtendsTimeline(t *testing.T) {
 	}
 	if st.LastWindow.Hi != 2400 {
 		t.Fatalf("last window %+v", st.LastWindow)
+	}
+}
+
+// TestLoopbackClampsNodesAndSurfacesCameraFailure: more loops than nodes
+// replay the last node, and a camera that fails on its own ends the stream
+// with its error instead of leaving the receiver parked on the pipe.
+func TestLoopbackClampsNodesAndSurfacesCameraFailure(t *testing.T) {
+	v := dataset.MustLoad("small")
+	cfg := Config{Model: detect.YOLOv4Sim(), Class: scene.Car, WindowSpan: 300, Sources: []*scene.Video{v}}
+	recv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent, err := Loopback(context.Background(), recv, []*camera.Node{smallNode(t, v, 0.05, 160)}, 3, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := recv.Status(); st.Sessions != 3 || sent.FramesTransmitted != st.Frames || sent.BytesTransmitted == 0 {
+		t.Fatalf("3 loops over one node: status %+v, camera sent %+v", st, sent)
+	}
+
+	// Sampling every frame after removing the class most frames contain
+	// exceeds the admissible pool: the second session cannot be planned.
+	broken := smallNode(t, v, 1, 160)
+	broken.Setting.Restricted = []scene.Class{scene.Person}
+	if recv, err = New(cfg); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Loopback(context.Background(), recv, []*camera.Node{smallNode(t, v, 0.05, 160), broken}, 2, 7)
+	if err == nil || !strings.Contains(err.Error(), "camera: applying interventions") {
+		t.Fatalf("broken camera: Loopback returned %v, want the camera's planning error", err)
+	}
+	if st := recv.Status(); st.Sessions != 1 {
+		t.Fatalf("sessions before the failure = %d, want 1", st.Sessions)
 	}
 }
 
@@ -215,7 +223,7 @@ func TestDriftEventOnInjectedShift(t *testing.T) {
 		t.Fatal(err)
 	}
 	nodes := []*camera.Node{smallNode(t, v, 0.4, 160), smallNode(t, shifted, 0.4, 160)}
-	if err := streamRun(t, recv, nodes, context.Background(), nil); err != nil {
+	if err := streamRun(t, recv, nodes, context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if len(windows) != 8 {
@@ -269,7 +277,7 @@ func TestCancelMidStreamDropsPartialWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = streamRun(t, recv, []*camera.Node{smallNode(t, v, 0.3, 160)}, ctx, nil)
+	err = streamRun(t, recv, []*camera.Node{smallNode(t, v, 0.3, 160)}, ctx)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("run returned %v, want context.Canceled", err)
 	}
@@ -298,7 +306,7 @@ func TestWirePixelsBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := streamRun(t, recv, []*camera.Node{smallNode(t, v, 0.05, 160)}, context.Background(), nil); err != nil {
+	if err := streamRun(t, recv, []*camera.Node{smallNode(t, v, 0.05, 160)}, context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	st := recv.Status()
@@ -319,7 +327,7 @@ func TestStreamTotalsAdvance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := streamRun(t, recv, []*camera.Node{smallNode(t, v, 0.02, 160)}, context.Background(), nil); err != nil {
+	if err := streamRun(t, recv, []*camera.Node{smallNode(t, v, 0.02, 160)}, context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	after := Totals()

@@ -32,12 +32,13 @@ run_stage fuzz-smoke make fuzz-smoke
 # call's — a product change that breaks either fails here, not in the
 # driver after the PR is up.
 run_stage benchmark-selftest sh -c 'cd benchmark && go test ./...'
-# One short-mode pass over the Figure 4, ladder, streaming-ingest and
-# presence-scan benchmarks, so each CI run exercises figure generation —
-# including ladder-tier view generation — the camera→receiver frame path
-# and the probe-vs-full-column presence scan end to end without paying
-# full benchmark time.
-run_stage bench-smoke go test -run '^$' -bench 'Figure4|LadderGenerate|StreamIngest|PresenceScan' -benchtime=1x -short . ./internal/outputs/
+# One pass over what remains of the testing.B benchmarks: the root
+# package's estimator/detector micro-benchmarks (all of them: 1x is
+# seconds), the probe-vs-full-column presence scan and the float patch
+# kernel against its retained oracle, so a benchmark that stops compiling
+# or running fails here. Figure generation, ladders and the frame path are
+# exercised by `make test` (internal/experiments) and benchmark-selftest.
+run_stage bench-smoke sh -c "go test -run '^\$' -bench . -benchtime=1x -short . && go test -run '^\$' -bench 'PresenceScan|PatchComponentsFloat' -benchtime=1x -short ./internal/outputs/ ./internal/detect/"
 # Live streaming ingest end to end: camera -> daemon, windowed profiles,
 # mid-flight cancel, clean drain (scripts/stream_smoke.sh).
 run_stage stream-smoke make stream-smoke

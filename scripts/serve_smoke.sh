@@ -1,9 +1,10 @@
 #!/bin/sh
 # End-to-end smoke test for the profile service: start smokescreend on an
-# ephemeral port, request one tiny profile through the CLI's -remote path
-# (which fails unless the daemon answers 200 with profile JSON), assert
-# the rendered tradeoff curve is well-formed, then SIGTERM the daemon and
-# require a clean drain.
+# ephemeral port, request one tiny repaired profile through the CLI's
+# `curve -remote` path (which fails unless the daemon answers 200 with
+# profile JSON), assert the rendered tradeoff curve is well-formed and is,
+# key and point lines, what the same `curve` prints when it generates in
+# process, then SIGTERM the daemon and require a clean drain.
 set -eu
 
 GO=${GO:-go}
@@ -12,6 +13,8 @@ ADDR_FILE="$WORKDIR/addr"
 STORE_DIR="$WORKDIR/store"
 DAEMON_LOG="$WORKDIR/daemon.log"
 CURVE_OUT="$WORKDIR/curve.out"
+LOCAL_OUT="$WORKDIR/local.out"
+QUERY="SELECT AVG(count(car)) FROM small RESOLUTION 160"
 
 cleanup() {
     status=$?
@@ -52,19 +55,31 @@ ADDR=$(cat "$ADDR_FILE")
 echo "serve-smoke: daemon at $ADDR"
 
 echo "serve-smoke: requesting a tiny profile end-to-end"
-"$WORKDIR/smokescreen" profile -remote "http://$ADDR" -step 0.05 -max-fraction 0.1 \
-    "SELECT AVG(count(car)) FROM small" | tee "$CURVE_OUT"
+"$WORKDIR/smokescreen" curve -remote "http://$ADDR" -step 0.05 -max-fraction 0.1 \
+    "$QUERY" | tee "$CURVE_OUT"
 
 # Well-formed curve: the artifact key line plus at least one bound point.
 grep -q '^artifact key:' "$CURVE_OUT"
 grep -q 'f=.*err<=' "$CURVE_OUT"
 
 # A second request must be a pure store hit (no new generation job).
-"$WORKDIR/smokescreen" profile -remote "http://$ADDR" -step 0.05 -max-fraction 0.1 \
-    "SELECT AVG(count(car)) FROM small" >/dev/null
+"$WORKDIR/smokescreen" curve -remote "http://$ADDR" -step 0.05 -max-fraction 0.1 \
+    "$QUERY" >/dev/null
 generations=$(grep -c 'generating key' "$DAEMON_LOG" || true)
 if [ "$generations" -ne 1 ]; then
     echo "serve-smoke: expected 1 generation, daemon ran $generations" >&2
+    exit 1
+fi
+
+# One answer: the same command without -remote generates in process and
+# must print the same artifact key and the same point lines.
+echo "serve-smoke: comparing with the in-process curve"
+"$WORKDIR/smokescreen" curve -step 0.05 -max-fraction 0.1 "$QUERY" >"$LOCAL_OUT"
+grep -E '^artifact key:|err<=' "$CURVE_OUT" >"$WORKDIR/remote.lines"
+grep -E '^artifact key:|err<=' "$LOCAL_OUT" >"$WORKDIR/local.lines"
+if ! cmp -s "$WORKDIR/remote.lines" "$WORKDIR/local.lines"; then
+    echo "serve-smoke: local and remote curve disagree" >&2
+    diff "$WORKDIR/remote.lines" "$WORKDIR/local.lines" >&2 || true
     exit 1
 fi
 
