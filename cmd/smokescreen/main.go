@@ -83,9 +83,8 @@ func usage() {
   smokescreen choose   -load cube.json -max-err 0.1
   smokescreen explain  "SELECT AVG(count(car)) FROM small RESOLUTION 160"
   smokescreen accuracy -dataset small -model yolov4 -class car
-  smokescreen stream   -dataset small -sample 0.05 -resolution 160 -remove face
-  smokescreen stream   -dataset small -window 300 -stride 150 -loops 3 -sample 0.2
-  smokescreen stream   -remote http://127.0.0.1:8040 -dataset small -window 300
+  smokescreen stream   "SELECT AVG(count(car)) FROM small SAMPLE 0.05 RESOLUTION 160 REMOVE face"
+  smokescreen stream   -window 300 -stride 150 -loops 3 [-remote URL] "SELECT AVG(count(car)) FROM small SAMPLE 0.2"
   smokescreen datasets
 `)
 	os.Exit(2)

@@ -10,52 +10,45 @@ import (
 	"time"
 
 	"smokescreen/internal/camera"
-	"smokescreen/internal/dataset"
-	"smokescreen/internal/degrade"
+	"smokescreen/internal/core"
 	"smokescreen/internal/detect"
 	"smokescreen/internal/estimate"
-	"smokescreen/internal/scene"
 	"smokescreen/internal/server"
 	"smokescreen/internal/stats"
 	"smokescreen/internal/stream"
 	"smokescreen/internal/transport"
 )
 
-// cmdStream runs camera-to-processor streaming in one process: the camera
-// degrades on-device and transmits, the central processor detects on what
-// arrives. Two modes:
+// cmdStream runs a query continuously: the camera applies the query's
+// interventions on-device and transmits, the central processor detects on
+// what arrives. The query is the whole request — corpus, model, class,
+// aggregate and every intervention clause — resolved by
+// server.ResolveStream, the daemon's own POST /v1/streams code. Two modes:
 //
 //   - One-shot (default): a single session over a real TCP loopback
 //     connection (-addr), with a running any-time estimate and the
 //     camera's byte/energy accounting.
 //
-//     smokescreen stream -dataset small -sample 0.05 -resolution 160 -remove face
+//     smokescreen stream "SELECT AVG(count(car)) FROM small SAMPLE 0.05 RESOLUTION 160 REMOVE face"
 //
 //   - Windowed (-window W): the live-ingest subsystem — the camera loops
 //     its corpus -loops times (unbounded video), the receiver maintains
 //     windowed profiles with incremental refresh and flags drift against
-//     the profiled corpus baseline. ^C cancels cleanly: in-flight
-//     detection stops and no partial window is reported.
+//     the clean corpus baseline. ^C cancels cleanly: in-flight detection
+//     stops and no partial window is reported.
 //
-//     smokescreen stream -dataset small -window 300 -stride 150 -loops 3 -sample 0.2
+//     smokescreen stream -window 300 -stride 150 -loops 3 "SELECT AVG(count(car)) FROM small SAMPLE 0.2"
 //
 // With -remote the windowed mode runs inside a smokescreend daemon
-// instead (POST /v1/streams), and this command just watches it.
+// instead, and this command watches it: same request, same window lines.
 func cmdStream(args []string) {
 	fs := flag.NewFlagSet("stream", flag.ExitOnError)
 	var (
-		datasetName = fs.String("dataset", "small", "corpus to stream")
-		sample      = fs.Float64("sample", 0.05, "frame-sampling fraction")
-		resolution  = fs.Int("resolution", 0, "transmission resolution (0 = native)")
-		remove      = fs.String("remove", "", "comma-separated restricted classes")
-		noise       = fs.Float64("noise", 0, "added capture noise sigma")
-		seed        = fs.Uint64("seed", 1, "randomness seed")
+		seed        = fs.Uint64("seed", core.DefaultSeed, "camera sampling seed")
 		addr        = fs.String("addr", "127.0.0.1:0", "one-shot mode: TCP address to rendezvous on")
 		window      = fs.Int("window", 0, "windowed mode: window span in stream positions (0 = one-shot session)")
 		stride      = fs.Int("stride", 0, "windowed mode: distance between window starts (0 = tumbling)")
 		loops       = fs.Int("loops", 1, "windowed mode: camera sessions replaying the corpus back to back")
-		class       = fs.String("class", "car", "windowed mode: object class to count")
-		agg         = fs.String("agg", "avg", "windowed mode: per-window aggregate (avg, sum, count)")
 		driftThresh = fs.Float64("drift-threshold", 0, "windowed mode: total-variation drift trigger (0 = default)")
 		noDrift     = fs.Bool("no-drift", false, "windowed mode: skip the corpus baseline and drift detection")
 		wirePixels  = fs.Bool("wire-pixels", false, "windowed mode: detect on received rasters instead of the replay backend")
@@ -64,16 +57,13 @@ func cmdStream(args []string) {
 	if err := fs.Parse(args); err != nil {
 		fatal(err)
 	}
-
-	// The windowed mode's request, as the daemon's POST /v1/streams takes it.
+	if fs.NArg() != 1 {
+		fatal(errors.New("stream: exactly one query string expected"))
+	}
 	req := server.StreamRequest{
-		Dataset:        *datasetName,
-		Class:          *class,
-		Agg:            *agg,
+		Query:          fs.Arg(0),
 		Window:         *window,
 		Stride:         *stride,
-		Sample:         *sample,
-		Resolution:     *resolution,
 		Loops:          *loops,
 		Seed:           *seed,
 		DriftThreshold: *driftThresh,
@@ -84,67 +74,34 @@ func cmdStream(args []string) {
 		remoteStream(strings.TrimRight(*remote, "/"), req)
 		return
 	}
-
-	setting := degrade.Setting{SampleFraction: *sample, Resolution: *resolution, NoiseSigma: *noise}
-	if *remove != "" {
-		for _, name := range strings.Split(*remove, ",") {
-			c, err := scene.ParseClass(strings.TrimSpace(name))
-			if err != nil {
-				fatal(err)
-			}
-			setting.Restricted = append(setting.Restricted, c)
-		}
-	}
-
-	v, err := dataset.Load(*datasetName)
+	rs, err := server.ResolveStream(req)
 	if err != nil {
 		fatal(err)
 	}
-	model := detect.YOLOv4Sim()
-	node := &camera.Node{Video: v, Model: model, Setting: setting, Energy: camera.DefaultEnergyModel()}
-
 	if *window > 0 {
-		windowedStream(node, req)
+		windowedStream(rs)
 		return
 	}
-	oneShotStream(node, *seed, *addr)
+	oneShotStream(rs, *addr)
 }
 
-// windowedStream runs the live-ingest subsystem locally: camera and
-// receiver in one process, joined by stream.Loopback's in-process pipe —
-// the assembly the daemon's POST /v1/streams runs.
-func windowedStream(node *camera.Node, req server.StreamRequest) {
-	class, err := scene.ParseClass(req.Class)
-	if err != nil {
-		fatal(err)
+// printWindow is the one rendering of a completed window, local or remote.
+func printWindow(res stream.WindowResult) {
+	drift := ""
+	if res.Drifted {
+		drift = "  << DRIFT"
 	}
-	agg, err := estimate.ParseAgg(req.Agg)
-	if err != nil {
-		fatal(err)
-	}
-	cfg := stream.Config{
-		Model:          node.Model,
-		Class:          class,
-		Agg:            agg,
-		WindowSpan:     req.Window,
-		WindowStride:   req.Stride,
-		Sources:        []*scene.Video{node.Video},
-		WirePixels:     req.WirePixels,
-		DriftThreshold: req.DriftThreshold,
-		OnWindow: func(res stream.WindowResult) {
-			drift := ""
-			if res.Drifted {
-				drift = "  << DRIFT"
-			}
-			fmt.Printf("window %3d [%6d,%6d): %s = %.3f (err <= %.3f, %d/%d frames, divergence %.3f)%s\n",
-				res.Seq, res.Lo, res.Hi, req.Agg, res.Estimate.Value, res.Estimate.ErrBound,
-				res.Frames, res.Estimate.N, res.Divergence, drift)
-		},
-		OnDrift: func(ev stream.DriftEvent) {
-			fmt.Println("  " + ev.String())
-		},
-	}
-	recv, err := stream.New(cfg)
+	fmt.Printf("window %3d [%6d,%6d): %.3f (err <= %.3f, %d/%d frames, divergence %.3f)%s\n",
+		res.Seq, res.Lo, res.Hi, res.Estimate.Value, res.Estimate.ErrBound,
+		res.Frames, res.Estimate.N, res.Divergence, drift)
+}
+
+// windowedStream runs the live-ingest subsystem locally: the resolved
+// camera and receiver in one process, as the daemon's stream job runs them.
+func windowedStream(rs *server.ResolvedStream) {
+	rs.Config.OnWindow = printWindow
+	rs.Config.OnDrift = func(ev stream.DriftEvent) { fmt.Println("  " + ev.String()) }
+	recv, err := stream.New(rs.Config)
 	if err != nil {
 		fatal(err)
 	}
@@ -152,20 +109,10 @@ func windowedStream(node *camera.Node, req server.StreamRequest) {
 	ctx, cancel := interruptCtx()
 	defer cancel()
 
-	if !req.DisableDrift && !req.WirePixels {
-		p := node.Setting.ResolveResolution(node.Model)
-		fmt.Printf("building corpus drift baseline (%s at %dx%d)...\n", node.Video.Config.Name, p, p)
-		base, err := stream.CorpusBaseline(ctx, node.Video, node.Model, class, p)
-		if err != nil {
-			fatal(err)
-		}
-		recv.SetBaseline(base)
-		fmt.Printf("baseline mean %.3f over %d distinct values\n", base.Mean, len(base.Values))
-	}
-
-	fmt.Printf("streaming over an in-process pipe (window %d, stride %d, %d sessions)\n",
-		req.Window, max(req.Stride, 0), req.Loops)
-	sent, runErr := stream.Loopback(ctx, recv, []*camera.Node{node}, req.Loops, req.Seed)
+	req := rs.Request
+	fmt.Printf("streaming %s over an in-process pipe (window %d, stride %d, %d sessions)\n",
+		rs.Query, req.Window, req.Stride, req.Loops)
+	sent, runErr := rs.Run(ctx, recv)
 	fmt.Printf("camera done: %d frames captured, %d transmitted, %d bytes\n",
 		sent.FramesCaptured, sent.FramesTransmitted, sent.BytesTransmitted)
 
@@ -195,11 +142,11 @@ func remoteStream(baseURL string, req server.StreamRequest) {
 		fatal(err)
 	}
 	fmt.Printf("stream %s started on %s (%s, window %d, %d sessions)\n",
-		status.ID, baseURL, req.Dataset, req.Window, status.Loops)
+		status.ID, baseURL, status.Query, status.Window, status.Loops)
 
 	ticker := time.NewTicker(500 * time.Millisecond)
 	defer ticker.Stop()
-	lastWindows := -1
+	nextSeq := 0
 	for {
 		select {
 		case <-ctx.Done():
@@ -226,12 +173,11 @@ func remoteStream(baseURL string, req server.StreamRequest) {
 			}
 			fatal(err)
 		}
-		if st.Stream.Windows != lastWindows && st.Stream.LastWindow != nil {
-			lw := st.Stream.LastWindow
-			fmt.Printf("window %3d [%6d,%6d): %.3f (err <= %.3f, %d frames, divergence %.3f, lag %d, drifts %d)\n",
-				lw.Seq, lw.Lo, lw.Hi, lw.Estimate.Value, lw.Estimate.ErrBound,
-				lw.Frames, lw.Divergence, st.Stream.WindowLag, st.Stream.Drifts)
-			lastWindows = st.Stream.Windows
+		for _, res := range st.Windows {
+			if res.Seq >= nextSeq {
+				printWindow(res)
+				nextSeq = res.Seq + 1
+			}
 		}
 		if st.State != server.JobRunning {
 			fmt.Printf("stream %s: %s — %d windows from %d frames, %d drift events\n",
@@ -244,9 +190,10 @@ func remoteStream(baseURL string, req server.StreamRequest) {
 	}
 }
 
-// oneShotStream is the original single-session mode: per-frame running
-// estimates and the camera's accounting.
-func oneShotStream(node *camera.Node, seed uint64, addr string) {
+// oneShotStream is the single-session mode: per-frame running estimates
+// and the camera's accounting.
+func oneShotStream(rs *server.ResolvedStream, addr string) {
+	node, cfg := rs.Node, &rs.Config
 	listener, err := net.Listen("tcp", addr)
 	if err != nil {
 		fatal(err)
@@ -266,7 +213,7 @@ func oneShotStream(node *camera.Node, seed uint64, addr string) {
 			return
 		}
 		defer conn.Close()
-		report, err := node.Stream(transport.New(conn), stats.NewStream(seed))
+		report, err := node.Stream(transport.New(conn), stats.NewStream(rs.Request.Seed))
 		cameraDone <- streamResult{report: report, err: err}
 	}()
 
@@ -276,25 +223,25 @@ func oneShotStream(node *camera.Node, seed uint64, addr string) {
 	}
 	defer serverConn.Close()
 
-	var totalCars, frames int
+	var total, frames int
 	var estimator *estimate.StreamingEstimator
 	session, err := camera.Receive(transport.New(serverConn), func(s *camera.Session, fr camera.ReceivedFrame) error {
 		if estimator == nil {
 			// Any-time mode: the operator watches the running bound, so
 			// every reported bound must hold simultaneously.
 			var err error
-			estimator, err = estimate.NewStreamingEstimator(estimate.AVG, s.Config.TotalFrames, estimate.DefaultParams(), true)
+			estimator, err = estimate.NewStreamingEstimator(cfg.Agg, s.Config.TotalFrames, cfg.Params, true)
 			if err != nil {
 				return err
 			}
 		}
-		cars := detect.CountClass(s.Detect(node.Model, fr), scene.Car)
-		totalCars += cars
+		count := detect.CountClass(s.Detect(cfg.Model, fr), cfg.Class)
+		total += count
 		frames++
-		est := estimator.Observe(float64(cars))
+		est := estimator.Observe(float64(count))
 		if frames%10 == 0 {
 			fmt.Printf("  after %3d frames: running mean %.3f, conservative estimate %.3f (err <= %.3f, any-time)\n",
-				frames, float64(totalCars)/float64(frames), est.Value, est.ErrBound)
+				frames, float64(total)/float64(frames), est.Value, est.ErrBound)
 		}
 		return nil
 	})
@@ -312,6 +259,6 @@ func oneShotStream(node *camera.Node, seed uint64, addr string) {
 		result.report.CaptureJoules, result.report.ComputeJoules, result.report.TransmitJoules, result.report.TotalJoules())
 	fmt.Printf("processor:  received %d frames at %dx%d\n", frames, session.Config.Resolution, session.Config.Resolution)
 	if frames > 0 {
-		fmt.Printf("detected:   %.3f cars per transmitted frame\n", float64(totalCars)/float64(frames))
+		fmt.Printf("detected:   %.3f %ss per transmitted frame\n", float64(total)/float64(frames), cfg.Class)
 	}
 }

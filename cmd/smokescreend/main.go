@@ -13,9 +13,10 @@
 //	             [-fleet-replicas R] [-fleet-vnodes V] [-fleet-lease-ttl D]
 //
 // Endpoints: POST /v1/profiles, GET /v1/profiles/{key}, GET /v1/jobs/{id},
-// DELETE /v1/jobs/{id}, GET /healthz, GET /metrics. SIGINT/SIGTERM drain
-// gracefully: intake stops, in-flight generations finish, the store stays
-// consistent.
+// DELETE /v1/jobs/{id}, POST /v1/streams, GET /v1/streams/{id},
+// DELETE /v1/streams/{id}, GET /healthz, GET /metrics. SIGINT/SIGTERM drain
+// gracefully: intake stops, in-flight generations finish, streams are
+// cancelled, the store stays consistent.
 //
 // With -fleet-nodes (or SMOKESCREEND_FLEET_NODES), the daemon joins an
 // N-node fleet: profile keys are placed on a consistent-hash ring,

@@ -120,10 +120,12 @@ type Node struct {
 // Stream captures, degrades, encodes and transmits the configured portion
 // of the video over conn, returning the session report. The sequence is:
 // MsgConfig, MsgBackground, one MsgFrame per sampled admissible frame,
-// MsgEnd. Frames are rendered at native resolution (capture), downsampled
-// on-device, noised with the effective sensor noise, and shipped as
-// compressed rasters — the receiver never sees the restricted frames or
-// the native-resolution pixels.
+// MsgEnd. The camera captures the corpus as the axis registry says the
+// setting sees it (degrade.EffectiveVideo — the corpus itself when no
+// pixel axis is set): frames are rendered at native resolution (capture),
+// downsampled on-device, noised with the effective sensor noise, and
+// shipped as compressed rasters — the receiver never sees the restricted
+// frames or the native-resolution pixels.
 func (n *Node) Stream(conn *transport.Conn, stream *stats.Stream) (Report, error) {
 	return n.StreamCtx(context.Background(), conn, stream)
 }
@@ -142,7 +144,8 @@ func (n *Node) StreamCtx(ctx context.Context, conn *transport.Conn, stream *stat
 	if err != nil {
 		return report, fmt.Errorf("camera: applying interventions: %w", err)
 	}
-	vcfg := &n.Video.Config
+	seen := degrade.EffectiveVideo(n.Video, n.Setting)
+	vcfg := &seen.Config
 	cfg := Config{
 		Name:         vcfg.Name,
 		CaptureWidth: vcfg.Width,
@@ -155,7 +158,7 @@ func (n *Node) StreamCtx(ctx context.Context, conn *transport.Conn, stream *stat
 	}
 
 	p := plan.Resolution
-	bg := raster.Downsample(n.Video.Background(), p, p)
+	bg := raster.Downsample(seen.Background(), p, p)
 	bgBlock, err := codec.EncodeFrame(&codec.FrameRecord{Index: -1, Raster: bg})
 	if err != nil {
 		return report, err
@@ -168,7 +171,7 @@ func (n *Node) StreamCtx(ctx context.Context, conn *transport.Conn, stream *stat
 	sigmaEff := float32(math.Max(0.004, float64(vcfg.Lighting.NoiseSigma)*scale))
 	pixelsPerFrame := float64(vcfg.Width*vcfg.Height + p*p)
 	err = runAhead(ctx, len(plan.Sampled),
-		func(i int) ([]byte, error) { return n.captureFrame(plan.Sampled[i], p, sigmaEff) },
+		func(i int) ([]byte, error) { return captureFrame(seen, plan.Sampled[i], p, sigmaEff) },
 		func(block []byte) error {
 			report.FramesCaptured++
 			report.CaptureJoules += n.Energy.JoulesPerCapture
@@ -194,11 +197,11 @@ func (n *Node) StreamCtx(ctx context.Context, conn *transport.Conn, stream *stat
 // it to p x p on-device, adds the effective sensor noise and encodes the
 // frame block. Both rasters are pooled scratch, back in the pool before the
 // block is handed over.
-func (n *Node) captureFrame(idx, p int, sigmaEff float32) ([]byte, error) {
-	cfg := &n.Video.Config
+func captureFrame(v *scene.Video, idx, p int, sigmaEff float32) ([]byte, error) {
+	cfg := &v.Config
 	native := raster.GetScratch(cfg.Width, cfg.Height)
 	defer raster.PutScratch(native)
-	n.Video.RenderRegionInto(native, idx, raster.RectWH(0, 0, cfg.Width, cfg.Height))
+	v.RenderRegionInto(native, idx, raster.RectWH(0, 0, cfg.Width, cfg.Height))
 	img := raster.GetScratch(p, p)
 	defer raster.PutScratch(img)
 	raster.DownsampleInto(img, native)

@@ -83,23 +83,32 @@ func TestStreamEndToEnd(t *testing.T) {
 
 func TestCentralDetectionMatchesLocal(t *testing.T) {
 	// Counts computed on transmitted pixels must broadly agree with the
-	// local full-frame reference on the same frames.
-	_, _, counts := runSession(t, degrade.Setting{SampleFraction: 0.04, Resolution: 320})
-	v := dataset.MustLoad("small")
-	m := detect.YOLOv4Sim()
-	var transmittedSum, localSum, absDiff float64
-	for idx, got := range counts {
-		local := detect.CountClass(m.DetectFrameFull(v, idx, 320), scene.Car)
-		transmittedSum += float64(got)
-		localSum += float64(local)
-		absDiff += math.Abs(float64(got - local))
-	}
-	if transmittedSum == 0 && localSum == 0 {
-		t.Fatal("no detections at all")
-	}
-	n := float64(len(counts))
-	if absDiff/n > 0.5 {
-		t.Fatalf("mean per-frame deviation %v between wire and local detection", absDiff/n)
+	// local full-frame reference on the same frames — the reference being
+	// the corpus as the axis registry says the setting sees it, so a pixel
+	// axis (the NOISE row) must reach the wire, not just the setting line.
+	for _, setting := range []degrade.Setting{
+		{SampleFraction: 0.04, Resolution: 320},
+		{SampleFraction: 0.04, Resolution: 320, NoiseSigma: 0.3},
+	} {
+		t.Run(setting.String(), func(t *testing.T) {
+			_, _, counts := runSession(t, setting)
+			v := degrade.EffectiveVideo(dataset.MustLoad("small"), setting)
+			m := detect.YOLOv4Sim()
+			var transmittedSum, localSum, absDiff float64
+			for idx, got := range counts {
+				local := detect.CountClass(m.DetectFrameFull(v, idx, 320), scene.Car)
+				transmittedSum += float64(got)
+				localSum += float64(local)
+				absDiff += math.Abs(float64(got - local))
+			}
+			if transmittedSum == 0 && localSum == 0 {
+				t.Fatal("no detections at all")
+			}
+			n := float64(len(counts))
+			if absDiff/n > 0.5 {
+				t.Fatalf("mean per-frame deviation %v between wire and local detection", absDiff/n)
+			}
+		})
 	}
 }
 

@@ -19,14 +19,21 @@ import (
 
 // goldenWireSessions pins the complete camera→wire byte stream (every
 // Write the camera's Conn issues, concatenated) and the camera.Report of
-// three sessions over `small`: the repository benchmark's round-0 session,
-// an image-removal session at the model's native input (608, so the
-// upsampling path; only 8 of small's frames are person-free, hence 6 frames), and a low-resolution
-// session with the noise axis set. The digests and reports were captured on
-// the commit before the parallel capture stage, the pooled DEFLATE state
-// and the coalesced Send landed, and are NEVER updated by a performance
-// change: scheduling and allocation work may not move one byte on the wire
-// or one joule in the report.
+// sessions over `small`: the repository benchmark's round-0 session, an
+// image-removal session at the model's native input (608, so the
+// upsampling path; only 8 of small's frames are person-free, hence 6
+// frames), and a low-resolution session. Those three digests and reports
+// were captured on the commit before the parallel capture stage, the pooled
+// DEFLATE state and the coalesced Send landed, and are NEVER updated by a
+// performance change: scheduling and allocation work may not move one byte
+// on the wire or one joule in the report.
+//
+// The low-resolution digest was captured with NoiseSigma 0.05 in the
+// setting, at a time the camera ignored every pixel axis: it is the digest
+// of the clean f=0.1 p=96 session and is pinned as that. The NOISE row's
+// digest is the one digest captured later, on the commit that routed the
+// camera through degrade.EffectiveVideo and so made the clause mean
+// something on the wire.
 var goldenWireSessions = []struct {
 	name    string
 	setting degrade.Setting
@@ -45,9 +52,14 @@ var goldenWireSessions = []struct {
 		"{FramesCaptured:6 FramesTransmitted:6 BytesTransmitted:1604957 CaptureJoules:0.3 ComputeJoules:0.005664768 TransmitJoules:1.604957}",
 	},
 	{
-		"p=96 NOISE 0.05", degrade.Setting{SampleFraction: 0.1, Resolution: 96, NoiseSigma: 0.05}, 3,
+		"f=0.1 p=96", degrade.Setting{SampleFraction: 0.1, Resolution: 96}, 3,
 		"11554911eac26b7095c8dca8c8aebf2911a0fa6ece613329231b66bcd93fed55",
 		"{FramesCaptured:120 FramesTransmitted:120 BytesTransmitted:729215 CaptureJoules:5.999999999999987 ComputeJoules:0.026787840000000028 TransmitJoules:0.729215}",
+	},
+	{
+		"p=96 NOISE 0.05", degrade.Setting{SampleFraction: 0.1, Resolution: 96, NoiseSigma: 0.05}, 3,
+		"685f8ea2c593b06e63990183d0b691d5018ead0b4cc39e4a4be52e16a8200545",
+		"{FramesCaptured:120 FramesTransmitted:120 BytesTransmitted:873509 CaptureJoules:5.999999999999987 ComputeJoules:0.026787840000000028 TransmitJoules:0.873509}",
 	},
 }
 
@@ -57,6 +69,17 @@ type hashWire struct{ h hash.Hash }
 
 func (w hashWire) Write(p []byte) (int, error) { return w.h.Write(p) }
 func (w hashWire) Read([]byte) (int, error)    { return 0, io.EOF }
+
+// wireDigest streams one session into a hashing peer.
+func wireDigest(t *testing.T, node *Node, seed uint64) (string, Report) {
+	t.Helper()
+	wire := hashWire{sha256.New()}
+	report, err := node.Stream(transport.New(wire), stats.NewStream(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return hex.EncodeToString(wire.h.Sum(nil)), report
+}
 
 // TestGoldenWireBytes streams each pinned session at GOMAXPROCS 1, 2, 4 and
 // 8 and compares the wire digest and the report with the committed ones:
@@ -71,18 +94,38 @@ func TestGoldenWireBytes(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/procs=%d", g.name, procs), func(t *testing.T) {
 				runtime.GOMAXPROCS(procs)
 				node := &Node{Video: v, Model: m, Setting: g.setting, Energy: DefaultEnergyModel()}
-				wire := hashWire{sha256.New()}
-				report, err := node.Stream(transport.New(wire), stats.NewStream(g.seed))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := hex.EncodeToString(wire.h.Sum(nil)); got != g.sha256 {
-					t.Errorf("wire bytes changed: sha256 %s, pinned %s (%d bytes)", got, g.sha256, report.BytesTransmitted)
+				digest, report := wireDigest(t, node, g.seed)
+				if digest != g.sha256 {
+					t.Errorf("wire bytes changed: sha256 %s, pinned %s (%d bytes)", digest, g.sha256, report.BytesTransmitted)
 				}
 				if got := fmt.Sprintf("%+v", report); got != g.report {
 					t.Errorf("report changed:\n got %s\nwant %s", got, g.report)
 				}
 			})
+		}
+	}
+}
+
+// TestPixelAxesReachTheWire: every pixel axis of the registry changes what
+// the camera transmits. Same seed, fraction and resolution means the same
+// sampled frames, so any difference in the bytes is the axis itself.
+func TestPixelAxesReachTheWire(t *testing.T) {
+	v := dataset.MustLoad("small")
+	m := detect.YOLOv4Sim()
+	clean := degrade.Setting{SampleFraction: 0.02, Resolution: 160}
+	cleanDigest, cleanReport := wireDigest(t, &Node{Video: v, Model: m, Setting: clean, Energy: DefaultEnergyModel()}, 5)
+	for _, setting := range []degrade.Setting{
+		{SampleFraction: 0.02, Resolution: 160, NoiseSigma: 0.3},
+		{SampleFraction: 0.02, Resolution: 160, MotionBlur: 9},
+		{SampleFraction: 0.02, Resolution: 160, Quantize: 8},
+		{SampleFraction: 0.02, Resolution: 160, Occlusion: 0.3},
+	} {
+		digest, report := wireDigest(t, &Node{Video: v, Model: m, Setting: setting, Energy: DefaultEnergyModel()}, 5)
+		if report.FramesTransmitted != cleanReport.FramesTransmitted {
+			t.Fatalf("%s: %d frames transmitted, the clean session %d", setting, report.FramesTransmitted, cleanReport.FramesTransmitted)
+		}
+		if digest == cleanDigest {
+			t.Errorf("%s: the wire carries the clean session's bytes", setting)
 		}
 	}
 }

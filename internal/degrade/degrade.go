@@ -204,13 +204,3 @@ func AdmissibleFramesCtx(ctx context.Context, v *scene.Video, restricted []scene
 func SampleOutputsCtx(ctx context.Context, v *scene.Video, m *detect.Model, class scene.Class, p *Plan) ([]float64, error) {
 	return outputs.At(ctx, EffectiveVideo(v, p.Setting), m, class, p.Resolution, p.Sampled)
 }
-
-// EvictVideo drops every detect-side cached artifact derived from the
-// corpus — detector-output tables and every cached view EffectiveVideo
-// created for its pixel-axis settings (see viewcache.go; detect.EvictVideo
-// reaches them through the registered view-cache hook). Returns the accounted
-// bytes freed. This is the per-corpus memory-bounding hook fleet
-// deployments should call when a camera rotates out.
-func EvictVideo(v *scene.Video) int64 {
-	return detect.EvictVideo(v)
-}

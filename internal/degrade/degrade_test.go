@@ -294,33 +294,3 @@ func TestSampleOutputsUsesNoisedView(t *testing.T) {
 		t.Fatalf("noised outputs (%v) not below clean outputs (%v)", sumNoisy, sumClean)
 	}
 }
-
-func TestEvictVideoDropsNoisedViews(t *testing.T) {
-	detect.ResetCaches()
-	t.Cleanup(detect.ResetCaches)
-
-	v := dataset.MustLoad("small")
-	m := detect.YOLOv4Sim()
-	s := Setting{SampleFraction: 0.2, NoiseSigma: 0.25}
-	nv := EffectiveVideo(v, s)
-
-	// Populate detect caches for both the original and the noised view.
-	if _, err := outputs.At(context.Background(), v, m, scene.Car, 320, []int{0, 1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := outputs.At(context.Background(), nv, m, scene.Car, 320, []int{0, 1}); err != nil {
-		t.Fatal(err)
-	}
-
-	freed := EvictVideo(v)
-	if freed == 0 {
-		t.Fatal("eviction freed nothing")
-	}
-	if stats := detect.Stats(); stats.TotalBytes() != 0 {
-		t.Fatalf("caches retained %d bytes after evicting the corpus and its noised views", stats.TotalBytes())
-	}
-	// The noised view itself must be forgotten: a new request builds a fresh one.
-	if EffectiveVideo(v, s) == nv {
-		t.Fatal("noised view survived eviction")
-	}
-}

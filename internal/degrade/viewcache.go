@@ -12,10 +12,8 @@ import (
 // the same pixel-axis setting share a single detector-output cache: every
 // detect-side cache keys on the *scene.Video pointer, and interning makes
 // the pointer canonical for the view. The cache registers with
-// detect.RegisterViewCache so ResetCaches drops it, EvictVideo(corpus)
-// frees every view of that corpus (recursively evicting each view's own
-// detector artifacts), and Stats byte-accounts the views' lazily
-// materialized rasters.
+// detect.RegisterViewCache so ResetCaches drops it and Stats
+// byte-accounts the views' lazily materialized rasters.
 var (
 	viewMu    sync.Mutex
 	viewCache = map[viewKey]*scene.Video{}
@@ -27,7 +25,7 @@ type viewKey struct {
 }
 
 func init() {
-	detect.RegisterViewCache(resetViews, evictViews, fillViewStats)
+	detect.RegisterViewCache(resetViews, fillViewStats)
 }
 
 // EffectiveVideo returns the corpus as the setting's capture pipeline sees
@@ -56,30 +54,6 @@ func resetViews() {
 	viewMu.Lock()
 	defer viewMu.Unlock()
 	viewCache = map[viewKey]*scene.Video{}
-}
-
-// evictViews releases every cached view derived from v (all views when v
-// is nil) and recursively evicts each view's own detector-derived caches;
-// views carry no sub-views, so the recursion terminates after one level.
-// Returns the accounted bytes freed, including the views' materialized
-// rasters.
-func evictViews(v *scene.Video) int64 {
-	viewMu.Lock()
-	var views []*scene.Video
-	for key, nv := range viewCache {
-		if v == nil || key.video == v {
-			//smokevet:ignore determinism: eviction order only affects the order bytes are freed; the returned sum is order-independent and no profile bytes flow from it
-			views = append(views, nv)
-			delete(viewCache, key)
-		}
-	}
-	viewMu.Unlock()
-	var freed int64
-	for _, nv := range views {
-		freed += detect.PerEntryOverhead + nv.CachedRasterBytes()
-		freed += detect.EvictVideo(nv)
-	}
-	return freed
 }
 
 // fillViewStats populates the view-cache fields of a CacheStats report.

@@ -1,19 +1,14 @@
 package detect
 
-import (
-	"sync/atomic"
-
-	"smokescreen/internal/scene"
-)
+import "sync/atomic"
 
 // This file holds the package's cumulative invocation counter and the
 // registry through which the detector-output column store
 // (internal/outputs) participates in the detect package's cache lifecycle
 // without an import cycle: detect owns the downsampled-background cache
 // and the counter; outputs owns the per-frame detection columns and
-// registers reset/evict/stats hooks here so the existing
-// ResetCaches/EvictVideo/Stats entry points keep covering every
-// detector-derived artifact.
+// registers reset/stats hooks here so the existing ResetCaches/Stats
+// entry points keep covering every detector-derived artifact.
 
 // invocationCount counts physical model invocations — frame evaluations
 // through DetectFrame (patch path) or DetectPixels (full-frame path) —
@@ -40,8 +35,6 @@ func countInvocation() {
 type cacheHook struct {
 	// reset drops every cached entry.
 	reset func()
-	// evict drops entries derived from v and returns accounted bytes freed.
-	evict func(v *scene.Video) int64
 	// fill populates the output-series fields of a CacheStats report.
 	fill func(s *CacheStats)
 }
@@ -52,30 +45,25 @@ var (
 )
 
 // RegisterOutputCache wires an external detector-output cache into
-// ResetCaches, EvictVideo, and Stats. internal/outputs calls this from its
+// ResetCaches and Stats. internal/outputs calls this from its
 // package init; at most one cache is supported (later registrations
 // replace earlier ones).
-func RegisterOutputCache(reset func(), evict func(v *scene.Video) int64, fill func(s *CacheStats)) {
-	hooks.Store(&cacheHook{reset: reset, evict: evict, fill: fill})
+func RegisterOutputCache(reset func(), fill func(s *CacheStats)) {
+	hooks.Store(&cacheHook{reset: reset, fill: fill})
 }
 
 // RegisterViewCache wires the degraded-view cache (internal/degrade's
-// per-(corpus, view spec) derived videos) into ResetCaches, EvictVideo,
-// and Stats, mirroring RegisterOutputCache. Its evict hook runs before the
-// base caches are dropped and is expected to call EvictVideo recursively
-// on each derived view it releases, so that the view's own detector
-// outputs and backgrounds are freed in the same sweep
-// (views carry no sub-views, so the recursion is one level deep).
-func RegisterViewCache(reset func(), evict func(v *scene.Video) int64, fill func(s *CacheStats)) {
-	viewHooks.Store(&cacheHook{reset: reset, evict: evict, fill: fill})
+// per-(corpus, view spec) derived videos) into ResetCaches and Stats,
+// mirroring RegisterOutputCache.
+func RegisterViewCache(reset func(), fill func(s *CacheStats)) {
+	viewHooks.Store(&cacheHook{reset: reset, fill: fill})
 }
 
 // ResetCaches clears every detector-derived cache — the output column
 // store (via its registered hook), downsampled backgrounds — and the
 // invocation counter. Tests and the
 // profile-generation-time experiment use it to measure cold-cache
-// behaviour; long-running deployments that want to bound memory should
-// prefer the per-corpus EvictVideo hook.
+// behaviour.
 func ResetCaches() {
 	if h := viewHooks.Load(); h != nil && h.reset != nil {
 		h.reset()
@@ -83,26 +71,8 @@ func ResetCaches() {
 	if h := hooks.Load(); h != nil && h.reset != nil {
 		h.reset()
 	}
-	evictBackgrounds(nil)
+	resetBackgrounds()
 	invocationCount.Store(0)
-}
-
-// EvictVideo drops every cached artifact derived from the given corpus —
-// output columns, degraded views, downsampled backgrounds — and returns
-// the number of accounted bytes freed. It is the memory-bounding
-// hook for long-running fleet workloads: when a camera's corpus rotates
-// out of the query window, evict it instead of resetting every cache.
-// Concurrent output reads for the same corpus simply recompute.
-func EvictVideo(v *scene.Video) int64 {
-	var freed int64
-	if h := viewHooks.Load(); h != nil && h.evict != nil {
-		freed += h.evict(v)
-	}
-	if h := hooks.Load(); h != nil && h.evict != nil {
-		freed += h.evict(v)
-	}
-	freed += evictBackgrounds(v)
-	return freed
 }
 
 // CacheStats is a byte-accounted size report of the detector-derived
@@ -142,9 +112,8 @@ func (s CacheStats) TotalBytes() int64 {
 	return s.FullBytes + s.SparseBytes + s.BackgroundBytes + s.ViewBytes
 }
 
-// Stats reports the current size of the detector caches. Fleet deployments
-// poll it to decide when to evict retired corpora (see EvictVideo); the
-// caches are otherwise unbounded, which is the right
+// Stats reports the current size of the detector caches. The caches are
+// unbounded, which is the right
 // default for experiment reruns but not for a long-running service.
 func Stats() CacheStats {
 	var s CacheStats

@@ -45,20 +45,11 @@ func backgroundStats() (n int, bytes int64) {
 	return n, bytes
 }
 
-// evictBackgrounds drops cached downsampled backgrounds for one corpus
-// (nil: for all corpora) and returns the accounted bytes freed.
-func evictBackgrounds(v *scene.Video) int64 {
+// resetBackgrounds drops every cached downsampled background.
+func resetBackgrounds() {
 	bgDownMu.Lock()
 	defer bgDownMu.Unlock()
-	var freed int64
-	for key, img := range bgDownCache {
-		if v != nil && key.video != v {
-			continue
-		}
-		freed += int64(len(img.Pix)) * 4
-		delete(bgDownCache, key)
-	}
-	return freed
+	clear(bgDownCache)
 }
 
 // DetectFrameFull is the reference detection path: it renders the entire

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -343,7 +344,11 @@ func (h *Harness) RunHotKeyHerd(ctx context.Context, clients int, queryText stri
 }
 
 // RunSteady is Steady across the harness's live nodes over the population
-// queryPrefix-0 .. queryPrefix-(keys-1).
+// queryPrefix-0 .. queryPrefix-(keys-1). Placement depends on the nodes'
+// ephemeral ports, so the entry sequence is rotated to start at a node that
+// is not a replica of key 0 (whenever the ring has one): that warm POST —
+// a new key entering at a non-replica — is the one request that must
+// forward, in every run rather than in all but (R/N)^keys of them.
 func (h *Harness) RunSteady(ctx context.Context, clients, keys, requestsPerClient int, queryPrefix string) (LoadResult, error) {
 	if keys <= 0 {
 		keys = 16
@@ -352,7 +357,15 @@ func (h *Harness) RunSteady(ctx context.Context, clients, keys, requestsPerClien
 	for i := range population {
 		population[i].Query = fmt.Sprintf("%s-%d", queryPrefix, i)
 	}
-	return h.Steady(ctx, h.aliveURLs(), clients, requestsPerClient, population)
+	urls := h.aliveURLs()
+	first := h.Ring().Replicas(SyntheticKey(population[0].Query))
+	for i, hn := range h.Alive() {
+		if !slices.Contains(first, hn.Name) {
+			urls = slices.Concat(urls[i:], urls[:i])
+			break
+		}
+	}
+	return h.Steady(ctx, urls, clients, requestsPerClient, population)
 }
 
 // pickKillTarget finds a query whose primary replica is NOT the lease

@@ -16,9 +16,9 @@
 //
 // Every read is context-aware: detection work stops promptly on
 // cancellation and partially computed batches are discarded, never stored.
-// The store registers reset/evict/stats hooks with internal/detect so the
-// established detect.ResetCaches / detect.EvictVideo / detect.Stats entry
-// points keep covering it.
+// The store registers reset/stats hooks with internal/detect so the
+// established detect.ResetCaches / detect.Stats entry points keep
+// covering it.
 package outputs
 
 import (
@@ -47,7 +47,7 @@ type colKey struct {
 // frame of the corpus has a row; proj caches per-class []float64
 // projections of a full table (the series shape estimators consume).
 // present caches the bitmaps Presence computed on this table, so they are
-// evicted, reset and byte-accounted with it; scan marks a scan in flight.
+// reset and byte-accounted with it; scan marks a scan in flight.
 type table struct {
 	mu      sync.Mutex
 	n       int // corpus frame count
@@ -82,7 +82,7 @@ var (
 )
 
 func init() {
-	detect.RegisterOutputCache(Reset, EvictVideo, fillCacheStats)
+	detect.RegisterOutputCache(Reset, fillCacheStats)
 }
 
 // Sharing reports true: one detection pass serves every class. Its sole
@@ -487,22 +487,4 @@ func Reset() {
 	framesDetected.Store(0)
 	presenceProbes.Store(0)
 	presenceEarlyExits.Store(0)
-}
-
-// EvictVideo drops every column derived from the given corpus view and
-// returns the accounted bytes freed. Registered with detect.EvictVideo.
-func EvictVideo(v *scene.Video) int64 {
-	var freed int64
-	storeMu.Lock()
-	for key, t := range tables {
-		if key.video != v {
-			continue
-		}
-		t.mu.Lock()
-		freed += t.bytes()
-		t.mu.Unlock()
-		delete(tables, key)
-	}
-	storeMu.Unlock()
-	return freed
 }

@@ -193,17 +193,6 @@ type Video struct {
 	cachedBytes atomic.Int64
 }
 
-// WithNoise returns a view of the corpus captured with extra sensor noise
-// added on top of the scene's own: the noise-addition intervention the
-// paper lists alongside sampling, resolution and removal (Section 2.1).
-// It is shorthand for WithView with only ExtraNoise set.
-func (v *Video) WithNoise(extraSigma float32) *Video {
-	if extraSigma <= 0 {
-		return v
-	}
-	return v.WithView(View{ExtraNoise: extraSigma})
-}
-
 // NumFrames returns the corpus length N, the paper's population size.
 func (v *Video) NumFrames() int { return len(v.frames) }
 

@@ -91,7 +91,7 @@ func (vw View) blurReach() (left, right int) {
 }
 
 // WithView returns a view of the corpus observed through the given pixel
-// transforms, generalizing WithNoise to the full intervention space. The
+// transforms: the pixel half of the intervention space. The
 // derived Video shares the frame annotations; detectors treat it as a
 // distinct corpus (all their caches key on the Video pointer), and every
 // render path applies the transforms, so degradation reaches detection

@@ -93,9 +93,6 @@ func TestViewComposition(t *testing.T) {
 	if got.BlurLen != want.BlurLen || got.Levels != want.Levels || got.Occlusion != want.Occlusion {
 		t.Errorf("composed view %+v, want %+v", got, want)
 	}
-	if noised := v.WithNoise(0.2); noised.View() != (View{ExtraNoise: 0.2}) {
-		t.Errorf("WithNoise view %+v", noised.View())
-	}
 }
 
 // TestOcclusionMaskDeterministic: the mask is a pure function of (corpus

@@ -27,27 +27,33 @@ type UnknownFieldError struct {
 func (e *UnknownFieldError) Error() string { return e.Err.Error() }
 func (e *UnknownFieldError) Unwrap() error { return e.Err }
 
-// DecodeGenRequest strictly decodes a profile-generation request:
-// unknown fields are a typed UnknownFieldError, and trailing garbage
-// after the JSON document is rejected. Every HTTP surface that accepts a
-// GenRequest (the single-node daemon and the fleet nodes) decodes through
-// this one function so skew behaves identically on every hop.
+// DecodeGenRequest strictly decodes a profile-generation request. Every
+// HTTP surface that accepts a GenRequest (the single-node daemon and the
+// fleet nodes) decodes through this one function so skew behaves
+// identically on every hop.
 func DecodeGenRequest(r io.Reader) (GenRequest, error) {
+	return decodeStrict[GenRequest](r)
+}
+
+// decodeStrict is the daemon's one request decoder: unknown fields are a
+// typed UnknownFieldError, and trailing garbage after the JSON document is
+// rejected.
+func decodeStrict[T any](r io.Reader) (T, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	var req GenRequest
+	var req, zero T
 	if err := dec.Decode(&req); err != nil {
 		// encoding/json has no typed unknown-field error; matching its
 		// documented message rendering is the only detection available.
 		//smokevet:ignore errcontract: stdlib json exposes unknown-field failures only through message text
 		if strings.Contains(err.Error(), "unknown field") {
-			return GenRequest{}, &UnknownFieldError{Err: fmt.Errorf("server: decoding request: %w", err)}
+			return zero, &UnknownFieldError{Err: fmt.Errorf("server: decoding request: %w", err)}
 		}
-		return GenRequest{}, fmt.Errorf("server: decoding request: %w", err)
+		return zero, fmt.Errorf("server: decoding request: %w", err)
 	}
 	var trailing struct{}
 	if err := dec.Decode(&trailing); err != io.EOF {
-		return GenRequest{}, fmt.Errorf("server: decoding request: trailing data after JSON body")
+		return zero, fmt.Errorf("server: decoding request: trailing data after JSON body")
 	}
 	return req, nil
 }

@@ -89,21 +89,18 @@ type jobSet struct {
 	byID    map[string]*Job
 	history []string // insertion-ordered ids, for eviction
 	active  map[string]*Job
-	// historyLimit bounds byID; oldest terminal jobs are evicted first.
-	historyLimit int
 	// idPrefix namespaces generated ids per node (Config.JobIDPrefix).
 	idPrefix string
 }
 
-func newJobSet(historyLimit int, idPrefix string) *jobSet {
-	if historyLimit <= 0 {
-		historyLimit = 1024
-	}
+// jobHistory bounds byID; oldest terminal jobs are evicted first.
+const jobHistory = 1024
+
+func newJobSet(idPrefix string) *jobSet {
 	return &jobSet{
-		byID:         make(map[string]*Job),
-		active:       make(map[string]*Job),
-		historyLimit: historyLimit,
-		idPrefix:     idPrefix,
+		byID:     make(map[string]*Job),
+		active:   make(map[string]*Job),
+		idPrefix: idPrefix,
 	}
 }
 
@@ -148,7 +145,7 @@ func jobID(n int) string {
 // evictLocked drops the oldest terminal jobs beyond the history limit.
 // Active jobs are never evicted.
 func (js *jobSet) evictLocked() {
-	for len(js.byID) > js.historyLimit && len(js.history) > 0 {
+	for len(js.byID) > jobHistory && len(js.history) > 0 {
 		evicted := false
 		for i, id := range js.history {
 			job := js.byID[id]

@@ -67,8 +67,6 @@ type Config struct {
 	RequestTimeout time.Duration
 	// JobTimeout caps one generation (default 10m).
 	JobTimeout time.Duration
-	// JobHistory bounds remembered terminal jobs (default 1024).
-	JobHistory int
 	// JobIDPrefix namespaces generated job ids ("n0-job-000001"). Fleet
 	// nodes set a per-node prefix so a job handle returned by one node is
 	// never mistaken for another node's job when requests are forwarded.
@@ -133,7 +131,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		store:   cfg.Store,
 		gen:     cfg.Generator,
-		jobs:    newJobSet(cfg.JobHistory, cfg.JobIDPrefix),
+		jobs:    newJobSet(cfg.JobIDPrefix),
 		queue:   make(chan *Job, cfg.QueueDepth),
 		streams: newStreamSet(),
 		stopCh:  make(chan struct{}),
@@ -352,15 +350,21 @@ func (s *Server) handleGetProfile(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// writeDecodeError answers a request body decodeStrict refused: 400, with
+// the machine-readable unknown_field code when that is why.
+func writeDecodeError(w http.ResponseWriter, err error) {
+	var unknown *UnknownFieldError
+	if errors.As(err, &unknown) {
+		WriteErrorCode(w, http.StatusBadRequest, "unknown_field", err)
+		return
+	}
+	WriteError(w, http.StatusBadRequest, err)
+}
+
 func (s *Server) handlePostProfile(w http.ResponseWriter, r *http.Request) {
 	req, err := DecodeGenRequest(r.Body)
 	if err != nil {
-		var unknown *UnknownFieldError
-		if errors.As(err, &unknown) {
-			WriteErrorCode(w, http.StatusBadRequest, "unknown_field", err)
-			return
-		}
-		WriteError(w, http.StatusBadRequest, err)
+		writeDecodeError(w, err)
 		return
 	}
 	if req.Query == "" {
@@ -470,13 +474,9 @@ func (s *Server) handleDeleteJob(w http.ResponseWriter, r *http.Request) {
 // its status; streams are inherently asynchronous (they run until the
 // camera's sessions end or a DELETE stops them).
 func (s *Server) handlePostStream(w http.ResponseWriter, r *http.Request) {
-	var req StreamRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		WriteError(w, http.StatusBadRequest, fmt.Errorf("server: decoding stream request: %w", err))
-		return
-	}
-	if req.Dataset == "" {
-		WriteError(w, http.StatusBadRequest, errors.New("server: stream request requires a dataset"))
+	req, err := decodeStrict[StreamRequest](r.Body)
+	if err != nil {
+		writeDecodeError(w, err)
 		return
 	}
 	job, err := s.startStream(req)

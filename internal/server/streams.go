@@ -4,15 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
 	"smokescreen/internal/camera"
-	"smokescreen/internal/dataset"
+	"smokescreen/internal/core"
 	"smokescreen/internal/degrade"
-	"smokescreen/internal/detect"
 	"smokescreen/internal/estimate"
+	"smokescreen/internal/query"
 	"smokescreen/internal/scene"
 	"smokescreen/internal/stream"
 )
@@ -26,25 +27,20 @@ import (
 // every active stream, and Drain waits for their teardown (which never
 // persists a partial window).
 
-// StreamRequest is the wire form of POST /v1/streams.
+// StreamRequest is the wire form of POST /v1/streams: a query, run
+// continuously and answered per window. The query says what every other
+// surface lets it say — corpus, model (USING), class, aggregate,
+// confidence, and the camera's interventions (SAMPLE, RESOLUTION, REMOVE,
+// NOISE, BLUR, QUANTIZE, OCCLUDE); the remaining fields shape the windows.
 type StreamRequest struct {
-	// Dataset names the corpus the camera streams (dataset registry).
-	Dataset string `json:"dataset"`
-	// Model is the detector (default yolov4-sim).
-	Model string `json:"model,omitempty"`
-	// Class is the counted object class (default car).
-	Class string `json:"class,omitempty"`
-	// Agg is the windowed aggregate: avg (default), sum or count.
-	Agg string `json:"agg,omitempty"`
+	// Query is the analytical query in Smokescreen's query language.
+	// Required. AVG and SUM stream; MAX, MIN, VAR and WHERE do not.
+	Query string `json:"query"`
 	// Window is W, the span in stream positions of each windowed answer.
 	// Required.
 	Window int `json:"window"`
 	// Stride is the distance between window starts; 0 means tumbling.
 	Stride int `json:"stride,omitempty"`
-	// Sample is the camera's frame-sampling fraction f (default 0.2).
-	Sample float64 `json:"sample,omitempty"`
-	// Resolution is the transmitted resolution p; 0 means model native.
-	Resolution int `json:"resolution,omitempty"`
 	// Loops is how many camera sessions replay the corpus back to back —
 	// the unbounded-video stand-in (default 1).
 	Loops int `json:"loops,omitempty"`
@@ -56,62 +52,125 @@ type StreamRequest struct {
 	// construction entirely.
 	DriftThreshold float64 `json:"drift_threshold,omitempty"`
 	DisableDrift   bool    `json:"disable_drift,omitempty"`
-	// DriftNoise injects a distribution shift for soak testing: sessions
-	// from DriftAfterLoop onward stream a noised view of the corpus (the
-	// replay source shifts with the camera, so detection stays
-	// consistent) while the baseline keeps describing the clean corpus.
-	DriftNoise     float64 `json:"drift_noise,omitempty"`
-	DriftAfterLoop int     `json:"drift_after_loop,omitempty"`
 
 	// WirePixels selects central detection on the transmitted rasters
 	// instead of the replay backend.
 	WirePixels bool `json:"wire_pixels,omitempty"`
 }
 
-func (r *StreamRequest) normalize() {
-	if r.Model == "" {
-		r.Model = "yolov4-sim"
-	}
-	if r.Class == "" {
-		r.Class = "car"
-	}
-	if r.Agg == "" {
-		r.Agg = "avg"
-	}
-	if r.Sample == 0 {
-		r.Sample = 0.2
-	}
-	if r.Loops <= 0 {
-		r.Loops = 1
-	}
-	if r.Seed == 0 {
-		r.Seed = 1
-	}
-	if r.DriftAfterLoop <= 0 {
-		r.DriftAfterLoop = 1
-	}
+// ResolvedStream is a stream request bound to its pipeline: one camera and
+// one receiver config. The daemon's POST /v1/streams and cmd/smokescreen's
+// stream command both run what ResolveStream returns, so a request means
+// the same camera, the same windows and the same bounds on every surface.
+type ResolvedStream struct {
+	// Request is the request with its defaults filled in; Query is the
+	// canonical rendering of its query.
+	Request StreamRequest
+	Query   string
+	// Node is the camera: the clean corpus, the model and the query's
+	// setting, which the camera applies through the axis registry.
+	Node *camera.Node
+	// Config is the receiver's. Its replay source is the corpus as the
+	// setting sees it; OnWindow and OnDrift are the caller's to set before
+	// stream.New.
+	Config stream.Config
 }
+
+// ResolveStream turns a request into its pipeline through the resolution
+// every other surface uses: query.Parse, core.System.Resolve (corpus,
+// per-dataset default model, class, model/class and resolution validity)
+// and the axis registry's Setting.Validate; stream.New validates the
+// window fields. It is cheap — no detector work; the corpus baseline is
+// deferred to Run.
+func ResolveStream(req StreamRequest) (*ResolvedStream, error) {
+	if req.Query == "" {
+		return nil, errors.New("server: stream request requires a query")
+	}
+	if req.Loops <= 0 {
+		req.Loops = 1
+	}
+	if req.Seed == 0 {
+		req.Seed = core.DefaultSeed
+	}
+	q, err := query.Parse(req.Query)
+	if err != nil {
+		return nil, err
+	}
+	if q.Predicate != nil {
+		return nil, errors.New("server: a WHERE predicate does not stream (windows aggregate raw per-frame counts)")
+	}
+	if q.Agg.IsExtremum() || q.Agg == estimate.VAR {
+		return nil, fmt.Errorf("server: aggregate %v does not stream (windowed answers need the streaming estimator)", q.Agg)
+	}
+	spec, err := core.New().Resolve(q)
+	if err != nil {
+		return nil, err
+	}
+	if err := q.Setting.Validate(spec.Model); err != nil {
+		return nil, err
+	}
+	return &ResolvedStream{
+		Request: req,
+		Query:   q.String(),
+		Node:    &camera.Node{Video: spec.Video, Model: spec.Model, Setting: q.Setting, Energy: camera.DefaultEnergyModel()},
+		Config: stream.Config{
+			Model:          spec.Model,
+			Class:          spec.Class,
+			Agg:            spec.Agg,
+			Params:         spec.Params,
+			WindowSpan:     req.Window,
+			WindowStride:   req.Stride,
+			Sources:        []*scene.Video{degrade.EffectiveVideo(spec.Video, q.Setting)},
+			WirePixels:     req.WirePixels,
+			DriftThreshold: req.DriftThreshold,
+		},
+	}, nil
+}
+
+// Run builds the drift baseline (unless disabled) and drives the camera's
+// sessions into recv over an in-process pipe, returning what the camera
+// sent. The baseline describes the clean corpus at the transmitted
+// resolution — a stream degraded by a pixel axis is measured against what
+// was profiled, not against itself — and is detector-heavy, so it runs
+// here, under ctx: cancelling stops a stream still warming up.
+func (rs *ResolvedStream) Run(ctx context.Context, recv *stream.Receiver) (camera.Report, error) {
+	if !rs.Request.DisableDrift {
+		n := rs.Node
+		base, err := stream.CorpusBaseline(ctx, n.Video, n.Model, rs.Config.Class, n.Setting.ResolveResolution(n.Model))
+		if err != nil {
+			return camera.Report{}, err
+		}
+		recv.SetBaseline(base)
+	}
+	return stream.Loopback(ctx, recv, []*camera.Node{rs.Node}, rs.Request.Loops, rs.Request.Seed)
+}
+
+// streamWindowHistory bounds the completed windows a stream's status
+// carries, so a watcher polling slower than windows complete still sees
+// each one.
+const streamWindowHistory = 64
 
 // StreamStatus is the wire form of one stream job.
 type StreamStatus struct {
 	ID       string        `json:"id"`
 	State    JobState      `json:"state"`
 	Error    string        `json:"error,omitempty"`
-	Dataset  string        `json:"dataset"`
-	Class    string        `json:"class"`
+	Query    string        `json:"query"`
 	Window   int           `json:"window"`
 	Stride   int           `json:"stride"`
 	Loops    int           `json:"loops"`
 	Created  time.Time     `json:"created"`
 	Finished time.Time     `json:"finished,omitempty"`
 	Stream   stream.Status `json:"stream"`
+	// Windows are the most recent completed windows, oldest first.
+	Windows []stream.WindowResult `json:"windows,omitempty"`
 }
 
 // streamJob is one live ingest pipeline: a camera and a receiver joined by
 // an in-process pipe (stream.Loopback).
 type streamJob struct {
 	id      string
-	req     StreamRequest
+	rs      *ResolvedStream
 	recv    *stream.Receiver
 	cancel  context.CancelFunc
 	created time.Time
@@ -120,6 +179,7 @@ type streamJob struct {
 	state    JobState
 	err      string
 	finished time.Time
+	windows  []stream.WindowResult // the last streamWindowHistory completed
 }
 
 // streamSet tracks stream jobs by id. Terminal jobs stay queryable for
@@ -135,20 +195,22 @@ func newStreamSet() *streamSet {
 	return &streamSet{byID: make(map[string]*streamJob)}
 }
 
-func (ss *streamSet) create(req StreamRequest, recv *stream.Receiver, cancel context.CancelFunc, now time.Time) *streamJob {
+// create builds the job's receiver — recording every completed window on
+// the job — and registers the job as running.
+func (ss *streamSet) create(rs *ResolvedStream, cancel context.CancelFunc, now time.Time) (*streamJob, error) {
+	job := &streamJob{rs: rs, cancel: cancel, created: now, state: JobRunning}
+	rs.Config.OnWindow = job.recordWindow
+	recv, err := stream.New(rs.Config)
+	if err != nil {
+		return nil, err
+	}
+	job.recv = recv
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	ss.nextID++
-	job := &streamJob{
-		id:      fmt.Sprintf("stream-%06d", ss.nextID),
-		req:     req,
-		recv:    recv,
-		cancel:  cancel,
-		created: now,
-		state:   JobRunning,
-	}
+	job.id = fmt.Sprintf("stream-%06d", ss.nextID)
 	ss.byID[job.id] = job
-	return job
+	return job, nil
 }
 
 func (ss *streamSet) get(id string) (*streamJob, bool) {
@@ -212,132 +274,67 @@ func (job *streamJob) finish(err error, now time.Time) {
 	}
 }
 
+// recordWindow is the receiver's OnWindow: it keeps the most recent
+// completed windows for the status endpoint.
+func (job *streamJob) recordWindow(res stream.WindowResult) {
+	job.mu.Lock()
+	defer job.mu.Unlock()
+	if len(job.windows) == streamWindowHistory {
+		job.windows = slices.Delete(job.windows, 0, 1)
+	}
+	job.windows = append(job.windows, res)
+}
+
 func (job *streamJob) status() StreamStatus {
 	job.mu.Lock()
 	state, errText, finished := job.state, job.err, job.finished
+	windows := slices.Clone(job.windows)
 	job.mu.Unlock()
+	req := &job.rs.Request
 	return StreamStatus{
 		ID:       job.id,
 		State:    state,
 		Error:    errText,
-		Dataset:  job.req.Dataset,
-		Class:    job.req.Class,
-		Window:   job.req.Window,
-		Stride:   job.req.Stride,
-		Loops:    job.req.Loops,
+		Query:    job.rs.Query,
+		Window:   req.Window,
+		Stride:   req.Stride,
+		Loops:    req.Loops,
 		Created:  job.created,
 		Finished: finished,
 		Stream:   job.recv.Status(),
+		Windows:  windows,
 	}
 }
 
-// resolveStream turns a request into the receiver config and the camera
-// nodes. It is cheap — no detector work; the corpus baseline is
-// deferred to the stream goroutine, where it runs under the job
-// context.
-func resolveStream(req *StreamRequest) (*stream.Config, []*camera.Node, error) {
-	req.normalize()
-	if req.Window <= 0 {
-		return nil, nil, fmt.Errorf("server: stream request requires a positive window (got %d)", req.Window)
-	}
-	v, err := dataset.Load(req.Dataset)
-	if err != nil {
-		return nil, nil, err
-	}
-	model, err := detect.ModelByName(req.Model)
-	if err != nil {
-		return nil, nil, err
-	}
-	class, err := scene.ParseClass(req.Class)
-	if err != nil {
-		return nil, nil, err
-	}
-	agg, err := estimate.ParseAgg(req.Agg)
-	if err != nil {
-		return nil, nil, err
-	}
-	if agg.IsExtremum() || agg == estimate.VAR {
-		return nil, nil, fmt.Errorf("server: aggregate %v does not stream (windowed answers need the streaming estimator)", agg)
-	}
-	if req.Resolution != 0 && !model.ValidResolution(req.Resolution) {
-		return nil, nil, fmt.Errorf("server: resolution %d invalid for %s", req.Resolution, model.Name)
-	}
-	if req.Sample <= 0 || req.Sample > 1 {
-		return nil, nil, fmt.Errorf("server: sample fraction %v outside (0, 1]", req.Sample)
-	}
-	if req.DriftNoise < 0 || req.DriftNoise > 0.5 {
-		return nil, nil, fmt.Errorf("server: drift noise %v outside [0, 0.5]", req.DriftNoise)
-	}
-
-	// Sources and nodes are compact, not one entry per loop: the receiver
-	// replays Sources[min(session, len-1)], and the camera goroutine
-	// clamps the same way — so Loops can be arbitrarily large (the
-	// unbounded-video stand-in) without per-loop allocation. With drift
-	// noise the first DriftAfterLoop sessions stream the clean corpus and
-	// every later one the noised view; otherwise a single entry serves
-	// all sessions.
-	newNode := func(src *scene.Video) *camera.Node {
-		return &camera.Node{
-			Video:   src,
-			Model:   model,
-			Setting: degrade.Setting{SampleFraction: req.Sample, Resolution: req.Resolution},
-			Energy:  camera.DefaultEnergyModel(),
-		}
-	}
-	sources := []*scene.Video{v}
-	nodes := []*camera.Node{newNode(v)}
-	if req.DriftNoise > 0 && req.DriftAfterLoop < req.Loops {
-		noised := v.WithNoise(float32(req.DriftNoise))
-		for len(sources) < req.DriftAfterLoop {
-			sources = append(sources, v)
-			nodes = append(nodes, nodes[0])
-		}
-		sources = append(sources, noised)
-		nodes = append(nodes, newNode(noised))
-	}
-	cfg := &stream.Config{
-		Model:          model,
-		Class:          class,
-		Agg:            agg,
-		WindowSpan:     req.Window,
-		WindowStride:   req.Stride,
-		Sources:        sources,
-		WirePixels:     req.WirePixels,
-		DriftThreshold: req.DriftThreshold,
-	}
-	return cfg, nodes, nil
-}
-
-// startStream validates the request, builds the pipeline, and launches
-// the job's goroutine. The returned job is already running.
+// startStream resolves the request, builds the pipeline, and launches the
+// job's goroutine. The returned job is already running.
 func (s *Server) startStream(req StreamRequest) (*streamJob, error) {
 	if s.draining() {
 		return nil, errDraining
 	}
-	cfg, nodes, err := resolveStream(&req)
+	rs, err := ResolveStream(req)
 	if err != nil {
 		return nil, err
 	}
-	recv, err := stream.New(*cfg)
-	if err != nil {
-		return nil, err
-	}
-
 	// The job context is minted fresh, not taken from the HTTP request:
 	// the stream outlives the POST that started it. DELETE and drain
 	// cancel it.
 	ctx, cancel := context.WithCancel(context.Background())
-	job := s.streams.create(req, recv, cancel, time.Now())
+	job, err := s.streams.create(rs, cancel, time.Now())
+	if err != nil {
+		cancel()
+		return nil, err
+	}
 
 	s.streamWG.Add(1)
 	go func() { // owns the job's terminal state
 		defer s.streamWG.Done()
 		defer cancel()
-		runErr := s.runStream(ctx, cfg, recv, req, nodes)
+		_, runErr := rs.Run(ctx, job.recv)
 		job.finish(runErr, time.Now())
 		switch {
 		case runErr == nil:
-			s.cfg.Logf("stream %s: done (%d windows)", job.id, recv.Status().Windows)
+			s.cfg.Logf("stream %s: done (%d windows)", job.id, job.recv.Status().Windows)
 		case errors.Is(runErr, context.Canceled) || errors.Is(runErr, context.DeadlineExceeded):
 			s.metrics.streamsCanceled.Add(1)
 			s.cfg.Logf("stream %s: canceled: %v", job.id, runErr)
@@ -347,25 +344,6 @@ func (s *Server) startStream(req StreamRequest) (*streamJob, error) {
 		}
 	}()
 	s.metrics.streamsStarted.Add(1)
-	s.cfg.Logf("stream %s: started (%s, window %d, %d sessions)", job.id, req.Dataset, req.Window, req.Loops)
+	s.cfg.Logf("stream %s: started (%s, window %d, %d sessions)", job.id, rs.Query, rs.Request.Window, rs.Request.Loops)
 	return job, nil
-}
-
-// runStream builds the drift baseline (unless disabled) and runs the
-// camera-to-receiver loopback. The baseline is detector-heavy — it runs
-// here, under the job context, so DELETE cancels a stream still warming up.
-func (s *Server) runStream(ctx context.Context, cfg *stream.Config, recv *stream.Receiver, req StreamRequest, nodes []*camera.Node) error {
-	if !req.DisableDrift {
-		p := req.Resolution
-		if p == 0 {
-			p = cfg.Model.NativeInput
-		}
-		base, err := stream.CorpusBaseline(ctx, cfg.Sources[0], cfg.Model, cfg.Class, p)
-		if err != nil {
-			return err
-		}
-		recv.SetBaseline(base)
-	}
-	_, err := stream.Loopback(ctx, recv, nodes, req.Loops, req.Seed)
-	return err
 }

@@ -3,12 +3,19 @@ package server
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"net/http"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"smokescreen/internal/stream"
 )
+
+// smallStreamQuery is the tests' stock stream: a tenth of small at 160x160.
+const smallStreamQuery = "SELECT AVG(count(car)) FROM small SAMPLE 0.1 RESOLUTION 160"
 
 // scrapeMetrics fetches /metrics and parses the untyped samples.
 func scrapeMetrics(t *testing.T, url string) map[string]int64 {
@@ -50,15 +57,17 @@ func TestStreamLifecycleAndMetrics(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
-	status, err := client.StartStream(ctx, StreamRequest{
-		Dataset:        "small",
+	req := StreamRequest{
+		Query:          "select avg(count(car)) from small resolution 160 sample 0.1",
 		Window:         100,
-		Sample:         0.1,
-		Resolution:     160,
 		DriftThreshold: 0.01,
-	})
+	}
+	status, err := client.StartStream(ctx, req)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if want := "SELECT AVG(count(car)) FROM small SAMPLE 0.1 RESOLUTION 160"; status.Query != want {
+		t.Fatalf("status echoes query %q, want the canonical %q", status.Query, want)
 	}
 	if status.State != JobRunning {
 		t.Fatalf("fresh stream state = %q, want running", status.State)
@@ -118,6 +127,25 @@ func TestStreamLifecycleAndMetrics(t *testing.T) {
 	if again.State != JobDone {
 		t.Fatalf("terminal stream re-read state = %q", again.State)
 	}
+
+	// Parity: the in-process run of the same request — what `smokescreen
+	// stream -window` does — produces the daemon's window sequence.
+	rs, err := ResolveStream(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var local []stream.WindowResult
+	rs.Config.OnWindow = func(res stream.WindowResult) { local = append(local, res) }
+	recv, err := stream.New(rs.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rs.Run(ctx, recv); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(local, final.Windows) {
+		t.Fatalf("in-process windows differ from the daemon's:\n local %+v\ndaemon %+v", local, final.Windows)
+	}
 }
 
 func TestStreamCancelTearsDownPromptly(t *testing.T) {
@@ -135,10 +163,8 @@ func TestStreamCancelTearsDownPromptly(t *testing.T) {
 	defer cancel()
 
 	status, err := client.StartStream(ctx, StreamRequest{
-		Dataset:      "small",
+		Query:        smallStreamQuery,
 		Window:       150,
-		Sample:       0.1,
-		Resolution:   160,
 		Loops:        100000,
 		DisableDrift: true,
 	})
@@ -177,30 +203,115 @@ func TestStreamCancelTearsDownPromptly(t *testing.T) {
 }
 
 func TestStreamRequestValidation(t *testing.T) {
+	// Every rejection is a 400 carrying the message of the layer that owns
+	// the rule: the strict decoder, the query parser, core.Resolve, the axis
+	// registry or stream.New — the stream resolver adds only "does not
+	// stream".
 	_, ts, _ := newTestServer(t, &fakeGenerator{}, nil)
-	client := &Client{BaseURL: ts.URL}
-	ctx := context.Background()
+	const q = `"query":"SELECT AVG(count(car)) FROM small SAMPLE 0.1 RESOLUTION 160"`
 	cases := []struct {
-		name string
-		req  StreamRequest
+		name, body string
+		want       string // substring of the error message
+		code       string // machine-readable code, if any
 	}{
-		{"missing dataset", StreamRequest{Window: 100}},
-		{"missing window", StreamRequest{Dataset: "small"}},
-		{"unknown dataset", StreamRequest{Dataset: "nope", Window: 100}},
-		{"extremum agg", StreamRequest{Dataset: "small", Window: 100, Agg: "MAX"}},
-		{"bad resolution", StreamRequest{Dataset: "small", Window: 100, Resolution: 7}},
-		{"bad sample", StreamRequest{Dataset: "small", Window: 100, Sample: 1.5}},
-		{"bad threshold", StreamRequest{Dataset: "small", Window: 100, DriftThreshold: 2}},
+		{"missing query", `{"window":100}`, "requires a query", ""},
+		{"missing window", `{` + q + `}`, "window span 0 invalid", ""},
+		{"bad stride", `{` + q + `,"window":100,"stride":200}`, "window stride 200", ""},
+		{"bad threshold", `{` + q + `,"window":100,"drift_threshold":2}`, "drift threshold", ""},
+		{"unparsable query", `{"query":"SELECT AVG(count(car)) small","window":100}`, "query: expected FROM", ""},
+		{"unknown dataset", `{"query":"SELECT AVG(count(car)) FROM nope","window":100}`, "nope", ""},
+		{"unknown model", `{"query":"SELECT AVG(count(car)) FROM small USING nope","window":100}`, "nope", ""},
+		{"model cannot detect class", `{"query":"SELECT AVG(count(car)) FROM small USING mtcnn","window":100}`, "cannot detect car", ""},
+		{"extremum", `{"query":"SELECT MAX(count(car)) FROM small","window":100}`, "aggregate MAX does not stream", ""},
+		{"variance", `{"query":"SELECT VAR(count(car)) FROM small","window":100}`, "aggregate VAR does not stream", ""},
+		{"predicate", `{"query":"SELECT COUNT(*) FROM small WHERE count(car) >= 1","window":100}`, "WHERE predicate does not stream", ""},
+		{"bad resolution", `{"query":"SELECT AVG(count(car)) FROM small RESOLUTION 7","window":100}`, "resolution 7 invalid for model yolov4-sim", ""},
+		{"bad sample", `{"query":"SELECT AVG(count(car)) FROM small SAMPLE 1.5","window":100}`, "1.5", ""},
+		{"bad noise", `{"query":"SELECT AVG(count(car)) FROM small NOISE 0.9","window":100}`, "0.9", ""},
+		{"trailing data", `{` + q + `,"window":100} {}`, "trailing data", ""},
+		{"typo", `{` + q + `,"window":100,"sample_fraction":0.05}`, "sample_fraction", "unknown_field"},
+		// The six fields the query replaced, and the two soak knobs: an old
+		// client's request must fail loudly, not stream undegraded.
+		{"retired dataset", `{` + q + `,"window":100,"dataset":"small"}`, "dataset", "unknown_field"},
+		{"retired model", `{` + q + `,"window":100,"model":"yolov4"}`, "model", "unknown_field"},
+		{"retired class", `{` + q + `,"window":100,"class":"car"}`, "class", "unknown_field"},
+		{"retired agg", `{` + q + `,"window":100,"agg":"avg"}`, "agg", "unknown_field"},
+		{"retired sample", `{` + q + `,"window":100,"sample":0.05}`, "sample", "unknown_field"},
+		{"retired resolution", `{` + q + `,"window":100,"resolution":160}`, "resolution", "unknown_field"},
+		{"retired drift_noise", `{` + q + `,"window":100,"drift_noise":0.2}`, "drift_noise", "unknown_field"},
+		{"retired drift_after_loop", `{` + q + `,"window":100,"drift_after_loop":1}`, "drift_after_loop", "unknown_field"},
 	}
 	for _, tc := range cases {
-		if _, err := client.StartStream(ctx, tc.req); err == nil {
-			t.Errorf("%s: accepted", tc.name)
-		} else if !strings.Contains(err.Error(), "400") {
-			t.Errorf("%s: want HTTP 400, got %v", tc.name, err)
+		resp, err := http.Post(ts.URL+"/v1/streams", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body struct{ Error, Code string }
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body.Error, tc.want) || body.Code != tc.code {
+			t.Errorf("%s: HTTP %d %+v, want 400 mentioning %q with code %q", tc.name, resp.StatusCode, body, tc.want, tc.code)
 		}
 	}
-	if _, err := client.Stream(ctx, "stream-999999"); err == nil || !strings.Contains(err.Error(), "404") {
+	client := &Client{BaseURL: ts.URL}
+	if _, err := client.Stream(context.Background(), "stream-999999"); err == nil || !strings.Contains(err.Error(), "404") {
 		t.Errorf("unknown stream id: want 404, got %v", err)
+	}
+	if n := scrapeMetrics(t, ts.URL)["smokescreend_streams_total"]; n != 0 {
+		t.Errorf("%d rejected requests started a stream", n)
+	}
+}
+
+func TestStreamResolvesThroughCore(t *testing.T) {
+	// The model is core's per-dataset default, not a stream-side constant.
+	rs, err := ResolveStream(StreamRequest{Query: "SELECT AVG(count(car)) FROM night-street SAMPLE 0.1", Window: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rs.Node.Model.Name; got != "mask-rcnn-sim" || rs.Config.Model != rs.Node.Model {
+		t.Fatalf("night-street streams with %s (receiver %s), want core's default mask-rcnn-sim", got, rs.Config.Model.Name)
+	}
+	if rs.Request.Loops != 1 || rs.Request.Seed != 1 {
+		t.Fatalf("defaults not filled: %+v", rs.Request)
+	}
+}
+
+func TestStreamCameraAppliesPixelAxes(t *testing.T) {
+	// A NOISE clause reaches the camera and the replay source, while the
+	// drift baseline keeps describing the clean corpus: the noised stream
+	// answers differently from its clean twin and diverges further from
+	// what was profiled.
+	_, ts, _ := newTestServer(t, &fakeGenerator{}, nil)
+	client := &Client{BaseURL: ts.URL, PollInterval: 20 * time.Millisecond}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	first := func(query string) stream.WindowResult {
+		t.Helper()
+		status, err := client.StartStream(ctx, StreamRequest{Query: query, Window: 400})
+		if err != nil {
+			t.Fatal(err)
+		}
+		final, err := client.AwaitStream(ctx, status.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final.State != JobDone || len(final.Windows) != 3 {
+			t.Fatalf("%s: state %q, %d windows", query, final.State, len(final.Windows))
+		}
+		return final.Windows[0]
+	}
+	clean := first(smallStreamQuery)
+	noised := first(smallStreamQuery + " NOISE 0.3")
+	if clean.Frames != noised.Frames {
+		t.Fatalf("twins sampled %d and %d frames", clean.Frames, noised.Frames)
+	}
+	if clean.Estimate == noised.Estimate {
+		t.Fatalf("NOISE 0.3 left the first window's estimate at %+v", clean.Estimate)
+	}
+	if noised.Divergence <= clean.Divergence {
+		t.Fatalf("noised divergence %.3f not above the clean twin's %.3f", noised.Divergence, clean.Divergence)
 	}
 }
 
@@ -215,10 +326,8 @@ func TestDrainCancelsActiveStreams(t *testing.T) {
 	defer cancel()
 
 	status, err := client.StartStream(ctx, StreamRequest{
-		Dataset:      "small",
+		Query:        smallStreamQuery,
 		Window:       200,
-		Sample:       0.1,
-		Resolution:   160,
 		Loops:        100000,
 		DisableDrift: true,
 	})
@@ -237,7 +346,7 @@ func TestDrainCancelsActiveStreams(t *testing.T) {
 		t.Fatalf("state after drain = %q (%s)", st.State, st.Error)
 	}
 	// Post-drain stream requests are refused.
-	if _, err := client.StartStream(ctx, StreamRequest{Dataset: "small", Window: 100}); err == nil || !strings.Contains(err.Error(), "503") {
+	if _, err := client.StartStream(ctx, StreamRequest{Query: smallStreamQuery, Window: 100}); err == nil || !strings.Contains(err.Error(), "503") {
 		t.Fatalf("post-drain start: want 503, got %v", err)
 	}
 }

@@ -61,10 +61,6 @@ type Config struct {
 	// Params are the estimator knobs; zero value means
 	// estimate.DefaultParams.
 	Params estimate.Params
-	// Pointwise selects the fixed-n bound instead of the default
-	// any-time bound. Streams are watched and stopped adaptively, so
-	// any-time is the sound default.
-	Pointwise bool
 
 	// WindowSpan is W: the bounded duration, in stream positions, each
 	// windowed answer covers. Required.
@@ -257,7 +253,9 @@ type ingest struct {
 // clean end; ctx.Err() when cancelled. Cancellation and errors never
 // emit the partially filled window.
 func (r *Receiver) Run(ctx context.Context, conn *transport.Conn) error {
-	w, err := estimate.NewWindow(r.cfg.Agg, r.cfg.WindowSpan, r.cfg.Params, !r.cfg.Pointwise)
+	// Windows carry the any-time bound: streams are watched and stopped
+	// adaptively, so every reported bound must hold simultaneously.
+	w, err := estimate.NewWindow(r.cfg.Agg, r.cfg.WindowSpan, r.cfg.Params, true)
 	if err != nil {
 		return err
 	}
@@ -425,7 +423,7 @@ func (ing *ingest) completeThrough(limit int) error {
 // detection of every held frame into a fresh estimator — the oracle
 // Verify holds incremental refresh to.
 func (ing *ingest) recomputeWindow() estimate.Estimate {
-	fresh, err := estimate.NewWindow(ing.cfg.Agg, ing.cfg.WindowSpan, ing.cfg.Params, !ing.cfg.Pointwise)
+	fresh, err := estimate.NewWindow(ing.cfg.Agg, ing.cfg.WindowSpan, ing.cfg.Params, true)
 	if err != nil {
 		panic(err) // the receiver's own config built a window already
 	}

@@ -15,6 +15,8 @@ ADDR_FILE="$WORKDIR/addr"
 STORE_DIR="$WORKDIR/store"
 DAEMON_LOG="$WORKDIR/daemon.log"
 STREAM_OUT="$WORKDIR/stream.out"
+LOCAL_OUT="$WORKDIR/local.out"
+QUERY='SELECT AVG(count(car)) FROM small SAMPLE 0.15 RESOLUTION 160 NOISE 0.1'
 CANCEL_OUT="$WORKDIR/cancel.out"
 
 cleanup() {
@@ -59,21 +61,24 @@ ADDR=$(cat "$ADDR_FILE")
 echo "stream-smoke: daemon at $ADDR"
 
 echo "stream-smoke: streaming two corpus passes in tumbling windows"
-"$WORKDIR/smokescreen" stream -remote "http://$ADDR" -dataset small \
-    -window 200 -loops 2 -sample 0.15 -resolution 160 | tee "$STREAM_OUT"
+"$WORKDIR/smokescreen" stream -remote "http://$ADDR" -window 200 -loops 2 "$QUERY" | tee "$STREAM_OUT"
 
-# Twelve windows (2 x 1200 frames / 200) with any-time bounds. The
-# watcher polls, so it may print fewer than 12 window lines when the
-# stream outpaces it — the final summary and the daemon log carry the
-# authoritative count.
-grep -q '^window ' "$STREAM_OUT"
+# Twelve windows (2 x 1200 frames / 200) with any-time bounds; the status
+# carries the recent windows, so the watcher prints every one.
+[ "$(grep -c '^window ' "$STREAM_OUT")" -eq 12 ]
 grep -q 'err <=' "$STREAM_OUT"
 grep -q '12 windows from' "$STREAM_OUT"
 grep -q 'done (12 windows)' "$DAEMON_LOG"
 
+echo "stream-smoke: the same request in process answers with the same windows"
+"$WORKDIR/smokescreen" stream -window 200 -loops 2 "$QUERY" >"$LOCAL_OUT"
+grep '^window ' "$STREAM_OUT" >"$WORKDIR/remote.windows"
+grep '^window ' "$LOCAL_OUT" >"$WORKDIR/local.windows"
+diff "$WORKDIR/remote.windows" "$WORKDIR/local.windows"
+
 echo "stream-smoke: cancelling an unbounded stream mid-flight"
-"$WORKDIR/smokescreen" stream -remote "http://$ADDR" -dataset small \
-    -window 200 -loops 1000 -sample 0.15 -resolution 160 -no-drift >"$CANCEL_OUT" 2>&1 &
+"$WORKDIR/smokescreen" stream -remote "http://$ADDR" -window 200 -loops 1000 \
+    -no-drift "$QUERY" >"$CANCEL_OUT" 2>&1 &
 WATCH_PID=$!
 # Wait for the first completed window, then interrupt the watcher: it
 # DELETEs the stream job, which must tear down promptly.
