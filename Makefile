@@ -12,12 +12,14 @@ STATICCHECK_VERSION ?= 2025.1
 build:
 	$(GO) build ./...
 
-# lint layers four gates: go vet, the repo's own smokevet analyzer suite
-# (determinism, poolhygiene, ctxflow, atomiccounter, goroleak, lockorder,
-# axisreg, errcontract — see DESIGN.md §10), a grep that keeps
+# lint layers five gates: go vet, the repo's own smokevet analyzer suite
+# (determinism, ctxflow, atomiccounter, goroleak, axisreg, errcontract —
+# see DESIGN.md §10), the CHANGES.md entry cap (one line per PR, at most
+# 1500 bytes: what changed, what was measured, what was deleted — the
+# narrative lives in git), a grep that keeps
 # process-global setters at zero (no package-level `func Set…(` in non-test
 # internal/ or cmd/ code: a setting travels with the run, not the process —
-# the stand-in for ROADMAP item 1's noglobals analyzer), and optionally a
+# the stand-in for ROADMAP item 2's noglobals analyzer), and optionally a
 # version-pinned staticcheck. smokevet is built from this repo, so it
 # always runs; a finding fails the build with
 # `file:line: [analyzer] message`, and a stale //smokevet:ignore is
@@ -25,6 +27,9 @@ build:
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/smokevet ./...
+	@if LC_ALL=C awk 'length($$0) > 1500 { printf "CHANGES.md:%d: %d bytes\n", NR, length($$0); bad = 1 } END { exit !bad }' CHANGES.md; then \
+		echo "lint: CHANGES.md entry over 1500 bytes; say what changed, what was measured, what was deleted"; exit 1; \
+	fi
 	@if grep -rnE '^func Set[A-Z]' --include='*.go' --exclude='*_test.go' --exclude-dir=testdata internal cmd; then \
 		echo "lint: package-level Set* function (process-global setter); pass the value with the run instead"; exit 1; \
 	fi
@@ -153,7 +158,7 @@ examples:
 	$(GO) run ./examples/profiletransfer
 	$(GO) run ./examples/cityfleet
 	$(GO) run ./examples/adaptivequery
-	# trafficcount profiles the full night-street corpus (minutes):
+	# trafficcount profiles the full night-street corpus (several seconds):
 	$(GO) run ./examples/trafficcount
 
 clean:

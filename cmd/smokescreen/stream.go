@@ -9,8 +9,10 @@ import (
 	"strings"
 	"time"
 
+	"smokescreen"
 	"smokescreen/internal/camera"
 	"smokescreen/internal/core"
+	"smokescreen/internal/degrade"
 	"smokescreen/internal/detect"
 	"smokescreen/internal/estimate"
 	"smokescreen/internal/server"
@@ -85,21 +87,45 @@ func cmdStream(args []string) {
 	oneShotStream(rs, *addr)
 }
 
+// samplingOnlyLabel is appended to every bound printed for a stream whose
+// query sets a non-random axis (ResolvedStream.SamplingOnly): the bound is
+// the any-time sampling bound over the frames delivered, and nothing repairs
+// what the named clauses do to the answer. queryText is the canonical query
+// the resolver or the daemon reported; a stream that is not sampling-only
+// gets no label and prints exactly what it always has.
+func samplingOnlyLabel(samplingOnly bool, queryText string) string {
+	if !samplingOnly {
+		return ""
+	}
+	q, err := smokescreen.ParseQuery(queryText)
+	if err != nil {
+		fatal(err)
+	}
+	var unrepaired []string
+	for _, ax := range degrade.Axes() {
+		if !ax.Random && ax.Clause != nil && ax.Clause.Render(q.Setting) != "" {
+			unrepaired = append(unrepaired, ax.Clause.Keyword)
+		}
+	}
+	return "  [sampling only — " + strings.Join(unrepaired, ", ") + " not repaired]"
+}
+
 // printWindow is the one rendering of a completed window, local or remote.
-func printWindow(res stream.WindowResult) {
+func printWindow(res stream.WindowResult, label string) {
 	drift := ""
 	if res.Drifted {
 		drift = "  << DRIFT"
 	}
-	fmt.Printf("window %3d [%6d,%6d): %.3f (err <= %.3f, %d/%d frames, divergence %.3f)%s\n",
+	fmt.Printf("window %3d [%6d,%6d): %.3f (err <= %.3f, %d/%d frames, divergence %.3f)%s%s\n",
 		res.Seq, res.Lo, res.Hi, res.Estimate.Value, res.Estimate.ErrBound,
-		res.Frames, res.Estimate.N, res.Divergence, drift)
+		res.Frames, res.Estimate.N, res.Divergence, label, drift)
 }
 
 // windowedStream runs the live-ingest subsystem locally: the resolved
 // camera and receiver in one process, as the daemon's stream job runs them.
 func windowedStream(rs *server.ResolvedStream) {
-	rs.Config.OnWindow = printWindow
+	label := samplingOnlyLabel(rs.SamplingOnly, rs.Query)
+	rs.Config.OnWindow = func(res stream.WindowResult) { printWindow(res, label) }
 	rs.Config.OnDrift = func(ev stream.DriftEvent) { fmt.Println("  " + ev.String()) }
 	recv, err := stream.New(rs.Config)
 	if err != nil {
@@ -143,6 +169,7 @@ func remoteStream(baseURL string, req server.StreamRequest) {
 	}
 	fmt.Printf("stream %s started on %s (%s, window %d, %d sessions)\n",
 		status.ID, baseURL, status.Query, status.Window, status.Loops)
+	label := samplingOnlyLabel(status.SamplingOnly, status.Query)
 
 	ticker := time.NewTicker(500 * time.Millisecond)
 	defer ticker.Stop()
@@ -175,7 +202,7 @@ func remoteStream(baseURL string, req server.StreamRequest) {
 		}
 		for _, res := range st.Windows {
 			if res.Seq >= nextSeq {
-				printWindow(res)
+				printWindow(res, label)
 				nextSeq = res.Seq + 1
 			}
 		}
@@ -194,6 +221,7 @@ func remoteStream(baseURL string, req server.StreamRequest) {
 // and the camera's accounting.
 func oneShotStream(rs *server.ResolvedStream, addr string) {
 	node, cfg := rs.Node, &rs.Config
+	label := samplingOnlyLabel(rs.SamplingOnly, rs.Query)
 	listener, err := net.Listen("tcp", addr)
 	if err != nil {
 		fatal(err)
@@ -240,8 +268,8 @@ func oneShotStream(rs *server.ResolvedStream, addr string) {
 		frames++
 		est := estimator.Observe(float64(count))
 		if frames%10 == 0 {
-			fmt.Printf("  after %3d frames: running mean %.3f, conservative estimate %.3f (err <= %.3f, any-time)\n",
-				frames, float64(total)/float64(frames), est.Value, est.ErrBound)
+			fmt.Printf("  after %3d frames: running mean %.3f, conservative estimate %.3f (err <= %.3f, any-time)%s\n",
+				frames, float64(total)/float64(frames), est.Value, est.ErrBound, label)
 		}
 		return nil
 	})

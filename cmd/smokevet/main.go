@@ -2,9 +2,9 @@
 // (internal/analysis) over a set of packages and reports findings in the
 // familiar file:line:col form. It is the `make lint` gate that turns the
 // codebase's load-bearing conventions — deterministic generation paths,
-// pooled-scratch hygiene, end-to-end context flow, atomic-only counters,
-// goroutine accounting, lock ordering, axis-registry exhaustiveness, and
-// error contracts — into mechanically enforced rules (DESIGN.md §10, §15).
+// end-to-end context flow, atomic-only counters, goroutine accounting,
+// axis-registry exhaustiveness, and error contracts — into mechanically
+// enforced rules (DESIGN.md §10).
 //
 // Usage:
 //
@@ -20,8 +20,9 @@
 // type-checks packages itself with the standard library. Findings are
 // suppressed line-by-line with `//smokevet:ignore <reason>` (optionally
 // `//smokevet:ignore <analyzer>: <reason>`); a suppression without a
-// reason is itself a finding, and a suppression that silences nothing is
-// reported as stale unless the audit is disabled with -audit=false.
+// reason, or scoped to a name the suite does not have, is itself a
+// finding, and a suppression that silences nothing is reported as stale
+// unless the audit is disabled with -audit=false.
 package main
 
 import (

@@ -9,7 +9,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"math"
 
 	"smokescreen"
 )
@@ -64,10 +63,10 @@ func main() {
 
 	// For the demo only: verify against the exact answer. A production
 	// deployment cannot do this — that is the whole point.
-	truth, err := sys.GroundTruth(q)
+	audit, err := sys.Audit(q, result.Estimate)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("exact answer:       %.4f (actual error %.4f)\n",
-		truth, math.Abs(result.Estimate.Value-truth)/truth)
+	fmt.Printf("exact answer:       %.4f (actual error %.4f, bound held: %v)\n",
+		audit.Truth, audit.TrueError, audit.Held)
 }

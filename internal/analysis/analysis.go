@@ -1,8 +1,9 @@
 // Package analysis implements smokevet, the repo's custom static-analysis
 // suite. It mechanically enforces the codebase's load-bearing invariants —
-// bit-identical profile generation, pooled-scratch hygiene, end-to-end
-// context flow, and atomic-only counters — that are otherwise guarded only
-// by convention and a handful of determinism tests (see DESIGN.md §10).
+// bit-identical profile generation, end-to-end context flow, owned
+// goroutines, one axis registry, and the error contract — that are
+// otherwise guarded only by convention and a handful of determinism tests
+// (see DESIGN.md §10).
 //
 // The package deliberately mirrors the golang.org/x/tools/go/analysis API
 // shape (Analyzer, Pass, Diagnostic, an analysistest-style fixture runner)
@@ -61,11 +62,6 @@ type Pass struct {
 	// ImportObjectFact copies the fact attached to obj (by this analyzer,
 	// in obj's defining package) into fact and reports whether one exists.
 	ImportObjectFact func(obj types.Object, fact Fact) bool
-	// ExportPackageFact attaches a fact to the package itself.
-	ExportPackageFact func(fact Fact)
-	// ImportPackageFact copies the package-level fact of the package with
-	// the given import path into fact and reports whether one exists.
-	ImportPackageFact func(path string, fact Fact) bool
 }
 
 // Diagnostic is one reported finding.
@@ -96,15 +92,6 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	}
 	fn, _ := info.Uses[id].(*types.Func)
 	return fn
-}
-
-// calleeFullName returns the resolved callee's full name
-// (e.g. "time.Now", "(*sync.Pool).Get"), or "".
-func calleeFullName(info *types.Info, call *ast.CallExpr) string {
-	if fn := calleeFunc(info, call); fn != nil {
-		return fn.FullName()
-	}
-	return ""
 }
 
 // calleeName returns the syntactic name of a call's callee — the bare
@@ -171,4 +158,9 @@ func objectOf(info *types.Info, e ast.Expr) types.Object {
 		return info.ObjectOf(e.Sel)
 	}
 	return nil
+}
+
+// isPackageLevel reports whether obj is a package-scope variable.
+func isPackageLevel(obj types.Object) bool {
+	return obj.Parent() != nil && obj.Parent().Parent() == types.Universe
 }

@@ -81,11 +81,11 @@ func RunFixture(l *Loader, a *Analyzer, dir string) (*FixtureResult, error) {
 			return nil, err
 		}
 		diags = append(diags, ds...)
-		for _, pos := range pkg.Suppressions.malformed {
+		for _, m := range pkg.Suppressions.malformed {
 			diags = append(diags, Diagnostic{
 				Analyzer: "smokevet",
-				Pos:      pkg.Fset.Position(pos),
-				Message:  "smokevet:ignore without a reason; write //smokevet:ignore <reason>",
+				Pos:      pkg.Fset.Position(m.pos),
+				Message:  m.message,
 			})
 		}
 		es, err := collectWants(pkg.Fset, pkg.Files)

@@ -10,10 +10,10 @@ import (
 )
 
 // Fact propagation: the cross-package half of the framework. An analyzer
-// that declares FactTypes may attach typed facts to exported objects (or
-// to the package itself) while analyzing the defining package; when a
-// later package in dependency order is analyzed, the same analyzer can
-// import those facts at call sites. This mirrors the
+// that declares FactTypes may attach typed facts to exported objects while
+// analyzing the defining package; when a later package in dependency order
+// is analyzed, the same analyzer can import those facts at call sites. This
+// mirrors the
 // golang.org/x/tools/go/analysis fact model: facts are the only state
 // that crosses a package boundary, and they are serialized per package —
 // gob-encoded here, exactly as x/tools does for its -vettool protocol —
@@ -22,15 +22,15 @@ import (
 // analyzer finishes and decodes them on first import; analyzers only ever
 // see the decoded copy, never the live objects of another package's pass.
 
-// Fact is a typed datum attached to an object or package by one analyzer
-// and visible to the same analyzer in downstream packages. Implementations
-// must be pointers to gob-encodable structs; AFact is a marker.
+// Fact is a typed datum attached to an object by one analyzer and visible
+// to the same analyzer in downstream packages. Implementations must be
+// pointers to gob-encodable structs; AFact is a marker.
 type Fact interface{ AFact() }
 
-// factKey names one fact slot: the canonical object key ("" for a
-// package-level fact) plus the concrete fact type.
+// factKey names one fact slot: the canonical object key plus the concrete
+// fact type.
 type factKey struct {
-	Object string // "" = package fact
+	Object string
 	Type   string // reflect type string of the fact pointer
 }
 

@@ -94,7 +94,6 @@ func TestFactSetGobRoundTrip(t *testing.T) {
 		s := newFactSet()
 		s.put("pkg.A", &testFact{Note: "alpha"})
 		s.put("pkg.B", &testFact{Note: "beta"})
-		s.put("", &testFact{Note: "package-level"})
 		return s
 	}
 	blob1, err := build().encode()
@@ -115,9 +114,6 @@ func TestFactSetGobRoundTrip(t *testing.T) {
 	var got testFact
 	if !decoded.get("pkg.A", &got) || got.Note != "alpha" {
 		t.Errorf("object fact after round trip = %+v", got)
-	}
-	if !decoded.get("", &got) || got.Note != "package-level" {
-		t.Errorf("package fact after round trip = %+v", got)
 	}
 	if decoded.get("pkg.C", &got) {
 		t.Error("decoded set invented a fact for an unknown key")
@@ -156,7 +152,7 @@ func Exported() {}
 `)
 	// The root does not import dep through the type-checker here (that
 	// path is covered by the fixture tests); the analyzer looks the fact
-	// up by the dep's package path directly, which exercises the store.
+	// up through the dep's own object, which exercises the store.
 	root := checkTestPkg(t, "example.com/root", `package root
 
 func Uses() {}
@@ -176,8 +172,6 @@ func Uses() {}
 				var f testFact
 				sawInDep = pass.ImportObjectFact(obj, &f) && f.Note == "from dep"
 			case "example.com/root":
-				var f testFact
-				sawInRoot = pass.ImportPackageFact("example.com/dep", &f)
 				var obj testFact
 				if dep := depObject(); dep != nil {
 					sawInRoot = pass.ImportObjectFact(dep, &obj) && obj.Note == "from dep"

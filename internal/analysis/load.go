@@ -129,9 +129,9 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 // any) become "fixture/<base>". Sub-packages may import one another and
 // the root may import any sub-package — imports under the "fixture/"
 // prefix resolve against the tree itself instead of the stdlib source
-// importer, which is what lets lockorder and fact-propagation fixtures
-// span two type-checked packages. Packages are returned in dependency
-// order (imports first), ready for the fact-aware runner.
+// importer, which is what lets fact-propagation fixtures span two
+// type-checked packages. Packages are returned in dependency order
+// (imports first), ready for the fact-aware runner.
 func (l *Loader) LoadFixtureTree(dir string) ([]*Package, error) {
 	base := "fixture/" + filepath.Base(dir)
 	entries, err := filepath.Glob(filepath.Join(dir, "*"))

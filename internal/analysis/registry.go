@@ -1,11 +1,10 @@
 package analysis
 
-// Analyzers returns the full smokevet suite in report order: the four
-// single-package v1 analyzers, then the v2 analyzers that lean on fact
-// propagation and the serving-path/persistence contracts.
+// Analyzers returns the full smokevet suite in report order. It is the
+// one roster: the suppression grammar takes its analyzer names from here.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		Determinism, Poolhygiene, Ctxflow, Atomiccounter,
-		Goroleak, Lockorder, Axisreg, Errcontract,
+		Determinism, Ctxflow, Atomiccounter,
+		Goroleak, Axisreg, Errcontract,
 	}
 }

@@ -30,23 +30,14 @@ type RunResult struct {
 	Timings     []AnalyzerTiming
 }
 
-// Run applies each analyzer whose Match accepts the package's import path
-// and returns the surviving diagnostics in position order. Suppressed
-// findings are dropped; malformed (reason-less) suppressions and
-// type-check failures are themselves reported, so neither can silently
-// weaken the gate.
-func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	res, err := RunSuite(pkgs, analyzers, RunOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return res.Diagnostics, nil
-}
-
-// RunSuite is Run with options and timing. Packages are visited in
-// dependency order (imports before importers, restricted to the loaded
-// set), so facts an analyzer exports while visiting a package are always
-// available by the time any importer of that package is analyzed.
+// RunSuite applies each analyzer whose Match accepts the package's import
+// path and returns the surviving diagnostics in position order, with
+// per-analyzer timing. Suppressed findings are dropped; malformed
+// suppressions and type-check failures are themselves reported, so neither
+// can silently weaken the gate. Packages are visited in dependency order
+// (imports before importers, restricted to the loaded set), so facts an
+// analyzer exports while visiting a package are always available by the
+// time any importer of that package is analyzed.
 func RunSuite(pkgs []*Package, analyzers []*Analyzer, opts RunOptions) (*RunResult, error) {
 	facts := newFactStore()
 	if err := facts.register(analyzers); err != nil {
@@ -64,11 +55,11 @@ func RunSuite(pkgs []*Package, analyzers []*Analyzer, opts RunOptions) (*RunResu
 				Message:  err.Error(),
 			})
 		}
-		for _, pos := range pkg.Suppressions.malformed {
+		for _, m := range pkg.Suppressions.malformed {
 			diags = append(diags, Diagnostic{
 				Analyzer: "smokevet",
-				Pos:      pkg.Fset.Position(pos),
-				Message:  "smokevet:ignore without a reason; write //smokevet:ignore <reason>",
+				Pos:      pkg.Fset.Position(m.pos),
+				Message:  m.message,
 			})
 		}
 		for _, a := range analyzers {
@@ -223,9 +214,6 @@ func runOne(pkg *Package, a *Analyzer, facts *factStore) ([]Diagnostic, error) {
 	pass.ExportObjectFact = func(obj types.Object, fact Fact) {
 		exported.put(objectFactKey(obj), fact)
 	}
-	pass.ExportPackageFact = func(fact Fact) {
-		exported.put("", fact)
-	}
 	pass.ImportObjectFact = func(obj types.Object, fact Fact) bool {
 		if facts == nil || obj == nil || obj.Pkg() == nil {
 			return false
@@ -240,16 +228,6 @@ func runOne(pkg *Package, a *Analyzer, facts *factStore) ([]Diagnostic, error) {
 			return false
 		}
 		return set.get(objectFactKey(obj), fact)
-	}
-	pass.ImportPackageFact = func(path string, fact Fact) bool {
-		if facts == nil {
-			return false
-		}
-		set, err := facts.open(path, a.Name)
-		if err != nil || set == nil {
-			return false
-		}
-		return set.get("", fact)
 	}
 	if err := a.Run(pass); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"strings"
@@ -17,7 +18,9 @@ import (
 // mandatory: a bare `//smokevet:ignore` is itself reported, which is what
 // keeps the acceptance bar of "zero unexplained suppressions" mechanical.
 // Naming an analyzer scopes the suppression to it; otherwise it applies
-// to every analyzer.
+// to every analyzer. A scope that names no analyzer of the suite — a typo,
+// or an analyzer since retired — is reported like a missing reason and
+// silences nothing, instead of quietly widening into a blanket ignore.
 //
 // Suppressions are also audited: when the full suite runs, any ignore
 // that silenced nothing is reported as stale (RunOptions
@@ -51,41 +54,54 @@ type suppressionIndex struct {
 	byLine map[int][]*suppression
 	// ordered lists each suppression once, in source order.
 	ordered []*suppression
-	// malformed are suppressions with no reason, reported by the runner.
-	malformed []token.Pos
+	// malformed are suppressions that silence nothing and are reported by
+	// the runner instead: no reason, or a scope naming no analyzer.
+	malformed []malformedSuppression
 }
 
-// knownAnalyzers lets the parser distinguish an analyzer-scoped
-// suppression from a reason that happens to contain a colon.
-var knownAnalyzers = map[string]bool{
-	"determinism":   true,
-	"poolhygiene":   true,
-	"ctxflow":       true,
-	"atomiccounter": true,
-	"goroleak":      true,
-	"lockorder":     true,
-	"axisreg":       true,
-	"errcontract":   true,
+type malformedSuppression struct {
+	pos     token.Pos
+	message string
+}
+
+// knownAnalyzer reports whether name is an analyzer of the suite. The
+// roster is Analyzers() itself, so a retired analyzer's name stops being
+// accepted the moment it leaves the registry.
+func knownAnalyzer(name string) bool {
+	for _, a := range Analyzers() {
+		if a.Name == name {
+			return true
+		}
+	}
+	return false
 }
 
 // parseSuppression interprets one line comment's text (with the leading
 // "//" already stripped). It returns the parsed suppression and whether
-// the comment is a suppression at all; a suppression with an empty
-// reason is malformed (reported by the runner, never effective). The
-// fuzz target FuzzSuppressParse pins this parser: arbitrary comment
-// bytes must parse without panicking, and every well-formed result must
-// carry a non-empty reason and a known (or empty) analyzer scope.
-func parseSuppression(text string) (s suppression, isSuppression bool) {
+// the comment is a suppression at all. A suppression with an empty reason
+// is malformed, and so is one whose reason opens with a single word and a
+// colon that names no analyzer (unknownScope is that word); both are
+// reported by the runner and never effective. A colon later in a reason is
+// just text. The fuzz target FuzzSuppressParse pins this parser:
+// arbitrary comment bytes must parse without panicking, and every
+// well-formed result must carry a non-empty reason and a known (or empty)
+// analyzer scope.
+func parseSuppression(text string) (s suppression, unknownScope string, isSuppression bool) {
 	rest, ok := strings.CutPrefix(strings.TrimSpace(text), suppressPrefix)
 	if !ok {
-		return suppression{}, false
+		return suppression{}, "", false
 	}
 	s.reason = strings.TrimSpace(rest)
-	if name, tail, found := strings.Cut(s.reason, ":"); found && knownAnalyzers[strings.TrimSpace(name)] {
-		s.analyzer = strings.TrimSpace(name)
-		s.reason = strings.TrimSpace(tail)
+	if name, tail, found := strings.Cut(s.reason, ":"); found {
+		switch name = strings.TrimSpace(name); {
+		case knownAnalyzer(name):
+			s.analyzer = name
+			s.reason = strings.TrimSpace(tail)
+		case name != "" && !strings.ContainsAny(name, " \t"):
+			return s, name, true
+		}
 	}
-	return s, true
+	return s, "", true
 }
 
 func indexSuppressions(fset *token.FileSet, files []*ast.File) *suppressionIndex {
@@ -97,13 +113,19 @@ func indexSuppressions(fset *token.FileSet, files []*ast.File) *suppressionIndex
 				if !ok {
 					continue // block comments don't carry suppressions
 				}
-				s, ok := parseSuppression(text)
+				s, unknownScope, ok := parseSuppression(text)
 				if !ok {
 					continue
 				}
 				s.pos = c.Pos()
+				if unknownScope != "" {
+					idx.malformed = append(idx.malformed, malformedSuppression{c.Pos(),
+						fmt.Sprintf("smokevet:ignore names %q, which is not an analyzer of the suite; it silences nothing", unknownScope)})
+					continue
+				}
 				if s.reason == "" {
-					idx.malformed = append(idx.malformed, c.Pos())
+					idx.malformed = append(idx.malformed, malformedSuppression{c.Pos(),
+						"smokevet:ignore without a reason; write //smokevet:ignore <reason>"})
 					continue
 				}
 				sp := &s

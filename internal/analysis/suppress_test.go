@@ -1,9 +1,11 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -65,8 +67,59 @@ func f() int {
 		t.Error("suppression leaked beyond the line below the comment")
 	}
 	// Unscoped: silences every analyzer.
-	if !idx.suppressed("determinism", 7) || !idx.suppressed("poolhygiene", 7) {
+	if !idx.suppressed("determinism", 7) || !idx.suppressed("goroleak", 7) {
 		t.Error("unscoped suppression did not apply to every analyzer")
+	}
+}
+
+// TestRetiredAnalyzerScopeIsReported pins what deriving the scope names
+// from Analyzers() buys: an ignore comment naming an analyzer the suite no
+// longer has (lockorder was retired) — or a typo of one that it has — is a
+// finding and silences nothing. Parsed as a reason with a colon in it, the
+// same comment would have been a blanket ignore for every analyzer.
+func TestRetiredAnalyzerScopeIsReported(t *testing.T) {
+	fset, f := parseForSuppress(t, `package p
+
+//smokevet:ignore lockorder: the lock graph is acyclic here
+var a = 1
+
+//smokevet:ignore determinsm: typo of a live analyzer
+var b = 2
+
+//smokevet:ignore see issue 12: a colon later in a reason is just text
+var c = 3
+`)
+	pkg := &Package{
+		Path:         "fixture/retired",
+		Fset:         fset,
+		Files:        []*ast.File{f},
+		Suppressions: indexSuppressions(fset, []*ast.File{f}),
+	}
+	everywhere := &Analyzer{
+		Name: "determinism",
+		Run: func(pass *Pass) error {
+			for _, d := range f.Decls {
+				pass.Report(d.Pos(), "synthetic finding")
+			}
+			return nil
+		},
+	}
+	res, err := RunSuite([]*Package{pkg}, []*Analyzer{everywhere}, RunOptions{})
+	if err != nil {
+		t.Fatalf("RunSuite: %v", err)
+	}
+	var got []string
+	for _, d := range res.Diagnostics {
+		got = append(got, fmt.Sprintf("%d %s %s", d.Pos.Line, d.Analyzer, d.Message))
+	}
+	want := []string{
+		`3 smokevet smokevet:ignore names "lockorder", which is not an analyzer of the suite; it silences nothing`,
+		"4 determinism synthetic finding",
+		`6 smokevet smokevet:ignore names "determinsm", which is not an analyzer of the suite; it silences nothing`,
+		"7 determinism synthetic finding",
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("diagnostics:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 
@@ -139,10 +192,11 @@ var x = 1 //smokevet:ignore
 		Files:        []*ast.File{f},
 		Suppressions: indexSuppressions(fset, []*ast.File{f}),
 	}
-	diags, err := Run([]*Package{pkg}, nil)
+	res, err := RunSuite([]*Package{pkg}, nil, RunOptions{})
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("RunSuite: %v", err)
 	}
+	diags := res.Diagnostics
 	if len(diags) != 1 {
 		t.Fatalf("diags = %d, want 1", len(diags))
 	}

@@ -418,14 +418,23 @@ func (s *System) ExecuteUntilCtx(ctx context.Context, q *query.Query, targetErr,
 }
 
 // GroundTruth computes the query's exact answer over the non-degraded
-// corpus. It exists for experiments and examples; a production deployment
-// cannot call it without violating the degradation goals.
+// corpus: Audit's Truth for callers with no estimate to check.
 func (s *System) GroundTruth(q *query.Query) (float64, error) {
+	audit, err := s.Audit(q, estimate.Estimate{})
+	return audit.Truth, err
+}
+
+// Audit checks an estimate of the query against the non-degraded corpus:
+// the exact answer, the true error in the paper's metric, and whether the
+// bound held. It exists for experiments, examples and `query -truth`; a
+// production deployment cannot call it without violating the degradation
+// goals.
+func (s *System) Audit(q *query.Query, e estimate.Estimate) (estimate.Audited, error) {
 	spec, err := s.Resolve(q)
 	if err != nil {
-		return 0, err
+		return estimate.Audited{}, err
 	}
-	return spec.TrueAnswer()
+	return spec.Audit(e)
 }
 
 // TransferProfile generates a fraction-axis profile on a *similar* video

@@ -415,6 +415,54 @@ func TestGroundTruthErrors(t *testing.T) {
 	if _, err := s.GroundTruth(mustQuery(t, "SELECT AVG(count(car)) FROM nowhere")); err == nil {
 		t.Fatal("unknown dataset accepted")
 	}
+	if _, err := s.Audit(mustQuery(t, "SELECT AVG(count(car)) FROM nowhere"), estimate.Estimate{}); err == nil {
+		t.Fatal("Audit accepted an unknown dataset")
+	}
+}
+
+// Audit is the one truth comparison every surface prints: for each
+// aggregate, under a random-only and a repaired setting, it must report
+// estimate.TrueError's value — rank error for MAX/MIN — GroundTruth's
+// answer, and Held exactly when the bound is not below the true error.
+func TestAuditReportsThePaperMetric(t *testing.T) {
+	s := New()
+	for _, sel := range []string{
+		"AVG(count(car)) FROM small", "SUM(count(car)) FROM small", "COUNT(*) FROM small WHERE count(car) >= 2",
+		"MAX(count(car)) FROM small", "MIN(count(car)) FROM small",
+	} {
+		for _, clauses := range []string{"SAMPLE 0.1", "SAMPLE 0.1 RESOLUTION 96"} {
+			q := mustQuery(t, "SELECT "+sel+" "+clauses)
+			res, err := s.Execute(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			audit, err := s.Audit(q, res.Estimate)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec, err := s.Resolve(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := estimate.TrueError(q.Agg, res.Estimate.Value, spec.TruePopulation(), q.Params())
+			if err != nil {
+				t.Fatal(err)
+			}
+			truth, err := s.GroundTruth(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if audit.TrueError != want || audit.Truth != truth {
+				t.Errorf("%s: Audit = %+v, want true error %v against truth %v", q, audit, want, truth)
+			}
+			if math.IsNaN(audit.TrueError) {
+				t.Errorf("%s: true error is NaN (truth %v, answer %v)", q, audit.Truth, res.Estimate.Value)
+			}
+			if audit.Held != !(res.Estimate.ErrBound < audit.TrueError) {
+				t.Errorf("%s: Held = %v with bound %v and true error %v", q, audit.Held, res.Estimate.ErrBound, audit.TrueError)
+			}
+		}
+	}
 }
 
 func TestTransferProfileErrors(t *testing.T) {

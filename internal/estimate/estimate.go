@@ -274,22 +274,43 @@ func TrueAnswer(agg Agg, population []float64, p Params) (float64, error) {
 // error for MAX/MIN (|rank(Yapprox) - rank(Ytrue)| / rank(Ytrue), with
 // ranks taken in the full population).
 func TrueError(agg Agg, approx float64, population []float64, p Params) (float64, error) {
+	audit, err := Audit(agg, Estimate{Value: approx}, population, p)
+	return audit.TrueError, err
+}
+
+// Audited is an estimate checked against native truth.
+type Audited struct {
+	Truth     float64 // exact aggregate over the population
+	TrueError float64 // the paper's metric (see TrueError)
+	Held      bool    // the estimate's bound is not below its true error
+}
+
+// Audit compares an estimate with the exact aggregate over the full
+// population of per-frame outputs. It is the one place a bound is checked
+// against truth: experiments, examples and `query -truth` call it (through
+// the Spec, System and Fleet methods that supply the population), so all
+// of them report the paper's metric — rank error for MAX/MIN, not value
+// error. Only an administrator who holds the non-degraded corpus can run it.
+func Audit(agg Agg, e Estimate, population []float64, p Params) (Audited, error) {
 	truth, err := TrueAnswer(agg, population, p)
 	if err != nil {
-		return 0, err
+		return Audited{}, err
 	}
-	if !agg.IsExtremum() {
-		return stats.RelativeError(approx, truth), nil
-	}
-	sorted := append([]float64(nil), population...)
-	sort.Float64s(sorted)
-	rApprox := stats.RankSorted(sorted, approx)
-	rTrue := stats.RankSorted(sorted, truth)
-	if rTrue == 0 {
-		if rApprox == 0 {
-			return 0, nil
+	a := Audited{Truth: truth}
+	if agg.IsExtremum() {
+		sorted := append([]float64(nil), population...)
+		sort.Float64s(sorted)
+		rApprox := stats.RankSorted(sorted, e.Value)
+		rTrue := stats.RankSorted(sorted, truth)
+		switch {
+		case rTrue != 0:
+			a.TrueError = math.Abs(float64(rApprox-rTrue)) / float64(rTrue)
+		case rApprox != 0:
+			a.TrueError = math.Inf(1)
 		}
-		return math.Inf(1), nil
+	} else {
+		a.TrueError = stats.RelativeError(e.Value, truth)
 	}
-	return math.Abs(float64(rApprox-rTrue)) / float64(rTrue), nil
+	a.Held = !(e.ErrBound < a.TrueError)
+	return a, nil
 }

@@ -391,6 +391,51 @@ func TestTrueErrorRankMetric(t *testing.T) {
 	if math.Abs(got-0.1) > 1e-12 {
 		t.Fatalf("value error = %v, want 0.1", got)
 	}
+
+	// Audit is TrueError next to the truth and the verdict: the same
+	// metric per aggregate, and Held exactly when the bound is not below it.
+	for _, tc := range []struct {
+		agg  Agg
+		est  Estimate
+		held bool
+	}{
+		{MAX, Estimate{Value: 8, ErrBound: 0.25}, true},
+		{MAX, Estimate{Value: 8, ErrBound: 0.15}, false}, // value error would be 0.2 too; rank error decides
+		{MAX, Estimate{Value: 5, ErrBound: 0.5}, true},   // value error 0.5, rank error 0.5
+		{MIN, Estimate{Value: 3, ErrBound: 1}, false},    // truth 1 (rank 1), answer rank 3: error 2
+		{AVG, Estimate{Value: 6.05, ErrBound: 0.09}, false},
+		{AVG, Estimate{Value: 6.05, ErrBound: 0.11}, true},
+		{SUM, Estimate{Value: 60.5, ErrBound: 0.11}, true},
+	} {
+		audit, err := Audit(tc.agg, tc.est, pop, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantErr, _ := TrueError(tc.agg, tc.est.Value, pop, p)
+		wantTruth, _ := TrueAnswer(tc.agg, pop, p)
+		if audit.TrueError != wantErr || audit.Truth != wantTruth || audit.Held != tc.held {
+			t.Errorf("Audit(%v, %+v) = %+v, want true error %v, truth %v, held %v", tc.agg, tc.est, audit, wantErr, wantTruth, tc.held)
+		}
+	}
+	// A zero truth answered with zero is an exact answer, not 0/0: the
+	// hand-rolled |v-truth|/truth this replaces printed NaN for it.
+	zeros := []float64{0, 0, 0, 1, 2}
+	for _, agg := range []Agg{MIN, AVG} {
+		pop := zeros
+		if agg == AVG {
+			pop = zeros[:3]
+		}
+		audit, err := Audit(agg, Estimate{Value: 0, ErrBound: 0}, pop, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if audit.Truth != 0 || audit.TrueError != 0 || !audit.Held {
+			t.Errorf("Audit(%v) of an exact zero answer = %+v", agg, audit)
+		}
+	}
+	if _, err := Audit(AVG, Estimate{}, nil, p); err == nil {
+		t.Error("Audit accepted an empty population")
+	}
 }
 
 func TestBaselineSupportMatrix(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"smokescreen/internal/core"
 	"smokescreen/internal/degrade"
 	"smokescreen/internal/detect"
 	"smokescreen/internal/estimate"
@@ -12,8 +13,6 @@ import (
 	"smokescreen/internal/profile"
 	"smokescreen/internal/stats"
 )
-
-func init() { register("ablations", Ablations) }
 
 // Ablations quantifies the design choices DESIGN.md calls out:
 //
@@ -142,7 +141,7 @@ func ablationReuse(cfg Config, report *Report) error {
 	detect.ResetCaches()
 	before = detect.Invocations()
 	for fi, f := range fractions {
-		if _, err := spec.EstimateSettingCtx(context.Background(), degrade.Setting{SampleFraction: f}, nil, root.ChildN(2, uint64(fi))); err != nil {
+		if _, err := spec.UncorrectedEstimate(degrade.Setting{SampleFraction: f}, root.ChildN(2, uint64(fi))); err != nil {
 			return err
 		}
 	}
@@ -172,7 +171,7 @@ func ablationElbow(cfg Config, report *Report) error {
 		return err
 	}
 	root := stats.NewStream(cfg.Seed).Child(0xab3)
-	construction, err := profile.ConstructCorrectionCtx(context.Background(), spec, 0.2, root.Child(1))
+	construction, err := profile.ConstructCorrectionCtx(context.Background(), spec, core.DefaultCorrectionLimit, root.Child(1))
 	if err != nil {
 		return err
 	}
@@ -196,19 +195,11 @@ func ablationElbow(cfg Config, report *Report) error {
 		var sum float64
 		for trial := 0; trial < trials; trial++ {
 			s := root.ChildN(2, uint64(m), uint64(trial))
-			corr, err := profile.BuildCorrectionAt(spec, m, s.Child(1))
+			tr, err := runRepairTrial(spec, setting, m, s.Child(2), s.Child(1))
 			if err != nil {
 				return err
 			}
-			degraded, err := spec.UncorrectedEstimate(setting, s.Child(2))
-			if err != nil {
-				return err
-			}
-			bound, err := corr.Repair(spec.Agg, degraded, spec.Params)
-			if err != nil {
-				return err
-			}
-			sum += capBound(bound)
+			sum += capBound(tr.Repaired)
 		}
 		label := fmt.Sprintf("%.2f", frac)
 		if frac == construction.Fraction {
@@ -250,11 +241,11 @@ func ablationSketch(cfg Config, report *Report) error {
 		if err != nil {
 			return err
 		}
-		trueErr, err := estimate.TrueError(estimate.MAX, est.Value, population, spec.Params)
+		audit, err := estimate.Audit(estimate.MAX, est, population, spec.Params)
 		if err != nil {
 			return err
 		}
-		sampErr += trueErr
+		sampErr += audit.TrueError
 		sampBound += est.ErrBound
 	}
 	table.Rows = append(table.Rows, []string{
@@ -270,16 +261,18 @@ func ablationSketch(cfg Config, report *Report) error {
 		return err
 	}
 	sketch.InsertAll(population)
-	gkValue := sketch.Quantile(spec.Params.R)
-	gkErr, err := estimate.TrueError(estimate.MAX, gkValue, population, spec.Params)
+	// The sketch's estimate: its quantile, under its rank guarantee made
+	// rank-relative.
+	gk := estimate.Estimate{Value: sketch.Quantile(spec.Params.R), ErrBound: 0.005 / spec.Params.R}
+	gkAudit, err := estimate.Audit(estimate.MAX, gk, population, spec.Params)
 	if err != nil {
 		return err
 	}
 	table.Rows = append(table.Rows, []string{
 		"GK sketch (eps=0.005)",
 		fmt.Sprintf("%d (every frame)", N),
-		fmtF(gkErr),
-		fmtF(0.005 / spec.Params.R), // the sketch's rank guarantee, rank-relative
+		fmtF(gkAudit.TrueError),
+		fmtF(gk.ErrBound),
 	})
 	report.Tables = append(report.Tables, table)
 	report.Notes = append(report.Notes, fmt.Sprintf(

@@ -6,16 +6,14 @@ import (
 	"net"
 
 	"smokescreen/internal/camera"
+	"smokescreen/internal/core"
 	"smokescreen/internal/degrade"
 	"smokescreen/internal/detect"
 	"smokescreen/internal/estimate"
-	"smokescreen/internal/profile"
 	"smokescreen/internal/scene"
 	"smokescreen/internal/stats"
 	"smokescreen/internal/transport"
 )
-
-func init() { register("bandwidth", Bandwidth) }
 
 // Bandwidth quantifies the benefit side of the degradation tradeoff — the
 // paper's Section 1 system goals (low bandwidth, energy limits) that
@@ -29,10 +27,12 @@ func Bandwidth(cfg Config) (*Report, error) {
 		ID:    "bandwidth",
 		Title: "Bandwidth/energy savings vs analytical error bound (extension)",
 	}
-	v, m, spec, err := bandwidthWorkload()
+	w := Workload{Dataset: "small", Model: "yolov4", Agg: estimate.AVG}
+	spec, err := w.Spec()
 	if err != nil {
 		return nil, err
 	}
+	sys := core.New(core.WithSeed(cfg.Seed))
 
 	settings := []degrade.Setting{
 		{SampleFraction: 0.1, Resolution: 320},
@@ -45,22 +45,17 @@ func Bandwidth(cfg Config) (*Report, error) {
 		settings = settings[:3]
 	}
 
-	corr, err := profile.ConstructCorrectionCtx(context.Background(), spec, 0.1, stats.NewStream(cfg.Seed).Child(0xbd0))
-	if err != nil {
-		return nil, err
-	}
-
 	table := &Table{
 		Title:  "Bandwidth — small corpus, YOLOv4Sim, AVG cars",
 		Header: []string{"setting", "frames", "bytes", "energy (J)", "bound"},
 	}
 	var baseline float64
 	for si, setting := range settings {
-		reportRow, err := streamSetting(v, m, setting, cfg.Seed+uint64(si))
+		reportRow, err := streamSetting(spec.Video, spec.Model, setting, cfg.Seed+uint64(si))
 		if err != nil {
 			return nil, err
 		}
-		est, err := spec.EstimateSettingCtx(context.Background(), setting, corr.Correction, stats.NewStream(cfg.Seed).ChildN(0xbd1, uint64(si)))
+		res, err := sys.ExecuteSettingCtx(context.Background(), w.query(), setting)
 		if err != nil {
 			return nil, err
 		}
@@ -72,7 +67,7 @@ func Bandwidth(cfg Config) (*Report, error) {
 			fmt.Sprintf("%d", reportRow.FramesTransmitted),
 			fmt.Sprintf("%d", reportRow.BytesTransmitted),
 			fmt.Sprintf("%.3f", reportRow.TotalJoules()),
-			fmtF(est.ErrBound),
+			fmtF(res.Estimate.ErrBound),
 		})
 		if si == len(settings)-1 && baseline > 0 {
 			report.Notes = append(report.Notes, fmt.Sprintf(
@@ -82,15 +77,6 @@ func Bandwidth(cfg Config) (*Report, error) {
 	}
 	report.Tables = append(report.Tables, table)
 	return report, nil
-}
-
-func bandwidthWorkload() (*scene.Video, *detect.Model, *profile.Spec, error) {
-	w := Workload{Dataset: "small", Model: "yolov4", Agg: estimate.AVG}
-	spec, err := w.Spec()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return spec.Video, spec.Model, spec, nil
 }
 
 // streamSetting runs one camera session over an in-process pipe and

@@ -9,8 +9,6 @@ import (
 	"smokescreen/internal/stats"
 )
 
-func init() { register("calibration", Calibration) }
-
 // Calibration validates the synthetic corpora against the statistics the
 // paper reports for its real datasets (Section 5.1): frame counts, and
 // the detector-measured fractions of frames containing a person (YOLOv4
@@ -35,17 +33,13 @@ func Calibration(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		v, err := dataset.Load(name)
-		if err != nil {
-			return nil, err
-		}
-		personFrac, faceFrac := presenceFractions(v, cfg)
-
 		w := Workload{Dataset: name, Model: "yolov4", Agg: 0}
 		spec, err := w.Spec()
 		if err != nil {
 			return nil, err
 		}
+		v := spec.Video
+		personFrac, faceFrac := presenceFractions(v, cfg)
 		meanCars := resolutionMean(spec, spec.Model.NativeInput, cfg)
 
 		table.Rows = append(table.Rows, []string{
@@ -66,16 +60,7 @@ func Calibration(cfg Config) (*Report, error) {
 // presenceFractions measures the detector-reported person and face frame
 // fractions. Quick mode samples a tenth of the corpus.
 func presenceFractions(v *scene.Video, cfg Config) (person, face float64) {
-	n := v.NumFrames()
-	var frames []int
-	if cfg.Quick {
-		frames = stats.NewStream(cfg.Seed).Child(0xca1).SampleWithoutReplacement(n, n/10)
-	} else {
-		frames = make([]int, n)
-		for i := range frames {
-			frames[i] = i
-		}
-	}
+	frames := corpusFrames(v.NumFrames(), cfg, 0xca1)
 	yolo := detect.YOLOv4Sim()
 	mtcnn := detect.MTCNNSim()
 	persons := seriesAt(v, yolo, scene.Person, yolo.NativeInput, frames)
@@ -90,4 +75,17 @@ func presenceFractions(v *scene.Video, cfg Config) (person, face float64) {
 		}
 	}
 	return float64(pc) / float64(len(frames)), float64(fc) / float64(len(frames))
+}
+
+// corpusFrames lists the frames a whole-corpus measurement reads: every
+// frame, or in quick mode a tenth of them drawn on the labelled stream.
+func corpusFrames(n int, cfg Config, label uint64) []int {
+	if cfg.Quick {
+		return stats.NewStream(cfg.Seed).Child(label).SampleWithoutReplacement(n, n/10)
+	}
+	frames := make([]int, n)
+	for i := range frames {
+		frames[i] = i
+	}
+	return frames
 }

@@ -1,9 +1,8 @@
 // Package experiments reproduces every figure and headline claim of the
 // paper's evaluation (Section 5). Each experiment is a pure function of a
 // Config and returns a Report of text tables whose rows correspond to the
-// points of the paper's plots; cmd/smokebench renders them, EXPERIMENTS.md
-// records paper-versus-measured, and the root bench_test.go wraps each one
-// in a testing.B benchmark.
+// points of the paper's plots; cmd/smokebench renders them and
+// EXPERIMENTS.md records paper-versus-measured.
 package experiments
 
 import (
@@ -12,14 +11,15 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 
-	"smokescreen/internal/dataset"
+	"smokescreen/internal/core"
+	"smokescreen/internal/degrade"
 	"smokescreen/internal/detect"
 	"smokescreen/internal/estimate"
 	"smokescreen/internal/outputs"
 	"smokescreen/internal/profile"
+	"smokescreen/internal/query"
 	"smokescreen/internal/scene"
 	"smokescreen/internal/stats"
 )
@@ -210,44 +210,39 @@ func (r *Report) Render(w io.Writer) error {
 // Runner executes one experiment.
 type Runner func(Config) (*Report, error)
 
-// registry maps experiment IDs to runners. Registration happens in init
-// functions whose order follows source-file names, so presentation order
-// is pinned explicitly in IDs instead.
-var registry = map[string]Runner{}
-
-func register(id string, r Runner) {
-	registry[id] = r
+// registry lists the experiments in the order reports are presented: the
+// calibration ground first, then the paper's figures, this reproduction's
+// ladder and adversarial extensions, the timing analysis, the headline
+// claims, and the ablations.
+var registry = []struct {
+	id  string
+	run Runner
+}{
+	{"calibration", Calibration},
+	{"figure3", Figure3},
+	{"figure4", Figure4},
+	{"figure5", Figure5},
+	{"figure6", Figure6},
+	{"figure7", Figure7},
+	{"figure8", Figure8},
+	{"figure9", Figure9},
+	{"figure10", Figure10},
+	{"ladder", LadderTradeoff},
+	{"adversarial", Adversarial},
+	{"timing", Timing},
+	{"claims", Claims},
+	{"ablations", Ablations},
+	{"modelaccuracy", ModelAccuracy},
+	{"bandwidth", Bandwidth},
 }
 
-// presentationOrder pins the order experiments appear in reports: the
-// calibration ground first, then the paper's figures, the timing analysis,
-// the headline claims, and this reproduction's ablations.
-var presentationOrder = []string{
-	"calibration",
-	"figure3", "figure4", "figure5", "figure6", "figure7", "figure8", "figure9", "figure10",
-	"ladder", "adversarial",
-	"timing", "claims", "ablations", "modelaccuracy", "bandwidth",
-}
-
-// IDs lists the registered experiment IDs in presentation order; any
-// experiment registered but not pinned is appended alphabetically.
+// IDs lists the experiment IDs in presentation order.
 func IDs() []string {
-	out := make([]string, 0, len(registry))
-	seen := map[string]bool{}
-	for _, id := range presentationOrder {
-		if _, ok := registry[id]; ok {
-			out = append(out, id)
-			seen[id] = true
-		}
+	out := make([]string, len(registry))
+	for i, e := range registry {
+		out[i] = e.id
 	}
-	var rest []string
-	for id := range registry {
-		if !seen[id] {
-			rest = append(rest, id)
-		}
-	}
-	sort.Strings(rest)
-	return append(out, rest...)
+	return out
 }
 
 // Run executes the experiment with the given ID.
@@ -255,11 +250,12 @@ func Run(id string, cfg Config) (*Report, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	runner, ok := registry[id]
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", id, IDs())
+	for _, e := range registry {
+		if e.id == id {
+			return e.run(cfg)
+		}
 	}
-	return runner(cfg)
+	return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", id, IDs())
 }
 
 // Workload identifies one (dataset, model, aggregate) combination from the
@@ -275,24 +271,25 @@ func (w Workload) String() string {
 	return fmt.Sprintf("%s / %s / %s", w.Dataset, w.Model, w.Agg)
 }
 
-// Spec resolves the workload. COUNT uses the paper's predicate: frames
-// that contain cars.
+// query spells the workload as the query the product would be asked: the
+// per-frame car count under the paper's default risk and quantile. COUNT
+// carries no WHERE, so it counts the frames that contain cars.
+func (w Workload) query() *query.Query {
+	p := estimate.DefaultParams()
+	return &query.Query{
+		Agg:     w.Agg,
+		Class:   scene.Car,
+		Dataset: w.Dataset,
+		Model:   w.Model,
+		Setting: degrade.Setting{SampleFraction: 1},
+		Delta:   p.Delta,
+		R:       p.R,
+	}
+}
+
+// Spec resolves the workload through the product's front door.
 func (w Workload) Spec() (*profile.Spec, error) {
-	v, err := dataset.Load(w.Dataset)
-	if err != nil {
-		return nil, err
-	}
-	model, err := detect.ModelByName(w.Model)
-	if err != nil {
-		return nil, err
-	}
-	return &profile.Spec{
-		Video:  v,
-		Model:  model,
-		Class:  scene.Car,
-		Agg:    w.Agg,
-		Params: estimate.DefaultParams(),
-	}, nil
+	return core.New().Resolve(w.query())
 }
 
 // paperWorkloads returns the Figure 4 grid: two datasets x four aggregate

@@ -2,12 +2,38 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
 	"smokescreen/internal/estimate"
 )
+
+// quickDigests pins the rendered bytes of every deterministic quick report
+// (timing holds wall-clock, so it is absent). They were captured on commit
+// 709ae1d, before the harness moved onto core.System; ladder and bandwidth
+// were re-pinned in that move (their correction set became the one the
+// system builds). A digest changes only with the reason CHANGES.md gives.
+var quickDigests = map[string]string{
+	"calibration":   "1dd535dad5c72917ec8fb788436551aede06d78dc5e8b587a410b3d0cc0b0b68",
+	"figure3":       "571241e4c3f4c8ddbe5f85537c2be2922255e1c2bf78b10dd44602002970b46d",
+	"figure4":       "b0d431e8386c73cfefc687a18108cbaf9b3ebaf9f4ee6dfe7095193d3e1d8354",
+	"figure5":       "0801a10bf4f176616b354d2ccaea7343a3c5d850a0b1def6f6c835dee6df000c",
+	"figure6":       "99e9e1dcaf02793eacbff15256f246abe2422c37849a4ac2c907f33788d1bf99",
+	"figure7":       "ab183651195584a4db0fd4f7f8013a21cf3cbc06ec3b0d62864582daa900e0fb",
+	"figure8":       "9486abfa1ff57fa549548e27ebf34f154856d240a200ff2504dd188e664d111a",
+	"figure9":       "98e5bfe3b4505b41377f2420db307cde189af8b28d73760804303317ddb72ff2",
+	"figure10":      "0d4e98cbe0d11435b67c89797fea0232f74f6129493121b04ae7c21687939b27",
+	"ladder":        "95520d5df08972f1e08cbd4a1355e25b4a9cee5c4b5cfda042f3376c678109b4",
+	"adversarial":   "5852811665a3c301cf2deac603e1b6fbee1c059e1097908d9aefac66ab3d5798",
+	"claims":        "7654507de86a5d07d65ed1784d69fcf81343a9301557435db304750647f1ad08",
+	"ablations":     "7876639d91bf608ba341e8fe76c5422ee3d3298c0025abc666caa32ef29c8183",
+	"modelaccuracy": "f8ef8510a76f7a4e6e314c26b55d06fda83fb9c4dcd1516e128b1b1a640e1573",
+	"bandwidth":     "3ce97ba0b983a25f83015f82fbba8b13624a420b2ba0b183f0d702932b9eb85b",
+}
 
 func runQuick(t *testing.T, id string) *Report {
 	t.Helper()
@@ -28,6 +54,11 @@ func runQuick(t *testing.T, id string) *Report {
 	if buf.Len() == 0 {
 		t.Fatalf("%s rendered empty", id)
 	}
+	if want, pinned := quickDigests[id]; pinned {
+		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+			t.Errorf("%s: quick report digest %s, pinned %s; rendered:\n%s", id, got, want, buf.String())
+		}
+	}
 	return report
 }
 
@@ -41,15 +72,16 @@ func cellFloat(t *testing.T, cell string) float64 {
 }
 
 func TestIDsRegistered(t *testing.T) {
-	ids := IDs()
-	want := []string{"calibration", "figure3", "figure4", "figure5", "figure6", "figure7", "figure8", "figure9", "figure10", "timing", "claims", "ablations", "modelaccuracy", "bandwidth"}
-	have := map[string]bool{}
-	for _, id := range ids {
-		have[id] = true
+	want := []string{
+		"calibration", "figure3", "figure4", "figure5", "figure6", "figure7", "figure8", "figure9", "figure10",
+		"ladder", "adversarial", "timing", "claims", "ablations", "modelaccuracy", "bandwidth",
+	}
+	if ids := IDs(); !slices.Equal(ids, want) {
+		t.Fatalf("IDs() = %v, want %v in presentation order", ids, want)
 	}
 	for _, id := range want {
-		if !have[id] {
-			t.Fatalf("experiment %q not registered (have %v)", id, ids)
+		if _, pinned := quickDigests[id]; !pinned && id != "timing" {
+			t.Errorf("experiment %q has no pinned quick digest", id)
 		}
 	}
 }

@@ -4,73 +4,39 @@ import (
 	"fmt"
 	"math"
 
+	"smokescreen/internal/degrade"
 	"smokescreen/internal/estimate"
 	"smokescreen/internal/profile"
 	"smokescreen/internal/stats"
 )
 
-func init() { register("figure10", Figure10) }
-
 // boundAtSize computes the AVG error bound on a corpus from a sample of
-// exactly size frames, repaired with a correction set of corrSize frames,
-// averaged over a few trials. It mirrors the Section 5.3.2 protocol, where
-// absolute sample *sizes* (not fractions) make the two differently-sized
-// videos comparable.
-func boundAtSize(spec *profile.Spec, size, corrSize int, root *stats.Stream, trials int) (float64, error) {
+// exactly size frames at resolution p, repaired with a correction set of
+// corrSize frames, averaged over a few trials. It mirrors the Section 5.3.2
+// protocol, where absolute sample *sizes* (not fractions) make the two
+// differently-sized videos comparable. p == 0 is a point of the sampling
+// sweep: native resolution, random-only, so the tighter of the bounds with
+// and without the correction set applies (Section 5.2.2). An explicit p is a
+// point of the resolution sweep, which reports Algorithm 3's bound at every
+// point, native included, so the curve is one formula end to end.
+func boundAtSize(spec *profile.Spec, p, size, corrSize int, root *stats.Stream, trials int) (float64, error) {
 	n := spec.Video.NumFrames()
 	if size > n {
 		size = n
 	}
+	setting := degrade.Setting{SampleFraction: float64(size) / float64(n), Resolution: p}
 	var sum float64
 	for trial := 0; trial < trials; trial++ {
 		s := root.Child(uint64(trial))
-		population := spec.TruePopulation()
-		sample := samplePrefix(population, size, s.Child(1))
-		est, err := estimate.Smokescreen(spec.Agg, sample, n, spec.Params)
+		tr, err := runRepairTrial(spec, setting, corrSize, s.Child(1), s.Child(2))
 		if err != nil {
 			return 0, err
 		}
-		if corrSize > 0 {
-			corr, err := profile.BuildCorrectionAt(spec, corrSize, s.Child(2))
-			if err != nil {
-				return 0, err
-			}
-			repaired, err := corr.Repaired(spec.Agg, est, spec.Params, true)
-			if err != nil {
-				return 0, err
-			}
-			est = repaired
+		bound := tr.Repaired
+		if p == 0 {
+			bound = math.Min(bound, tr.Degraded.ErrBound)
 		}
-		sum += capBound(est.ErrBound)
-	}
-	return sum / float64(trials), nil
-}
-
-// boundAtResolution computes the repaired AVG bound under a resolution
-// intervention with a fixed sample size, averaged over trials.
-func boundAtResolution(spec *profile.Spec, p, size, corrSize int, root *stats.Stream, trials int) (float64, error) {
-	n := spec.Video.NumFrames()
-	if size > n {
-		size = n
-	}
-	var sum float64
-	for trial := 0; trial < trials; trial++ {
-		s := root.Child(uint64(trial))
-		frames := s.Child(1).SampleWithoutReplacement(n, size)
-		raw := outputsAt(spec, p, frames)
-		est, err := estimate.Smokescreen(spec.Agg, raw, n, spec.Params)
-		if err != nil {
-			return 0, err
-		}
-		corr, err := profile.BuildCorrectionAt(spec, corrSize, s.Child(2))
-		if err != nil {
-			return 0, err
-		}
-		repaired, err := corr.Repaired(spec.Agg, est, spec.Params, false)
-		if err != nil {
-			return 0, err
-		}
-		sum += capBound(repaired.ErrBound)
+		sum += capBound(bound)
 	}
 	return sum / float64(trials), nil
 }
@@ -116,7 +82,7 @@ func Figure10(cfg Config) (*Report, error) {
 	}
 	var maxLimitedDiff, maxBDiff float64
 	for _, size := range sizes {
-		target, err := boundAtSize(specA, size, corrTarget, root.ChildN(1, uint64(size)), trials)
+		target, err := boundAtSize(specA, 0, size, corrTarget, root.ChildN(1, uint64(size)), trials)
 		if err != nil {
 			return nil, err
 		}
@@ -126,11 +92,11 @@ func Figure10(cfg Config) (*Report, error) {
 		if limitedSize > 50 {
 			limitedSize = 50
 		}
-		limited, err := boundAtSize(specA, limitedSize, 50, root.ChildN(2, uint64(size)), trials)
+		limited, err := boundAtSize(specA, 0, limitedSize, 50, root.ChildN(2, uint64(size)), trials)
 		if err != nil {
 			return nil, err
 		}
-		similar, err := boundAtSize(specB, size, corrTarget, root.ChildN(3, uint64(size)), trials)
+		similar, err := boundAtSize(specB, 0, size, corrTarget, root.ChildN(3, uint64(size)), trials)
 		if err != nil {
 			return nil, err
 		}
@@ -155,11 +121,11 @@ func Figure10(cfg Config) (*Report, error) {
 	}
 	var maxResDiff float64
 	for _, p := range resolutions {
-		a, err := boundAtResolution(specA, p, 500, corrTarget, root.ChildN(4, uint64(p)), trials)
+		a, err := boundAtSize(specA, p, 500, corrTarget, root.ChildN(4, uint64(p)), trials)
 		if err != nil {
 			return nil, err
 		}
-		b, err := boundAtResolution(specB, p, 500, corrTarget, root.ChildN(5, uint64(p)), trials)
+		b, err := boundAtSize(specB, p, 500, corrTarget, root.ChildN(5, uint64(p)), trials)
 		if err != nil {
 			return nil, err
 		}
@@ -174,10 +140,4 @@ func Figure10(cfg Config) (*Report, error) {
 		fmt.Sprintf("Resolution-sweep difference between A and B is at most %.4f (paper: within 5%%)", maxResDiff),
 	)
 	return report, nil
-}
-
-// outputsAt evaluates the spec's per-frame outputs for explicit frames at
-// resolution p (AVG uses raw counts, so no transform applies here).
-func outputsAt(spec *profile.Spec, p int, frames []int) []float64 {
-	return seriesAt(spec.Video, spec.Model, spec.Class, p, frames)
 }

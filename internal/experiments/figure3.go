@@ -8,8 +8,6 @@ import (
 	"smokescreen/internal/stats"
 )
 
-func init() { register("figure3", Figure3) }
-
 // Figure3 reproduces the paper's Figure 3: the *real* degradation-accuracy
 // tradeoff curves of the AVG car-count query against frame resolution on
 // night-street and UA-DETRAC, both detected with YOLOv4. No estimation is

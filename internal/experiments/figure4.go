@@ -9,11 +9,6 @@ import (
 	"smokescreen/internal/stats"
 )
 
-func init() {
-	register("figure4", Figure4)
-	register("figure5", Figure5)
-}
-
 // panelPoint aggregates one (workload, fraction) cell over all trials.
 type panelPoint struct {
 	Fraction float64
@@ -91,11 +86,11 @@ func runPanel(w Workload, cfg Config, points int) (*panel, error) {
 			if err != nil {
 				return sums, err
 			}
-			trueErr, err := estimate.TrueError(w.Agg, ours.Value, population, spec.Params)
+			audit, err := estimate.Audit(w.Agg, ours, population, spec.Params)
 			if err != nil {
 				return sums, err
 			}
-			sums.trueErr["Smokescreen"] = trueErr
+			sums.trueErr["Smokescreen"] = audit.TrueError
 			sums.bound["Smokescreen"] = ours.ErrBound
 
 			for _, b := range baselines {
@@ -103,13 +98,13 @@ func runPanel(w Workload, cfg Config, points int) (*panel, error) {
 				if err != nil {
 					return sums, err
 				}
-				bTrueErr, err := estimate.TrueError(w.Agg, be.Value, population, spec.Params)
+				bAudit, err := estimate.Audit(w.Agg, be, population, spec.Params)
 				if err != nil {
 					return sums, err
 				}
-				sums.trueErr[b.String()] = capBound(bTrueErr)
+				sums.trueErr[b.String()] = capBound(bAudit.TrueError)
 				sums.bound[b.String()] = capBound(be.ErrBound)
-				if b == estimate.CLT && be.ErrBound < bTrueErr {
+				if b == estimate.CLT && !bAudit.Held {
 					sums.cltFail = true
 				}
 			}

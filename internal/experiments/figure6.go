@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"smokescreen/internal/degrade"
 	"smokescreen/internal/estimate"
@@ -9,8 +10,6 @@ import (
 	"smokescreen/internal/scene"
 	"smokescreen/internal/stats"
 )
-
-func init() { register("figure6", Figure6) }
 
 // correctionFraction returns the paper's determined correction-set sizes
 // (Section 5.2.2): night-street 6% for AVG and 2% for MAX; UA-DETRAC 4%
@@ -25,6 +24,14 @@ func correctionFraction(w Workload) float64 {
 	return 0.04
 }
 
+// figure6Axis is one row of the figure: an intervention axis, the settings
+// swept along it and their table labels.
+type figure6Axis struct {
+	name     string
+	settings []degrade.Setting
+	labels   []string
+}
+
 // figure6Row is one intervention point averaged over trials.
 type figure6Row struct {
 	Label       string
@@ -34,6 +41,36 @@ type figure6Row struct {
 	// UncorrectedUnsafe marks the paper's red circles: the uncorrected
 	// bound fell below the true error.
 	UncorrectedUnsafe bool
+}
+
+// repairTrial is one trial of the paper's repair protocol (Sections 5.2.2
+// to 5.3.2): a setting's estimate without repair, a correction set of
+// exactly m frames, and the Algorithm 3 bound the set puts on the estimate.
+type repairTrial struct {
+	Degraded estimate.Estimate // the setting's estimate, not repaired
+	ErrV     float64           // err_b(v), the correction set's own bound
+	Repaired float64           // Algorithm 3's bound on Degraded
+}
+
+// runRepairTrial is the one place the experiments run that protocol. The
+// figures that call it hold the correction size fixed or sweep it, which
+// the product's front door — sizing by the elbow — does not offer. Both
+// streams are the caller's, so each figure keeps the seed path its
+// committed results were drawn on.
+func runRepairTrial(spec *profile.Spec, setting degrade.Setting, m int, degradeStream, corrStream *stats.Stream) (repairTrial, error) {
+	degraded, err := spec.UncorrectedEstimate(setting, degradeStream)
+	if err != nil {
+		return repairTrial{}, err
+	}
+	corr, err := profile.BuildCorrectionAt(spec, m, corrStream)
+	if err != nil {
+		return repairTrial{}, err
+	}
+	repaired, err := corr.Repair(spec.Agg, degraded, spec.Params)
+	if err != nil {
+		return repairTrial{}, err
+	}
+	return repairTrial{Degraded: degraded, ErrV: corr.Estimate.ErrBound, Repaired: repaired}, nil
 }
 
 // evalSetting measures true error, uncorrected bound and corrected bound
@@ -46,26 +83,24 @@ func evalSetting(spec *profile.Spec, setting degrade.Setting, corrFraction float
 	unsafeTrials := 0
 	for trial := 0; trial < cfg.Trials; trial++ {
 		s := root.Child(uint64(trial))
-		uncorrected, err := spec.UncorrectedEstimate(setting, s.Child(1))
+		tr, err := runRepairTrial(spec, setting, m, s.Child(1), s.Child(2))
 		if err != nil {
 			return row, err
 		}
-		corr, err := profile.BuildCorrectionAt(spec, m, s.Child(2))
+		corrected := tr.Repaired
+		if setting.IsRandomOnly(spec.Model) {
+			// Random interventions alone: the tighter of the bounds with
+			// and without the correction set (Section 5.2.2).
+			corrected = math.Min(corrected, tr.Degraded.ErrBound)
+		}
+		audit, err := spec.Audit(tr.Degraded)
 		if err != nil {
 			return row, err
 		}
-		corrected, err := corr.Repaired(spec.Agg, uncorrected, spec.Params, setting.IsRandomOnly(spec.Model))
-		if err != nil {
-			return row, err
-		}
-		trueErr, err := spec.TrueErrorOf(uncorrected.Value)
-		if err != nil {
-			return row, err
-		}
-		row.TrueErr += trueErr
-		row.Uncorrected += capBound(uncorrected.ErrBound)
-		row.Corrected += capBound(corrected.ErrBound)
-		if uncorrected.ErrBound < trueErr {
+		row.TrueErr += audit.TrueError
+		row.Uncorrected += capBound(tr.Degraded.ErrBound)
+		row.Corrected += capBound(corrected)
+		if !audit.Held {
 			unsafeTrials++
 		}
 	}
@@ -109,11 +144,7 @@ func Figure6(cfg Config) (*Report, error) {
 		}
 		corrFrac := correctionFraction(w)
 
-		axes := []struct {
-			name     string
-			settings []degrade.Setting
-			labels   []string
-		}{
+		axes := []figure6Axis{
 			samplingAxis(w, cfg),
 			resolutionAxis(spec, cfg),
 			removalAxis(w, cfg),
@@ -143,11 +174,7 @@ func Figure6(cfg Config) (*Report, error) {
 }
 
 // samplingAxis: pure frame-sampling sweep (random intervention).
-func samplingAxis(w Workload, cfg Config) (axis struct {
-	name     string
-	settings []degrade.Setting
-	labels   []string
-}) {
+func samplingAxis(w Workload, cfg Config) (axis figure6Axis) {
 	axis.name = "sample fraction"
 	fractions := []float64{0.005, 0.01, 0.02, 0.05, 0.1}
 	if cfg.Quick {
@@ -161,11 +188,7 @@ func samplingAxis(w Workload, cfg Config) (axis struct {
 }
 
 // resolutionAxis: resolution sweep at f = 0.5.
-func resolutionAxis(spec *profile.Spec, cfg Config) (axis struct {
-	name     string
-	settings []degrade.Setting
-	labels   []string
-}) {
+func resolutionAxis(spec *profile.Spec, cfg Config) (axis figure6Axis) {
 	axis.name = "resolution"
 	resolutions := spec.Model.Resolutions(10)
 	if cfg.Quick {
@@ -182,11 +205,7 @@ func resolutionAxis(spec *profile.Spec, cfg Config) (axis struct {
 // removalAxis: restricted-class sweep at f = 0.5 (f = 0.1 for UA-DETRAC
 // "person", whose admissible pool is under half the corpus — paper
 // Section 5.2.2).
-func removalAxis(w Workload, cfg Config) (axis struct {
-	name     string
-	settings []degrade.Setting
-	labels   []string
-}) {
+func removalAxis(w Workload, cfg Config) (axis figure6Axis) {
 	axis.name = "restricted class"
 	combos := []struct {
 		label   string

@@ -2,16 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"smokescreen/internal/degrade"
 	"smokescreen/internal/estimate"
-	"smokescreen/internal/stats"
 )
-
-func init() {
-	register("figure7", Figure7)
-	register("figure8", Figure8)
-}
 
 // Figure7 reproduces the paper's Figure 7: YOLOv4 computing the average
 // number of cars on night-street across a fine resolution sweep. The true
@@ -81,17 +76,7 @@ func Figure8(cfg Config) (*Report, error) {
 	resolutions := []int{608, 384, 320}
 
 	// Histogram per resolution.
-	var frames []int
-	n := spec.Video.NumFrames()
-	if cfg.Quick {
-		stream := stats.NewStream(cfg.Seed).Child(0xf18)
-		frames = stream.SampleWithoutReplacement(n, n/10)
-	} else {
-		frames = make([]int, n)
-		for i := range frames {
-			frames[i] = i
-		}
-	}
+	frames := corpusFrames(spec.Video.NumFrames(), cfg, 0xf18)
 	hists := make([]map[int]int, len(resolutions))
 	maxCount := 0
 	for ri, p := range resolutions {
@@ -135,13 +120,6 @@ func Figure8(cfg Config) (*Report, error) {
 	m608, m384, m320 := mean(hists[0]), mean(hists[1]), mean(hists[2])
 	report.Notes = append(report.Notes, fmt.Sprintf(
 		"Mean predicted cars: 608=%.3f, 384=%.3f, 320=%.3f — 384 deviates from the truth more than 320 (rightward shift: %v)",
-		m608, m384, m320, m384 > m608 && absDiff(m384, m608) > absDiff(m320, m608)))
+		m608, m384, m320, m384 > m608 && math.Abs(m384-m608) > math.Abs(m320-m608)))
 	return report, nil
-}
-
-func absDiff(a, b float64) float64 {
-	if a > b {
-		return a - b
-	}
-	return b - a
 }

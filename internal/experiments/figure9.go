@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"smokescreen/internal/core"
 	"smokescreen/internal/degrade"
 	"smokescreen/internal/estimate"
 	"smokescreen/internal/parallel"
@@ -11,8 +12,6 @@ import (
 	"smokescreen/internal/scene"
 	"smokescreen/internal/stats"
 )
-
-func init() { register("figure9", Figure9) }
 
 // Figure9 reproduces the paper's Figure 9: the corrected error bound as a
 // function of the correction-set fraction, for two representative
@@ -44,7 +43,7 @@ func Figure9(cfg Config) (*Report, error) {
 		}
 		// The elbow heuristic's determined fraction (from err_b(v) alone,
 		// independent of the intervention sets — the point of Section 5.2.3).
-		construction, err := profile.ConstructCorrectionCtx(context.Background(), spec, 0.2, stats.NewStream(cfg.Seed).Child(0x900))
+		construction, err := profile.ConstructCorrectionCtx(context.Background(), spec, core.DefaultCorrectionLimit, stats.NewStream(cfg.Seed).Child(0x900))
 		if err != nil {
 			return nil, err
 		}
@@ -79,24 +78,16 @@ func Figure9(cfg Config) (*Report, error) {
 			}
 			perTrial, err := parallel.Map(trials, cfg.Parallelism, func(trial int) (trialBounds, error) {
 				s := root.ChildN(uint64(m), uint64(trial))
-				corr, err := profile.BuildCorrectionAt(spec, m, s.Child(9))
-				if err != nil {
-					return trialBounds{}, err
-				}
-				tb := trialBounds{
-					errV:   capBound(corr.Estimate.ErrBound),
-					bounds: make([]float64, len(interventions)),
-				}
+				tb := trialBounds{bounds: make([]float64, len(interventions))}
 				for ii, setting := range interventions {
-					degraded, err := spec.UncorrectedEstimate(setting, s.Child(uint64(ii)))
+					// One correction set (stream child 9) serves both
+					// intervention sets of a trial.
+					tr, err := runRepairTrial(spec, setting, m, s.Child(uint64(ii)), s.Child(9))
 					if err != nil {
 						return trialBounds{}, err
 					}
-					bound, err := corr.Repair(spec.Agg, degraded, spec.Params)
-					if err != nil {
-						return trialBounds{}, err
-					}
-					tb.bounds[ii] = capBound(bound)
+					tb.errV = capBound(tr.ErrV)
+					tb.bounds[ii] = capBound(tr.Repaired)
 				}
 				return tb, nil
 			})

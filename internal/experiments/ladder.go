@@ -4,17 +4,13 @@ import (
 	"context"
 	"fmt"
 
+	"smokescreen/internal/core"
 	"smokescreen/internal/degrade"
 	"smokescreen/internal/estimate"
 	"smokescreen/internal/plan"
 	"smokescreen/internal/profile"
 	"smokescreen/internal/stats"
 )
-
-func init() {
-	register("ladder", LadderTradeoff)
-	register("adversarial", Adversarial)
-}
 
 // LadderTradeoff profiles the built-in fidelity ladder end to end: for
 // each rung of the default ladder it reports the rung's composite
@@ -36,48 +32,41 @@ func LadderTradeoff(cfg Config) (*Report, error) {
 	if cfg.Quick {
 		workloads = workloads[:1]
 	}
-	for wi, w := range workloads {
+	sys := core.New(core.WithSeed(cfg.Seed), core.WithParallelism(cfg.Parallelism))
+	for _, w := range workloads {
 		spec, err := w.Spec()
 		if err != nil {
 			return nil, err
 		}
 		ladder := plan.DefaultLadder(spec.Model)
-		construction, err := profile.ConstructCorrectionCtx(context.Background(), spec, 0.2,
-			stats.NewStream(cfg.Seed).ChildN(0x1ad, uint64(wi)))
-		if err != nil {
-			return nil, err
-		}
-		prof, err := profile.GenerateLadderCtx(context.Background(), spec, ladder,
-			profile.LadderOptions{Correction: construction.Correction, Parallelism: cfg.Parallelism},
-			stats.NewStream(cfg.Seed).ChildN(0x1ad+1, uint64(wi)))
+		prof, err := sys.LadderProfileCtx(context.Background(), w.query(), ladder, profile.LadderOptions{})
 		if err != nil {
 			return nil, err
 		}
 
 		table := &Table{
-			Title:  fmt.Sprintf("Ladder — %s (correction %.0f%%)", w, construction.Fraction*100),
+			Title:  fmt.Sprintf("Ladder — %s", w),
 			Header: []string{"tier", "setting", "bound", "true err", "repaired", "sampled frames"},
 		}
 		held := true
 		for _, pt := range prof.Points {
-			trueErr, err := spec.TrueErrorOf(pt.Estimate.Value)
+			audit, err := spec.Audit(pt.Estimate)
 			if err != nil {
 				return nil, err
 			}
-			if pt.Estimate.ErrBound < trueErr {
-				held = false
-			}
+			held = held && audit.Held
 			table.Rows = append(table.Rows, []string{
-				pt.Tier, pt.Setting.String(), fmtF(pt.Estimate.ErrBound), fmtF(trueErr),
+				pt.Tier, pt.Setting.String(), fmtF(pt.Estimate.ErrBound), fmtF(audit.TrueError),
 				fmt.Sprintf("%v", pt.Repaired), fmt.Sprintf("%d", pt.Estimate.Sample),
 			})
 		}
 		report.Tables = append(report.Tables, table)
 
 		// Dedup accounting: compare per-tier sampled frames against the
-		// planner's deduplicated work units.
+		// planner's deduplicated work units, planned on the stream the
+		// system generates ladders on (child 3 of its seed).
 		lp, err := plan.BuildLadder(context.Background(), spec.Video, spec.Model, ladder,
-			stats.NewStream(cfg.Seed).ChildN(0x1ad+1, uint64(wi)))
+			stats.NewStream(cfg.Seed).Child(3))
 		if err != nil {
 			return nil, err
 		}

@@ -8,8 +8,6 @@ import (
 	"smokescreen/internal/stats"
 )
 
-func init() { register("modelaccuracy", ModelAccuracy) }
-
 // ModelAccuracy measures the detectors' *inherent* accuracy against scene
 // ground truth across resolutions. The paper's usage model (Section 2.3)
 // assumes administrators know this number and fold it into the error
@@ -40,12 +38,11 @@ func ModelAccuracy(cfg Config) (*Report, error) {
 			return nil, err
 		}
 		n := spec.Video.NumFrames()
-		var frames []int
 		sub := n / 20
 		if !cfg.Quick {
 			sub = n / 5
 		}
-		frames = stats.NewStream(cfg.Seed).Child(0xacc).SampleWithoutReplacement(n, sub)
+		frames := stats.NewStream(cfg.Seed).Child(0xacc).SampleWithoutReplacement(n, sub)
 
 		table := &Table{
 			Title:  fmt.Sprintf("Model accuracy — %s / %s (cars, IoU >= %.1f, %d frames)", combo.dataset, combo.model, iouThreshold, sub),

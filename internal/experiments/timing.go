@@ -5,14 +5,11 @@ import (
 	"fmt"
 	"time"
 
-	"smokescreen/internal/degrade"
+	"smokescreen/internal/core"
 	"smokescreen/internal/detect"
 	"smokescreen/internal/estimate"
 	"smokescreen/internal/profile"
-	"smokescreen/internal/stats"
 )
-
-func init() { register("timing", Timing) }
 
 // Timing reproduces the paper's Section 5.3.1 profile-generation time
 // analysis: profiling the AVG car query with YOLOv4 on UA-DETRAC under ten
@@ -28,34 +25,33 @@ func Timing(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	maxFraction := 0.04
 	resolutions := spec.Model.Resolutions(10)
 	fractions := []float64{0.01, 0.02, 0.03, 0.04}
 	if cfg.Quick {
 		resolutions = resolutions[:3]
 		fractions = fractions[:2]
-		maxFraction = 0.02
+	}
+	// One fraction sweep per resolution candidate, as the product generates
+	// them: the query's RESOLUTION clause fixes the axis and the system
+	// sizes the correction set by the elbow.
+	sys := core.New(core.WithSeed(cfg.Seed))
+	sweepAll := func() error {
+		for _, p := range resolutions {
+			q := w.query()
+			q.Setting.Resolution = p
+			if _, err := sys.SweepProfileCtx(context.Background(), q, profile.SweepOptions{Fractions: fractions}); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 
 	// Cold caches so invocation counting reflects one full profile run.
 	detect.ResetCaches()
-	root := stats.NewStream(cfg.Seed).Child(0xb00)
 	start := time.Now()
 	invStart := detect.Invocations()
-
-	corr, err := profile.BuildCorrectionAt(spec, int(maxFraction*float64(spec.Video.NumFrames())), root.Child(1))
-	if err != nil {
+	if err := sweepAll(); err != nil {
 		return nil, err
-	}
-	for ri, p := range resolutions {
-		_, err := profile.SweepFractionsCtx(context.Background(), spec, profile.SweepOptions{
-			Fractions:  fractions,
-			Setting:    degrade.Setting{Resolution: p},
-			Correction: corr,
-		}, root.ChildN(2, uint64(ri)))
-		if err != nil {
-			return nil, err
-		}
 	}
 	totalTime := time.Since(start)
 	invocations := detect.Invocations() - invStart
@@ -64,14 +60,8 @@ func Timing(cfg Config) (*Report, error) {
 	// model outputs are cached, so this measures everything except
 	// inference.
 	estStart := time.Now()
-	for ri, p := range resolutions {
-		if _, err := profile.SweepFractionsCtx(context.Background(), spec, profile.SweepOptions{
-			Fractions:  fractions,
-			Setting:    degrade.Setting{Resolution: p},
-			Correction: corr,
-		}, root.ChildN(2, uint64(ri))); err != nil {
-			return nil, err
-		}
+	if err := sweepAll(); err != nil {
+		return nil, err
 	}
 	estimationTime := time.Since(estStart)
 	modelTime := totalTime - estimationTime
@@ -84,7 +74,7 @@ func Timing(cfg Config) (*Report, error) {
 		Title: "Profile-generation time breakdown (Section 5.3.1)",
 	}
 	table := &Table{
-		Title:  fmt.Sprintf("Timing — %s, %d resolutions, fractions up to %.2f", w, len(resolutions), maxFraction),
+		Title:  fmt.Sprintf("Timing — %s, %d resolutions, fractions up to %.2f", w, len(resolutions), fractions[len(fractions)-1]),
 		Header: []string{"quantity", "value"},
 		Rows: [][]string{
 			{"model invocations", fmt.Sprintf("%d", invocations)},

@@ -207,10 +207,11 @@ func predicateFor(agg estimate.Agg, predicate func(float64) float64) func(float6
 	}
 }
 
-// TrueAnswer computes the exact fleet aggregate for tests and demos.
-func (f *Fleet) TrueAnswer(agg estimate.Agg, class scene.Class, predicate func(float64) float64, p estimate.Params) (float64, error) {
+// Audit checks a fleet estimate against the exact aggregate over every
+// camera's non-degraded corpus, for tests and demos.
+func (f *Fleet) Audit(agg estimate.Agg, class scene.Class, predicate func(float64) float64, e estimate.Estimate, p estimate.Params) (estimate.Audited, error) {
 	if agg.IsExtremum() || agg == estimate.VAR {
-		return 0, fmt.Errorf("multicam: %v does not compose across cameras", agg)
+		return estimate.Audited{}, fmt.Errorf("multicam: %v does not compose across cameras", agg)
 	}
 	var population []float64
 	for i := range f.cameras {
@@ -225,5 +226,5 @@ func (f *Fleet) TrueAnswer(agg estimate.Agg, class scene.Class, predicate func(f
 		}
 		population = append(population, spec.TruePopulation()...)
 	}
-	return estimate.TrueAnswer(agg, population, p)
+	return estimate.Audit(agg, e, population, p)
 }

@@ -79,13 +79,6 @@ func TestFleetSizeAndFrames(t *testing.T) {
 func TestFleetAvgCoversTruth(t *testing.T) {
 	f := testFleet(t, 0.3, 0.3)
 	p := estimate.DefaultParams()
-	truth, err := f.TrueAnswer(estimate.AVG, scene.Car, nil, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if truth <= 0 {
-		t.Fatalf("truth %v", truth)
-	}
 	root := stats.NewStream(77)
 	covered := 0
 	const trials = 30
@@ -100,8 +93,14 @@ func TestFleetAvgCoversTruth(t *testing.T) {
 		if math.Abs(res.Cameras[0].Weight+res.Cameras[1].Weight-1) > 1e-9 {
 			t.Fatal("weights do not sum to 1")
 		}
-		trueErr := math.Abs(res.Estimate.Value-truth) / truth
-		if trueErr <= res.Estimate.ErrBound {
+		audit, err := f.Audit(estimate.AVG, scene.Car, nil, res.Estimate, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if audit.Truth <= 0 {
+			t.Fatalf("truth %v", audit.Truth)
+		}
+		if audit.Held {
 			covered++
 		}
 	}
@@ -134,17 +133,16 @@ func TestFleetSumScaling(t *testing.T) {
 func TestFleetCountCoversTruth(t *testing.T) {
 	f := testFleet(t, 0.2, 0.2)
 	p := estimate.DefaultParams()
-	truth, err := f.TrueAnswer(estimate.COUNT, scene.Car, nil, p)
-	if err != nil {
-		t.Fatal(err)
-	}
 	res, err := f.Query(estimate.COUNT, scene.Car, nil, p, stats.NewStream(83))
 	if err != nil {
 		t.Fatal(err)
 	}
-	trueErr := math.Abs(res.Estimate.Value-truth) / truth
-	if trueErr > res.Estimate.ErrBound {
-		t.Fatalf("COUNT bound %v below true error %v", res.Estimate.ErrBound, trueErr)
+	audit, err := f.Audit(estimate.COUNT, scene.Car, nil, res.Estimate, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !audit.Held {
+		t.Fatalf("COUNT bound %v below true error %v", res.Estimate.ErrBound, audit.TrueError)
 	}
 }
 
@@ -155,8 +153,8 @@ func TestFleetRejectsExtremumAndVar(t *testing.T) {
 		if _, err := f.Query(agg, scene.Car, nil, p, stats.NewStream(1)); err == nil {
 			t.Fatalf("%v accepted", agg)
 		}
-		if _, err := f.TrueAnswer(agg, scene.Car, nil, p); err == nil {
-			t.Fatalf("TrueAnswer %v accepted", agg)
+		if _, err := f.Audit(agg, scene.Car, nil, estimate.Estimate{}, p); err == nil {
+			t.Fatalf("Audit %v accepted", agg)
 		}
 	}
 }
@@ -182,10 +180,6 @@ func TestFleetMixedSettingsWithRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	truth, err := f.TrueAnswer(estimate.AVG, scene.Car, nil, p)
-	if err != nil {
-		t.Fatal(err)
-	}
 	root := stats.NewStream(91)
 	covered := 0
 	const trials = 20
@@ -194,8 +188,11 @@ func TestFleetMixedSettingsWithRepair(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		trueErr := math.Abs(res.Estimate.Value-truth) / truth
-		if trueErr <= res.Estimate.ErrBound {
+		audit, err := f.Audit(estimate.AVG, scene.Car, nil, res.Estimate, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if audit.Held {
 			covered++
 		}
 	}

@@ -45,12 +45,12 @@ func TestRunUntilMeetsTarget(t *testing.T) {
 	}
 	// The answer must actually be good: the any-time guarantee covers the
 	// stopped estimate.
-	trueErr, err := s.TrueErrorOf(res.Estimate.Value)
+	audit, err := s.Audit(res.Estimate)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if trueErr > res.Estimate.ErrBound {
-		t.Fatalf("stopped bound %v below true error %v", res.Estimate.ErrBound, trueErr)
+	if !audit.Held {
+		t.Fatalf("stopped bound %v below true error %v", res.Estimate.ErrBound, audit.TrueError)
 	}
 }
 
@@ -106,11 +106,11 @@ func TestRunUntilCount(t *testing.T) {
 	if !res.Met {
 		t.Fatalf("COUNT target unmet: %+v", res)
 	}
-	trueErr, err := s.TrueErrorOf(res.Estimate.Value)
+	audit, err := s.Audit(res.Estimate)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if trueErr > res.Estimate.ErrBound {
-		t.Fatalf("COUNT stopped bound %v below true error %v", res.Estimate.ErrBound, trueErr)
+	if !audit.Held {
+		t.Fatalf("COUNT stopped bound %v below true error %v", res.Estimate.ErrBound, audit.TrueError)
 	}
 }

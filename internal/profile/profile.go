@@ -79,15 +79,10 @@ func (s *Spec) TruePopulation() []float64 {
 	return out
 }
 
-// TrueAnswer computes the exact aggregate over the non-degraded corpus.
-func (s *Spec) TrueAnswer() (float64, error) {
-	return estimate.TrueAnswer(s.Agg, s.TruePopulation(), s.Params)
-}
-
-// TrueErrorOf computes the paper's accuracy metric for an approximate
-// answer against the non-degraded corpus.
-func (s *Spec) TrueErrorOf(approx float64) (float64, error) {
-	return estimate.TrueError(s.Agg, approx, s.TruePopulation(), s.Params)
+// Audit checks an estimate of this query against the non-degraded corpus
+// (estimate.Audit over TruePopulation).
+func (s *Spec) Audit(e estimate.Estimate) (estimate.Audited, error) {
+	return estimate.Audit(s.Agg, e, s.TruePopulation(), s.Params)
 }
 
 // sampleValuesCtx materialises the transformed outputs for a degradation

@@ -91,11 +91,11 @@ func TestEstimateSettingRandomCoversTruth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		trueErr, err := s.TrueErrorOf(est.Value)
+		audit, err := s.Audit(est)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if trueErr <= est.ErrBound {
+		if audit.Held {
 			covered++
 		}
 	}
@@ -126,11 +126,11 @@ func TestEstimateSettingRepairedCoversUnderResolution(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		trueErr, err := s.TrueErrorOf(est.Value)
+		audit, err := s.Audit(est)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if trueErr <= est.ErrBound {
+		if audit.Held {
 			covered++
 		}
 	}
@@ -153,8 +153,7 @@ func TestUncorrectedEstimateCanUndershoot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		trueErr, _ := s.TrueErrorOf(est.Value)
-		if trueErr > est.ErrBound {
+		if audit, _ := s.Audit(est); !audit.Held {
 			failures++
 		}
 	}
@@ -180,11 +179,11 @@ func TestEstimateSettingNoiseInterventionRepaired(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		trueErr, err := s.TrueErrorOf(est.Value)
+		audit, err := s.Audit(est)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if trueErr <= est.ErrBound {
+		if audit.Held {
 			covered++
 		}
 	}

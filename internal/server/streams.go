@@ -67,6 +67,12 @@ type ResolvedStream struct {
 	// canonical rendering of its query.
 	Request StreamRequest
 	Query   string
+	// SamplingOnly reports that the query sets a non-random axis, which a
+	// stream does not repair: its bounds are the any-time sampling bound
+	// over the frames delivered, with no correction set behind them, and
+	// the true error may exceed them. Every surface that prints a bound of
+	// such a stream says so.
+	SamplingOnly bool
 	// Node is the camera: the clean corpus, the model and the query's
 	// setting, which the camera applies through the axis registry.
 	Node *camera.Node
@@ -110,9 +116,10 @@ func ResolveStream(req StreamRequest) (*ResolvedStream, error) {
 		return nil, err
 	}
 	return &ResolvedStream{
-		Request: req,
-		Query:   q.String(),
-		Node:    &camera.Node{Video: spec.Video, Model: spec.Model, Setting: q.Setting, Energy: camera.DefaultEnergyModel()},
+		Request:      req,
+		Query:        q.String(),
+		SamplingOnly: !q.Setting.IsRandomOnly(spec.Model),
+		Node:         &camera.Node{Video: spec.Video, Model: spec.Model, Setting: q.Setting, Energy: camera.DefaultEnergyModel()},
 		Config: stream.Config{
 			Model:          spec.Model,
 			Class:          spec.Class,
@@ -164,6 +171,9 @@ type StreamStatus struct {
 	Stream   stream.Status `json:"stream"`
 	// Windows are the most recent completed windows, oldest first.
 	Windows []stream.WindowResult `json:"windows,omitempty"`
+	// SamplingOnly is ResolvedStream.SamplingOnly: the bounds above carry
+	// no repair for the query's non-random axes.
+	SamplingOnly bool `json:"sampling_only,omitempty"`
 }
 
 // streamJob is one live ingest pipeline: a camera and a receiver joined by
@@ -292,17 +302,18 @@ func (job *streamJob) status() StreamStatus {
 	job.mu.Unlock()
 	req := &job.rs.Request
 	return StreamStatus{
-		ID:       job.id,
-		State:    state,
-		Error:    errText,
-		Query:    job.rs.Query,
-		Window:   req.Window,
-		Stride:   req.Stride,
-		Loops:    req.Loops,
-		Created:  job.created,
-		Finished: finished,
-		Stream:   job.recv.Status(),
-		Windows:  windows,
+		ID:           job.id,
+		State:        state,
+		Error:        errText,
+		Query:        job.rs.Query,
+		SamplingOnly: job.rs.SamplingOnly,
+		Window:       req.Window,
+		Stride:       req.Stride,
+		Loops:        req.Loops,
+		Created:      job.created,
+		Finished:     finished,
+		Stream:       job.recv.Status(),
+		Windows:      windows,
 	}
 }
 

@@ -72,6 +72,9 @@ func TestStreamLifecycleAndMetrics(t *testing.T) {
 	if status.State != JobRunning {
 		t.Fatalf("fresh stream state = %q, want running", status.State)
 	}
+	if !status.SamplingOnly {
+		t.Fatal("a RESOLUTION 160 stream's status does not say its bounds are sampling-only")
+	}
 	if !strings.HasPrefix(status.ID, "stream-") {
 		t.Fatalf("stream id %q", status.ID)
 	}
@@ -275,6 +278,34 @@ func TestStreamResolvesThroughCore(t *testing.T) {
 	}
 	if rs.Request.Loops != 1 || rs.Request.Seed != 1 {
 		t.Fatalf("defaults not filled: %+v", rs.Request)
+	}
+
+	// Any non-random axis makes the stream sampling-only; SAMPLE alone, or
+	// a RESOLUTION at the model's native input, does not.
+	for _, tc := range []struct {
+		clauses string
+		want    bool
+	}{
+		{"SAMPLE 0.2", false},
+		{"SAMPLE 0.2 RESOLUTION 608", false},
+		{"SAMPLE 0.2 RESOLUTION 96", true},
+		{"SAMPLE 0.2 NOISE 0.1", true},
+		{"SAMPLE 0.2 BLUR 7", true},
+		{"SAMPLE 0.2 QUANTIZE 16", true},
+		{"SAMPLE 0.2 OCCLUDE 0.2", true},
+		{"SAMPLE 0.2 REMOVE face", true},
+	} {
+		rs, err := ResolveStream(StreamRequest{Query: "SELECT AVG(count(car)) FROM small " + tc.clauses, Window: 100})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rs.SamplingOnly != tc.want {
+			t.Errorf("%s: SamplingOnly = %v, want %v", tc.clauses, rs.SamplingOnly, tc.want)
+		}
+	}
+	// A random-only stream's status serialises exactly as it always has.
+	if wire, err := json.Marshal(StreamStatus{}); err != nil || strings.Contains(string(wire), "sampling_only") {
+		t.Errorf("zero StreamStatus serialises as %s (%v)", wire, err)
 	}
 }
 

@@ -22,7 +22,9 @@ run_stage() {
 
 run_stage build      make build
 run_stage lint       make lint
-run_stage test       make test
+# `make test` is lint + tests for humans; lint has just run, so the stage
+# runs the tests only.
+run_stage test       go test ./...
 run_stage test-race  make test-race
 run_stage fuzz-smoke make fuzz-smoke
 # The repository benchmark is its own module, so `go test ./...` above
@@ -39,6 +41,10 @@ run_stage benchmark-selftest sh -c 'cd benchmark && go test ./...'
 # or running fails here. Figure generation, ladders and the frame path are
 # exercised by `make test` (internal/experiments) and benchmark-selftest.
 run_stage bench-smoke sh -c "go test -run '^\$' -bench . -benchtime=1x -short . && go test -run '^\$' -bench 'PresenceScan|PatchComponentsFloat' -benchtime=1x -short ./internal/outputs/ ./internal/detect/"
+# The profile service end to end: `curve -remote` through a live daemon and
+# the in-process `curve` print the same key and points, store hit on the
+# second request, SIGTERM drain (scripts/serve_smoke.sh).
+run_stage serve-smoke make serve-smoke
 # Live streaming ingest end to end: camera -> daemon, windowed profiles,
 # mid-flight cancel, clean drain (scripts/stream_smoke.sh).
 run_stage stream-smoke make stream-smoke

@@ -67,6 +67,10 @@ echo "stream-smoke: streaming two corpus passes in tumbling windows"
 # carries the recent windows, so the watcher prints every one.
 [ "$(grep -c '^window ' "$STREAM_OUT")" -eq 12 ]
 grep -q 'err <=' "$STREAM_OUT"
+# The query sets RESOLUTION and NOISE, which a stream does not repair: every
+# bound the daemon's windows print says it is sampling-only.
+LABEL='sampling only — RESOLUTION, NOISE not repaired'
+[ "$(grep -c "^window .*err <= .*$LABEL" "$STREAM_OUT")" -eq 12 ]
 grep -q '12 windows from' "$STREAM_OUT"
 grep -q 'done (12 windows)' "$DAEMON_LOG"
 
@@ -75,6 +79,7 @@ echo "stream-smoke: the same request in process answers with the same windows"
 grep '^window ' "$STREAM_OUT" >"$WORKDIR/remote.windows"
 grep '^window ' "$LOCAL_OUT" >"$WORKDIR/local.windows"
 diff "$WORKDIR/remote.windows" "$WORKDIR/local.windows"
+[ "$(grep -c "$LABEL" "$WORKDIR/local.windows")" -eq 12 ]
 
 echo "stream-smoke: cancelling an unbounded stream mid-flight"
 "$WORKDIR/smokescreen" stream -remote "http://$ADDR" -window 200 -loops 1000 \
