@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build lint test test-race fuzz-smoke ci bench bench-kernels figures figures-quick examples serve-smoke stream-smoke fleet-smoke fleet-sim clean
+.PHONY: build lint loc test test-race fuzz-smoke ci bench bench-kernels figures figures-quick examples examples-fast serve-smoke stream-smoke fleet-smoke fleet-sim clean
 
 # Pinned staticcheck version: `make lint` refuses other versions rather
 # than drift between hosts. staticcheck is optional — hermetic builders
@@ -14,7 +14,10 @@ build:
 
 # lint layers five gates: go vet, the repo's own smokevet analyzer suite
 # (determinism, ctxflow, atomiccounter, goroleak, axisreg, errcontract —
-# see DESIGN.md §10), the CHANGES.md entry cap (one line per PR, at most
+# see DESIGN.md §10; every analyzer is per-package, and ctxflow also
+# rejects an exported F declared beside an exported FCtx in internal/, so
+# an entry point has one name and it takes the caller's ctx), the
+# CHANGES.md entry cap (one line per PR, at most
 # 1500 bytes: what changed, what was measured, what was deleted — the
 # narrative lives in git), a grep that keeps
 # process-global setters at zero (no package-level `func Set…(` in non-test
@@ -42,6 +45,12 @@ lint:
 	else \
 		echo "lint: staticcheck not installed; ran go vet only (install staticcheck@$(STATICCHECK_VERSION) for the full gate)"; \
 	fi
+
+# The ROADMAP's size measure — non-test Go lines outside the frozen
+# benchmark and analyzer fixtures — so every CHANGES.md entry quotes the
+# same command.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' | xargs cat | wc -l
 
 test: lint
 	$(GO) test ./...
@@ -151,13 +160,17 @@ fleet-smoke:
 fleet-sim:
 	$(GO) test -count=1 -run 'TestFleetSim' ./internal/fleetd/ -fleetsim.seeds=2000
 
-examples:
+# The six fast example programs (scripts/ci.sh's `examples` stage: they
+# are the public API's only callers outside the tests).
+examples-fast:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/profileservice
 	$(GO) run ./examples/privacypipeline
 	$(GO) run ./examples/profiletransfer
 	$(GO) run ./examples/cityfleet
 	$(GO) run ./examples/adaptivequery
+
+examples: examples-fast
 	# trafficcount profiles the full night-street corpus (several seconds):
 	$(GO) run ./examples/trafficcount
 

@@ -261,7 +261,7 @@ func BenchmarkEndToEndQuery(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.Execute(q); err != nil {
+		if _, err := sys.ExecuteCtx(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -60,8 +60,8 @@ func TestStreamLabelsSamplingOnlyBounds(t *testing.T) {
 	} {
 		query := "SELECT AVG(count(car)) FROM small " + tc.clauses
 		for _, args := range [][]string{
-			{"stream", "-window", "400", "-no-drift", query}, // printWindow
-			{"stream", query}, // the one-shot any-time line
+			{"stream", "-window", "400", "-no-drift", query},
+			{"stream", query}, // one window per camera session
 		} {
 			var bounds []string
 			for _, line := range strings.Split(runCLI(t, args...), "\n") {
@@ -77,11 +77,48 @@ func TestStreamLabelsSamplingOnlyBounds(t *testing.T) {
 					t.Errorf("%s: random-only stream labelled: %q", tc.clauses, line)
 					break
 				}
-				if !strings.HasSuffix(line, tc.label) {
+				if !strings.HasSuffix(strings.TrimSuffix(line, "  << DRIFT"), tc.label) {
 					t.Errorf("%s: bound printed without %q: %q", tc.clauses, tc.label, line)
 					break
 				}
 			}
+		}
+	}
+}
+
+// windowLines returns the `window …` lines of a stream command's output.
+func windowLines(out string) []string {
+	var lines []string
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "window ") {
+			lines = append(lines, line)
+		}
+	}
+	return lines
+}
+
+// A stream has one answer. `stream Q` is `stream -window <corpus length> Q`,
+// the same camera into the same receiver, so the two print the same window
+// line; and at SAMPLE 1.0 that line is the value `query -truth` calls exact
+// under a zero bound — a receive path that detected on the decoded rasters
+// instead would print 3.118 (err <= 0.000) over the exact 3.239.
+func TestStreamHasOneAnswer(t *testing.T) {
+	const full = "SELECT AVG(count(car)) FROM small SAMPLE 1.0"
+	exact := runCLI(t, "query", "-truth", full)
+	if !strings.Contains(exact, "exact:      3.23917 ") {
+		t.Fatalf("query -truth no longer reports 3.23917:\n%s", exact)
+	}
+	lines := windowLines(runCLI(t, "stream", full))
+	if len(lines) != 1 || !strings.Contains(lines[0], "[     0,  1200): 3.239 (err <= 0.000, 1200/1200 frames") {
+		t.Errorf("stream at SAMPLE 1.0 printed %q, want one window reading 3.239 (err <= 0.000)", lines)
+	}
+
+	for _, clauses := range []string{"SAMPLE 0.1", "SAMPLE 0.1 NOISE 0.1"} {
+		query := "SELECT AVG(count(car)) FROM small " + clauses
+		session := windowLines(runCLI(t, "stream", "-no-drift", query))
+		windowed := windowLines(runCLI(t, "stream", "-no-drift", "-window", "1200", query))
+		if len(session) != 1 || len(windowed) != 1 || session[0] != windowed[0] {
+			t.Errorf("%s: stream printed %q, stream -window 1200 printed %q", clauses, session, windowed)
 		}
 	}
 }

@@ -5,56 +5,42 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net"
 	"strings"
 	"time"
 
 	"smokescreen"
-	"smokescreen/internal/camera"
 	"smokescreen/internal/core"
 	"smokescreen/internal/degrade"
-	"smokescreen/internal/detect"
-	"smokescreen/internal/estimate"
 	"smokescreen/internal/server"
-	"smokescreen/internal/stats"
 	"smokescreen/internal/stream"
-	"smokescreen/internal/transport"
 )
 
 // cmdStream runs a query continuously: the camera applies the query's
-// interventions on-device and transmits, the central processor detects on
-// what arrives. The query is the whole request — corpus, model, class,
-// aggregate and every intervention clause — resolved by
-// server.ResolveStream, the daemon's own POST /v1/streams code. Two modes:
+// interventions on-device and transmits, the central processor answers per
+// window. The query is the whole request — corpus, model, class, aggregate
+// and every intervention clause — resolved by server.ResolveStream, the
+// daemon's own POST /v1/streams code, and run by ResolvedStream.Run: the
+// camera loops its corpus -loops times (unbounded video), the receiver
+// maintains windowed profiles with incremental refresh and flags drift
+// against the clean corpus baseline. Without -window the window is one
+// camera session (the corpus length). ^C cancels cleanly: in-flight
+// detection stops and no partial window is reported.
 //
-//   - One-shot (default): a single session over a real TCP loopback
-//     connection (-addr), with a running any-time estimate and the
-//     camera's byte/energy accounting.
+//	smokescreen stream "SELECT AVG(count(car)) FROM small SAMPLE 0.05 RESOLUTION 160 REMOVE face"
+//	smokescreen stream -window 300 -stride 150 -loops 3 "SELECT AVG(count(car)) FROM small SAMPLE 0.2"
 //
-//     smokescreen stream "SELECT AVG(count(car)) FROM small SAMPLE 0.05 RESOLUTION 160 REMOVE face"
-//
-//   - Windowed (-window W): the live-ingest subsystem — the camera loops
-//     its corpus -loops times (unbounded video), the receiver maintains
-//     windowed profiles with incremental refresh and flags drift against
-//     the clean corpus baseline. ^C cancels cleanly: in-flight detection
-//     stops and no partial window is reported.
-//
-//     smokescreen stream -window 300 -stride 150 -loops 3 "SELECT AVG(count(car)) FROM small SAMPLE 0.2"
-//
-// With -remote the windowed mode runs inside a smokescreend daemon
-// instead, and this command watches it: same request, same window lines.
+// With -remote the stream runs inside a smokescreend daemon instead, and
+// this command watches it: same request, same window lines.
 func cmdStream(args []string) {
 	fs := flag.NewFlagSet("stream", flag.ExitOnError)
 	var (
 		seed        = fs.Uint64("seed", core.DefaultSeed, "camera sampling seed")
-		addr        = fs.String("addr", "127.0.0.1:0", "one-shot mode: TCP address to rendezvous on")
-		window      = fs.Int("window", 0, "windowed mode: window span in stream positions (0 = one-shot session)")
-		stride      = fs.Int("stride", 0, "windowed mode: distance between window starts (0 = tumbling)")
-		loops       = fs.Int("loops", 1, "windowed mode: camera sessions replaying the corpus back to back")
-		driftThresh = fs.Float64("drift-threshold", 0, "windowed mode: total-variation drift trigger (0 = default)")
-		noDrift     = fs.Bool("no-drift", false, "windowed mode: skip the corpus baseline and drift detection")
-		wirePixels  = fs.Bool("wire-pixels", false, "windowed mode: detect on received rasters instead of the replay backend")
-		remote      = fs.String("remote", "", "windowed mode: smokescreend base URL; run the stream in the daemon and watch it")
+		window      = fs.Int("window", 0, "window span in stream positions (0 = one camera session, the corpus length)")
+		stride      = fs.Int("stride", 0, "distance between window starts (0 = tumbling)")
+		loops       = fs.Int("loops", 1, "camera sessions replaying the corpus back to back")
+		driftThresh = fs.Float64("drift-threshold", 0, "total-variation drift trigger (0 = default)")
+		noDrift     = fs.Bool("no-drift", false, "skip the corpus baseline and drift detection")
+		remote      = fs.String("remote", "", "smokescreend base URL; run the stream in the daemon and watch it")
 	)
 	if err := fs.Parse(args); err != nil {
 		fatal(err)
@@ -70,7 +56,6 @@ func cmdStream(args []string) {
 		Seed:           *seed,
 		DriftThreshold: *driftThresh,
 		DisableDrift:   *noDrift,
-		WirePixels:     *wirePixels,
 	}
 	if *remote != "" {
 		remoteStream(strings.TrimRight(*remote, "/"), req)
@@ -80,11 +65,7 @@ func cmdStream(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	if *window > 0 {
-		windowedStream(rs)
-		return
-	}
-	oneShotStream(rs, *addr)
+	windowedStream(rs)
 }
 
 // samplingOnlyLabel is appended to every bound printed for a stream whose
@@ -121,8 +102,8 @@ func printWindow(res stream.WindowResult, label string) {
 		res.Frames, res.Estimate.N, res.Divergence, label, drift)
 }
 
-// windowedStream runs the live-ingest subsystem locally: the resolved
-// camera and receiver in one process, as the daemon's stream job runs them.
+// windowedStream runs the stream locally: the resolved camera and receiver
+// in one process, as the daemon's stream job runs them.
 func windowedStream(rs *server.ResolvedStream) {
 	label := samplingOnlyLabel(rs.SamplingOnly, rs.Query)
 	rs.Config.OnWindow = func(res stream.WindowResult) { printWindow(res, label) }
@@ -139,8 +120,9 @@ func windowedStream(rs *server.ResolvedStream) {
 	fmt.Printf("streaming %s over an in-process pipe (window %d, stride %d, %d sessions)\n",
 		rs.Query, req.Window, req.Stride, req.Loops)
 	sent, runErr := rs.Run(ctx, recv)
-	fmt.Printf("camera done: %d frames captured, %d transmitted, %d bytes\n",
-		sent.FramesCaptured, sent.FramesTransmitted, sent.BytesTransmitted)
+	fmt.Printf("camera done: %d frames captured, %d transmitted, %d bytes; energy: capture %.3f J + compute %.3f J + radio %.3f J = %.3f J\n",
+		sent.FramesCaptured, sent.FramesTransmitted, sent.BytesTransmitted,
+		sent.CaptureJoules, sent.ComputeJoules, sent.TransmitJoules, sent.TotalJoules())
 
 	st := recv.Status()
 	switch {
@@ -157,9 +139,6 @@ func windowedStream(rs *server.ResolvedStream) {
 // remoteStream starts a stream job in a smokescreend daemon and watches
 // it, polling the status endpoint; ^C cancels the remote job.
 func remoteStream(baseURL string, req server.StreamRequest) {
-	if req.Window <= 0 {
-		fatal(errors.New("remote streaming requires -window"))
-	}
 	ctx, cancel := interruptCtx()
 	defer cancel()
 	client := &server.Client{BaseURL: baseURL}
@@ -214,79 +193,5 @@ func remoteStream(baseURL string, req server.StreamRequest) {
 			}
 			return
 		}
-	}
-}
-
-// oneShotStream is the single-session mode: per-frame running estimates
-// and the camera's accounting.
-func oneShotStream(rs *server.ResolvedStream, addr string) {
-	node, cfg := rs.Node, &rs.Config
-	label := samplingOnlyLabel(rs.SamplingOnly, rs.Query)
-	listener, err := net.Listen("tcp", addr)
-	if err != nil {
-		fatal(err)
-	}
-	defer listener.Close()
-	fmt.Printf("processor listening on %s\n", listener.Addr())
-
-	type streamResult struct {
-		report camera.Report
-		err    error
-	}
-	cameraDone := make(chan streamResult, 1)
-	go func() {
-		conn, err := net.Dial("tcp", listener.Addr().String())
-		if err != nil {
-			cameraDone <- streamResult{err: err}
-			return
-		}
-		defer conn.Close()
-		report, err := node.Stream(transport.New(conn), stats.NewStream(rs.Request.Seed))
-		cameraDone <- streamResult{report: report, err: err}
-	}()
-
-	serverConn, err := listener.Accept()
-	if err != nil {
-		fatal(err)
-	}
-	defer serverConn.Close()
-
-	var total, frames int
-	var estimator *estimate.StreamingEstimator
-	session, err := camera.Receive(transport.New(serverConn), func(s *camera.Session, fr camera.ReceivedFrame) error {
-		if estimator == nil {
-			// Any-time mode: the operator watches the running bound, so
-			// every reported bound must hold simultaneously.
-			var err error
-			estimator, err = estimate.NewStreamingEstimator(cfg.Agg, s.Config.TotalFrames, cfg.Params, true)
-			if err != nil {
-				return err
-			}
-		}
-		count := detect.CountClass(s.Detect(cfg.Model, fr), cfg.Class)
-		total += count
-		frames++
-		est := estimator.Observe(float64(count))
-		if frames%10 == 0 {
-			fmt.Printf("  after %3d frames: running mean %.3f, conservative estimate %.3f (err <= %.3f, any-time)%s\n",
-				frames, float64(total)/float64(frames), est.Value, est.ErrBound, label)
-		}
-		return nil
-	})
-	if err != nil {
-		fatal(err)
-	}
-	result := <-cameraDone
-	if result.err != nil {
-		fatal(result.err)
-	}
-
-	fmt.Printf("camera:     %s (%s)\n", node.Video.Config.Name, node.Setting)
-	fmt.Printf("transmitted %d frames, %d bytes\n", result.report.FramesTransmitted, result.report.BytesTransmitted)
-	fmt.Printf("energy:     capture %.3f J + compute %.3f J + radio %.3f J = %.3f J\n",
-		result.report.CaptureJoules, result.report.ComputeJoules, result.report.TransmitJoules, result.report.TotalJoules())
-	fmt.Printf("processor:  received %d frames at %dx%d\n", frames, session.Config.Resolution, session.Config.Resolution)
-	if frames > 0 {
-		fmt.Printf("detected:   %.3f %ss per transmitted frame\n", float64(total)/float64(frames), cfg.Class)
 	}
 }

@@ -22,7 +22,7 @@
 // N-node fleet: profile keys are placed on a consistent-hash ring,
 // requests are forwarded to a replica over pooled keep-alive connections,
 // artifacts fan out to R replicas with read-repair, and generation dedup
-// is coordinated by TTL leases (see DESIGN.md §13). Fleet mode adds
+// is coordinated by TTL leases (see DESIGN.md §5.5 and §5.6). Fleet mode adds
 // GET /v1/ring plus internal replication and lease endpoints, and
 // smokescreend_fleet_* counters on /metrics.
 package main

@@ -5,6 +5,7 @@ package smokescreen_test
 // quick.
 
 import (
+	"context"
 	"fmt"
 
 	"smokescreen"
@@ -24,15 +25,15 @@ func ExampleParseQuery() {
 	// f=0.2 p=160x160 c=face
 }
 
-// ExampleSystem_Execute runs a query under its own interventions and
+// ExampleSystem_ExecuteCtx runs a query under its own interventions and
 // reports the answer with a sound error bound.
-func ExampleSystem_Execute() {
+func ExampleSystem_ExecuteCtx() {
 	sys := smokescreen.New(smokescreen.WithSeed(42))
 	q, err := smokescreen.ParseQuery("SELECT COUNT(*) FROM small WHERE count(car) >= 1 SAMPLE 0.5")
 	if err != nil {
 		panic(err)
 	}
-	res, err := sys.Execute(q)
+	res, err := sys.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		panic(err)
 	}
@@ -61,7 +62,7 @@ func ExampleSystem_ChooseTradeoff() {
 	if err != nil {
 		panic(err)
 	}
-	profiles, err := sys.GenerateProfiles(q)
+	profiles, err := sys.GenerateProfilesCtx(context.Background(), q)
 	if err != nil {
 		panic(err)
 	}
@@ -81,16 +82,16 @@ func abs(v float64) float64 {
 	return v
 }
 
-// ExampleSystem_ExecuteUntil shows adaptive execution: sample frames until
+// ExampleSystem_ExecuteUntilCtx shows adaptive execution: sample frames until
 // the any-time error bound reaches the target, touching as little video as
 // possible.
-func ExampleSystem_ExecuteUntil() {
+func ExampleSystem_ExecuteUntilCtx() {
 	sys := smokescreen.New(smokescreen.WithSeed(42))
 	q, err := smokescreen.ParseQuery("SELECT AVG(count(car)) FROM small")
 	if err != nil {
 		panic(err)
 	}
-	res, err := sys.ExecuteUntil(q, 0.4, 1.0)
+	res, err := sys.ExecuteUntilCtx(context.Background(), q, 0.4, 1.0)
 	if err != nil {
 		panic(err)
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -17,6 +18,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	sys := smokescreen.New(smokescreen.WithSeed(13))
 	q, err := smokescreen.ParseQuery("SELECT AVG(count(car)) FROM small")
 	if err != nil {
@@ -27,7 +29,7 @@ func main() {
 	fmt.Println()
 	fmt.Println("target err   frames touched   answer    bound     met")
 	for _, target := range []float64{0.6, 0.45, 0.3, 0.2} {
-		res, err := sys.ExecuteUntil(q, target, 1.0)
+		res, err := sys.ExecuteUntilCtx(ctx, q, target, 1.0)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -38,7 +40,7 @@ func main() {
 	}
 
 	// Verify the tightest run against the exact answer (demo only).
-	res, err := sys.ExecuteUntil(q, 0.2, 1.0)
+	res, err := sys.ExecuteUntilCtx(ctx, q, 0.2, 1.0)
 	if err != nil {
 		log.Fatal(err)
 	}

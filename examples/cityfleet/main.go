@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -23,6 +24,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	model := smokescreen.YOLOv4Sim()
 	camA := dataset.MustLoad("mvi-40771")
 	camB := dataset.MustLoad("mvi-40775")
@@ -57,7 +59,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	res, err := city.Query(estimate.AVG, scene.Car, nil, params, stats.NewStream(7))
+	res, err := city.QueryCtx(ctx, estimate.AVG, scene.Car, nil, params, stats.NewStream(7))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net"
@@ -66,6 +67,7 @@ func session(setting degrade.Setting) (camera.Report, float64, int) {
 }
 
 func main() {
+	ctx := context.Background()
 	// Reference: a lightly degraded stream (every 10th frame, native-ish).
 	reference := degrade.Setting{SampleFraction: 0.1, Resolution: 320}
 	// Policy: stronger sampling, half resolution, and no frame containing
@@ -98,7 +100,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := sys.Execute(q)
+	res, err := sys.ExecuteCtx(ctx, q)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -18,6 +19,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	sys := smokescreen.New(smokescreen.WithSeed(5))
 	// The two corpora have different lengths (1720 vs 975 frames), so the
 	// sweep uses absolute sample *sizes*, like the paper's Section 5.3.2,
@@ -32,15 +34,13 @@ func main() {
 	}
 
 	// The profile we WISH we could compute (needs access to video A).
-	target, err := sys.SweepProfile(
-		mustQuery("SELECT AVG(count(car)) FROM mvi-40771 USING yolov4"),
+	target, err := sys.SweepProfileCtx(ctx, mustQuery("SELECT AVG(count(car)) FROM mvi-40771 USING yolov4"),
 		profile.SweepOptions{Fractions: fractionsFor(1720)})
 	if err != nil {
 		log.Fatal(err)
 	}
 	// The profile we actually compute: video B, same camera, other time.
-	transferred, err := sys.TransferProfile(
-		mustQuery("SELECT AVG(count(car)) FROM mvi-40771 USING yolov4"), "mvi-40775",
+	transferred, err := sys.TransferProfile(ctx, mustQuery("SELECT AVG(count(car)) FROM mvi-40771 USING yolov4"), "mvi-40775",
 		profile.SweepOptions{Fractions: fractionsFor(975)})
 	if err != nil {
 		log.Fatal(err)

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,6 +15,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	sys := smokescreen.New(
 		smokescreen.WithSeed(42),
 		// Candidate design: sample fractions at 2% intervals up to 20%.
@@ -29,7 +31,7 @@ func main() {
 	// Stage 1 (paper Section 3.1): profile generation. The system builds
 	// a correction set by the elbow heuristic and computes error bounds
 	// for every intervention candidate.
-	profiles, err := sys.GenerateProfiles(q)
+	profiles, err := sys.GenerateProfilesCtx(ctx, q)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,7 +56,7 @@ func main() {
 	fmt.Printf("\nchosen interventions for max error %.2f: %s\n", prefs.MaxError, setting)
 
 	// Execute the query under the chosen degradation.
-	result, err := sys.ExecuteSetting(q, setting)
+	result, err := sys.ExecuteSettingCtx(ctx, q, setting)
 	if err != nil {
 		log.Fatal(err)
 	}

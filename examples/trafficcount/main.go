@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -20,6 +21,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// The maintenance department needs the TRUE error within 10%. Profile
 	// bounds are conservative upper bounds (they carry the correction
 	// set's own uncertainty, roughly 0.2 here), so the administrator calibrates
@@ -46,7 +48,7 @@ func main() {
 	for _, p := range spec.Model.Resolutions(10) {
 		candidate := *q
 		candidate.Setting.Resolution = p
-		prof, err := sys.SweepProfile(&candidate, smokescreen.SweepOptions{Fractions: []float64{0.5}})
+		prof, err := sys.SweepProfileCtx(ctx, &candidate, smokescreen.SweepOptions{Fractions: []float64{0.5}})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -67,7 +69,7 @@ func main() {
 	fmt.Printf("\nHarry configures the cameras to %dx%d.\n", chosen, chosen)
 
 	// Run the production query under the chosen degradation.
-	result, err := sys.ExecuteSetting(q, smokescreen.Setting{SampleFraction: 0.5, Resolution: chosen})
+	result, err := sys.ExecuteSettingCtx(ctx, q, smokescreen.Setting{SampleFraction: 0.5, Resolution: chosen})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -38,7 +38,7 @@ func TestIntegrationProfileArchiveRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	profiles, err := sys.GenerateProfiles(q)
+	profiles, err := sys.GenerateProfilesCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestIntegrationProfileArchiveRoundTrip(t *testing.T) {
 		t.Fatal("no tradeoff within 0.4 on the loaded hypercube")
 	}
 
-	res, err := sys.ExecuteSetting(q, setting)
+	res, err := sys.ExecuteSettingCtx(context.Background(), q, setting)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestIntegrationFleetOverArchivedCorrections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := city.Query(estimate.AVG, scene.Car, nil, params, stats.NewStream(29))
+	res, err := city.QueryCtx(context.Background(), estimate.AVG, scene.Car, nil, params, stats.NewStream(29))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,11 +36,6 @@ type Analyzer struct {
 	Match func(pkgPath string) bool
 	// Run inspects one package and reports findings through pass.Report.
 	Run func(pass *Pass) error
-	// FactTypes declares the fact types the analyzer exports and imports
-	// (pointers to gob-encodable structs). An analyzer with no FactTypes
-	// is purely per-package: the runner still offers it the fact API, but
-	// nothing it exports survives serialization registration.
-	FactTypes []Fact
 }
 
 // Pass carries one type-checked package through one analyzer.
@@ -52,16 +47,6 @@ type Pass struct {
 	Info     *types.Info
 	// Report records one finding at pos.
 	Report func(pos token.Pos, format string, args ...any)
-
-	// ExportObjectFact attaches a fact to an object of this package. The
-	// fact becomes visible to the same analyzer in every package analyzed
-	// after this one (the runner walks packages in dependency order), but
-	// only through the gob round-trip — facts that cannot serialize are
-	// dropped with an error at seal time.
-	ExportObjectFact func(obj types.Object, fact Fact)
-	// ImportObjectFact copies the fact attached to obj (by this analyzer,
-	// in obj's defining package) into fact and reports whether one exists.
-	ImportObjectFact func(obj types.Object, fact Fact) bool
 }
 
 // Diagnostic is one reported finding.

@@ -56,18 +56,12 @@ func (r *FixtureResult) String() string {
 
 // RunFixture loads the fixture tree rooted at dir — the root package plus
 // any sub-package fixtures in immediate subdirectories — and runs one
-// analyzer over every package in dependency order (bypassing the
-// analyzer's package Match, so fixtures exercise the check regardless of
-// their synthetic import paths), comparing findings against the tree's
-// want comments. Facts flow between the tree's packages exactly as in a
-// real run, so cross-package rules are pinned by fixtures too.
+// analyzer over every package (bypassing the analyzer's package Match, so
+// fixtures exercise the check regardless of their synthetic import paths),
+// comparing findings against the tree's want comments.
 func RunFixture(l *Loader, a *Analyzer, dir string) (*FixtureResult, error) {
 	pkgs, err := l.LoadFixtureTree(dir)
 	if err != nil {
-		return nil, err
-	}
-	facts := newFactStore()
-	if err := facts.register([]*Analyzer{a}); err != nil {
 		return nil, err
 	}
 	var diags []Diagnostic
@@ -76,7 +70,7 @@ func RunFixture(l *Loader, a *Analyzer, dir string) (*FixtureResult, error) {
 		if len(pkg.TypeErrors) > 0 {
 			return nil, fmt.Errorf("fixture %s does not type-check: %v", pkg.Path, pkg.TypeErrors[0])
 		}
-		ds, err := runOne(pkg, a, facts)
+		ds, err := runOne(pkg, a)
 		if err != nil {
 			return nil, err
 		}

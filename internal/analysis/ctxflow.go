@@ -35,26 +35,15 @@ import (
 // //smokevet:ignore ctxflow suppressions — it is the sole sanctioned
 // wall-clock read.
 //
-// A fourth rule is cross-package, built on fact propagation: when the
-// analyzer visits a package it exports a HasCtxVariantFact for every
-// exported function or method F whose package also declares an exported
-// context-taking sibling FCtx (the compat-wrapper convention: Sweep /
-// SweepCtx, Generate / GenerateCtx). In every downstream package, a
-// function that holds a context but calls F instead of FCtx is flagged —
-// the call compiles, runs, and silently detaches the entire callee
-// subtree from cancellation, which is exactly the class of cross-
-// component failure no single-package check can see.
-
-// HasCtxVariantFact marks an exported function whose package declares an
-// exported context-taking sibling named <Name>Ctx. Calling the fact-
-// carrying function while holding a context severs cancellation; the
-// variant must be called instead.
-type HasCtxVariantFact struct {
-	// Variant is the sibling's name (e.g. "SweepCtx").
-	Variant string
-}
-
-func (*HasCtxVariantFact) AFact() {}
+// A fourth rule retires the compat-wrapper convention itself: an exported
+// function or method F declared beside an exported context-taking FCtx
+// (package-level siblings for functions, same-receiver siblings for
+// methods) is a finding at F's declaration. F can only root its work in
+// context.Background(), so every caller that holds a context and picks
+// the shorter name silently detaches the callee's subtree from
+// cancellation; with one entry point there is nothing to pick wrong. The
+// one sanctioned pair is camera.Node.Stream/StreamCtx, which the frozen
+// benchmark calls by the short name (a reasoned suppression says so).
 
 // clockInjectedPackages lists packages whose time must flow through an
 // injected Clock interface (fixture/ctxflow keeps the rule pinned by the
@@ -74,19 +63,19 @@ var clockCalls = map[string]bool{
 var Ctxflow = &Analyzer{
 	Name: "ctxflow",
 	Doc: "flag context.Background()/TODO() that sever cancellation in internal " +
-		"packages, and ctx-taking exported functions that call *Ctx callees without the context",
+		"packages, ctx-taking exported functions that call *Ctx callees without the context, " +
+		"and an exported F declared beside an exported FCtx",
 	Match: func(path string) bool {
 		return strings.HasPrefix(path, "smokescreen/internal/") || strings.HasPrefix(path, "fixture/")
 	},
-	Run:       runCtxflow,
-	FactTypes: []Fact{(*HasCtxVariantFact)(nil)},
+	Run: runCtxflow,
 }
 
 func runCtxflow(pass *Pass) error {
 	if pass.Pkg != nil && pass.Pkg.Name() == "main" {
 		return nil
 	}
-	exportCtxVariants(pass)
+	checkCtxTwins(pass)
 	clockInjected := pass.Pkg != nil && clockInjectedPackages[pass.Pkg.Path()]
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
@@ -104,80 +93,35 @@ func runCtxflow(pass *Pass) error {
 	return nil
 }
 
-// exportCtxVariants walks the package's exported functions and methods,
-// attaching a HasCtxVariantFact to each one that has an exported
-// context-taking <Name>Ctx sibling (package-level siblings for
-// functions, same-receiver siblings for methods).
-func exportCtxVariants(pass *Pass) {
-	if pass.Pkg == nil || pass.ExportObjectFact == nil {
-		return
-	}
-	scope := pass.Pkg.Scope()
-	exportIfVariant := func(fn, sibling types.Object) {
-		variant, ok := sibling.(*types.Func)
-		if !ok || !variant.Exported() {
-			return
-		}
-		fsig, ok := fn.Type().(*types.Signature)
-		if !ok || hasContextParam(fsig) {
-			return // fn already takes a ctx; nothing to redirect
-		}
-		vsig, ok := variant.Type().(*types.Signature)
-		if !ok || !hasContextParam(vsig) {
-			return
-		}
-		pass.ExportObjectFact(fn, &HasCtxVariantFact{Variant: variant.Name()})
-	}
-	for _, name := range scope.Names() {
-		switch obj := scope.Lookup(name).(type) {
-		case *types.Func:
-			if !obj.Exported() {
+// checkCtxTwins applies rule 4: every exported, context-free function or
+// method declared in the package beside a context-taking <Name>Ctx sibling
+// (same scope, or same receiver) is reported at its declaration.
+func checkCtxTwins(pass *Pass) {
+	for _, f := range pass.Files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || !fd.Name.IsExported() || funcHasCtxParam(pass, fd) {
 				continue
 			}
-			if sib := scope.Lookup(name + "Ctx"); sib != nil {
-				exportIfVariant(obj, sib)
-			}
-		case *types.TypeName:
-			named, ok := obj.Type().(*types.Named)
+			fn, ok := pass.Info.Defs[fd.Name].(*types.Func)
 			if !ok {
 				continue
 			}
-			methods := map[string]*types.Func{}
-			for i := 0; i < named.NumMethods(); i++ {
-				m := named.Method(i)
-				methods[m.Name()] = m
+			var sibling types.Object
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+				sibling, _, _ = types.LookupFieldOrMethod(recv.Type(), true, pass.Pkg, fn.Name()+"Ctx")
+			} else {
+				sibling = pass.Pkg.Scope().Lookup(fn.Name() + "Ctx")
 			}
-			for mname, m := range methods {
-				if !m.Exported() {
-					continue
-				}
-				if sib, ok := methods[mname+"Ctx"]; ok {
-					exportIfVariant(m, sib)
-				}
+			variant, ok := sibling.(*types.Func)
+			if !ok || !hasContextParam(variant.Type().(*types.Signature)) {
+				continue
 			}
+			pass.Report(fd.Name.Pos(),
+				"%s is declared beside %s: the context-free twin can only root its work in context.Background — delete it and have callers pass their ctx to %s",
+				fn.Name(), variant.Name(), variant.Name())
 		}
 	}
-}
-
-// checkCtxVariantCall applies rule 4 at one call site known to be inside
-// a ctx-holding function: a cross-package callee carrying a
-// HasCtxVariantFact is the compat wrapper; the ctx-taking variant must
-// be called instead.
-func checkCtxVariantCall(pass *Pass, call *ast.CallExpr) {
-	if pass.ImportObjectFact == nil {
-		return
-	}
-	fn := calleeFunc(pass.Info, call)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg() == pass.Pkg {
-		return
-	}
-	var fact HasCtxVariantFact
-	if !pass.ImportObjectFact(fn, &fact) {
-		return
-	}
-	pass.Report(call.Pos(),
-		"call to %s.%s from a function that holds a context: %s roots its work in context.Background — call %s with the caller's ctx so cancellation crosses the package boundary",
-		fn.Pkg().Name(), fn.Name(), fn.Name(), fact.Variant)
 }
 
 // checkClockInjection applies rule 3 to one file of a clock-injected
@@ -244,9 +188,6 @@ func checkBackgroundUse(pass *Pass, fd *ast.FuncDecl) {
 		case *ast.CallExpr:
 			name := backgroundOrTODO(pass, n)
 			if name == "" {
-				if depth > 0 {
-					checkCtxVariantCall(pass, n)
-				}
 				return true
 			}
 			if name == "TODO" {

@@ -29,10 +29,6 @@ type Package struct {
 	Files []*ast.File
 	Pkg   *types.Package
 	Info  *types.Info
-	// Imports are the package's direct imports (import paths). The runner
-	// topologically orders packages by them so analyzer facts always flow
-	// from a dependency to its importers, never the other way.
-	Imports []string
 	// Suppressions indexes //smokevet:ignore comments by file line.
 	Suppressions *suppressionIndex
 	// TypeErrors carries any type-check errors. Analysis still runs —
@@ -64,7 +60,6 @@ type listedPackage struct {
 	ImportPath string
 	Name       string
 	GoFiles    []string
-	Imports    []string
 }
 
 // Load expands the `go list` patterns (e.g. "./...") relative to dir and
@@ -110,7 +105,6 @@ func (l *Loader) Load(dir string, patterns ...string) ([]*Package, error) {
 			return nil, err
 		}
 		pkg.Name = p.Name
-		pkg.Imports = p.Imports
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
@@ -129,9 +123,8 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 // any) become "fixture/<base>". Sub-packages may import one another and
 // the root may import any sub-package — imports under the "fixture/"
 // prefix resolve against the tree itself instead of the stdlib source
-// importer, which is what lets fact-propagation fixtures span two
-// type-checked packages. Packages are returned in dependency order
-// (imports first), ready for the fact-aware runner.
+// importer, which is what lets a fixture span two type-checked packages.
+// Packages are returned in dependency order (imports first).
 func (l *Loader) LoadFixtureTree(dir string) ([]*Package, error) {
 	base := "fixture/" + filepath.Base(dir)
 	entries, err := filepath.Glob(filepath.Join(dir, "*"))
@@ -230,12 +223,7 @@ func (l *Loader) loadFixtureDir(dir, path string, fixtures map[string]*types.Pac
 	if len(fixtures) > 0 {
 		imp = &fixtureImporter{next: l.imp, fixtures: fixtures}
 	}
-	pkg, err := l.checkWith(imp, path, dir, files)
-	if err != nil {
-		return nil, err
-	}
-	pkg.Imports, err = fixtureImports(dir)
-	return pkg, err
+	return l.checkWith(imp, path, dir, files)
 }
 
 // hasGoFiles reports whether dir directly contains non-test Go files.

@@ -71,8 +71,7 @@ var (
 // TestLoadFixtureTree pins the multi-package fixture contract: the root
 // loads as fixture/<base>, subdirectories as fixture/<base>/<sub>, the
 // returned order puts imports before importers, and cross-package
-// references resolve against the same *types.Package pointers (which is
-// what makes fact lookup by object identity work in fixture tests).
+// references resolve against the same *types.Package pointers.
 func TestLoadFixtureTree(t *testing.T) {
 	dir := t.TempDir()
 	base := filepath.Base(dir)

@@ -1,15 +1,14 @@
 // Package fixture exercises the ctxflow analyzer: no fresh context roots
 // inside ctx-holding functions, no context.TODO anywhere, ctx-taking
-// exported functions must forward their context to *Ctx callees, and —
-// because fixture/ctxflow is registered as clock-injected — no direct
-// wall-clock or timer calls outside a suppressed production Clock.
+// exported functions must forward their context to *Ctx callees, no
+// exported F beside an exported FCtx, and — because fixture/ctxflow is
+// registered as clock-injected — no direct wall-clock or timer calls
+// outside a suppressed production Clock.
 package fixture
 
 import (
 	"context"
 	"time"
-
-	"fixture/ctxflow/ctxdep"
 )
 
 // DoCtx is the fixture's context-aware callee.
@@ -18,9 +17,9 @@ func DoCtx(ctx context.Context, n int) int { return n }
 // dropCtx is *Ctx-suffixed but context-free; rule 2 keys on the name.
 func dropCtx(n int) int { return n }
 
-// Do is a compatibility root: it holds no context, so minting Background
+// Root is a compatibility root: it holds no context, so minting Background
 // to forward it directly into a context-aware call is the sanctioned shape.
-func Do(n int) int { return DoCtx(context.Background(), n) }
+func Root(n int) int { return DoCtx(context.Background(), n) }
 
 // Detached mints a fresh root while holding a context.
 func Detached(ctx context.Context, n int) int {
@@ -96,31 +95,47 @@ func ProductionClock() time.Time {
 	return time.Now() //smokevet:ignore ctxflow: fixture's production Clock implementation — the sanctioned wall-clock read
 }
 
-// CrossDetach holds a context but calls another package's compat wrapper
-// — the fact-propagated rule: Sweep's HasCtxVariantFact was exported
-// when ctxdep was visited, so the detach is visible here.
-func CrossDetach(ctx context.Context, n int) int {
-	return ctxdep.Sweep(n) // want `call SweepCtx with the caller's ctx`
-}
+// FooCtx is a context-aware entry point.
+func FooCtx(ctx context.Context, n int) int { return n }
 
-// CrossForwards calls the ctx variant: the sanctioned cross-package shape.
-func CrossForwards(ctx context.Context, n int) int {
-	return ctxdep.SweepCtx(ctx, n)
-}
+// Foo is its context-free twin: the compat wrapper the rule retires.
+func Foo(n int) int { return FooCtx(context.Background(), n) } // want `Foo is declared beside FooCtx`
 
-// CrossLone calls a fact-free function: nothing to redirect to.
-func CrossLone(ctx context.Context, n int) int {
-	return ctxdep.Lone(n)
-}
+// Counter has an Inc/IncCtx method pair on one receiver.
+type Counter struct{ n int }
 
-// CrossMethod pins the method half of the fact: Inc has an IncCtx
-// sibling on the same receiver.
-func CrossMethod(ctx context.Context, c *ctxdep.Counter) {
-	c.Inc() // want `call IncCtx with the caller's ctx`
-}
+// IncCtx is the context-aware increment.
+func (c *Counter) IncCtx(ctx context.Context) { c.n++ }
 
-// CrossRoot holds no context, so calling the compat wrapper is exactly
-// what the wrapper exists for.
-func CrossRoot(n int) int {
-	return ctxdep.Sweep(n)
-}
+// Inc is the twin method.
+func (c *Counter) Inc() { c.IncCtx(context.Background()) } // want `Inc is declared beside IncCtx`
+
+// Other shares a method name with Counter's twin but has no IncCtx of its
+// own: siblings are per receiver.
+type Other struct{ n int }
+
+// Inc has no twin on Other.
+func (o *Other) Inc() { o.n++ }
+
+// BarCtx stands alone: a *Ctx name with no context-free sibling is the
+// shape every pipeline entry point has.
+func BarCtx(ctx context.Context, n int) int { return n }
+
+// Baz already takes a context, so BazCtx beside it is not a detach route.
+func Baz(ctx context.Context, n int) int { return BazCtx(ctx, n) }
+
+// BazCtx is Baz's sibling.
+func BazCtx(ctx context.Context, n int) int { return n }
+
+// quxCtx and qux are unexported: the rule is about the API callers see.
+func quxCtx(ctx context.Context, n int) int { return n }
+
+func qux(n int) int { return quxCtx(context.Background(), n) }
+
+// Kept is a twin kept for a frozen caller, with the reason on record.
+//
+//smokevet:ignore ctxflow: fixture exercises suppression of a sanctioned twin
+func Kept(n int) int { return KeptCtx(context.Background(), n) }
+
+// KeptCtx is Kept's context-aware sibling.
+func KeptCtx(ctx context.Context, n int) int { return n }

@@ -126,6 +126,8 @@ type Node struct {
 // downsampled on-device, noised with the effective sensor noise, and
 // shipped as compressed rasters — the receiver never sees the restricted
 // frames or the native-resolution pixels.
+//
+//smokevet:ignore ctxflow: the frozen benchmark/stream_ingest.go calls Stream by this name; everything else calls StreamCtx
 func (n *Node) Stream(conn *transport.Conn, stream *stats.Stream) (Report, error) {
 	return n.StreamCtx(context.Background(), conn, stream)
 }

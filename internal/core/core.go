@@ -182,17 +182,12 @@ type Profiles struct {
 	ModelInvocations int64
 }
 
-// GenerateProfiles runs the profile-generation stage for a query
+// GenerateProfilesCtx runs the profile-generation stage for a query
 // (Problem 2): construct the correction set by the elbow heuristic, then
-// evaluate the full intervention-candidate hypercube.
-func (s *System) GenerateProfiles(q *query.Query) (*Profiles, error) {
-	return s.GenerateProfilesCtx(context.Background(), q)
-}
-
-// GenerateProfilesCtx is GenerateProfiles with cancellation threaded
-// through the whole pipeline: a done ctx aborts planning, correction
-// construction, and the hypercube's detect and estimate stages, returning
-// the context's error with no partial result.
+// evaluate the full intervention-candidate hypercube. Cancellation is
+// threaded through the whole pipeline: a done ctx aborts planning,
+// correction construction, and the hypercube's detect and estimate stages,
+// returning the context's error with no partial result.
 func (s *System) GenerateProfilesCtx(ctx context.Context, q *query.Query) (*Profiles, error) {
 	spec, err := s.Resolve(q)
 	if err != nil {
@@ -260,16 +255,12 @@ func sameAxes(a, b degrade.Setting) bool {
 	return slices.Equal(a.KeyFields(), b.KeyFields())
 }
 
-// SweepProfile generates a single-axis profile for a query — the 2D plot
-// an administrator starts from. See SweepProfileCtx.
-func (s *System) SweepProfile(q *query.Query, opts profile.SweepOptions) (*profile.Profile, error) {
-	return s.SweepProfileCtx(context.Background(), q, opts)
-}
-
-// SweepProfileCtx sweeps opts.Fractions under the query's own intervention
-// clauses: opts.Setting may be left zero or repeat them, and anything else
-// is an error. A nil opts.Correction means the system's own (repairFor); a
-// zero opts.Parallelism means the system's (WithParallelism).
+// SweepProfileCtx generates a single-axis profile for a query — the 2D plot
+// an administrator starts from. It sweeps opts.Fractions under the query's
+// own intervention clauses: opts.Setting may be left zero or repeat them,
+// and anything else is an error. A nil opts.Correction means the system's
+// own (repairFor); a zero opts.Parallelism means the system's
+// (WithParallelism).
 func (s *System) SweepProfileCtx(ctx context.Context, q *query.Query, opts profile.SweepOptions) (*profile.Profile, error) {
 	spec, err := s.Resolve(q)
 	if err != nil {
@@ -356,25 +347,15 @@ type Result struct {
 	Repaired bool
 }
 
-// Execute runs the query under its own intervention setting (Problem 1).
+// ExecuteCtx runs the query under its own intervention setting (Problem 1).
 // Non-random settings are automatically repaired with a correction set
 // constructed by the elbow heuristic.
-func (s *System) Execute(q *query.Query) (*Result, error) {
-	return s.ExecuteSetting(q, q.Setting)
-}
-
-// ExecuteCtx is Execute with cancellation.
 func (s *System) ExecuteCtx(ctx context.Context, q *query.Query) (*Result, error) {
 	return s.ExecuteSettingCtx(ctx, q, q.Setting)
 }
 
-// ExecuteSetting runs the query under an explicit setting (typically one
-// chosen from a profile).
-func (s *System) ExecuteSetting(q *query.Query, setting degrade.Setting) (*Result, error) {
-	return s.ExecuteSettingCtx(context.Background(), q, setting)
-}
-
-// ExecuteSettingCtx is ExecuteSetting with cancellation.
+// ExecuteSettingCtx runs the query under an explicit setting (typically
+// one chosen from a profile).
 func (s *System) ExecuteSettingCtx(ctx context.Context, q *query.Query, setting degrade.Setting) (*Result, error) {
 	spec, err := s.Resolve(q)
 	if err != nil {
@@ -394,21 +375,16 @@ func (s *System) ExecuteSettingCtx(ctx context.Context, q *query.Query, setting 
 	return &Result{Query: q, Setting: setting, Estimate: est, Repaired: corr != nil}, nil
 }
 
-// AdaptiveResult is the outcome of ExecuteUntil.
+// AdaptiveResult is the outcome of ExecuteUntilCtx.
 type AdaptiveResult = profile.AdaptiveResult
 
-// ExecuteUntil answers the query adaptively: frames are sampled (and
+// ExecuteUntilCtx answers the query adaptively: frames are sampled (and
 // detected) one batch at a time until the any-time error bound reaches
 // targetErr, or maxFraction of the corpus has been touched. This is the
 // stopping-rule usage the paper's EBGS baseline was built for, with the
 // Hoeffding-Serfling any-time construction keeping the guarantee valid
 // under adaptive stopping. Only random-only settings and mean-type
 // aggregates are supported.
-func (s *System) ExecuteUntil(q *query.Query, targetErr, maxFraction float64) (*AdaptiveResult, error) {
-	return s.ExecuteUntilCtx(context.Background(), q, targetErr, maxFraction)
-}
-
-// ExecuteUntilCtx is ExecuteUntil with cancellation.
 func (s *System) ExecuteUntilCtx(ctx context.Context, q *query.Query, targetErr, maxFraction float64) (*AdaptiveResult, error) {
 	spec, err := s.Resolve(q)
 	if err != nil {
@@ -442,10 +418,10 @@ func (s *System) Audit(q *query.Query, e estimate.Estimate) (estimate.Audited, e
 // the query video is too sensitive even for a correction set. The paper's
 // Section 5.3.2 shows such profiles track the target's within a few
 // percent.
-func (s *System) TransferProfile(q *query.Query, similarDataset string, opts profile.SweepOptions) (*profile.Profile, error) {
+func (s *System) TransferProfile(ctx context.Context, q *query.Query, similarDataset string, opts profile.SweepOptions) (*profile.Profile, error) {
 	similar := *q
 	similar.Dataset = similarDataset
-	prof, err := s.SweepProfile(&similar, opts)
+	prof, err := s.SweepProfileCtx(ctx, &similar, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -74,7 +74,7 @@ func TestResolveCountPredicate(t *testing.T) {
 func TestExecuteRandomSetting(t *testing.T) {
 	s := New()
 	q := mustQuery(t, "SELECT AVG(count(car)) FROM small SAMPLE 0.2")
-	res, err := s.Execute(q)
+	res, err := s.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestExecuteRandomSetting(t *testing.T) {
 func TestExecuteNonRandomRepairs(t *testing.T) {
 	s := New()
 	q := mustQuery(t, "SELECT AVG(count(car)) FROM small SAMPLE 0.3 RESOLUTION 96")
-	res, err := s.Execute(q)
+	res, err := s.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestExecuteNonRandomRepairs(t *testing.T) {
 func TestExecuteSettingValidation(t *testing.T) {
 	s := New()
 	q := mustQuery(t, "SELECT AVG(count(car)) FROM small")
-	if _, err := s.ExecuteSetting(q, degrade.Setting{SampleFraction: 2}); err == nil {
+	if _, err := s.ExecuteSettingCtx(context.Background(), q, degrade.Setting{SampleFraction: 2}); err == nil {
 		t.Fatal("invalid setting accepted")
 	}
 }
@@ -122,7 +122,7 @@ func TestExecuteSettingValidation(t *testing.T) {
 func TestGenerateProfilesAndChoose(t *testing.T) {
 	s := New(WithFractionCandidates(0.02, 0.1), WithCorrectionLimit(0.1))
 	q := mustQuery(t, "SELECT AVG(count(car)) FROM small")
-	profiles, err := s.GenerateProfiles(q)
+	profiles, err := s.GenerateProfilesCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestGenerateProfilesAndChoose(t *testing.T) {
 	}
 
 	// Executing the chosen setting yields a bound within the preference.
-	res, err := s.ExecuteSetting(q, setting)
+	res, err := s.ExecuteSettingCtx(context.Background(), q, setting)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestGenerateProfilesAndChoose(t *testing.T) {
 
 func TestGenerateProfilesEarlyStop(t *testing.T) {
 	q := mustQuery(t, "SELECT AVG(count(car)) FROM small")
-	full, err := New(WithFractionCandidates(0.02, 0.2), WithCorrectionLimit(0.1)).GenerateProfiles(q)
+	full, err := New(WithFractionCandidates(0.02, 0.2), WithCorrectionLimit(0.1)).GenerateProfilesCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestGenerateProfilesEarlyStop(t *testing.T) {
 		WithFractionCandidates(0.02, 0.2),
 		WithCorrectionLimit(0.1),
 		WithEarlyStop(0.05),
-	).GenerateProfiles(q)
+	).GenerateProfilesCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestGenerateProfilesEarlyStop(t *testing.T) {
 func TestSweepProfile(t *testing.T) {
 	s := New()
 	q := mustQuery(t, "SELECT AVG(count(car)) FROM small")
-	prof, err := s.SweepProfile(q, profile.SweepOptions{Fractions: []float64{0.05, 0.1, 0.2}})
+	prof, err := s.SweepProfileCtx(context.Background(), q, profile.SweepOptions{Fractions: []float64{0.05, 0.1, 0.2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestSweepProfile(t *testing.T) {
 func TestTransferProfile(t *testing.T) {
 	s := New()
 	q := mustQuery(t, "SELECT AVG(count(car)) FROM mvi-40771 USING yolov4")
-	prof, err := s.TransferProfile(q, "mvi-40775", profile.SweepOptions{Fractions: []float64{0.05, 0.1}})
+	prof, err := s.TransferProfile(context.Background(), q, "mvi-40775", profile.SweepOptions{Fractions: []float64{0.05, 0.1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestSweepProfileFollowsQueryClauses(t *testing.T) {
 	s := New()
 	q := mustQuery(t, "SELECT AVG(count(car)) FROM small RESOLUTION 160")
 	fractions := []float64{0.05, 0.1}
-	prof, err := s.SweepProfile(q, profile.SweepOptions{Fractions: fractions})
+	prof, err := s.SweepProfileCtx(context.Background(), q, profile.SweepOptions{Fractions: fractions})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestSweepProfileFollowsQueryClauses(t *testing.T) {
 		}
 	}
 	// Repeating the query's clauses is not a conflict; anything else is.
-	same, err := s.SweepProfile(q, profile.SweepOptions{Fractions: fractions, Setting: degrade.Setting{Resolution: 160}})
+	same, err := s.SweepProfileCtx(context.Background(), q, profile.SweepOptions{Fractions: fractions, Setting: degrade.Setting{Resolution: 160}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestSweepProfileFollowsQueryClauses(t *testing.T) {
 		t.Fatal("restating the query's clauses changed the profile")
 	}
 	for _, conflicting := range []degrade.Setting{{Resolution: 320}, {Resolution: 160, MotionBlur: 5}, {Restricted: []scene.Class{scene.Face}}} {
-		if _, err := s.SweepProfile(q, profile.SweepOptions{Fractions: fractions, Setting: conflicting}); err == nil {
+		if _, err := s.SweepProfileCtx(context.Background(), q, profile.SweepOptions{Fractions: fractions, Setting: conflicting}); err == nil {
 			t.Fatalf("conflicting sweep setting %v accepted", conflicting)
 		}
 	}
@@ -268,7 +268,7 @@ func TestSweepProfileUsesSuppliedCorrection(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := profile.SweepOptions{Fractions: []float64{0.05, 0.1}, Correction: corr}
-	got, err := s.SweepProfile(q, opts)
+	got, err := s.SweepProfileCtx(context.Background(), q, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestSweepProfileUsesSuppliedCorrection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	own, err := s.SweepProfile(q, profile.SweepOptions{Fractions: opts.Fractions})
+	own, err := s.SweepProfileCtx(context.Background(), q, profile.SweepOptions{Fractions: opts.Fractions})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestSweepProfileUsesSuppliedCorrection(t *testing.T) {
 	if got.Points[0].Estimate.ErrBound == own.Points[0].Estimate.ErrBound {
 		t.Fatal("supplied and system-built correction sets gave the same bound; the test cannot tell them apart")
 	}
-	transferred, err := s.TransferProfile(mustQuery(t, "SELECT AVG(count(car)) FROM mvi-40771 USING yolov4 BLUR 5"), "small", opts)
+	transferred, err := s.TransferProfile(context.Background(), mustQuery(t, "SELECT AVG(count(car)) FROM mvi-40771 USING yolov4 BLUR 5"), "small", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,18 +340,18 @@ func TestLadderProfileOwnsItsAxes(t *testing.T) {
 
 func TestDeterministicAcrossRuns(t *testing.T) {
 	q := mustQuery(t, "SELECT SUM(count(car)) FROM small SAMPLE 0.1")
-	a, err := New(WithSeed(9)).Execute(q)
+	a, err := New(WithSeed(9)).ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := New(WithSeed(9)).Execute(q)
+	b, err := New(WithSeed(9)).ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Estimate != b.Estimate {
 		t.Fatal("same seed gave different results")
 	}
-	c, err := New(WithSeed(10)).Execute(q)
+	c, err := New(WithSeed(10)).ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +363,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 func TestVarQueryEndToEnd(t *testing.T) {
 	s := New()
 	q := mustQuery(t, "SELECT VAR(count(car)) FROM small SAMPLE 0.8")
-	res, err := s.Execute(q)
+	res, err := s.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +383,7 @@ func TestVarQueryEndToEnd(t *testing.T) {
 func TestMaxQueryEndToEnd(t *testing.T) {
 	s := New()
 	q := mustQuery(t, "SELECT MAX(count(car)) FROM small SAMPLE 0.3")
-	res, err := s.Execute(q)
+	res, err := s.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,14 +398,14 @@ func TestMaxQueryEndToEnd(t *testing.T) {
 func TestExecuteUntil(t *testing.T) {
 	s := New()
 	q := mustQuery(t, "SELECT AVG(count(car)) FROM small")
-	res, err := s.ExecuteUntil(q, 0.4, 1)
+	res, err := s.ExecuteUntilCtx(context.Background(), q, 0.4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Met || res.Estimate.ErrBound > 0.4 {
 		t.Fatalf("adaptive run: %+v", res)
 	}
-	if _, err := s.ExecuteUntil(mustQuery(t, "SELECT AVG(count(car)) FROM small RESOLUTION 160"), 0.4, 1); err == nil {
+	if _, err := s.ExecuteUntilCtx(context.Background(), mustQuery(t, "SELECT AVG(count(car)) FROM small RESOLUTION 160"), 0.4, 1); err == nil {
 		t.Fatal("adaptive run with non-random setting accepted")
 	}
 }
@@ -432,7 +432,7 @@ func TestAuditReportsThePaperMetric(t *testing.T) {
 	} {
 		for _, clauses := range []string{"SAMPLE 0.1", "SAMPLE 0.1 RESOLUTION 96"} {
 			q := mustQuery(t, "SELECT "+sel+" "+clauses)
-			res, err := s.Execute(q)
+			res, err := s.ExecuteCtx(context.Background(), q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -468,7 +468,7 @@ func TestAuditReportsThePaperMetric(t *testing.T) {
 func TestTransferProfileErrors(t *testing.T) {
 	s := New()
 	q := mustQuery(t, "SELECT AVG(count(car)) FROM small")
-	if _, err := s.TransferProfile(q, "nowhere", profile.SweepOptions{Fractions: []float64{0.1}}); err == nil {
+	if _, err := s.TransferProfile(context.Background(), q, "nowhere", profile.SweepOptions{Fractions: []float64{0.1}}); err == nil {
 		t.Fatal("unknown similar dataset accepted")
 	}
 }
@@ -478,7 +478,7 @@ func TestExecuteInfeasibleRemoval(t *testing.T) {
 	// The small corpus is mostly person frames: full sampling under person
 	// removal cannot be satisfied.
 	q := mustQuery(t, "SELECT AVG(count(car)) FROM small REMOVE person")
-	if _, err := s.Execute(q); err == nil {
+	if _, err := s.ExecuteCtx(context.Background(), q); err == nil {
 		t.Fatal("infeasible removal accepted")
 	}
 }

@@ -41,10 +41,9 @@ type StreamingEstimator struct {
 	max   float64
 
 	// seen records frame-keyed observations (ObserveFrame), enabling
-	// duplicate suppression, cross-shard Merge, and windowed eviction
-	// (ForgetFrame). nil until the first ObserveFrame; plain Observe
-	// leaves it nil (untracked observations cannot be merged,
-	// deduplicated, or forgotten).
+	// duplicate suppression and windowed eviction (ForgetFrame). nil until
+	// the first ObserveFrame; plain Observe leaves it nil (untracked
+	// observations cannot be deduplicated or forgotten).
 	seen map[int]float64
 
 	// unboundedFrames relaxes ObserveFrame's [0, N) index check: set by
@@ -117,34 +116,12 @@ func (e *StreamingEstimator) ObserveFrame(frame int, x float64) Estimate {
 	return e.Observe(x)
 }
 
-// Merge folds other's frame-keyed observations into e, skipping frames e
-// has already seen — the shard-combination path for estimators fed from
-// disjoint (or overlapping) partitions of one stream. Both estimators
-// must be configured identically and built exclusively with ObserveFrame;
-// untracked Observe calls on either side make deduplication unsound and
-// are rejected. other is not modified.
-func (e *StreamingEstimator) Merge(other *StreamingEstimator) error {
-	if other == nil {
-		return fmt.Errorf("estimate: merging a nil estimator")
-	}
-	if e.agg != other.agg || e.n != other.n || e.params != other.params || e.anyTime != other.anyTime {
-		return fmt.Errorf("estimate: merging incompatible estimators")
-	}
-	if e.count != len(e.seen) || other.count != len(other.seen) {
-		return fmt.Errorf("estimate: merge requires frame-tracked observations (use ObserveFrame)")
-	}
-	for frame, x := range other.seen {
-		e.ObserveFrame(frame, x)
-	}
-	return nil
-}
-
 // ForgetFrame evicts one frame's observation — the windowed-ingest
 // primitive: as a window slides, departed frames' contributions are
 // subtracted instead of rebuilding the estimator from scratch. It
-// reports whether the frame had been observed. Like Merge, it requires
-// a frame-tracked estimator (built exclusively with ObserveFrame);
-// untracked Observe calls make eviction unsound and panic.
+// reports whether the frame had been observed. It requires a
+// frame-tracked estimator (built exclusively with ObserveFrame); untracked
+// Observe calls make eviction unsound and panic.
 //
 // The running sum is adjusted exactly when observations are
 // integer-valued (detector outputs are counts, so the common case is

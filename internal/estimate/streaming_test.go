@@ -217,79 +217,12 @@ func TestStreamingFrameDedupOutOfOrderMatchesBatch(t *testing.T) {
 	}
 }
 
-func TestStreamingMergeShardsMatchBatch(t *testing.T) {
-	// Property: sharding a frame stream across estimators (with overlap,
-	// as in redundant shard assignment) and merging reproduces the batch
-	// estimate, regardless of shard boundaries.
-	pop := carLikePopulation(1500, 2.0, 229)
+func TestStreamingEmptyAndOverflow(t *testing.T) {
 	p := DefaultParams()
-	obs := frameSample(pop, 300, stats.NewStream(231))
-	batch := batchOf(t, obs, len(pop), p)
-
-	const shards = 3
-	ests := make([]*StreamingEstimator, shards)
-	for i := range ests {
-		e, err := NewStreamingEstimator(AVG, len(pop), p, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ests[i] = e
+	streaming, _ := NewStreamingEstimator(AVG, 3, p, false)
+	if got := streaming.Current(); got.ErrBound != 1 {
+		t.Fatalf("empty stream bound %v", got.ErrBound)
 	}
-	for i, o := range obs {
-		ests[i%shards].ObserveFrame(o.frame, o.x)
-		// Overlap: every fifth observation is also assigned to the next
-		// shard, so merged shards carry cross-shard duplicates.
-		if i%5 == 0 {
-			ests[(i+1)%shards].ObserveFrame(o.frame, o.x)
-		}
-	}
-	merged := ests[0]
-	for _, e := range ests[1:] {
-		if err := merged.Merge(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if merged.Count() != len(obs) {
-		t.Fatalf("merged Count = %d, want %d", merged.Count(), len(obs))
-	}
-	got := merged.Current()
-	if !estimatesMatch(got, batch) {
-		t.Fatalf("merged shards %+v != batch %+v", got, batch)
-	}
-}
-
-func TestStreamingMergeValidation(t *testing.T) {
-	p := DefaultParams()
-	base, _ := NewStreamingEstimator(AVG, 100, p, false)
-	base.ObserveFrame(1, 0.5)
-
-	var nilOther *StreamingEstimator
-	if err := base.Merge(nilOther); err == nil {
-		t.Fatal("merged a nil estimator")
-	}
-	otherAgg, _ := NewStreamingEstimator(SUM, 100, p, false)
-	if err := base.Merge(otherAgg); err == nil {
-		t.Fatal("merged across aggregates")
-	}
-	otherN, _ := NewStreamingEstimator(AVG, 200, p, false)
-	if err := base.Merge(otherN); err == nil {
-		t.Fatal("merged across population sizes")
-	}
-	otherMode, _ := NewStreamingEstimator(AVG, 100, p, true)
-	if err := base.Merge(otherMode); err == nil {
-		t.Fatal("merged across guarantee modes")
-	}
-
-	// Untracked observations (plain Observe) cannot be merged soundly.
-	untracked, _ := NewStreamingEstimator(AVG, 100, p, false)
-	untracked.Observe(0.25)
-	if err := base.Merge(untracked); err == nil {
-		t.Fatal("merged an estimator with untracked observations")
-	}
-	if err := untracked.Merge(base); err == nil {
-		t.Fatal("untracked estimator accepted a merge")
-	}
-
 	// Out-of-range frames panic like over-observing does.
 	func() {
 		defer func() {
@@ -297,16 +230,8 @@ func TestStreamingMergeValidation(t *testing.T) {
 				t.Fatal("out-of-range frame did not panic")
 			}
 		}()
-		base.ObserveFrame(100, 1.0)
+		streaming.ObserveFrame(3, 1.0)
 	}()
-}
-
-func TestStreamingEmptyAndOverflow(t *testing.T) {
-	p := DefaultParams()
-	streaming, _ := NewStreamingEstimator(AVG, 3, p, false)
-	if got := streaming.Current(); got.ErrBound != 1 {
-		t.Fatalf("empty stream bound %v", got.ErrBound)
-	}
 	streaming.Observe(1)
 	streaming.Observe(2)
 	streaming.Observe(3)

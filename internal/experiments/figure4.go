@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -78,7 +79,7 @@ func runPanel(w Workload, cfg Config, points int) (*panel, error) {
 			trueErr, bound map[string]float64
 			cltFail        bool
 		}
-		trials, err := parallel.Map(cfg.Trials, cfg.Parallelism, func(trial int) (trialSums, error) {
+		trials, err := parallel.MapCtx(context.Background(), cfg.Trials, cfg.Parallelism, func(trial int) (trialSums, error) {
 			sums := trialSums{trueErr: map[string]float64{}, bound: map[string]float64{}}
 			sample := samplePrefix(population, n, root.ChildN(uint64(n), uint64(trial)))
 

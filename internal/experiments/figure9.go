@@ -76,7 +76,7 @@ func Figure9(cfg Config) (*Report, error) {
 				errV   float64
 				bounds []float64
 			}
-			perTrial, err := parallel.Map(trials, cfg.Parallelism, func(trial int) (trialBounds, error) {
+			perTrial, err := parallel.MapCtx(context.Background(), trials, cfg.Parallelism, func(trial int) (trialBounds, error) {
 				s := root.ChildN(uint64(m), uint64(trial))
 				tb := trialBounds{bounds: make([]float64, len(interventions))}
 				for ii, setting := range interventions {

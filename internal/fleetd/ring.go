@@ -1,5 +1,5 @@
 // Package fleetd scales the single-process profile service
-// (internal/server, DESIGN.md §7) to a horizontally sharded fleet of
+// (internal/server, DESIGN.md §5.3) to a horizontally sharded fleet of
 // smokescreend nodes. It owns the three distributed-systems pieces the
 // single daemon never needed:
 //

@@ -98,16 +98,11 @@ type Result struct {
 	Cameras  []CameraResult
 }
 
-// Query answers the aggregate over the union of all cameras' corpora,
+// QueryCtx answers the aggregate over the union of all cameras' corpora,
 // each degraded under its own setting, at overall risk p.Delta. Only
 // mean-type aggregates (AVG, SUM, COUNT) are supported; predicate
 // transforms COUNT outputs exactly as in profile.Spec (nil means
-// "contains at least one object").
-func (f *Fleet) Query(agg estimate.Agg, class scene.Class, predicate func(float64) float64, p estimate.Params, stream *stats.Stream) (*Result, error) {
-	return f.QueryCtx(context.Background(), agg, class, predicate, p, stream)
-}
-
-// QueryCtx is Query under a context: cancellation stops the per-camera
+// "contains at least one object"). Cancellation stops the per-camera
 // estimation pipeline (including its detector work) and returns ctx's
 // error with no partial result.
 func (f *Fleet) QueryCtx(ctx context.Context, agg estimate.Agg, class scene.Class, predicate func(float64) float64, p estimate.Params, stream *stats.Stream) (*Result, error) {

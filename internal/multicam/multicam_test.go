@@ -1,6 +1,7 @@
 package multicam
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -83,7 +84,7 @@ func TestFleetAvgCoversTruth(t *testing.T) {
 	covered := 0
 	const trials = 30
 	for trial := 0; trial < trials; trial++ {
-		res, err := f.Query(estimate.AVG, scene.Car, nil, p, root.Child(uint64(trial)))
+		res, err := f.QueryCtx(context.Background(), estimate.AVG, scene.Car, nil, p, root.Child(uint64(trial)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,11 +114,11 @@ func TestFleetSumScaling(t *testing.T) {
 	f := testFleet(t, 0.3, 0.3)
 	p := estimate.DefaultParams()
 	root := stats.NewStream(79)
-	avg, err := f.Query(estimate.AVG, scene.Car, nil, p, root.Child(1))
+	avg, err := f.QueryCtx(context.Background(), estimate.AVG, scene.Car, nil, p, root.Child(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := f.Query(estimate.SUM, scene.Car, nil, p, root.Child(1))
+	sum, err := f.QueryCtx(context.Background(), estimate.SUM, scene.Car, nil, p, root.Child(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestFleetSumScaling(t *testing.T) {
 func TestFleetCountCoversTruth(t *testing.T) {
 	f := testFleet(t, 0.2, 0.2)
 	p := estimate.DefaultParams()
-	res, err := f.Query(estimate.COUNT, scene.Car, nil, p, stats.NewStream(83))
+	res, err := f.QueryCtx(context.Background(), estimate.COUNT, scene.Car, nil, p, stats.NewStream(83))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestFleetRejectsExtremumAndVar(t *testing.T) {
 	f := testFleet(t, 0.2, 0.2)
 	p := estimate.DefaultParams()
 	for _, agg := range []estimate.Agg{estimate.MAX, estimate.MIN, estimate.VAR} {
-		if _, err := f.Query(agg, scene.Car, nil, p, stats.NewStream(1)); err == nil {
+		if _, err := f.QueryCtx(context.Background(), agg, scene.Car, nil, p, stats.NewStream(1)); err == nil {
 			t.Fatalf("%v accepted", agg)
 		}
 		if _, err := f.Audit(agg, scene.Car, nil, estimate.Estimate{}, p); err == nil {
@@ -184,7 +185,7 @@ func TestFleetMixedSettingsWithRepair(t *testing.T) {
 	covered := 0
 	const trials = 20
 	for trial := 0; trial < trials; trial++ {
-		res, err := f.Query(estimate.AVG, scene.Car, nil, p, root.Child(uint64(trial)))
+		res, err := f.QueryCtx(context.Background(), estimate.AVG, scene.Car, nil, p, root.Child(uint64(trial)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +207,7 @@ func TestFleetDegenerateCameraFallsBack(t *testing.T) {
 	// fleet to the conservative (0, err=1) answer rather than a bogus one.
 	f := testFleet(t, 0.002, 0.3)
 	p := estimate.DefaultParams()
-	res, err := f.Query(estimate.AVG, scene.Car, nil, p, stats.NewStream(93))
+	res, err := f.QueryCtx(context.Background(), estimate.AVG, scene.Car, nil, p, stats.NewStream(93))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@
 //     costs — e.g. hypercube cells whose sweeps early-stop — do not idle
 //     workers the way static chunking would.
 //  3. Transparent failure. A panicking task panics the caller (first panic
-//     wins); Map collects per-task errors and reports the lowest-index one,
+//     wins); per-task errors are collected and the lowest-index one reported,
 //     so the surfaced error does not depend on scheduling.
 package parallel
 
@@ -36,15 +36,15 @@ func Workers(n int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// For runs fn(i) for every i in [0, n) on at most Workers(workers)
+// forEach runs fn(i) for every i in [0, n) on at most Workers(workers)
 // goroutines and blocks until all calls return. With one worker (or n <= 1)
 // it degrades to a plain loop on the calling goroutine — no goroutines, no
 // synchronization. Task order is unspecified under parallelism; callers
 // must make tasks independent and write results into per-index slots.
 //
-// If any task panics, For re-panics on the calling goroutine with the
+// If any task panics, forEach re-panics on the calling goroutine with the
 // first recovered value after all workers have drained.
-func For(n, workers int, fn func(i int)) {
+func forEach(n, workers int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
@@ -93,38 +93,24 @@ func For(n, workers int, fn func(i int)) {
 	}
 }
 
-// Map runs fn(i) for every i in [0, n) on at most Workers(workers)
-// goroutines and returns the per-index results. If any tasks fail, the
-// error of the lowest index is returned (alongside the full result slice),
-// so error reporting is deterministic under any completion order.
-func Map[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	errs := make([]error, n)
-	For(n, workers, func(i int) {
-		out[i], errs[i] = fn(i)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return out, err
-		}
-	}
-	return out, nil
-}
-
-// ForCtx is For with cooperative cancellation and per-task errors: workers
-// stop claiming new indices once ctx is done, then drain. Started tasks
-// always run to completion — a per-index slot is either fully written or
-// untouched, never half-done — and, like Map, a task error does not stop
-// the remaining tasks, so the surfaced error is deterministic under any
-// completion order: the lowest-index task error wins; if no task failed
-// but ctx was cancelled, ctx.Err() is returned. Panic propagation matches
-// For.
+// ForCtx is the pool with cooperative cancellation and per-task errors:
+// fn(i) runs for every i in [0, n) on at most Workers(workers) goroutines
+// (one worker, or n <= 1, is a plain loop on the calling goroutine; task
+// order is unspecified under parallelism, so tasks must be independent and
+// write results into per-index slots). Workers stop claiming new indices
+// once ctx is done, then drain. Started tasks always run to completion — a
+// per-index slot is either fully written or untouched, never half-done —
+// and a task error does not stop the remaining tasks, so the surfaced
+// error is deterministic under any completion order: the lowest-index task
+// error wins; if no task failed but ctx was cancelled, ctx.Err() is
+// returned. A task panic is re-raised on the calling goroutine after all
+// workers have drained.
 func ForCtx(ctx context.Context, n, workers int, fn func(i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
 	}
 	errs := make([]error, n)
-	For(n, workers, func(i int) {
+	forEach(n, workers, func(i int) {
 		if ctx.Err() != nil {
 			return
 		}
@@ -141,9 +127,9 @@ func ForCtx(ctx context.Context, n, workers int, fn func(i int) error) error {
 	return nil
 }
 
-// MapCtx is Map with cooperative cancellation: the context-aware analogue
-// for stages that produce per-index results. On error or cancellation the
-// partial result slice is returned alongside the (deterministic) error.
+// MapCtx is ForCtx for stages that produce per-index results. On error or
+// cancellation the partial result slice is returned alongside the
+// (deterministic) error.
 func MapCtx[T any](ctx context.Context, n, workers int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	err := ForCtx(ctx, n, workers, func(i int) error {

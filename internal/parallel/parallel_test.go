@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -26,7 +27,7 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 7, 64} {
 		const n = 1000
 		counts := make([]atomic.Int32, n)
-		For(n, workers, func(i int) { counts[i].Add(1) })
+		forEach(n, workers, func(i int) { counts[i].Add(1) })
 		for i := range counts {
 			if c := counts[i].Load(); c != 1 {
 				t.Fatalf("workers=%d: index %d ran %d times", workers, i, c)
@@ -37,8 +38,8 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 
 func TestForZeroAndNegativeN(t *testing.T) {
 	ran := false
-	For(0, 4, func(int) { ran = true })
-	For(-5, 4, func(int) { ran = true })
+	forEach(0, 4, func(int) { ran = true })
+	forEach(-5, 4, func(int) { ran = true })
 	if ran {
 		t.Fatal("task ran for non-positive n")
 	}
@@ -48,7 +49,7 @@ func TestForSequentialFallbackIsOrdered(t *testing.T) {
 	// workers <= 1 must preserve index order (it is a plain loop); parts of
 	// the codebase rely on this for the sequential reference path.
 	var order []int
-	For(10, 1, func(i int) { order = append(order, i) })
+	forEach(10, 1, func(i int) { order = append(order, i) })
 	for i, v := range order {
 		if i != v {
 			t.Fatalf("sequential fallback out of order: %v", order)
@@ -59,7 +60,7 @@ func TestForSequentialFallbackIsOrdered(t *testing.T) {
 func TestForBoundsConcurrency(t *testing.T) {
 	const workers = 3
 	var cur, peak atomic.Int32
-	For(100, workers, func(int) {
+	forEach(100, workers, func(int) {
 		c := cur.Add(1)
 		for {
 			p := peak.Load()
@@ -84,7 +85,7 @@ func TestForPanicPropagates(t *testing.T) {
 			t.Fatalf("unexpected panic value %v", r)
 		}
 	}()
-	For(50, 4, func(i int) {
+	forEach(50, 4, func(i int) {
 		if i == 17 {
 			panic("boom")
 		}
@@ -92,7 +93,7 @@ func TestForPanicPropagates(t *testing.T) {
 }
 
 func TestMapResultsAndDeterministicError(t *testing.T) {
-	out, err := Map(8, 4, func(i int) (int, error) { return i * i, nil })
+	out, err := MapCtx(context.Background(), 8, 4, func(i int) (int, error) { return i * i, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestMapResultsAndDeterministicError(t *testing.T) {
 
 	// Two failing indices: the lowest one must win under any schedule.
 	for trial := 0; trial < 20; trial++ {
-		_, err := Map(32, 8, func(i int) (int, error) {
+		_, err := MapCtx(context.Background(), 32, 8, func(i int) (int, error) {
 			if i == 5 || i == 29 {
 				return 0, fmt.Errorf("task %d failed", i)
 			}
@@ -118,7 +119,7 @@ func TestMapResultsAndDeterministicError(t *testing.T) {
 
 func TestMapPartialResultsOnError(t *testing.T) {
 	sentinel := errors.New("nope")
-	out, err := Map(4, 2, func(i int) (string, error) {
+	out, err := MapCtx(context.Background(), 4, 2, func(i int) (string, error) {
 		if i == 2 {
 			return "", sentinel
 		}

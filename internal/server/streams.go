@@ -37,8 +37,8 @@ type StreamRequest struct {
 	// Required. AVG and SUM stream; MAX, MIN, VAR and WHERE do not.
 	Query string `json:"query"`
 	// Window is W, the span in stream positions of each windowed answer.
-	// Required.
-	Window int `json:"window"`
+	// Zero means one camera session: the corpus length.
+	Window int `json:"window,omitempty"`
 	// Stride is the distance between window starts; 0 means tumbling.
 	Stride int `json:"stride,omitempty"`
 	// Loops is how many camera sessions replay the corpus back to back —
@@ -52,10 +52,6 @@ type StreamRequest struct {
 	// construction entirely.
 	DriftThreshold float64 `json:"drift_threshold,omitempty"`
 	DisableDrift   bool    `json:"disable_drift,omitempty"`
-
-	// WirePixels selects central detection on the transmitted rasters
-	// instead of the replay backend.
-	WirePixels bool `json:"wire_pixels,omitempty"`
 }
 
 // ResolvedStream is a stream request bound to its pipeline: one camera and
@@ -115,6 +111,9 @@ func ResolveStream(req StreamRequest) (*ResolvedStream, error) {
 	if err := q.Setting.Validate(spec.Model); err != nil {
 		return nil, err
 	}
+	if req.Window == 0 {
+		req.Window = spec.Video.NumFrames()
+	}
 	return &ResolvedStream{
 		Request:      req,
 		Query:        q.String(),
@@ -128,7 +127,6 @@ func ResolveStream(req StreamRequest) (*ResolvedStream, error) {
 			WindowSpan:     req.Window,
 			WindowStride:   req.Stride,
 			Sources:        []*scene.Video{degrade.EffectiveVideo(spec.Video, q.Setting)},
-			WirePixels:     req.WirePixels,
 			DriftThreshold: req.DriftThreshold,
 		},
 	}, nil

@@ -218,7 +218,7 @@ func TestStreamRequestValidation(t *testing.T) {
 		code       string // machine-readable code, if any
 	}{
 		{"missing query", `{"window":100}`, "requires a query", ""},
-		{"missing window", `{` + q + `}`, "window span 0 invalid", ""},
+		{"negative window", `{` + q + `,"window":-5}`, "window span -5 invalid", ""},
 		{"bad stride", `{` + q + `,"window":100,"stride":200}`, "window stride 200", ""},
 		{"bad threshold", `{` + q + `,"window":100,"drift_threshold":2}`, "drift threshold", ""},
 		{"unparsable query", `{"query":"SELECT AVG(count(car)) small","window":100}`, "query: expected FROM", ""},
@@ -233,8 +233,10 @@ func TestStreamRequestValidation(t *testing.T) {
 		{"bad noise", `{"query":"SELECT AVG(count(car)) FROM small NOISE 0.9","window":100}`, "0.9", ""},
 		{"trailing data", `{` + q + `,"window":100} {}`, "trailing data", ""},
 		{"typo", `{` + q + `,"window":100,"sample_fraction":0.05}`, "sample_fraction", "unknown_field"},
-		// The six fields the query replaced, and the two soak knobs: an old
-		// client's request must fail loudly, not stream undegraded.
+		// The six fields the query replaced, the two soak knobs and the
+		// detection-backend switch: an old client's request must fail loudly,
+		// not stream undegraded or be answered by a backend that is gone.
+		{"retired wire_pixels", `{` + q + `,"wire_pixels":true}`, "wire_pixels", "unknown_field"},
 		{"retired dataset", `{` + q + `,"window":100,"dataset":"small"}`, "dataset", "unknown_field"},
 		{"retired model", `{` + q + `,"window":100,"model":"yolov4"}`, "model", "unknown_field"},
 		{"retired class", `{` + q + `,"window":100,"class":"car"}`, "class", "unknown_field"},
@@ -264,6 +266,34 @@ func TestStreamRequestValidation(t *testing.T) {
 	}
 	if n := scrapeMetrics(t, ts.URL)["smokescreend_streams_total"]; n != 0 {
 		t.Errorf("%d rejected requests started a stream", n)
+	}
+}
+
+// A request without a window is answered per camera session: the window
+// defaults to the corpus length, on every surface that resolves a request.
+func TestStreamWindowDefaultsToOneSession(t *testing.T) {
+	_, ts, _ := newTestServer(t, &fakeGenerator{}, nil)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	body := `{"query":"SELECT AVG(count(car)) FROM small SAMPLE 0.05 RESOLUTION 160","loops":2,"disable_drift":true}`
+	resp, err := http.Post(ts.URL+"/v1/streams", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var status StreamStatus
+	if err := json.NewDecoder(resp.Body).Decode(&status); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted || status.Window != 1200 || status.Loops != 2 {
+		t.Fatalf("POST without window: HTTP %d, window %d, loops %d; want 202, the corpus's 1200, 2", resp.StatusCode, status.Window, status.Loops)
+	}
+	final, err := (&Client{BaseURL: ts.URL, PollInterval: 20 * time.Millisecond}).AwaitStream(ctx, status.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != JobDone || len(final.Windows) != 2 || final.Windows[1].Lo != 1200 || final.Windows[1].Hi != 2400 {
+		t.Fatalf("state %q (%s), windows %+v; want done with one window per session", final.State, final.Error, final.Windows)
 	}
 }
 

@@ -48,7 +48,13 @@ func Loopback(ctx context.Context, recv *Receiver, nodes []*camera.Node, loops i
 			}
 			sent.FramesCaptured += report.FramesCaptured
 			sent.FramesTransmitted += report.FramesTransmitted
-			sent.BytesTransmitted = report.BytesTransmitted // cumulative per connection
+			sent.CaptureJoules += report.CaptureJoules
+			sent.ComputeJoules += report.ComputeJoules
+			// Bytes, and the radio energy priced from them, are cumulative
+			// per connection (conn.BytesSent): the last session's are the
+			// stream's.
+			sent.BytesTransmitted = report.BytesTransmitted
+			sent.TransmitJoules = report.TransmitJoules
 		}
 	}()
 

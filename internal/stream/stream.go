@@ -71,18 +71,15 @@ type Config struct {
 	WindowStride int
 
 	// Sources are the corpora the camera sessions replay, in session
-	// order (the last entry repeats for later sessions). The replay
-	// detection backend — the default — runs the detector against the
-	// source corpus at the transmitted resolution, mirroring what central
-	// detection of the transmitted pixels produces (the camera's noise
-	// seeding is pinned to the local pipeline's). Required unless
-	// WirePixels is set.
+	// order (the last entry repeats for later sessions). Required. The
+	// receiver answers by replay: a received frame's index is detected
+	// with Model.DetectFrame on the session's source at the transmitted
+	// resolution — the column store's detector path on the setting's view
+	// of the corpus (degrade.EffectiveVideo), so a window's detections are
+	// the ones estimate.Audit, the drift baseline and every profile
+	// measure against. The received rasters are decoded and validated but
+	// not detected on.
 	Sources []*scene.Video
-	// WirePixels detects on the received rasters themselves
-	// (camera.Session.Detect) instead of replaying the source corpus.
-	// Costlier and incompatible with Verify (re-detection would require
-	// retaining every window's pixels), but exercises the full wire path.
-	WirePixels bool
 
 	// Baseline, when set, enables drift detection against it.
 	Baseline *Baseline
@@ -93,7 +90,7 @@ type Config struct {
 	// Verify cross-checks each completed window's incremental state
 	// against a from-scratch recomputation (fresh detection per frame,
 	// fresh estimator) and fails the run unless the two are bitwise
-	// equal. Replay backend only.
+	// equal.
 	Verify bool
 
 	// OnWindow, when set, observes every completed window (called from
@@ -195,12 +192,8 @@ func New(cfg Config) (*Receiver, error) {
 	if cfg.Params == (estimate.Params{}) {
 		cfg.Params = estimate.DefaultParams()
 	}
-	if cfg.WirePixels {
-		if cfg.Verify {
-			return nil, errors.New("stream: Verify needs the replay backend (it re-detects window frames)")
-		}
-	} else if len(cfg.Sources) == 0 {
-		return nil, errors.New("stream: replay backend needs at least one source video")
+	if len(cfg.Sources) == 0 {
+		return nil, errors.New("stream: config needs at least one source video")
 	}
 	thresh := cfg.DriftThreshold
 	if thresh == 0 {
@@ -295,18 +288,16 @@ func (r *Receiver) Run(ctx context.Context, conn *transport.Conn) error {
 // of rewinding it.
 func (ing *ingest) startSession(session *camera.Session) error {
 	cfg := session.Config
-	if !ing.cfg.WirePixels {
-		sources := ing.cfg.Sources
-		src := sources[minInt(ing.seqSessions(), len(sources)-1)]
-		if src.NumFrames() != cfg.TotalFrames {
-			return fmt.Errorf("stream: session %q announces %d frames but replay source holds %d",
-				cfg.Name, cfg.TotalFrames, src.NumFrames())
-		}
-		if !ing.cfg.Model.ValidResolution(cfg.Resolution) {
-			return fmt.Errorf("stream: session resolution %d invalid for %s", cfg.Resolution, ing.cfg.Model.Name)
-		}
-		ing.source, ing.res = src, cfg.Resolution
+	sources := ing.cfg.Sources
+	src := sources[minInt(ing.seqSessions(), len(sources)-1)]
+	if src.NumFrames() != cfg.TotalFrames {
+		return fmt.Errorf("stream: session %q announces %d frames but replay source holds %d",
+			cfg.Name, cfg.TotalFrames, src.NumFrames())
 	}
+	if !ing.cfg.Model.ValidResolution(cfg.Resolution) {
+		return fmt.Errorf("stream: session resolution %d invalid for %s", cfg.Resolution, ing.cfg.Model.Name)
+	}
+	ing.source, ing.res = src, cfg.Resolution
 	ing.r.mu.Lock()
 	ing.r.st.Sessions++
 	ing.r.mu.Unlock()
@@ -350,12 +341,7 @@ func (ing *ingest) frame(ctx context.Context, session *camera.Session, fr camera
 		// dropped by Run's unwind.
 		return err
 	}
-	var dets []detect.Detection
-	if ing.cfg.WirePixels {
-		dets = session.Detect(ing.cfg.Model, fr)
-	} else {
-		dets = ing.cfg.Model.DetectFrame(ing.source, fr.Index, ing.res)
-	}
+	dets := ing.cfg.Model.DetectFrame(ing.source, fr.Index, ing.res)
 	count := float64(detect.CountClass(dets, ing.cfg.Class))
 	if !ing.w.ObserveFrame(pos, count) {
 		totalLate.Add(1)

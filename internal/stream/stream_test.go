@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -14,8 +15,11 @@ import (
 	"smokescreen/internal/dataset"
 	"smokescreen/internal/degrade"
 	"smokescreen/internal/detect"
+	"smokescreen/internal/estimate"
+	"smokescreen/internal/outputs"
 	"smokescreen/internal/raster"
 	"smokescreen/internal/scene"
+	"smokescreen/internal/stats"
 	"smokescreen/internal/transport"
 )
 
@@ -185,6 +189,39 @@ func TestLoopbackClampsNodesAndSurfacesCameraFailure(t *testing.T) {
 	}
 }
 
+// TestLoopbackReportsEnergy: the stream's report is the camera's — capture
+// and compute joules summed over the sessions, bytes and the radio energy
+// priced from them taken from the connection's cumulative count.
+func TestLoopbackReportsEnergy(t *testing.T) {
+	v := dataset.MustLoad("small")
+	node := smallNode(t, v, 0.05, 160)
+	run := func(loops int) camera.Report {
+		recv, err := New(Config{Model: detect.YOLOv4Sim(), Class: scene.Car, WindowSpan: 300, Sources: []*scene.Video{v}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent, err := Loopback(context.Background(), recv, []*camera.Node{node}, loops, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sent
+	}
+	one, two := run(1), run(2)
+	if one.CaptureJoules <= 0 || one.ComputeJoules <= 0 {
+		t.Fatalf("one session reports no energy: %+v", one)
+	}
+	if two.CaptureJoules != 2*one.CaptureJoules || two.ComputeJoules != 2*one.ComputeJoules {
+		t.Errorf("two sessions: capture %v J, compute %v J; want twice one session's %v J, %v J",
+			two.CaptureJoules, two.ComputeJoules, one.CaptureJoules, one.ComputeJoules)
+	}
+	if want := node.Energy.JoulesPerByte * float64(two.BytesTransmitted); two.TransmitJoules != want || want == 0 {
+		t.Errorf("radio energy %v J, want JoulesPerByte x %d bytes = %v J", two.TransmitJoules, two.BytesTransmitted, want)
+	}
+	if two.BytesTransmitted <= one.BytesTransmitted {
+		t.Errorf("bytes are cumulative per connection: two sessions sent %d, one sent %d", two.BytesTransmitted, one.BytesTransmitted)
+	}
+}
+
 func TestDriftEventOnInjectedShift(t *testing.T) {
 	// Loop 1 streams the profiled corpus; loop 2 streams a same-length
 	// corpus whose traffic regime shifted (tripled car rate) — the
@@ -192,7 +229,7 @@ func TestDriftEventOnInjectedShift(t *testing.T) {
 	// 1 must stay under the threshold, and the shift must raise
 	// DriftEvents. The threshold sits above the within-corpus window
 	// variation (short windows of a regime-structured corpus diverge
-	// ~0.3-0.55 from the corpus-wide histogram; see DESIGN.md §12 on
+	// ~0.3-0.55 from the corpus-wide histogram; see DESIGN.md §5.4 on
 	// calibration).
 	v := dataset.MustLoad("small")
 	m := detect.YOLOv4Sim()
@@ -293,28 +330,6 @@ func TestCancelMidStreamDropsPartialWindow(t *testing.T) {
 	}
 }
 
-func TestWirePixelsBackend(t *testing.T) {
-	// The wire backend detects on the transmitted rasters themselves; no
-	// replay source is needed.
-	v := dataset.MustLoad("small")
-	recv, err := New(Config{
-		Model:      detect.YOLOv4Sim(),
-		Class:      scene.Car,
-		WindowSpan: 400,
-		WirePixels: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := streamRun(t, recv, []*camera.Node{smallNode(t, v, 0.05, 160)}, context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	st := recv.Status()
-	if st.Windows != 3 || st.Frames != 60 {
-		t.Fatalf("status %+v", st)
-	}
-}
-
 func TestStreamTotalsAdvance(t *testing.T) {
 	before := Totals()
 	v := dataset.MustLoad("small")
@@ -346,8 +361,7 @@ func TestConfigValidation(t *testing.T) {
 		{Class: scene.Car, WindowSpan: 10, Sources: []*scene.Video{v}},             // no model
 		{Model: m, WindowSpan: 0, Sources: []*scene.Video{v}},                      // no span
 		{Model: m, WindowSpan: 10, WindowStride: 20, Sources: []*scene.Video{v}},   // stride > span
-		{Model: m, WindowSpan: 10},                                                 // replay without sources
-		{Model: m, WindowSpan: 10, WirePixels: true, Verify: true},                 // verify needs replay
+		{Model: m, WindowSpan: 10},                                                 // no sources
 		{Model: m, WindowSpan: 10, Sources: []*scene.Video{v}, DriftThreshold: -1}, // bad threshold
 	}
 	for i, cfg := range cases {
@@ -405,14 +419,16 @@ func wireRaster(t *testing.T, index, w, h int) []byte {
 
 func TestWirePixelsRejectsMismatchedRasters(t *testing.T) {
 	// Any peer of the ingest listener chooses the dimensions in its frame
-	// records. A frame and a background of different sizes used to reach
-	// detect.DetectPixels' size-mismatch panic in WirePixels mode and kill
-	// the receiver; they are wire errors now, raised before detection.
+	// records. The receiver detects by replay, not on these rasters, but it
+	// still decodes and validates every one (camera.ReceiveSession): a raster
+	// that is not what the session announced is a wire error that ends the
+	// run, never a frame folded into a window.
 	type msg struct {
 		typ     byte
 		payload []byte
 	}
-	cfg := msg{transport.MsgConfig, wireConfig("hostile", 320, 160, 100)}
+	v := dataset.MustLoad("small")
+	cfg := msg{transport.MsgConfig, wireConfig("hostile", 320, 160, v.NumFrames())}
 	bg := func(w, h int) msg { return msg{transport.MsgBackground, wireRaster(t, 0, w, h)} }
 	frame := func(i, w, h int) msg { return msg{transport.MsgFrame, wireRaster(t, i, w, h)} }
 	cases := []struct {
@@ -434,7 +450,7 @@ func TestWirePixelsRejectsMismatchedRasters(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			recv, err := New(Config{Model: detect.YOLOv4Sim(), Class: scene.Car, WindowSpan: 10, WirePixels: true})
+			recv, err := New(Config{Model: detect.YOLOv4Sim(), Class: scene.Car, WindowSpan: 10, Sources: []*scene.Video{v}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -444,4 +460,131 @@ func TestWirePixelsRejectsMismatchedRasters(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRandomOnlyWindowsAreSound is ROADMAP item 1c's random-only row family:
+// every window a SAMPLE-only stream emits is audited (estimate.Audit, the
+// paper's metric) against that window's full-sample population — the column
+// store's native-resolution outputs at the window's positions. At SAMPLE 1.0
+// the window is its population, so the answer is exact and the bound zero;
+// below it the any-time bound may fail with probability delta, so the
+// violation count over all windows must stay within binomial tolerance of
+// delta. The non-random rows wait for the correction channel (item 1b).
+func TestRandomOnlyWindowsAreSound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("numeric: 1 200 native-resolution detections for the truth column take minutes under the race detector; the camera/receiver concurrency is raced by the tests above")
+	}
+	v := dataset.MustLoad("small")
+	m := detect.YOLOv4Sim()
+	params := estimate.DefaultParams()
+	full, err := outputs.Full(context.Background(), v, m, scene.Car, m.NativeInput)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const loops = 2
+	shapes := []windowShape{{300, 300}, {300, 150}}
+	rows := []struct {
+		fraction float64
+		seeds    []uint64
+	}{
+		{0.1, []uint64{1, 2, 3}},
+		{0.3, []uint64{1, 2}},
+		{1.0, []uint64{1}},
+	}
+	if testing.Short() {
+		rows = rows[:2] // the exact row alone is 2 400 native captures
+	}
+	windows, violations := 0, 0
+	for _, row := range rows {
+		node := smallNode(t, v, row.fraction, 0)
+		for _, seed := range row.seeds {
+			for i, emitted := range fanOut(t, node, loops, seed, shapes, Config{Model: m, Class: scene.Car, Params: params, Sources: []*scene.Video{v}}) {
+				shape := shapes[i]
+				if want := (loops*v.NumFrames()-shape.span)/shape.stride + 1; len(emitted) != want {
+					t.Fatalf("f=%v seed %d %v: %d windows, want %d", row.fraction, seed, shape, len(emitted), want)
+				}
+				for _, res := range emitted {
+					population := make([]float64, 0, shape.span)
+					for pos := res.Lo; pos < res.Hi; pos++ {
+						population = append(population, full[pos%v.NumFrames()])
+					}
+					audit, err := estimate.Audit(estimate.AVG, res.Estimate, population, params)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if row.fraction == 1 {
+						if res.Estimate.Value != audit.Truth || res.Estimate.ErrBound != 0 {
+							t.Errorf("SAMPLE 1.0 seed %d window [%d,%d): %v (err <= %v), exact answer %v",
+								seed, res.Lo, res.Hi, res.Estimate.Value, res.Estimate.ErrBound, audit.Truth)
+						}
+						continue
+					}
+					windows++
+					if !audit.Held {
+						violations++
+						t.Logf("f=%v seed %d window [%d,%d): bound %.3f < true error %.3f",
+							row.fraction, seed, res.Lo, res.Hi, res.Estimate.ErrBound, audit.TrueError)
+					}
+				}
+			}
+		}
+	}
+	// Three standard deviations above the binomial mean.
+	n, d := float64(windows), params.Delta
+	if limit := n*d + 3*math.Sqrt(n*d*(1-d)); float64(violations) > limit {
+		t.Errorf("%d of %d sampled windows violated their bound; delta %.2f allows %.1f", violations, windows, d, limit)
+	}
+}
+
+type windowShape struct{ span, stride int }
+
+// oneWay adapts the read or write half of an io.Pipe to transport.New.
+type oneWay struct {
+	io.Reader
+	io.Writer
+}
+
+// fanOut replays one camera — loops sessions, session i seeded seed+i as
+// Loopback seeds them — into one receiver per window shape at once, so a
+// row's native-resolution capture is paid once, and returns each shape's
+// windows. base carries everything of the receivers' config but the shape.
+func fanOut(t *testing.T, node *camera.Node, loops int, seed uint64, shapes []windowShape, base Config) [][]WindowResult {
+	t.Helper()
+	emitted := make([][]WindowResult, len(shapes))
+	errs := make(chan error, len(shapes))
+	var writers []io.Writer
+	var closers []*io.PipeWriter
+	for i, shape := range shapes {
+		cfg := base
+		cfg.WindowSpan, cfg.WindowStride = shape.span, shape.stride
+		cfg.OnWindow = func(res WindowResult) { emitted[i] = append(emitted[i], res) }
+		recv, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr, pw := io.Pipe()
+		writers, closers = append(writers, pw), append(closers, pw)
+		go func() {
+			err := recv.Run(context.Background(), transport.New(oneWay{pr, io.Discard}))
+			pr.CloseWithError(err) // a failed receiver must not park the camera
+			errs <- err
+		}()
+	}
+	conn := transport.New(oneWay{strings.NewReader(""), io.MultiWriter(writers...)})
+	var cameraErr error
+	for i := 0; i < loops && cameraErr == nil; i++ {
+		_, cameraErr = node.StreamCtx(context.Background(), conn, stats.NewStream(seed+uint64(i)))
+	}
+	for _, pw := range closers {
+		pw.CloseWithError(cameraErr) // nil: clean end-of-stream
+	}
+	for range shapes {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cameraErr != nil {
+		t.Fatal(cameraErr)
+	}
+	return emitted
 }

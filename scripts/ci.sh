@@ -25,6 +25,9 @@ run_stage lint       make lint
 # `make test` is lint + tests for humans; lint has just run, so the stage
 # runs the tests only.
 run_stage test       go test ./...
+# The example programs are the public API's only callers outside the
+# tests; the six fast ones run here (trafficcount profiles night-street).
+run_stage examples   make examples-fast
 run_stage test-race  make test-race
 run_stage fuzz-smoke make fuzz-smoke
 # The repository benchmark is its own module, so `go test ./...` above

@@ -81,6 +81,12 @@ grep '^window ' "$LOCAL_OUT" >"$WORKDIR/local.windows"
 diff "$WORKDIR/remote.windows" "$WORKDIR/local.windows"
 [ "$(grep -c "$LABEL" "$WORKDIR/local.windows")" -eq 12 ]
 
+echo "stream-smoke: without -window the window is one camera session, in the daemon and in process"
+"$WORKDIR/smokescreen" stream -remote "http://$ADDR" "$QUERY" | grep '^window ' >"$WORKDIR/remote.session"
+"$WORKDIR/smokescreen" stream "$QUERY" | grep '^window ' >"$WORKDIR/local.session"
+[ "$(grep -c '\[     0,  1200)' "$WORKDIR/remote.session")" -eq 1 ]
+diff "$WORKDIR/remote.session" "$WORKDIR/local.session"
+
 echo "stream-smoke: cancelling an unbounded stream mid-flight"
 "$WORKDIR/smokescreen" stream -remote "http://$ADDR" -window 200 -loops 1000 \
     -no-drift "$QUERY" >"$CANCEL_OUT" 2>&1 &

@@ -16,9 +16,9 @@
 //	sys := smokescreen.New()
 //	q, err := smokescreen.ParseQuery(
 //	    "SELECT AVG(count(car)) FROM night-street USING mask-rcnn")
-//	profiles, err := sys.GenerateProfiles(q)
+//	profiles, err := sys.GenerateProfilesCtx(ctx, q)
 //	setting, err := sys.ChooseTradeoff(profiles, smokescreen.Preferences{MaxError: 0.1})
-//	result, err := sys.ExecuteSetting(q, setting)
+//	result, err := sys.ExecuteSettingCtx(ctx, q, setting)
 //	fmt.Println(result.Estimate.Value, result.Estimate.ErrBound)
 //
 // See the examples directory for complete programs, DESIGN.md for the
@@ -82,7 +82,7 @@ type (
 	SweepOptions = profile.SweepOptions
 	// Model is a simulated detector profile.
 	Model = detect.Model
-	// AdaptiveResult is the outcome of System.ExecuteUntil: adaptive
+	// AdaptiveResult is the outcome of System.ExecuteUntilCtx: adaptive
 	// sampling until an error target is met.
 	AdaptiveResult = core.AdaptiveResult
 	// StreamingEstimator maintains a running answer and bound as sampled

@@ -1,6 +1,7 @@
 package smokescreen_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -20,7 +21,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	profiles, err := sys.GenerateProfiles(q)
+	profiles, err := sys.GenerateProfilesCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +29,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	result, err := sys.ExecuteSetting(q, setting)
+	result, err := sys.ExecuteSettingCtx(context.Background(), q, setting)
 	if err != nil {
 		t.Fatal(err)
 	}
