@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build lint loc test test-race fuzz-smoke ci bench bench-kernels figures figures-quick examples examples-fast serve-smoke stream-smoke fleet-smoke fleet-sim clean
+.PHONY: build lint loc test test-race fuzz-smoke ci bench bench-kernels figures figures-quick examples examples-fast serve-smoke stream-smoke fleet-smoke herd-drill fleet-sim clean
 
 # Pinned staticcheck version: `make lint` refuses other versions rather
 # than drift between hosts. staticcheck is optional — hermetic builders
@@ -151,6 +151,17 @@ stream-smoke:
 # with a survivor re-POST (lease expiry), then SIGTERM drain of the rest.
 fleet-smoke:
 	sh ./scripts/fleet_smoke.sh
+
+# The hot-key herd's invariant — one generation per key — 200 times over an
+# in-process three-node fleet (≈ 65 ms a run). smokeload exits non-zero on
+# `gen != 1`, and the first such run fails the target: before PR 24 about
+# one run in 30 cost two generations (a store read racing a finishing job).
+herd-drill:
+	@bin=$$(mktemp -d) && trap 'rm -rf "$$bin"' EXIT && $(GO) build -o "$$bin/smokeload" ./cmd/smokeload && \
+	i=0; while [ $$i -lt 200 ]; do \
+		"$$bin/smokeload" -scenario herd -clients 48 -gen-delay 5ms >"$$bin/out" 2>&1 || { cat "$$bin/out"; echo "herd-drill: run $$i failed"; exit 1; }; \
+		i=$$((i + 1)); \
+	done; echo "herd-drill: 200 runs, gen 1 in each"
 
 # Deterministic fleet simulation: real nodes over an in-memory transport
 # with seeded drop / flipped-envelope-byte / dead-node faults, every read

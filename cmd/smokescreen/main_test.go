@@ -37,6 +37,11 @@ func TestQueryTruthReportsPaperMetric(t *testing.T) {
 	for _, tc := range []struct{ query, bound, truth string }{
 		{"SELECT MAX(count(car)) FROM small SAMPLE 0.1 RESOLUTION 96", "error <=    0.5329", "true error 0.3545, bound held"},
 		{"SELECT MIN(count(car)) FROM small SAMPLE 0.1", "error <=", "true error 0.0000, bound held"},
+		// A full sample has a bound of exactly 0 and a summation-order error
+		// of a few ulps: exact, not violated.
+		{"SELECT AVG(count(car)) FROM small SAMPLE 1.0", "error <=    0.0000", "true error 0.0000, bound held"},
+		{"SELECT SUM(count(car)) FROM small SAMPLE 1.0", "error <=    0.0000", "true error 0.0000, bound held"},
+		{"SELECT COUNT(*) FROM small WHERE count(car) >= 2 SAMPLE 1.0", "error <=    0.0000", "true error 0.0000, bound held"},
 	} {
 		out := runCLI(t, "query", "-truth", tc.query)
 		if !strings.Contains(out, tc.bound) || !strings.Contains(out, tc.truth) {

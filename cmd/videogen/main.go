@@ -1,16 +1,11 @@
-// Command videogen materialises a synthetic corpus to a Smokescreen
-// frame-store file (.smkv): ground-truth annotations per frame, optionally
-// with rasterised pixel planes at a chosen resolution.
+// Command videogen writes per-frame grayscale PNG previews of a synthetic
+// corpus for human inspection, optionally downsampled and with detection
+// boxes overlaid.
 //
 // Usage:
 //
-//	videogen -dataset small -out small.smkv
-//	videogen -dataset night-street -out ns.smkv -rasters -resolution 128 -frames 200
 //	videogen -dataset small -png previews/ -frames 10 -boxes
-//
-// Raster output is large; combine -rasters with -frames to materialise a
-// preview slice. The -png mode writes one grayscale PNG per frame for
-// human inspection, optionally with detection boxes overlaid.
+//	videogen -dataset night-street -png ns/ -resolution 128 -frames 200
 package main
 
 import (
@@ -19,7 +14,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"smokescreen/internal/codec"
 	"smokescreen/internal/dataset"
 	"smokescreen/internal/detect"
 	"smokescreen/internal/raster"
@@ -28,17 +22,15 @@ import (
 
 func main() {
 	var (
-		name       = flag.String("dataset", "small", "dataset to materialise (see `smokescreen datasets`)")
-		out        = flag.String("out", "", "output .smkv path")
-		pngDir     = flag.String("png", "", "write per-frame PNG previews into this directory instead")
-		boxes      = flag.Bool("boxes", false, "overlay YOLOv4Sim detections on PNG previews")
-		rasters    = flag.Bool("rasters", false, "include rasterised pixel planes")
-		resolution = flag.Int("resolution", 0, "raster resolution (0 = native)")
+		name       = flag.String("dataset", "small", "dataset to preview (see `smokescreen datasets`)")
+		pngDir     = flag.String("png", "", "write per-frame PNG previews into this directory")
+		boxes      = flag.Bool("boxes", false, "overlay YOLOv4Sim detections on the previews")
+		resolution = flag.Int("resolution", 0, "preview resolution (0 = native)")
 		frames     = flag.Int("frames", 0, "limit the number of frames (0 = all)")
 	)
 	flag.Parse()
-	if *out == "" && *pngDir == "" {
-		fmt.Fprintln(os.Stderr, "videogen: one of -out or -png is required")
+	if *pngDir == "" {
+		fmt.Fprintln(os.Stderr, "videogen: -png is required")
 		os.Exit(2)
 	}
 
@@ -55,50 +47,9 @@ func main() {
 		p = *resolution
 	}
 
-	if *pngDir != "" {
-		if err := writePNGs(v, *pngDir, total, p, *boxes); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	f, err := os.Create(*out)
-	if err != nil {
+	if err := writePNGs(v, *pngDir, total, p, *boxes); err != nil {
 		fatal(err)
 	}
-	defer f.Close()
-
-	w, err := codec.NewWriter(f, codec.Metadata{
-		Name:      v.Config.Name,
-		Width:     v.Config.Width,
-		Height:    v.Config.Height,
-		NumFrames: total,
-		Seed:      v.Config.Seed,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	for i := 0; i < total; i++ {
-		record := &codec.FrameRecord{Index: i, Objects: v.Frame(i).Objects}
-		if *rasters {
-			img := v.RenderNative(i)
-			if p != v.Config.Width {
-				img = raster.Downsample(img, p, p)
-			}
-			record.Raster = img
-		}
-		if err := w.WriteFrame(record); err != nil {
-			fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		fatal(err)
-	}
-	info, err := os.Stat(*out)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("wrote %s: %d frames of %s (%d bytes)\n", *out, total, *name, info.Size())
 }
 
 // writePNGs exports per-frame grayscale previews, optionally with

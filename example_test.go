@@ -56,7 +56,6 @@ func ExampleSystem_ChooseTradeoff() {
 	sys := smokescreen.New(
 		smokescreen.WithSeed(42),
 		smokescreen.WithFractionCandidates(0.05, 0.2),
-		smokescreen.WithCorrectionLimit(0.1),
 	)
 	q, err := smokescreen.ParseQuery("SELECT AVG(count(car)) FROM small")
 	if err != nil {

@@ -32,7 +32,6 @@ func TestIntegrationProfileArchiveRoundTrip(t *testing.T) {
 	sys := smokescreen.New(
 		smokescreen.WithSeed(99),
 		smokescreen.WithFractionCandidates(0.04, 0.2),
-		smokescreen.WithCorrectionLimit(0.1),
 	)
 	q, err := smokescreen.ParseQuery("SELECT AVG(count(car)) FROM small")
 	if err != nil {
@@ -132,34 +131,31 @@ func TestIntegrationCameraToStreamingEstimate(t *testing.T) {
 	}
 }
 
-// TestIntegrationFleetOverArchivedCorrections assembles a fleet whose
-// non-random camera uses a correction set built through the profile
-// machinery, and checks the combined answer against the exact fleet truth.
+// TestIntegrationFleetOverArchivedCorrections assembles a fleet from query
+// text alone — its non-random camera's correction set is the front door's,
+// built at that camera's share of the risk — and checks the combined
+// answer against the exact fleet truth.
 func TestIntegrationFleetOverArchivedCorrections(t *testing.T) {
-	m := detect.YOLOv4Sim()
-	vA := dataset.MustLoad("small")
-	vB := dataset.MustLoad("highway")
-	params := estimate.DefaultParams()
-
-	specA := &profile.Spec{Video: vA, Model: m, Class: scene.Car, Agg: estimate.AVG, Params: params}
-	construction, err := profile.ConstructCorrectionCtx(context.Background(), specA, 0.1, stats.NewStream(23))
+	var cameras []multicam.Camera
+	for _, c := range [][2]string{
+		{"downtown", "SELECT AVG(count(car)) FROM small SAMPLE 0.3 RESOLUTION 160"},
+		{"bypass", "SELECT AVG(count(car)) FROM highway SAMPLE 0.1"},
+	} {
+		q, err := smokescreen.ParseQuery(c[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		cameras = append(cameras, multicam.Camera{Name: c[0], Query: q})
+	}
+	city, err := multicam.New(smokescreen.New(smokescreen.WithSeed(29)), cameras...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	city, err := multicam.New(
-		multicam.Camera{Name: "downtown", Video: vA, Model: m,
-			Setting: degrade.Setting{SampleFraction: 0.3, Resolution: 160}, Correction: construction.Correction},
-		multicam.Camera{Name: "bypass", Video: vB, Model: m,
-			Setting: degrade.Setting{SampleFraction: 0.1}},
-	)
+	res, err := city.QueryCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := city.QueryCtx(context.Background(), estimate.AVG, scene.Car, nil, params, stats.NewStream(29))
-	if err != nil {
-		t.Fatal(err)
-	}
-	audit, err := city.Audit(estimate.AVG, scene.Car, nil, res.Estimate, params)
+	audit, err := city.Audit(res.Estimate)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,21 +1,15 @@
-// Package codec implements Smokescreen's binary frame-store format. It
-// serialises ground-truth annotations and (optionally) rasterised pixel
-// planes so that corpora can be materialised to disk (cmd/videogen) and
-// degraded frames can be shipped over the camera transport with realistic,
-// resolution-dependent byte counts.
+// Package codec implements Smokescreen's binary frame record: ground-truth
+// annotations and (optionally) a rasterised pixel plane, serialised to one
+// self-contained block so that degraded frames can be shipped over the
+// camera transport with realistic, resolution-dependent byte counts.
 //
-// Layout (all multi-byte integers little-endian unless noted):
-//
-//	magic "SMKV" | u16 version | metadata block | frame records...
-//
-// Frame records are length-prefixed, so readers can stream without an
-// index. Pixel planes are quantised to 8 bits and DEFLATE-compressed; a
-// darker, lower-resolution frame genuinely costs fewer bytes on the wire,
-// which is what gives the bandwidth/energy experiments their numbers.
+// Multi-byte integers are little-endian or varints. Pixel planes are
+// quantised to 8 bits and DEFLATE-compressed; a darker, lower-resolution
+// frame genuinely costs fewer bytes on the wire, which is what gives the
+// bandwidth/energy experiments their numbers.
 package codec
 
 import (
-	"bufio"
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
@@ -31,9 +25,6 @@ import (
 
 // Format constants.
 const (
-	magic   = "SMKV"
-	version = 1
-
 	// maxSaneDimension guards decoders against corrupt headers.
 	maxSaneDimension = 1 << 14
 	// maxSaneObjects bounds per-frame object counts while decoding.
@@ -44,140 +35,12 @@ const (
 	maxDeflateRatio = 1032
 )
 
-// Metadata describes a serialised corpus.
-type Metadata struct {
-	Name      string
-	Width     int
-	Height    int
-	NumFrames int
-	Seed      uint64
-}
-
 // FrameRecord is one serialised frame: annotations plus an optional pixel
 // plane (present when the producer shipped rasters, e.g. camera payloads).
 type FrameRecord struct {
 	Index   int
 	Objects []scene.Object
 	Raster  *raster.Image
-}
-
-// Writer streams frame records to an underlying writer.
-type Writer struct {
-	w      *bufio.Writer
-	closed bool
-	frames int
-	meta   Metadata
-}
-
-// NewWriter writes the header and returns a streaming writer.
-func NewWriter(w io.Writer, meta Metadata) (*Writer, error) {
-	if meta.Width <= 0 || meta.Height <= 0 || meta.Width > maxSaneDimension || meta.Height > maxSaneDimension {
-		return nil, fmt.Errorf("codec: invalid dimensions %dx%d", meta.Width, meta.Height)
-	}
-	if meta.NumFrames < 0 {
-		return nil, fmt.Errorf("codec: negative frame count")
-	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(magic); err != nil {
-		return nil, err
-	}
-	var hdr [2]byte
-	binary.LittleEndian.PutUint16(hdr[:], version)
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return nil, err
-	}
-	buf := make([]byte, 0, 64)
-	buf = appendString(buf, meta.Name)
-	buf = binary.AppendUvarint(buf, uint64(meta.Width))
-	buf = binary.AppendUvarint(buf, uint64(meta.Height))
-	buf = binary.AppendUvarint(buf, uint64(meta.NumFrames))
-	buf = binary.AppendUvarint(buf, meta.Seed)
-	if err := writeBlock(bw, buf); err != nil {
-		return nil, err
-	}
-	return &Writer{w: bw, meta: meta}, nil
-}
-
-// WriteFrame appends one frame record.
-func (w *Writer) WriteFrame(fr *FrameRecord) error {
-	if w.closed {
-		return errors.New("codec: write after Close")
-	}
-	block, err := EncodeFrame(fr)
-	if err != nil {
-		return err
-	}
-	w.frames++
-	return writeBlock(w.w, block)
-}
-
-// Close flushes the stream. It verifies the frame count against the
-// metadata so truncated corpora are caught at write time.
-func (w *Writer) Close() error {
-	if w.closed {
-		return nil
-	}
-	w.closed = true
-	if w.meta.NumFrames != 0 && w.frames != w.meta.NumFrames {
-		return fmt.Errorf("codec: wrote %d frames, metadata declares %d", w.frames, w.meta.NumFrames)
-	}
-	return w.w.Flush()
-}
-
-// Reader streams frame records from an underlying reader.
-type Reader struct {
-	r    *bufio.Reader
-	meta Metadata
-}
-
-// NewReader validates the header and returns a streaming reader.
-func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReader(r)
-	head := make([]byte, len(magic)+2)
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("codec: reading header: %w", err)
-	}
-	if string(head[:4]) != magic {
-		return nil, fmt.Errorf("codec: bad magic %q", head[:4])
-	}
-	if v := binary.LittleEndian.Uint16(head[4:]); v != version {
-		return nil, fmt.Errorf("codec: unsupported version %d", v)
-	}
-	block, err := readBlock(br)
-	if err != nil {
-		return nil, fmt.Errorf("codec: reading metadata: %w", err)
-	}
-	var meta Metadata
-	buf := bytes.NewBuffer(block)
-	if meta.Name, err = readString(buf); err != nil {
-		return nil, err
-	}
-	dims := [4]uint64{}
-	for i := range dims {
-		if dims[i], err = binary.ReadUvarint(buf); err != nil {
-			return nil, fmt.Errorf("codec: metadata field %d: %w", i, err)
-		}
-	}
-	meta.Width, meta.Height, meta.NumFrames, meta.Seed = int(dims[0]), int(dims[1]), int(dims[2]), dims[3]
-	if meta.Width <= 0 || meta.Height <= 0 || meta.Width > maxSaneDimension || meta.Height > maxSaneDimension {
-		return nil, fmt.Errorf("codec: corrupt dimensions %dx%d", meta.Width, meta.Height)
-	}
-	return &Reader{r: br, meta: meta}, nil
-}
-
-// Metadata returns the corpus metadata.
-func (r *Reader) Metadata() Metadata { return r.meta }
-
-// ReadFrame returns the next frame record, or io.EOF after the last one.
-func (r *Reader) ReadFrame() (*FrameRecord, error) {
-	block, err := readBlock(r.r)
-	if err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil, io.EOF
-		}
-		return nil, err
-	}
-	return DecodeFrame(block)
 }
 
 // EncodeFrame serialises a single frame record to a self-contained block
@@ -421,51 +284,4 @@ func quantize16(v float32) uint16 {
 
 func dequantize16(q uint16) float32 {
 	return float32(q) / 65535
-}
-
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-func readString(buf *bytes.Buffer) (string, error) {
-	n, err := binary.ReadUvarint(buf)
-	if err != nil {
-		return "", err
-	}
-	if n > 1<<16 {
-		return "", fmt.Errorf("codec: corrupt string length %d", n)
-	}
-	out := buf.Next(int(n))
-	if len(out) != int(n) {
-		return "", errors.New("codec: truncated string")
-	}
-	return string(out), nil
-}
-
-// writeBlock writes a length-prefixed block.
-func writeBlock(w io.Writer, block []byte) error {
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(block)))
-	if _, err := w.Write(hdr[:n]); err != nil {
-		return err
-	}
-	_, err := w.Write(block)
-	return err
-}
-
-// readBlock reads a length-prefixed block.
-func readBlock(r *bufio.Reader) ([]byte, error) {
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, err
-	}
-	if n > 1<<28 {
-		return nil, fmt.Errorf("codec: block of %d bytes exceeds limit", n)
-	}
-	block := make([]byte, n)
-	if _, err := io.ReadFull(r, block); err != nil {
-		return nil, fmt.Errorf("codec: truncated block: %w", err)
-	}
-	return block, nil
 }

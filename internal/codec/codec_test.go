@@ -1,8 +1,6 @@
 package codec
 
 import (
-	"bytes"
-	"io"
 	"math"
 	"testing"
 	"testing/quick"
@@ -12,44 +10,21 @@ import (
 	"smokescreen/internal/scene"
 )
 
-func testMeta(frames int) Metadata {
-	return Metadata{Name: "test", Width: 320, Height: 320, NumFrames: frames, Seed: 7}
-}
-
 func TestRoundTripAnnotations(t *testing.T) {
 	v := dataset.MustLoad("small")
-	var buf bytes.Buffer
-	const frames = 50
-	w, err := NewWriter(&buf, testMeta(frames))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < frames; i++ {
-		fr := &FrameRecord{Index: i, Objects: v.Frame(i).Objects}
-		if err := w.WriteFrame(fr); err != nil {
+	for i := 0; i < 50; i++ {
+		want := v.Frame(i).Objects
+		block, err := EncodeFrame(&FrameRecord{Index: i, Objects: want})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	r, err := NewReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := r.Metadata(); got != testMeta(frames) {
-		t.Fatalf("metadata = %+v", got)
-	}
-	for i := 0; i < frames; i++ {
-		fr, err := r.ReadFrame()
+		fr, err := DecodeFrame(block)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 		if fr.Index != i {
 			t.Fatalf("frame index %d, want %d", fr.Index, i)
 		}
-		want := v.Frame(i).Objects
 		if len(fr.Objects) != len(want) {
 			t.Fatalf("frame %d: %d objects, want %d", i, len(fr.Objects), len(want))
 		}
@@ -62,9 +37,6 @@ func TestRoundTripAnnotations(t *testing.T) {
 				t.Fatalf("frame %d object %d intensity %v != %v", i, j, got.Intensity, want[j].Intensity)
 			}
 		}
-	}
-	if _, err := r.ReadFrame(); err != io.EOF {
-		t.Fatalf("expected EOF, got %v", err)
 	}
 }
 
@@ -109,55 +81,6 @@ func TestEncodedSizeScalesWithResolution(t *testing.T) {
 	}
 	if sizes[64]*4 > sizes[320] {
 		t.Fatalf("compression gain too weak: %v", sizes)
-	}
-}
-
-func TestWriterFrameCountMismatch(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, testMeta(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteFrame(&FrameRecord{Index: 0}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err == nil {
-		t.Fatal("frame-count mismatch not detected at Close")
-	}
-}
-
-func TestWriterRejectsBadMetadata(t *testing.T) {
-	var buf bytes.Buffer
-	if _, err := NewWriter(&buf, Metadata{Width: 0, Height: 10}); err == nil {
-		t.Fatal("zero width accepted")
-	}
-	if _, err := NewWriter(&buf, Metadata{Width: 10, Height: 10, NumFrames: -1}); err == nil {
-		t.Fatal("negative frame count accepted")
-	}
-}
-
-func TestWriteAfterClose(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf, testMeta(0))
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteFrame(&FrameRecord{}); err == nil {
-		t.Fatal("write after close accepted")
-	}
-}
-
-func TestReaderRejectsCorruptHeaders(t *testing.T) {
-	cases := map[string][]byte{
-		"empty":       {},
-		"bad magic":   []byte("NOPE\x01\x00"),
-		"bad version": []byte("SMKV\xff\x00"),
-		"truncated":   []byte("SMKV"),
-	}
-	for name, data := range cases {
-		if _, err := NewReader(bytes.NewReader(data)); err == nil {
-			t.Fatalf("%s accepted", name)
-		}
 	}
 }
 
@@ -233,67 +156,6 @@ func TestEncodeDecodePropertyAnnotations(t *testing.T) {
 	}
 	if err := quick.Check(property, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestReaderSurvivesRandomGarbage(t *testing.T) {
-	// Random byte streams must produce errors, never panics or hangs.
-	s := struct{ seed uint64 }{12345}
-	rng := func() byte {
-		s.seed = s.seed*6364136223846793005 + 1442695040888963407
-		return byte(s.seed >> 56)
-	}
-	for trial := 0; trial < 200; trial++ {
-		n := int(rng())%256 + 1
-		data := make([]byte, n)
-		for i := range data {
-			data[i] = rng()
-		}
-		r, err := NewReader(bytes.NewReader(data))
-		if err != nil {
-			continue // rejected at the header: fine
-		}
-		for {
-			if _, err := r.ReadFrame(); err != nil {
-				break // io.EOF or a decode error: fine
-			}
-		}
-	}
-}
-
-func TestReaderTruncatedMidStream(t *testing.T) {
-	v := dataset.MustLoad("small")
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, testMeta(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if err := w.WriteFrame(&FrameRecord{Index: i, Objects: v.Frame(i).Objects}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	// Every truncation point must yield a clean error (or early EOF), with
-	// all fully-received frames still readable.
-	for cut := len(full) / 2; cut < len(full)-1; cut += 7 {
-		r, err := NewReader(bytes.NewReader(full[:cut]))
-		if err != nil {
-			continue
-		}
-		frames := 0
-		for {
-			if _, err := r.ReadFrame(); err != nil {
-				break
-			}
-			frames++
-		}
-		if frames > 5 {
-			t.Fatalf("truncated stream produced %d frames", frames)
-		}
 	}
 }
 

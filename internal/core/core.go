@@ -48,9 +48,6 @@ const (
 // System is the Smokescreen prototype instance.
 type System struct {
 	seed uint64
-	// correctionLimit caps the correction-set fraction (the administrator
-	// limit from Section 3.3.1).
-	correctionLimit float64
 	// fractionStep is the sample-fraction candidate interval (1% in the
 	// paper, Section 3.3.2).
 	fractionStep float64
@@ -72,12 +69,6 @@ type Option func(*System)
 // WithSeed fixes the root randomness seed (default DefaultSeed).
 func WithSeed(seed uint64) Option {
 	return func(s *System) { s.seed = seed }
-}
-
-// WithCorrectionLimit caps the correction-set size as a fraction of the
-// corpus (default DefaultCorrectionLimit).
-func WithCorrectionLimit(limit float64) Option {
-	return func(s *System) { s.correctionLimit = limit }
 }
 
 // WithFractionCandidates sets the candidate sample-fraction step and
@@ -106,11 +97,10 @@ func WithParallelism(n int) Option {
 // New constructs a System with the paper's defaults.
 func New(opts ...Option) *System {
 	s := &System{
-		seed:            DefaultSeed,
-		correctionLimit: DefaultCorrectionLimit,
-		fractionStep:    DefaultFractionStep,
-		maxFraction:     DefaultMaxFraction,
-		parallelism:     1,
+		seed:         DefaultSeed,
+		fractionStep: DefaultFractionStep,
+		maxFraction:  DefaultMaxFraction,
+		parallelism:  1,
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -224,7 +214,7 @@ func (s *System) GenerateProfilesCtx(ctx context.Context, q *query.Query) (*Prof
 // under the administrator limit: the system's one call of
 // profile.ConstructCorrectionCtx.
 func (s *System) constructCorrection(ctx context.Context, spec *profile.Spec) (*profile.ConstructionResult, error) {
-	res, err := profile.ConstructCorrectionCtx(ctx, spec, s.correctionLimit, stats.NewStream(s.seed).Child(1))
+	res, err := profile.ConstructCorrectionCtx(ctx, spec, DefaultCorrectionLimit, stats.NewStream(s.seed).Child(1))
 	if err != nil {
 		return nil, fmt.Errorf("core: constructing correction set: %w", err)
 	}

@@ -120,7 +120,7 @@ func TestExecuteSettingValidation(t *testing.T) {
 }
 
 func TestGenerateProfilesAndChoose(t *testing.T) {
-	s := New(WithFractionCandidates(0.02, 0.1), WithCorrectionLimit(0.1))
+	s := New(WithFractionCandidates(0.02, 0.1))
 	q := mustQuery(t, "SELECT AVG(count(car)) FROM small")
 	profiles, err := s.GenerateProfilesCtx(context.Background(), q)
 	if err != nil {
@@ -165,13 +165,12 @@ func TestGenerateProfilesAndChoose(t *testing.T) {
 
 func TestGenerateProfilesEarlyStop(t *testing.T) {
 	q := mustQuery(t, "SELECT AVG(count(car)) FROM small")
-	full, err := New(WithFractionCandidates(0.02, 0.2), WithCorrectionLimit(0.1)).GenerateProfilesCtx(context.Background(), q)
+	full, err := New(WithFractionCandidates(0.02, 0.2)).GenerateProfilesCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	stopped, err := New(
 		WithFractionCandidates(0.02, 0.2),
-		WithCorrectionLimit(0.1),
 		WithEarlyStop(0.05),
 	).GenerateProfilesCtx(context.Background(), q)
 	if err != nil {
@@ -422,7 +421,7 @@ func TestGroundTruthErrors(t *testing.T) {
 
 // Audit is the one truth comparison every surface prints: for each
 // aggregate, under a random-only and a repaired setting, it must report
-// estimate.TrueError's value — rank error for MAX/MIN — GroundTruth's
+// estimate.Audit's true error — rank error for MAX/MIN — GroundTruth's
 // answer, and Held exactly when the bound is not below the true error.
 func TestAuditReportsThePaperMetric(t *testing.T) {
 	s := New()
@@ -444,10 +443,11 @@ func TestAuditReportsThePaperMetric(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := estimate.TrueError(q.Agg, res.Estimate.Value, spec.TruePopulation(), q.Params())
+			direct, err := estimate.Audit(q.Agg, res.Estimate, spec.TruePopulation(), q.Params())
 			if err != nil {
 				t.Fatal(err)
 			}
+			want := direct.TrueError
 			truth, err := s.GroundTruth(q)
 			if err != nil {
 				t.Fatal(err)

@@ -269,20 +269,21 @@ func TrueAnswer(agg Agg, population []float64, p Params) (float64, error) {
 	}
 }
 
-// TrueError computes the paper's accuracy metric for an approximate
-// answer: relative value error for AVG/SUM/COUNT, and relative *rank*
-// error for MAX/MIN (|rank(Yapprox) - rank(Ytrue)| / rank(Ytrue), with
-// ranks taken in the full population).
-func TrueError(agg Agg, approx float64, population []float64, p Params) (float64, error) {
-	audit, err := Audit(agg, Estimate{Value: approx}, population, p)
-	return audit.TrueError, err
-}
-
 // Audited is an estimate checked against native truth.
 type Audited struct {
-	Truth     float64 // exact aggregate over the population
-	TrueError float64 // the paper's metric (see TrueError)
-	Held      bool    // the estimate's bound is not below its true error
+	Truth float64 // exact aggregate over the population
+	// TrueError is the paper's accuracy metric: relative value error for
+	// AVG/SUM/COUNT, and relative *rank* error for MAX/MIN
+	// (|rank(Yapprox) - rank(Ytrue)| / rank(Ytrue), with ranks taken in the
+	// full population).
+	TrueError float64
+	// Held reports that the estimate's bound is not below its true error,
+	// to within one ulp of the truth per population member: the rounding by
+	// which two summation orders of that many terms can differ, so that a
+	// full-sample estimate (bound exactly 0, the truth summed in another
+	// order) holds. It is a count of ulps, not a percentage — an error of
+	// 1e-9 under a bound of 0 is a violation.
+	Held bool
 }
 
 // Audit compares an estimate with the exact aggregate over the full
@@ -311,6 +312,6 @@ func Audit(agg Agg, e Estimate, population []float64, p Params) (Audited, error)
 	} else {
 		a.TrueError = stats.RelativeError(e.Value, truth)
 	}
-	a.Held = !(e.ErrBound < a.TrueError)
+	a.Held = !(e.ErrBound+float64(len(population))*0x1p-52 < a.TrueError)
 	return a, nil
 }

@@ -168,11 +168,11 @@ func coverageTest(t *testing.T, agg Agg, estimator func(sample []float64, N int)
 		if err != nil {
 			t.Fatal(err)
 		}
-		trueErr, err := TrueError(agg, est.Value, pop, p)
+		audit, err := Audit(agg, est, pop, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if trueErr <= est.ErrBound {
+		if audit.TrueError <= est.ErrBound {
 			covered++
 		}
 	}
@@ -297,10 +297,10 @@ func TestCLTUndercoverage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if e, _ := TrueError(COUNT, clt.Value, pop, p); e <= clt.ErrBound {
+		if a, _ := Audit(COUNT, clt, pop, p); a.TrueError <= clt.ErrBound {
 			cltCovered++
 		}
-		if e, _ := TrueError(COUNT, ours.Value, pop, p); e <= ours.ErrBound {
+		if a, _ := Audit(COUNT, ours, pop, p); a.TrueError <= ours.ErrBound {
 			oursCovered++
 		}
 	}
@@ -378,43 +378,77 @@ func TestTrueAnswer(t *testing.T) {
 func TestTrueErrorRankMetric(t *testing.T) {
 	pop := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	p := Params{Delta: 0.05, R: 0.99}
-	// True MAX (0.99 quantile) = 10, rank 10. Approx 8 has rank 8.
-	got, err := TrueError(MAX, 8, pop, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-0.2) > 1e-12 {
-		t.Fatalf("rank error = %v, want 0.2", got)
-	}
-	// Value metric for AVG.
-	got, _ = TrueError(AVG, 6.05, pop, p)
-	if math.Abs(got-0.1) > 1e-12 {
-		t.Fatalf("value error = %v, want 0.1", got)
-	}
-
-	// Audit is TrueError next to the truth and the verdict: the same
-	// metric per aggregate, and Held exactly when the bound is not below it.
+	// Audit reports the paper's metric per aggregate — rank error for
+	// MAX/MIN (true MAX, the 0.99 quantile, is 10 at rank 10; 8 has rank 8),
+	// value error otherwise — and Held exactly when the bound is not below
+	// it.
 	for _, tc := range []struct {
-		agg  Agg
-		est  Estimate
-		held bool
+		agg     Agg
+		est     Estimate
+		trueErr float64
+		held    bool
 	}{
-		{MAX, Estimate{Value: 8, ErrBound: 0.25}, true},
-		{MAX, Estimate{Value: 8, ErrBound: 0.15}, false}, // value error would be 0.2 too; rank error decides
-		{MAX, Estimate{Value: 5, ErrBound: 0.5}, true},   // value error 0.5, rank error 0.5
-		{MIN, Estimate{Value: 3, ErrBound: 1}, false},    // truth 1 (rank 1), answer rank 3: error 2
-		{AVG, Estimate{Value: 6.05, ErrBound: 0.09}, false},
-		{AVG, Estimate{Value: 6.05, ErrBound: 0.11}, true},
-		{SUM, Estimate{Value: 60.5, ErrBound: 0.11}, true},
+		{MAX, Estimate{Value: 8, ErrBound: 0.25}, 0.2, true},
+		{MAX, Estimate{Value: 8, ErrBound: 0.15}, 0.2, false}, // value error would be 0.2 too; rank error decides
+		{MAX, Estimate{Value: 5, ErrBound: 0.5}, 0.5, true},   // value error 0.5, rank error 0.5
+		{MIN, Estimate{Value: 3, ErrBound: 1}, 2, false},      // truth 1 (rank 1), answer rank 3
+		{AVG, Estimate{Value: 6.05, ErrBound: 0.09}, 0.1, false},
+		{AVG, Estimate{Value: 6.05, ErrBound: 0.11}, 0.1, true},
+		{SUM, Estimate{Value: 60.5, ErrBound: 0.11}, 0.1, true},
 	} {
 		audit, err := Audit(tc.agg, tc.est, pop, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantErr, _ := TrueError(tc.agg, tc.est.Value, pop, p)
 		wantTruth, _ := TrueAnswer(tc.agg, pop, p)
-		if audit.TrueError != wantErr || audit.Truth != wantTruth || audit.Held != tc.held {
-			t.Errorf("Audit(%v, %+v) = %+v, want true error %v, truth %v, held %v", tc.agg, tc.est, audit, wantErr, wantTruth, tc.held)
+		if math.Abs(audit.TrueError-tc.trueErr) > 1e-12 || audit.Truth != wantTruth || audit.Held != tc.held {
+			t.Errorf("Audit(%v, %+v) = %+v, want true error %v, truth %v, held %v", tc.agg, tc.est, audit, tc.trueErr, wantTruth, tc.held)
+		}
+	}
+	// SAMPLE 1.0: the estimate of a full sample has a bound of exactly 0 and
+	// differs from the truth by summation order alone — a few ulps, which
+	// must not read as a violated bound. The sample is the population in
+	// another order, as a sampler without replacement delivers it.
+	uneven := make([]float64, 1000)
+	for i := range uneven {
+		uneven[i] = float64(i%7) + 0.1*float64(i%3)
+	}
+	shuffled := make([]float64, len(uneven))
+	for i, j := range stats.NewStream(1).Perm(len(uneven)) {
+		shuffled[i] = uneven[j]
+	}
+	indicator := func(xs []float64) []float64 {
+		out := make([]float64, len(xs))
+		for i, x := range xs {
+			if x >= 3 {
+				out[i] = 1
+			}
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		agg         Agg
+		sample, pop []float64
+	}{
+		{AVG, shuffled, uneven},
+		{SUM, shuffled, uneven},
+		{COUNT, indicator(shuffled), indicator(uneven)},
+	} {
+		est, err := Smokescreen(tc.agg, tc.sample, len(tc.pop), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		audit, err := Audit(tc.agg, est, tc.pop, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if est.ErrBound != 0 || audit.TrueError > 1e-13 || !audit.Held {
+			t.Errorf("%v at SAMPLE 1.0: estimate %+v audited %+v, want bound 0 held", tc.agg, est, audit)
+		}
+		// The tolerance is ulps of the truth, not a percentage.
+		est.Value *= 1 + 1e-9
+		if audit, _ := Audit(tc.agg, est, tc.pop, p); audit.Held {
+			t.Errorf("%v: a 1e-9 relative error held against a bound of 0", tc.agg)
 		}
 	}
 	// A zero truth answered with zero is an exact answer, not 0/0: the

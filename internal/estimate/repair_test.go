@@ -34,8 +34,7 @@ func TestUncorrectedBoundFailsUnderBias(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		trueErr, _ := TrueError(AVG, est.Value, pop, p)
-		if trueErr > est.ErrBound {
+		if audit, _ := Audit(AVG, est, pop, p); audit.TrueError > est.ErrBound {
 			failures++
 		}
 	}
@@ -72,8 +71,7 @@ func TestRepairedBoundHoldsUnderBias(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		trueErr, _ := TrueError(AVG, degraded.Value, pop, p)
-		if trueErr <= bound {
+		if audit, _ := Audit(AVG, degraded, pop, p); audit.TrueError <= bound {
 			covered++
 		}
 	}
@@ -110,8 +108,7 @@ func TestRepairedQuantileBoundHoldsUnderBias(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		trueErr, _ := TrueError(MAX, degraded.Value, pop, p)
-		if trueErr <= bound {
+		if audit, _ := Audit(MAX, degraded, pop, p); audit.TrueError <= bound {
 			covered++
 		}
 	}

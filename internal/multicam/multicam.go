@@ -4,55 +4,63 @@
 // queries over the union of several corpora, each degraded under its own
 // intervention setting, with a combined error bound that stays sound.
 //
+// A fleet is a list of queries: each camera is a name plus the query it
+// answers (FROM, USING and the intervention clauses are the camera), and
+// every camera runs through core.System.ExecuteCtx at risk delta/K — a
+// union bound over the K cameras — so resolution, validation, the
+// correction-set policy and the seed's stream children are the ones every
+// other surface uses. A non-random camera's correction set is built from
+// that camera's own delta/K, which is what makes the printed confidence
+// the real one.
+//
 // The combination is stratified estimation in the paper's interval style:
-// camera i contributes a confidence interval [LB_i, UB_i] for its own mean
-// at risk delta/K (union bound over the K cameras), the fleet mean lies in
-// [sum w_i*LB_i, sum w_i*UB_i] with w_i = N_i/N, and the answer/bound pair
-// follows the harmonic form of Theorem 3.1:
+// camera i contributes a confidence interval [LB_i, UB_i] for its own
+// mean, the fleet mean lies in [sum w_i*LB_i, sum w_i*UB_i] with
+// w_i = N_i/N, and the answer/bound pair follows the harmonic form of
+// Theorem 3.1:
 //
 //	Y = 2*UB*LB/(UB+LB),  err_b = (UB-LB)/(UB+LB).
 //
-// AVG, SUM and COUNT combine this way; MAX/MIN rank errors do not compose
-// across corpora and are rejected.
+// AVG, SUM and COUNT combine this way; MAX/MIN rank errors and VAR do not
+// compose across corpora and are rejected.
 package multicam
 
 import (
 	"context"
 	"fmt"
 
-	"smokescreen/internal/degrade"
-	"smokescreen/internal/detect"
+	"smokescreen/internal/core"
 	"smokescreen/internal/estimate"
-	"smokescreen/internal/profile"
-	"smokescreen/internal/scene"
-	"smokescreen/internal/stats"
+	"smokescreen/internal/query"
 )
 
-// Camera is one member of the fleet: a corpus, the model watching it, and
-// the administrator-chosen intervention setting.
+// Camera is one member of the fleet: a name and the query it answers. The
+// query's FROM, USING and intervention clauses are the camera's own; its
+// aggregate, class, predicate, CONFIDENCE and QUANTILE are the fleet's and
+// must agree across cameras.
 type Camera struct {
-	Name    string
-	Video   *scene.Video
-	Model   *detect.Model
-	Setting degrade.Setting
-	// Correction repairs the camera's bound when its setting applies
-	// non-random interventions; nil is allowed for random-only settings.
-	Correction *estimate.Correction
+	Name  string
+	Query *query.Query
 }
 
-// Fleet is a set of cameras answering queries together.
+// Fleet is a set of cameras answering one query together.
 type Fleet struct {
+	sys     *core.System
 	cameras []Camera
+	frames  []int // N_i per camera
 }
 
-// New validates and assembles a fleet.
-func New(cameras ...Camera) (*Fleet, error) {
+// New validates and assembles a fleet executed by sys. Every camera's
+// query must resolve (known dataset and model, a class the model detects,
+// a valid setting), the aggregate must be AVG, SUM or COUNT, and the
+// fleet-wide parts of the queries must agree.
+func New(sys *core.System, cameras ...Camera) (*Fleet, error) {
 	if len(cameras) == 0 {
 		return nil, fmt.Errorf("multicam: at least one camera required")
 	}
+	f := &Fleet{sys: sys, cameras: cameras, frames: make([]int, len(cameras))}
 	seen := map[string]bool{}
-	for i := range cameras {
-		c := &cameras[i]
+	for i, c := range cameras {
 		if c.Name == "" {
 			return nil, fmt.Errorf("multicam: camera %d has no name", i)
 		}
@@ -60,17 +68,44 @@ func New(cameras ...Camera) (*Fleet, error) {
 			return nil, fmt.Errorf("multicam: duplicate camera name %q", c.Name)
 		}
 		seen[c.Name] = true
-		if c.Video == nil || c.Model == nil {
-			return nil, fmt.Errorf("multicam: camera %q missing video or model", c.Name)
+		q := c.Query
+		if q == nil {
+			return nil, fmt.Errorf("multicam: camera %q has no query", c.Name)
 		}
-		if err := c.Setting.Validate(c.Model); err != nil {
+		if q.Agg.IsExtremum() || q.Agg == estimate.VAR {
+			return nil, fmt.Errorf("multicam: camera %q: %v does not compose across cameras (rank and variance errors are corpus-local)", c.Name, q.Agg)
+		}
+		if what := disagreement(q, cameras[0].Query); what != "" {
+			return nil, fmt.Errorf("multicam: camera %q disagrees with camera %q on the fleet's %s", c.Name, cameras[0].Name, what)
+		}
+		spec, err := sys.Resolve(q)
+		if err != nil {
 			return nil, fmt.Errorf("multicam: camera %q: %w", c.Name, err)
 		}
-		if !c.Setting.IsRandomOnly(c.Model) && c.Correction == nil {
-			return nil, fmt.Errorf("multicam: camera %q applies non-random interventions but has no correction set", c.Name)
+		if err := q.Setting.Validate(spec.Model); err != nil {
+			return nil, fmt.Errorf("multicam: camera %q: %w", c.Name, err)
 		}
+		f.frames[i] = spec.Video.NumFrames()
 	}
-	return &Fleet{cameras: cameras}, nil
+	return f, nil
+}
+
+// disagreement names the first fleet-wide part of the query on which a
+// camera differs from the fleet's first camera, or "" when they agree.
+func disagreement(q, first *query.Query) string {
+	switch {
+	case q.Agg != first.Agg:
+		return "aggregate"
+	case q.Class != first.Class:
+		return "class"
+	case (q.Predicate == nil) != (first.Predicate == nil), q.Predicate != nil && *q.Predicate != *first.Predicate:
+		return "predicate"
+	case q.Delta != first.Delta:
+		return "confidence"
+	case q.R != first.R:
+		return "quantile"
+	}
+	return ""
 }
 
 // Size returns the number of cameras.
@@ -79,16 +114,19 @@ func (f *Fleet) Size() int { return len(f.cameras) }
 // TotalFrames returns N, the union population size.
 func (f *Fleet) TotalFrames() int {
 	total := 0
-	for i := range f.cameras {
-		total += f.cameras[i].Video.NumFrames()
+	for _, n := range f.frames {
+		total += n
 	}
 	return total
 }
 
-// CameraResult is one camera's contribution to a fleet answer.
+// CameraResult is one camera's contribution to a fleet answer: the answer
+// core.System.ExecuteCtx gives that camera's query at the fleet's risk
+// share.
 type CameraResult struct {
 	Name     string
 	Estimate estimate.Estimate
+	Repaired bool    // bound produced by profile repair (non-random setting)
 	Weight   float64 // N_i / N
 }
 
@@ -98,56 +136,34 @@ type Result struct {
 	Cameras  []CameraResult
 }
 
-// QueryCtx answers the aggregate over the union of all cameras' corpora,
-// each degraded under its own setting, at overall risk p.Delta. Only
-// mean-type aggregates (AVG, SUM, COUNT) are supported; predicate
-// transforms COUNT outputs exactly as in profile.Spec (nil means
-// "contains at least one object"). Cancellation stops the per-camera
-// estimation pipeline (including its detector work) and returns ctx's
-// error with no partial result.
-func (f *Fleet) QueryCtx(ctx context.Context, agg estimate.Agg, class scene.Class, predicate func(float64) float64, p estimate.Params, stream *stats.Stream) (*Result, error) {
-	if agg.IsExtremum() || agg == estimate.VAR {
-		return nil, fmt.Errorf("multicam: %v does not compose across cameras (rank and variance errors are corpus-local)", agg)
-	}
+// QueryCtx answers the fleet's aggregate over the union of all cameras'
+// corpora, each degraded under its own setting, at the overall risk the
+// queries' CONFIDENCE names: camera i is its query executed by the system
+// at delta/K. Cancellation stops the per-camera pipeline (including its
+// detector work) and returns ctx's error with no partial result.
+func (f *Fleet) QueryCtx(ctx context.Context) (*Result, error) {
 	k := len(f.cameras)
-	// Union bound: each camera runs at delta/K so the joint guarantee
-	// holds at 1-delta.
-	per := p
-	per.Delta = p.Delta / float64(k)
-
 	totalFrames := f.TotalFrames()
+	agg := f.cameras[0].Query.Agg
+	out := &Result{Estimate: estimate.Estimate{N: totalFrames}}
 	var (
-		results  []CameraResult
 		ubSum    float64
 		lbSum    float64
 		anyLoose bool
 	)
-	// COUNT keeps its per-camera aggregate so the known indicator range
-	// applies (constant all-match samples stay bounded); its values are
-	// rescaled to the mean level for combination.
-	perCameraAgg := estimate.AVG
-	if agg == estimate.COUNT {
-		perCameraAgg = estimate.COUNT
-	}
-	for i := range f.cameras {
-		c := &f.cameras[i]
-		spec := &profile.Spec{
-			Video:     c.Video,
-			Model:     c.Model,
-			Class:     class,
-			Agg:       perCameraAgg,
-			Params:    per,
-			Predicate: predicateFor(agg, predicate),
-		}
-		if !c.Model.CanDetect(class) {
-			return nil, fmt.Errorf("multicam: camera %q model %s cannot detect %v", c.Name, c.Model.Name, class)
-		}
-		est, err := spec.EstimateSettingCtx(ctx, c.Setting, c.Correction, stream.Child(uint64(i)))
+	for i, c := range f.cameras {
+		// Union bound: each camera runs — and builds its correction set —
+		// at delta/K so the joint guarantee holds at 1-delta.
+		q := *c.Query
+		q.Delta /= float64(k)
+		res, err := f.sys.ExecuteCtx(ctx, &q)
 		if err != nil {
 			return nil, fmt.Errorf("multicam: camera %q: %w", c.Name, err)
 		}
-		weight := float64(c.Video.NumFrames()) / float64(totalFrames)
-		results = append(results, CameraResult{Name: c.Name, Estimate: est, Weight: weight})
+		est := res.Estimate
+		weight := float64(f.frames[i]) / float64(totalFrames)
+		out.Cameras = append(out.Cameras, CameraResult{Name: c.Name, Estimate: est, Repaired: res.Repaired, Weight: weight})
+		out.Estimate.Sample += est.Sample
 
 		// Reconstruct the camera's mean interval from the harmonic pair:
 		// |Y| = (1+err)*LB = (1-err)*UB.
@@ -156,20 +172,12 @@ func (f *Fleet) QueryCtx(ctx context.Context, agg estimate.Agg, class scene.Clas
 			continue
 		}
 		meanValue := est.Value
-		if perCameraAgg == estimate.COUNT {
-			meanValue /= float64(c.Video.NumFrames())
+		if agg != estimate.AVG {
+			meanValue /= float64(f.frames[i])
 		}
-		lb := meanValue / (1 + est.ErrBound)
-		ub := meanValue / (1 - est.ErrBound)
-		lbSum += weight * lb
-		ubSum += weight * ub
+		lbSum += weight * meanValue / (1 + est.ErrBound)
+		ubSum += weight * meanValue / (1 - est.ErrBound)
 	}
-	out := &Result{Cameras: results}
-	n := 0
-	for _, r := range results {
-		n += r.Estimate.Sample
-	}
-	out.Estimate = estimate.Estimate{N: totalFrames, Sample: n}
 	if anyLoose || ubSum <= 0 {
 		// A camera with a degenerate interval leaves the fleet mean
 		// unbounded below: report the conservative pair.
@@ -179,47 +187,23 @@ func (f *Fleet) QueryCtx(ctx context.Context, agg estimate.Agg, class scene.Clas
 		out.Estimate.Value = 2 * ubSum * lbSum / (ubSum + lbSum)
 		out.Estimate.ErrBound = (ubSum - lbSum) / (ubSum + lbSum)
 	}
-	if agg == estimate.SUM || agg == estimate.COUNT {
+	if agg != estimate.AVG {
 		out.Estimate.Value *= float64(totalFrames)
 	}
 	return out, nil
 }
 
-// predicateFor adapts the COUNT semantics: fleet queries run each camera
-// at the AVG level over (possibly predicate-transformed) outputs.
-func predicateFor(agg estimate.Agg, predicate func(float64) float64) func(float64) float64 {
-	if agg != estimate.COUNT {
-		return predicate
-	}
-	if predicate != nil {
-		return predicate
-	}
-	return func(x float64) float64 {
-		if x > 0 {
-			return 1
-		}
-		return 0
-	}
-}
-
 // Audit checks a fleet estimate against the exact aggregate over every
 // camera's non-degraded corpus, for tests and demos.
-func (f *Fleet) Audit(agg estimate.Agg, class scene.Class, predicate func(float64) float64, e estimate.Estimate, p estimate.Params) (estimate.Audited, error) {
-	if agg.IsExtremum() || agg == estimate.VAR {
-		return estimate.Audited{}, fmt.Errorf("multicam: %v does not compose across cameras", agg)
-	}
+func (f *Fleet) Audit(e estimate.Estimate) (estimate.Audited, error) {
 	var population []float64
-	for i := range f.cameras {
-		c := &f.cameras[i]
-		spec := &profile.Spec{
-			Video:     c.Video,
-			Model:     c.Model,
-			Class:     class,
-			Agg:       estimate.AVG,
-			Params:    p,
-			Predicate: predicateFor(agg, predicate),
+	for _, c := range f.cameras {
+		spec, err := f.sys.Resolve(c.Query)
+		if err != nil {
+			return estimate.Audited{}, fmt.Errorf("multicam: camera %q: %w", c.Name, err)
 		}
 		population = append(population, spec.TruePopulation()...)
 	}
-	return estimate.Audit(agg, e, population, p)
+	first := f.cameras[0].Query
+	return estimate.Audit(first.Agg, e, population, first.Params())
 }

@@ -2,72 +2,91 @@ package multicam
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
+	"smokescreen/internal/core"
 	"smokescreen/internal/dataset"
-	"smokescreen/internal/degrade"
-	"smokescreen/internal/detect"
-	"smokescreen/internal/estimate"
-	"smokescreen/internal/profile"
-	"smokescreen/internal/scene"
-	"smokescreen/internal/stats"
+	"smokescreen/internal/query"
 )
 
-// testFleet builds a two-camera fleet: the fast corpus and the A/B pair
-// sequences, each under a random-only setting.
-func testFleet(t *testing.T, fractions ...float64) *Fleet {
+// camerasOf parses one query per camera, named cam0, cam1, ...
+func camerasOf(t *testing.T, texts ...string) []Camera {
 	t.Helper()
-	if len(fractions) != 2 {
-		t.Fatal("need two fractions")
+	cameras := make([]Camera, len(texts))
+	for i, text := range texts {
+		q, err := query.Parse(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cameras[i] = Camera{Name: fmt.Sprintf("cam%d", i), Query: q}
 	}
-	f, err := New(
-		Camera{
-			Name:    "intersection",
-			Video:   dataset.MustLoad("mvi-40771"),
-			Model:   detect.YOLOv4Sim(),
-			Setting: degrade.Setting{SampleFraction: fractions[0]},
-		},
-		Camera{
-			Name:    "intersection-later",
-			Video:   dataset.MustLoad("mvi-40775"),
-			Model:   detect.YOLOv4Sim(),
-			Setting: degrade.Setting{SampleFraction: fractions[1]},
-		},
-	)
+	return cameras
+}
+
+// fleetOf assembles camerasOf(texts) into a fleet run by a system with the
+// given seed.
+func fleetOf(t *testing.T, seed uint64, texts ...string) *Fleet {
+	t.Helper()
+	f, err := New(core.New(core.WithSeed(seed)), camerasOf(t, texts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return f
 }
 
+// pairFleet is the A/B sequence pair, each under a random-only setting.
+func pairFleet(t *testing.T, seed uint64, selectClause string, fractions ...float64) *Fleet {
+	t.Helper()
+	return fleetOf(t, seed,
+		fmt.Sprintf("%s FROM mvi-40771 SAMPLE %g", selectClause, fractions[0]),
+		fmt.Sprintf("%s FROM mvi-40775 SAMPLE %g", selectClause, fractions[1]))
+}
+
+// TestNewValidation: every refusal is an error at New naming what is wrong,
+// none a panic and none deferred to QueryCtx (MAX / MIN / VAR have their
+// own test below).
 func TestNewValidation(t *testing.T) {
-	if _, err := New(); err == nil {
-		t.Fatal("empty fleet accepted")
+	const avg = "SELECT AVG(count(car)) FROM small SAMPLE 0.1"
+	cases := []struct {
+		name  string
+		texts []string // camera i is named by names[i], default cam<i>
+		names []string
+		want  string
+	}{
+		{"empty fleet", nil, nil, "at least one camera"},
+		{"duplicate names", []string{avg, avg}, []string{"a", "a"}, `duplicate camera name "a"`},
+		{"empty name", []string{avg}, []string{""}, "has no name"},
+		{"unknown dataset", []string{"SELECT AVG(count(car)) FROM nowhere SAMPLE 0.1"}, nil, "nowhere"},
+		{"unknown model", []string{"SELECT AVG(count(car)) FROM small USING resnet SAMPLE 0.1"}, nil, "resnet"},
+		{"undetectable class", []string{"SELECT AVG(count(car)) FROM small USING mtcnn SAMPLE 0.1"}, nil, "cannot detect"},
+		{"invalid resolution", []string{"SELECT AVG(count(car)) FROM small RESOLUTION 123"}, nil, "resolution"},
+		{"aggregate", []string{avg, "SELECT SUM(count(car)) FROM highway SAMPLE 0.1"}, nil, "fleet's aggregate"},
+		{"class", []string{avg, "SELECT AVG(count(person)) FROM highway SAMPLE 0.1"}, nil, "fleet's class"},
+		{"predicate", []string{
+			"SELECT COUNT(*) FROM small WHERE count(car) >= 2 SAMPLE 0.1",
+			"SELECT COUNT(*) FROM highway WHERE count(car) >= 3 SAMPLE 0.1"}, nil, "fleet's predicate"},
+		{"confidence", []string{avg, "SELECT AVG(count(car)) FROM highway SAMPLE 0.1 CONFIDENCE 99"}, nil, "fleet's confidence"},
 	}
-	v := dataset.MustLoad("small")
-	m := detect.YOLOv4Sim()
-	ok := Camera{Name: "a", Video: v, Model: m, Setting: degrade.Setting{SampleFraction: 0.1}}
-	if _, err := New(ok, Camera{Name: "a", Video: v, Model: m, Setting: ok.Setting}); err == nil {
-		t.Fatal("duplicate names accepted")
+	for _, tc := range cases {
+		cameras := camerasOf(t, tc.texts...)
+		for i, name := range tc.names {
+			cameras[i].Name = name
+		}
+		_, err := New(core.New(), cameras...)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
 	}
-	if _, err := New(Camera{Video: v, Model: m, Setting: ok.Setting}); err == nil {
-		t.Fatal("unnamed camera accepted")
-	}
-	if _, err := New(Camera{Name: "b", Model: m, Setting: ok.Setting}); err == nil {
-		t.Fatal("camera without video accepted")
-	}
-	if _, err := New(Camera{Name: "c", Video: v, Model: m, Setting: degrade.Setting{SampleFraction: 2}}); err == nil {
-		t.Fatal("invalid setting accepted")
-	}
-	// Non-random setting without correction must be rejected at assembly.
-	if _, err := New(Camera{Name: "d", Video: v, Model: m, Setting: degrade.Setting{SampleFraction: 0.1, Resolution: 160}}); err == nil {
-		t.Fatal("non-random camera without correction accepted")
+	if _, err := New(core.New(), Camera{Name: "a"}); err == nil || !strings.Contains(err.Error(), "has no query") {
+		t.Errorf("nil query: error %v", err)
 	}
 }
 
 func TestFleetSizeAndFrames(t *testing.T) {
-	f := testFleet(t, 0.2, 0.2)
+	f := pairFleet(t, 1, "SELECT AVG(count(car))", 0.2, 0.2)
 	if f.Size() != 2 {
 		t.Fatalf("Size = %d", f.Size())
 	}
@@ -77,48 +96,172 @@ func TestFleetSizeAndFrames(t *testing.T) {
 	}
 }
 
-func TestFleetAvgCoversTruth(t *testing.T) {
-	f := testFleet(t, 0.3, 0.3)
-	p := estimate.DefaultParams()
-	root := stats.NewStream(77)
-	covered := 0
-	const trials = 30
-	for trial := 0; trial < trials; trial++ {
-		res, err := f.QueryCtx(context.Background(), estimate.AVG, scene.Car, nil, p, root.Child(uint64(trial)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Cameras) != 2 {
-			t.Fatalf("camera results %d", len(res.Cameras))
-		}
-		if math.Abs(res.Cameras[0].Weight+res.Cameras[1].Weight-1) > 1e-9 {
-			t.Fatal("weights do not sum to 1")
-		}
-		audit, err := f.Audit(estimate.AVG, scene.Car, nil, res.Estimate, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if audit.Truth <= 0 {
-			t.Fatalf("truth %v", audit.Truth)
-		}
-		if audit.Held {
-			covered++
-		}
+// TestFleetMixedSettingsWithRepair is the risk split: in a fleet of K
+// cameras, camera i's result is what the front door answers for that
+// camera's query at delta/K — the degraded estimate AND the correction set
+// behind a non-random camera's repair, which the system builds from that
+// query's own Params. It cannot be written against the parent's API, where
+// the correction set was the caller's and built at whatever delta the
+// caller had: there was no query to compare a camera with.
+func TestFleetMixedSettingsWithRepair(t *testing.T) {
+	fleets := [][]string{
+		{"SELECT AVG(count(car)) FROM mvi-40771 SAMPLE 0.3 RESOLUTION 320",
+			"SELECT AVG(count(car)) FROM mvi-40775 SAMPLE 0.3"},
+		{"SELECT SUM(count(car)) FROM small SAMPLE 0.3 RESOLUTION 160",
+			"SELECT SUM(count(car)) FROM highway SAMPLE 0.1",
+			"SELECT SUM(count(car)) FROM mvi-40775 SAMPLE 0.2 NOISE 0.05"},
 	}
-	if covered < trials*9/10 {
-		t.Fatalf("fleet coverage %d/%d", covered, trials)
+	const seed = 91
+	sys := core.New(core.WithSeed(seed))
+	for _, texts := range fleets {
+		k := float64(len(texts))
+		res, err := fleetOf(t, seed, texts...).QueryCtx(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var weights float64
+		for i, cam := range res.Cameras {
+			weights += cam.Weight
+			q, err := query.Parse(texts[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			q.Delta /= k
+			want, err := sys.ExecuteCtx(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cam.Estimate != want.Estimate {
+				t.Errorf("%s: camera estimate %+v, front door at delta/%v %+v", texts[i], cam.Estimate, k, want.Estimate)
+			}
+			spec, err := sys.Resolve(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if nonRandom := !q.Setting.IsRandomOnly(spec.Model); cam.Repaired != nonRandom || want.Repaired != nonRandom {
+				t.Errorf("%s: repaired %v (front door %v), non-random %v", texts[i], cam.Repaired, want.Repaired, nonRandom)
+			}
+			// The same split spelled in the query language: CONFIDENCE takes
+			// a percent, and 1 - pct/100 is delta/K only to the last ulps.
+			spelled, err := query.Parse(fmt.Sprintf("%s CONFIDENCE %.12g", texts[i], 100*(1-0.05/k)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			text, err := sys.ExecuteCtx(context.Background(), spelled)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(cam.Estimate.Value-text.Estimate.Value) > 1e-9*math.Abs(text.Estimate.Value) ||
+				math.Abs(cam.Estimate.ErrBound-text.Estimate.ErrBound) > 1e-9 {
+				t.Errorf("%s: camera %+v, query text at CONFIDENCE %.12g %+v", texts[i], cam.Estimate, 100*(1-0.05/k), text.Estimate)
+			}
+		}
+		if math.Abs(weights-1) > 1e-9 {
+			t.Errorf("weights sum to %v", weights)
+		}
 	}
 }
 
+// TestFleetOfOne: with K = 1 there is nothing to split or recombine, and
+// the fleet's answer is the camera's own (while its bound is below 1; at 1
+// or above the fleet reports the conservative pair, as for any K).
+func TestFleetOfOne(t *testing.T) {
+	for _, text := range []string{
+		"SELECT AVG(count(car)) FROM small SAMPLE 0.3 RESOLUTION 160",
+		"SELECT SUM(count(car)) FROM highway SAMPLE 0.2",
+		"SELECT COUNT(*) FROM small WHERE count(car) >= 2 SAMPLE 0.3",
+	} {
+		res, err := fleetOf(t, 1, text).QueryCtx(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := query.Parse(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := core.New(core.WithSeed(1)).ExecuteCtx(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := res.Estimate
+		if math.Abs(got.Value-want.Estimate.Value) > 1e-12*math.Abs(want.Estimate.Value) ||
+			math.Abs(got.ErrBound-want.Estimate.ErrBound) > 1e-12 ||
+			got.N != want.Estimate.N || got.Sample != want.Estimate.Sample {
+			t.Errorf("%s: fleet of one %+v, camera alone %+v", text, got, want.Estimate)
+		}
+	}
+}
+
+// coverageFleets mix SAMPLE-only, RESOLUTION, REMOVE and NOISE cameras over
+// the four fast corpora; %s is the SELECT ... FROM prefix's aggregate part
+// and %[2]s an optional WHERE clause.
+var coverageFleets = [][]string{
+	{"%s FROM small%s SAMPLE 0.3 RESOLUTION 160", "%s FROM highway%s SAMPLE 0.1"},
+	{"%s FROM mvi-40771%s SAMPLE 0.4 RESOLUTION 320", "%s FROM mvi-40775%s SAMPLE 0.15"},
+	{"%s FROM small%s SAMPLE 0.2 NOISE 0.05", "%s FROM highway%s SAMPLE 0.2 REMOVE person", "%s FROM mvi-40775%s SAMPLE 0.2"},
+	{"%s FROM mvi-40771%s SAMPLE 0.04 REMOVE person", "%s FROM small%s SAMPLE 0.3"},
+}
+
+// covers runs every coverage fleet under seeds 1..seeds for one aggregate
+// and holds the audited violation rate to delta within binomial tolerance —
+// the seed of ROADMAP item 4b's "multicam union" row.
+func covers(t *testing.T, selectClause, where string, seeds int) {
+	t.Helper()
+	const delta = 0.05
+	runs, violated := 0, 0
+	for _, fleet := range coverageFleets {
+		texts := make([]string, len(fleet))
+		for i, format := range fleet {
+			texts[i] = fmt.Sprintf(format, selectClause, where)
+		}
+		for seed := 1; seed <= seeds; seed++ {
+			f := fleetOf(t, uint64(seed), texts...)
+			res, err := f.QueryCtx(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := res.Estimate
+			if !(e.ErrBound >= 0 && e.ErrBound <= 1) || (e.ErrBound == 1 && e.Value != 0) {
+				t.Fatalf("%v seed %d: bound %v (value %v) neither finite below 1 nor the conservative pair", texts, seed, e.ErrBound, e.Value)
+			}
+			audit, err := f.Audit(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if audit.Truth <= 0 {
+				t.Fatalf("%v: truth %v", texts, audit.Truth)
+			}
+			runs++
+			if !audit.Held {
+				violated++
+				t.Logf("%v seed %d: bound %v below true error %v", texts, seed, e.ErrBound, audit.TrueError)
+			}
+		}
+	}
+	n := float64(runs)
+	if allowed := delta*n + 3*math.Sqrt(n*delta*(1-delta)); float64(violated) > allowed {
+		t.Fatalf("%s: %d of %d fleet bounds violated, over delta = %v by more than binomial tolerance (%.1f)", selectClause, violated, runs, delta, allowed)
+	}
+}
+
+// The three coverage tests together are 4 fleets x 3 aggregates x 18 seeds
+// = 216 fleet executions.
+func TestFleetAvgCoversTruth(t *testing.T) { covers(t, "SELECT AVG(count(car))", "", 18) }
+
+func TestFleetSumCoversTruth(t *testing.T) { covers(t, "SELECT SUM(count(car))", "", 18) }
+
+func TestFleetCountCoversTruth(t *testing.T) {
+	covers(t, "SELECT COUNT(*)", " WHERE count(car) >= 2", 18)
+}
+
 func TestFleetSumScaling(t *testing.T) {
-	f := testFleet(t, 0.3, 0.3)
-	p := estimate.DefaultParams()
-	root := stats.NewStream(79)
-	avg, err := f.QueryCtx(context.Background(), estimate.AVG, scene.Car, nil, p, root.Child(1))
+	ctx := context.Background()
+	avg, err := pairFleet(t, 79, "SELECT AVG(count(car))", 0.3, 0.3).QueryCtx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := f.QueryCtx(context.Background(), estimate.SUM, scene.Car, nil, p, root.Child(1))
+	f := pairFleet(t, 79, "SELECT SUM(count(car))", 0.3, 0.3)
+	sum, err := f.QueryCtx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,88 +269,30 @@ func TestFleetSumScaling(t *testing.T) {
 	if math.Abs(sum.Estimate.Value-want) > 1e-6*want {
 		t.Fatalf("SUM %v, want AVG*N %v", sum.Estimate.Value, want)
 	}
-	if sum.Estimate.ErrBound != avg.Estimate.ErrBound {
-		t.Fatal("SUM bound should equal AVG bound")
+	if math.Abs(sum.Estimate.ErrBound-avg.Estimate.ErrBound) > 1e-12 {
+		t.Fatalf("SUM bound %v should equal AVG bound %v", sum.Estimate.ErrBound, avg.Estimate.ErrBound)
 	}
 }
 
-func TestFleetCountCoversTruth(t *testing.T) {
-	f := testFleet(t, 0.2, 0.2)
-	p := estimate.DefaultParams()
-	res, err := f.QueryCtx(context.Background(), estimate.COUNT, scene.Car, nil, p, stats.NewStream(83))
-	if err != nil {
-		t.Fatal(err)
-	}
-	audit, err := f.Audit(estimate.COUNT, scene.Car, nil, res.Estimate, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !audit.Held {
-		t.Fatalf("COUNT bound %v below true error %v", res.Estimate.ErrBound, audit.TrueError)
-	}
-}
-
+// TestFleetRejectsExtremumAndVar: rank and variance errors are
+// corpus-local, so no fleet of them can be assembled — whatever the other
+// cameras ask.
 func TestFleetRejectsExtremumAndVar(t *testing.T) {
-	f := testFleet(t, 0.2, 0.2)
-	p := estimate.DefaultParams()
-	for _, agg := range []estimate.Agg{estimate.MAX, estimate.MIN, estimate.VAR} {
-		if _, err := f.QueryCtx(context.Background(), agg, scene.Car, nil, p, stats.NewStream(1)); err == nil {
-			t.Fatalf("%v accepted", agg)
+	for _, agg := range []string{"MAX", "MIN", "VAR"} {
+		cameras := camerasOf(t,
+			fmt.Sprintf("SELECT %s(count(car)) FROM mvi-40771 SAMPLE 0.2", agg),
+			fmt.Sprintf("SELECT %s(count(car)) FROM mvi-40775 SAMPLE 0.2", agg))
+		if _, err := New(core.New(), cameras...); err == nil || !strings.Contains(err.Error(), "does not compose") {
+			t.Fatalf("%s fleet: error %v", agg, err)
 		}
-		if _, err := f.Audit(agg, scene.Car, nil, estimate.Estimate{}, p); err == nil {
-			t.Fatalf("Audit %v accepted", agg)
-		}
-	}
-}
-
-func TestFleetMixedSettingsWithRepair(t *testing.T) {
-	// One camera degrades resolution (needs correction), the other only
-	// samples; the combined bound must still cover the truth.
-	vA := dataset.MustLoad("mvi-40771")
-	vB := dataset.MustLoad("mvi-40775")
-	m := detect.YOLOv4Sim()
-	p := estimate.DefaultParams()
-	specA := &profile.Spec{Video: vA, Model: m, Class: scene.Car, Agg: estimate.AVG, Params: p}
-	corr, err := profile.BuildCorrectionAt(specA, 400, stats.NewStream(89))
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := New(
-		Camera{Name: "a", Video: vA, Model: m,
-			Setting: degrade.Setting{SampleFraction: 0.3, Resolution: 320}, Correction: corr},
-		Camera{Name: "b", Video: vB, Model: m,
-			Setting: degrade.Setting{SampleFraction: 0.3}},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	root := stats.NewStream(91)
-	covered := 0
-	const trials = 20
-	for trial := 0; trial < trials; trial++ {
-		res, err := f.QueryCtx(context.Background(), estimate.AVG, scene.Car, nil, p, root.Child(uint64(trial)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		audit, err := f.Audit(estimate.AVG, scene.Car, nil, res.Estimate, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if audit.Held {
-			covered++
-		}
-	}
-	if covered < trials*8/10 {
-		t.Fatalf("mixed-setting fleet coverage %d/%d", covered, trials)
 	}
 }
 
 func TestFleetDegenerateCameraFallsBack(t *testing.T) {
-	// A camera sampled so thinly that its interval collapses must push the
-	// fleet to the conservative (0, err=1) answer rather than a bogus one.
-	f := testFleet(t, 0.002, 0.3)
-	p := estimate.DefaultParams()
-	res, err := f.QueryCtx(context.Background(), estimate.AVG, scene.Car, nil, p, stats.NewStream(93))
+	// A camera sampled so thinly that its interval collapses (one frame of
+	// 1720) must push the fleet to the conservative (0, err=1) answer
+	// rather than a bogus one.
+	res, err := pairFleet(t, 93, "SELECT AVG(count(car))", 0.0006, 0.3).QueryCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,5 +304,5 @@ func TestFleetDegenerateCameraFallsBack(t *testing.T) {
 			return
 		}
 	}
-	t.Skip("no camera degenerated at this seed; covered elsewhere")
+	t.Fatalf("no camera degenerated at SAMPLE 0.0006: %+v", res.Cameras)
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"time"
 
@@ -89,28 +90,43 @@ type jobSet struct {
 	byID    map[string]*Job
 	history []string // insertion-ordered ids, for eviction
 	active  map[string]*Job
+	// lastDone is each key's latest successful job still in byID; see
+	// getOrCreate.
+	lastDone map[string]*Job
 	// idPrefix namespaces generated ids per node (Config.JobIDPrefix).
 	idPrefix string
 }
 
-// jobHistory bounds byID; oldest terminal jobs are evicted first.
+// jobHistory bounds the generation jobs and, separately, the streams a
+// daemon keeps queryable; the oldest terminal ones are evicted first.
 const jobHistory = 1024
 
 func newJobSet(idPrefix string) *jobSet {
 	return &jobSet{
 		byID:     make(map[string]*Job),
 		active:   make(map[string]*Job),
+		lastDone: make(map[string]*Job),
 		idPrefix: idPrefix,
 	}
 }
 
-// getOrCreate returns the active job for key, or registers a new one
-// built from req. created reports whether the caller owns enqueueing it;
-// when false the request coalesced onto in-flight work.
-func (js *jobSet) getOrCreate(key, query string, req GenRequest, now time.Time) (job *Job, created bool) {
+// getOrCreate returns the job a request for key waits on, or registers a
+// new one built from req. created reports whether the caller owns
+// enqueueing it; when false the request coalesced onto the key's active
+// job — or onto one that finished after began, the moment the request
+// started the store read that missed. A job's Put precedes its finish, so
+// such a job proves the miss stale (the read raced the Put) and generating
+// again would cost the key a second generation; a job that finished before
+// began proves the miss genuine — a corrupt or deleted entry — and the key
+// regenerates.
+func (js *jobSet) getOrCreate(key, query string, req GenRequest, began, now time.Time) (job *Job, created bool) {
 	js.mu.Lock()
 	defer js.mu.Unlock()
-	if job, ok := js.active[key]; ok {
+	job = js.active[key]
+	if last := js.lastDone[key]; job == nil && last != nil && last.finished.After(began) {
+		job = last
+	}
+	if job != nil {
 		job.coalesced++
 		return job, false
 	}
@@ -143,28 +159,33 @@ func jobID(n int) string {
 }
 
 // evictLocked drops the oldest terminal jobs beyond the history limit.
-// Active jobs are never evicted.
 func (js *jobSet) evictLocked() {
-	for len(js.byID) > jobHistory && len(js.history) > 0 {
-		evicted := false
-		for i, id := range js.history {
-			job := js.byID[id]
-			if job == nil {
-				js.history = append(js.history[:i], js.history[i+1:]...)
-				evicted = true
-				break
+	js.history = evictTerminal(js.byID, js.history,
+		func(job *Job) bool { return terminal(job.state) },
+		func(job *Job) {
+			if js.lastDone[job.Key] == job {
+				delete(js.lastDone, job.Key)
 			}
-			if terminal(job.state) {
-				delete(js.byID, id)
-				js.history = append(js.history[:i], js.history[i+1:]...)
-				evicted = true
-				break
-			}
+		})
+}
+
+// evictTerminal is the history rule generation jobs and streams share:
+// while byID holds more than jobHistory entries, drop the oldest terminal
+// one — order is byID's ids in insertion order — and tell dropped. An active
+// entry is never evicted, so a set that is all active grows past the
+// limit. It returns the remaining order; callers hold their set's lock.
+func evictTerminal[T any](byID map[string]T, order []string, isTerminal func(T) bool, dropped func(T)) []string {
+	for i := 0; len(byID) > jobHistory && i < len(order); {
+		v := byID[order[i]]
+		if !isTerminal(v) {
+			i++
+			continue
 		}
-		if !evicted {
-			return // everything live is active; grow past the limit
-		}
+		delete(byID, order[i])
+		dropped(v)
+		order = slices.Delete(order, i, i+1)
 	}
+	return order
 }
 
 // abandon removes a job that never made it into the queue (backpressure
@@ -236,6 +257,7 @@ func (js *jobSet) finish(job *Job, genErr error, now time.Time) {
 	switch {
 	case genErr == nil:
 		job.state = JobDone
+		js.lastDone[job.Key] = job
 	case errors.Is(genErr, context.Canceled) || errors.Is(genErr, context.DeadlineExceeded):
 		job.state = JobCanceled
 		job.err = genErr.Error()

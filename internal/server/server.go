@@ -188,11 +188,11 @@ var (
 	errDraining  = errors.New("server: draining")
 )
 
-func (s *Server) enqueue(key, canonical string, req GenRequest) (*Job, error) {
+func (s *Server) enqueue(key, canonical string, req GenRequest, began time.Time) (*Job, error) {
 	if s.draining() {
 		return nil, errDraining
 	}
-	job, created := s.jobs.getOrCreate(key, canonical, req, time.Now())
+	job, created := s.jobs.getOrCreate(key, canonical, req, began, time.Now())
 	if !created {
 		s.metrics.coalesced.Add(1)
 		return job, nil
@@ -379,13 +379,16 @@ func (s *Server) handlePostProfile(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Fast path: the artifact already exists.
+	began := time.Now()
 	if payload, err := s.store.Get(key); err == nil {
 		s.writeProfile(w, key, payload)
 		return
 	}
-	// Miss — including a corrupt on-disk entry, which regeneration heals.
+	// Miss — including a corrupt on-disk entry, which regeneration heals,
+	// and a read that raced a finishing job's Put, which enqueue attaches
+	// to that job.
 
-	job, err := s.enqueue(key, canonical, req)
+	job, err := s.enqueue(key, canonical, req, began)
 	switch {
 	case errors.Is(err, errQueueFull):
 		s.metrics.rejectedQueueFull.Add(1)

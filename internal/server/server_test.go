@@ -169,6 +169,77 @@ func TestConcurrentPostsCoalesceToOneGeneration(t *testing.T) {
 	}
 }
 
+// parkingStore is a Backend whose Get, once armed, parks the next miss
+// until released: the request it belongs to has read the store and not yet
+// asked the job set for a job.
+type parkingStore struct {
+	*store.Store
+	gets    atomic.Int64
+	armed   atomic.Bool
+	parked  chan struct{}
+	release chan struct{}
+}
+
+func (p *parkingStore) Get(key string) ([]byte, error) {
+	p.gets.Add(1)
+	payload, err := p.Store.Get(key)
+	if err != nil && p.armed.CompareAndSwap(true, false) {
+		close(p.parked)
+		<-p.release
+	}
+	return payload, err
+}
+
+// TestStaleMissAttachesToFinishedJob is the hot-key herd's second
+// generation, made deterministic: a request misses the store before job
+// J1's Put and reaches the job set only after J1 has finished and released
+// the key. It must get J1's bytes from J1, not mint J2 — and without a
+// second store read on the miss path, which on a fleet node would pull
+// envelopes from peers.
+func TestStaleMissAttachesToFinishedJob(t *testing.T) {
+	gen := &fakeGenerator{block: make(chan struct{}), started: make(chan struct{}, 1)}
+	var ps *parkingStore
+	_, ts, _ := newTestServer(t, gen, func(cfg *Config) {
+		ps = &parkingStore{Store: cfg.Store.(*store.Store), parked: make(chan struct{}), release: make(chan struct{})}
+		cfg.Store = ps
+	})
+	req := GenRequest{Query: "SELECT AVG(count(car)) FROM small"}
+	post := func(body *[]byte, done chan<- struct{}) {
+		defer close(done)
+		resp := postProfile(t, ts.URL, req)
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("POST = %d: %v", resp.StatusCode, apiError(resp))
+			return
+		}
+		*body, _ = readAll(resp)
+	}
+
+	var first, second []byte
+	firstDone, secondDone := make(chan struct{}), make(chan struct{})
+	go post(&first, firstDone)
+	<-gen.started // J1 is generating
+	ps.armed.Store(true)
+	go post(&second, secondDone)
+	<-ps.parked // the second request has missed
+	close(gen.block)
+	<-firstDone // J1 has Put, finished and released the key
+	close(ps.release)
+	<-secondDone
+
+	if first == nil || !bytes.Equal(second, first) {
+		t.Fatalf("parked request got %q, want J1's bytes %q", second, first)
+	}
+	if n := scrapeMetrics(t, ts.URL)["smokescreend_generations_total"]; n != 1 || gen.generations.Load() != 1 {
+		t.Fatalf("generations_total = %d (generator ran %d times), want 1: a miss that raced J1's Put must attach to J1", n, gen.generations.Load())
+	}
+	// Each request read the store twice — the miss, then the artifact —
+	// exactly as a request that coalesced onto a running job does.
+	if n := ps.gets.Load(); n != 4 {
+		t.Fatalf("Backend.Get called %d times, want 4", n)
+	}
+}
+
 func readAll(resp *http.Response) ([]byte, error) {
 	var buf bytes.Buffer
 	_, err := buf.ReadFrom(resp.Body)

@@ -190,13 +190,15 @@ type streamJob struct {
 	windows  []stream.WindowResult // the last streamWindowHistory completed
 }
 
-// streamSet tracks stream jobs by id. Terminal jobs stay queryable for
-// the daemon's lifetime: streams are few and operator-started, unlike
-// generation jobs, so there is no history eviction.
+// streamSet tracks stream jobs by id. Terminal jobs — each pins its
+// receiver's window state and its recorded windows — stay queryable for
+// the last jobHistory streams, by the rule generation jobs use
+// (evictTerminal); an evicted id answers 404 like an evicted job.
 type streamSet struct {
-	mu     sync.Mutex
-	nextID int
-	byID   map[string]*streamJob
+	mu      sync.Mutex
+	nextID  int
+	byID    map[string]*streamJob
+	history []string // insertion-ordered ids, for eviction
 }
 
 func newStreamSet() *streamSet {
@@ -218,7 +220,14 @@ func (ss *streamSet) create(rs *ResolvedStream, cancel context.CancelFunc, now t
 	ss.nextID++
 	job.id = fmt.Sprintf("stream-%06d", ss.nextID)
 	ss.byID[job.id] = job
+	ss.history = evictTerminal(ss.byID, append(ss.history, job.id), (*streamJob).terminal, func(*streamJob) {})
 	return job, nil
+}
+
+func (job *streamJob) terminal() bool {
+	job.mu.Lock()
+	defer job.mu.Unlock()
+	return terminal(job.state)
 }
 
 func (ss *streamSet) get(id string) (*streamJob, bool) {
@@ -251,10 +260,7 @@ func (ss *streamSet) cancelAll() {
 // largest window lag among them, for the metrics scrape.
 func (ss *streamSet) activeAndMaxLag() (active int, maxLag int) {
 	for _, job := range ss.all() {
-		job.mu.Lock()
-		running := job.state == JobRunning
-		job.mu.Unlock()
-		if !running {
+		if job.terminal() {
 			continue
 		}
 		active++

@@ -411,3 +411,43 @@ func TestDrainCancelsActiveStreams(t *testing.T) {
 		t.Fatalf("post-drain start: want 503, got %v", err)
 	}
 }
+
+// TestTerminalStreamsAreEvicted: streams are bounded by the rule generation
+// jobs use. jobHistory + 5 streams are started and canceled at once (a
+// stream run to its end costs a frame encode, 40 ms under -race); the five
+// oldest ids are forgotten, the newest still answer, and the started
+// counter still counts every one.
+func TestTerminalStreamsAreEvicted(t *testing.T) {
+	srv, ts, _ := newTestServer(t, &fakeGenerator{}, nil)
+	req := StreamRequest{Query: "SELECT AVG(count(car)) FROM small SAMPLE 0.001"}
+	const total = jobHistory + 5
+	var jobs [total]*streamJob
+	for i := range jobs {
+		job, err := srv.startStream(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs[i] = job
+		// One at a time: every earlier stream is terminal when the next
+		// is registered, so eviction order is start order.
+		job.cancel()
+		srv.streamWG.Wait()
+	}
+	for i, job := range jobs {
+		resp, err := http.Get(ts.URL + "/v1/streams/" + job.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		want := http.StatusOK
+		if i < 5 {
+			want = http.StatusNotFound
+		}
+		if resp.StatusCode != want {
+			t.Fatalf("GET %s = %d, want %d", job.id, resp.StatusCode, want)
+		}
+	}
+	if n := scrapeMetrics(t, ts.URL)["smokescreend_streams_total"]; n != total {
+		t.Fatalf("smokescreend_streams_total = %d, want %d", n, total)
+	}
+}

@@ -55,6 +55,9 @@ run_stage stream-smoke make stream-smoke
 # with exactly one generation fleet-wide, kill -9 of the generating node
 # with replica serving after, clean drain (scripts/fleet_smoke.sh).
 run_stage fleet-smoke make fleet-smoke
+# The herd's invariant under repetition, in process: one generation per
+# key in each of 200 runs (found by hand twice before it had a gate).
+run_stage herd-drill make herd-drill
 # The fleet's read path under 2 000 seeded fault schedules, in memory:
 # every 200 is the sealed bytes, no tampered envelope is admitted, a copy
 # outlives its replicas (internal/fleetd/sim_test.go).

@@ -107,14 +107,13 @@ const (
 	Face   = scene.Face
 )
 
-// New constructs a Smokescreen system. See the core options WithSeed,
-// WithCorrectionLimit and WithFractionCandidates.
+// New constructs a Smokescreen system. See the core options WithSeed
+// and WithFractionCandidates.
 var New = core.New
 
 // System options.
 var (
 	WithSeed               = core.WithSeed
-	WithCorrectionLimit    = core.WithCorrectionLimit
 	WithFractionCandidates = core.WithFractionCandidates
 	WithEarlyStop          = core.WithEarlyStop
 	// WithParallelism fans profile generation out across a bounded worker

@@ -15,7 +15,6 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	sys := smokescreen.New(
 		smokescreen.WithSeed(7),
 		smokescreen.WithFractionCandidates(0.02, 0.1),
-		smokescreen.WithCorrectionLimit(0.1),
 	)
 	q, err := smokescreen.ParseQuery("SELECT AVG(count(car)) FROM small")
 	if err != nil {
