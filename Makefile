@@ -79,7 +79,9 @@ test-race:
 # frame records inside it (decoded with pooled inflate state), the
 # smokevet suppression-comment grammar (the lint gate's own input
 # surface), the fused float kernel against its retained oracle, and the
-# presence probe against the full detection it abbreviates. ~10s per target keeps it cheap enough to ride in CI; longer
+# presence probe against the full detection it abbreviates, and the
+# camera's row-range resample against the full-frame one. ~10s per target
+# keeps it cheap enough to ride in CI; longer
 # local runs:
 #   go test -run '^$$' -fuzz FuzzEnvelopeDecode ./internal/store/
 # FuzzDecodeFrame caps minimisation at 1s: its inputs are kilobytes, and
@@ -92,6 +94,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzProbeFrame -fuzztime 10s ./internal/detect/
 	$(GO) test -run '^$$' -fuzz FuzzReceive -fuzztime 10s ./internal/transport/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s -fuzzminimizetime 1s ./internal/codec/
+	$(GO) test -run '^$$' -fuzz FuzzResampleRows -fuzztime 10s ./internal/raster/
 	$(GO) test -run '^$$' -fuzz FuzzSuppressParse -fuzztime 10s ./internal/analysis/
 
 # The full CI gate with per-stage timing (scripts/ci.sh).
@@ -112,10 +115,12 @@ bench:
 # the three resample shapes the cold workloads hit, then the fused back
 # half, the tabled resample and the noise kernel alone. kernel/oracle
 # sub-benches run back to back, five times each, because only a ratio taken
-# within one run survives this host's speed drift. The last line is the
-# frame path: one frame through the codec each way and one camera session
-# into a discarding peer, where B/op and allocs/op are the point (a fresh
-# DEFLATE writer per frame was ~900 KB/op). PresenceScan is one cold
+# within one run survives this host's speed drift. The frame-path line is
+# one frame through the codec each way, one camera session into a
+# discarding peer — the benchmark's `small` session and the dense
+# `mvi-40775` at 608, where objects touch the most rows — and the receiver
+# alone over captured wire bytes; B/op and allocs/op are part of the point
+# (a fresh DEFLATE writer per frame was ~900 KB/op). PresenceScan is one cold
 # presence scan of small as probes against the full native count column it
 # used to materialise (early-exits is the number of probes that stopped at
 # the first deciding object).
@@ -123,7 +128,7 @@ bench-kernels:
 	$(GO) test -run xxx -bench 'Kernel' -benchmem ./internal/raster/ ./internal/detect/
 	$(GO) test -run xxx -bench 'PatchComponentsFloat|BenchmarkFloatComponents' -benchmem -count 5 ./internal/detect/
 	$(GO) test -run xxx -bench 'BenchmarkBilinearInto|BenchmarkAddNoise' -benchmem -count 5 ./internal/raster/
-	$(GO) test -run xxx -bench 'BenchmarkEncodeFrame|BenchmarkDecodeFrame|BenchmarkCameraStream' -benchmem ./internal/codec/ ./internal/camera/
+	$(GO) test -run xxx -bench 'BenchmarkEncodeFrame|BenchmarkDecodeFrame|BenchmarkCameraStream|BenchmarkReceiver' -benchmem ./internal/codec/ ./internal/camera/ ./internal/stream/
 	$(GO) test -run xxx -bench 'BenchmarkPresenceScan' -benchmem -count 5 ./internal/outputs/
 
 # Full-scale evaluation reports (the EXPERIMENTS.md numbers). Detector

@@ -238,29 +238,39 @@ func TestRunAheadConsumeErrorAndCancel(t *testing.T) {
 	settleGoroutines(t, before)
 }
 
-// BenchmarkCameraStream is the camera alone: the repository benchmark's
-// session (small, f = 0.2, p = 160) into a peer that reads and discards.
+// BenchmarkCameraStream is the camera alone, into a peer that reads and
+// discards: the repository benchmark's session (small, f = 0.2, p = 160) and
+// the dense worst case for capture, where traffic touches most rows and
+// 640 -> 608 is not an integer downsample (mvi-40775, p = 608).
 func BenchmarkCameraStream(b *testing.B) {
-	node := tornNode()
-	node.Setting.SampleFraction = 0.2
-	client, server := net.Pipe()
-	drained := make(chan struct{})
-	go func() {
-		defer close(drained)
-		_, _ = io.Copy(io.Discard, server)
-	}()
-	conn := transport.New(client)
-	frames := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		report, err := node.Stream(conn, stats.NewStream(uint64(1000+i)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		frames += report.FramesTransmitted
+	for _, c := range []struct {
+		corpus string
+		p      int
+	}{{"small", 160}, {"mvi-40775", 608}} {
+		b.Run(c.corpus, func(b *testing.B) {
+			node := tornNode()
+			node.Video = dataset.MustLoad(c.corpus)
+			node.Setting = degrade.Setting{SampleFraction: 0.2, Resolution: c.p}
+			client, server := net.Pipe()
+			drained := make(chan struct{})
+			go func() {
+				defer close(drained)
+				_, _ = io.Copy(io.Discard, server)
+			}()
+			conn := transport.New(client)
+			frames := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				report, err := node.Stream(conn, stats.NewStream(uint64(1000+i)))
+				if err != nil {
+					b.Fatal(err)
+				}
+				frames += report.FramesTransmitted
+			}
+			b.ReportMetric(float64(frames)/b.Elapsed().Seconds(), "frames/s")
+			client.Close()
+			<-drained
+		})
 	}
-	b.ReportMetric(float64(frames)/b.Elapsed().Seconds(), "frames/s")
-	client.Close()
-	<-drained
 }

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 
 	"smokescreen/internal/codec"
@@ -135,7 +136,9 @@ func (n *Node) Stream(conn *transport.Conn, stream *stats.Stream) (Report, error
 // StreamCtx is Stream with cancellation. Frames are captured, degraded and
 // encoded ahead of the wire by a bounded pool of workers (runAhead) while
 // this goroutine transmits the finished blocks in plan order, so the byte
-// stream and the report are those of a one-frame-at-a-time camera. A
+// stream and the report are those of a one-frame-at-a-time camera. The
+// downsampled session background (MsgBackground) seeds every frame, though
+// ComputeJoules still prices a full capture and resample per frame. A
 // cancelled context stops the workers before their next capture; every
 // worker has exited when StreamCtx returns, whatever the outcome. A Send
 // parked on a peer that stopped reading is released by closing the
@@ -173,7 +176,7 @@ func (n *Node) StreamCtx(ctx context.Context, conn *transport.Conn, stream *stat
 	sigmaEff := float32(math.Max(0.004, float64(vcfg.Lighting.NoiseSigma)*scale))
 	pixelsPerFrame := float64(vcfg.Width*vcfg.Height + p*p)
 	err = runAhead(ctx, len(plan.Sampled),
-		func(i int) ([]byte, error) { return captureFrame(seen, plan.Sampled[i], p, sigmaEff) },
+		func(i int) ([]byte, error) { return captureFrame(seen, bg, plan.Sampled[i], sigmaEff) },
 		func(block []byte) error {
 			report.FramesCaptured++
 			report.CaptureJoules += n.Energy.JoulesPerCapture
@@ -196,18 +199,44 @@ func (n *Node) StreamCtx(ctx context.Context, conn *transport.Conn, stream *stat
 }
 
 // captureFrame renders frame idx at native resolution (capture), resamples
-// it to p x p on-device, adds the effective sensor noise and encodes the
-// frame block. Both rasters are pooled scratch, back in the pool before the
-// block is handed over.
-func captureFrame(v *scene.Video, idx, p int, sigmaEff float32) ([]byte, error) {
+// it to bg's size on-device, adds the effective sensor noise and encodes the
+// frame block. bg is the session's downsampled background: a resampled row
+// whose source rows no object touches is bg's row (Video.Background's
+// object-free-row invariant), so the frame starts as a copy of bg and only
+// the bands of rows objects touch are rendered and resampled — the pixels of
+// a full render and resample, at a fraction of the work. Both rasters are
+// pooled scratch, back in the pool before the block is handed over.
+func captureFrame(v *scene.Video, bg *raster.Image, idx int, sigmaEff float32) ([]byte, error) {
 	cfg := &v.Config
-	native := raster.GetScratch(cfg.Width, cfg.Height)
-	defer raster.PutScratch(native)
-	v.RenderRegionInto(native, idx, raster.RectWH(0, 0, cfg.Width, cfg.Height))
-	img := raster.GetScratch(p, p)
+	img := raster.GetScratch(bg.W, bg.H)
 	defer raster.PutScratch(img)
-	raster.DownsampleInto(img, native)
-	img.AddNoise(frameSeed(cfg.Seed, idx, p), sigmaEff)
+	copy(img.Pix, bg.Pix)
+	native := raster.GetScratch(cfg.Width, cfg.Height) // only the bands' source rows are ever written
+	defer raster.PutScratch(native)
+	covered := make([]bool, cfg.Height) // bboxes are clipped to the frame by scene.Generate
+	for _, obj := range v.Frame(idx).Objects {
+		for y := obj.BBox.MinY; y < obj.BBox.MaxY; y++ {
+			covered[y] = true
+		}
+	}
+	touched := func(dy int) bool {
+		slo, shi := raster.SourceRows(img, native, dy, dy+1)
+		return slices.Contains(covered[slo:shi], true)
+	}
+	for lo := 0; lo < img.H; lo++ {
+		hi := lo
+		for hi < img.H && touched(hi) {
+			hi++
+		}
+		if hi > lo { // a band of touched rows, and hi is untouched
+			slo, shi := raster.SourceRows(img, native, lo, hi)
+			band := &raster.Image{W: cfg.Width, H: shi - slo, Pix: native.Pix[slo*cfg.Width : shi*cfg.Width]}
+			v.RenderRegionInto(band, idx, raster.RectWH(0, slo, cfg.Width, shi-slo))
+			raster.ResampleRowsInto(img, native, lo, hi)
+			lo = hi
+		}
+	}
+	img.AddNoise(frameSeed(cfg.Seed, idx, img.W), sigmaEff)
 	return codec.EncodeFrame(&codec.FrameRecord{Index: idx, Raster: img})
 }
 

@@ -4,11 +4,12 @@
 // reports detections for every class the model can see, so the store keeps
 // a per-frame vector of per-class counts ("columns") and serves any class
 // projection from the same row. Estimators — fraction sweeps, hypercube
-// cells, Algorithm 3 correction sets — read columns instead of re-invoking
-// the detector, which is what makes a multi-class profile batch cost one
-// detection pass per (frame, resolution) rather than one per (frame,
-// resolution, class). Presence scans read the same rows and probe — not
-// detect — the frames that have none (see Presence).
+// cells, Algorithm 3 correction sets, stream windows (a row per received
+// frame, most often filled by the stream's drift baseline) — read columns
+// instead of re-invoking the detector, which is what makes a multi-class
+// profile batch cost one detection pass per (frame, resolution) rather than
+// one per (frame, resolution, class). Presence scans read the same rows and
+// probe — not detect — the frames that have none (see Presence).
 //
 // Degraded corpus views (noise addition) are distinct *scene.Video values
 // (see degrade.EffectiveVideo), so the (video, model, p) key covers the

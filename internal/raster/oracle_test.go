@@ -55,6 +55,11 @@ func bilinearNaiveInto(dst, src *Image) {
 	}
 }
 
+// bilinearInto is the full-range bilinear kernel, the call DownsampleInto
+// makes for a growing axis; the oracle comparisons and golden digests below
+// take it by this name.
+func bilinearInto(dst, src *Image) { bilinearRowsInto(dst, src, 0, dst.H) }
+
 // noiseUnitNaive is the historical Irwin–Hall evaluation: each 21-bit field
 // converted and centred on its own, then added in float32.
 func noiseUnitNaive(h uint64) float32 {

@@ -33,19 +33,76 @@ func Downsample(src *Image, w, h int) *Image {
 // instead of the O(window) scan per destination pixel of the naive form
 // (retained below as downsampleNaiveInto, the test oracle).
 func DownsampleInto(dst, src *Image) {
+	ResampleRowsInto(dst, src, 0, dst.H)
+}
+
+// ResampleRowsInto writes destination rows [lo, hi) of DownsampleInto(dst,
+// src) — the same kernels, so the same bits — and leaves dst's other rows
+// alone. It reads only the source rows SourceRows names; the rest of src may
+// hold anything, so a caller that holds the other rows already (a camera
+// whose frame is its background wherever no object is) renders and
+// resamples only the band it needs.
+func ResampleRowsInto(dst, src *Image, lo, hi int) {
 	w, h := dst.W, dst.H
 	if w <= 0 || h <= 0 {
 		panic("raster: DownsampleInto to non-positive size")
 	}
-	if w == src.W && h == src.H {
-		copy(dst.Pix, src.Pix)
-		return
+	if lo < 0 || hi > h || lo > hi {
+		panic("raster: ResampleRowsInto rows outside the destination")
 	}
-	if w > src.W || h > src.H {
-		bilinearInto(dst, src)
-		return
+	switch {
+	case lo == hi: // no rows to write
+	case w == src.W && h == src.H:
+		copy(dst.Pix[lo*w:hi*w], src.Pix[lo*w:hi*w])
+	case w > src.W || h > src.H:
+		bilinearRowsInto(dst, src, lo, hi)
+	default:
+		downsampleFastInto(dst, src, lo, hi)
 	}
-	downsampleFastInto(dst, src)
+}
+
+// SourceRows returns the source rows [slo, shi) that destination rows
+// [lo, hi) of a resample of src into dst read, for lo < hi. Both ends grow
+// with the destination row, so a band of destination rows reads one band of
+// source rows.
+func SourceRows(dst, src *Image, lo, hi int) (slo, shi int) {
+	if dst.W > src.W || dst.H > src.H {
+		return int(makeBilinearTap(lo, src.H, dst.H).i0), int(makeBilinearTap(hi-1, src.H, dst.H).i1) + 1
+	}
+	// The box window; at equal size, destination row dy's is source row dy.
+	yRatio := float64(src.H) / float64(dst.H)
+	_, _, slo, _ = boxRows(lo, yRatio, src.H)
+	y0, y1, iy0, iy1 := boxRows(hi-1, yRatio, src.H)
+	if boxWeight(iy1, y0, y1, iy0, iy1) <= 0 {
+		iy1-- // an exact window edge: the kernel skips the row it ends on
+	}
+	return slo, iy1 + 1
+}
+
+// boxRows returns destination row dy's continuous source window [y0, y1)
+// in the box kernel and the first and last source rows it touches.
+func boxRows(dy int, yRatio float64, sh int) (y0, y1 float64, iy0, iy1 int) {
+	y0 = float64(dy) * yRatio
+	y1 = float64(dy+1) * yRatio
+	iy0 = int(y0)
+	iy1 = int(y1)
+	if iy1 > sh-1 {
+		iy1 = sh - 1
+	}
+	return y0, y1, iy0, iy1
+}
+
+// boxWeight is source row sy's share of the window [y0, y1), which spans
+// rows iy0..iy1: 1 less the parts of the edge rows outside the window.
+func boxWeight(sy int, y0, y1 float64, iy0, iy1 int) float64 {
+	wy := 1.0
+	if sy == iy0 {
+		wy -= y0 - float64(iy0)
+	}
+	if sy == iy1 {
+		wy -= float64(iy1) + 1 - y1
+	}
+	return wy
 }
 
 // axisWindow precomputes, for one destination axis index, the continuous
@@ -97,80 +154,67 @@ func putAxisWindows(s []axisWindow) {
 	axisWindowPool.Put(s[:cap(s)]) //nolint:staticcheck // slab reuse outweighs the header box
 }
 
-func downsampleFastInto(dst, src *Image) {
+// downsampleFastInto is the box kernel over destination rows [lo, hi); it
+// integrates only the source rows those rows read.
+func downsampleFastInto(dst, src *Image, lo, hi int) {
 	w, h := dst.W, dst.H
 	sw, sh := src.W, src.H
+	slo, shi := SourceRows(dst, src, lo, hi)
 
 	xwin := getAxisWindows(w)
 	defer putAxisWindows(xwin)
 	makeAxisWindows(xwin, sw, w)
 
-	// Horizontal pass: rowInt[sy*w+dx] is the continuous integral of source
-	// row sy over destination column dx's window.
-	rowInt := getF64(sh * w)
+	// Horizontal pass: rowInt[(sy-slo)*w+dx] is the continuous integral of
+	// source row sy over destination column dx's window.
+	rowInt := getF64((shi - slo) * w)
 	defer putF64(rowInt)
-	forRowBlocks(sh, func(lo, hi int) {
-		prefix := getF64(sw + 1)
-		defer putF64(prefix)
-		for sy := lo; sy < hi; sy++ {
-			row := src.Pix[sy*sw : (sy+1)*sw]
-			prefix[0] = 0
-			var sum float64
-			for x, v := range row {
-				sum += float64(v)
-				prefix[x+1] = sum
-			}
-			out := rowInt[sy*w : (sy+1)*w]
-			for dx := range out {
-				xw := &xwin[dx]
-				c0 := prefix[xw.i0] + xw.f0*float64(row[xw.i0])
-				c1 := prefix[xw.i1] + xw.f1*float64(row[xw.i1])
-				out[dx] = c1 - c0
-			}
+	prefix := getF64(sw + 1)
+	defer putF64(prefix)
+	for sy := slo; sy < shi; sy++ {
+		row := src.Pix[sy*sw : (sy+1)*sw]
+		prefix[0] = 0
+		var sum float64
+		for x, v := range row {
+			sum += float64(v)
+			prefix[x+1] = sum
 		}
-	})
+		out := rowInt[(sy-slo)*w : (sy-slo+1)*w]
+		for dx := range out {
+			xw := &xwin[dx]
+			c0 := prefix[xw.i0] + xw.f0*float64(row[xw.i0])
+			c1 := prefix[xw.i1] + xw.f1*float64(row[xw.i1])
+			out[dx] = c1 - c0
+		}
+	}
 
 	// Vertical pass: each destination row reduces its source-row window of
 	// rowInt with the naive kernel's boundary weights, then normalises by
 	// the continuous box area.
-	forRowBlocks(h, func(lo, hi int) {
-		acc := getF64(w)
-		defer putF64(acc)
-		yRatio := float64(sh) / float64(h)
-		for dy := lo; dy < hi; dy++ {
-			y0 := float64(dy) * yRatio
-			y1 := float64(dy+1) * yRatio
-			iy0 := int(y0)
-			iy1 := int(y1)
-			if iy1 > sh-1 {
-				iy1 = sh - 1
+	acc := getF64(w)
+	defer putF64(acc)
+	yRatio := float64(sh) / float64(h)
+	for dy := lo; dy < hi; dy++ {
+		y0, y1, iy0, iy1 := boxRows(dy, yRatio, sh)
+		for i := range acc {
+			acc[i] = 0
+		}
+		for sy := iy0; sy <= iy1; sy++ {
+			wy := boxWeight(sy, y0, y1, iy0, iy1)
+			if wy <= 0 {
+				continue
 			}
-			for i := range acc {
-				acc[i] = 0
-			}
-			for sy := iy0; sy <= iy1; sy++ {
-				wy := 1.0
-				if sy == iy0 {
-					wy -= y0 - float64(iy0)
-				}
-				if sy == iy1 {
-					wy -= float64(iy1) + 1 - y1
-				}
-				if wy <= 0 {
-					continue
-				}
-				ri := rowInt[sy*w : (sy+1)*w]
-				for dx := range acc {
-					acc[dx] += wy * ri[dx]
-				}
-			}
-			invY := 1 / (y1 - y0)
-			out := dst.Pix[dy*w : (dy+1)*w]
-			for dx := range out {
-				out[dx] = float32(acc[dx] * xwin[dx].inv * invY)
+			ri := rowInt[(sy-slo)*w : (sy-slo+1)*w]
+			for dx := range acc {
+				acc[dx] += wy * ri[dx]
 			}
 		}
-	})
+		invY := 1 / (y1 - y0)
+		out := dst.Pix[dy*w : (dy+1)*w]
+		for dx := range out {
+			out[dx] = float32(acc[dx] * xwin[dx].inv * invY)
+		}
+	}
 }
 
 // downsampleNaiveInto is the reference box-filter downsampler: every
@@ -263,16 +307,16 @@ func makeBilinearTap(d, srcN, dstN int) bilinearTap {
 	return bilinearTap{i0: int32(i0), i1: int32(i1), f: f}
 }
 
-// bilinearTable is the pooled per-call column-tap table of bilinearInto.
+// bilinearTable is the pooled per-call column-tap table of bilinearRowsInto.
 type bilinearTable struct{ cols []bilinearTap }
 
 var bilinearTablePool = sync.Pool{New: func() any { return &bilinearTable{} }}
 
-// bilinearInto resizes with bilinear interpolation; used for the upsampling
-// path (rendering previews, and model input sizes above the capture
-// resolution along either axis — every patch of a 320-pixel corpus at
-// YOLOv4's native 608). A 1-pixel-wide or -high source tiles its row/column
-// (see makeBilinearTap's clamp).
+// bilinearRowsInto resizes destination rows [lo, hi) with bilinear
+// interpolation; used for the upsampling path (rendering previews, and model
+// input sizes above the capture resolution along either axis — every patch
+// of a 320-pixel corpus at YOLOv4's native 608). A 1-pixel-wide or -high
+// source tiles its row/column (see makeBilinearTap's clamp).
 //
 // The per-pixel form (bilinearNaiveInto, the test oracle) re-derives the
 // float64 column coordinate and blends both source rows horizontally for
@@ -283,7 +327,7 @@ var bilinearTablePool = sync.Pool{New: func() any { return &bilinearTable{} }}
 // the lower row of one pair is the upper row of the next). Every blend is
 // the same expression on the same float32 operands as the per-pixel form,
 // so every sample is bit-identical to it.
-func bilinearInto(dst, src *Image) {
+func bilinearRowsInto(dst, src *Image, lo, hi int) {
 	w, h := dst.W, dst.H
 	sw, sh := src.W, src.H
 	tab := bilinearTablePool.Get().(*bilinearTable)
@@ -295,32 +339,30 @@ func bilinearInto(dst, src *Image) {
 	for dx := range cols {
 		cols[dx] = makeBilinearTap(dx, sw, w)
 	}
-	forRowBlocks(h, func(lo, hi int) {
-		blends := GetScratch(w, 2)
-		defer PutScratch(blends)
-		tops, bots := blends.Pix[:w], blends.Pix[w:]
-		topY, botY := -1, -1 // the source rows tops and bots hold
-		for dy := lo; dy < hi; dy++ {
-			ty := makeBilinearTap(dy, sh, h)
-			y0, y1, fy := int(ty.i0), int(ty.i1), ty.f
-			if y0 == botY {
-				tops, bots, topY, botY = bots, tops, botY, topY
-			}
-			if y0 != topY {
-				blendRow(tops, src.Pix[y0*sw:(y0+1)*sw], cols)
-				topY = y0
-			}
-			if y1 != botY {
-				blendRow(bots, src.Pix[y1*sw:(y1+1)*sw], cols)
-				botY = y1
-			}
-			out := dst.Pix[dy*w : (dy+1)*w]
-			for dx := range out {
-				top, bot := tops[dx], bots[dx]
-				out[dx] = top + (bot-top)*fy
-			}
+	blends := GetScratch(w, 2)
+	defer PutScratch(blends)
+	tops, bots := blends.Pix[:w], blends.Pix[w:]
+	topY, botY := -1, -1 // the source rows tops and bots hold
+	for dy := lo; dy < hi; dy++ {
+		ty := makeBilinearTap(dy, sh, h)
+		y0, y1, fy := int(ty.i0), int(ty.i1), ty.f
+		if y0 == botY {
+			tops, bots, topY, botY = bots, tops, botY, topY
 		}
-	})
+		if y0 != topY {
+			blendRow(tops, src.Pix[y0*sw:(y0+1)*sw], cols)
+			topY = y0
+		}
+		if y1 != botY {
+			blendRow(bots, src.Pix[y1*sw:(y1+1)*sw], cols)
+			botY = y1
+		}
+		out := dst.Pix[dy*w : (dy+1)*w]
+		for dx := range out {
+			top, bot := tops[dx], bots[dx]
+			out[dx] = top + (bot-top)*fy
+		}
+	}
 }
 
 // blendRow writes one source row blended at every destination column.

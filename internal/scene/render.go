@@ -10,6 +10,11 @@ import "smokescreen/internal/raster"
 // cancels the raw background on a base corpus. The raster is rendered once
 // per Video and cached; a static surveillance camera sees the same
 // background every frame.
+//
+// A row of a rendered frame that no object's bbox intersects is the row of
+// Background(), bit for bit, under every view: objects paint only inside
+// their bbox, blur is horizontal, occlusion and quantization are per pixel
+// (TestObjectFreeRowsAreBackground). The camera resamples only object rows.
 func (v *Video) Background() *raster.Image {
 	if !v.view.PixelTransforms() {
 		return v.rawBackground()

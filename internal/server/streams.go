@@ -137,7 +137,8 @@ func ResolveStream(req StreamRequest) (*ResolvedStream, error) {
 // sent. The baseline describes the clean corpus at the transmitted
 // resolution — a stream degraded by a pixel axis is measured against what
 // was profiled, not against itself — and is detector-heavy, so it runs
-// here, under ctx: cancelling stops a stream still warming up.
+// here, under ctx: cancelling stops a stream still warming up. Its column
+// is the one a random-only receiver then reads every frame's count from.
 func (rs *ResolvedStream) Run(ctx context.Context, recv *stream.Receiver) (camera.Report, error) {
 	if !rs.Request.DisableDrift {
 		n := rs.Node

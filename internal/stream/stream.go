@@ -11,12 +11,12 @@
 // carrying the any-time Hoeffding-Serfling bound of
 // estimate.StreamingEstimator. Window refresh is incremental — on
 // advance, departed frames' contributions are evicted
-// (estimate.Window.Advance) and arriving frames folded in, each detected
-// once on arrival. A drift detector compares each completed window's
-// detector-output distribution against a profiled corpus baseline
-// (stats.DistinctFrequencies over internal/outputs columns) and emits a
-// typed DriftEvent when the divergence crosses a threshold — the
-// live-vs-profile diagnosis question posed by causal physical error
+// (estimate.Window.Advance) and arriving frames folded in, each read once
+// on arrival from its internal/outputs column. A drift detector compares
+// each completed window's detector-output distribution against a profiled
+// corpus baseline (stats.DistinctFrequencies over internal/outputs columns)
+// and emits a typed DriftEvent when the divergence crosses a threshold —
+// the live-vs-profile diagnosis question posed by causal physical error
 // discovery.
 //
 // The wire protocol's state machine is camera.ReceiveSession; Run loops over
@@ -41,6 +41,7 @@ import (
 	"smokescreen/internal/camera"
 	"smokescreen/internal/detect"
 	"smokescreen/internal/estimate"
+	"smokescreen/internal/outputs"
 	"smokescreen/internal/scene"
 	"smokescreen/internal/transport"
 )
@@ -72,13 +73,13 @@ type Config struct {
 
 	// Sources are the corpora the camera sessions replay, in session
 	// order (the last entry repeats for later sessions). Required. The
-	// receiver answers by replay: a received frame's index is detected
-	// with Model.DetectFrame on the session's source at the transmitted
-	// resolution — the column store's detector path on the setting's view
-	// of the corpus (degrade.EffectiveVideo), so a window's detections are
-	// the ones estimate.Audit, the drift baseline and every profile
-	// measure against. The received rasters are decoded and validated but
-	// not detected on.
+	// receiver answers by replay: a received frame's count is read from the
+	// column store (outputs.At) for the session's source — the setting's
+	// view of the corpus (degrade.EffectiveVideo) — at the transmitted
+	// resolution, so a window's detections are the ones estimate.Audit, the
+	// drift baseline and every profile measure against, and a frame whose
+	// row the baseline or an earlier stream holds costs no detection. The
+	// received rasters are decoded and validated but not detected on.
 	Sources []*scene.Video
 
 	// Baseline, when set, enables drift detection against it.
@@ -88,9 +89,9 @@ type Config struct {
 	DriftThreshold float64
 
 	// Verify cross-checks each completed window's incremental state
-	// against a from-scratch recomputation (fresh detection per frame,
-	// fresh estimator) and fails the run unless the two are bitwise
-	// equal.
+	// against a from-scratch recomputation (Model.DetectFrame per frame,
+	// not the column store, into a fresh estimator) and fails the run
+	// unless the two are bitwise equal.
 	Verify bool
 
 	// OnWindow, when set, observes every completed window (called from
@@ -336,14 +337,13 @@ func (ing *ingest) frame(ctx context.Context, session *camera.Session, fr camera
 		ing.r.mu.Unlock()
 		return nil
 	}
-	if err := ctx.Err(); err != nil {
-		// Cancelled: skip the detector work; the partial window is
-		// dropped by Run's unwind.
+	// A cancelled read returns ctx.Err(); Run's unwind drops the partial
+	// window.
+	counts, err := outputs.At(ctx, ing.source, ing.cfg.Model, ing.cfg.Class, ing.res, []int{fr.Index})
+	if err != nil {
 		return err
 	}
-	dets := ing.cfg.Model.DetectFrame(ing.source, fr.Index, ing.res)
-	count := float64(detect.CountClass(dets, ing.cfg.Class))
-	if !ing.w.ObserveFrame(pos, count) {
+	if !ing.w.ObserveFrame(pos, counts[0]) {
 		totalLate.Add(1)
 		ing.r.mu.Lock()
 		ing.r.st.Late++
@@ -407,7 +407,7 @@ func (ing *ingest) completeThrough(limit int) error {
 
 // recomputeWindow rebuilds the current window from scratch: fresh
 // detection of every held frame into a fresh estimator — the oracle
-// Verify holds incremental refresh to.
+// Verify holds incremental refresh to, independent of the column store.
 func (ing *ingest) recomputeWindow() estimate.Estimate {
 	fresh, err := estimate.NewWindow(ing.cfg.Agg, ing.cfg.WindowSpan, ing.cfg.Params, true)
 	if err != nil {

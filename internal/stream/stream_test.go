@@ -3,10 +3,14 @@ package stream
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -31,7 +35,7 @@ func streamRun(t *testing.T, recv *Receiver, nodes []*camera.Node, ctx context.C
 	return err
 }
 
-func smallNode(t *testing.T, v *scene.Video, f float64, p int) *camera.Node {
+func smallNode(t testing.TB, v *scene.Video, f float64, p int) *camera.Node {
 	t.Helper()
 	return &camera.Node{
 		Video:   v,
@@ -587,4 +591,123 @@ func fanOut(t *testing.T, node *camera.Node, loops int, seed uint64, shapes []wi
 		t.Fatal(cameraErr)
 	}
 	return emitted
+}
+
+// TestReceiverReadsTheColumn: a received frame's count is read from the
+// column store, not re-detected. With the drift baseline built — the column
+// at the transmitted resolution — a random-only stream makes no detector
+// invocation between the baseline and the end of the run; without one, or
+// through a pixel axis (a view no baseline covers), each (view, frame,
+// resolution) is detected once however many sessions deliver it, and a
+// replay of the same stream detects nothing. The windows are the ones the
+// receiver emitted when it ran Model.DetectFrame for every frame (digests
+// pinned from that tree), and Verify, which still does, passes on each.
+func TestReceiverReadsTheColumn(t *testing.T) {
+	v := dataset.MustLoad("small")
+	m := detect.YOLOv4Sim()
+	const loops, seed, p = 2, 100, 160
+	rows := []struct {
+		name    string
+		setting degrade.Setting
+		drift   bool
+		digest  string
+	}{
+		{"random-only", degrade.Setting{SampleFraction: 0.2, Resolution: p}, true, "5c75907b"},
+		{"disable_drift", degrade.Setting{SampleFraction: 0.2, Resolution: p}, false, "089c01bf"},
+		{"NOISE 0.1", degrade.Setting{SampleFraction: 0.2, Resolution: p, NoiseSigma: 0.1}, true, "085bc00e"},
+		{"BLUR 9", degrade.Setting{SampleFraction: 0.2, Resolution: p, MotionBlur: 9}, true, "1c913b98"},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			detect.ResetCaches() // exact invocation counts: no column filled before this row
+			node := &camera.Node{Video: v, Model: m, Setting: row.setting, Energy: camera.DefaultEnergyModel()}
+			cfg := Config{Model: m, Class: scene.Car, WindowSpan: 200, WindowStride: 100,
+				Sources: []*scene.Video{degrade.EffectiveVideo(v, row.setting)}}
+			if row.drift {
+				base, err := CorpusBaseline(context.Background(), v, m, scene.Car, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Baseline = base
+			}
+			// The frames the sessions deliver: Loopback seeds session i with seed+i.
+			distinct := map[int]bool{}
+			for i := 0; i < loops; i++ {
+				plan, err := degrade.ApplyCtx(context.Background(), v, m, row.setting, stats.NewStream(seed+uint64(i)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, f := range plan.Sampled {
+					distinct[f] = true
+				}
+			}
+			run := func(verify bool) ([]WindowResult, int64) {
+				t.Helper()
+				var windows []WindowResult
+				c := cfg
+				c.Verify = verify
+				c.OnWindow = func(res WindowResult) { windows = append(windows, res) }
+				recv, err := New(c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				before := detect.Invocations()
+				if _, err := Loopback(context.Background(), recv, []*camera.Node{node}, loops, seed); err != nil {
+					t.Fatal(err)
+				}
+				return windows, detect.Invocations() - before
+			}
+			windows, detected := run(false)
+			want := int64(len(distinct))
+			if cfg.Baseline != nil && cfg.Sources[0] == v {
+				want = 0
+			}
+			if detected != want {
+				t.Errorf("%d detector invocations over %d distinct frames, want %d", detected, len(distinct), want)
+			}
+			if _, again := run(false); again != 0 {
+				t.Errorf("a replay of the same stream made %d detector invocations, want 0", again)
+			}
+			verified, _ := run(true)
+			if !slices.Equal(verified, windows) {
+				t.Errorf("Verify run's windows differ:\n%v\n%v", verified, windows)
+			}
+			sum := sha256.Sum256([]byte(fmt.Sprintf("%+v", windows)))
+			if got := hex.EncodeToString(sum[:4]); got != row.digest {
+				t.Errorf("windows digest %s, pinned %s (%d windows)", got, row.digest, len(windows))
+			}
+		})
+	}
+}
+
+// BenchmarkReceiver is the receiver alone: the repository benchmark's
+// session (small, f = 0.2, p = 160, windows of 200 sliding by 100, drift on)
+// captured once as wire bytes and replayed from memory every iteration, so
+// framing, decode, the column read and the window fold are all it times.
+func BenchmarkReceiver(b *testing.B) {
+	ctx := context.Background()
+	v := dataset.MustLoad("small")
+	m := detect.YOLOv4Sim()
+	var wire bytes.Buffer
+	if _, err := smallNode(b, v, 0.2, 160).StreamCtx(ctx, transport.New(oneWay{strings.NewReader(""), &wire}), stats.NewStream(1000)); err != nil {
+		b.Fatal(err)
+	}
+	base, err := CorpusBaseline(ctx, v, m, scene.Car, 160)
+	if err != nil {
+		b.Fatal(err)
+	}
+	frames := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		recv, err := New(Config{Model: m, Class: scene.Car, WindowSpan: 200, WindowStride: 100, Sources: []*scene.Video{v}, Baseline: base})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := recv.Run(ctx, transport.New(oneWay{bytes.NewReader(wire.Bytes()), io.Discard})); err != nil {
+			b.Fatal(err)
+		}
+		frames += recv.Status().Frames
+	}
+	b.ReportMetric(float64(frames)/b.Elapsed().Seconds(), "frames/s")
 }

@@ -39,11 +39,13 @@ run_stage fuzz-smoke make fuzz-smoke
 run_stage benchmark-selftest sh -c 'cd benchmark && go test ./...'
 # One pass over what remains of the testing.B benchmarks: the root
 # package's estimator/detector micro-benchmarks (all of them: 1x is
-# seconds), the probe-vs-full-column presence scan and the float patch
-# kernel against its retained oracle, so a benchmark that stops compiling
-# or running fails here. Figure generation, ladders and the frame path are
-# exercised by `make test` (internal/experiments) and benchmark-selftest.
-run_stage bench-smoke sh -c "go test -run '^\$' -bench . -benchtime=1x -short . && go test -run '^\$' -bench 'PresenceScan|PatchComponentsFloat' -benchtime=1x -short ./internal/outputs/ ./internal/detect/"
+# seconds), the probe-vs-full-column presence scan, the float patch kernel
+# against its retained oracle, and each half of the stream frame path — the
+# camera alone and the receiver alone over captured wire bytes — so a
+# benchmark that stops compiling or running fails here. Figure generation
+# and ladders are exercised by `make test` (internal/experiments) and
+# benchmark-selftest.
+run_stage bench-smoke sh -c "go test -run '^\$' -bench . -benchtime=1x -short . && go test -run '^\$' -bench 'PresenceScan|PatchComponentsFloat|CameraStream|Receiver' -benchtime=1x -short ./internal/outputs/ ./internal/detect/ ./internal/camera/ ./internal/stream/"
 # The profile service end to end: `curve -remote` through a live daemon and
 # the in-process `curve` print the same key and points, store hit on the
 # second request, SIGTERM drain (scripts/serve_smoke.sh).
