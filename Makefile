@@ -80,7 +80,8 @@ test-race:
 # smokevet suppression-comment grammar (the lint gate's own input
 # surface), the fused float kernel against its retained oracle, and the
 # presence probe against the full detection it abbreviates, and the
-# camera's row-range resample against the full-frame one. ~10s per target
+# resample of a row range of a source rectangle, read in place at an
+# offset and stride, against the reference kernels. ~10s per target
 # keeps it cheap enough to ride in CI; longer
 # local runs:
 #   go test -run '^$$' -fuzz FuzzEnvelopeDecode ./internal/store/
@@ -112,8 +113,9 @@ bench:
 # naive oracles, with ns/op and B/op so both the asymptotic win and the
 # pooling win are visible. The last two lines are the float patch kernel
 # against the historical pipeline retained in _test.go: whole patches on
-# the three resample shapes the cold workloads hit, then the fused back
-# half, the tabled resample and the noise kernel alone. kernel/oracle
+# the resample shapes the cold workloads hit, then the fused back half, the
+# tabled bilinear resample, the box kernel against the prefix-sum kernel it
+# replaced (a near-identity and a heavy box) and the noise kernel alone. kernel/oracle
 # sub-benches run back to back, five times each, because only a ratio taken
 # within one run survives this host's speed drift. The frame-path line is
 # one frame through the codec each way, one camera session into a
@@ -127,7 +129,7 @@ bench:
 bench-kernels:
 	$(GO) test -run xxx -bench 'Kernel' -benchmem ./internal/raster/ ./internal/detect/
 	$(GO) test -run xxx -bench 'PatchComponentsFloat|BenchmarkFloatComponents' -benchmem -count 5 ./internal/detect/
-	$(GO) test -run xxx -bench 'BenchmarkBilinearInto|BenchmarkAddNoise' -benchmem -count 5 ./internal/raster/
+	$(GO) test -run xxx -bench 'BenchmarkBilinearInto|BenchmarkBoxInto|BenchmarkAddNoise' -benchmem -count 5 ./internal/raster/
 	$(GO) test -run xxx -bench 'BenchmarkEncodeFrame|BenchmarkDecodeFrame|BenchmarkCameraStream|BenchmarkReceiver' -benchmem ./internal/codec/ ./internal/camera/ ./internal/stream/
 	$(GO) test -run xxx -bench 'BenchmarkPresenceScan' -benchmem -count 5 ./internal/outputs/
 

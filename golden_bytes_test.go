@@ -36,6 +36,11 @@ var goldenProfileDigests = []struct {
 	// early-stop loop, which none of the rows above reaches (it stops after
 	// four of the five fractions).
 	{"early-stop/BLUR 5", server.GenRequest{Query: "SELECT AVG(count(car)) FROM small BLUR 5", EarlyStop: 0.01}, "94f9774f4d39452c1de4ce49facb238bef9f761c4d61e18eb89247cf6c119c0d"},
+	// Captured on 1fd1fcc, before the box kernel tabled its window edges:
+	// the 640-pixel corpus resamples every patch, and its pixel views render
+	// through the in-place background and object-row paths.
+	{"mvi-40775/QUANTIZE 16", server.GenRequest{Query: "SELECT AVG(count(person)) FROM mvi-40775 QUANTIZE 16"}, "f847a58b64d4e3ec71d9101a3a6267d5128c05e1ca00f37193e301ccf238a61f"},
+	{"mvi-40775/BLUR 9", server.GenRequest{Query: "SELECT AVG(count(person)) FROM mvi-40775 BLUR 9"}, "aecb19659e2882e1c1e4a2f4a20518fb8fb4357c6be11b90b6148364784bbe74"},
 }
 
 // goldenCubeDigests pins the SaveHypercube bytes of core.GenerateProfilesCtx

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 	"sync"
 
 	"smokescreen/internal/codec"
@@ -200,43 +199,17 @@ func (n *Node) StreamCtx(ctx context.Context, conn *transport.Conn, stream *stat
 
 // captureFrame renders frame idx at native resolution (capture), resamples
 // it to bg's size on-device, adds the effective sensor noise and encodes the
-// frame block. bg is the session's downsampled background: a resampled row
-// whose source rows no object touches is bg's row (Video.Background's
-// object-free-row invariant), so the frame starts as a copy of bg and only
-// the bands of rows objects touch are rendered and resampled — the pixels of
-// a full render and resample, at a fraction of the work. Both rasters are
-// pooled scratch, back in the pool before the block is handed over.
+// frame block. bg is the session's downsampled background, so the frame
+// starts as a copy of it and only the rows objects touch are rendered and
+// resampled (scene.Video.ResampleObjectRowsInto) — the pixels of a full
+// render and resample, at a fraction of the work. The raster is pooled
+// scratch, back in the pool before the block is handed over.
 func captureFrame(v *scene.Video, bg *raster.Image, idx int, sigmaEff float32) ([]byte, error) {
-	cfg := &v.Config
 	img := raster.GetScratch(bg.W, bg.H)
 	defer raster.PutScratch(img)
 	copy(img.Pix, bg.Pix)
-	native := raster.GetScratch(cfg.Width, cfg.Height) // only the bands' source rows are ever written
-	defer raster.PutScratch(native)
-	covered := make([]bool, cfg.Height) // bboxes are clipped to the frame by scene.Generate
-	for _, obj := range v.Frame(idx).Objects {
-		for y := obj.BBox.MinY; y < obj.BBox.MaxY; y++ {
-			covered[y] = true
-		}
-	}
-	touched := func(dy int) bool {
-		slo, shi := raster.SourceRows(img, native, dy, dy+1)
-		return slices.Contains(covered[slo:shi], true)
-	}
-	for lo := 0; lo < img.H; lo++ {
-		hi := lo
-		for hi < img.H && touched(hi) {
-			hi++
-		}
-		if hi > lo { // a band of touched rows, and hi is untouched
-			slo, shi := raster.SourceRows(img, native, lo, hi)
-			band := &raster.Image{W: cfg.Width, H: shi - slo, Pix: native.Pix[slo*cfg.Width : shi*cfg.Width]}
-			v.RenderRegionInto(band, idx, raster.RectWH(0, slo, cfg.Width, shi-slo))
-			raster.ResampleRowsInto(img, native, lo, hi)
-			lo = hi
-		}
-	}
-	img.AddNoise(frameSeed(cfg.Seed, idx, img.W), sigmaEff)
+	v.ResampleObjectRowsInto(img, idx, raster.RectWH(0, 0, v.Config.Width, v.Config.Height))
+	img.AddNoise(frameSeed(v.Config.Seed, idx, img.W), sigmaEff)
 	return codec.EncodeFrame(&codec.FrameRecord{Index: idx, Raster: img})
 }
 

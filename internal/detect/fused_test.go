@@ -216,9 +216,8 @@ func patchComponentsFloatOracle(v *scene.Video, frameIdx, p int, obj *scene.Obje
 		diff = getPlane(tw, th)
 		diff.setDiffScalar(patch, borderMean(patch))
 	} else {
-		v.BackgroundRegionInto(nativePatch, region)
 		bgPatch := raster.GetScratch(tw, th)
-		raster.DownsampleInto(bgPatch, nativePatch)
+		raster.DownsampleInto(bgPatch, v.BackgroundRegion(region))
 		diff = diffPlane(patch, bgPatch)
 		raster.PutScratch(bgPatch)
 	}
@@ -229,18 +228,23 @@ func patchComponentsFloatOracle(v *scene.Video, frameIdx, p int, obj *scene.Obje
 
 // patchCases are the float pipeline's patch shapes: upsampled (608 from a
 // 320-pixel corpus: bilinear resample), native, downsampled from 320 and
-// from 640, and the face model's border-difference patches.
+// from 640 (at 608, the near-identity box of the 640-pixel corpus's pixel
+// axes, clean and blurred, where an object outside a patch spills into it),
+// and the face model's border-difference patches.
 var patchCases = []struct {
 	name, corpus string
+	view         scene.View
 	model        func() *Model
 	p            int
 	bench        bool // also a BenchmarkPatchComponentsFloat shape
 }{
-	{"up608-from320", "small", YOLOv4Sim, 608, true},
-	{"native", "small", YOLOv4Sim, 320, true},
-	{"down160-from320", "small", YOLOv4Sim, 160, false},
-	{"down160-from640", "mvi-40775", YOLOv4Sim, 160, true},
-	{"faces320", "small", MTCNNSim, 320, false},
+	{"up608-from320", "small", scene.View{}, YOLOv4Sim, 608, true},
+	{"native", "small", scene.View{}, YOLOv4Sim, 320, true},
+	{"down160-from320", "small", scene.View{}, YOLOv4Sim, 160, false},
+	{"down160-from640", "mvi-40775", scene.View{}, YOLOv4Sim, 160, true},
+	{"down608-from640", "mvi-40775", scene.View{}, YOLOv4Sim, 608, true},
+	{"blur9-down608-from640", "mvi-40775", scene.View{BlurLen: 9}, YOLOv4Sim, 608, false},
+	{"faces320", "small", scene.View{}, MTCNNSim, 320, false},
 }
 
 // TestPatchComponentsFloatMatchesOracle compares the whole production patch
@@ -248,7 +252,7 @@ var patchCases = []struct {
 // with the historical pipeline on real objects.
 func TestPatchComponentsFloatMatchesOracle(t *testing.T) {
 	for _, c := range patchCases {
-		v := dataset.MustLoad(c.corpus)
+		v := dataset.MustLoad(c.corpus).WithView(c.view)
 		m := c.model()
 		sx := float64(c.p) / float64(v.Config.Width)
 		sy := float64(c.p) / float64(v.Config.Height)
@@ -328,7 +332,7 @@ func BenchmarkPatchComponentsFloat(b *testing.B) {
 		if !c.bench {
 			continue
 		}
-		v := dataset.MustLoad(c.corpus)
+		v := dataset.MustLoad(c.corpus).WithView(c.view)
 		m := c.model()
 		sx := float64(c.p) / float64(v.Config.Width)
 		sy := float64(c.p) / float64(v.Config.Height)

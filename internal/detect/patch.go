@@ -189,10 +189,11 @@ func (m *Model) evalPatch(v *scene.Video, frameIdx, p int, obj *scene.Object, sx
 }
 
 // patchScratch is every buffer one float patch evaluation touches: the
-// native-resolution render, the model-scale patch, the model-scale static
-// background patch and the signed difference plane. One pool round trip per
-// patch replaces one per buffer; the fused back half keeps its own run-sized
-// scratch (floatCCScratch) because the full-frame path shares it.
+// native-resolution render of a face patch, the model-scale patch, the
+// model-scale static background patch and the signed difference plane. One
+// pool round trip per patch replaces one per buffer; the fused back half
+// keeps its own run-sized scratch (floatCCScratch) because the full-frame
+// path shares it.
 type patchScratch struct {
 	native, patch, bg raster.Image
 	diff              plane
@@ -210,10 +211,7 @@ func putPatchScratch(sc *patchScratch) { patchScratchPool.Put(sc) }
 func (m *Model) patchComponentsFloat(v *scene.Video, frameIdx, p int, obj *scene.Object, region raster.Rect, tw, th int, sigmaEff, tau float64) []component {
 	sc := getPatchScratch()
 	defer putPatchScratch(sc)
-	native := sc.native.Resize(region.W(), region.H())
-	v.RenderRegionInto(native, frameIdx, region)
 	patch := sc.patch.Resize(tw, th)
-	raster.DownsampleInto(patch, native)
 	seed, sigma := noiseSeed(v.Config.Seed, frameIdx, p, obj.ID), float32(sigmaEff)
 	if obj.Class == scene.Face {
 		// Faces sit inside person blobs, so static-background subtraction
@@ -222,14 +220,19 @@ func (m *Model) patchComponentsFloat(v *scene.Video, frameIdx, p int, obj *scene
 		// face detector instead responds to the face's contrast against its
 		// immediate surroundings — the border ring of the noised patch,
 		// which is head/torso pixels.
+		native := sc.native.Resize(region.W(), region.H())
+		v.RenderRegionInto(native, frameIdx, region)
+		raster.DownsampleInto(patch, native)
 		patch.AddNoise(seed, sigma)
 		sc.diff.setDiffScalar(patch, borderMean(patch))
 	} else {
-		// Reuse the native buffer for the background render: the patch
-		// downsample above has already consumed it.
-		v.BackgroundRegionInto(native, region)
+		// The background patch is resampled in place from the video's
+		// background; the frame patch is that patch wherever no object's
+		// render reaches, so only the object rows are rendered over it.
 		bg := sc.bg.Resize(tw, th)
-		raster.DownsampleInto(bg, native)
+		raster.ResampleRegionInto(bg, v.Background(), region)
+		copy(patch.Pix, bg.Pix)
+		v.ResampleObjectRowsInto(patch, frameIdx, region)
 		sc.diff.resize(tw, th)
 		patch.NoisyDiffInto(sc.diff.v, bg, seed, sigma)
 	}

@@ -12,11 +12,14 @@ import (
 // magnitude in 7x5 tiles, so the kernels' float64 running sums round: an
 // image of same-exponent samples sums exactly and would hide a change in
 // accumulation order.
-func goldenImage(w, h int) *Image {
+func goldenImage(w, h int) *Image { return signedImage(0x5eed, w, h) }
+
+// signedImage is goldenImage's construction under another sample seed.
+func signedImage(seed uint64, w, h int) *Image {
 	img := New(w, h)
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
-			u := noiseUnit(pixelHash(0x5eed, x, y))
+			u := noiseUnit(pixelHash(seed, x, y))
 			exp := -16 * int(pixelHash(0xb10c, x/7, y/5)%4)
 			img.Pix[y*w+x] = float32(math.Ldexp(float64(u), exp))
 		}
@@ -58,6 +61,28 @@ func TestGoldenKernelBytes(t *testing.T) {
 			DownsampleInto(dst, src)
 			return dst
 		}, "98740a0d64a9a7527ccee1d0eefc69b12bf8bbc66a012a7c6616466da5208381"},
+		// The near-identity and heavy boxes and a row range of each were
+		// captured on 1fd1fcc, before the box kernel tabled its window edges.
+		{"DownsampleInto/143x127", func() *Image {
+			dst := New(143, 127)
+			DownsampleInto(dst, src)
+			return dst
+		}, "e91af7ccdf4ac2c83ebcd301aeb28c6f55c9c331880f1850d488157a1fb452fb"},
+		{"ResampleRowsInto/143x127/40-97", func() *Image {
+			dst := New(143, 127)
+			ResampleRowsInto(dst, src, 40, 97)
+			return dst
+		}, "36a9ce64970dc0bf809cb7523a663fb8fe999a91618279087f9020ecdb782bf8"},
+		{"DownsampleInto/8x7", func() *Image {
+			dst := New(8, 7)
+			DownsampleInto(dst, src)
+			return dst
+		}, "b170bc141efdb7f36ef9999fd7a1df30a8772dfe13ff91b185cbf0e1d627f9b3"},
+		{"ResampleRowsInto/8x7/2-5", func() *Image {
+			dst := New(8, 7)
+			ResampleRowsInto(dst, src, 2, 5)
+			return dst
+		}, "9c04568d7c29e41ddd3411241e8fc96d2ccaef4635d908faef88277664d699fd"},
 		{"MotionBlurHInto/4,2,+3", func() *Image {
 			dst := New(140, src.H)
 			MotionBlurHInto(dst, src, 4, 2, 3)

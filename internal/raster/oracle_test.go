@@ -58,7 +58,104 @@ func bilinearNaiveInto(dst, src *Image) {
 // bilinearInto is the full-range bilinear kernel, the call DownsampleInto
 // makes for a growing axis; the oracle comparisons and golden digests below
 // take it by this name.
-func bilinearInto(dst, src *Image) { bilinearRowsInto(dst, src, 0, dst.H) }
+func bilinearInto(dst, src *Image) { bilinearRowsInto(dst, src, RectWH(0, 0, src.W, src.H), 0, dst.H) }
+
+// axisWindow is, for one destination column, the continuous source window
+// [lo, hi) of the prefix-sum box kernel: the window integral is
+// C(hi) - C(lo) with C(t) = P[i] + f*pix[i], i = min(int(t), n-1), f = t - i,
+// where P is the row's prefix sum. inv is 1/(hi-lo).
+type axisWindow struct {
+	i0, i1 int32
+	f0, f1 float64
+	inv    float64
+}
+
+// makeAxisWindows fills win (length dstN) for a source axis of length srcN.
+func makeAxisWindows(win []axisWindow, srcN, dstN int) {
+	ratio := float64(srcN) / float64(dstN)
+	for d := 0; d < dstN; d++ {
+		lo := float64(d) * ratio
+		hi := float64(d+1) * ratio
+		i0 := int(lo)
+		if i0 > srcN-1 {
+			i0 = srcN - 1
+		}
+		i1 := int(hi)
+		if i1 > srcN-1 {
+			i1 = srcN - 1
+		}
+		win[d] = axisWindow{
+			i0: int32(i0), i1: int32(i1),
+			f0: lo - float64(i0), f1: hi - float64(i1),
+			inv: 1 / (hi - lo),
+		}
+	}
+}
+
+// downsamplePrefixInto is the prefix-sum box kernel the tabled one replaced,
+// kept as its bit-exact oracle: both edges of every column window evaluated
+// per source row from a stored prefix-sum array, and each destination row
+// reduced into an accumulator row.
+func downsamplePrefixInto(dst, src *Image) {
+	w, h := dst.W, dst.H
+	sw, sh := src.W, src.H
+	xwin := make([]axisWindow, w)
+	makeAxisWindows(xwin, sw, w)
+	rowInt := make([]float64, sh*w)
+	prefix := make([]float64, sw+1)
+	for sy := 0; sy < sh; sy++ {
+		row := src.Pix[sy*sw : (sy+1)*sw]
+		var sum float64
+		for x, v := range row {
+			sum += float64(v)
+			prefix[x+1] = sum
+		}
+		out := rowInt[sy*w : (sy+1)*w]
+		for dx := range out {
+			xw := &xwin[dx]
+			c0 := prefix[xw.i0] + xw.f0*float64(row[xw.i0])
+			c1 := prefix[xw.i1] + xw.f1*float64(row[xw.i1])
+			out[dx] = c1 - c0
+		}
+	}
+	acc := make([]float64, w)
+	yRatio := float64(sh) / float64(h)
+	for dy := 0; dy < h; dy++ {
+		y0, y1, iy0, iy1 := boxRows(dy, yRatio, sh)
+		for i := range acc {
+			acc[i] = 0
+		}
+		for sy := iy0; sy <= iy1; sy++ {
+			wy := boxWeight(sy, y0, y1, iy0, iy1)
+			if wy <= 0 {
+				continue
+			}
+			ri := rowInt[sy*w : (sy+1)*w]
+			for dx := range acc {
+				acc[dx] += wy * ri[dx]
+			}
+		}
+		invY := 1 / (y1 - y0)
+		out := dst.Pix[dy*w : (dy+1)*w]
+		for dx := range out {
+			out[dx] = float32(acc[dx] * xwin[dx].inv * invY)
+		}
+	}
+}
+
+// resampleReference is the oracle of a resample of src to dst's size: the
+// prefix-sum kernel when both axes shrink, the per-pixel bilinear form when
+// either grows, a copy at equal size.
+func resampleReference(dst, src *Image) {
+	switch {
+	case dst.W == src.W && dst.H == src.H:
+		copy(dst.Pix, src.Pix)
+	case dst.W > src.W || dst.H > src.H:
+		bilinearNaiveInto(dst, src)
+	default:
+		downsamplePrefixInto(dst, src)
+	}
+}
 
 // noiseUnitNaive is the historical Irwin–Hall evaluation: each 21-bit field
 // converted and centred on its own, then added in float32.
@@ -216,6 +313,29 @@ func BenchmarkBilinearInto(b *testing.B) {
 				k.fn(dst, src)
 			}
 		})
+	}
+}
+
+// BenchmarkBoxInto is the box kernel against the prefix-sum oracle on a
+// near-identity patch (a 640-pixel corpus at 608) and a heavy one (ratio 20).
+func BenchmarkBoxInto(b *testing.B) {
+	for _, s := range []struct {
+		name           string
+		sw, sh, dw, dh int
+	}{{"72x60-68x57", 72, 60, 68, 57}, {"120x100-6x5", 120, 100, 6, 5}} {
+		src, dst := benchImage(s.sw, s.sh), New(s.dw, s.dh)
+		for _, k := range []struct {
+			name string
+			fn   func(dst, src *Image)
+		}{{"kernel", DownsampleInto}, {"oracle", downsamplePrefixInto}} {
+			b.Run(s.name+"/"+k.name, func(b *testing.B) {
+				b.SetBytes(int64(len(src.Pix)) * 4)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					k.fn(dst, src)
+				}
+			})
+		}
 	}
 }
 

@@ -1,6 +1,9 @@
 package raster
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // Downsample resizes the image to (w, h) using box-filter area averaging —
 // the physically correct model of what a lower-resolution sensor (or a
@@ -22,43 +25,66 @@ func Downsample(src *Image, w, h int) *Image {
 }
 
 // DownsampleInto resamples src into dst at dst's dimensions, overwriting
-// every destination sample. It is the allocation-free core of Downsample:
-// detection hot paths pair it with GetScratch/PutScratch so per-frame
-// rasters come from a pool instead of the heap. dst and src must not alias.
-//
-// The downsampling path is a separable prefix-sum kernel: each source row
-// is integrated once (a running prefix sum), destination columns read
-// their continuous-box integral from it in O(1), and destination rows
-// reduce the per-row integrals with boundary weights — O(src + dst) total
-// instead of the O(window) scan per destination pixel of the naive form
-// (retained below as downsampleNaiveInto, the test oracle).
+// every destination sample: ResampleRegionInto over all of src. It is the
+// allocation-free core of Downsample: detection hot paths pair it with
+// GetScratch/PutScratch so per-frame rasters come from a pool instead of the
+// heap. dst and src must not alias.
 func DownsampleInto(dst, src *Image) {
-	ResampleRowsInto(dst, src, 0, dst.H)
+	resampleInto(dst, src, RectWH(0, 0, src.W, src.H), 0, dst.H)
+}
+
+// ResampleRegionInto resamples the rectangle r of src, which must lie inside
+// src, into dst at dst's dimensions. It reads src in place and writes the
+// bits DownsampleInto writes from a copy of the rectangle, so a caller that
+// holds a whole raster (a video's static background) resamples a patch of it
+// without copying the patch out first.
+//
+// Shrinking both axes is the box kernel (boxRowsInto); growing either axis
+// is bilinear (bilinearRowsInto); equal sizes copy.
+func ResampleRegionInto(dst, src *Image, r Rect) {
+	resampleInto(dst, src, r, 0, dst.H)
 }
 
 // ResampleRowsInto writes destination rows [lo, hi) of DownsampleInto(dst,
 // src) — the same kernels, so the same bits — and leaves dst's other rows
 // alone. It reads only the source rows SourceRows names; the rest of src may
-// hold anything, so a caller that holds the other rows already (a camera
-// whose frame is its background wherever no object is) renders and
-// resamples only the band it needs.
+// hold anything, so a caller that holds the other rows already (a frame that
+// is its background wherever no object is) renders and resamples only the
+// band it needs.
 func ResampleRowsInto(dst, src *Image, lo, hi int) {
+	resampleInto(dst, src, RectWH(0, 0, src.W, src.H), lo, hi)
+}
+
+// resampleInto is the one resample: destination rows [lo, hi) of the
+// rectangle r of src resampled to dst's dimensions.
+func resampleInto(dst, src *Image, r Rect, lo, hi int) {
 	w, h := dst.W, dst.H
 	if w <= 0 || h <= 0 {
 		panic("raster: DownsampleInto to non-positive size")
+	}
+	if r.Empty() || r.MinX < 0 || r.MinY < 0 || r.MaxX > src.W || r.MaxY > src.H {
+		panic("raster: resample region outside the source")
 	}
 	if lo < 0 || hi > h || lo > hi {
 		panic("raster: ResampleRowsInto rows outside the destination")
 	}
 	switch {
 	case lo == hi: // no rows to write
-	case w == src.W && h == src.H:
-		copy(dst.Pix[lo*w:hi*w], src.Pix[lo*w:hi*w])
-	case w > src.W || h > src.H:
-		bilinearRowsInto(dst, src, lo, hi)
+	case w == r.W() && h == r.H():
+		for y := lo; y < hi; y++ {
+			copy(dst.Pix[y*w:(y+1)*w], regionRow(src, r, y))
+		}
+	case w > r.W() || h > r.H():
+		bilinearRowsInto(dst, src, r, lo, hi)
 	default:
-		downsampleFastInto(dst, src, lo, hi)
+		boxRowsInto(dst, src, r, lo, hi)
 	}
+}
+
+// regionRow is row y of the rectangle r of img.
+func regionRow(img *Image, r Rect, y int) []float32 {
+	o := (r.MinY+y)*img.W + r.MinX
+	return img.Pix[o : o+r.W()]
 }
 
 // SourceRows returns the source rows [slo, shi) that destination rows
@@ -66,13 +92,19 @@ func ResampleRowsInto(dst, src *Image, lo, hi int) {
 // with the destination row, so a band of destination rows reads one band of
 // source rows.
 func SourceRows(dst, src *Image, lo, hi int) (slo, shi int) {
-	if dst.W > src.W || dst.H > src.H {
-		return int(makeBilinearTap(lo, src.H, dst.H).i0), int(makeBilinearTap(hi-1, src.H, dst.H).i1) + 1
+	return sourceRows(dst.W > src.W || dst.H > src.H, src.H, dst.H, lo, hi)
+}
+
+// sourceRows is SourceRows for a source of sh rows resampled to h rows,
+// bilinearly when up.
+func sourceRows(up bool, sh, h, lo, hi int) (slo, shi int) {
+	if up {
+		return int(makeBilinearTap(lo, sh, h).i0), int(makeBilinearTap(hi-1, sh, h).i1) + 1
 	}
 	// The box window; at equal size, destination row dy's is source row dy.
-	yRatio := float64(src.H) / float64(dst.H)
-	_, _, slo, _ = boxRows(lo, yRatio, src.H)
-	y0, y1, iy0, iy1 := boxRows(hi-1, yRatio, src.H)
+	yRatio := float64(sh) / float64(h)
+	_, _, slo, _ = boxRows(lo, yRatio, sh)
+	y0, y1, iy0, iy1 := boxRows(hi-1, yRatio, sh)
 	if boxWeight(iy1, y0, y1, iy0, iy1) <= 0 {
 		iy1-- // an exact window edge: the kernel skips the row it ends on
 	}
@@ -105,122 +137,134 @@ func boxWeight(sy int, y0, y1 float64, iy0, iy1 int) float64 {
 	return wy
 }
 
-// axisWindow precomputes, for one destination axis index, the continuous
-// source window [lo, hi) in the prefix-sum formulation: the window integral
-// is C(hi) - C(lo) with C(t) = P[i] + f*pix[i], i = min(int(t), n-1),
-// f = t - i, where P is the axis prefix sum. inv is 1/(hi-lo), the
-// normalising width (the naive kernel's accumulated weight along this axis).
-type axisWindow struct {
-	i0, i1 int32
-	f0, f1 float64
-	inv    float64
+// boxEdge is one column window edge of the box kernel, at the continuous
+// source column t = k·ratio: a row's integral up to t is P[i] + f·row[i],
+// with i = min(int(t), n-1), f = t - i and P the row's prefix sum.
+type boxEdge struct {
+	i int
+	f float64
 }
 
-// makeAxisWindows fills win (length dstN) for a source axis of length srcN.
-func makeAxisWindows(win []axisWindow, srcN, dstN int) {
-	ratio := float64(srcN) / float64(dstN)
-	for d := 0; d < dstN; d++ {
-		lo := float64(d) * ratio
-		hi := float64(d+1) * ratio
-		i0 := int(lo)
-		if i0 > srcN-1 {
-			i0 = srcN - 1
-		}
-		i1 := int(hi)
-		if i1 > srcN-1 {
-			i1 = srcN - 1
-		}
-		win[d] = axisWindow{
-			i0: int32(i0), i1: int32(i1),
-			f0: lo - float64(i0), f1: hi - float64(i1),
-			inv: 1 / (hi - lo),
-		}
-	}
+// boxTap is one source row of a destination row's window: the offset of its
+// column integrals in boxScratch.ints and its weight.
+type boxTap struct {
+	off int
+	wy  float64
 }
 
-// axisWindowPool recycles the per-call window tables.
-var axisWindowPool sync.Pool
-
-func getAxisWindows(n int) []axisWindow {
-	if v := axisWindowPool.Get(); v != nil {
-		if s := v.([]axisWindow); cap(s) >= n {
-			return s[:n]
-		}
-	}
-	return make([]axisWindow, n)
+// boxScratch is everything one boxRowsInto call tables, pooled as one.
+type boxScratch struct {
+	edges []boxEdge // the w+1 column window edges
+	inv   []float64 // 1 / each column window's width
+	ints  []float64 // each source row's integral over each column window
+	taps  []boxTap  // the current destination row's source rows
 }
 
-func putAxisWindows(s []axisWindow) {
-	axisWindowPool.Put(s[:cap(s)]) //nolint:staticcheck // slab reuse outweighs the header box
-}
+var boxScratchPool = sync.Pool{New: func() any { return new(boxScratch) }}
 
-// downsampleFastInto is the box kernel over destination rows [lo, hi); it
-// integrates only the source rows those rows read.
-func downsampleFastInto(dst, src *Image, lo, hi int) {
+// boxRowsInto is the box kernel over destination rows [lo, hi) of the
+// rectangle r of src; it integrates only the source rows those rows read.
+// Each destination pixel is the continuous-box integral of the source over
+// its window, normalised by the window's area — what the per-pixel scan
+// downsampleNaiveInto computes, in O(src + dst) instead of O(window) per
+// pixel.
+//
+// Horizontal pass: a source row's integral over column dx's window is
+// E(dx+1) - E(dx), where E(k) is the row's integral up to window edge k (its
+// running prefix sum plus the edge pixel's fraction). Column dx's right edge
+// is column dx+1's left edge, so each edge is evaluated once per row, and two
+// rows' running sums — independent float64 chains, each summed in its own
+// order — advance together. Vertical pass: each column accumulates its
+// window's source rows with the boundary weights in a register, in source
+// row order, then normalises by the two window widths.
+func boxRowsInto(dst, src *Image, r Rect, lo, hi int) {
 	w, h := dst.W, dst.H
-	sw, sh := src.W, src.H
-	slo, shi := SourceRows(dst, src, lo, hi)
+	sw, sh := r.W(), r.H()
+	slo, shi := sourceRows(false, sh, h, lo, hi)
 
-	xwin := getAxisWindows(w)
-	defer putAxisWindows(xwin)
-	makeAxisWindows(xwin, sw, w)
-
-	// Horizontal pass: rowInt[(sy-slo)*w+dx] is the continuous integral of
-	// source row sy over destination column dx's window.
-	rowInt := getF64((shi - slo) * w)
-	defer putF64(rowInt)
-	prefix := getF64(sw + 1)
-	defer putF64(prefix)
-	for sy := slo; sy < shi; sy++ {
-		row := src.Pix[sy*sw : (sy+1)*sw]
-		prefix[0] = 0
-		var sum float64
-		for x, v := range row {
-			sum += float64(v)
-			prefix[x+1] = sum
-		}
-		out := rowInt[(sy-slo)*w : (sy-slo+1)*w]
-		for dx := range out {
-			xw := &xwin[dx]
-			c0 := prefix[xw.i0] + xw.f0*float64(row[xw.i0])
-			c1 := prefix[xw.i1] + xw.f1*float64(row[xw.i1])
-			out[dx] = c1 - c0
-		}
+	sc := boxScratchPool.Get().(*boxScratch)
+	defer boxScratchPool.Put(sc)
+	sc.edges = slices.Grow(sc.edges[:0], w+1)[:w+1]
+	sc.inv = slices.Grow(sc.inv[:0], w)[:w]
+	sc.ints = slices.Grow(sc.ints[:0], (shi-slo)*w)[:(shi-slo)*w]
+	edges, inv, ints := sc.edges, sc.inv, sc.ints
+	ratio := float64(sw) / float64(w)
+	for k := range edges {
+		t := float64(k) * ratio
+		i := min(int(t), sw-1)
+		edges[k] = boxEdge{i: i, f: t - float64(i)}
+	}
+	for dx := range inv {
+		inv[dx] = 1 / (float64(dx+1)*ratio - float64(dx)*ratio)
 	}
 
-	// Vertical pass: each destination row reduces its source-row window of
-	// rowInt with the naive kernel's boundary weights, then normalises by
-	// the continuous box area.
-	acc := getF64(w)
-	defer putF64(acc)
+	for sy := slo; sy < shi; sy += 2 {
+		sy1 := min(sy+1, shi-1) // an odd last row pairs with itself
+		integrateRows(ints[(sy-slo)*w:][:w], ints[(sy1-slo)*w:][:w], regionRow(src, r, sy), regionRow(src, r, sy1), edges)
+	}
+
 	yRatio := float64(sh) / float64(h)
 	for dy := lo; dy < hi; dy++ {
 		y0, y1, iy0, iy1 := boxRows(dy, yRatio, sh)
-		for i := range acc {
-			acc[i] = 0
-		}
+		taps := sc.taps[:0]
 		for sy := iy0; sy <= iy1; sy++ {
-			wy := boxWeight(sy, y0, y1, iy0, iy1)
-			if wy <= 0 {
-				continue
-			}
-			ri := rowInt[(sy-slo)*w : (sy-slo+1)*w]
-			for dx := range acc {
-				acc[dx] += wy * ri[dx]
+			if wy := boxWeight(sy, y0, y1, iy0, iy1); wy > 0 {
+				taps = append(taps, boxTap{off: (sy - slo) * w, wy: wy})
 			}
 		}
+		sc.taps = taps
 		invY := 1 / (y1 - y0)
 		out := dst.Pix[dy*w : (dy+1)*w]
-		for dx := range out {
-			out[dx] = float32(acc[dx] * xwin[dx].inv * invY)
+		if len(taps) == 2 {
+			// Nearly every window of a near-identity box: the loop below,
+			// unrolled, because a two-step tap loop per column costs more
+			// than its arithmetic.
+			w0, w1 := taps[0].wy, taps[1].wy
+			r0, r1 := ints[taps[0].off:][:w], ints[taps[1].off:][:w]
+			for dx := range out {
+				acc := 0.0
+				acc += w0 * r0[dx]
+				acc += w1 * r1[dx]
+				out[dx] = float32(acc * inv[dx] * invY)
+			}
+			continue
 		}
+		for dx := range out {
+			acc := 0.0
+			for _, t := range taps {
+				acc += t.wy * ints[t.off+dx]
+			}
+			out[dx] = float32(acc * inv[dx] * invY)
+		}
+	}
+}
+
+// integrateRows writes two source rows' integrals over every column window,
+// out[dx] = E(dx+1) - E(dx) for each.
+func integrateRows(out0, out1 []float64, r0, r1 []float32, edges []boxEdge) {
+	// Known lengths spare r1's and the outputs' bounds checks.
+	r1, out0, out1 = r1[:len(r0)], out0[:len(edges)-1], out1[:len(edges)-1]
+	var s0, s1 float64 // each row's prefix sum of the columns before x
+	x := 0
+	e := edges[0]
+	c0 := s0 + e.f*float64(r0[e.i])
+	c1 := s1 + e.f*float64(r1[e.i])
+	for k, e := range edges[1:] {
+		for ; x < e.i; x++ {
+			s0 += float64(r0[x])
+			s1 += float64(r1[x])
+		}
+		n0 := s0 + e.f*float64(r0[e.i])
+		n1 := s1 + e.f*float64(r1[e.i])
+		out0[k], out1[k] = n0-c0, n1-c1
+		c0, c1 = n0, n1
 	}
 }
 
 // downsampleNaiveInto is the reference box-filter downsampler: every
 // destination pixel scans its full source window via boxAverage. It is the
-// oracle the fast prefix-sum kernel is property-tested against (1e-5 per
-// pixel) and is otherwise unused.
+// oracle the box kernel is property-tested against (1e-5 per pixel) and is
+// otherwise unused.
 func downsampleNaiveInto(dst, src *Image) {
 	w, h := dst.W, dst.H
 	xRatio := float64(src.W) / float64(w)
@@ -312,24 +356,25 @@ type bilinearTable struct{ cols []bilinearTap }
 
 var bilinearTablePool = sync.Pool{New: func() any { return &bilinearTable{} }}
 
-// bilinearRowsInto resizes destination rows [lo, hi) with bilinear
-// interpolation; used for the upsampling path (rendering previews, and model
-// input sizes above the capture resolution along either axis — every patch
-// of a 320-pixel corpus at YOLOv4's native 608). A 1-pixel-wide or -high
-// source tiles its row/column (see makeBilinearTap's clamp).
+// bilinearRowsInto resizes destination rows [lo, hi) of the rectangle r of
+// src with bilinear interpolation; used for the upsampling path (rendering
+// previews, and model input sizes above the capture resolution along either
+// axis — every patch of a 320-pixel corpus at YOLOv4's native 608). A
+// 1-pixel-wide or -high source tiles its row/column (see makeBilinearTap's
+// clamp).
 //
 // The per-pixel form (bilinearNaiveInto, the test oracle) re-derives the
 // float64 column coordinate and blends both source rows horizontally for
 // every destination pixel. Here the column taps are tabled once per call —
-// the axisWindow pattern of downsampleFastInto — and each source row's
+// as the box kernel tables its window edges — and each source row's
 // horizontal blend is computed once and reused by every destination row
 // that reads it (an upsample revisits a source row about scale times, and
 // the lower row of one pair is the upper row of the next). Every blend is
 // the same expression on the same float32 operands as the per-pixel form,
 // so every sample is bit-identical to it.
-func bilinearRowsInto(dst, src *Image, lo, hi int) {
+func bilinearRowsInto(dst, src *Image, r Rect, lo, hi int) {
 	w, h := dst.W, dst.H
-	sw, sh := src.W, src.H
+	sw, sh := r.W(), r.H()
 	tab := bilinearTablePool.Get().(*bilinearTable)
 	defer bilinearTablePool.Put(tab)
 	if cap(tab.cols) < w {
@@ -350,11 +395,11 @@ func bilinearRowsInto(dst, src *Image, lo, hi int) {
 			tops, bots, topY, botY = bots, tops, botY, topY
 		}
 		if y0 != topY {
-			blendRow(tops, src.Pix[y0*sw:(y0+1)*sw], cols)
+			blendRow(tops, regionRow(src, r, y0), cols)
 			topY = y0
 		}
 		if y1 != botY {
-			blendRow(bots, src.Pix[y1*sw:(y1+1)*sw], cols)
+			blendRow(bots, regionRow(src, r, y1), cols)
 			botY = y1
 		}
 		out := dst.Pix[dy*w : (dy+1)*w]

@@ -1,6 +1,10 @@
 package scene
 
-import "smokescreen/internal/raster"
+import (
+	"slices"
+
+	"smokescreen/internal/raster"
+)
 
 // Background returns the static native-resolution background raster: a
 // vertical luminance gradient (sky-to-road), deterministic clutter texture,
@@ -11,10 +15,13 @@ import "smokescreen/internal/raster"
 // per Video and cached; a static surveillance camera sees the same
 // background every frame.
 //
-// A row of a rendered frame that no object's bbox intersects is the row of
-// Background(), bit for bit, under every view: objects paint only inside
-// their bbox, blur is horizontal, occlusion and quantization are per pixel
-// (TestObjectFreeRowsAreBackground). The camera resamples only object rows.
+// A row of a rendered region is the row of Background() over that region,
+// bit for bit, under every view, unless the bbox of an object drawn into the
+// region's render spans it — an object that meets the region widened by the
+// blur's reach, which may lie wholly outside the region: objects paint only
+// inside their bbox, blur is horizontal and reads no farther than its reach,
+// occlusion and quantization are per pixel (TestObjectFreeRowsAreBackground).
+// ResampleObjectRowsInto renders and resamples only the other rows.
 func (v *Video) Background() *raster.Image {
 	if !v.view.PixelTransforms() {
 		return v.rawBackground()
@@ -88,23 +95,33 @@ func (v *Video) clipRegion(region raster.Rect, who string) raster.Rect {
 }
 
 func (v *Video) renderRegionInto(img *raster.Image, i int, region raster.Rect) {
-	if !v.view.PixelTransforms() {
+	left, right := v.view.blurReach()
+	if left+right == 0 {
+		// No blur: the raw composite is rendered straight into img, and
+		// occlusion and quantization, being per pixel, apply in place.
 		v.rawRegionInto(img, i, region)
+		v.applyViewInto(img, img, region, region)
 		return
 	}
-	// Pixel-view path: render the raw composite over a horizontally padded
-	// source region (the blur window's reach, clipped to the frame), then
-	// apply the view transforms into the destination. The pad carries
-	// exactly the out-of-region pixels the blur can pull in, so the result
-	// is bit-identical however the frame is decomposed into regions.
-	left, right := v.view.blurReach()
-	src := region
-	src.MinX = max(src.MinX-left, 0)
-	src.MaxX = min(src.MaxX+right, v.Config.Width)
+	// Blur: render the raw composite over the region widened by the blur
+	// window's reach (clipped to the frame), then apply the view transforms
+	// into the destination. The pad carries exactly the out-of-region pixels
+	// the blur can pull in, so the result is bit-identical however the frame
+	// is decomposed into regions.
+	src := v.blurSource(region)
 	scratch := raster.GetScratch(src.W(), src.H())
 	v.rawRegionInto(scratch, i, src)
 	v.applyViewInto(img, scratch, region, src)
 	raster.PutScratch(scratch)
+}
+
+// blurSource is the region widened by the blur window's reach and clipped to
+// the frame: the raw pixels the view of region reads.
+func (v *Video) blurSource(region raster.Rect) raster.Rect {
+	left, right := v.view.blurReach()
+	region.MinX = max(region.MinX-left, 0)
+	region.MaxX = min(region.MaxX+right, v.Config.Width)
+	return region
 }
 
 // rawRegionInto renders the untransformed composite (raw background plus
@@ -121,6 +138,45 @@ func (v *Video) rawRegionInto(img *raster.Image, i int, region raster.Rect) {
 	}
 }
 
+// ResampleObjectRowsInto turns dst from the resample of Background() over
+// region — ResampleRegionInto(dst, v.Background(), region), which the caller
+// has written — into the resample of frame i's render of region, rendering
+// and resampling only the destination rows whose source rows an object's
+// render reaches. Every other destination row reads only background rows
+// (Background's object-free-row invariant), so it is already the frame's,
+// bit for bit. The camera passes the whole frame; the detector a patch.
+func (v *Video) ResampleObjectRowsInto(dst *raster.Image, i int, region raster.Rect) {
+	region = v.clipRegion(region, "ResampleObjectRowsInto")
+	native := raster.GetScratch(region.W(), region.H()) // only the bands' source rows are ever written
+	defer raster.PutScratch(native)
+	reach := v.blurSource(region)
+	covered := make([]bool, region.H())
+	for _, obj := range v.Frame(i).Objects {
+		if !obj.BBox.Intersect(reach).Empty() {
+			for y := max(obj.BBox.MinY, region.MinY); y < min(obj.BBox.MaxY, region.MaxY); y++ {
+				covered[y-region.MinY] = true
+			}
+		}
+	}
+	touched := func(dy int) bool {
+		slo, shi := raster.SourceRows(dst, native, dy, dy+1)
+		return slices.Contains(covered[slo:shi], true)
+	}
+	for lo := 0; lo < dst.H; lo++ {
+		hi := lo
+		for hi < dst.H && touched(hi) {
+			hi++
+		}
+		if hi > lo { // a band of touched rows, and hi is untouched
+			slo, shi := raster.SourceRows(dst, native, lo, hi)
+			band := &raster.Image{W: native.W, H: shi - slo, Pix: native.Pix[slo*native.W : shi*native.W]}
+			v.renderRegionInto(band, i, raster.Rect{MinX: region.MinX, MinY: region.MinY + slo, MaxX: region.MaxX, MaxY: region.MinY + shi})
+			raster.ResampleRowsInto(dst, native, lo, hi)
+			lo = hi
+		}
+	}
+}
+
 // BackgroundRegion returns a copy of the static background over the given
 // native-coordinate region. Detectors subtract this from rendered frames:
 // with a fixed surveillance camera the background (gradient, clutter
@@ -129,22 +185,8 @@ func (v *Video) rawRegionInto(img *raster.Image, i int, region raster.Rect) {
 func (v *Video) BackgroundRegion(region raster.Rect) *raster.Image {
 	region = v.clipRegion(region, "BackgroundRegion")
 	img := raster.New(region.W(), region.H())
-	v.backgroundRegionInto(img, region)
-	return img
-}
-
-// BackgroundRegionInto copies like BackgroundRegion but into dst (sized to
-// the clipped region), overwriting every pixel; dst may be pooled scratch.
-func (v *Video) BackgroundRegionInto(dst *raster.Image, region raster.Rect) {
-	region = v.clipRegion(region, "BackgroundRegionInto")
-	if dst.W != region.W() || dst.H != region.H() {
-		panic("scene: BackgroundRegionInto size mismatch")
-	}
-	v.backgroundRegionInto(dst, region)
-}
-
-func (v *Video) backgroundRegionInto(img *raster.Image, region raster.Rect) {
 	copyRegionRows(img, v.Background(), region)
+	return img
 }
 
 // copyRegionRows copies the native-coordinate region of src into img row

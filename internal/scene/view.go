@@ -136,10 +136,14 @@ func (v *Video) CachedRasterBytes() int64 { return v.cachedBytes.Load() }
 // to the frame, on the same rows. Because the clip happens at frame
 // bounds, MotionBlurHInto's edge normalization against src's bounds is
 // identical to full-frame rendering, making the result independent of the
-// region decomposition.
+// region decomposition. Without blur the regions are equal and src may be
+// dst itself.
 func (v *Video) applyViewInto(dst, src *raster.Image, dstRegion, srcRegion raster.Rect) {
-	left, right := v.view.blurReach()
-	raster.MotionBlurHInto(dst, src, left, right, dstRegion.MinX-srcRegion.MinX)
+	if left, right := v.view.blurReach(); left+right > 0 {
+		raster.MotionBlurHInto(dst, src, left, right, dstRegion.MinX-srcRegion.MinX)
+	} else if dst != src {
+		copy(dst.Pix, src.Pix)
+	}
 	if v.view.Occlusion > 0 {
 		mask := v.occlusionMask()
 		w := v.Config.Width
