@@ -41,6 +41,9 @@ var goldenProfileDigests = []struct {
 	// through the in-place background and object-row paths.
 	{"mvi-40775/QUANTIZE 16", server.GenRequest{Query: "SELECT AVG(count(person)) FROM mvi-40775 QUANTIZE 16"}, "f847a58b64d4e3ec71d9101a3a6267d5128c05e1ca00f37193e301ccf238a61f"},
 	{"mvi-40775/BLUR 9", server.GenRequest{Query: "SELECT AVG(count(person)) FROM mvi-40775 BLUR 9"}, "aecb19659e2882e1c1e4a2f4a20518fb8fb4357c6be11b90b6148364784bbe74"},
+	// Captured on 91efcdf, before the noise row kernel and the run-sum
+	// labeller: extra sensor noise, the axis with the most noise components.
+	{"NOISE 0.05", server.GenRequest{Query: "SELECT AVG(count(car)) FROM small NOISE 0.05"}, "bfdeb00858d05c35c6a6a9883b465526809a8c4be999a4cd90d65d11633ead78"},
 }
 
 // goldenCubeDigests pins the SaveHypercube bytes of core.GenerateProfilesCtx

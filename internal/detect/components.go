@@ -26,19 +26,19 @@ func (c *component) MeanContrast() float64 {
 }
 
 // floatRun is one horizontal run of above-threshold pixels, [x0, x1) on row
-// y, carrying a provisional union-find label. Runs are kept in raster order,
-// and the contrasts of their pixels sit back to back in the same order.
+// y, carrying a provisional union-find label and the float64 sum of its
+// pixels' contrasts. Runs are kept in raster order.
 type floatRun struct {
 	x0, x1, y int32
 	label     int32
+	sum       float64
 }
 
 // floatCCScratch pools floatComponents' working set. Everything but the two
-// row buffers scales with the number of above-threshold runs and pixels, not
-// with the patch area.
+// row buffers scales with the number of above-threshold runs, not with the
+// patch area.
 type floatCCScratch struct {
-	vrow, srow []float32 // vertical 3-tap sums and |smoothed| of one row
-	contrast   []float32 // |smoothed| of every masked pixel, raster order
+	srow, zero []float32 // one row's signed smoothed samples; a row of +0
 	runs       []floatRun
 	parent     []int32
 	compOf     []int32 // union-find root -> index in comps, -1 = unseen
@@ -53,20 +53,33 @@ var floatCCPool = sync.Pool{New: func() any { return &floatCCScratch{} }}
 // stages (blur3, absMask and a per-pixel union-find labeller, retained in
 // oracle_test.go) and is bit-identical to them:
 //
-//   - Each row's smoothed samples are computed exactly as the separable blur
-//     did: the vertical 3-tap sum (row + previous + next, in that order),
-//     then the horizontal 3-tap sum times the reciprocal of the in-bounds
-//     window size (a division on 1-pixel-wide planes, as before).
+//   - Each row's smoothed samples s are computed as the separable blur did:
+//     the vertical 3-tap sum (row + previous + next, in that order), formed
+//     inside the horizontal loop, then the horizontal 3-tap sum times the
+//     reciprocal of the in-bounds window size (a division on 1-pixel-wide
+//     planes, as before). An edge row adds a row of +0 for its missing
+//     neighbour, which changes no sum but the sign of a zero, and no zero is
+//     above a threshold.
+//   - A pixel is masked when s > tau or s < -tau, which is |s| > tau for
+//     every s but NaN, which neither form masks; |s| is taken only for the
+//     masked pixels.
 //   - Above-threshold pixels are gathered into horizontal runs as the row is
-//     produced, and runs are united with the overlapping runs of the previous
+//     scanned, and runs are united with the overlapping runs of the previous
 //     row, so labelling costs O(runs) instead of three passes over w*h
-//     labels. No mask, contrast or label plane exists; only the masked
-//     pixels' contrasts are kept.
-//   - A final pass walks the runs in raster order and adds each pixel's
-//     float64(contrast) to its root's SumContrast one at a time. That is the
-//     order the pixel labeller added them in, so the float64 sums round
-//     identically — summing per run and merging on union would not.
-//     Components are numbered by first appearance in the same walk and then
+//     labels. No mask, contrast or label plane exists.
+//   - Each run sums its pixels' float64(|s|), and a component's SumContrast
+//     is the sum of its runs' sums. That equals the pixel labeller's
+//     raster-order sum bit for bit because no partial sum rounds: with tau
+//     >= 2^-9 every masked |s| is a float32 of at least 2^-9, so an integer
+//     multiple of 2^-32; plane samples lie in [-1, 1], so |s| <= 1 + 2^-20;
+//     and a plane has fewer than 2^20 pixels (at most a model's input, 640²),
+//     so every partial sum is a multiple of 2^-32 below 2^21, which float64
+//     holds exactly, in any order. Every model's MinContrast, the floor of
+//     tau, is above 2^-9 (TestMinContrastKeepsRunSumsExact).
+//     FuzzFloatComponents runs tau down to 0 on planes of byte samples
+//     k/128 of at most 48x48 pixels, whose nonzero |s| are at least
+//     2^-7/9 > 2^-11, so multiples of 2^-34: exact there too.
+//   - Components are numbered by first appearance in raster order and then
 //     stably sorted, which reproduces the old order even between components
 //     that tie on the sort key.
 func floatComponents(diff *plane, tau float64) []component {
@@ -76,9 +89,12 @@ func floatComponents(diff *plane, tau float64) []component {
 	}
 	sc := floatCCPool.Get().(*floatCCScratch)
 	defer floatCCPool.Put(sc)
-	sc.vrow, sc.srow = slices.Grow(sc.vrow[:0], w)[:w], slices.Grow(sc.srow[:0], w)[:w]
-	vrow, srow := sc.vrow, sc.srow[:len(sc.vrow)]
-	contrast, runs, parent := sc.contrast[:0], sc.runs[:0], sc.parent[:0]
+	sc.srow = slices.Grow(sc.srow[:0], w)[:w]
+	if len(sc.zero) < w {
+		sc.zero = make([]float32, w)
+	}
+	srow, zero := sc.srow, sc.zero[:w]
+	runs, parent := sc.runs[:0], sc.parent[:0]
 
 	find := func(x int32) int32 {
 		for parent[x] != x {
@@ -91,56 +107,26 @@ func floatComponents(diff *plane, tau float64) []component {
 	t := float32(tau)
 	prevLo, prevHi := 0, 0 // runs[prevLo:prevHi] is the previous row
 	for y := 0; y < h; y++ {
-		// The row slices are cut to one length so the loops below carry no
-		// bounds checks.
-		cur := diff.v[y*w : (y+1)*w]
-		cy := 1
-		switch {
-		case y > 0 && y+1 < h:
-			cy = 3
-			prev, next := diff.v[(y-1)*w : y*w][:len(cur)], diff.v[(y+1)*w : (y+2)*w][:len(cur)]
-			for x, v := range cur {
-				vrow[x] = v + prev[x] + next[x]
-			}
-		case y > 0:
-			cy = 2
-			prev := diff.v[(y-1)*w : y*w][:len(cur)]
-			for x, v := range cur {
-				vrow[x] = v + prev[x]
-			}
-		case y+1 < h:
-			cy = 2
-			next := diff.v[(y+1)*w : (y+2)*w][:len(cur)]
-			for x, v := range cur {
-				vrow[x] = v + next[x]
-			}
-		default:
-			copy(vrow, cur)
+		prev, next, cy := zero, zero, 1
+		if y > 0 {
+			prev, cy = diff.v[(y-1)*w:y*w], cy+1
 		}
-		if w == 1 {
-			srow[0] = abs32(vrow[0] / float32(cy))
-		} else {
-			inv2 := 1 / float32(2*cy)
-			inv3 := 1 / float32(3*cy)
-			a, b := vrow[0], vrow[1]
-			srow[0] = abs32((a + b) * inv2)
-			for x, c := range vrow[2:] {
-				srow[x+1] = abs32((a + b + c) * inv3)
-				a, b = b, c
-			}
-			srow[w-1] = abs32((a + b) * inv2)
+		if y+1 < h {
+			next, cy = diff.v[(y+1)*w:(y+2)*w], cy+1
 		}
+		smoothRow(srow, diff.v[y*w:(y+1)*w], prev, next, cy)
 
 		rowLo := len(runs)
 		pi := prevLo
-		for x := 0; x < w; x++ {
-			if !(srow[x] > t) {
+		for x := 0; x < len(srow); x++ {
+			if v := srow[x]; !(v > t || v < -t) {
 				continue
 			}
 			x0 := x
-			for x++; x < w && srow[x] > t; x++ {
+			sum := 0.0
+			for ; x < len(srow) && (srow[x] > t || srow[x] < -t); x++ {
+				sum += math.Abs(float64(srow[x]))
 			}
-			contrast = append(contrast, srow[x0:x]...)
 			// Unite with every 4-connected run of the previous row, or
 			// open a fresh label.
 			for pi < prevHi && int(runs[pi].x1) <= x0 {
@@ -163,7 +149,7 @@ func floatComponents(diff *plane, tau float64) []component {
 				label = int32(len(parent))
 				parent = append(parent, label)
 			}
-			runs = append(runs, floatRun{x0: int32(x0), x1: int32(x), y: int32(y), label: label})
+			runs = append(runs, floatRun{x0: int32(x0), x1: int32(x), y: int32(y), label: label, sum: sum})
 		}
 		prevLo, prevHi = rowLo, len(runs)
 	}
@@ -174,7 +160,6 @@ func floatComponents(diff *plane, tau float64) []component {
 		compOf[i] = -1
 	}
 	comps := sc.comps[:0]
-	off := 0
 	for _, r := range runs {
 		root := find(r.label)
 		ci := compOf[root]
@@ -184,8 +169,7 @@ func floatComponents(diff *plane, tau float64) []component {
 			comps = append(comps, component{BBox: raster.Rect{MinX: int(r.x0), MinY: int(r.y), MaxX: int(r.x1), MaxY: int(r.y) + 1}})
 		}
 		c := &comps[ci]
-		n := int(r.x1 - r.x0)
-		c.Area += n
+		c.Area += int(r.x1 - r.x0)
 		if int(r.x0) < c.BBox.MinX {
 			c.BBox.MinX = int(r.x0)
 		}
@@ -193,30 +177,38 @@ func floatComponents(diff *plane, tau float64) []component {
 			c.BBox.MaxX = int(r.x1)
 		}
 		c.BBox.MaxY = int(r.y) + 1
-		sum := c.SumContrast
-		for _, v := range contrast[off : off+n] {
-			sum += float64(v)
-		}
-		c.SumContrast = sum
-		off += n
+		c.SumContrast += r.sum
 	}
 
 	out := make([]component, len(comps))
 	copy(out, comps)
 	// Deterministic order: top-left first.
 	sortComponents(out)
-	sc.contrast, sc.runs, sc.parent, sc.comps = contrast[:0], runs[:0], parent[:0], comps[:0]
+	sc.runs, sc.parent, sc.comps = runs[:0], parent[:0], comps[:0]
 	return out
 }
 
-// abs32 is the threshold stage's |v| with the sign bit masked off instead
-// of tested: difference planes are mostly zero-mean noise, so a sign branch
-// mispredicts on every other pixel. It differs from absMask's
-// `if v < 0 { v = -v }` only on -0 (here +0), and no consumer can tell
-// those apart: neither exceeds a threshold the other does not, and a
-// float64 sum that starts at +0 is the same after adding either.
-func abs32(v float32) float32 {
-	return math.Float32frombits(math.Float32bits(v) &^ (1 << 31))
+// smoothRow writes one row of the 3x3 box denoise of a plane into out: cur
+// is the row, prev and next its neighbours (a row of +0 beyond an edge) and
+// cy the number of them in bounds. The slices are cut to one length so the
+// loop carries no bounds checks.
+func smoothRow(out, cur, prev, next []float32, cy int) {
+	out, prev, next = out[:len(cur)], prev[:len(cur)], next[:len(cur)]
+	if len(cur) == 1 {
+		out[0] = (cur[0] + prev[0] + next[0]) / float32(cy)
+		return
+	}
+	inv2 := 1 / float32(2*cy)
+	inv3 := 1 / float32(3*cy)
+	a := cur[0] + prev[0] + next[0]
+	b := cur[1] + prev[1] + next[1]
+	out[0] = (a + b) * inv2
+	for x := 2; x < len(cur); x++ {
+		c := cur[x] + prev[x] + next[x]
+		out[x-1] = (a + b + c) * inv3
+		a, b = b, c
+	}
+	out[len(out)-1] = (a + b) * inv2
 }
 
 func sortComponents(cs []component) {

@@ -150,6 +150,29 @@ func TestFloatComponentsMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestFloatComponentsRunSumsExact is the exactness argument of
+// floatComponents' run sums as a property: random signed planes in [-1, 1],
+// at odd sizes and once at a full 640x640 model input, at the smallest
+// threshold the argument covers (2^-9, where nearly every pixel is masked
+// and one component sums most of the plane), the lowest model floor and a
+// sparse one. Each component's SumContrast must equal the pixel labeller's
+// raster-order sum bit for bit.
+func TestFloatComponentsRunSumsExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	type dims struct{ w, h int }
+	sizes := []dims{{640, 640}, {1, 1}, {1, 33}, {33, 1}, {3, 5}, {17, 9}, {101, 57}}
+	for i := 0; i < 8; i++ {
+		sizes = append(sizes, dims{1 + 2*rng.Intn(100), 1 + 2*rng.Intn(100)})
+	}
+	for _, d := range sizes {
+		for _, tau := range []float64{1.0 / 512, 0.035, 0.2} {
+			p := shapePlane(d.w, d.h, func(x, y int) float32 { return rng.Float32()*2 - 1 })
+			p.v[0], p.v[len(p.v)-1] = 1, -1
+			requireSameComponents(t, "random signed", p, tau)
+		}
+	}
+}
+
 // TestFloatComponentsTiedOrder pins the one ordering rule a run labeller
 // could get wrong without changing any component: two components that tie
 // on (MinY, MinX, Area) keep first-appearance order through the stable sort.
@@ -205,6 +228,14 @@ func realObjects(v *scene.Video, m *Model, frames, limit int) []frameObject {
 // for buffer: one pooled image or plane per stage, an in-place AddNoise, a
 // separate difference plane, and the three whole-plane back-half stages.
 func patchComponentsFloatOracle(v *scene.Video, frameIdx, p int, obj *scene.Object, region raster.Rect, tw, th int, sigmaEff, tau float64) []component {
+	diff := patchDiffOracle(v, frameIdx, p, obj, region, tw, th, sigmaEff)
+	defer putPlane(diff)
+	return oracleComponents(diff, tau)
+}
+
+// patchDiffOracle is the historical patch pipeline up to the difference
+// plane the back half reads. Release it with putPlane.
+func patchDiffOracle(v *scene.Video, frameIdx, p int, obj *scene.Object, region raster.Rect, tw, th int, sigmaEff float64) *plane {
 	nativePatch := raster.GetScratch(region.W(), region.H())
 	v.RenderRegionInto(nativePatch, frameIdx, region)
 	patch := raster.GetScratch(tw, th)
@@ -222,15 +253,15 @@ func patchComponentsFloatOracle(v *scene.Video, frameIdx, p int, obj *scene.Obje
 		raster.PutScratch(bgPatch)
 	}
 	raster.PutScratch(nativePatch)
-	defer putPlane(diff)
-	return oracleComponents(diff, tau)
+	return diff
 }
 
 // patchCases are the float pipeline's patch shapes: upsampled (608 from a
 // 320-pixel corpus: bilinear resample), native, downsampled from 320 and
 // from 640 (at 608, the near-identity box of the 640-pixel corpus's pixel
 // axes, clean and blurred, where an object outside a patch spills into it),
-// and the face model's border-difference patches.
+// the face model's border-difference patches and extra sensor noise, the
+// setting with the most noise runs and components.
 var patchCases = []struct {
 	name, corpus string
 	view         scene.View
@@ -245,6 +276,7 @@ var patchCases = []struct {
 	{"down608-from640", "mvi-40775", scene.View{}, YOLOv4Sim, 608, true},
 	{"blur9-down608-from640", "mvi-40775", scene.View{BlurLen: 9}, YOLOv4Sim, 608, false},
 	{"faces320", "small", scene.View{}, MTCNNSim, 320, false},
+	{"noise05-up608-from320", "small", scene.View{ExtraNoise: 0.05}, YOLOv4Sim, 608, true},
 }
 
 // TestPatchComponentsFloatMatchesOracle compares the whole production patch
@@ -359,26 +391,55 @@ func BenchmarkPatchComponentsFloat(b *testing.B) {
 	}
 }
 
-// BenchmarkFloatComponents isolates the back half on a patch-sized plane
-// with a few blobs.
+// BenchmarkFloatComponents isolates the back half, kernel against the
+// oracle triple: on a synthetic patch-sized plane with a few blobs, and on
+// the difference planes of real patches (the upsampled, the near-identity
+// box and the extra-noise shapes), one plane per iteration.
 func BenchmarkFloatComponents(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
-	p := shapePlane(120, 80, func(x, y int) float32 {
+	synthetic := shapePlane(120, 80, func(x, y int) float32 {
 		v := (rng.Float32()*2 - 1) * 0.02
 		if (x/20+y/20)%3 == 0 {
 			v += 0.3
 		}
 		return v
 	})
-	for _, k := range []struct {
-		name string
-		fn   func(*plane, float64) []component
-	}{{"kernel", floatComponents}, {"oracle", oracleComponents}} {
-		b.Run(k.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				k.fn(p, 0.04)
-			}
-		})
+	type planeSet struct {
+		name   string
+		planes []*plane
+		tau    float64
+	}
+	sets := []planeSet{{"synthetic", []*plane{synthetic}, 0.04}}
+	for _, c := range patchCases {
+		switch c.name {
+		case "up608-from320", "down608-from640", "noise05-up608-from320":
+		default:
+			continue
+		}
+		v := dataset.MustLoad(c.corpus).WithView(c.view)
+		m := c.model()
+		sx := float64(c.p) / float64(v.Config.Width)
+		sy := float64(c.p) / float64(v.Config.Height)
+		sigmaEff := effectiveNoise(float64(v.Config.Lighting.NoiseSigma), sx)
+		var planes []*plane
+		for _, fo := range realObjects(v, m, 400, 64) {
+			region := patchRegion(&v.Config, fo.obj, sx, sy)
+			tw, th := patchDims(region, sx, sy)
+			planes = append(planes, patchDiffOracle(v, fo.frame, c.p, fo.obj, region, tw, th, sigmaEff))
+		}
+		sets = append(sets, planeSet{c.name, planes, m.threshold(sigmaEff)})
+	}
+	for _, set := range sets {
+		for _, k := range []struct {
+			name string
+			fn   func(*plane, float64) []component
+		}{{"kernel", floatComponents}, {"oracle", oracleComponents}} {
+			b.Run(set.name+"/"+k.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					k.fn(set.planes[i%len(set.planes)], set.tau)
+				}
+			})
+		}
 	}
 }

@@ -27,6 +27,7 @@ func TestGoldenDetections(t *testing.T) {
 		blur9 = scene.View{BlurLen: 9}
 		quant = scene.View{Levels: 16}
 		occl  = scene.View{Occlusion: 0.1}
+		noise = scene.View{ExtraNoise: 0.05}
 	)
 	cases := []struct {
 		name, corpus string
@@ -58,6 +59,12 @@ func TestGoldenDetections(t *testing.T) {
 		{"mvi-40775/yolo/608/OCCLUDE 0.1", "mvi-40775", occl, YOLOv4Sim(), 608, 300, false, "2f2a9fc4ba8f80fd74599d8c8e96c9ba0cbae4e54038f160410353e0ed301b33"},
 		{"mvi-40775/yolo/96/OCCLUDE 0.1", "mvi-40775", occl, YOLOv4Sim(), 96, 300, false, "54a99abb31455d712315d6b5ded19624740e267bdeb817db52efbc4df152bf0a"},
 		{"small/yolo/608/OCCLUDE 0.1", "small", occl, YOLOv4Sim(), 608, 150, false, "ed27f1ae82845e2d0289aee6ad6cf747e372aac418268f645c5e43f0e8a36178"},
+		// Extra sensor noise, captured on 91efcdf before the noise row kernel
+		// and the run-sum labeller: the axis with the most noise runs and
+		// components per patch.
+		{"small/yolo/608/NOISE 0.05", "small", noise, YOLOv4Sim(), 608, 150, false, "c22c187c5d9aca564192822b306185b3f356f7b2f8aa7374955f7f7acded2d29"},
+		{"mvi-40775/yolo/608/NOISE 0.05", "mvi-40775", noise, YOLOv4Sim(), 608, 300, false, "aa4cb4bb7092ca7f6a6afccc9d0ae89de6c2f01d537e2213463de7952169da0a"},
+		{"mvi-40775/yolo/96/NOISE 0.05", "mvi-40775", noise, YOLOv4Sim(), 96, 300, false, "7fba05474c23fd644c68f46ce4653b386a99c9b308f08f7eb86eb7661908b738"},
 	}
 	tieFrames := 0
 	for _, c := range cases {

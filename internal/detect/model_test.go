@@ -153,6 +153,25 @@ func TestThresholdFloor(t *testing.T) {
 	}
 }
 
+// TestMinContrastKeepsRunSumsExact pins what floatComponents' run sums rely
+// on to equal the pixel labeller's raster-order sums bit for bit: every
+// model's threshold floor is at least 2^-9, and its largest input plane has
+// fewer than 2^20 pixels.
+func TestMinContrastKeepsRunSumsExact(t *testing.T) {
+	for _, name := range []string{"yolov4", "mask-rcnn", "mtcnn"} {
+		m, err := ModelByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.MinContrast < 1.0/512 {
+			t.Errorf("%s: MinContrast %v below 2^-9", name, m.MinContrast)
+		}
+		if m.NativeInput*m.NativeInput >= 1<<20 {
+			t.Errorf("%s: a %d-pixel input plane has 2^20 pixels or more", name, m.NativeInput)
+		}
+	}
+}
+
 func TestEffectiveNoise(t *testing.T) {
 	if got := effectiveNoise(0.04, 0.5); got != 0.02 {
 		t.Fatalf("effectiveNoise = %v, want 0.02", got)

@@ -20,7 +20,9 @@ func (m *Image) FillRect(r Rect, v float32) {
 }
 
 // FillEllipse paints a filled ellipse inscribed in r with intensity v and a
-// one-pixel soft edge.
+// one-pixel soft edge. dx² is tabled per column and dy² taken per row, each
+// the expression the per-pixel form (fillEllipseNaive, the test oracle)
+// evaluates per pixel, so every sample is bit-identical to it.
 func (m *Image) FillEllipse(r Rect, v float32) {
 	if r.Empty() {
 		return
@@ -32,19 +34,26 @@ func (m *Image) FillEllipse(r Rect, v float32) {
 		return
 	}
 	clip := r.Intersect(RectWH(0, 0, m.W, m.H))
+	dx2 := getF64(clip.W())
+	defer putF64(dx2)
+	for i := range dx2 {
+		dx := (float64(clip.MinX+i) + 0.5 - cx) / rx
+		dx2[i] = dx * dx
+	}
 	for y := clip.MinY; y < clip.MaxY; y++ {
-		for x := clip.MinX; x < clip.MaxX; x++ {
-			dx := (float64(x) + 0.5 - cx) / rx
-			dy := (float64(y) + 0.5 - cy) / ry
-			d := math.Sqrt(dx*dx + dy*dy)
+		dy := (float64(y) + 0.5 - cy) / ry
+		dy2 := dy * dy
+		row := m.Pix[y*m.W+clip.MinX : y*m.W+clip.MaxX]
+		for i, dx2 := range dx2 {
+			d := math.Sqrt(dx2 + dy2)
 			switch {
 			case d <= 0.92:
-				m.Set(x, y, v)
+				row[i] = clamp01(v)
 			case d <= 1.0:
 				// Soft edge: linear falloff blended over background.
 				t := float32((1.0 - d) / 0.08)
-				old := m.At(x, y)
-				m.Set(x, y, old+(v-old)*t)
+				old := row[i]
+				row[i] = clamp01(old + (v-old)*t)
 			}
 		}
 	}
@@ -88,13 +97,14 @@ func (m *Image) AddNoise(seed uint64, sigma float32) {
 	if sigma <= 0 {
 		return
 	}
-	scale := sigma / 0.5
+	// noiseRow subtracts a background row, and x - (+0) is x bit for bit.
+	zero := GetScratch(m.W, 1)
+	defer PutScratch(zero)
+	clear(zero.Pix)
+	step := noiseStep * (sigma / 0.5)
 	for y := 0; y < m.H; y++ {
 		row := m.Pix[y*m.W : (y+1)*m.W]
-		rowTerm := pixelHashRow(seed, y)
-		for x := range row {
-			row[x] = clamp01(row[x] + noiseUnit(pixelHashAt(rowTerm, x))*scale)
-		}
+		noiseRow(row, row, zero.Pix, pixelHashRow(seed, y), step)
 	}
 }
 
@@ -114,29 +124,38 @@ func (m *Image) NoisyDiffInto(dst []float32, bg *Image, seed uint64, sigma float
 		}
 		return
 	}
-	scale := sigma / 0.5
+	step := noiseStep * (sigma / 0.5)
 	for y := 0; y < m.H; y++ {
-		row := m.Pix[y*m.W : (y+1)*m.W]
-		bgRow := bg.Pix[y*m.W : (y+1)*m.W]
-		out := dst[y*m.W : (y+1)*m.W]
-		rowTerm := pixelHashRow(seed, y)
-		for x, v := range row {
-			out[x] = clamp01(v+noiseUnit(pixelHashAt(rowTerm, x))*scale) - bgRow[x]
-		}
+		lo, hi := y*m.W, (y+1)*m.W
+		noiseRow(dst[lo:hi], m.Pix[lo:hi], bg.Pix[lo:hi], pixelHashRow(seed, y), step)
 	}
 }
 
-// noiseUnit maps a pixel hash to an Irwin–Hall(3) sample with sd 0.5: the
-// sum of three uniforms in [-0.5, 0.5) drawn from the hash's 21-bit fields.
-// Each uniform is k·2^-21 - 0.5 and every partial sum is a multiple of 2^-21
-// below 2^2, so all of it is exact in float32; summing the fields as
-// integers and converting once is therefore bit-identical to converting
-// each field and adding in float (noiseUnitNaive, the test oracle) at a
-// third of the int-to-float conversions.
-func noiseUnit(h uint64) float32 {
-	const invU = float32(1) / float32(1<<21)
-	k := int32(h&0x1fffff) + int32((h>>21)&0x1fffff) + int32((h>>42)&0x1fffff)
-	return float32(k-3*(1<<20)) * invU
+// noiseRow is the one noise kernel: out[x] = clamp01(in[x] + noise) - bg[x]
+// over one row (out may be in), noise being the pixel's Irwin–Hall(3) sum
+// noiseSum times step = 2^-21·(sigma/0.5). The historical form (the oracle
+// noiseUnitNaive) converted and centred each 21-bit uniform, added them in
+// float32 and scaled the unit; every partial sum is a multiple of 2^-21 below
+// 2^2, exact in float32, and multiplying by 2^-21 is exact, so both forms
+// round the same exact product once (for sigma >= 2^-106, where step is a
+// normal float32). Kept out of line with rows cut to one length, its loop
+// holds only the hash state and three row pointers, with no bounds checks.
+//
+//go:noinline
+func noiseRow(out, in, bg []float32, rowTerm uint64, step float32) {
+	in, bg = in[:len(out)], bg[:len(out)]
+	for x := range out {
+		out[x] = clamp01(in[x]+float32(noiseSum(pixelHashAt(rowTerm, x)))*step) - bg[x]
+	}
+}
+
+// noiseStep is the unit of noiseSum: one step of a 21-bit uniform.
+const noiseStep = float32(1) / float32(1<<21)
+
+// noiseSum is the Irwin–Hall(3) sample of a pixel hash in units of
+// noiseStep: its three 21-bit fields summed and centred.
+func noiseSum(h uint64) int32 {
+	return int32(h&0x1fffff) + int32((h>>21)&0x1fffff) + int32((h>>42)&0x1fffff) - 3*(1<<20)
 }
 
 // pixelHash mixes a seed with pixel coordinates into 64 well-distributed

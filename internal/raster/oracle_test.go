@@ -1,6 +1,7 @@
 package raster
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -58,7 +59,11 @@ func bilinearNaiveInto(dst, src *Image) {
 // bilinearInto is the full-range bilinear kernel, the call DownsampleInto
 // makes for a growing axis; the oracle comparisons and golden digests below
 // take it by this name.
-func bilinearInto(dst, src *Image) { bilinearRowsInto(dst, src, RectWH(0, 0, src.W, src.H), 0, dst.H) }
+func bilinearInto(dst, src *Image) {
+	t := &resampleTables{sw: src.W, sh: src.H, w: dst.W, h: dst.H, srcRows: make([]rowSpan, dst.H)}
+	t.buildBilinear()
+	bilinearRowsInto(dst, src, RectWH(0, 0, src.W, src.H), 0, dst.H, t)
+}
 
 // axisWindow is, for one destination column, the continuous source window
 // [lo, hi) of the prefix-sum box kernel: the window integral is
@@ -156,6 +161,40 @@ func resampleReference(dst, src *Image) {
 		downsamplePrefixInto(dst, src)
 	}
 }
+
+// fillEllipseNaive is the historical FillEllipse: both normalised offsets
+// divided out for every pixel.
+func (m *Image) fillEllipseNaive(r Rect, v float32) {
+	if r.Empty() {
+		return
+	}
+	cx, cy := r.Center()
+	rx := float64(r.W()) / 2
+	ry := float64(r.H()) / 2
+	if rx <= 0 || ry <= 0 {
+		return
+	}
+	clip := r.Intersect(RectWH(0, 0, m.W, m.H))
+	for y := clip.MinY; y < clip.MaxY; y++ {
+		for x := clip.MinX; x < clip.MaxX; x++ {
+			dx := (float64(x) + 0.5 - cx) / rx
+			dy := (float64(y) + 0.5 - cy) / ry
+			d := math.Sqrt(dx*dx + dy*dy)
+			switch {
+			case d <= 0.92:
+				m.Set(x, y, v)
+			case d <= 1.0:
+				t := float32((1.0 - d) / 0.08)
+				old := m.At(x, y)
+				m.Set(x, y, old+(v-old)*t)
+			}
+		}
+	}
+}
+
+// noiseUnit is the Irwin–Hall(3) sample with sd 0.5 that noiseRow scales:
+// noiseSum converted once.
+func noiseUnit(h uint64) float32 { return float32(noiseSum(h)) * noiseStep }
 
 // noiseUnitNaive is the historical Irwin–Hall evaluation: each 21-bit field
 // converted and centred on its own, then added in float32.
@@ -284,6 +323,32 @@ func TestAddNoiseMatchesReference(t *testing.T) {
 			}
 			requireSameBits(t, "NoisyDiffInto", diff, want.Pix)
 		}
+	}
+}
+
+// TestFillEllipseMatchesNaive compares the tabled ellipse with the per-pixel
+// form bit for bit over random rectangles inside, across and wholly outside
+// the image, degenerate ones (empty, one pixel wide or high, inverted) and
+// out-of-range intensities, drawn over a textured image so the soft edge
+// blends real samples.
+func TestFillEllipseMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	rects := []Rect{
+		RectWH(0, 0, 1, 1), RectWH(3, 3, 1, 9), RectWH(3, 3, 9, 1), RectWH(5, 5, 0, 4),
+		{MinX: 9, MinY: 9, MaxX: 2, MaxY: 2}, RectWH(-30, -20, 15, 10), RectWH(-5, -7, 80, 70),
+		RectWH(60, 40, 30, 30), RectWH(2, 3, 2, 3),
+	}
+	for i := 0; i < 300; i++ {
+		x, y := rng.Intn(100)-20, rng.Intn(80)-20
+		rects = append(rects, RectWH(x, y, rng.Intn(60), rng.Intn(50)))
+	}
+	for i, r := range rects {
+		src := randomImage(rng, 64+rng.Intn(9), 48+rng.Intn(9))
+		v := []float32{0.7, 0, 1, 1.4, -0.3}[i%5]
+		want, got := src.Clone(), src.Clone()
+		want.fillEllipseNaive(r, v)
+		got.FillEllipse(r, v)
+		requireSameBits(t, fmt.Sprintf("FillEllipse %+v v=%v", r, v), got.Pix, want.Pix)
 	}
 }
 

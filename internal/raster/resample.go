@@ -2,6 +2,7 @@ package raster
 
 import (
 	"slices"
+	"sort"
 	"sync"
 )
 
@@ -74,17 +75,51 @@ func resampleInto(dst, src *Image, r Rect, lo, hi int) {
 		for y := lo; y < hi; y++ {
 			copy(dst.Pix[y*w:(y+1)*w], regionRow(src, r, y))
 		}
-	case w > r.W() || h > r.H():
-		bilinearRowsInto(dst, src, r, lo, hi)
 	default:
-		boxRowsInto(dst, src, r, lo, hi)
+		t := getTables(r.W(), r.H(), w, h)
+		defer tablesPool.Put(t)
+		if w > r.W() || h > r.H() {
+			bilinearRowsInto(dst, src, r, lo, hi, t)
+		} else {
+			boxRowsInto(dst, src, r, lo, hi, t)
+		}
 	}
 }
 
-// regionRow is row y of the rectangle r of img.
-func regionRow(img *Image, r Rect, y int) []float32 {
-	o := (r.MinY+y)*img.W + r.MinX
-	return img.Pix[o : o+r.W()]
+// resampleTables is what a resample of one shape (a sw x sh source rectangle
+// to w x h) tables, and its kernel's scratch, pooled with the shape it was
+// built for: a detector patch resamples one shape two to four times (its
+// background, then each object band), a camera session once per frame.
+type resampleTables struct {
+	sw, sh, w, h int
+	srcRows      []rowSpan     // each destination row's source rows
+	edges        []boxEdge     // box: the w+1 column window edges
+	inv          []float64     // box: 1 / each column window's width
+	cols, rows   []bilinearTap // bilinear: each destination column's and row's taps
+	ints         []float64     // box: each source row's integral over each column window
+	taps         []boxTap      // box: the current destination row's source rows
+	blend        []float32     // bilinear: two source rows blended at every column
+}
+
+// rowSpan is the source rows [lo, hi) one destination row reads.
+type rowSpan struct{ lo, hi int32 }
+
+var tablesPool = sync.Pool{New: func() any { return new(resampleTables) }}
+
+// getTables returns pooled tables for sw x sh -> w x h, built unless they
+// were last built for that shape. Return them to tablesPool.
+func getTables(sw, sh, w, h int) *resampleTables {
+	t := tablesPool.Get().(*resampleTables)
+	if t.sw != sw || t.sh != sh || t.w != w || t.h != h {
+		t.sw, t.sh, t.w, t.h = sw, sh, w, h
+		t.srcRows = slices.Grow(t.srcRows[:0], h)[:h]
+		if w > sw || h > sh {
+			t.buildBilinear()
+		} else {
+			t.buildBox()
+		}
+	}
+	return t
 }
 
 // SourceRows returns the source rows [slo, shi) that destination rows
@@ -92,23 +127,27 @@ func regionRow(img *Image, r Rect, y int) []float32 {
 // with the destination row, so a band of destination rows reads one band of
 // source rows.
 func SourceRows(dst, src *Image, lo, hi int) (slo, shi int) {
-	return sourceRows(dst.W > src.W || dst.H > src.H, src.H, dst.H, lo, hi)
+	t := getTables(src.W, src.H, dst.W, dst.H)
+	defer tablesPool.Put(t)
+	return int(t.srcRows[lo].lo), int(t.srcRows[hi-1].hi)
 }
 
-// sourceRows is SourceRows for a source of sh rows resampled to h rows,
-// bilinearly when up.
-func sourceRows(up bool, sh, h, lo, hi int) (slo, shi int) {
-	if up {
-		return int(makeBilinearTap(lo, sh, h).i0), int(makeBilinearTap(hi-1, sh, h).i1) + 1
-	}
-	// The box window; at equal size, destination row dy's is source row dy.
-	yRatio := float64(sh) / float64(h)
-	_, _, slo, _ = boxRows(lo, yRatio, sh)
-	y0, y1, iy0, iy1 := boxRows(hi-1, yRatio, sh)
-	if boxWeight(iy1, y0, y1, iy0, iy1) <= 0 {
-		iy1-- // an exact window edge: the kernel skips the row it ends on
-	}
-	return slo, iy1 + 1
+// DestinationRows returns the destination rows [lo, hi) of a resample of src
+// into dst whose SourceRows meet [slo, shi); empty (lo >= hi) when no row
+// reads them, as in a bilinear shrink that samples between them.
+func DestinationRows(dst, src *Image, slo, shi int) (lo, hi int) {
+	t := getTables(src.W, src.H, dst.W, dst.H)
+	defer tablesPool.Put(t)
+	rows := t.srcRows
+	lo = sort.Search(len(rows), func(dy int) bool { return int(rows[dy].hi) > slo })
+	hi = sort.Search(len(rows), func(dy int) bool { return int(rows[dy].lo) >= shi })
+	return lo, hi
+}
+
+// regionRow is row y of the rectangle r of img.
+func regionRow(img *Image, r Rect, y int) []float32 {
+	o := (r.MinY+y)*img.W + r.MinX
+	return img.Pix[o : o+r.W()]
 }
 
 // boxRows returns destination row dy's continuous source window [y0, y1)
@@ -146,21 +185,36 @@ type boxEdge struct {
 }
 
 // boxTap is one source row of a destination row's window: the offset of its
-// column integrals in boxScratch.ints and its weight.
+// column integrals in resampleTables.ints and its weight.
 type boxTap struct {
 	off int
 	wy  float64
 }
 
-// boxScratch is everything one boxRowsInto call tables, pooled as one.
-type boxScratch struct {
-	edges []boxEdge // the w+1 column window edges
-	inv   []float64 // 1 / each column window's width
-	ints  []float64 // each source row's integral over each column window
-	taps  []boxTap  // the current destination row's source rows
+// buildBox tables the box kernel's column window edges and widths, and each
+// destination row's window rows (at equal size, its source row).
+func (t *resampleTables) buildBox() {
+	sw, sh, w, h := t.sw, t.sh, t.w, t.h
+	t.edges = slices.Grow(t.edges[:0], w+1)[:w+1]
+	t.inv = slices.Grow(t.inv[:0], w)[:w]
+	ratio := float64(sw) / float64(w)
+	for k := range t.edges {
+		x := float64(k) * ratio
+		i := min(int(x), sw-1)
+		t.edges[k] = boxEdge{i: i, f: x - float64(i)}
+	}
+	for dx := range t.inv {
+		t.inv[dx] = 1 / (float64(dx+1)*ratio - float64(dx)*ratio)
+	}
+	yRatio := float64(sh) / float64(h)
+	for dy := range t.srcRows {
+		y0, y1, iy0, iy1 := boxRows(dy, yRatio, sh)
+		if boxWeight(iy1, y0, y1, iy0, iy1) <= 0 {
+			iy1-- // an exact window edge: the kernel skips the row it ends on
+		}
+		t.srcRows[dy] = rowSpan{int32(iy0), int32(iy1 + 1)}
+	}
 }
-
-var boxScratchPool = sync.Pool{New: func() any { return new(boxScratch) }}
 
 // boxRowsInto is the box kernel over destination rows [lo, hi) of the
 // rectangle r of src; it integrates only the source rows those rows read.
@@ -177,26 +231,12 @@ var boxScratchPool = sync.Pool{New: func() any { return new(boxScratch) }}
 // order — advance together. Vertical pass: each column accumulates its
 // window's source rows with the boundary weights in a register, in source
 // row order, then normalises by the two window widths.
-func boxRowsInto(dst, src *Image, r Rect, lo, hi int) {
+func boxRowsInto(dst, src *Image, r Rect, lo, hi int, t *resampleTables) {
 	w, h := dst.W, dst.H
-	sw, sh := r.W(), r.H()
-	slo, shi := sourceRows(false, sh, h, lo, hi)
-
-	sc := boxScratchPool.Get().(*boxScratch)
-	defer boxScratchPool.Put(sc)
-	sc.edges = slices.Grow(sc.edges[:0], w+1)[:w+1]
-	sc.inv = slices.Grow(sc.inv[:0], w)[:w]
-	sc.ints = slices.Grow(sc.ints[:0], (shi-slo)*w)[:(shi-slo)*w]
-	edges, inv, ints := sc.edges, sc.inv, sc.ints
-	ratio := float64(sw) / float64(w)
-	for k := range edges {
-		t := float64(k) * ratio
-		i := min(int(t), sw-1)
-		edges[k] = boxEdge{i: i, f: t - float64(i)}
-	}
-	for dx := range inv {
-		inv[dx] = 1 / (float64(dx+1)*ratio - float64(dx)*ratio)
-	}
+	sh := r.H()
+	slo, shi := int(t.srcRows[lo].lo), int(t.srcRows[hi-1].hi)
+	t.ints = slices.Grow(t.ints[:0], (shi-slo)*w)[:(shi-slo)*w]
+	edges, inv, ints := t.edges, t.inv, t.ints
 
 	for sy := slo; sy < shi; sy += 2 {
 		sy1 := min(sy+1, shi-1) // an odd last row pairs with itself
@@ -206,13 +246,13 @@ func boxRowsInto(dst, src *Image, r Rect, lo, hi int) {
 	yRatio := float64(sh) / float64(h)
 	for dy := lo; dy < hi; dy++ {
 		y0, y1, iy0, iy1 := boxRows(dy, yRatio, sh)
-		taps := sc.taps[:0]
+		taps := t.taps[:0]
 		for sy := iy0; sy <= iy1; sy++ {
 			if wy := boxWeight(sy, y0, y1, iy0, iy1); wy > 0 {
 				taps = append(taps, boxTap{off: (sy - slo) * w, wy: wy})
 			}
 		}
-		sc.taps = taps
+		t.taps = taps
 		invY := 1 / (y1 - y0)
 		out := dst.Pix[dy*w : (dy+1)*w]
 		if len(taps) == 2 {
@@ -351,10 +391,18 @@ func makeBilinearTap(d, srcN, dstN int) bilinearTap {
 	return bilinearTap{i0: int32(i0), i1: int32(i1), f: f}
 }
 
-// bilinearTable is the pooled per-call column-tap table of bilinearRowsInto.
-type bilinearTable struct{ cols []bilinearTap }
-
-var bilinearTablePool = sync.Pool{New: func() any { return &bilinearTable{} }}
+// buildBilinear tables the bilinear kernel's column and row taps.
+func (t *resampleTables) buildBilinear() {
+	t.cols = slices.Grow(t.cols[:0], t.w)[:t.w]
+	t.rows = slices.Grow(t.rows[:0], t.h)[:t.h]
+	for dx := range t.cols {
+		t.cols[dx] = makeBilinearTap(dx, t.sw, t.w)
+	}
+	for dy := range t.rows {
+		t.rows[dy] = makeBilinearTap(dy, t.sh, t.h)
+		t.srcRows[dy] = rowSpan{t.rows[dy].i0, t.rows[dy].i1 + 1}
+	}
+}
 
 // bilinearRowsInto resizes destination rows [lo, hi) of the rectangle r of
 // src with bilinear interpolation; used for the upsampling path (rendering
@@ -364,32 +412,22 @@ var bilinearTablePool = sync.Pool{New: func() any { return &bilinearTable{} }}
 // clamp).
 //
 // The per-pixel form (bilinearNaiveInto, the test oracle) re-derives the
-// float64 column coordinate and blends both source rows horizontally for
-// every destination pixel. Here the column taps are tabled once per call —
-// as the box kernel tables its window edges — and each source row's
+// float64 coordinates and blends both source rows horizontally for every
+// destination pixel. Here the column and row taps are tabled once per shape
+// — as the box kernel tables its window edges — and each source row's
 // horizontal blend is computed once and reused by every destination row
 // that reads it (an upsample revisits a source row about scale times, and
 // the lower row of one pair is the upper row of the next). Every blend is
 // the same expression on the same float32 operands as the per-pixel form,
 // so every sample is bit-identical to it.
-func bilinearRowsInto(dst, src *Image, r Rect, lo, hi int) {
-	w, h := dst.W, dst.H
-	sw, sh := r.W(), r.H()
-	tab := bilinearTablePool.Get().(*bilinearTable)
-	defer bilinearTablePool.Put(tab)
-	if cap(tab.cols) < w {
-		tab.cols = make([]bilinearTap, w)
-	}
-	cols := tab.cols[:w]
-	for dx := range cols {
-		cols[dx] = makeBilinearTap(dx, sw, w)
-	}
-	blends := GetScratch(w, 2)
-	defer PutScratch(blends)
-	tops, bots := blends.Pix[:w], blends.Pix[w:]
+func bilinearRowsInto(dst, src *Image, r Rect, lo, hi int, t *resampleTables) {
+	w := dst.W
+	cols := t.cols
+	t.blend = slices.Grow(t.blend[:0], 2*w)[:2*w]
+	tops, bots := t.blend[:w], t.blend[w:]
 	topY, botY := -1, -1 // the source rows tops and bots hold
 	for dy := lo; dy < hi; dy++ {
-		ty := makeBilinearTap(dy, sh, h)
+		ty := t.rows[dy]
 		y0, y1, fy := int(ty.i0), int(ty.i1), ty.f
 		if y0 == botY {
 			tops, bots, topY, botY = bots, tops, botY, topY

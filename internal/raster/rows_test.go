@@ -123,3 +123,45 @@ func FuzzResampleRows(f *testing.F) {
 		checkResampleRows(t, src, RectWH(x0, y0, w, h), tw, th, a, b)
 	})
 }
+
+// TestDestinationRowsInvertsSourceRows: for every source band of random
+// shapes — box, bilinear (including a bilinear shrink of one axis, which
+// reads no destination row for some source rows) and equal size —
+// DestinationRows names exactly the destination rows whose SourceRows meet
+// the band, found by asking every row.
+func TestDestinationRowsInvertsSourceRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	type dims struct{ sw, sh, dw, dh int }
+	cases := []dims{{320, 320, 160, 160}, {640, 640, 608, 608}, {320, 320, 608, 608}, {40, 90, 60, 13}, {31, 31, 31, 31}, {1, 1, 3, 3}}
+	for i := 0; i < 20; i++ {
+		cases = append(cases, dims{1 + rng.Intn(120), 1 + rng.Intn(120), 1 + rng.Intn(160), 1 + rng.Intn(160)})
+	}
+	for _, c := range cases {
+		src, dst := New(c.sw, c.sh), New(c.dw, c.dh)
+		for n := 0; n < 20; n++ {
+			a := rng.Intn(c.sh)
+			b := a + 1 + rng.Intn(c.sh-a)
+			wantLo, wantHi := -1, -1
+			for dy := 0; dy < c.dh; dy++ {
+				if slo, shi := SourceRows(dst, src, dy, dy+1); slo < b && shi > a {
+					if wantLo < 0 {
+						wantLo = dy
+					} else if wantHi != dy {
+						t.Fatalf("%+v rows [%d,%d): destination rows reading them are not one run", c, a, b)
+					}
+					wantHi = dy + 1
+				}
+			}
+			lo, hi := DestinationRows(dst, src, a, b)
+			if wantLo < 0 {
+				if lo < hi {
+					t.Fatalf("%+v rows [%d,%d): DestinationRows [%d,%d), no row reads them", c, a, b, lo, hi)
+				}
+				continue
+			}
+			if lo != wantLo || hi != wantHi {
+				t.Fatalf("%+v rows [%d,%d): DestinationRows [%d,%d), want [%d,%d)", c, a, b, lo, hi, wantLo, wantHi)
+			}
+		}
+	}
+}

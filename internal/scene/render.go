@@ -149,31 +149,30 @@ func (v *Video) ResampleObjectRowsInto(dst *raster.Image, i int, region raster.R
 	region = v.clipRegion(region, "ResampleObjectRowsInto")
 	native := raster.GetScratch(region.W(), region.H()) // only the bands' source rows are ever written
 	defer raster.PutScratch(native)
+	// The destination rows each object's rows reach, merged into bands:
+	// maximal runs of rows that read an object row.
+	var spans [16][2]int
+	bands := spans[:0]
 	reach := v.blurSource(region)
-	covered := make([]bool, region.H())
 	for _, obj := range v.Frame(i).Objects {
-		if !obj.BBox.Intersect(reach).Empty() {
-			for y := max(obj.BBox.MinY, region.MinY); y < min(obj.BBox.MaxY, region.MaxY); y++ {
-				covered[y-region.MinY] = true
-			}
+		if obj.BBox.Intersect(reach).Empty() {
+			continue
+		}
+		lo, hi := raster.DestinationRows(dst, native, max(obj.BBox.MinY, region.MinY)-region.MinY, min(obj.BBox.MaxY, region.MaxY)-region.MinY)
+		if lo < hi {
+			bands = append(bands, [2]int{lo, hi})
 		}
 	}
-	touched := func(dy int) bool {
-		slo, shi := raster.SourceRows(dst, native, dy, dy+1)
-		return slices.Contains(covered[slo:shi], true)
-	}
-	for lo := 0; lo < dst.H; lo++ {
-		hi := lo
-		for hi < dst.H && touched(hi) {
-			hi++
+	slices.SortFunc(bands, func(a, b [2]int) int { return a[0] - b[0] })
+	for k := 0; k < len(bands); {
+		lo, hi := bands[k][0], bands[k][1]
+		for k++; k < len(bands) && bands[k][0] <= hi; k++ {
+			hi = max(hi, bands[k][1])
 		}
-		if hi > lo { // a band of touched rows, and hi is untouched
-			slo, shi := raster.SourceRows(dst, native, lo, hi)
-			band := &raster.Image{W: native.W, H: shi - slo, Pix: native.Pix[slo*native.W : shi*native.W]}
-			v.renderRegionInto(band, i, raster.Rect{MinX: region.MinX, MinY: region.MinY + slo, MaxX: region.MaxX, MaxY: region.MinY + shi})
-			raster.ResampleRowsInto(dst, native, lo, hi)
-			lo = hi
-		}
+		slo, shi := raster.SourceRows(dst, native, lo, hi)
+		band := &raster.Image{W: native.W, H: shi - slo, Pix: native.Pix[slo*native.W : shi*native.W]}
+		v.renderRegionInto(band, i, raster.Rect{MinX: region.MinX, MinY: region.MinY + slo, MaxX: region.MaxX, MaxY: region.MinY + shi})
+		raster.ResampleRowsInto(dst, native, lo, hi)
 	}
 }
 
