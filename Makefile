@@ -72,10 +72,11 @@ test-race:
 		./internal/codec/ ./internal/dataset/ ./internal/evaluate/
 	$(GO) test -race -run 'Parallel' ./internal/experiments/
 
-# Short fuzz pass over the decoders whose inputs can be torn or
-# tampered: the store's JSON envelope (and the memory-only admission gate
-# fleet entry nodes put it behind), the SOUT v2 column tables, the
-# transport framing the streaming ingest trusts from the network, the
+# Short fuzz pass over the decoders and parsers whose inputs can be torn,
+# tampered or mistyped: the store's JSON envelope (and the memory-only
+# admission gate fleet entry nodes put it behind), the query language's
+# parser (it must not panic, and a query's canonical form must parse back
+# to itself), the transport framing the streaming ingest trusts from the network, the
 # frame records inside it (decoded with pooled inflate state), the
 # smokevet suppression-comment grammar (the lint gate's own input
 # surface), the fused float kernel against its retained oracle, and the
@@ -90,7 +91,7 @@ test-race:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEnvelopeDecode -fuzztime 10s ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzAdmitEnvelope -fuzztime 10s ./internal/store/
-	$(GO) test -run '^$$' -fuzz FuzzOutputsDecode -fuzztime 10s ./internal/outputs/
+	$(GO) test -run '^$$' -fuzz FuzzQueryParse -fuzztime 10s ./internal/query/
 	$(GO) test -run '^$$' -fuzz FuzzFloatComponents -fuzztime 10s ./internal/detect/
 	$(GO) test -run '^$$' -fuzz FuzzProbeFrame -fuzztime 10s ./internal/detect/
 	$(GO) test -run '^$$' -fuzz FuzzReceive -fuzztime 10s ./internal/transport/
@@ -134,12 +135,12 @@ bench-kernels:
 	$(GO) test -run xxx -bench 'BenchmarkPresenceScan' -benchmem -count 5 ./internal/outputs/
 
 # Full-scale evaluation reports (the EXPERIMENTS.md numbers). Detector
-# outputs are cached under .cache so reruns are fast.
+# columns live in memory for the one run, so every run is cold (minutes).
 figures:
-	$(GO) run ./cmd/smokebench -out results/ -cache .cache/
+	$(GO) run ./cmd/smokebench -out results/
 
 figures-quick:
-	$(GO) run ./cmd/smokebench -quick -out results-quick/ -cache .cache/
+	$(GO) run ./cmd/smokebench -quick -out results-quick/
 
 # End-to-end profile-service smoke: ephemeral-port daemon, one tiny
 # profile through the CLI's `curve -remote` path, store-hit reuse, the same
@@ -193,4 +194,4 @@ examples: examples-fast
 	$(GO) run ./examples/trafficcount
 
 clean:
-	rm -rf results-quick .cache
+	rm -rf results-quick

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	smokebench [-quick] [-trials N] [-seed S] [-out DIR] [experiment...]
+//	smokebench [-quick] [-trials N] [-seed S] [-out DIR] [-format text|csv] [experiment...]
 //
 // With no experiment arguments every registered experiment runs in
 // presentation order. Use -quick for a fast smoke run (fewer trials and
@@ -12,32 +12,48 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
 
-	"smokescreen/internal/dataset"
 	"smokescreen/internal/experiments"
-	"smokescreen/internal/outputs"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it parses args, runs the experiments and
+// returns the exit status, writing reports to stdout (or -out) and
+// progress and errors to stderr.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("smokebench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		quick  = flag.Bool("quick", false, "reduced trials and sweep points")
-		trials = flag.Int("trials", 0, "trials per measurement point (default: 100, or 8 with -quick)")
-		seed   = flag.Uint64("seed", 20220612, "root randomness seed")
-		outDir = flag.String("out", "", "write one report file per experiment into this directory")
-		format = flag.String("format", "text", "output format: text or csv")
-		cache  = flag.String("cache", "", "warm/save detector output series in this directory across runs")
+		quick  = fs.Bool("quick", false, "reduced trials and sweep points")
+		trials = fs.Int("trials", 0, "trials per measurement point (default: 100, or 8 with -quick)")
+		seed   = fs.Uint64("seed", 20220612, "root randomness seed")
+		outDir = fs.String("out", "", "write one report file per experiment into this directory")
+		format = fs.String("format", "text", "output format: text or csv")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "smokebench:", err)
+		return 1
+	}
 
 	if *format != "text" && *format != "csv" {
-		fatal(fmt.Errorf("unknown format %q (text or csv)", *format))
+		return fail(fmt.Errorf("unknown format %q (text or csv)", *format))
 	}
-	render := func(report *experiments.Report, w *os.File) error {
+	render := func(report *experiments.Report, w io.Writer) error {
 		if *format == "csv" {
 			return report.RenderCSV(w)
 		}
@@ -49,35 +65,35 @@ func main() {
 		cfg = experiments.QuickConfig()
 	}
 	cfg.Seed = *seed
-	if *trials > 0 {
-		cfg.Trials = *trials
-	}
+	// An explicit -trials goes through as given, so a non-positive count
+	// is refused by the experiments rather than replaced by the default.
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "trials" {
+			cfg.Trials = *trials
+		}
+	})
 
-	ids := flag.Args()
+	ids := fs.Args()
 	if len(ids) == 0 {
 		ids = experiments.IDs()
 	}
-	if *cache != "" {
-		warmAll(*cache)
-		defer saveAll(*cache)
-	}
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	}
 
 	for _, id := range ids {
 		start := time.Now()
-		fmt.Fprintf(os.Stderr, "running %s...\n", id)
+		fmt.Fprintf(stderr, "running %s...\n", id)
 		report, err := experiments.Run(id, cfg)
 		if err != nil {
-			fatal(fmt.Errorf("%s: %w", id, err))
+			return fail(fmt.Errorf("%s: %w", id, err))
 		}
-		fmt.Fprintf(os.Stderr, "  done in %s\n", time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stderr, "  done in %s\n", time.Since(start).Round(time.Millisecond))
 		if *outDir == "" {
-			if err := render(report, os.Stdout); err != nil {
-				fatal(err)
+			if err := render(report, stdout); err != nil {
+				return fail(err)
 			}
 			continue
 		}
@@ -88,55 +104,16 @@ func main() {
 		path := filepath.Join(*outDir, id+ext)
 		f, err := os.Create(path)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		if err := render(report, f); err != nil {
 			f.Close()
-			fatal(err)
+			return fail(err)
 		}
 		if err := f.Close(); err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "  wrote %s\n", path)
+		fmt.Fprintf(stderr, "  wrote %s\n", path)
 	}
-}
-
-// warmAll loads persisted detector output series for every built-in
-// corpus, so full-scale reruns skip the simulated-inference cost.
-func warmAll(dir string) {
-	for _, name := range dataset.Names() {
-		v, err := dataset.Load(name)
-		if err != nil {
-			fatal(err)
-		}
-		loaded, skipped, err := outputs.WarmOutputs(v, dir)
-		if err != nil {
-			fatal(err)
-		}
-		if loaded+skipped > 0 {
-			fmt.Fprintf(os.Stderr, "cache: %s: %d series warmed, %d skipped\n", name, loaded, skipped)
-		}
-	}
-}
-
-// saveAll persists the output series computed during this run.
-func saveAll(dir string) {
-	total := 0
-	for _, name := range dataset.Names() {
-		v, err := dataset.Load(name)
-		if err != nil {
-			fatal(err)
-		}
-		n, err := outputs.SaveOutputs(v, dir)
-		if err != nil {
-			fatal(err)
-		}
-		total += n
-	}
-	fmt.Fprintf(os.Stderr, "cache: saved %d series to %s\n", total, dir)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "smokebench:", err)
-	os.Exit(1)
+	return 0
 }

@@ -74,16 +74,15 @@ func ablationBoundConstruction(cfg Config, report *Report) error {
 		sizes = sizes[:2]
 	}
 	for _, n := range sizes {
-		var ebgsSum, hsAnytimeSum, oursSum float64
-		for trial := 0; trial < cfg.Trials; trial++ {
+		// Slots: EBGS, HS at the any-time schedule, ours.
+		sums, err := trialSums(cfg, cfg.Trials, func(trial int) ([]float64, error) {
 			sample := samplePrefix(population, n, root.ChildN(uint64(n), uint64(trial)))
 			s := stats.Summarize(sample)
 
 			ebgsEst, err := estimate.BaselineEstimate(estimate.EBGS, estimate.AVG, sample, N, spec.Params)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			ebgsSum += capBound(ebgsEst.ErrBound)
 
 			// HS half width at the any-time risk schedule: the schedule
 			// spends delta*(p-1)/p / n^p at step n (p = 1.1), exactly like
@@ -93,21 +92,23 @@ func ablationBoundConstruction(cfg Config, report *Report) error {
 			I := stats.HoeffdingSerflingHalfWidth(s.Range(), n, N, dn)
 			ub := math.Abs(s.Mean) + I
 			lb := math.Max(0, math.Abs(s.Mean)-I)
+			hsAnytime := 1.0
 			if lb > 0 {
-				hsAnytimeSum += (ub - lb) / (ub + lb)
-			} else {
-				hsAnytimeSum += 1
+				hsAnytime = (ub - lb) / (ub + lb)
 			}
 
 			ours, err := estimate.Smokescreen(estimate.AVG, sample, N, spec.Params)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			oursSum += ours.ErrBound
+			return []float64{capBound(ebgsEst.ErrBound), hsAnytime, ours.ErrBound}, nil
+		})
+		if err != nil {
+			return err
 		}
 		t := float64(cfg.Trials)
 		table.Rows = append(table.Rows, []string{
-			fmt.Sprintf("%d", n), fmtF(ebgsSum / t), fmtF(hsAnytimeSum / t), fmtF(oursSum / t),
+			fmt.Sprintf("%d", n), fmtF(sums[0] / t), fmtF(sums[1] / t), fmtF(sums[2] / t),
 		})
 	}
 	report.Tables = append(report.Tables, table)
@@ -176,10 +177,7 @@ func ablationElbow(cfg Config, report *Report) error {
 		return err
 	}
 	setting := degrade.Setting{SampleFraction: 0.1, Resolution: 256}
-	trials := cfg.Trials
-	if trials > 10 {
-		trials = 10
-	}
+	trials := min(cfg.Trials, 10)
 	n := spec.Video.NumFrames()
 
 	table := &Table{
@@ -192,20 +190,22 @@ func ablationElbow(cfg Config, report *Report) error {
 	}
 	for _, frac := range candidates {
 		m := int(frac*float64(n) + 0.5)
-		var sum float64
-		for trial := 0; trial < trials; trial++ {
+		sums, err := trialSums(cfg, trials, func(trial int) ([]float64, error) {
 			s := root.ChildN(2, uint64(m), uint64(trial))
 			tr, err := runRepairTrial(spec, setting, m, s.Child(2), s.Child(1))
 			if err != nil {
-				return err
+				return nil, err
 			}
-			sum += capBound(tr.Repaired)
+			return []float64{capBound(tr.Repaired)}, nil
+		})
+		if err != nil {
+			return err
 		}
 		label := fmt.Sprintf("%.2f", frac)
 		if frac == construction.Fraction {
 			label += " (elbow)"
 		}
-		table.Rows = append(table.Rows, []string{label, fmtF(sum / float64(trials)), fmt.Sprintf("%d", m)})
+		table.Rows = append(table.Rows, []string{label, fmtF(sums[0] / float64(trials)), fmt.Sprintf("%d", m)})
 	}
 	report.Tables = append(report.Tables, table)
 	return nil
@@ -227,32 +227,30 @@ func ablationSketch(cfg Config, report *Report) error {
 		Title:  "Ablation 5 — sampling (Algorithm 2) vs full-access GK summary for MAX",
 		Header: []string{"method", "frames observed", "mean rank error", "mean bound / epsilon"},
 	}
-	trials := cfg.Trials
-	if trials > 20 {
-		trials = 20
-	}
+	trials := min(cfg.Trials, 20)
 
 	// Sampling at the paper's MAX sweep end (f = 0.02).
 	n := int(0.02 * float64(N))
-	var sampErr, sampBound float64
-	for trial := 0; trial < trials; trial++ {
+	sums, err := trialSums(cfg, trials, func(trial int) ([]float64, error) {
 		sample := samplePrefix(population, n, root.ChildN(1, uint64(trial)))
 		est, err := estimate.Smokescreen(estimate.MAX, sample, N, spec.Params)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		audit, err := estimate.Audit(estimate.MAX, est, population, spec.Params)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		sampErr += audit.TrueError
-		sampBound += est.ErrBound
+		return []float64{audit.TrueError, est.ErrBound}, nil
+	})
+	if err != nil {
+		return err
 	}
 	table.Rows = append(table.Rows, []string{
 		"Algorithm 2 (f=0.02)",
 		fmt.Sprintf("%d", n),
-		fmtF(sampErr / float64(trials)),
-		fmtF(sampBound / float64(trials)),
+		fmtF(sums[0] / float64(trials)),
+		fmtF(sums[1] / float64(trials)),
 	})
 
 	// GK sketch: deterministic, observes the whole corpus.

@@ -18,6 +18,7 @@ import (
 	"smokescreen/internal/detect"
 	"smokescreen/internal/estimate"
 	"smokescreen/internal/outputs"
+	"smokescreen/internal/parallel"
 	"smokescreen/internal/profile"
 	"smokescreen/internal/query"
 	"smokescreen/internal/scene"
@@ -75,6 +76,25 @@ func (c Config) validate() error {
 		return fmt.Errorf("experiments: trials must be positive")
 	}
 	return nil
+}
+
+// trialSums runs fn for every trial on cfg.Parallelism workers and adds
+// the slots each trial returns, in trial order, so every sum is
+// bit-identical to a sequential loop at any worker count. Each trial must
+// derive its randomness from a stream keyed by its index and return the
+// same number of slots; callers divide the sums themselves.
+func trialSums(cfg Config, trials int, fn func(trial int) ([]float64, error)) ([]float64, error) {
+	perTrial, err := parallel.MapCtx(context.Background(), trials, cfg.Parallelism, fn)
+	if err != nil {
+		return nil, err
+	}
+	sums := make([]float64, len(perTrial[0]))
+	for _, slots := range perTrial {
+		for i, v := range slots {
+			sums[i] += v
+		}
+	}
+	return sums, nil
 }
 
 // Table is a rendered experiment artifact: one per figure panel.

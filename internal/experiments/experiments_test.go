@@ -394,6 +394,43 @@ func TestTableRender(t *testing.T) {
 	}
 }
 
+// RenderCSV is what `smokebench -format csv` writes: the report's id line
+// and notes as # comments, then each table as a # title, a header and
+// RFC 4180 rows, blocks separated by blank lines.
+func TestReportRenderCSV(t *testing.T) {
+	report := &Report{
+		ID:    "figureX",
+		Title: "A title",
+		Notes: []string{"first note", "second, with a comma"},
+		Tables: []*Table{
+			{Title: "panel 1", Header: []string{"fraction", "bound"}, Rows: [][]string{{"0.1", "0.25"}}},
+			{Title: "panel 2", Header: []string{"label", "value"}, Rows: [][]string{
+				{"a,b", "1"},
+				{`say "hi"`, "2"},
+			}},
+		},
+	}
+	var buf bytes.Buffer
+	if err := report.RenderCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := "# figureX — A title\n" +
+		"# first note\n" +
+		"# second, with a comma\n" +
+		"\n" +
+		"# panel 1\n" +
+		"fraction,bound\n" +
+		"0.1,0.25\n" +
+		"\n" +
+		"# panel 2\n" +
+		"label,value\n" +
+		"\"a,b\",1\n" +
+		"\"say \"\"hi\"\"\",2\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("RenderCSV:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 func TestWorkloadSpec(t *testing.T) {
 	w := Workload{Dataset: "small", Model: "yolov4", Agg: estimate.COUNT}
 	spec, err := w.Spec()

@@ -19,26 +19,28 @@ import (
 // and without the correction set applies (Section 5.2.2). An explicit p is a
 // point of the resolution sweep, which reports Algorithm 3's bound at every
 // point, native included, so the curve is one formula end to end.
-func boundAtSize(spec *profile.Spec, p, size, corrSize int, root *stats.Stream, trials int) (float64, error) {
+func boundAtSize(spec *profile.Spec, p, size, corrSize int, root *stats.Stream, cfg Config, trials int) (float64, error) {
 	n := spec.Video.NumFrames()
 	if size > n {
 		size = n
 	}
 	setting := degrade.Setting{SampleFraction: float64(size) / float64(n), Resolution: p}
-	var sum float64
-	for trial := 0; trial < trials; trial++ {
+	sums, err := trialSums(cfg, trials, func(trial int) ([]float64, error) {
 		s := root.Child(uint64(trial))
 		tr, err := runRepairTrial(spec, setting, corrSize, s.Child(1), s.Child(2))
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
 		bound := tr.Repaired
 		if p == 0 {
 			bound = math.Min(bound, tr.Degraded.ErrBound)
 		}
-		sum += capBound(bound)
+		return []float64{capBound(bound)}, nil
+	})
+	if err != nil {
+		return 0, err
 	}
-	return sum / float64(trials), nil
+	return sums[0] / float64(trials), nil
 }
 
 // Figure10 reproduces the paper's Figure 10: profile similarity between
@@ -60,10 +62,7 @@ func Figure10(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	trials := cfg.Trials
-	if trials > 10 {
-		trials = 10
-	}
+	trials := min(cfg.Trials, 10)
 	root := stats.NewStream(cfg.Seed).Child(0xa00)
 
 	report := &Report{
@@ -82,7 +81,7 @@ func Figure10(cfg Config) (*Report, error) {
 	}
 	var maxLimitedDiff, maxBDiff float64
 	for _, size := range sizes {
-		target, err := boundAtSize(specA, 0, size, corrTarget, root.ChildN(1, uint64(size)), trials)
+		target, err := boundAtSize(specA, 0, size, corrTarget, root.ChildN(1, uint64(size)), cfg, trials)
 		if err != nil {
 			return nil, err
 		}
@@ -92,11 +91,11 @@ func Figure10(cfg Config) (*Report, error) {
 		if limitedSize > 50 {
 			limitedSize = 50
 		}
-		limited, err := boundAtSize(specA, 0, limitedSize, 50, root.ChildN(2, uint64(size)), trials)
+		limited, err := boundAtSize(specA, 0, limitedSize, 50, root.ChildN(2, uint64(size)), cfg, trials)
 		if err != nil {
 			return nil, err
 		}
-		similar, err := boundAtSize(specB, 0, size, corrTarget, root.ChildN(3, uint64(size)), trials)
+		similar, err := boundAtSize(specB, 0, size, corrTarget, root.ChildN(3, uint64(size)), cfg, trials)
 		if err != nil {
 			return nil, err
 		}
@@ -121,11 +120,11 @@ func Figure10(cfg Config) (*Report, error) {
 	}
 	var maxResDiff float64
 	for _, p := range resolutions {
-		a, err := boundAtSize(specA, p, 500, corrTarget, root.ChildN(4, uint64(p)), trials)
+		a, err := boundAtSize(specA, p, 500, corrTarget, root.ChildN(4, uint64(p)), cfg, trials)
 		if err != nil {
 			return nil, err
 		}
-		b, err := boundAtSize(specB, p, 500, corrTarget, root.ChildN(5, uint64(p)), trials)
+		b, err := boundAtSize(specB, p, 500, corrTarget, root.ChildN(5, uint64(p)), cfg, trials)
 		if err != nil {
 			return nil, err
 		}

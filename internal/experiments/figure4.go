@@ -1,12 +1,10 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 
 	"smokescreen/internal/estimate"
-	"smokescreen/internal/parallel"
 	"smokescreen/internal/stats"
 )
 
@@ -65,70 +63,51 @@ func runPanel(w Workload, cfg Config, points int) (*panel, error) {
 		if n < 2 {
 			n = 2
 		}
+		// Slots 2i and 2i+1 are method i's true error and bound; the last
+		// counts the trials whose CLT bound fell below the true error.
+		sums, err := trialSums(cfg, cfg.Trials, func(trial int) ([]float64, error) {
+			slots := make([]float64, 2*len(methods)+1)
+			sample := samplePrefix(population, n, root.ChildN(uint64(n), uint64(trial)))
+
+			ours, err := estimate.Smokescreen(w.Agg, sample, N, spec.Params)
+			if err != nil {
+				return nil, err
+			}
+			audit, err := estimate.Audit(w.Agg, ours, population, spec.Params)
+			if err != nil {
+				return nil, err
+			}
+			slots[0], slots[1] = audit.TrueError, ours.ErrBound
+
+			for bi, b := range baselines {
+				be, err := estimate.BaselineEstimate(b, w.Agg, sample, N, spec.Params)
+				if err != nil {
+					return nil, err
+				}
+				bAudit, err := estimate.Audit(w.Agg, be, population, spec.Params)
+				if err != nil {
+					return nil, err
+				}
+				slots[2*bi+2], slots[2*bi+3] = capBound(bAudit.TrueError), capBound(be.ErrBound)
+				if b == estimate.CLT && !bAudit.Held {
+					slots[len(slots)-1] = 1
+				}
+			}
+			return slots, nil
+		})
+		if err != nil {
+			return nil, err
+		}
 		pt := panelPoint{
 			Fraction: f,
 			TrueErr:  map[string]float64{},
 			Bound:    map[string]float64{},
 		}
-		// Trials are independent: each derives its sample from a stream
-		// child keyed by the trial index, lands its sums in its own slot,
-		// and the slots are reduced in trial order below — so the float
-		// accumulation order (and hence every report digit) matches the
-		// sequential loop exactly.
-		type trialSums struct {
-			trueErr, bound map[string]float64
-			cltFail        bool
+		for i, m := range methods {
+			pt.TrueErr[m] = sums[2*i] / float64(cfg.Trials)
+			pt.Bound[m] = sums[2*i+1] / float64(cfg.Trials)
 		}
-		trials, err := parallel.MapCtx(context.Background(), cfg.Trials, cfg.Parallelism, func(trial int) (trialSums, error) {
-			sums := trialSums{trueErr: map[string]float64{}, bound: map[string]float64{}}
-			sample := samplePrefix(population, n, root.ChildN(uint64(n), uint64(trial)))
-
-			ours, err := estimate.Smokescreen(w.Agg, sample, N, spec.Params)
-			if err != nil {
-				return sums, err
-			}
-			audit, err := estimate.Audit(w.Agg, ours, population, spec.Params)
-			if err != nil {
-				return sums, err
-			}
-			sums.trueErr["Smokescreen"] = audit.TrueError
-			sums.bound["Smokescreen"] = ours.ErrBound
-
-			for _, b := range baselines {
-				be, err := estimate.BaselineEstimate(b, w.Agg, sample, N, spec.Params)
-				if err != nil {
-					return sums, err
-				}
-				bAudit, err := estimate.Audit(w.Agg, be, population, spec.Params)
-				if err != nil {
-					return sums, err
-				}
-				sums.trueErr[b.String()] = capBound(bAudit.TrueError)
-				sums.bound[b.String()] = capBound(be.ErrBound)
-				if b == estimate.CLT && !bAudit.Held {
-					sums.cltFail = true
-				}
-			}
-			return sums, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		cltFails := 0
-		for _, s := range trials {
-			for _, m := range methods {
-				pt.TrueErr[m] += s.trueErr[m]
-				pt.Bound[m] += s.bound[m]
-			}
-			if s.cltFail {
-				cltFails++
-			}
-		}
-		for _, m := range methods {
-			pt.TrueErr[m] /= float64(cfg.Trials)
-			pt.Bound[m] /= float64(cfg.Trials)
-		}
-		pt.CLTFailPct = 100 * float64(cltFails) / float64(cfg.Trials)
+		pt.CLTFailPct = 100 * sums[len(sums)-1] / float64(cfg.Trials)
 		out.Points = append(out.Points, pt)
 	}
 	return out, nil

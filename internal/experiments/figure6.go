@@ -34,7 +34,6 @@ type figure6Axis struct {
 
 // figure6Row is one intervention point averaged over trials.
 type figure6Row struct {
-	Label       string
 	TrueErr     float64
 	Uncorrected float64
 	Corrected   float64
@@ -79,13 +78,13 @@ func evalSetting(spec *profile.Spec, setting degrade.Setting, corrFraction float
 	root := stats.NewStream(cfg.Seed).Child(streamLabel)
 	n := spec.Video.NumFrames()
 	m := int(float64(n)*corrFraction + 0.5)
-	var row figure6Row
-	unsafeTrials := 0
-	for trial := 0; trial < cfg.Trials; trial++ {
+	// Slots: true error, uncorrected bound, corrected bound, and whether
+	// the uncorrected bound fell below the true error.
+	sums, err := trialSums(cfg, cfg.Trials, func(trial int) ([]float64, error) {
 		s := root.Child(uint64(trial))
 		tr, err := runRepairTrial(spec, setting, m, s.Child(1), s.Child(2))
 		if err != nil {
-			return row, err
+			return nil, err
 		}
 		corrected := tr.Repaired
 		if setting.IsRandomOnly(spec.Model) {
@@ -95,21 +94,24 @@ func evalSetting(spec *profile.Spec, setting degrade.Setting, corrFraction float
 		}
 		audit, err := spec.Audit(tr.Degraded)
 		if err != nil {
-			return row, err
+			return nil, err
 		}
-		row.TrueErr += audit.TrueError
-		row.Uncorrected += capBound(tr.Degraded.ErrBound)
-		row.Corrected += capBound(corrected)
+		unsafe := 0.0
 		if !audit.Held {
-			unsafeTrials++
+			unsafe = 1
 		}
+		return []float64{audit.TrueError, capBound(tr.Degraded.ErrBound), capBound(corrected), unsafe}, nil
+	})
+	if err != nil {
+		return figure6Row{}, err
 	}
 	t := float64(cfg.Trials)
-	row.TrueErr /= t
-	row.Uncorrected /= t
-	row.Corrected /= t
-	row.UncorrectedUnsafe = unsafeTrials*2 > cfg.Trials
-	return row, nil
+	return figure6Row{
+		TrueErr:           sums[0] / t,
+		Uncorrected:       sums[1] / t,
+		Corrected:         sums[2] / t,
+		UncorrectedUnsafe: sums[3]*2 > t,
+	}, nil
 }
 
 // Figure6 reproduces the paper's Figure 6: error bounds with and without

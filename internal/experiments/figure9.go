@@ -7,7 +7,6 @@ import (
 	"smokescreen/internal/core"
 	"smokescreen/internal/degrade"
 	"smokescreen/internal/estimate"
-	"smokescreen/internal/parallel"
 	"smokescreen/internal/profile"
 	"smokescreen/internal/scene"
 	"smokescreen/internal/stats"
@@ -62,49 +61,31 @@ func Figure9(cfg Config) (*Report, error) {
 		n := spec.Video.NumFrames()
 		// Degraded estimates are fixed per intervention set (single trial
 		// per point in the paper's figure; we average a few for stability).
-		trials := cfg.Trials
-		if trials > 10 {
-			trials = 10
-		}
+		trials := min(cfg.Trials, 10)
 		for _, corrFrac := range fractions {
 			m := int(float64(n)*corrFrac + 0.5)
 			row := []string{fmt.Sprintf("%.2f", corrFrac)}
-			// Independent trials fan out; per-trial slots are reduced in
-			// trial order so the averages are bit-identical to the
-			// sequential loop.
-			type trialBounds struct {
-				errV   float64
-				bounds []float64
-			}
-			perTrial, err := parallel.MapCtx(context.Background(), trials, cfg.Parallelism, func(trial int) (trialBounds, error) {
+			// Slot 0 is err_b(v), slot 1+ii intervention ii's repaired bound.
+			sums, err := trialSums(cfg, trials, func(trial int) ([]float64, error) {
 				s := root.ChildN(uint64(m), uint64(trial))
-				tb := trialBounds{bounds: make([]float64, len(interventions))}
+				slots := make([]float64, 1+len(interventions))
 				for ii, setting := range interventions {
 					// One correction set (stream child 9) serves both
 					// intervention sets of a trial.
 					tr, err := runRepairTrial(spec, setting, m, s.Child(uint64(ii)), s.Child(9))
 					if err != nil {
-						return trialBounds{}, err
+						return nil, err
 					}
-					tb.errV = capBound(tr.ErrV)
-					tb.bounds[ii] = capBound(tr.Repaired)
+					slots[0] = capBound(tr.ErrV)
+					slots[1+ii] = capBound(tr.Repaired)
 				}
-				return tb, nil
+				return slots, nil
 			})
 			if err != nil {
 				return nil, err
 			}
-			var errV float64
-			bounds := make([]float64, len(interventions))
-			for _, tb := range perTrial {
-				errV += tb.errV
-				for ii, b := range tb.bounds {
-					bounds[ii] += b
-				}
-			}
-			row = append(row, fmtF(errV/float64(trials)))
-			for _, b := range bounds {
-				row = append(row, fmtF(b/float64(trials)))
+			for _, sum := range sums {
+				row = append(row, fmtF(sum/float64(trials)))
 			}
 			table.Rows = append(table.Rows, row)
 		}

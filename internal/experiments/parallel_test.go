@@ -37,25 +37,31 @@ func TestRunPanelParallelBitIdentical(t *testing.T) {
 	}
 }
 
-func TestFigure9ParallelBitIdentical(t *testing.T) {
+// Every figure whose trials fan out through trialSums renders the same
+// report at one worker and at four.
+func TestFiguresParallelBitIdentical(t *testing.T) {
 	if raceEnabled {
-		t.Skip("full figure-9 sweep exceeds the test timeout under the race detector; " +
+		t.Skip("full figure sweeps exceed the test timeout under the race detector; " +
 			"the panel test exercises the same parallel trial reduction")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 
-	cfg := QuickConfig()
-	cfg.Parallelism = 1
-	seq, err := Run("figure9", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Parallelism = 4
-	par, err := Run("figure9", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq, par) {
-		t.Fatalf("figure9 differs under parallelism:\n%+v\nvs\n%+v", par, seq)
+	for _, id := range []string{"figure6", "figure9", "figure10"} {
+		t.Run(id, func(t *testing.T) {
+			cfg := QuickConfig()
+			cfg.Parallelism = 1
+			seq, err := Run(id, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Parallelism = 4
+			par, err := Run(id, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(seq, par) {
+				t.Fatalf("%s differs under parallelism:\n%+v\nvs\n%+v", id, par, seq)
+			}
+		})
 	}
 }

@@ -349,9 +349,7 @@ func allFrames(n int) []int {
 // sweep samples — leaves its complete row like an ordinary read; an early
 // exit leaves nothing, so a later count query detects that frame in full.
 // The bitmap is cached on the table and shared: callers must not mutate
-// it, and a second call makes no detector invocation. Persisted SOUT
-// tables carry rows only, so a warmed process re-probes the present
-// frames, at early-exit cost.
+// it, and a second call makes no detector invocation.
 func Presence(ctx context.Context, v *scene.Video, c scene.Class) ([]bool, error) {
 	model := detect.YOLOv4Sim()
 	if c == scene.Face {
