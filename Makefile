@@ -74,7 +74,9 @@ test-race:
 
 # Short fuzz pass over the decoders and parsers whose inputs can be torn,
 # tampered or mistyped: the store's JSON envelope (and the memory-only
-# admission gate fleet entry nodes put it behind), the query language's
+# admission gate fleet entry nodes put it behind), the daemon's strict
+# request decoder (profile and stream bodies: no panic, and an accepted
+# body re-marshals to the same request), the query language's
 # parser (it must not panic, and a query's canonical form must parse back
 # to itself), the transport framing the streaming ingest trusts from the network, the
 # frame records inside it (decoded with pooled inflate state), the
@@ -91,6 +93,7 @@ test-race:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEnvelopeDecode -fuzztime 10s ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzAdmitEnvelope -fuzztime 10s ./internal/store/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeStrict -fuzztime 10s ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzQueryParse -fuzztime 10s ./internal/query/
 	$(GO) test -run '^$$' -fuzz FuzzFloatComponents -fuzztime 10s ./internal/detect/
 	$(GO) test -run '^$$' -fuzz FuzzProbeFrame -fuzztime 10s ./internal/detect/

@@ -40,6 +40,7 @@ import (
 	"smokescreen/internal/degrade"
 	"smokescreen/internal/profile"
 	"smokescreen/internal/server"
+	"smokescreen/internal/stats"
 )
 
 func main() {
@@ -362,16 +363,19 @@ func cmdExplain(args []string) {
 	fmt.Printf("interventions: %s — %s\n", setting, kind)
 	ctx, cancel := interruptCtx()
 	defer cancel()
-	admissible, err := degrade.AdmissibleFramesCtx(ctx, spec.Video, setting.Restricted)
+	// The plan the executor runs: degrade.ApplyCtx's sample size (with its
+	// one-frame floor), admissible pool and resolution. The sampling seed
+	// moves which frames, never how many.
+	plan, err := degrade.ApplyCtx(ctx, spec.Video, spec.Model, setting, stats.NewStream(core.DefaultSeed))
+	if ctx.Err() != nil {
+		fatal(ctx.Err())
+	}
 	if err != nil {
-		fatal(err)
+		fmt.Printf("warning:       %v — execution will fail\n", err)
+		return
 	}
-	want := int(float64(n)*setting.SampleFraction + 0.5)
 	fmt.Printf("plan:          sample %d of %d admissible frames (corpus %d) at %dx%d\n",
-		want, len(admissible), n, setting.ResolveResolution(spec.Model), setting.ResolveResolution(spec.Model))
-	if want > len(admissible) {
-		fmt.Println("warning:       the sample exceeds the admissible pool; execution will fail — lower SAMPLE")
-	}
+		len(plan.Sampled), len(plan.Admissible), plan.Total, plan.Resolution, plan.Resolution)
 }
 
 // cmdChoose re-runs the choosing-a-tradeoff stage on an archived

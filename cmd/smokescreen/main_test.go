@@ -127,3 +127,18 @@ func TestStreamHasOneAnswer(t *testing.T) {
 		}
 	}
 }
+
+// explain prints the plan the executor runs: degrade.ApplyCtx samples at
+// least one frame, so SAMPLE 0.0001 of 1 200 frames is 1, not round(0.12);
+// and a sample the admissible pool cannot hold is ApplyCtx's own error.
+func TestExplainPrintsTheExecutedPlan(t *testing.T) {
+	for _, tc := range []struct{ query, want string }{
+		{"SELECT AVG(count(car)) FROM small SAMPLE 0.0001", "plan:          sample 1 of 1200 admissible frames (corpus 1200) at 608x608"},
+		{"SELECT AVG(count(car)) FROM small SAMPLE 0.1 RESOLUTION 160", "plan:          sample 120 of 1200 admissible frames (corpus 1200) at 160x160"},
+		{"SELECT AVG(count(car)) FROM small SAMPLE 1.0 REMOVE face", "warning:       degrade: sample of 1200 frames exceeds admissible pool of"},
+	} {
+		if out := runCLI(t, "explain", tc.query); !strings.Contains(out, tc.want) {
+			t.Errorf("explain %q: want %q in:\n%s", tc.query, tc.want, out)
+		}
+	}
+}

@@ -2,9 +2,9 @@
 // a simulated networked camera applies the administrator's interventions
 // on-device (frame sampling, reduced resolution, face-frame removal),
 // ships compressed degraded frames over a byte-accounted link, and the
-// central query processor runs detection on the received pixels only. The
-// example quantifies the *benefit* side of the tradeoff: bandwidth and
-// energy saved relative to an undegraded stream.
+// central query processor answers the query over the window the stream
+// delivers. The example quantifies the *benefit* side of the tradeoff:
+// bandwidth and energy saved relative to an undegraded stream.
 //
 //	go run ./examples/privacypipeline
 package main
@@ -13,80 +13,50 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"net"
 
 	"smokescreen"
 	"smokescreen/internal/camera"
-	"smokescreen/internal/dataset"
-	"smokescreen/internal/degrade"
-	"smokescreen/internal/detect"
-	"smokescreen/internal/scene"
-	"smokescreen/internal/stats"
-	"smokescreen/internal/transport"
+	"smokescreen/internal/server"
+	"smokescreen/internal/stream"
 )
 
-// session streams the setting through an in-process pipe and returns the
-// camera's report plus the mean per-frame car count the processor measured.
-func session(setting degrade.Setting) (camera.Report, float64, int) {
-	v := dataset.MustLoad("small")
-	model := detect.YOLOv4Sim()
-	node := &camera.Node{
-		Video:   v,
-		Model:   model,
-		Setting: setting,
-		Energy:  camera.DefaultEnergyModel(),
-	}
-
-	client, server := net.Pipe()
-	defer client.Close()
-	defer server.Close()
-
-	reportCh := make(chan camera.Report, 1)
-	go func() {
-		report, err := node.Stream(transport.New(client), stats.NewStream(3))
-		if err != nil {
-			log.Fatal(err)
-		}
-		reportCh <- report
-	}()
-
-	var totalCars, frames int
-	_, err := camera.Receive(transport.New(server), func(s *camera.Session, fr camera.ReceivedFrame) error {
-		totalCars += detect.CountClass(s.Detect(model, fr), scene.Car)
-		frames++
-		return nil
-	})
+// session runs the query as one camera session through the pipeline every
+// stream surface runs (server.ResolveStream → ResolvedStream.Run), prints
+// what the camera sent and the answer over the one window the session
+// spans, and returns the camera's report.
+func session(ctx context.Context, name, text string) camera.Report {
+	rs, err := server.ResolveStream(server.StreamRequest{Query: text, Seed: 3, DisableDrift: true})
 	if err != nil {
 		log.Fatal(err)
 	}
-	report := <-reportCh
-	if frames == 0 {
-		return report, 0, 0
+	var window stream.WindowResult
+	rs.Config.OnWindow = func(res stream.WindowResult) { window = res }
+	recv, err := stream.New(rs.Config)
+	if err != nil {
+		log.Fatal(err)
 	}
-	return report, float64(totalCars) / float64(frames), frames
+	report, err := rs.Run(ctx, recv)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println(name, rs.Node.Setting)
+	fmt.Printf("  frames %4d  bytes %8d  energy %.3f J\n",
+		report.FramesTransmitted, report.BytesTransmitted, report.TotalJoules())
+	fmt.Printf("  window answer %.3f cars/frame, error bound %.4f, sampling only: %v\n",
+		window.Estimate.Value, window.Estimate.ErrBound, rs.SamplingOnly)
+	return report
 }
 
 func main() {
 	ctx := context.Background()
 	// Reference: a lightly degraded stream (every 10th frame, native-ish).
-	reference := degrade.Setting{SampleFraction: 0.1, Resolution: 320}
+	const reference = "SELECT AVG(count(car)) FROM small SAMPLE 0.1 RESOLUTION 320"
 	// Policy: stronger sampling, half resolution, and no frame containing
 	// a face ever leaves the camera.
-	policy := degrade.Setting{
-		SampleFraction: 0.05,
-		Resolution:     160,
-		Restricted:     []smokescreen.Class{smokescreen.Face},
-	}
+	const policy = "SELECT AVG(count(car)) FROM small SAMPLE 0.05 RESOLUTION 160 REMOVE face"
 
-	refReport, refAvg, refFrames := session(reference)
-	polReport, polAvg, polFrames := session(policy)
-
-	fmt.Println("reference stream:", reference)
-	fmt.Printf("  frames %4d  bytes %8d  energy %.3f J  avg cars %.3f\n",
-		refFrames, refReport.BytesTransmitted, refReport.TotalJoules(), refAvg)
-	fmt.Println("policy stream:   ", policy)
-	fmt.Printf("  frames %4d  bytes %8d  energy %.3f J  avg cars %.3f\n",
-		polFrames, polReport.BytesTransmitted, polReport.TotalJoules(), polAvg)
+	refReport := session(ctx, "reference stream:", reference)
+	polReport := session(ctx, "policy stream:   ", policy)
 
 	fmt.Printf("\nbandwidth saved: %.1f%%\n",
 		100*(1-float64(polReport.BytesTransmitted)/float64(refReport.BytesTransmitted)))
@@ -94,9 +64,11 @@ func main() {
 		100*(1-polReport.TotalJoules()/refReport.TotalJoules()))
 	fmt.Println("privacy:         no face-containing frame was transmitted (removed on-camera)")
 
-	// The analytical price of the policy, from the estimator.
+	// The analytical price of the policy, from the estimator: the same
+	// query executed with a correction set that repairs what the stream's
+	// sampling-only bound leaves out.
 	sys := smokescreen.New(smokescreen.WithSeed(3))
-	q, err := smokescreen.ParseQuery("SELECT AVG(count(car)) FROM small SAMPLE 0.05 RESOLUTION 160 REMOVE face")
+	q, err := smokescreen.ParseQuery(policy)
 	if err != nil {
 		log.Fatal(err)
 	}

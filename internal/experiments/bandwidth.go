@@ -3,16 +3,14 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"net"
 
 	"smokescreen/internal/camera"
 	"smokescreen/internal/core"
 	"smokescreen/internal/degrade"
-	"smokescreen/internal/detect"
 	"smokescreen/internal/estimate"
 	"smokescreen/internal/scene"
-	"smokescreen/internal/stats"
-	"smokescreen/internal/transport"
+	"smokescreen/internal/server"
+	"smokescreen/internal/stream"
 )
 
 // Bandwidth quantifies the benefit side of the degradation tradeoff — the
@@ -28,10 +26,6 @@ func Bandwidth(cfg Config) (*Report, error) {
 		Title: "Bandwidth/energy savings vs analytical error bound (extension)",
 	}
 	w := Workload{Dataset: "small", Model: "yolov4", Agg: estimate.AVG}
-	spec, err := w.Spec()
-	if err != nil {
-		return nil, err
-	}
 	sys := core.New(core.WithSeed(cfg.Seed))
 
 	settings := []degrade.Setting{
@@ -51,7 +45,9 @@ func Bandwidth(cfg Config) (*Report, error) {
 	}
 	var baseline float64
 	for si, setting := range settings {
-		reportRow, err := streamSetting(spec.Video, spec.Model, setting, cfg.Seed+uint64(si))
+		q := w.query()
+		q.Setting = setting
+		reportRow, err := streamQuery(q.String(), cfg.Seed+uint64(si))
 		if err != nil {
 			return nil, err
 		}
@@ -79,26 +75,17 @@ func Bandwidth(cfg Config) (*Report, error) {
 	return report, nil
 }
 
-// streamSetting runs one camera session over an in-process pipe and
+// streamQuery runs the query as one camera session through the pipeline
+// every stream surface runs (server.ResolveStream → ResolvedStream.Run) and
 // returns the camera's accounting.
-func streamSetting(v *scene.Video, m *detect.Model, setting degrade.Setting, seed uint64) (camera.Report, error) {
-	node := &camera.Node{Video: v, Model: m, Setting: setting, Energy: camera.DefaultEnergyModel()}
-	client, server := net.Pipe()
-	defer client.Close()
-	defer server.Close()
-
-	type result struct {
-		report camera.Report
-		err    error
-	}
-	done := make(chan result, 1)
-	go func() {
-		report, err := node.Stream(transport.New(client), stats.NewStream(seed))
-		done <- result{report, err}
-	}()
-	if _, err := camera.Receive(transport.New(server), nil); err != nil {
+func streamQuery(text string, seed uint64) (camera.Report, error) {
+	rs, err := server.ResolveStream(server.StreamRequest{Query: text, Seed: seed, DisableDrift: true})
+	if err != nil {
 		return camera.Report{}, err
 	}
-	r := <-done
-	return r.report, r.err
+	recv, err := stream.New(rs.Config)
+	if err != nil {
+		return camera.Report{}, err
+	}
+	return rs.Run(context.Background(), recv)
 }

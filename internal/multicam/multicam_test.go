@@ -192,68 +192,6 @@ func TestFleetOfOne(t *testing.T) {
 	}
 }
 
-// coverageFleets mix SAMPLE-only, RESOLUTION, REMOVE and NOISE cameras over
-// the four fast corpora; %s is the SELECT ... FROM prefix's aggregate part
-// and %[2]s an optional WHERE clause.
-var coverageFleets = [][]string{
-	{"%s FROM small%s SAMPLE 0.3 RESOLUTION 160", "%s FROM highway%s SAMPLE 0.1"},
-	{"%s FROM mvi-40771%s SAMPLE 0.4 RESOLUTION 320", "%s FROM mvi-40775%s SAMPLE 0.15"},
-	{"%s FROM small%s SAMPLE 0.2 NOISE 0.05", "%s FROM highway%s SAMPLE 0.2 REMOVE person", "%s FROM mvi-40775%s SAMPLE 0.2"},
-	{"%s FROM mvi-40771%s SAMPLE 0.04 REMOVE person", "%s FROM small%s SAMPLE 0.3"},
-}
-
-// covers runs every coverage fleet under seeds 1..seeds for one aggregate
-// and holds the audited violation rate to delta within binomial tolerance —
-// the seed of ROADMAP item 4b's "multicam union" row.
-func covers(t *testing.T, selectClause, where string, seeds int) {
-	t.Helper()
-	const delta = 0.05
-	runs, violated := 0, 0
-	for _, fleet := range coverageFleets {
-		texts := make([]string, len(fleet))
-		for i, format := range fleet {
-			texts[i] = fmt.Sprintf(format, selectClause, where)
-		}
-		for seed := 1; seed <= seeds; seed++ {
-			f := fleetOf(t, uint64(seed), texts...)
-			res, err := f.QueryCtx(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			e := res.Estimate
-			if !(e.ErrBound >= 0 && e.ErrBound <= 1) || (e.ErrBound == 1 && e.Value != 0) {
-				t.Fatalf("%v seed %d: bound %v (value %v) neither finite below 1 nor the conservative pair", texts, seed, e.ErrBound, e.Value)
-			}
-			audit, err := f.Audit(e)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if audit.Truth <= 0 {
-				t.Fatalf("%v: truth %v", texts, audit.Truth)
-			}
-			runs++
-			if !audit.Held {
-				violated++
-				t.Logf("%v seed %d: bound %v below true error %v", texts, seed, e.ErrBound, audit.TrueError)
-			}
-		}
-	}
-	n := float64(runs)
-	if allowed := delta*n + 3*math.Sqrt(n*delta*(1-delta)); float64(violated) > allowed {
-		t.Fatalf("%s: %d of %d fleet bounds violated, over delta = %v by more than binomial tolerance (%.1f)", selectClause, violated, runs, delta, allowed)
-	}
-}
-
-// The three coverage tests together are 4 fleets x 3 aggregates x 18 seeds
-// = 216 fleet executions.
-func TestFleetAvgCoversTruth(t *testing.T) { covers(t, "SELECT AVG(count(car))", "", 18) }
-
-func TestFleetSumCoversTruth(t *testing.T) { covers(t, "SELECT SUM(count(car))", "", 18) }
-
-func TestFleetCountCoversTruth(t *testing.T) {
-	covers(t, "SELECT COUNT(*)", " WHERE count(car) >= 2", 18)
-}
-
 func TestFleetSumScaling(t *testing.T) {
 	ctx := context.Background()
 	avg, err := pairFleet(t, 79, "SELECT AVG(count(car))", 0.3, 0.3).QueryCtx(ctx)

@@ -19,8 +19,6 @@ import (
 	"smokescreen/internal/dataset"
 	"smokescreen/internal/degrade"
 	"smokescreen/internal/detect"
-	"smokescreen/internal/estimate"
-	"smokescreen/internal/outputs"
 	"smokescreen/internal/raster"
 	"smokescreen/internal/scene"
 	"smokescreen/internal/stats"
@@ -466,131 +464,10 @@ func TestWirePixelsRejectsMismatchedRasters(t *testing.T) {
 	}
 }
 
-// TestRandomOnlyWindowsAreSound is ROADMAP item 1c's random-only row family:
-// every window a SAMPLE-only stream emits is audited (estimate.Audit, the
-// paper's metric) against that window's full-sample population — the column
-// store's native-resolution outputs at the window's positions. At SAMPLE 1.0
-// the window is its population, so the answer is exact and the bound zero;
-// below it the any-time bound may fail with probability delta, so the
-// violation count over all windows must stay within binomial tolerance of
-// delta. The non-random rows wait for the correction channel (item 1b).
-func TestRandomOnlyWindowsAreSound(t *testing.T) {
-	if raceEnabled {
-		t.Skip("numeric: 1 200 native-resolution detections for the truth column take minutes under the race detector; the camera/receiver concurrency is raced by the tests above")
-	}
-	v := dataset.MustLoad("small")
-	m := detect.YOLOv4Sim()
-	params := estimate.DefaultParams()
-	full, err := outputs.Full(context.Background(), v, m, scene.Car, m.NativeInput)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const loops = 2
-	shapes := []windowShape{{300, 300}, {300, 150}}
-	rows := []struct {
-		fraction float64
-		seeds    []uint64
-	}{
-		{0.1, []uint64{1, 2, 3}},
-		{0.3, []uint64{1, 2}},
-		{1.0, []uint64{1}},
-	}
-	if testing.Short() {
-		rows = rows[:2] // the exact row alone is 2 400 native captures
-	}
-	windows, violations := 0, 0
-	for _, row := range rows {
-		node := smallNode(t, v, row.fraction, 0)
-		for _, seed := range row.seeds {
-			for i, emitted := range fanOut(t, node, loops, seed, shapes, Config{Model: m, Class: scene.Car, Params: params, Sources: []*scene.Video{v}}) {
-				shape := shapes[i]
-				if want := (loops*v.NumFrames()-shape.span)/shape.stride + 1; len(emitted) != want {
-					t.Fatalf("f=%v seed %d %v: %d windows, want %d", row.fraction, seed, shape, len(emitted), want)
-				}
-				for _, res := range emitted {
-					population := make([]float64, 0, shape.span)
-					for pos := res.Lo; pos < res.Hi; pos++ {
-						population = append(population, full[pos%v.NumFrames()])
-					}
-					audit, err := estimate.Audit(estimate.AVG, res.Estimate, population, params)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if row.fraction == 1 {
-						if res.Estimate.Value != audit.Truth || res.Estimate.ErrBound != 0 {
-							t.Errorf("SAMPLE 1.0 seed %d window [%d,%d): %v (err <= %v), exact answer %v",
-								seed, res.Lo, res.Hi, res.Estimate.Value, res.Estimate.ErrBound, audit.Truth)
-						}
-						continue
-					}
-					windows++
-					if !audit.Held {
-						violations++
-						t.Logf("f=%v seed %d window [%d,%d): bound %.3f < true error %.3f",
-							row.fraction, seed, res.Lo, res.Hi, res.Estimate.ErrBound, audit.TrueError)
-					}
-				}
-			}
-		}
-	}
-	// Three standard deviations above the binomial mean.
-	n, d := float64(windows), params.Delta
-	if limit := n*d + 3*math.Sqrt(n*d*(1-d)); float64(violations) > limit {
-		t.Errorf("%d of %d sampled windows violated their bound; delta %.2f allows %.1f", violations, windows, d, limit)
-	}
-}
-
-type windowShape struct{ span, stride int }
-
-// oneWay adapts the read or write half of an io.Pipe to transport.New.
+// oneWay adapts a reader and a writer to transport.New.
 type oneWay struct {
 	io.Reader
 	io.Writer
-}
-
-// fanOut replays one camera — loops sessions, session i seeded seed+i as
-// Loopback seeds them — into one receiver per window shape at once, so a
-// row's native-resolution capture is paid once, and returns each shape's
-// windows. base carries everything of the receivers' config but the shape.
-func fanOut(t *testing.T, node *camera.Node, loops int, seed uint64, shapes []windowShape, base Config) [][]WindowResult {
-	t.Helper()
-	emitted := make([][]WindowResult, len(shapes))
-	errs := make(chan error, len(shapes))
-	var writers []io.Writer
-	var closers []*io.PipeWriter
-	for i, shape := range shapes {
-		cfg := base
-		cfg.WindowSpan, cfg.WindowStride = shape.span, shape.stride
-		cfg.OnWindow = func(res WindowResult) { emitted[i] = append(emitted[i], res) }
-		recv, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pr, pw := io.Pipe()
-		writers, closers = append(writers, pw), append(closers, pw)
-		go func() {
-			err := recv.Run(context.Background(), transport.New(oneWay{pr, io.Discard}))
-			pr.CloseWithError(err) // a failed receiver must not park the camera
-			errs <- err
-		}()
-	}
-	conn := transport.New(oneWay{strings.NewReader(""), io.MultiWriter(writers...)})
-	var cameraErr error
-	for i := 0; i < loops && cameraErr == nil; i++ {
-		_, cameraErr = node.StreamCtx(context.Background(), conn, stats.NewStream(seed+uint64(i)))
-	}
-	for _, pw := range closers {
-		pw.CloseWithError(cameraErr) // nil: clean end-of-stream
-	}
-	for range shapes {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
-		}
-	}
-	if cameraErr != nil {
-		t.Fatal(cameraErr)
-	}
-	return emitted
 }
 
 // TestReceiverReadsTheColumn: a received frame's count is read from the
