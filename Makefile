@@ -81,10 +81,12 @@ test-race:
 # to itself), the transport framing the streaming ingest trusts from the network, the
 # frame records inside it (decoded with pooled inflate state), the
 # smokevet suppression-comment grammar (the lint gate's own input
-# surface), the fused float kernel against its retained oracle, and the
-# presence probe against the full detection it abbreviates, and the
-# resample of a row range of a source rectangle, read in place at an
-# offset and stride, against the reference kernels. ~10s per target
+# surface), the fused float kernel against its retained oracle, the
+# presence probe against the full detection it abbreviates, the patch area
+# bound (a patch the detector skips as too small to report is one the
+# oracle pipeline leaves undetected), and the resample of a row range of a
+# source rectangle, read in place at an offset and stride, against the
+# reference kernels: 11 targets. ~10s per target
 # keeps it cheap enough to ride in CI; longer
 # local runs:
 #   go test -run '^$$' -fuzz FuzzEnvelopeDecode ./internal/store/
@@ -97,6 +99,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzQueryParse -fuzztime 10s ./internal/query/
 	$(GO) test -run '^$$' -fuzz FuzzFloatComponents -fuzztime 10s ./internal/detect/
 	$(GO) test -run '^$$' -fuzz FuzzProbeFrame -fuzztime 10s ./internal/detect/
+	$(GO) test -run '^$$' -fuzz FuzzPatchAreaBound -fuzztime 10s ./internal/detect/
 	$(GO) test -run '^$$' -fuzz FuzzReceive -fuzztime 10s ./internal/transport/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s -fuzzminimizetime 1s ./internal/codec/
 	$(GO) test -run '^$$' -fuzz FuzzResampleRows -fuzztime 10s ./internal/raster/

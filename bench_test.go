@@ -12,6 +12,7 @@ package smokescreen_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"smokescreen"
@@ -98,12 +99,19 @@ func BenchmarkBaselineEBGS(b *testing.B) {
 
 // Substrate micro-benchmarks.
 
+// BenchmarkDetectFramePatch times one production detection of a frame of
+// small at each of the ten candidate resolutions (cold frames cycle, so no
+// cache is involved: DetectFrame reads none).
 func BenchmarkDetectFramePatch(b *testing.B) {
 	v := dataset.MustLoad("small")
 	m := detect.YOLOv4Sim()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.DetectFrame(v, i%v.NumFrames(), 160)
+	v.Background()
+	for _, p := range m.Resolutions(10) {
+		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				m.DetectFrame(v, i%v.NumFrames(), p)
+			}
+		})
 	}
 }
 

@@ -44,6 +44,9 @@ var goldenProfileDigests = []struct {
 	// Captured on 91efcdf, before the noise row kernel and the run-sum
 	// labeller: extra sensor noise, the axis with the most noise components.
 	{"NOISE 0.05", server.GenRequest{Query: "SELECT AVG(count(car)) FROM small NOISE 0.05"}, "bfdeb00858d05c35c6a6a9883b465526809a8c4be999a4cd90d65d11633ead78"},
+	// Captured on 6188c6f, before the patch area bound: the cold request
+	// whose patches it skips most.
+	{"mvi-40775/RESOLUTION 96", server.GenRequest{Query: "SELECT SUM(count(person)) FROM mvi-40775 RESOLUTION 96"}, "40bdb7d0f3f6f3dc94ad4d60b64536550024b324430210814136990c914ff7c3"},
 }
 
 // goldenCubeDigests pins the SaveHypercube bytes of core.GenerateProfilesCtx
@@ -192,4 +195,40 @@ func TestGoldenHypercubeBytes(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestColdDetectorInvocations pins the detector work of two cold
+// generations over `small`: the hypercube of goldenCubeDigests' eager row
+// and the default ladder. The counts are deterministic — the column store
+// detects each (view, model, resolution, frame) at most once and a
+// presence probe is one invocation whatever it decides — so they are equal
+// at every worker setting. They were 4 662 and 1 600 while the person
+// presence scan still probed the native frames planning had chosen.
+func TestColdDetectorInvocations(t *testing.T) {
+	q, err := query.Parse("SELECT AVG(count(car)) FROM small")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range goldenParallelism {
+		detect.ResetCaches()
+		p, err := core.New(core.WithSeed(1), core.WithFractionCandidates(0.02, 0.1), core.WithParallelism(workers)).GenerateProfilesCtx(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.ModelInvocations != 4453 {
+			t.Errorf("parallelism %d: the cold cube made %d detector invocations, want 4453", workers, p.ModelInvocations)
+		}
+
+		detect.ResetCaches()
+		gen := &server.SystemGenerator{CorrectionLimit: 0.2, Parallelism: workers}
+		req := server.GenRequest{Query: "SELECT AVG(count(car)) FROM small", Ladder: "default", Seed: 1, Step: 0.02, MaxFraction: 0.1}
+		before := detect.Invocations()
+		if _, err := gen.Generate(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+		if got := detect.Invocations() - before; got != 1380 {
+			t.Errorf("parallelism %d: the cold default ladder made %d detector invocations, want 1380", workers, got)
+		}
+	}
+	detect.ResetCaches()
 }

@@ -58,8 +58,8 @@ type System struct {
 	// sweeps: a sweep stops once the bound improves by less than this
 	// between consecutive fractions. Zero disables it.
 	earlyStopDelta float64
-	// parallelism bounds the worker goroutines used during profile
-	// generation; 1 is sequential, 0 or negative means one per CPU.
+	// parallelism bounds the cell, unit and estimate fan-outs of profile
+	// generation (not detection); 0 or negative means one per CPU.
 	parallelism int
 }
 
@@ -85,11 +85,13 @@ func WithEarlyStop(delta float64) Option {
 	return func(s *System) { s.earlyStopDelta = delta }
 }
 
-// WithParallelism bounds the worker goroutines used for profile
-// generation (the hypercube grid and fraction sweeps). 1 — the default —
-// is sequential; 0 or negative means one worker per CPU. Randomness is
-// derived per grid cell from stats.Stream children, so profiles are
-// bit-for-bit identical at any setting.
+// WithParallelism bounds the workers over hypercube cells, detect-stage
+// units and fraction or tier estimates: 1 — the default — takes them one
+// at a time, 0 or negative means one per CPU. It is not sequential: the
+// column store detects each unit's frames on one worker per CPU at any
+// setting (outputs.Ensure). Randomness is derived per grid cell from
+// stats.Stream children, so profiles are bit-for-bit identical at any
+// setting.
 func WithParallelism(n int) Option {
 	return func(s *System) { s.parallelism = n }
 }

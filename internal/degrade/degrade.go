@@ -129,7 +129,8 @@ type Plan struct {
 // for UA-DETRAC with restricted class "person"). Computing the admissible
 // pool runs the paper's presence protocol (one probe per frame and
 // restricted class the first time, see outputs.Presence), which a
-// cancelled context aborts.
+// cancelled context aborts; a frame with a stored native row (plan.BuildLadder
+// detects its planned native frames first) is read, not probed.
 func ApplyCtx(ctx context.Context, v *scene.Video, m *detect.Model, s Setting, stream *stats.Stream) (*Plan, error) {
 	if err := s.Validate(m); err != nil {
 		return nil, err

@@ -41,6 +41,12 @@ func TestGoldenDetections(t *testing.T) {
 		{"small/yolo/320", "small", scene.View{}, YOLOv4Sim(), 320, 150, false, "a259957611e466331337dc417866c44dec5b1f5de8ed7a2d03b735f5931fde0f"},
 		{"small/yolo/160", "small", scene.View{}, YOLOv4Sim(), 160, 150, false, "5708b30b6e2a73d569ddf6cebb24261bcd6267bf5d6642b2fbccb3d9bc19e883"},
 		{"mvi-40775/yolo/160", "mvi-40775", scene.View{}, YOLOv4Sim(), 160, 60, false, "32ef4783bd6195403e3aebd4b043a075b5e9f13a5e9ed61d5b6135a5b01e3024"},
+		// Clean rows at the resolutions where the patch area bound skips
+		// all (32) or some (96) patches, captured on 6188c6f before it.
+		{"small/yolo/32", "small", scene.View{}, YOLOv4Sim(), 32, 1200, false, "e9a15a094703faaea3fdf53af7e04da21717008ab4bb228799712b2fced03c65"},
+		{"small/yolo/96", "small", scene.View{}, YOLOv4Sim(), 96, 150, false, "5d0f931dec1056faba5ba38bbebdd52d8b1aa879179a9a313cc02d72a142c011"},
+		{"mvi-40775/yolo/32", "mvi-40775", scene.View{}, YOLOv4Sim(), 32, 975, false, "98a2ee0918b752bd231857963b8e3ca51effd77e32f5644e667c0b3f936fb213"},
+		{"mvi-40775/yolo/96", "mvi-40775", scene.View{}, YOLOv4Sim(), 96, 300, false, "d57fc1d8284bd4262a423eb4616b1d2f5a263e42ea7926327f1dd0e31ae6d80e"},
 		{"small/mtcnn/320", "small", scene.View{}, MTCNNSim(), 320, 400, false, "2f0154f99ad7f3cb89016551998873feed478682fe056d846310268f5f6786db"},
 		{"small/yolo/160/full", "small", scene.View{}, YOLOv4Sim(), 160, 40, true, "8e7a9de8d134e027655ae1a0d7b390bdb66eec97fa3989147b925ea99bb516ab"},
 		{"small/mtcnn/320/full", "small", scene.View{}, MTCNNSim(), 320, 10, true, "b7a15743ca3d3b88406947f5a6451c8a176b76fd768154908fd52766563a2b80"},
@@ -122,7 +128,9 @@ func TestGoldenDetections(t *testing.T) {
 					}
 				}
 			}
-			if n == 0 {
+			// YOLOv4 reports nothing at p = 32 on either corpus (every patch
+			// is below the area bound); those rows pin that, frame by frame.
+			if n == 0 && c.p != 32 {
 				t.Fatal("no detections hashed: the case pins nothing")
 			}
 			if got := hex.EncodeToString(h.Sum(nil)); got != c.want {

@@ -167,6 +167,11 @@ func patchDims(region raster.Rect, sx, sy float64) (tw, th int) {
 // resolution, downsamples frame and static background to the model scale,
 // adds effective sensor noise, and runs denoise + background-difference
 // threshold + connected-components detection on the pixels.
+//
+// A patch too small to be reported is not evaluated: a component lies in
+// the tw × th plane, sizeConf is nondecreasing in area and contrastConf ≤ 1
+// (an IEEE product by a factor ≤ 1 never rounds above the other), so if the
+// whole plane at infinite contrast falls short, selectCandidate reports none.
 func (m *Model) evalPatch(v *scene.Video, frameIdx, p int, obj *scene.Object, sx, sy, sigmaEff, tau float64) candidate {
 	cfg := &v.Config
 	cand := candidate{
@@ -183,6 +188,9 @@ func (m *Model) evalPatch(v *scene.Video, frameIdx, p int, obj *scene.Object, sx
 		return cand
 	}
 	tw, th := patchDims(region, sx, sy)
+	if m.confidence(tw*th, math.Inf(1), tau) < m.Threshold {
+		return cand
+	}
 	comps := m.patchComponentsFloat(v, frameIdx, p, obj, region, tw, th, sigmaEff, tau)
 	m.selectCandidate(&cand, comps, obj, region, sx, sy, tau)
 	return cand

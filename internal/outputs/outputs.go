@@ -344,10 +344,11 @@ func allFrames(n int) []int {
 //
 // The answer is a boolean, so a frame is probed (detect.ProbeFrame), not
 // detected: frames the native table already holds answer from their row,
-// the rest stop at the first object that decides them. A probe that runs
-// to the end — every absent frame, i.e. the admissible frames a REMOVE
-// sweep samples — leaves its complete row like an ordinary read; an early
-// exit leaves nothing, so a later count query detects that frame in full.
+// the rest stop at the first object that decides them (the planners Ensure
+// their planned native frames before a scan). A probe that runs to the end
+// — every absent frame, i.e. the admissible frames a REMOVE sweep samples —
+// leaves its complete row like an ordinary read; an early exit leaves
+// nothing, so a later count query detects that frame in full.
 // The bitmap is cached on the table and shared: callers must not mutate
 // it, and a second call makes no detector invocation.
 func Presence(ctx context.Context, v *scene.Video, c scene.Class) ([]bool, error) {

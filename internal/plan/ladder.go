@@ -114,14 +114,21 @@ type LadderPlan struct {
 // BuildLadder validates the ladder and materialises each tier's
 // degradation plan. Tier randomness derives from the tier's index, so
 // plans — and therefore ladder profiles — are bit-identical at any
-// executor parallelism.
+// executor parallelism. detectNative runs before a restricted tier's scan.
 func BuildLadder(ctx context.Context, v *scene.Video, m *detect.Model, l Ladder, stream *stats.Stream) (*LadderPlan, error) {
 	defer PlanTimer()()
 	if err := l.Validate(m); err != nil {
 		return nil, err
 	}
 	lp := &LadderPlan{Ladder: l}
+	detected := 0 // lp.Tasks[:detected] have had their native frames detected
 	for ti, tier := range l.Tiers {
+		if len(tier.Setting.Restricted) > 0 {
+			if err := detectNative(ctx, v, m, tierPlans(lp.Tasks[detected:])); err != nil {
+				return nil, err
+			}
+			detected = len(lp.Tasks)
+		}
 		p, err := degrade.ApplyCtx(ctx, v, m, tier.Setting, stream.ChildN(0x1adde2, uint64(ti)))
 		if err != nil {
 			if ctx.Err() != nil {
@@ -141,11 +148,16 @@ func BuildLadder(ctx context.Context, v *scene.Video, m *detect.Model, l Ladder,
 // Units dedups the ladder's detector work across its feasible tiers by
 // (view spec, resolution); see dedup.
 func (lp *LadderPlan) Units() []Unit {
+	return dedup(tierPlans(lp.Tasks))
+}
+
+// tierPlans returns the plans of the feasible tiers among tasks.
+func tierPlans(tasks []LadderTask) []*degrade.Plan {
 	var plans []*degrade.Plan
-	for _, task := range lp.Tasks {
+	for _, task := range tasks {
 		if task.Plan != nil {
 			plans = append(plans, task.Plan)
 		}
 	}
-	return dedup(plans)
+	return plans
 }

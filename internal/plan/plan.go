@@ -16,10 +16,12 @@ package plan
 
 import (
 	"context"
+	"slices"
 	"sort"
 
 	"smokescreen/internal/degrade"
 	"smokescreen/internal/detect"
+	"smokescreen/internal/outputs"
 	"smokescreen/internal/scene"
 	"smokescreen/internal/stats"
 )
@@ -139,7 +141,8 @@ type Hypercube struct {
 // Presence scans for the restricted-class combos run here, under ctx: the
 // prior-information protocol is part of planning, not execution. A combo's
 // admissible pool does not depend on resolution, so it is resolved once
-// per combo and shared by the combo's cells.
+// per combo and shared by the combo's cells; detectNative runs before each
+// scan.
 func BuildHypercube(ctx context.Context, v *scene.Video, m *detect.Model, fractions []float64, stream *stats.Stream) (*Hypercube, error) {
 	defer PlanTimer()()
 	h := &Hypercube{
@@ -147,7 +150,14 @@ func BuildHypercube(ctx context.Context, v *scene.Video, m *detect.Model, fracti
 		Resolutions: CandidateResolutions(m),
 		Combos:      ClassCombos(),
 	}
+	detected := 0 // h.Cells[:detected] have had their native frames detected
 	for ci := range h.Combos {
+		if len(h.Combos[ci]) > 0 {
+			if err := detectNative(ctx, v, m, cellPlans(h.Cells[detected:])); err != nil {
+				return nil, err
+			}
+			detected = len(h.Cells)
+		}
 		admissible, err := degrade.AdmissibleFramesCtx(ctx, v, h.Combos[ci])
 		if err != nil {
 			return nil, err
@@ -169,6 +179,21 @@ func BuildHypercube(ctx context.Context, v *scene.Video, m *detect.Model, fracti
 	return h, nil
 }
 
+// detectNative Ensures the frames the plans sample at m's native input on
+// the unviewed corpus, before a presence scan: the scan then reads their
+// rows instead of probing them, and the detect stage, which needs the same
+// rows, finds them stored. (A lazy early-stopping cube may never read some.)
+func detectNative(ctx context.Context, v *scene.Video, m *detect.Model, plans []*degrade.Plan) error {
+	var frames []int
+	for _, p := range plans {
+		if p.Resolution == m.NativeInput && p.Setting.View().IsZero() {
+			frames = append(frames, p.Sampled...)
+		}
+	}
+	sort.Ints(frames)
+	return outputs.Ensure(ctx, v, m, scene.Car, m.NativeInput, slices.Compact(frames))
+}
+
 // Unit is one deduplicated physical detector work unit: the frames to
 // evaluate at one input resolution over one corpus view (the model is
 // implicit from the generation the plan belongs to). Setting carries only
@@ -184,13 +209,19 @@ type Unit struct {
 // the same physical (frame, resolution) touched by several class combos'
 // sweeps is evaluated once.
 func (h *Hypercube) Units() []Unit {
+	return dedup(cellPlans(h.Cells))
+}
+
+// cellPlans returns the last task's plan of every feasible cell: nested
+// sampling makes its sample every frame the cell reads.
+func cellPlans(cells []Cell) []*degrade.Plan {
 	var plans []*degrade.Plan
-	for i := range h.Cells {
-		if sw := h.Cells[i].Sweep; sw != nil {
+	for _, cell := range cells {
+		if sw := cell.Sweep; sw != nil {
 			plans = append(plans, sw.Tasks[len(sw.Tasks)-1].Plan)
 		}
 	}
-	return dedup(plans)
+	return plans
 }
 
 // dedup merges the plans' sampled frames into units keyed by (view spec,

@@ -8,6 +8,7 @@ import (
 	"smokescreen/internal/dataset"
 	"smokescreen/internal/degrade"
 	"smokescreen/internal/detect"
+	"smokescreen/internal/outputs"
 	"smokescreen/internal/scene"
 	"smokescreen/internal/stats"
 )
@@ -226,5 +227,37 @@ func TestBuildSweepCancelled(t *testing.T) {
 	}, stats.NewStream(1))
 	if err == nil {
 		t.Fatal("cancelled planning should fail (presence protocol runs under ctx)")
+	}
+}
+
+// TestPresenceScansReadPlannedNativeRows: a presence scan never probes a
+// frame the plan already chose to detect at the native input on the scan's
+// own table. In a cold YOLOv4 cube over small, the person scan (before the
+// third combo) finds the native frames of the first two combos' cells as
+// rows; the face scan runs on MTCNN's table, so it probes every frame.
+func TestPresenceScansReadPlannedNativeRows(t *testing.T) {
+	v := dataset.MustLoad("small")
+	m := detect.YOLOv4Sim()
+	n := int64(v.NumFrames())
+	detect.ResetCaches()
+	defer detect.ResetCaches()
+	h, err := BuildHypercube(context.Background(), v, m, CandidateFractions(0.02, 0.1), stats.NewStream(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	planned := map[int]bool{}
+	for _, cell := range h.Cells {
+		if cell.CI < 2 && h.Resolutions[cell.RI] == m.NativeInput {
+			for _, f := range cell.Sweep.Frames() {
+				planned[f] = true
+			}
+		}
+	}
+	st := outputs.ReadStats()
+	if st.FramesDetected != int64(len(planned)) {
+		t.Fatalf("planning detected %d frames, want the %d native frames planned before the person scan", st.FramesDetected, len(planned))
+	}
+	if want := 2*n - int64(len(planned)); st.PresenceProbes != want {
+		t.Fatalf("the scans probed %d frames, want %d: a planned native frame was probed", st.PresenceProbes, want)
 	}
 }

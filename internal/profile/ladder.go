@@ -18,11 +18,12 @@ type LadderOptions struct {
 	// rung.
 	Correction *estimate.Correction
 	// Parallelism bounds the worker goroutines that materialise work units
-	// and estimate tiers concurrently: 1 is sequential, 0 or negative means
-	// one worker per CPU. Tier randomness derives from tier indices at plan
-	// time and every estimate is a pure function of its plan and the stored
-	// detector columns, so the profile is bit-for-bit identical at any
-	// worker count.
+	// and estimate tiers concurrently: 1 takes them one at a time, 0 or
+	// negative means one worker per CPU; a unit's frames are detected on one
+	// worker per CPU at any setting (outputs.Ensure). Tier randomness derives
+	// from tier indices at plan time and every estimate is a pure function
+	// of its plan and the stored detector columns, so the profile is
+	// bit-for-bit identical at any worker count.
 	Parallelism int
 }
 

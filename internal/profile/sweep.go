@@ -134,8 +134,10 @@ type HypercubeOptions struct {
 	// sweep (unevaluated cells stay NaN). Zero disables it.
 	EarlyStopDelta float64
 	// Parallelism bounds the worker goroutines that materialise work units
-	// and evaluate (combo, resolution) cells concurrently: 1 is sequential,
-	// 0 or negative means one worker per CPU. Every cell derives its
+	// and evaluate (combo, resolution) cells concurrently: 1 takes them one
+	// at a time, 0 or negative means one worker per CPU. It does not bound
+	// detection: the column store detects each unit's frames on one worker
+	// per CPU at any setting (outputs.Ensure). Every cell derives its
 	// randomness from a stats.Stream child keyed by its grid coordinates
 	// and writes bounds into its own row, so the hypercube is bit-for-bit
 	// identical at any worker count and under any worker completion order.
