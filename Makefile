@@ -161,8 +161,9 @@ stream-smoke:
 	sh ./scripts/stream_smoke.sh
 
 # End-to-end fleet smoke: three real smokescreend daemons sharing a ring,
-# smokeload's herd + steady scenarios in urls mode, a kill -9 of one node
-# with a survivor re-POST (lease expiry), then SIGTERM drain of the rest.
+# smokeload's herd + steady scenarios in urls mode, a kill -9 of the
+# generating node with a new-key herd on the survivors (one generation:
+# forward failover to the key's first live replica), then SIGTERM drain.
 fleet-smoke:
 	sh ./scripts/fleet_smoke.sh
 

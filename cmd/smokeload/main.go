@@ -20,8 +20,7 @@
 //
 //	smokeload [-mode inprocess] [-scenario all|herd|kill|cancel|steady]
 //	          [-nodes 3] [-clients 32] [-keys 16] [-requests 50]
-//	          [-gen-delay 20ms] [-payload 4096] [-lease-ttl 250ms]
-//	          [-json]
+//	          [-gen-delay 20ms] [-payload 4096] [-json]
 //	smokeload -mode urls -urls http://h1:p1,http://h2:p2 [-scenario herd]
 //	          [-clients 8] [-query "SELECT ..."] [-step 0.05]
 //	          [-max-fraction 0.1] [-json]
@@ -48,8 +47,6 @@ func main() {
 	requests := flag.Int("requests", 50, "steady: requests per client")
 	genDelay := flag.Duration("gen-delay", 20*time.Millisecond, "inprocess: synthetic generation hold time")
 	payload := flag.Int("payload", 4096, "inprocess: synthetic artifact bytes")
-	leaseTTL := flag.Duration("lease-ttl", 250*time.Millisecond, "inprocess: generation lease TTL")
-	claimPoll := flag.Duration("claim-poll", 10*time.Millisecond, "inprocess: denied-claim poll interval")
 	urls := flag.String("urls", "", "urls mode: comma-separated daemon base URLs")
 	query := flag.String("query", "SELECT AVG(count(car)) FROM small", "urls mode: profile query")
 	step := flag.Float64("step", 0.05, "urls mode: profile step")
@@ -68,7 +65,7 @@ func main() {
 		results, err = runInprocess(ctx, inprocessOpts{
 			scenario: *scenario, nodes: *nodes, clients: *clients,
 			keys: *keys, requests: *requests, genDelay: *genDelay,
-			payload: *payload, leaseTTL: *leaseTTL, claimPoll: *claimPoll,
+			payload: *payload,
 		})
 	case "urls":
 		results, err = runURLs(ctx, urlsOpts{
@@ -101,10 +98,10 @@ func emit(results []fleetd.LoadResult, asJSON bool) {
 		if r.Requests > 0 {
 			entryHit = float64(r.EntryHits) / float64(r.Requests)
 		}
-		fmt.Printf("%-7s %6d req %3d err %8.1f req/s  p50 %7.2fms  p99 %7.2fms  gen %d  fwd %d coalesced %d local %d entry-hit %.3f (admits %d) repairs %d expiries %d\n",
+		fmt.Printf("%-7s %6d req %3d err %8.1f req/s  p50 %7.2fms  p99 %7.2fms  gen %d  fwd %d coalesced %d local %d entry-hit %.3f (admits %d) repairs %d\n",
 			r.Scenario, r.Requests, r.Errors, r.RequestsPerSec,
 			r.P50Millis, r.P99Millis, r.Generations,
-			r.Forwards, r.Coalesced, r.LocalRequests, entryHit, r.EntryAdmits, r.Repairs, r.LeaseExpiries)
+			r.Forwards, r.Coalesced, r.LocalRequests, entryHit, r.EntryAdmits, r.Repairs)
 	}
 }
 
@@ -113,7 +110,6 @@ type inprocessOpts struct {
 	nodes, clients          int
 	keys, requests, payload int
 	genDelay                time.Duration
-	leaseTTL, claimPoll     time.Duration
 }
 
 func runInprocess(ctx context.Context, o inprocessOpts) ([]fleetd.LoadResult, error) {
@@ -124,8 +120,6 @@ func runInprocess(ctx context.Context, o inprocessOpts) ([]fleetd.LoadResult, er
 	defer os.RemoveAll(dir)
 	h, err := fleetd.StartHarness(fleetd.HarnessConfig{
 		Nodes:        o.nodes,
-		LeaseTTL:     o.leaseTTL,
-		ClaimPoll:    o.claimPoll,
 		GenDelay:     o.genDelay,
 		PayloadBytes: o.payload,
 		Dir:          dir,
@@ -170,8 +164,8 @@ func runInprocess(ctx context.Context, o inprocessOpts) ([]fleetd.LoadResult, er
 		if err := add(res, err); err != nil {
 			return results, err
 		}
-		if res.LeaseExpiries == 0 {
-			return results, fmt.Errorf("kill: recovery completed without a lease expiry")
+		if res.Generations > 2 {
+			return results, fmt.Errorf("kill: %d generations of one key, want at most 2 (victim + survivor)", res.Generations)
 		}
 	}
 	if len(results) == 0 {

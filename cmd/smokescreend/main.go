@@ -10,7 +10,7 @@
 //	             [-request-timeout D] [-job-timeout D] [-drain-timeout D]
 //	             [-addr-file PATH]
 //	             [-fleet-nodes H1:P1,H2:P2,...] [-fleet-self H:P]
-//	             [-fleet-replicas R] [-fleet-vnodes V] [-fleet-lease-ttl D]
+//	             [-fleet-replicas R] [-fleet-vnodes V]
 //
 // Endpoints: POST /v1/profiles, GET /v1/profiles/{key}, GET /v1/jobs/{id},
 // DELETE /v1/jobs/{id}, POST /v1/streams, GET /v1/streams/{id},
@@ -21,9 +21,10 @@
 // With -fleet-nodes (or SMOKESCREEND_FLEET_NODES), the daemon joins an
 // N-node fleet: profile keys are placed on a consistent-hash ring,
 // requests are forwarded to a replica over pooled keep-alive connections,
-// artifacts fan out to R replicas with read-repair, and generation dedup
-// is coordinated by TTL leases (see DESIGN.md §5.5 and §5.6). Fleet mode adds
-// GET /v1/ring plus internal replication and lease endpoints, and
+// artifacts fan out to R replicas with read-repair, and every POST that
+// must generate a key is routed to the key's first reachable replica, whose
+// job queue coalesces it (see DESIGN.md §5.5 and §5.6). Fleet mode adds
+// GET /v1/ring plus internal replication endpoints, and
 // smokescreend_fleet_* counters on /metrics.
 package main
 
@@ -72,7 +73,6 @@ func registerFlags(fs *flag.FlagSet) *runConfig {
 	fs.StringVar(&cfg.fleetSelf, "fleet-self", "", "this node's identity within -fleet-nodes (default: the bound address)")
 	fs.IntVar(&cfg.fleetVNodes, "fleet-vnodes", 0, "virtual nodes per fleet member on the placement ring (0 = default)")
 	fs.IntVar(&cfg.fleetReplicas, "fleet-replicas", 0, "replicas per profile key (0 = default 2)")
-	fs.DurationVar(&cfg.fleetLeaseTTL, "fleet-lease-ttl", 3*time.Second, "generation lease TTL (a dead node's work is re-claimable after this)")
 	return cfg
 }
 
@@ -86,7 +86,6 @@ type runConfig struct {
 
 	fleetNodes, fleetSelf      string
 	fleetVNodes, fleetReplicas int
-	fleetLeaseTTL              time.Duration
 }
 
 func run(cfg runConfig, logger *log.Logger) error {
@@ -126,7 +125,7 @@ func run(cfg runConfig, logger *log.Logger) error {
 
 	// handler/drain abstract over the two shapes: a bare single-process
 	// daemon, or that same daemon wrapped in a fleetd node (ring routing,
-	// replication, lease coordination).
+	// replication, first-replica generation).
 	var handler http.Handler
 	var drain func(context.Context) error
 	if cfg.fleetNodes != "" {
@@ -139,7 +138,6 @@ func run(cfg runConfig, logger *log.Logger) error {
 			Nodes:     fleetd.ParseNodes(cfg.fleetNodes),
 			VNodes:    cfg.fleetVNodes,
 			Replicas:  cfg.fleetReplicas,
-			LeaseTTL:  cfg.fleetLeaseTTL,
 			Store:     st,
 			Generator: generator,
 			Server:    serverCfg,

@@ -11,7 +11,7 @@ import (
 func TestFlagSet(t *testing.T) {
 	want := []string{
 		"addr", "addr-file", "cache-mb", "drain-timeout",
-		"fleet-lease-ttl", "fleet-nodes", "fleet-replicas", "fleet-self",
+		"fleet-nodes", "fleet-replicas", "fleet-self",
 		"fleet-vnodes", "job-timeout", "parallelism", "queue",
 		"request-timeout", "store", "workers",
 	}

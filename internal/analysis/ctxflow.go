@@ -27,10 +27,10 @@ import (
 //     convention exists to prevent.
 //
 // A third rule applies only to the clock-injected packages below: no
-// direct wall-clock or timer calls. fleetd's lease expiry, claim-wait
-// backoff, and renewal pacing all flow through an injected Clock so the
-// lease tests drive expiry with a fake clock instead of sleeping; one
-// stray time.Now() reintroduces real-time coupling and flaky tests. The
+// direct wall-clock or timer calls. fleetd's synthetic generation holds
+// and load-driver timings all flow through an injected Clock, so a test
+// can step them with a fake clock instead of sleeping; one stray
+// time.Now() reintroduces real-time coupling and flaky tests. The
 // production Clock implementation carries reasoned
 // //smokevet:ignore ctxflow suppressions — it is the sole sanctioned
 // wall-clock read.

@@ -78,7 +78,7 @@ func RealTimer() <-chan time.Time {
 }
 
 // Naps sleeps on the real clock — the exact flake source the rule exists
-// to keep out of lease tests.
+// to keep out of fleet tests.
 func Naps() {
 	time.Sleep(time.Millisecond) // want `time\.Sleep in a clock-injected package`
 }

@@ -2,11 +2,10 @@ package fleetd
 
 import "time"
 
-// Clock is the package's only source of time. Lease expiry, claim-wait
-// backoff and renewal pacing all flow through an injected Clock so tests
-// drive expiry deterministically with a fake clock instead of sleeping —
-// the smokevet ctxflow analyzer rejects direct time.Now/time.After use in
-// this package to keep it that way.
+// Clock is the package's only source of time. The synthetic generator's
+// hold and the load driver's latencies and polls flow through an injected
+// Clock — the smokevet ctxflow analyzer rejects direct time.Now/time.After
+// use in this package to keep it that way.
 type Clock interface {
 	// Now returns the current instant.
 	Now() time.Time

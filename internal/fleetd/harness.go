@@ -163,9 +163,6 @@ type HarnessConfig struct {
 	// VNodes/Replicas parameterize the ring (package defaults if <= 0).
 	VNodes   int
 	Replicas int
-	// LeaseTTL/ClaimPoll tune lease coordination (Node defaults if <= 0).
-	LeaseTTL  time.Duration
-	ClaimPoll time.Duration
 	// GenDelay holds each synthetic generation open.
 	GenDelay time.Duration
 	// PayloadBytes sizes synthetic artifacts.
@@ -177,8 +174,8 @@ type HarnessConfig struct {
 	// Dir is the root for per-node store directories. Required; the
 	// caller owns cleanup (tests pass t.TempDir()).
 	Dir string
-	// Clock drives leases and the load scenarios' latency measurements;
-	// nil means SystemClock.
+	// Clock drives synthetic generation delays and the load scenarios'
+	// latency measurements; nil means SystemClock.
 	Clock Clock
 	// Logf receives every node's log lines; nil discards them.
 	Logf func(format string, args ...any)
@@ -251,13 +248,11 @@ func StartHarness(cfg HarnessConfig) (*Harness, error) {
 			return fail(err)
 		}
 		node, err := NewNode(Config{
-			Self:      name,
-			Nodes:     names,
-			VNodes:    cfg.VNodes,
-			Replicas:  cfg.Replicas,
-			LeaseTTL:  cfg.LeaseTTL,
-			ClaimPoll: cfg.ClaimPoll,
-			Store:     st,
+			Self:     name,
+			Nodes:    names,
+			VNodes:   cfg.VNodes,
+			Replicas: cfg.Replicas,
+			Store:    st,
 			Generator: &SyntheticGenerator{
 				NodeName:     name,
 				Counter:      h.Counter,
@@ -273,8 +268,7 @@ func StartHarness(cfg HarnessConfig) (*Harness, error) {
 					cfg.Logf("["+name+"] "+format, args...)
 				},
 			},
-			Clock: cfg.Clock,
-			Logf:  cfg.Logf,
+			Logf: cfg.Logf,
 		})
 		if err != nil {
 			return fail(err)
@@ -344,9 +338,8 @@ func (h *Harness) URLFor(name string) string {
 }
 
 // Kill terminates the named node abruptly: running generations' contexts
-// are canceled, held leases are NOT released (they expire), and the
-// listener drops every connection — the closest an in-process harness
-// gets to kill -9.
+// are canceled and the listener drops every connection — the closest an
+// in-process harness gets to kill -9.
 func (h *Harness) Kill(name string) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -46,11 +46,9 @@ type LoadResult struct {
 	LocalRequests int64 `json:"local_requests"`
 	// EntryHits are requests a non-replica entry node answered from a
 	// verified copy it already held; EntryAdmits are the copies it pulled.
-	EntryHits     int64 `json:"entry_hits"`
-	EntryAdmits   int64 `json:"entry_admits"`
-	Repairs       int64 `json:"repairs"`
-	LeaseExpiries int64 `json:"lease_expiries"`
-	LeaseWaits    int64 `json:"lease_waits"`
+	EntryHits   int64 `json:"entry_hits"`
+	EntryAdmits int64 `json:"entry_admits"`
+	Repairs     int64 `json:"repairs"`
 }
 
 // Driver is the load client. It knows a fleet only as a list of base
@@ -82,7 +80,7 @@ func NewDriver(clock Clock, generations func() int) *Driver {
 	}
 }
 
-// Close releases the driver's pooled connections.
+// Close drops the driver's pooled connections.
 func (d *Driver) Close() { d.client.CloseIdleConnections() }
 
 // Get fetches a profile by key through the given base URL.
@@ -235,15 +233,13 @@ func (lr *loadRun) finish(ctx context.Context) LoadResult {
 	res.EntryHits = delta("smokescreend_fleet_entry_hits_total")
 	res.EntryAdmits = delta("smokescreend_fleet_entry_admits_total")
 	res.Repairs = delta("smokescreend_fleet_repairs_total")
-	res.LeaseExpiries = delta("smokescreend_fleet_lease_expiries_total")
-	res.LeaseWaits = delta("smokescreend_fleet_lease_waits_total")
 	return *res
 }
 
 // Herd slams every URL with concurrent sync POSTs of ONE request. The
 // fleet must collapse the herd to a single generation: routing-layer
-// singleflight on the forwarding nodes, the lease on the replicas, and
-// the jobSet on the generating node each absorb a layer of duplication.
+// singleflight on the forwarding nodes, and the jobSet on the key's first
+// replica, where every node routes it, each absorb a layer of duplication.
 func (d *Driver) Herd(ctx context.Context, urls []string, clients int, genReq server.GenRequest) (LoadResult, error) {
 	if clients <= 0 {
 		clients = 32
@@ -368,41 +364,24 @@ func (h *Harness) RunSteady(ctx context.Context, clients, keys, requestsPerClien
 	return h.Steady(ctx, urls, clients, requestsPerClient, population)
 }
 
-// pickKillTarget finds a query whose primary replica is NOT the lease
-// authority for its generation unit, so killing the generating node
-// leaves the authority alive to arbitrate the takeover — the expiry path
-// under test. It also wants a surviving second replica.
-func (h *Harness) pickKillTarget() (queryText, victim, survivor string, err error) {
-	ring := h.Ring()
-	for i := 0; i < 4096; i++ {
-		q := fmt.Sprintf("kill-%d", i)
-		key := SyntheticKey(q)
-		reps := ring.Replicas(key)
-		if len(reps) < 2 {
-			continue
-		}
-		if auth := ring.Owner("gen/" + key); auth != reps[0] {
-			return q, reps[0], reps[1], nil
-		}
-	}
-	return "", "", "", fmt.Errorf("fleetd: no kill target found (ring too small?)")
-}
-
-// RunKillDuringGeneration proves lease expiry: a sync POST lands on the
-// key's primary replica, the node is killed mid-generation (its lease is
-// never released), and a re-POST to a survivor completes once the lease
-// expires and the survivor takes the unit over. Requires a GenDelay long
-// enough to land the kill (>= ~10x ClaimPoll).
+// RunKillDuringGeneration proves forward failover: a sync POST lands on
+// the key's first replica, the node is killed mid-generation, and a
+// re-POST to the second replica completes there — its forward to the dead
+// node is refused, so it is the key's first live replica and generates.
+// The result's latency percentiles are the recovery POST's alone. Requires
+// a GenDelay long enough to land the kill.
 func (h *Harness) RunKillDuringGeneration(ctx context.Context) (LoadResult, error) {
-	queryText, victim, survivor, err := h.pickKillTarget()
-	if err != nil {
-		return LoadResult{}, err
+	const queryText = "kill-target"
+	key := SyntheticKey(queryText)
+	reps := h.Ring().Replicas(key)
+	if len(reps) < 2 {
+		return LoadResult{}, fmt.Errorf("fleetd: kill scenario needs a second replica")
 	}
+	victim, survivor := reps[0], reps[1]
 	victimURL, survivorURL := h.URLFor(victim), h.URLFor(survivor)
 	if victimURL == "" || survivorURL == "" {
 		return LoadResult{}, fmt.Errorf("fleetd: kill target nodes not live")
 	}
-	key := SyntheticKey(queryText)
 	lr := h.begin(ctx, "kill", h.aliveURLs())
 
 	// First POST: blocks in the victim's (slow) generation.
@@ -424,15 +403,14 @@ func (h *Harness) RunKillDuringGeneration(ctx context.Context) (LoadResult, erro
 		}
 	}
 	if got := h.Counter.NodeFor(key); got != victim {
-		// Placement said the primary generates; if routing ever changes
-		// this scenario must be rethought, so fail loudly.
-		return lr.res, fmt.Errorf("fleetd: expected %s to generate %s, got %s", victim, key, got)
+		return lr.res, fmt.Errorf("fleetd: expected the first replica %s to generate %s, got %s", victim, key, got)
 	}
 	h.Kill(victim)
 	<-firstDone
 
-	// Recovery POST: must complete on the survivor after lease expiry.
+	// Recovery POST: the survivor routes past the dead node and generates.
 	var status int
+	var err error
 	lr.timed(func() bool {
 		status, _, err = h.Post(ctx, survivorURL, server.GenRequest{Query: queryText})
 		return err == nil && status == http.StatusOK
@@ -523,4 +501,12 @@ func (h *Harness) RunCancelPropagation(ctx context.Context) (LoadResult, error) 
 		case <-h.clock.After(5 * time.Millisecond):
 		}
 	}
+}
+
+func mustJSON(v any) []byte {
+	b, err := json.Marshal(v)
+	if err != nil {
+		panic(err) // only reachable for unmarshalable Go values, not inputs
+	}
+	return b
 }

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -20,18 +21,16 @@ import (
 )
 
 // fleetFromHeader marks fleet-internal hops. A request carrying it is
-// handled locally, never re-forwarded — forwarding chains are at most one
-// hop deep (client -> router -> replica) plus one denied-claimant hop to
-// the lease holder, so ownership races can never ping-pong a request
+// served where it lands, never re-forwarded — a forwarding chain is at most
+// one hop deep (client -> entry node -> replica), so two nodes that
+// disagree about which replica is reachable can never ping-pong a request
 // around the ring.
 const fleetFromHeader = "X-Smokescreen-Fleet-From"
 
 const (
-	// maxRequestBytes bounds a POST /v1/profiles body.
-	maxRequestBytes = 1 << 20
 	// maxTransferBytes bounds forwarded responses and envelope transfers.
 	maxTransferBytes = 256 << 20
-	// peerTimeout bounds one fleet-internal envelope or lease exchange.
+	// peerTimeout bounds one fleet-internal envelope exchange.
 	peerTimeout = 15 * time.Second
 )
 
@@ -45,13 +44,6 @@ type Config struct {
 	// VNodes and Replicas parameterize the ring (package defaults if <= 0).
 	VNodes   int
 	Replicas int
-	// LeaseTTL is how long a generation lease lives without renewal
-	// (default 3s). Holders renew at TTL/3; a killed node's lease expires
-	// after at most one TTL and a survivor takes the unit over.
-	LeaseTTL time.Duration
-	// ClaimPoll caps how long a denied claimant waits before re-checking
-	// the store and re-claiming (default 100ms).
-	ClaimPoll time.Duration
 	// Store is this node's local artifact store. Required.
 	Store *store.Store
 	// Generator resolves and runs generations. Required.
@@ -60,9 +52,6 @@ type Config struct {
 	// RequestTimeout, ...). Store, Generator, JobIDPrefix, and BaseContext
 	// are owned by the Node and overwritten.
 	Server server.Config
-	// Clock drives lease TTLs and claim-poll waits; nil means SystemClock.
-	// Tests inject a fake clock to step lease expiry deterministically.
-	Clock Clock
 	// Logf receives operational log lines; nil discards them.
 	Logf func(format string, args ...any)
 	// Transport overrides the forwarding transport; nil builds a pooled
@@ -84,19 +73,16 @@ type fleetMetrics struct {
 	repairFailures       atomic.Int64 // peer envelopes that failed validation
 	replicaWrites        atomic.Int64 // successful write fan-out pushes
 	replicaWriteFailures atomic.Int64 // failed pushes (healed later by read-repair)
-	leaseWaits           atomic.Int64 // denied claims that waited for the holder
-	leaseLocalFallbacks  atomic.Int64 // lease authority unreachable; local-only dedup
 }
 
 // Node is one smokescreend fleet member: the single-process server
-// wrapped with ring routing, replica fan-out, read-repair, and lease
-// coordination. Mount Handler on this node's listener.
+// wrapped with ring routing, replica fan-out and read-repair. Mount
+// Handler on this node's listener.
 type Node struct {
-	cfg   Config
-	self  string
-	ring  *Ring
-	clock Clock
-	logf  func(format string, args ...any)
+	cfg  Config
+	self string
+	ring *Ring
+	logf func(format string, args ...any)
 
 	localStore *store.Store
 	backend    *replicatedStore
@@ -104,7 +90,6 @@ type Node struct {
 	innerH     http.Handler
 	gen        server.Generator
 
-	leases   *leaseTable
 	client   *http.Client
 	forwards *flightGroup
 	metrics  fleetMetrics
@@ -113,14 +98,10 @@ type Node struct {
 	// GET/DELETE /v1/jobs/{id} to the node that minted the id.
 	jobNodes map[string]string
 
-	leaseTTL  time.Duration
-	claimPoll time.Duration
-
-	// baseCtx parents every generation; Kill cancels it to simulate this
-	// node dying mid-work (leases are deliberately not released).
+	// baseCtx parents every generation and stream; Kill cancels it to
+	// simulate this node dying mid-work.
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
-	killed     atomic.Bool
 }
 
 // nodePrefix derives a node's job-id prefix: 8 hex chars of the node
@@ -145,15 +126,6 @@ func NewNode(cfg Config) (*Node, error) {
 	if !ring.Contains(self) {
 		return nil, fmt.Errorf("fleetd: self %q is not in the node set %v", self, ring.Nodes())
 	}
-	if cfg.LeaseTTL <= 0 {
-		cfg.LeaseTTL = 3 * time.Second
-	}
-	if cfg.ClaimPoll <= 0 {
-		cfg.ClaimPoll = 100 * time.Millisecond
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = SystemClock
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
@@ -168,15 +140,11 @@ func NewNode(cfg Config) (*Node, error) {
 		cfg:        cfg,
 		self:       self,
 		ring:       ring,
-		clock:      cfg.Clock,
 		logf:       func(format string, args ...any) { cfg.Logf("fleet %s: "+format, append([]any{self}, args...)...) },
 		localStore: cfg.Store,
 		gen:        cfg.Generator,
-		leases:     newLeaseTable(cfg.Clock),
 		forwards:   newFlightGroup(),
 		jobNodes:   make(map[string]string, len(ring.Nodes())),
-		leaseTTL:   cfg.LeaseTTL,
-		claimPoll:  cfg.ClaimPoll,
 		baseCtx:    baseCtx,
 		baseCancel: baseCancel,
 	}
@@ -226,15 +194,11 @@ func (n *Node) Self() string { return n.self }
 // Ring returns the node's (immutable) placement ring.
 func (n *Node) Ring() *Ring { return n.ring }
 
-// Kill simulates this node dying abruptly: every running generation's
-// context is canceled and lease keepers stop WITHOUT releasing — held
-// leases expire on their own TTL, which is exactly the takeover path
-// survivors exercise. The caller also closes the node's listener; Kill
+// Kill simulates this node dying abruptly: every running generation's and
+// stream's context is canceled. The caller also closes the node's
+// listener, so peers see refused connections and route past it; Kill
 // itself performs no graceful drain.
-func (n *Node) Kill() {
-	n.killed.Store(true)
-	n.baseCancel()
-}
+func (n *Node) Kill() { n.baseCancel() }
 
 // Drain stops intake and waits for in-flight work, bounded by ctx.
 func (n *Node) Drain(ctx context.Context) error {
@@ -258,7 +222,6 @@ func (n *Node) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/profiles", n.handlePostProfile)
 	mux.HandleFunc("GET /v1/jobs/{id}", n.handleJob)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", n.handleJob)
-	mux.HandleFunc("POST /v1/leases", n.handleLeases)
 	mux.HandleFunc("GET /v1/ring", n.handleRing)
 	mux.HandleFunc("GET /v1/internal/profiles/{key}", n.handleEnvelopeGet)
 	mux.HandleFunc("PUT /v1/internal/profiles/{key}", n.handleEnvelopePut)
@@ -331,9 +294,6 @@ func (n *Node) forwardFlight(ctx context.Context, flightKey, method, path string
 		n.metrics.forwards.Add(1)
 		var lastErr error
 		for _, target := range targets {
-			if target == n.self {
-				continue
-			}
 			if lastErr != nil {
 				n.metrics.forwardFailovers.Add(1)
 			}
@@ -368,37 +328,6 @@ func writeFwd(w http.ResponseWriter, res *fwdResult) {
 	_, _ = w.Write(res.body)
 }
 
-// proxy relays a request verbatim to one target, streaming the response
-// back. It returns an error only before anything was written, so callers
-// can fall back to another path.
-func (n *Node) proxy(w http.ResponseWriter, r *http.Request, target string, body []byte) error {
-	url := n.nodeURL(target) + r.URL.Path
-	if r.URL.RawQuery != "" {
-		url += "?" + r.URL.RawQuery
-	}
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, url, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set(fleetFromHeader, n.self)
-	if ct := r.Header.Get("Content-Type"); ct != "" {
-		req.Header.Set("Content-Type", ct)
-	}
-	resp, err := n.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	for name, vals := range pickHeaders(resp.Header) {
-		for _, v := range vals {
-			w.Header().Add(name, v)
-		}
-	}
-	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, io.LimitReader(resp.Body, maxTransferBytes))
-	return nil
-}
-
 // ---------------------------------------------------------------------------
 // Profile routing
 
@@ -422,40 +351,42 @@ func (n *Node) handleGetProfile(w http.ResponseWriter, r *http.Request) {
 	writeFwd(w, res)
 }
 
-// entryCopy answers for a key this node does not replicate from a verified
-// copy: the one its store already holds, else one pulled from a replica and
-// admitted memory-only. A sealed key's bytes are immutable and every copy is
+// entryCopy answers a read of key from a verified copy: the one this
+// node's store already holds, else one pulled from a replica — persisted
+// when this node replicates key (read-repair), admitted memory-only when it
+// does not. A sealed key's bytes are immutable and every copy is
 // checksum-validated before it is kept, so the copy is as authoritative as
 // a replica's and saves the second HTTP exchange of a forward. ok is false
 // when no replica supplied a valid envelope; the caller then relays the
 // request, which keeps every miss-path status exactly as a replica gives it.
 func (n *Node) entryCopy(key string) (payload []byte, ok bool) {
 	if payload, err := n.localStore.Get(key); err == nil {
-		n.metrics.entryHits.Add(1)
+		if n.ring.IsReplica(key, n.self) {
+			n.metrics.localRequests.Add(1)
+		} else {
+			n.metrics.entryHits.Add(1)
+		}
 		return payload, true
 	}
 	payload, err := n.backend.fetchVerified(key)
 	return payload, err == nil
 }
 
+// handlePostProfile routes a generation request to the key's generator:
+// the first node of ring.Replicas(key), in ring order and counting this
+// one, that answers. That node's jobSet coalesces every POST of the key
+// that reaches it, and forwardFlight coalesces each entry node's POSTs of
+// it into one upstream request, so a herd costs one generation while the
+// first replica is reachable. A dead replica costs a refused connect, not
+// a timeout: the next one in ring order takes over. A request that was
+// already routed here is served here.
 func (n *Node) handlePostProfile(w http.ResponseWriter, r *http.Request) {
-	raw, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBytes))
-	if err != nil {
-		server.WriteError(w, http.StatusBadRequest, fmt.Errorf("fleetd: reading request: %w", err))
-		return
-	}
-	req, err := server.DecodeGenRequest(bytes.NewReader(raw))
-	if err != nil {
-		// Strict decoding on the fleet edge, not just the inner server:
-		// a version-skewed field must be rejected before the request is
-		// re-marshalled for forwarding, or the field would be silently
-		// dropped and a different (wrong) artifact generated and cached.
-		var unknown *server.UnknownFieldError
-		if errors.As(err, &unknown) {
-			server.WriteErrorCode(w, http.StatusBadRequest, "unknown_field", err)
-			return
-		}
-		server.WriteError(w, http.StatusBadRequest, fmt.Errorf("fleetd: %w", err))
+	// Strict decoding on the fleet edge, not just the inner server: a
+	// version-skewed field must be rejected before the request is
+	// re-marshalled for forwarding, or the field would be silently dropped
+	// and a different (wrong) artifact generated and cached.
+	req, ok := server.ReadRequest[server.GenRequest](w, r)
+	if !ok {
 		return
 	}
 	if req.Query == "" {
@@ -476,244 +407,46 @@ func (n *Node) handlePostProfile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	forwarded := r.Header.Get(fleetFromHeader) != ""
-	if !n.ring.IsReplica(key, n.self) && !forwarded {
-		mode := "|async"
-		if !req.Async {
-			// A sync re-POST of a sealed key is a read.
-			if payload, ok := n.entryCopy(key); ok {
-				server.WriteProfile(w, key, payload)
-				return
-			}
-			mode = "|sync"
-		}
-		res, err := n.forwardFlight(r.Context(), "POST|"+key+mode, http.MethodPost, "/v1/profiles", body, n.ring.Replicas(key))
-		if err != nil {
-			n.metrics.forwardErrors.Add(1)
-			server.WriteError(w, http.StatusBadGateway, fmt.Errorf("fleetd: forwarding to replicas: %w", err))
-			return
-		}
-		writeFwd(w, res)
+	// ahead: the replicas that generate key before this node does.
+	ahead, isReplica := n.ring.Replicas(key), false
+	if i := slices.Index(ahead, n.self); i >= 0 {
+		ahead, isReplica = ahead[:i], true
+	}
+	if len(ahead) == 0 || r.Header.Get(fleetFromHeader) != "" {
+		n.serveLocal(w, r, body)
 		return
 	}
-	n.servePost(w, r, key, req, body, !forwarded)
-}
-
-// servePost handles a POST on a replica of key: claim the generation
-// lease fleet-wide, then let the inner daemon's job queue do the work.
-// canHop permits one extra forward to the current lease holder; it is
-// false for requests that already hopped, so ownership races degrade to
-// polling instead of ping-ponging.
-func (n *Node) servePost(w http.ResponseWriter, r *http.Request, key string, req server.GenRequest, body []byte, canHop bool) {
-	n.metrics.localRequests.Add(1)
-	unit := "gen/" + key
-	authority := n.ring.Owner(unit)
-	for {
-		// Fast path — including read-repair: a denied claimant usually
-		// exits the wait loop here once the holder's fan-out lands.
-		if payload, err := n.backend.Get(key); err == nil {
+	mode := "|async"
+	if !req.Async {
+		// A sync re-POST of a sealed key is a read.
+		if payload, ok := n.entryCopy(key); ok {
 			server.WriteProfile(w, key, payload)
 			return
 		}
-		st, err := n.leaseCall(r.Context(), authority, leaseRequest{Op: "claim", Unit: unit, Owner: n.self, TTLMillis: int64(n.leaseTTL / time.Millisecond)})
-		if err != nil {
-			// The lease authority is unreachable. Refusing to generate
-			// would turn one dead node into a fleet-wide outage for the
-			// keys it arbitrates; generating without the lease only risks
-			// duplicate work, and the content-addressed store makes that
-			// benign. Degrade to this node's own jobSet dedup.
-			n.metrics.leaseLocalFallbacks.Add(1)
-			n.logf("lease authority %s unreachable for %s (%v); generating with local dedup only", authority, unit, err)
-			n.delegatePost(w, r, body)
-			return
-		}
-		if st.Granted {
-			keeper := n.keepLease(authority, unit)
-			n.delegatePost(w, r, body)
-			keeper.stopKeeper()
-			if !n.killed.Load() {
-				releaseCtx, cancel := context.WithTimeout(n.baseCtx, peerTimeout)
-				_, _ = n.leaseCall(releaseCtx, authority, leaseRequest{Op: "release", Unit: unit, Owner: n.self})
-				cancel()
-			}
-			return
-		}
-		// Denied: someone else is generating this key right now.
-		if canHop && !req.Async && st.Holder != "" && st.Holder != n.self {
-			// Ride the holder's in-flight job: its jobSet coalesces us and
-			// its sync wait returns the artifact the moment it lands.
-			if err := n.proxy(w, r, st.Holder, body); err == nil {
-				return
-			}
-			// Holder unreachable (likely dead) — fall through and wait for
-			// its lease to expire, then take the unit over.
-		}
-		n.metrics.leaseWaits.Add(1)
-		wait := n.claimPoll
-		if hint := time.Duration(st.TTLMillis) * time.Millisecond; hint > 0 && hint < wait {
-			wait = hint
-		}
-		select {
-		case <-n.clock.After(wait):
-		case <-r.Context().Done():
-			return // client gave up; the holder finishes for future requesters
-		case <-n.baseCtx.Done():
-			server.WriteError(w, http.StatusServiceUnavailable, errors.New("fleetd: node shutting down"))
-			return
-		}
+		mode = "|sync"
+	}
+	res, err := n.forwardFlight(r.Context(), "POST|"+key+mode, http.MethodPost, "/v1/profiles", body, ahead)
+	switch {
+	case err == nil:
+		writeFwd(w, res)
+	case isReplica && !errors.Is(err, context.Canceled):
+		// Every replica ahead of this one is unreachable: this node is
+		// the key's first live replica. (A canceled flight says nothing
+		// about reachability; its leader's client went away.)
+		n.serveLocal(w, r, body)
+	default:
+		n.metrics.forwardErrors.Add(1)
+		server.WriteError(w, http.StatusBadGateway, fmt.Errorf("fleetd: forwarding to replicas: %w", err))
 	}
 }
 
-// delegatePost replays the canonical request body into the inner daemon.
-func (n *Node) delegatePost(w http.ResponseWriter, r *http.Request, body []byte) {
+// serveLocal replays the canonical request body into this node's daemon.
+func (n *Node) serveLocal(w http.ResponseWriter, r *http.Request, body []byte) {
+	n.metrics.localRequests.Add(1)
 	r2 := r.Clone(r.Context())
 	r2.Body = io.NopCloser(bytes.NewReader(body))
 	r2.ContentLength = int64(len(body))
 	n.innerH.ServeHTTP(w, r2)
-}
-
-// ---------------------------------------------------------------------------
-// Leases over HTTP
-
-// leaseRequest is the POST /v1/leases body.
-type leaseRequest struct {
-	// Op is "claim", "renew", or "release".
-	Op    string `json:"op"`
-	Unit  string `json:"unit"`
-	Owner string `json:"owner"`
-	// TTLMillis is the requested lease duration; <= 0 takes the
-	// authority's configured default.
-	TTLMillis int64 `json:"ttl_ms,omitempty"`
-}
-
-// applyLease runs a lease operation against this node's own table.
-func (n *Node) applyLease(req leaseRequest) (LeaseStatus, error) {
-	if req.Unit == "" || req.Owner == "" {
-		return LeaseStatus{}, errors.New("fleetd: lease request requires unit and owner")
-	}
-	ttl := time.Duration(req.TTLMillis) * time.Millisecond
-	if ttl <= 0 {
-		ttl = n.leaseTTL
-	}
-	switch req.Op {
-	case "claim":
-		return n.leases.claim(req.Unit, req.Owner, ttl), nil
-	case "renew":
-		return n.leases.renew(req.Unit, req.Owner, ttl), nil
-	case "release":
-		return n.leases.release(req.Unit, req.Owner), nil
-	default:
-		return LeaseStatus{}, fmt.Errorf("fleetd: unknown lease op %q", req.Op)
-	}
-}
-
-// leaseCall runs a lease operation against the unit's authority — local
-// table when this node is the authority, HTTP otherwise.
-func (n *Node) leaseCall(ctx context.Context, authority string, req leaseRequest) (LeaseStatus, error) {
-	if authority == n.self {
-		return n.applyLease(req)
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return LeaseStatus{}, err
-	}
-	res, err := n.fetch(ctx, http.MethodPost, authority, "/v1/leases", "application/json", body)
-	if err != nil {
-		return LeaseStatus{}, err
-	}
-	if res.status != http.StatusOK {
-		return LeaseStatus{}, fmt.Errorf("fleetd: lease authority %s returned %d: %s", authority, res.status, bytes.TrimSpace(res.body))
-	}
-	var st LeaseStatus
-	if err := json.Unmarshal(res.body, &st); err != nil {
-		return LeaseStatus{}, fmt.Errorf("fleetd: decoding lease status: %w", err)
-	}
-	return st, nil
-}
-
-func (n *Node) handleLeases(w http.ResponseWriter, r *http.Request) {
-	var req leaseRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxRequestBytes)).Decode(&req); err != nil {
-		server.WriteError(w, http.StatusBadRequest, fmt.Errorf("fleetd: decoding lease request: %w", err))
-		return
-	}
-	if req.Unit == "" {
-		server.WriteError(w, http.StatusBadRequest, errors.New("fleetd: lease request requires a unit"))
-		return
-	}
-	authority := n.ring.Owner(req.Unit)
-	if authority != n.self && r.Header.Get(fleetFromHeader) == "" {
-		// Any node answers lease calls by forwarding to the authority, so
-		// clients (and the smoke script) need not compute ring placement.
-		if err := n.proxy(w, r, authority, mustJSON(req)); err != nil {
-			server.WriteError(w, http.StatusBadGateway, fmt.Errorf("fleetd: lease authority %s unreachable: %w", authority, err))
-		}
-		return
-	}
-	st, err := n.applyLease(req)
-	if err != nil {
-		server.WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	server.WriteJSON(w, http.StatusOK, st)
-}
-
-func mustJSON(v any) []byte {
-	b, err := json.Marshal(v)
-	if err != nil {
-		panic(err) // only reachable for unmarshalable Go values, not inputs
-	}
-	return b
-}
-
-// leaseKeeper renews one held lease in the background until stopped.
-type leaseKeeper struct {
-	stop chan struct{}
-	done chan struct{}
-}
-
-func (k *leaseKeeper) stopKeeper() {
-	close(k.stop)
-	<-k.done
-}
-
-// keepLease renews (authority, unit) at TTL/3 until stopped or the node
-// is killed. A kill stops renewal WITHOUT release: the lease expires on
-// its own and a survivor takes the unit over — the fleet's equivalent of
-// a crashed process dropping its in-process claims.
-func (n *Node) keepLease(authority, unit string) *leaseKeeper {
-	k := &leaseKeeper{stop: make(chan struct{}), done: make(chan struct{})}
-	interval := n.leaseTTL / 3
-	if interval <= 0 {
-		interval = n.leaseTTL
-	}
-	go func() {
-		defer close(k.done)
-		for {
-			select {
-			case <-k.stop:
-				return
-			case <-n.baseCtx.Done():
-				return
-			case <-n.clock.After(interval):
-				ctx, cancel := context.WithTimeout(n.baseCtx, peerTimeout)
-				st, err := n.leaseCall(ctx, authority, leaseRequest{Op: "renew", Unit: unit, Owner: n.self, TTLMillis: int64(n.leaseTTL / time.Millisecond)})
-				cancel()
-				if err != nil {
-					n.logf("renewing lease %s with %s: %v", unit, authority, err)
-					continue // transient; the lease survives until TTL
-				}
-				if !st.Granted {
-					// The lease was lost (expired and reassigned). The
-					// generation keeps running — the store write is
-					// idempotent — but there is nothing left to renew.
-					n.logf("lost lease %s to %s; finishing as duplicate work", unit, st.Holder)
-					return
-				}
-			}
-		}
-	}()
-	return k
 }
 
 // ---------------------------------------------------------------------------
@@ -825,9 +558,12 @@ func (n *Node) handleJob(w http.ResponseWriter, r *http.Request) {
 		n.innerH.ServeHTTP(w, r)
 		return
 	}
-	if err := n.proxy(w, r, owner, nil); err != nil {
+	res, err := n.fetch(r.Context(), r.Method, owner, r.URL.RequestURI(), "", nil)
+	if err != nil {
 		server.WriteError(w, http.StatusBadGateway, fmt.Errorf("fleetd: job owner %s unreachable: %w", owner, err))
+		return
 	}
+	writeFwd(w, res)
 }
 
 // handleMetrics renders the inner daemon's block, then appends the
@@ -846,14 +582,6 @@ func (n *Node) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"smokescreend_fleet_repair_failures_total":        n.metrics.repairFailures.Load(),
 		"smokescreend_fleet_replica_writes_total":         n.metrics.replicaWrites.Load(),
 		"smokescreend_fleet_replica_write_failures_total": n.metrics.replicaWriteFailures.Load(),
-		"smokescreend_fleet_lease_claims_total":           n.leases.claims.Load(),
-		"smokescreend_fleet_lease_denials_total":          n.leases.denials.Load(),
-		"smokescreend_fleet_lease_expiries_total":         n.leases.expiries.Load(),
-		"smokescreend_fleet_lease_renewals_total":         n.leases.renewals.Load(),
-		"smokescreend_fleet_lease_releases_total":         n.leases.releases.Load(),
-		"smokescreend_fleet_lease_waits_total":            n.metrics.leaseWaits.Load(),
-		"smokescreend_fleet_lease_local_fallbacks_total":  n.metrics.leaseLocalFallbacks.Load(),
-		"smokescreend_fleet_leases_active":                int64(n.leases.active()),
 		"smokescreend_fleet_ring_nodes":                   int64(len(n.ring.Nodes())),
 		"smokescreend_fleet_ring_vnodes":                  int64(n.ring.VNodes()),
 		"smokescreend_fleet_ring_replicas":                int64(n.ring.ReplicaCount()),

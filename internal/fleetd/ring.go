@@ -14,13 +14,11 @@
 //     on read repairs it with a verified byte copy fetched from another
 //     replica (store.PutEnvelope re-validates the checksum before the
 //     atomic write, so a torn or tampered transfer can never land).
-//   - Generation dedup. The in-process claim/wait protocol the outputs
-//     column store uses per frame (internal/outputs) is lifted behind
-//     HTTP as TTL leases on generation units: before generating, a
-//     replica claims the unit's lease from the unit's ring owner, and
-//     concurrent requests across the whole fleet coalesce onto one
-//     generation. Leases are clock-injected and expire without renewal,
-//     so a node killed mid-generation releases its work to a survivor.
+//   - Generation dedup. Every POST that must generate a key is routed to
+//     the key's first reachable replica, in ring order, whose job queue
+//     (internal/server's jobSet) coalesces concurrent requests onto one
+//     generation. A dead replica refuses the connect and the next one in
+//     ring order takes the key over; no coordination state is kept.
 //
 // Nodes forward requests for keys they do not replicate over pooled
 // keep-alive connections, coalescing duplicate in-flight remote fetches
@@ -144,8 +142,7 @@ func hashPoint(node string, vnode int) uint64 {
 	return binary.BigEndian.Uint64(h.Sum(sum[:0]))
 }
 
-// hashKey maps an arbitrary key (profile keys, lease unit names) onto the
-// ring's hash space.
+// hashKey maps a profile key onto the ring's hash space.
 func hashKey(key string) uint64 {
 	sum := sha256.Sum256([]byte(key))
 	return binary.BigEndian.Uint64(sum[:8])

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net/http"
 	"strings"
 
 	"smokescreen/internal/core"
@@ -27,10 +29,9 @@ type UnknownFieldError struct {
 func (e *UnknownFieldError) Error() string { return e.Err.Error() }
 func (e *UnknownFieldError) Unwrap() error { return e.Err }
 
-// DecodeGenRequest strictly decodes a profile-generation request. Every
-// HTTP surface that accepts a GenRequest (the single-node daemon and the
-// fleet nodes) decodes through this one function so skew behaves
-// identically on every hop.
+// DecodeGenRequest strictly decodes a profile-generation request with the
+// decoder every HTTP surface runs behind ReadRequest's body bound, so skew
+// behaves identically on every hop.
 func DecodeGenRequest(r io.Reader) (GenRequest, error) {
 	return decodeStrict[GenRequest](r)
 }
@@ -52,10 +53,30 @@ func decodeStrict[T any](r io.Reader) (T, error) {
 		return zero, fmt.Errorf("server: decoding request: %w", err)
 	}
 	var trailing struct{}
-	if err := dec.Decode(&trailing); err != io.EOF {
+	switch err := dec.Decode(&trailing); {
+	case err == io.EOF:
+		return req, nil
+	case errors.As(err, new(*http.MaxBytesError)):
+		return zero, fmt.Errorf("server: decoding request: %w", err)
+	default:
 		return zero, fmt.Errorf("server: decoding request: trailing data after JSON body")
 	}
-	return req, nil
+}
+
+// maxRequestBytes bounds every request body the daemon decodes.
+const maxRequestBytes = 1 << 20
+
+// ReadRequest strictly decodes r's body, at most maxRequestBytes of it,
+// into a T. On failure it has answered — 413 for an oversize body, 400
+// otherwise — and ok is false. Fleet nodes (internal/fleetd) decode
+// profile requests through it, so every hop bounds and rejects alike.
+func ReadRequest[T any](w http.ResponseWriter, r *http.Request) (req T, ok bool) {
+	req, err := decodeStrict[T](http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	if err != nil {
+		writeDecodeError(w, err)
+		return req, false
+	}
+	return req, true
 }
 
 // GenRequest is the wire form of a profile-generation request: the
@@ -123,7 +144,7 @@ type SystemGenerator struct {
 	// core.DefaultCorrectionLimit, because the artifact key does not hash
 	// the limit and two values would seal different bytes under one key.
 	// The field survives only because the frozen benchmark/ module sets it
-	// (to the default); ROADMAP item 5a drops it.
+	// (to the default); ROADMAP item 8(a) drops it.
 	CorrectionLimit float64
 	// Parallelism bounds worker goroutines per generation; 0 or negative
 	// means one per CPU (internal/parallel semantics applied by core).

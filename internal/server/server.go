@@ -71,10 +71,10 @@ type Config struct {
 	// nodes set a per-node prefix so a job handle returned by one node is
 	// never mistaken for another node's job when requests are forwarded.
 	JobIDPrefix string
-	// BaseContext is the parent of every generation job's context; nil
-	// means context.Background(). Canceling it aborts all running jobs at
-	// once — the fleet harness cancels it to simulate a node dying
-	// mid-generation without draining.
+	// BaseContext is the parent of every generation job's and stream's
+	// context; nil means context.Background(). Canceling it aborts all
+	// running work at once — a fleet node's Kill cancels it to simulate
+	// dying mid-generation without draining.
 	BaseContext context.Context
 	// Logf receives operational log lines; nil discards them.
 	Logf func(format string, args ...any)
@@ -350,21 +350,23 @@ func (s *Server) handleGetProfile(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// writeDecodeError answers a request body decodeStrict refused: 400, with
-// the machine-readable unknown_field code when that is why.
+// writeDecodeError answers a request body decodeStrict refused: 413 when
+// it was over the bound, else 400, with the machine-readable unknown_field
+// code when that is why.
 func writeDecodeError(w http.ResponseWriter, err error) {
-	var unknown *UnknownFieldError
-	if errors.As(err, &unknown) {
+	switch {
+	case errors.As(err, new(*http.MaxBytesError)):
+		WriteError(w, http.StatusRequestEntityTooLarge, err)
+	case errors.As(err, new(*UnknownFieldError)):
 		WriteErrorCode(w, http.StatusBadRequest, "unknown_field", err)
-		return
+	default:
+		WriteError(w, http.StatusBadRequest, err)
 	}
-	WriteError(w, http.StatusBadRequest, err)
 }
 
 func (s *Server) handlePostProfile(w http.ResponseWriter, r *http.Request) {
-	req, err := DecodeGenRequest(r.Body)
-	if err != nil {
-		writeDecodeError(w, err)
+	req, ok := ReadRequest[GenRequest](w, r)
+	if !ok {
 		return
 	}
 	if req.Query == "" {
@@ -477,9 +479,8 @@ func (s *Server) handleDeleteJob(w http.ResponseWriter, r *http.Request) {
 // its status; streams are inherently asynchronous (they run until the
 // camera's sessions end or a DELETE stops them).
 func (s *Server) handlePostStream(w http.ResponseWriter, r *http.Request) {
-	req, err := decodeStrict[StreamRequest](r.Body)
-	if err != nil {
-		writeDecodeError(w, err)
+	req, ok := ReadRequest[StreamRequest](w, r)
+	if !ok {
 		return
 	}
 	job, err := s.startStream(req)

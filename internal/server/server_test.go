@@ -860,3 +860,21 @@ func TestDegenerateCorrectionIs422(t *testing.T) {
 		t.Fatalf("job code %q, want degenerate_correction", job.Code)
 	}
 }
+
+// TestOversizeBodyIs413: every body the daemon decodes is bounded at
+// 1 MiB, and a larger one is refused as too large rather than read to its
+// end or reported as malformed JSON.
+func TestOversizeBodyIs413(t *testing.T) {
+	_, ts, _ := newTestServer(t, &fakeGenerator{}, nil)
+	body := []byte(`{"query":"` + strings.Repeat("a", 2<<20) + `"}`)
+	for _, path := range []string{"/v1/profiles", "/v1/streams"} {
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a 2 MiB body: %d, want 413", path, resp.StatusCode)
+		}
+	}
+}

@@ -332,10 +332,10 @@ func (s *Server) startStream(req StreamRequest) (*streamJob, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The job context is minted fresh, not taken from the HTTP request:
-	// the stream outlives the POST that started it. DELETE and drain
-	// cancel it.
-	ctx, cancel := context.WithCancel(context.Background())
+	// The job context hangs off BaseContext, not the HTTP request: the
+	// stream outlives the POST that started it. DELETE, drain and a
+	// canceled BaseContext (a fleet node's Kill) stop it.
+	ctx, cancel := context.WithCancel(s.cfg.BaseContext)
 	job, err := s.streams.create(rs, cancel, time.Now())
 	if err != nil {
 		cancel()

@@ -451,3 +451,37 @@ func TestTerminalStreamsAreEvicted(t *testing.T) {
 		t.Fatalf("smokescreend_streams_total = %d, want %d", n, total)
 	}
 }
+
+// TestStreamStopsWithBaseContext: a stream is work of the daemon like a
+// generation job, so canceling Config.BaseContext — what a fleet node's
+// Kill does — stops it mid-run and it ends canceled.
+func TestStreamStopsWithBaseContext(t *testing.T) {
+	base, cancelBase := context.WithCancel(context.Background())
+	defer cancelBase()
+	srv, _, _ := newTestServer(t, &fakeGenerator{}, func(cfg *Config) { cfg.BaseContext = base })
+	job, err := srv.startStream(StreamRequest{Query: smallStreamQuery, Window: 150, Loops: 100000, DisableDrift: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(120 * time.Second)
+	for job.recv.Status().Windows < 1 {
+		if terminal(job.status().State) || time.Now().After(deadline) {
+			t.Fatalf("stream reached %q without a first window", job.status().State)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	cancelBase()
+	stopped := make(chan struct{})
+	go func() {
+		srv.streamWG.Wait()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the stream kept running after BaseContext was canceled")
+	}
+	if st := job.status(); st.State != JobCanceled {
+		t.Fatalf("state after BaseContext cancel = %q (%s), want canceled", st.State, st.Error)
+	}
+}

@@ -4,16 +4,16 @@
 #
 #   1. herd: concurrent POSTs of one query across all three entry nodes
 #      must all succeed with exactly ONE generation fleet-wide (the logs
-#      are the ground truth — forwarding, leases, and singleflight each
-#      absorb a layer of the herd).
+#      are the ground truth — every node routes the key to its first
+#      replica, and singleflight and that replica's job queue each absorb
+#      a layer of the herd).
 #   2. kill -9 the node that generated, then re-herd the SAME query
 #      against the survivors: every request succeeds with ZERO new
 #      generations (replication preserved the artifact), GETs through the
 #      non-replica survivor are answered from the verified copy it pulled,
 #      and a NEW query still generates on a survivor (the fleet keeps
-#      working degraded): once, unless the killed node was that key's
-#      lease authority — then the replicas dedup locally and may both
-#      generate (DESIGN.md section 13, "lease authority dies").
+#      working degraded): exactly once, on the new key's first live
+#      replica (DESIGN.md §5.5, "generating node dies").
 #   3. SIGTERM the survivors and require clean drains.
 set -eu
 
@@ -57,7 +57,7 @@ start_fleet() {
         rm -f "$WORKDIR/addr$i"
         "$WORKDIR/smokescreend" -addr "127.0.0.1:$port" \
             -addr-file "$WORKDIR/addr$i" -store "$WORKDIR/store$i" \
-            -workers 1 -fleet-nodes "$RING" -fleet-lease-ttl 2s \
+            -workers 1 -fleet-nodes "$RING" \
             >"$WORKDIR/node$i.log" 2>&1 &
         PIDS="$PIDS $!"
     done
@@ -166,23 +166,8 @@ echo "fleet-smoke: new query must still generate on a survivor"
 "$WORKDIR/smokeload" -mode urls -urls "$SURVIVOR_URLS" -scenario herd -clients 4 \
     -query "SELECT AVG(count(person)) FROM small" -step 0.05 -max-fraction 0.1
 gens=$(gen_count)
-# Which case this run drew depends on where the ports put the new key's
-# gen/<key> unit on the ring; the replicas log it when they cannot reach
-# the authority.
-fallbacks=0
-for i in 1 2 3; do
-    c=$(grep -c 'lease authority .* unreachable' "$WORKDIR/node$i.log" 2>/dev/null) || c=0
-    fallbacks=$((fallbacks + c))
-done
-if [ "$fallbacks" -eq 0 ]; then
-    echo "fleet-smoke: the new key's lease authority survived: want exactly one new generation"
-    max=2
-else
-    echo "fleet-smoke: the killed node was the new key's lease authority: live replicas dedup locally, want one or two new generations"
-    max=3
-fi
-if [ "$gens" -lt 2 ] || [ "$gens" -gt "$max" ]; then
-    echo "fleet-smoke: degraded fleet ran $gens total generations, want 2..$max" >&2
+if [ "$gens" -ne 2 ]; then
+    echo "fleet-smoke: degraded fleet ran $gens total generations, want 2 (one per key)" >&2
     exit 1
 fi
 
