@@ -22,7 +22,7 @@ build:
 # narrative lives in git), a grep that keeps
 # process-global setters at zero (no package-level `func Set…(` in non-test
 # internal/ or cmd/ code: a setting travels with the run, not the process —
-# the stand-in for ROADMAP item 2's noglobals analyzer), and optionally a
+# the stand-in for ROADMAP item 3(a)'s noglobals analyzer), and optionally a
 # version-pinned staticcheck. smokevet is built from this repo, so it
 # always runs; a finding fails the build with
 # `file:line: [analyzer] message`, and a stale //smokevet:ignore is
@@ -161,22 +161,20 @@ stream-smoke:
 	sh ./scripts/stream_smoke.sh
 
 # End-to-end fleet smoke: three real smokescreend daemons sharing a ring,
-# smokeload's herd + steady scenarios in urls mode, a kill -9 of the
+# smokeload's herd + steady scenarios against them, a kill -9 of the
 # generating node with a new-key herd on the survivors (one generation:
 # forward failover to the key's first live replica), then SIGTERM drain.
 fleet-smoke:
 	sh ./scripts/fleet_smoke.sh
 
-# The hot-key herd's invariant — one generation per key — 200 times over an
-# in-process three-node fleet (≈ 65 ms a run). smokeload exits non-zero on
-# `gen != 1`, and the first such run fails the target: before PR 24 about
-# one run in 30 cost two generations (a store read racing a finishing job).
+# The hot-key herd's invariant — one generation per key — 200 times over a
+# fresh in-process three-node fleet: TestFleetHotKeyHerd's drill row (48
+# clients entering at every node, a 5 ms generation hold; ≈ 50 ms a run),
+# which `go test ./...` runs once. The first run that costs two
+# generations fails the target: before PR 24 about one run in 30 did (a
+# store read racing a finishing job).
 herd-drill:
-	@bin=$$(mktemp -d) && trap 'rm -rf "$$bin"' EXIT && $(GO) build -o "$$bin/smokeload" ./cmd/smokeload && \
-	i=0; while [ $$i -lt 200 ]; do \
-		"$$bin/smokeload" -scenario herd -clients 48 -gen-delay 5ms >"$$bin/out" 2>&1 || { cat "$$bin/out"; echo "herd-drill: run $$i failed"; exit 1; }; \
-		i=$$((i + 1)); \
-	done; echo "herd-drill: 200 runs, gen 1 in each"
+	$(GO) test -count=200 -run 'TestFleetHotKeyHerd/drill' ./internal/fleetd/
 
 # Deterministic fleet simulation: real nodes over an in-memory transport
 # with seeded drop / flipped-envelope-byte / dead-node faults, every read

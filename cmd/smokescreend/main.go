@@ -10,7 +10,7 @@
 //	             [-request-timeout D] [-job-timeout D] [-drain-timeout D]
 //	             [-addr-file PATH]
 //	             [-fleet-nodes H1:P1,H2:P2,...] [-fleet-self H:P]
-//	             [-fleet-replicas R] [-fleet-vnodes V]
+//	             [-fleet-replicas R]
 //
 // Endpoints: POST /v1/profiles, GET /v1/profiles/{key}, GET /v1/jobs/{id},
 // DELETE /v1/jobs/{id}, POST /v1/streams, GET /v1/streams/{id},
@@ -19,7 +19,8 @@
 // cancelled, the store stays consistent.
 //
 // With -fleet-nodes (or SMOKESCREEND_FLEET_NODES), the daemon joins an
-// N-node fleet: profile keys are placed on a consistent-hash ring,
+// N-node fleet: profile keys are placed on a consistent-hash ring (a fixed
+// 64 virtual nodes per member, so every member places keys alike),
 // requests are forwarded to a replica over pooled keep-alive connections,
 // artifacts fan out to R replicas with read-repair, and every POST that
 // must generate a key is routed to the key's first reachable replica, whose
@@ -71,7 +72,6 @@ func registerFlags(fs *flag.FlagSet) *runConfig {
 	fs.StringVar(&cfg.addrFile, "addr-file", "", "write the bound address to this file once listening (for scripts)")
 	fs.StringVar(&cfg.fleetNodes, "fleet-nodes", os.Getenv("SMOKESCREEND_FLEET_NODES"), "comma-separated fleet member host:ports; empty runs single-node (env SMOKESCREEND_FLEET_NODES)")
 	fs.StringVar(&cfg.fleetSelf, "fleet-self", "", "this node's identity within -fleet-nodes (default: the bound address)")
-	fs.IntVar(&cfg.fleetVNodes, "fleet-vnodes", 0, "virtual nodes per fleet member on the placement ring (0 = default)")
 	fs.IntVar(&cfg.fleetReplicas, "fleet-replicas", 0, "replicas per profile key (0 = default 2)")
 	return cfg
 }
@@ -84,8 +84,8 @@ type runConfig struct {
 	requestTimeout, jobTimeout time.Duration
 	drainTimeout               time.Duration
 
-	fleetNodes, fleetSelf      string
-	fleetVNodes, fleetReplicas int
+	fleetNodes, fleetSelf string
+	fleetReplicas         int
 }
 
 func run(cfg runConfig, logger *log.Logger) error {
@@ -136,7 +136,6 @@ func run(cfg runConfig, logger *log.Logger) error {
 		node, err := fleetd.NewNode(fleetd.Config{
 			Self:      self,
 			Nodes:     fleetd.ParseNodes(cfg.fleetNodes),
-			VNodes:    cfg.fleetVNodes,
 			Replicas:  cfg.fleetReplicas,
 			Store:     st,
 			Generator: generator,

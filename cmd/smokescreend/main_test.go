@@ -12,7 +12,7 @@ func TestFlagSet(t *testing.T) {
 	want := []string{
 		"addr", "addr-file", "cache-mb", "drain-timeout",
 		"fleet-nodes", "fleet-replicas", "fleet-self",
-		"fleet-vnodes", "job-timeout", "parallelism", "queue",
+		"job-timeout", "parallelism", "queue",
 		"request-timeout", "store", "workers",
 	}
 	fs := flag.NewFlagSet("smokescreend", flag.ContinueOnError)

@@ -10,8 +10,10 @@ import (
 // plan/execute pipeline: a cancelled context must stop detector work, and
 // no library function may silently detach from the caller's context.
 //
-// Two rules, applied to smokescreen/internal packages (mains and _test.go
-// files are exempt):
+// Three rules, applied to smokescreen/internal packages (mains and _test.go
+// files are exempt). They keep the numbers DESIGN.md §10 records: rule 3,
+// no direct wall-clock reads in fleetd, guarded an injected Clock that no
+// test faked once the fleet's leases went, and retired with it.
 //
 //  1. context.Background()/context.TODO() must not appear inside any
 //     function that was handed a context.Context (including closures
@@ -25,40 +27,16 @@ import (
 //     callee must pass a context along — calling SweepFractionsCtx
 //     without ctx while holding one is exactly the drift the suffix
 //     convention exists to prevent.
-//
-// A third rule applies only to the clock-injected packages below: no
-// direct wall-clock or timer calls. fleetd's synthetic generation holds
-// and load-driver timings all flow through an injected Clock, so a test
-// can step them with a fake clock instead of sleeping; one stray
-// time.Now() reintroduces real-time coupling and flaky tests. The
-// production Clock implementation carries reasoned
-// //smokevet:ignore ctxflow suppressions — it is the sole sanctioned
-// wall-clock read.
-//
-// A fourth rule retires the compat-wrapper convention itself: an exported
-// function or method F declared beside an exported context-taking FCtx
-// (package-level siblings for functions, same-receiver siblings for
-// methods) is a finding at F's declaration. F can only root its work in
-// context.Background(), so every caller that holds a context and picks
-// the shorter name silently detaches the callee's subtree from
-// cancellation; with one entry point there is nothing to pick wrong. The
-// one sanctioned pair is camera.Node.Stream/StreamCtx, which the frozen
-// benchmark calls by the short name (a reasoned suppression says so).
-
-// clockInjectedPackages lists packages whose time must flow through an
-// injected Clock interface (fixture/ctxflow keeps the rule pinned by the
-// analyzer's own fixture test).
-var clockInjectedPackages = map[string]bool{
-	"smokescreen/internal/fleetd": true,
-	"fixture/ctxflow":             true,
-}
-
-// clockCalls are the time package entry points that read the wall clock
-// or arm real timers; each has a Clock-interface equivalent.
-var clockCalls = map[string]bool{
-	"Now": true, "Since": true, "Sleep": true, "After": true,
-	"AfterFunc": true, "Tick": true, "NewTimer": true, "NewTicker": true,
-}
+//  4. The compat-wrapper convention itself is retired: an exported
+//     function or method F declared beside an exported context-taking FCtx
+//     (package-level siblings for functions, same-receiver siblings for
+//     methods) is a finding at F's declaration. F can only root its work
+//     in context.Background(), so every caller that holds a context and
+//     picks the shorter name silently detaches the callee's subtree from
+//     cancellation; with one entry point there is nothing to pick wrong.
+//     The one sanctioned pair is camera.Node.Stream/StreamCtx, which the
+//     frozen benchmark calls by the short name (a reasoned suppression
+//     says so).
 
 var Ctxflow = &Analyzer{
 	Name: "ctxflow",
@@ -76,7 +54,6 @@ func runCtxflow(pass *Pass) error {
 		return nil
 	}
 	checkCtxTwins(pass)
-	clockInjected := pass.Pkg != nil && clockInjectedPackages[pass.Pkg.Path()]
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -85,9 +62,6 @@ func runCtxflow(pass *Pass) error {
 			}
 			checkBackgroundUse(pass, fd)
 			checkCtxForwarding(pass, fd)
-		}
-		if clockInjected {
-			checkClockInjection(pass, f)
 		}
 	}
 	return nil
@@ -122,25 +96,6 @@ func checkCtxTwins(pass *Pass) {
 				fn.Name(), variant.Name(), variant.Name())
 		}
 	}
-}
-
-// checkClockInjection applies rule 3 to one file of a clock-injected
-// package: any direct time.Now/Since/Sleep/After/AfterFunc/Tick/NewTimer/
-// NewTicker call bypasses the injected Clock.
-func checkClockInjection(pass *Pass, f *ast.File) {
-	ast.Inspect(f, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fn := calleeFunc(pass.Info, call)
-		if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "time" || !clockCalls[fn.Name()] {
-			return true
-		}
-		pass.Report(call.Pos(),
-			"time.%s in a clock-injected package: route time through the injected Clock so tests can drive expiry with a fake clock instead of sleeping", fn.Name())
-		return true
-	})
 }
 
 // funcHasCtxParam reports whether the declared function takes a context.

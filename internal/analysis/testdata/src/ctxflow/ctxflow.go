@@ -1,15 +1,10 @@
 // Package fixture exercises the ctxflow analyzer: no fresh context roots
 // inside ctx-holding functions, no context.TODO anywhere, ctx-taking
-// exported functions must forward their context to *Ctx callees, no
-// exported F beside an exported FCtx, and — because fixture/ctxflow is
-// registered as clock-injected — no direct wall-clock or timer calls
-// outside a suppressed production Clock.
+// exported functions must forward their context to *Ctx callees, and no
+// exported F beside an exported FCtx.
 package fixture
 
-import (
-	"context"
-	"time"
-)
+import "context"
 
 // DoCtx is the fixture's context-aware callee.
 func DoCtx(ctx context.Context, n int) int { return n }
@@ -60,39 +55,6 @@ func unexportedDrop(ctx context.Context, n int) int { return dropCtx(n) }
 // Suppressed shows a reasoned escape hatch for an intentional detach.
 func Suppressed(ctx context.Context, n int) int {
 	return DoCtx(context.Background(), n) //smokevet:ignore ctxflow: fixture exercises suppression of an intentional detach
-}
-
-// WallRead bypasses the injected clock with a direct wall-clock read.
-func WallRead() time.Time {
-	return time.Now() // want `time\.Now in a clock-injected package`
-}
-
-// Elapsed: time.Since is a wall-clock read too.
-func Elapsed(t0 time.Time) time.Duration {
-	return time.Since(t0) // want `time\.Since in a clock-injected package`
-}
-
-// RealTimer arms a real timer where the injected Clock's After belongs.
-func RealTimer() <-chan time.Time {
-	return time.After(time.Second) // want `time\.After in a clock-injected package`
-}
-
-// Naps sleeps on the real clock — the exact flake source the rule exists
-// to keep out of fleet tests.
-func Naps() {
-	time.Sleep(time.Millisecond) // want `time\.Sleep in a clock-injected package`
-}
-
-// Unflagged shows the rule keys on calls, not the time package itself:
-// durations, formatting, and arithmetic are fine.
-func Unflagged(t time.Time) string {
-	return t.Add(3 * time.Second).Format(time.RFC3339)
-}
-
-// ProductionClock is the fixture's sanctioned wall-clock read, mirroring
-// fleetd's realClock: the one place a clock-injected package touches time.
-func ProductionClock() time.Time {
-	return time.Now() //smokevet:ignore ctxflow: fixture's production Clock implementation — the sanctioned wall-clock read
 }
 
 // FooCtx is a context-aware entry point.

@@ -1,18 +1,14 @@
 package fleetd
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -20,13 +16,13 @@ import (
 	"smokescreen/internal/store"
 )
 
-// This file is the fleet's test and load bench: an in-process harness
-// that stands up N real nodes on loopback listeners — real sockets, so
-// forwarding, keep-alive pooling, and connection-refused failover behave
-// exactly as across machines — plus a synthetic generator whose per-node
-// invocation counters prove the dedup invariants (the hot-key herd must
-// cost exactly one generation fleet-wide). cmd/smokeload and the fleet
-// tests (TestFleetHotKeyHerd, …SteadyMixed) drive load scenarios through it.
+// This file is the fleet tests' bench: an in-process harness that stands
+// up three real nodes on loopback listeners — real sockets, so forwarding,
+// keep-alive pooling, and connection-refused failover behave exactly as
+// across machines — plus a synthetic generator whose per-node invocation
+// counters prove the dedup invariants (the hot-key herd must cost exactly
+// one generation fleet-wide). The tests drive it with the same Driver
+// scenarios cmd/smokeload runs against real daemons.
 
 // GenCounter records which node started generating which key. It is the
 // harness's ground truth for the dedup invariants.
@@ -83,8 +79,7 @@ func (c *GenCounter) NodeFor(key string) string {
 // SyntheticGenerator is a deterministic stand-in for SystemGenerator:
 // keys are content addresses of the canonical request, payloads are
 // byte-identical for equal requests on every node, and Generate can hold
-// for a clock-driven delay so scenarios can observe (and interrupt)
-// in-flight work.
+// for a delay so scenarios can observe (and interrupt) in-flight work.
 type SyntheticGenerator struct {
 	// NodeName labels this generator's invocations in Counter.
 	NodeName string
@@ -93,8 +88,6 @@ type SyntheticGenerator struct {
 	// Delay holds each generation open (0 = instant); canceled contexts
 	// interrupt the hold.
 	Delay time.Duration
-	// Clock drives Delay; nil means SystemClock.
-	Clock Clock
 	// PayloadBytes sizes the artifact (default 4096).
 	PayloadBytes int
 }
@@ -128,14 +121,10 @@ func (g *SyntheticGenerator) Generate(ctx context.Context, req server.GenRequest
 		g.Counter.note(g.NodeName, key)
 	}
 	if g.Delay > 0 {
-		clock := g.Clock
-		if clock == nil {
-			clock = SystemClock
-		}
 		select {
 		case <-ctx.Done():
 			return nil, ctx.Err()
-		case <-clock.After(g.Delay):
+		case <-time.After(g.Delay):
 		}
 	}
 	size := g.PayloadBytes
@@ -156,27 +145,21 @@ func (g *SyntheticGenerator) Generate(ctx context.Context, req server.GenRequest
 	return buf.Bytes(), nil
 }
 
+const (
+	// harnessNodes is the in-process fleet's size.
+	harnessNodes = 3
+	// harnessRequestTimeout is each node's synchronous POST wait: long
+	// enough that no scenario's hold degrades a POST to 202.
+	harnessRequestTimeout = 30 * time.Second
+)
+
 // HarnessConfig assembles an in-process fleet.
 type HarnessConfig struct {
-	// Nodes is the fleet size (default 3).
-	Nodes int
-	// VNodes/Replicas parameterize the ring (package defaults if <= 0).
-	VNodes   int
-	Replicas int
 	// GenDelay holds each synthetic generation open.
 	GenDelay time.Duration
-	// PayloadBytes sizes synthetic artifacts.
-	PayloadBytes int
-	// Workers/QueueDepth/RequestTimeout template each node's inner server.
-	Workers        int
-	QueueDepth     int
-	RequestTimeout time.Duration
 	// Dir is the root for per-node store directories. Required; the
 	// caller owns cleanup (tests pass t.TempDir()).
 	Dir string
-	// Clock drives synthetic generation delays and the load scenarios'
-	// latency measurements; nil means SystemClock.
-	Clock Clock
 	// Logf receives every node's log lines; nil discards them.
 	Logf func(format string, args ...any)
 }
@@ -208,25 +191,19 @@ type Harness struct {
 	nodes []*HarnessNode
 }
 
-// StartHarness binds cfg.Nodes loopback listeners, builds a node per
+// StartHarness binds harnessNodes loopback listeners, builds a node per
 // listener (shared ring, per-node store under cfg.Dir), and serves them.
 func StartHarness(cfg HarnessConfig) (*Harness, error) {
-	if cfg.Nodes <= 0 {
-		cfg.Nodes = 3
-	}
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("fleetd: harness requires a store directory")
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = SystemClock
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
 	counter := NewGenCounter()
-	h := &Harness{Driver: NewDriver(cfg.Clock, counter.Total), Counter: counter}
-	listeners := make([]net.Listener, 0, cfg.Nodes)
-	names := make([]string, 0, cfg.Nodes)
+	h := &Harness{Driver: NewDriver(counter.Total), Counter: counter}
+	listeners := make([]net.Listener, 0, harnessNodes)
+	names := make([]string, 0, harnessNodes)
 	fail := func(err error) (*Harness, error) {
 		for _, ln := range listeners {
 			_ = ln.Close()
@@ -234,7 +211,7 @@ func StartHarness(cfg HarnessConfig) (*Harness, error) {
 		h.Close()
 		return nil, err
 	}
-	for i := 0; i < cfg.Nodes; i++ {
+	for i := 0; i < harnessNodes; i++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			return fail(fmt.Errorf("fleetd: harness listener: %w", err))
@@ -248,22 +225,12 @@ func StartHarness(cfg HarnessConfig) (*Harness, error) {
 			return fail(err)
 		}
 		node, err := NewNode(Config{
-			Self:     name,
-			Nodes:    names,
-			VNodes:   cfg.VNodes,
-			Replicas: cfg.Replicas,
-			Store:    st,
-			Generator: &SyntheticGenerator{
-				NodeName:     name,
-				Counter:      h.Counter,
-				Delay:        cfg.GenDelay,
-				Clock:        cfg.Clock,
-				PayloadBytes: cfg.PayloadBytes,
-			},
+			Self:      name,
+			Nodes:     names,
+			Store:     st,
+			Generator: &SyntheticGenerator{NodeName: name, Counter: h.Counter, Delay: cfg.GenDelay},
 			Server: server.Config{
-				Workers:        cfg.Workers,
-				QueueDepth:     cfg.QueueDepth,
-				RequestTimeout: cfg.RequestTimeout,
+				RequestTimeout: harnessRequestTimeout,
 				Logf: func(format string, args ...any) {
 					cfg.Logf("["+name+"] "+format, args...)
 				},
@@ -370,31 +337,4 @@ func (h *Harness) Close() {
 		<-hn.serveDone
 	}
 	h.Driver.Close()
-}
-
-// ParseMetrics reads the daemon's text exposition format ("name value"
-// lines) into a map.
-func ParseMetrics(r io.Reader) (map[string]int64, error) {
-	out := make(map[string]int64)
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64<<10), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		name, val, ok := strings.Cut(line, " ")
-		if !ok {
-			continue
-		}
-		v, err := strconv.ParseInt(strings.TrimSpace(val), 10, 64)
-		if err != nil {
-			continue // non-integer sample; fleet metrics are all integers
-		}
-		out[name] = v
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

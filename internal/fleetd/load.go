@@ -1,14 +1,16 @@
 package fleetd
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -17,10 +19,10 @@ import (
 
 // Load scenarios for a fleet. Each drives it the way production traffic
 // would — through the nodes' HTTP listeners — and returns a LoadResult
-// whose counters come from the fleet's own /metrics (and, in the harness,
-// the generator's ground truth), so the same runs serve as tests (assert
-// the invariants), benchmarks (publish the rates), and the smoke script
-// (eyeball the JSON).
+// whose counters come from the fleet's own /metrics (or, when the caller
+// has one, a ground-truth generation count), so the same runs serve as
+// tests (assert the invariants) and as cmd/smokeload's report on a real
+// fleet.
 
 // LoadResult is one scenario's outcome.
 type LoadResult struct {
@@ -52,30 +54,25 @@ type LoadResult struct {
 }
 
 // Driver is the load client. It knows a fleet only as a list of base
-// URLs, so the in-process harness (its own nodes, plus the GenCounter as
-// ground truth for generations) and cmd/smokeload -mode urls (real
-// daemons started elsewhere) run the same scenarios through it.
+// URLs, so cmd/smokeload (real daemons started elsewhere) and the fleet
+// tests (in-process nodes, with their generator's counter as ground truth
+// for generations) run the same scenarios through it.
 type Driver struct {
 	client *http.Client
-	clock  Clock
 	// generations reports generator invocations fleet-wide from ground
 	// truth; nil reads the smokescreend_generations_total delta instead.
 	generations func() int
 }
 
-// NewDriver builds a load client. clock times the requests (nil means
-// SystemClock); generations is the optional ground-truth generation count.
-func NewDriver(clock Clock, generations func() int) *Driver {
-	if clock == nil {
-		clock = SystemClock
-	}
+// NewDriver builds a load client; generations is the optional
+// ground-truth generation count.
+func NewDriver(generations func() int) *Driver {
 	return &Driver{
 		client: &http.Client{Transport: &http.Transport{
 			MaxIdleConns:        512,
 			MaxIdleConnsPerHost: 128,
 			IdleConnTimeout:     90 * time.Second,
 		}},
-		clock:       clock,
 		generations: generations,
 	}
 }
@@ -136,6 +133,33 @@ func (d *Driver) ScrapeNode(ctx context.Context, baseURL string) (map[string]int
 	return ParseMetrics(bytes.NewReader(body))
 }
 
+// ParseMetrics reads the daemon's text exposition format ("name value"
+// lines) into a map.
+func ParseMetrics(r io.Reader) (map[string]int64, error) {
+	out := make(map[string]int64)
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 64<<10), 1<<20)
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, val, ok := strings.Cut(line, " ")
+		if !ok {
+			continue
+		}
+		v, err := strconv.ParseInt(strings.TrimSpace(val), 10, 64)
+		if err != nil {
+			continue // non-integer sample; fleet metrics are all integers
+		}
+		out[name] = v
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // loadRun is one scenario in flight: the counters snapshotted when it
 // began, and the per-request latencies (recorded thread-safely) since.
 type loadRun struct {
@@ -151,22 +175,22 @@ type loadRun struct {
 	errors    int64
 }
 
-// begin snapshots the fleet's counters and starts the scenario's clock.
+// begin snapshots the fleet's counters and starts the scenario's timer.
 func (d *Driver) begin(ctx context.Context, scenario string, urls []string) *loadRun {
 	lr := &loadRun{d: d, urls: urls, res: LoadResult{Scenario: scenario}, before: d.snapshot(ctx, urls)}
 	if d.generations != nil {
 		lr.gensBefore = d.generations()
 	}
-	lr.start = d.clock.Now()
+	lr.start = time.Now()
 	return lr
 }
 
 // timed runs one request, counts it and records its latency and whether it
 // succeeded.
 func (lr *loadRun) timed(request func() bool) {
-	t0 := lr.d.clock.Now()
+	t0 := time.Now()
 	ok := request()
-	elapsed := lr.d.clock.Now().Sub(t0)
+	elapsed := time.Since(t0)
 	lr.mu.Lock()
 	defer lr.mu.Unlock()
 	lr.res.Requests++
@@ -200,11 +224,11 @@ func (d *Driver) snapshot(ctx context.Context, urls []string) map[string]map[str
 	return per
 }
 
-// finish stops the clock and fills the result's rates, percentiles and
+// finish stops the timer and fills the result's rates, percentiles and
 // counter deltas.
 func (lr *loadRun) finish(ctx context.Context) LoadResult {
 	d, res := lr.d, &lr.res
-	elapsed := d.clock.Now().Sub(lr.start)
+	elapsed := time.Since(lr.start)
 	res.DurationMillis = float64(elapsed) / float64(time.Millisecond)
 	res.Errors = lr.errors
 	res.P50Millis = float64(lr.percentile(0.50)) / float64(time.Millisecond)
@@ -212,7 +236,7 @@ func (lr *loadRun) finish(ctx context.Context) LoadResult {
 	if elapsed > 0 {
 		res.RequestsPerSec = float64(res.Requests) / elapsed.Seconds()
 	}
-	// Ground truth is read as the clock stops, before the scrapes below.
+	// Ground truth is read as the timer stops, before the scrapes below.
 	if d.generations != nil {
 		res.Generations = d.generations() - lr.gensBefore
 	}
@@ -332,175 +356,6 @@ func (d *Driver) Steady(ctx context.Context, urls []string, clients, requestsPer
 		return res, fmt.Errorf("fleetd: steady: %d/%d requests failed", res.Errors, res.Requests)
 	}
 	return res, nil
-}
-
-// RunHotKeyHerd is Herd for queryText across the harness's live nodes.
-func (h *Harness) RunHotKeyHerd(ctx context.Context, clients int, queryText string) (LoadResult, error) {
-	return h.Herd(ctx, h.aliveURLs(), clients, server.GenRequest{Query: queryText})
-}
-
-// RunSteady is Steady across the harness's live nodes over the population
-// queryPrefix-0 .. queryPrefix-(keys-1). Placement depends on the nodes'
-// ephemeral ports, so the entry sequence is rotated to start at a node that
-// is not a replica of key 0 (whenever the ring has one): that warm POST —
-// a new key entering at a non-replica — is the one request that must
-// forward, in every run rather than in all but (R/N)^keys of them.
-func (h *Harness) RunSteady(ctx context.Context, clients, keys, requestsPerClient int, queryPrefix string) (LoadResult, error) {
-	if keys <= 0 {
-		keys = 16
-	}
-	population := make([]server.GenRequest, keys)
-	for i := range population {
-		population[i].Query = fmt.Sprintf("%s-%d", queryPrefix, i)
-	}
-	urls := h.aliveURLs()
-	first := h.Ring().Replicas(SyntheticKey(population[0].Query))
-	for i, hn := range h.Alive() {
-		if !slices.Contains(first, hn.Name) {
-			urls = slices.Concat(urls[i:], urls[:i])
-			break
-		}
-	}
-	return h.Steady(ctx, urls, clients, requestsPerClient, population)
-}
-
-// RunKillDuringGeneration proves forward failover: a sync POST lands on
-// the key's first replica, the node is killed mid-generation, and a
-// re-POST to the second replica completes there — its forward to the dead
-// node is refused, so it is the key's first live replica and generates.
-// The result's latency percentiles are the recovery POST's alone. Requires
-// a GenDelay long enough to land the kill.
-func (h *Harness) RunKillDuringGeneration(ctx context.Context) (LoadResult, error) {
-	const queryText = "kill-target"
-	key := SyntheticKey(queryText)
-	reps := h.Ring().Replicas(key)
-	if len(reps) < 2 {
-		return LoadResult{}, fmt.Errorf("fleetd: kill scenario needs a second replica")
-	}
-	victim, survivor := reps[0], reps[1]
-	victimURL, survivorURL := h.URLFor(victim), h.URLFor(survivor)
-	if victimURL == "" || survivorURL == "" {
-		return LoadResult{}, fmt.Errorf("fleetd: kill target nodes not live")
-	}
-	lr := h.begin(ctx, "kill", h.aliveURLs())
-
-	// First POST: blocks in the victim's (slow) generation.
-	firstDone := make(chan struct{})
-	lr.res.Requests++
-	go func() {
-		defer close(firstDone)
-		_, _, _ = h.Post(ctx, victimURL, server.GenRequest{Query: queryText})
-		// Outcome deliberately ignored (and untimed): this request is
-		// supposed to die with its node.
-	}()
-
-	// Wait for the victim to start generating, then kill it.
-	for h.Counter.Key(key) == 0 {
-		select {
-		case <-ctx.Done():
-			return lr.res, ctx.Err()
-		case <-h.clock.After(2 * time.Millisecond):
-		}
-	}
-	if got := h.Counter.NodeFor(key); got != victim {
-		return lr.res, fmt.Errorf("fleetd: expected the first replica %s to generate %s, got %s", victim, key, got)
-	}
-	h.Kill(victim)
-	<-firstDone
-
-	// Recovery POST: the survivor routes past the dead node and generates.
-	var status int
-	var err error
-	lr.timed(func() bool {
-		status, _, err = h.Post(ctx, survivorURL, server.GenRequest{Query: queryText})
-		return err == nil && status == http.StatusOK
-	})
-	res := lr.finish(ctx)
-	if err != nil {
-		return res, fmt.Errorf("fleetd: recovery POST failed: %w", err)
-	}
-	if status != http.StatusOK {
-		return res, fmt.Errorf("fleetd: recovery POST returned %d", status)
-	}
-	return res, nil
-}
-
-// RunCancelPropagation proves cross-node cancellation: an async POST is
-// forwarded to a replica, the resulting job is DELETEd through a
-// DIFFERENT node (proxied by job-id prefix), and the job reaches the
-// canceled state. Requires a GenDelay long enough to cancel into.
-func (h *Harness) RunCancelPropagation(ctx context.Context) (LoadResult, error) {
-	nodes := h.Alive()
-	if len(nodes) < 2 {
-		return LoadResult{}, fmt.Errorf("fleetd: cancel scenario needs >= 2 live nodes")
-	}
-	queryText := "cancel-target"
-	lr := h.begin(ctx, "cancel", h.aliveURLs())
-
-	var status int
-	var body []byte
-	var err error
-	lr.timed(func() bool {
-		status, body, err = h.Post(ctx, nodes[0].URL, server.GenRequest{Query: queryText, Async: true})
-		return err == nil && status == http.StatusAccepted
-	})
-	if err != nil || status != http.StatusAccepted {
-		return lr.finish(ctx), fmt.Errorf("fleetd: async POST returned %d (%v)", status, err)
-	}
-	var job struct {
-		ID string `json:"id"`
-	}
-	if err := json.Unmarshal(body, &job); err != nil || job.ID == "" {
-		return lr.finish(ctx), fmt.Errorf("fleetd: async POST returned no job id: %v", err)
-	}
-
-	// Cancel through the LAST node — for a >= 2-node fleet at least one
-	// of (POST entry, DELETE entry) is not the job's owner, so the proxy
-	// path is exercised.
-	cancelURL := nodes[len(nodes)-1].URL
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, cancelURL+"/v1/jobs/"+job.ID, nil)
-	if err != nil {
-		return lr.res, err
-	}
-	lr.timed(func() bool {
-		status, _, _, err = h.do(req)
-		return err == nil && status == http.StatusOK
-	})
-	if err != nil || status != http.StatusOK {
-		return lr.finish(ctx), fmt.Errorf("fleetd: cross-node DELETE returned %d (%v)", status, err)
-	}
-
-	// Poll (through yet another entry point, untimed) until the job is
-	// terminal.
-	pollURL := nodes[len(nodes)/2].URL
-	for {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, pollURL+"/v1/jobs/"+job.ID, nil)
-		if err != nil {
-			return lr.res, err
-		}
-		status, _, body, err := h.do(req)
-		lr.res.Requests++
-		if err != nil || status != http.StatusOK {
-			return lr.finish(ctx), fmt.Errorf("fleetd: cross-node job poll returned %d (%v)", status, err)
-		}
-		var st struct {
-			State string `json:"state"`
-		}
-		if err := json.Unmarshal(body, &st); err != nil {
-			return lr.res, err
-		}
-		switch st.State {
-		case "canceled":
-			return lr.finish(ctx), nil
-		case "done", "failed":
-			return lr.finish(ctx), fmt.Errorf("fleetd: job ended %q, want canceled", st.State)
-		}
-		select {
-		case <-ctx.Done():
-			return lr.res, ctx.Err()
-		case <-h.clock.After(5 * time.Millisecond):
-		}
-	}
 }
 
 func mustJSON(v any) []byte {

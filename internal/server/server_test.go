@@ -322,6 +322,21 @@ func TestAsyncJobLifecycle(t *testing.T) {
 	}
 }
 
+// TestJobIDsNeverRepeat: ids below a million keep their six-digit bytes,
+// and a long-lived daemon's millionth-and-first job does not reissue the
+// first one's handle (a client polling that handle would read another
+// job's status).
+func TestJobIDsNeverRepeat(t *testing.T) {
+	for n, want := range map[int]string{1: "job-000001", 999_999: "job-999999", 1_000_001: "job-1000001"} {
+		if got := jobID(n); got != want {
+			t.Errorf("jobID(%d) = %q, want %q", n, got, want)
+		}
+	}
+	if jobID(1_000_001) == jobID(1) {
+		t.Fatalf("jobID(1_000_001) == jobID(1) == %q", jobID(1))
+	}
+}
+
 func TestQueueBackpressure(t *testing.T) {
 	// One worker, queue depth 1: job A runs, job B queues, job C must be
 	// rejected with 429 — the daemon sheds load instead of buffering

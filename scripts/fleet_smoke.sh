@@ -1,6 +1,6 @@
 #!/bin/sh
 # End-to-end smoke test for the smokescreend fleet: three REAL daemons
-# sharing a consistent-hash ring, driven through smokeload's urls mode.
+# sharing a consistent-hash ring, driven through smokeload.
 #
 #   1. herd: concurrent POSTs of one query across all three entry nodes
 #      must all succeed with exactly ONE generation fleet-wide (the logs
@@ -101,7 +101,7 @@ gen_count() {
 QUERY="SELECT AVG(count(car)) FROM small"
 
 echo "fleet-smoke: hot-key herd across all nodes"
-"$WORKDIR/smokeload" -mode urls -urls "$URLS" -scenario herd -clients 6 \
+"$WORKDIR/smokeload" -urls "$URLS" -scenario herd -clients 6 \
     -query "$QUERY" -step 0.05 -max-fraction 0.1
 gens=$(gen_count)
 if [ "$gens" -ne 1 ]; then
@@ -136,7 +136,7 @@ done
 SURVIVOR_URLS=${SURVIVOR_URLS#,}
 
 echo "fleet-smoke: re-herd the same query against survivors (replica serving)"
-"$WORKDIR/smokeload" -mode urls -urls "$SURVIVOR_URLS" -scenario herd -clients 4 \
+"$WORKDIR/smokeload" -urls "$SURVIVOR_URLS" -scenario herd -clients 4 \
     -query "$QUERY" -step 0.05 -max-fraction 0.1
 gens=$(gen_count)
 if [ "$gens" -ne 1 ]; then
@@ -149,7 +149,7 @@ fi
 # verified copy, and reads entering there are now served in place. Steady
 # is one warm re-POST, then GETs (and a few re-POSTs) alternating entry nodes.
 echo "fleet-smoke: GETs through the non-replica survivor are served from its copy"
-"$WORKDIR/smokeload" -mode urls -urls "$SURVIVOR_URLS" -scenario steady -clients 2 \
+"$WORKDIR/smokeload" -urls "$SURVIVOR_URLS" -scenario steady -clients 2 \
     -requests 8 -query "$QUERY" -step 0.05 -max-fraction 0.1 -json >"$WORKDIR/steady.json"
 cat "$WORKDIR/steady.json"
 grep -q '"entry_hits": [1-9]' "$WORKDIR/steady.json" || {
@@ -163,7 +163,7 @@ if [ "$gens" -ne 1 ]; then
 fi
 
 echo "fleet-smoke: new query must still generate on a survivor"
-"$WORKDIR/smokeload" -mode urls -urls "$SURVIVOR_URLS" -scenario herd -clients 4 \
+"$WORKDIR/smokeload" -urls "$SURVIVOR_URLS" -scenario herd -clients 4 \
     -query "SELECT AVG(count(person)) FROM small" -step 0.05 -max-fraction 0.1
 gens=$(gen_count)
 if [ "$gens" -ne 2 ]; then
