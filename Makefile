@@ -12,7 +12,9 @@ STATICCHECK_VERSION ?= 2025.1
 build:
 	$(GO) build ./...
 
-# lint layers five gates: go vet, the repo's own smokevet analyzer suite
+# lint layers six gates: go vet, gofmt (no file outside the analyzer
+# fixtures' testdata/, which are inputs, may differ from gofmt's output),
+# the repo's own smokevet analyzer suite
 # (determinism, ctxflow, atomiccounter, goroleak, axisreg, errcontract —
 # see DESIGN.md §10; every analyzer is per-package, and ctxflow also
 # rejects an exported F declared beside an exported FCtx in internal/, so
@@ -29,6 +31,9 @@ build:
 # itself a finding (the suppression audit runs on every full suite).
 lint:
 	$(GO) vet ./...
+	@bad=$$(gofmt -l . | grep -v '/testdata/'); if [ -n "$$bad" ]; then \
+		echo "$$bad"; echo "lint: gofmt -l lists the files above; run gofmt -w on them"; exit 1; \
+	fi
 	$(GO) run ./cmd/smokevet ./...
 	@if LC_ALL=C awk 'length($$0) > 1500 { printf "CHANGES.md:%d: %d bytes\n", NR, length($$0); bad = 1 } END { exit !bad }' CHANGES.md; then \
 		echo "lint: CHANGES.md entry over 1500 bytes; say what changed, what was measured, what was deleted"; exit 1; \
@@ -86,7 +91,8 @@ test-race:
 # bound (a patch the detector skips as too small to report is one the
 # oracle pipeline leaves undetected), and the resample of a row range of a
 # source rectangle, read in place at an offset and stride, against the
-# reference kernels: 11 targets. ~10s per target
+# reference kernels, and the dispatched noise row (AVX2 where the CPU has
+# it) against its Go body: 12 targets. ~10s per target
 # keeps it cheap enough to ride in CI; longer
 # local runs:
 #   go test -run '^$$' -fuzz FuzzEnvelopeDecode ./internal/store/
@@ -103,6 +109,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReceive -fuzztime 10s ./internal/transport/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s -fuzzminimizetime 1s ./internal/codec/
 	$(GO) test -run '^$$' -fuzz FuzzResampleRows -fuzztime 10s ./internal/raster/
+	$(GO) test -run '^$$' -fuzz FuzzNoiseRow -fuzztime 10s ./internal/raster/
 	$(GO) test -run '^$$' -fuzz FuzzSuppressParse -fuzztime 10s ./internal/analysis/
 
 # The full CI gate with per-stage timing (scripts/ci.sh).
@@ -122,7 +129,8 @@ bench:
 # against the historical pipeline retained in _test.go: whole patches on
 # the resample shapes the cold workloads hit, then the fused back half, the
 # tabled bilinear resample, the box kernel against the prefix-sum kernel it
-# replaced (a near-identity and a heavy box) and the noise kernel alone. kernel/oracle
+# replaced (a near-identity and a heavy box), the noise kernel alone, and one
+# noise row through its Go body and its AVX2 body. kernel/oracle
 # sub-benches run back to back, five times each, because only a ratio taken
 # within one run survives this host's speed drift. The frame-path line is
 # one frame through the codec each way, one camera session into a
@@ -136,7 +144,7 @@ bench:
 bench-kernels:
 	$(GO) test -run xxx -bench 'Kernel' -benchmem ./internal/raster/ ./internal/detect/
 	$(GO) test -run xxx -bench 'PatchComponentsFloat|BenchmarkFloatComponents' -benchmem -count 5 ./internal/detect/
-	$(GO) test -run xxx -bench 'BenchmarkBilinearInto|BenchmarkBoxInto|BenchmarkAddNoise' -benchmem -count 5 ./internal/raster/
+	$(GO) test -run xxx -bench 'BenchmarkBilinearInto|BenchmarkBoxInto|BenchmarkAddNoise|BenchmarkNoiseRow' -benchmem -count 5 ./internal/raster/
 	$(GO) test -run xxx -bench 'BenchmarkEncodeFrame|BenchmarkDecodeFrame|BenchmarkCameraStream|BenchmarkReceiver' -benchmem ./internal/codec/ ./internal/camera/ ./internal/stream/
 	$(GO) test -run xxx -bench 'BenchmarkPresenceScan' -benchmem -count 5 ./internal/outputs/
 

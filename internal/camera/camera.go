@@ -103,7 +103,13 @@ func decodeConfig(payload []byte) (Config, error) {
 	c.NoiseSigma = math.Float64frombits(fields[1])
 	c.Resolution = int(fields[2])
 	c.TotalFrames = int(fields[3])
-	if c.CaptureWidth <= 0 || c.Resolution <= 0 || c.TotalFrames < 0 {
+	if r.off != len(r.buf) {
+		return c, fmt.Errorf("camera: config has %d trailing bytes", len(r.buf)-r.off)
+	}
+	// Session.Detect hands the sigma to the detector as is: a NaN, infinite or
+	// negative one is a corrupt config, not a noise level.
+	if c.CaptureWidth <= 0 || c.Resolution <= 0 || c.TotalFrames < 0 ||
+		!(c.NoiseSigma >= 0) || math.IsInf(c.NoiseSigma, 1) {
 		return c, fmt.Errorf("camera: corrupt config %+v", c)
 	}
 	return c, nil

@@ -156,6 +156,24 @@ func TestDecodeConfigRejectsCorruption(t *testing.T) {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
+	withSigma := func(sigma float64) []byte {
+		c := cfg
+		c.NoiseSigma = sigma
+		return c.encode()
+	}
+	for name, payload := range map[string][]byte{
+		"trailing byte": append(cfg.encode(), 0),
+		"sigma NaN":     withSigma(math.NaN()),
+		"sigma +Inf":    withSigma(math.Inf(1)),
+		"sigma -0.01":   withSigma(-0.01),
+	} {
+		if c, err := decodeConfig(payload); err == nil {
+			t.Errorf("%s: accepted as %+v", name, c)
+		}
+	}
+	if _, err := decodeConfig(withSigma(0)); err != nil {
+		t.Errorf("sigma 0 refused: %v", err)
+	}
 }
 
 func TestReceiveProtocolErrors(t *testing.T) {

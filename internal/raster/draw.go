@@ -131,20 +131,22 @@ func (m *Image) NoisyDiffInto(dst []float32, bg *Image, seed uint64, sigma float
 	}
 }
 
-// noiseRow is the one noise kernel: out[x] = clamp01(in[x] + noise) - bg[x]
-// over one row (out may be in), noise being the pixel's Irwin–Hall(3) sum
-// noiseSum times step = 2^-21·(sigma/0.5). The historical form (the oracle
-// noiseUnitNaive) converted and centred each 21-bit uniform, added them in
-// float32 and scaled the unit; every partial sum is a multiple of 2^-21 below
-// 2^2, exact in float32, and multiplying by 2^-21 is exact, so both forms
-// round the same exact product once (for sigma >= 2^-106, where step is a
-// normal float32). Kept out of line with rows cut to one length, its loop
-// holds only the hash state and three row pointers, with no bounds checks.
+// noiseRowGo is the portable body of the one noise kernel noiseRow, and the
+// oracle its SIMD body is held to: out[x] = clamp01(in[x] + noise) - bg[x]
+// for columns x0 <= x < len(out) of one row (out may be in), noise being the
+// pixel's Irwin–Hall(3) sum noiseSum times step = 2^-21·(sigma/0.5). The
+// historical form (the oracle noiseUnitNaive) converted and centred each
+// 21-bit uniform, added them in float32 and scaled the unit; every partial
+// sum is a multiple of 2^-21 below 2^2, exact in float32, and multiplying by
+// 2^-21 is exact, so both forms round the same exact product once (for sigma
+// >= 2^-106, where step is a normal float32). Kept out of line with rows cut
+// to one length, its loop holds only the hash state and three row pointers,
+// with no bounds checks.
 //
 //go:noinline
-func noiseRow(out, in, bg []float32, rowTerm uint64, step float32) {
+func noiseRowGo(out, in, bg []float32, rowTerm uint64, step float32, x0 int) {
 	in, bg = in[:len(out)], bg[:len(out)]
-	for x := range out {
+	for x := max(x0, 0); x < len(out); x++ {
 		out[x] = clamp01(in[x]+float32(noiseSum(pixelHashAt(rowTerm, x)))*step) - bg[x]
 	}
 }

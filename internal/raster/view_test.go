@@ -17,10 +17,10 @@ func TestMotionBlurMatchesNaive(t *testing.T) {
 	cases := []cfg{
 		{1, 1, 1, 0, 0, 0},
 		{9, 4, 9, 3, 3, 0},
-		{9, 4, 9, 3, 4, 0},    // even length: asymmetric reach
-		{33, 7, 20, 4, 5, 6},  // strip with offset
+		{9, 4, 9, 3, 4, 0},   // even length: asymmetric reach
+		{33, 7, 20, 4, 5, 6}, // strip with offset
 		{64, 16, 64, 15, 15, 0},
-		{5, 3, 5, 15, 16, 0},  // reach wider than the image
+		{5, 3, 5, 15, 16, 0}, // reach wider than the image
 	}
 	for i := 0; i < 10; i++ {
 		sw := 1 + rng.Intn(90)

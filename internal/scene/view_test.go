@@ -32,7 +32,7 @@ func TestViewRegionIndependence(t *testing.T) {
 	}
 	regions := []raster.Rect{
 		raster.RectWH(40, 40, 200, 200),
-		raster.RectWH(0, 0, 17, 13),  // frame corner: blur window clipped left
+		raster.RectWH(0, 0, 17, 13), // frame corner: blur window clipped left
 		raster.RectWH(300, 100, 20, 60),
 		raster.RectWH(0, 0, 320, 180), // full frame through the region path
 	}
@@ -127,13 +127,13 @@ func TestOcclusionMaskDeterministic(t *testing.T) {
 // TestViewValidate covers the envelope checks.
 func TestViewValidate(t *testing.T) {
 	for name, vw := range map[string]View{
-		"noise":       {ExtraNoise: 0.6},
-		"blur":        {BlurLen: MaxBlurLen + 1},
-		"neg blur":    {BlurLen: -1},
-		"levels 1":    {Levels: 1},
-		"levels 300":  {Levels: 300},
-		"occlusion":   {Occlusion: 0.7},
-		"neg occl":    {Occlusion: -0.1},
+		"noise":      {ExtraNoise: 0.6},
+		"blur":       {BlurLen: MaxBlurLen + 1},
+		"neg blur":   {BlurLen: -1},
+		"levels 1":   {Levels: 1},
+		"levels 300": {Levels: 300},
+		"occlusion":  {Occlusion: 0.7},
+		"neg occl":   {Occlusion: -0.1},
 	} {
 		if vw.Validate() == nil {
 			t.Errorf("%s: invalid view accepted", name)

@@ -82,8 +82,9 @@ func TestCanceledJobFreesPoolSlot(t *testing.T) {
 	client := &Client{BaseURL: ts.URL, PollInterval: 5 * time.Millisecond}
 
 	a := startAsyncJob(t, ts.URL, "SELECT AVG(count(car)) FROM small")
-	<-gen.started // A occupies the only worker
-	startAsyncJob(t, ts.URL, "SELECT SUM(count(car)) FROM small") // B, queued
+	// A occupies the only worker; B queues behind it.
+	<-gen.started
+	startAsyncJob(t, ts.URL, "SELECT SUM(count(car)) FROM small")
 	c := startAsyncJob(t, ts.URL, "SELECT MAX(count(car)) FROM small")
 
 	// Cancel the queued job C: immediate terminal state, generator never
