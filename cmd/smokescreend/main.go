@@ -14,19 +14,22 @@
 //
 // Endpoints: POST /v1/profiles, GET /v1/profiles/{key}, GET /v1/jobs/{id},
 // DELETE /v1/jobs/{id}, POST /v1/streams, GET /v1/streams/{id},
-// DELETE /v1/streams/{id}, GET /healthz, GET /metrics. SIGINT/SIGTERM drain
-// gracefully: intake stops, in-flight generations finish, streams are
-// cancelled, the store stays consistent.
+// DELETE /v1/streams/{id}, GET /v1/ring, GET /healthz, GET /metrics.
+// SIGINT/SIGTERM drain gracefully: intake stops, in-flight generations
+// finish, streams are cancelled, the store stays consistent.
 //
-// With -fleet-nodes (or SMOKESCREEND_FLEET_NODES), the daemon joins an
-// N-node fleet: profile keys are placed on a consistent-hash ring (a fixed
-// 64 virtual nodes per member, so every member places keys alike),
-// requests are forwarded to a replica over pooled keep-alive connections,
-// artifacts fan out to R replicas with read-repair, and every POST that
-// must generate a key is routed to the key's first reachable replica, whose
-// job queue coalesces it (see DESIGN.md §5.5 and §5.6). Fleet mode adds
-// GET /v1/ring plus internal replication endpoints, and
-// smokescreend_fleet_* counters on /metrics.
+// Every daemon is a fleet node (internal/fleetd). Profile keys are placed
+// on a consistent-hash ring over the members of -fleet-nodes (or
+// SMOKESCREEND_FLEET_NODES; a fixed 64 virtual nodes per member, so every
+// member places keys alike). Empty, the ring holds only this node
+// (-fleet-self, default the bound address): every key is its own, and the
+// daemon serves each request itself. With more members, requests are
+// forwarded to a replica over pooled keep-alive connections, artifacts fan
+// out to R replicas with read-repair through
+// GET/PUT /v1/internal/profiles/{key}, and every POST that must generate a
+// key is routed to the key's first reachable replica, whose job queue
+// coalesces it (see DESIGN.md §5.5 and §5.6). Job ids carry the minting
+// node's prefix, and /metrics ends with the smokescreend_fleet_* block.
 package main
 
 import (
@@ -70,7 +73,7 @@ func registerFlags(fs *flag.FlagSet) *runConfig {
 	fs.DurationVar(&cfg.jobTimeout, "job-timeout", 10*time.Minute, "cap on one generation job")
 	fs.DurationVar(&cfg.drainTimeout, "drain-timeout", 5*time.Minute, "cap on graceful shutdown")
 	fs.StringVar(&cfg.addrFile, "addr-file", "", "write the bound address to this file once listening (for scripts)")
-	fs.StringVar(&cfg.fleetNodes, "fleet-nodes", os.Getenv("SMOKESCREEND_FLEET_NODES"), "comma-separated fleet member host:ports; empty runs single-node (env SMOKESCREEND_FLEET_NODES)")
+	fs.StringVar(&cfg.fleetNodes, "fleet-nodes", os.Getenv("SMOKESCREEND_FLEET_NODES"), "comma-separated fleet member host:ports; empty means a ring of one, this node (env SMOKESCREEND_FLEET_NODES)")
 	fs.StringVar(&cfg.fleetSelf, "fleet-self", "", "this node's identity within -fleet-nodes (default: the bound address)")
 	fs.IntVar(&cfg.fleetReplicas, "fleet-replicas", 0, "replicas per profile key (0 = default 2)")
 	return cfg
@@ -99,9 +102,9 @@ func run(cfg runConfig, logger *log.Logger) error {
 		logger.Printf("store warning: %v (will regenerate on demand)", err)
 	}
 
-	// Listen before assembling the service: in fleet mode the node's ring
-	// identity defaults to the bound address, which only exists once the
-	// socket is live.
+	// Listen before assembling the service: the node's ring identity
+	// defaults to the bound address, which only exists once the socket is
+	// live.
 	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
 		return err
@@ -109,55 +112,41 @@ func run(cfg runConfig, logger *log.Logger) error {
 	bound := ln.Addr().String()
 	logger.Printf("listening on %s", bound)
 
+	// Every daemon is a fleet node. Without -fleet-nodes the ring holds
+	// only this node: every key is its own, and it mounts no replication
+	// endpoint.
+	self := cfg.fleetSelf
+	if self == "" {
+		self = bound
+	}
+	nodes := fleetd.ParseNodes(cfg.fleetNodes)
+	if len(nodes) == 0 {
+		nodes = []string{self}
+	}
 	// Every generation constant (seed, fractions, correction limit) is
 	// core's default or part of the request, so fleet members cannot seal
 	// different bytes under one key.
 	generator := &server.SystemGenerator{Parallelism: cfg.parallelism}
-	serverCfg := server.Config{
-		Store:          st,
-		Generator:      generator,
-		Workers:        cfg.workers,
-		QueueDepth:     cfg.queueDepth,
-		RequestTimeout: cfg.requestTimeout,
-		JobTimeout:     cfg.jobTimeout,
-		Logf:           logger.Printf,
+	node, err := fleetd.NewNode(fleetd.Config{
+		Self:      self,
+		Nodes:     nodes,
+		Replicas:  cfg.fleetReplicas,
+		Store:     st,
+		Generator: generator,
+		Server: server.Config{
+			Workers:        cfg.workers,
+			QueueDepth:     cfg.queueDepth,
+			RequestTimeout: cfg.requestTimeout,
+			JobTimeout:     cfg.jobTimeout,
+			Logf:           logger.Printf,
+		},
+		Logf: logger.Printf,
+	})
+	if err != nil {
+		ln.Close()
+		return err
 	}
-
-	// handler/drain abstract over the two shapes: a bare single-process
-	// daemon, or that same daemon wrapped in a fleetd node (ring routing,
-	// replication, first-replica generation).
-	var handler http.Handler
-	var drain func(context.Context) error
-	if cfg.fleetNodes != "" {
-		self := cfg.fleetSelf
-		if self == "" {
-			self = bound
-		}
-		node, err := fleetd.NewNode(fleetd.Config{
-			Self:      self,
-			Nodes:     fleetd.ParseNodes(cfg.fleetNodes),
-			Replicas:  cfg.fleetReplicas,
-			Store:     st,
-			Generator: generator,
-			Server:    serverCfg,
-			Logf:      logger.Printf,
-		})
-		if err != nil {
-			ln.Close()
-			return err
-		}
-		logger.Printf("fleet member %s of %s (replicas=%d)", self, cfg.fleetNodes, node.Ring().ReplicaCount())
-		handler = node.Handler()
-		drain = node.Drain
-	} else {
-		svc, err := server.New(serverCfg)
-		if err != nil {
-			ln.Close()
-			return err
-		}
-		handler = svc.Handler()
-		drain = svc.Drain
-	}
+	logger.Printf("fleet member %s of %v (replicas=%d)", self, node.Ring().Nodes(), node.Ring().ReplicaCount())
 
 	if cfg.addrFile != "" {
 		// Written after the socket is live, so scripts can poll the file
@@ -168,7 +157,7 @@ func run(cfg runConfig, logger *log.Logger) error {
 		}
 	}
 
-	httpSrv := &http.Server{Handler: handler}
+	httpSrv := &http.Server{Handler: node.Handler()}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 
@@ -188,7 +177,7 @@ func run(cfg runConfig, logger *log.Logger) error {
 	if err := httpSrv.Shutdown(ctx); err != nil {
 		logger.Printf("http shutdown: %v", err)
 	}
-	if err := drain(ctx); err != nil {
+	if err := node.Drain(ctx); err != nil {
 		return err
 	}
 	logger.Printf("drained cleanly")

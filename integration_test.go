@@ -94,7 +94,7 @@ func TestIntegrationCameraToStreamingEstimate(t *testing.T) {
 	params := estimate.DefaultParams()
 	var estimator *estimate.StreamingEstimator
 	var last estimate.Estimate
-	_, err := camera.Receive(transport.New(server), func(s *camera.Session, fr camera.ReceivedFrame) error {
+	_, err := camera.ReceiveSession(transport.New(server), nil, func(s *camera.Session, fr camera.ReceivedFrame) error {
 		if estimator == nil {
 			var err error
 			estimator, err = estimate.NewStreamingEstimator(estimate.AVG, s.Config.TotalFrames, params, true)

@@ -6,13 +6,13 @@
 // (see DESIGN.md §10).
 //
 // The package deliberately mirrors the golang.org/x/tools/go/analysis API
-// shape (Analyzer, Pass, Diagnostic, an analysistest-style fixture runner)
-// but is built on the standard library alone: hermetic builders have no
-// module proxy, so x/tools cannot be a dependency. Packages are loaded
-// with `go list` and type-checked with the stdlib source importer; the
-// resulting per-package Pass is what each analyzer sees. If x/tools ever
-// becomes available the analyzers port mechanically — their Run functions
-// only consume the Pass surface below.
+// shape (Analyzer, Pass, Diagnostic; the tests' fixture runner in
+// fixture_test.go is analysistest-style) but is built on the standard
+// library alone: hermetic builders have no module proxy, so x/tools cannot
+// be a dependency. Packages are loaded with `go list` and type-checked
+// with the stdlib source importer; the resulting per-package Pass is what
+// each analyzer sees. If x/tools ever becomes available the analyzers port
+// mechanically — their Run functions only consume the Pass surface below.
 package analysis
 
 import (

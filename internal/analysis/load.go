@@ -13,7 +13,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -100,7 +99,7 @@ func (l *Loader) Load(dir string, patterns ...string) ([]*Package, error) {
 		for i, f := range p.GoFiles {
 			files[i] = filepath.Join(p.Dir, f)
 		}
-		pkg, err := l.check(p.ImportPath, p.Dir, files)
+		pkg, err := l.check(l.imp, p.ImportPath, p.Dir, files)
 		if err != nil {
 			return nil, err
 		}
@@ -110,191 +109,9 @@ func (l *Loader) Load(dir string, patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// LoadDir loads the single package rooted at dir from its *.go files
-// (test files excluded), under a synthetic import path. The fixture
-// runner uses it for testdata packages, which `go list ./...` ignores.
-func (l *Loader) LoadDir(dir string) (*Package, error) {
-	return l.loadFixtureDir(dir, "fixture/"+filepath.Base(dir), nil)
-}
-
-// LoadFixtureTree loads a fixture directory together with its
-// sub-package fixtures: each immediate subdirectory of dir containing Go
-// files becomes package "fixture/<base>/<sub>", and the root files (if
-// any) become "fixture/<base>". Sub-packages may import one another and
-// the root may import any sub-package — imports under the "fixture/"
-// prefix resolve against the tree itself instead of the stdlib source
-// importer, which is what lets a fixture span two type-checked packages.
-// Packages are returned in dependency order (imports first).
-func (l *Loader) LoadFixtureTree(dir string) ([]*Package, error) {
-	base := "fixture/" + filepath.Base(dir)
-	entries, err := filepath.Glob(filepath.Join(dir, "*"))
-	if err != nil {
-		return nil, err
-	}
-	// Map every fixture package path in the tree to its directory, root
-	// included, then load in dependency order so each package's fixture
-	// imports are already type-checked when its own check begins.
-	dirs := map[string]string{}
-	if ok, err := hasGoFiles(dir); err != nil {
-		return nil, err
-	} else if ok {
-		dirs[base] = dir
-	}
-	for _, e := range entries {
-		ok, err := hasGoFiles(e)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			dirs[base+"/"+filepath.Base(e)] = e
-		}
-	}
-	if len(dirs) == 0 {
-		return nil, fmt.Errorf("analysis: no Go files in %s", dir)
-	}
-
-	fixtures := map[string]*types.Package{}
-	var pkgs []*Package
-	loaded := map[string]bool{}
-	var load func(path string, chain []string) error
-	load = func(path string, chain []string) error {
-		if loaded[path] {
-			return nil
-		}
-		for _, c := range chain {
-			if c == path {
-				return fmt.Errorf("analysis: fixture import cycle through %s", path)
-			}
-		}
-		imports, err := fixtureImports(dirs[path])
-		if err != nil {
-			return err
-		}
-		for _, imp := range imports {
-			if _, ok := dirs[imp]; ok {
-				if err := load(imp, append(chain, path)); err != nil {
-					return err
-				}
-			}
-		}
-		pkg, err := l.loadFixtureDir(dirs[path], path, fixtures)
-		if err != nil {
-			return err
-		}
-		if pkg.Pkg != nil {
-			fixtures[path] = pkg.Pkg
-		}
-		pkgs = append(pkgs, pkg)
-		loaded[path] = true
-		return nil
-	}
-	paths := make([]string, 0, len(dirs))
-	for p := range dirs {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		if err := load(p, nil); err != nil {
-			return nil, err
-		}
-	}
-	return pkgs, nil
-}
-
-// loadFixtureDir checks one fixture directory under the given synthetic
-// import path, resolving "fixture/..." imports through the supplied
-// already-checked tree packages.
-func (l *Loader) loadFixtureDir(dir, path string, fixtures map[string]*types.Package) (*Package, error) {
-	matches, err := filepath.Glob(filepath.Join(dir, "*.go"))
-	if err != nil {
-		return nil, err
-	}
-	var files []string
-	for _, m := range matches {
-		if !strings.HasSuffix(m, "_test.go") {
-			files = append(files, m)
-		}
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("analysis: no Go files in %s", dir)
-	}
-	sort.Strings(files)
-	imp := l.imp
-	if len(fixtures) > 0 {
-		imp = &fixtureImporter{next: l.imp, fixtures: fixtures}
-	}
-	return l.checkWith(imp, path, dir, files)
-}
-
-// hasGoFiles reports whether dir directly contains non-test Go files.
-func hasGoFiles(dir string) (bool, error) {
-	matches, err := filepath.Glob(filepath.Join(dir, "*.go"))
-	if err != nil {
-		return false, err
-	}
-	for _, m := range matches {
-		if !strings.HasSuffix(m, "_test.go") {
-			return true, nil
-		}
-	}
-	return false, nil
-}
-
-// fixtureImports parses the import paths of every non-test Go file in dir
-// (syntax only — no type-checking).
-func fixtureImports(dir string) ([]string, error) {
-	matches, err := filepath.Glob(filepath.Join(dir, "*.go"))
-	if err != nil {
-		return nil, err
-	}
-	seen := map[string]bool{}
-	var out []string
-	for _, m := range matches {
-		if strings.HasSuffix(m, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(token.NewFileSet(), m, nil, parser.ImportsOnly)
-		if err != nil {
-			return nil, fmt.Errorf("analysis: %v", err)
-		}
-		for _, spec := range f.Imports {
-			p, err := strconv.Unquote(spec.Path.Value)
-			if err != nil {
-				continue
-			}
-			if !seen[p] {
-				seen[p] = true
-				out = append(out, p)
-			}
-		}
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-// fixtureImporter resolves imports of already-checked fixture packages
-// and defers everything else (the stdlib) to the source importer.
-type fixtureImporter struct {
-	next     types.ImporterFrom
-	fixtures map[string]*types.Package
-}
-
-func (fi *fixtureImporter) Import(path string) (*types.Package, error) {
-	return fi.ImportFrom(path, "", 0)
-}
-
-func (fi *fixtureImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
-	if pkg, ok := fi.fixtures[path]; ok {
-		return pkg, nil
-	}
-	return fi.next.ImportFrom(path, dir, mode)
-}
-
-func (l *Loader) check(path, dir string, filenames []string) (*Package, error) {
-	return l.checkWith(l.imp, path, dir, filenames)
-}
-
-func (l *Loader) checkWith(imp types.ImporterFrom, path, dir string, filenames []string) (*Package, error) {
+// check parses and type-checks one package's files, resolving imports
+// through imp.
+func (l *Loader) check(imp types.ImporterFrom, path, dir string, filenames []string) (*Package, error) {
 	var files []*ast.File
 	for _, name := range filenames {
 		f, err := parser.ParseFile(l.fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)

@@ -322,16 +322,6 @@ type Session struct {
 	Background *raster.Image
 }
 
-// Receive consumes a single camera session from conn, invoking handle for
-// every frame. It returns the session after MsgEnd (or an error).
-func Receive(conn *transport.Conn, handle func(*Session, ReceivedFrame) error) (*Session, error) {
-	session, err := ReceiveSession(conn, nil, handle)
-	if err == io.EOF {
-		return nil, fmt.Errorf("camera: stream ended before MsgEnd")
-	}
-	return session, err
-}
-
 // ReceiveSession decodes one camera session from conn — MsgConfig,
 // MsgBackground, MsgFrame…, MsgEnd — and returns it after MsgEnd. It is the
 // wire protocol's one state machine: message order, the presence of pixels

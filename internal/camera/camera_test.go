@@ -42,7 +42,7 @@ func runSession(t *testing.T, setting degrade.Setting) (Report, *Session, map[in
 	}()
 
 	counts := map[int]int{}
-	session, err := Receive(transport.New(server), func(s *Session, fr ReceivedFrame) error {
+	session, err := ReceiveSession(transport.New(server), nil, func(s *Session, fr ReceivedFrame) error {
 		counts[fr.Index] = detect.CountClass(s.Detect(m, fr), scene.Car)
 		return nil
 	})
@@ -185,7 +185,7 @@ func TestReceiveProtocolErrors(t *testing.T) {
 		c := transport.New(client)
 		_ = c.Send(transport.MsgFrame, []byte{0})
 	}()
-	if _, err := Receive(transport.New(server), nil); err == nil {
+	if _, err := ReceiveSession(transport.New(server), nil, nil); err == nil {
 		t.Fatal("frame before config accepted")
 	}
 }
@@ -215,7 +215,7 @@ func TestStreamRejectsInfeasibleSetting(t *testing.T) {
 }
 
 func TestReceiveSurvivesPeerDisconnect(t *testing.T) {
-	// The camera dies mid-stream (after config but before MsgEnd); Receive
+	// The camera dies mid-stream (after config but before MsgEnd); ReceiveSession
 	// must return an error, not hang or fabricate a session.
 	client, server := net.Pipe()
 	defer server.Close()
@@ -225,9 +225,9 @@ func TestReceiveSurvivesPeerDisconnect(t *testing.T) {
 		_ = conn.Send(transport.MsgConfig, cfg.encode())
 		client.Close() // abrupt death before the background and frames
 	}()
-	_, err := Receive(transport.New(server), nil)
+	_, err := ReceiveSession(transport.New(server), nil, nil)
 	if err == nil {
-		t.Fatal("Receive succeeded on a dropped stream")
+		t.Fatal("ReceiveSession succeeded on a dropped stream")
 	}
 }
 
@@ -241,7 +241,7 @@ func TestReceiveRejectsUnknownMessageType(t *testing.T) {
 		_ = c.Send(transport.MsgConfig, cfg.encode())
 		_ = c.Send(99, []byte{1, 2, 3})
 	}()
-	if _, err := Receive(transport.New(server), nil); err == nil {
+	if _, err := ReceiveSession(transport.New(server), nil, nil); err == nil {
 		t.Fatal("unknown message type accepted")
 	}
 }
@@ -309,9 +309,6 @@ func TestReceiveSessionBoundaries(t *testing.T) {
 			}
 		})
 	}
-	if _, err := Receive(transport.New(&bytes.Buffer{}), nil); err == nil || err == io.EOF {
-		t.Fatalf("Receive on an empty stream = %v, want its own before-MsgEnd error", err)
-	}
 }
 
 func TestReportTotalJoules(t *testing.T) {
@@ -331,7 +328,7 @@ func TestDefaultEnergyModelPositive(t *testing.T) {
 func TestReceiveRejectsMismatchedRasters(t *testing.T) {
 	// A peer announcing 160x160 and then shipping a raster of another size
 	// used to get as far as Session.Detect, where the detector panics on a
-	// frame/background size mismatch. Receive refuses it on the wire.
+	// frame/background size mismatch. ReceiveSession refuses it on the wire.
 	cfg := Config{Name: "hostile", CaptureWidth: 320, NoiseSigma: 0.01, Resolution: 160, TotalFrames: 100}
 	type msg struct {
 		typ  byte
@@ -368,12 +365,12 @@ func TestReceiveRejectsMismatchedRasters(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			_, err := Receive(transport.New(&wire), func(s *Session, fr ReceivedFrame) error {
+			_, err := ReceiveSession(transport.New(&wire), nil, func(s *Session, fr ReceivedFrame) error {
 				s.Detect(m, fr)
 				return nil
 			})
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("Receive = %v, want an error mentioning %q", err, tc.want)
+				t.Fatalf("ReceiveSession = %v, want an error mentioning %q", err, tc.want)
 			}
 		})
 	}

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"smokescreen/internal/server"
@@ -25,11 +26,13 @@ import (
 // scenarios cmd/smokeload runs against real daemons.
 
 // GenCounter records which node started generating which key. It is the
-// harness's ground truth for the dedup invariants.
+// harness's ground truth for the dedup invariants. It also counts Key
+// calls: every hop of a POST keys the request once.
 type GenCounter struct {
 	mu     sync.Mutex
 	perKey map[string]int
 	byNode map[string]map[string]int
+	keys   atomic.Int64
 }
 
 func NewGenCounter() *GenCounter {
@@ -63,6 +66,9 @@ func (c *GenCounter) Total() int {
 	}
 	return n
 }
+
+// Keys returns how many times a request was keyed, fleet-wide.
+func (c *GenCounter) Keys() int64 { return c.keys.Load() }
 
 // NodeFor returns a node that started generating key ("" if none did).
 func (c *GenCounter) NodeFor(key string) string {
@@ -109,6 +115,9 @@ func syntheticKey(req server.GenRequest) string {
 
 // Key implements server.Generator.
 func (g *SyntheticGenerator) Key(req server.GenRequest) (string, string, error) {
+	if g.Counter != nil {
+		g.Counter.keys.Add(1)
+	}
 	req.Normalize()
 	return syntheticKey(req), req.Query, nil
 }

@@ -11,7 +11,6 @@ import (
 	"io"
 	"net/http"
 	"slices"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -74,11 +73,11 @@ type fleetMetrics struct {
 	replicaWriteFailures atomic.Int64 // failed pushes (healed later by read-repair)
 }
 
-// Node is one smokescreend fleet member: the single-process server
-// wrapped with ring routing, replica fan-out and read-repair. Mount
-// Handler on this node's listener.
+// Node is one smokescreend daemon: the single-process server wrapped with
+// ring routing, replica fan-out and read-repair. A ring of one member is
+// the lone daemon: every key is its own and nothing is forwarded or
+// replicated. Mount Handler on this node's listener.
 type Node struct {
-	cfg  Config
 	self string
 	ring *Ring
 	logf func(format string, args ...any)
@@ -136,7 +135,6 @@ func NewNode(cfg Config) (*Node, error) {
 	baseCtx, baseCancel := context.WithCancel(parent)
 
 	n := &Node{
-		cfg:        cfg,
 		self:       self,
 		ring:       ring,
 		logf:       func(format string, args ...any) { cfg.Logf("fleet %s: "+format, append([]any{self}, args...)...) },
@@ -183,7 +181,7 @@ func NewNode(cfg Config) (*Node, error) {
 		return nil, err
 	}
 	n.inner = inner
-	n.innerH = inner.Handler()
+	n.innerH = inner.Routes()
 	return n, nil
 }
 
@@ -192,6 +190,15 @@ func (n *Node) Self() string { return n.self }
 
 // Ring returns the node's (immutable) placement ring.
 func (n *Node) Ring() *Ring { return n.ring }
+
+// peers returns key's replicas other than this node, in ring order.
+func (n *Node) peers(key string) []string {
+	replicas := n.ring.Replicas(key)
+	if i := slices.Index(replicas, n.self); i >= 0 {
+		return slices.Delete(replicas, i, i+1)
+	}
+	return replicas
+}
 
 // Kill simulates this node dying abruptly: every running generation's and
 // stream's context is canceled. The caller also closes the node's
@@ -222,12 +229,16 @@ func (n *Node) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}", n.handleJob)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", n.handleJob)
 	mux.HandleFunc("GET /v1/ring", n.handleRing)
-	mux.HandleFunc("GET /v1/internal/profiles/{key}", n.handleEnvelopeGet)
-	mux.HandleFunc("PUT /v1/internal/profiles/{key}", n.handleEnvelopePut)
 	mux.HandleFunc("GET /metrics", n.handleMetrics)
+	if len(n.ring.Nodes()) > 1 {
+		// Envelope transfer is for peers only: a ring of one has none, so
+		// it mounts no raw envelope read or write.
+		mux.HandleFunc("GET /v1/internal/profiles/{key}", n.handleEnvelopeGet)
+		mux.HandleFunc("PUT /v1/internal/profiles/{key}", n.handleEnvelopePut)
+	}
 	// Everything else (healthz, streams, ...) is the inner daemon's.
 	mux.Handle("/", n.innerH)
-	return mux
+	return n.inner.Counted(mux)
 }
 
 // nodeURL renders a node name as a base URL.
@@ -378,31 +389,11 @@ func (n *Node) entryCopy(key string) (payload []byte, ok bool) {
 // it into one upstream request, so a herd costs one generation while the
 // first replica is reachable. A dead replica costs a refused connect, not
 // a timeout: the next one in ring order takes over. A request that was
-// already routed here is served here.
+// already routed here is served here. The request is decoded and keyed
+// once; it is re-marshalled only to be forwarded.
 func (n *Node) handlePostProfile(w http.ResponseWriter, r *http.Request) {
-	// Strict decoding on the fleet edge, not just the inner server: a
-	// version-skewed field must be rejected before the request is
-	// re-marshalled for forwarding, or the field would be silently dropped
-	// and a different (wrong) artifact generated and cached.
-	req, ok := server.ReadRequest[server.GenRequest](w, r)
+	req, key, canonical, ok := server.ReadGenRequest(w, r, n.gen)
 	if !ok {
-		return
-	}
-	if req.Query == "" {
-		server.WriteError(w, http.StatusBadRequest, errors.New("fleetd: request requires a query"))
-		return
-	}
-	req.Normalize()
-	key, _, err := n.gen.Key(req)
-	if err != nil {
-		server.WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	// Canonical wire form: every hop and every flight of this request
-	// coalesces on identical bytes.
-	body, err := json.Marshal(req)
-	if err != nil {
-		server.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 
@@ -412,7 +403,7 @@ func (n *Node) handlePostProfile(w http.ResponseWriter, r *http.Request) {
 		ahead, isReplica = ahead[:i], true
 	}
 	if len(ahead) == 0 || r.Header.Get(fleetFromHeader) != "" {
-		n.serveLocal(w, r, body)
+		n.serveLocal(w, r, req, key, canonical)
 		return
 	}
 	mode := "|async"
@@ -424,6 +415,13 @@ func (n *Node) handlePostProfile(w http.ResponseWriter, r *http.Request) {
 		}
 		mode = "|sync"
 	}
+	// Canonical wire form: every hop and every flight of this request
+	// coalesces on identical bytes.
+	body, err := json.Marshal(req)
+	if err != nil {
+		server.WriteError(w, http.StatusInternalServerError, err)
+		return
+	}
 	res, err := n.forwardFlight(r.Context(), "POST|"+key+mode, http.MethodPost, "/v1/profiles", body, ahead)
 	switch {
 	case err == nil:
@@ -432,20 +430,17 @@ func (n *Node) handlePostProfile(w http.ResponseWriter, r *http.Request) {
 		// Every replica ahead of this one is unreachable: this node is
 		// the key's first live replica. (A canceled flight says nothing
 		// about reachability; its leader's client went away.)
-		n.serveLocal(w, r, body)
+		n.serveLocal(w, r, req, key, canonical)
 	default:
 		n.metrics.forwardErrors.Add(1)
 		server.WriteError(w, http.StatusBadGateway, fmt.Errorf("fleetd: forwarding to replicas: %w", err))
 	}
 }
 
-// serveLocal replays the canonical request body into this node's daemon.
-func (n *Node) serveLocal(w http.ResponseWriter, r *http.Request, body []byte) {
+// serveLocal hands the decoded, keyed request to this node's daemon.
+func (n *Node) serveLocal(w http.ResponseWriter, r *http.Request, req server.GenRequest, key, canonical string) {
 	n.metrics.localRequests.Add(1)
-	r2 := r.Clone(r.Context())
-	r2.Body = io.NopCloser(bytes.NewReader(body))
-	r2.ContentLength = int64(len(body))
-	n.innerH.ServeHTTP(w, r2)
+	n.inner.ServeKeyed(w, r, req, key, canonical)
 }
 
 // ---------------------------------------------------------------------------
@@ -539,7 +534,7 @@ func (n *Node) pushEnvelope(peer, key string, env []byte) error {
 }
 
 // nodeForJobID maps a job id back to the node whose prefix minted it
-// ("" when the id carries no known prefix — e.g. a bare single-node id).
+// ("" when the id carries no known prefix).
 func (n *Node) nodeForJobID(id string) string {
 	i := strings.IndexByte(id, '-')
 	if i < 0 {
@@ -569,7 +564,7 @@ func (n *Node) handleJob(w http.ResponseWriter, r *http.Request) {
 // fleet layer's own counters and gauges.
 func (n *Node) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	n.innerH.ServeHTTP(w, r)
-	samples := map[string]int64{
+	server.WriteSamples(w, map[string]int64{
 		"smokescreend_fleet_forwards_total":               n.metrics.forwards.Load(),
 		"smokescreend_fleet_forward_failovers_total":      n.metrics.forwardFailovers.Load(),
 		"smokescreend_fleet_forwards_coalesced_total":     n.metrics.forwardsCoalesced.Load(),
@@ -584,13 +579,5 @@ func (n *Node) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"smokescreend_fleet_ring_nodes":                   int64(len(n.ring.Nodes())),
 		"smokescreend_fleet_ring_vnodes":                  vnodes,
 		"smokescreend_fleet_ring_replicas":                int64(n.ring.ReplicaCount()),
-	}
-	names := make([]string, 0, len(samples))
-	for name := range samples {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Fprintf(w, "%s %d\n", name, samples[name])
-	}
+	})
 }

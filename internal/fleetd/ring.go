@@ -1,7 +1,8 @@
 // Package fleetd scales the single-process profile service
 // (internal/server, DESIGN.md §5.3) to a horizontally sharded fleet of
-// smokescreend nodes. It owns the three distributed-systems pieces the
-// single daemon never needed:
+// smokescreend nodes. Every smokescreend is a Node; a lone daemon is a
+// ring of one, where the pieces below reduce to serving every key itself.
+// It owns the three distributed-systems pieces the inner server does not:
 //
 //   - Placement. A consistent-hash ring with virtual nodes maps every
 //     canonical profile key to an ordered replica set of node base URLs.
@@ -172,9 +173,6 @@ func (r *Ring) Lookup(key string, n int) []string {
 	}
 	return out
 }
-
-// Owner returns the key's primary node.
-func (r *Ring) Owner(key string) string { return r.Lookup(key, 1)[0] }
 
 // Replicas returns the key's full replica set (owner first).
 func (r *Ring) Replicas(key string) []string { return r.Lookup(key, r.replicas) }

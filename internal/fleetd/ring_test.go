@@ -31,8 +31,8 @@ func TestRingDeterministicPlacement(t *testing.T) {
 		"key-4": "10.0.0.2:7070",
 	}
 	for key, want := range golden {
-		if got := ring.Owner(key); got != want {
-			t.Errorf("Owner(%q) = %s, want %s", key, got, want)
+		if got := ring.Replicas(key)[0]; got != want {
+			t.Errorf("Replicas(%q)[0] = %s, want %s", key, got, want)
 		}
 	}
 }
@@ -82,7 +82,7 @@ func TestRingRebalanceBound(t *testing.T) {
 		}
 		moved := 0
 		for _, key := range testKeys(keys) {
-			if before.Owner(key) != after.Owner(key) {
+			if before.Replicas(key)[0] != after.Replicas(key)[0] {
 				moved++
 			}
 		}
@@ -93,8 +93,8 @@ func TestRingRebalanceBound(t *testing.T) {
 		// And every moved key must move TO the new node: consistent
 		// hashing never shuffles ownership between existing nodes.
 		for _, key := range testKeys(keys) {
-			if before.Owner(key) != after.Owner(key) && after.Owner(key) != "node-new.fleet:7070" {
-				t.Fatalf("key %s moved between existing nodes: %s -> %s", key, before.Owner(key), after.Owner(key))
+			if before.Replicas(key)[0] != after.Replicas(key)[0] && after.Replicas(key)[0] != "node-new.fleet:7070" {
+				t.Fatalf("key %s moved between existing nodes: %s -> %s", key, before.Replicas(key)[0], after.Replicas(key)[0])
 			}
 		}
 	}
@@ -112,8 +112,8 @@ func TestRingReplicasDistinct(t *testing.T) {
 		if len(reps) != 3 {
 			t.Fatalf("want 3 replicas, got %v", reps)
 		}
-		if reps[0] != ring.Owner(key) {
-			t.Fatalf("owner %s does not lead replicas %v", ring.Owner(key), reps)
+		if owner := ring.Lookup(key, 1)[0]; reps[0] != owner {
+			t.Fatalf("owner %s does not lead replicas %v", owner, reps)
 		}
 		seen := map[string]bool{}
 		for _, r := range reps {
@@ -134,7 +134,7 @@ func TestRingBalance(t *testing.T) {
 	counts := map[string]int{}
 	const keys = 8000
 	for _, key := range testKeys(keys) {
-		counts[ring.Owner(key)]++
+		counts[ring.Replicas(key)[0]]++
 	}
 	mean := float64(keys) / 4
 	for node, c := range counts {

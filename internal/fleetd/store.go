@@ -74,6 +74,10 @@ func (rs *replicatedStore) Get(key string) ([]byte, error) {
 // flight, and a flight that starts after another installed the key finds it
 // in the store, so a herd of first reads costs one transfer.
 func (rs *replicatedStore) fetchVerified(key string) ([]byte, error) {
+	peers := rs.node.peers(key)
+	if len(peers) == 0 {
+		return nil, fmt.Errorf("fleetd: no peer replicates %s", key)
+	}
 	install, installed := rs.local.AdmitEnvelope, &rs.node.metrics.entryAdmits
 	if rs.node.ring.IsReplica(key, rs.node.self) {
 		install, installed = rs.local.PutEnvelope, &rs.node.metrics.repairs
@@ -82,10 +86,7 @@ func (rs *replicatedStore) fetchVerified(key string) ([]byte, error) {
 		if payload, err := rs.local.Get(key); err == nil {
 			return payload, nil
 		}
-		for _, peer := range rs.node.ring.Replicas(key) {
-			if peer == rs.node.self {
-				continue
-			}
+		for _, peer := range peers {
 			env, err := rs.node.fetchEnvelope(peer, key)
 			if err != nil {
 				continue
@@ -114,10 +115,16 @@ func (rs *replicatedStore) fetchVerified(key string) ([]byte, error) {
 	return payload, nil
 }
 
-// Put implements server.Backend: local write, then replica fan-out.
+// Put implements server.Backend: local write, then replica fan-out. A key
+// with no peer replica (a ring of one, or one replica per key) is never
+// read back.
 func (rs *replicatedStore) Put(key string, payload []byte) error {
 	if err := rs.local.Put(key, payload); err != nil {
 		return err
+	}
+	peers := rs.node.peers(key)
+	if len(peers) == 0 {
+		return nil
 	}
 	env, err := rs.local.GetEnvelope(key)
 	if err != nil {
@@ -127,10 +134,7 @@ func (rs *replicatedStore) Put(key string, payload []byte) error {
 		rs.node.logf("store: reading back %s for replication: %v", key, err)
 		return nil
 	}
-	for _, peer := range rs.node.ring.Replicas(key) {
-		if peer == rs.node.self {
-			continue
-		}
+	for _, peer := range peers {
 		if err := rs.node.pushEnvelope(peer, key, env); err != nil {
 			rs.node.metrics.replicaWriteFailures.Add(1)
 			rs.node.logf("store: replicating %s to %s: %v (read-repair will heal it)", key, peer, err)

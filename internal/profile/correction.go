@@ -79,9 +79,9 @@ func ConstructCorrectionCtx(ctx context.Context, spec *Spec, sizeLimit float64, 
 		if m > n {
 			m = n
 		}
-		stopEstimate := plan.EstimateTimer()
+		stopDetect := plan.DetectTimer()
 		sample, err := spec.outputsAtCtx(ctx, perm[:m])
-		stopEstimate()
+		stopDetect()
 		if err != nil {
 			return nil, err
 		}

@@ -11,6 +11,7 @@ import (
 	"smokescreen/internal/detect"
 	"smokescreen/internal/estimate"
 	"smokescreen/internal/outputs"
+	"smokescreen/internal/plan"
 	"smokescreen/internal/scene"
 	"smokescreen/internal/stats"
 )
@@ -147,6 +148,26 @@ func TestConstructCorrectionElbow(t *testing.T) {
 	}
 	if res.Correction.Size() != last.Size {
 		t.Fatal("returned correction does not match the last step")
+	}
+}
+
+// TestCorrectionDetectionIsBookedAsDetect: the detector work a correction
+// set triggers is the detect stage's, not estimation's.
+func TestCorrectionDetectionIsBookedAsDetect(t *testing.T) {
+	detect.ResetCaches()
+	before := plan.Stages()
+	if _, err := ConstructCorrectionCtx(context.Background(), testSpec(estimate.AVG), 0.02, stats.NewStream(7)); err != nil {
+		t.Fatal(err)
+	}
+	after := plan.Stages()
+	if detect.Invocations() == 0 {
+		t.Fatal("construction ran no detector: not a cold run")
+	}
+	if after.DetectNS <= before.DetectNS {
+		t.Errorf("DetectNS %d -> %d: correction detection not booked as detect", before.DetectNS, after.DetectNS)
+	}
+	if after.EstimateNS != before.EstimateNS {
+		t.Errorf("EstimateNS %d -> %d: correction detection booked as estimation", before.EstimateNS, after.EstimateNS)
 	}
 }
 

@@ -301,70 +301,6 @@ func integrateRows(out0, out1 []float64, r0, r1 []float32, edges []boxEdge) {
 	}
 }
 
-// downsampleNaiveInto is the reference box-filter downsampler: every
-// destination pixel scans its full source window via boxAverage. It is the
-// oracle the box kernel is property-tested against (1e-5 per pixel) and is
-// otherwise unused.
-func downsampleNaiveInto(dst, src *Image) {
-	w, h := dst.W, dst.H
-	xRatio := float64(src.W) / float64(w)
-	yRatio := float64(src.H) / float64(h)
-	for dy := 0; dy < h; dy++ {
-		sy0 := float64(dy) * yRatio
-		sy1 := float64(dy+1) * yRatio
-		for dx := 0; dx < w; dx++ {
-			sx0 := float64(dx) * xRatio
-			sx1 := float64(dx+1) * xRatio
-			dst.Pix[dy*w+dx] = boxAverage(src, sx0, sy0, sx1, sy1)
-		}
-	}
-}
-
-// boxAverage integrates the source image over the continuous box
-// [x0,x1)x[y0,y1) with partial-pixel weighting at the edges.
-func boxAverage(src *Image, x0, y0, x1, y1 float64) float32 {
-	ix0, iy0 := int(x0), int(y0)
-	ix1, iy1 := int(x1), int(y1)
-	if ix1 >= src.W {
-		ix1 = src.W - 1
-	}
-	if iy1 >= src.H {
-		iy1 = src.H - 1
-	}
-	var sum, weight float64
-	for sy := iy0; sy <= iy1; sy++ {
-		wy := 1.0
-		if sy == iy0 {
-			wy -= y0 - float64(iy0)
-		}
-		if sy == iy1 {
-			wy -= float64(iy1) + 1 - y1
-		}
-		if wy <= 0 {
-			continue
-		}
-		row := sy * src.W
-		for sx := ix0; sx <= ix1; sx++ {
-			wx := 1.0
-			if sx == ix0 {
-				wx -= x0 - float64(ix0)
-			}
-			if sx == ix1 {
-				wx -= float64(ix1) + 1 - x1
-			}
-			if wx <= 0 {
-				continue
-			}
-			sum += float64(src.Pix[row+sx]) * wx * wy
-			weight += wx * wy
-		}
-	}
-	if weight == 0 {
-		return 0
-	}
-	return float32(sum / weight)
-}
-
 // bilinearTap is one destination index's clamped source pair along an axis:
 // samples i0 and i1 blended by f.
 type bilinearTap struct {
@@ -576,43 +512,4 @@ func BoxBlurInto(dst, src *Image, r int) {
 			}
 		}
 	})
-}
-
-// boxBlurNaiveInto is the O(r^2)-per-pixel reference blur: every output
-// pixel scans its full in-bounds window directly. Oracle only.
-func boxBlurNaiveInto(dst, src *Image, r int) {
-	if dst.W != src.W || dst.H != src.H {
-		panic("raster: boxBlurNaiveInto size mismatch")
-	}
-	if r <= 0 {
-		copy(dst.Pix, src.Pix)
-		return
-	}
-	w, h := src.W, src.H
-	for y := 0; y < h; y++ {
-		y0, y1 := y-r, y+r+1
-		if y0 < 0 {
-			y0 = 0
-		}
-		if y1 > h {
-			y1 = h
-		}
-		for x := 0; x < w; x++ {
-			x0, x1 := x-r, x+r+1
-			if x0 < 0 {
-				x0 = 0
-			}
-			if x1 > w {
-				x1 = w
-			}
-			var sum float64
-			for yy := y0; yy < y1; yy++ {
-				row := yy * w
-				for xx := x0; xx < x1; xx++ {
-					sum += float64(src.Pix[row+xx])
-				}
-			}
-			dst.Pix[y*w+x] = float32(sum / float64((x1-x0)*(y1-y0)))
-		}
-	}
 }

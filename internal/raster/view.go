@@ -66,32 +66,6 @@ func MotionBlurHInto(dst, src *Image, left, right, offX int) {
 	})
 }
 
-// motionBlurHNaiveInto is the O(w·(left+right)) reference implementation
-// of MotionBlurHInto, kept as the property-test oracle.
-func motionBlurHNaiveInto(dst, src *Image, left, right, offX int) {
-	if dst.H != src.H {
-		panic("raster: motionBlurHNaiveInto height mismatch")
-	}
-	for y := 0; y < dst.H; y++ {
-		for x := 0; x < dst.W; x++ {
-			var sum float64
-			cnt := 0
-			for cx := x + offX - left; cx <= x+offX+right; cx++ {
-				if cx < 0 || cx >= src.W {
-					continue
-				}
-				sum += float64(src.At(cx, y))
-				cnt++
-			}
-			if cnt > 0 {
-				dst.Set(x, y, float32(sum/float64(cnt)))
-			} else {
-				dst.Set(x, y, 0)
-			}
-		}
-	}
-}
-
 // QuantizeLevels rounds every sample of img to the nearest of `levels`
 // uniformly spaced intensities on [0, 1], in place. It models the
 // posterization a coarse codec (JPEG-style quantization at low quality)
@@ -113,13 +87,4 @@ func QuantizeLevels(img *Image, levels int) {
 			img.Pix[i] = float32(math.Round(v*scale) * inv)
 		}
 	})
-}
-
-// quantizeLevelsNaive is the scalar reference for QuantizeLevels, kept as
-// the property-test oracle.
-func quantizeLevelsNaive(img *Image, levels int) {
-	scale := float64(levels - 1)
-	for i, v := range img.Pix {
-		img.Pix[i] = float32(math.Round(float64(clamp01(v))*scale) / scale)
-	}
 }

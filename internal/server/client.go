@@ -255,19 +255,7 @@ func (c *Client) GetProfile(ctx context.Context, key string) ([]byte, error) {
 
 // Job fetches one job's status.
 func (c *Client) Job(ctx context.Context, id string) (*JobStatus, error) {
-	resp, err := c.doReq(ctx, http.MethodGet, c.BaseURL+"/v1/jobs/"+id, nil, "")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, apiError(resp)
-	}
-	var status JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&status); err != nil {
-		return nil, err
-	}
-	return &status, nil
+	return call[JobStatus](ctx, c, http.MethodGet, "/v1/jobs/"+id, nil, http.StatusOK)
 }
 
 // CancelJob asks the daemon to cancel a job (DELETE /v1/jobs/{id}) and
@@ -275,19 +263,7 @@ func (c *Client) Job(ctx context.Context, id string) (*JobStatus, error) {
 // a no-op; a running job may still report "running" until its pipeline
 // unwinds — poll Job to observe the canceled state.
 func (c *Client) CancelJob(ctx context.Context, id string) (*JobStatus, error) {
-	resp, err := c.doReq(ctx, http.MethodDelete, c.BaseURL+"/v1/jobs/"+id, nil, "")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, apiError(resp)
-	}
-	var status JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&status); err != nil {
-		return nil, err
-	}
-	return &status, nil
+	return call[JobStatus](ctx, c, http.MethodDelete, "/v1/jobs/"+id, nil, http.StatusOK)
 }
 
 // StartStream asks the daemon to begin a streaming ingest job (POST
@@ -297,52 +273,38 @@ func (c *Client) StartStream(ctx context.Context, req StreamRequest) (*StreamSta
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.doReq(ctx, http.MethodPost, c.BaseURL+"/v1/streams", body, "application/json")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		return nil, apiError(resp)
-	}
-	var status StreamStatus
-	if err := json.NewDecoder(resp.Body).Decode(&status); err != nil {
-		return nil, err
-	}
-	return &status, nil
+	return call[StreamStatus](ctx, c, http.MethodPost, "/v1/streams", body, http.StatusAccepted)
 }
 
 // Stream fetches one stream job's status, including the live windowed
 // profile and drift state.
 func (c *Client) Stream(ctx context.Context, id string) (*StreamStatus, error) {
-	resp, err := c.doReq(ctx, http.MethodGet, c.BaseURL+"/v1/streams/"+id, nil, "")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, apiError(resp)
-	}
-	var status StreamStatus
-	if err := json.NewDecoder(resp.Body).Decode(&status); err != nil {
-		return nil, err
-	}
-	return &status, nil
+	return call[StreamStatus](ctx, c, http.MethodGet, "/v1/streams/"+id, nil, http.StatusOK)
 }
 
 // CancelStream asks the daemon to stop a stream (DELETE
 // /v1/streams/{id}). Like CancelJob, the returned status reflects the
 // moment of the request; poll Stream to observe the canceled state.
 func (c *Client) CancelStream(ctx context.Context, id string) (*StreamStatus, error) {
-	resp, err := c.doReq(ctx, http.MethodDelete, c.BaseURL+"/v1/streams/"+id, nil, "")
+	return call[StreamStatus](ctx, c, http.MethodDelete, "/v1/streams/"+id, nil, http.StatusOK)
+}
+
+// call issues one API request, JSON body optional, and decodes the JSON
+// status a want response carries; any other status is the daemon's error.
+func call[T any](ctx context.Context, c *Client, method, path string, body []byte, want int) (*T, error) {
+	contentType := ""
+	if body != nil {
+		contentType = "application/json"
+	}
+	resp, err := c.doReq(ctx, method, c.BaseURL+path, body, contentType)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
+	if resp.StatusCode != want {
 		return nil, apiError(resp)
 	}
-	var status StreamStatus
+	var status T
 	if err := json.NewDecoder(resp.Body).Decode(&status); err != nil {
 		return nil, err
 	}
@@ -354,33 +316,30 @@ func (c *Client) CancelStream(ctx context.Context, id string) (*StreamStatus, er
 // the poller's perspective — cancellation is the normal way to end an
 // unbounded stream — so only failed streams return an error.
 func (c *Client) AwaitStream(ctx context.Context, id string) (*StreamStatus, error) {
-	interval := c.PollInterval
-	if interval <= 0 {
-		interval = 100 * time.Millisecond
+	status, err := await(ctx, c, id, c.Stream, func(s *StreamStatus) JobState { return s.State })
+	if err == nil && status.State == JobFailed {
+		err = fmt.Errorf("server: stream %s failed: %s", id, status.Error)
 	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		status, err := c.Stream(ctx, id)
-		if err != nil {
-			return nil, err
-		}
-		switch status.State {
-		case JobDone, JobCanceled:
-			return status, nil
-		case JobFailed:
-			return status, fmt.Errorf("server: stream %s failed: %s", id, status.Error)
-		}
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-ticker.C:
-		}
-	}
+	return status, err
 }
 
 // awaitJob polls a job until it reaches a terminal state.
 func (c *Client) awaitJob(ctx context.Context, id string) error {
+	status, err := await(ctx, c, id, c.Job, func(s *JobStatus) JobState { return s.State })
+	switch {
+	case err != nil:
+		return err
+	case status.State == JobFailed:
+		return fmt.Errorf("server: job %s failed: %s", id, status.Error)
+	case status.State == JobCanceled:
+		return fmt.Errorf("server: job %s canceled: %s", id, status.Error)
+	}
+	return nil
+}
+
+// await fetches id's status with get every PollInterval until state reads
+// terminal, and returns that status.
+func await[T any](ctx context.Context, c *Client, id string, get func(context.Context, string) (*T, error), state func(*T) JobState) (*T, error) {
 	interval := c.PollInterval
 	if interval <= 0 {
 		interval = 100 * time.Millisecond
@@ -388,21 +347,16 @@ func (c *Client) awaitJob(ctx context.Context, id string) error {
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	for {
-		status, err := c.Job(ctx, id)
+		status, err := get(ctx, id)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		switch status.State {
-		case JobDone:
-			return nil
-		case JobFailed:
-			return fmt.Errorf("server: job %s failed: %s", id, status.Error)
-		case JobCanceled:
-			return fmt.Errorf("server: job %s canceled: %s", id, status.Error)
+		if terminal(state(status)) {
+			return status, nil
 		}
 		select {
 		case <-ctx.Done():
-			return ctx.Err()
+			return nil, ctx.Err()
 		case <-ticker.C:
 		}
 	}

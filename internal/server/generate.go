@@ -30,7 +30,7 @@ func (e *UnknownFieldError) Error() string { return e.Err.Error() }
 func (e *UnknownFieldError) Unwrap() error { return e.Err }
 
 // DecodeGenRequest strictly decodes a profile-generation request with the
-// decoder every HTTP surface runs behind ReadRequest's body bound, so skew
+// decoder every HTTP surface runs behind readRequest's body bound, so skew
 // behaves identically on every hop.
 func DecodeGenRequest(r io.Reader) (GenRequest, error) {
 	return decodeStrict[GenRequest](r)
@@ -66,11 +66,12 @@ func decodeStrict[T any](r io.Reader) (T, error) {
 // maxRequestBytes bounds every request body the daemon decodes.
 const maxRequestBytes = 1 << 20
 
-// ReadRequest strictly decodes r's body, at most maxRequestBytes of it,
+// readRequest strictly decodes r's body, at most maxRequestBytes of it,
 // into a T. On failure it has answered — 413 for an oversize body, 400
 // otherwise — and ok is false. Fleet nodes (internal/fleetd) decode
-// profile requests through it, so every hop bounds and rejects alike.
-func ReadRequest[T any](w http.ResponseWriter, r *http.Request) (req T, ok bool) {
+// profile requests through it (ReadGenRequest), so every hop bounds and
+// rejects alike.
+func readRequest[T any](w http.ResponseWriter, r *http.Request) (req T, ok bool) {
 	req, err := decodeStrict[T](http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	if err != nil {
 		writeDecodeError(w, err)

@@ -99,6 +99,13 @@ func (m *metrics) render(w io.Writer, queueDepth, queueCap int, jobs *jobSet, st
 		"smokescreend_transport_messages_sent_total":     tr.MessagesSent,
 		"smokescreend_transport_messages_received_total": tr.MessagesReceived,
 	}
+	WriteSamples(w, samples)
+}
+
+// WriteSamples writes samples in name order, one "name value" line each.
+// A fleet node appends its smokescreend_fleet_* block through it, so every
+// block of a scrape has the one format.
+func WriteSamples(w io.Writer, samples map[string]int64) {
 	names := make([]string, 0, len(samples))
 	for name := range samples {
 		names = append(names, name)

@@ -35,13 +35,13 @@ import (
 	"smokescreen/internal/store"
 )
 
-// Backend is the artifact storage the server reads and writes. The
-// single-process daemon hands it a *store.Store directly; a fleet node
-// hands it a replicated store (internal/fleetd) whose Get repairs corrupt
-// or missing local copies from peer replicas and whose Put fans the write
-// out to them. Implementations must preserve the store package's error
-// contract: ErrNotFound for never-stored keys and *CorruptError for
-// unusable on-disk entries.
+// Backend is the artifact storage the server reads and writes. An
+// in-process server hands it a *store.Store directly; a fleet node (every
+// smokescreend) hands it a replicated store (internal/fleetd) whose Get
+// repairs corrupt or missing local copies from peer replicas and whose Put
+// fans the write out to them. Implementations must preserve the store
+// package's error contract: ErrNotFound for never-stored keys and
+// *CorruptError for unusable on-disk entries.
 type Backend interface {
 	Get(key string) ([]byte, error)
 	Put(key string, payload []byte) error
@@ -51,7 +51,7 @@ type Backend interface {
 // Config assembles a Server.
 type Config struct {
 	// Store holds generated artifacts. Required. A plain *store.Store
-	// serves the single-node daemon; fleet nodes wrap it (see Backend).
+	// serves an in-process server; fleet nodes wrap it (see Backend).
 	Store Backend
 	// Generator resolves and runs generations. Required.
 	Generator Generator
@@ -273,8 +273,22 @@ func (s *Server) Close() error {
 	return s.Drain(ctx)
 }
 
-// Handler returns the service's HTTP handler.
-func (s *Server) Handler() http.Handler {
+// Handler returns the service's HTTP handler: Routes behind Counted.
+func (s *Server) Handler() http.Handler { return s.Counted(s.Routes()) }
+
+// Counted wraps h so every request it receives counts as one HTTP request
+// of this daemon. A fleet node wraps its own mux, which serves Routes for
+// what it does not handle itself: each request is counted once, at the
+// door, however it is served.
+func (s *Server) Counted(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		s.metrics.httpRequests.Add(1)
+		h.ServeHTTP(w, r)
+	})
+}
+
+// Routes returns the service's routes without the request counter.
+func (s *Server) Routes() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/profiles/{key}", s.handleGetProfile)
 	mux.HandleFunc("POST /v1/profiles", s.handlePostProfile)
@@ -285,10 +299,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("DELETE /v1/streams/{id}", s.handleDeleteStream)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.metrics.httpRequests.Add(1)
-		mux.ServeHTTP(w, r)
-	})
+	return mux
 }
 
 // WriteJSON writes a JSON response body. It and the three writers below
@@ -365,21 +376,38 @@ func writeDecodeError(w http.ResponseWriter, err error) {
 }
 
 func (s *Server) handlePostProfile(w http.ResponseWriter, r *http.Request) {
-	req, ok := ReadRequest[GenRequest](w, r)
-	if !ok {
-		return
+	if req, key, canonical, ok := ReadGenRequest(w, r, s.gen); ok {
+		s.ServeKeyed(w, r, req, key, canonical)
+	}
+}
+
+// ReadGenRequest is the first half of POST /v1/profiles: it decodes the
+// body strictly, requires a query, normalizes the request and keys it with
+// gen. On failure it has answered w and ok is false. A fleet node starts
+// here too, so a version-skewed field is refused before a forward could
+// re-marshal the request without it.
+func ReadGenRequest(w http.ResponseWriter, r *http.Request, gen Generator) (req GenRequest, key, canonical string, ok bool) {
+	if req, ok = readRequest[GenRequest](w, r); !ok {
+		return req, "", "", false
 	}
 	if req.Query == "" {
 		WriteError(w, http.StatusBadRequest, errors.New("server: request requires a query"))
-		return
+		return req, "", "", false
 	}
 	req.Normalize()
-	key, canonical, err := s.gen.Key(req)
+	key, canonical, err := gen.Key(req)
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, err)
-		return
+		return req, "", "", false
 	}
+	return req, key, canonical, true
+}
 
+// ServeKeyed is the second half of POST /v1/profiles, for a request its
+// caller decoded and keyed with ReadGenRequest: the store fast path, the
+// coalescing enqueue, and the sync wait. A fleet node calls it for a key it
+// generates, so a request is decoded once per hop.
+func (s *Server) ServeKeyed(w http.ResponseWriter, r *http.Request, req GenRequest, key, canonical string) {
 	// Fast path: the artifact already exists.
 	began := time.Now()
 	if payload, err := s.store.Get(key); err == nil {
@@ -479,7 +507,7 @@ func (s *Server) handleDeleteJob(w http.ResponseWriter, r *http.Request) {
 // its status; streams are inherently asynchronous (they run until the
 // camera's sessions end or a DELETE stops them).
 func (s *Server) handlePostStream(w http.ResponseWriter, r *http.Request) {
-	req, ok := ReadRequest[StreamRequest](w, r)
+	req, ok := readRequest[StreamRequest](w, r)
 	if !ok {
 		return
 	}

@@ -4,7 +4,8 @@
 # `curve -remote` path (which fails unless the daemon answers 200 with
 # profile JSON), assert the rendered tradeoff curve is well-formed and is,
 # key and point lines, what the same `curve` prints when it generates in
-# process, then SIGTERM the daemon and require a clean drain.
+# process, check that the lone daemon is a ring of one with no replication
+# endpoint, then SIGTERM the daemon and require a clean drain.
 set -eu
 
 GO=${GO:-go}
@@ -68,6 +69,28 @@ grep -q 'f=.*err<=' "$CURVE_OUT"
 generations=$(grep -c 'generating key' "$DAEMON_LOG" || true)
 if [ "$generations" -ne 1 ]; then
     echo "serve-smoke: expected 1 generation, daemon ran $generations" >&2
+    exit 1
+fi
+
+# A lone daemon is a ring of one: GET /v1/ring lists only itself, and with
+# no peer to accept envelopes from it mounts no replication endpoint, so a
+# PUT of the sealed artifact's own envelope is a 404.
+echo "serve-smoke: checking the ring of one"
+ring=$(curl -sf "http://$ADDR/v1/ring" | tr -d ' \n')
+case "$ring" in
+*"\"nodes\":[\"$ADDR\"]"*) ;;
+*)
+    echo "serve-smoke: GET /v1/ring does not list only $ADDR: $ring" >&2
+    exit 1
+    ;;
+esac
+KEY=$(sed -n 's/^artifact key: *//p' "$CURVE_OUT")
+ENVELOPE="$STORE_DIR/$(printf %s "$KEY" | cut -c1-2)/$KEY.json"
+[ -s "$ENVELOPE" ] || { echo "serve-smoke: no stored envelope for key '$KEY'" >&2; exit 1; }
+put=$(curl -s -o /dev/null -w '%{http_code}' -X PUT --data-binary "@$ENVELOPE" \
+    "http://$ADDR/v1/internal/profiles/$KEY")
+if [ "$put" != 404 ]; then
+    echo "serve-smoke: PUT /v1/internal/profiles/$KEY answered $put, want 404" >&2
     exit 1
 fi
 
