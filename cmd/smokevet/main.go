@@ -11,7 +11,6 @@
 //	go run ./cmd/smokevet ./...            # whole repo (what make lint runs)
 //	go run ./cmd/smokevet ./internal/raster/   # one package
 //	go run ./cmd/smokevet -a determinism ./internal/profile/
-//	go run ./cmd/smokevet -json ./...          # machine-readable findings
 //	go run ./cmd/smokevet -list
 //
 // smokevet is a standalone loader rather than a `go vet -vettool`
@@ -21,12 +20,11 @@
 // suppressed line-by-line with `//smokevet:ignore <reason>` (optionally
 // `//smokevet:ignore <analyzer>: <reason>`); a suppression without a
 // reason, or scoped to a name the suite does not have, is itself a
-// finding, and a suppression that silences nothing is reported as stale
-// unless the audit is disabled with -audit=false.
+// finding, and when the whole suite runs (no -a) a suppression that
+// silences nothing is reported as stale.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -35,25 +33,13 @@ import (
 	"smokescreen/internal/analysis"
 )
 
-// jsonFinding is the -json wire form of one diagnostic.
-type jsonFinding struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Message  string `json:"message"`
-}
-
 func main() {
 	var (
-		list    = flag.Bool("list", false, "list analyzers and exit")
-		only    = flag.String("a", "", "comma-separated analyzer names to run (default all)")
-		verbose = flag.Bool("v", false, "print per-analyzer timing to stderr")
-		jsonOut = flag.Bool("json", false, "emit findings as a JSON array on stdout")
-		audit   = flag.Bool("audit", true, "report stale smokevet:ignore suppressions (forced off with -a)")
+		list = flag.Bool("list", false, "list analyzers and exit")
+		only = flag.String("a", "", "comma-separated analyzer names to run (default all)")
 	)
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: smokevet [-list] [-a name,name] [-v] [-json] [packages]\n")
+		fmt.Fprintf(os.Stderr, "usage: smokevet [-list] [-a name,name] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -80,9 +66,6 @@ func main() {
 			}
 			analyzers = append(analyzers, a)
 		}
-		// With a filtered roster every suppression for an excluded
-		// analyzer would look stale, so the audit only runs on full suites.
-		*audit = false
 	}
 
 	patterns := flag.Args()
@@ -94,40 +77,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "smokevet:", err)
 		os.Exit(2)
 	}
-	res, err := analysis.RunSuite(pkgs, analyzers, analysis.RunOptions{AuditSuppressions: *audit})
+	// With a filtered roster every suppression for an excluded analyzer
+	// would look stale, so the audit runs only on the whole suite.
+	diags, err := analysis.RunSuite(pkgs, analyzers, *only == "")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "smokevet:", err)
 		os.Exit(2)
 	}
-	diags := res.Diagnostics
-
-	if *verbose {
-		for _, t := range res.Timings {
-			fmt.Fprintf(os.Stderr, "smokevet: %-14s %8.1fms\n", t.Name, float64(t.Duration.Microseconds())/1000)
-		}
-	}
-
-	if *jsonOut {
-		out := make([]jsonFinding, 0, len(diags))
-		for _, d := range diags {
-			out = append(out, jsonFinding{
-				Analyzer: d.Analyzer,
-				File:     d.Pos.Filename,
-				Line:     d.Pos.Line,
-				Column:   d.Pos.Column,
-				Message:  d.Message,
-			})
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, "smokevet:", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Println(d.String())
-		}
+	for _, d := range diags {
+		fmt.Println(d.String())
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "smokevet: %d finding(s)\n", len(diags))

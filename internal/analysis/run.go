@@ -5,40 +5,18 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"time"
 )
 
-// RunOptions tunes a suite run.
-type RunOptions struct {
-	// AuditSuppressions reports //smokevet:ignore comments that silenced
-	// nothing during the run (stale ignores) as findings. Only meaningful
-	// when every analyzer runs: a suppression for an analyzer that was
-	// filtered out with -a would always look stale.
-	AuditSuppressions bool
-}
-
-// AnalyzerTiming is the cumulative wall time one analyzer spent across
-// every package of a run (smokevet -v prints these).
-type AnalyzerTiming struct {
-	Name     string
-	Duration time.Duration
-}
-
-// RunResult carries a suite run's diagnostics plus per-analyzer timing.
-type RunResult struct {
-	Diagnostics []Diagnostic
-	Timings     []AnalyzerTiming
-}
-
 // RunSuite applies each analyzer whose Match accepts the package's import
-// path and returns the surviving diagnostics in position order, with
-// per-analyzer timing. Suppressed findings are dropped; malformed
-// suppressions and type-check failures are themselves reported, so neither
-// can silently weaken the gate. Every analyzer is per-package: nothing one
-// package's pass learns is visible to another's.
-func RunSuite(pkgs []*Package, analyzers []*Analyzer, opts RunOptions) (*RunResult, error) {
+// path and returns the surviving diagnostics in position order. Suppressed
+// findings are dropped; malformed suppressions and type-check failures are
+// themselves reported, so neither can silently weaken the gate. With audit
+// set, a suppression that silenced nothing is reported as stale; that is
+// only meaningful when every analyzer runs, since a suppression for an
+// analyzer left out would always look stale. Every analyzer is
+// per-package: nothing one package's pass learns is visible to another's.
+func RunSuite(pkgs []*Package, analyzers []*Analyzer, audit bool) ([]Diagnostic, error) {
 	var diags []Diagnostic
-	timings := map[string]time.Duration{}
 	for _, pkg := range pkgs {
 		for _, err := range pkg.TypeErrors {
 			diags = append(diags, Diagnostic{
@@ -58,15 +36,13 @@ func RunSuite(pkgs []*Package, analyzers []*Analyzer, opts RunOptions) (*RunResu
 			if a.Match != nil && !a.Match(pkg.Path) {
 				continue
 			}
-			start := time.Now()
 			ds, err := runOne(pkg, a)
-			timings[a.Name] += time.Since(start)
 			if err != nil {
 				return nil, fmt.Errorf("analysis: %s on %s: %v", a.Name, pkg.Path, err)
 			}
 			diags = append(diags, ds...)
 		}
-		if opts.AuditSuppressions {
+		if audit {
 			for _, s := range pkg.Suppressions.stale() {
 				diags = append(diags, Diagnostic{
 					Analyzer: "smokevet",
@@ -78,12 +54,7 @@ func RunSuite(pkgs []*Package, analyzers []*Analyzer, opts RunOptions) (*RunResu
 		}
 	}
 	sortDiagnostics(diags)
-
-	res := &RunResult{Diagnostics: diags}
-	for _, a := range analyzers {
-		res.Timings = append(res.Timings, AnalyzerTiming{Name: a.Name, Duration: timings[a.Name]})
-	}
-	return res, nil
+	return diags, nil
 }
 
 func sortDiagnostics(diags []Diagnostic) {

@@ -23,9 +23,9 @@ import (
 // silences nothing, instead of quietly widening into a blanket ignore.
 //
 // Suppressions are also audited: when the full suite runs, any ignore
-// that silenced nothing is reported as stale (RunOptions
-// .AuditSuppressions), so a suppression cannot outlive the finding it was
-// written for and quietly blanket a future one.
+// that silenced nothing is reported as stale (RunSuite's audit), so a
+// suppression cannot outlive the finding it was written for and quietly
+// blanket a future one.
 
 const suppressPrefix = "smokevet:ignore"
 

@@ -104,12 +104,12 @@ var c = 3
 			return nil
 		},
 	}
-	res, err := RunSuite([]*Package{pkg}, []*Analyzer{everywhere}, RunOptions{})
+	diags, err := RunSuite([]*Package{pkg}, []*Analyzer{everywhere}, false)
 	if err != nil {
 		t.Fatalf("RunSuite: %v", err)
 	}
 	var got []string
-	for _, d := range res.Diagnostics {
+	for _, d := range diags {
 		got = append(got, fmt.Sprintf("%d %s %s", d.Pos.Line, d.Analyzer, d.Message))
 	}
 	want := []string{
@@ -125,7 +125,7 @@ var c = 3
 
 // TestStaleSuppressionAudit pins the stale-ignore audit: a suppression
 // that silences a real finding stays quiet, while one that silences
-// nothing is itself reported when AuditSuppressions is on — so ignores
+// nothing is itself reported when the audit is on — so ignores
 // cannot outlive the findings they were written for.
 func TestStaleSuppressionAudit(t *testing.T) {
 	fset, f := parseForSuppress(t, `package p
@@ -151,14 +151,14 @@ var b = 2
 			return nil
 		},
 	}
-	res, err := RunSuite([]*Package{pkg}, []*Analyzer{fake}, RunOptions{AuditSuppressions: true})
+	diags, err := RunSuite([]*Package{pkg}, []*Analyzer{fake}, true)
 	if err != nil {
 		t.Fatalf("RunSuite: %v", err)
 	}
-	if len(res.Diagnostics) != 1 {
-		t.Fatalf("diags = %v, want exactly the stale-ignore report", res.Diagnostics)
+	if len(diags) != 1 {
+		t.Fatalf("diags = %v, want exactly the stale-ignore report", diags)
 	}
-	d := res.Diagnostics[0]
+	d := diags[0]
 	if d.Analyzer != "smokevet" || !strings.Contains(d.Message, "stale smokevet:ignore") {
 		t.Errorf("unexpected diagnostic: %s", d)
 	}
@@ -170,12 +170,12 @@ var b = 2
 	}
 
 	// The audit is opt-in: the same run without it reports nothing.
-	res, err = RunSuite([]*Package{pkg}, []*Analyzer{fake}, RunOptions{})
+	diags, err = RunSuite([]*Package{pkg}, []*Analyzer{fake}, false)
 	if err != nil {
 		t.Fatalf("RunSuite: %v", err)
 	}
-	if len(res.Diagnostics) != 0 {
-		t.Fatalf("audit off: diags = %v, want none", res.Diagnostics)
+	if len(diags) != 0 {
+		t.Fatalf("audit off: diags = %v, want none", diags)
 	}
 }
 
@@ -192,11 +192,10 @@ var x = 1 //smokevet:ignore
 		Files:        []*ast.File{f},
 		Suppressions: indexSuppressions(fset, []*ast.File{f}),
 	}
-	res, err := RunSuite([]*Package{pkg}, nil, RunOptions{})
+	diags, err := RunSuite([]*Package{pkg}, nil, false)
 	if err != nil {
 		t.Fatalf("RunSuite: %v", err)
 	}
-	diags := res.Diagnostics
 	if len(diags) != 1 {
 		t.Fatalf("diags = %d, want 1", len(diags))
 	}

@@ -393,6 +393,60 @@ func TestFleetCancelPropagation(t *testing.T) {
 	}
 }
 
+// TestFleetStreamIDsRouteToTheirNode: a stream id carries the prefix of
+// the node that minted it, so a GET or DELETE of node 0's stream sent to
+// node 1 reaches node 0's stream, and node 1's own stream keeps running.
+func TestFleetStreamIDsRouteToTheirNode(t *testing.T) {
+	h := startFleet(t, HarnessConfig{})
+	ctx := testCtx(t)
+	nodes := h.Alive()
+	call := func(method, url string, body []byte, want int) server.StreamStatus {
+		t.Helper()
+		req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		status, _, respBody, err := h.do(req)
+		if err != nil || status != want {
+			t.Fatalf("%s %s = %d (%v): %s, want %d", method, url, status, err, respBody, want)
+		}
+		var st server.StreamStatus
+		if err := json.Unmarshal(respBody, &st); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	start := func(hn *HarnessNode, query string) server.StreamStatus {
+		t.Helper()
+		body, err := json.Marshal(server.StreamRequest{Query: query, Loops: 100000, DisableDrift: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return call(http.MethodPost, hn.URL+"/v1/streams", body, http.StatusAccepted)
+	}
+	s0 := start(nodes[0], "SELECT AVG(count(car)) FROM small SAMPLE 0.001")
+	s1 := start(nodes[1], "SELECT SUM(count(car)) FROM small SAMPLE 0.001")
+
+	if got := call(http.MethodGet, nodes[1].URL+"/v1/streams/"+s0.ID, nil, http.StatusOK); got.ID != s0.ID || got.Query != s0.Query {
+		t.Fatalf("GET of node 0's stream %s through node 1 answered %s (%s), want node 0's (%s)", s0.ID, got.ID, got.Query, s0.Query)
+	}
+	call(http.MethodDelete, nodes[1].URL+"/v1/streams/"+s0.ID, nil, http.StatusOK)
+	for st := s0; st.State != server.JobCanceled; {
+		if st.State != server.JobRunning {
+			t.Fatalf("node 0's stream ended %q, want canceled", st.State)
+		}
+		select {
+		case <-ctx.Done():
+			t.Fatal(ctx.Err())
+		case <-time.After(5 * time.Millisecond):
+		}
+		st = call(http.MethodGet, nodes[0].URL+"/v1/streams/"+s0.ID, nil, http.StatusOK)
+	}
+	if st := call(http.MethodGet, nodes[1].URL+"/v1/streams/"+s1.ID, nil, http.StatusOK); st.State != server.JobRunning {
+		t.Fatalf("node 1's stream is %q after a DELETE of node 0's, want running", st.State)
+	}
+}
+
 // TestFleetRingEndpoint: every node reports the identical ring.
 func TestFleetRingEndpoint(t *testing.T) {
 	h := startFleet(t, HarnessConfig{})

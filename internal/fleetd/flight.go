@@ -4,9 +4,9 @@ import "sync"
 
 // flightGroup coalesces duplicate concurrent work by key — the routing
 // layer's singleflight. The server already coalesces generations per
-// node (jobSet) and the outputs store per frame; this closes the last
-// gap: N concurrent forwards (or repairs) of one key from one node cost
-// one upstream request, and every waiter shares the result.
+// node (its job registry) and the outputs store per frame; this closes the
+// last gap: N concurrent forwards (or repairs) of one key from one node
+// cost one upstream request, and every waiter shares the result.
 type flightGroup struct {
 	mu      sync.Mutex
 	flights map[string]*flight

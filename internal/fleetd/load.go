@@ -262,8 +262,9 @@ func (lr *loadRun) finish(ctx context.Context) LoadResult {
 
 // Herd slams every URL with concurrent sync POSTs of ONE request. The
 // fleet must collapse the herd to a single generation: routing-layer
-// singleflight on the forwarding nodes, and the jobSet on the key's first
-// replica, where every node routes it, each absorb a layer of duplication.
+// singleflight on the forwarding nodes, and the job registry on the key's
+// first replica, where every node routes it, each absorb a layer of
+// duplication.
 func (d *Driver) Herd(ctx context.Context, urls []string, clients int, genReq server.GenRequest) (LoadResult, error) {
 	if clients <= 0 {
 		clients = 32

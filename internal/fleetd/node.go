@@ -92,8 +92,9 @@ type Node struct {
 	forwards *flightGroup
 	metrics  fleetMetrics
 
-	// jobNodes maps job-id prefixes to node names so any node can proxy
-	// GET/DELETE /v1/jobs/{id} to the node that minted the id.
+	// jobNodes maps id prefixes to node names so any node can proxy
+	// GET/DELETE /v1/jobs/{id} and /v1/streams/{id} to the node that
+	// minted the id.
 	jobNodes map[string]string
 
 	// baseCtx parents every generation and stream; Kill cancels it to
@@ -102,9 +103,9 @@ type Node struct {
 	baseCancel context.CancelFunc
 }
 
-// nodePrefix derives a node's job-id prefix: 8 hex chars of the node
-// name's SHA-256, so ids are globally unique and any node can map a
-// forwarded job handle back to its minting node without shared state.
+// nodePrefix derives a node's job- and stream-id prefix: 8 hex chars of
+// the node name's SHA-256, so ids are globally unique and any node can map
+// a handle back to its minting node without shared state.
 func nodePrefix(node string) string {
 	sum := sha256.Sum256([]byte(node))
 	return hex.EncodeToString(sum[:4]) + "-"
@@ -228,6 +229,8 @@ func (n *Node) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/profiles", n.handlePostProfile)
 	mux.HandleFunc("GET /v1/jobs/{id}", n.handleJob)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", n.handleJob)
+	mux.HandleFunc("GET /v1/streams/{id}", n.handleJob)
+	mux.HandleFunc("DELETE /v1/streams/{id}", n.handleJob)
 	mux.HandleFunc("GET /v1/ring", n.handleRing)
 	mux.HandleFunc("GET /metrics", n.handleMetrics)
 	if len(n.ring.Nodes()) > 1 {
@@ -236,7 +239,8 @@ func (n *Node) Handler() http.Handler {
 		mux.HandleFunc("GET /v1/internal/profiles/{key}", n.handleEnvelopeGet)
 		mux.HandleFunc("PUT /v1/internal/profiles/{key}", n.handleEnvelopePut)
 	}
-	// Everything else (healthz, streams, ...) is the inner daemon's.
+	// Everything else (healthz, POST /v1/streams, ...) is the inner
+	// daemon's.
 	mux.Handle("/", n.innerH)
 	return n.inner.Counted(mux)
 }
@@ -384,9 +388,9 @@ func (n *Node) entryCopy(key string) (payload []byte, ok bool) {
 
 // handlePostProfile routes a generation request to the key's generator:
 // the first node of ring.Replicas(key), in ring order and counting this
-// one, that answers. That node's jobSet coalesces every POST of the key
-// that reaches it, and forwardFlight coalesces each entry node's POSTs of
-// it into one upstream request, so a herd costs one generation while the
+// one, that answers. That node's job registry coalesces every POST of the
+// key that reaches it, and forwardFlight coalesces each entry node's POSTs
+// of it into one upstream request, so a herd costs one generation while the
 // first replica is reachable. A dead replica costs a refused connect, not
 // a timeout: the next one in ring order takes over. A request that was
 // already routed here is served here. The request is decoded and keyed
@@ -533,8 +537,8 @@ func (n *Node) pushEnvelope(peer, key string, env []byte) error {
 	return nil
 }
 
-// nodeForJobID maps a job id back to the node whose prefix minted it
-// ("" when the id carries no known prefix).
+// nodeForJobID maps a job or stream id back to the node whose prefix
+// minted it ("" when the id carries no known prefix).
 func (n *Node) nodeForJobID(id string) string {
 	i := strings.IndexByte(id, '-')
 	if i < 0 {
@@ -543,9 +547,10 @@ func (n *Node) nodeForJobID(id string) string {
 	return n.jobNodes[id[:i+1]]
 }
 
-// handleJob serves GET/DELETE /v1/jobs/{id}: locally when this node
-// minted the id, otherwise proxied to the minting node — a client may
-// poll any node with a job handle it got from a forwarded 202.
+// handleJob serves GET/DELETE /v1/jobs/{id} and /v1/streams/{id}:
+// locally when this node minted the id, otherwise proxied to the minting
+// node — a client may poll or cancel through any node with a handle it got
+// from another, such as a forwarded 202.
 func (n *Node) handleJob(w http.ResponseWriter, r *http.Request) {
 	owner := n.nodeForJobID(r.PathValue("id"))
 	if owner == "" || owner == n.self || r.Header.Get(fleetFromHeader) != "" {

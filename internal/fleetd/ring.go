@@ -16,8 +16,8 @@
 //     replica (store.PutEnvelope re-validates the checksum before the
 //     atomic write, so a torn or tampered transfer can never land).
 //   - Generation dedup. Every POST that must generate a key is routed to
-//     the key's first reachable replica, in ring order, whose job queue
-//     (internal/server's jobSet) coalesces concurrent requests onto one
+//     the key's first reachable replica, in ring order, whose job
+//     registry (internal/server) coalesces concurrent requests onto one
 //     generation. A dead replica refuses the connect and the next one in
 //     ring order takes the key over; no coordination state is kept.
 //

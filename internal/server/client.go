@@ -31,11 +31,6 @@ type Client struct {
 	// MaxRetries caps retry attempts after the first try (default 3;
 	// negative disables retries).
 	MaxRetries int
-	// RetryBaseDelay seeds the exponential backoff (default 50ms); the
-	// pre-jitter delay for retry k is base<<k, capped at RetryMaxDelay
-	// (default 2s).
-	RetryBaseDelay time.Duration
-	RetryMaxDelay  time.Duration
 
 	// sleepFn and jitterFn are test seams: the backoff-schedule unit
 	// test replaces them to run on a fake clock. Nil means real sleep
@@ -61,27 +56,20 @@ func (c *Client) maxRetries() int {
 	return c.MaxRetries
 }
 
+// The pre-jitter delay before retry k is retryBaseDelay<<k, capped at
+// retryMaxDelay.
+const (
+	retryBaseDelay = 50 * time.Millisecond
+	retryMaxDelay  = 2 * time.Second
+)
+
 // backoff returns the jittered delay before retry attempt (0-based).
 func (c *Client) backoff(attempt int) time.Duration {
-	base := c.RetryBaseDelay
-	if base <= 0 {
-		base = 50 * time.Millisecond
-	}
-	ceiling := c.RetryMaxDelay
-	if ceiling <= 0 {
-		ceiling = 2 * time.Second
-	}
-	d := base
-	for i := 0; i < attempt; i++ {
+	d := retryBaseDelay
+	for i := 0; i < attempt && d < retryMaxDelay; i++ {
 		d *= 2
-		if d >= ceiling || d <= 0 {
-			d = ceiling
-			break
-		}
 	}
-	if d > ceiling {
-		d = ceiling
-	}
+	d = min(d, retryMaxDelay)
 	if c.jitterFn != nil {
 		return c.jitterFn(d)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -99,30 +100,22 @@ func TestClientRetrySchedule(t *testing.T) {
 }
 
 // TestClientRetryCeiling: the exponential delay saturates at
-// RetryMaxDelay instead of doubling without bound.
+// retryMaxDelay instead of doubling without bound.
 func TestClientRetryCeiling(t *testing.T) {
-	script := &retryScript{steps: []retryStep{
-		{status: http.StatusTooManyRequests},
-		{status: http.StatusTooManyRequests},
-		{status: http.StatusTooManyRequests},
-		{status: http.StatusTooManyRequests},
-	}}
+	script := &retryScript{}
+	for range 8 {
+		script.steps = append(script.steps, retryStep{status: http.StatusTooManyRequests})
+	}
 	c, slept := fakeSleepClient(t, script)
-	c.MaxRetries = 4
-	c.RetryBaseDelay = 100 * time.Millisecond
-	c.RetryMaxDelay = 300 * time.Millisecond
+	c.MaxRetries = 8
 
 	if _, err := c.GetProfile(context.Background(), "deadbeefdeadbeef"); err != nil {
 		t.Fatalf("GetProfile: %v", err)
 	}
-	want := []time.Duration{100 * time.Millisecond, 200 * time.Millisecond, 300 * time.Millisecond, 300 * time.Millisecond}
-	if len(*slept) != len(want) {
+	ms := time.Millisecond
+	want := []time.Duration{50 * ms, 100 * ms, 200 * ms, 400 * ms, 800 * ms, 1600 * ms, 2000 * ms, 2000 * ms}
+	if !slices.Equal(*slept, want) {
 		t.Fatalf("slept %v, want %v", *slept, want)
-	}
-	for i, d := range want {
-		if (*slept)[i] != d {
-			t.Fatalf("slept %v, want %v", *slept, want)
-		}
 	}
 }
 

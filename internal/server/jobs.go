@@ -6,15 +6,17 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"smokescreen/internal/estimate"
+	"smokescreen/internal/stream"
 )
 
-// JobState is a generation job's lifecycle position. The state machine is
-// linear: queued -> running -> {done | failed | canceled}. Jobs never
-// retry in place; a failed or canceled key is retried by the next POST
-// that misses the store.
+// JobState is a daemon job's lifecycle position. The state machine is
+// linear: queued -> running -> {done | failed | canceled}; a stream starts
+// running. Jobs never retry in place; a failed or canceled key is retried
+// by the next POST that misses the store.
 type JobState string
 
 const (
@@ -40,17 +42,21 @@ func terminal(s JobState) bool {
 // with this code; retrying the same request cannot succeed.
 const codeDegenerateCorrection = "degenerate_correction"
 
-// Job is one asynchronous profile generation. All mutable fields are
-// guarded by the owning jobSet's mutex; done is closed exactly once on
-// entering a terminal state, so waiters can select on it.
-type Job struct {
-	ID  string
-	Key string
-	// Query is the canonical query string, for operators reading job
-	// listings.
-	Query string
-	// req is the full request the worker replays.
+// job is one unit of daemon work — a profile generation or a stream — and
+// the lifecycle both share. Its mutable fields are guarded by its
+// registry's mutex; done is closed exactly once, on entering a terminal
+// state, so waiters can select on it.
+type job struct {
+	id    string
+	mu    *sync.Mutex // the registry's
+	done  chan struct{}
+	key   string // a generation's artifact key; "" for a stream
+	query string // the canonical query, for operators reading listings
+	// req is the request a generation's worker replays.
 	req GenRequest
+	// rs and recv are a stream's pipeline.
+	rs   *ResolvedStream
+	recv *stream.Receiver
 
 	state     JobState
 	err       string
@@ -58,16 +64,20 @@ type Job struct {
 	created   time.Time
 	started   time.Time
 	finished  time.Time
-	coalesced int // requests that attached to this job beyond the first
+	coalesced int                   // requests that attached to this job beyond the first
+	windows   []stream.WindowResult // a stream's last streamWindowHistory windows
 
-	// cancel stops the running generation's context; set by start, nil
-	// while queued (a queued job cancels by state transition alone).
+	// cancel stops the running job's context: a generation's is armed by
+	// start (a queued job cancels by state transition alone), a stream's
+	// at creation.
 	cancel context.CancelFunc
-
-	done chan struct{}
 }
 
-// JobStatus is the wire form of a job, snapshotted under the set lock.
+// streamJob is a job that runs a stream pipeline (rs and recv set).
+type streamJob = job
+
+// JobStatus is the wire form of a generation job, snapshotted under the
+// registry lock.
 type JobStatus struct {
 	ID    string   `json:"id"`
 	Key   string   `json:"key"`
@@ -83,234 +93,217 @@ type JobStatus struct {
 	Finished  time.Time `json:"finished,omitempty"`
 }
 
-// jobSet tracks jobs by id and coalesces active ones by key. Terminal
-// jobs stay queryable until the bounded history evicts them.
-type jobSet struct {
-	mu      sync.Mutex
-	nextID  int
-	byID    map[string]*Job
-	history []string // insertion-ordered ids, for eviction
-	active  map[string]*Job
-	// lastDone is each key's latest successful job still in byID; see
-	// getOrCreate.
-	lastDone map[string]*Job
-	// idPrefix namespaces generated ids per node (Config.JobIDPrefix).
-	idPrefix string
+// status snapshots a job's lifecycle.
+func (j *job) status() JobStatus {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return JobStatus{
+		ID:        j.id,
+		Key:       j.key,
+		Query:     j.query,
+		State:     j.state,
+		Error:     j.err,
+		Code:      j.errCode,
+		Coalesced: j.coalesced,
+		Created:   j.created,
+		Started:   j.started,
+		Finished:  j.finished,
+	}
 }
 
-// jobHistory bounds the generation jobs and, separately, the streams a
-// daemon keeps queryable; the oldest terminal ones are evicted first.
+// registry tracks one kind of job by id: a daemon keeps one for
+// generations and one for streams. Ids are the registry's prefix and a
+// sequence number ("n0-job-000001"). Terminal jobs stay queryable until
+// the bounded history evicts them. A keyed job — a generation — is its
+// key's active job until it finishes, and requests for the key coalesce
+// onto it.
+type registry struct {
+	kind string // "job" or "stream": the noun of its ids and log lines
+	// canceled and failed count the jobs that ran and ended so; a job
+	// canceled while queued never ran.
+	canceled, failed atomic.Int64
+
+	mu      sync.Mutex
+	prefix  string
+	nextID  int
+	byID    map[string]*job
+	history []string // insertion-ordered ids, for eviction
+	active  map[string]*job
+	// lastDone is each key's latest successful job still in byID; see
+	// attachLocked.
+	lastDone map[string]*job
+}
+
+// jobHistory bounds the terminal jobs each registry keeps queryable; the
+// oldest are evicted first.
 const jobHistory = 1024
 
-func newJobSet(idPrefix string) *jobSet {
-	return &jobSet{
-		byID:     make(map[string]*Job),
-		active:   make(map[string]*Job),
-		lastDone: make(map[string]*Job),
-		idPrefix: idPrefix,
+// newRegistry returns a registry minting ids "<prefix><kind>-NNNNNN".
+func newRegistry(prefix, kind string) *registry {
+	return &registry{
+		kind:     kind,
+		prefix:   prefix + kind + "-",
+		byID:     make(map[string]*job),
+		active:   make(map[string]*job),
+		lastDone: make(map[string]*job),
 	}
 }
 
-// getOrCreate returns the job a request for key waits on, or registers a
-// new one built from req. created reports whether the caller owns
-// enqueueing it; when false the request coalesced onto the key's active
-// job — or onto one that finished after began, the moment the request
-// started the store read that missed. A job's Put precedes its finish, so
-// such a job proves the miss stale (the read raced the Put) and generating
-// again would cost the key a second generation; a job that finished before
-// began proves the miss genuine — a corrupt or deleted entry — and the key
-// regenerates.
-func (js *jobSet) getOrCreate(key, query string, req GenRequest, began, now time.Time) (job *Job, created bool) {
-	js.mu.Lock()
-	defer js.mu.Unlock()
-	job = js.active[key]
-	if last := js.lastDone[key]; job == nil && last != nil && last.finished.After(began) {
-		job = last
-	}
-	if job != nil {
-		job.coalesced++
-		return job, false
-	}
-	js.nextID++
-	job = &Job{
-		ID:      js.idPrefix + jobID(js.nextID),
-		Key:     key,
-		Query:   query,
-		req:     req,
-		state:   JobQueued,
-		created: now,
-		done:    make(chan struct{}),
-	}
-	js.active[key] = job
-	js.byID[job.ID] = job
-	js.history = append(js.history, job.ID)
-	js.evictLocked()
-	return job, true
+// newJob returns an unregistered job guarded by r's lock.
+func (r *registry) newJob(key, query string) *job {
+	return &job{mu: &r.mu, done: make(chan struct{}), key: key, query: query, state: JobQueued}
 }
 
-// jobID renders a stable, log-friendly id: at least six digits, and as
-// many more as n needs, so no two jobs of one daemon share an id.
-func jobID(n int) string { return fmt.Sprintf("job-%06d", n) }
+// mintID renders the nth id: at least six digits, and as many more as n
+// needs, so no two jobs of one registry share an id.
+func (r *registry) mintID(n int) string { return fmt.Sprintf("%s%06d", r.prefix, n) }
 
-// evictLocked drops the oldest terminal jobs beyond the history limit.
-func (js *jobSet) evictLocked() {
-	js.history = evictTerminal(js.byID, js.history,
-		func(job *Job) bool { return terminal(job.state) },
-		func(job *Job) {
-			if js.lastDone[job.Key] == job {
-				delete(js.lastDone, job.Key)
-			}
-		})
+// attachLocked returns the job a request for key that began its store
+// read at began coalesces onto, or nil: the key's active job, or one that
+// finished after began. A job's Put precedes its finish, so such a job
+// proves the miss stale (the read raced the Put) and generating again
+// would cost the key a second generation; a job that finished before
+// began proves the miss genuine — a corrupt or deleted entry — and the
+// key regenerates.
+func (r *registry) attachLocked(key string, began time.Time) *job {
+	j := r.active[key]
+	if last := r.lastDone[key]; j == nil && last != nil && last.finished.After(began) {
+		j = last
+	}
+	if j != nil {
+		j.coalesced++
+	}
+	return j
 }
 
-// evictTerminal is the history rule generation jobs and streams share:
-// while byID holds more than jobHistory entries, drop the oldest terminal
-// one — order is byID's ids in insertion order — and tell dropped. An active
-// entry is never evicted, so a set that is all active grows past the
-// limit. It returns the remaining order; callers hold their set's lock.
-func evictTerminal[T any](byID map[string]T, order []string, isTerminal func(T) bool, dropped func(T)) []string {
-	for i := 0; len(byID) > jobHistory && i < len(order); {
-		v := byID[order[i]]
-		if !isTerminal(v) {
+// addLocked makes j visible under a fresh id, as its key's active job when
+// it has a key, and evicts the oldest terminal jobs beyond the history
+// limit. An active job is never evicted, so a registry of live jobs grows
+// past the limit.
+func (r *registry) addLocked(j *job) {
+	r.nextID++
+	j.id = r.mintID(r.nextID)
+	j.created = time.Now()
+	r.byID[j.id] = j
+	if j.key != "" {
+		r.active[j.key] = j
+	}
+	r.history = append(r.history, j.id)
+	for i := 0; len(r.byID) > jobHistory && i < len(r.history); {
+		old := r.byID[r.history[i]]
+		if !terminal(old.state) {
 			i++
 			continue
 		}
-		delete(byID, order[i])
-		dropped(v)
-		order = slices.Delete(order, i, i+1)
-	}
-	return order
-}
-
-// abandon removes a job that never made it into the queue (backpressure
-// or drain rejected it) so the key can be retried immediately.
-func (js *jobSet) abandon(job *Job) {
-	js.mu.Lock()
-	defer js.mu.Unlock()
-	delete(js.active, job.Key)
-	delete(js.byID, job.ID)
-	for i, id := range js.history {
-		if id == job.ID {
-			js.history = append(js.history[:i], js.history[i+1:]...)
-			break
+		delete(r.byID, old.id)
+		if r.lastDone[old.key] == old {
+			delete(r.lastDone, old.key)
 		}
+		r.history = slices.Delete(r.history, i, i+1)
 	}
 }
 
-// start transitions a job to running and arms its cancel func. It
+// start transitions a queued job to running and arms its cancel func. It
 // returns false when the job was canceled while still queued — the worker
-// must skip it without running the generation (the cancel path already
-// finalized the job).
-func (js *jobSet) start(job *Job, now time.Time, cancel context.CancelFunc) bool {
-	js.mu.Lock()
-	defer js.mu.Unlock()
-	if job.state != JobQueued {
+// must skip it (the cancel path already finished it).
+func (r *registry) start(j *job, cancel context.CancelFunc) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if j.state != JobQueued {
 		return false
 	}
-	job.state = JobRunning
-	job.started = now
-	job.cancel = cancel
+	j.state = JobRunning
+	j.started = time.Now()
+	j.cancel = cancel
 	return true
 }
 
-// cancel stops a job: a queued job transitions straight to canceled, a
-// running one has its context canceled (the worker's finish maps the
-// resulting context error to canceled). Terminal jobs are left alone, so
-// DELETE is idempotent. It reports whether this call initiated a
-// cancellation.
-func (js *jobSet) cancel(job *Job, now time.Time) bool {
-	js.mu.Lock()
-	switch job.state {
+// cancel stops a job: a queued one finishes canceled at once, a running
+// one has its context canceled (its runner's finish then classifies the
+// context error as canceled). Terminal jobs are left alone, so DELETE is
+// idempotent. It reports whether this call initiated a cancellation.
+func (r *registry) cancel(j *job) bool {
+	r.mu.Lock()
+	switch j.state {
 	case JobQueued:
-		job.state = JobCanceled
-		job.err = context.Canceled.Error()
-		job.finished = now
-		delete(js.active, job.Key)
-		js.mu.Unlock()
-		close(job.done)
+		r.finishLocked(j, context.Canceled)
+		r.mu.Unlock()
 		return true
 	case JobRunning:
-		cancel := job.cancel
-		js.mu.Unlock()
-		if cancel != nil {
-			cancel()
-		}
+		cancel := j.cancel
+		r.mu.Unlock()
+		cancel()
 		return true
 	default:
-		js.mu.Unlock()
+		r.mu.Unlock()
 		return false
 	}
 }
 
-// finish transitions a job to its terminal state, releases the key for
-// future requests, and wakes every waiter. Context cancellation and
-// deadline expiry finish as canceled, not failed: the generation itself
-// did nothing wrong, and operators alert on failure counts.
-func (js *jobSet) finish(job *Job, genErr error, now time.Time) {
-	js.mu.Lock()
+// finish moves a job to the terminal state err classifies it as, releases
+// its key for future requests, wakes every waiter, and returns the state.
+func (r *registry) finish(j *job, err error) JobState {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.finishLocked(j, err)
+}
+
+// finishLocked is the one classification of a job's end. Context
+// cancellation and deadline expiry finish as canceled, not failed: the
+// job itself did nothing wrong, and operators alert on failure counts.
+func (r *registry) finishLocked(j *job, err error) JobState {
 	switch {
-	case genErr == nil:
-		job.state = JobDone
-		js.lastDone[job.Key] = job
-	case errors.Is(genErr, context.Canceled) || errors.Is(genErr, context.DeadlineExceeded):
-		job.state = JobCanceled
-		job.err = genErr.Error()
+	case err == nil:
+		j.state = JobDone
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		j.state = JobCanceled
+		j.err = err.Error()
 	default:
-		job.state = JobFailed
-		job.err = genErr.Error()
-		if errors.Is(genErr, estimate.ErrDegenerateCorrection) {
-			job.errCode = codeDegenerateCorrection
+		j.state = JobFailed
+		j.err = err.Error()
+		if errors.Is(err, estimate.ErrDegenerateCorrection) {
+			j.errCode = codeDegenerateCorrection
 		}
 	}
-	job.finished = now
-	delete(js.active, job.Key)
-	js.mu.Unlock()
-	close(job.done)
+	j.finished = time.Now()
+	if r.active[j.key] == j {
+		delete(r.active, j.key)
+		if j.state == JobDone {
+			r.lastDone[j.key] = j
+		}
+	}
+	close(j.done)
+	return j.state
 }
 
 // get returns the job with the given id.
-func (js *jobSet) get(id string) (*Job, bool) {
-	js.mu.Lock()
-	defer js.mu.Unlock()
-	job, ok := js.byID[id]
-	return job, ok
+func (r *registry) get(id string) (*job, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	j, ok := r.byID[id]
+	return j, ok
 }
 
-// status snapshots a job under the lock.
-func (js *jobSet) status(job *Job) JobStatus {
-	js.mu.Lock()
-	defer js.mu.Unlock()
-	return JobStatus{
-		ID:        job.ID,
-		Key:       job.Key,
-		Query:     job.Query,
-		State:     job.state,
-		Error:     job.err,
-		Code:      job.errCode,
-		Coalesced: job.coalesced,
-		Created:   job.created,
-		Started:   job.started,
-		Finished:  job.finished,
+// live returns the queued and running jobs in id order.
+func (r *registry) live() []*job {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var out []*job
+	for _, id := range r.history {
+		if j := r.byID[id]; !terminal(j.state) {
+			out = append(out, j)
+		}
 	}
+	return out
 }
 
 // counts reports how many tracked jobs are in each state.
-func (js *jobSet) counts() (queued, running, done, failed, canceled int) {
-	js.mu.Lock()
-	defer js.mu.Unlock()
-	for _, job := range js.byID {
-		switch job.state {
-		case JobQueued:
-			queued++
-		case JobRunning:
-			running++
-		case JobDone:
-			done++
-		case JobFailed:
-			failed++
-		case JobCanceled:
-			canceled++
-		}
+func (r *registry) counts() map[JobState]int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := make(map[JobState]int, 5)
+	for _, j := range r.byID {
+		n[j.state]++
 	}
-	return
+	return n
 }

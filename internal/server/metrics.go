@@ -17,51 +17,51 @@ import (
 // the hot paths never contend on a metrics lock; gauges (queue depth, job
 // states) are sampled at render time instead of tracked.
 type metrics struct {
-	httpRequests        atomic.Int64
-	profilesServed      atomic.Int64 // 200 responses carrying profile JSON
-	generations         atomic.Int64 // Generate calls started
-	generationFailures  atomic.Int64
-	generationsCanceled atomic.Int64 // generations stopped by cancel/deadline
-	cancellations       atomic.Int64 // DELETE /v1/jobs cancel requests honored
-	coalesced           atomic.Int64 // requests attached to an in-flight job
-	rejectedQueueFull   atomic.Int64 // 429s
-	rejectedDraining    atomic.Int64 // 503s
-	streamsStarted      atomic.Int64 // POST /v1/streams accepted
-	streamsCanceled     atomic.Int64 // streams stopped by DELETE/drain
-	streamFailures      atomic.Int64 // streams ended by an error
+	httpRequests      atomic.Int64
+	profilesServed    atomic.Int64 // 200 responses carrying profile JSON
+	generations       atomic.Int64 // Generate calls started
+	cancellations     atomic.Int64 // DELETEs that canceled a job or stream
+	coalesced         atomic.Int64 // requests attached to an in-flight job
+	rejectedQueueFull atomic.Int64 // 429s
+	rejectedDraining  atomic.Int64 // 503s
+	streamsStarted    atomic.Int64 // POST /v1/streams accepted
 }
 
 // render writes the metrics in the Prometheus text exposition format
 // (untyped samples; no client library in the dependency budget). The
-// store, detector, and transport layers contribute their own counters so
-// one scrape covers the whole daemon.
-func (m *metrics) render(w io.Writer, queueDepth, queueCap int, jobs *jobSet, streams *streamSet, st Backend) {
-	queued, running, done, failed, canceled := jobs.counts()
+// job registries, the store, detector, and transport layers contribute
+// their own counters so one scrape covers the whole daemon.
+func (m *metrics) render(w io.Writer, queueDepth, queueCap int, jobs, streams *registry, st Backend) {
+	states := jobs.counts()
 	stats := st.Stats()
 	tr := transport.Totals()
 	dc := detect.Stats()
 	oc := outputs.ReadStats()
 	sg := plan.Stages()
 	sc := stream.Totals()
-	streamsActive, streamLag := streams.activeAndMaxLag()
+	live := streams.live()
+	streamLag := 0
+	for _, j := range live {
+		streamLag = max(streamLag, j.recv.Status().WindowLag)
+	}
 
 	samples := map[string]int64{
 		"smokescreend_http_requests_total":               m.httpRequests.Load(),
 		"smokescreend_profiles_served_total":             m.profilesServed.Load(),
 		"smokescreend_generations_total":                 m.generations.Load(),
-		"smokescreend_generation_failures_total":         m.generationFailures.Load(),
-		"smokescreend_generations_canceled_total":        m.generationsCanceled.Load(),
+		"smokescreend_generation_failures_total":         jobs.failed.Load(),
+		"smokescreend_generations_canceled_total":        jobs.canceled.Load(),
 		"smokescreend_job_cancellations_total":           m.cancellations.Load(),
 		"smokescreend_requests_coalesced_total":          m.coalesced.Load(),
 		"smokescreend_rejected_queue_full_total":         m.rejectedQueueFull.Load(),
 		"smokescreend_rejected_draining_total":           m.rejectedDraining.Load(),
 		"smokescreend_queue_depth":                       int64(queueDepth),
 		"smokescreend_queue_capacity":                    int64(queueCap),
-		"smokescreend_jobs_queued":                       int64(queued),
-		"smokescreend_jobs_running":                      int64(running),
-		"smokescreend_jobs_done":                         int64(done),
-		"smokescreend_jobs_failed":                       int64(failed),
-		"smokescreend_jobs_canceled":                     int64(canceled),
+		"smokescreend_jobs_queued":                       int64(states[JobQueued]),
+		"smokescreend_jobs_running":                      int64(states[JobRunning]),
+		"smokescreend_jobs_done":                         int64(states[JobDone]),
+		"smokescreend_jobs_failed":                       int64(states[JobFailed]),
+		"smokescreend_jobs_canceled":                     int64(states[JobCanceled]),
 		"smokescreend_outputs_tables":                    int64(oc.Tables),
 		"smokescreend_outputs_frames_detected_total":     oc.FramesDetected,
 		"smokescreend_outputs_frame_hits_total":          oc.FrameHits,
@@ -86,9 +86,9 @@ func (m *metrics) render(w io.Writer, queueDepth, queueCap int, jobs *jobSet, st
 		"smokescreend_detect_sparse_series":              int64(dc.SparseSeries),
 		"smokescreend_detect_sparse_bytes":               dc.SparseBytes,
 		"smokescreend_streams_total":                     m.streamsStarted.Load(),
-		"smokescreend_streams_canceled_total":            m.streamsCanceled.Load(),
-		"smokescreend_stream_failures_total":             m.streamFailures.Load(),
-		"smokescreend_streams_active":                    int64(streamsActive),
+		"smokescreend_streams_canceled_total":            streams.canceled.Load(),
+		"smokescreend_stream_failures_total":             streams.failed.Load(),
+		"smokescreend_streams_active":                    int64(len(live)),
 		"smokescreend_stream_frames_total":               sc.Frames,
 		"smokescreend_stream_late_frames_total":          sc.Late,
 		"smokescreend_stream_windows_total":              sc.Windows,

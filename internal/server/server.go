@@ -13,6 +13,8 @@
 //	                         "async": true returns 202 + job id)
 //	GET  /v1/jobs/{id}       job lifecycle status
 //	DELETE /v1/jobs/{id}     cancel a queued or running job
+//	POST /v1/streams         start a streaming ingest job (streams.go)
+//	GET, DELETE /v1/streams/{id}
 //	GET  /healthz            liveness (reports draining)
 //	GET  /metrics            Prometheus-style counters
 //
@@ -67,9 +69,10 @@ type Config struct {
 	RequestTimeout time.Duration
 	// JobTimeout caps one generation (default 10m).
 	JobTimeout time.Duration
-	// JobIDPrefix namespaces generated job ids ("n0-job-000001"). Fleet
-	// nodes set a per-node prefix so a job handle returned by one node is
-	// never mistaken for another node's job when requests are forwarded.
+	// JobIDPrefix namespaces generated job and stream ids
+	// ("n0-job-000001", "n0-stream-000001"). Fleet nodes set a per-node
+	// prefix so a handle returned by one node is never mistaken for
+	// another node's job or stream, and any node can route it home.
 	JobIDPrefix string
 	// BaseContext is the parent of every generation job's and stream's
 	// context; nil means context.Background(). Canceling it aborts all
@@ -86,17 +89,18 @@ type Server struct {
 	cfg     Config
 	store   Backend
 	gen     Generator
-	jobs    *jobSet
-	queue   chan *Job
+	jobs    *registry
+	queue   chan *job
 	metrics metrics
 
 	// streams are long-running ingest jobs outside the worker pool;
 	// streamWG tracks their goroutines so Drain can wait for teardown.
-	streams  *streamSet
+	streams  *registry
 	streamWG sync.WaitGroup
 
-	// lifecycle: mu serializes queue sends against stop's close(queue);
-	// workers is closed when the last worker exits.
+	// lifecycle: mu serializes admission — queue sends and stream
+	// registrations — against stop; workers is closed when the last
+	// worker exits.
 	mu      sync.Mutex
 	stopped bool
 	stopCh  chan struct{}
@@ -131,9 +135,9 @@ func New(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		store:   cfg.Store,
 		gen:     cfg.Generator,
-		jobs:    newJobSet(cfg.JobIDPrefix),
-		queue:   make(chan *Job, cfg.QueueDepth),
-		streams: newStreamSet(),
+		jobs:    newRegistry(cfg.JobIDPrefix, "job"),
+		queue:   make(chan *job, cfg.QueueDepth),
+		streams: newRegistry(cfg.JobIDPrefix, "stream"),
 		stopCh:  make(chan struct{}),
 		workers: make(chan struct{}),
 	}
@@ -142,8 +146,8 @@ func New(cfg Config) (*Server, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for job := range s.queue {
-				s.run(job)
+			for j := range s.queue {
+				s.run(j)
 			}
 		}()
 	}
@@ -165,7 +169,8 @@ func (s *Server) draining() bool {
 }
 
 // stop closes intake exactly once. The mutex serializes it against
-// in-flight enqueue sends, so the queue is never sent to after close.
+// admission, so the queue is never sent to after close and every admitted
+// stream is canceled.
 func (s *Server) stop() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -176,71 +181,80 @@ func (s *Server) stop() {
 		// Streams are cancelled, not waited for, here: Drain owns the
 		// wait. Cancellation tears down in-flight detection and the
 		// receivers drop their partial windows.
-		s.streams.cancelAll()
+		for _, j := range s.streams.live() {
+			j.cancel()
+		}
 	}
 }
 
-// enqueue registers req's job, coalescing onto any active job for the
-// same key. It returns errDraining after Drain/Close and errQueueFull
-// when the bounded queue has no room.
 var (
 	errQueueFull = errors.New("server: generation queue full")
 	errDraining  = errors.New("server: draining")
 )
 
-func (s *Server) enqueue(key, canonical string, req GenRequest, began time.Time) (*Job, error) {
-	if s.draining() {
-		return nil, errDraining
-	}
-	job, created := s.jobs.getOrCreate(key, canonical, req, began, time.Now())
-	if !created {
-		s.metrics.coalesced.Add(1)
-		return job, nil
-	}
-	// The send must not race stop()'s close(queue); s.mu serializes them.
+// enqueue returns the job req waits on: the key's active job, or a new
+// one the queue has accepted. It returns errDraining after Drain/Close and
+// errQueueFull when the bounded queue has no room. A new job becomes
+// visible only once queued — s.mu orders the send against stop's
+// close(queue) and the registry lock keeps coalescing out until then — so
+// no request attaches to a job the queue refused.
+func (s *Server) enqueue(key, canonical string, req GenRequest, began time.Time) (*job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.stopped {
-		s.jobs.abandon(job)
 		return nil, errDraining
 	}
+	s.jobs.mu.Lock()
+	defer s.jobs.mu.Unlock()
+	if j := s.jobs.attachLocked(key, began); j != nil {
+		s.metrics.coalesced.Add(1)
+		return j, nil
+	}
+	j := s.jobs.newJob(key, canonical)
+	j.req = req
 	select {
-	case s.queue <- job:
-		return job, nil
+	case s.queue <- j:
 	default:
-		s.jobs.abandon(job)
 		return nil, errQueueFull
 	}
+	s.jobs.addLocked(j)
+	return j, nil
 }
 
 // run executes one generation job. The job's context is cancellable two
 // ways — the job deadline and DELETE /v1/jobs/{id} — and the generator
 // threads it through the plan/execute pipeline, so cancellation stops
 // detector work promptly and nothing partial reaches the store.
-func (s *Server) run(job *Job) {
+func (s *Server) run(j *job) {
 	ctx, cancel := context.WithTimeout(s.cfg.BaseContext, s.cfg.JobTimeout)
 	defer cancel()
-	if !s.jobs.start(job, time.Now(), cancel) {
-		// Canceled while queued; the cancel path already finalized it.
+	if !s.jobs.start(j, cancel) {
+		// Canceled while queued; the cancel path already finished it.
 		return
 	}
 	s.metrics.generations.Add(1)
-	s.cfg.Logf("job %s: generating key %s (%s)", job.ID, job.Key, job.Query)
-	payload, err := s.gen.Generate(ctx, job.req)
+	s.cfg.Logf("job %s: generating key %s (%s)", j.id, j.key, j.query)
+	payload, err := s.gen.Generate(ctx, j.req)
 	if err == nil {
-		err = s.store.Put(job.Key, payload)
+		err = s.store.Put(j.key, payload)
 	}
-	switch {
-	case err == nil:
-		s.cfg.Logf("job %s: done (%d bytes)", job.ID, len(payload))
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		s.metrics.generationsCanceled.Add(1)
-		s.cfg.Logf("job %s: canceled: %v", job.ID, err)
+	s.end(s.jobs, j, err, fmt.Sprintf("%d bytes", len(payload)))
+}
+
+// end finishes a job that ran through its registry r, then books the
+// outcome in r's counters and one log line; result describes a done job's
+// output.
+func (s *Server) end(r *registry, j *job, err error, result string) {
+	switch r.finish(j, err) {
+	case JobDone:
+		s.cfg.Logf("%s %s: done (%s)", r.kind, j.id, result)
+	case JobCanceled:
+		r.canceled.Add(1)
+		s.cfg.Logf("%s %s: canceled: %v", r.kind, j.id, err)
 	default:
-		s.metrics.generationFailures.Add(1)
-		s.cfg.Logf("job %s: failed: %v", job.ID, err)
+		r.failed.Add(1)
+		s.cfg.Logf("%s %s: failed: %v", r.kind, j.id, err)
 	}
-	s.jobs.finish(job, err, time.Now())
 }
 
 // Drain stops intake, cancels active streams, and waits for queued and
@@ -292,11 +306,11 @@ func (s *Server) Routes() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/profiles/{key}", s.handleGetProfile)
 	mux.HandleFunc("POST /v1/profiles", s.handlePostProfile)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleGetJob)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleDeleteJob)
+	mux.HandleFunc("GET /v1/jobs/{id}", s.handleGet(s.jobs))
+	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleDelete(s.jobs))
 	mux.HandleFunc("POST /v1/streams", s.handlePostStream)
-	mux.HandleFunc("GET /v1/streams/{id}", s.handleGetStream)
-	mux.HandleFunc("DELETE /v1/streams/{id}", s.handleDeleteStream)
+	mux.HandleFunc("GET /v1/streams/{id}", s.handleGet(s.streams))
+	mux.HandleFunc("DELETE /v1/streams/{id}", s.handleDelete(s.streams))
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return mux
@@ -418,7 +432,7 @@ func (s *Server) ServeKeyed(w http.ResponseWriter, r *http.Request, req GenReque
 	// and a read that raced a finishing job's Put, which enqueue attaches
 	// to that job.
 
-	job, err := s.enqueue(key, canonical, req, began)
+	j, err := s.enqueue(key, canonical, req, began)
 	switch {
 	case errors.Is(err, errQueueFull):
 		s.metrics.rejectedQueueFull.Add(1)
@@ -435,7 +449,7 @@ func (s *Server) ServeKeyed(w http.ResponseWriter, r *http.Request, req GenReque
 	}
 
 	if req.Async {
-		WriteJSON(w, http.StatusAccepted, s.jobs.status(job))
+		WriteJSON(w, http.StatusAccepted, j.status())
 		return
 	}
 
@@ -445,15 +459,15 @@ func (s *Server) ServeKeyed(w http.ResponseWriter, r *http.Request, req GenReque
 	timer := time.NewTimer(s.cfg.RequestTimeout)
 	defer timer.Stop()
 	select {
-	case <-job.done:
+	case <-j.done:
 	case <-timer.C:
-		WriteJSON(w, http.StatusAccepted, s.jobs.status(job))
+		WriteJSON(w, http.StatusAccepted, j.status())
 		return
 	case <-r.Context().Done():
 		// Client gave up; the job continues for future requesters.
 		return
 	}
-	status := s.jobs.status(job)
+	status := j.status()
 	switch status.State {
 	case JobFailed:
 		err := fmt.Errorf("server: generation failed: %s", status.Error)
@@ -475,32 +489,42 @@ func (s *Server) ServeKeyed(w http.ResponseWriter, r *http.Request, req GenReque
 	s.writeProfile(w, key, payload)
 }
 
-func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.jobs.get(r.PathValue("id"))
-	if !ok {
-		WriteError(w, http.StatusNotFound, errors.New("server: unknown job"))
-		return
+// handleGet answers GET /v1/jobs/{id} or /v1/streams/{id} from reg.
+func (s *Server) handleGet(reg *registry) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if j, ok := lookup(w, r, reg); ok {
+			WriteJSON(w, http.StatusOK, j.wireStatus())
+		}
 	}
-	WriteJSON(w, http.StatusOK, s.jobs.status(job))
 }
 
-// handleDeleteJob cancels a job. Queued jobs finish immediately as
-// canceled; running ones have their generation context canceled and reach
-// the canceled state when the pipeline unwinds (the response reports the
-// state at return time, so a still-unwinding job may read "running").
-// Deleting a terminal job is a no-op, and the job stays queryable until
+// handleDelete cancels a job or stream. A queued job finishes canceled at
+// once; a running one has its context canceled and reaches the canceled
+// state when its pipeline unwinds (the response reports the state at
+// return time, so a still-unwinding job may read "running" — poll GET).
+// Deleting a terminal job is a no-op, and it stays queryable until
 // history evicts it — DELETE is safe to retry.
-func (s *Server) handleDeleteJob(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.jobs.get(r.PathValue("id"))
+func (s *Server) handleDelete(reg *registry) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		j, ok := lookup(w, r, reg)
+		if !ok {
+			return
+		}
+		if reg.cancel(j) {
+			s.metrics.cancellations.Add(1)
+			s.cfg.Logf("%s %s: cancel requested", reg.kind, j.id)
+		}
+		WriteJSON(w, http.StatusOK, j.wireStatus())
+	}
+}
+
+// lookup returns the job the request's path names in reg, or answers 404.
+func lookup(w http.ResponseWriter, r *http.Request, reg *registry) (*job, bool) {
+	j, ok := reg.get(r.PathValue("id"))
 	if !ok {
-		WriteError(w, http.StatusNotFound, errors.New("server: unknown job"))
-		return
+		WriteError(w, http.StatusNotFound, fmt.Errorf("server: unknown %s", reg.kind))
 	}
-	if s.jobs.cancel(job, time.Now()) {
-		s.metrics.cancellations.Add(1)
-		s.cfg.Logf("job %s: cancel requested", job.ID)
-	}
-	WriteJSON(w, http.StatusOK, s.jobs.status(job))
+	return j, ok
 }
 
 // handlePostStream starts a streaming ingest job and returns 202 with
@@ -511,7 +535,7 @@ func (s *Server) handlePostStream(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	job, err := s.startStream(req)
+	j, err := s.startStream(req)
 	switch {
 	case errors.Is(err, errDraining):
 		s.metrics.rejectedDraining.Add(1)
@@ -521,31 +545,7 @@ func (s *Server) handlePostStream(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	WriteJSON(w, http.StatusAccepted, job.status())
-}
-
-func (s *Server) handleGetStream(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.streams.get(r.PathValue("id"))
-	if !ok {
-		WriteError(w, http.StatusNotFound, errors.New("server: unknown stream"))
-		return
-	}
-	WriteJSON(w, http.StatusOK, job.status())
-}
-
-// handleDeleteStream cancels a stream. Like job cancellation, the
-// response reports the state at return time: a stream still unwinding
-// its detector work may read "running" — poll GET to observe the
-// canceled state. Deleting a terminal stream is a no-op.
-func (s *Server) handleDeleteStream(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.streams.get(r.PathValue("id"))
-	if !ok {
-		WriteError(w, http.StatusNotFound, errors.New("server: unknown stream"))
-		return
-	}
-	job.cancel()
-	s.cfg.Logf("stream %s: cancel requested", job.id)
-	WriteJSON(w, http.StatusOK, job.status())
+	WriteJSON(w, http.StatusAccepted, j.streamStatus())
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

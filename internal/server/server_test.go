@@ -323,17 +323,78 @@ func TestAsyncJobLifecycle(t *testing.T) {
 }
 
 // TestJobIDsNeverRepeat: ids below a million keep their six-digit bytes,
-// and a long-lived daemon's millionth-and-first job does not reissue the
-// first one's handle (a client polling that handle would read another
-// job's status).
+// and a long-lived daemon's millionth-and-first job or stream does not
+// reissue the first one's handle (a client polling that handle would read
+// another job's status). Job and stream ids both carry the node prefix.
 func TestJobIDsNeverRepeat(t *testing.T) {
-	for n, want := range map[int]string{1: "job-000001", 999_999: "job-999999", 1_000_001: "job-1000001"} {
-		if got := jobID(n); got != want {
-			t.Errorf("jobID(%d) = %q, want %q", n, got, want)
+	srv, ts, _ := newTestServer(t, &fakeGenerator{}, func(cfg *Config) { cfg.JobIDPrefix = "n0-" })
+	for _, reg := range []*registry{srv.jobs, srv.streams} {
+		for n, suffix := range map[int]string{1: "-000001", 999_999: "-999999", 1_000_001: "-1000001"} {
+			if got, want := reg.mintID(n), "n0-"+reg.kind+suffix; got != want {
+				t.Errorf("%s mintID(%d) = %q, want %q", reg.kind, n, got, want)
+			}
+		}
+		if reg.mintID(1_000_001) == reg.mintID(1) {
+			t.Fatalf("%s mintID(1_000_001) == mintID(1) == %q", reg.kind, reg.mintID(1))
 		}
 	}
-	if jobID(1_000_001) == jobID(1) {
-		t.Fatalf("jobID(1_000_001) == jobID(1) == %q", jobID(1))
+	if st := startAsyncJob(t, ts.URL, "SELECT AVG(count(car)) FROM small"); st.ID != "n0-job-000001" {
+		t.Errorf("first job id = %q, want n0-job-000001", st.ID)
+	}
+	j, err := srv.startStream(StreamRequest{Query: "SELECT AVG(count(car)) FROM small SAMPLE 0.001"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.cancel()
+	if j.id != "n0-stream-000001" {
+		t.Errorf("first stream id = %q, want n0-stream-000001", j.id)
+	}
+}
+
+// TestFullQueueHerdIsRefused: with the one worker busy and the queue
+// full, every POST of a new key answers 429. A job becomes visible to
+// coalescing only once the queue has taken it, so no request attaches to
+// a job the queue refused — such a request would wait out the request
+// timeout and get a 202 naming a job that answers 404.
+func TestFullQueueHerdIsRefused(t *testing.T) {
+	gen := &fakeGenerator{block: make(chan struct{}), started: make(chan struct{}, 1)}
+	_, ts, _ := newTestServer(t, gen, func(cfg *Config) {
+		cfg.Workers = 1
+		cfg.QueueDepth = 1
+		cfg.RequestTimeout = 1500 * time.Millisecond
+	})
+	defer close(gen.block)
+	startAsyncJob(t, ts.URL, "SELECT AVG(count(car)) FROM small")
+	<-gen.started                                                 // the worker is busy
+	startAsyncJob(t, ts.URL, "SELECT SUM(count(car)) FROM small") // the queue is full
+
+	const rounds, herd = 20, 64
+	for round := 0; round < rounds; round++ {
+		body, err := json.Marshal(GenRequest{Query: fmt.Sprintf("herd round %d", round)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		codes := make([]int, herd)
+		var wg sync.WaitGroup
+		for i := range codes {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				resp, err := http.Post(ts.URL+"/v1/profiles", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp.Body.Close()
+				codes[i] = resp.StatusCode
+			}()
+		}
+		wg.Wait()
+		for i, code := range codes {
+			if code != http.StatusTooManyRequests {
+				t.Fatalf("round %d: POST %d of %d answered %d, want 429", round, i, herd, code)
+			}
+		}
 	}
 }
 

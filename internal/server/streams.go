@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
-	"sync"
 	"time"
 
 	"smokescreen/internal/camera"
@@ -175,191 +173,87 @@ type StreamStatus struct {
 	SamplingOnly bool `json:"sampling_only,omitempty"`
 }
 
-// streamJob is one live ingest pipeline: a camera and a receiver joined by
-// an in-process pipe (stream.Loopback).
-type streamJob struct {
-	id      string
-	rs      *ResolvedStream
-	recv    *stream.Receiver
-	cancel  context.CancelFunc
-	created time.Time
-
-	mu       sync.Mutex
-	state    JobState
-	err      string
-	finished time.Time
-	windows  []stream.WindowResult // the last streamWindowHistory completed
+// recordWindow is a stream's OnWindow: it keeps the most recent completed
+// windows for the status endpoint.
+func (j *job) recordWindow(res stream.WindowResult) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if len(j.windows) == streamWindowHistory {
+		j.windows = slices.Delete(j.windows, 0, 1)
+	}
+	j.windows = append(j.windows, res)
 }
 
-// streamSet tracks stream jobs by id. Terminal jobs — each pins its
-// receiver's window state and its recorded windows — stay queryable for
-// the last jobHistory streams, by the rule generation jobs use
-// (evictTerminal); an evicted id answers 404 like an evicted job.
-type streamSet struct {
-	mu      sync.Mutex
-	nextID  int
-	byID    map[string]*streamJob
-	history []string // insertion-ordered ids, for eviction
+// streamStatus snapshots a stream job.
+func (j *job) streamStatus() StreamStatus {
+	j.mu.Lock()
+	st := StreamStatus{
+		ID:           j.id,
+		State:        j.state,
+		Error:        j.err,
+		Query:        j.query,
+		SamplingOnly: j.rs.SamplingOnly,
+		Window:       j.rs.Request.Window,
+		Stride:       j.rs.Request.Stride,
+		Loops:        j.rs.Request.Loops,
+		Created:      j.created,
+		Finished:     j.finished,
+		Windows:      slices.Clone(j.windows),
+	}
+	j.mu.Unlock()
+	st.Stream = j.recv.Status()
+	return st
 }
 
-func newStreamSet() *streamSet {
-	return &streamSet{byID: make(map[string]*streamJob)}
+// wireStatus is the job's GET and DELETE body: a stream's StreamStatus, a
+// generation's JobStatus.
+func (j *job) wireStatus() any {
+	if j.rs != nil {
+		return j.streamStatus()
+	}
+	return j.status()
 }
 
-// create builds the job's receiver — recording every completed window on
-// the job — and registers the job as running.
-func (ss *streamSet) create(rs *ResolvedStream, cancel context.CancelFunc, now time.Time) (*streamJob, error) {
-	job := &streamJob{rs: rs, cancel: cancel, created: now, state: JobRunning}
-	rs.Config.OnWindow = job.recordWindow
-	recv, err := stream.New(rs.Config)
+// startStream resolves the request, builds the pipeline, registers the
+// job as running and launches its goroutine.
+func (s *Server) startStream(req StreamRequest) (*streamJob, error) {
+	rs, err := ResolveStream(req)
 	if err != nil {
 		return nil, err
 	}
-	job.recv = recv
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	ss.nextID++
-	job.id = fmt.Sprintf("stream-%06d", ss.nextID)
-	ss.byID[job.id] = job
-	ss.history = evictTerminal(ss.byID, append(ss.history, job.id), (*streamJob).terminal, func(*streamJob) {})
-	return job, nil
-}
-
-func (job *streamJob) terminal() bool {
-	job.mu.Lock()
-	defer job.mu.Unlock()
-	return terminal(job.state)
-}
-
-func (ss *streamSet) get(id string) (*streamJob, bool) {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	job, ok := ss.byID[id]
-	return job, ok
-}
-
-// all returns the tracked jobs in id order.
-func (ss *streamSet) all() []*streamJob {
-	ss.mu.Lock()
-	jobs := make([]*streamJob, 0, len(ss.byID))
-	for _, job := range ss.byID {
-		jobs = append(jobs, job)
-	}
-	ss.mu.Unlock()
-	sort.Slice(jobs, func(i, j int) bool { return jobs[i].id < jobs[j].id })
-	return jobs
-}
-
-// cancelAll fires every job's cancel; terminal jobs ignore it.
-func (ss *streamSet) cancelAll() {
-	for _, job := range ss.all() {
-		job.cancel()
-	}
-}
-
-// activeAndMaxLag reports how many streams are still running and the
-// largest window lag among them, for the metrics scrape.
-func (ss *streamSet) activeAndMaxLag() (active int, maxLag int) {
-	for _, job := range ss.all() {
-		if job.terminal() {
-			continue
-		}
-		active++
-		if lag := job.recv.Status().WindowLag; lag > maxLag {
-			maxLag = lag
-		}
-	}
-	return active, maxLag
-}
-
-// finish records the job's terminal state.
-func (job *streamJob) finish(err error, now time.Time) {
-	job.mu.Lock()
-	defer job.mu.Unlock()
-	job.finished = now
-	switch {
-	case err == nil:
-		job.state = JobDone
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		job.state = JobCanceled
-		job.err = err.Error()
-	default:
-		job.state = JobFailed
-		job.err = err.Error()
-	}
-}
-
-// recordWindow is the receiver's OnWindow: it keeps the most recent
-// completed windows for the status endpoint.
-func (job *streamJob) recordWindow(res stream.WindowResult) {
-	job.mu.Lock()
-	defer job.mu.Unlock()
-	if len(job.windows) == streamWindowHistory {
-		job.windows = slices.Delete(job.windows, 0, 1)
-	}
-	job.windows = append(job.windows, res)
-}
-
-func (job *streamJob) status() StreamStatus {
-	job.mu.Lock()
-	state, errText, finished := job.state, job.err, job.finished
-	windows := slices.Clone(job.windows)
-	job.mu.Unlock()
-	req := &job.rs.Request
-	return StreamStatus{
-		ID:           job.id,
-		State:        state,
-		Error:        errText,
-		Query:        job.rs.Query,
-		SamplingOnly: job.rs.SamplingOnly,
-		Window:       req.Window,
-		Stride:       req.Stride,
-		Loops:        req.Loops,
-		Created:      job.created,
-		Finished:     finished,
-		Stream:       job.recv.Status(),
-		Windows:      windows,
-	}
-}
-
-// startStream resolves the request, builds the pipeline, and launches the
-// job's goroutine. The returned job is already running.
-func (s *Server) startStream(req StreamRequest) (*streamJob, error) {
-	if s.draining() {
-		return nil, errDraining
-	}
-	rs, err := ResolveStream(req)
-	if err != nil {
+	j := s.streams.newJob("", rs.Query)
+	j.rs = rs
+	rs.Config.OnWindow = j.recordWindow
+	if j.recv, err = stream.New(rs.Config); err != nil {
 		return nil, err
 	}
 	// The job context hangs off BaseContext, not the HTTP request: the
 	// stream outlives the POST that started it. DELETE, drain and a
 	// canceled BaseContext (a fleet node's Kill) stop it.
 	ctx, cancel := context.WithCancel(s.cfg.BaseContext)
-	job, err := s.streams.create(rs, cancel, time.Now())
-	if err != nil {
+	j.cancel = cancel
+	j.state = JobRunning
+	// s.mu orders the registration against stop, so drain cancels every
+	// stream it admitted.
+	s.mu.Lock()
+	if s.stopped {
+		s.mu.Unlock()
 		cancel()
-		return nil, err
+		return nil, errDraining
 	}
-
+	s.streams.mu.Lock()
+	s.streams.addLocked(j)
+	s.streams.mu.Unlock()
 	s.streamWG.Add(1)
+	s.mu.Unlock()
+
 	go func() { // owns the job's terminal state
 		defer s.streamWG.Done()
 		defer cancel()
-		_, runErr := rs.Run(ctx, job.recv)
-		job.finish(runErr, time.Now())
-		switch {
-		case runErr == nil:
-			s.cfg.Logf("stream %s: done (%d windows)", job.id, job.recv.Status().Windows)
-		case errors.Is(runErr, context.Canceled) || errors.Is(runErr, context.DeadlineExceeded):
-			s.metrics.streamsCanceled.Add(1)
-			s.cfg.Logf("stream %s: canceled: %v", job.id, runErr)
-		default:
-			s.metrics.streamFailures.Add(1)
-			s.cfg.Logf("stream %s: failed: %v", job.id, runErr)
-		}
+		_, runErr := rs.Run(ctx, j.recv)
+		s.end(s.streams, j, runErr, fmt.Sprintf("%d windows", j.recv.Status().Windows))
 	}()
 	s.metrics.streamsStarted.Add(1)
-	s.cfg.Logf("stream %s: started (%s, window %d, %d sessions)", job.id, rs.Query, rs.Request.Window, rs.Request.Loops)
-	return job, nil
+	s.cfg.Logf("stream %s: started (%s, window %d, %d sessions)", j.id, rs.Query, rs.Request.Window, rs.Request.Loops)
+	return j, nil
 }

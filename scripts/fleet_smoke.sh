@@ -15,6 +15,9 @@
 #      working degraded): exactly once, on the new key's first live
 #      replica (DESIGN.md §5.5, "generating node dies").
 #   3. SIGTERM the survivors and require clean drains.
+#
+# Before the herd, a stream started on node 1 is read and cancelled through
+# node 2: stream ids, like job ids, route to the node that minted them.
 set -eu
 
 GO=${GO:-go}
@@ -99,6 +102,39 @@ gen_count() {
 }
 
 QUERY="SELECT AVG(count(car)) FROM small"
+
+# json_field NAME: a top-level string field of the indented JSON on stdin.
+json_field() {
+    sed -n "s/^  \"$1\": \"\(.*\)\",\{0,1\}\$/\1/p"
+}
+
+echo "fleet-smoke: a stream started on node 1 is read and cancelled through node 2"
+STREAM=$(curl -sf -X POST "http://127.0.0.1:$P1/v1/streams" \
+    -d '{"query":"SELECT AVG(count(car)) FROM small SAMPLE 0.001","loops":100000,"disable_drift":true}')
+SID=$(echo "$STREAM" | json_field id)
+SQUERY=$(echo "$STREAM" | json_field query)
+[ -n "$SID" ] && [ -n "$SQUERY" ] || { echo "fleet-smoke: POST /v1/streams returned no id and query: $STREAM" >&2; exit 1; }
+VIA2=$(curl -sf "http://127.0.0.1:$P2/v1/streams/$SID") || {
+    echo "fleet-smoke: GET of node 1's stream $SID through node 2 failed" >&2
+    exit 1
+}
+if [ "$(echo "$VIA2" | json_field id)" != "$SID" ] || [ "$(echo "$VIA2" | json_field query)" != "$SQUERY" ]; then
+    echo "fleet-smoke: node 2 answered for $SID with another stream: $VIA2" >&2
+    exit 1
+fi
+curl -sf -X DELETE "http://127.0.0.1:$P2/v1/streams/$SID" >/dev/null || {
+    echo "fleet-smoke: DELETE of node 1's stream $SID through node 2 failed" >&2
+    exit 1
+}
+n=0
+until [ "$(curl -sf "http://127.0.0.1:$P1/v1/streams/$SID" | json_field state)" = canceled ]; do
+    n=$((n + 1))
+    if [ "$n" -gt 100 ]; then
+        echo "fleet-smoke: node 1 never reported stream $SID canceled" >&2
+        exit 1
+    fi
+    sleep 0.1
+done
 
 echo "fleet-smoke: hot-key herd across all nodes"
 "$WORKDIR/smokeload" -urls "$URLS" -scenario herd -clients 6 \
