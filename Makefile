@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build lint loc test test-race fuzz-smoke ci bench bench-kernels figures figures-quick examples examples-fast serve-smoke stream-smoke fleet-smoke herd-drill fleet-sim clean
+.PHONY: build lint loc test test-race fuzz-smoke ci bench bench-kernels perf figures figures-quick examples examples-fast serve-smoke stream-smoke fleet-smoke herd-drill fleet-sim clean
 
 # Pinned staticcheck version: `make lint` refuses other versions rather
 # than drift between hosts. staticcheck is optional — hermetic builders
@@ -129,8 +129,10 @@ bench:
 # against the historical pipeline retained in _test.go: whole patches on
 # the resample shapes the cold workloads hit, then the fused back half, the
 # tabled bilinear resample, the box kernel against the prefix-sum kernel it
-# replaced (a near-identity and a heavy box), the noise kernel alone, and one
-# noise row through its Go body and its AVX2 body. kernel/oracle
+# replaced (a near-identity and a heavy box), the noise kernel alone, one
+# noise row through its Go body and its AVX2 body, one patch-width row
+# through each resample row kernel's Go and AVX2 bodies (RowBodies), and
+# one plane row through the denoise's (SmoothRow). kernel/oracle
 # sub-benches run back to back, five times each, because only a ratio taken
 # within one run survives this host's speed drift. The frame-path line is
 # one frame through the codec each way, one camera session into a
@@ -143,10 +145,18 @@ bench:
 # the first deciding object).
 bench-kernels:
 	$(GO) test -run xxx -bench 'Kernel' -benchmem ./internal/raster/ ./internal/detect/
-	$(GO) test -run xxx -bench 'PatchComponentsFloat|BenchmarkFloatComponents' -benchmem -count 5 ./internal/detect/
-	$(GO) test -run xxx -bench 'BenchmarkBilinearInto|BenchmarkBoxInto|BenchmarkAddNoise|BenchmarkNoiseRow' -benchmem -count 5 ./internal/raster/
+	$(GO) test -run xxx -bench 'PatchComponentsFloat|BenchmarkFloatComponents|BenchmarkSmoothRow' -benchmem -count 5 ./internal/detect/
+	$(GO) test -run xxx -bench 'BenchmarkBilinearInto|BenchmarkBoxInto|BenchmarkAddNoise|BenchmarkNoiseRow|BenchmarkRowBodies' -benchmem -count 5 ./internal/raster/
 	$(GO) test -run xxx -bench 'BenchmarkEncodeFrame|BenchmarkDecodeFrame|BenchmarkCameraStream|BenchmarkReceiver' -benchmem ./internal/codec/ ./internal/camera/ ./internal/stream/
 	$(GO) test -run xxx -bench 'BenchmarkPresenceScan' -benchmem -count 5 ./internal/outputs/
+
+# Where the CPU goes: four testing.B benchmarks (cold sweep, cube, camera,
+# receiver) under -cpuprofile at GOMAXPROCS 1 and 2 on BASE and on the
+# working tree, written to PERF.md as each profile's top functions by flat
+# and cumulative share, side by side (scripts/perf.sh; ~2 min).
+BASE ?= HEAD
+perf:
+	sh ./scripts/perf.sh $(BASE) PERF.md
 
 # Full-scale evaluation reports (the EXPERIMENTS.md numbers). Detector
 # columns live in memory for the one run, so every run is cold (minutes).

@@ -114,7 +114,7 @@ func floatComponents(diff *plane, tau float64) []component {
 		if y+1 < h {
 			next, cy = diff.v[(y+1)*w:(y+2)*w], cy+1
 		}
-		smoothRow(srow, diff.v[y*w:(y+1)*w], prev, next, cy)
+		smoothRow(srow, diff.v[y*w:(y+1)*w], prev, next, cy, raster.SIMD())
 
 		rowLo := len(runs)
 		pi := prevLo
@@ -190,9 +190,13 @@ func floatComponents(diff *plane, tau float64) []component {
 
 // smoothRow writes one row of the 3x3 box denoise of a plane into out: cur
 // is the row, prev and next its neighbours (a row of +0 beyond an edge) and
-// cy the number of them in bounds. The slices are cut to one length so the
-// loop carries no bounds checks.
-func smoothRow(out, cur, prev, next []float32, cy int) {
+// cy the number of them in bounds. Each column sums its three rows, and each
+// output is the sum of three adjacent column sums (two at either end) times
+// the inverse window size. The slices are cut to one length so the loop
+// carries no bounds checks. With simd (raster.SIMD; false makes this the Go
+// body alone, the oracle), smoothRowAVX2 runs the loop eight iterations at a
+// time, carrying a and b in and out, and the loop below runs the len%8 tail.
+func smoothRow(out, cur, prev, next []float32, cy int, simd bool) {
 	out, prev, next = out[:len(cur)], prev[:len(cur)], next[:len(cur)]
 	if len(cur) == 1 {
 		out[0] = (cur[0] + prev[0] + next[0]) / float32(cy)
@@ -203,7 +207,13 @@ func smoothRow(out, cur, prev, next []float32, cy int) {
 	a := cur[0] + prev[0] + next[0]
 	b := cur[1] + prev[1] + next[1]
 	out[0] = (a + b) * inv2
-	for x := 2; x < len(cur); x++ {
+	x := 2
+	if simd {
+		m := (len(cur) - 2) &^ 7
+		a, b = smoothRowAVX2(out[1:1+m], cur[2:2+m], prev[2:2+m], next[2:2+m], a, b, inv3)
+		x += m
+	}
+	for ; x < len(cur); x++ {
 		c := cur[x] + prev[x] + next[x]
 		out[x-1] = (a + b + c) * inv3
 		a, b = b, c

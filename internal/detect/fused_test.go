@@ -351,6 +351,14 @@ func FuzzFloatComponents(f *testing.F) {
 	}
 	f.Add(uint8(0), uint8(0), uint8(10), []byte{255})
 	f.Add(uint8(6), uint8(0), uint8(0), []byte{0, 255})
+	// Plane widths 8k-1, 8k and 8k+1, so the denoise row's SIMD interior
+	// and every length of its tail run.
+	f.Add(uint8(14), uint8(9), uint8(20), []byte{128, 200, 90, 128, 250, 3, 128})
+	f.Add(uint8(15), uint8(16), uint8(12), []byte{0, 128, 255, 130, 126})
+	f.Add(uint8(16), uint8(5), uint8(30), []byte{140, 128, 128, 60, 128, 128, 128, 220, 128})
+	f.Add(uint8(30), uint8(3), uint8(8), []byte{128, 129, 127, 255, 0, 128})
+	f.Add(uint8(31), uint8(31), uint8(25), []byte{100, 160, 128, 128, 128, 90, 170, 128, 128, 128, 128})
+	f.Add(uint8(32), uint8(2), uint8(5), []byte{128, 255, 128, 0})
 	f.Fuzz(func(t *testing.T, wRaw, hRaw, tauRaw uint8, data []byte) {
 		requireSameComponents(t, "fuzz", fuzzPlane(wRaw, hRaw, data), float64(tauRaw)/256)
 	})

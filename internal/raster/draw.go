@@ -131,6 +131,21 @@ func (m *Image) NoisyDiffInto(dst []float32, bg *Image, seed uint64, sigma float
 	}
 }
 
+// noiseRow is the one noise kernel (see noiseRowGo for what it computes).
+// With simd the AVX2 body computes four pixels per iteration and the Go body
+// finishes the len%4 tail from its true column; otherwise the Go body runs
+// alone. The two are bit-identical: the hash is integer arithmetic, and the
+// float tail is the Go body's multiply, add, clamp and subtract in the same
+// order and operand order, with no FMA.
+func noiseRow(out, in, bg []float32, rowTerm uint64, step float32) {
+	n := 0
+	if simd {
+		n = len(out) &^ 3
+		noiseRowAVX2(out[:n], in[:n], bg[:n], rowTerm, step)
+	}
+	noiseRowGo(out, in, bg, rowTerm, step, n)
+}
+
 // noiseRowGo is the portable body of the one noise kernel noiseRow, and the
 // oracle its SIMD body is held to: out[x] = clamp01(in[x] + noise) - bg[x]
 // for columns x0 <= x < len(out) of one row (out may be in), noise being the

@@ -41,9 +41,9 @@ func pixDigest(img *Image) string {
 // re-seeds its window sum at every kernelRowBlock boundary, so the block
 // size reaches output bits; the image is 133 rows (four full blocks and a
 // partial one). Digests were captured on commit 58a0812, before the worker
-// fan-out was removed from forRowBlocks, and must never be updated for a
-// refactor: a forRowBlocks that runs one block over the whole image fails
-// the blur digest.
+// fan-out was removed from the row-block loop, and must never be updated
+// for a refactor: a vertical pass that runs one block over the whole image
+// fails the blur digest.
 func TestGoldenKernelBytes(t *testing.T) {
 	src := goldenImage(150, 133)
 	cases := []struct {

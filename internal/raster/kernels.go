@@ -2,20 +2,18 @@ package raster
 
 import "sync"
 
-// kernelRowBlock is the fixed row-block granule of the separable kernels.
-// The vertical blur pass re-seeds its running window sum at every block
-// boundary, so the block size is part of the numeric contract (pinned by
-// TestGoldenKernelBytes): block boundaries are a pure function of the
-// image height.
+// kernelRowBlock is the fixed row-block granule of BoxBlurInto's vertical
+// pass, which re-seeds its running window sum at every block boundary, so
+// the block size is part of the numeric contract (pinned by
+// TestGoldenKernelBytes): block boundaries are a pure function of the image
+// height.
 const kernelRowBlock = 32
 
-// forRowBlocks partitions [0, n) into kernelRowBlock-sized blocks and runs
-// fn(lo, hi) for each, in order, on the calling goroutine.
-func forRowBlocks(n int, fn func(lo, hi int)) {
-	for lo := 0; lo < n; lo += kernelRowBlock {
-		fn(lo, min(lo+kernelRowBlock, n))
-	}
-}
+// SIMD reports whether the row kernels run their AVX2 bodies: this package's
+// resample and noise rows and detect's denoise row. It is the one CPU
+// decision, made at package init; the Go bodies are bit-identical, so it
+// changes speed only.
+func SIMD() bool { return simd }
 
 // f64Pool recycles the float64 accumulator slabs (prefix sums, row sums,
 // sliding windows) that the separable kernels need per call. Pooled slabs

@@ -50,7 +50,7 @@ func checkNoiseRow(t *testing.T, seed int64, n, off int, alias bool, special int
 		noiseRow(got, in, bg, rowTerm, step)
 	}
 	ctx := "noiseRow"
-	if noiseSIMD {
+	if simd {
 		ctx = "noiseRowAVX2"
 	}
 	requireSameBits(t, ctx, got, want)
@@ -106,7 +106,7 @@ func BenchmarkNoiseRow(b *testing.B) {
 		}
 	})
 	b.Run("simd", func(b *testing.B) {
-		if !noiseSIMD {
+		if !simd {
 			b.Skip("noiseRow runs the Go body on this CPU")
 		}
 		b.SetBytes(152 * 4)

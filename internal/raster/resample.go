@@ -31,7 +31,7 @@ func Downsample(src *Image, w, h int) *Image {
 // GetScratch/PutScratch so per-frame rasters come from a pool instead of the
 // heap. dst and src must not alias.
 func DownsampleInto(dst, src *Image) {
-	resampleInto(dst, src, RectWH(0, 0, src.W, src.H), 0, dst.H)
+	resampleInto("DownsampleInto", dst, src, RectWH(0, 0, src.W, src.H), 0, dst.H)
 }
 
 // ResampleRegionInto resamples the rectangle r of src, which must lie inside
@@ -43,7 +43,7 @@ func DownsampleInto(dst, src *Image) {
 // Shrinking both axes is the box kernel (boxRowsInto); growing either axis
 // is bilinear (bilinearRowsInto); equal sizes copy.
 func ResampleRegionInto(dst, src *Image, r Rect) {
-	resampleInto(dst, src, r, 0, dst.H)
+	resampleInto("ResampleRegionInto", dst, src, r, 0, dst.H)
 }
 
 // ResampleRowsInto writes destination rows [lo, hi) of DownsampleInto(dst,
@@ -53,21 +53,22 @@ func ResampleRegionInto(dst, src *Image, r Rect) {
 // is its background wherever no object is) renders and resamples only the
 // band it needs.
 func ResampleRowsInto(dst, src *Image, lo, hi int) {
-	resampleInto(dst, src, RectWH(0, 0, src.W, src.H), lo, hi)
+	resampleInto("ResampleRowsInto", dst, src, RectWH(0, 0, src.W, src.H), lo, hi)
 }
 
 // resampleInto is the one resample: destination rows [lo, hi) of the
-// rectangle r of src resampled to dst's dimensions.
-func resampleInto(dst, src *Image, r Rect, lo, hi int) {
+// rectangle r of src resampled to dst's dimensions. entry is the exported
+// function the caller called, which its panics name.
+func resampleInto(entry string, dst, src *Image, r Rect, lo, hi int) {
 	w, h := dst.W, dst.H
 	if w <= 0 || h <= 0 {
-		panic("raster: DownsampleInto to non-positive size")
+		panic("raster: " + entry + " to non-positive size")
 	}
 	if r.Empty() || r.MinX < 0 || r.MinY < 0 || r.MaxX > src.W || r.MaxY > src.H {
-		panic("raster: resample region outside the source")
+		panic("raster: " + entry + " region outside the source")
 	}
 	if lo < 0 || hi > h || lo > hi {
-		panic("raster: ResampleRowsInto rows outside the destination")
+		panic("raster: " + entry + " rows outside the destination")
 	}
 	switch {
 	case lo == hi: // no rows to write
@@ -92,13 +93,13 @@ func resampleInto(dst, src *Image, r Rect, lo, hi int) {
 // background, then each object band), a camera session once per frame.
 type resampleTables struct {
 	sw, sh, w, h int
-	srcRows      []rowSpan     // each destination row's source rows
-	edges        []boxEdge     // box: the w+1 column window edges
-	inv          []float64     // box: 1 / each column window's width
-	cols, rows   []bilinearTap // bilinear: each destination column's and row's taps
-	ints         []float64     // box: each source row's integral over each column window
-	taps         []boxTap      // box: the current destination row's source rows
-	blend        []float32     // bilinear: two source rows blended at every column
+	srcRows      []rowSpan    // each destination row's source rows
+	edges        []boxEdge    // box: the w+1 column window edges
+	inv          []float64    // box: 1 / each column window's width
+	cols, rows   bilinearTaps // bilinear: each destination column's and row's taps
+	ints         []float64    // box: each source row's integral over each column window
+	taps         []boxTap     // box: the current destination row's source rows
+	blend        []float32    // bilinear: two source rows blended at every column
 }
 
 // rowSpan is the source rows [lo, hi) one destination row reads.
@@ -226,22 +227,18 @@ func (t *resampleTables) buildBox() {
 // Horizontal pass: a source row's integral over column dx's window is
 // E(dx+1) - E(dx), where E(k) is the row's integral up to window edge k (its
 // running prefix sum plus the edge pixel's fraction). Column dx's right edge
-// is column dx+1's left edge, so each edge is evaluated once per row, and two
-// rows' running sums — independent float64 chains, each summed in its own
-// order — advance together. Vertical pass: each column accumulates its
-// window's source rows with the boundary weights in a register, in source
-// row order, then normalises by the two window widths.
+// is column dx+1's left edge, so each edge is evaluated once per row, and
+// several rows' running sums — independent float64 chains, each summed in
+// its own order — advance together: four in the AVX2 body's lanes, two in
+// the Go body. Vertical pass: each column accumulates its window's source
+// rows with the boundary weights in a register, in source row order, then
+// normalises by the two window widths.
 func boxRowsInto(dst, src *Image, r Rect, lo, hi int, t *resampleTables) {
 	w, h := dst.W, dst.H
 	sh := r.H()
 	slo, shi := int(t.srcRows[lo].lo), int(t.srcRows[hi-1].hi)
 	t.ints = slices.Grow(t.ints[:0], (shi-slo)*w)[:(shi-slo)*w]
-	edges, inv, ints := t.edges, t.inv, t.ints
-
-	for sy := slo; sy < shi; sy += 2 {
-		sy1 := min(sy+1, shi-1) // an odd last row pairs with itself
-		integrateRows(ints[(sy-slo)*w:][:w], ints[(sy1-slo)*w:][:w], regionRow(src, r, sy), regionRow(src, r, sy1), edges)
-	}
+	integrateRows(t.ints, src, r, slo, shi, t.edges)
 
 	yRatio := float64(sh) / float64(h)
 	for dy := lo; dy < hi; dy++ {
@@ -253,35 +250,75 @@ func boxRowsInto(dst, src *Image, r Rect, lo, hi int, t *resampleTables) {
 			}
 		}
 		t.taps = taps
-		invY := 1 / (y1 - y0)
-		out := dst.Pix[dy*w : (dy+1)*w]
-		if len(taps) == 2 {
-			// Nearly every window of a near-identity box: the loop below,
-			// unrolled, because a two-step tap loop per column costs more
-			// than its arithmetic.
-			w0, w1 := taps[0].wy, taps[1].wy
-			r0, r1 := ints[taps[0].off:][:w], ints[taps[1].off:][:w]
-			for dx := range out {
-				acc := 0.0
-				acc += w0 * r0[dx]
-				acc += w1 * r1[dx]
-				out[dx] = float32(acc * inv[dx] * invY)
-			}
-			continue
-		}
-		for dx := range out {
-			acc := 0.0
-			for _, t := range taps {
-				acc += t.wy * ints[t.off+dx]
-			}
-			out[dx] = float32(acc * inv[dx] * invY)
-		}
+		boxCols(dst.Pix[dy*w:(dy+1)*w], t.ints, taps, t.inv, 1/(y1-y0))
 	}
 }
 
-// integrateRows writes two source rows' integrals over every column window,
-// out[dx] = E(dx+1) - E(dx) for each.
-func integrateRows(out0, out1 []float64, r0, r1 []float32, edges []boxEdge) {
+// boxCols is the box kernel's vertical pass for one destination row (see
+// boxColsGo). With simd the AVX2 body computes the columns four at a time
+// and the Go body the len%4 tail.
+func boxCols(out []float32, ints []float64, taps []boxTap, inv []float64, invY float64) {
+	n := 0
+	if simd {
+		n = len(out) &^ 3
+		boxColsAVX2(out[:n], ints, taps, inv[:n], invY)
+	}
+	boxColsGo(out, ints, taps, inv, invY, n)
+}
+
+// boxColsGo is the portable body of boxCols and its oracle: columns
+// x0 <= dx < len(out) of one destination row, each the sum over taps, in
+// order, of the tap's weight times its row's integral at dx, then times the
+// two inverse window widths.
+func boxColsGo(out []float32, ints []float64, taps []boxTap, inv []float64, invY float64, x0 int) {
+	inv = inv[:len(out)]
+	if len(taps) == 2 {
+		// Nearly every window of a near-identity box: the loop below,
+		// unrolled, because a two-step tap loop per column costs more than
+		// its arithmetic.
+		w0, w1 := taps[0].wy, taps[1].wy
+		r0, r1 := ints[taps[0].off:][:len(out)], ints[taps[1].off:][:len(out)]
+		for dx := max(x0, 0); dx < len(out); dx++ {
+			acc := 0.0
+			acc += w0 * r0[dx]
+			acc += w1 * r1[dx]
+			out[dx] = float32(acc * inv[dx] * invY)
+		}
+		return
+	}
+	for dx := max(x0, 0); dx < len(out); dx++ {
+		acc := 0.0
+		for _, t := range taps {
+			acc += t.wy * ints[t.off+dx]
+		}
+		out[dx] = float32(acc * inv[dx] * invY)
+	}
+}
+
+// integrateRows writes the integrals of source rows [slo, shi) of the
+// rectangle r of src over every column window, row sy's at
+// ints[(sy-slo)*w:], w = len(edges)-1. With simd the AVX2 body takes the
+// rows four at a time and the Go body the rest, two at a time.
+func integrateRows(ints []float64, src *Image, r Rect, slo, shi int, edges []boxEdge) {
+	w := len(edges) - 1
+	sy := slo
+	if simd {
+		for ; sy+4 <= shi; sy += 4 {
+			o := (r.MinY+sy)*src.W + r.MinX
+			integrateRows4AVX2(ints[(sy-slo)*w:][:4*w], src.Pix[o:o+3*src.W+r.W()], src.W, edges)
+		}
+	}
+	for ; sy < shi; sy += 2 {
+		sy1 := min(sy+1, shi-1) // an odd last row pairs with itself
+		integrateRowsGo(ints[(sy-slo)*w:][:w], ints[(sy1-slo)*w:][:w], regionRow(src, r, sy), regionRow(src, r, sy1), edges)
+	}
+}
+
+// integrateRowsGo writes two source rows' integrals over every column
+// window, out[dx] = E(dx+1) - E(dx) for each. It is the portable body of the
+// horizontal pass and the oracle of integrateRows4AVX2, which runs the same
+// chain per row.
+func integrateRowsGo(out0, out1 []float64, r0, r1 []float32, edges []boxEdge) {
 	// Known lengths spare r1's and the outputs' bounds checks.
 	r1, out0, out1 = r1[:len(r0)], out0[:len(edges)-1], out1[:len(edges)-1]
 	var s0, s1 float64 // each row's prefix sum of the columns before x
@@ -301,42 +338,40 @@ func integrateRows(out0, out1 []float64, r0, r1 []float32, edges []boxEdge) {
 	}
 }
 
-// bilinearTap is one destination index's clamped source pair along an axis:
-// samples i0 and i1 blended by f.
-type bilinearTap struct {
-	i0, i1 int32
-	f      float32
+// bilinearTaps is one axis's clamped source pairs as parallel columns:
+// destination index d blends source samples i0[d] and i1[d] by f[d]. The
+// AVX2 blend gathers through i0 and i1 directly.
+type bilinearTaps struct {
+	i0, i1 []int32
+	f      []float32
 }
 
-// makeBilinearTap maps destination index d (of dstN) to its source pair on an
-// axis of srcN samples. Coordinates are clamped to the source bounds, so edge
-// pixels replicate the nearest source sample.
-func makeBilinearTap(d, srcN, dstN int) bilinearTap {
-	s := (float64(d)+0.5)*float64(srcN)/float64(dstN) - 0.5
-	i0 := int(s)
-	f := float32(s - float64(i0))
-	if s <= 0 {
-		i0, f = 0, 0
-	} else if i0 >= srcN-1 {
-		i0, f = srcN-1, 0
+// build tables destination indices [0, dstN) on an axis of srcN samples.
+// Coordinates are clamped to the source bounds, so edge pixels replicate the
+// nearest source sample.
+func (a *bilinearTaps) build(srcN, dstN int) {
+	a.i0 = slices.Grow(a.i0[:0], dstN)[:dstN]
+	a.i1 = slices.Grow(a.i1[:0], dstN)[:dstN]
+	a.f = slices.Grow(a.f[:0], dstN)[:dstN]
+	for d := range dstN {
+		s := (float64(d)+0.5)*float64(srcN)/float64(dstN) - 0.5
+		i0 := int(s)
+		f := float32(s - float64(i0))
+		if s <= 0 {
+			i0, f = 0, 0
+		} else if i0 >= srcN-1 {
+			i0, f = srcN-1, 0
+		}
+		a.i0[d], a.i1[d], a.f[d] = int32(i0), int32(min(i0+1, srcN-1)), f
 	}
-	i1 := i0 + 1
-	if i1 > srcN-1 {
-		i1 = srcN - 1
-	}
-	return bilinearTap{i0: int32(i0), i1: int32(i1), f: f}
 }
 
 // buildBilinear tables the bilinear kernel's column and row taps.
 func (t *resampleTables) buildBilinear() {
-	t.cols = slices.Grow(t.cols[:0], t.w)[:t.w]
-	t.rows = slices.Grow(t.rows[:0], t.h)[:t.h]
-	for dx := range t.cols {
-		t.cols[dx] = makeBilinearTap(dx, t.sw, t.w)
-	}
-	for dy := range t.rows {
-		t.rows[dy] = makeBilinearTap(dy, t.sh, t.h)
-		t.srcRows[dy] = rowSpan{t.rows[dy].i0, t.rows[dy].i1 + 1}
+	t.cols.build(t.sw, t.w)
+	t.rows.build(t.sh, t.h)
+	for dy := range t.srcRows {
+		t.srcRows[dy] = rowSpan{t.rows.i0[dy], t.rows.i1[dy] + 1}
 	}
 }
 
@@ -344,7 +379,7 @@ func (t *resampleTables) buildBilinear() {
 // src with bilinear interpolation; used for the upsampling path (rendering
 // previews, and model input sizes above the capture resolution along either
 // axis — every patch of a 320-pixel corpus at YOLOv4's native 608). A
-// 1-pixel-wide or -high source tiles its row/column (see makeBilinearTap's
+// 1-pixel-wide or -high source tiles its row/column (see bilinearTaps.build's
 // clamp).
 //
 // The per-pixel form (bilinearNaiveInto, the test oracle) re-derives the
@@ -358,39 +393,67 @@ func (t *resampleTables) buildBilinear() {
 // so every sample is bit-identical to it.
 func bilinearRowsInto(dst, src *Image, r Rect, lo, hi int, t *resampleTables) {
 	w := dst.W
-	cols := t.cols
 	t.blend = slices.Grow(t.blend[:0], 2*w)[:2*w]
 	tops, bots := t.blend[:w], t.blend[w:]
 	topY, botY := -1, -1 // the source rows tops and bots hold
 	for dy := lo; dy < hi; dy++ {
-		ty := t.rows[dy]
-		y0, y1, fy := int(ty.i0), int(ty.i1), ty.f
+		y0, y1 := int(t.rows.i0[dy]), int(t.rows.i1[dy])
 		if y0 == botY {
 			tops, bots, topY, botY = bots, tops, botY, topY
 		}
 		if y0 != topY {
-			blendRow(tops, regionRow(src, r, y0), cols)
+			blendRow(tops, regionRow(src, r, y0), &t.cols)
 			topY = y0
 		}
 		if y1 != botY {
-			blendRow(bots, regionRow(src, r, y1), cols)
+			blendRow(bots, regionRow(src, r, y1), &t.cols)
 			botY = y1
 		}
-		out := dst.Pix[dy*w : (dy+1)*w]
-		for dx := range out {
-			top, bot := tops[dx], bots[dx]
-			out[dx] = top + (bot-top)*fy
-		}
+		lerpRow(dst.Pix[dy*w:(dy+1)*w], tops, bots, t.rows.f[dy])
 	}
 }
 
-// blendRow writes one source row blended at every destination column.
-func blendRow(out, row []float32, cols []bilinearTap) {
-	cols = cols[:len(out)]
-	for dx := range out {
-		c := &cols[dx]
-		v0, v1 := row[c.i0], row[c.i1]
-		out[dx] = v0 + (v1-v0)*c.f
+// blendRow writes one source row blended at every destination column (see
+// blendRowGo). With simd the AVX2 body computes eight columns per iteration
+// and the Go body the len%8 tail.
+func blendRow(out, row []float32, cols *bilinearTaps) {
+	n := 0
+	if simd {
+		n = len(out) &^ 7
+		blendRowAVX2(out[:n], row, cols.i0[:n], cols.i1[:n], cols.f[:n])
+	}
+	blendRowGo(out, row, cols, n)
+}
+
+// blendRowGo is the portable body of blendRow and its oracle: columns
+// x0 <= dx < len(out) of row blended horizontally at the column taps.
+func blendRowGo(out, row []float32, cols *bilinearTaps, x0 int) {
+	i0, i1, f := cols.i0[:len(out)], cols.i1[:len(out)], cols.f[:len(out)]
+	for dx := max(x0, 0); dx < len(out); dx++ {
+		v0, v1 := row[i0[dx]], row[i1[dx]]
+		out[dx] = v0 + (v1-v0)*f[dx]
+	}
+}
+
+// lerpRow writes the vertical blend of two blended source rows (see
+// lerpRowGo). With simd the AVX2 body computes eight columns per iteration
+// and the Go body the len%8 tail.
+func lerpRow(out, tops, bots []float32, fy float32) {
+	n := 0
+	if simd {
+		n = len(out) &^ 7
+		lerpRowAVX2(out[:n], tops[:n], bots[:n], fy)
+	}
+	lerpRowGo(out, tops, bots, fy, n)
+}
+
+// lerpRowGo is the portable body of lerpRow and its oracle: columns
+// x0 <= dx < len(out) of top + (bot-top)*fy.
+func lerpRowGo(out, tops, bots []float32, fy float32, x0 int) {
+	tops, bots = tops[:len(out)], bots[:len(out)]
+	for dx := max(x0, 0); dx < len(out); dx++ {
+		top, bot := tops[dx], bots[dx]
+		out[dx] = top + (bot-top)*fy
 	}
 }
 
@@ -429,25 +492,23 @@ func BoxBlurInto(dst, src *Image, r int) {
 	// Horizontal pass: hs[y*w+x] = sum of src row y over [x-r, x+r]&bounds.
 	hs := getF64(w * h)
 	defer putF64(hs)
-	forRowBlocks(h, func(lo, hi int) {
-		for y := lo; y < hi; y++ {
-			row := src.Pix[y*w : (y+1)*w]
-			out := hs[y*w : (y+1)*w]
-			var sum float64
-			for x := 0; x <= r && x < w; x++ {
-				sum += float64(row[x])
+	for y := 0; y < h; y++ {
+		row := src.Pix[y*w : (y+1)*w]
+		out := hs[y*w : (y+1)*w]
+		var sum float64
+		for x := 0; x <= r && x < w; x++ {
+			sum += float64(row[x])
+		}
+		for x := 0; x < w; x++ {
+			out[x] = sum
+			if x+r+1 < w {
+				sum += float64(row[x+r+1])
 			}
-			for x := 0; x < w; x++ {
-				out[x] = sum
-				if x+r+1 < w {
-					sum += float64(row[x+r+1])
-				}
-				if x-r >= 0 {
-					sum -= float64(row[x-r])
-				}
+			if x-r >= 0 {
+				sum -= float64(row[x-r])
 			}
 		}
-	})
+	}
 
 	// invCntX[x] = 1 / horizontal in-bounds window width.
 	invCntX := getF64(w)
@@ -463,34 +524,21 @@ func BoxBlurInto(dst, src *Image, r int) {
 		invCntX[x] = 1 / float64(x1-x0)
 	}
 
-	// Vertical pass: slide the row-sum window down each fixed block.
-	forRowBlocks(h, func(lo, hi int) {
-		vacc := getF64(w)
-		defer putF64(vacc)
-		for i := range vacc {
-			vacc[i] = 0
-		}
-		yw0, yw1 := lo-r, lo+r+1
-		if yw0 < 0 {
-			yw0 = 0
-		}
-		if yw1 > h {
-			yw1 = h
-		}
-		for y := yw0; y < yw1; y++ {
+	// Vertical pass: slide the row-sum window down each fixed block of
+	// kernelRowBlock rows, re-seeded at the block's first row.
+	vacc := getF64(w)
+	defer putF64(vacc)
+	for lo := 0; lo < h; lo += kernelRowBlock {
+		hi := min(lo+kernelRowBlock, h)
+		clear(vacc)
+		for y := max(lo-r, 0); y < min(lo+r+1, h); y++ {
 			row := hs[y*w : (y+1)*w]
 			for x := range vacc {
 				vacc[x] += row[x]
 			}
 		}
 		for y := lo; y < hi; y++ {
-			y0, y1 := y-r, y+r+1
-			if y0 < 0 {
-				y0 = 0
-			}
-			if y1 > h {
-				y1 = h
-			}
+			y0, y1 := max(y-r, 0), min(y+r+1, h)
 			invCntY := 1 / float64(y1-y0)
 			out := dst.Pix[y*w : (y+1)*w]
 			for x := range out {
@@ -511,5 +559,5 @@ func BoxBlurInto(dst, src *Image, r int) {
 				}
 			}
 		}
-	})
+	}
 }

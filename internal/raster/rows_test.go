@@ -41,7 +41,7 @@ func checkResampleRows(t *testing.T, src *Image, r Rect, dw, dh, lo, hi int) {
 	for i := range got.Pix {
 		got.Pix[i] = sentinel
 	}
-	resampleInto(got, poisoned, r, lo, hi)
+	resampleInto("resampleInto", got, poisoned, r, lo, hi)
 	for y := 0; y < dh; y++ {
 		for x := 0; x < dw; x++ {
 			g, w := got.Pix[y*dw+x], want.Pix[y*dw+x]
@@ -113,6 +113,14 @@ func FuzzResampleRows(f *testing.F) {
 	f.Add(uint8(60), uint8(40), uint8(114), uint8(76), uint8(0), uint8(76), uint8(3), uint8(5), uint8(7), int64(2))
 	f.Add(uint8(255), uint8(255), uint8(243), uint8(243), uint8(100), uint8(101), uint8(1), uint8(0), uint8(2), int64(3))
 	f.Add(uint8(149), uint8(132), uint8(142), uint8(126), uint8(40), uint8(57), uint8(9), uint8(11), uint8(13), int64(4))
+	// Destination widths 8k-1, 8k and 8k+1, so every SIMD body's tail runs:
+	// box shrinks to 15, 16 and 17 columns, bilinear growths to 39, 40, 41.
+	f.Add(uint8(63), uint8(40), uint8(14), uint8(9), uint8(0), uint8(10), uint8(5), uint8(3), uint8(7), int64(5))
+	f.Add(uint8(40), uint8(33), uint8(15), uint8(20), uint8(3), uint8(17), uint8(2), uint8(7), uint8(1), int64(6))
+	f.Add(uint8(20), uint8(70), uint8(16), uint8(61), uint8(1), uint8(60), uint8(7), uint8(0), uint8(31), int64(7))
+	f.Add(uint8(19), uint8(12), uint8(38), uint8(30), uint8(2), uint8(20), uint8(1), uint8(6), uint8(3), int64(8))
+	f.Add(uint8(23), uint8(23), uint8(39), uint8(40), uint8(0), uint8(40), uint8(4), uint8(4), uint8(4), int64(9))
+	f.Add(uint8(35), uint8(9), uint8(40), uint8(7), uint8(5), uint8(3), uint8(6), uint8(5), uint8(9), int64(10))
 	f.Fuzz(func(t *testing.T, sw, sh, dw, dh, lo, n, ox, oy, pad uint8, seed int64) {
 		w, h := 1+int(sw), 1+int(sh)
 		tw, th := 1+int(dw), 1+int(dh)
@@ -163,5 +171,31 @@ func TestDestinationRowsInvertsSourceRows(t *testing.T) {
 				t.Fatalf("%+v rows [%d,%d): DestinationRows [%d,%d), want [%d,%d)", c, a, b, lo, hi, wantLo, wantHi)
 			}
 		}
+	}
+}
+
+// TestResamplePanicsNameTheirEntryPoint: every resample entry point shares
+// resampleInto's checks, and each panic names the function its caller
+// called.
+func TestResamplePanicsNameTheirEntryPoint(t *testing.T) {
+	src := New(8, 8)
+	for _, c := range []struct {
+		want string
+		call func()
+	}{
+		{"raster: DownsampleInto to non-positive size", func() { DownsampleInto(&Image{W: 0, H: 4}, src) }},
+		{"raster: ResampleRegionInto to non-positive size", func() { ResampleRegionInto(&Image{W: 4, H: 0}, src, RectWH(0, 0, 4, 4)) }},
+		{"raster: ResampleRegionInto region outside the source", func() { ResampleRegionInto(New(2, 2), src, RectWH(6, 6, 4, 4)) }},
+		{"raster: ResampleRowsInto rows outside the destination", func() { ResampleRowsInto(New(4, 4), src, 2, 5) }},
+		{"raster: ResampleRowsInto to non-positive size", func() { ResampleRowsInto(&Image{W: 0, H: 0}, src, 0, 0) }},
+	} {
+		func() {
+			defer func() {
+				if got := recover(); got != c.want {
+					t.Errorf("panic %v, want %q", got, c.want)
+				}
+			}()
+			c.call()
+		}()
 	}
 }

@@ -30,40 +30,38 @@ func MotionBlurHInto(dst, src *Image, left, right, offX int) {
 	if w == 0 || h == 0 {
 		return
 	}
-	forRowBlocks(h, func(rowLo, rowHi int) {
-		for y := rowLo; y < rowHi; y++ {
-			srow := src.Pix[y*sw : y*sw+sw]
-			drow := dst.Pix[y*w : y*w+w]
-			// Seed the window for x = 0 by direct scan, then slide: each
-			// step admits column x+offX+right and retires x-1+offX-left,
-			// each clipped against src's bounds.
-			lo := offX - left
-			hi := offX + right
-			var sum float64
-			cnt := 0
-			for cx := max(lo, 0); cx <= min(hi, sw-1); cx++ {
-				sum += float64(srow[cx])
+	for y := 0; y < h; y++ {
+		srow := src.Pix[y*sw : y*sw+sw]
+		drow := dst.Pix[y*w : y*w+w]
+		// Seed the window for x = 0 by direct scan, then slide: each
+		// step admits column x+offX+right and retires x-1+offX-left,
+		// each clipped against src's bounds.
+		lo := offX - left
+		hi := offX + right
+		var sum float64
+		cnt := 0
+		for cx := max(lo, 0); cx <= min(hi, sw-1); cx++ {
+			sum += float64(srow[cx])
+			cnt++
+		}
+		for x := 0; x < w; x++ {
+			if cnt > 0 {
+				drow[x] = float32(sum / float64(cnt))
+			} else {
+				drow[x] = 0
+			}
+			if enter := hi + 1; enter >= 0 && enter < sw {
+				sum += float64(srow[enter])
 				cnt++
 			}
-			for x := 0; x < w; x++ {
-				if cnt > 0 {
-					drow[x] = float32(sum / float64(cnt))
-				} else {
-					drow[x] = 0
-				}
-				if enter := hi + 1; enter >= 0 && enter < sw {
-					sum += float64(srow[enter])
-					cnt++
-				}
-				if lo >= 0 && lo < sw {
-					sum -= float64(srow[lo])
-					cnt--
-				}
-				lo++
-				hi++
+			if lo >= 0 && lo < sw {
+				sum -= float64(srow[lo])
+				cnt--
 			}
+			lo++
+			hi++
 		}
-	})
+	}
 }
 
 // QuantizeLevels rounds every sample of img to the nearest of `levels`
@@ -81,10 +79,7 @@ func QuantizeLevels(img *Image, levels int) {
 	}
 	scale := float64(levels - 1)
 	inv := 1 / scale
-	forRowBlocks(img.H, func(rowLo, rowHi int) {
-		for i := rowLo * img.W; i < rowHi*img.W; i++ {
-			v := float64(clamp01(img.Pix[i]))
-			img.Pix[i] = float32(math.Round(v*scale) * inv)
-		}
-	})
+	for i, v := range img.Pix {
+		img.Pix[i] = float32(math.Round(float64(clamp01(v))*scale) * inv)
+	}
 }
