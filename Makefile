@@ -156,7 +156,7 @@ bench-kernels:
 # and cumulative share, side by side (scripts/perf.sh; ~2 min).
 BASE ?= HEAD
 perf:
-	sh ./scripts/perf.sh $(BASE) PERF.md
+	sh ./scripts/perf.sh $(BASE)
 
 # Full-scale evaluation reports (the EXPERIMENTS.md numbers). Detector
 # columns live in memory for the one run, so every run is cold (minutes).

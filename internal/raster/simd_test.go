@@ -80,7 +80,7 @@ func TestLerpRowMatchesGoBody(t *testing.T) {
 
 // TestBoxColsMatchesGoBody runs one to five taps (two is the Go body's
 // unrolled path) over rows of integrals at unaligned offsets, with special
-// values among them and among the window widths.
+// values among the integrals and among the inverse window widths.
 func TestBoxColsMatchesGoBody(t *testing.T) {
 	rng := rand.New(rand.NewSource(38))
 	for n := 0; n <= simdMaxWidth; n++ {
@@ -96,9 +96,9 @@ func TestBoxColsMatchesGoBody(t *testing.T) {
 			}
 			inv := make([]float64, off+n)[off:]
 			for i := range inv {
-				inv[i] = 1 / (1 + 20*rng.Float64())
+				inv[i] = simdInv(rng)
 			}
-			invY := 1 / (1 + 20*rng.Float64())
+			invY := simdInv(rng)
 			want := make([]float32, n)
 			boxColsGo(want, ints, taps, inv, invY, 0)
 			got := make([]float32, off+n)[off:]
@@ -106,6 +106,15 @@ func TestBoxColsMatchesGoBody(t *testing.T) {
 			requireSameBody(t, fmt.Sprintf("boxCols %d at +%d, %d taps", n, off, ntaps), got, want)
 		}
 	}
+}
+
+// simdInv is an inverse window width, 1/21 to 1, or one time in eight a
+// special value.
+func simdInv(rng *rand.Rand) float64 {
+	if rng.Intn(8) == 0 {
+		return float64(noiseSpecials[rng.Intn(len(noiseSpecials))])
+	}
+	return 1 / (1 + 20*rng.Float64())
 }
 
 // TestIntegrateRowsMatchesGoBody integrates bands of one to nine rows of a

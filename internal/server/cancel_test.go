@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"sync"
 	"testing"
 	"time"
 
@@ -157,12 +158,12 @@ func TestJobDeadlineFinishesCanceled(t *testing.T) {
 // mid-generation stops detector work (the invocation counter stops
 // advancing), finishes the job canceled — not failed — and leaves no
 // partial profile in the store. The second row cancels while core is still
-// constructing the correction set, whose growth steps are 195 native Mask
-// R-CNN frames of night-street each: construction may finish the step the
-// cancel lands in but never starts another, so the job stops within 195
-// invocations of the count when the cancel call returns. (A step takes a
-// few milliseconds, about as long as the cancel's round trip on a loaded
-// host, so the cancel may land in the first step or the second.)
+// constructing the correction set: night-street's first growth step alone
+// is 195 native Mask R-CNN frames, so a cancel at the first invocation
+// lands inside it and construction never starts a second step. A step can
+// take less time than the cancel's round trip, so that row runs under a
+// cancelGate, which holds the job at its first cancellation check after
+// detector work begins until the cancel call has returned.
 func TestCancelStopsDetectorWork(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real generation in -short mode")
@@ -171,7 +172,7 @@ func TestCancelStopsDetectorWork(t *testing.T) {
 		name string
 		req  GenRequest
 		// maxInvocations, when non-zero, bounds the detector work a cancel
-		// may leave behind after its call returns.
+		// at the first invocation may leave behind.
 		maxInvocations int64
 	}{
 		// A wide sweep (250 fractions, half the corpus at max) keeps the
@@ -183,11 +184,16 @@ func TestCancelStopsDetectorWork(t *testing.T) {
 			detect.ResetCaches()
 			t.Cleanup(detect.ResetCaches)
 
-			gen := &SystemGenerator{Parallelism: 1}
+			before := detect.Invocations()
+			var gen Generator = &SystemGenerator{Parallelism: 1}
+			gate := &cancelGate{before: before, release: make(chan struct{})}
+			if row.maxInvocations > 0 {
+				gen = gatedGenerator{gen, gate}
+			}
 			_, ts, st := newTestServer(t, gen, func(cfg *Config) { cfg.Workers = 1 })
+			t.Cleanup(gate.open) // after a failed cancel, before the server shuts down
 			client := &Client{BaseURL: ts.URL, PollInterval: 5 * time.Millisecond}
 
-			before := detect.Invocations()
 			req := row.req
 			req.Async = true
 			resp := postProfile(t, ts.URL, req)
@@ -211,7 +217,7 @@ func TestCancelStopsDetectorWork(t *testing.T) {
 			if _, err := client.CancelJob(context.Background(), job.ID); err != nil {
 				t.Fatal(err)
 			}
-			atCancel := detect.Invocations() - before
+			gate.open()
 			final := awaitState(t, client, job.ID, JobCanceled)
 			if final.Error == "" {
 				t.Fatal("canceled job carries no error detail")
@@ -223,8 +229,8 @@ func TestCancelStopsDetectorWork(t *testing.T) {
 			if now := detect.Invocations(); now != after {
 				t.Fatalf("detector work continued after cancel: %d -> %d", after, now)
 			}
-			if n := after - before; row.maxInvocations > 0 && n > atCancel+row.maxInvocations {
-				t.Fatalf("%d invocations, %d after the cancel returned at %d: construction started another growth step (%d)", n, n-atCancel, atCancel, row.maxInvocations)
+			if n := after - before; row.maxInvocations > 0 && n > row.maxInvocations {
+				t.Fatalf("cancel landed after %d invocations, past the correction set's first growth step (%d)", n, row.maxInvocations)
 			}
 
 			// No partial profile was persisted.
@@ -233,4 +239,41 @@ func TestCancelStopsDetectorWork(t *testing.T) {
 			}
 		})
 	}
+}
+
+// gatedGenerator generates under a cancelGate.
+type gatedGenerator struct {
+	Generator
+	gate *cancelGate
+}
+
+func (g gatedGenerator) Generate(ctx context.Context, req GenRequest) ([]byte, error) {
+	return g.Generator.Generate(gatedCtx{ctx, g.gate}, req)
+}
+
+// cancelGate holds the first cancellation check a generation makes after the
+// detector has run past its invocation count at before, until open is
+// called, so a cancel issued before open always lands at that check.
+type cancelGate struct {
+	before  int64
+	held    sync.Once
+	release chan struct{}
+	opened  sync.Once
+}
+
+func (g *cancelGate) open() { g.opened.Do(func() { close(g.release) }) }
+
+// gatedCtx is a context whose Err passes through its cancelGate. The
+// generation path derives no child contexts, so every check it makes
+// reaches Err.
+type gatedCtx struct {
+	context.Context
+	gate *cancelGate
+}
+
+func (c gatedCtx) Err() error {
+	if detect.Invocations() != c.gate.before {
+		c.gate.held.Do(func() { <-c.gate.release })
+	}
+	return c.Context.Err()
 }

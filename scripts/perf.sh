@@ -8,19 +8,19 @@
 # profile's top functions by flat and cumulative CPU share, base beside
 # change.
 #
-#   sh scripts/perf.sh [BASE [OUT]]   # BASE defaults to HEAD, OUT to PERF.md
+#   sh scripts/perf.sh [BASE]   # BASE defaults to HEAD
 #
-# PERF_BENCHTIME (default 2s) is each benchmark's -benchtime, PERF_TOP
-# (default 12) how many functions each side contributes to a table by flat
-# share. Shares are of each profile's total samples, so they compare across
-# the two trees even when host speed drifts between runs; ns/op does not.
+# Each benchmark runs for 2 s, and each side contributes its top 12
+# functions by flat share to a table. Shares are of each profile's total
+# samples, so they compare across the two trees even when host speed drifts
+# between runs; ns/op does not.
 set -eu
 
 cd "$(dirname "$0")/.."
 base=${1:-HEAD}
-out=${2:-PERF.md}
-benchtime=${PERF_BENCHTIME:-2s}
-top=${PERF_TOP:-12}
+out=PERF.md
+benchtime=2s
+top=12
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT INT TERM
