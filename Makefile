@@ -131,8 +131,9 @@ bench:
 # tabled bilinear resample, the box kernel against the prefix-sum kernel it
 # replaced (a near-identity and a heavy box), the noise kernel alone, one
 # noise row through its Go body and its AVX2 body, one patch-width row
-# through each resample row kernel's Go and AVX2 bodies (RowBodies), and
-# one plane row through the denoise's (SmoothRow). kernel/oracle
+# through each resample row kernel's Go and AVX2 bodies (RowBodies),
+# rendered-object fills against their per-row and per-pixel oracles (Fill),
+# and one plane row through the denoise's (SmoothRow). kernel/oracle
 # sub-benches run back to back, five times each, because only a ratio taken
 # within one run survives this host's speed drift. The frame-path line is
 # one frame through the codec each way, one camera session into a
@@ -146,7 +147,7 @@ bench:
 bench-kernels:
 	$(GO) test -run xxx -bench 'Kernel' -benchmem ./internal/raster/ ./internal/detect/
 	$(GO) test -run xxx -bench 'PatchComponentsFloat|BenchmarkFloatComponents|BenchmarkSmoothRow' -benchmem -count 5 ./internal/detect/
-	$(GO) test -run xxx -bench 'BenchmarkBilinearInto|BenchmarkBoxInto|BenchmarkAddNoise|BenchmarkNoiseRow|BenchmarkRowBodies' -benchmem -count 5 ./internal/raster/
+	$(GO) test -run xxx -bench 'BenchmarkBilinearInto|BenchmarkBoxInto|BenchmarkAddNoise|BenchmarkNoiseRow|BenchmarkRowBodies|BenchmarkFill' -benchmem -count 5 ./internal/raster/
 	$(GO) test -run xxx -bench 'BenchmarkEncodeFrame|BenchmarkDecodeFrame|BenchmarkCameraStream|BenchmarkReceiver' -benchmem ./internal/codec/ ./internal/camera/ ./internal/stream/
 	$(GO) test -run xxx -bench 'BenchmarkPresenceScan' -benchmem -count 5 ./internal/outputs/
 

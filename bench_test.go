@@ -174,6 +174,11 @@ func BenchmarkSweepFractions(b *testing.B) {
 	root := stats.NewStream(3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		// Every op is a cold sweep, as the cube's are: the detector caches
+		// would otherwise serve all but the first.
+		b.StopTimer()
+		detect.ResetCaches()
+		b.StartTimer()
 		if _, err := profile.SweepFractionsCtx(context.Background(), spec, opts, root.Child(uint64(i))); err != nil {
 			b.Fatal(err)
 		}

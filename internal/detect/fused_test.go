@@ -70,7 +70,8 @@ func spiralGrid(n, m int) []bool {
 
 // TestFloatComponentsMatchesOracle is the differential table: the fused
 // kernel against the retained blur3/absMask/connectedComponents triple over
-// degenerate and odd sizes and the mask shapes that stress a run-based
+// degenerate and odd sizes, widths about the mask's word boundaries, and
+// the mask shapes that stress a run-based
 // labeller — nothing masked, everything masked, a pixel checkerboard (most
 // runs, most components), a comb (every tooth its own label until the spine
 // row unites them all), U and spiral shapes (late unions across long
@@ -84,7 +85,10 @@ func spiralGrid(n, m int) []bool {
 func TestFloatComponentsMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	sizes := []int{1, 2, 3, 7, 64, 113}
-	for _, w := range sizes {
+	// Widths either side of the denoise mask's word boundaries (column 59
+	// is bit 64), so runs start, end and cross there.
+	widths := append([]int{63, 65, 127, 128, 129}, sizes...)
+	for _, w := range widths {
 		for _, h := range sizes {
 			w, h := w, h
 			cells := func(on func(cx, cy, n, m int) bool) func(x, y int) float32 {
@@ -309,10 +313,11 @@ func TestPatchComponentsFloatMatchesOracle(t *testing.T) {
 	}
 }
 
-// fuzzPlane decodes fuzz input into a difference plane: one byte per
-// sample, mapped onto [-1, 1).
+// fuzzPlane decodes fuzz input into a difference plane of up to 130x48
+// samples (wide enough for runs across the denoise mask's second word
+// boundary): one byte per sample, mapped onto [-1, 1).
 func fuzzPlane(wRaw, hRaw uint8, data []byte) *plane {
-	w, h := int(wRaw)%48+1, int(hRaw)%48+1
+	w, h := int(wRaw)%130+1, int(hRaw)%48+1
 	p := &plane{w: w, h: h, v: make([]float32, w*h)}
 	if len(data) == 0 {
 		return p
@@ -359,6 +364,14 @@ func FuzzFloatComponents(f *testing.F) {
 	f.Add(uint8(30), uint8(3), uint8(8), []byte{128, 129, 127, 255, 0, 128})
 	f.Add(uint8(31), uint8(31), uint8(25), []byte{100, 160, 128, 128, 128, 90, 170, 128, 128, 128, 128})
 	f.Add(uint8(32), uint8(2), uint8(5), []byte{128, 255, 128, 0})
+	// Widths 63–65 and 127–129, so runs start, end and cross the mask's
+	// word boundaries.
+	f.Add(uint8(62), uint8(4), uint8(20), []byte{250, 250, 250, 128, 6, 6, 128})
+	f.Add(uint8(63), uint8(7), uint8(16), []byte{128, 240, 240, 240, 240, 240, 240, 240, 128})
+	f.Add(uint8(64), uint8(3), uint8(30), []byte{255, 255, 255, 255, 255, 0, 0, 0, 0, 0, 128})
+	f.Add(uint8(126), uint8(5), uint8(10), []byte{128, 200, 60, 128, 128, 250, 250, 250})
+	f.Add(uint8(127), uint8(2), uint8(12), []byte{255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 128})
+	f.Add(uint8(128), uint8(9), uint8(24), []byte{0, 0, 0, 128, 255, 255, 255, 128, 130, 20})
 	f.Fuzz(func(t *testing.T, wRaw, hRaw, tauRaw uint8, data []byte) {
 		requireSameComponents(t, "fuzz", fuzzPlane(wRaw, hRaw, data), float64(tauRaw)/256)
 	})

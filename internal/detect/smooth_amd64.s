@@ -1,80 +1,113 @@
 #include "textflag.h"
 
-// VPERMPS indices rotating eight lanes up by one and by two.
-DATA smoothRot<>+0(SB)/4, $7
-DATA smoothRot<>+4(SB)/4, $0
-DATA smoothRot<>+8(SB)/4, $1
-DATA smoothRot<>+12(SB)/4, $2
-DATA smoothRot<>+16(SB)/4, $3
-DATA smoothRot<>+20(SB)/4, $4
-DATA smoothRot<>+24(SB)/4, $5
-DATA smoothRot<>+28(SB)/4, $6
-DATA smoothRot<>+32(SB)/4, $6
-DATA smoothRot<>+36(SB)/4, $7
-DATA smoothRot<>+40(SB)/4, $0
-DATA smoothRot<>+44(SB)/4, $1
-DATA smoothRot<>+48(SB)/4, $2
-DATA smoothRot<>+52(SB)/4, $3
-DATA smoothRot<>+56(SB)/4, $4
-DATA smoothRot<>+60(SB)/4, $5
-GLOBL smoothRot<>(SB), RODATA|NOPTR, $64
+// STEP computes the eight smoothed samples s of output columns [R12, R12+8)
+// into Y0, as eight iterations of smoothRow's loop: each lane sums the
+// column sums a, b and c (Y2) of its column's left neighbour, itself and
+// its right neighbour, each c = (cur+prev)+next, then s = ((a+b)+c)*inv3.
+// Each VADDPS and VMULPS takes as first source the operand the compiled Go
+// loop keeps in its destination register, since x86 returns the first
+// source's NaN when both are NaN. It then leaves in AX the eight mask bits
+// s > t || s < -t (ordered compares: NaN is never masked) and stores |s|
+// (the sign bit cleared, as math.Abs does) to out.
+#define STEP \
+	VMOVUPS   -4(SI)(R12*4), Y0;     \
+	VADDPS    -4(R8)(R12*4), Y0, Y0; \
+	VADDPS    -4(R9)(R12*4), Y0, Y0; \
+	VMOVUPS   (SI)(R12*4), Y1;       \
+	VADDPS    (R8)(R12*4), Y1, Y1;   \
+	VADDPS    (R9)(R12*4), Y1, Y1;   \
+	VMOVUPS   4(SI)(R12*4), Y2;      \
+	VADDPS    4(R8)(R12*4), Y2, Y2;  \
+	VADDPS    4(R9)(R12*4), Y2, Y2;  \
+	VADDPS    Y1, Y0, Y0;            \
+	VADDPS    Y2, Y0, Y0;            \
+	VMULPS    Y7, Y0, Y0;            \
+	VCMPPS    $0x1e, Y10, Y0, Y3;    \
+	VCMPPS    $0x11, Y11, Y0, Y4;    \
+	VORPS     Y4, Y3, Y3;            \
+	VANDPS    Y14, Y0, Y0;           \
+	VMOVUPS   Y0, (DI)(R12*4);       \
+	VMOVMSKPS Y3, AX
 
-// func smoothRowAVX2(out, cur, prev, next []float32, a, b, inv3 float32) (float32, float32)
+// func smoothRowAVX2(out, cur, prev, next []float32, mask []uint64, inv3, t float32) (float32, float32)
 //
-// Eight iterations of smoothRow's loop per step. C holds the step's column
-// sums c = (cur+prev)+next; lanes 6 and 7 of P hold the two sums before them
-// (a and b on entry), so the step's a and b are C rotated up by two and one
-// with P's last lanes blended in, and out = ((a+b)+c)*inv3. Each VADDPS and
-// VMULPS takes as first source the operand the compiled Go loop keeps in its
-// destination register, since x86 returns the first source's NaN when both
-// are NaN.
-TEXT ·smoothRowAVX2(SB), NOSPLIT, $0-120
+// smoothRow's loop over output columns [3, n-1) of an n-column row, n >= 12,
+// in steps of eight from column 3, and, when n-4 is not a multiple of
+// eight, one last step over [n-9, n-1), which recomputes some columns with
+// the same bits. A step from column 3+8k fills mask byte k+1: the bytes
+// gather in R11 (CX is the bit offset) and each word is stored whole, from
+// word 0 on, since a word read back soon after byte stores would stall on
+// store forwarding. The last step's bits are ORed in at bit n-4. Either
+// way the last step covers column n-2, so lanes 6 and 7 of its c are the
+// column sums of columns n-2 and n-1, which it returns.
+TEXT ·smoothRowAVX2(SB), NOSPLIT, $0-136
 	MOVQ         out_base+0(FP), DI
-	MOVQ         out_len+8(FP), CX
 	MOVQ         cur_base+24(FP), SI
+	MOVQ         cur_len+32(FP), BX
 	MOVQ         prev_base+48(FP), R8
 	MOVQ         next_base+72(FP), R9
-	VBROADCASTSS a+96(FP), Y4
-	VBROADCASTSS b+100(FP), Y5
-	VBLENDPS     $0x80, Y5, Y4, Y4 // P: a in lane 6, b in lane 7
-	VBROADCASTSS inv3+104(FP), Y7
-	VMOVUPS      smoothRot<>+0(SB), Y8
-	VMOVUPS      smoothRot<>+32(SB), Y9
-	SHRQ         $3, CX
-	JZ           done
-	VPERMPS      Y4, Y8, Y5 // P rotated up by one
-	VPERMPS      Y4, Y9, Y6 // P rotated up by two
+	MOVQ         mask_base+96(FP), R10
+	MOVQ         R10, R13
+	VBROADCASTSS inv3+120(FP), Y7
+	VBROADCASTSS t+124(FP), Y10
+	MOVL         t+124(FP), AX
+	XORL         $0x80000000, AX
+	VMOVD        AX, X11
+	VBROADCASTSS X11, Y11 // -t
+	MOVL         $0x7fffffff, AX
+	VMOVD        AX, X14
+	VBROADCASTSS X14, Y14 // |x| mask
+	LEAQ         -4(BX), DX
+	SHRQ         $3, DX   // steps from column 3
+	MOVQ         $3, R12
+	MOVQ         $8, CX
+	XORQ         R11, R11
 
 loop:
-	VMOVUPS (SI), Y0
-	VADDPS  (R8), Y0, Y0
-	VADDPS  (R9), Y0, Y0       // C
-	VPERMPS Y0, Y8, Y1         // C rotated up by one
-	VPERMPS Y0, Y9, Y2         // C rotated up by two
-	VBLENDPS $0x01, Y5, Y1, Y3 // b lanes: P7, C0..C6
-	VBLENDPS $0x03, Y6, Y2, Y4 // a lanes: P6, P7, C0..C5
-	VADDPS  Y3, Y4, Y4
-	VADDPS  Y0, Y4, Y4
-	VMULPS  Y7, Y4, Y4
-	VMOVUPS Y4, (DI)
-	VMOVAPS Y1, Y5
-	VMOVAPS Y2, Y6
-	ADDQ    $32, SI
-	ADDQ    $32, R8
-	ADDQ    $32, R9
-	ADDQ    $32, DI
-	DECQ    CX
-	JNZ     loop
+	STEP
+	SHLQ CX, AX
+	ORQ  AX, R11
+	ADDQ $8, CX
+	CMPQ CX, $64
+	JNE  next
+	MOVQ R11, (R10)
+	ADDQ $8, R10
+	XORQ R11, R11
+	XORQ CX, CX
 
-	// The last step's C6 and C7 are lanes 0 and 1 of C rotated up by two.
-	VMOVSS  X6, ret+112(FP)
-	VPSRLQ  $32, X6, X6
-	VMOVSS  X6, ret1+116(FP)
-	VZEROUPPER
-	RET
+next:
+	ADDQ  $8, R12
+	DECQ  DX
+	JNZ   loop
+	TESTQ CX, CX
+	JZ    last
+	MOVQ  R11, (R10)
 
-done:
-	VMOVSS X4, ret+112(FP)
-	VMOVSS X5, ret1+116(FP)
+last:
+	LEAQ -1(BX), DX
+	CMPQ R12, DX
+	JEQ  sums
+	LEAQ -9(BX), R12
+	STEP
+	LEAQ -4(BX), CX // the last step's first mask bit, (n-9)+5
+	MOVQ CX, DX
+	SHRQ $6, DX
+	ANDQ $63, CX
+	MOVQ AX, R11
+	SHLQ CX, R11
+	ORQ  R11, (R13)(DX*8)
+	CMPQ CX, $56
+	JLE  sums
+	NEGQ CX
+	ADDQ $64, CX
+	SHRQ CX, AX
+	ORQ  AX, 8(R13)(DX*8)
+
+sums:
+	VEXTRACTF128 $1, Y2, X2
+	VMOVHLPS     X2, X2, X2
+	VMOVSS       X2, ret+128(FP)
+	VPSRLQ       $32, X2, X2
+	VMOVSS       X2, ret1+132(FP)
 	VZEROUPPER
 	RET

@@ -7,22 +7,36 @@ import "math"
 // downsampling produces realistic partial-coverage boundary pixels instead
 // of hard binary masks.
 
-// FillRect paints a solid axis-aligned rectangle with intensity v.
+// FillRect paints a solid axis-aligned rectangle with intensity v: its
+// first clipped row is filled, then copied down.
 func (m *Image) FillRect(r Rect, v float32) {
 	r = r.Intersect(RectWH(0, 0, m.W, m.H))
-	v = clamp01(v)
-	for y := r.MinY; y < r.MaxY; y++ {
-		row := m.Pix[y*m.W+r.MinX : y*m.W+r.MaxX]
-		for i := range row {
-			row[i] = v
-		}
+	if r.Empty() {
+		return
+	}
+	first := m.Pix[r.MinY*m.W+r.MinX : r.MinY*m.W+r.MaxX]
+	fillRow(first, clamp01(v))
+	for y := r.MinY + 1; y < r.MaxY; y++ {
+		copy(m.Pix[y*m.W+r.MinX:y*m.W+r.MaxX], first)
+	}
+}
+
+// fillRow sets every sample of row to v.
+func fillRow(row []float32, v float32) {
+	for i := range row {
+		row[i] = v
 	}
 }
 
 // FillEllipse paints a filled ellipse inscribed in r with intensity v and a
 // one-pixel soft edge. dx² is tabled per column and dy² taken per row, each
 // the expression the per-pixel form (fillEllipseNaive, the test oracle)
-// evaluates per pixel, so every sample is bit-identical to it.
+// evaluates per pixel, so every sample is bit-identical to it. The interior,
+// d <= 0.92, is one span of each row: d = sqrt(dx² + dy²) does not decrease
+// away from the centre column, since |x + 0.5 - cx| is exact and the
+// division, square, add and sqrt are correctly rounded, so monotone. Each
+// row walks in from both ends with the per-pixel expression, blending the
+// soft edge, until it meets the span, and fills the span.
 func (m *Image) FillEllipse(r Rect, v float32) {
 	if r.Empty() {
 		return
@@ -40,23 +54,35 @@ func (m *Image) FillEllipse(r Rect, v float32) {
 		dx := (float64(clip.MinX+i) + 0.5 - cx) / rx
 		dx2[i] = dx * dx
 	}
+	fill := clamp01(v)
 	for y := clip.MinY; y < clip.MaxY; y++ {
 		dy := (float64(y) + 0.5 - cy) / ry
 		dy2 := dy * dy
 		row := m.Pix[y*m.W+clip.MinX : y*m.W+clip.MaxX]
-		for i, dx2 := range dx2 {
-			d := math.Sqrt(dx2 + dy2)
-			switch {
-			case d <= 0.92:
-				row[i] = clamp01(v)
-			case d <= 1.0:
-				// Soft edge: linear falloff blended over background.
-				t := float32((1.0 - d) / 0.08)
-				old := row[i]
-				row[i] = clamp01(old + (v-old)*t)
-			}
+		lo, hi := 0, len(row)
+		for lo < hi && !ellipseEdge(row, lo, math.Sqrt(dx2[lo]+dy2), v) {
+			lo++
 		}
+		for hi > lo && !ellipseEdge(row, hi-1, math.Sqrt(dx2[hi-1]+dy2), v) {
+			hi--
+		}
+		fillRow(row[lo:hi], fill)
 	}
+}
+
+// ellipseEdge reports whether a pixel at distance d lies in the ellipse's
+// interior (d <= 0.92) and otherwise paints it as the soft edge: a linear
+// falloff blended over the background for d <= 1, nothing beyond.
+func ellipseEdge(row []float32, i int, d float64, v float32) bool {
+	switch {
+	case d <= 0.92:
+		return true
+	case d <= 1.0:
+		t := float32((1.0 - d) / 0.08)
+		old := row[i]
+		row[i] = clamp01(old + (v-old)*t)
+	}
+	return false
 }
 
 // GradientV paints a vertical linear gradient from top intensity to bottom
@@ -132,8 +158,9 @@ func (m *Image) NoisyDiffInto(dst []float32, bg *Image, seed uint64, sigma float
 }
 
 // noiseRow is the one noise kernel (see noiseRowGo for what it computes).
-// With simd the AVX2 body computes four pixels per iteration and the Go body
-// finishes the len%4 tail from its true column; otherwise the Go body runs
+// With simd the AVX2 body computes the row's groups of four pixels, eight per
+// iteration, and the Go body finishes the len%4 tail from its true column;
+// otherwise the Go body runs
 // alone. The two are bit-identical: the hash is integer arithmetic, and the
 // float tail is the Go body's multiply, add, clamp and subtract in the same
 // order and operand order, with no FMA.

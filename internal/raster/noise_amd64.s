@@ -1,42 +1,123 @@
 #include "textflag.h"
 
-// Column lanes of the first group: uint64(x)<<32 for x = 0, 1, 2, 3.
+// Column lanes of the two chains: uint64(x)<<32 for x = 0, 2, 4, 6 (chain A)
+// and x = 1, 3, 5, 7 (chain B), so the chains' field sums interleave into
+// columns 0–7 in order.
 DATA noiseLanes<>+0(SB)/8, $0x0000000000000000
-DATA noiseLanes<>+8(SB)/8, $0x0000000100000000
-DATA noiseLanes<>+16(SB)/8, $0x0000000200000000
-DATA noiseLanes<>+24(SB)/8, $0x0000000300000000
-GLOBL noiseLanes<>(SB), RODATA|NOPTR, $32
+DATA noiseLanes<>+8(SB)/8, $0x0000000200000000
+DATA noiseLanes<>+16(SB)/8, $0x0000000400000000
+DATA noiseLanes<>+24(SB)/8, $0x0000000600000000
+DATA noiseLanes<>+32(SB)/8, $0x0000000100000000
+DATA noiseLanes<>+40(SB)/8, $0x0000000300000000
+DATA noiseLanes<>+48(SB)/8, $0x0000000500000000
+DATA noiseLanes<>+56(SB)/8, $0x0000000700000000
+GLOBL noiseLanes<>(SB), RODATA|NOPTR, $64
 
-// VPERMD indices gathering the low dword of each qword into the low lane.
-DATA noiseNarrow<>+0(SB)/4, $0
-DATA noiseNarrow<>+4(SB)/4, $2
-DATA noiseNarrow<>+8(SB)/4, $4
-DATA noiseNarrow<>+12(SB)/4, $6
-DATA noiseNarrow<>+16(SB)/4, $0
-DATA noiseNarrow<>+20(SB)/4, $0
-DATA noiseNarrow<>+24(SB)/4, $0
-DATA noiseNarrow<>+28(SB)/4, $0
-GLOBL noiseNarrow<>(SB), RODATA|NOPTR, $32
+// One step's lane advance, 8<<32 per qword.
+DATA noiseStep8<>+0(SB)/8, $0x0000000800000000
+DATA noiseStep8<>+8(SB)/8, $0x0000000800000000
+DATA noiseStep8<>+16(SB)/8, $0x0000000800000000
+DATA noiseStep8<>+24(SB)/8, $0x0000000800000000
+GLOBL noiseStep8<>(SB), RODATA|NOPTR, $32
+
+// The splitmix increment, per qword.
+DATA noiseGamma<>+0(SB)/8, $0x9e3779b97f4a7c15
+DATA noiseGamma<>+8(SB)/8, $0x9e3779b97f4a7c15
+DATA noiseGamma<>+16(SB)/8, $0x9e3779b97f4a7c15
+DATA noiseGamma<>+24(SB)/8, $0x9e3779b97f4a7c15
+GLOBL noiseGamma<>(SB), RODATA|NOPTR, $32
+
+// The Irwin–Hall centre 3<<20, per dword.
+DATA noiseCentre<>+0(SB)/8, $0x0030000000300000
+DATA noiseCentre<>+8(SB)/8, $0x0030000000300000
+DATA noiseCentre<>+16(SB)/8, $0x0030000000300000
+DATA noiseCentre<>+24(SB)/8, $0x0030000000300000
+GLOBL noiseCentre<>(SB), RODATA|NOPTR, $32
 
 // MUL64 sets z = z*c mod 2^64 in each qword, c's low and high dwords in clo
-// and chi: lo(z)·lo(c) + (hi(z)·lo(c) + lo(z)·hi(c))<<32.
-#define MUL64(z, clo, chi, t0, t1) \
-	VPSRLQ   $32, z, t0;  \
-	VPMULUDQ clo, t0, t0; \
-	VPMULUDQ chi, z, t1;  \
-	VPADDQ   t1, t0, t0;  \
-	VPSLLQ   $32, t0, t0; \
-	VPMULUDQ clo, z, z;   \
-	VPADDQ   t0, z, z
+// and chi: lo(z)·lo(c) + (hi(z)·lo(c) + lo(z)·hi(c))<<32; za and zb are
+// the two chains, interleaved instruction by instruction.
+#define MUL64(za, ta0, ta1, zb, tb0, tb1, clo, chi) \
+	VPSRLQ   $32, za, ta0;   \
+	VPSRLQ   $32, zb, tb0;   \
+	VPMULUDQ clo, ta0, ta0;  \
+	VPMULUDQ clo, tb0, tb0;  \
+	VPMULUDQ chi, za, ta1;   \
+	VPMULUDQ chi, zb, tb1;   \
+	VPADDQ   ta1, ta0, ta0;  \
+	VPADDQ   tb1, tb0, tb0;  \
+	VPSLLQ   $32, ta0, ta0;  \
+	VPSLLQ   $32, tb0, tb0;  \
+	VPMULUDQ clo, za, za;    \
+	VPMULUDQ clo, zb, zb;    \
+	VPADDQ   ta0, za, za;    \
+	VPADDQ   tb0, zb, zb
+
+// XSHR sets z ^= z>>s in both chains.
+#define XSHR(s, za, ta, zb, tb) \
+	VPSRLQ $s, za, ta; \
+	VPSRLQ $s, zb, tb; \
+	VPXOR  ta, za, za; \
+	VPXOR  tb, zb, zb
+
+// FIELD adds (z>>s)&M to the field sum f in both chains.
+#define FIELD(s, za, fa, ta, zb, fb, tb) \
+	VPSRLQ $s, za, ta; \
+	VPSRLQ $s, zb, tb; \
+	VPAND  Y9, ta, ta; \
+	VPAND  Y9, tb, tb; \
+	VPADDQ ta, fa, fa; \
+	VPADDQ tb, fb, fb
+
+// NOISE8 leaves in Y10 the eight centred Irwin–Hall sums n of the columns
+// whose lanes Y2 (chain A) and Y3 (chain B) hold, as int32 in column order:
+// per lane, z = (rowTerm ^ x<<32) + C0; z ^= z>>30; z *= C1; z ^= z>>27;
+// z *= C2; h = z ^ z>>31; n = h&M + (h>>21)&M + (h>>42)&M - 3<<20. Every
+// field sum is below 2^23, so it sits in its qword's low dword; chain B's is
+// shifted into the high dword and blended over chain A's.
+#define NOISE8 \
+	VPXOR    Y2, Y0, Y10;                                \
+	VPXOR    Y3, Y0, Y11;                                \
+	VPADDQ   noiseGamma<>(SB), Y10, Y10;                 \
+	VPADDQ   noiseGamma<>(SB), Y11, Y11;                 \
+	XSHR(30, Y10, Y12, Y11, Y13);                        \
+	MUL64(Y10, Y12, Y14, Y11, Y13, Y15, Y4, Y5);         \
+	XSHR(27, Y10, Y12, Y11, Y13);                        \
+	MUL64(Y10, Y12, Y14, Y11, Y13, Y15, Y6, Y7);         \
+	XSHR(31, Y10, Y12, Y11, Y13);                        \
+	VPAND    Y9, Y10, Y14;                               \
+	VPAND    Y9, Y11, Y15;                               \
+	FIELD(21, Y10, Y14, Y12, Y11, Y15, Y13);             \
+	FIELD(42, Y10, Y14, Y12, Y11, Y15, Y13);             \
+	VPSLLQ   $32, Y15, Y15;                              \
+	VPBLENDD $0xaa, Y15, Y14, Y10;                       \
+	VPSUBD   noiseCentre<>(SB), Y10, Y10
+
+// FINISH writes out = clamp01(in + float32(n)*step) - bg for the n in R10,
+// all eight lanes (R = Y) or the first four (R = X): each one IEEE single
+// operation in the Go body's operand order. VMAXPS and VMINPS take the bound
+// as first source, so they return the pixel itself on ±0 and NaN, as
+// clamp01 does.
+#define FINISH(R10, R11, R1, R8) \
+	VCVTDQ2PS R10, R10;      \
+	VMULPS    R1, R10, R10;  \
+	VMOVUPS   (SI), R11;     \
+	VADDPS    R10, R11, R10; \
+	VXORPS    R11, R11, R11; \
+	VMAXPS    R10, R11, R10; \
+	VMINPS    R10, R8, R10;  \
+	VSUBPS    (DX), R10, R10; \
+	VMOVUPS   R10, (DI)
 
 // func noiseRowAVX2(out, in, bg []float32, rowTerm uint64, step float32)
 //
 // Per lane this is noiseRowGo: the splitmix finalizer of
 // (rowTerm ^ x<<32) + 0x9e3779b97f4a7c15, its three 21-bit fields summed,
-// narrowed to int32 and centred (exact: |n| < 2^22), converted, then
-// n*step, in + that, the clamp, and - bg, each one IEEE single operation in
-// the Go body's operand order. VMAXPS and VMINPS take the bound as first
-// source, so they return the pixel itself on ±0 and NaN, as clamp01 does.
+// narrowed to int32 and centred, converted (exact: |n| < 2^22), then
+// n*step, in + that, the clamp, and - bg. Each step hashes eight columns as
+// two independent chains of four u64 lanes, so one chain's multiplies
+// run while the other's wait; a last group of four runs the same hash and
+// keeps its first four columns.
 TEXT ·noiseRowAVX2(SB), NOSPLIT, $0-84
 	MOVQ out_base+0(FP), DI
 	MOVQ out_len+8(FP), CX
@@ -44,78 +125,47 @@ TEXT ·noiseRowAVX2(SB), NOSPLIT, $0-84
 	MOVQ bg_base+48(FP), DX
 	SHRQ $2, CX
 	JZ   done
+	MOVQ CX, BX
+	ANDQ $1, BX // a last group of four
+	SHRQ $1, CX // steps of eight
 
 	VPBROADCASTQ rowTerm+72(FP), Y0
-	VBROADCASTSS step+80(FP), X1
-	VMOVDQU      noiseLanes<>(SB), Y2
-	MOVQ         $0x0000000400000000, AX
-	VMOVQ        AX, X3
-	VPBROADCASTQ X3, Y3
-	MOVQ         $0x9e3779b97f4a7c15, AX
+	VBROADCASTSS step+80(FP), Y1
+	VMOVDQU      noiseLanes<>+0(SB), Y2
+	VMOVDQU      noiseLanes<>+32(SB), Y3
+	MOVQ         $0xbf58476d1ce4e5b9, AX
 	VMOVQ        AX, X4
 	VPBROADCASTQ X4, Y4
-	MOVQ         $0xbf58476d1ce4e5b9, AX
-	VMOVQ        AX, X5
-	VPBROADCASTQ X5, Y5
-	VPSRLQ       $32, Y5, Y6
+	VPSRLQ       $32, Y4, Y5
 	MOVQ         $0x94d049bb133111eb, AX
-	VMOVQ        AX, X7
-	VPBROADCASTQ X7, Y7
-	VPSRLQ       $32, Y7, Y8
+	VMOVQ        AX, X6
+	VPBROADCASTQ X6, Y6
+	VPSRLQ       $32, Y6, Y7
+	MOVL         $0x3f800000, AX
+	VMOVQ        AX, X8
+	VBROADCASTSS X8, Y8
 	MOVQ         $0x1fffff, AX
 	VMOVQ        AX, X9
 	VPBROADCASTQ X9, Y9
-	VMOVDQU      noiseNarrow<>(SB), Y10
-	MOVL         $0x300000, AX
-	VMOVQ        AX, X11
-	VPBROADCASTD X11, X11
-	MOVL         $0x3f800000, AX
-	VMOVQ        AX, X12
-	VBROADCASTSS X12, X12
+	TESTQ        CX, CX
+	JZ           four
 
 loop:
-	// z = (rowTerm ^ x<<32) + C0; z ^= z>>30; z *= C1
-	VPXOR  Y2, Y0, Y13
-	VPADDQ Y4, Y13, Y13
-	VPSRLQ $30, Y13, Y14
-	VPXOR  Y14, Y13, Y13
-	MUL64(Y13, Y5, Y6, Y14, Y15)
-
-	// z ^= z>>27; z *= C2; h = z ^ z>>31
-	VPSRLQ $27, Y13, Y14
-	VPXOR  Y14, Y13, Y13
-	MUL64(Y13, Y7, Y8, Y14, Y15)
-	VPSRLQ $31, Y13, Y14
-	VPXOR  Y14, Y13, Y13
-
-	// n = h&M + (h>>21)&M + (h>>42)&M - 3<<20, as four int32
-	VPAND   Y9, Y13, Y14
-	VPSRLQ  $21, Y13, Y15
-	VPAND   Y9, Y15, Y15
-	VPADDQ  Y15, Y14, Y14
-	VPSRLQ  $42, Y13, Y15
-	VPAND   Y9, Y15, Y15
-	VPADDQ  Y15, Y14, Y14
-	VPERMD  Y14, Y10, Y14
-	VPSUBD  X11, X14, X14
-
-	// out = clamp01(in + float32(n)*step) - bg
-	VCVTDQ2PS X14, X14
-	VMULPS    X1, X14, X14
-	VMOVUPS   (SI), X15
-	VADDPS    X14, X15, X14
-	VXORPS    X15, X15, X15
-	VMAXPS    X14, X15, X14
-	VMINPS    X14, X12, X14
-	VSUBPS    (DX), X14, X14
-	VMOVUPS   X14, (DI)
-
-	VPADDQ Y3, Y2, Y2
-	ADDQ   $16, SI
-	ADDQ   $16, DX
-	ADDQ   $16, DI
+	NOISE8
+	FINISH(Y10, Y11, Y1, Y8)
+	VPADDQ noiseStep8<>(SB), Y2, Y2
+	VPADDQ noiseStep8<>(SB), Y3, Y3
+	ADDQ   $32, SI
+	ADDQ   $32, DX
+	ADDQ   $32, DI
 	DECQ   CX
 	JNZ    loop
+
+four:
+	TESTQ BX, BX
+	JZ    done
+	NOISE8
+	FINISH(X10, X11, X1, X8)
 
 done:
 	VZEROUPPER

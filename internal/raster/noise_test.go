@@ -64,7 +64,9 @@ func noiseRowStep(u float64) float32 {
 
 // TestNoiseRowMatchesGoBody sweeps every row length 0–300 at each unaligned
 // offset, in place and not, with and without special values, over row terms
-// and sigmas from 2^-20 to 1. Non-finite steps (an infinite or NaN sigma)
+// and sigmas from 2^-20 to 1. Every len%8 runs: the AVX2 body's eight-pixel
+// steps alone, with its last group of four, and either beside the Go
+// body's len%4 tail. Non-finite steps (an infinite or NaN sigma)
 // make the noise term itself a NaN beside NaN pixels, which pins the add's
 // operand order: x86 returns the first source's NaN.
 func TestNoiseRowMatchesGoBody(t *testing.T) {

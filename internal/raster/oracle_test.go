@@ -60,8 +60,19 @@ func bilinearNaiveInto(dst, src *Image) {
 // makes for a growing axis; the oracle comparisons and golden digests below
 // take it by this name.
 func bilinearInto(dst, src *Image) {
+	bilinearTablesInto(dst, src, bilinearTables(dst, src))
+}
+
+// bilinearTables builds fresh bilinear tables for src's shape resampled to
+// dst's.
+func bilinearTables(dst, src *Image) *resampleTables {
 	t := &resampleTables{sw: src.W, sh: src.H, w: dst.W, h: dst.H, srcRows: make([]rowSpan, dst.H)}
 	t.buildBilinear()
+	return t
+}
+
+// bilinearTablesInto is bilinearInto over tables built beforehand.
+func bilinearTablesInto(dst, src *Image, t *resampleTables) {
 	bilinearRowsInto(dst, src, RectWH(0, 0, src.W, src.H), 0, dst.H, t)
 }
 
@@ -188,6 +199,19 @@ func (m *Image) fillEllipseNaive(r Rect, v float32) {
 				old := m.At(x, y)
 				m.Set(x, y, old+(v-old)*t)
 			}
+		}
+	}
+}
+
+// fillRectNaive is the historical FillRect: every clipped row filled by a
+// store loop of its own.
+func (m *Image) fillRectNaive(r Rect, v float32) {
+	r = r.Intersect(RectWH(0, 0, m.W, m.H))
+	v = clamp01(v)
+	for y := r.MinY; y < r.MaxY; y++ {
+		row := m.Pix[y*m.W+r.MinX : y*m.W+r.MaxX]
+		for i := range row {
+			row[i] = v
 		}
 	}
 }
@@ -337,6 +361,13 @@ func TestFillEllipseMatchesNaive(t *testing.T) {
 		RectWH(0, 0, 1, 1), RectWH(3, 3, 1, 9), RectWH(3, 3, 9, 1), RectWH(5, 5, 0, 4),
 		{MinX: 9, MinY: 9, MaxX: 2, MaxY: 2}, RectWH(-30, -20, 15, 10), RectWH(-5, -7, 80, 70),
 		RectWH(60, 40, 30, 30), RectWH(2, 3, 2, 3),
+		// Wider or taller than the image.
+		RectWH(-40, 10, 160, 30), RectWH(5, -30, 20, 130), RectWH(-50, -50, 180, 160),
+		// Centre outside the clip: left, above, below right.
+		RectWH(-50, 10, 80, 30), RectWH(10, -40, 30, 60), RectWH(50, 30, 40, 40),
+		// Rows without an interior span: the clip holds only the soft
+		// edge, or they are the top and bottom rows of a tall ellipse.
+		RectWH(-38, 10, 40, 30), RectWH(70, 5, 40, 30), RectWH(20, 5, 4, 40),
 	}
 	for i := 0; i < 300; i++ {
 		x, y := rng.Intn(100)-20, rng.Intn(80)-20
@@ -352,6 +383,31 @@ func TestFillEllipseMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestFillRectMatchesNaive compares FillRect's row-copy fill with the
+// per-row store loop over clipped, empty, inverted, one-row, one-column and
+// whole-image rectangles, and random ones, at in- and out-of-range
+// intensities (NaN included, which clamp01 passes through).
+func TestFillRectMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	rects := []Rect{
+		{}, RectWH(5, 5, 0, 4), RectWH(5, 5, 4, 0), {MinX: 9, MinY: 9, MaxX: 2, MaxY: 2},
+		RectWH(-30, -20, 15, 10), RectWH(200, 3, 5, 5),
+		RectWH(3, 7, 20, 1), RectWH(-5, 0, 200, 1), RectWH(10, 3, 1, 30),
+		RectWH(0, 0, 1, 1), RectWH(-2, -2, 100, 100), RectWH(-5, 10, 30, 8), RectWH(50, 40, 30, 30),
+	}
+	for i := 0; i < 200; i++ {
+		rects = append(rects, RectWH(rng.Intn(100)-20, rng.Intn(80)-20, rng.Intn(60), rng.Intn(50)))
+	}
+	for i, r := range rects {
+		src := randomImage(rng, 64+rng.Intn(9), 48+rng.Intn(9))
+		v := []float32{0.7, 0, 1, 1.4, -0.3, float32(math.NaN())}[i%6]
+		want, got := src.Clone(), src.Clone()
+		want.fillRectNaive(r, v)
+		got.FillRect(r, v)
+		requireSameBits(t, fmt.Sprintf("FillRect %+v v=%v", r, v), got.Pix, want.Pix)
+	}
+}
+
 func TestNoisyDiffIntoSizeMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -363,14 +419,18 @@ func TestNoisyDiffIntoSizeMismatchPanics(t *testing.T) {
 
 // BenchmarkBilinearInto is the patch-shaped upsample (a 60x40 native region
 // to YOLOv4's 608 from a 320-pixel corpus), kernel against the per-pixel
-// reference.
+// reference. The kernel's tables are built (and its blend row grown) once,
+// outside the timed loop, as the pooled DownsampleInto path reuses them per
+// shape.
 func BenchmarkBilinearInto(b *testing.B) {
 	src := benchImage(60, 40)
 	dst := New(114, 76)
+	t := bilinearTables(dst, src)
+	bilinearTablesInto(dst, src, t)
 	for _, k := range []struct {
 		name string
 		fn   func(dst, src *Image)
-	}{{"kernel", bilinearInto}, {"oracle", bilinearNaiveInto}} {
+	}{{"kernel", func(dst, src *Image) { bilinearTablesInto(dst, src, t) }}, {"oracle", bilinearNaiveInto}} {
 		b.Run(k.name, func(b *testing.B) {
 			b.SetBytes(int64(len(dst.Pix)) * 4)
 			b.ReportAllocs()
@@ -417,6 +477,28 @@ func BenchmarkAddNoise(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				k.fn(uint64(i), 0.02)
+			}
+		})
+	}
+}
+
+// BenchmarkFill paints rendered-object shapes — a car body, its cabin, a
+// person and a face, one of them clipped by the frame's edge — into a
+// 320x240 frame, FillRect and FillEllipse each beside its oracle.
+func BenchmarkFill(b *testing.B) {
+	img := benchImage(320, 240)
+	rects := []Rect{RectWH(100, 80, 56, 30), RectWH(114, 80, 28, 12), RectWH(200, 120, 18, 44), RectWH(300, 40, 40, 40)}
+	for _, k := range []struct {
+		name string
+		fn   func(r Rect, v float32)
+	}{
+		{"FillRect/kernel", img.FillRect}, {"FillRect/oracle", img.fillRectNaive},
+		{"FillEllipse/kernel", img.FillEllipse}, {"FillEllipse/oracle", img.fillEllipseNaive},
+	} {
+		b.Run(k.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				k.fn(rects[i%len(rects)], 0.7)
 			}
 		})
 	}

@@ -30,9 +30,11 @@ func xgetbv() (eax, edx uint32)
 // operation, in the Go body's order, with no FMA (resample_amd64.s says
 // which operand each add takes first).
 
-// noiseRowAVX2 is noiseRowGo, four pixels per iteration, with in and bg at
-// least as long as out; out may be in (each group of four is loaded before
-// it is stored), but must not otherwise overlap it.
+// noiseRowAVX2 is noiseRowGo over len(out) columns, a multiple of 4: eight
+// pixels per iteration as two chains of four hashes, then any last group of
+// four through the same body, with in and bg at least as long as out; out
+// may be in (each group is loaded before it is stored), but must not
+// otherwise overlap it.
 //
 //go:noescape
 func noiseRowAVX2(out, in, bg []float32, rowTerm uint64, step float32)

@@ -46,12 +46,13 @@ run_stage benchmark-selftest sh -c 'cd benchmark && go test ./...'
 # and its back half (synthetic and real difference planes) against their
 # retained oracles, the noise kernel and its row (Go body and AVX2), the
 # resample kernels against their oracles and each resample and denoise row
-# through its Go and AVX2 bodies, and each half of the stream frame path — the
+# through its Go and AVX2 bodies, the object fills against theirs, and each
+# half of the stream frame path — the
 # camera alone and the receiver alone over captured wire bytes — so a
 # benchmark that stops compiling or running fails here. Figure generation
 # and ladders are exercised by `make test` (internal/experiments) and
 # benchmark-selftest.
-run_stage bench-smoke sh -c "go test -run '^\$' -bench . -benchtime=1x -short . && go test -run '^\$' -bench 'PresenceScan|PatchComponentsFloat|FloatComponents|SmoothRow|AddNoise|NoiseRow|BilinearInto|BoxInto|RowBodies|CameraStream|Receiver' -benchtime=1x -short ./internal/outputs/ ./internal/detect/ ./internal/raster/ ./internal/camera/ ./internal/stream/"
+run_stage bench-smoke sh -c "go test -run '^\$' -bench . -benchtime=1x -short . && go test -run '^\$' -bench 'PresenceScan|PatchComponentsFloat|FloatComponents|SmoothRow|AddNoise|NoiseRow|BilinearInto|BoxInto|RowBodies|BenchmarkFill|CameraStream|Receiver' -benchtime=1x -short ./internal/outputs/ ./internal/detect/ ./internal/raster/ ./internal/camera/ ./internal/stream/"
 # The profile service end to end: `curve -remote` through a live daemon and
 # the in-process `curve` print the same key and points, store hit on the
 # second request, SIGTERM drain (scripts/serve_smoke.sh).

@@ -58,7 +58,7 @@ profile base "$tmp/base"
 profile change .
 
 # The patch path's kernels, whose cumulative shares lead the report.
-kernels='raster.resampleInto raster.bilinearRowsInto raster.boxRowsInto raster.noiseRow detect.smoothRow detect.floatComponents'
+kernels='raster.resampleInto raster.bilinearRowsInto raster.boxRowsInto raster.noiseRow detect.smoothRow detect.floatComponents raster.(*Image).FillRect raster.(*Image).FillEllipse'
 
 # kernelrows NAME N PROCS: one row per kernel either side's profile holds.
 kernelrows() {
@@ -109,8 +109,6 @@ table() {
 	echo "cum: with its callees), from \`go tool pprof -top\`. Each table lists the union"
 	echo "of both sides' top $top functions by flat share; — is below pprof's cut."
 	echo "ns/op drifts with the host between runs; compare shares."
-	echo "BenchmarkSweepFractions never resets the detector caches, so all but its"
-	echo "first op are warm; the cube resets them before every op."
 	echo
 	echo "## Patch-path kernels, cumulative share"
 	echo
