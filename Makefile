@@ -127,13 +127,14 @@ bench:
 # naive oracles, with ns/op and B/op so both the asymptotic win and the
 # pooling win are visible. The last two lines are the float patch kernel
 # against the historical pipeline retained in _test.go: whole patches on
-# the resample shapes the cold workloads hit, then the fused back half, the
-# tabled bilinear resample, the box kernel against the prefix-sum kernel it
-# replaced (a near-identity and a heavy box), the noise kernel alone, one
-# noise row through its Go body and its AVX2 body, one patch-width row
-# through each resample row kernel's Go and AVX2 bodies (RowBodies),
-# rendered-object fills against their per-row and per-pixel oracles (Fill),
-# and one plane row through the denoise's (SmoothRow). kernel/oracle
+# the resample shapes the cold workloads hit, then the fused back half
+# (kernel, its Go bodies alone, oracle), the one-call plane denoise through
+# its Go and AVX2 bodies (SmoothPlane), the tabled bilinear resample, the box
+# kernel against the prefix-sum kernel it replaced (a near-identity and a
+# heavy box), the noise kernel alone, one patch-sized noise plane through its
+# Go body and its AVX2 body (NoisePlane), one patch-width row through each
+# resample row kernel's Go and AVX2 bodies (RowBodies), and rendered-object
+# fills against their per-row and per-pixel oracles (Fill). kernel/oracle
 # sub-benches run back to back, five times each, because only a ratio taken
 # within one run survives this host's speed drift. The frame-path line is
 # one frame through the codec each way, one camera session into a
@@ -146,8 +147,8 @@ bench:
 # the first deciding object).
 bench-kernels:
 	$(GO) test -run xxx -bench 'Kernel' -benchmem ./internal/raster/ ./internal/detect/
-	$(GO) test -run xxx -bench 'PatchComponentsFloat|BenchmarkFloatComponents|BenchmarkSmoothRow' -benchmem -count 5 ./internal/detect/
-	$(GO) test -run xxx -bench 'BenchmarkBilinearInto|BenchmarkBoxInto|BenchmarkAddNoise|BenchmarkNoiseRow|BenchmarkRowBodies|BenchmarkFill' -benchmem -count 5 ./internal/raster/
+	$(GO) test -run xxx -bench 'PatchComponentsFloat|BenchmarkFloatComponents|BenchmarkSmoothPlane' -benchmem -count 5 ./internal/detect/
+	$(GO) test -run xxx -bench 'BenchmarkBilinearInto|BenchmarkBoxInto|BenchmarkAddNoise|BenchmarkNoisePlane|BenchmarkRowBodies|BenchmarkFill' -benchmem -count 5 ./internal/raster/
 	$(GO) test -run xxx -bench 'BenchmarkEncodeFrame|BenchmarkDecodeFrame|BenchmarkCameraStream|BenchmarkReceiver' -benchmem ./internal/codec/ ./internal/camera/ ./internal/stream/
 	$(GO) test -run xxx -bench 'BenchmarkPresenceScan' -benchmem -count 5 ./internal/outputs/
 

@@ -35,50 +35,51 @@ type floatRun struct {
 	sum       float64
 }
 
-// floatCCScratch pools floatComponents' working set. Everything but the two
-// row buffers scales with the number of above-threshold runs, not with the
-// patch area.
+// floatCCScratch pools floatComponents' working set: the plane's contrasts
+// and threshold mask (smoothPlane), a row of +0, and what scales with the
+// number of above-threshold runs.
 type floatCCScratch struct {
-	srow, zero []float32 // one row's contrasts |s| (smoothRow); a row of +0
-	mask       []uint64  // one row's threshold mask (smoothRow)
-	bounds     []int32   // one row's run bounds (maskRuns)
-	runs       []floatRun
-	parent     []int32
-	compOf     []int32 // union-find root -> index in comps, -1 = unseen
-	comps      []component
+	abs, zero []float32 // the plane's contrasts |s|; a row of +0
+	mask      []uint64  // the plane's threshold mask, maskWords(w) per row
+	runs      []floatRun
+	parent    []int32
+	compOf    []int32 // union-find root -> index in comps, -1 = unseen
+	comps     []component
 }
 
 var floatCCPool = sync.Pool{New: func() any { return &floatCCScratch{} }}
 
 // floatComponents is the float detector's back half — 3x3 box denoise,
-// |v| > tau threshold and 4-connected component labelling — fused into one
-// pass over the signed difference plane. It replaced three whole-plane
-// stages (blur3, absMask and a per-pixel union-find labeller, retained in
-// oracle_test.go) and is bit-identical to them:
+// |v| > tau threshold and 4-connected component labelling — over the signed
+// difference plane, with simd (raster.SIMD; false runs the Go bodies alone)
+// picking the denoise's and the run sums' bodies. It replaced three
+// whole-plane stages (blur3, absMask and a per-pixel union-find labeller,
+// retained in oracle_test.go) and is bit-identical to them:
 //
-//   - Each row's smoothed samples s are computed as the separable blur did:
-//     the vertical 3-tap sum (row + previous + next, in that order), formed
-//     inside the horizontal loop, then the horizontal 3-tap sum times the
-//     reciprocal of the in-bounds window size (a division on 1-pixel-wide
-//     planes, as before). An edge row adds a row of +0 for its missing
-//     neighbour, which changes no sum but the sign of a zero, and no zero is
-//     above a threshold.
+//   - One smoothPlane call computes every smoothed sample s as the separable
+//     blur did: the vertical 3-tap sum (row + previous + next, in that
+//     order), formed inside the horizontal loop, then the horizontal 3-tap
+//     sum times the reciprocal of the in-bounds window size (a division on
+//     1-pixel-wide planes, as before). An edge row adds a row of +0 for its
+//     missing neighbour, which changes no sum but the sign of a zero, and no
+//     zero is above a threshold.
 //   - A pixel is masked when s > tau or s < -tau, which is |s| > tau for
-//     every s but NaN, which neither form masks. smoothRow keeps |s| and
-//     writes the row's mask as bits, eight columns per AVX2 compare, and
-//     maskRuns reads the row's runs off the mask words with
-//     TrailingZeros64 instead of a branch per pixel.
+//     every s but NaN, which neither form masks. smoothPlane stores the
+//     plane's |s| and its mask: maskWords(w) words per row, column x at bit
+//     x+maskOff. The labeller walks the mask plane in one loop and reads
+//     each row's run edges off its words with TrailingZeros64.
 //   - Runs are united with the overlapping runs of the previous row, so
 //     labelling costs O(runs) instead of three passes over w*h labels. No
-//     mask, contrast or label plane exists, only one row of each.
-//   - Each run sums its pixels' float64(|s|) (runSum, in four interleaved
-//     accumulators), and a component's SumContrast is the sum of its runs'
-//     sums. That equals the pixel labeller's raster-order sum bit for bit,
-//     in whatever order the runs' pixels are summed, because no partial sum
-//     rounds: with tau >= 2^-9 every masked |s| is a float32 of at least
-//     2^-9, so an integer multiple of 2^-32; plane samples lie in [-1, 1],
-//     so |s| <= 1 + 2^-20; and a plane has fewer than 2^20 pixels (at most
-//     a model's input, 640²), so every partial sum is a multiple of 2^-32
+//     label plane exists.
+//   - Each run sums its pixels' float64(|s|) (runSum: eight accumulators in
+//     two four-lane registers, then the last three in order), and a
+//     component's SumContrast is the sum of its runs' sums. That equals the
+//     pixel labeller's raster-order sum bit for bit, in whatever order the
+//     runs' pixels are summed, because no partial sum rounds: with
+//     tau >= 2^-9 every masked |s| is a float32 of at least 2^-9, so an
+//     integer multiple of 2^-32; plane samples lie in [-1, 1], so
+//     |s| <= 1 + 2^-20; and a plane has fewer than 2^20 pixels (at most a
+//     model's input, 640²), so every partial sum is a multiple of 2^-32
 //     below 2^21, which float64 holds exactly, in any order. The same
 //     argument carries the run sums' accumulator order. Every model's
 //     MinContrast, the floor of tau, is above 2^-9
@@ -89,21 +90,21 @@ var floatCCPool = sync.Pool{New: func() any { return &floatCCScratch{} }}
 //   - Components are numbered by first appearance in raster order and then
 //     stably sorted, which reproduces the old order even between components
 //     that tie on the sort key.
-func floatComponents(diff *plane, tau float64) []component {
+func floatComponents(diff *plane, tau float64, simd bool) []component {
 	w, h := diff.w, diff.h
 	if w == 0 || h == 0 {
 		return nil
 	}
 	sc := floatCCPool.Get().(*floatCCScratch)
 	defer floatCCPool.Put(sc)
-	sc.srow = slices.Grow(sc.srow[:0], w)[:w]
+	mw := maskWords(w)
+	sc.abs = slices.Grow(sc.abs[:0], w*h)[:w*h]
+	sc.mask = slices.Grow(sc.mask[:0], mw*h)[:mw*h]
 	if len(sc.zero) < w {
 		sc.zero = make([]float32, w)
 	}
-	if len(sc.mask) < maskWords(w) {
-		sc.mask = make([]uint64, maskWords(w)) // maskRuns leaves it zero
-	}
-	srow, zero, mask := sc.srow, sc.zero[:w], sc.mask[:maskWords(w)]
+	abs, mask := sc.abs, sc.mask
+	smoothPlane(abs, mask, diff.v, sc.zero[:w], w, h, float32(tau), simd)
 	runs, parent := sc.runs[:0], sc.parent[:0]
 
 	find := func(x int32) int32 {
@@ -114,47 +115,54 @@ func floatComponents(diff *plane, tau float64) []component {
 		return x
 	}
 
-	t := float32(tau)
 	prevLo, prevHi := 0, 0 // runs[prevLo:prevHi] is the previous row
 	for y := 0; y < h; y++ {
-		prev, next, cy := zero, zero, 1
-		if y > 0 {
-			prev, cy = diff.v[(y-1)*w:y*w], cy+1
-		}
-		if y+1 < h {
-			next, cy = diff.v[(y+1)*w:(y+2)*w], cy+1
-		}
-		smoothRow(srow, diff.v[y*w:(y+1)*w], prev, next, cy, t, mask, raster.SIMD())
-		sc.bounds = maskRuns(sc.bounds[:0], mask)
-
+		row, words := abs[y*w:(y+1)*w], mask[y*mw:(y+1)*mw]
 		rowLo := len(runs)
 		pi := prevLo
-		for i := 0; i < len(sc.bounds); i += 2 {
-			x0, x := int(sc.bounds[i]), int(sc.bounds[i+1])
-			sum := runSum(srow[x0:x])
-			// Unite with every 4-connected run of the previous row, or
-			// open a fresh label.
-			for pi < prevHi && int(runs[pi].x1) <= x0 {
-				pi++
+		// A run starts or ends where a bit differs from the one below it
+		// (the previous word's top bit carried in). Edges alternate, start
+		// then end; a zero word past the row ends a run at its last column.
+		var carry uint64
+		x0, open := 0, false
+		for i := 0; i <= mw; i++ {
+			var word uint64
+			if i < mw {
+				word = words[i]
 			}
-			label := int32(-1)
-			for k := pi; k < prevHi && int(runs[k].x0) < x; k++ {
-				root := find(runs[k].label)
-				switch {
-				case label < 0:
-					label = root
-				case root < label:
-					parent[label] = root
-					label = root
-				default:
-					parent[root] = label
+			edges := word ^ (word<<1 | carry)
+			carry = word >> 63
+			for ; edges != 0; edges &= edges - 1 {
+				x := i<<6 + bits.TrailingZeros64(edges) - maskOff
+				if open = !open; open {
+					x0 = x
+					continue
 				}
+				sum := runSum(row[x0:x], simd)
+				// Unite with every 4-connected run of the previous row, or
+				// open a fresh label.
+				for pi < prevHi && int(runs[pi].x1) <= x0 {
+					pi++
+				}
+				label := int32(-1)
+				for k := pi; k < prevHi && int(runs[k].x0) < x; k++ {
+					root := find(runs[k].label)
+					switch {
+					case label < 0:
+						label = root
+					case root < label:
+						parent[label] = root
+						label = root
+					default:
+						parent[root] = label
+					}
+				}
+				if label < 0 {
+					label = int32(len(parent))
+					parent = append(parent, label)
+				}
+				runs = append(runs, floatRun{x0: int32(x0), x1: int32(x), y: int32(y), label: label, sum: sum})
 			}
-			if label < 0 {
-				label = int32(len(parent))
-				parent = append(parent, label)
-			}
-			runs = append(runs, floatRun{x0: int32(x0), x1: int32(x), y: int32(y), label: label, sum: sum})
 		}
 		prevLo, prevHi = rowLo, len(runs)
 	}
@@ -193,122 +201,176 @@ func floatComponents(diff *plane, tau float64) []component {
 	return out
 }
 
-// smoothRow writes one row of the 3x3 box denoise of a plane, as the
-// contrast |s| of each smoothed sample s, into out and its threshold mask
-// into mask: cur is the row, prev and next its neighbours (a row of +0
-// beyond an edge) and cy the number of them in bounds. Each column sums its
-// three rows, and each s is the sum of three adjacent column sums (two at
-// either end) times the inverse window size. Column x is masked, bit
-// x+maskOff of mask (maskWords(len(cur)) words, zero on entry), when s > t
-// || s < -t. The slices are cut to one length so the loop carries no bounds
-// checks. With simd (raster.SIMD; false makes this the Go body alone, the
-// oracle) and a row of twelve or more, the loop computes output columns 1
-// and 2, the two that read a and b, and smoothRowAVX2 computes and masks
-// every later interior column and returns the last two column sums: it
-// forms each column sum as the loop forms c, so NaN payloads match the
-// loop's, which a's and b's need not. The Go body's columns are masked
-// after it, since it stores whole mask words.
-func smoothRow(out, cur, prev, next []float32, cy int, t float32, mask []uint64, simd bool) {
-	n := len(cur)
-	out, prev, next = out[:n], prev[:n], next[:n]
-	if n == 1 {
-		out[0] = (cur[0] + prev[0] + next[0]) / float32(cy)
-		mask[0] |= contrastBit(out, 0, t)
+// maskOff is the mask bit of column 0: with column x at bit x+7, each
+// eight-column step of smoothPlaneAVX2 from column 1 fills one whole mask
+// byte.
+const maskOff = 7
+
+// maskWords is the length of a w-column row's mask: enough words for every
+// column's bit.
+func maskWords(w int) int { return (w + maskOff + 63) / 64 }
+
+// windowInv holds, for cy rows in bounds, the inverse sizes of the 3x3 box's
+// two-column (edge) and three-column windows, 1/(2cy) and 1/(3cy): the
+// factors the oracle blur3 multiplies by, each one correctly rounded
+// division.
+var windowInv = func() (inv [4][2]float32) {
+	for cy := 1; cy < len(inv); cy++ {
+		inv[cy] = [2]float32{1 / float32(2*cy), 1 / float32(3*cy)}
+	}
+	return inv
+}()
+
+// smoothPlane writes the 3x3 box denoise of the w x h plane v as the
+// contrast |s| of each smoothed sample s into abs (w*h) and its threshold
+// mask into mask (maskWords(w) words per row, every word written): column x
+// of a row is masked, bit x+maskOff of the row's words, when s > t ||
+// s < -t. zero is a row of w +0 samples, the missing neighbour of an edge
+// row. Each column sums its three rows, and each s is the sum of three
+// adjacent column sums (two at either end) times the inverse window size
+// (windowInv). With simd (raster.SIMD) and a plane of ten or more columns
+// smoothPlaneAVX2 computes the whole plane in one call; otherwise, and as
+// the oracle it is held to, smoothPlaneGo does.
+func smoothPlane(abs []float32, mask []uint64, v, zero []float32, w, h int, t float32, simd bool) {
+	if simd && w >= 10 {
+		edge, in := windowInv[min(h, 2)], windowInv[3]
+		smoothPlaneAVX2(abs, v, zero, mask, w, maskWords(w), edge[0], edge[1], in[0], in[1], t)
 		return
 	}
-	inv2 := 1 / float32(2*cy)
-	inv3 := 1 / float32(3*cy)
-	a := cur[0] + prev[0] + next[0]
-	b := cur[1] + prev[1] + next[1]
-	out[0] = (a + b) * inv2
-	x, head := 2, n
-	if simd && n >= 12 {
-		head = 4
-	}
-	for ; x < head; x++ {
-		c := cur[x] + prev[x] + next[x]
-		out[x-1] = (a + b + c) * inv3
-		a, b = b, c
-	}
-	if head < n {
-		a, b = smoothRowAVX2(out, cur, prev, next, mask, inv3, t)
-		mask[0] |= contrastBit(out, 0, t) | contrastBit(out, 1, t) | contrastBit(out, 2, t)
-	} else {
-		// Gather each word's bits in a register: read-modify-writes of one
-		// word would wait on each other's stores.
-		var word uint64
-		for x := 0; x < n-1; x++ {
-			word |= contrastBit(out, x, t)
-			if (x+maskOff)&63 == 63 {
-				mask[(x+maskOff)>>6], word = word, 0
-			}
+	smoothPlaneGo(abs, mask, v, zero, w, h, t)
+}
+
+// smoothPlaneGo is smoothPlane's Go body, one row at a time.
+func smoothPlaneGo(abs []float32, mask []uint64, v, zero []float32, w, h int, t float32) {
+	mw := maskWords(w)
+	lo, span := maskRange(t)
+	for y := 0; y < h; y++ {
+		prev, next, cy := zero, zero, 1
+		if y > 0 {
+			prev, cy = v[(y-1)*w:y*w], cy+1
 		}
-		mask[(n-2+maskOff)>>6] |= word
-	}
-	out[n-1] = (a + b) * inv2
-	mask[(n-1+maskOff)>>6] |= contrastBit(out, n-1, t)
-}
-
-// maskOff is the mask bit of column 0: with column x at bit x+5, each
-// eight-column step of smoothRowAVX2 from column 3 fills one whole mask
-// byte.
-const maskOff = 5
-
-// maskWords is the length of a w-column row's mask: every column's bit and
-// at least one zero bit after the last, so every run of set bits ends
-// inside the mask.
-func maskWords(w int) int { return (w+maskOff)/64 + 1 }
-
-// contrastBit replaces the smoothed sample s in out[x] by |s| and returns
-// column x's mask bit, in place in its word, set when |s| > t, which is
-// s > t || s < -t for every s and t (NaN: neither), without a branch.
-func contrastBit(out []float32, x int, t float32) uint64 {
-	v := math.Float32frombits(math.Float32bits(out[x]) &^ (1 << 31))
-	out[x] = v
-	var above uint64
-	if v > t {
-		above = 1
-	}
-	return above << ((x + maskOff) & 63)
-}
-
-// maskRuns appends to dst the bounds x0, x1 of each run [x0, x1) of masked
-// columns in a row's mask, in column order. A run starts or ends where a
-// bit differs from the one below it (the previous word's top bit carried
-// in), so each word's changes are found with TrailingZeros64 alone; mask
-// ends in a zero bit, so every run's end is among them. It leaves mask
-// zero, ready for the next row.
-func maskRuns(dst []int32, mask []uint64) []int32 {
-	var carry uint64
-	for i, word := range mask {
-		mask[i] = 0
-		edges := word ^ (word<<1 | carry)
-		carry = word >> 63
-		for ; edges != 0; edges &= edges - 1 {
-			dst = append(dst, int32(i<<6+bits.TrailingZeros64(edges)-maskOff))
+		if y+1 < h {
+			next, cy = v[(y+1)*w:(y+2)*w], cy+1
 		}
+		out := abs[y*w : (y+1)*w]
+		colSums(out, v[y*w:(y+1)*w], prev, next)
+		smoothMaskRow(mask[y*mw:(y+1)*mw], out, cy, lo, span)
 	}
-	return dst
 }
 
-// runSum is the float64 sum of a run's contrasts in four accumulators:
-// every partial sum is exact (floatComponents), so the order changes no
-// bit. Kept out of line, its loop holds its state in registers; inlined
-// into floatComponents, it spilled the loop counter to the stack.
+// smoothMaskRow replaces a row's column sums by the contrasts |s| of its
+// smoothed samples, left to right, each sum read before its column is
+// overwritten, and writes the row's threshold mask a word at a time: s is
+// the sum of three adjacent column sums (two at either end) times the
+// inverse window size for cy rows in bounds, or on a one-column row its one
+// sum divided by cy. A column's bit, set when the bits u of |s| have
+// u-lo < span (maskRange), is the sign of a 64-bit difference, shifted in
+// at the top of the word, so the column before is one bit lower; each word
+// is then shifted down to put its last column at its own bit. Go compiles
+// column 0's a+b with b as the destination, which smoothPlaneAVX2 matches.
 //
 //go:noinline
-func runSum(c []float32) float64 {
-	var s0, s1, s2, s3 float64
-	for ; len(c) >= 4; c = c[4:] {
-		s0 += float64(c[0])
-		s1 += float64(c[1])
-		s2 += float64(c[2])
-		s3 += float64(c[3])
+func smoothMaskRow(mask []uint64, out []float32, cy int, lo, span uint32) {
+	n := len(out)
+	if n == 1 {
+		u := math.Float32bits(out[0]/float32(cy)) &^ (1 << 31)
+		out[0] = math.Float32frombits(u)
+		mask[0] = (uint64(u-lo) - uint64(span)) >> 63 << maskOff
+		return
 	}
+	inv2, inv3 := windowInv[cy][0], windowInv[cy][1]
+	a, b := out[0], out[1]
+	u := math.Float32bits((a+b)*inv2) &^ (1 << 31)
+	out[0] = math.Float32frombits(u)
+	word := (uint64(u-lo) - uint64(span)) & (1 << 63)
+	x := 1
+	for i := range mask {
+		for end := min(64*(i+1)-maskOff, n-1); x < end; x++ {
+			c := out[x+1]
+			u := math.Float32bits((a+b+c)*inv3) &^ (1 << 31)
+			out[x] = math.Float32frombits(u)
+			word = word>>1 | (uint64(u-lo)-uint64(span))&(1<<63)
+			a, b = b, c
+		}
+		if i == len(mask)-1 {
+			u := math.Float32bits((a+b)*inv2) &^ (1 << 31)
+			out[n-1] = math.Float32frombits(u)
+			word = word>>1 | (uint64(u-lo)-uint64(span))&(1<<63)
+			x = n
+		}
+		mask[i], word = word>>(63-(x-1+maskOff)&63), 0
+	}
+}
+
+// colSums sets sums[x] to the column sum (cur+prev)+next of every column.
+// Every column sum of smoothPlaneGo comes from this one loop: Go picks per
+// statement which operand of a commutative add is the destination, and so
+// which of two NaNs the add returns (x86 returns the first source's), so
+// sums formed in two places can differ in payload. Out of line, its loop
+// keeps one order, cur first, which smoothPlaneAVX2 matches.
+//
+//go:noinline
+func colSums(sums, cur, prev, next []float32) {
+	cur, prev, next = cur[:len(sums)], prev[:len(sums)], next[:len(sums)]
+	for x := range sums {
+		sums[x] = cur[x] + prev[x] + next[x]
+	}
+}
+
+// maskRange returns the bounds of the threshold test on a contrast's bits:
+// for every s and t, s > t || s < -t exactly when u-lo < span, unsigned, u
+// the bits of |s|. Non-negative floats order as their bits, and NaN's bits
+// lie above +Inf's (0x7f800000): a NaN t masks nothing, a negative t every
+// non-NaN s, and t >= 0 (either zero) every |s| above it.
+func maskRange(t float32) (lo, span uint32) {
+	switch {
+	case t != t:
+		return 0, 0
+	case t < 0:
+		return 0, 0x7f800001
+	}
+	lo = math.Float32bits(t)&^(1<<31) + 1
+	return lo, 0x7f800001 - lo
+}
+
+// runSum is the float64 sum of a run's contrasts: runSumAVX2 with simd,
+// else runSumGo, the same additions in the same order. Every partial sum of
+// a run is exact (floatComponents), so the order changes no bit there.
+func runSum(c []float32, simd bool) float64 {
+	if simd {
+		return runSumAVX2(c)
+	}
+	return runSumGo(c)
+}
+
+// runSumGo sums c in eight accumulators, element i into accumulator i%8,
+// while eight remain, then four more into the first four if four remain,
+// reduces them pairwise as runSumAVX2's lanes do, and adds the last up to
+// three in order.
+func runSumGo(c []float32) float64 {
+	var a0, a1, a2, a3, a4, a5, a6, a7 float64
+	for ; len(c) >= 8; c = c[8:] {
+		a0 += float64(c[0])
+		a1 += float64(c[1])
+		a2 += float64(c[2])
+		a3 += float64(c[3])
+		a4 += float64(c[4])
+		a5 += float64(c[5])
+		a6 += float64(c[6])
+		a7 += float64(c[7])
+	}
+	if len(c) >= 4 {
+		a0 += float64(c[0])
+		a1 += float64(c[1])
+		a2 += float64(c[2])
+		a3 += float64(c[3])
+		c = c[4:]
+	}
+	s := ((a0 + a4) + (a2 + a6)) + ((a1 + a5) + (a3 + a7))
 	for _, v := range c {
-		s0 += float64(v)
+		s += float64(v)
 	}
-	return (s0 + s1) + (s2 + s3)
+	return s
 }
 
 func sortComponents(cs []component) {

@@ -120,7 +120,7 @@ func (m *Model) DetectPixels(img, bg *raster.Image, nativeNoiseSigma float64, ca
 	} else {
 		diff = diffPlane(img, bg)
 	}
-	comps := floatComponents(diff, tau)
+	comps := floatComponents(diff, tau, raster.SIMD())
 	putPlane(diff)
 
 	var out []Detection

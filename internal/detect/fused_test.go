@@ -22,15 +22,18 @@ func oracleComponents(diff *plane, tau float64) []component {
 	return comps
 }
 
-// requireSameComponents runs both back halves over diff and requires
-// identical components (DeepEqual: Area, BBox and the SumContrast float64
-// bits, in the same order).
+// requireSameComponents runs both back halves over diff, the fused one
+// with its SIMD bodies (where raster.SIMD holds) and with its Go bodies
+// alone, and requires identical components (DeepEqual: Area, BBox and the
+// SumContrast float64 bits, in the same order).
 func requireSameComponents(t *testing.T, ctx string, diff *plane, tau float64) []component {
 	t.Helper()
 	want := oracleComponents(diff, tau)
-	got := floatComponents(diff, tau)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s (%dx%d, tau %v): components differ\n got  %+v\n want %+v", ctx, diff.w, diff.h, tau, got, want)
+	for _, simd := range []bool{raster.SIMD(), false} {
+		got := floatComponents(diff, tau, simd)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s (%dx%d, tau %v, SIMD %v): components differ\n got  %+v\n want %+v", ctx, diff.w, diff.h, tau, simd, got, want)
+		}
 	}
 	return want
 }
@@ -85,69 +88,80 @@ func spiralGrid(n, m int) []bool {
 func TestFloatComponentsMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	sizes := []int{1, 2, 3, 7, 64, 113}
-	// Widths either side of the denoise mask's word boundaries (column 59
-	// is bit 64), so runs start, end and cross there.
-	widths := append([]int{63, 65, 127, 128, 129}, sizes...)
+	// Widths either side of the denoise mask's word boundaries (column 57
+	// is bit 64), so runs start, end and cross there, and the widths
+	// either side of the AVX2 denoise's narrowest plane (10 columns).
+	widths := append([]int{9, 10, 11, 56, 57, 58, 120, 121, 122, 63, 65, 127, 128, 129}, sizes...)
+	type dims struct{ w, h int }
+	var planes []dims
 	for _, w := range widths {
 		for _, h := range sizes {
-			w, h := w, h
-			cells := func(on func(cx, cy, n, m int) bool) func(x, y int) float32 {
-				// Leftover pixels widen the last cell, so no arm is thinner
-				// than the blur it has to survive.
-				n, m := max(1, w/3), max(1, h/3)
-				return func(x, y int) float32 {
-					if on(min(x/3, n-1), min(y/3, m-1), n, m) {
-						return 1
-					}
-					return 0
+			planes = append(planes, dims{w, h})
+		}
+	}
+	// Planes of one row (edge rows alone, window height 1) and of one
+	// column (the division), long enough for every word and step.
+	for _, n := range []int{17, 57, 300, 640} {
+		planes = append(planes, dims{n, 1}, dims{1, n})
+	}
+	for _, d := range planes {
+		w, h := d.w, d.h
+		cells := func(on func(cx, cy, n, m int) bool) func(x, y int) float32 {
+			// Leftover pixels widen the last cell, so no arm is thinner
+			// than the blur it has to survive.
+			n, m := max(1, w/3), max(1, h/3)
+			return func(x, y int) float32 {
+				if on(min(x/3, n-1), min(y/3, m-1), n, m) {
+					return 1
 				}
+				return 0
 			}
-			spiral := spiralGrid(max(1, w/3), max(1, h/3))
-			shapes := []struct {
-				name string
-				tau  float64
-				at   func(x, y int) float32
-			}{
-				{"all-clear", 0.05, func(x, y int) float32 { return 0.01 }},
-				{"all-set", 0.05, func(x, y int) float32 { return -0.5 }},
-				{"checkerboard", 4.5, func(x, y int) float32 { return float32(9 * ((x + y) % 2)) }},
-				{"comb", 4.5, func(x, y int) float32 {
-					if y >= h-3 || x%2 == 1 {
-						return 9
-					}
-					return 0
-				}},
-				{"comb-up", 4.5, func(x, y int) float32 {
-					if y < 3 || x%2 == 1 {
-						return -9
-					}
-					return 0
-				}},
-				{"U", 0.5, cells(func(cx, cy, n, m int) bool { return cx == 0 || cx == n-1 || cy == m-1 })},
-				{"spiral", 0.5, cells(func(cx, cy, n, m int) bool { return spiral[cy*n+cx] })},
-				{"random", 0.05, func(x, y int) float32 { return rng.Float32()*2 - 1 }},
-				{"random-sparse", 0.2, func(x, y int) float32 { return rng.Float32()*2 - 1 }},
-			}
-			for _, s := range shapes {
-				comps := requireSameComponents(t, s.name, shapePlane(w, h, s.at), s.tau)
-				if w < 64 || h < 64 {
-					continue
+		}
+		spiral := spiralGrid(max(1, w/3), max(1, h/3))
+		shapes := []struct {
+			name string
+			tau  float64
+			at   func(x, y int) float32
+		}{
+			{"all-clear", 0.05, func(x, y int) float32 { return 0.01 }},
+			{"all-set", 0.05, func(x, y int) float32 { return -0.5 }},
+			{"checkerboard", 4.5, func(x, y int) float32 { return float32(9 * ((x + y) % 2)) }},
+			{"comb", 4.5, func(x, y int) float32 {
+				if y >= h-3 || x%2 == 1 {
+					return 9
 				}
-				// The shapes must be what they claim, or the table tests less
-				// than it says.
-				switch s.name {
-				case "all-clear":
-					if len(comps) != 0 {
-						t.Fatalf("all-clear %dx%d: %d components", w, h, len(comps))
-					}
-				case "all-set", "comb", "comb-up", "U", "spiral":
-					if len(comps) != 1 {
-						t.Fatalf("%s %dx%d: %d components, want 1", s.name, w, h, len(comps))
-					}
-				case "checkerboard":
-					if len(comps) < w*h/3 {
-						t.Fatalf("checkerboard %dx%d: only %d components", w, h, len(comps))
-					}
+				return 0
+			}},
+			{"comb-up", 4.5, func(x, y int) float32 {
+				if y < 3 || x%2 == 1 {
+					return -9
+				}
+				return 0
+			}},
+			{"U", 0.5, cells(func(cx, cy, n, m int) bool { return cx == 0 || cx == n-1 || cy == m-1 })},
+			{"spiral", 0.5, cells(func(cx, cy, n, m int) bool { return spiral[cy*n+cx] })},
+			{"random", 0.05, func(x, y int) float32 { return rng.Float32()*2 - 1 }},
+			{"random-sparse", 0.2, func(x, y int) float32 { return rng.Float32()*2 - 1 }},
+		}
+		for _, s := range shapes {
+			comps := requireSameComponents(t, s.name, shapePlane(w, h, s.at), s.tau)
+			if w < 64 || h < 64 {
+				continue
+			}
+			// The shapes must be what they claim, or the table tests less
+			// than it says.
+			switch s.name {
+			case "all-clear":
+				if len(comps) != 0 {
+					t.Fatalf("all-clear %dx%d: %d components", w, h, len(comps))
+				}
+			case "all-set", "comb", "comb-up", "U", "spiral":
+				if len(comps) != 1 {
+					t.Fatalf("%s %dx%d: %d components, want 1", s.name, w, h, len(comps))
+				}
+			case "checkerboard":
+				if len(comps) < w*h/3 {
+					t.Fatalf("checkerboard %dx%d: only %d components", w, h, len(comps))
 				}
 			}
 		}
@@ -372,6 +386,17 @@ func FuzzFloatComponents(f *testing.F) {
 	f.Add(uint8(126), uint8(5), uint8(10), []byte{128, 200, 60, 128, 128, 250, 250, 250})
 	f.Add(uint8(127), uint8(2), uint8(12), []byte{255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 128})
 	f.Add(uint8(128), uint8(9), uint8(24), []byte{0, 0, 0, 128, 255, 255, 255, 128, 130, 20})
+	// Widths 56–58 and 120–122: the word boundaries of the mask, whose
+	// column 0 is bit 7.
+	f.Add(uint8(55), uint8(6), uint8(20), []byte{128, 250, 250, 250, 128, 128, 6, 128})
+	f.Add(uint8(56), uint8(4), uint8(14), []byte{250, 250, 250, 250, 250, 250, 250, 128})
+	f.Add(uint8(57), uint8(3), uint8(18), []byte{128, 128, 3, 3, 3, 3, 128, 200})
+	f.Add(uint8(120), uint8(5), uint8(16), []byte{255, 255, 255, 255, 255, 255, 255, 255, 128})
+	f.Add(uint8(121), uint8(2), uint8(22), []byte{128, 0, 0, 0, 128, 240, 128})
+	// Planes of one row and of one column.
+	f.Add(uint8(129), uint8(0), uint8(12), []byte{128, 255, 255, 255, 128, 60, 10, 128})
+	f.Add(uint8(10), uint8(0), uint8(20), []byte{200, 128, 128, 40, 128})
+	f.Add(uint8(0), uint8(47), uint8(16), []byte{128, 250, 250, 128, 0, 0, 128})
 	f.Fuzz(func(t *testing.T, wRaw, hRaw, tauRaw uint8, data []byte) {
 		requireSameComponents(t, "fuzz", fuzzPlane(wRaw, hRaw, data), float64(tauRaw)/256)
 	})
@@ -412,10 +437,11 @@ func BenchmarkPatchComponentsFloat(b *testing.B) {
 	}
 }
 
-// BenchmarkFloatComponents isolates the back half, kernel against the
-// oracle triple: on a synthetic patch-sized plane with a few blobs, and on
-// the difference planes of real patches (the upsampled, the near-identity
-// box and the extra-noise shapes), one plane per iteration.
+// BenchmarkFloatComponents isolates the back half, kernel against its Go
+// bodies alone (go, the path of CPUs without AVX2) and the oracle triple: on
+// a synthetic patch-sized plane with a few blobs, and on the difference
+// planes of real patches (the upsampled, the near-identity box and the
+// extra-noise shapes), one plane per iteration.
 func BenchmarkFloatComponents(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	synthetic := shapePlane(120, 80, func(x, y int) float32 {
@@ -454,7 +480,11 @@ func BenchmarkFloatComponents(b *testing.B) {
 		for _, k := range []struct {
 			name string
 			fn   func(*plane, float64) []component
-		}{{"kernel", floatComponents}, {"oracle", oracleComponents}} {
+		}{
+			{"kernel", func(p *plane, tau float64) []component { return floatComponents(p, tau, raster.SIMD()) }},
+			{"go", func(p *plane, tau float64) []component { return floatComponents(p, tau, false) }},
+			{"oracle", oracleComponents},
+		} {
 			b.Run(set.name+"/"+k.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {

@@ -244,7 +244,7 @@ func (m *Model) patchComponentsFloat(v *scene.Video, frameIdx, p int, obj *scene
 		sc.diff.resize(tw, th)
 		patch.NoisyDiffInto(sc.diff.v, bg, seed, sigma)
 	}
-	return floatComponents(&sc.diff, tau)
+	return floatComponents(&sc.diff, tau, raster.SIMD())
 }
 
 // selectCandidate picks the component that best explains the object and

@@ -1,11 +1,15 @@
 package detect
 
-// smoothRowAVX2 is smoothRow's loop over the output columns [3, n-1) of an
-// n-column row, n = len(cur) >= 12, every slice n long: out[x] is |s| of
-// the smoothed sample s of column x, and column x's mask bit, x+maskOff, is
-// set when s > t || s < -t. mask must be zero on entry; it writes no bit
-// outside those columns'. It returns the column sums of columns n-2 and
-// n-1, the loop's last a and b.
+// smoothPlaneAVX2 is smoothPlaneGo over a whole w x h plane, w >= 10,
+// h = len(v)/w: abs holds w*h samples, zero w, and mask mw = maskWords(w)
+// words per row, each written. Edge rows (one neighbour in bounds, or none
+// when h is 1) scale by inv2e and inv3e, interior rows by inv2i and inv3i,
+// the two-column and three-column window inverses (windowInv).
 //
 //go:noescape
-func smoothRowAVX2(out, cur, prev, next []float32, mask []uint64, inv3, t float32) (float32, float32)
+func smoothPlaneAVX2(abs, v, zero []float32, mask []uint64, w, mw int, inv2e, inv3e, inv2i, inv3i, t float32)
+
+// runSumAVX2 is runSumGo: two four-lane float64 accumulators.
+//
+//go:noescape
+func runSumAVX2(c []float32) float64

@@ -1,14 +1,14 @@
 #include "textflag.h"
 
 // STEP computes the eight smoothed samples s of output columns [R12, R12+8)
-// into Y0, as eight iterations of smoothRow's loop: each lane sums the
+// into Y0, as eight iterations of smoothMaskRow's loop: each lane sums the
 // column sums a, b and c (Y2) of its column's left neighbour, itself and
-// its right neighbour, each c = (cur+prev)+next, then s = ((a+b)+c)*inv3.
-// Each VADDPS and VMULPS takes as first source the operand the compiled Go
-// loop keeps in its destination register, since x86 returns the first
-// source's NaN when both are NaN. It then leaves in AX the eight mask bits
-// s > t || s < -t (ordered compares: NaN is never masked) and stores |s|
-// (the sign bit cleared, as math.Abs does) to out.
+// its right neighbour, each c = (cur+prev)+next, then s = ((a+b)+c)*inv3
+// (Y7). Each VADDPS and VMULPS takes as first source the operand the
+// compiled Go loop keeps in its destination register, since x86 returns the
+// first source's NaN when both are NaN. It then leaves in AX the eight mask
+// bits s > t || s < -t (ordered compares: NaN is never masked) and stores
+// |s| (the sign bit cleared, as math.Abs does) to abs.
 #define STEP \
 	VMOVUPS   -4(SI)(R12*4), Y0;     \
 	VADDPS    -4(R8)(R12*4), Y0, Y0; \
@@ -29,85 +29,197 @@
 	VMOVUPS   Y0, (DI)(R12*4);       \
 	VMOVMSKPS Y3, AX
 
-// func smoothRowAVX2(out, cur, prev, next []float32, mask []uint64, inv3, t float32) (float32, float32)
+// EDGE finishes an edge column's sample s = (X0)*inv2 (X5): it stores |s|
+// to dst and leaves its mask bit in bit 0 of reg.
+#define EDGE(dst, reg) \
+	VMULSS  X5, X0, X0;         \
+	VCMPSS  $0x1e, X10, X0, X3; \
+	VCMPSS  $0x11, X11, X0, X4; \
+	VORPS   X4, X3, X3;         \
+	VANDPS  X14, X0, X0;        \
+	VMOVSS  X0, dst;            \
+	VMOVD   X3, reg;            \
+	ANDL    $1, reg
+
+// func smoothPlaneAVX2(abs, v, zero []float32, mask []uint64, w, mw int, inv2e, inv3e, inv2i, inv3i, t float32)
 //
-// smoothRow's loop over output columns [3, n-1) of an n-column row, n >= 12,
-// in steps of eight from column 3, and, when n-4 is not a multiple of
-// eight, one last step over [n-9, n-1), which recomputes some columns with
-// the same bits. A step from column 3+8k fills mask byte k+1: the bytes
-// gather in R11 (CX is the bit offset) and each word is stored whole, from
-// word 0 on, since a word read back soon after byte stores would stall on
-// store forwarding. The last step's bits are ORed in at bit n-4. Either
-// way the last step covers column n-2, so lanes 6 and 7 of its c are the
-// column sums of columns n-2 and n-1, which it returns.
-TEXT ·smoothRowAVX2(SB), NOSPLIT, $0-136
-	MOVQ         out_base+0(FP), DI
-	MOVQ         cur_base+24(FP), SI
-	MOVQ         cur_len+32(FP), BX
-	MOVQ         prev_base+48(FP), R8
-	MOVQ         next_base+72(FP), R9
-	MOVQ         mask_base+96(FP), R10
-	MOVQ         R10, R13
-	VBROADCASTSS inv3+120(FP), Y7
-	VBROADCASTSS t+124(FP), Y10
-	MOVL         t+124(FP), AX
+// One row at a time, SI, R8 and R9 on the row and its neighbours (zero
+// beyond an edge): column 0 in scalar from the column sums of columns 0
+// and 1, then steps of eight over columns [1, 1+8k), then one last step
+// over [w-9, w-1), which recomputes some columns with the same bits, and
+// column w-1 from lanes 6 and 7 of that step's c, the column sums of
+// columns w-2 and w-1. Column x is mask bit x+7, so column 0 is bit 7 and
+// a step from column 1+8k fills byte k+1: the bytes gather in R11 (CX is
+// the bit offset) and each word is stored whole when the next step needs
+// a fresh one, since a word read back soon after byte stores would stall
+// on store forwarding. The last step's bits and column w-1's bit, nine
+// bits from bit w-2, are ORed into the last word, and what spills past it
+// is the row's next and last word.
+TEXT ·smoothPlaneAVX2(SB), NOSPLIT, $0-132
+	MOVQ         abs_base+0(FP), DI
+	MOVQ         v_base+24(FP), SI
+	MOVQ         v_len+32(FP), R14
+	LEAQ         (SI)(R14*4), R14  // end of v
+	MOVQ         mask_base+72(FP), R13
+	MOVQ         w+96(FP), BX
+	LEAQ         (BX*4), R15       // row stride in bytes
+	VBROADCASTSS inv3e+116(FP), Y8
+	VBROADCASTSS inv3i+124(FP), Y9
+	VMOVSS       inv2e+112(FP), X12
+	VMOVSS       inv2i+120(FP), X13
+	VBROADCASTSS t+128(FP), Y10
+	MOVL         t+128(FP), AX
 	XORL         $0x80000000, AX
 	VMOVD        AX, X11
-	VBROADCASTSS X11, Y11 // -t
+	VBROADCASTSS X11, Y11            // -t
 	MOVL         $0x7fffffff, AX
 	VMOVD        AX, X14
-	VBROADCASTSS X14, Y14 // |x| mask
-	LEAQ         -4(BX), DX
-	SHRQ         $3, DX   // steps from column 3
-	MOVQ         $3, R12
-	MOVQ         $8, CX
-	XORQ         R11, R11
+	VBROADCASTSS X14, Y14            // |x| mask
 
-loop:
+row:
+	// The neighbours, and the window inverses of an edge or interior row.
+	MOVQ    zero_base+48(FP), DX
+	MOVQ    DX, R8
+	MOVQ    DX, R9
+	CMPQ    SI, v_base+24(FP)
+	JEQ     top
+	MOVQ    SI, R8
+	SUBQ    R15, R8
+
+top:
+	LEAQ    (SI)(R15*1), AX
+	CMPQ    AX, R14
+	JEQ     bottom
+	MOVQ    AX, R9
+
+bottom:
+	VMOVAPS Y8, Y7
+	VMOVAPS X12, X5
+	CMPQ    R8, DX
+	JEQ     col0
+	CMPQ    R9, DX
+	JEQ     col0
+	VMOVAPS Y9, Y7
+	VMOVAPS X13, X5
+
+col0:
+	VMOVSS (SI), X0
+	VADDSS (R8), X0, X0
+	VADDSS (R9), X0, X0
+	VMOVSS 4(SI), X1
+	VADDSS 4(R8), X1, X1
+	VADDSS 4(R9), X1, X1
+	VADDSS X0, X1, X0    // b first, as the compiled Go body adds
+	EDGE((DI), R11)
+	SHLQ   $7, R11
+	MOVQ   $1, R12
+	MOVQ   $8, CX
+	MOVQ   R13, R10
+	LEAQ   -2(BX), DX
+	SHRQ   $3, DX        // steps from column 1
+
+steps:
+	CMPQ CX, $64
+	JNE  fill
+	MOVQ R11, (R10)
+	ADDQ $8, R10
+	XORL R11, R11
+	XORL CX, CX
+
+fill:
 	STEP
 	SHLQ CX, AX
 	ORQ  AX, R11
 	ADDQ $8, CX
-	CMPQ CX, $64
-	JNE  next
-	MOVQ R11, (R10)
-	ADDQ $8, R10
-	XORQ R11, R11
-	XORQ CX, CX
+	ADDQ $8, R12
+	DECQ DX
+	JNZ  steps
 
-next:
-	ADDQ  $8, R12
-	DECQ  DX
-	JNZ   loop
-	TESTQ CX, CX
-	JZ    last
-	MOVQ  R11, (R10)
-
-last:
-	LEAQ -1(BX), DX
-	CMPQ R12, DX
-	JEQ  sums
-	LEAQ -9(BX), R12
+	// The last step, and column w-1.
+	LEAQ         -9(BX), R12
 	STEP
-	LEAQ -4(BX), CX // the last step's first mask bit, (n-9)+5
-	MOVQ CX, DX
-	SHRQ $6, DX
-	ANDQ $63, CX
-	MOVQ AX, R11
-	SHLQ CX, R11
-	ORQ  R11, (R13)(DX*8)
-	CMPQ CX, $56
-	JLE  sums
-	NEGQ CX
-	ADDQ $64, CX
-	SHRQ CX, AX
-	ORQ  AX, 8(R13)(DX*8)
-
-sums:
 	VEXTRACTF128 $1, Y2, X2
 	VMOVHLPS     X2, X2, X2
-	VMOVSS       X2, ret+128(FP)
-	VPSRLQ       $32, X2, X2
-	VMOVSS       X2, ret1+132(FP)
+	VPSRLQ       $32, X2, X1
+	VADDSS       X1, X2, X0
+	EDGE(-4(DI)(BX*4), DX)
+	SHLL         $8, DX
+	ORL          DX, AX
+
+	// Bit w-2 lies (w-2)&7 bits past the last full step's byte, CX-8.
+	LEAQ -2(BX), DX
+	ANDQ $7, DX
+	LEAQ -8(CX)(DX*1), CX
+	MOVQ AX, DX
+	SHLQ CX, AX
+	ORQ  AX, R11
+	MOVQ R11, (R10)
+	CMPQ CX, $56
+	JLT  rowdone
+	NEGQ CX
+	ADDQ $64, CX
+	SHRQ CX, DX
+	MOVQ DX, 8(R10)
+
+rowdone:
+	ADDQ R15, SI
+	ADDQ R15, DI
+	MOVQ mw+104(FP), DX
+	LEAQ (R13)(DX*8), R13
+	CMPQ SI, R14
+	JNE  row
+	VZEROUPPER
+	RET
+
+// func runSumAVX2(c []float32) float64
+//
+// Eight floats a step, widened exactly (VCVTPS2PD) into two accumulators
+// of four float64 lanes, lane i of the pair holding accumulator i; then
+// four more into the first if four remain; then (a0+a4)+(a2+a6) plus
+// (a1+a5)+(a3+a7); then the last up to three in order.
+TEXT ·runSumAVX2(SB), NOSPLIT, $0-32
+	MOVQ   c_base+0(FP), SI
+	MOVQ   c_len+8(FP), CX
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	CMPQ   CX, $8
+	JLT    four
+
+eight:
+	VCVTPS2PD (SI), Y2
+	VCVTPS2PD 16(SI), Y3
+	VADDPD    Y2, Y0, Y0
+	VADDPD    Y3, Y1, Y1
+	ADDQ      $32, SI
+	SUBQ      $8, CX
+	CMPQ      CX, $8
+	JGE       eight
+
+four:
+	CMPQ      CX, $4
+	JLT       reduce
+	VCVTPS2PD (SI), Y2
+	VADDPD    Y2, Y0, Y0
+	ADDQ      $16, SI
+	SUBQ      $4, CX
+
+reduce:
+	VADDPD       Y1, Y0, Y0
+	VEXTRACTF128 $1, Y0, X1
+	VADDPD       X1, X0, X0
+	VUNPCKHPD    X0, X0, X1
+	VADDSD       X1, X0, X0
+	TESTQ        CX, CX
+	JZ           done
+
+tail:
+	VCVTSS2SD (SI), X1, X1
+	VADDSD    X1, X0, X0
+	ADDQ      $4, SI
+	DECQ      CX
+	JNZ       tail
+
+done:
+	VMOVSD X0, ret+24(FP)
 	VZEROUPPER
 	RET

@@ -1,9 +1,9 @@
 package detect
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"smokescreen/internal/raster"
@@ -40,99 +40,111 @@ var smoothThresholds = []float32{
 	0, float32(math.Copysign(0, -1)), -0.25, float32(math.Inf(1)), float32(math.NaN()),
 }
 
-// TestSmoothRowMatchesGoBody holds smoothRow with its AVX2 body (where
-// raster.SIMD holds) to its Go body alone bit for bit, outputs and mask
-// words: every width 1–70, so every len%8 tail, at buffer offsets 0–7, with
-// one to three rows in bounds, special values among the samples and
-// ordinary and special thresholds. A NaN output is never masked.
-func TestSmoothRowMatchesGoBody(t *testing.T) {
+// TestSmoothPlaneMatchesGoBody holds smoothPlane with its AVX2 body (where
+// raster.SIMD holds) to its Go body alone bit for bit, contrasts and mask
+// words: every width 1–70, so every len%8 tail and both sides of the first
+// mask word's end (column 56 is bit 63), by heights 1–5, so planes of edge
+// rows alone and with interior rows, at buffer offsets 0–7, with special
+// values among the samples and ordinary and special thresholds. Both
+// bodies must write every mask word (the buffers start as garbage), leave
+// every bit outside the row's columns zero, and never mask a NaN.
+func TestSmoothPlaneMatchesGoBody(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
-	for n := 1; n <= 70; n++ {
+	for w := 1; w <= 70; w++ {
+		mw := maskWords(w)
+		for h := 1; h <= 5; h++ {
+			for off := 0; off < 8; off++ {
+				v := smoothInput(rng, w*h, off)
+				zero := make([]float32, off+w)[off:]
+				tau := rng.Float32() * 0.6
+				if off%2 == 1 {
+					tau = smoothThresholds[(w+h+off/2)%len(smoothThresholds)]
+				}
+				want, wantMask := make([]float32, w*h), garbageMask(mw*h)
+				smoothPlane(want, wantMask, v, zero, w, h, tau, false)
+				got, gotMask := make([]float32, 7-off+w*h)[7-off:], garbageMask(mw*h)
+				smoothPlane(got, gotMask, v, zero, w, h, tau, raster.SIMD())
+				ctx := fmt.Sprintf("smoothPlane %dx%d at +%d, tau %v (SIMD %v)", w, h, off, tau, raster.SIMD())
+				for i := range want {
+					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+						t.Fatalf("%s: sample %d = %x (%v), Go body %x (%v)", ctx, i, math.Float32bits(got[i]), got[i], math.Float32bits(want[i]), want[i])
+					}
+				}
+				for i := range wantMask {
+					if gotMask[i] != wantMask[i] {
+						t.Fatalf("%s: mask word %d = %064b, Go body %064b", ctx, i, gotMask[i], wantMask[i])
+					}
+				}
+				for y := 0; y < h; y++ {
+					for bit := 0; bit < mw*64; bit++ {
+						x, on := bit-maskOff, wantMask[y*mw+bit>>6]>>(bit&63)&1 == 1
+						switch {
+						case on && (x < 0 || x >= w):
+							t.Fatalf("%s: row %d sets bit %d, outside its %d columns", ctx, y, bit, w)
+						case on && math.IsNaN(float64(want[y*w+x])):
+							t.Fatalf("%s: row %d column %d is NaN and masked", ctx, y, x)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// garbageMask is n mask words of set and clear bits, none of them zero.
+func garbageMask(n int) []uint64 {
+	m := make([]uint64, n)
+	for i := range m {
+		m[i] = 0xa5a5_f00d_dead_beef
+	}
+	return m
+}
+
+// TestRunSumMatchesGoBody holds runSum with its AVX2 body to runSumGo bit
+// for bit on runs of every length 0–70 at buffer offsets 0–7, whose partial
+// sums do round (so the two must add in the same order, not merely
+// exactly): positive floats across 64 binades, wider than a float64's
+// 53-bit significand, and the non-NaN specials a masked contrast cannot be
+// but the body must still carry (±0, +Inf, subnormals, 3e38). NaN is never
+// masked, so no run holds one.
+func TestRunSumMatchesGoBody(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for n := 0; n <= 70; n++ {
 		for off := 0; off < 8; off++ {
-			cy := 1 + (n+off)%3
-			zero := make([]float32, n)
-			cur, prev, next := smoothInput(rng, n, off), smoothInput(rng, n, 7-off), zero
-			if cy == 3 {
-				next = smoothInput(rng, n, (off+3)%8)
-			} else if cy == 1 {
-				prev = zero
-			}
-			tau := rng.Float32() * 0.6
-			if off%2 == 1 {
-				tau = smoothThresholds[(n+off/2)%len(smoothThresholds)]
-			}
-			want, wantMask := make([]float32, n), make([]uint64, maskWords(n))
-			smoothRow(want, cur, prev, next, cy, tau, wantMask, false)
-			got, gotMask := make([]float32, off+n)[off:], make([]uint64, maskWords(n))
-			smoothRow(got, cur, prev, next, cy, tau, gotMask, raster.SIMD())
-			for x := range want {
-				if math.Float32bits(got[x]) != math.Float32bits(want[x]) {
-					t.Fatalf("smoothRow width %d at +%d, %d rows (SIMD %v): column %d = %x (%v), Go body %x (%v)",
-						n, off, cy, raster.SIMD(), x, math.Float32bits(got[x]), got[x], math.Float32bits(want[x]), want[x])
-				}
-				bit := x + maskOff
-				masked := gotMask[bit>>6]>>(bit&63)&1 == 1
-				if math.IsNaN(float64(got[x])) && masked {
-					t.Fatalf("smoothRow width %d at +%d: column %d is NaN and masked", n, off, x)
+			c := make([]float32, off+n)[off:]
+			for i := range c {
+				c[i] = float32(math.Ldexp(1+rng.Float64(), 24-rng.Intn(64)))
+				if rng.Intn(8) == 0 {
+					if s := smoothSpecials[rng.Intn(len(smoothSpecials))]; s == s && s >= 0 {
+						c[i] = s
+					}
 				}
 			}
-			for i := range wantMask {
-				if gotMask[i] != wantMask[i] {
-					t.Fatalf("smoothRow width %d at +%d, %d rows, tau %v (SIMD %v): mask word %d = %064b, Go body %064b",
-						n, off, cy, tau, raster.SIMD(), i, gotMask[i], wantMask[i])
-				}
+			want := runSum(c, false)
+			if got := runSum(c, raster.SIMD()); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("runSum of %d at +%d (SIMD %v) = %x (%v), Go body %x (%v)",
+					n, off, raster.SIMD(), math.Float64bits(got), got, math.Float64bits(want), want)
 			}
 		}
 	}
 }
 
-// TestMaskRuns holds maskRuns to a per-column scan over random masks of
-// widths 1–200, so runs start and end at, and cross, every word boundary.
-func TestMaskRuns(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for w := 1; w <= 200; w++ {
-		for trial := 0; trial < 20; trial++ {
-			on := make([]bool, w)
-			mask := make([]uint64, maskWords(w))
-			density := rng.Float64()
-			for x := range on {
-				if on[x] = rng.Float64() < density; on[x] {
-					bit := x + maskOff
-					mask[bit>>6] |= 1 << (bit & 63)
-				}
-			}
-			var want []int32
-			for x := 0; x < w; x++ {
-				if on[x] && (x == 0 || !on[x-1]) {
-					want = append(want, int32(x))
-				}
-				if on[x] && (x == w-1 || !on[x+1]) {
-					want = append(want, int32(x+1))
-				}
-			}
-			if got := maskRuns(nil, mask); !slices.Equal(got, want) {
-				t.Fatalf("width %d: maskRuns = %v, want %v", w, got, want)
-			}
-		}
-	}
-}
-
-// BenchmarkSmoothRow is one row of a 608-wide plane through smoothRow's Go
-// body and through its AVX2 body; simd is skipped where the Go body is the
-// only one.
-func BenchmarkSmoothRow(b *testing.B) {
+// BenchmarkSmoothPlane is one 57x54 plane, the cold cube's average patch
+// shape, through smoothPlane's Go body and through its AVX2 body; simd is
+// skipped where the Go body is the only one.
+func BenchmarkSmoothPlane(b *testing.B) {
+	const w, h = 57, 54
 	rng := rand.New(rand.NewSource(1))
-	cur, prev, next, out := smoothInput(rng, 608, 0), smoothInput(rng, 608, 0), smoothInput(rng, 608, 0), make([]float32, 608)
-	mask := make([]uint64, maskWords(608))
+	v, zero, abs := smoothInput(rng, w*h, 0), make([]float32, w), make([]float32, w*h)
+	mask := make([]uint64, maskWords(w)*h)
 	for _, simd := range []bool{false, true} {
 		b.Run(map[bool]string{false: "go", true: "simd"}[simd], func(b *testing.B) {
 			if simd && !raster.SIMD() {
-				b.Skip("smoothRow runs its Go body on this CPU")
+				b.Skip("smoothPlane runs its Go body on this CPU")
 			}
-			b.SetBytes(608 * 4)
+			b.SetBytes(w * h * 4)
 			for i := 0; i < b.N; i++ {
-				clear(mask) // zero on entry, as maskRuns leaves it
-				smoothRow(out, cur, prev, next, 3, 0.2, mask, simd)
+				smoothPlane(abs, mask, v, zero, w, h, 0.2, simd)
 			}
 		})
 	}

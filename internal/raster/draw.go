@@ -48,8 +48,8 @@ func (m *Image) FillEllipse(r Rect, v float32) {
 		return
 	}
 	clip := r.Intersect(RectWH(0, 0, m.W, m.H))
-	dx2 := getF64(clip.W())
-	defer putF64(dx2)
+	dx2Slab, dx2 := getF64(clip.W())
+	defer putF64(dx2Slab)
 	for i := range dx2 {
 		dx := (float64(clip.MinX+i) + 0.5 - cx) / rx
 		dx2[i] = dx * dx
@@ -123,15 +123,12 @@ func (m *Image) AddNoise(seed uint64, sigma float32) {
 	if sigma <= 0 {
 		return
 	}
-	// noiseRow subtracts a background row, and x - (+0) is x bit for bit.
+	// The kernel subtracts a background row, and x - (+0) is x bit for
+	// bit: one row of +0 serves every row (stride 0).
 	zero := GetScratch(m.W, 1)
 	defer PutScratch(zero)
 	clear(zero.Pix)
-	step := noiseStep * (sigma / 0.5)
-	for y := 0; y < m.H; y++ {
-		row := m.Pix[y*m.W : (y+1)*m.W]
-		noiseRow(row, row, zero.Pix, pixelHashRow(seed, y), step)
-	}
+	noisePlane(m.Pix, m.Pix, zero.Pix, m.W, 0, seed, noiseStep*(sigma/0.5))
 }
 
 // NoisyDiffInto writes clamp01(m + noise) - bg into dst (length W*H) without
@@ -150,45 +147,47 @@ func (m *Image) NoisyDiffInto(dst []float32, bg *Image, seed uint64, sigma float
 		}
 		return
 	}
-	step := noiseStep * (sigma / 0.5)
-	for y := 0; y < m.H; y++ {
-		lo, hi := y*m.W, (y+1)*m.W
-		noiseRow(dst[lo:hi], m.Pix[lo:hi], bg.Pix[lo:hi], pixelHashRow(seed, y), step)
-	}
+	noisePlane(dst, m.Pix, bg.Pix, m.W, m.W, seed, noiseStep*(sigma/0.5))
 }
 
-// noiseRow is the one noise kernel (see noiseRowGo for what it computes).
-// With simd the AVX2 body computes the row's groups of four pixels, eight per
-// iteration, and the Go body finishes the len%4 tail from its true column;
-// otherwise the Go body runs
-// alone. The two are bit-identical: the hash is integer arithmetic, and the
-// float tail is the Go body's multiply, add, clamp and subtract in the same
+// noisePlane is the one noise kernel: noiseRowGo over every row y of a
+// plane of w columns, out and in holding len(out)/w rows of w each (out may
+// be in), bg's row y at y*bgStride, and rowTerm pixelHashRow(seed, y). With
+// simd the AVX2 body computes the whole plane in one call, its last w%8
+// columns of each row included; otherwise the Go body runs row by row. The
+// two are bit-identical: the hash is integer arithmetic, and the float
+// steps are the Go body's multiply, add, clamp and subtract in the same
 // order and operand order, with no FMA.
-func noiseRow(out, in, bg []float32, rowTerm uint64, step float32) {
-	n := 0
-	if simd {
-		n = len(out) &^ 3
-		noiseRowAVX2(out[:n], in[:n], bg[:n], rowTerm, step)
+func noisePlane(out, in, bg []float32, w, bgStride int, seed uint64, step float32) {
+	if len(out) == 0 {
+		return
 	}
-	noiseRowGo(out, in, bg, rowTerm, step, n)
+	if simd {
+		noisePlaneAVX2(out, in, bg, w, bgStride, seed, step)
+		return
+	}
+	for y := 0; y*w < len(out); y++ {
+		lo, b := y*w, y*bgStride
+		noiseRowGo(out[lo:lo+w], in[lo:lo+w], bg[b:b+w], pixelHashRow(seed, y), step)
+	}
 }
 
-// noiseRowGo is the portable body of the one noise kernel noiseRow, and the
+// noiseRowGo is the portable body of the noise kernel noisePlane, and the
 // oracle its SIMD body is held to: out[x] = clamp01(in[x] + noise) - bg[x]
-// for columns x0 <= x < len(out) of one row (out may be in), noise being the
-// pixel's Irwin–Hall(3) sum noiseSum times step = 2^-21·(sigma/0.5). The
-// historical form (the oracle noiseUnitNaive) converted and centred each
-// 21-bit uniform, added them in float32 and scaled the unit; every partial
-// sum is a multiple of 2^-21 below 2^2, exact in float32, and multiplying by
-// 2^-21 is exact, so both forms round the same exact product once (for sigma
-// >= 2^-106, where step is a normal float32). Kept out of line with rows cut
-// to one length, its loop holds only the hash state and three row pointers,
-// with no bounds checks.
+// for every column x of one row (out may be in), noise being the pixel's
+// Irwin–Hall(3) sum noiseSum times step = 2^-21·(sigma/0.5). The historical
+// form (the oracle noiseUnitNaive) converted and centred each 21-bit
+// uniform, added them in float32 and scaled the unit; every partial sum is
+// a multiple of 2^-21 below 2^2, exact in float32, and multiplying by 2^-21
+// is exact, so both forms round the same exact product once (for sigma >=
+// 2^-106, where step is a normal float32). Kept out of line with rows cut
+// to one length, its loop holds only the hash state and three row
+// pointers, with no bounds checks.
 //
 //go:noinline
-func noiseRowGo(out, in, bg []float32, rowTerm uint64, step float32, x0 int) {
+func noiseRowGo(out, in, bg []float32, rowTerm uint64, step float32) {
 	in, bg = in[:len(out)], bg[:len(out)]
-	for x := max(x0, 0); x < len(out); x++ {
+	for x := range out {
 		out[x] = clamp01(in[x]+float32(noiseSum(pixelHashAt(rowTerm, x)))*step) - bg[x]
 	}
 }

@@ -16,22 +16,21 @@ const kernelRowBlock = 32
 func SIMD() bool { return simd }
 
 // f64Pool recycles the float64 accumulator slabs (prefix sums, row sums,
-// sliding windows) that the separable kernels need per call. Pooled slabs
-// are resliced, never zeroed; every consumer overwrites its slab fully
-// before reading.
+// sliding windows) that the separable kernels need per call, as pointers to
+// their slices, so a round trip boxes nothing. Pooled slabs are resliced,
+// never zeroed; every consumer overwrites its slab fully before reading.
 var f64Pool sync.Pool
 
-func getF64(n int) []float64 {
-	if v := f64Pool.Get(); v != nil {
-		if s := v.([]float64); cap(s) >= n {
-			return s[:n]
-		}
+// getF64 returns a slab of n float64 and the handle to give back to putF64.
+func getF64(n int) (*[]float64, []float64) {
+	p, _ := f64Pool.Get().(*[]float64)
+	if p == nil {
+		p = new([]float64)
 	}
-	return make([]float64, n)
+	if cap(*p) < n {
+		*p = make([]float64, n)
+	}
+	return p, (*p)[:n]
 }
 
-func putF64(s []float64) {
-	if s != nil {
-		f64Pool.Put(s[:cap(s)]) //nolint:staticcheck // slab reuse outweighs the header box
-	}
-}
+func putF64(p *[]float64) { f64Pool.Put(p) }

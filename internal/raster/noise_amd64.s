@@ -93,46 +93,69 @@ GLOBL noiseCentre<>(SB), RODATA|NOPTR, $32
 	VPBLENDD $0xaa, Y15, Y14, Y10;                       \
 	VPSUBD   noiseCentre<>(SB), Y10, Y10
 
-// FINISH writes out = clamp01(in + float32(n)*step) - bg for the n in R10,
-// all eight lanes (R = Y) or the first four (R = X): each one IEEE single
-// operation in the Go body's operand order. VMAXPS and VMINPS take the bound
-// as first source, so they return the pixel itself on ±0 and NaN, as
-// clamp01 does.
-#define FINISH(R10, R11, R1, R8) \
-	VCVTDQ2PS R10, R10;      \
-	VMULPS    R1, R10, R10;  \
-	VMOVUPS   (SI), R11;     \
-	VADDPS    R10, R11, R10; \
-	VXORPS    R11, R11, R11; \
-	VMAXPS    R10, R11, R10; \
-	VMINPS    R10, R8, R10;  \
-	VSUBPS    (DX), R10, R10; \
-	VMOVUPS   R10, (DI)
+// Lane masks of a row's last group of 1–7 columns: the eight dwords at
+// noiseTail<>+4*(8-r) are r all-ones then zeros.
+DATA noiseTail<>+0(SB)/8, $0xffffffffffffffff
+DATA noiseTail<>+8(SB)/8, $0xffffffffffffffff
+DATA noiseTail<>+16(SB)/8, $0xffffffffffffffff
+DATA noiseTail<>+24(SB)/8, $0xffffffffffffffff
+DATA noiseTail<>+32(SB)/8, $0
+DATA noiseTail<>+40(SB)/8, $0
+DATA noiseTail<>+48(SB)/8, $0
+DATA noiseTail<>+56(SB)/8, $0
+GLOBL noiseTail<>(SB), RODATA|NOPTR, $64
 
-// func noiseRowAVX2(out, in, bg []float32, rowTerm uint64, step float32)
+// FINISH writes out = clamp01(in + float32(n)*step) - bg for the eight n in
+// Y10: each one IEEE single operation in the Go body's operand order.
+// VMAXPS and VMINPS take the bound as first source, so they return the
+// pixel itself on ±0 and NaN, as clamp01 does.
+#define FINISH \
+	VCVTDQ2PS Y10, Y10;      \
+	VMULPS    Y1, Y10, Y10;  \
+	VMOVUPS   (SI), Y11;     \
+	VADDPS    Y10, Y11, Y10; \
+	VXORPS    Y11, Y11, Y11; \
+	VMAXPS    Y10, Y11, Y10; \
+	VMINPS    Y10, Y8, Y10;  \
+	VSUBPS    (DX), Y10, Y10; \
+	VMOVUPS   Y10, (DI)
+
+// FINISHM is FINISH reading and writing only the lanes Y12 selects.
+#define FINISHM \
+	VCVTDQ2PS  Y10, Y10;       \
+	VMULPS     Y1, Y10, Y10;   \
+	VMASKMOVPS (SI), Y12, Y11; \
+	VADDPS     Y10, Y11, Y10;  \
+	VXORPS     Y11, Y11, Y11;  \
+	VMAXPS     Y10, Y11, Y10;  \
+	VMINPS     Y10, Y8, Y10;   \
+	VMASKMOVPS (DX), Y12, Y13; \
+	VSUBPS     Y13, Y10, Y10;  \
+	VMASKMOVPS Y10, Y12, (DI)
+
+// func noisePlaneAVX2(out, in, bg []float32, w, bgStride int, seed uint64, step float32)
 //
-// Per lane this is noiseRowGo: the splitmix finalizer of
+// Per lane this is noiseRowGo on row y = 0, 1, ... of w columns, with
+// rowTerm = seed ^ y: the splitmix finalizer of
 // (rowTerm ^ x<<32) + 0x9e3779b97f4a7c15, its three 21-bit fields summed,
 // narrowed to int32 and centred, converted (exact: |n| < 2^22), then
 // n*step, in + that, the clamp, and - bg. Each step hashes eight columns as
 // two independent chains of four u64 lanes, so one chain's multiplies
-// run while the other's wait; a last group of four runs the same hash and
-// keeps its first four columns.
-TEXT ·noiseRowAVX2(SB), NOSPLIT, $0-84
+// run while the other's wait. A row's last w%8 columns run one more step
+// whose loads and stores are masked to them (VMASKMOVPS), so no lane reads
+// or writes past the row. out and in advance a row of w each, bg a row of
+// bgStride.
+TEXT ·noisePlaneAVX2(SB), NOSPLIT, $0-100
 	MOVQ out_base+0(FP), DI
-	MOVQ out_len+8(FP), CX
+	MOVQ out_len+8(FP), R14
+	LEAQ (DI)(R14*4), R14   // end of out
 	MOVQ in_base+24(FP), SI
-	MOVQ bg_base+48(FP), DX
-	SHRQ $2, CX
-	JZ   done
-	MOVQ CX, BX
-	ANDQ $1, BX // a last group of four
-	SHRQ $1, CX // steps of eight
+	MOVQ bg_base+48(FP), R12
+	MOVQ bgStride+80(FP), R13
+	SHLQ $2, R13            // bg row stride in bytes
+	XORQ R15, R15           // y
 
-	VPBROADCASTQ rowTerm+72(FP), Y0
-	VBROADCASTSS step+80(FP), Y1
-	VMOVDQU      noiseLanes<>+0(SB), Y2
-	VMOVDQU      noiseLanes<>+32(SB), Y3
+	VBROADCASTSS step+96(FP), Y1
 	MOVQ         $0xbf58476d1ce4e5b9, AX
 	VMOVQ        AX, X4
 	VPBROADCASTQ X4, Y4
@@ -147,12 +170,24 @@ TEXT ·noiseRowAVX2(SB), NOSPLIT, $0-84
 	MOVQ         $0x1fffff, AX
 	VMOVQ        AX, X9
 	VPBROADCASTQ X9, Y9
-	TESTQ        CX, CX
-	JZ           four
+
+row:
+	MOVQ         seed+88(FP), AX
+	XORQ         R15, AX
+	VMOVQ        AX, X0
+	VPBROADCASTQ X0, Y0 // rowTerm
+	VMOVDQU      noiseLanes<>+0(SB), Y2
+	VMOVDQU      noiseLanes<>+32(SB), Y3
+	MOVQ         R12, DX
+	MOVQ         w+72(FP), CX
+	MOVQ         CX, BX
+	ANDQ         $7, BX // the masked step's columns
+	SHRQ         $3, CX // steps of eight
+	JZ           tail
 
 loop:
 	NOISE8
-	FINISH(Y10, Y11, Y1, Y8)
+	FINISH
 	VPADDQ noiseStep8<>(SB), Y2, Y2
 	VPADDQ noiseStep8<>(SB), Y3, Y3
 	ADDQ   $32, SI
@@ -161,12 +196,22 @@ loop:
 	DECQ   CX
 	JNZ    loop
 
-four:
+tail:
 	TESTQ BX, BX
-	JZ    done
+	JZ    next
 	NOISE8
-	FINISH(X10, X11, X1, X8)
+	LEAQ    noiseTail<>(SB), AX
+	MOVQ    $8, CX
+	SUBQ    BX, CX
+	VMOVDQU (AX)(CX*4), Y12
+	FINISHM
+	LEAQ  (SI)(BX*4), SI
+	LEAQ  (DI)(BX*4), DI
 
-done:
+next:
+	ADDQ R13, R12
+	INCQ R15
+	CMPQ DI, R14
+	JNE  row
 	VZEROUPPER
 	RET

@@ -216,7 +216,7 @@ func (m *Image) fillRectNaive(r Rect, v float32) {
 	}
 }
 
-// noiseUnit is the Irwin–Hall(3) sample with sd 0.5 that noiseRow scales:
+// noiseUnit is the Irwin–Hall(3) sample with sd 0.5 that noiseRowGo scales:
 // noiseSum converted once.
 func noiseUnit(h uint64) float32 { return float32(noiseSum(h)) * noiseStep }
 

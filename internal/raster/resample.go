@@ -490,8 +490,8 @@ func BoxBlurInto(dst, src *Image, r int) {
 	w, h := src.W, src.H
 
 	// Horizontal pass: hs[y*w+x] = sum of src row y over [x-r, x+r]&bounds.
-	hs := getF64(w * h)
-	defer putF64(hs)
+	hsSlab, hs := getF64(w * h)
+	defer putF64(hsSlab)
 	for y := 0; y < h; y++ {
 		row := src.Pix[y*w : (y+1)*w]
 		out := hs[y*w : (y+1)*w]
@@ -511,8 +511,8 @@ func BoxBlurInto(dst, src *Image, r int) {
 	}
 
 	// invCntX[x] = 1 / horizontal in-bounds window width.
-	invCntX := getF64(w)
-	defer putF64(invCntX)
+	invCntXSlab, invCntX := getF64(w)
+	defer putF64(invCntXSlab)
 	for x := 0; x < w; x++ {
 		x0, x1 := x-r, x+r+1
 		if x0 < 0 {
@@ -526,8 +526,8 @@ func BoxBlurInto(dst, src *Image, r int) {
 
 	// Vertical pass: slide the row-sum window down each fixed block of
 	// kernelRowBlock rows, re-seeded at the block's first row.
-	vacc := getF64(w)
-	defer putF64(vacc)
+	vaccSlab, vacc := getF64(w)
+	defer putF64(vaccSlab)
 	for lo := 0; lo < h; lo += kernelRowBlock {
 		hi := min(lo+kernelRowBlock, h)
 		clear(vacc)

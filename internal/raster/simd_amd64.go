@@ -30,14 +30,15 @@ func xgetbv() (eax, edx uint32)
 // operation, in the Go body's order, with no FMA (resample_amd64.s says
 // which operand each add takes first).
 
-// noiseRowAVX2 is noiseRowGo over len(out) columns, a multiple of 4: eight
-// pixels per iteration as two chains of four hashes, then any last group of
-// four through the same body, with in and bg at least as long as out; out
-// may be in (each group is loaded before it is stored), but must not
-// otherwise overlap it.
+// noisePlaneAVX2 is noisePlane's AVX2 body over the len(out)/w rows of w
+// >= 1 columns: eight pixels per iteration as two chains of four hashes,
+// then each row's last w%8 pixels through the same body with masked loads
+// and stores. in holds as many samples as out, and bg row y is the w
+// samples at y*bgStride; out may be in (each group is loaded before it is
+// stored), but must not otherwise overlap it.
 //
 //go:noescape
-func noiseRowAVX2(out, in, bg []float32, rowTerm uint64, step float32)
+func noisePlaneAVX2(out, in, bg []float32, w, bgStride int, seed uint64, step float32)
 
 // blendRowAVX2 is blendRowGo, eight columns per iteration: two VGATHERDPS
 // of row at the column taps i0 and i1, which must index row.

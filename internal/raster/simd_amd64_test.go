@@ -6,12 +6,13 @@ import "testing"
 // and its Go body (the non-AVX2 path, the len%lanes tail and the oracle of
 // its *MatchesGoBody test).
 var simdKernels = []struct{ kernel, avx2, goBody string }{
-	{"raster.noiseRow", "noiseRowAVX2", "noiseRowGo"},
+	{"raster.noisePlane", "noisePlaneAVX2", "noiseRowGo, row by row"},
 	{"raster.blendRow", "blendRowAVX2", "blendRowGo"},
 	{"raster.lerpRow", "lerpRowAVX2", "lerpRowGo"},
 	{"raster.boxCols", "boxColsAVX2", "boxColsGo"},
 	{"raster.integrateRows", "integrateRows4AVX2", "integrateRowsGo"},
-	{"detect.smoothRow", "smoothRowAVX2", "smoothRow's loop"},
+	{"detect.smoothPlane", "smoothPlaneAVX2", "smoothPlaneGo"},
+	{"detect.runSum", "runSumAVX2", "runSumGo"},
 }
 
 // TestSIMDDispatch reads CPUID and XGETBV itself and fails if they report

@@ -9,7 +9,9 @@ const simd = false
 
 const noSIMD = "raster: no SIMD body off amd64"
 
-func noiseRowAVX2(out, in, bg []float32, rowTerm uint64, step float32) { panic(noSIMD) }
+func noisePlaneAVX2(out, in, bg []float32, w, bgStride int, seed uint64, step float32) {
+	panic(noSIMD)
+}
 
 func blendRowAVX2(out, row []float32, i0, i1 []int32, f []float32) { panic(noSIMD) }
 

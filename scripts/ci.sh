@@ -52,7 +52,7 @@ run_stage benchmark-selftest sh -c 'cd benchmark && go test ./...'
 # benchmark that stops compiling or running fails here. Figure generation
 # and ladders are exercised by `make test` (internal/experiments) and
 # benchmark-selftest.
-run_stage bench-smoke sh -c "go test -run '^\$' -bench . -benchtime=1x -short . && go test -run '^\$' -bench 'PresenceScan|PatchComponentsFloat|FloatComponents|SmoothRow|AddNoise|NoiseRow|BilinearInto|BoxInto|RowBodies|BenchmarkFill|CameraStream|Receiver' -benchtime=1x -short ./internal/outputs/ ./internal/detect/ ./internal/raster/ ./internal/camera/ ./internal/stream/"
+run_stage bench-smoke sh -c "go test -run '^\$' -bench . -benchtime=1x -short . && go test -run '^\$' -bench 'PresenceScan|PatchComponentsFloat|FloatComponents|SmoothPlane|AddNoise|NoisePlane|BilinearInto|BoxInto|RowBodies|BenchmarkFill|CameraStream|Receiver' -benchtime=1x -short ./internal/outputs/ ./internal/detect/ ./internal/raster/ ./internal/camera/ ./internal/stream/"
 # The profile service end to end: `curve -remote` through a live daemon and
 # the in-process `curve` print the same key and points, store hit on the
 # second request, SIGTERM drain (scripts/serve_smoke.sh).

@@ -10,16 +10,18 @@
 #
 #   sh scripts/perf.sh [BASE]   # BASE defaults to HEAD
 #
-# Each benchmark runs for 2 s, and each side contributes its top 12
-# functions by flat share to a table. Shares are of each profile's total
-# samples, so they compare across the two trees even when host speed drifts
-# between runs; ns/op does not.
+# Each benchmark runs for its own -benchtime: a fixed op count for the cold
+# sweep and the cube (whose ops take tens to hundreds of milliseconds, so a
+# time budget would give a few ops and a few hundred samples), 2 s for the
+# stream halves. Each side contributes its top 12 functions by flat share to
+# a table, and the report gives each profile's sample count. Shares are of
+# each profile's total samples, so they compare across the two trees even
+# when host speed drifts between runs; ns/op does not.
 set -eu
 
 cd "$(dirname "$0")/.."
 base=${1:-HEAD}
 out=PERF.md
-benchtime=2s
 top=12
 
 tmp=$(mktemp -d)
@@ -29,19 +31,20 @@ git archive "$base" | tar -x -C "$tmp/base"
 base_rev=$(git rev-parse --short "$base")
 change_rev="$(git rev-parse --short HEAD)$(git diff --quiet HEAD -- . || echo '+dirty')"
 
-# name|package|-bench regex
-benches='BenchmarkSweepFractions|.|^BenchmarkSweepFractions$
-BenchmarkHypercubeFigure6Dedup|.|^BenchmarkHypercubeFigure6Dedup$
-BenchmarkCameraStream/small|./internal/camera|^BenchmarkCameraStream$/^small$
-BenchmarkReceiver|./internal/stream|^BenchmarkReceiver$'
+# name|package|-bench regex|-benchtime
+benches='BenchmarkSweepFractions|.|^BenchmarkSweepFractions$|300x
+BenchmarkHypercubeFigure6Dedup|.|^BenchmarkHypercubeFigure6Dedup$|30x
+BenchmarkCameraStream/small|./internal/camera|^BenchmarkCameraStream$/^small$|2s
+BenchmarkReceiver|./internal/stream|^BenchmarkReceiver$|2s'
 
 # profile SIDE DIR: every benchmark at both GOMAXPROCS, each profile's
-# `pprof -top` in $tmp/SIDE-N-PROCS.top and its ns/op in .ns.
+# `pprof -top` in $tmp/SIDE-N-PROCS.top, its ns/op in .ns and its sample
+# count in .samples.
 profile() {
 	side=$1
 	dir=$2
 	n=0
-	echo "$benches" | while IFS='|' read -r name pkg regex; do
+	echo "$benches" | while IFS='|' read -r name pkg regex benchtime; do
 		n=$((n + 1))
 		for procs in 1 2; do
 			stem="$tmp/$side-$n-$procs"
@@ -50,6 +53,8 @@ profile() {
 				-cpuprofile "$stem.prof" -o "$stem.bin" "$pkg") >"$stem.out"
 			awk '$1 ~ /^Benchmark/ { print $3; exit }' "$stem.out" >"$stem.ns"
 			go tool pprof -top -nodecount=200 "$stem.bin" "$stem.prof" 2>/dev/null >"$stem.top"
+			go tool pprof -sample_index=samples -top -nodecount=1 "$stem.bin" "$stem.prof" 2>/dev/null |
+				awk '/ total$/ { print $(NF - 1); exit }' >"$stem.samples"
 		done
 	done
 }
@@ -58,7 +63,7 @@ profile base "$tmp/base"
 profile change .
 
 # The patch path's kernels, whose cumulative shares lead the report.
-kernels='raster.resampleInto raster.bilinearRowsInto raster.boxRowsInto raster.noiseRow detect.smoothRow detect.floatComponents raster.(*Image).FillRect raster.(*Image).FillEllipse'
+kernels='raster.resampleInto raster.bilinearRowsInto raster.boxRowsInto raster.noisePlane raster.noisePlaneAVX2 raster.noiseRow detect.floatComponents detect.smoothPlane detect.smoothPlaneAVX2 detect.smoothRow detect.runSum detect.runSumAVX2 raster.(*Image).FillRect raster.(*Image).FillEllipse'
 
 # kernelrows NAME N PROCS: one row per kernel either side's profile holds.
 kernelrows() {
@@ -104,7 +109,7 @@ table() {
 	echo
 	echo "Generated by \`make perf\` (\`scripts/perf.sh\`): base \`$base_rev\`, change \`$change_rev\`;"
 	echo "$(go version | cut -d' ' -f3), $(grep -m1 'model name' /proc/cpuinfo 2>/dev/null | cut -d: -f2 | sed 's/^ //'), $(nproc) CPUs."
-	echo "Each benchmark ran for \`-benchtime $benchtime\` under \`-cpuprofile\`; a share is a"
+	echo "Each benchmark ran for the \`-benchtime\` its section gives, under \`-cpuprofile\`; a share is a"
 	echo "function's percentage of its profile's samples (flat: in the function itself;"
 	echo "cum: with its callees), from \`go tool pprof -top\`. Each table lists the union"
 	echo "of both sides' top $top functions by flat share; — is below pprof's cut."
@@ -115,19 +120,20 @@ table() {
 	echo "| benchmark | GOMAXPROCS | kernel | base | change |"
 	echo "|---|---:|---|---:|---:|"
 	n=0
-	echo "$benches" | while IFS='|' read -r name pkg regex; do
+	echo "$benches" | while IFS='|' read -r name pkg regex benchtime; do
 		n=$((n + 1))
 		for procs in 1 2; do
 			kernelrows "$name" "$n" "$procs"
 		done
 	done
 	n=0
-	echo "$benches" | while IFS='|' read -r name pkg regex; do
+	echo "$benches" | while IFS='|' read -r name pkg regex benchtime; do
 		n=$((n + 1))
 		for procs in 1 2; do
 			echo
 			echo "## $name, GOMAXPROCS=$procs"
 			echo
+			echo "\`-benchtime $benchtime\`; samples: base $(cat "$tmp/base-$n-$procs.samples"), change $(cat "$tmp/change-$n-$procs.samples");"
 			echo "ns/op: base $(cat "$tmp/base-$n-$procs.ns"), change $(cat "$tmp/change-$n-$procs.ns")."
 			echo
 			table "$n" "$procs"
