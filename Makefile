@@ -129,11 +129,13 @@ bench:
 # against the historical pipeline retained in _test.go: whole patches on
 # the resample shapes the cold workloads hit, then the fused back half
 # (kernel, its Go bodies alone, oracle), the one-call plane denoise through
-# its Go and AVX2 bodies (SmoothPlane), the tabled bilinear resample, the box
-# kernel against the prefix-sum kernel it replaced (a near-identity and a
-# heavy box), the noise kernel alone, one patch-sized noise plane through its
-# Go body and its AVX2 body (NoisePlane), one patch-width row through each
-# resample row kernel's Go and AVX2 bodies (RowBodies), and rendered-object
+# its Go and AVX2 bodies (SmoothPlane), the tabled bilinear resample at each
+# SIMD tier the CPU runs (go, avx2, avx512), the box kernel against the
+# prefix-sum kernel it replaced (a near-identity and a heavy box), the noise
+# kernel alone, one patch-sized noise plane through each of its bodies the
+# CPU runs (NoisePlane: go, avx2, avx512), one patch-width row through each
+# resample row kernel's Go and AVX2 bodies and the blend row through its
+# AVX-512 body too (RowBodies), and rendered-object
 # fills against their per-row and per-pixel oracles (Fill). kernel/oracle
 # sub-benches run back to back, five times each, because only a ratio taken
 # within one run survives this host's speed drift. The frame-path line is

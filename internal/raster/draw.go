@@ -153,13 +153,17 @@ func (m *Image) NoisyDiffInto(dst []float32, bg *Image, seed uint64, sigma float
 // noisePlane is the one noise kernel: noiseRowGo over every row y of a
 // plane of w columns, out and in holding len(out)/w rows of w each (out may
 // be in), bg's row y at y*bgStride, and rowTerm pixelHashRow(seed, y). With
-// simd the AVX2 body computes the whole plane in one call, its last w%8
-// columns of each row included; otherwise the Go body runs row by row. The
-// two are bit-identical: the hash is integer arithmetic, and the float
-// steps are the Go body's multiply, add, clamp and subtract in the same
-// order and operand order, with no FMA.
+// simd512 the AVX-512 body computes the whole plane in one call, its last
+// w%16 columns of each row included, and with simd the AVX2 body does, w%8;
+// otherwise the Go body runs row by row. They are bit-identical: the hash
+// is integer arithmetic, and the float steps are the Go body's multiply,
+// add, clamp and subtract in the same order and operand order, with no FMA.
 func noisePlane(out, in, bg []float32, w, bgStride int, seed uint64, step float32) {
 	if len(out) == 0 {
+		return
+	}
+	if simd512 {
+		noisePlaneAVX512(out, in, bg, w, bgStride, seed, step)
 		return
 	}
 	if simd {

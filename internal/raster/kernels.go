@@ -10,9 +10,10 @@ import "sync"
 const kernelRowBlock = 32
 
 // SIMD reports whether the row kernels run their AVX2 bodies: this package's
-// resample and noise rows and detect's denoise row. It is the one CPU
-// decision, made at package init; the Go bodies are bit-identical, so it
-// changes speed only.
+// resample and noise rows and detect's denoise row (on CPUs with AVX-512 the
+// noise plane and the bilinear blend run AVX-512 bodies instead). It is
+// part of the one CPU decision, made at package init; the Go bodies are
+// bit-identical, so it changes speed only.
 func SIMD() bool { return simd }
 
 // f64Pool recycles the float64 accumulator slabs (prefix sums, row sums,

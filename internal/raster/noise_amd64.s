@@ -215,3 +215,175 @@ next:
 	JNE  row
 	VZEROUPPER
 	RET
+
+// Column lanes of noisePlaneAVX512's two chains: uint64(x)<<32 for x = 0–7
+// (chain A) and x = 8–15 (chain B), so the chains' narrowed field sums join
+// into columns 0–15 in order.
+DATA noiseLanes16<>+0(SB)/8, $0x0000000000000000
+DATA noiseLanes16<>+8(SB)/8, $0x0000000100000000
+DATA noiseLanes16<>+16(SB)/8, $0x0000000200000000
+DATA noiseLanes16<>+24(SB)/8, $0x0000000300000000
+DATA noiseLanes16<>+32(SB)/8, $0x0000000400000000
+DATA noiseLanes16<>+40(SB)/8, $0x0000000500000000
+DATA noiseLanes16<>+48(SB)/8, $0x0000000600000000
+DATA noiseLanes16<>+56(SB)/8, $0x0000000700000000
+DATA noiseLanes16<>+64(SB)/8, $0x0000000800000000
+DATA noiseLanes16<>+72(SB)/8, $0x0000000900000000
+DATA noiseLanes16<>+80(SB)/8, $0x0000000a00000000
+DATA noiseLanes16<>+88(SB)/8, $0x0000000b00000000
+DATA noiseLanes16<>+96(SB)/8, $0x0000000c00000000
+DATA noiseLanes16<>+104(SB)/8, $0x0000000d00000000
+DATA noiseLanes16<>+112(SB)/8, $0x0000000e00000000
+DATA noiseLanes16<>+120(SB)/8, $0x0000000f00000000
+GLOBL noiseLanes16<>(SB), RODATA|NOPTR, $128
+
+// XSHR16 sets z ^= z>>s in both zmm chains.
+#define XSHR16(s) \
+	VPSRLQ $s, Z10, Z12; \
+	VPSRLQ $s, Z11, Z13; \
+	VPXORQ Z12, Z10, Z10; \
+	VPXORQ Z13, Z11, Z11
+
+// FIELD16 adds (z>>s)&M to the field sums Z14 and Z15 of the two chains.
+#define FIELD16(s) \
+	VPSRLQ $s, Z10, Z12; \
+	VPSRLQ $s, Z11, Z13; \
+	VPANDQ Z7, Z12, Z12; \
+	VPANDQ Z7, Z13, Z13; \
+	VPADDQ Z12, Z14, Z14; \
+	VPADDQ Z13, Z15, Z15
+
+// NOISE16 leaves in Z10 the sixteen centred Irwin–Hall sums n of the
+// columns whose lanes Z2 (chain A, the first eight) and Z3 (chain B, the
+// next eight) hold, as int32 in column order: NOISE8's hash with both
+// splitmix multiplies one VPMULLQ each. Every field sum is below 2^23, so
+// VPMOVQD narrows it exactly; the two narrowed chains join as the low and
+// high halves of Z10, then all sixteen are centred.
+#define NOISE16 \
+	VPXORQ       Z2, Z0, Z10;  \
+	VPXORQ       Z3, Z0, Z11;  \
+	VPADDQ       Z6, Z10, Z10; \
+	VPADDQ       Z6, Z11, Z11; \
+	XSHR16(30);                \
+	VPMULLQ      Z4, Z10, Z10; \
+	VPMULLQ      Z4, Z11, Z11; \
+	XSHR16(27);                \
+	VPMULLQ      Z5, Z10, Z10; \
+	VPMULLQ      Z5, Z11, Z11; \
+	XSHR16(31);                \
+	VPANDQ       Z7, Z10, Z14; \
+	VPANDQ       Z7, Z11, Z15; \
+	FIELD16(21);               \
+	FIELD16(42);               \
+	VPMOVQD      Z14, Y14;     \
+	VPMOVQD      Z15, Y15;     \
+	VINSERTI64X4 $1, Y15, Z14, Z10; \
+	VPSUBD       Z9, Z10, Z10
+
+// FINISH16 is FINISH on the sixteen n in Z10, with the same operand order:
+// in first in the add, the bound (Z17 zero, Z8 one) first in VMAXPS and
+// VMINPS.
+#define FINISH16 \
+	VCVTDQ2PS Z10, Z10;       \
+	VMULPS    Z1, Z10, Z10;   \
+	VMOVUPS   (SI), Z11;      \
+	VADDPS    Z10, Z11, Z10;  \
+	VMAXPS    Z10, Z17, Z10;  \
+	VMINPS    Z10, Z8, Z10;   \
+	VSUBPS    (DX), Z10, Z10; \
+	VMOVUPS   Z10, (DI)
+
+// FINISH16M is FINISH16 reading and writing only the lanes K1 selects.
+#define FINISH16M \
+	VCVTDQ2PS  Z10, Z10;          \
+	VMULPS     Z1, Z10, Z10;      \
+	VMOVUPS.Z  (SI), K1, Z11;     \
+	VADDPS     Z10, Z11, Z10;     \
+	VMAXPS     Z10, Z17, Z10;     \
+	VMINPS     Z10, Z8, Z10;      \
+	VMOVUPS.Z  (DX), K1, Z13;     \
+	VSUBPS     Z13, Z10, Z10;     \
+	VMOVUPS    Z10, K1, (DI)
+
+// func noisePlaneAVX512(out, in, bg []float32, w, bgStride int, seed uint64, step float32)
+//
+// noisePlaneAVX2 sixteen columns per step: two chains of eight u64 lanes,
+// each splitmix multiply one VPMULLQ (AVX512DQ) where AVX2 takes seven
+// instructions. A row's last w%16 columns run one more step whose loads
+// and stores are masked to them (K1), so no lane reads or writes past the
+// row.
+TEXT ·noisePlaneAVX512(SB), NOSPLIT, $0-100
+	MOVQ out_base+0(FP), DI
+	MOVQ out_len+8(FP), R14
+	LEAQ (DI)(R14*4), R14   // end of out
+	MOVQ in_base+24(FP), SI
+	MOVQ bg_base+48(FP), R12
+	MOVQ bgStride+80(FP), R13
+	SHLQ $2, R13            // bg row stride in bytes
+	XORQ R15, R15           // y
+
+	MOVQ  w+72(FP), R8
+	MOVQ  R8, CX
+	ANDQ  $15, CX
+	MOVL  $1, AX
+	SHLL  CX, AX
+	DECL  AX
+	KMOVW AX, K1            // the masked step's w%16 lanes
+	MOVQ  R8, BX
+	ANDQ  $15, BX           // the masked step's columns
+	SHRQ  $4, R8            // steps of sixteen
+
+	VBROADCASTSS step+96(FP), Z1
+	MOVQ         $0xbf58476d1ce4e5b9, AX
+	VPBROADCASTQ AX, Z4
+	MOVQ         $0x94d049bb133111eb, AX
+	VPBROADCASTQ AX, Z5
+	MOVQ         $0x9e3779b97f4a7c15, AX
+	VPBROADCASTQ AX, Z6
+	MOVQ         $0x1fffff, AX
+	VPBROADCASTQ AX, Z7
+	MOVL         $0x3f800000, AX
+	VPBROADCASTD AX, Z8
+	MOVL         $0x300000, AX
+	VPBROADCASTD AX, Z9
+	MOVQ         $0x0000001000000000, AX
+	VPBROADCASTQ AX, Z16    // one step's lane advance, 16<<32
+	VPXORD       Z17, Z17, Z17
+
+row512:
+	MOVQ         seed+88(FP), AX
+	XORQ         R15, AX
+	VPBROADCASTQ AX, Z0     // rowTerm
+	VMOVDQU64    noiseLanes16<>+0(SB), Z2
+	VMOVDQU64    noiseLanes16<>+64(SB), Z3
+	MOVQ         R12, DX
+	MOVQ         R8, CX
+	TESTQ        CX, CX
+	JZ           tail512
+
+loop512:
+	NOISE16
+	FINISH16
+	VPADDQ Z16, Z2, Z2
+	VPADDQ Z16, Z3, Z3
+	ADDQ   $64, SI
+	ADDQ   $64, DX
+	ADDQ   $64, DI
+	DECQ   CX
+	JNZ    loop512
+
+tail512:
+	TESTQ BX, BX
+	JZ    next512
+	NOISE16
+	FINISH16M
+	LEAQ (SI)(BX*4), SI
+	LEAQ (DI)(BX*4), DI
+
+next512:
+	ADDQ R13, R12
+	INCQ R15
+	CMPQ DI, R14
+	JNE  row512
+	VZEROUPPER
+	RET

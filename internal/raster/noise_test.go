@@ -32,11 +32,40 @@ func noiseRowInput(rng *rand.Rand, n, special int) []float32 {
 	return row
 }
 
-// checkNoisePlane holds the dispatched noisePlane to noiseRowGo, row by
-// row, bit for bit on a plane of h rows of w pixels starting off elements
-// into its buffers (so the SIMD body sees unaligned rows), with out either
-// a separate plane or in itself, and bg either a plane (stride w) or one
-// row for every row (stride 0, as AddNoise passes).
+// noisePlaneBody is one body of the noise kernel called directly, named by
+// its tier.
+type noisePlaneBody struct {
+	tier string
+	fn   func(out, in, bg []float32, w, bgStride int, seed uint64, step float32)
+}
+
+// noisePlaneGo is noisePlane's Go path: noiseRowGo row by row.
+func noisePlaneGo(out, in, bg []float32, w, bgStride int, seed uint64, step float32) {
+	for y := 0; y*w < len(out); y++ {
+		noiseRowGo(out[y*w:(y+1)*w], in[y*w:], bg[y*bgStride:], pixelHashRow(seed, y), step)
+	}
+}
+
+// noisePlaneBodies are the noise kernel's Go path and every SIMD body this
+// CPU runs, so a host with AVX-512 still holds the AVX2 body to the Go
+// body.
+func noisePlaneBodies() []noisePlaneBody {
+	bodies := []noisePlaneBody{{"go", noisePlaneGo}}
+	if simd {
+		bodies = append(bodies, noisePlaneBody{"avx2", noisePlaneAVX2})
+	}
+	if simd512 {
+		bodies = append(bodies, noisePlaneBody{"avx512", noisePlaneAVX512})
+	}
+	return bodies
+}
+
+// checkNoisePlane holds the dispatched noisePlane and each SIMD body the
+// CPU runs to noiseRowGo, row by row, bit for bit on a plane of h rows of w
+// pixels starting off elements into its buffers (so the SIMD bodies see
+// unaligned rows), with out either a separate plane or in itself, and bg
+// either a plane (stride w) or one row for every row (stride 0, as
+// AddNoise passes).
 func checkNoisePlane(t *testing.T, seed int64, w, h, off int, alias, bgRow bool, special int, planeSeed uint64, step float32) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -51,18 +80,23 @@ func checkNoisePlane(t *testing.T, seed int64, w, h, off int, alias, bgRow bool,
 	for y := 0; y < h; y++ {
 		noiseRowGo(want[y*w:(y+1)*w], in[y*w:], bg[y*bgStride:], pixelHashRow(planeSeed, y), step)
 	}
-	got := make([]float32, off+w*h)[off:]
-	if alias {
-		copy(got, in)
-		noisePlane(got, got, bg, w, bgStride, planeSeed, step)
-	} else {
-		noisePlane(got, in, bg, w, bgStride, planeSeed, step)
+	bodies := []noisePlaneBody{{"dispatched", noisePlane}}
+	if w > 0 { // the SIMD bodies (all but the Go path, which made want) take rows of at least one column
+		bodies = append(bodies, noisePlaneBodies()[1:]...)
 	}
-	ctx := fmt.Sprintf("noisePlane %dx%d at +%d", w, h, off)
-	if simd {
-		ctx = "noisePlaneAVX2" + ctx[len("noisePlane"):]
+	got, guard := guardedRow(w*h, off)
+	for _, b := range bodies {
+		if alias {
+			copy(got, in)
+			b.fn(got, got, bg, w, bgStride, planeSeed, step)
+		} else {
+			clear(got)
+			b.fn(got, in, bg, w, bgStride, planeSeed, step)
+		}
+		ctx := fmt.Sprintf("noisePlane %s %dx%d at +%d", b.tier, w, h, off)
+		requireSameBits(t, ctx, got, want)
+		requireGuard(t, ctx, guard)
 	}
-	requireSameBits(t, ctx, got, want)
 }
 
 // noiseRowStep is the step of a sigma 2^(-20·u) for u in [0, 1]: sigmas
@@ -74,11 +108,12 @@ func noiseRowStep(u float64) float32 {
 // TestNoisePlaneMatchesGoBody sweeps every row length 0–300 by heights 1–4
 // at each unaligned offset, in place and not, with a background plane and
 // with one background row, with and without special values, over seeds and
-// sigmas from 2^-20 to 1. Every w%8 runs, so every row ends in the AVX2
-// body's masked step of 1–7 pixels or in none, and every row's hash takes
-// its own row term. Non-finite steps (an infinite or NaN sigma) make the
-// noise term itself a NaN beside NaN pixels, which pins the add's operand
-// order: x86 returns the first source's NaN.
+// sigmas from 2^-20 to 1. Every w%16 runs, so every row ends in the AVX2
+// body's masked step of 1–7 pixels or the AVX-512 body's of 1–15, or in
+// none, and every row's hash takes its own row term. Non-finite steps (an
+// infinite or NaN sigma) make the noise term itself a NaN beside NaN
+// pixels, which pins the add's operand order: x86 returns the first
+// source's NaN.
 func TestNoisePlaneMatchesGoBody(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	for w := 0; w <= 300; w++ {
@@ -107,28 +142,19 @@ func FuzzNoiseRow(f *testing.F) {
 }
 
 // BenchmarkNoisePlane is one 57x54 plane, the cold cube's average patch
-// shape, through the Go body row by row and through the dispatched kernel;
-// simd is skipped where the Go body is the only one.
+// shape, through each body the CPU runs: the Go body row by row (go), and
+// the AVX2 and AVX-512 bodies in one call each (avx2, avx512).
 func BenchmarkNoisePlane(b *testing.B) {
 	const w, h = 57, 54
 	rng := rand.New(rand.NewSource(1))
 	in, bg, out := noiseRowInput(rng, w*h, 0), noiseRowInput(rng, w*h, 0), make([]float32, w*h)
 	step := noiseStep * (0.02 / 0.5)
-	b.Run("go", func(b *testing.B) {
-		b.SetBytes(w * h * 4)
-		for i := 0; i < b.N; i++ {
-			for y := 0; y < h; y++ {
-				noiseRowGo(out[y*w:(y+1)*w], in[y*w:], bg[y*w:], pixelHashRow(uint64(i), y), step)
+	for _, body := range noisePlaneBodies() {
+		b.Run(body.tier, func(b *testing.B) {
+			b.SetBytes(w * h * 4)
+			for i := 0; i < b.N; i++ {
+				body.fn(out, in, bg, w, w, uint64(i), step)
 			}
-		}
-	})
-	b.Run("simd", func(b *testing.B) {
-		if !simd {
-			b.Skip("noisePlane runs the Go body on this CPU")
-		}
-		b.SetBytes(w * h * 4)
-		for i := 0; i < b.N; i++ {
-			noisePlane(out, in, bg, w, w, uint64(i), step)
-		}
-	})
+		})
+	}
 }

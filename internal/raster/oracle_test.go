@@ -418,27 +418,31 @@ func TestNoisyDiffIntoSizeMismatchPanics(t *testing.T) {
 }
 
 // BenchmarkBilinearInto is the patch-shaped upsample (a 60x40 native region
-// to YOLOv4's 608 from a 320-pixel corpus), kernel against the per-pixel
-// reference. The kernel's tables are built (and its blend row grown) once,
-// outside the timed loop, as the pooled DownsampleInto path reuses them per
-// shape.
+// to YOLOv4's 608 from a 320-pixel corpus), the kernel at each SIMD tier the
+// CPU runs (go, avx2, avx512: the blend's body; the lerp runs its AVX2 body
+// at both SIMD tiers) against the per-pixel reference. The kernel's tables
+// are built (and its blend row grown) once, outside the timed loop, as the
+// pooled DownsampleInto path reuses them per shape.
 func BenchmarkBilinearInto(b *testing.B) {
 	src := benchImage(60, 40)
 	dst := New(114, 76)
 	t := bilinearTables(dst, src)
 	bilinearTablesInto(dst, src, t)
-	for _, k := range []struct {
-		name string
-		fn   func(dst, src *Image)
-	}{{"kernel", func(dst, src *Image) { bilinearTablesInto(dst, src, t) }}, {"oracle", bilinearNaiveInto}} {
-		b.Run(k.name, func(b *testing.B) {
+	run := func(name string, fn func(dst, src *Image)) {
+		b.Run(name, func(b *testing.B) {
 			b.SetBytes(int64(len(dst.Pix)) * 4)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				k.fn(dst, src)
+				fn(dst, src)
 			}
 		})
 	}
+	for _, body := range blendBodies() {
+		restore := useTier(body.tier)
+		run("kernel/"+body.tier, func(dst, src *Image) { bilinearTablesInto(dst, src, t) })
+		restore()
+	}
+	run("oracle", bilinearNaiveInto)
 }
 
 // BenchmarkBoxInto is the box kernel against the prefix-sum oracle on a

@@ -340,7 +340,7 @@ func integrateRowsGo(out0, out1 []float64, r0, r1 []float32, edges []boxEdge) {
 
 // bilinearTaps is one axis's clamped source pairs as parallel columns:
 // destination index d blends source samples i0[d] and i1[d] by f[d]. The
-// AVX2 blend gathers through i0 and i1 directly.
+// SIMD blends gather or permute through i0 and i1 directly.
 type bilinearTaps struct {
 	i0, i1 []int32
 	f      []float32
@@ -414,9 +414,15 @@ func bilinearRowsInto(dst, src *Image, r Rect, lo, hi int, t *resampleTables) {
 }
 
 // blendRow writes one source row blended at every destination column (see
-// blendRowGo). With simd the AVX2 body computes eight columns per iteration
+// blendRowGo). With simd512 the AVX-512 body computes every column, sixteen
+// per step; with simd the AVX2 body computes eight columns per iteration
 // and the Go body the len%8 tail.
 func blendRow(out, row []float32, cols *bilinearTaps) {
+	if simd512 {
+		n := len(out)
+		blendRowAVX512(out, row, cols.i0[:n], cols.i1[:n], cols.f[:n])
+		return
+	}
 	n := 0
 	if simd {
 		n = len(out) &^ 7

@@ -228,3 +228,125 @@ integrateEval:
 integrateDone:
 	VZEROUPPER
 	RET
+
+// BLENDWIN sets K2 and K3 to the lanes of row[AX:AX+16] and
+// row[AX+16:AX+32] that lie inside the row (R11 samples), and loads those
+// 32 samples into Z0 and Z1, zero elsewhere; masked lanes never touch
+// memory. Clobbers CX, DX and R12.
+#define BLENDWIN \
+	MOVQ      R11, DX;             \
+	SUBQ      AX, DX;              \
+	MOVQ      $32, R12;            \
+	CMPQ      DX, R12;             \
+	CMOVQGT   R12, DX;             \
+	MOVQ      DX, CX;              \
+	MOVQ      $1, R12;             \
+	SHLQ      CX, R12;             \
+	DECQ      R12;                 \
+	KMOVW     R12, K2;             \
+	SHRQ      $16, R12;            \
+	KMOVW     R12, K3;             \
+	VMOVUPS.Z (SI)(AX*4), K2, Z0;  \
+	VMOVUPS.Z 64(SI)(AX*4), K3, Z1
+
+// func blendRowAVX512(out, row []float32, i0, i1 []int32, f []float32)
+//
+// blendRowGo over every column, sixteen per step. A step's taps lie in
+// row[base:], base = i0 of its first column (the taps never decrease), so
+// while its last i1 is at most base+31 the step loads the 32 samples from
+// base as two zmm (masked to the row's end) and picks v0 and v1 with one
+// VPERMI2PS each at i0-base and i1-base. A step whose taps span more (a
+// column shrink beyond about 2x) gathers them instead. The last len%16
+// columns run one more step, their loads and stores masked to them (K5).
+// Then out = v0 + (v1-v0)*f, as blendRowAVX2.
+TEXT ·blendRowAVX512(SB), NOSPLIT, $0-120
+	MOVQ out_base+0(FP), DI
+	MOVQ out_len+8(FP), R13
+	MOVQ row_base+24(FP), SI
+	MOVQ row_len+32(FP), R11
+	MOVQ i0_base+48(FP), R8
+	MOVQ i1_base+72(FP), R9
+	MOVQ f_base+96(FP), R10
+	MOVQ R13, BX
+	ANDQ $15, BX            // the masked step's columns
+	SHRQ $4, R13            // steps of sixteen
+	JZ   blend16Tail
+
+blend16Loop:
+	MOVL (R8), AX           // base
+	MOVL 60(R9), DX         // the step's last i1
+	SUBL AX, DX
+	CMPL DX, $31
+	JA   blend16Gather
+	BLENDWIN
+	VPBROADCASTD AX, Z2
+	VMOVDQU32    (R8), Z3
+	VMOVDQU32    (R9), Z4
+	VPSUBD       Z2, Z3, Z3
+	VPSUBD       Z2, Z4, Z4
+	VPERMI2PS    Z1, Z0, Z3 // v0
+	VPERMI2PS    Z1, Z0, Z4 // v1
+
+blend16Mix:
+	VSUBPS  Z3, Z4, Z4
+	VMULPS  (R10), Z4, Z4
+	VADDPS  Z4, Z3, Z3
+	VMOVUPS Z3, (DI)
+	ADDQ    $64, R8
+	ADDQ    $64, R9
+	ADDQ    $64, R10
+	ADDQ    $64, DI
+	DECQ    R13
+	JNZ     blend16Loop
+	JMP     blend16Tail
+
+blend16Gather:
+	VMOVDQU32  (R8), Z5
+	VMOVDQU32  (R9), Z6
+	KXNORW     K4, K4, K4
+	VGATHERDPS (SI)(Z5*4), K4, Z3
+	KXNORW     K4, K4, K4
+	VGATHERDPS (SI)(Z6*4), K4, Z4
+	JMP        blend16Mix
+
+blend16Tail:
+	TESTQ BX, BX
+	JZ    blend16Done
+	MOVQ  BX, CX
+	MOVL  $1, AX
+	SHLL  CX, AX
+	DECL  AX
+	KMOVW AX, K5
+	MOVL  (R8), AX
+	MOVL  -4(R9)(BX*4), DX
+	SUBL  AX, DX
+	CMPL  DX, $31
+	JA    blend16TailGather
+	BLENDWIN
+	VPBROADCASTD AX, Z2
+	VMOVDQU32.Z  (R8), K5, Z3
+	VMOVDQU32.Z  (R9), K5, Z4
+	VPSUBD       Z2, Z3, Z3
+	VPSUBD       Z2, Z4, Z4
+	VPERMI2PS    Z1, Z0, Z3
+	VPERMI2PS    Z1, Z0, Z4
+
+blend16TailMix:
+	VMOVUPS.Z (R10), K5, Z5
+	VSUBPS    Z3, Z4, Z4
+	VMULPS    Z5, Z4, Z4
+	VADDPS    Z4, Z3, Z3
+	VMOVUPS   Z3, K5, (DI)
+
+blend16Done:
+	VZEROUPPER
+	RET
+
+blend16TailGather:
+	VMOVDQU32.Z (R8), K5, Z5
+	VMOVDQU32.Z (R9), K5, Z6
+	KMOVW       K5, K4
+	VGATHERDPS  (SI)(Z5*4), K4, Z3
+	KMOVW       K5, K4
+	VGATHERDPS  (SI)(Z6*4), K4, Z4
+	JMP         blend16TailMix

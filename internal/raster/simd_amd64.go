@@ -1,24 +1,29 @@
 package raster
 
-// simd reports whether the row kernels run their AVX2 bodies. CPUID and
-// XGETBV decide it once, at package init, for every kernel of this package
-// and for detect's (through SIMD); nothing else selects a body.
-var simd = hasAVX2()
+// simd reports whether the row kernels run their AVX2 bodies, and simd512
+// whether the noise plane and the bilinear blend run their AVX-512 bodies
+// instead. CPUID and XGETBV decide both once, at package init, for every
+// kernel of this package and for detect's (through SIMD); nothing else
+// selects a body.
+var simd, simd512 = cpuSIMD()
 
-// hasAVX2 reports whether the CPU has AVX2 (CPUID.7.0:EBX[5]) and the OS
-// saves YMM state (CPUID.1:ECX[27] OSXSAVE, then XCR0 bits 1 and 2).
-func hasAVX2() bool {
+// cpuSIMD reads the CPU's tier. AVX2 needs CPUID.7.0:EBX[5] and the OS
+// saving YMM state (CPUID.1:ECX[27] OSXSAVE, then XCR0 bits 1 and 2).
+// AVX-512 needs AVX2, AVX512F and AVX512DQ (CPUID.7.0:EBX[16] and [17];
+// VPMULLQ is DQ) and the OS saving the opmask and ZMM state too (XCR0
+// bits 5, 6 and 7).
+func cpuSIMD() (avx2, avx512 bool) {
 	if maxID, _, _, _ := cpuid(0, 0); maxID < 7 {
-		return false
+		return false, false
 	}
 	if _, _, ecx1, _ := cpuid(1, 0); ecx1&(1<<27) == 0 {
-		return false
+		return false, false
 	}
-	if xcr0, _ := xgetbv(); xcr0&6 != 6 {
-		return false
-	}
+	xcr0, _ := xgetbv()
 	_, ebx7, _, _ := cpuid(7, 0)
-	return ebx7&(1<<5) != 0
+	avx2 = xcr0&6 == 6 && ebx7&(1<<5) != 0
+	avx512 = avx2 && xcr0&0xe6 == 0xe6 && ebx7&(3<<16) == 3<<16
+	return avx2, avx512
 }
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
@@ -64,3 +69,22 @@ func boxColsAVX2(out []float32, ints []float64, taps []boxTap, inv []float64, in
 //
 //go:noescape
 func integrateRows4AVX2(out []float64, rows []float32, stride int, edges []boxEdge)
+
+// The AVX-512 bodies, for the two kernels whose inner step has no AVX2
+// form: a 64-bit multiply (VPMULLQ) and a two-table permute (VPERMI2PS).
+// Each covers all of len(out), its last len%16 columns under an opmask.
+
+// noisePlaneAVX512 is noisePlaneAVX2 sixteen pixels per step: two chains
+// of eight u64 lanes, then each row's last w%16 pixels under an opmask.
+// Its arguments are noisePlaneAVX2's.
+//
+//go:noescape
+func noisePlaneAVX512(out, in, bg []float32, w, bgStride int, seed uint64, step float32)
+
+// blendRowAVX512 is blendRowGo over all of out, sixteen columns per step:
+// v0 and v1 are each one two-table permute of the 32 samples from the
+// step's first tap, or a gather where the step's taps span more than 32.
+// i0, i1 and f are as long as out, and their taps index row.
+//
+//go:noescape
+func blendRowAVX512(out, row []float32, i0, i1 []int32, f []float32)

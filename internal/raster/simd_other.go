@@ -2,10 +2,10 @@
 
 package raster
 
-// simd reports whether the row kernels run SIMD bodies; off amd64 they never
-// do, so every dispatch compiles to its Go body alone and the stubs below
-// are never called.
-const simd = false
+// simd and simd512 report whether the row kernels run SIMD bodies; off
+// amd64 they never do, so every dispatch compiles to its Go body alone and
+// the stubs below are never called.
+const simd, simd512 = false, false
 
 const noSIMD = "raster: no SIMD body off amd64"
 
@@ -13,7 +13,13 @@ func noisePlaneAVX2(out, in, bg []float32, w, bgStride int, seed uint64, step fl
 	panic(noSIMD)
 }
 
+func noisePlaneAVX512(out, in, bg []float32, w, bgStride int, seed uint64, step float32) {
+	panic(noSIMD)
+}
+
 func blendRowAVX2(out, row []float32, i0, i1 []int32, f []float32) { panic(noSIMD) }
+
+func blendRowAVX512(out, row []float32, i0, i1 []int32, f []float32) { panic(noSIMD) }
 
 func lerpRowAVX2(out, tops, bots []float32, fy float32) { panic(noSIMD) }
 

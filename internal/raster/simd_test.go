@@ -8,11 +8,12 @@ import (
 )
 
 // The resample rows' dispatched kernels against their Go bodies, bit for
-// bit: every width 0–70 (every len%8 and len%4 tail), each at buffer offsets
-// 0–7 so the SIMD bodies read and write unaligned rows, with noiseSpecials
-// (signed zeros, NaN payloads, infinities, subnormals) among the samples.
-// Where the CPU has no AVX2 the dispatch is the Go body and each test holds
-// it to itself.
+// bit: every width 0–70 (every len%16, len%8 and len%4 tail), each at
+// buffer offsets 0–7 so the SIMD bodies read and write unaligned rows, with
+// noiseSpecials (signed zeros, NaN payloads, infinities, subnormals) among
+// the samples. Where the CPU has no AVX2 the dispatch is the Go body and
+// each test holds it to itself. The blend also calls each of its SIMD
+// bodies the CPU runs directly, since the dispatch runs only the fastest.
 
 const simdMaxWidth = 70
 
@@ -40,26 +41,101 @@ func requireSameBody(t *testing.T, ctx string, got, want []float32) {
 	}
 }
 
+// guardedRow is n zero samples starting off elements into a buffer, and
+// the 16 samples after them, each holding guardBits; requireGuard fails if
+// a body stored past the row into them.
+func guardedRow(n, off int) (row, guard []float32) {
+	buf := make([]float32, off+n+16)
+	row, guard = buf[off:off+n], buf[off+n:]
+	for i := range guard {
+		guard[i] = math.Float32frombits(guardBits)
+	}
+	return row, guard
+}
+
+const guardBits = 0x7fc0dead
+
+func requireGuard(t *testing.T, ctx string, guard []float32) {
+	t.Helper()
+	for i, v := range guard {
+		if math.Float32bits(v) != guardBits {
+			t.Fatalf("%s: stored %x at %d past the row", ctx, math.Float32bits(v), i)
+		}
+	}
+}
+
 // simdRow is a row of n samples starting off elements into a fresh buffer,
 // roughly one in three a special value.
 func simdRow(rng *rand.Rand, n, off int) []float32 {
 	return noiseRowInput(rng, off+n, 3)[off:]
 }
 
+// blendBody is one body of the blend kernel called directly, named by its
+// tier, over all of out (the AVX2 body with the Go tail it runs with).
+type blendBody struct {
+	tier string
+	fn   func(out, row []float32, cols *bilinearTaps)
+}
+
+// blendBodies are the blend kernel's Go body and every SIMD body this CPU
+// runs, so a host with AVX-512 still holds the AVX2 body to the Go body.
+func blendBodies() []blendBody {
+	bodies := []blendBody{{"go", func(out, row []float32, cols *bilinearTaps) { blendRowGo(out, row, cols, 0) }}}
+	if simd {
+		bodies = append(bodies, blendBody{"avx2", func(out, row []float32, cols *bilinearTaps) {
+			n := len(out) &^ 7
+			blendRowAVX2(out[:n], row, cols.i0[:n], cols.i1[:n], cols.f[:n])
+			blendRowGo(out, row, cols, n)
+		}})
+	}
+	if simd512 {
+		bodies = append(bodies, blendBody{"avx512", func(out, row []float32, cols *bilinearTaps) {
+			n := len(out)
+			blendRowAVX512(out, row, cols.i0[:n], cols.i1[:n], cols.f[:n])
+		}})
+	}
+	return bodies
+}
+
+// TestBlendRowMatchesGoBody holds the dispatched blendRow and every body
+// the CPU runs to blendRowGo over rows of 1–140 source samples, both
+// shrinking and growing. It requires the sweep to hold both kinds of
+// sixteen-column step the AVX-512 body treats apart: one whose 32-sample
+// window from its first tap ends past the row (masked loads), and one
+// whose taps span more than 32 samples (the gather).
 func TestBlendRowMatchesGoBody(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	var cols bilinearTaps
+	pastEnd, gathers := 0, 0
 	for n := 0; n <= simdMaxWidth; n++ {
 		for off := 0; off < 8; off++ {
 			sw := 1 + rng.Intn(2*simdMaxWidth) // both shrinking and growing columns
 			cols.build(sw, n)
+			for s := 0; s < n; s += 16 {
+				base, last := int(cols.i0[s]), min(s+15, n-1)
+				if int(cols.i1[last])-base > 31 {
+					gathers++
+				} else if base+32 > sw {
+					pastEnd++
+				}
+			}
 			row := simdRow(rng, sw, off)
 			want := make([]float32, n)
 			blendRowGo(want, row, &cols, 0)
-			got := make([]float32, off+n)[off:]
+			got, guard := guardedRow(n, off)
 			blendRow(got, row, &cols)
 			requireSameBody(t, fmt.Sprintf("blendRow %d of %d at +%d", n, sw, off), got, want)
+			for _, b := range blendBodies() {
+				clear(got)
+				b.fn(got, row, &cols)
+				ctx := fmt.Sprintf("blendRow %s %d of %d at +%d", b.tier, n, sw, off)
+				requireSameBody(t, ctx, got, want)
+				requireGuard(t, ctx, guard)
+			}
 		}
+	}
+	if pastEnd == 0 || gathers == 0 {
+		t.Fatalf("sweep has %d steps whose window ends past the row and %d gather steps; want both", pastEnd, gathers)
 	}
 }
 
@@ -152,14 +228,21 @@ func TestIntegrateRowsMatchesGoBody(t *testing.T) {
 
 // BenchmarkRowBodies is one patch-width row (114 columns, a 60-pixel
 // region at 608 from a 320-pixel corpus) through each resample row kernel's
-// Go body and its dispatched body; simd is skipped where the Go body is the
-// only one.
+// Go body and its dispatched body (simd, skipped where the Go body is the
+// only one), and through each blend body the CPU runs (go, avx2, avx512).
 func BenchmarkRowBodies(b *testing.B) {
 	const n = 114
 	rng := rand.New(rand.NewSource(1))
 	row, tops, bots, out := noiseRowInput(rng, 60, 0), noiseRowInput(rng, n, 0), noiseRowInput(rng, n, 0), make([]float32, n)
 	var cols bilinearTaps
 	cols.build(60, n)
+	for _, body := range blendBodies() {
+		b.Run("blend/"+body.tier, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				body.fn(out, row, &cols)
+			}
+		})
+	}
 	tab := resampleTables{sw: 120, sh: 4, w: n, h: 4, srcRows: make([]rowSpan, 4)}
 	tab.buildBox()
 	src := &Image{W: 120, H: 4, Pix: noiseRowInput(rng, 480, 0)}
@@ -170,7 +253,6 @@ func BenchmarkRowBodies(b *testing.B) {
 		goBody   func()
 		dispatch func()
 	}{
-		{"blend", func() { blendRowGo(out, row, &cols, 0) }, func() { blendRow(out, row, &cols) }},
 		{"lerp", func() { lerpRowGo(out, tops, bots, 0.3, 0) }, func() { lerpRow(out, tops, bots, 0.3) }},
 		{"boxcols", func() { boxColsGo(out, ints, taps, tab.inv, 0.5, 0) }, func() { boxCols(out, ints, taps, tab.inv, 0.5) }},
 		{"integrate4", func() {

@@ -44,9 +44,11 @@ run_stage benchmark-selftest sh -c 'cd benchmark && go test ./...'
 # package's estimator/detector micro-benchmarks (all of them: 1x is
 # seconds), the probe-vs-full-column presence scan, the float patch kernel
 # and its back half (synthetic and real difference planes) against their
-# retained oracles, the noise kernel and its row (Go body and AVX2), the
-# resample kernels against their oracles and each resample and denoise row
-# through its Go and AVX2 bodies, the object fills against theirs, and each
+# retained oracles, the noise kernel and its plane through each body the
+# CPU runs (go, avx2, avx512), the resample kernels against their oracles
+# (the bilinear kernel at each of those tiers) and each resample and
+# denoise row through its Go and AVX2 bodies (the blend row through its go,
+# avx2 and avx512 bodies), the object fills against theirs, and each
 # half of the stream frame path — the
 # camera alone and the receiver alone over captured wire bytes — so a
 # benchmark that stops compiling or running fails here. Figure generation
