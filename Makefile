@@ -15,8 +15,9 @@ build:
 # lint layers six gates: go vet, gofmt (no file outside the analyzer
 # fixtures' testdata/, which are inputs, may differ from gofmt's output),
 # the repo's own smokevet analyzer suite
-# (determinism, ctxflow, atomiccounter, goroleak, axisreg, errcontract —
-# see DESIGN.md §10; every analyzer is per-package, and ctxflow also
+# (determinism, ctxflow, atomiccounter, goroleak, axisreg, errcontract,
+# reach — see DESIGN.md §10; every analyzer but reach is per-package,
+# reach flags an internal/ export no non-test code uses, and ctxflow also
 # rejects an exported F declared beside an exported FCtx in internal/, so
 # an entry point has one name and it takes the caller's ctx), the
 # CHANGES.md entry cap (one line per PR, at most

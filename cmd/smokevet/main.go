@@ -3,8 +3,10 @@
 // familiar file:line:col form. It is the `make lint` gate that turns the
 // codebase's load-bearing conventions — deterministic generation paths,
 // end-to-end context flow, atomic-only counters, goroutine accounting,
-// axis-registry exhaustiveness, and error contracts — into mechanically
-// enforced rules (DESIGN.md §10).
+// axis-registry exhaustiveness, error contracts, and no export that only
+// tests use — into mechanically enforced rules (DESIGN.md §10). The whole
+// module is loaded whatever the patterns, so reach sees every use; the
+// patterns choose which packages are reported on.
 //
 // Usage:
 //
@@ -72,14 +74,14 @@ func main() {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	pkgs, err := analysis.NewLoader().Load(".", patterns...)
+	pkgs, module, err := analysis.NewLoader().Load(".", patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "smokevet:", err)
 		os.Exit(2)
 	}
 	// With a filtered roster every suppression for an excluded analyzer
 	// would look stale, so the audit runs only on the whole suite.
-	diags, err := analysis.RunSuite(pkgs, analyzers, *only == "")
+	diags, err := analysis.RunSuite(pkgs, module, analyzers, *only == "")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "smokevet:", err)
 		os.Exit(2)

@@ -1,16 +1,17 @@
 // Package analysis implements smokevet, the repo's custom static-analysis
 // suite. It mechanically enforces the codebase's load-bearing invariants —
 // bit-identical profile generation, end-to-end context flow, owned
-// goroutines, one axis registry, and the error contract — that are
-// otherwise guarded only by convention and a handful of determinism tests
-// (see DESIGN.md §10).
+// goroutines, one axis registry, the error contract, and a product that
+// holds only what a request reaches — that are otherwise guarded only by
+// convention and a handful of determinism tests (see DESIGN.md §10).
 //
 // The package deliberately mirrors the golang.org/x/tools/go/analysis API
 // shape (Analyzer, Pass, Diagnostic; the tests' fixture runner in
 // fixture_test.go is analysistest-style) but is built on the standard
 // library alone: hermetic builders have no module proxy, so x/tools cannot
 // be a dependency. Packages are loaded with `go list` and type-checked
-// with the stdlib source importer; the resulting per-package Pass is what
+// with the stdlib source importer; the resulting per-package Pass, which
+// also carries every loaded package for the module-wide reach, is what
 // each analyzer sees. If x/tools ever becomes available the analyzers port
 // mechanically — their Run functions only consume the Pass surface below.
 package analysis
@@ -45,6 +46,10 @@ type Pass struct {
 	Files    []*ast.File
 	Pkg      *types.Package
 	Info     *types.Info
+	// All is every package the run loaded, this one included: the whole
+	// module under smokevet, the whole tree under the fixture runner.
+	// Only a module-wide analyzer (reach) reads it.
+	All []*Package
 	// Report records one finding at pos.
 	Report func(pos token.Pos, format string, args ...any)
 }

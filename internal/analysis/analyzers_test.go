@@ -27,6 +27,7 @@ func TestAtomiccounterFixture(t *testing.T) { runFixtureTest(t, Atomiccounter) }
 func TestGoroleakFixture(t *testing.T)      { runFixtureTest(t, Goroleak) }
 func TestAxisregFixture(t *testing.T)       { runFixtureTest(t, Axisreg) }
 func TestErrcontractFixture(t *testing.T)   { runFixtureTest(t, Errcontract) }
+func TestReachFixture(t *testing.T)         { runFixtureTest(t, Reach) }
 
 // TestFixturesDetectDisabledCheck pins the property the acceptance bar
 // depends on: a neutered analyzer (Run reports nothing) must FAIL its
@@ -49,7 +50,7 @@ func TestFixturesDetectDisabledCheck(t *testing.T) {
 // the registry would silently stop enforcing its invariant repo-wide. The
 // suppression grammar reads the same roster, so each name must scope.
 func TestAnalyzersRegistered(t *testing.T) {
-	want := []string{"determinism", "ctxflow", "atomiccounter", "goroleak", "axisreg", "errcontract"}
+	want := []string{"determinism", "ctxflow", "atomiccounter", "goroleak", "axisreg", "errcontract", "reach"}
 	got := Analyzers()
 	if len(got) != len(want) {
 		t.Fatalf("Analyzers() returned %d analyzers, want %d", len(got), len(want))

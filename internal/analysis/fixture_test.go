@@ -75,7 +75,7 @@ func RunFixture(l *Loader, a *Analyzer, dir string) (*FixtureResult, error) {
 		if len(pkg.TypeErrors) > 0 {
 			return nil, fmt.Errorf("fixture %s does not type-check: %v", pkg.Path, pkg.TypeErrors[0])
 		}
-		ds, err := runOne(pkg, a)
+		ds, err := runOne(pkg, pkgs, a)
 		if err != nil {
 			return nil, err
 		}

@@ -61,13 +61,58 @@ type listedPackage struct {
 	GoFiles    []string
 }
 
-// Load expands the `go list` patterns (e.g. "./...") relative to dir and
-// returns the matched packages, parsed and type-checked, in a stable
-// order. Packages with no buildable Go files are skipped.
-func (l *Loader) Load(dir string, patterns ...string) ([]*Package, error) {
+// Load type-checks every package of the module rooted at dir and returns
+// the ones the `go list` patterns (e.g. "./...") match, together with the
+// whole module, in a stable order. Packages with no buildable Go files
+// are skipped. The module is loaded whatever the patterns, so reach sees
+// the same uses on a narrow pattern as on a full run. dir should be the
+// working directory: the source importer resolves module imports by
+// running `go list` there.
+func (l *Loader) Load(dir string, patterns ...string) (matched, all []*Package, err error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
+	module, err := goList(dir, "./...")
+	if err != nil {
+		return nil, nil, err
+	}
+	want, err := goList(dir, patterns...)
+	if err != nil {
+		return nil, nil, err
+	}
+	byPath := map[string]*Package{}
+	for _, p := range module {
+		if len(p.GoFiles) == 0 {
+			continue
+		}
+		files := make([]string, len(p.GoFiles))
+		for i, f := range p.GoFiles {
+			files[i] = filepath.Join(p.Dir, f)
+		}
+		pkg, err := l.check(l.imp, p.ImportPath, p.Dir, files)
+		if err != nil {
+			return nil, nil, err
+		}
+		pkg.Name = p.Name
+		all = append(all, pkg)
+		byPath[p.ImportPath] = pkg
+	}
+	for _, p := range want {
+		if len(p.GoFiles) == 0 {
+			continue
+		}
+		pkg, ok := byPath[p.ImportPath]
+		if !ok {
+			return nil, nil, fmt.Errorf("analysis: %s is outside the module rooted at %s", p.ImportPath, dir)
+		}
+		matched = append(matched, pkg)
+	}
+	return matched, all, nil
+}
+
+// goList runs `go list -json` on the patterns in dir and returns the
+// packages sorted by import path.
+func goList(dir string, patterns ...string) ([]listedPackage, error) {
 	args := append([]string{"list", "-json"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -89,24 +134,7 @@ func (l *Loader) Load(dir string, patterns ...string) ([]*Package, error) {
 		listed = append(listed, p)
 	}
 	sort.Slice(listed, func(i, j int) bool { return listed[i].ImportPath < listed[j].ImportPath })
-
-	var pkgs []*Package
-	for _, p := range listed {
-		if len(p.GoFiles) == 0 {
-			continue
-		}
-		files := make([]string, len(p.GoFiles))
-		for i, f := range p.GoFiles {
-			files[i] = filepath.Join(p.Dir, f)
-		}
-		pkg, err := l.check(l.imp, p.ImportPath, p.Dir, files)
-		if err != nil {
-			return nil, err
-		}
-		pkg.Name = p.Name
-		pkgs = append(pkgs, pkg)
-	}
-	return pkgs, nil
+	return listed, nil
 }
 
 // check parses and type-checks one package's files, resolving imports

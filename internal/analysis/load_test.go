@@ -3,6 +3,7 @@ package analysis
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -113,5 +114,58 @@ var X = dep.Answer()
 	}
 	if depFromRoot == nil {
 		t.Fatal("root package does not record its fixture import")
+	}
+}
+
+// TestLoadNarrowPatternSeesModule pins reach's two loader contracts on a
+// real module: a narrow pattern still loads the whole module, so a use in
+// a package the pattern leaves out counts; and a use is found across the
+// source importer's per-importer copies of a package, which an identity
+// match would miss (the fixture tree shares one copy, so only a module
+// load can show it).
+func TestLoadNarrowPatternSeesModule(t *testing.T) {
+	dir := t.TempDir()
+	writeFixture(t, dir, "go.mod", "module smokescreen\n\ngo 1.22\n")
+	writeFixture(t, dir, "internal/lib/lib.go", `package lib
+
+func Used() int { return 1 }
+
+func Unused() int { return 2 }
+`)
+	writeFixture(t, dir, "main.go", `package main
+
+import "smokescreen/internal/lib"
+
+func main() { println(lib.Used()) }
+`)
+	// The source importer resolves module imports from the working
+	// directory (go/build runs `go list` there), so load from the module
+	// root, as smokevet does.
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
+	matched, all, err := NewLoader().Load(".", "./internal/lib")
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	if len(matched) != 1 || matched[0].Path != "smokescreen/internal/lib" || len(all) != 2 {
+		t.Fatalf("matched %d, loaded %d packages; want the pattern's one of the module's two", len(matched), len(all))
+	}
+	for _, p := range all {
+		if len(p.TypeErrors) > 0 {
+			t.Fatalf("%s: %v", p.Path, p.TypeErrors)
+		}
+	}
+	diags, err := RunSuite(matched, all, []*Analyzer{Reach}, true)
+	if err != nil {
+		t.Fatalf("RunSuite: %v", err)
+	}
+	if len(diags) != 1 || !strings.Contains(diags[0].Message, "func Unused") {
+		t.Fatalf("diags = %v, want exactly Unused", diags)
 	}
 }

@@ -5,6 +5,6 @@ package analysis
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		Determinism, Ctxflow, Atomiccounter,
-		Goroleak, Axisreg, Errcontract,
+		Goroleak, Axisreg, Errcontract, Reach,
 	}
 }

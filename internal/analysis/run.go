@@ -8,14 +8,17 @@ import (
 )
 
 // RunSuite applies each analyzer whose Match accepts the package's import
-// path and returns the surviving diagnostics in position order. Suppressed
-// findings are dropped; malformed suppressions and type-check failures are
-// themselves reported, so neither can silently weaken the gate. With audit
+// path to every package of pkgs, a subset of all (every package the run
+// loaded, which each Pass carries as All), and returns the surviving
+// diagnostics in position order. Suppressed findings are dropped;
+// malformed suppressions and type-check failures are themselves reported,
+// so neither can silently weaken the gate. With audit
 // set, a suppression that silenced nothing is reported as stale; that is
 // only meaningful when every analyzer runs, since a suppression for an
-// analyzer left out would always look stale. Every analyzer is
-// per-package: nothing one package's pass learns is visible to another's.
-func RunSuite(pkgs []*Package, analyzers []*Analyzer, audit bool) ([]Diagnostic, error) {
+// analyzer left out would always look stale. Every analyzer but reach is
+// per-package, and no pass learns anything from another: reach reads the
+// loaded packages themselves, not what their passes found.
+func RunSuite(pkgs, all []*Package, analyzers []*Analyzer, audit bool) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
 		for _, err := range pkg.TypeErrors {
@@ -36,7 +39,7 @@ func RunSuite(pkgs []*Package, analyzers []*Analyzer, audit bool) ([]Diagnostic,
 			if a.Match != nil && !a.Match(pkg.Path) {
 				continue
 			}
-			ds, err := runOne(pkg, a)
+			ds, err := runOne(pkg, all, a)
 			if err != nil {
 				return nil, fmt.Errorf("analysis: %s on %s: %v", a.Name, pkg.Path, err)
 			}
@@ -74,7 +77,7 @@ func sortDiagnostics(diags []Diagnostic) {
 }
 
 // runOne applies one analyzer to one package, filtering suppressions.
-func runOne(pkg *Package, a *Analyzer) ([]Diagnostic, error) {
+func runOne(pkg *Package, all []*Package, a *Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	pass := &Pass{
 		Analyzer: a,
@@ -82,6 +85,7 @@ func runOne(pkg *Package, a *Analyzer) ([]Diagnostic, error) {
 		Files:    pkg.Files,
 		Pkg:      pkg.Pkg,
 		Info:     pkg.Info,
+		All:      all,
 	}
 	pass.Report = func(pos token.Pos, format string, args ...any) {
 		p := pkg.Fset.Position(pos)

@@ -104,7 +104,7 @@ var c = 3
 			return nil
 		},
 	}
-	diags, err := RunSuite([]*Package{pkg}, []*Analyzer{everywhere}, false)
+	diags, err := RunSuite([]*Package{pkg}, []*Package{pkg}, []*Analyzer{everywhere}, false)
 	if err != nil {
 		t.Fatalf("RunSuite: %v", err)
 	}
@@ -151,7 +151,7 @@ var b = 2
 			return nil
 		},
 	}
-	diags, err := RunSuite([]*Package{pkg}, []*Analyzer{fake}, true)
+	diags, err := RunSuite([]*Package{pkg}, []*Package{pkg}, []*Analyzer{fake}, true)
 	if err != nil {
 		t.Fatalf("RunSuite: %v", err)
 	}
@@ -170,7 +170,7 @@ var b = 2
 	}
 
 	// The audit is opt-in: the same run without it reports nothing.
-	diags, err = RunSuite([]*Package{pkg}, []*Analyzer{fake}, false)
+	diags, err = RunSuite([]*Package{pkg}, []*Package{pkg}, []*Analyzer{fake}, false)
 	if err != nil {
 		t.Fatalf("RunSuite: %v", err)
 	}
@@ -192,7 +192,7 @@ var x = 1 //smokevet:ignore
 		Files:        []*ast.File{f},
 		Suppressions: indexSuppressions(fset, []*ast.File{f}),
 	}
-	diags, err := RunSuite([]*Package{pkg}, nil, false)
+	diags, err := RunSuite([]*Package{pkg}, []*Package{pkg}, nil, false)
 	if err != nil {
 		t.Fatalf("RunSuite: %v", err)
 	}

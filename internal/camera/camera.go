@@ -134,7 +134,7 @@ type Node struct {
 // frames or the native-resolution pixels.
 //
 //smokevet:ignore ctxflow: the frozen benchmark/stream_ingest.go calls Stream by this name; everything else calls StreamCtx
-func (n *Node) Stream(conn *transport.Conn, stream *stats.Stream) (Report, error) {
+func (n *Node) Stream(conn *transport.Conn, stream *stats.Stream) (Report, error) { //smokevet:ignore reach: frozen benchmark hook: benchmark/stream_ingest.go streams through it
 	return n.StreamCtx(context.Background(), conn, stream)
 }
 
@@ -411,6 +411,8 @@ func (s *Session) decodePixels(kind string, payload []byte) (*codec.FrameRecord,
 
 // Detect runs the model on a received frame against the session's
 // transmitted background — central-side inference on degraded pixels only.
+//
+//smokevet:ignore reach: central detection's reference; TestCentralDetectionMatchesLocal pins it until the receiver detects what it receives (ROADMAP item 6)
 func (s *Session) Detect(m *detect.Model, fr ReceivedFrame) []detect.Detection {
 	return m.DetectPixels(fr.Raster, s.Background, s.Config.NoiseSigma, s.Config.CaptureWidth, uint64(fr.Index))
 }

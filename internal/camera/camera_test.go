@@ -356,7 +356,9 @@ func TestReceiveRejectsMismatchedRasters(t *testing.T) {
 			}
 			for i, mm := range tc.msgs {
 				img := raster.New(mm.w, mm.h)
-				img.Fill(0.5)
+				for i := range img.Pix {
+					img.Pix[i] = 0.5
+				}
 				block, err := codec.EncodeFrame(&codec.FrameRecord{Index: i, Raster: img})
 				if err != nil {
 					t.Fatal(err)

@@ -387,6 +387,8 @@ func (s *System) ExecuteUntilCtx(ctx context.Context, q *query.Query, targetErr,
 
 // GroundTruth computes the query's exact answer over the non-degraded
 // corpus: Audit's Truth for callers with no estimate to check.
+//
+//smokevet:ignore reach: frozen benchmark hook: benchmark/check.go takes exact answers from it
 func (s *System) GroundTruth(q *query.Query) (float64, error) {
 	audit, err := s.Audit(q, estimate.Estimate{})
 	return audit.Truth, err

@@ -310,6 +310,8 @@ func Load(name string) (*scene.Video, error) {
 
 // MustLoad is Load for callers with static dataset names; it panics on
 // error.
+//
+//smokevet:ignore reach: the fixture loader the package tests share; product code calls Load and handles the error
 func MustLoad(name string) *scene.Video {
 	v, err := Load(name)
 	if err != nil {

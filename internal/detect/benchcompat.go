@@ -8,6 +8,8 @@ package detect
 // fields and detect.render_hit_ratio and deletes these with them.
 
 // Quantized reports false.
+//
+//smokevet:ignore reach: frozen benchmark hook: benchmark/provenance.go reports it
 func Quantized() bool { return false }
 
 // DeltaMode has the single value DeltaOff.
@@ -19,9 +21,13 @@ const DeltaOff DeltaMode = 0
 func (DeltaMode) String() string { return "off" }
 
 // DeltaDetectMode reports DeltaOff.
+//
+//smokevet:ignore reach: frozen benchmark hook: benchmark/provenance.go reports it
 func DeltaDetectMode() DeltaMode { return DeltaOff }
 
 // RenderCacheBudget reports 0: there is no degraded-frame render cache.
+//
+//smokevet:ignore reach: frozen benchmark hook: benchmark/provenance.go reports it
 func RenderCacheBudget() int64 { return 0 }
 
 // renderCompat keeps CacheStats.RenderHits/RenderMisses resolving for

@@ -280,6 +280,8 @@ func smoothMaskRow(mask []uint64, out []float32, cy int, lo, span uint32) {
 	}
 	inv2, inv3 := windowInv[cy][0], windowInv[cy][1]
 	a, b := out[0], out[1]
+	// Column 0's a+b compiles with b first, which smoothPlaneAVX2 mirrors;
+	// colSums says what a NaN-payload-only test failure after an edit means.
 	u := math.Float32bits((a+b)*inv2) &^ (1 << 31)
 	out[0] = math.Float32frombits(u)
 	word := (uint64(u-lo) - uint64(span)) & (1 << 63)
@@ -313,6 +315,11 @@ func smoothMaskRow(mask []uint64, out []float32, cy int, lo, span uint32) {
 func colSums(sums, cur, prev, next []float32) {
 	cur, prev, next = cur[:len(sums)], prev[:len(sums)], next[:len(sums)]
 	for x := range sums {
+		// smoothPlaneAVX2 mirrors the compiled order: cur first. After an
+		// edit of this loop or of smoothMaskRow, a TestSmoothPlaneMatchesGoBody
+		// failure on NaN payloads alone, with every golden digest unchanged,
+		// means the compiled order flipped, not the result: restore the
+		// order or re-match the assembly; the test stays as strict as it is.
 		sums[x] = cur[x] + prev[x] + next[x]
 	}
 }

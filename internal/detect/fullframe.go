@@ -64,6 +64,8 @@ func resetBackgrounds() {
 // Single-class face models additionally use a top-hat pass (local contrast
 // against a wide blur) because faces live inside person blobs where
 // background subtraction cannot isolate them.
+//
+//smokevet:ignore reach: frozen benchmark hook: benchmark/probes.go times it
 func (m *Model) DetectFrameFull(v *scene.Video, i, p int) []Detection {
 	if !m.ValidResolution(p) {
 		panic(fmt.Sprintf("detect: %s cannot run at resolution %d", m.Name, p))

@@ -251,6 +251,17 @@ func patchComponentsFloatOracle(v *scene.Video, frameIdx, p int, obj *scene.Obje
 	return oracleComponents(diff, tau)
 }
 
+// backgroundRegion copies the static background under a native region.
+func backgroundRegion(v *scene.Video, region raster.Rect) *raster.Image {
+	bg := v.Background()
+	img := raster.New(region.W(), region.H())
+	for y := 0; y < img.H; y++ {
+		row := (region.MinY+y)*bg.W + region.MinX
+		copy(img.Pix[y*img.W:(y+1)*img.W], bg.Pix[row:row+img.W])
+	}
+	return img
+}
+
 // patchDiffOracle is the historical patch pipeline up to the difference
 // plane the back half reads. Release it with putPlane.
 func patchDiffOracle(v *scene.Video, frameIdx, p int, obj *scene.Object, region raster.Rect, tw, th int, sigmaEff float64) *plane {
@@ -266,7 +277,7 @@ func patchDiffOracle(v *scene.Video, frameIdx, p int, obj *scene.Object, region 
 		diff.setDiffScalar(patch, borderMean(patch))
 	} else {
 		bgPatch := raster.GetScratch(tw, th)
-		raster.DownsampleInto(bgPatch, v.BackgroundRegion(region))
+		raster.DownsampleInto(bgPatch, backgroundRegion(v, region))
 		diff = diffPlane(patch, bgPatch)
 		raster.PutScratch(bgPatch)
 	}
@@ -359,7 +370,7 @@ func FuzzFloatComponents(f *testing.F) {
 				tw, th = 48, 48
 			}
 			patch := raster.Downsample(v.RenderRegion(fo.frame, region), tw, th)
-			bg := raster.Downsample(v.BackgroundRegion(region), tw, th)
+			bg := raster.Downsample(backgroundRegion(v, region), tw, th)
 			data := make([]byte, tw*th)
 			patch.NoisyDiffInto(patch.Pix, bg, noiseSeed(v.Config.Seed, fo.frame, p, fo.obj.ID), float32(sigmaEff))
 			for i, d := range patch.Pix {

@@ -1,5 +1,12 @@
 #include "textflag.h"
 
+// Operand order: column 0's a+b takes b first and every column sum takes
+// cur first, the order the compiled Go body (smoothMaskRow, colSums) uses.
+// That order is the compiler's choice, not the source's, so after an edit
+// of those Go lines a TestSmoothPlaneMatchesGoBody failure on NaN payloads
+// alone, with every golden digest unchanged, means the compiled order
+// flipped, not the result.
+
 // STEP computes the eight smoothed samples s of output columns [R12, R12+8)
 // into Y0, as eight iterations of smoothMaskRow's loop: each lane sums the
 // column sums a, b and c (Y2) of its column's left neighbour, itself and

@@ -54,9 +54,6 @@ func NewCorrection(agg Agg, sample []float64, N int, p Params) (*Correction, err
 	return &Correction{Sample: sample, Estimate: est, sorted: sorted}, nil
 }
 
-// Size returns m, the number of frames in the correction set.
-func (c *Correction) Size() int { return len(c.Sample) }
-
 // rank returns the sampled cumulative frequency of value v in the
 // correction set: rank(v)/m.
 func (c *Correction) rank(v float64) float64 {

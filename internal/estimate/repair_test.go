@@ -211,13 +211,15 @@ func TestRepairDegenerateCorrection(t *testing.T) {
 	}
 }
 
+// TestCorrectionSize: the correction set keeps every one of its m frames,
+// the m its bounds are computed over.
 func TestCorrectionSize(t *testing.T) {
 	corr, err := NewCorrection(AVG, []float64{1, 2, 3}, 100, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if corr.Size() != 3 {
-		t.Fatalf("Size = %d", corr.Size())
+	if len(corr.Sample) != 3 {
+		t.Fatalf("m = %d", len(corr.Sample))
 	}
 }
 

@@ -42,11 +42,8 @@ func NewWindow(agg Agg, span int, p Params, anyTime bool) (*Window, error) {
 	return &Window{est: est, span: span}, nil
 }
 
-// Span returns the window span W.
-func (w *Window) Span() int { return w.span }
-
 // Lo returns the lowest frame position the window covers; the window is
-// [Lo, Lo+Span).
+// [Lo, Lo+W) for span W.
 func (w *Window) Lo() int { return w.lo }
 
 // Count returns the number of distinct frames currently folded in.

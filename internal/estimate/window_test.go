@@ -12,7 +12,7 @@ import (
 // recomputation the incremental window must match.
 func freshOver(t *testing.T, w *Window, agg Agg, p Params, anyTime bool) *StreamingEstimator {
 	t.Helper()
-	fresh, err := NewStreamingEstimator(agg, w.Span(), p, anyTime)
+	fresh, err := NewStreamingEstimator(agg, w.span, p, anyTime)
 	if err != nil {
 		t.Fatal(err)
 	}

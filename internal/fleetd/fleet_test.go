@@ -592,8 +592,8 @@ func TestNodeConfigValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer n.Close()
-	if n.Self() != "a" {
-		t.Fatalf("Self = %q", n.Self())
+	if n.self != "a" {
+		t.Fatalf("self = %q", n.self)
 	}
 }
 

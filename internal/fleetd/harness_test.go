@@ -322,7 +322,7 @@ func (h *Harness) Kill(name string) bool {
 	for _, hn := range h.nodes {
 		if hn.Name == name && hn.alive {
 			hn.alive = false
-			hn.Node.Kill()
+			hn.Node.baseCancel() // abrupt: no graceful drain
 			_ = hn.srv.Close()
 			<-hn.serveDone
 			return true

@@ -97,8 +97,9 @@ type Node struct {
 	// minted the id.
 	jobNodes map[string]string
 
-	// baseCtx parents every generation and stream; Kill cancels it to
-	// simulate this node dying mid-work.
+	// baseCtx parents every generation and stream; Drain and Close cancel
+	// it, and the fleet tests cancel it alone to simulate this node dying
+	// mid-work.
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 }
@@ -186,9 +187,6 @@ func NewNode(cfg Config) (*Node, error) {
 	return n, nil
 }
 
-// Self returns this node's normalized name.
-func (n *Node) Self() string { return n.self }
-
 // Ring returns the node's (immutable) placement ring.
 func (n *Node) Ring() *Ring { return n.ring }
 
@@ -200,12 +198,6 @@ func (n *Node) peers(key string) []string {
 	}
 	return replicas
 }
-
-// Kill simulates this node dying abruptly: every running generation's and
-// stream's context is canceled. The caller also closes the node's
-// listener, so peers see refused connections and route past it; Kill
-// itself performs no graceful drain.
-func (n *Node) Kill() { n.baseCancel() }
 
 // Drain stops intake and waits for in-flight work, bounded by ctx.
 func (n *Node) Drain(ctx context.Context) error {

@@ -199,7 +199,7 @@ func (f *simFleet) kill(name string) {
 	f.tr.mu.Lock()
 	f.tr.dead[name] = true
 	f.tr.mu.Unlock()
-	f.nodes[name].Kill()
+	f.nodes[name].baseCancel()
 }
 
 func (f *simFleet) alive() []string {

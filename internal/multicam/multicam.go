@@ -108,9 +108,6 @@ func disagreement(q, first *query.Query) string {
 	return ""
 }
 
-// Size returns the number of cameras.
-func (f *Fleet) Size() int { return len(f.cameras) }
-
 // TotalFrames returns N, the union population size.
 func (f *Fleet) TotalFrames() int {
 	total := 0

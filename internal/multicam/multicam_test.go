@@ -87,8 +87,8 @@ func TestNewValidation(t *testing.T) {
 
 func TestFleetSizeAndFrames(t *testing.T) {
 	f := pairFleet(t, 1, "SELECT AVG(count(car))", 0.2, 0.2)
-	if f.Size() != 2 {
-		t.Fatalf("Size = %d", f.Size())
+	if len(f.cameras) != 2 {
+		t.Fatalf("cameras = %d", len(f.cameras))
 	}
 	want := dataset.MustLoad("mvi-40771").NumFrames() + dataset.MustLoad("mvi-40775").NumFrames()
 	if f.TotalFrames() != want {

@@ -89,6 +89,8 @@ func init() {
 // Sharing reports true: one detection pass serves every class. Its sole
 // caller is benchmark/provenance.go (see detect.Quantized), and it goes
 // with that report field in the next benchmark-archetype PR.
+//
+//smokevet:ignore reach: frozen benchmark hook: benchmark/provenance.go reports it
 func Sharing() bool { return true }
 
 func getTable(v *scene.Video, model string, p int) *table {

@@ -146,7 +146,7 @@ func TestConstructCorrectionElbow(t *testing.T) {
 	if prev.ErrBound-last.ErrBound >= 0.02 && last.Fraction < 1 {
 		t.Fatalf("stopped while still improving: %v -> %v", prev.ErrBound, last.ErrBound)
 	}
-	if res.Correction.Size() != last.Size {
+	if len(res.Correction.Sample) != last.Size {
 		t.Fatal("returned correction does not match the last step")
 	}
 }
@@ -194,8 +194,8 @@ func TestBuildCorrectionAt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if corr.Size() != 500 {
-		t.Fatalf("size %d", corr.Size())
+	if len(corr.Sample) != 500 {
+		t.Fatalf("size %d", len(corr.Sample))
 	}
 	if _, err := BuildCorrectionAt(s, 0, stats.NewStream(1)); err == nil {
 		t.Fatal("zero size accepted")

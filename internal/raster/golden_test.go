@@ -97,7 +97,7 @@ func TestGoldenKernelBytes(t *testing.T) {
 		// ellipse clipped by the image and at odd sizes, were captured on
 		// 91efcdf, before the noise row kernel and the hoisted ellipse.
 		{"AddNoise/0.6", func() *Image {
-			dst := src.Clone()
+			dst := clone(src)
 			dst.AddNoise(0x9015e, 0.6)
 			return dst
 		}, "ab72075d1b4c08727bc24a3f2be69d9cb8f9356a2e57be335b96a2d59e29e014"},
@@ -107,12 +107,12 @@ func TestGoldenKernelBytes(t *testing.T) {
 			return dst
 		}, "469a72547e3b2513c3e4431d1f952445e641fdf8f4800d45e8d53a3bec69959d"},
 		{"FillEllipse/clipped", func() *Image {
-			dst := src.Clone()
+			dst := clone(src)
 			dst.FillEllipse(Rect{MinX: -20, MinY: 90, MaxX: 61, MaxY: 160}, 0.7)
 			return dst
 		}, "77cdeb68bee531f790e090dec4909c1300d87afb7f59f5c04cd8556665f5ff99"},
 		{"FillEllipse/odd", func() *Image {
-			dst := src.Clone()
+			dst := clone(src)
 			dst.FillEllipse(RectWH(31, 17, 77, 53), 0.3)
 			return dst
 		}, "4f8db5e88c1f18fa07b07241845eddae94b4f92888c55e5257cfae44f5b1b56a"},

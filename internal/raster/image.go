@@ -26,13 +26,6 @@ func New(w, h int) *Image {
 	return &Image{W: w, H: h, Pix: make([]float32, w*h)}
 }
 
-// Clone returns a deep copy of the image.
-func (m *Image) Clone() *Image {
-	out := &Image{W: m.W, H: m.H, Pix: make([]float32, len(m.Pix))}
-	copy(out.Pix, m.Pix)
-	return out
-}
-
 // At returns the sample at (x, y). Out-of-bounds reads return 0, which
 // keeps filter kernels simple at image edges.
 func (m *Image) At(x, y int) float32 {
@@ -49,31 +42,6 @@ func (m *Image) Set(x, y int, v float32) {
 		return
 	}
 	m.Pix[y*m.W+x] = clamp01(v)
-}
-
-// Add adds v to the sample at (x, y), clamping into [0, 1].
-func (m *Image) Add(x, y int, v float32) {
-	if x < 0 || y < 0 || x >= m.W || y >= m.H {
-		return
-	}
-	m.Pix[y*m.W+x] = clamp01(m.Pix[y*m.W+x] + v)
-}
-
-// Fill sets every sample to v.
-func (m *Image) Fill(v float32) {
-	v = clamp01(v)
-	for i := range m.Pix {
-		m.Pix[i] = v
-	}
-}
-
-// Mean returns the average sample value.
-func (m *Image) Mean() float64 {
-	var sum float64
-	for _, v := range m.Pix {
-		sum += float64(v)
-	}
-	return sum / float64(len(m.Pix))
 }
 
 func clamp01(v float32) float32 {
@@ -143,11 +111,6 @@ func (r Rect) Union(o Rect) Rect {
 		MaxX: max(r.MaxX, o.MaxX),
 		MaxY: max(r.MaxY, o.MaxY),
 	}
-}
-
-// Contains reports whether point (x, y) lies inside the rectangle.
-func (r Rect) Contains(x, y int) bool {
-	return x >= r.MinX && x < r.MaxX && y >= r.MinY && y < r.MaxY
 }
 
 // IoU returns the intersection-over-union of two rectangles, the overlap

@@ -332,14 +332,14 @@ func TestAddNoiseMatchesReference(t *testing.T) {
 			src.Pix[0], src.Pix[len(src.Pix)-1] = 1.5, -0.25
 			seed := rng.Uint64()
 
-			want := src.Clone()
+			want := clone(src)
 			want.addNoiseNaive(seed, sigma)
-			got := src.Clone()
+			got := clone(src)
 			got.AddNoise(seed, sigma)
 			requireSameBits(t, "AddNoise", got.Pix, want.Pix)
 
 			diff := make([]float32, len(src.Pix))
-			before := src.Clone()
+			before := clone(src)
 			src.NoisyDiffInto(diff, bg, seed, sigma)
 			requireSameBits(t, "NoisyDiffInto source", src.Pix, before.Pix)
 			for i := range want.Pix {
@@ -376,7 +376,7 @@ func TestFillEllipseMatchesNaive(t *testing.T) {
 	for i, r := range rects {
 		src := randomImage(rng, 64+rng.Intn(9), 48+rng.Intn(9))
 		v := []float32{0.7, 0, 1, 1.4, -0.3}[i%5]
-		want, got := src.Clone(), src.Clone()
+		want, got := clone(src), clone(src)
 		want.fillEllipseNaive(r, v)
 		got.FillEllipse(r, v)
 		requireSameBits(t, fmt.Sprintf("FillEllipse %+v v=%v", r, v), got.Pix, want.Pix)
@@ -401,7 +401,7 @@ func TestFillRectMatchesNaive(t *testing.T) {
 	for i, r := range rects {
 		src := randomImage(rng, 64+rng.Intn(9), 48+rng.Intn(9))
 		v := []float32{0.7, 0, 1, 1.4, -0.3, float32(math.NaN())}[i%6]
-		want, got := src.Clone(), src.Clone()
+		want, got := clone(src), clone(src)
 		want.fillRectNaive(r, v)
 		got.FillRect(r, v)
 		requireSameBits(t, fmt.Sprintf("FillRect %+v v=%v", r, v), got.Pix, want.Pix)

@@ -463,15 +463,6 @@ func lerpRowGo(out, tops, bots []float32, fy float32, x0 int) {
 	}
 }
 
-// BoxBlur applies a (2r+1)x(2r+1) box blur, the detector's
-// background-estimation primitive. Border pixels average over the
-// in-bounds part of the kernel.
-func BoxBlur(src *Image, r int) *Image {
-	dst := New(src.W, src.H)
-	BoxBlurInto(dst, src, r)
-	return dst
-}
-
 // BoxBlurInto writes the box blur of src into dst, which must share src's
 // dimensions and not alias it. Every destination sample is overwritten, so
 // dst may come from GetScratch.

@@ -28,10 +28,10 @@ func checkResampleRows(t *testing.T, src *Image, r Rect, dw, dh, lo, hi int) {
 			t.Fatalf("%v of %dx%d -> %dx%d rows [%d,%d): source rows [%d,%d) outside the source", r, src.W, src.H, dw, dh, lo, hi, slo, shi)
 		}
 	}
-	poisoned := src.Clone()
+	poisoned := clone(src)
 	for y := 0; y < src.H; y++ {
 		for x := 0; x < src.W; x++ {
-			if !r.Contains(x, y) || y < r.MinY+slo || y >= r.MinY+shi {
+			if x < r.MinX || x >= r.MaxX || y < r.MinY+slo || y >= r.MinY+shi {
 				poisoned.Pix[y*src.W+x] = float32(math.NaN())
 			}
 		}

@@ -15,7 +15,7 @@ func TestGetScratchDimensionsAndReuse(t *testing.T) {
 	if img.W != 8 || img.H != 6 || len(img.Pix) != 48 {
 		t.Fatalf("scratch image has wrong shape: %dx%d len %d", img.W, img.H, len(img.Pix))
 	}
-	img.Fill(0.5)
+	fill(img, 0.5)
 	PutScratch(img)
 
 	// A smaller request may reuse the same backing array; the reslice must
@@ -49,7 +49,7 @@ func TestDownsampleIntoMatchesDownsample(t *testing.T) {
 	for _, c := range cases {
 		want := Downsample(src, c.w, c.h)
 		dst := GetScratch(c.w, c.h)
-		dst.Fill(1) // stale contents must be fully overwritten
+		fill(dst, 1) // stale contents must be fully overwritten
 		DownsampleInto(dst, src)
 		for i := range want.Pix {
 			if dst.Pix[i] != want.Pix[i] {
@@ -63,9 +63,9 @@ func TestDownsampleIntoMatchesDownsample(t *testing.T) {
 func TestBoxBlurIntoMatchesBoxBlur(t *testing.T) {
 	src := scratchTestImage(40, 30)
 	for _, r := range []int{0, 1, 3} {
-		want := BoxBlur(src, r)
+		want := boxBlur(src, r)
 		dst := GetScratch(src.W, src.H)
-		dst.Fill(0.25)
+		fill(dst, 0.25)
 		BoxBlurInto(dst, src, r)
 		for i := range want.Pix {
 			if dst.Pix[i] != want.Pix[i] {

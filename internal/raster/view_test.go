@@ -66,8 +66,8 @@ func TestQuantizeLevelsMatchesNaive(t *testing.T) {
 				src.Pix[i] = src.Pix[i]*3 - 1
 			}
 		}
-		fast := src.Clone()
-		naive := src.Clone()
+		fast := clone(src)
+		naive := clone(src)
 		QuantizeLevels(fast, levels)
 		quantizeLevelsNaive(naive, levels)
 		checkFinite(t, fast, "quantize fast")

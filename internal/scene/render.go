@@ -176,18 +176,6 @@ func (v *Video) ResampleObjectRowsInto(dst *raster.Image, i int, region raster.R
 	}
 }
 
-// BackgroundRegion returns a copy of the static background over the given
-// native-coordinate region. Detectors subtract this from rendered frames:
-// with a fixed surveillance camera the background (gradient, clutter
-// texture, lane markings) is constant and cancels exactly, so only real
-// objects and sensor noise survive the difference.
-func (v *Video) BackgroundRegion(region raster.Rect) *raster.Image {
-	region = v.clipRegion(region, "BackgroundRegion")
-	img := raster.New(region.W(), region.H())
-	copyRegionRows(img, v.Background(), region)
-	return img
-}
-
 // copyRegionRows copies the native-coordinate region of src into img row
 // by row; img must be sized region.W() x region.H().
 func copyRegionRows(img, src *raster.Image, region raster.Rect) {

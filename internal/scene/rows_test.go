@@ -52,7 +52,7 @@ func TestObjectFreeRowsAreBackground(t *testing.T) {
 			left, right := blurReach(vw)
 			checked, spilled := 0, 0
 			for _, i := range frames {
-				for _, region := range testRegions(v, i) {
+				for _, region := range testRegions(v, vw, i) {
 					img := v.RenderRegion(i, region)
 					widened := region
 					widened.MinX -= left
@@ -97,7 +97,7 @@ func TestResampleObjectRowsMatchesFullResample(t *testing.T) {
 		for vname, vw := range rowViews {
 			v := base.WithView(vw)
 			for _, i := range frames {
-				for _, region := range testRegions(v, i) {
+				for _, region := range testRegions(v, vw, i) {
 					rw, rh := region.W(), region.H()
 					sizes := [][2]int{{rw, rh}, {max(1, rw*19/20), max(1, rh*19/20)}, {max(1, rw/7), max(1, rh/5)}}
 					if rw*rh < 100_000 {
@@ -121,14 +121,14 @@ func TestResampleObjectRowsMatchesFullResample(t *testing.T) {
 	}
 }
 
-// testRegions returns the whole frame and, for each of frame i's first two
-// objects, regions just right of it — adjacent, and starting as many columns
-// past its bbox as the blur's left reach still spans (where quantization can
-// round the faint spill away) — regions just left of it likewise, and a
-// detector-style patch around it.
-func testRegions(v *scene.Video, i int) []raster.Rect {
+// testRegions returns, for v (seen through vw), the whole frame and, for
+// each of frame i's first two objects, regions just right of it — adjacent,
+// and starting as many columns past its bbox as the blur's left reach still
+// spans (where quantization can round the faint spill away) — regions just
+// left of it likewise, and a detector-style patch around it.
+func testRegions(v *scene.Video, vw scene.View, i int) []raster.Rect {
 	frame := raster.RectWH(0, 0, v.Config.Width, v.Config.Height)
-	left, right := blurReach(v.View())
+	left, right := blurReach(vw)
 	out := []raster.Rect{frame}
 	objs := v.Frame(i).Objects
 	for k := 0; k < min(2, len(objs)); k++ {

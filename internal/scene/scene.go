@@ -76,27 +76,6 @@ type Frame struct {
 	Objects []Object
 }
 
-// Count returns the number of objects of class c in the frame.
-func (f *Frame) Count(c Class) int {
-	n := 0
-	for i := range f.Objects {
-		if f.Objects[i].Class == c {
-			n++
-		}
-	}
-	return n
-}
-
-// Contains reports whether the frame has at least one object of class c.
-func (f *Frame) Contains(c Class) bool {
-	for i := range f.Objects {
-		if f.Objects[i].Class == c {
-			return true
-		}
-	}
-	return false
-}
-
 // Lighting describes the scene's photometric conditions. Night scenes have
 // a darker, lower-contrast background and stronger sensor noise, which is
 // why the same detector degrades faster with resolution on night-street
@@ -199,26 +178,4 @@ func (v *Video) NumFrames() int { return len(v.frames) }
 // Frame returns the ground-truth annotation of frame i.
 func (v *Video) Frame(i int) *Frame {
 	return &v.frames[i]
-}
-
-// ClassFrameFraction returns the fraction of frames containing at least
-// one object of class c — the statistic the paper reports for "person"
-// and "face" (e.g. 14.18% of night-street frames contain a person).
-func (v *Video) ClassFrameFraction(c Class) float64 {
-	n := 0
-	for i := range v.frames {
-		if v.frames[i].Contains(c) {
-			n++
-		}
-	}
-	return float64(n) / float64(len(v.frames))
-}
-
-// MeanCount returns the mean per-frame ground-truth count of class c.
-func (v *Video) MeanCount(c Class) float64 {
-	var sum int
-	for i := range v.frames {
-		sum += v.frames[i].Count(c)
-	}
-	return float64(sum) / float64(len(v.frames))
 }

@@ -20,8 +20,6 @@
 package scene
 
 import (
-	"fmt"
-
 	"smokescreen/internal/raster"
 	"smokescreen/internal/stats"
 )
@@ -55,21 +53,6 @@ const occlusionShade = 0.05
 // envelope region renders carry (and within the reach the degrade axis
 // registry validates against).
 const MaxBlurLen = 31
-
-// Validate reports whether the view is within the supported envelope.
-func (vw View) Validate() error {
-	switch {
-	case vw.ExtraNoise < 0 || vw.ExtraNoise > 0.5:
-		return fmt.Errorf("scene: view noise %v out of [0, 0.5]", vw.ExtraNoise)
-	case vw.BlurLen < 0 || vw.BlurLen > MaxBlurLen:
-		return fmt.Errorf("scene: view blur length %d out of [0, %d]", vw.BlurLen, MaxBlurLen)
-	case vw.Levels < 0 || vw.Levels == 1 || vw.Levels > 256:
-		return fmt.Errorf("scene: view quantization levels %d not 0 or in [2, 256]", vw.Levels)
-	case vw.Occlusion < 0 || vw.Occlusion > 0.5:
-		return fmt.Errorf("scene: view occlusion density %v out of [0, 0.5]", vw.Occlusion)
-	}
-	return nil
-}
 
 // IsZero reports whether the view is the identity.
 func (vw View) IsZero() bool { return vw == View{} }
@@ -119,10 +102,6 @@ func (v *Video) WithView(view View) *Video {
 	cfg.Lighting.NoiseSigma += view.ExtraNoise
 	return &Video{Config: cfg, frames: v.frames, view: merged}
 }
-
-// View returns the pixel-space view this video is observed through (the
-// zero View for a base corpus).
-func (v *Video) View() View { return v.view }
 
 // CachedRasterBytes reports the bytes of lazily materialized per-Video
 // rasters (backgrounds, occlusion mask) currently held by this Video

@@ -85,7 +85,7 @@ func TestViewComposition(t *testing.T) {
 	v := mustGenerate(t, testConfig())
 	a := v.WithView(View{ExtraNoise: 0.1, BlurLen: 7, Levels: 32, Occlusion: 0.1})
 	b := a.WithView(View{ExtraNoise: 0.05, BlurLen: 5, Levels: 16, Occlusion: 0.3})
-	got := b.View()
+	got := b.view
 	want := View{ExtraNoise: 0.15000001, BlurLen: 7, Levels: 16, Occlusion: 0.3}
 	if math.Abs(float64(got.ExtraNoise-want.ExtraNoise)) > 1e-6 {
 		t.Errorf("composed noise %v, want ~%v", got.ExtraNoise, want.ExtraNoise)
@@ -121,25 +121,5 @@ func TestOcclusionMaskDeterministic(t *testing.T) {
 	sparse := viewedVideo(t, View{Occlusion: 0.05}).occlusionMask()
 	if count(sparse) >= count(m1) {
 		t.Fatalf("density 0.05 mask (%d px) not sparser than 0.3 (%d px)", count(sparse), count(m1))
-	}
-}
-
-// TestViewValidate covers the envelope checks.
-func TestViewValidate(t *testing.T) {
-	for name, vw := range map[string]View{
-		"noise":      {ExtraNoise: 0.6},
-		"blur":       {BlurLen: MaxBlurLen + 1},
-		"neg blur":   {BlurLen: -1},
-		"levels 1":   {Levels: 1},
-		"levels 300": {Levels: 300},
-		"occlusion":  {Occlusion: 0.7},
-		"neg occl":   {Occlusion: -0.1},
-	} {
-		if vw.Validate() == nil {
-			t.Errorf("%s: invalid view accepted", name)
-		}
-	}
-	if err := (View{ExtraNoise: 0.1, BlurLen: 9, Levels: 2, Occlusion: 0.5}).Validate(); err != nil {
-		t.Errorf("valid view rejected: %v", err)
 	}
 }

@@ -214,8 +214,8 @@ func TestCancelStopsDetectorWork(t *testing.T) {
 				}
 				time.Sleep(time.Millisecond)
 			}
-			if _, err := client.CancelJob(context.Background(), job.ID); err != nil {
-				t.Fatal(err)
+			if _, code := deleteJob(t, ts.URL, job.ID); code != http.StatusOK {
+				t.Fatalf("DELETE job = %d", code)
 			}
 			gate.open()
 			final := awaitState(t, client, job.ID, JobCanceled)

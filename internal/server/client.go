@@ -246,14 +246,6 @@ func (c *Client) Job(ctx context.Context, id string) (*JobStatus, error) {
 	return call[JobStatus](ctx, c, http.MethodGet, "/v1/jobs/"+id, nil, http.StatusOK)
 }
 
-// CancelJob asks the daemon to cancel a job (DELETE /v1/jobs/{id}) and
-// returns the job's status after the request. Canceling a terminal job is
-// a no-op; a running job may still report "running" until its pipeline
-// unwinds — poll Job to observe the canceled state.
-func (c *Client) CancelJob(ctx context.Context, id string) (*JobStatus, error) {
-	return call[JobStatus](ctx, c, http.MethodDelete, "/v1/jobs/"+id, nil, http.StatusOK)
-}
-
 // StartStream asks the daemon to begin a streaming ingest job (POST
 // /v1/streams) and returns its initial status.
 func (c *Client) StartStream(ctx context.Context, req StreamRequest) (*StreamStatus, error) {
@@ -271,8 +263,8 @@ func (c *Client) Stream(ctx context.Context, id string) (*StreamStatus, error) {
 }
 
 // CancelStream asks the daemon to stop a stream (DELETE
-// /v1/streams/{id}). Like CancelJob, the returned status reflects the
-// moment of the request; poll Stream to observe the canceled state.
+// /v1/streams/{id}). The returned status reflects the moment of the
+// request; poll Stream to observe the canceled state.
 func (c *Client) CancelStream(ctx context.Context, id string) (*StreamStatus, error) {
 	return call[StreamStatus](ctx, c, http.MethodDelete, "/v1/streams/"+id, nil, http.StatusOK)
 }

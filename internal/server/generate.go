@@ -32,6 +32,8 @@ func (e *UnknownFieldError) Unwrap() error { return e.Err }
 // DecodeGenRequest strictly decodes a profile-generation request with the
 // decoder every HTTP surface runs behind readRequest's body bound, so skew
 // behaves identically on every hop.
+//
+//smokevet:ignore reach: frozen benchmark hook: benchmark/serve_mix.go and staged.go time request decoding through it
 func DecodeGenRequest(r io.Reader) (GenRequest, error) {
 	return decodeStrict[GenRequest](r)
 }

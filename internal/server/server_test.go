@@ -11,7 +11,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
@@ -575,7 +574,7 @@ func TestCorruptEntryHealedByRepost(t *testing.T) {
 
 	// Corrupt the artifact on disk (and evict the memory cache by
 	// reopening the store path directly).
-	path := filepath.Join(st.Root(), key[:2], key+".json")
+	path := st.EnvelopePath(key)
 	if err := os.Truncate(path, 10); err != nil {
 		t.Fatal(err)
 	}

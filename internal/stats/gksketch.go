@@ -37,12 +37,6 @@ func NewGKSketch(epsilon float64) (*GKSketch, error) {
 	return &GKSketch{epsilon: epsilon}, nil
 }
 
-// Count returns the number of observed values.
-func (s *GKSketch) Count() int { return s.n }
-
-// Size returns the number of stored tuples (the space cost).
-func (s *GKSketch) Size() int { return len(s.tuples) }
-
 // Insert observes one value.
 func (s *GKSketch) Insert(v float64) {
 	// Find insertion position: first tuple with value >= v.

@@ -68,22 +68,6 @@ func HoeffdingHalfWidth(R float64, n int, delta float64) float64 {
 	return R * math.Sqrt(math.Log(2/delta)/(2*float64(n)))
 }
 
-// EmpiricalBernsteinHalfWidth returns the two-sided empirical Bernstein
-// deviation bound (Audibert, Munos & Szepesvári, 2007) for n i.i.d.
-// observations with sample standard deviation sd and range R:
-//
-//	I = sd * sqrt( 2 log(3/delta) / n ) + 3 R log(3/delta) / n.
-//
-// It adapts to low-variance data but carries a heavier additive tail term
-// than Hoeffding–Serfling, which is why the paper replaces it.
-func EmpiricalBernsteinHalfWidth(sd, R float64, n int, delta float64) float64 {
-	if n <= 0 {
-		panic("stats: EmpiricalBernsteinHalfWidth with non-positive n")
-	}
-	l := math.Log(3 / delta)
-	return sd*math.Sqrt(2*l/float64(n)) + 3*R*l/float64(n)
-}
-
 // CLTHalfWidth returns the central-limit-theorem deviation estimate used by
 // online aggregation: z_{1-delta/2} * sd / sqrt(n). It is not a guaranteed
 // bound — at small n it undercovers, which is exactly the brittleness

@@ -93,20 +93,10 @@ func QuantileSorted(sorted []float64, q float64) float64 {
 	return sorted[i]
 }
 
-// Rank returns the rank (1-based) of value v in the population xs:
-// the number of observations <= v. This is the rank notion used by the
-// MAX/MIN error metric |rank(Yapprox)-rank(Ytrue)| / rank(Ytrue).
-func Rank(xs []float64, v float64) int {
-	r := 0
-	for _, x := range xs {
-		if x <= v {
-			r++
-		}
-	}
-	return r
-}
-
-// RankSorted is Rank for an ascending-sorted slice, in O(log n).
+// RankSorted returns the rank (1-based) of value v in the ascending-sorted
+// population sorted: the number of observations <= v, in O(log n). This is
+// the rank notion used by the MAX/MIN error metric
+// |rank(Yapprox)-rank(Ytrue)| / rank(Ytrue).
 func RankSorted(sorted []float64, v float64) int {
 	return sort.SearchFloat64s(sorted, math.Nextafter(v, math.Inf(1)))
 }

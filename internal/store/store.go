@@ -118,9 +118,6 @@ func Open(dir string, opts ...Option) (*Store, error) {
 	return s, nil
 }
 
-// Root returns the store's root directory.
-func (s *Store) Root() string { return s.root }
-
 // validKey gates keys to what CanonicalKey produces: lowercase hex, long
 // enough to shard. It keeps arbitrary strings from escaping the root via
 // path separators.
@@ -144,11 +141,15 @@ func (s *Store) path(key string) string {
 // EnvelopePath returns the on-disk location of key's envelope without
 // touching it. Fleet tests and repair tooling use it to inspect (or
 // deliberately damage) a specific replica's shard.
+//
+//smokevet:ignore reach: frozen benchmark hook: benchmark/serve_mix.go sizes envelopes through it
 func (s *Store) EnvelopePath(key string) string { return s.path(key) }
 
 // Invalidate drops key's cached payload so the next Get re-reads — and
 // re-validates — the disk copy, the cold-cache state a process restart
 // would produce.
+//
+//smokevet:ignore reach: frozen benchmark hook: benchmark/serve_mix.go forces disk reads through it
 func (s *Store) Invalidate(key string) {
 	s.mu.Lock()
 	s.cache.remove(key)
@@ -391,6 +392,8 @@ func decodeEnvelope(key, path string, data []byte) ([]byte, error) {
 
 // Delete removes an artifact from disk and memory. Deleting a missing key
 // is a no-op.
+//
+//smokevet:ignore reach: frozen benchmark hook: benchmark/profile_cold.go evicts through it
 func (s *Store) Delete(key string) error {
 	if err := validKey(key); err != nil {
 		return err

@@ -279,7 +279,7 @@ func TestConcurrentSameKey(t *testing.T) {
 	}
 	wg.Wait()
 	// No temp-file litter left behind.
-	entries, err := os.ReadDir(filepath.Join(s.Root(), key[:2]))
+	entries, err := os.ReadDir(filepath.Join(s.root, key[:2]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,7 +534,7 @@ func sealedEnvelope(t testing.TB, key string, payload []byte) []byte {
 func rootFiles(t testing.TB, s *Store) []string {
 	t.Helper()
 	var files []string
-	err := filepath.WalkDir(s.Root(), func(path string, d os.DirEntry, err error) error {
+	err := filepath.WalkDir(s.root, func(path string, d os.DirEntry, err error) error {
 		if err == nil && !d.IsDir() {
 			files = append(files, path)
 		}

@@ -411,7 +411,9 @@ func wireConfig(name string, captureWidth, resolution, totalFrames int) []byte {
 func wireRaster(t *testing.T, index, w, h int) []byte {
 	t.Helper()
 	img := raster.New(w, h)
-	img.Fill(0.5)
+	for i := range img.Pix {
+		img.Pix[i] = 0.5
+	}
 	block, err := codec.EncodeFrame(&codec.FrameRecord{Index: index, Raster: img})
 	if err != nil {
 		t.Fatal(err)

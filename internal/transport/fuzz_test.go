@@ -25,7 +25,7 @@ func frameBytes(msgType byte, payload []byte) []byte {
 //     error, and io.EOF only at a clean frame boundary.
 //   - A successful Receive accounted exactly one well-formed frame:
 //     re-framing the returned message reproduces the bytes between the
-//     previous and the new Conn.BytesReceived(). (The Conn reads ahead,
+//     previous and the new Totals().BytesReceived. (The Conn reads ahead,
 //     so how much has left the underlying reader says nothing.)
 //   - The loop always makes progress (accounts input or stops), so a
 //     malicious peer cannot wedge the receiver.
@@ -41,10 +41,11 @@ func FuzzReceive(f *testing.F) {
 	f.Add([]byte{0x05, MsgFrame, 0x01})                                       // truncated body
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := New(readWriter{bytes.NewBuffer(append([]byte(nil), data...))})
+		base := Totals().BytesReceived
 		for {
-			start := int(c.BytesReceived())
+			start := int(Totals().BytesReceived - base)
 			msgType, payload, err := c.Receive()
-			end := int(c.BytesReceived())
+			end := int(Totals().BytesReceived - base)
 			if err != nil {
 				if end != start {
 					t.Fatalf("failed Receive accounted %d bytes", end-start)

@@ -1,10 +1,10 @@
 // Package transport implements the byte-accounted wire protocol between
 // the simulated cameras and the central video query processor. It is a
 // minimal length-prefixed message framing over any io.ReadWriter (net.Pipe
-// for in-process experiments, TCP for distributed ones), with per-
-// direction byte counters that feed the bandwidth and energy accounting of
+// for in-process experiments, TCP for distributed ones). Each Conn counts
+// the bytes it sends, which feeds the bandwidth and energy accounting of
 // the camera package — the paper's "system requirements" motivation made
-// measurable.
+// measurable — and Totals sums both directions over the process.
 package transport
 
 import (
@@ -39,14 +39,14 @@ const maxMessageSize = 64 << 20
 
 // Conn is a framed, byte-accounted connection. Send and Receive are each
 // safe for one concurrent caller (one sender goroutine, one receiver
-// goroutine), matching the camera/processor topology. All counters are
-// atomics, so Snapshot and the accessor methods are safe to call from any
-// goroutine while Send/Receive are in flight.
+// goroutine), matching the camera/processor topology. The counters are
+// atomics, so BytesSent and Totals are safe to call from any goroutine
+// while Send/Receive are in flight.
 //
 // A Conn owns the read side of its stream: Receive reads ahead through a
 // buffer, so bytes past the message it returns may already have left the
 // underlying reader. Wrap a stream in one Conn for its whole life; the
-// byte counters count messages returned, not bytes buffered.
+// receive totals count messages returned, not bytes buffered.
 type Conn struct {
 	sendMu  sync.Mutex
 	w       io.Writer
@@ -56,10 +56,7 @@ type Conn struct {
 	br     *bufio.Reader
 	prefix byteReader // the length prefix being read; a field so it is not allocated per message
 
-	bytesSent     atomic.Int64
-	bytesReceived atomic.Int64
-	messagesSent  atomic.Int64
-	messagesRecv  atomic.Int64
+	bytesSent atomic.Int64
 }
 
 // Counters is a point-in-time snapshot of per-direction transfer totals.
@@ -103,7 +100,6 @@ func (c *Conn) Send(msgType byte, payload []byte) error {
 		return fmt.Errorf("transport: send: %w", err)
 	}
 	c.bytesSent.Add(int64(len(buf)))
-	c.messagesSent.Add(1)
 	globalBytesSent.Add(int64(len(buf)))
 	globalMessagesSent.Add(1)
 	return nil
@@ -137,8 +133,6 @@ func (c *Conn) Receive() (byte, []byte, error) {
 	if err != nil {
 		return 0, nil, fmt.Errorf("transport: receive payload: %w", err)
 	}
-	c.bytesReceived.Add(int64(br.n) + int64(length))
-	c.messagesRecv.Add(1)
 	globalBytesReceived.Add(int64(br.n) + int64(length))
 	globalMessagesRecv.Add(1)
 	return body[0], body[1:], nil
@@ -146,26 +140,6 @@ func (c *Conn) Receive() (byte, []byte, error) {
 
 // BytesSent returns the total bytes written, including framing.
 func (c *Conn) BytesSent() int64 { return c.bytesSent.Load() }
-
-// BytesReceived returns the total bytes read, including framing.
-func (c *Conn) BytesReceived() int64 { return c.bytesReceived.Load() }
-
-// MessagesSent returns the number of messages written.
-func (c *Conn) MessagesSent() int64 { return c.messagesSent.Load() }
-
-// Snapshot returns the connection's cumulative per-direction transfer
-// counters. It is race-safe against concurrent Send and Receive; each
-// counter is read atomically, so a snapshot taken mid-message may see a
-// message counted whose peer-side bytes are still in flight, but never a
-// torn counter value.
-func (c *Conn) Snapshot() Counters {
-	return Counters{
-		BytesSent:        c.bytesSent.Load(),
-		BytesReceived:    c.bytesReceived.Load(),
-		MessagesSent:     c.messagesSent.Load(),
-		MessagesReceived: c.messagesRecv.Load(),
-	}
-}
 
 // Totals returns process-wide cumulative transfer counters summed over
 // every Conn ever created, for export by long-running daemons.

@@ -18,6 +18,7 @@ func TestSendReceiveRoundTrip(t *testing.T) {
 	a := New(client)
 	b := New(server)
 
+	before := Totals()
 	done := make(chan error, 1)
 	go func() {
 		done <- a.Send(MsgFrame, []byte("hello"))
@@ -32,11 +33,12 @@ func TestSendReceiveRoundTrip(t *testing.T) {
 	if msgType != MsgFrame || string(payload) != "hello" {
 		t.Fatalf("got %d %q", msgType, payload)
 	}
-	if a.BytesSent() != b.BytesReceived() {
-		t.Fatalf("accounting mismatch: sent %d received %d", a.BytesSent(), b.BytesReceived())
+	d := Totals().since(before)
+	if a.BytesSent() != d.BytesSent || d.BytesSent != d.BytesReceived {
+		t.Fatalf("accounting mismatch: conn sent %d, totals sent %d received %d", a.BytesSent(), d.BytesSent, d.BytesReceived)
 	}
-	if a.MessagesSent() != 1 {
-		t.Fatalf("messages sent = %d", a.MessagesSent())
+	if d.MessagesSent != 1 || d.MessagesReceived != 1 {
+		t.Fatalf("messages sent %d received %d, want 1 each", d.MessagesSent, d.MessagesReceived)
 	}
 }
 
@@ -201,6 +203,7 @@ func TestReceiveOverOneByteReader(t *testing.T) {
 		}
 	}
 	total := int64(wire.Len())
+	before := Totals()
 	r := New(struct {
 		io.Reader
 		io.Writer
@@ -217,8 +220,8 @@ func TestReceiveOverOneByteReader(t *testing.T) {
 	if _, _, err := r.Receive(); err != io.EOF {
 		t.Fatalf("after the last message: %v, want io.EOF", err)
 	}
-	if r.BytesReceived() != total {
-		t.Fatalf("BytesReceived = %d, want %d", r.BytesReceived(), total)
+	if got := Totals().since(before).BytesReceived; got != total {
+		t.Fatalf("bytes received = %d, want %d", got, total)
 	}
 }
 
@@ -228,14 +231,28 @@ type readWriter struct{ buf *bytes.Buffer }
 func (rw readWriter) Read(p []byte) (int, error)  { return rw.buf.Read(p) }
 func (rw readWriter) Write(p []byte) (int, error) { return rw.buf.Write(p) }
 
+// since returns the transfer between an earlier reading and c. The
+// package's tests run one at a time, so a delta of the process totals is
+// exactly what the test itself moved.
+func (c Counters) since(before Counters) Counters {
+	return Counters{
+		BytesSent:        c.BytesSent - before.BytesSent,
+		BytesReceived:    c.BytesReceived - before.BytesReceived,
+		MessagesSent:     c.MessagesSent - before.MessagesSent,
+		MessagesReceived: c.MessagesReceived - before.MessagesReceived,
+	}
+}
+
 func TestSnapshotRaceSafe(t *testing.T) {
-	// Snapshot must be readable from any goroutine while a sender and a
-	// receiver are both active; run under -race (make test-race) this
-	// pins the counters as atomics, not plain ints.
+	// Totals' snapshots must be readable from any goroutine while a sender
+	// and a receiver are both active; run under -race (make test-race) this
+	// pins them as atomics, not plain ints. Receive accounting is what
+	// /metrics serves, so the deltas must balance exactly.
 	client, server := net.Pipe()
 	defer client.Close()
 	defer server.Close()
 	a, b := New(client), New(server)
+	before := Totals()
 
 	const n = 500
 	var wg sync.WaitGroup
@@ -260,37 +277,31 @@ func TestSnapshotRaceSafe(t *testing.T) {
 		}
 	}()
 	stop := make(chan struct{})
-	var snaps sync.WaitGroup
-	snaps.Add(1)
+	var reads sync.WaitGroup
+	reads.Add(1)
 	go func() {
-		defer snaps.Done()
+		defer reads.Done()
 		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			sa, sb := a.Snapshot(), b.Snapshot()
-			if sa.BytesSent < 0 || sb.BytesReceived < 0 {
-				t.Error("negative counter")
+			if d := Totals().since(before); a.BytesSent() < 0 || d.BytesReceived < 0 || d.MessagesReceived > n {
+				t.Errorf("mid-flight totals %+v out of range", d)
 				return
 			}
-			_ = Totals()
 		}
 	}()
 	wg.Wait()
 	close(stop)
-	snaps.Wait()
+	reads.Wait()
 
-	sa, sb := a.Snapshot(), b.Snapshot()
-	if sa.BytesSent != sb.BytesReceived {
-		t.Fatalf("accounting mismatch: sent %d received %d", sa.BytesSent, sb.BytesReceived)
+	d := Totals().since(before)
+	if d.BytesSent != a.BytesSent() || d.BytesReceived != d.BytesSent {
+		t.Fatalf("accounting mismatch: conn sent %d, totals sent %d received %d", a.BytesSent(), d.BytesSent, d.BytesReceived)
 	}
-	if sa.MessagesSent != n || sb.MessagesReceived != n {
-		t.Fatalf("message counts: sent %d received %d, want %d", sa.MessagesSent, sb.MessagesReceived, n)
-	}
-	totals := Totals()
-	if totals.BytesSent < sa.BytesSent || totals.MessagesReceived < sb.MessagesReceived {
-		t.Fatalf("process totals %+v below connection totals", totals)
+	if d.MessagesSent != n || d.MessagesReceived != n {
+		t.Fatalf("message counts: sent %d received %d, want %d", d.MessagesSent, d.MessagesReceived, n)
 	}
 }
